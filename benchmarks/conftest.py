@@ -15,7 +15,7 @@ import pytest
 
 from repro.bench.config import get_scale
 from repro.datasets.real_like import pp_like, ts_like
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 
 
 @pytest.fixture(scope="session")
@@ -38,14 +38,14 @@ def ts_points(scale):
 
 @pytest.fixture(scope="session")
 def pp_tree(pp_points, scale):
-    """R*-tree over the PP-like dataset."""
-    return RTree.bulk_load(pp_points, capacity=scale.node_capacity)
+    """Flat R-tree snapshot over the PP-like dataset."""
+    return FlatRTree.bulk_load(pp_points, capacity=scale.node_capacity)
 
 
 @pytest.fixture(scope="session")
 def ts_tree(ts_points, scale):
-    """R*-tree over the TS-like dataset."""
-    return RTree.bulk_load(ts_points, capacity=scale.node_capacity)
+    """Flat R-tree snapshot over the TS-like dataset."""
+    return FlatRTree.bulk_load(ts_points, capacity=scale.node_capacity)
 
 
 @pytest.fixture(scope="session")

@@ -12,17 +12,12 @@ import time
 
 import numpy as np
 
-from repro.core.mbm import mbm
-from repro.core.mqm import mqm
-from repro.core.spm import spm
-from repro.core.types import GroupQuery
 from repro.datasets.workload import WorkloadSpec, generate_workload
 from repro.geometry import kernels
 from repro.geometry.distance import group_distance
 from repro.bench.runner import run_memory_setting
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import incremental_nearest
-from repro.rtree.tree import RTree
 
 #: The vectorised kernel is ~50-100x faster than the scalar loop on this
 #: shape; 3x leaves a huge margin against CI noise while still catching
@@ -30,18 +25,11 @@ from repro.rtree.tree import RTree
 MIN_SPEEDUP = 3.0
 
 #: Floor on incremental-stream throughput (neighbors/second).  With
-#: plain-tuple heap items the object-tree stream sustains several
-#: hundred thousand per second; a regression back to per-item object
-#: wrappers (or strings in the heap) cuts that by an order of
-#: magnitude, while CI noise does not get near a 10x swing.
+#: plain-tuple heap items the stream sustains several hundred thousand
+#: per second; a regression back to per-item object wrappers (or
+#: strings in the heap) cuts that by an order of magnitude, while CI
+#: noise does not get near a 10x swing.
 MIN_STREAM_THROUGHPUT = 30_000.0
-
-#: Floor on the flat snapshot's advantage for SPM/MBM in the fig-5.1
-#: smoke setting.  BENCH_quick.json records the measured ratio (>= 2x
-#: on the reference machine); 1.5x keeps a wide margin against CI noise
-#: while still failing loudly if the flat hot path regresses to
-#: object-tree speed.
-MIN_FLAT_SPEEDUP = 1.5
 
 
 def _best_of(repeats, fn):
@@ -87,85 +75,31 @@ def test_smoke_traversal_stream_tuples(benchmark):
 
     Consuming a full incremental stream is pure heap-and-yield work, so
     its throughput directly measures the per-item cost of the heap
-    entries.  Both the object tree and the flat snapshot must clear the
-    floor, and both must emit the identical stream.
+    entries.
     """
     rng = np.random.default_rng(321)
     points = rng.uniform(0, 1000, size=(10_000, 2))
-    tree = RTree.bulk_load(points, capacity=50)
-    flat = FlatRTree.from_tree(tree)
+    flat = FlatRTree.bulk_load(points, capacity=50)
     query = [500.0, 500.0]
 
-    def consume(index):
+    def consume():
         count = 0
-        for _ in incremental_nearest(index, query):
+        for _ in incremental_nearest(flat, query):
             count += 1
         return count
 
-    consume(tree)  # warm-up
-    benchmark(lambda: consume(flat))
-    for label, index in (("object", tree), ("flat", flat)):
-        started = time.perf_counter()
-        count = consume(index)
-        elapsed = time.perf_counter() - started
-        throughput = count / elapsed
-        benchmark.extra_info[f"{label}_neighbors_per_second"] = round(throughput)
-        assert throughput >= MIN_STREAM_THROUGHPUT, (
-            f"{label} incremental stream emits only {throughput:,.0f} neighbors/s "
-            f"(expected >= {MIN_STREAM_THROUGHPUT:,.0f}) — heap items have regressed"
-        )
-    object_ids = [n.record_id for n in incremental_nearest(tree, query)]
-    flat_ids = [n.record_id for n in incremental_nearest(flat, query)]
-    assert object_ids == flat_ids
-
-
-def test_smoke_flat_snapshot_speedup(benchmark, datasets, scale):
-    """Flat MQM/SPM/MBM must stay well ahead of the object tree (fig-5.1, n=64).
-
-    The answers and counters must also match exactly — a fast wrong
-    answer is a bug, not a speedup.  The measured ratios are recorded in
-    ``benchmark.extra_info`` (and, on the reference machine, in
-    ``BENCH_quick.json`` / the README performance table).  MQM is
-    guarded here like the single-traversal algorithms: its multi-stream
-    flat engine replaced the per-query-point generator streams, and a
-    regression back to object-tree speed must fail loudly (the 0.95x
-    regression that motivated the engine shipped silently because only
-    SPM/MBM were guarded).
-    """
-    points, tree = datasets["pp"]
-    flat = FlatRTree.from_tree(tree)
-    spec = WorkloadSpec(n=64, mbr_fraction=scale.fixed_mbr_fraction, k=scale.fixed_k, queries=2)
-    groups = generate_workload(points, spec, seed=17)
-
-    def run(algorithm, index):
-        for group in groups:
-            algorithm(index, GroupQuery(group, k=spec.k))
-
-    def measure(algorithm, index):
-        run(algorithm, index)  # warm-up
-        return _best_of(3, lambda: run(algorithm, index))
-
-    benchmark.pedantic(lambda: run(mbm, flat), rounds=1, iterations=1)
-    for name, algorithm in (("MQM", mqm), ("SPM", spm), ("MBM", mbm)):
-        for group in groups:
-            object_result = algorithm(tree, GroupQuery(group, k=spec.k))
-            flat_result = algorithm(flat, GroupQuery(group, k=spec.k))
-            assert [n.as_tuple() for n in flat_result.neighbors] == [
-                n.as_tuple() for n in object_result.neighbors
-            ], name
-            assert (
-                flat_result.cost.node_accesses,
-                flat_result.cost.distance_computations,
-            ) == (
-                object_result.cost.node_accesses,
-                object_result.cost.distance_computations,
-            ), name
-        speedup = measure(algorithm, tree) / measure(algorithm, flat)
-        benchmark.extra_info[f"{name}_flat_speedup"] = round(speedup, 2)
-        assert speedup >= MIN_FLAT_SPEEDUP, (
-            f"flat {name} is only {speedup:.2f}x faster than the object tree "
-            f"(expected >= {MIN_FLAT_SPEEDUP}x) — the flat hot path has regressed"
-        )
+    consume()  # warm-up
+    benchmark(consume)
+    started = time.perf_counter()
+    count = consume()
+    elapsed = time.perf_counter() - started
+    throughput = count / elapsed
+    benchmark.extra_info["neighbors_per_second"] = round(throughput)
+    assert count == len(points)
+    assert throughput >= MIN_STREAM_THROUGHPUT, (
+        f"incremental stream emits only {throughput:,.0f} neighbors/s "
+        f"(expected >= {MIN_STREAM_THROUGHPUT:,.0f}) — heap items have regressed"
+    )
 
 
 def test_smoke_memory_algorithms_cross_check(benchmark, datasets, scale):

@@ -56,14 +56,13 @@ def test_smoke_point_store_appends_are_amortised():
 
 
 def test_smoke_engine_ingest_stays_linear():
-    # Per-insert cost on the engine is dominated by the object R-tree
+    # Per-insert cost on the engine is dominated by the delta R*-tree
     # (milliseconds of Python), so the guard is relative, not absolute:
     # the deeper half of the run must not cost multiple times the
     # shallow half, which is what any per-insert full-dataset copy or
     # per-insert snapshot rebuild produces.
     rng = np.random.default_rng(SEED + 1)
     engine = GNNEngine(rng.uniform(0, 1000, size=(500, 2)), capacity=16)
-    engine.snapshot()  # writes land in the overlay, never invalidating it
 
     def _timed(count: int) -> float:
         rows = rng.uniform(0, 1000, size=(count, 2))

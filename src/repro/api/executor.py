@@ -14,23 +14,25 @@ queries:
 * **vectorised scans** — specs planned to the brute-force baseline are
   evaluated through a single chunked ``(groups, N, n)`` distance tensor
   instead of one dataset pass per query;
-* **shared traversals** — flat-index MBM specs are bucketed by
+* **shared traversals** — MBM specs are bucketed by
   ``(cardinality, k, heuristics)``, Hilbert-ordered, and answered by
   :func:`repro.core.mbm.mbm_batch`: *one* best-first traversal of the
-  lazily-built snapshot serves the whole bucket, scoring each visited
-  node for every still-active query in a single ``(B, fanout)`` (or
-  ``(B, m)``) kernel call and pruning per query with Heuristics 2/3 —
-  so a bucket pays the traversal once instead of ``B`` times.  The
-  snapshot itself is materialised at most once per batch.
+  snapshot serves the whole bucket, scoring each visited node for every
+  still-active query in a single ``(B, fanout)`` (or ``(B, m)``) kernel
+  call and pruning per query with Heuristics 2/3 — so a bucket pays the
+  traversal once instead of ``B`` times.
 
-When the execution context carries a *dirty* delta overlay
-(:class:`~repro.rtree.overlay.DeltaOverlay` — the engine's mutable
-write path), snapshot-routed plans detour through
+Every plan runs over the context's one index, a
+:class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
+*dirty* delta overlay (:class:`~repro.rtree.overlay.DeltaOverlay` — the
+engine's mutable write path), memory-resident plans detour through
 :func:`execute_overlay`: the planned algorithm runs over the frozen
-base with tombstones excluded and over the small delta tree of
-post-snapshot inserts, and the candidates merge by ``(distance,
+base with tombstones excluded, the post-snapshot inserts are scored in
+one vectorised scan, and the candidates merge by ``(distance,
 record_id)`` — bit-identical to a from-scratch rebuild.  Shared
 traversals are disabled while dirty (they see only the base arrays).
+Disk-resident plans have no overlay form: the engine folds the overlay
+(``compact()``) before handing such a plan a context.
 
 Batching never changes answers: every fast path reproduces the exact
 arithmetic of the per-query route, which ``execute_many`` equivalence
@@ -57,7 +59,7 @@ from repro.api.planner import (
     QueryPlan,
     QueryPlanner,
 )
-from repro.api.spec import AUTO, MEMORY, OBJECT, QuerySpec
+from repro.api.spec import MEMORY, QuerySpec
 from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.mbm import mbm, mbm_batch
@@ -70,7 +72,6 @@ from repro.obs import slowlog as obs_slowlog
 from repro.obs import trace as obs_trace
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.tree import RTree
 from repro.storage.buffer import LRUBuffer
 from repro.storage.pointfile import PointFile
 
@@ -93,40 +94,25 @@ SHARED_BUCKET_MAX_MEMBERS = 32
 
 @dataclass
 class ExecutionContext:
-    """Everything a runner may need: the indexes, the raw dataset, the buffer.
+    """Everything a runner may need: the index, the raw dataset, the buffer.
 
-    ``flat`` optionally carries a read-optimised array-backed snapshot
-    of the tree (:class:`~repro.rtree.flat.FlatRTree`); plans whose
-    ``use_flat`` flag is set traverse it instead of the object tree.
-    ``flat_provider`` lets an engine hand out the snapshot *lazily* —
-    it is invoked (once) only when a flat-capable plan actually
-    executes, so workloads that never touch the snapshot never pay for
-    building it.  ``tree`` may be ``None`` for snapshot-only contexts
-    (``GNNEngine.from_index``) — disk-resident plans then fail with an
-    explicit error, since the Section-4 algorithms stream against the
-    dynamic tree.
-
-    ``point_ids`` names the record id of each row of ``points`` when
-    the two no longer coincide (after deletions, or for shard views
-    carrying global ids); ``None`` keeps the classic row-index rule.
-    ``overlay`` carries the engine's *dirty* delta overlay — when set,
-    snapshot-routed plans execute through :func:`execute_overlay`
-    (base + delta − tombstones) instead of the stale frozen arrays.
+    ``flat`` is the one index every plan traverses — memory- and
+    disk-resident alike.  ``points`` optionally carries the raw dataset
+    for the brute-force scans; without it they reconstruct the dataset
+    from the snapshot.  ``point_ids`` names the record id of each row
+    of ``points`` when the two no longer coincide (after deletions, or
+    for shard views carrying global ids); ``None`` keeps the classic
+    row-index rule.  ``overlay`` carries the engine's *dirty* delta
+    overlay — when set, memory-resident plans execute through
+    :func:`execute_overlay` (base + delta − tombstones) instead of the
+    stale frozen arrays.
     """
 
-    tree: RTree | None
+    flat: FlatRTree
     points: np.ndarray | None = None
-    buffer: LRUBuffer | None = None
-    flat: FlatRTree | None = None
-    flat_provider: Callable[[], FlatRTree | None] | None = None
     point_ids: np.ndarray | None = None
+    buffer: LRUBuffer | None = None
     overlay: DeltaOverlay | None = None
-
-    def get_flat(self) -> FlatRTree | None:
-        """The flat snapshot, materialising it through the provider once."""
-        if self.flat is None and self.flat_provider is not None:
-            self.flat = self.flat_provider()
-        return self.flat
 
 
 @dataclass
@@ -184,13 +170,7 @@ def _run_planned(
     context: ExecutionContext, spec: QuerySpec, plan: QueryPlan
 ) -> GNNResult:
     """The classic execution core: route one planned spec to its runner."""
-    if plan.residency != MEMORY and context.tree is None:
-        raise ValueError(
-            "disk-resident specs traverse the object R-tree, but this "
-            "execution context holds only a flat snapshot "
-            "(engine built with GNNEngine.from_index)"
-        )
-    if _overlay_routed(context, spec, plan):
+    if _overlay_routed(context, plan):
         result = execute_overlay(context, spec, plan)
     else:
         result = plan.algorithm.runner(context, prepare(spec, plan))
@@ -295,24 +275,17 @@ _OVERLAY_DRIVERS: dict[str, Callable[..., GNNResult]] = {
 }
 
 
-def _overlay_routed(context: ExecutionContext, spec: QuerySpec, plan: QueryPlan) -> bool:
-    """Whether this spec must answer from the merged overlay view.
+def _overlay_routed(context: ExecutionContext, plan: QueryPlan) -> bool:
+    """Whether this plan must answer from the merged overlay view.
 
-    Only snapshot-routed memory plans are affected: the object tree
-    (``index="object"`` or a brute-force scan of the live points) is
-    mutated in place by the engine and already current, so those paths
-    keep their classic route.
+    Every memory-resident plan over a dirty overlay does, except a
+    brute-force scan of a context that carries the live points itself
+    (the engine keeps that view current through its point store).
     """
     overlay = context.overlay
-    if overlay is None or not overlay.dirty:
+    if overlay is None or not overlay.dirty or plan.residency != MEMORY:
         return False
-    if plan.residency != MEMORY or spec.index == OBJECT:
-        return False
-    if plan.use_flat:
-        return True
-    # Snapshot-only engines have no live object tree to fall back to:
-    # the overlay is the only current view of the data.
-    return context.tree is None and plan.algorithm.name == "brute-force"
+    return plan.algorithm.name != "brute-force" or context.points is None
 
 
 def execute_overlay(
@@ -320,65 +293,52 @@ def execute_overlay(
 ) -> GNNResult:
     """Answer a memory-resident spec over a dirty delta overlay.
 
-    The planned algorithm runs twice — once over the frozen base
-    snapshot with the tombstone set excluded, once over the (small)
-    delta tree of post-snapshot inserts — and the two candidate lists
-    merge by the library-wide ``(distance, record_id)`` rule.  Both runs
-    use the same distance kernels over the same coordinates a rebuilt
-    single tree would hold, so the merged answers are bit-identical to a
+    The planned algorithm runs over the frozen base snapshot with the
+    tombstone set excluded, the (small) delta of post-snapshot inserts
+    is scored in one vectorised scan, and the two candidate lists merge
+    by the library-wide ``(distance, record_id)`` rule.  Both parts use
+    the same distance kernels over the same coordinates a rebuilt single
+    tree would hold, so the merged answers are bit-identical to a
     from-scratch rebuild over the live dataset; counters sum the two
-    traversals and the algorithm label gains an ``+overlay`` suffix.
+    parts and the algorithm label gains an ``+overlay`` suffix.
     """
     overlay = context.overlay
     started = time.perf_counter()
     name = plan.algorithm.name
+    query = spec.group_query()
     if name == "brute-force":
         points, ids = overlay.live_points()
-        result = brute_force_gnn(points, spec.group_query(), record_ids=ids)
+        result = brute_force_gnn(points, query, record_ids=ids)
         result.cost.algorithm = "brute-force+overlay"
         result.cost.cpu_time = time.perf_counter() - started
         return result
 
     driver = _OVERLAY_DRIVERS.get(name)
-    parts: list[GNNResult] = []
     if driver is not None:
-        query = spec.group_query()
         exclude = overlay.tombstones if overlay.tombstones else None
-        parts.append(driver(overlay.base, query, dict(plan.options), exclude))
-        if len(overlay.delta):
-            # The memtable scan: the delta stays small between
-            # compactions, so one vectorised kernel call scores all of
-            # it — the same kernel the traversals use, so the merged
-            # answers are unchanged.
-            delta_points, delta_ids = overlay.delta_points()
-            parts.append(
-                brute_force_gnn(delta_points, query, record_ids=delta_ids)
-            )
+        parts = [driver(overlay.base, query, dict(plan.options), exclude)]
     else:
         # Unknown (third-party) algorithm: widen k so the base's top
         # k + |tombstones| provably contains the top-k live records,
-        # then post-filter; the delta side runs the algorithm verbatim.
+        # then post-filter.
         base_spec = (
             spec.replace(k=spec.k + len(overlay.tombstones))
             if overlay.tombstones
             else spec
         )
         base_plan = replace(plan, spec=base_spec)
-        base_context = ExecutionContext(
-            tree=None, buffer=context.buffer, flat=overlay.base
-        )
+        base_context = ExecutionContext(flat=overlay.base, buffer=context.buffer)
         base = plan.algorithm.runner(base_context, prepare(base_spec, base_plan))
         base.neighbors = [
             n for n in base.neighbors if n.record_id not in overlay.tombstones
         ]
-        parts.append(base)
-        if len(overlay.delta):
-            delta_spec = spec if spec.index == AUTO else spec.replace(index=AUTO)
-            delta_plan = replace(plan, spec=delta_spec, use_flat=False)
-            delta_context = ExecutionContext(tree=overlay.delta)
-            parts.append(
-                plan.algorithm.runner(delta_context, prepare(delta_spec, delta_plan))
-            )
+        parts = [base]
+    if len(overlay.delta):
+        # The memtable scan: the delta stays small between compactions,
+        # so one vectorised kernel call scores all of it — the same
+        # kernel the traversals use, so the merged answers are unchanged.
+        delta_points, delta_ids = overlay.delta_points()
+        parts.append(brute_force_gnn(delta_points, query, record_ids=delta_ids))
     return _merge_overlay_parts(spec.k, parts, time.perf_counter() - started)
 
 
@@ -440,21 +400,16 @@ def execute_batch(
 
     remaining = [i for i in range(len(specs)) if results[i] is None]
 
-    # Materialise the flat snapshot at most once for the whole batch:
-    # every flat-capable plan shares it for the batch's duration, so an
-    # engine-side invalidation (e.g. an insert between batches) can
-    # never trigger repeated lazy rebuilds inside one call.  A dirty
-    # overlay disables the shared traversal wholesale — the frozen
-    # arrays alone no longer describe the live data; the per-spec path
-    # below answers from the merged overlay view instead.
-    flat = None
-    if context.overlay is None and any(plans[i].use_flat for i in remaining):
-        flat = context.get_flat()
-    if flat is not None:
+    # A dirty overlay disables the shared traversal wholesale — the
+    # frozen arrays alone no longer describe the live data; the per-spec
+    # path below answers from the merged overlay view instead.
+    if context.overlay is None:
         shared_indices = [
             i for i in remaining if shared_traversal_eligible(specs[i], plans[i])
         ]
-        for index, result in _shared_traversal_mbm(flat, specs, plans, shared_indices):
+        for index, result in _shared_traversal_mbm(
+            context.flat, specs, plans, shared_indices
+        ):
             if specs[index].trace:
                 result.plan = plans[index]
             results[index] = result
@@ -466,7 +421,7 @@ def execute_batch(
 
 
 # ----------------------------------------------------------------------
-# shared-traversal batches (flat MBM)
+# shared-traversal batches (MBM)
 # ----------------------------------------------------------------------
 def shared_traversal_eligible(spec: QuerySpec, plan: QueryPlan) -> bool:
     """Whether a spec can join a shared-traversal MBM bucket.
@@ -481,8 +436,7 @@ def shared_traversal_eligible(spec: QuerySpec, plan: QueryPlan) -> bool:
     incoming requests may be coalesced into one micro-batch.
     """
     return (
-        plan.use_flat
-        and plan.algorithm.name == "mbm"
+        plan.algorithm.name == "mbm"
         and spec.group is not None
         and spec.weights is None
         and spec.aggregate == kernels.SUM
@@ -509,7 +463,7 @@ def shared_bucket_key(spec: QuerySpec, plan: QueryPlan) -> tuple | None:
 def _shared_traversal_mbm(
     flat: FlatRTree, specs: Sequence[QuerySpec], plans: Sequence[QueryPlan], indices: list[int]
 ):
-    """Answer flat-MBM specs through shared bucket traversals.
+    """Answer MBM specs through shared bucket traversals.
 
     Specs are bucketed by ``(cardinality, k, use_heuristic3)`` — the
     stacking dimensions of :func:`repro.core.mbm.mbm_batch` — and each

@@ -31,7 +31,7 @@ from repro.api.registry import (
     available_algorithms,
     get_algorithm,
 )
-from repro.api.spec import AUTO, FLAT, INDEXES, MEMORY, OBJECT, SHARDED, QuerySpec
+from repro.api.spec import AUTO, MEMORY, SHARDED, QuerySpec
 
 #: Block-count threshold below which the auto policy prefers F-MQM; the
 #: paper's PP-as-query experiments (3 blocks) favour F-MQM while the
@@ -69,15 +69,7 @@ class CostEstimate:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """The planner's decision for one spec: algorithm, rationale, estimate.
-
-    ``use_flat`` records whether the planned traversal may run over a
-    flat array-backed snapshot (:class:`~repro.rtree.flat.FlatRTree`):
-    the algorithm supports it, the group is memory-resident, and the
-    requested options stay on the best-first path.  The executor routes
-    through the snapshot only when the execution context actually holds
-    one, so a True value is a capability, not a promise.
-    """
+    """The planner's decision for one spec: algorithm, rationale, estimate."""
 
     spec: QuerySpec
     algorithm: AlgorithmInfo
@@ -85,7 +77,6 @@ class QueryPlan:
     options: Mapping[str, Any]
     rationale: str
     estimate: CostEstimate | None = None
-    use_flat: bool = False
 
     def for_spec(self, spec: QuerySpec) -> "QueryPlan":
         """Rebind a cached plan to another spec with the same signature."""
@@ -97,12 +88,6 @@ class QueryPlan:
             f"QueryPlan for {self.spec!r}",
             f"  algorithm : {self.algorithm.name} — {self.algorithm.description}",
             f"  residency : {self.residency}",
-            f"  index     : "
-            + (
-                "flat snapshot (when the engine holds one)"
-                if self.use_flat
-                else "object R-tree"
-            ),
             f"  rationale : {self.rationale}",
         ]
         if self.options:
@@ -132,7 +117,7 @@ class QueryPlanner:
     ----------
     engine:
         Optional :class:`~repro.core.engine.GNNEngine` (or any object
-        with a ``tree`` attribute).  When given, plans carry a
+        with a ``flat`` attribute).  When given, plans carry a
         :class:`CostEstimate` derived from the index shape; planning
         works without it, just without estimates.
     fmqm_max_blocks:
@@ -154,6 +139,16 @@ class QueryPlanner:
         weights) — planning is where a bad spec fails, not execution.
         """
         residency = spec.resolved_residency()
+        if spec.index == SHARDED and getattr(self.engine, "coordinator", None) is None:
+            # Only a coordinator-backed engine (repro.shard.ShardedEngine)
+            # can plan a federated spec.
+            raise ValueError(
+                "index='sharded' needs a coordinator-backed engine, but "
+                "this engine serves a single index (the valid index value "
+                "here is 'auto'); partition the dataset with "
+                "repro.shard.partition_dataset, start shard nodes, and "
+                "query through repro.shard.ShardedEngine"
+            )
         if spec.algorithm == AUTO:
             info, rationale = self._choose(spec, residency)
         else:
@@ -199,49 +194,7 @@ class QueryPlanner:
             options=MappingProxyType(options),
             rationale=rationale,
             estimate=self._estimate(spec, info, residency),
-            use_flat=self._resolve_index(spec, info, residency, options),
         )
-
-    def _resolve_index(self, spec, info, residency, options) -> bool:
-        """Whether the planned traversal may run over a flat snapshot.
-
-        A spec demanding ``index="flat"`` fails here — at plan time,
-        with the reason named — when the combination can never run over
-        a snapshot: a disk-resident group, an algorithm without a flat
-        traversal, or a depth-first option.  ``index="sharded"`` is only
-        plannable by a coordinator-backed engine
-        (:class:`repro.shard.ShardedEngine`); every other engine rejects
-        it here with the valid alternatives named.
-        """
-        flat_capable = (
-            residency == MEMORY
-            and info.supports_flat
-            and options.get("traversal", "best_first") == "best_first"
-        )
-        if spec.index == SHARDED:
-            if getattr(self.engine, "coordinator", None) is None:
-                valid = [name for name in INDEXES if name != SHARDED]
-                raise ValueError(
-                    "index='sharded' needs a coordinator-backed engine, but "
-                    "this engine serves a single index (valid index values "
-                    f"here: {valid}); partition the dataset with "
-                    "repro.shard.partition_dataset, start shard nodes, and "
-                    "query through repro.shard.ShardedEngine"
-                )
-            # Shard workers traverse their own flat snapshots; the
-            # coordinator-backed engine validates servability on top.
-            return flat_capable
-        if spec.index == FLAT and not flat_capable:
-            if residency != MEMORY:
-                reason = "disk-resident groups always traverse the object R-tree"
-            elif not info.supports_flat:
-                reason = f"algorithm {info.name!r} has no flat-snapshot traversal"
-            else:
-                reason = "the depth-first traversal needs the object R-tree"
-            raise ValueError(f"spec requires the flat index, but {reason}")
-        if spec.index == OBJECT:
-            return False
-        return flat_capable
 
     # ------------------------------------------------------------------
     # auto policy
@@ -292,11 +245,7 @@ class QueryPlanner:
     def _estimate(
         self, spec: QuerySpec, info: AlgorithmInfo, residency: str
     ) -> CostEstimate | None:
-        tree = getattr(self.engine, "tree", None)
-        if tree is None:
-            # Snapshot-only engines (GNNEngine.from_index) still expose
-            # the index shape through the flat snapshot.
-            tree = getattr(self.engine, "flat", None)
+        tree = getattr(self.engine, "flat", None)
         if tree is None or len(tree) == 0:
             return None
         size = len(tree)

@@ -24,7 +24,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.aggregates import aggregate_gnn
-from repro.core.bruteforce import brute_force_gnn, brute_force_over_tree
+from repro.core.bruteforce import brute_force_gnn
 from repro.core.fmbm import fmbm
 from repro.core.fmqm import fmqm
 from repro.core.gcp import gcp
@@ -32,7 +32,8 @@ from repro.core.mbm import mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.geometry.distance import MAX, MIN, SUM
-from repro.rtree.tree import DEFAULT_CAPACITY, RTree
+from repro.rtree.flat import FlatRTree
+from repro.rtree.tree import DEFAULT_CAPACITY
 
 from repro.api.spec import DISK, MEMORY, QuerySpec
 
@@ -46,8 +47,8 @@ class AlgorithmInfo:
     """Metadata and entry point of one registered algorithm.
 
     ``runner`` receives ``(context, request)`` where ``context`` is the
-    executor's :class:`~repro.api.executor.ExecutionContext` (tree,
-    dataset points, buffer) and ``request`` the prepared
+    executor's :class:`~repro.api.executor.ExecutionContext` (flat
+    index, dataset points, buffer) and ``request`` the prepared
     :class:`~repro.api.executor.PreparedQuery` (spec, materialised
     ``GroupQuery`` or ``PointFile``, algorithm options).
     """
@@ -61,10 +62,6 @@ class AlgorithmInfo:
     options: tuple[str, ...] = ()
     cost_rank: int = 1
     description: str = ""
-    #: True when the algorithm's best-first traversal can run over a
-    #: flat array-backed snapshot (FlatRTree) with identical results and
-    #: accounting; the planner uses this to set ``QueryPlan.use_flat``.
-    supports_flat: bool = False
 
     def capability_errors(self, spec: QuerySpec) -> list[str]:
         """Reasons this algorithm cannot answer ``spec`` (empty when it can)."""
@@ -142,48 +139,20 @@ def available_algorithms(residency: str | None = None) -> list[AlgorithmInfo]:
 # ----------------------------------------------------------------------
 # built-in runners
 # ----------------------------------------------------------------------
-def _memory_index(context, request):
-    """The index a memory-resident runner should traverse.
-
-    The flat snapshot is used when the plan allows it and the execution
-    context holds one; otherwise the object tree.  A spec that demanded
-    ``index="flat"`` against a context without a snapshot — or a
-    fallback to an object tree the engine does not have — fails here
-    with an actionable message.
-    """
-    plan = request.plan
-    if plan is not None and plan.use_flat:
-        flat = context.get_flat()
-        if flat is not None:
-            return flat
-    if request.spec.index == "flat":
-        raise ValueError(
-            "spec requires the flat index but the execution context holds "
-            "no flat snapshot; call engine.snapshot() (or build the engine "
-            "with snapshot=True) first"
-        )
-    if context.tree is None:
-        raise ValueError(
-            "this execution context holds only a flat snapshot; the "
-            "requested path (object-tree traversal) is unavailable"
-        )
-    return context.tree
-
-
 def _run_mqm(context, request):
-    return mqm(_memory_index(context, request), request.query)
+    return mqm(context.flat, request.query)
 
 
 def _run_spm(context, request):
-    return spm(_memory_index(context, request), request.query, **request.options)
+    return spm(context.flat, request.query, **request.options)
 
 
 def _run_mbm(context, request):
-    return mbm(_memory_index(context, request), request.query, **request.options)
+    return mbm(context.flat, request.query, **request.options)
 
 
 def _run_best_first(context, request):
-    return aggregate_gnn(_memory_index(context, request), request.query)
+    return aggregate_gnn(context.flat, request.query)
 
 
 def _run_brute_force(context, request):
@@ -193,40 +162,33 @@ def _run_brute_force(context, request):
         return brute_force_gnn(
             context.points, request.query, record_ids=context.point_ids
         )
-    if context.tree is not None:
-        return brute_force_over_tree(context.tree, request.query)
     # Snapshot-only context: reconstruct the dataset from the flat
     # snapshot (cached there) when record ids are the usual row indices,
     # else scan its leaf arrays in record-id order (compacted
     # generations keep their original ids, so ids are no longer dense).
-    flat = context.get_flat()
-    if flat is not None:
-        points = flat.points_by_record_id()
-        if points is not None:
-            return brute_force_gnn(points, request.query)
-        order = np.argsort(flat.record_ids, kind="stable")
-        return brute_force_gnn(
-            flat.points[order], request.query, record_ids=flat.record_ids[order]
-        )
-    raise ValueError(
-        "brute force needs the raw dataset points, the object R-tree, or a "
-        "flat snapshot; this execution context has none of those"
+    flat = context.flat
+    points = flat.points_by_record_id()
+    if points is not None:
+        return brute_force_gnn(points, request.query)
+    order = np.argsort(flat.record_ids, kind="stable")
+    return brute_force_gnn(
+        flat.points[order], request.query, record_ids=flat.record_ids[order]
     )
 
 
 def _run_fmqm(context, request):
-    return fmqm(context.tree, request.query_file, k=request.spec.k, **request.options)
+    return fmqm(context.flat, request.query_file, k=request.spec.k, **request.options)
 
 
 def _run_fmbm(context, request):
-    return fmbm(context.tree, request.query_file, k=request.spec.k, **request.options)
+    return fmbm(context.flat, request.query_file, k=request.spec.k, **request.options)
 
 
 def _run_gcp(context, request):
     options = dict(request.options)
     capacity = options.pop("query_tree_capacity", DEFAULT_CAPACITY)
-    query_tree = RTree.bulk_load(request.spec.group, capacity=capacity)
-    return gcp(context.tree, query_tree, k=request.spec.k, **options)
+    query_tree = FlatRTree.bulk_load(request.spec.group, capacity=capacity)
+    return gcp(context.flat, query_tree, k=request.spec.k, **options)
 
 
 BUILTIN_ALGORITHMS = (
@@ -236,7 +198,6 @@ BUILTIN_ALGORITHMS = (
         residency=MEMORY,
         aggregates=(SUM,),
         cost_rank=3,
-        supports_flat=True,
         description="Multiple query method: one incremental NN search per query point (Section 3.1).",
     ),
     AlgorithmInfo(
@@ -244,9 +205,8 @@ BUILTIN_ALGORITHMS = (
         runner=_run_spm,
         residency=MEMORY,
         aggregates=(SUM,),
-        options=("traversal", "centroid_method"),
+        options=("centroid_method",),
         cost_rank=2,
-        supports_flat=True,
         description="Single point method: one traversal around the group centroid (Section 3.2).",
     ),
     AlgorithmInfo(
@@ -255,9 +215,8 @@ BUILTIN_ALGORITHMS = (
         residency=MEMORY,
         aggregates=(SUM,),
         supports_weights=True,
-        options=("traversal", "use_heuristic3"),
+        options=("use_heuristic3",),
         cost_rank=1,
-        supports_flat=True,
         description="Minimum bounding method: single traversal pruned by the group MBR (Section 3.3).",
     ),
     AlgorithmInfo(
@@ -267,7 +226,6 @@ BUILTIN_ALGORITHMS = (
         aggregates=(SUM, MAX, MIN),
         supports_weights=True,
         cost_rank=2,
-        supports_flat=True,
         description="Aggregate-generalised optimal best-first traversal (sum/max/min, weighted).",
     ),
     AlgorithmInfo(
@@ -293,7 +251,7 @@ BUILTIN_ALGORITHMS = (
         runner=_run_fmbm,
         residency=DISK,
         aggregates=(SUM,),
-        options=FILE_GEOMETRY_OPTIONS + ("traversal", "charge_summary_scan"),
+        options=FILE_GEOMETRY_OPTIONS + ("charge_summary_scan",),
         cost_rank=2,
         description="File minimum bounding method: single traversal pruned by block summaries (Section 4.3).",
     ),

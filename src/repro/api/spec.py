@@ -38,17 +38,15 @@ MEMORY = "memory"
 DISK = "disk"
 RESIDENCIES = (AUTO, MEMORY, DISK)
 
-#: Valid index preferences: ``auto`` lets the planner route
-#: memory-resident queries through a flat snapshot when the engine
-#: holds one, ``flat`` demands the snapshot, ``object`` pins the query
-#: to the dynamic object tree, and ``sharded`` routes through a
-#: federation of shard snapshots (requires a coordinator-backed engine,
-#: :class:`repro.shard.ShardedEngine`; planning fails actionably on any
-#: other engine).
-FLAT = "flat"
-OBJECT = "object"
+#: Valid index declarations: ``auto`` answers from the engine's own
+#: index (its flat snapshot plus any pending delta overlay) and
+#: ``sharded`` routes through a federation of shard snapshots (requires
+#: a coordinator-backed engine, :class:`repro.shard.ShardedEngine`;
+#: planning fails actionably on any other engine).  A spec names *where*
+#: the data lives, never a physical structure: every query traverses a
+#: :class:`~repro.rtree.flat.FlatRTree`.
 SHARDED = "sharded"
-INDEXES = (AUTO, FLAT, OBJECT, SHARDED)
+INDEXES = (AUTO, SHARDED)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,20 +78,15 @@ class QuerySpec:
         ``"mbm"`` or ``"fmqm"``; case-insensitive.
     options:
         Per-algorithm options forwarded by the executor (for example
-        ``traversal="depth_first"``, ``use_heuristic3=False``,
+        ``use_heuristic3=False``, ``centroid_method="mean"``,
         ``block_pages=200`` or ``max_pairs=10_000``).
     index:
-        ``"auto"`` (default: the planner routes memory-resident queries
-        through the engine's flat snapshot when one is available — and,
-        when pending writes have made that snapshot stale, through the
-        merged delta-overlay view, which stays bit-identical to a
-        rebuilt index),
-        ``"flat"`` (require the flat snapshot; planning or execution
-        fails if the algorithm or engine cannot provide it),
-        ``"object"`` (always traverse the dynamic object tree) or
-        ``"sharded"`` (scatter-gather over a shard federation; only a
-        coordinator-backed :class:`repro.shard.ShardedEngine` can plan
-        it).
+        ``"auto"`` (default: the engine's flat snapshot — and, when
+        pending writes have made that snapshot stale, the merged
+        delta-overlay view, which stays bit-identical to a rebuilt
+        index) or ``"sharded"`` (scatter-gather over a shard
+        federation; only a coordinator-backed
+        :class:`repro.shard.ShardedEngine` can plan it).
     trace:
         When True the executor attaches the full :class:`QueryPlan`
         (algorithm choice, rationale, cost estimate) to the result as

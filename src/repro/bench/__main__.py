@@ -63,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
         "--quick",
         action="store_true",
         help=(
-            "measure the fixed perf baseline (fig-5.1 smoke, object vs flat "
+            "measure the fixed perf baseline (fig-5.1 smoke over the flat "
             "index, one disk config, the execute_many batch path, and the "
             f"multi-worker serving section) and write {DEFAULT_OUTPUT}"
         ),
@@ -97,9 +97,8 @@ def main(argv=None) -> int:
         print(f"Perf baseline written to {args.output}")
         for name, row in memory.items():
             print(
-                f"  {name:6s} object {row['object_ms_per_query']:8.2f} ms/query   "
-                f"flat {row['flat_ms_per_query']:8.2f} ms/query   "
-                f"speedup {row['flat_speedup']:.2f}x"
+                f"  {name:6s} {row['flat_ms_per_query']:8.2f} ms/query   "
+                f"{row['node_accesses_median']} node accesses (median)"
             )
         for name, row in document["disk"]["algorithms"].items():
             print(

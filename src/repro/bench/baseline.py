@@ -6,10 +6,7 @@ trajectory point (and CI archives one per run):
 
 * **fig-5.1 smoke** — the paper's Figure 5.1 setting at smoke scale
   (PP-like dataset, n=64, M=8%, k=8), each memory-resident algorithm
-  timed over both the object R-tree and the flat array-backed snapshot.
-  The two paths must agree exactly (results and counters) or the
-  baseline refuses to write — a perf number for a wrong answer is
-  worse than no number.
+  timed over the flat array-backed snapshot.
 * **one disk config** — F-MQM and F-MBM over a Hilbert-sorted query
   file split into multiple blocks.
 * **batch serving** — a batch of 64 meeting-sized groups answered
@@ -63,7 +60,6 @@ from repro.core.types import GroupQuery
 from repro.datasets.real_like import pp_like
 from repro.datasets.workload import WorkloadSpec, generate_workload
 from repro.rtree.flat import FlatRTree
-from repro.rtree.tree import RTree
 from repro.storage.atomicio import write_json_atomic
 from repro.storage.pointfile import PointFile
 
@@ -78,8 +74,10 @@ from repro.storage.pointfile import PointFile
 #: plus crash-recovery replay time).  Schema 7 added the
 #: ``observability`` section (fig-5.1 query latency with the obs layer
 #: disabled vs fully enabled — tracing, metrics, slow-query log, JSON
-#: logging — gating the cost of instrumentation).
-SCHEMA_VERSION = 7
+#: logging — gating the cost of instrumentation).  Schema 8 dropped
+#: ``object_ms_per_query`` / ``flat_speedup`` from ``memory_fig5_1``:
+#: the object-tree query paths they measured no longer exist.
+SCHEMA_VERSION = 8
 
 #: Default output filename (also the CI artifact name).
 DEFAULT_OUTPUT = "BENCH_quick.json"
@@ -182,8 +180,7 @@ def _median_runtime(run, repeats: int) -> float:
 
 def _memory_baseline(repeats: int) -> dict:
     data = pp_like(FIG51_DATASET_SIZE)
-    tree = RTree.bulk_load(data, capacity=50)
-    flat = FlatRTree.from_tree(tree)
+    flat = FlatRTree.bulk_load(data, capacity=50)
     workload = generate_workload(
         data,
         WorkloadSpec(
@@ -194,46 +191,24 @@ def _memory_baseline(repeats: int) -> dict:
         ),
         seed=FIG51_SEED,
     )
+    queries = [GroupQuery(group, k=FIG51_K) for group in workload]
 
     results: dict = {}
     for name, algorithm in MEMORY_ALGORITHMS:
-        queries = [GroupQuery(group, k=FIG51_K) for group in workload]
-        object_results = [algorithm(tree, query) for query in queries]
-        flat_results = [algorithm(flat, query) for query in queries]
-        object_costs = [result.cost for result in object_results]
-        flat_costs = [result.cost for result in flat_results]
-        object_answers = [[n.as_tuple() for n in r.neighbors] for r in object_results]
-        flat_answers = [[n.as_tuple() for n in r.neighbors] for r in flat_results]
-        if object_answers != flat_answers:
-            raise AssertionError(f"{name}: flat snapshot answers differ from the object tree")
-        for object_cost, flat_cost in zip(object_costs, flat_costs):
-            if (
-                object_cost.node_accesses != flat_cost.node_accesses
-                or object_cost.distance_computations != flat_cost.distance_computations
-            ):
-                raise AssertionError(f"{name}: flat snapshot counters differ from the object tree")
+        costs = [algorithm(flat, query).cost for query in queries]
 
-        def run_object(algorithm=algorithm, queries=queries):
-            for query in queries:
-                algorithm(tree, query)
-            return len(queries)
-
-        def run_flat(algorithm=algorithm, queries=queries):
+        def run(algorithm=algorithm):
             for query in queries:
                 algorithm(flat, query)
             return len(queries)
 
-        object_ms = _median_runtime(run_object, repeats) * 1000.0
-        flat_ms = _median_runtime(run_flat, repeats) * 1000.0
         results[name] = {
-            "object_ms_per_query": round(object_ms, 4),
-            "flat_ms_per_query": round(flat_ms, 4),
-            "flat_speedup": round(object_ms / flat_ms, 2),
+            "flat_ms_per_query": round(_median_runtime(run, repeats) * 1000.0, 4),
             "node_accesses_median": statistics.median(
-                cost.node_accesses for cost in object_costs
+                cost.node_accesses for cost in costs
             ),
             "distance_computations_median": statistics.median(
-                cost.distance_computations for cost in object_costs
+                cost.distance_computations for cost in costs
             ),
         }
     return {
@@ -254,7 +229,7 @@ def _disk_baseline(repeats: int) -> dict:
     import numpy as np
 
     data = pp_like(FIG51_DATASET_SIZE)
-    tree = RTree.bulk_load(data, capacity=50)
+    tree = FlatRTree.bulk_load(data, capacity=50)
     query_points = np.random.default_rng(FIG51_SEED).uniform(
         data.min(axis=0), data.max(axis=0), size=(DISK_QUERY_POINTS, 2)
     )
@@ -601,8 +576,6 @@ def _write_path_baseline(repeats: int) -> dict:
     """
     import numpy as np
 
-    from repro.rtree.flat import FlatRTree as _FlatRTree
-
     data = pp_like(FIG51_DATASET_SIZE)
     base = GNNEngine(data, capacity=50).snapshot()
     dirty = GNNEngine.from_index(base)
@@ -676,7 +649,7 @@ def _write_path_baseline(repeats: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "write-path-gen000001.npz")
         compacted.save(path)
-        reloaded = GNNEngine.from_index(_FlatRTree.load(path, mmap_mode="r"))
+        reloaded = GNNEngine.from_index(FlatRTree.load(path, mmap_mode="r"))
         spec = QuerySpec(group=workload[0], k=FIG51_K)
         if [n.as_tuple() for n in reloaded.execute(spec).neighbors] != [
             n.as_tuple() for n in frozen.execute(spec).neighbors
@@ -865,14 +838,10 @@ def quick_baseline(repeats: int = 5) -> dict:
 def collect_speedups(document: dict) -> dict[str, float]:
     """The portable speedup ratios of a baseline document, flattened.
 
-    Returns ``{"flat_speedup/MQM": 3.2, ..., "batch_speedup": 4.4}`` —
+    Returns ``{"batch_speedup": 4.4, "serving_speedup": 2.9, ...}`` —
     the machine-independent signals :func:`compare_baseline` gates on.
     """
     speedups: dict[str, float] = {}
-    memory = document.get("memory_fig5_1", {}).get("algorithms", {})
-    for name, row in sorted(memory.items()):
-        if "flat_speedup" in row:
-            speedups[f"flat_speedup/{name}"] = float(row["flat_speedup"])
     batch = document.get("batch_flat", {})
     if "batch_speedup" in batch:
         speedups["batch_speedup"] = float(batch["batch_speedup"])

@@ -43,7 +43,7 @@ from repro.datasets.workload import (
     place_with_overlap,
     scale_into_workspace,
 )
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 
 
 @dataclass
@@ -94,7 +94,7 @@ def _memory_figure(
 ) -> ExperimentResult:
     """Shared driver for Figures 5.1-5.3 (and the memory ablations)."""
     data = _dataset(dataset, scale)
-    tree = RTree.bulk_load(data, capacity=scale.node_capacity)
+    tree = FlatRTree.bulk_load(data, capacity=scale.node_capacity)
     result = ExperimentResult(
         name=name, description=description, x_label=x_label, scale=scale.name
     )
@@ -194,7 +194,7 @@ def _disk_figure(
     """Shared driver for Figures 5.4-5.7."""
     data = _dataset(data_name, scale)
     query_source = _dataset(query_name, scale)
-    tree = RTree.bulk_load(data, capacity=scale.node_capacity)
+    tree = FlatRTree.bulk_load(data, capacity=scale.node_capacity)
     result = ExperimentResult(
         name=name, description=description, x_label=x_label, scale=scale.name
     )

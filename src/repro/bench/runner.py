@@ -4,11 +4,11 @@ A *setting* is one x-axis position of one figure: a set of query groups
 (or one disk-resident query dataset placement) that is run through every
 competing algorithm.  The runner builds a declarative
 :class:`~repro.api.spec.QuerySpec` per (group, algorithm variant) and
-executes it through the planner/executor layer — memory workloads go
-through the batched :func:`~repro.api.executor.execute_batch` path (the
-same code path ``GNNEngine.execute_many`` uses) — then averages the cost
-metrics per algorithm, exactly what the paper plots (average node
-accesses and CPU time per query of the workload).
+executes it through the planner/executor layer, one query at a time
+over a flat snapshot (the code path ``GNNEngine.execute`` uses — a
+shared batch traversal would report bucket-level counters, not the
+per-query cost the paper plots), then averages the cost metrics per
+algorithm: average node accesses and CPU time per query of the workload.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.api.executor import ExecutionContext, execute_batch, execute_spec
+from repro.api.executor import ExecutionContext, execute_spec
 from repro.api.planner import QueryPlanner
 from repro.api.spec import DISK, QuerySpec
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 
 MEMORY_ALGORITHMS = ("MQM", "SPM", "MBM")
 DISK_ALGORITHMS = ("GCP", "F-MQM", "F-MBM")
@@ -103,7 +103,7 @@ def _finalise(averages: AlgorithmAverages) -> None:
 
 
 def run_memory_setting(
-    tree: RTree,
+    tree: FlatRTree,
     query_groups: list[np.ndarray],
     k: int,
     algorithms: tuple[str, ...] = MEMORY_ALGORITHMS,
@@ -123,19 +123,16 @@ def run_memory_setting(
                 f"expected one of {sorted(MEMORY_VARIANTS)}"
             )
     result = MemoryWorkloadResult(setting=dict(setting or {}))
-    context = ExecutionContext(tree=tree)
+    context = ExecutionContext(flat=tree)
     planner = QueryPlanner()
 
     reference: list[np.ndarray | None] = [None] * len(query_groups)
     for name in algorithms:
         averages = result.averages[name] = AlgorithmAverages(algorithm=name)
         algorithm, options = MEMORY_VARIANTS[name]
-        specs = [
-            QuerySpec(group=group, k=k, algorithm=algorithm, options=options)
-            for group in query_groups
-        ]
-        outcomes = execute_batch(context, specs, planner=planner)
-        for index, outcome in enumerate(outcomes):
+        for index, group in enumerate(query_groups):
+            spec = QuerySpec(group=group, k=k, algorithm=algorithm, options=options)
+            outcome = execute_spec(context, spec, planner=planner)
             _accumulate(averages, outcome.cost)
             distances = np.array(outcome.distances())
             if reference[index] is None:
@@ -150,7 +147,7 @@ def run_memory_setting(
 
 
 def run_disk_setting(
-    tree: RTree,
+    tree: FlatRTree,
     query_points: np.ndarray,
     k: int,
     algorithms: tuple[str, ...] = DISK_ALGORITHMS,
@@ -169,7 +166,7 @@ def run_disk_setting(
     the spec's file-geometry options.
     """
     result = DiskWorkloadResult(setting=dict(setting or {}))
-    context = ExecutionContext(tree=tree)
+    context = ExecutionContext(flat=tree)
     planner = QueryPlanner()
     reference_distances = None
 

@@ -17,7 +17,7 @@ best-first search and the :class:`~repro.core.engine.GNNEngine` facade.
 """
 
 from repro.core.aggregates import aggregate_gnn, group_nn_stream
-from repro.core.bruteforce import brute_force_gnn, brute_force_over_tree
+from repro.core.bruteforce import brute_force_gnn
 from repro.core.centroid import compute_centroid
 from repro.core.engine import GNNEngine
 from repro.core.fmbm import fmbm
@@ -37,7 +37,6 @@ __all__ = [
     "QueryCost",
     "aggregate_gnn",
     "brute_force_gnn",
-    "brute_force_over_tree",
     "compute_centroid",
     "fmbm",
     "fmqm",

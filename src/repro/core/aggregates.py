@@ -21,27 +21,16 @@ from collections.abc import Iterator
 from repro.core.instrumentation import CostTracker
 from repro.core.types import GNNResult, GroupNeighbor, GroupQuery
 from repro.rtree.flat import FlatRTree
-from repro.rtree.traversal import Neighbor, incremental_nearest_generic
-from repro.rtree.tree import RTree
+from repro.rtree.traversal import Neighbor, flat_incremental_nearest_generic
 
 
-def group_nn_stream(tree: RTree | FlatRTree, query: GroupQuery) -> Iterator[Neighbor]:
+def group_nn_stream(tree: FlatRTree, query: GroupQuery) -> Iterator[Neighbor]:
     """Yield data points in ascending aggregate distance to the query group.
 
     The stream is incremental: consuming it lazily retrieves additional
     group neighbors without restarting the search, which is exactly the
-    capability F-MQM needs from its per-block searches.  Over a flat
-    snapshot the same vectorised keys drive the array traversal, with
-    identical emission order and charges.
+    capability F-MQM needs from its per-block searches.
     """
-
-    def node_key(mbr):
-        tree.stats.record_distance_computations(query.cardinality)
-        return query.mindist_lower_bound(mbr)
-
-    def point_key(point):
-        tree.stats.record_distance_computations(query.cardinality)
-        return query.distance_to(point)
 
     def points_key(points):
         tree.stats.record_distance_computations(query.cardinality * points.shape[0])
@@ -51,13 +40,11 @@ def group_nn_stream(tree: RTree | FlatRTree, query: GroupQuery) -> Iterator[Neig
         tree.stats.record_distance_computations(query.cardinality * lows.shape[0])
         return query.mindist_lower_bounds(lows, highs)
 
-    return incremental_nearest_generic(
-        tree, node_key, point_key, points_key=points_key, mbrs_key=mbrs_key
-    )
+    return flat_incremental_nearest_generic(tree, points_key, mbrs_key)
 
 
 def aggregate_gnn(
-    tree: RTree | FlatRTree,
+    tree: FlatRTree,
     query: GroupQuery,
     exclude: frozenset | set | None = None,
 ) -> GNNResult:

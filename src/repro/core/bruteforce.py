@@ -50,20 +50,3 @@ def brute_force_gnn(points, query: GroupQuery, record_ids=None) -> GNNResult:
         cpu_time=time.perf_counter() - started,
     )
     return GNNResult(neighbors=neighbors, cost=cost)
-
-
-def brute_force_over_tree(tree, query: GroupQuery) -> GNNResult:
-    """Brute force over the points stored in an R-tree (ignores the index).
-
-    Convenient in tests where only the tree is at hand; node accesses are
-    *not* charged because the scan bypasses the index structure.
-    """
-    items = list(tree.all_points())
-    if not items:
-        return GNNResult(neighbors=[], cost=QueryCost(algorithm="brute-force"))
-    record_ids = np.array([record_id for record_id, _ in items], dtype=np.int64)
-    pts = np.vstack([point for _, point in items])
-    result = brute_force_gnn(pts, query)
-    for neighbor in result.neighbors:
-        neighbor.record_id = int(record_ids[neighbor.record_id])
-    return result

@@ -1,6 +1,8 @@
 """High-level facade over the GNN algorithms.
 
-:class:`GNNEngine` owns the R-tree for a dataset ``P`` and answers
+:class:`GNNEngine` owns the index for a dataset ``P`` — one flat R-tree
+snapshot (:class:`~repro.rtree.flat.FlatRTree`) plus, between
+compactions, a delta overlay of pending writes — and answers
 declarative :class:`~repro.api.spec.QuerySpec` queries through the
 planner-based API:
 
@@ -15,29 +17,22 @@ The ``"auto"`` policy lives in :class:`~repro.api.planner.QueryPlanner`
 and encodes the recommendations of the paper's experimental study
 (Section 5): MBM for memory-resident groups, F-MQM for disk-resident
 files in few blocks, F-MBM otherwise.
-
-The pre-planner entry points :meth:`GNNEngine.query` and
-:meth:`GNNEngine.query_disk` remain as thin deprecated shims over
-:meth:`GNNEngine.execute`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
 from repro.api.executor import ExecutionContext, execute_batch, execute_spec
 from repro.api.planner import AUTO_FMQM_MAX_BLOCKS, QueryPlan, QueryPlanner
 from repro.api.registry import available_algorithms
-from repro.api.spec import DISK, MEMORY, QuerySpec
+from repro.api.spec import DISK, QuerySpec
 from repro.core.store import PointStore
 from repro.core.types import GNNResult
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.tree import DEFAULT_CAPACITY, RTree
+from repro.rtree.tree import DEFAULT_CAPACITY
 from repro.storage.buffer import LRUBuffer
-from repro.storage.pointfile import PointFile
 
 MEMORY_ALGORITHMS = ("mqm", "spm", "mbm", "best-first", "brute-force")
 DISK_ALGORITHMS = ("fmqm", "fmbm", "gcp")
@@ -51,7 +46,7 @@ __all__ = [
 
 
 class GNNEngine:
-    """Query engine for group nearest neighbor search over a static dataset.
+    """Query engine for group nearest neighbor search over a dataset.
 
     Parameters
     ----------
@@ -65,20 +60,14 @@ class GNNEngine:
         buffer-aware page faults in addition to logical node accesses,
         and the buffer stays reachable as :attr:`buffer`.
     bulk_method:
-        Packing strategy used to build the tree (``"str"`` or ``"hilbert"``).
-    snapshot:
-        When True (default), the engine lazily materialises a flat
-        array-backed snapshot (:class:`~repro.rtree.flat.FlatRTree`) of
-        the tree on first execution and routes memory-resident queries
-        through it — bit-identical results and counters, markedly less
-        Python overhead per traversal.  Once a snapshot exists, writes
-        no longer invalidate it: :meth:`insert` / :meth:`delete` land in
-        a :class:`~repro.rtree.overlay.DeltaOverlay` (delta tree plus
-        tombstones) and queries answer from the merged view;
-        :meth:`compact` folds the overlay into a generation-``N+1``
-        snapshot.  Pass False to always traverse the object tree (a
-        per-spec ``index="flat"`` / ``index="object"`` preference
-        overrides either default).
+        Packing strategy used to build the index (``"str"`` or ``"hilbert"``).
+
+    The dataset is bulk-loaded straight into a flat array-backed
+    snapshot, the one index every query traverses.  Writes never touch
+    it: :meth:`insert` / :meth:`delete` land in a
+    :class:`~repro.rtree.overlay.DeltaOverlay` (delta plus tombstones)
+    and queries answer from the merged view; :meth:`compact` folds the
+    overlay into a generation-``N+1`` snapshot.
     """
 
     def __init__(
@@ -87,18 +76,15 @@ class GNNEngine:
         capacity: int = DEFAULT_CAPACITY,
         buffer_pages: int | None = None,
         bulk_method: str = "str",
-        snapshot: bool = True,
     ):
         self._store = PointStore(data_points)
         self.buffer = LRUBuffer(buffer_pages) if buffer_pages else None
-        self.tree = RTree.bulk_load(
+        self._flat = FlatRTree.bulk_load(
             self._store.live_points()[0],
             capacity=capacity,
             method=bulk_method,
             buffer=self.buffer,
         )
-        self._auto_snapshot = bool(snapshot)
-        self._flat: FlatRTree | None = None
         self._overlay: DeltaOverlay | None = None
         self._next_id: int | None = None
         self._wal = None
@@ -110,23 +96,19 @@ class GNNEngine:
 
         This is the deserialisation path: save a snapshot once, then
         ``GNNEngine.from_index(FlatRTree.load(path, mmap_mode="r"))``
-        serves memory-resident queries without ever rebuilding the
-        object tree.  Nothing is copied up front — a memory-mapped
-        snapshot stays memory-mapped; brute-force specs reconstruct the
-        raw dataset from the snapshot lazily on first use (or use the
-        ``points`` argument when supplied).  Disk-resident specs require
-        the object tree and raise.  :meth:`insert` / :meth:`delete`
-        work: writes land in a delta overlay on top of the (untouched,
-        possibly read-only) snapshot — the per-shard write path uses
-        exactly this.
+        serves queries without rebuilding anything.  Nothing is copied
+        up front — a memory-mapped snapshot stays memory-mapped;
+        brute-force specs reconstruct the raw dataset from the snapshot
+        lazily on first use (or use the ``points`` argument when
+        supplied).  :meth:`insert` / :meth:`delete` work: writes land in
+        a delta overlay on top of the (untouched, possibly read-only)
+        snapshot — the per-shard write path uses exactly this.
         """
         if not isinstance(index, FlatRTree):
             raise TypeError(f"from_index expects a FlatRTree, got {type(index).__name__}")
         engine = cls.__new__(cls)
         engine._store = PointStore(points) if points is not None else None
         engine.buffer = index.buffer
-        engine.tree = None
-        engine._auto_snapshot = True
         engine._flat = index
         engine._overlay = None
         engine._next_id = None
@@ -222,8 +204,8 @@ class GNNEngine:
     # flat snapshot and overlay management
     # ------------------------------------------------------------------
     @property
-    def flat(self) -> FlatRTree | None:
-        """The current flat base snapshot, or None when not materialised yet."""
+    def flat(self) -> FlatRTree:
+        """The current flat base snapshot (pending writes live in :attr:`overlay`)."""
         return self._flat
 
     @property
@@ -246,20 +228,12 @@ class GNNEngine:
     def snapshot(self) -> FlatRTree:
         """The flat snapshot of the *current* data — compacting when dirty.
 
-        On a clean engine this materialises (and caches) the flat
-        snapshot of the tree; on a dirty one it folds the overlay via
-        :meth:`compact` first, so the returned snapshot always reflects
-        every applied write.  The snapshot shares the engine's LRU
-        buffer, so page-access accounting is identical whichever index
-        answers a query.  Call ``snapshot().save(path)`` to persist it.
+        On a clean engine this is the base snapshot itself; on a dirty
+        one the overlay is folded via :meth:`compact` first, so the
+        returned snapshot always reflects every applied write.  Call
+        ``snapshot().save(path)`` to persist it.
         """
-        if self.dirty:
-            return self.compact()
-        if self._flat is None:
-            if self.tree is None:
-                raise ValueError("this engine holds no object tree to snapshot")
-            self._flat = FlatRTree.from_tree(self.tree)
-        return self._flat
+        return self.compact()
 
     def compact(self, *, capacity: int | None = None, method: str = "str") -> FlatRTree:
         """Fold the overlay into a generation-``N+1`` base snapshot.
@@ -269,27 +243,18 @@ class GNNEngine:
         preserved and ``generation = base.generation + 1``; the overlay
         is then discarded.  This is the LSM compaction step — a
         :class:`repro.serve.compaction.CompactingWriter` runs it in the
-        background and publishes the result to a live server.
+        background and publishes the result to a live server.  A clean
+        engine returns its base snapshot unchanged.
         """
-        overlay = self._overlay
-        if overlay is None or not overlay.dirty:
-            self._overlay = None
-            return self.snapshot()
-        flat = overlay.compact(capacity=capacity, method=method, buffer=self.buffer)
-        self._flat = flat
+        if self.dirty:
+            self._flat = self._overlay.compact(
+                capacity=capacity, method=method, buffer=self.buffer
+            )
         self._overlay = None
-        return flat
-
-    def _base_snapshot(self) -> FlatRTree | None:
-        """The frozen base the executor traverses (never compacts)."""
-        if self._flat is None and self.tree is not None:
-            self._flat = FlatRTree.from_tree(self.tree)
         return self._flat
 
     def _ensure_overlay(self) -> DeltaOverlay:
         if self._overlay is None:
-            if self._flat is None:
-                raise ValueError("an overlay needs a base snapshot")
             self._overlay = DeltaOverlay(self._flat)
         return self._overlay
 
@@ -298,7 +263,7 @@ class GNNEngine:
     # ------------------------------------------------------------------
     def execute(self, spec: QuerySpec) -> GNNResult:
         """Plan and execute one declarative query spec."""
-        return execute_spec(self._context(), spec, planner=self.planner)
+        return execute_spec(self._context((spec,)), spec, planner=self.planner)
 
     def explain(self, spec: QuerySpec) -> QueryPlan:
         """Return the plan for ``spec`` (algorithm, rationale, cost estimate).
@@ -317,106 +282,29 @@ class GNNEngine:
         hot), and brute-force specs share chunked distance tensors — while
         returning exactly the results of per-spec :meth:`execute` calls.
         """
-        return execute_batch(self._context(), specs, planner=self.planner)
+        specs = list(specs)
+        return execute_batch(self._context(specs), specs, planner=self.planner)
 
     def algorithms(self, residency: str | None = None):
         """Registered algorithm metadata (optionally filtered by residency)."""
         return available_algorithms(residency)
 
-    def _context(self) -> ExecutionContext:
-        # The snapshot is handed out as a lazy provider: it is built on
-        # the first plan that actually routes through it, so disk-only
-        # or index="object" workloads never pay for the materialisation.
-        provider = None
-        if self._auto_snapshot and self.tree is not None:
-            provider = self._base_snapshot
+    def _context(self, specs) -> ExecutionContext:
+        # Disk-resident plans have no overlay form: fold pending writes
+        # first (the rule snapshot() follows) so they run over a base
+        # that is exact on the live data.
+        if self.dirty and any(spec.resolved_residency() == DISK for spec in specs):
+            self.compact()
         points = ids = None
         if self._store is not None:
             points, ids = self._store.live_points()
         return ExecutionContext(
-            tree=self.tree,
-            points=points,
-            buffer=self.buffer,
             flat=self._flat,
-            flat_provider=provider,
+            points=points,
             point_ids=ids,
+            buffer=self.buffer,
             overlay=self._overlay if self.dirty else None,
         )
-
-    # ------------------------------------------------------------------
-    # deprecated pre-planner entry points
-    # ------------------------------------------------------------------
-    def query(
-        self,
-        query_points,
-        k: int = 1,
-        algorithm: str = "auto",
-        aggregate: str = "sum",
-        weights=None,
-        **options,
-    ) -> GNNResult:
-        """Deprecated: build a :class:`QuerySpec` and call :meth:`execute`.
-
-        Kept as a thin shim for pre-planner callers; ``algorithm`` is one
-        of ``"auto"``, ``"mqm"``, ``"spm"``, ``"mbm"``, ``"best-first"``
-        or ``"brute-force"`` and extra keyword options are forwarded to
-        the selected algorithm.
-        """
-        warnings.warn(
-            "GNNEngine.query is deprecated; build a QuerySpec and use "
-            "GNNEngine.execute instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec = QuerySpec(
-            group=query_points,
-            k=k,
-            aggregate=aggregate,
-            weights=weights,
-            residency=MEMORY,
-            algorithm=algorithm,
-            options=options,
-        )
-        return self.execute(spec)
-
-    def query_disk(
-        self,
-        query_points=None,
-        k: int = 1,
-        algorithm: str = "auto",
-        query_file: PointFile | None = None,
-        points_per_page: int = 50,
-        block_pages: int = 200,
-        query_tree_capacity: int = DEFAULT_CAPACITY,
-        **options,
-    ) -> GNNResult:
-        """Deprecated: build a disk-resident :class:`QuerySpec` and execute it.
-
-        Kept as a thin shim for pre-planner callers; ``algorithm`` is
-        ``"auto"``, ``"fmqm"``, ``"fmbm"`` or ``"gcp"``.
-        """
-        warnings.warn(
-            "GNNEngine.query_disk is deprecated; build a QuerySpec with "
-            "residency='disk' and use GNNEngine.execute instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        spec_options = {
-            "points_per_page": points_per_page,
-            "block_pages": block_pages,
-            **options,
-        }
-        if str(algorithm).lower() == "gcp":
-            spec_options["query_tree_capacity"] = query_tree_capacity
-        spec = QuerySpec(
-            group=query_points,
-            group_file=query_file,
-            k=k,
-            residency=DISK,
-            algorithm=algorithm,
-            options=spec_options,
-        )
-        return self.execute(spec)
 
     # ------------------------------------------------------------------
     # maintenance (the mutable write path)
@@ -437,8 +325,6 @@ class GNNEngine:
 
     @property
     def dims(self) -> int:
-        if self.tree is not None:
-            return self.tree.dims
         return self._flat.dims
 
     def _validated_point(self, point) -> np.ndarray:
@@ -468,7 +354,7 @@ class GNNEngine:
             bound = 0
             if self._store is not None:
                 bound = self._store.next_record_id
-            if self.tree is None and self._flat is not None and self._flat.size:
+            if self._flat.size:
                 base_ids = np.asarray(self._flat.record_ids)
                 bound = max(bound, int(base_ids.max()) + 1)
             self._next_id = bound
@@ -477,14 +363,11 @@ class GNNEngine:
         """Insert a new data point into the index; returns its record id.
 
         Record ids come from a monotonic counter and are never reused.
-        Writes never invalidate an existing flat snapshot: once one is
-        materialised, the insert also lands in the delta overlay and
-        snapshot-routed queries answer from the merged (base + delta −
-        tombstones) view, bit-identical to a from-scratch rebuild.
-        Snapshot-only engines (:meth:`from_index`) accept inserts the
-        same way — the overlay *is* their write path; the mmap'd base
-        stays untouched.  Point storage appends into an amortised growth
-        buffer (O(1) amortised, not the old O(n) vstack copy).
+        Writes never touch the flat snapshot: the insert lands in the
+        delta overlay and queries answer from the merged (base + delta −
+        tombstones) view, bit-identical to a from-scratch rebuild; a
+        memory-mapped base stays untouched.  Point storage appends into
+        an amortised growth buffer.
 
         An explicit ``record_id`` overrides the allocator — the shard
         write path assigns federation-global ids this way.  The counter
@@ -503,12 +386,7 @@ class GNNEngine:
             # in-memory structure reflects it, or a crash in between
             # loses an applied write.
             self._wal.append("insert", record_id, point)
-        if self.tree is not None:
-            self.tree.insert(point, record_id=record_id)
-            if self._flat is not None:
-                self._ensure_overlay().insert(point, record_id)
-        else:
-            self._ensure_overlay().insert(point, record_id)
+        self._ensure_overlay().insert(point, record_id)
         if self._store is not None:
             self._store.append(point, record_id)
         return record_id
@@ -516,14 +394,10 @@ class GNNEngine:
     def delete(self, point, record_id: int) -> bool:
         """Delete the record with the given point and id; True when removed.
 
-        This is the safe counterpart of calling ``tree.delete`` directly
-        — which used to leave ``engine.points`` and the cached snapshot
-        stale, silently returning deleted records from snapshot-routed
-        queries.  Here every view updates together: the object tree (when
-        present), the live point store, and the overlay — a delete of a
-        base-snapshot record becomes a tombstone; a delete of a
-        not-yet-compacted insert is removed from the delta tree
-        physically.
+        Every view updates together: the live point store and the
+        overlay — a delete of a base-snapshot record becomes a
+        tombstone; a delete of a not-yet-compacted insert is removed
+        from the delta physically.
         """
         point = self._validated_point(point)
         record_id = int(record_id)
@@ -531,27 +405,16 @@ class GNNEngine:
             # Logged before the mutation (write-ahead); a logged delete
             # that turns out to be a miss replays as the same no-op.
             self._wal.append("delete", record_id, point)
-        if self.tree is not None:
-            removed = self.tree.delete(point, record_id)
-            if not removed:
-                return False
-            if self._flat is not None:
-                self._ensure_overlay().delete(point, record_id)
-        else:
-            if not self._ensure_overlay().delete(point, record_id):
-                return False
+        if not self._ensure_overlay().delete(point, record_id):
+            return False
         if self._store is not None:
             self._store.delete(record_id)
         return True
 
     def __len__(self) -> int:
-        if self.tree is not None:
-            return len(self.tree)
         if self.dirty:
             return len(self._overlay)
         return len(self._flat)
 
     def __repr__(self) -> str:
-        count = len(self.points) if self.points is not None else len(self)
-        index = self.tree if self.tree is not None else self._flat
-        return f"GNNEngine(points={count}, tree={index!r})"
+        return f"GNNEngine(points={len(self)}, index={self._flat!r})"

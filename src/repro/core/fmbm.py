@@ -13,8 +13,7 @@ The R-tree of ``P`` is traversed once:
 * **Heuristic 6** drops a point as soon as its accumulated distance plus
   the weighted mindist to the not-yet-read blocks reaches ``best_dist``.
 
-Both best-first (used in the paper's experiments) and depth-first
-traversals are provided.
+The traversal is best-first, as in the paper's experiments.
 """
 
 from __future__ import annotations
@@ -34,15 +33,15 @@ from repro.core.heuristics import (
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult
 from repro.geometry import kernels
-from repro.rtree.tree import RTree
+from repro.geometry.mbr import MBR
+from repro.rtree.flat import FlatRTree
 from repro.storage.pointfile import PointFile
 
 
 def fmbm(
-    tree: RTree,
+    tree: FlatRTree,
     query_file: PointFile,
     k: int = 1,
-    traversal: str = "best_first",
     charge_summary_scan: bool = False,
 ) -> GNNResult:
     """Run F-MBM over a disk-resident query file.
@@ -50,14 +49,11 @@ def fmbm(
     Parameters
     ----------
     tree:
-        R-tree over the dataset ``P``.
+        Flat R-tree snapshot over the dataset ``P``.
     query_file:
         The (Hilbert-sorted) query file.
     k:
         Number of group nearest neighbors to return.
-    traversal:
-        ``"best_first"`` (default, as in the paper's experiments) or
-        ``"depth_first"`` (the pseudo-code of Figure 4.7).
     charge_summary_scan:
         The per-block summaries can be produced during the external sort
         the paper excludes from the measured cost; set this to True to
@@ -65,8 +61,6 @@ def fmbm(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if traversal not in ("best_first", "depth_first"):
-        raise ValueError(f"unknown traversal {traversal!r}")
     tracker = CostTracker("F-MBM", trees=[tree], io_counters=[query_file.counters])
     best = BestList(k)
     if len(tree) == 0 or len(query_file) == 0:
@@ -75,10 +69,7 @@ def fmbm(
     summaries = _collect_summaries(query_file, charge_summary_scan)
     stacked = stack_summaries(summaries)
 
-    if traversal == "best_first":
-        _fmbm_best_first(tree, query_file, summaries, stacked, best)
-    else:
-        _fmbm_depth_first(tree, tree.root, query_file, summaries, stacked, best)
+    _fmbm_best_first(tree, query_file, summaries, stacked, best)
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
 
 
@@ -100,57 +91,42 @@ def _collect_summaries(query_file: PointFile, charge_summary_scan: bool):
     return summaries
 
 
-def _fmbm_best_first(tree, query_file, summaries, stacked, best) -> None:
+def _fmbm_best_first(flat, query_file, summaries, stacked, best) -> None:
     """Best-first traversal ordered by the weighted mindist of Heuristic 5.
 
     ``stacked`` holds the summaries' (lows, highs, cardinalities) arrays
-    so each popped node scores its whole child list in one kernel call.
+    so each popped node scores its whole child slice in one kernel call.
     """
     summary_lows, summary_highs, cardinalities = stacked
     counter = itertools.count()
-    heap = [(0.0, next(counter), tree.root)]
+    heap: list[tuple[float, int, int]] = [(0.0, next(counter), 0)]
     while heap:
-        bound, _, node = heapq.heappop(heap)
+        bound, _, node_id = heapq.heappop(heap)
         if best.is_full() and heuristic5_prunes(bound, best.best_dist):
             break
-        node = tree.read_node(node)
-        if node.is_leaf:
-            _process_leaf(tree, node, query_file, summaries, stacked, best)
+        index = flat.read_node(node_id)
+        start = int(flat.child_start[index])
+        stop = start + int(flat.child_count[index])
+        if flat.levels[index] == 0:
+            _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best)
             continue
-        lows, highs = node.child_bounds()
+        lows = flat.lows[start:stop]
+        highs = flat.highs[start:stop]
         child_bounds = weighted_mindist_batch(
             lows, highs, summary_lows, summary_highs, cardinalities
         )
-        tree.stats.record_distance_computations(len(summaries) * len(node.entries))
+        flat.stats.record_distance_computations(len(summaries) * (stop - start))
         if best.is_full():
             survives = ~heuristic5_prunes_batch(child_bounds, best.best_dist)
         else:
-            survives = np.ones(len(node.entries), dtype=bool)
-        for index in np.flatnonzero(survives):
+            survives = np.ones(stop - start, dtype=bool)
+        for offset in np.flatnonzero(survives):
             heapq.heappush(
-                heap, (float(child_bounds[index]), next(counter), node.entries[index].child)
+                heap, (float(child_bounds[offset]), next(counter), start + int(offset))
             )
 
 
-def _fmbm_depth_first(tree, node, query_file, summaries, stacked, best) -> None:
-    """Depth-first traversal following Figure 4.7 of the paper."""
-    summary_lows, summary_highs, cardinalities = stacked
-    node = tree.read_node(node)
-    if node.is_leaf:
-        _process_leaf(tree, node, query_file, summaries, stacked, best)
-        return
-    lows, highs = node.child_bounds()
-    bounds = weighted_mindist_batch(lows, highs, summary_lows, summary_highs, cardinalities)
-    tree.stats.record_distance_computations(len(summaries) * len(node.entries))
-    for index in np.argsort(bounds, kind="stable"):
-        if best.is_full() and heuristic5_prunes(float(bounds[index]), best.best_dist):
-            break
-        _fmbm_depth_first(
-            tree, node.entries[index].child, query_file, summaries, stacked, best
-        )
-
-
-def _process_leaf(tree, node, query_file, summaries, stacked, best) -> None:
+def _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best) -> None:
     """Accumulate exact block distances for the points of one leaf node.
 
     Implements the leaf-level loop of Figure 4.7: points are ordered by
@@ -161,18 +137,18 @@ def _process_leaf(tree, node, query_file, summaries, stacked, best) -> None:
     all still-alive points in one kernel call.
     """
     summary_lows, summary_highs, cardinalities = stacked
-    node_mbr = node.compute_mbr()
-    coords = node.points_array()
+    node_mbr = MBR(flat.lows[index], flat.highs[index])
+    points = flat.points
     bounds = kernels.points_weighted_group_mindist(
-        coords, summary_lows, summary_highs, cardinalities
+        points[start:stop], summary_lows, summary_highs, cardinalities
     )
-    tree.stats.record_distance_computations(len(summaries) * len(node.entries))
-    # Survivors: list of [entry, accumulated_distance].
+    flat.stats.record_distance_computations(len(summaries) * (stop - start))
+    # Survivors: list of [row, accumulated_distance].
     survivors = []
-    for index, entry in enumerate(node.entries):
-        if best.is_full() and heuristic5_prunes(float(bounds[index]), best.best_dist):
+    for offset, bound in enumerate(bounds.tolist()):
+        if best.is_full() and heuristic5_prunes(bound, best.best_dist):
             continue
-        survivors.append([entry, 0.0])
+        survivors.append([start + offset, 0.0])
     if not survivors:
         return
 
@@ -194,17 +170,18 @@ def _process_leaf(tree, node, query_file, summaries, stacked, best) -> None:
             if not (
                 best.is_full()
                 and heuristic6_prunes(
-                    item[0].point, item[1], [summary] + remaining, best.best_dist
+                    points[item[0]], item[1], [summary] + remaining, best.best_dist
                 )
             )
         ]
         if still_alive:
-            stacked_points = np.array([item[0].point for item in still_alive])
+            stacked_points = points[[item[0] for item in still_alive]]
             contributions = kernels.aggregate_distances(stacked_points, block.points)
-            tree.stats.record_distance_computations(block.cardinality * len(still_alive))
+            flat.stats.record_distance_computations(block.cardinality * len(still_alive))
             for item, contribution in zip(still_alive, contributions):
                 item[1] += float(contribution)
         survivors = still_alive
 
-    for entry, accumulated in survivors:
-        best.offer(entry.record_id, entry.point, accumulated)
+    record_ids = flat.record_ids
+    for row, accumulated in survivors:
+        best.offer(int(record_ids[row]), points[row], accumulated)

@@ -24,9 +24,8 @@ import numpy as np
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult
 from repro.geometry import kernels
-from repro.geometry.distance import group_distance, group_mindist
-from repro.rtree.traversal import incremental_nearest_generic
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
+from repro.rtree.traversal import flat_incremental_nearest_generic
 from repro.storage.pointfile import PointFile
 
 
@@ -41,13 +40,13 @@ class _PendingCandidate:
         self.blocks_seen: set[int] = set()
 
 
-def fmqm(tree: RTree, query_file: PointFile, k: int = 1) -> GNNResult:
+def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     """Run F-MQM over a disk-resident query file.
 
     Parameters
     ----------
     tree:
-        R-tree over the dataset ``P``.
+        Flat R-tree snapshot over the dataset ``P``.
     query_file:
         The (Hilbert-sorted) query file; its block structure defines the
         groups ``Q_1 .. Q_m``.
@@ -80,21 +79,13 @@ def fmqm(tree: RTree, query_file: PointFile, k: int = 1) -> GNNResult:
         if index not in streams:
             block = blocks[index]
 
-            def node_key(mbr, _points=block.points):
-                return group_mindist(mbr, _points)
-
-            def point_key(point, _points=block.points):
-                return group_distance(point, _points)
-
             def points_key(points, _points=block.points):
                 return kernels.aggregate_distances(points, _points)
 
             def mbrs_key(lows, highs, _points=block.points):
                 return kernels.boxes_group_mindist(lows, highs, _points)
 
-            streams[index] = incremental_nearest_generic(
-                tree, node_key, point_key, points_key=points_key, mbrs_key=mbrs_key
-            )
+            streams[index] = flat_incremental_nearest_generic(tree, points_key, mbrs_key)
         return streams[index]
 
     while True:

@@ -24,7 +24,7 @@ from repro.core.heuristics import gcp_candidate_threshold, heuristic4_prunes
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, QueryCost
 from repro.rtree.closest_pairs import incremental_closest_pairs
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 
 
 class _Candidate:
@@ -38,16 +38,18 @@ class _Candidate:
         self.accumulated = 0.0
 
 
-def gcp(data_tree: RTree, query_tree: RTree, k: int = 1, max_pairs: int | None = None) -> GNNResult:
+def gcp(
+    data_tree: FlatRTree, query_tree: FlatRTree, k: int = 1, max_pairs: int | None = None
+) -> GNNResult:
     """Run the group closest pairs method.
 
     Parameters
     ----------
     data_tree:
-        R-tree over the dataset ``P``.
+        Flat R-tree snapshot over the dataset ``P``.
     query_tree:
-        R-tree over the query set ``Q`` (both disk-resident in the
-        paper's setting).
+        Flat R-tree snapshot over the query set ``Q`` (both
+        disk-resident in the paper's setting).
     k:
         Number of group nearest neighbors to return.
     max_pairs:

@@ -11,9 +11,7 @@ MBM performs a single traversal of the R-tree of ``P`` pruned by the MBR
   Heuristic 2 (the paper's footnote 3 reports the same trade-off and the
   ablation benchmark reproduces it).
 
-Both the best-first implementation (used in the paper's experiments) and
-the depth-first variant (the walk-through of Figure 3.7) are provided.
-The weighted and max/min-aggregate extensions reuse the same traversal
+The traversal is best-first, as in the paper's experiments.  The weighted and max/min-aggregate extensions reuse the same traversal
 with generalised bounds (see :mod:`repro.core.aggregates`).
 """
 
@@ -28,19 +26,16 @@ from repro.core.heuristics import (
     heuristic2_prunes,
     heuristic2_prunes_batch,
     heuristic3_prunes_batch,
-    heuristic3_prunes_precomputed,
 )
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, GroupNeighbor, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
-from repro.rtree.tree import RTree
 
 
 def mbm(
-    tree: RTree | FlatRTree,
+    tree: FlatRTree,
     query: GroupQuery,
-    traversal: str = "best_first",
     use_heuristic3: bool = True,
     exclude: frozenset | set | None = None,
 ) -> GNNResult:
@@ -49,17 +44,12 @@ def mbm(
     Parameters
     ----------
     tree:
-        R-tree over the dataset ``P``; a flat snapshot
-        (:class:`~repro.rtree.flat.FlatRTree`) is accepted for the
-        best-first traversal and returns bit-identical results with
-        identical node-access and distance-computation counts.
+        Flat R-tree snapshot over the dataset ``P``.
     query:
         The query group; the sum aggregate matches the paper, and the
         weighted / max / min generalisations are accepted as well (the
         bounds degrade gracefully: Heuristic 2 uses the total weight,
         Heuristic 3 uses the aggregate lower bound).
-    traversal:
-        ``"best_first"`` (default) or ``"depth_first"``.
     use_heuristic3:
         Disable to reproduce the paper's ablation ("MBM with only
         heuristic 2 ... inferior to SPM").
@@ -70,25 +60,10 @@ def mbm(
         is untouched (Heuristics 2/3 stay safe bounds for the live
         records the traversal is actually after).
     """
-    if traversal not in ("best_first", "depth_first"):
-        raise ValueError(f"unknown traversal {traversal!r}")
-    is_flat = isinstance(tree, FlatRTree)
-    if is_flat and traversal != "best_first":
-        raise ValueError(
-            "flat snapshots only support the best-first traversal; "
-            "run depth-first MBM against the object R-tree"
-        )
-    tracker = CostTracker(f"MBM-{traversal}", trees=[tree])
+    tracker = CostTracker("MBM-best_first", trees=[tree])
     best = BestList(query.k)
-    if len(tree) == 0:
-        return GNNResult(neighbors=[], cost=tracker.finish())
-
-    if is_flat:
-        _mbm_best_first_flat(tree, query, best, use_heuristic3, exclude)
-    elif traversal == "best_first":
+    if len(tree) > 0:
         _mbm_best_first(tree, query, best, use_heuristic3, exclude)
-    else:
-        _mbm_depth_first(tree, tree.root, query, best, use_heuristic3, exclude)
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
 
 
@@ -114,58 +89,15 @@ def _divisor(query: GroupQuery) -> float:
     return float(weights.min())
 
 
-def _mbm_best_first(tree, query, best, use_heuristic3, exclude=None) -> None:
+def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
     """Best-first MBM: the heap is ordered by mindist to the query MBR.
 
     Each popped node is scored with batched kernels: one call computes
-    the mindist of the whole child list to the query MBR (Heuristic 2)
+    the mindist of the whole child slice to the query MBR (Heuristic 2)
     and one more computes the aggregate lower bounds of the survivors
-    (Heuristic 3).  ``best`` cannot change while a child list is being
+    (Heuristic 3).  ``best`` cannot change while a child slice is being
     scored (offers only happen at leaves), so the batched checks decide
-    exactly what the entry-at-a-time loop decided.
-    """
-    query_mbr = query.mbr
-    divisor = _divisor(query)
-    counter = itertools.count()
-    heap = [(0.0, next(counter), tree.root)]
-
-    while heap:
-        mindist_to_m, _, node = heapq.heappop(heap)
-        # The heap is ordered by mindist(N, M): once the head fails
-        # Heuristic 2 every remaining entry fails it too.
-        if best.is_full() and heuristic2_prunes(mindist_to_m, best.best_dist, divisor):
-            break
-        node = tree.read_node(node)
-        if node.is_leaf:
-            _process_leaf(tree, node, query, best, divisor, exclude)
-            continue
-        lows, highs = node.child_bounds()
-        child_mindists = kernels.boxes_mindist_box(lows, highs, query_mbr.low, query_mbr.high)
-        tree.stats.record_distance_computations(len(node.entries))
-        if best.is_full():
-            survives = ~heuristic2_prunes_batch(child_mindists, best.best_dist, divisor)
-        else:
-            survives = np.ones(len(node.entries), dtype=bool)
-        if use_heuristic3 and best.is_full() and survives.any():
-            indices = np.flatnonzero(survives)
-            lower_bounds = query.mindist_lower_bounds(lows[indices], highs[indices])
-            tree.stats.record_distance_computations(query.cardinality * indices.size)
-            survives[indices[heuristic3_prunes_batch(lower_bounds, best.best_dist)]] = False
-        for index in np.flatnonzero(survives):
-            heapq.heappush(
-                heap, (float(child_mindists[index]), next(counter), node.entries[index].child)
-            )
-
-
-def _mbm_best_first_flat(flat, query, best, use_heuristic3, exclude=None) -> None:
-    """Best-first MBM over a flat snapshot: arrays in, integer heap items out.
-
-    Mirrors :func:`_mbm_best_first` decision for decision — the same
-    kernels score the same child slices, Heuristics 2/3 see the same
-    floats, children are pushed in the same order — so the node-access
-    and distance-computation counts (and the answers) are identical.
-    The only differences are mechanical: child bounds come from array
-    slices instead of per-node caches and heap entries carry node ids.
+    exactly what an entry-at-a-time loop would.
     """
     query_mbr = query.mbr
     divisor = _divisor(query)
@@ -181,13 +113,15 @@ def _mbm_best_first_flat(flat, query, best, use_heuristic3, exclude=None) -> Non
 
     while heap:
         mindist_to_m, _, node_id = heapq.heappop(heap)
+        # The heap is ordered by mindist(N, M): once the head fails
+        # Heuristic 2 every remaining entry fails it too.
         if best.is_full() and heuristic2_prunes(mindist_to_m, best.best_dist, divisor):
             break
         index = flat.read_node(node_id)
         start = int(child_start[index])
         stop = start + int(child_count[index])
         if levels[index] == 0:
-            _process_leaf_flat(flat, start, stop, query, best, divisor, scorer, exclude)
+            _process_leaf(flat, start, stop, query, best, divisor, scorer, exclude)
             continue
         lows = all_lows[start:stop]
         highs = all_highs[start:stop]
@@ -217,19 +151,21 @@ def _mbm_best_first_flat(flat, query, best, use_heuristic3, exclude=None) -> Non
             )
 
 
-def _process_leaf_flat(
+def _process_leaf(
     flat, start, stop, query, best, divisor, scorer=None, exclude=None
 ) -> None:
-    """Leaf consumption over the flat point matrix with a pure-float loop.
+    """Apply Heuristic 2 to leaf points before paying the full distance computation.
 
-    The candidate selection (Heuristic-2 mask over the mindist ordering)
-    and the batched aggregate distances are exactly those of
-    :func:`_process_leaf`.  The sequential replay below inlines the
-    Heuristic-2 inequality, skips ``offer`` calls that provably return
-    False (a full best-list and ``distance >= best_dist``), and records
-    the per-candidate distance charges — ``n`` for every candidate
-    consumed before the break — as one batched charge with the same
-    total.
+    The leaf's points are scored in two kernel calls: mindists to the
+    query MBR for the Heuristic-2 ordering, then aggregate distances for
+    the candidates that can possibly survive.  ``best_dist`` only shrinks
+    while the ordered candidates are consumed, so the sequential pruning
+    loop visits a prefix of that candidate set.  The loop is pure-float:
+    it inlines the Heuristic-2 inequality, skips ``offer`` calls that
+    provably return False (a full best-list and ``distance >=
+    best_dist``), and records the per-candidate distance charges — ``n``
+    for every candidate consumed before the break — as one batched
+    charge.
     """
     query_mbr = query.mbr
     coords = flat.points[start:stop]
@@ -274,62 +210,6 @@ def _process_leaf_flat(
             best_dist = best.best_dist
             full = best.is_full()
     flat.stats.record_distance_computations(query.cardinality * consumed)
-
-
-def _mbm_depth_first(tree, node, query, best, use_heuristic3, exclude=None) -> None:
-    """Depth-first MBM following the walk-through of Figure 3.7."""
-    query_mbr = query.mbr
-    divisor = _divisor(query)
-    node = tree.read_node(node)
-    if node.is_leaf:
-        _process_leaf(tree, node, query, best, divisor, exclude)
-        return
-    lows, highs = node.child_bounds()
-    mindists = kernels.boxes_mindist_box(lows, highs, query_mbr.low, query_mbr.high)
-    tree.stats.record_distance_computations(len(node.entries))
-    for index in np.argsort(mindists, kind="stable"):
-        mindist_to_m = float(mindists[index])
-        if best.is_full() and heuristic2_prunes(mindist_to_m, best.best_dist, divisor):
-            break
-        entry = node.entries[index]
-        if use_heuristic3 and best.is_full():
-            lower_bound = query.mindist_lower_bound(entry.mbr)
-            tree.stats.record_distance_computations(query.cardinality)
-            if heuristic3_prunes_precomputed(lower_bound, best.best_dist):
-                continue
-        _mbm_depth_first(tree, entry.child, query, best, use_heuristic3, exclude)
-
-
-def _process_leaf(tree, node, query, best, divisor, exclude=None) -> None:
-    """Apply Heuristic 2 to leaf points before paying the full distance computation.
-
-    The leaf's points are scored in two kernel calls: mindists to the
-    query MBR for the Heuristic-2 ordering, then aggregate distances for
-    the candidates that can possibly survive.  ``best_dist`` only shrinks
-    while the ordered candidates are consumed, so the sequential pruning
-    loop visits a prefix of that candidate set — the per-candidate checks
-    and charges below replay the entry-at-a-time loop exactly.
-    """
-    query_mbr = query.mbr
-    coords = node.points_array()
-    mindists = kernels.points_mindist_box(coords, query_mbr.low, query_mbr.high)
-    tree.stats.record_distance_computations(len(node.entries))
-    order = np.argsort(mindists, kind="stable")
-    if best.is_full():
-        candidates = order[~heuristic2_prunes_batch(mindists[order], best.best_dist, divisor)]
-    else:
-        candidates = order
-    if candidates.size == 0:
-        return
-    distances = query.distances_to(coords[candidates])
-    for position, index in enumerate(candidates):
-        if best.is_full() and heuristic2_prunes(float(mindists[index]), best.best_dist, divisor):
-            break
-        entry = node.entries[index]
-        if exclude is not None and entry.record_id in exclude:
-            continue
-        tree.stats.record_distance_computations(query.cardinality)
-        best.offer(entry.record_id, entry.point, float(distances[position]))
 
 
 # ----------------------------------------------------------------------

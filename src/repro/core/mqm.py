@@ -12,21 +12,16 @@ Query points are visited round-robin after being sorted by Hilbert value
 so that consecutive NN searches touch nearby R-tree nodes (improving
 buffer locality, as discussed in the paper's experiments).
 
-Two implementations share that driver logic:
-
-* the **object path** runs ``n`` independent
-  :func:`~repro.rtree.traversal.incremental_nearest` generators — the
-  reference implementation, kept verbatim;
-* the **flat path** (:class:`~repro.rtree.flat.FlatRTree`) drives all
-  ``n`` frontiers through one
-  :class:`~repro.rtree.traversal.MultiStreamFrontier`: per-query-point
-  state lives in struct-of-arrays form, each visited node is scored for
-  *all* streams in a single ``(n, fanout)`` kernel call, and the exact
-  aggregate distance of every emitted neighbor falls out of the same
-  shared matrix.  Results, node-access and distance-computation
-  counters, and any attached LRU buffer's hit/miss sequence are
-  bit-identical to the object path; only the Python overhead per
-  retrieval changes.
+All ``n`` frontiers are driven through one
+:class:`~repro.rtree.traversal.MultiStreamFrontier`: per-query-point
+state lives in struct-of-arrays form, each visited node is scored for
+*all* streams in a single ``(n, fanout)`` kernel call, and the exact
+aggregate distance of every emitted neighbor falls out of the same
+shared matrix.  Results, node-access and distance-computation counters,
+and any attached LRU buffer's hit/miss sequence are bit-identical to
+``n`` independent :func:`~repro.rtree.traversal.incremental_nearest`
+generators (the reference driver the test suite keeps); only the Python
+overhead per retrieval changes.
 """
 
 from __future__ import annotations
@@ -35,26 +30,22 @@ from repro.geometry.hilbert import hilbert_sort
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, GroupQuery
 from repro.rtree.flat import FlatRTree
-from repro.rtree.traversal import MultiStreamFrontier, incremental_nearest
-from repro.rtree.tree import RTree
+from repro.rtree.traversal import MultiStreamFrontier
 
 #: One unit in the last place of a float64 near 1.0, doubled for slack.
-#: Used by the flat driver's threshold-sum screen (see ``_mqm_flat``).
+#: Used by the driver's threshold-sum screen (see ``_mqm_round_robin``).
 _TWO_ULP = 4.5e-16
 
 
 def mqm(
-    tree: RTree | FlatRTree, query: GroupQuery, exclude: frozenset | set | None = None
+    tree: FlatRTree, query: GroupQuery, exclude: frozenset | set | None = None
 ) -> GNNResult:
     """Run the multiple query method and return the k group nearest neighbors.
 
     Parameters
     ----------
     tree:
-        R-tree over the dataset ``P``; a flat snapshot
-        (:class:`~repro.rtree.flat.FlatRTree`) is accepted and the
-        per-query-point streams then run as one vectorized multi-stream
-        frontier over its arrays, with identical results and accounting.
+        Flat R-tree snapshot over the dataset ``P``.
     query:
         The query group; ``query.aggregate`` must be ``"sum"`` — the
         threshold argument relies on the additivity of the aggregate
@@ -76,72 +67,24 @@ def mqm(
     if len(tree) == 0:
         return GNNResult(neighbors=[], cost=tracker.finish())
 
-    if isinstance(tree, FlatRTree):
-        _mqm_flat(tree, query, best, exclude)
-    else:
-        _mqm_object(tree, query, best, exclude)
+    _mqm_round_robin(tree, query, best, exclude)
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
 
 
-def _mqm_object(
-    tree: RTree, query: GroupQuery, best: BestList, exclude=None
-) -> None:
-    """The generator-per-stream reference implementation (object tree)."""
-    # Sort query points by Hilbert value for locality of node accesses.
-    order = hilbert_sort(query.points)
-    query_points = query.points[order]
-    n = query.cardinality
-
-    streams = [incremental_nearest(tree, q) for q in query_points]
-    thresholds = [0.0] * n
-    exhausted = [False] * n
-    seen_distances: dict[int, float] = {}
-
-    while True:
-        threshold_total = sum(thresholds)
-        if best.is_full() and threshold_total >= best.best_dist:
-            break
-        if all(exhausted):
-            break
-        progressed = False
-        for i in range(n):
-            if exhausted[i]:
-                continue
-            neighbor = next(streams[i], None)
-            if neighbor is None:
-                exhausted[i] = True
-                continue
-            progressed = True
-            thresholds[i] = neighbor.distance
-            record_id = neighbor.record_id
-            # Tombstoned records advance the stream's threshold but are
-            # barred from the best list (and not charged a distance).
-            if exclude is None or record_id not in exclude:
-                if record_id in seen_distances:
-                    distance = seen_distances[record_id]
-                else:
-                    distance = query.distance_to_canonical(neighbor.point)
-                    tree.stats.record_distance_computations(n)
-                    seen_distances[record_id] = distance
-                best.offer(record_id, neighbor.point, distance)
-            # Re-check the termination condition after every retrieval,
-            # exactly as in the paper's pseudo-code (Figure 3.2).
-            if best.is_full() and sum(thresholds) >= best.best_dist:
-                break
-        if not progressed:
-            break
-
-
-def _mqm_flat(
+def _mqm_round_robin(
     flat: FlatRTree, query: GroupQuery, best: BestList, exclude=None
 ) -> None:
-    """Multi-stream MQM over a flat snapshot.
+    """The round-robin threshold driver over one multi-stream frontier.
 
-    One :class:`MultiStreamFrontier` replaces the ``n`` generators; the
-    round-robin driver below otherwise replays :func:`_mqm_object`
-    decision for decision.  Two reference-path operations are elided
-    because they are provably without effect and their cost is exactly
-    what this path removes:
+    One :class:`MultiStreamFrontier` replaces ``n`` generators; the
+    driver otherwise replays the generator-per-stream reference (kept in
+    the test suite) decision for decision: after every retrieval the
+    stream's threshold is updated, a first-seen live record is offered,
+    and the termination condition of Figure 3.2 is re-checked.
+    Tombstoned (``exclude``) records advance the stream's threshold but
+    are barred from the best list and not charged a distance.  Two
+    reference operations are elided because they are provably without
+    effect and their cost is exactly what this driver removes:
 
     * re-``offer``\\ ing an already-seen record id never changes the
       best list (``BestList.offer`` rejects members, and an evicted

@@ -8,33 +8,24 @@ pruning bound: for any point ``p``,
 
 so a node or point whose distance from ``q`` reaches
 ``(best_dist + dist(q, Q)) / n`` cannot contain/cannot be a better
-neighbor (Heuristic 1).  Both the best-first implementation (used by the
-paper's experiments) and the depth-first one (the paper's pseudo-code,
-Figure 3.4) are provided.
+neighbor (Heuristic 1).  The traversal is best-first, as in the paper's
+experiments.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.centroid import compute_centroid
-from repro.core.heuristics import heuristic1_prunes_node, heuristic1_prunes_point
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, GroupQuery
 from repro.geometry import kernels
-from repro.geometry.distance import euclidean, group_distance
+from repro.geometry.distance import group_distance
 from repro.rtree.flat import FlatRTree
-from repro.rtree.traversal import (
-    flat_incremental_nearest_generic,
-    incremental_nearest_generic,
-)
-from repro.rtree.tree import RTree
+from repro.rtree.traversal import flat_incremental_nearest_generic
 
 
 def spm(
-    tree: RTree | FlatRTree,
+    tree: FlatRTree,
     query: GroupQuery,
-    traversal: str = "best_first",
     centroid_method: str = "gradient",
     exclude: frozenset | set | None = None,
 ) -> GNNResult:
@@ -43,15 +34,9 @@ def spm(
     Parameters
     ----------
     tree:
-        R-tree over the dataset ``P``; a flat snapshot
-        (:class:`~repro.rtree.flat.FlatRTree`) is accepted for the
-        best-first traversal and returns bit-identical results with
-        identical node-access and distance-computation counts.
+        Flat R-tree snapshot over the dataset ``P``.
     query:
         The query group (sum aggregate, unweighted — as defined in the paper).
-    traversal:
-        ``"best_first"`` (default, what the paper's experiments use) or
-        ``"depth_first"`` (the pseudo-code of Figure 3.4).
     centroid_method:
         Passed to :func:`repro.core.centroid.compute_centroid`; the paper
         uses gradient descent.
@@ -65,68 +50,20 @@ def spm(
         raise ValueError("SPM is only defined for the sum aggregate")
     if query.weights is not None:
         raise ValueError("SPM does not support weighted queries; use MBM instead")
-    if traversal not in ("best_first", "depth_first"):
-        raise ValueError(f"unknown traversal {traversal!r}")
-    is_flat = isinstance(tree, FlatRTree)
-    if is_flat and traversal != "best_first":
-        raise ValueError(
-            "flat snapshots only support the best-first traversal; "
-            "run depth-first SPM against the object R-tree"
-        )
 
-    tracker = CostTracker(f"SPM-{traversal}", trees=[tree])
+    tracker = CostTracker("SPM-best_first", trees=[tree])
     best = BestList(query.k)
     if len(tree) == 0:
         return GNNResult(neighbors=[], cost=tracker.finish())
 
     centroid = compute_centroid(query.points, method=centroid_method)
     centroid_distance = group_distance(centroid, query.points)
-
-    if is_flat:
-        _spm_best_first_flat(tree, query, centroid, centroid_distance, best, exclude)
-    elif traversal == "best_first":
-        _spm_best_first(tree, query, centroid, centroid_distance, best, exclude)
-    else:
-        _spm_depth_first(tree, tree.root, query, centroid, centroid_distance, best, exclude)
-
+    _spm_best_first(tree, query, centroid, centroid_distance, best, exclude)
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
 
 
-def _spm_best_first(tree, query, centroid, centroid_distance, best, exclude=None) -> None:
-    """Consume an incremental NN stream around the centroid until Heuristic 1 fires."""
-    n = query.cardinality
-
-    def node_key(mbr):
-        return mbr.mindist_point(centroid)
-
-    def point_key(point):
-        return euclidean(point, centroid)
-
-    def points_key(points):
-        return kernels.point_distances(points, centroid)
-
-    def mbrs_key(lows, highs):
-        return kernels.boxes_mindist_point(lows, highs, centroid)
-
-    stream = incremental_nearest_generic(
-        tree, node_key, point_key, points_key=points_key, mbrs_key=mbrs_key
-    )
-    for neighbor in stream:
-        # neighbor.distance is |p q|; the stream is ascending in it, so the
-        # first point failing Heuristic 1 terminates the whole search.
-        if heuristic1_prunes_point(neighbor.distance, best.best_dist, centroid_distance, n):
-            break
-        if exclude is not None and neighbor.record_id in exclude:
-            continue
-        distance = query.distance_to_canonical(neighbor.point)
-        tree.stats.record_distance_computations(n)
-        best.offer(neighbor.record_id, neighbor.point, distance)
-
-
-def _spm_best_first_flat(
-    flat, query, centroid, centroid_distance, best, exclude=None
-) -> None:
-    """Flat-snapshot SPM: batched keys *and* batched aggregate distances.
+def _spm_best_first(flat, query, centroid, centroid_distance, best, exclude=None) -> None:
+    """Consume an incremental NN stream around the centroid until Heuristic 1 fires.
 
     The stream scores whole leaf slices per pop and carries the exact
     ``dist(p, Q)`` of every emitted point (computed per leaf in one
@@ -136,8 +73,7 @@ def _spm_best_first_flat(
     :func:`~repro.core.heuristics.heuristic1_prunes_point`, offers are
     skipped only when they provably cannot enter the top-k (``offer``
     would return False), and the distance-computation charge — ``n`` per
-    consumed neighbor, exactly as the object-tree loop charges — is
-    accumulated and recorded once.
+    consumed neighbor — is accumulated and recorded once.
     """
     n = query.cardinality
     scorer = kernels.scorer_for(query.points, query.weights, query.aggregate, flat.capacity)
@@ -173,6 +109,8 @@ def _spm_best_first_flat(
     best_dist = best.best_dist
     full = best.is_full()
     for neighbor in stream:
+        # neighbor.distance is |p q|; the stream is ascending in it, so the
+        # first point failing Heuristic 1 terminates the whole search.
         if neighbor.distance >= (best_dist + centroid_distance) / n:
             break
         if exclude is not None and neighbor.record_id in exclude:
@@ -184,36 +122,3 @@ def _spm_best_first_flat(
             best_dist = best.best_dist
             full = best.is_full()
     flat.stats.record_distance_computations(n * consumed)
-
-
-def _spm_depth_first(
-    tree, node, query, centroid, centroid_distance, best, exclude=None
-) -> None:
-    """Recursive depth-first SPM following Figure 3.4 of the paper."""
-    n = query.cardinality
-    node = tree.read_node(node)
-    if node.is_leaf:
-        centroid_dists = kernels.point_distances(node.points_array(), centroid)
-        tree.stats.record_distance_computations(len(node.entries))
-        for index in np.argsort(centroid_dists, kind="stable"):
-            if heuristic1_prunes_point(
-                float(centroid_dists[index]), best.best_dist, centroid_distance, n
-            ):
-                break
-            entry = node.entries[index]
-            if exclude is not None and entry.record_id in exclude:
-                continue
-            distance = query.distance_to_canonical(entry.point)
-            tree.stats.record_distance_computations(n)
-            best.offer(entry.record_id, entry.point, distance)
-        return
-    lows, highs = node.child_bounds()
-    mindists = kernels.boxes_mindist_point(lows, highs, centroid)
-    for index in np.argsort(mindists, kind="stable"):
-        if heuristic1_prunes_node(
-            float(mindists[index]), best.best_dist, centroid_distance, n
-        ):
-            break
-        _spm_depth_first(
-            tree, node.entries[index].child, query, centroid, centroid_distance, best, exclude
-        )

@@ -3,10 +3,13 @@
 The package provides:
 
 * :class:`~repro.rtree.tree.RTree` — an R*-tree over points with insert,
-  delete, range search and STR bulk loading,
-* best-first (incremental) and depth-first nearest-neighbor search in
+  delete, range search and STR bulk loading: the *build and mutation*
+  structure,
+* :class:`~repro.rtree.flat.FlatRTree` — the array-backed snapshot of a
+  tree, the one index every query traverses,
+* best-first (incremental) nearest-neighbor search in
   :mod:`repro.rtree.traversal`,
-* an incremental closest-pair join over two trees in
+* an incremental closest-pair join over two snapshots in
   :mod:`repro.rtree.closest_pairs` (needed by the GCP algorithm of
   Section 4.1 of the paper),
 * node-access accounting in :mod:`repro.rtree.stats`, which the paper's
@@ -23,10 +26,8 @@ from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.stats import TreeStats
 from repro.rtree.traversal import (
     best_first_nearest,
-    depth_first_nearest,
     flat_incremental_nearest_generic,
     incremental_nearest,
-    incremental_nearest_generic,
 )
 from repro.rtree.tree import RTree
 
@@ -39,9 +40,7 @@ __all__ = [
     "RTree",
     "TreeStats",
     "best_first_nearest",
-    "depth_first_nearest",
     "flat_incremental_nearest_generic",
     "incremental_closest_pairs",
     "incremental_nearest",
-    "incremental_nearest_generic",
 ]

@@ -1,14 +1,14 @@
-"""Incremental closest-pair join between two R-trees.
+"""Incremental closest-pair join between two flat R-tree snapshots.
 
 The GCP algorithm of Section 4.1 of the paper consumes an *incremental*
-closest-pair stream: pairs ``(p, q)`` with ``p`` from the data tree and
-``q`` from the query tree, reported in ascending order of their
+closest-pair stream: pairs ``(p, q)`` with ``p`` from the data index and
+``q`` from the query index, reported in ascending order of their
 Euclidean distance.  The implementation below follows the heap-based
 approach of [HS98] / [CMTV00]: a priority queue holds node/node,
 node/point and point/point pairs keyed by ``mindist``; popping a
 point/point pair emits it, popping anything else expands one side.
 
-Node reads on either tree are charged to that tree's own statistics so
+Node reads on either index are charged to that index's own statistics so
 the experiment harness can report the combined NA, as the paper does.
 """
 
@@ -19,8 +19,7 @@ import itertools
 from collections.abc import Iterator
 
 from repro.geometry import kernels
-from repro.geometry.mbr import MBR
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 
 
 class PairResult:
@@ -42,45 +41,41 @@ class PairResult:
         )
 
 
-class _Item:
-    """One side of a candidate pair: either a node or a data point."""
+def _bounds(flat: FlatRTree, item: int):
+    """The ``(low, high)`` corners of one side of a candidate pair.
 
-    __slots__ = ("node", "record_id", "point", "mbr")
-
-    def __init__(self, node=None, record_id=None, point=None, mbr=None):
-        self.node = node
-        self.record_id = record_id
-        self.point = point
-        self.mbr = mbr
-
-    @property
-    def is_point(self) -> bool:
-        return self.node is None
-
-
-def _pair_mindist(item_a: _Item, item_b: _Item) -> float:
-    return item_a.mbr.mindist_mbr(item_b.mbr)
-
-
-def _expand(node) -> tuple[list[_Item], "np.ndarray"]:
-    """Return the node's children as items plus their mindists to ``other``.
-
-    The mindists of the whole child list against the other side's MBR are
-    computed in one batched kernel call (the children of a leaf are
-    degenerate boxes, so their point array serves as both corners).
+    A side is a plain int: a node id when non-negative, the point in row
+    ``~item`` of ``flat.points`` when negative (a degenerate box).
     """
-    if node.is_leaf:
-        children = [
-            _Item(record_id=entry.record_id, point=entry.point, mbr=MBR.from_point(entry.point))
-            for entry in node.entries
-        ]
-        coords = node.points_array()
-        return children, (coords, coords)
-    children = [_Item(node=entry.child, mbr=entry.mbr) for entry in node.entries]
-    return children, node.child_bounds()
+    if item < 0:
+        point = flat.points[~item]
+        return point, point
+    return flat.lows[item], flat.highs[item]
 
 
-def incremental_closest_pairs(data_tree: RTree, query_tree: RTree) -> Iterator[PairResult]:
+def _expand(flat: FlatRTree, node_id: int, other_low, other_high):
+    """Read one node; return its children as side ints plus their mindists.
+
+    The mindists of the whole child slice against the other side's box
+    are computed in one batched kernel call (the children of a leaf are
+    degenerate boxes, so their point slice serves as both corners).
+    """
+    index = flat.read_node(node_id)
+    start = int(flat.child_start[index])
+    stop = start + int(flat.child_count[index])
+    if flat.levels[index] == 0:
+        coords = flat.points[start:stop]
+        mindists = kernels.boxes_mindist_box(coords, coords, other_low, other_high)
+        return range(~start, ~stop, -1), mindists.tolist()
+    mindists = kernels.boxes_mindist_box(
+        flat.lows[start:stop], flat.highs[start:stop], other_low, other_high
+    )
+    return range(start, stop), mindists.tolist()
+
+
+def incremental_closest_pairs(
+    data_tree: FlatRTree, query_tree: FlatRTree
+) -> Iterator[PairResult]:
     """Yield ``(p, q)`` pairs in non-decreasing distance order.
 
     The stream, when exhausted, enumerates the full Cartesian product of
@@ -89,32 +84,32 @@ def incremental_closest_pairs(data_tree: RTree, query_tree: RTree) -> Iterator[P
     if len(data_tree) == 0 or len(query_tree) == 0:
         return
     counter = itertools.count()
-    heap: list[tuple[float, int, _Item, _Item]] = []
-
-    root_p = _Item(node=data_tree.root, mbr=data_tree.root.compute_mbr())
-    root_q = _Item(node=query_tree.root, mbr=query_tree.root.compute_mbr())
-    heapq.heappush(heap, (_pair_mindist(root_p, root_q), next(counter), root_p, root_q))
+    data_levels = data_tree.levels
+    query_levels = query_tree.levels
+    # The root pair is alone in the heap and popped first whatever its key.
+    heap: list[tuple[float, int, int, int]] = [(0.0, next(counter), 0, 0)]
 
     while heap:
         distance, _, item_p, item_q = heapq.heappop(heap)
 
-        if item_p.is_point and item_q.is_point:
+        if item_p < 0 and item_q < 0:
+            row_p, row_q = ~item_p, ~item_q
             yield PairResult(
-                item_p.record_id, item_p.point, item_q.record_id, item_q.point, distance
+                data_tree.record_ids[row_p],
+                data_tree.points[row_p],
+                query_tree.record_ids[row_q],
+                query_tree.points[row_q],
+                distance,
             )
             continue
 
         # Expand one side: prefer the higher node (keeps the heap shallow
         # and mirrors the "expand the larger node" policy of [CMTV00]).
-        if not item_p.is_point and (item_q.is_point or item_p.node.level >= item_q.node.level):
-            node = data_tree.read_node(item_p.node)
-            children, (lows, highs) = _expand(node)
-            mindists = kernels.boxes_mindist_box(lows, highs, item_q.mbr.low, item_q.mbr.high)
+        if item_p >= 0 and (item_q < 0 or data_levels[item_p] >= query_levels[item_q]):
+            children, mindists = _expand(data_tree, item_p, *_bounds(query_tree, item_q))
             for child, mindist in zip(children, mindists):
-                heapq.heappush(heap, (float(mindist), next(counter), child, item_q))
+                heapq.heappush(heap, (mindist, next(counter), child, item_q))
         else:
-            node = query_tree.read_node(item_q.node)
-            children, (lows, highs) = _expand(node)
-            mindists = kernels.boxes_mindist_box(lows, highs, item_p.mbr.low, item_p.mbr.high)
+            children, mindists = _expand(query_tree, item_q, *_bounds(data_tree, item_p))
             for child, mindist in zip(children, mindists):
-                heapq.heappush(heap, (float(mindist), next(counter), item_p, child))
+                heapq.heappush(heap, (mindist, next(counter), item_p, child))

@@ -1,24 +1,25 @@
-"""Flat array-backed R-tree snapshots.
+"""Flat array-backed R-tree snapshots — the one index queries traverse.
 
 :class:`FlatRTree` is a read-optimized, immutable snapshot of an R-tree:
 the whole index lives in a handful of contiguous numpy arrays instead of
-linked Python ``Node``/``Entry`` objects.  Nodes are numbered in
+linked Python ``Node``/``Entry`` objects.  :class:`~repro.rtree.tree.RTree`
+builds and mutates; every query algorithm runs over the snapshot taken
+from it.  Nodes are numbered in
 breadth-first order (the root is node 0) so that the children of every
 internal node — and the points of every leaf — occupy one contiguous
 slice:
 
 ================  =====================================================
 ``lows/highs``    ``(num_nodes, dims)`` — the MBR of every node, exactly
-                  the bounds the parent entry stored in the object tree
+                  the bounds the parent entry stored in the source tree
                   (the root row is the tree's computed MBR).
 ``child_start``   CSR-style offsets: for an internal node the id of its
 ``child_count``   first child; for a leaf the row of its first point in
                   ``points``.
 ``levels``        per-node level (0 for leaves), so all traversal state
                   is plain integers.
-``node_ids``      the object tree's page ids, preserved so an attached
-                  LRU buffer sees the *same* page-access sequence as the
-                  dynamic tree (hit/miss parity).
+``node_ids``      the source tree's page ids: the keys an attached LRU
+                  buffer sees, unique across every tree of the process.
 ``points``        ``(size, dims)`` leaf-point matrix in leaf order, with
 ``record_ids``    the matching record identifiers.
 ================  =====================================================
@@ -27,10 +28,11 @@ Best-first traversal over this layout never touches a Python ``Node``:
 a heap pop scores an entire child slice (or leaf slice) with one kernel
 call and pushes plain ``(key, counter, int)`` tuples.  The traversal
 loops themselves live in :mod:`repro.rtree.traversal`
-(``flat_incremental_nearest_generic``) and :mod:`repro.core.mbm`; they
-charge node accesses and distance computations exactly like the
-object-tree paths, so results, counters and buffer behaviour are
-bit-identical.
+(``flat_incremental_nearest_generic``, ``MultiStreamFrontier``),
+:mod:`repro.rtree.closest_pairs`, :mod:`repro.core.mbm` and
+:mod:`repro.core.fmbm`; they charge node accesses through
+:meth:`FlatRTree.read_node` and distance computations to ``stats`` —
+the paper's cost model.
 
 A snapshot round-trips to disk as an *uncompressed* ``.npz`` archive.
 ``load(..., mmap_mode="r")`` maps the arrays straight out of the archive
@@ -81,9 +83,8 @@ class FlatRTree:
     Instances are built with :meth:`from_tree` (snapshot an existing
     :class:`~repro.rtree.tree.RTree`), :meth:`bulk_load` (pack a static
     point set directly) or :meth:`load` (reopen a saved snapshot,
-    optionally memory-mapped).  The snapshot exposes the same accounting
-    surface as the dynamic tree — ``stats``, ``read_node``, an optional
-    LRU ``buffer`` — so every traversal charges costs identically.
+    optionally memory-mapped).  ``stats``, ``read_node`` and an optional
+    LRU ``buffer`` form the accounting surface every traversal charges.
     """
 
     __slots__ = (
@@ -126,10 +127,9 @@ class FlatRTree:
     def from_tree(cls, tree, buffer="inherit") -> "FlatRTree":
         """Snapshot an existing :class:`~repro.rtree.tree.RTree`.
 
-        The breadth-first walk preserves entry (storage) order, so a
-        best-first traversal over the snapshot pushes, pops and reads in
-        exactly the same sequence as over the object tree.  ``buffer``
-        defaults to sharing the tree's LRU buffer; pass ``None`` (or a
+        The breadth-first walk preserves entry (storage) order, which
+        is the order traversals push children and break ties in.
+        ``buffer`` defaults to sharing the tree's LRU buffer; pass ``None`` (or a
         different buffer) to detach.
         """
         dims = tree.dims
@@ -220,13 +220,13 @@ class FlatRTree:
         return cls.from_tree(tree, buffer=buffer)
 
     # ------------------------------------------------------------------
-    # access accounting (mirrors RTree.read_node)
+    # access accounting
     # ------------------------------------------------------------------
     def read_node(self, index: int) -> int:
         """Charge one node access for node ``index`` and return it.
 
-        The buffer (when attached) is keyed by the preserved object-tree
-        page ids, so hit/miss sequences match the dynamic tree exactly.
+        The buffer (when attached) is keyed by the preserved page ids
+        (``node_ids``).
         """
         hit = False
         if self.buffer is not None:
@@ -248,14 +248,6 @@ class FlatRTree:
     def num_nodes(self) -> int:
         """Total number of nodes in the snapshot."""
         return int(self.levels.shape[0])
-
-    def is_leaf(self, index: int) -> bool:
-        """True when node ``index`` is a leaf."""
-        return bool(self.levels[index] == 0)
-
-    def node_count(self) -> int:
-        """Total number of nodes (API parity with :class:`RTree`)."""
-        return self.num_nodes
 
     def root_mbr(self) -> tuple[np.ndarray, np.ndarray]:
         """The root MBR as plain ``(low, high)`` float64 copies.

@@ -4,20 +4,11 @@ Nodes are kept in memory (the disk is simulated by the access counters
 and the optional LRU buffer); a node corresponds to one disk page of the
 paper's setup, with a configurable entry capacity (the paper uses 1 KByte
 pages holding 50 entries).
-
-For the vectorised kernel layer each node can expose its entries as
-contiguous coordinate arrays (data points for leaves, child MBR corners
-for internal nodes).  The arrays are cached because traversals re-read
-the same nodes many times per query; any code that mutates ``entries``
-or an entry's MBR in place must call :meth:`Node.invalidate_arrays` (the
-tree's insert/delete paths do).
 """
 
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
 
 from repro.geometry.mbr import MBR
 from repro.rtree.entry import ChildEntry, LeafEntry, entries_mbr
@@ -40,13 +31,12 @@ class Node:
         manager.
     """
 
-    __slots__ = ("level", "entries", "node_id", "_arrays")
+    __slots__ = ("level", "entries", "node_id")
 
     def __init__(self, level: int, entries=None):
         self.level = int(level)
         self.entries: list = list(entries) if entries is not None else []
         self.node_id = next(_node_id_counter)
-        self._arrays = None
 
     @property
     def is_leaf(self) -> bool:
@@ -67,32 +57,6 @@ class Node:
         if not self.is_leaf and not isinstance(entry, ChildEntry):
             raise TypeError("internal nodes only accept ChildEntry objects")
         self.entries.append(entry)
-        self._arrays = None
-
-    # ------------------------------------------------------------------
-    # cached coordinate arrays (the kernel layer's view of a node)
-    # ------------------------------------------------------------------
-    def invalidate_arrays(self) -> None:
-        """Drop the cached coordinate arrays after a structural mutation."""
-        self._arrays = None
-
-    def points_array(self) -> np.ndarray:
-        """The leaf's data points as a contiguous ``(fanout, dims)`` array (cached)."""
-        if not self.is_leaf:
-            raise TypeError("internal nodes hold no points")
-        if self._arrays is None:
-            self._arrays = np.array([entry.point for entry in self.entries], dtype=np.float64)
-        return self._arrays
-
-    def child_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """The children's MBR corners as ``(fanout, dims)`` low/high arrays (cached)."""
-        if self.is_leaf:
-            raise TypeError("leaf nodes have no child MBRs")
-        if self._arrays is None:
-            lows = np.array([entry.mbr.low for entry in self.entries], dtype=np.float64)
-            highs = np.array([entry.mbr.high for entry in self.entries], dtype=np.float64)
-            self._arrays = (lows, highs)
-        return self._arrays
 
     def children(self):
         """Iterate over child nodes (internal nodes only)."""

@@ -4,26 +4,24 @@ The write path follows the LSM pattern the ROADMAP names: the big,
 read-optimised :class:`~repro.rtree.flat.FlatRTree` stays immutable
 (and memory-mappable), while writes land in a small side structure —
 
-* **inserts** go into ``delta``, a dynamic object R-tree holding only
-  the post-snapshot points;
+* **inserts** go into ``delta``, a dynamic R*-tree holding only the
+  post-snapshot points (write-only storage: it is never traversed);
 * **deletes** of snapshot-resident records become **tombstones**, a set
   of record ids the read path must skip (deletes of delta-resident
   records are removed from the delta physically).
 
 Queries answer from the *merged* view: the algorithms traverse the base
-snapshot with the tombstone set excluded and the delta tree as a second
-candidate source, producing answers bit-identical to a from-scratch
-rebuild over the live dataset (the distances come from the same kernels
-applied to the same coordinates, and ties resolve by the library-wide
-``(distance, record_id)`` rule).  :meth:`DeltaOverlay.compact` folds the
+snapshot with the tombstone set excluded and scan the delta's points
+(:meth:`DeltaOverlay.delta_points` — no query traverses the delta tree)
+as a second candidate source, producing answers bit-identical to a
+from-scratch rebuild over the live dataset (the distances come from the
+same kernels applied to the same coordinates, and ties resolve by the
+library-wide ``(distance, record_id)`` rule).  :meth:`DeltaOverlay.compact` folds the
 whole overlay into a generation ``N+1`` snapshot — the artifact a
 background compactor publishes to the serving hot-swap.
 """
 
 from __future__ import annotations
-
-import heapq
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -202,33 +200,6 @@ class DeltaOverlay:
         ids = np.concatenate(parts_ids, axis=0)
         order = np.argsort(ids, kind="stable")
         return np.ascontiguousarray(points[order]), ids[order]
-
-    # ------------------------------------------------------------------
-    # merged candidate stream
-    # ------------------------------------------------------------------
-    def group_nn_stream(self, query) -> Iterator:
-        """Live records in ascending aggregate distance to ``query``.
-
-        A lazy two-way merge of the base snapshot's and the delta tree's
-        incremental best-first streams, keyed by ``(distance,
-        record_id)``, with tombstoned records skipped — the incremental
-        counterpart of the per-algorithm overlay execution in
-        :func:`repro.api.executor.execute_overlay`.
-        """
-        from repro.core.aggregates import group_nn_stream
-
-        streams = [group_nn_stream(self.base, query)]
-        if len(self.delta):
-            streams.append(group_nn_stream(self.delta, query))
-        merged = (
-            streams[0]
-            if len(streams) == 1
-            else heapq.merge(*streams, key=lambda n: (n.distance, n.record_id))
-        )
-        tombstones = self.tombstones
-        for neighbor in merged:
-            if neighbor.record_id not in tombstones:
-                yield neighbor
 
     # ------------------------------------------------------------------
     # compaction

@@ -1,38 +1,30 @@
-"""Nearest-neighbor traversals over a single R-tree.
+"""Nearest-neighbor traversals over a flat R-tree snapshot.
 
-Three search primitives are provided, mirroring Section 2 of the paper:
+Every query runs over a :class:`~repro.rtree.flat.FlatRTree`; the search
+primitive is the I/O-optimal best-first algorithm of [HS99] in its
+incremental ("distance browsing") form, which reports neighbors in
+ascending distance without knowing ``k`` in advance:
 
-* :func:`depth_first_nearest` — the DF algorithm of [RKV95],
-* :func:`best_first_nearest` — the I/O-optimal BF algorithm of [HS99],
-* :func:`incremental_nearest` / :func:`incremental_nearest_generic` —
-  the incremental ("distance browsing") variant of BF that reports
-  neighbors in ascending distance without knowing ``k`` in advance.
-  MQM and F-MQM rely on incrementality because their termination
-  condition is only discovered while consuming the stream.
+* :func:`flat_incremental_nearest_generic` — the one stream every caller
+  is built on.  It accepts arbitrary *vectorised* lower-bound/key
+  functions (``points_key`` / ``mbrs_key``), so the same loop ranks nodes
+  by ``mindist`` to a point (conventional NN), to a centroid (SPM), or by
+  the aggregate group distance (the group-NN stream used by F-MQM).  A
+  heap pop scores a whole leaf or child slice with one kernel call.
+* :func:`incremental_nearest` / :func:`best_first_nearest` — the
+  conventional point-NN stream and its ``k``-prefix.
+* :class:`MultiStreamFrontier` — all ``n`` point-NN streams of one query
+  group as a single struct-of-arrays engine (MQM's driver).
 
-The generic variant accepts arbitrary lower-bound/key functions so the
-same machinery can rank nodes by ``mindist`` to a point (conventional
-NN), to a centroid (SPM), to a query MBR (MBM), or by the aggregate
-group distance (the incremental group-NN stream used by F-MQM).
+``mbrs_key`` must lower-bound ``points_key`` for every point inside a
+box — exactly the property that makes best-first search correct.  MQM
+and F-MQM rely on incrementality because their termination condition is
+only discovered while consuming the stream.
 
-Callers may additionally supply *vectorised* keys (``points_key`` /
-``mbrs_key``) that score a whole leaf or child list in one kernel call
-per heap pop instead of one Python call per entry — the hot path of
-every algorithm in the paper.  Vectorised keys must compute exactly the
-same values as their scalar counterparts (the kernels in
-:mod:`repro.geometry.kernels` are built to guarantee this), so the heap
-order, the emitted stream and the node-access counts are identical
-either way.
-
-Heap entries are plain ``(key, tiebreak, payload)`` tuples in both
-modes.  On the object-tree path the payload is the ``Node`` or
-``LeafEntry`` itself; on the flat path
-(:func:`flat_incremental_nearest_generic`, used automatically when the
-index is a :class:`~repro.rtree.flat.FlatRTree`) the payload is a plain
-integer and no Python node objects exist at all.  The tiebreak counter
-is unique and strictly increasing, so tuple comparison never reaches
-the payload and push order — which is identical across all modes —
-decides ties exactly as before.
+Heap entries are plain ``(key, tiebreak, payload...)`` tuples of floats
+and ints; no Python node objects exist.  The tiebreak counter is unique
+and strictly increasing, so tuple comparison never reaches the payload
+and push order (storage order) decides ties.
 """
 
 from __future__ import annotations
@@ -44,11 +36,8 @@ from collections.abc import Callable, Iterator, Sequence
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.mbr import MBR
 from repro.geometry.point import as_point
 from repro.rtree.flat import FlatRTree
-from repro.rtree.node import Node
-from repro.rtree.tree import RTree
 
 
 class Neighbor:
@@ -75,83 +64,6 @@ class Neighbor:
         return f"Neighbor(id={self.record_id}, distance={self.distance:.6g})"
 
 
-def incremental_nearest_generic(
-    tree: RTree | FlatRTree,
-    node_key: Callable[[MBR], float] | None,
-    point_key: Callable[[np.ndarray], float] | None,
-    *,
-    points_key: Callable[[np.ndarray], np.ndarray] | None = None,
-    mbrs_key: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> Iterator[Neighbor]:
-    """Yield every indexed point in ascending order of ``point_key``.
-
-    ``node_key(mbr)`` must lower-bound ``point_key(p)`` for every point
-    ``p`` inside ``mbr`` — exactly the property that makes best-first
-    search correct.  Node reads are charged to ``tree.stats``.
-
-    ``points_key`` (``(fanout, dims)`` point array → value array) and
-    ``mbrs_key`` (low/high corner arrays → value array) are vectorised
-    equivalents of ``point_key`` / ``node_key``; when provided, each
-    popped node is scored with a single kernel call.  Entries are pushed
-    in storage order in both modes, so tie-breaking is identical.
-
-    When ``tree`` is a :class:`~repro.rtree.flat.FlatRTree` the
-    traversal runs entirely over its arrays (vectorised keys are then
-    required) with identical emission order and accounting.
-    """
-    if isinstance(tree, FlatRTree):
-        if points_key is None or mbrs_key is None:
-            raise ValueError(
-                "flat snapshots are traversed with vectorised keys; "
-                "pass points_key and mbrs_key"
-            )
-        return flat_incremental_nearest_generic(tree, points_key, mbrs_key)
-    return _object_incremental_nearest_generic(
-        tree, node_key, point_key, points_key=points_key, mbrs_key=mbrs_key
-    )
-
-
-def _object_incremental_nearest_generic(
-    tree: RTree,
-    node_key,
-    point_key,
-    *,
-    points_key=None,
-    mbrs_key=None,
-) -> Iterator[Neighbor]:
-    """The object-tree traversal behind :func:`incremental_nearest_generic`."""
-    if len(tree) == 0:
-        return
-    counter = itertools.count()
-    heap: list[tuple[float, int, object]] = []
-    root_bound = node_key(tree.root.compute_mbr())
-    heapq.heappush(heap, (root_bound, next(counter), tree.root))
-
-    while heap:
-        key, _, payload = heapq.heappop(heap)
-        if not isinstance(payload, Node):
-            yield Neighbor(payload.record_id, payload.point, key)
-            continue
-        node = tree.read_node(payload)
-        if node.is_leaf:
-            if points_key is not None:
-                values = points_key(node.points_array())
-                for entry, value in zip(node.entries, values):
-                    heapq.heappush(heap, (float(value), next(counter), entry))
-            else:
-                for entry in node.entries:
-                    heapq.heappush(heap, (point_key(entry.point), next(counter), entry))
-        else:
-            if mbrs_key is not None:
-                lows, highs = node.child_bounds()
-                bounds = mbrs_key(lows, highs)
-                for entry, bound in zip(node.entries, bounds):
-                    heapq.heappush(heap, (float(bound), next(counter), entry.child))
-            else:
-                for entry in node.entries:
-                    heapq.heappush(heap, (node_key(entry.mbr), next(counter), entry.child))
-
-
 def flat_incremental_nearest_generic(
     flat: FlatRTree,
     points_key: Callable[[np.ndarray], np.ndarray],
@@ -159,16 +71,15 @@ def flat_incremental_nearest_generic(
     *,
     points_aux: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[Neighbor]:
-    """Best-first stream over a flat snapshot; no ``Node`` objects exist.
+    """Yield every indexed point in ascending order of ``points_key``.
 
     Heap entries are plain tuples of floats and ints: nodes are
     ``(bound, tiebreak, node_id)`` and leaf points
     ``(key, tiebreak, row, record_id[, aux])`` — the record id is
     converted once per leaf through ``tolist()`` so the yield path never
-    touches a numpy scalar.  Push order, key values and node-access
-    charges replicate the object-tree traversal exactly, so the emitted
-    stream (and any attached buffer's hit/miss sequence) is
-    bit-identical.
+    touches a numpy scalar.  Children and leaf points are pushed in
+    storage order; node reads are charged to ``flat.stats`` (and any
+    attached buffer) through ``flat.read_node``.
 
     ``points_aux`` optionally computes one extra value per leaf point in
     the same batched call pattern (e.g. the exact aggregate distance for
@@ -289,8 +200,8 @@ class MultiStreamFrontier:
     same contiguous-axis reduction).
 
     Streams are indexed by *original* group order; the aggregate
-    reduction therefore sums query points in exactly the order the
-    per-record computation of object MQM does.
+    reduction therefore sums query points in exactly the order
+    ``GroupQuery.distance_to_canonical`` does.
     """
 
     __slots__ = (
@@ -472,18 +383,9 @@ class MultiStreamFrontier:
         return (seg[2][0], seg[3][0], seg[4][0])
 
 
-def incremental_nearest(
-    tree: RTree | FlatRTree, query: Sequence[float]
-) -> Iterator[Neighbor]:
+def incremental_nearest(flat: FlatRTree, query: Sequence[float]) -> Iterator[Neighbor]:
     """Yield indexed points in ascending Euclidean distance from ``query``."""
-    q = as_point(query, dims=tree.dims)
-
-    def node_key(mbr: MBR) -> float:
-        return mbr.mindist_point(q)
-
-    def point_key(point: np.ndarray) -> float:
-        delta = point - q
-        return float(np.sqrt(np.sum(delta * delta)))
+    q = as_point(query, dims=flat.dims)
 
     def points_key(points: np.ndarray) -> np.ndarray:
         return kernels.point_distances(points, q)
@@ -491,64 +393,16 @@ def incremental_nearest(
     def mbrs_key(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         return kernels.boxes_mindist_point(lows, highs, q)
 
-    return incremental_nearest_generic(
-        tree, node_key, point_key, points_key=points_key, mbrs_key=mbrs_key
-    )
+    return flat_incremental_nearest_generic(flat, points_key, mbrs_key)
 
 
-def best_first_nearest(
-    tree: RTree | FlatRTree, query: Sequence[float], k: int = 1
-) -> list[Neighbor]:
+def best_first_nearest(flat: FlatRTree, query: Sequence[float], k: int = 1) -> list[Neighbor]:
     """Return the ``k`` nearest neighbors of ``query`` using best-first search."""
     if k < 1:
         raise ValueError("k must be at least 1")
     results: list[Neighbor] = []
-    for neighbor in incremental_nearest(tree, query):
+    for neighbor in incremental_nearest(flat, query):
         results.append(neighbor)
         if len(results) == k:
             break
     return results
-
-
-def depth_first_nearest(tree: RTree, query: Sequence[float], k: int = 1) -> list[Neighbor]:
-    """Return the ``k`` nearest neighbors of ``query`` using depth-first search.
-
-    This is the branch-and-bound DF algorithm of [RKV95]: children are
-    visited in ascending ``mindist`` order and subtrees whose ``mindist``
-    exceeds the current k-th best distance are pruned.  It is included
-    both as a baseline and because SPM/MBM admit DF implementations.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    q = as_point(query, dims=tree.dims)
-    if len(tree) == 0:
-        return []
-
-    best: list[tuple[float, int, np.ndarray]] = []  # max-heap emulated with negated dist
-
-    def kth_distance() -> float:
-        if len(best) < k:
-            return float("inf")
-        return -best[0][0]
-
-    def visit(node) -> None:
-        node = tree.read_node(node)
-        if node.is_leaf:
-            dists = kernels.point_distances(node.points_array(), q)
-            for entry, dist in zip(node.entries, dists):
-                dist = float(dist)
-                if dist < kth_distance():
-                    heapq.heappush(best, (-dist, entry.record_id, entry.point))
-                    if len(best) > k:
-                        heapq.heappop(best)
-            return
-        lows, highs = node.child_bounds()
-        mindists = kernels.boxes_mindist_point(lows, highs, q)
-        for index in np.argsort(mindists, kind="stable"):
-            if mindists[index] >= kth_distance():
-                break
-            visit(node.entries[index].child)
-
-    visit(tree.root)
-    ordered = sorted(best, key=lambda item: -item[0])
-    return [Neighbor(record_id, point, -neg) for neg, record_id, point in ordered]

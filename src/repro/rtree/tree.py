@@ -1,10 +1,11 @@
 """The R*-tree facade.
 
-:class:`RTree` ties together the bulk loader, the R* insertion policies,
-the splitting strategies and the access-counting machinery.  Every GNN
-algorithm in :mod:`repro.core` receives an ``RTree`` over the dataset
-``P`` and charges its node reads through :meth:`RTree.read_node`, which
-is how the "NA" metric of the paper's experiments is produced.
+:class:`RTree` ties together the bulk loader, the R* insertion policies
+and the splitting strategies.  It is the *build and mutation* structure:
+queries never traverse it — every GNN algorithm in :mod:`repro.core`
+runs over the :class:`~repro.rtree.flat.FlatRTree` snapshot taken from
+it (``FlatRTree.from_tree`` / ``FlatRTree.bulk_load``), which is where
+the "NA" metric of the paper's experiments is charged.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_point, as_points
 from repro.rtree import rstar
-from repro.rtree.bulkload import PACKERS, pack
+from repro.rtree.bulkload import pack
 from repro.rtree.entry import ChildEntry, LeafEntry
 from repro.rtree.node import Node
 from repro.rtree.split import quadratic_split, rstar_split
@@ -30,9 +31,6 @@ _SPLIT_FUNCTIONS = {
     "rstar": rstar_split,
     "quadratic": quadratic_split,
 }
-
-#: Kept as an alias of the bulkload registry for backwards compatibility.
-_BULK_LOADERS = PACKERS
 
 
 class RTree:
@@ -200,7 +198,6 @@ class RTree:
         path = self._choose_path(entry, level)
         node = path[-1][1] if path else self.root
         node.entries.append(entry)
-        node.invalidate_arrays()
         self._adjust_path(path)
         if len(node.entries) > self.capacity:
             self._overflow(node, path, reinserted_levels)
@@ -222,7 +219,6 @@ class RTree:
             for child_entry in parent.entries:
                 if child_entry.child is child:
                     child_entry.recompute_mbr()
-                    parent.invalidate_arrays()
                     break
 
     def _overflow(self, node: Node, path, reinserted_levels: set[int]) -> None:
@@ -237,7 +233,6 @@ class RTree:
         node_mbr = node.compute_mbr()
         kept, removed = rstar.reinsert_candidates(node, node_mbr)
         node.entries = list(kept)
-        node.invalidate_arrays()
         self._adjust_path(path)
         for entry in removed:
             self._insert_entry(entry, level=node.level, reinserted_levels=reinserted_levels)
@@ -245,7 +240,6 @@ class RTree:
     def _split_and_propagate(self, node: Node, path, reinserted_levels: set[int]) -> None:
         group_a, group_b = self._split_entries(node.entries, self.min_fill)
         node.entries = list(group_a)
-        node.invalidate_arrays()
         sibling = Node(node.level, group_b)
 
         if node is self.root:
@@ -261,7 +255,6 @@ class RTree:
                 child_entry.recompute_mbr()
                 break
         parent.entries.append(ChildEntry(sibling.compute_mbr(), sibling))
-        parent.invalidate_arrays()
         self._adjust_path(path[:-1])
         if len(parent.entries) > self.capacity:
             self._overflow(parent, path[:-1], reinserted_levels)
@@ -282,7 +275,6 @@ class RTree:
             return False
         path, leaf, entry = found
         leaf.entries.remove(entry)
-        leaf.invalidate_arrays()
         self.size -= 1
         self._condense(path, leaf)
         # Shrink the root when it is an internal node with one child.
@@ -317,7 +309,6 @@ class RTree:
                     if child_entry.child is current:
                         child_entry.recompute_mbr()
                         break
-            parent.invalidate_arrays()
             current = parent
         for level, entry in orphans:
             self._insert_entry(entry, level=level, reinserted_levels=set())

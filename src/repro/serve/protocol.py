@@ -15,10 +15,10 @@ to plain-dictionary payloads with :func:`encode_spec` and re-validated
 by :func:`decode_spec` on the worker side.
 
 :func:`check_servable` is the admission filter: serving workers hold
-*only* the shared flat snapshot, so any spec whose planned route needs
-resources of the submitting process (a simulated-disk query file, the
-dynamic object tree) is rejected up front, at submit time, with the
-reason named — not deep inside a worker.
+*only* the shared flat snapshot, so any spec that needs resources of the
+submitting process (a simulated-disk query file) — or a disk-resident
+plan, which serving does not offer — is rejected up front, at submit
+time, with the reason named — not deep inside a worker.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from repro.api.planner import QueryPlan
-from repro.api.spec import MEMORY, OBJECT, QuerySpec
+from repro.api.spec import MEMORY, QuerySpec
 from repro.core.types import GNNResult
 
 #: Shutdown sentinel put on the request queue, one per worker.
@@ -113,11 +113,11 @@ class BatchReply:
 
 
 def check_servable(spec: QuerySpec, plan: QueryPlan) -> None:
-    """Reject specs a snapshot-only worker can never execute.
+    """Reject specs the serving workers do not execute.
 
     Raises ``ValueError`` naming the first blocking reason; returns
-    silently when the planned route runs over the shared flat snapshot
-    (or the snapshot-reconstructed dataset, for brute force).
+    silently for memory-resident plans, which run over the shared flat
+    snapshot (or the snapshot-reconstructed dataset, for brute force).
     """
     if spec.group_file is not None:
         raise ValueError(
@@ -126,19 +126,8 @@ def check_servable(spec: QuerySpec, plan: QueryPlan) -> None:
         )
     if plan.residency != MEMORY:
         raise ValueError(
-            "disk-resident specs traverse the dynamic object R-tree, which "
-            "serving workers do not hold; execute them on a local engine"
-        )
-    if spec.index == OBJECT:
-        raise ValueError(
-            "index='object' pins the query to the dynamic object R-tree, "
-            "which serving workers do not hold; use index='auto' or 'flat'"
-        )
-    if not plan.use_flat and plan.algorithm.name != "brute-force":
-        raise ValueError(
-            f"the planned route ({plan.algorithm.name}, options "
-            f"{dict(plan.options)!r}) has no flat-snapshot traversal; "
-            "serving workers hold only the shared mmap snapshot"
+            "disk-resident specs are not served: workers answer "
+            "memory-resident groups only; execute them on a local engine"
         )
 
 

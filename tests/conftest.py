@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import GNNEngine
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 
 
 @pytest.fixture(scope="session")
@@ -38,14 +38,14 @@ def uniform_points_1k():
 
 @pytest.fixture(scope="session")
 def small_tree(small_points):
-    """Bulk-loaded R-tree over the small clustered dataset."""
-    return RTree.bulk_load(small_points, capacity=16)
+    """Bulk-loaded flat R-tree over the small clustered dataset."""
+    return FlatRTree.bulk_load(small_points, capacity=16)
 
 
 @pytest.fixture(scope="session")
 def uniform_tree(uniform_points_1k):
-    """Bulk-loaded R-tree over the uniform dataset."""
-    return RTree.bulk_load(uniform_points_1k, capacity=16)
+    """Bulk-loaded flat R-tree over the uniform dataset."""
+    return FlatRTree.bulk_load(uniform_points_1k, capacity=16)
 
 
 @pytest.fixture(scope="session")

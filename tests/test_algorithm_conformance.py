@@ -4,20 +4,16 @@ Every registered algorithm that can answer a spec must return the same
 result set as brute force — same record ids under the library's
 deterministic tie-breaking (ascending ``(distance, record_id)``) and the
 same distances to 1e-9 — across aggregates, weighted queries, both
-residencies, and dynamic (insert/delete) trees.  A fixed-seed workload
-additionally pins the node/page-access counters so accounting
+group residencies, and dynamic (insert/delete) trees.  A fixed-seed
+workload additionally pins the node/page-access counters so accounting
 regressions (e.g. a vectorised path charging differently from the
 entry-at-a-time loop it replaced) are caught immediately.
 
-Setting ``REPRO_FLAT_CONFORMANCE=memory`` (or ``mmap``) reruns the
-whole matrix — including the pinned counters — against a flat
-array-backed snapshot of the same tree (built in memory, or saved to
-``.npz`` and reopened memory-mapped): the CI ``flat-conformance`` job
-runs both modes, proving the flat traversals are bit-identical drop-in
-replacements.
+The whole matrix — including the pinned counters — runs twice, over the
+flat snapshot held in memory and over the same snapshot saved to
+``.npz`` and reopened memory-mapped (the ``context`` / ``mutable_engine``
+fixtures are parametrised by index residency).
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -27,18 +23,21 @@ from repro.api.planner import QueryPlanner
 from repro.api.registry import available_algorithms
 from repro.api.spec import DISK, MEMORY, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
+from repro.core.engine import GNNEngine
 from repro.core.mqm import mqm
 from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
 from repro.rtree.tree import RTree
 from repro.storage.buffer import LRUBuffer
+from repro.storage.generations import GenerationStore
+
+from mqm_reference import mqm_reference
 
 SEED = 20040101
 
-#: "" (default): object tree only.  "memory": route memory-resident
-#: specs through an in-memory flat snapshot.  "mmap": through a
-#: snapshot saved to .npz and reopened with mmap_mode="r".
-FLAT_MODE = os.environ.get("REPRO_FLAT_CONFORMANCE", "").lower()
+#: Where the index arrays live: built in memory, or saved to .npz and
+#: reopened with mmap_mode="r".
+INDEX_RESIDENCIES = ["memory", "mmap"]
 
 #: Simulated-disk geometry small enough that the 60-point disk group
 #: splits into multiple blocks (so F-MQM/F-MBM exercise their
@@ -56,23 +55,22 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def tree(dataset):
-    return RTree.bulk_load(dataset, capacity=16)
+def flat(dataset):
+    return FlatRTree.bulk_load(dataset, capacity=16)
 
 
 @pytest.fixture(scope="module")
-def context(dataset, tree, tmp_path_factory):
-    if FLAT_MODE == "memory":
-        flat = FlatRTree.from_tree(tree)
-    elif FLAT_MODE == "mmap":
-        path = tmp_path_factory.mktemp("flat-conformance") / "index.npz"
-        FlatRTree.from_tree(tree).save(path)
-        flat = FlatRTree.load(path, mmap_mode="r")
-    elif FLAT_MODE == "":
-        flat = None
-    else:  # pragma: no cover - misconfiguration guard
-        raise ValueError(f"unknown REPRO_FLAT_CONFORMANCE mode {FLAT_MODE!r}")
-    return ExecutionContext(tree=tree, points=dataset, flat=flat)
+def mapped_path(flat, tmp_path_factory):
+    path = tmp_path_factory.mktemp("conformance") / "index.npz"
+    flat.save(path)
+    return path
+
+
+@pytest.fixture(scope="module", params=INDEX_RESIDENCIES)
+def context(request, dataset, flat, mapped_path):
+    if request.param == "mmap":
+        flat = FlatRTree.load(mapped_path, mmap_mode="r")
+    return ExecutionContext(flat=flat, points=dataset)
 
 
 def _shared_groups():
@@ -183,17 +181,15 @@ class TestPinnedAccessCounters:
     def pinned_group(self):
         return np.random.default_rng(7).uniform(300, 700, size=(16, 2))
 
-    def test_memory_counters(self, context, tree, pinned_group):
+    def test_memory_counters(self, context, pinned_group):
         for name, (node_accesses, distance_computations) in self.MEMORY_PINS.items():
-            tree.reset_stats()
             result = execute_spec(context, QuerySpec(group=pinned_group, k=4, algorithm=name))
             assert result.cost.node_accesses == node_accesses, name
             assert result.cost.distance_computations == distance_computations, name
 
-    def test_disk_counters(self, context, tree):
+    def test_disk_counters(self, context):
         disk_group = np.random.default_rng(7).uniform(200, 800, size=(60, 2))
         for name, (node_accesses, page_reads) in self.DISK_PINS.items():
-            tree.reset_stats()
             result = execute_spec(
                 context,
                 QuerySpec(
@@ -206,7 +202,6 @@ class TestPinnedAccessCounters:
             )
             assert result.cost.node_accesses == node_accesses, name
             assert result.cost.page_reads == page_reads, name
-        tree.reset_stats()
         result = execute_spec(
             context,
             QuerySpec(
@@ -221,7 +216,7 @@ class TestPinnedAccessCounters:
 
 
 class TestDynamicTreeConformance:
-    """Inserts and deletes must keep the cached node arrays honest."""
+    """A snapshot taken after any mutation batch must answer for the live tree."""
 
     def test_mutation_heavy_tree_agrees_with_brute_force(self):
         rng = np.random.default_rng(SEED + 5)
@@ -236,8 +231,8 @@ class TestDynamicTreeConformance:
             ids = np.array([record_id for record_id, _ in alive])
             pts = np.vstack([point for _, point in alive])
             reference = brute_force_gnn(pts, QuerySpec(group=group, k=5).group_query())
-            context = ExecutionContext(tree=tree, points=None)
-            for name in ("mbm", "spm", "best-first"):
+            context = ExecutionContext(flat=FlatRTree.from_tree(tree))
+            for name in ("mqm", "mbm", "spm", "best-first"):
                 result = execute_spec(context, QuerySpec(group=group, k=5, algorithm=name))
                 expected_ids = [int(ids[i]) for i in reference.record_ids()]
                 assert result.record_ids() == expected_ids, name
@@ -246,8 +241,8 @@ class TestDynamicTreeConformance:
                 ), name
 
         check()
-        # Interleave queries with deletions and re-insertions: any stale
-        # cached coordinate array would surface as a wrong result here.
+        # Interleave queries with deletions and re-insertions: a snapshot
+        # that missed a structural change would surface as a wrong result.
         for i in range(0, 150, 2):
             assert tree.delete(points[i], record_id=i)
         check()
@@ -257,66 +252,101 @@ class TestDynamicTreeConformance:
         check()
 
 
-class TestMultiStreamMQMConformance:
-    """The vectorized multi-stream MQM engine vs the object-path reference.
+def _assert_indistinguishable(result, reference, label):
+    assert [nb.as_tuple() for nb in result.neighbors] == [
+        nb.as_tuple() for nb in reference.neighbors
+    ], label
+    assert (
+        result.cost.node_accesses,
+        result.cost.leaf_accesses,
+        result.cost.distance_computations,
+    ) == (
+        reference.cost.node_accesses,
+        reference.cost.leaf_accesses,
+        reference.cost.distance_computations,
+    ), label
 
-    The flat engine replaces ``n`` generator streams with one merged
-    frontier; it must be *indistinguishable* from object MQM — same
-    neighbors, same node-access/leaf-access/distance-computation
-    counters, and (with an attached LRU buffer) the same hit/miss
-    sequence — across ``k`` and group cardinalities, with deterministic
-    ``(distance, record_id)`` result ordering.
+
+class TestMultiStreamMQMConformance:
+    """The vectorized multi-stream MQM engine vs the generator-per-stream reference.
+
+    ``mqm`` replaces ``n`` generator streams with one merged frontier;
+    it must be *indistinguishable* from the reference driver
+    (``tests/mqm_reference.py``) — same neighbors, same
+    node-access/leaf-access/distance-computation counters, and (with an
+    attached LRU buffer) the same hit/miss sequence — across ``k`` and
+    group cardinalities, on exact-tie data, in three dimensions and with
+    tombstones, with deterministic ``(distance, record_id)`` result
+    ordering.
     """
 
-    @pytest.fixture(scope="class")
-    def flat(self, tree):
-        return FlatRTree.from_tree(tree, buffer=None)
-
     @pytest.mark.parametrize("k", [1, 4, 8])
-    def test_flat_mqm_is_bit_identical_to_object_mqm(self, tree, flat, k):
+    def test_mqm_is_bit_identical_to_the_reference(self, context, k):
         rng = np.random.default_rng(SEED + 7)
         for n in (2, 9, 33):
             group = rng.uniform(150, 850, size=(n, 2))
-            reference = mqm(tree, GroupQuery(group, k=k))
-            result = mqm(flat, GroupQuery(group, k=k))
-            assert [nb.as_tuple() for nb in result.neighbors] == [
-                nb.as_tuple() for nb in reference.neighbors
-            ], (k, n)
-            assert (
-                result.cost.node_accesses,
-                result.cost.leaf_accesses,
-                result.cost.distance_computations,
-            ) == (
-                reference.cost.node_accesses,
-                reference.cost.leaf_accesses,
-                reference.cost.distance_computations,
-            ), (k, n)
+            reference = mqm_reference(context.flat, GroupQuery(group, k=k))
+            result = mqm(context.flat, GroupQuery(group, k=k))
+            _assert_indistinguishable(result, reference, (k, n))
             pairs = [(nb.distance, nb.record_id) for nb in result.neighbors]
             assert pairs == sorted(pairs), "results must be (distance, id) ordered"
 
-    def test_flat_mqm_preserves_buffer_hit_miss_sequence(self, dataset):
-        object_buffer = LRUBuffer(8)
-        flat_buffer = LRUBuffer(8)
-        tree = RTree.bulk_load(dataset, capacity=16, buffer=object_buffer)
-        flat = FlatRTree.from_tree(tree, buffer=flat_buffer)
+    def test_mqm_preserves_buffer_hit_miss_sequence(self, dataset):
+        reference_buffer = LRUBuffer(8)
+        buffer = LRUBuffer(8)
+        reference_flat = FlatRTree.bulk_load(dataset, capacity=16, buffer=reference_buffer)
+        flat = FlatRTree.bulk_load(dataset, capacity=16, buffer=buffer)
         rng = np.random.default_rng(SEED + 8)
         for _ in range(4):
             group = rng.uniform(200, 800, size=(12, 2))
-            reference = mqm(tree, GroupQuery(group, k=4))
+            reference = mqm_reference(reference_flat, GroupQuery(group, k=4))
             result = mqm(flat, GroupQuery(group, k=4))
             assert result.cost.page_faults == reference.cost.page_faults
-        assert (flat_buffer.hits, flat_buffer.misses) == (
-            object_buffer.hits,
-            object_buffer.misses,
+        assert (buffer.hits, buffer.misses) == (
+            reference_buffer.hits,
+            reference_buffer.misses,
         )
 
-    def test_weighted_mqm_rejected_on_both_paths(self, tree):
-        flat = FlatRTree.from_tree(tree, buffer=None)
+    def test_mqm_matches_the_reference_on_exact_ties(self):
+        # A lattice with every point duplicated: node bounds, point keys
+        # and aggregate distances all tie exactly, so the merged frontier
+        # must reproduce the reference's (key, push counter) order.
+        side = np.arange(0.0, 120.0, 10.0)
+        lattice = np.array([(x, y) for x in side for y in side])
+        flat = FlatRTree.bulk_load(np.vstack([lattice, lattice]), capacity=8)
+        for group in (
+            np.array([[55.0, 55.0], [55.0, 55.0], [65.0, 45.0]]),
+            np.array([[50.0, 50.0], [60.0, 60.0], [50.0, 60.0], [60.0, 50.0]]),
+            lattice[[13, 14, 25, 26, 40]],
+        ):
+            for k in (1, 4, 9):
+                reference = mqm_reference(flat, GroupQuery(group, k=k))
+                result = mqm(flat, GroupQuery(group, k=k))
+                _assert_indistinguishable(result, reference, (len(group), k))
+
+    def test_mqm_matches_the_reference_in_three_dimensions(self):
+        rng = np.random.default_rng(SEED + 12)
+        flat = FlatRTree.bulk_load(rng.uniform(0, 100, size=(400, 3)), capacity=8)
+        for n in (1, 5, 17):
+            group = rng.uniform(20, 80, size=(n, 3))
+            reference = mqm_reference(flat, GroupQuery(group, k=6))
+            result = mqm(flat, GroupQuery(group, k=6))
+            _assert_indistinguishable(result, reference, n)
+
+    def test_mqm_matches_the_reference_with_tombstones(self, flat):
+        rng = np.random.default_rng(SEED + 13)
+        group = rng.uniform(300, 700, size=(7, 2))
+        exclude = set(mqm(flat, GroupQuery(group, k=6)).record_ids()[::2])
+        reference = mqm_reference(flat, GroupQuery(group, k=6), exclude=exclude)
+        result = mqm(flat, GroupQuery(group, k=6), exclude=exclude)
+        _assert_indistinguishable(result, reference, "tombstones")
+        assert not exclude & set(result.record_ids())
+
+    def test_weighted_mqm_rejected(self, flat):
         group = np.random.default_rng(SEED).uniform(300, 700, size=(4, 2))
         weights = np.array([1.0, 2.0, 1.0, 0.5])
-        for index in (tree, flat):
-            with pytest.raises(ValueError, match="weighted"):
-                mqm(index, GroupQuery(group, k=2, weights=weights))
+        with pytest.raises(ValueError, match="weighted"):
+            mqm(flat, GroupQuery(group, k=2, weights=weights))
         with pytest.raises(ValueError, match="does not support weighted"):
             QueryPlanner().plan(
                 QuerySpec(group=group, k=2, weights=weights, algorithm="mqm")
@@ -331,13 +361,12 @@ class TestMultiStreamMQMConformance:
 
 
 class TestSharedTraversalBatchConformance:
-    """``execute_many``'s shared-traversal path vs object-path MQM.
+    """``execute_many``'s shared-traversal path vs per-query MQM.
 
     One bucket traversal answers every spec; the answers must equal the
-    object-path MQM answers (the reference algorithm for sum groups)
-    and per-query ``execute``, with the pinned bucket-level counters of
-    the shared traversal and deterministic ``(distance, record_id)``
-    ordering.
+    MQM answers (the reference algorithm for sum groups) and per-query
+    ``execute``, with the pinned bucket-level counters of the shared
+    traversal and deterministic ``(distance, record_id)`` ordering.
     """
 
     #: Bucket-level counters of the shared traversal for the pinned
@@ -361,41 +390,37 @@ class TestSharedTraversalBatchConformance:
         return specs
 
     @pytest.mark.parametrize("k", [1, 4, 8])
-    def test_batch_matches_object_mqm_and_per_query_execute(self, context, tree, k):
+    def test_batch_matches_mqm_and_per_query_execute(self, context, k):
         rng = np.random.default_rng(SEED + 10)
         specs = []
         for _ in range(12):
             center = rng.uniform(250, 750, size=2)
             group = rng.uniform(center - 120, center + 120, size=(6, 2))
             specs.append(QuerySpec(group=group, k=k))
-        flat_context = ExecutionContext(
-            tree=tree, points=context.points, flat=FlatRTree.from_tree(tree, buffer=None)
-        )
-        outcomes = execute_batch(flat_context, specs)
+        outcomes = execute_batch(context, specs)
         for spec, outcome in zip(specs, outcomes):
-            reference = mqm(tree, spec.group_query())
+            assert outcome.cost.algorithm == "MBM-batch"
+            reference = mqm(context.flat, spec.group_query())
             assert outcome.record_ids() == reference.record_ids(), k
             assert np.allclose(
                 outcome.distances(), reference.distances(), rtol=1e-9, atol=1e-9
             ), k
-            single = execute_spec(flat_context, spec)
+            single = execute_spec(context, spec)
             assert outcome.record_ids() == single.record_ids()
             assert outcome.distances() == single.distances()
             pairs = [(nb.distance, nb.record_id) for nb in outcome.neighbors]
             assert pairs == sorted(pairs)
 
-    def test_pinned_bucket_counters(self, tree, pinned_specs):
-        flat = FlatRTree.from_tree(tree, buffer=None)
-        flat_context = ExecutionContext(tree=tree, points=None, flat=flat)
+    def test_pinned_bucket_counters(self, context, pinned_specs):
         for k, (node_accesses, distance_computations) in self.BATCH_PINS.items():
             specs = [spec.replace(k=k) for spec in pinned_specs]
-            outcomes = execute_batch(flat_context, specs)
+            outcomes = execute_batch(context, specs)
             for outcome in outcomes:
                 assert outcome.cost.algorithm == "MBM-batch"
                 assert outcome.cost.node_accesses == node_accesses, k
                 assert outcome.cost.distance_computations == distance_computations, k
 
-    def test_weighted_specs_stay_off_the_shared_path(self, context, tree):
+    def test_weighted_specs_stay_off_the_shared_path(self, context):
         rng = np.random.default_rng(SEED + 11)
         group = rng.uniform(300, 700, size=(5, 2))
         weights = rng.uniform(0.5, 2.0, size=5)
@@ -403,43 +428,48 @@ class TestSharedTraversalBatchConformance:
             QuerySpec(group=group, k=3, weights=weights, algorithm="mbm")
             for _ in range(3)
         ]
-        flat_context = ExecutionContext(
-            tree=tree, points=context.points, flat=FlatRTree.from_tree(tree, buffer=None)
-        )
-        outcomes = execute_batch(flat_context, specs)
-        reference = execute_spec(flat_context, specs[0])
+        outcomes = execute_batch(context, specs)
+        reference = execute_spec(context, specs[0])
         for outcome in outcomes:
             assert outcome.cost.algorithm != "MBM-batch"
             assert outcome.record_ids() == reference.record_ids()
 
 
+def _live_arrays(live):
+    ids = np.array(sorted(live), dtype=np.int64)
+    return np.vstack([live[int(i)] for i in ids]), ids
+
+
 class TestMutationConformance:
     """The matrix under mutation: interleaved insert/delete/query rounds.
 
-    The engine under test is shaped by ``REPRO_FLAT_CONFORMANCE`` like the
-    rest of this module — ``""`` mutates a tree-backed engine before its
-    snapshot exists, ``memory`` mutates through a delta overlay on an
-    eagerly built snapshot, ``mmap`` mutates a snapshot-only engine over
-    a read-only memory map (the overlay is its only write path).  After
-    every round each algorithm must agree with brute force over the
-    independently tracked live dataset, and folding the overlay away with
-    :meth:`GNNEngine.compact` must not change a single answer.
+    The engine under test is shaped by index residency like the rest of
+    this module — ``memory`` mutates an engine built from the points,
+    ``mmap`` mutates a snapshot-only engine over a read-only memory map.
+    Either way the delta overlay is the write path.  After every round
+    each algorithm × aggregate must agree with brute force over the
+    independently tracked live dataset, and folding the overlay away
+    with :meth:`GNNEngine.compact` must not change a single answer.
     """
 
-    ALGORITHMS = ("mqm", "spm", "mbm", "best-first", "brute-force")
+    @pytest.fixture(params=INDEX_RESIDENCIES)
+    def mutable_engine(self, request, dataset, mapped_path):
+        if request.param == "mmap":
+            return GNNEngine.from_index(FlatRTree.load(mapped_path, mmap_mode="r"))
+        return GNNEngine(dataset, capacity=16)
 
-    @pytest.fixture()
-    def mutable_engine(self, dataset, tmp_path):
-        from repro.core.engine import GNNEngine
-
-        if FLAT_MODE == "mmap":
-            path = tmp_path / "mutation-base.npz"
-            GNNEngine(dataset, capacity=16).snapshot().save(path)
-            return GNNEngine.from_index(FlatRTree.load(path, mmap_mode="r"))
-        engine = GNNEngine(dataset, capacity=16)
-        if FLAT_MODE == "memory":
-            engine.snapshot()
-        return engine
+    @staticmethod
+    def _answers(engine, groups):
+        results = []
+        for group in groups:
+            for aggregate in ("sum", "max", "min"):
+                for info in available_algorithms(MEMORY):
+                    spec = QuerySpec(
+                        group=group, k=5, aggregate=aggregate, algorithm=info.name
+                    )
+                    if info.supports(spec):
+                        results.append((spec, engine.execute(spec)))
+        return results
 
     def test_interleaved_mutation_rounds_agree_with_brute_force(
         self, mutable_engine, dataset
@@ -458,34 +488,81 @@ class TestMutationConformance:
                 rid = engine.insert(point)
                 assert rid not in live
                 live[rid] = point
-            ids = np.array(sorted(live), dtype=np.int64)
-            points = np.vstack([live[int(i)] for i in ids])
-            for group in groups:
-                spec_base = QuerySpec(group=group, k=5)
-                reference = brute_force_gnn(
-                    points, spec_base.group_query(), record_ids=ids
+            assert engine.dirty
+            points, ids = _live_arrays(live)
+            ran = set()
+            for spec, result in self._answers(engine, groups):
+                reference = brute_force_gnn(points, spec.group_query(), record_ids=ids)
+                ran.add(spec.algorithm)
+                _assert_matches_reference(
+                    result, reference, f"round {round_no} {spec.algorithm} {spec.aggregate}"
                 )
-                for name in self.ALGORITHMS:
-                    result = engine.execute(
-                        QuerySpec(group=group, k=5, algorithm=name)
-                    )
-                    _assert_matches_reference(
-                        result, reference, f"round {round_no} {name}"
-                    )
+            assert {"mqm", "spm", "mbm", "best-first", "brute-force"} <= ran
         # Compaction folds the overlay into a fresh base without moving
         # one answer.
-        before = [
-            engine.execute(QuerySpec(group=group, k=5, algorithm=name))
-            for group in groups
-            for name in self.ALGORITHMS
-        ]
+        before = self._answers(engine, groups)
         engine.compact()
         assert not engine.dirty
-        after = [
-            engine.execute(QuerySpec(group=group, k=5, algorithm=name))
-            for group in groups
-            for name in self.ALGORITHMS
-        ]
-        for first, second in zip(before, after):
+        after = self._answers(engine, groups)
+        for (_, first), (_, second) in zip(before, after):
             assert first.record_ids() == second.record_ids()
             assert first.distances() == second.distances()
+
+
+class TestDiskSpecsOnEveryEngineKind:
+    """Disk-resident specs run over the flat index, so every engine answers them.
+
+    Before the object-tree paths were removed a snapshot-only engine
+    (``from_index``, ``recover``) raised ``ValueError`` on any
+    disk-resident spec, and only an engine built from points saw its
+    own writes.  Now a dirty engine folds its overlay first and the
+    plan runs over the fresh base: exact on the live data, and clean
+    afterwards.
+    """
+
+    @pytest.fixture(params=["points", "from_index", "recovered"])
+    def any_engine(self, request, dataset, flat, mapped_path, tmp_path):
+        if request.param == "points":
+            yield GNNEngine(dataset, capacity=16)
+        elif request.param == "from_index":
+            yield GNNEngine.from_index(FlatRTree.load(mapped_path, mmap_mode="r"))
+        else:
+            GenerationStore(tmp_path).publish(flat)
+            engine = GNNEngine.recover(tmp_path)
+            yield engine
+            engine.wal.close()
+
+    @staticmethod
+    def _disk_specs(group, k):
+        for name in ("fmqm", "fmbm", "gcp"):
+            options = {"query_tree_capacity": 8} if name == "gcp" else dict(DISK_OPTIONS)
+            yield QuerySpec(group=group, k=k, residency=DISK, algorithm=name, options=options)
+
+    def test_clean_engine_answers_disk_specs(self, any_engine, dataset):
+        group = np.random.default_rng(SEED + 30).uniform(200, 800, size=(60, 2))
+        reference = brute_force_gnn(dataset, GroupQuery(group, k=4))
+        for spec in self._disk_specs(group, 4):
+            _assert_matches_reference(any_engine.execute(spec), reference, spec.algorithm)
+
+    def test_disk_specs_after_writes_see_the_live_data(self, any_engine, dataset):
+        engine = any_engine
+        rng = np.random.default_rng(SEED + 31)
+        group = rng.uniform(300, 700, size=(60, 2))
+        live = {i: np.array(row) for i, row in enumerate(dataset)}
+        for spec in self._disk_specs(group, 4):
+            # Delete the current winners and drop new points on the
+            # group's centre: a stale base gets both halves wrong.
+            points, ids = _live_arrays(live)
+            winners = brute_force_gnn(points, GroupQuery(group, k=2), record_ids=ids)
+            for rid in winners.record_ids():
+                assert engine.delete(live[rid], rid)
+                del live[rid]
+            for _ in range(3):
+                point = group.mean(axis=0) + rng.normal(scale=2.0, size=2)
+                live[engine.insert(point)] = point
+            assert engine.dirty
+            points, ids = _live_arrays(live)
+            reference = brute_force_gnn(points, GroupQuery(group, k=4), record_ids=ids)
+            _assert_matches_reference(engine.execute(spec), reference, spec.algorithm)
+            assert not engine.dirty
+            assert len(engine) == len(live)

@@ -1,6 +1,4 @@
-"""Tests for the executor layer: execute, execute_many, shims, maintenance."""
-
-import warnings
+"""Tests for the executor layer: execute, execute_many, maintenance."""
 
 import numpy as np
 import pytest
@@ -20,11 +18,16 @@ class TestExecute:
             assert result.distances() == pytest.approx(reference.distances())
 
     def test_execute_forwards_options(self, engine, rng):
-        group = rng.uniform(100, 900, size=(6, 2))
-        result = engine.execute(
-            QuerySpec(group=group, k=2, algorithm="spm", options={"traversal": "depth_first"})
+        group = rng.uniform(300, 700, size=(120, 2))
+        options = {"points_per_page": 20, "block_pages": 1}
+        spec = QuerySpec(
+            group=group, k=2, residency="disk", algorithm="fmbm", options=options
         )
-        assert "depth_first" in result.cost.algorithm
+        plain = engine.execute(spec)
+        charged = engine.execute(
+            spec.replace(options={**options, "charge_summary_scan": True})
+        )
+        assert charged.cost.block_reads > plain.cost.block_reads
 
     def test_execute_disk_from_group_file(self, engine, rng):
         queries = rng.uniform(300, 700, size=(120, 2))
@@ -162,40 +165,35 @@ class TestSharedTraversalBatches:
             assert outcome.distances() == single.distances()
             assert outcome.cost.algorithm == "MBM-batch"
 
-    def test_snapshot_is_built_once_per_batch(self, small_points, rng, monkeypatch):
-        """Regression: one batch must trigger at most one lazy snapshot build.
-
-        Before the executor pinned the snapshot up front, every
-        flat-capable plan could independently reach the engine's lazy
-        builder.  Since the delta overlay, writes never invalidate the
-        snapshot at all: an insert lands in the overlay and batches keep
-        the original base — zero rebuilds, ever, with answers still
-        matching per-query execute.
+    def test_writes_never_rebuild_the_snapshot(self, small_points, rng, monkeypatch):
+        """The index is bulk-loaded once, at construction; batches and
+        writes never trigger another build.  An insert lands in the
+        delta overlay and batches keep the original base — zero
+        rebuilds, with answers still matching per-query execute.
         """
-        engine = GNNEngine(small_points, capacity=16)
         builds = []
-        original = FlatRTree.from_tree.__func__
+        original = FlatRTree.bulk_load.__func__
 
-        def counting(cls, tree, buffer="inherit"):
+        def counting(cls, *args, **kwargs):
             builds.append(1)
-            return original(cls, tree, buffer)
+            return original(cls, *args, **kwargs)
 
-        monkeypatch.setattr(FlatRTree, "from_tree", classmethod(counting))
+        monkeypatch.setattr(FlatRTree, "bulk_load", classmethod(counting))
+        engine = GNNEngine(small_points, capacity=16)
+        assert len(builds) == 1
 
         specs = self._specs(rng)
         engine.execute_many(specs)
-        assert len(builds) == 1
         engine.execute_many(specs)
-        assert len(builds) == 1  # cached snapshot reused across batches
+        assert len(builds) == 1
 
         engine.insert([500.0, 500.0])  # absorbed by the delta overlay
         assert engine.dirty
         batch = engine.execute_many(specs)
-        assert len(builds) == 1  # no rebuild: the overlay shadows the base
         for spec, outcome in zip(specs, batch):
             single = engine.execute(spec)
             assert outcome.record_ids() == single.record_ids()
-        assert len(builds) == 1  # per-query execute stays on the overlay too
+        assert len(builds) == 1  # the overlay shadows the base; no rebuild
 
     def test_insert_invalidation_never_serves_stale_batch_answers(self, rng):
         """An insert between batches must be visible to the next batch.
@@ -222,29 +220,6 @@ class TestSharedTraversalBatches:
             assert outcome.record_ids() == single.record_ids()
             assert outcome.distances() == single.distances()
 
-    def test_context_pins_the_snapshot_for_the_whole_batch(self, small_points, rng):
-        """Between bucketing and execution the context's flat provider
-        must be consulted exactly once — a provider whose answer changes
-        mid-batch (engine-side invalidation) cannot split one batch
-        across two snapshots."""
-        from repro.api.executor import ExecutionContext, execute_batch
-
-        engine = GNNEngine(small_points, capacity=16, snapshot=False)
-        calls = []
-
-        def provider():
-            calls.append(1)
-            return FlatRTree.from_tree(engine.tree)
-
-        context = ExecutionContext(
-            tree=engine.tree, points=engine.points, flat_provider=provider
-        )
-        specs = self._specs(rng, count=12)
-        results = execute_batch(context, specs)
-        assert len(calls) == 1
-        for spec, outcome in zip(specs, results):
-            assert outcome.record_ids() == engine.execute(spec).record_ids()
-
     def test_mixed_ks_bucket_separately_with_identical_answers(self, engine, rng):
         specs = []
         for k in (1, 4, 8, 4, 1, 8, 4, 1):
@@ -264,13 +239,6 @@ class TestSharedTraversalBatches:
         assert outcome.cost.algorithm.startswith("MBM-best_first")
         single = engine.execute(spec)
         assert outcome.record_ids() == single.record_ids()
-
-    def test_object_index_specs_stay_off_the_shared_path(self, engine, rng):
-        group = rng.uniform(200, 800, size=(5, 2))
-        specs = [QuerySpec(group=group, k=3, index="object") for _ in range(3)]
-        batch = engine.execute_many(specs)
-        for outcome in batch:
-            assert outcome.cost.algorithm.startswith("MBM-best_first")
 
     def test_boundary_ties_resolve_canonically_to_smallest_ids(self):
         """Exact k-th-distance ties go to the smallest record ids.
@@ -303,46 +271,6 @@ class TestSharedTraversalBatches:
         assert sum(label.startswith("MBM-best_first") for label in labels) == 1
         for spec, outcome in zip(specs, batch):
             assert outcome.record_ids() == engine.execute(spec).record_ids()
-
-    def test_snapshotless_engine_still_answers_batches(self, small_points, rng):
-        engine = GNNEngine(small_points, capacity=16, snapshot=False)
-        specs = self._specs(rng, count=6)
-        batch = engine.execute_many(specs)
-        for spec, outcome in zip(specs, batch):
-            single = engine.execute(spec)
-            assert outcome.record_ids() == single.record_ids()
-            assert outcome.cost.algorithm.startswith("MBM-best_first")
-
-
-class TestDeprecatedShims:
-    def test_query_warns_and_delegates(self, engine, rng):
-        group = rng.uniform(200, 800, size=(5, 2))
-        with pytest.warns(DeprecationWarning, match="GNNEngine.execute"):
-            legacy = engine.query(group, k=2)
-        modern = engine.execute(QuerySpec(group=group, k=2))
-        assert legacy.record_ids() == modern.record_ids()
-        assert legacy.cost.algorithm == modern.cost.algorithm
-
-    def test_query_disk_warns_and_delegates(self, engine, rng):
-        queries = rng.uniform(300, 700, size=(150, 2))
-        with pytest.warns(DeprecationWarning, match="residency='disk'"):
-            legacy = engine.query_disk(queries, k=2, block_pages=2)
-        modern = engine.execute(
-            QuerySpec(
-                group=queries,
-                k=2,
-                residency="disk",
-                options={"points_per_page": 50, "block_pages": 2},
-            )
-        )
-        assert legacy.record_ids() == modern.record_ids()
-
-    def test_query_disk_gcp_still_works_via_shim(self, engine, rng):
-        queries = rng.uniform(300, 700, size=(60, 2))
-        with pytest.warns(DeprecationWarning):
-            result = engine.query_disk(queries, k=2, algorithm="gcp", query_tree_capacity=16)
-        reference = engine.execute(QuerySpec(group=queries, k=2, algorithm="brute-force"))
-        assert result.distances() == pytest.approx(reference.distances())
 
 
 class TestMaintenance:

@@ -113,7 +113,7 @@ class TestCapabilityChecks:
                 QuerySpec(group=GROUP, algorithm="mbm", options={"use_heuristic_3": False})
             )
         message = str(excinfo.value)
-        assert "'traversal'" in message and "'use_heuristic3'" in message
+        assert "'use_heuristic3'" in message
         assert "did you mean" in message and "use_heuristic3" in message
         assert "points_per_page" in message and "block_pages" in message
 

@@ -45,6 +45,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown residency"):
             QuerySpec(group=GROUP, residency="tape")
 
+    @pytest.mark.parametrize("index", ["object", "flat"])
+    def test_rejects_physical_index_names(self, index):
+        # A spec says where the data lives, not which structure answers.
+        with pytest.raises(ValueError) as excinfo:
+            QuerySpec(group=GROUP, index=index)
+        assert "('auto', 'sharded')" in str(excinfo.value)
+
 
 class TestNormalisationAndImmutability:
     def test_algorithm_and_residency_are_lowercased(self):
@@ -66,9 +73,9 @@ class TestNormalisationAndImmutability:
             spec.k = 5
 
     def test_options_mapping_is_readonly(self):
-        spec = QuerySpec(group=GROUP, options={"traversal": "depth_first"})
+        spec = QuerySpec(group=GROUP, options={"use_heuristic3": False})
         with pytest.raises(TypeError):
-            spec.options["traversal"] = "best_first"
+            spec.options["use_heuristic3"] = True
 
     def test_replace_returns_new_spec(self):
         spec = QuerySpec(group=GROUP, k=2)

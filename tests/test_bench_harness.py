@@ -8,7 +8,7 @@ from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.report import format_table, results_to_markdown
 from repro.bench.runner import run_disk_setting, run_memory_setting
 from repro.datasets.synthetic import uniform_points
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 
 
 #: A deliberately tiny scale so harness tests run in a few seconds.
@@ -53,7 +53,7 @@ class TestRunner:
     @pytest.fixture(scope="class")
     def tree_and_data(self):
         data = uniform_points(600, seed=2)
-        return RTree.bulk_load(data, capacity=16), data
+        return FlatRTree.bulk_load(data, capacity=16), data
 
     def test_memory_setting_averages_all_algorithms(self, tree_and_data):
         tree, data = tree_and_data
@@ -209,15 +209,10 @@ class TestBaselineCompare:
     """The --compare regression gate over baseline documents."""
 
     @staticmethod
-    def _document(mqm=3.0, mbm=2.9, batch=4.5, serving=2.6, schema=3):
+    def _document(batch=4.5, serving=2.6, schema=3):
         return {
             "schema": schema,
-            "memory_fig5_1": {
-                "algorithms": {
-                    "MQM": {"flat_speedup": mqm},
-                    "MBM": {"flat_speedup": mbm},
-                }
-            },
+            "memory_fig5_1": {"algorithms": {"MBM": {"flat_ms_per_query": 0.7}}},
             "batch_flat": {"batch_speedup": batch},
             "serving": {"throughput_speedup_4w_vs_1w": serving},
         }
@@ -226,12 +221,7 @@ class TestBaselineCompare:
         from repro.bench.baseline import collect_speedups
 
         speedups = collect_speedups(self._document())
-        assert speedups == {
-            "flat_speedup/MBM": 2.9,
-            "flat_speedup/MQM": 3.0,
-            "batch_speedup": 4.5,
-            "serving_speedup": 2.6,
-        }
+        assert speedups == {"batch_speedup": 4.5, "serving_speedup": 2.6}
 
     def test_identical_documents_pass(self):
         from repro.bench.baseline import compare_baseline
@@ -242,19 +232,19 @@ class TestBaselineCompare:
     def test_small_noise_within_floor_passes(self):
         from repro.bench.baseline import compare_baseline
 
-        reference = self._document(mqm=3.0)
-        current = self._document(mqm=2.75)  # above the 0.9 floor of 2.7
+        reference = self._document(batch=4.5)
+        current = self._document(batch=4.1)  # above the 0.9 floor of 4.05
         assert compare_baseline(current, reference) == []
 
     def test_regression_below_floor_fails_with_named_ratio(self):
         from repro.bench.baseline import compare_baseline
 
-        reference = self._document(mqm=3.0, batch=4.5)
-        current = self._document(mqm=1.1, batch=1.0)
+        reference = self._document(batch=4.5, serving=2.6)
+        current = self._document(batch=1.0, serving=1.1)
         failures = compare_baseline(current, reference)
         assert len(failures) == 2
-        assert any("flat_speedup/MQM" in failure for failure in failures)
         assert any("batch_speedup" in failure for failure in failures)
+        assert any("serving_speedup" in failure for failure in failures)
 
     def test_missing_section_fails(self):
         from repro.bench.baseline import compare_baseline

@@ -20,6 +20,7 @@ dropped and delayed frames, dead and restarted nodes) and assert:
 plans; any single seed reproduces exactly.
 """
 
+import asyncio
 import os
 import time
 
@@ -472,6 +473,18 @@ class TestDeadlineBudget:
 # ----------------------------------------------------------------------
 # the acceptance scenario: 4 shards, one killed mid-trace, full recovery
 # ----------------------------------------------------------------------
+def _set_heartbeat(coordinator, running: bool) -> None:
+    """Stop or restart the coordinator's heartbeat task (on its own loop)."""
+
+    async def _apply() -> None:
+        if running:
+            coordinator._monitor.start()
+        else:
+            await coordinator._monitor.stop()
+
+    asyncio.run_coroutine_threadsafe(_apply(), coordinator._loop).result(timeout=10.0)
+
+
 class TestFourShardAcceptance:
     def test_kill_mid_trace_degrades_then_returns_to_healthy(
         self, chaos_points, tmp_path
@@ -495,6 +508,14 @@ class TestFourShardAcceptance:
             assert baseline.shards_contacted == [0, 1, 2, 3]
             assert not baseline.degraded
             victim = 2
+            victim_address = f"{addresses[victim][0]}:{addresses[victim][1]}"
+
+            # Heartbeat and request failures share one consecutive-failure
+            # count per breaker, so a heartbeat landing between the kill
+            # and step 4's first attempt would trip the breaker one
+            # attempt early.  The counted window runs without the
+            # heartbeat task; re-admission below runs with it.
+            _set_heartbeat(coordinator, running=False)
 
             # Tracing stays on through the kill: every request — healthy,
             # mid-death, fast-failed — must still yield a *complete* span
@@ -571,6 +592,12 @@ class TestFourShardAcceptance:
                 assert fast_fails[0]["attrs"]["outcome"] == "fast-fail"
                 assert fast_fails[0]["attrs"]["breaker_state"] == "open"
 
+            # Re-admission is the heartbeat's job: the 30 s breaker reset
+            # never elapses in this test, so only a heartbeat success can
+            # close the victim's breaker again.
+            assert coordinator.breaker_states()[(victim, victim_address)] == OPEN
+            rounds_before = coordinator._monitor.rounds
+            _set_heartbeat(coordinator, running=True)
             restarted = ShardNode(
                 victim,
                 nodes[victim].snapshot_path,
@@ -588,6 +615,8 @@ class TestFourShardAcceptance:
             assert recovered is not None and not recovered.degraded
             assert recovered.shards_contacted == [0, 1, 2, 3]  # 100% healthy
             assert as_tuples(recovered) == as_tuples(baseline)
+            assert coordinator._monitor.rounds > rounds_before
+            assert coordinator.breaker_states()[(victim, victim_address)] == CLOSED
         finally:
             obs_trace.disable()
             close_all(coordinator, *nodes, *([restarted] if restarted else []))

@@ -3,10 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.api.spec import QuerySpec
 from repro.core.aggregates import aggregate_gnn, group_nn_stream
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.engine import GNNEngine
 from repro.core.types import GroupQuery
+from repro.storage.pointfile import PointFile
+
+
+def _memory(engine, group, k=1, **fields):
+    return engine.execute(QuerySpec(group=group, k=k, **fields))
+
+
+def _disk(engine, group, k=1, algorithm="auto", **options):
+    options.setdefault("points_per_page", 50)
+    options.setdefault("block_pages", 200)
+    return engine.execute(
+        QuerySpec(group=group, k=k, residency="disk", algorithm=algorithm, options=options)
+    )
 
 
 class TestGroupNNStream:
@@ -56,28 +70,33 @@ class TestAggregateGNN:
 
 class TestEngineMemoryQueries:
     def test_auto_uses_mbm_for_sum(self, engine, rng):
-        result = engine.query(rng.uniform(200, 800, size=(5, 2)), k=2)
+        result = _memory(engine, rng.uniform(200, 800, size=(5, 2)), k=2)
         assert result.cost.algorithm.startswith("MBM")
 
     def test_auto_uses_best_first_for_other_aggregates(self, engine, rng):
-        result = engine.query(rng.uniform(200, 800, size=(5, 2)), k=2, aggregate="max")
+        result = _memory(engine, rng.uniform(200, 800, size=(5, 2)), k=2, aggregate="max")
         assert "best-first" in result.cost.algorithm
 
     @pytest.mark.parametrize("algorithm", ["mqm", "spm", "mbm", "best-first", "brute-force"])
     def test_every_algorithm_gives_the_same_answer(self, engine, rng, algorithm):
         group = rng.uniform(100, 900, size=(8, 2))
-        reference = engine.query(group, k=4, algorithm="brute-force")
-        result = engine.query(group, k=4, algorithm=algorithm)
+        reference = _memory(engine, group, k=4, algorithm="brute-force")
+        result = _memory(engine, group, k=4, algorithm=algorithm)
         assert result.distances() == pytest.approx(reference.distances())
 
     def test_unknown_algorithm_rejected(self, engine):
         with pytest.raises(ValueError):
-            engine.query([[0.0, 0.0]], algorithm="quantum")
+            _memory(engine, [[0.0, 0.0]], algorithm="quantum")
 
     def test_options_are_forwarded(self, engine, rng):
-        group = rng.uniform(100, 900, size=(6, 2))
-        result = engine.query(group, k=2, algorithm="spm", traversal="depth_first")
-        assert "depth_first" in result.cost.algorithm
+        queries = rng.uniform(300, 700, size=(120, 2))
+        plain = _disk(engine, queries, k=2, algorithm="fmbm", block_pages=1)
+        charged = _disk(
+            engine, queries, k=2, algorithm="fmbm", block_pages=1, charge_summary_scan=True
+        )
+        # The summary scan reads every block once more.
+        assert charged.cost.block_reads > plain.cost.block_reads
+        assert charged.distances() == plain.distances()
 
     def test_engine_length(self, engine, small_points):
         assert len(engine) == len(small_points)
@@ -86,47 +105,50 @@ class TestEngineMemoryQueries:
 class TestEngineDiskQueries:
     def test_auto_prefers_fmqm_for_few_blocks(self, engine, rng):
         queries = rng.uniform(300, 700, size=(200, 2))
-        result = engine.query_disk(queries, k=2, block_pages=10)
+        result = _disk(engine, queries, k=2, block_pages=10)
         assert result.cost.algorithm == "F-MQM"
 
     def test_auto_prefers_fmbm_for_many_blocks(self, engine, rng):
         queries = rng.uniform(300, 700, size=(600, 2))
-        result = engine.query_disk(queries, k=2, block_pages=1, points_per_page=50)
+        result = _disk(engine, queries, k=2, block_pages=1, points_per_page=50)
         assert result.cost.algorithm == "F-MBM"
 
     @pytest.mark.parametrize("algorithm", ["fmqm", "fmbm", "gcp"])
     def test_disk_algorithms_agree_with_memory_result(self, engine, rng, algorithm):
         queries = rng.uniform(300, 700, size=(150, 2))
-        memory = engine.query(queries, k=3, algorithm="brute-force")
-        disk = engine.query_disk(queries, k=3, algorithm=algorithm, block_pages=2)
+        memory = _memory(engine, queries, k=3, algorithm="brute-force")
+        options = {} if algorithm == "gcp" else {"block_pages": 2}
+        disk = engine.execute(
+            QuerySpec(
+                group=queries, k=3, residency="disk", algorithm=algorithm, options=options
+            )
+        )
         assert disk.distances() == pytest.approx(memory.distances())
 
     def test_existing_query_file_can_be_passed(self, engine, rng):
-        from repro.storage.pointfile import PointFile
-
         queries = rng.uniform(300, 700, size=(120, 2))
         query_file = PointFile(queries, points_per_page=20, block_pages=2)
-        result = engine.query_disk(query_file=query_file, k=1, algorithm="fmbm")
-        reference = engine.query(queries, k=1, algorithm="brute-force")
+        result = engine.execute(QuerySpec(group_file=query_file, k=1, algorithm="fmbm"))
+        reference = _memory(engine, queries, k=1, algorithm="brute-force")
         assert result.distances() == pytest.approx(reference.distances())
 
-    def test_missing_input_rejected(self, engine):
+    def test_missing_input_rejected(self):
         with pytest.raises(ValueError):
-            engine.query_disk(algorithm="fmbm")
+            QuerySpec(residency="disk", algorithm="fmbm")
 
     def test_gcp_requires_raw_points(self, engine, rng):
-        from repro.storage.pointfile import PointFile
-
         queries = rng.uniform(300, 700, size=(60, 2))
         with pytest.raises(ValueError):
-            engine.query_disk(
-                query_file=PointFile(queries, points_per_page=20, block_pages=2),
-                algorithm="gcp",
+            engine.execute(
+                QuerySpec(
+                    group_file=PointFile(queries, points_per_page=20, block_pages=2),
+                    algorithm="gcp",
+                )
             )
 
     def test_unknown_disk_algorithm_rejected(self, engine, rng):
         with pytest.raises(ValueError):
-            engine.query_disk(rng.uniform(0, 1, size=(10, 2)), algorithm="hash-join")
+            _disk(engine, rng.uniform(0, 1, size=(10, 2)), algorithm="hash-join")
 
 
 class TestEngineMaintenance:
@@ -137,14 +159,14 @@ class TestEngineMaintenance:
         assert len(engine) == 101
         # The new point must be findable as the best neighbor of a query
         # group sitting right on top of it.
-        result = engine.query(np.array([[123.0, 456.0], [123.5, 456.5]]), k=1)
+        result = _memory(engine, np.array([[123.0, 456.0], [123.5, 456.5]]), k=1)
         assert result.best.record_id == 100
 
     def test_buffer_pages_enable_page_fault_accounting(self, small_points, rng):
         engine = GNNEngine(small_points, capacity=8, buffer_pages=10_000)
         group = rng.uniform(200, 800, size=(8, 2))
-        engine.query(group, k=2)
-        second = engine.query(group, k=2)
+        _memory(engine, group, k=2)
+        second = _memory(engine, group, k=2)
         # Second identical query hits the warm buffer: no new page faults.
         assert second.cost.page_faults == 0
         assert second.cost.node_accesses > 0

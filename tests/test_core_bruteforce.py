@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.bruteforce import brute_force_gnn, brute_force_over_tree
+from repro.core.bruteforce import brute_force_gnn
 from repro.core.types import GroupQuery
 from repro.geometry.distance import group_distance
-from repro.rtree.tree import RTree
 
 
 class TestBruteForce:
@@ -71,19 +70,3 @@ class TestBruteForce:
         result = brute_force_gnn(points, query)
         assert result.cost.distance_computations == 30 * 6
         assert result.cost.algorithm == "brute-force"
-
-
-class TestBruteForceOverTree:
-    def test_matches_array_based_brute_force(self):
-        rng = np.random.default_rng(5)
-        points = rng.uniform(0, 100, size=(150, 2))
-        tree = RTree.bulk_load(points, capacity=8)
-        query = GroupQuery(rng.uniform(0, 100, size=(6, 2)), k=5)
-        from_tree = brute_force_over_tree(tree, query)
-        from_array = brute_force_gnn(points, query)
-        assert from_tree.distances() == pytest.approx(from_array.distances())
-        assert from_tree.record_ids() == from_array.record_ids()
-
-    def test_empty_tree_gives_empty_result(self):
-        result = brute_force_over_tree(RTree(), GroupQuery([[0.0, 0.0]], k=3))
-        assert result.neighbors == []

@@ -8,8 +8,11 @@ from repro.core.fmbm import fmbm
 from repro.core.fmqm import fmqm
 from repro.core.gcp import gcp
 from repro.core.types import GroupQuery
+from repro.rtree.flat import FlatRTree
 from repro.rtree.tree import RTree
 from repro.storage.pointfile import PointFile
+
+EMPTY = FlatRTree.from_tree(RTree())
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +20,7 @@ def disk_setup():
     """A data tree plus two disk-resident query sets (clustered and spread)."""
     rng = np.random.default_rng(99)
     data = rng.uniform(0, 1000, size=(800, 2))
-    tree = RTree.bulk_load(data, capacity=16)
+    tree = FlatRTree.bulk_load(data, capacity=16)
     clustered_queries = rng.uniform(420, 560, size=(300, 2))
     spread_queries = rng.uniform(0, 1000, size=(300, 2))
     return data, tree, clustered_queries, spread_queries
@@ -31,14 +34,14 @@ class TestGCP:
     @pytest.mark.parametrize("k", [1, 4])
     def test_matches_brute_force_clustered_queries(self, disk_setup, k):
         data, tree, clustered, _ = disk_setup
-        query_tree = RTree.bulk_load(clustered, capacity=16)
+        query_tree = FlatRTree.bulk_load(clustered, capacity=16)
         result = gcp(tree, query_tree, k=k)
         expected = brute_force_gnn(data, GroupQuery(clustered, k=k))
         assert result.distances() == pytest.approx(expected.distances())
 
     def test_matches_brute_force_spread_queries(self, disk_setup):
         data, tree, _, spread = disk_setup
-        query_tree = RTree.bulk_load(spread, capacity=16)
+        query_tree = FlatRTree.bulk_load(spread, capacity=16)
         result = gcp(tree, query_tree, k=2)
         expected = brute_force_gnn(data, GroupQuery(spread, k=2))
         assert result.distances() == pytest.approx(expected.distances())
@@ -46,21 +49,21 @@ class TestGCP:
     def test_invalid_k_rejected(self, disk_setup):
         _, tree, clustered, _ = disk_setup
         with pytest.raises(ValueError):
-            gcp(tree, RTree.bulk_load(clustered), k=0)
+            gcp(tree, FlatRTree.bulk_load(clustered), k=0)
 
     def test_empty_query_tree(self, disk_setup):
         _, tree, _, _ = disk_setup
-        assert gcp(tree, RTree(), k=1).neighbors == []
+        assert gcp(tree, EMPTY, k=1).neighbors == []
 
     def test_pair_cap_marks_result_as_aborted(self, disk_setup):
         _, tree, _, spread = disk_setup
-        query_tree = RTree.bulk_load(spread, capacity=16)
+        query_tree = FlatRTree.bulk_load(spread, capacity=16)
         result = gcp(tree, query_tree, k=1, max_pairs=100)
         assert "aborted" in result.cost.algorithm
 
     def test_charges_node_accesses_on_both_trees(self, disk_setup):
         _, tree, clustered, _ = disk_setup
-        query_tree = RTree.bulk_load(clustered, capacity=16)
+        query_tree = FlatRTree.bulk_load(clustered, capacity=16)
         tree.reset_stats()
         result = gcp(tree, query_tree, k=1)
         # The tracker reports the union of both trees' accesses.
@@ -71,8 +74,8 @@ class TestGCP:
         # A case small enough that the stream is fully enumerable by hand.
         data = np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0], [2.0, 8.0]])
         queries = np.array([[1.0, 1.0], [9.0, 9.0]])
-        tree = RTree.bulk_load(data, capacity=4)
-        query_tree = RTree.bulk_load(queries, capacity=4)
+        tree = FlatRTree.bulk_load(data, capacity=4)
+        query_tree = FlatRTree.bulk_load(queries, capacity=4)
         result = gcp(tree, query_tree, k=4)
         expected = brute_force_gnn(data, GroupQuery(queries, k=4))
         assert result.distances() == pytest.approx(expected.distances())
@@ -115,7 +118,7 @@ class TestFMQM:
 
     def test_empty_tree(self, disk_setup):
         _, _, clustered, _ = disk_setup
-        assert fmqm(RTree(), _query_file(clustered), k=1).neighbors == []
+        assert fmqm(EMPTY, _query_file(clustered), k=1).neighbors == []
 
 
 class TestFMBM:
@@ -133,18 +136,6 @@ class TestFMBM:
         expected = brute_force_gnn(data, GroupQuery(spread, k=k))
         assert result.distances() == pytest.approx(expected.distances())
 
-    @pytest.mark.parametrize("k", [1, 4])
-    def test_depth_first_matches_brute_force(self, disk_setup, k):
-        data, tree, clustered, _ = disk_setup
-        result = fmbm(tree, _query_file(clustered), k=k, traversal="depth_first")
-        expected = brute_force_gnn(data, GroupQuery(clustered, k=k))
-        assert result.distances() == pytest.approx(expected.distances())
-
-    def test_unknown_traversal_rejected(self, disk_setup):
-        _, tree, clustered, _ = disk_setup
-        with pytest.raises(ValueError):
-            fmbm(tree, _query_file(clustered), traversal="zigzag")
-
     def test_summary_scan_can_be_charged(self, disk_setup):
         _, tree, clustered, _ = disk_setup
         uncharged = fmbm(tree, _query_file(clustered), k=1)
@@ -158,7 +149,7 @@ class TestFMBM:
 
     def test_empty_query_file_not_possible_but_empty_tree_is(self, disk_setup):
         _, _, clustered, _ = disk_setup
-        assert fmbm(RTree(), _query_file(clustered), k=1).neighbors == []
+        assert fmbm(EMPTY, _query_file(clustered), k=1).neighbors == []
 
 
 class TestDiskAlgorithmAgreement:
@@ -167,7 +158,7 @@ class TestDiskAlgorithmAgreement:
         k = 5
         fmqm_result = fmqm(tree, _query_file(clustered), k=k)
         fmbm_result = fmbm(tree, _query_file(clustered), k=k)
-        gcp_result = gcp(tree, RTree.bulk_load(clustered, capacity=16), k=k)
+        gcp_result = gcp(tree, FlatRTree.bulk_load(clustered, capacity=16), k=k)
         assert fmqm_result.distances() == pytest.approx(fmbm_result.distances())
         assert fmqm_result.distances() == pytest.approx(gcp_result.distances())
 

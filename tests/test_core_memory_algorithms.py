@@ -13,6 +13,10 @@ from repro.core.mbm import mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery
+from repro.rtree.flat import FlatRTree
+from repro.rtree.tree import RTree
+
+EMPTY = FlatRTree.from_tree(RTree())
 
 
 def _check_against_bruteforce(algorithm, tree, points, group, k, **kwargs):
@@ -46,10 +50,7 @@ class TestMQM:
             mqm(small_tree, GroupQuery([[0.0, 0.0], [1.0, 1.0]], weights=[1.0, 2.0]))
 
     def test_empty_tree(self):
-        from repro.rtree.tree import RTree
-
-        result = mqm(RTree(), GroupQuery([[0.0, 0.0]]))
-        assert result.neighbors == []
+        assert mqm(EMPTY, GroupQuery([[0.0, 0.0]])).neighbors == []
 
     def test_cost_grows_with_query_cardinality(self, small_tree, rng):
         small = rng.uniform(300, 700, size=(4, 2))
@@ -65,13 +66,6 @@ class TestSPM:
         for group in query_groups:
             _check_against_bruteforce(spm, small_tree, small_points, group, k)
 
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_depth_first_matches_brute_force(self, small_tree, small_points, query_groups, k):
-        for group in query_groups:
-            _check_against_bruteforce(
-                spm, small_tree, small_points, group, k, traversal="depth_first"
-            )
-
     @pytest.mark.parametrize("centroid_method", ["gradient", "weiszfeld", "mean"])
     def test_any_centroid_backend_is_exact(
         self, small_tree, small_points, query_groups, centroid_method
@@ -83,18 +77,12 @@ class TestSPM:
                 spm, small_tree, small_points, group, 2, centroid_method=centroid_method
             )
 
-    def test_unknown_traversal_rejected(self, small_tree):
-        with pytest.raises(ValueError):
-            spm(small_tree, GroupQuery([[0.0, 0.0]]), traversal="sideways")
-
     def test_rejects_non_sum_aggregates(self, small_tree):
         with pytest.raises(ValueError):
             spm(small_tree, GroupQuery([[0.0, 0.0]], aggregate="min"))
 
     def test_empty_tree(self):
-        from repro.rtree.tree import RTree
-
-        assert spm(RTree(), GroupQuery([[0.0, 0.0]])).neighbors == []
+        assert spm(EMPTY, GroupQuery([[0.0, 0.0]])).neighbors == []
 
     def test_node_accesses_do_not_explode_with_n(self, small_tree, rng):
         # The paper: the cardinality of Q has little effect on SPM's NA.
@@ -110,13 +98,6 @@ class TestMBM:
     def test_best_first_matches_brute_force(self, small_tree, small_points, query_groups, k):
         for group in query_groups:
             _check_against_bruteforce(mbm, small_tree, small_points, group, k)
-
-    @pytest.mark.parametrize("k", [1, 5])
-    def test_depth_first_matches_brute_force(self, small_tree, small_points, query_groups, k):
-        for group in query_groups:
-            _check_against_bruteforce(
-                mbm, small_tree, small_points, group, k, traversal="depth_first"
-            )
 
     def test_heuristic2_only_variant_is_still_exact(
         self, small_tree, small_points, query_groups
@@ -154,14 +135,8 @@ class TestMBM:
         expected = brute_force_gnn(small_points, GroupQuery(group, k=3, aggregate=aggregate))
         assert result.distances() == pytest.approx(expected.distances())
 
-    def test_unknown_traversal_rejected(self, small_tree):
-        with pytest.raises(ValueError):
-            mbm(small_tree, GroupQuery([[0.0, 0.0]]), traversal="bottom_up")
-
     def test_empty_tree(self):
-        from repro.rtree.tree import RTree
-
-        assert mbm(RTree(), GroupQuery([[0.0, 0.0]])).neighbors == []
+        assert mbm(EMPTY, GroupQuery([[0.0, 0.0]])).neighbors == []
 
     def test_node_accesses_at_most_spm(self, small_tree, rng):
         # The paper's overall conclusion for memory-resident queries: MBM is

@@ -9,14 +9,14 @@ import pytest
 
 import repro
 from repro.core.instrumentation import CostTracker
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:
@@ -26,7 +26,7 @@ class TestPublicAPI:
         # The snippet from the package docstring / README must work verbatim.
         data = np.random.default_rng(0).uniform(0, 100, size=(2_000, 2))
         engine = repro.GNNEngine(data)
-        result = engine.query([[10, 10], [20, 35], [40, 15]], k=3)
+        result = engine.execute(repro.QuerySpec(group=[[10, 10], [20, 35], [40, 15]], k=3))
         assert len(result.neighbors) == 3
         assert result.cost.node_accesses > 0
 
@@ -45,7 +45,7 @@ class TestPublicAPI:
 class TestCostTracker:
     def test_tracker_reports_deltas_not_totals(self):
         points = np.random.default_rng(1).uniform(0, 100, size=(300, 2))
-        tree = RTree.bulk_load(points, capacity=8)
+        tree = FlatRTree.bulk_load(points, capacity=8)
         # Pre-charge some accesses so a delta-based tracker and a total-based
         # one would disagree.
         from repro.rtree.traversal import best_first_nearest

@@ -311,17 +311,15 @@ class _FakeCoordinator:
 
 class TestCollectors:
     def test_tree_collector_tracks_live_engine_stats(self, rng):
-        engine = GNNEngine(
-            rng.uniform(0, 1000, size=(200, 2)), capacity=16, snapshot=False
-        )
+        engine = GNNEngine(rng.uniform(0, 1000, size=(200, 2)), capacity=16)
         registry = MetricsRegistry()
-        registry.register(tree_collector(lambda: engine.tree.stats))
+        registry.register(tree_collector(lambda: engine.flat.stats))
         engine.execute(QuerySpec(group=rng.uniform(400, 600, size=(4, 2)), k=2))
         samples, types = parse_prometheus(render(registry))
         assert types["repro_tree_node_accesses_total"] == "counter"
         assert (
             samples[("repro_tree_node_accesses_total", ())]
-            == engine.tree.stats.node_accesses
+            == engine.flat.stats.node_accesses
             > 0
         )
 
@@ -496,13 +494,13 @@ class TestReconciliation:
         less.
         """
         points = rng.uniform(0, 1000, size=(400, 2))
-        engine = GNNEngine(points, capacity=16, snapshot=False)
+        engine = GNNEngine(points, capacity=16)
         tracer, _, _ = enable_all(log_stream=io.StringIO())
 
-        before = engine.tree.stats.snapshot()
+        before = engine.flat.stats.snapshot()
         spec = QuerySpec(group=rng.uniform(300, 700, size=(5, 2)), k=3, algorithm="mbm")
         result = engine.execute(spec)
-        after = engine.tree.stats.snapshot()
+        after = engine.flat.stats.snapshot()
 
         assert result.trace_id is not None
         spans = tracer.spans(result.trace_id)

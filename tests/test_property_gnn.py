@@ -19,7 +19,7 @@ from repro.core.mbm import mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery
-from repro.rtree.tree import RTree
+from repro.rtree.flat import FlatRTree
 from repro.storage.pointfile import PointFile
 
 coordinate = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, width=32)
@@ -39,7 +39,7 @@ class TestMemoryAlgorithmsMatchBruteForce:
     )
     @settings(max_examples=50, deadline=None)
     def test_mqm_spm_mbm_agree_with_bruteforce(self, data, group, k):
-        tree = RTree.bulk_load(data, capacity=8)
+        tree = FlatRTree.bulk_load(data, capacity=8)
         expected = brute_force_gnn(data, GroupQuery(group, k=k)).distances()
         for algorithm in (mqm, spm, mbm):
             result = algorithm(tree, GroupQuery(group, k=k))
@@ -53,7 +53,7 @@ class TestMemoryAlgorithmsMatchBruteForce:
     )
     @settings(max_examples=40, deadline=None)
     def test_aggregate_best_first_matches_bruteforce(self, data, group, k, aggregate):
-        tree = RTree.bulk_load(data, capacity=8)
+        tree = FlatRTree.bulk_load(data, capacity=8)
         query = GroupQuery(group, k=k, aggregate=aggregate)
         expected = brute_force_gnn(data, GroupQuery(group, k=k, aggregate=aggregate))
         assert aggregate_gnn(tree, query).distances() == pytest.approx(expected.distances())
@@ -67,7 +67,7 @@ class TestDiskAlgorithmsMatchBruteForce:
     )
     @settings(max_examples=25, deadline=None)
     def test_fmqm_and_fmbm_agree_with_bruteforce(self, data, queries, k):
-        tree = RTree.bulk_load(data, capacity=8)
+        tree = FlatRTree.bulk_load(data, capacity=8)
         expected = brute_force_gnn(data, GroupQuery(queries, k=k)).distances()
         for algorithm in (fmqm, fmbm):
             query_file = PointFile(queries, points_per_page=4, block_pages=2)
@@ -81,8 +81,8 @@ class TestDiskAlgorithmsMatchBruteForce:
     )
     @settings(max_examples=20, deadline=None)
     def test_gcp_agrees_with_bruteforce(self, data, queries, k):
-        data_tree = RTree.bulk_load(data, capacity=8)
-        query_tree = RTree.bulk_load(queries, capacity=8)
+        data_tree = FlatRTree.bulk_load(data, capacity=8)
+        query_tree = FlatRTree.bulk_load(queries, capacity=8)
         expected = brute_force_gnn(data, GroupQuery(queries, k=k)).distances()
         result = gcp(data_tree, query_tree, k=k)
         assert result.distances() == pytest.approx(expected)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.mbr import MBR
+from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import best_first_nearest, incremental_nearest
 from repro.rtree.tree import RTree
 
@@ -52,13 +53,18 @@ class TestStructuralInvariants:
             assert tree.delete(points[record_id], record_id)
         assert len(tree) == count - len(victims)
         tree.validate()
+        # The snapshot taken after the mutation batch answers for the
+        # surviving records only.
+        stream = list(incremental_nearest(FlatRTree.from_tree(tree), points[0]))
+        assert sorted(n.record_id for n in stream) == sorted(set(range(count)) - set(victims))
+        assert [n.distance for n in stream] == sorted(n.distance for n in stream)
 
 
 class TestSearchExactness:
     @given(points=point_list, query=st.tuples(coordinate, coordinate))
     @settings(max_examples=60, deadline=None)
     def test_best_first_nn_matches_linear_scan(self, points, query):
-        tree = RTree.bulk_load(points, capacity=8)
+        tree = FlatRTree.bulk_load(points, capacity=8)
         query = np.array(query, dtype=np.float64)
         result = best_first_nearest(tree, query, k=1)[0]
         expected = np.min(np.linalg.norm(points - query, axis=1))
@@ -67,7 +73,7 @@ class TestSearchExactness:
     @given(points=point_list, query=st.tuples(coordinate, coordinate))
     @settings(max_examples=40, deadline=None)
     def test_incremental_stream_is_sorted_permutation(self, points, query):
-        tree = RTree.bulk_load(points, capacity=8)
+        tree = FlatRTree.bulk_load(points, capacity=8)
         stream = list(incremental_nearest(tree, np.array(query, dtype=np.float64)))
         distances = [n.distance for n in stream]
         assert distances == sorted(distances)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rtree.closest_pairs import incremental_closest_pairs
+from repro.rtree.flat import FlatRTree
 from repro.rtree.tree import RTree
 
 
@@ -12,8 +13,8 @@ def pair_setup():
     rng = np.random.default_rng(17)
     data = rng.uniform(0, 100, size=(120, 2))
     queries = rng.uniform(0, 100, size=(40, 2))
-    data_tree = RTree.bulk_load(data, capacity=8)
-    query_tree = RTree.bulk_load(queries, capacity=8)
+    data_tree = FlatRTree.bulk_load(data, capacity=8)
+    query_tree = FlatRTree.bulk_load(queries, capacity=8)
     return data, queries, data_tree, query_tree
 
 
@@ -69,14 +70,14 @@ class TestClosestPairStream:
         assert query_tree.stats.node_accesses > 0
 
     def test_empty_trees_produce_empty_stream(self):
-        empty = RTree()
-        other = RTree.bulk_load(np.random.default_rng(0).uniform(0, 1, size=(10, 2)))
+        empty = FlatRTree.from_tree(RTree())
+        other = FlatRTree.bulk_load(np.random.default_rng(0).uniform(0, 1, size=(10, 2)))
         assert list(incremental_closest_pairs(empty, other)) == []
         assert list(incremental_closest_pairs(other, empty)) == []
 
     def test_single_point_trees(self):
-        data_tree = RTree.bulk_load(np.array([[0.0, 0.0]]))
-        query_tree = RTree.bulk_load(np.array([[3.0, 4.0]]))
+        data_tree = FlatRTree.bulk_load(np.array([[0.0, 0.0]]))
+        query_tree = FlatRTree.bulk_load(np.array([[3.0, 4.0]]))
         pairs = list(incremental_closest_pairs(data_tree, query_tree))
         assert len(pairs) == 1
         assert pairs[0].distance == pytest.approx(5.0)

@@ -1,11 +1,15 @@
 """Tests for the flat array-backed R-tree snapshot (repro.rtree.flat).
 
-The contract under test: a ``FlatRTree`` is a bit-identical drop-in for
-the object tree on every best-first path — same results, same
-node-access and distance-computation counts, same buffer hit/miss
-sequences — and round-trips losslessly through its ``.npz`` persistence
-in both eager and memory-mapped modes.
+The contract under test: a ``FlatRTree`` snapshots an ``RTree``
+losslessly, its traversals produce exactly the results, node-access and
+distance-computation counts and buffer hit/miss sequences the
+object-tree traversals produced (pinned as literals captured from the
+object paths at the commit that removed them), and it round-trips
+losslessly through its ``.npz`` persistence in both eager and
+memory-mapped modes.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from repro.core.spm import spm
 from repro.core.types import GroupQuery
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
-from repro.rtree.traversal import incremental_nearest
+from repro.rtree.traversal import best_first_nearest, incremental_nearest
 from repro.rtree.tree import RTree
 from repro.storage.buffer import LRUBuffer
 
@@ -51,7 +55,29 @@ def flat(tree):
 
 
 def _costs(result):
-    return (result.cost.node_accesses, result.cost.distance_computations)
+    """``(node accesses, leaf accesses, distance computations)``."""
+    return (
+        result.cost.node_accesses,
+        result.cost.leaf_accesses,
+        result.cost.distance_computations,
+    )
+
+
+def _sha256(values, dtype) -> str:
+    return hashlib.sha256(np.array(values, dtype=dtype).tobytes()).hexdigest()
+
+
+class RecordingBuffer(LRUBuffer):
+    """An LRU buffer that also keeps its hit/miss sequence."""
+
+    def __init__(self, pages):
+        super().__init__(pages)
+        self.trace = ""
+
+    def access(self, page_id):
+        hit = super().access(page_id)
+        self.trace += "h" if hit else "m"
+        return hit
 
 
 class TestConstruction:
@@ -88,7 +114,7 @@ class TestConstruction:
         tree = RTree.bulk_load(np.array([[1.0, 2.0], [3.0, 4.0]]), capacity=16)
         flat = FlatRTree.from_tree(tree)
         stream = [n.as_tuple() for n in incremental_nearest(flat, [1.0, 2.0])]
-        assert stream == [n.as_tuple() for n in incremental_nearest(tree, [1.0, 2.0])]
+        assert stream == [(0, 0.0), (1, float(np.sqrt(8.0)))]
 
     def test_dynamic_tree_snapshot(self):
         rng = np.random.default_rng(5)
@@ -97,76 +123,158 @@ class TestConstruction:
         for i, p in enumerate(points):
             tree.insert(p, record_id=i)
         flat = FlatRTree.from_tree(tree)
-        q = [50.0, 50.0]
-        assert [n.as_tuple() for n in incremental_nearest(flat, q)] == [
-            n.as_tuple() for n in incremental_nearest(tree, q)
+        stream = [n.as_tuple() for n in incremental_nearest(flat, [50.0, 50.0])]
+        assert stream[:3] == [
+            (16, 6.342222437259462),
+            (83, 6.357139183616048),
+            (95, 6.780580960305568),
         ]
+        assert _sha256([i for i, _ in stream], np.int64) == (
+            "d032e71f5ac935e00d06df080af774c028ec6b4126560808f1e0fd7a464bb2e0"
+        )
+        assert (flat.stats.node_accesses, flat.stats.leaf_accesses) == (51, 42)
 
 
-class TestTraversalEquivalence:
-    """Streams and algorithms must match the object tree bit for bit."""
+#: What the object-tree traversals returned and charged for the module
+#: dataset (rng(42), capacity 16) at the commit that removed them: per
+#: group cardinality ``n in (2, 7, 31)`` of the rng(99) workload, k=5 —
+#: the answer shared by every algorithm, then each algorithm's
+#: ``(node accesses, leaf accesses, distance computations)``.
+ANSWER_PINS = [
+    (
+        [587, 563, 179, 671, 529],
+        [244.39087028606951, 244.49398672620083, 245.94399493407155,
+         253.84704712935996, 255.88652850702863],
+    ),
+    (
+        [70, 784, 634, 843, 739],
+        [1147.3671551571972, 1148.0669488127946, 1148.7373309127515,
+         1150.9553600867446, 1151.7278424502044],
+    ),
+    (
+        [538, 151, 737, 279, 678],
+        [6121.196841634461, 6154.304599518472, 6191.111687500248,
+         6197.558363497583, 6214.345305489122],
+    ),
+]
+COST_PINS = {
+    "mqm": [(18, 12, 168), (103, 79, 1834), (529, 418, 19654)],
+    "spm": [(21, 18, 326), (35, 30, 2058), (45, 40, 13578)],
+    "mbm": [(9, 6, 300), (24, 19, 2198), (62, 57, 26195)],
+    "best-first": [(7, 4, 202), (9, 6, 931), (11, 8, 5115)],
+}
+ALGORITHMS = {"mqm": mqm, "spm": spm, "mbm": mbm, "best-first": aggregate_gnn}
 
-    def test_incremental_stream_identical_with_counters(self, dataset, tree, flat):
-        tree.reset_stats()
+#: LRU(32) behaviour over the four-group workload of
+#: ``test_buffer_hit_miss_sequences``: ``(hits, misses)``, page faults
+#: per query, and the full hit/miss sequence.
+BUFFER_PINS = {
+    "mbm": (
+        (59, 25),
+        [21, 3, 0, 1],
+        "mmmmmmmmmmmmmmmmmmmmmhhhhhhhhhhhhhhhhhmmhmhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhmhhhhhh",
+    ),
+    "spm": (
+        (55, 25),
+        [21, 2, 0, 2],
+        "mmmmmmmmmmmmmmmmmmmmmhhhhhhhhhhhhhhhmhmhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhmm",
+    ),
+    "best-first": ((20, 9), [8, 0, 0, 1], "mmmmmmmmhhhhhhhhhhhhhhhhhhhmh"),
+}
+
+
+class TestTraversalPins:
+    """Streams and algorithms must reproduce the object-tree paths bit for bit."""
+
+    def test_incremental_stream_with_counters(self, flat):
         flat.reset_stats()
-        q = [411.0, 290.0]
-        assert [n.as_tuple() for n in incremental_nearest(tree, q)] == [
-            n.as_tuple() for n in incremental_nearest(flat, q)
+        stream = [n.as_tuple() for n in incremental_nearest(flat, [411.0, 290.0])]
+        assert stream[:5] == [
+            (23, 23.580964558647786),
+            (791, 23.821580764111197),
+            (572, 32.05048520431053),
+            (438, 33.41679897878444),
+            (53, 42.27253212698781),
         ]
-        assert tree.stats.snapshot() == flat.stats.snapshot()
+        assert _sha256([i for i, _ in stream], np.int64) == (
+            "8bf5ac7e322899bd472c6a63f890397eb18680386ad270aef784f6c00847b360"
+        )
+        assert _sha256([d for _, d in stream], np.float64) == (
+            "0a217947c1fec365cadad52617e9bece128ef874939b68e09b9ba0e09ff9c90a"
+        )
+        assert flat.stats.snapshot() == {
+            "node_accesses": 68,
+            "leaf_accesses": 63,
+            "page_faults": 68,
+            "distance_computations": 0,
+        }
 
-    @pytest.mark.parametrize("algorithm", [mqm, spm, mbm, aggregate_gnn])
-    def test_algorithms_bit_identical(self, dataset, tree, flat, algorithm):
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_algorithms_match_object_path_pins(self, flat, name):
         rng = np.random.default_rng(99)
-        for n in (2, 7, 31):
+        for (ids, distances), costs, n in zip(ANSWER_PINS, COST_PINS[name], (2, 7, 31)):
             group = rng.uniform(200, 800, size=(n, 2))
-            reference = algorithm(tree, GroupQuery(group, k=5))
-            result = algorithm(flat, GroupQuery(group, k=5))
-            assert [x.as_tuple() for x in result.neighbors] == [
-                x.as_tuple() for x in reference.neighbors
-            ]
-            assert _costs(result) == _costs(reference)
+            result = ALGORITHMS[name](flat, GroupQuery(group, k=5))
+            assert result.record_ids() == ids, n
+            assert result.distances() == distances, n
+            assert _costs(result) == costs, n
 
-    def test_weighted_mbm_falls_back_to_general_kernels(self, tree, flat):
+    def test_weighted_mbm_falls_back_to_general_kernels(self, flat):
         rng = np.random.default_rng(3)
         group = rng.uniform(300, 700, size=(6, 2))
         weights = rng.uniform(0.5, 2.0, size=6)
-        reference = mbm(tree, GroupQuery(group, k=4, weights=weights))
         result = mbm(flat, GroupQuery(group, k=4, weights=weights))
-        assert [x.as_tuple() for x in result.neighbors] == [
-            x.as_tuple() for x in reference.neighbors
+        assert result.record_ids() == [199, 568, 155, 874]
+        assert result.distances() == [
+            1022.7416703926588, 1024.090726428807, 1031.0959163155565, 1033.0078950092518
         ]
-        assert _costs(result) == _costs(reference)
+        assert _costs(result) == (21, 17, 1458)
 
-    @pytest.mark.parametrize("aggregate", ["max", "min"])
-    def test_aggregate_generalisations(self, tree, flat, aggregate):
+    @pytest.mark.parametrize(
+        "aggregate, ids, distances, costs",
+        [
+            ("max", [28, 644, 682],
+             [378.09012844464445, 378.12880062580604, 380.96985350610345], (6, 3, 765)),
+            ("min", [595, 274, 56],
+             [5.511092164029355, 6.28114477399344, 6.610876050041234], (12, 7, 1620)),
+        ],
+    )
+    def test_aggregate_generalisations(self, flat, aggregate, ids, distances, costs):
         group = np.random.default_rng(8).uniform(100, 900, size=(9, 2))
-        reference = aggregate_gnn(tree, GroupQuery(group, k=3, aggregate=aggregate))
         result = aggregate_gnn(flat, GroupQuery(group, k=3, aggregate=aggregate))
-        assert [x.as_tuple() for x in result.neighbors] == [
-            x.as_tuple() for x in reference.neighbors
-        ]
+        assert result.record_ids() == ids
+        assert result.distances() == distances
+        assert _costs(result) == costs
 
-    def test_depth_first_is_rejected(self, flat):
-        group = GroupQuery([[1.0, 2.0]], k=1)
-        with pytest.raises(ValueError, match="best-first"):
-            mbm(flat, group, traversal="depth_first")
-        with pytest.raises(ValueError, match="best-first"):
-            spm(flat, group, traversal="depth_first")
-
-    def test_buffer_hit_miss_parity(self, dataset, tree):
+    def test_small_buffer_thrashes_exactly_like_the_object_tree(self, dataset):
         group = np.random.default_rng(12).uniform(200, 800, size=(8, 2))
-        object_buffer = LRUBuffer(8)
-        object_tree = RTree.bulk_load(dataset, capacity=16, buffer=object_buffer)
-        flat_buffer = LRUBuffer(8)
-        flat_tree = FlatRTree.from_tree(object_tree, buffer=flat_buffer)
-        for _ in range(3):  # repeated queries exercise hits
-            mbm(object_tree, GroupQuery(group, k=4))
-            mbm(flat_tree, GroupQuery(group, k=4))
-        assert (object_buffer.hits, object_buffer.misses) == (
-            flat_buffer.hits,
-            flat_buffer.misses,
-        )
+        buffer = LRUBuffer(8)
+        flat = FlatRTree.bulk_load(dataset, capacity=16, buffer=buffer)
+        for _ in range(3):  # repeated queries: 49 pages cycle through 8 frames
+            mbm(flat, GroupQuery(group, k=4))
+        assert (buffer.hits, buffer.misses) == (0, 147)
+
+    @pytest.mark.parametrize("name", sorted(BUFFER_PINS))
+    def test_buffer_hit_miss_sequences(self, dataset, name):
+        base = np.random.default_rng(12).uniform(350, 650, size=(8, 2))
+        buffer = RecordingBuffer(32)
+        flat = FlatRTree.bulk_load(dataset, capacity=16, buffer=buffer)
+        faults = [
+            ALGORITHMS[name](flat, GroupQuery(group, k=4)).cost.page_faults
+            for group in (base, base + 40.0, base, base - 60.0)
+        ]
+        counts, fault_pins, trace = BUFFER_PINS[name]
+        assert (buffer.hits, buffer.misses) == counts
+        assert faults == fault_pins
+        assert buffer.trace == trace
+
+    def test_stream_buffer_hit_miss_sequence(self, dataset):
+        buffer = RecordingBuffer(32)
+        flat = FlatRTree.bulk_load(dataset, capacity=16, buffer=buffer)
+        for query in ([411.0, 290.0], [120.0, 880.0], [411.0, 290.0]):
+            best_first_nearest(flat, query, k=25)
+        assert (buffer.hits, buffer.misses) == (10, 14)
+        assert buffer.trace == "mmmmmmmmmhmmmmmhhhhhhhhh"
 
 
 class TestPersistence:
@@ -210,17 +318,18 @@ class TestPersistence:
         assert counters["bytes_mapped"] >= flat.points.nbytes
         assert counters["pages_mapped"] >= counters["bytes_mapped"] // 4096
 
-    def test_queries_over_mmap_snapshot_match(self, tree, flat, tmp_path):
+    def test_queries_over_mmap_snapshot_match(self, flat, tmp_path):
         path = tmp_path / "index.npz"
         flat.save(path)
         mapped = FlatRTree.load(path, mmap_mode="r")
         group = np.random.default_rng(21).uniform(250, 750, size=(12, 2))
-        reference = mbm(tree, GroupQuery(group, k=6))
+        reference = mbm(flat, GroupQuery(group, k=6))
         result = mbm(mapped, GroupQuery(group, k=6))
         assert [x.as_tuple() for x in result.neighbors] == [
             x.as_tuple() for x in reference.neighbors
         ]
-        assert _costs(result) == _costs(reference)
+        assert result.record_ids() == [603, 279, 538, 887, 461, 142]
+        assert _costs(result) == _costs(reference) == (33, 28, 5699)
 
     def test_compressed_archives_cannot_be_mapped(self, flat, tmp_path):
         path = tmp_path / "compressed.npz"
@@ -312,35 +421,16 @@ class TestEngineIntegration:
     def engine(self, dataset):
         return GNNEngine(dataset, capacity=16)
 
-    def test_execute_routes_through_flat_and_matches_object(self, engine):
+    def test_engine_holds_one_flat_index(self, engine):
+        assert isinstance(engine.flat, FlatRTree)  # built eagerly, no object tree
+        assert not hasattr(engine, "tree")
         rng = np.random.default_rng(31)
         spec = QuerySpec(group=rng.uniform(200, 800, size=(8, 2)), k=4)
-        plan = engine.explain(spec)
-        assert plan.use_flat
-        flat_result = engine.execute(spec)
-        assert engine.flat is not None  # snapshot materialised lazily
-        object_result = engine.execute(spec.replace(index="object"))
-        assert flat_result.record_ids() == object_result.record_ids()
-        assert flat_result.distances() == object_result.distances()
-        assert _costs(flat_result) == _costs(object_result)
-
-    def test_snapshot_disabled_engine_stays_on_object_tree(self, dataset):
-        engine = GNNEngine(dataset, capacity=16, snapshot=False)
-        engine.execute(QuerySpec(group=[[500.0, 500.0]], k=2))
-        assert engine.flat is None
-
-    def test_snapshot_is_not_built_for_workloads_that_never_use_it(self, dataset):
-        engine = GNNEngine(dataset, capacity=16)
-        engine.execute(QuerySpec(group=[[500.0, 500.0]], k=2, index="object"))
-        engine.execute(QuerySpec(group=[[500.0, 500.0]], k=2, algorithm="brute-force"))
-        engine.execute(
-            QuerySpec(
-                group=np.random.default_rng(1).uniform(0, 1000, size=(60, 2)),
-                residency="disk",
-                options={"points_per_page": 10, "block_pages": 2},
-            )
-        )
-        assert engine.flat is None  # lazy provider was never invoked
+        executed = engine.execute(spec)
+        direct = mbm(engine.flat, spec.group_query())
+        assert executed.record_ids() == direct.record_ids()
+        assert executed.distances() == direct.distances()
+        assert _costs(executed) == _costs(direct)
 
     def test_insert_overlays_snapshot_instead_of_invalidating(self, engine):
         spec = QuerySpec(group=[[400.0, 400.0]], k=1)
@@ -359,32 +449,6 @@ class TestEngineIntegration:
         assert compacted.generation == base.generation + 1
         assert len(compacted) == len(engine.points)
         assert engine.execute(spec).record_ids() == [inserted]
-
-    def test_spec_index_flat_without_snapshot_fails_actionably(self, dataset):
-        engine = GNNEngine(dataset, capacity=16, snapshot=False)
-        with pytest.raises(ValueError, match="engine.snapshot"):
-            engine.execute(QuerySpec(group=[[1.0, 1.0]], k=1, index="flat"))
-
-    def test_plan_time_flat_rejections(self, engine):
-        group = [[1.0, 1.0], [2.0, 2.0]]
-        with pytest.raises(ValueError, match="depth-first"):
-            engine.explain(
-                QuerySpec(
-                    group=group,
-                    algorithm="mbm",
-                    index="flat",
-                    options={"traversal": "depth_first"},
-                )
-            )
-        with pytest.raises(ValueError, match="disk-resident"):
-            engine.explain(
-                QuerySpec(
-                    group=group,
-                    residency="disk",
-                    index="flat",
-                    options={"points_per_page": 10, "block_pages": 2},
-                )
-            )
 
     def test_unknown_index_preference_rejected(self):
         with pytest.raises(ValueError, match="index preference"):
@@ -420,15 +484,6 @@ class TestEngineIntegration:
         assert writable.dirty and len(writable) == size + 1
         spec = QuerySpec(group=[[400.0, 400.0]], k=1)
         assert writable.execute(spec).record_ids() == [inserted]
-        # Disk-resident specs still need the object tree.
-        with pytest.raises(ValueError, match="disk-resident"):
-            writable.execute(
-                QuerySpec(
-                    group=np.zeros((60, 2)),
-                    residency="disk",
-                    options={"points_per_page": 10, "block_pages": 2},
-                )
-            )
 
     def test_from_index_rejects_non_snapshots(self, tree):
         with pytest.raises(TypeError, match="FlatRTree"):
@@ -441,69 +496,3 @@ class TestEngineIntegration:
         singles = [engine.execute(spec) for spec in specs]
         assert [r.record_ids() for r in batch] == [r.record_ids() for r in singles]
         assert [r.distances() for r in batch] == [r.distances() for r in singles]
-
-
-class TestDeprecatedShims:
-    """The pre-planner entry points: still working, loudly deprecated."""
-
-    @pytest.fixture()
-    def engine(self, dataset):
-        return GNNEngine(dataset, capacity=16)
-
-    def test_query_emits_exactly_one_deprecation_warning(self, engine):
-        with pytest.warns(DeprecationWarning, match="GNNEngine.execute") as captured:
-            engine.query([[500.0, 500.0]], k=2)
-        assert len(captured) == 1
-
-    def test_query_matches_spec_path_for_every_algorithm(self, engine):
-        rng = np.random.default_rng(71)
-        group = rng.uniform(250, 750, size=(6, 2))
-        for algorithm in ("auto", "mqm", "spm", "mbm", "best-first", "brute-force"):
-            with pytest.warns(DeprecationWarning):
-                legacy = engine.query(group, k=3, algorithm=algorithm)
-            modern = engine.execute(QuerySpec(group=group, k=3, algorithm=algorithm))
-            assert legacy.record_ids() == modern.record_ids(), algorithm
-            assert legacy.distances() == modern.distances(), algorithm
-
-    def test_query_forwards_aggregate_weights_and_options(self, engine):
-        rng = np.random.default_rng(72)
-        group = rng.uniform(250, 750, size=(5, 2))
-        weights = rng.uniform(0.5, 2.0, size=5)
-        with pytest.warns(DeprecationWarning):
-            legacy = engine.query(group, k=2, aggregate="max", weights=weights)
-        modern = engine.execute(
-            QuerySpec(group=group, k=2, aggregate="max", weights=weights)
-        )
-        assert legacy.record_ids() == modern.record_ids()
-        with pytest.warns(DeprecationWarning):
-            legacy_options = engine.query(
-                group, k=2, algorithm="spm", traversal="depth_first"
-            )
-        assert "depth_first" in legacy_options.cost.algorithm
-
-    def test_query_disk_emits_exactly_one_deprecation_warning(self, engine):
-        rng = np.random.default_rng(73)
-        queries = rng.uniform(300, 700, size=(80, 2))
-        with pytest.warns(DeprecationWarning, match="residency='disk'") as captured:
-            engine.query_disk(queries, k=2, points_per_page=10, block_pages=2)
-        assert len(captured) == 1
-
-    def test_query_disk_matches_spec_path(self, engine):
-        rng = np.random.default_rng(74)
-        queries = rng.uniform(300, 700, size=(90, 2))
-        for algorithm in ("auto", "fmqm", "fmbm"):
-            with pytest.warns(DeprecationWarning):
-                legacy = engine.query_disk(
-                    queries, k=2, algorithm=algorithm, points_per_page=10, block_pages=2
-                )
-            modern = engine.execute(
-                QuerySpec(
-                    group=queries,
-                    k=2,
-                    residency="disk",
-                    algorithm=algorithm,
-                    options={"points_per_page": 10, "block_pages": 2},
-                )
-            )
-            assert legacy.record_ids() == modern.record_ids(), algorithm
-            assert legacy.distances() == modern.distances(), algorithm

@@ -1,15 +1,18 @@
-"""Tests for repro.rtree.traversal: DF, BF and incremental NN search."""
+"""Tests for repro.rtree.traversal: best-first and incremental NN search."""
 
 import numpy as np
 import pytest
 
+from repro.geometry import kernels
+from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import (
     best_first_nearest,
-    depth_first_nearest,
+    flat_incremental_nearest_generic,
     incremental_nearest,
-    incremental_nearest_generic,
 )
 from repro.rtree.tree import RTree
+
+EMPTY = FlatRTree.from_tree(RTree())
 
 
 def _true_knn(points, query, k):
@@ -40,39 +43,12 @@ class TestBestFirst:
             best_first_nearest(small_tree, [0.0, 0.0], k=0)
 
     def test_empty_tree_returns_no_neighbors(self):
-        assert best_first_nearest(RTree(), [0.0, 0.0], k=3) == []
+        assert best_first_nearest(EMPTY, [0.0, 0.0], k=3) == []
 
     def test_query_point_coinciding_with_data_point(self, small_points, small_tree):
         query = small_points[42]
         result = best_first_nearest(small_tree, query, k=1)
         assert result[0].distance == pytest.approx(0.0)
-
-
-class TestDepthFirst:
-    def test_depth_first_matches_best_first(self, uniform_points_1k, uniform_tree):
-        query = [321.0, 654.0]
-        df = depth_first_nearest(uniform_tree, query, k=5)
-        bf = best_first_nearest(uniform_tree, query, k=5)
-        assert [r.distance for r in df] == pytest.approx([r.distance for r in bf])
-
-    def test_depth_first_accesses_at_least_as_many_nodes(self, uniform_tree):
-        # [PM97]: BF is I/O-optimal, DF is not; on the same query DF can
-        # never access fewer nodes than BF.
-        query = [250.0, 750.0]
-        uniform_tree.reset_stats()
-        best_first_nearest(uniform_tree, query, k=1)
-        bf_accesses = uniform_tree.stats.node_accesses
-        uniform_tree.reset_stats()
-        depth_first_nearest(uniform_tree, query, k=1)
-        df_accesses = uniform_tree.stats.node_accesses
-        assert df_accesses >= bf_accesses
-
-    def test_empty_tree(self):
-        assert depth_first_nearest(RTree(), [1.0, 1.0], k=2) == []
-
-    def test_invalid_k_rejected(self, small_tree):
-        with pytest.raises(ValueError):
-            depth_first_nearest(small_tree, [0.0, 0.0], k=-1)
 
 
 class TestIncremental:
@@ -100,7 +76,7 @@ class TestIncremental:
         assert uniform_tree.stats.node_accesses > partial_accesses
 
     def test_empty_tree_stream_is_empty(self):
-        assert list(incremental_nearest(RTree(), [0.0, 0.0])) == []
+        assert list(incremental_nearest(EMPTY, [0.0, 0.0])) == []
 
 
 class TestIncrementalGeneric:
@@ -111,10 +87,12 @@ class TestIncrementalGeneric:
         from repro.geometry.mbr import MBR
 
         region = MBR([100.0, 100.0], [200.0, 200.0])
-        stream = incremental_nearest_generic(
+        stream = flat_incremental_nearest_generic(
             small_tree,
-            node_key=lambda mbr: mbr.mindist_mbr(region),
-            point_key=lambda point: region.mindist_point(point),
+            points_key=lambda pts: kernels.points_mindist_box(pts, region.low, region.high),
+            mbrs_key=lambda lows, highs: kernels.boxes_mindist_box(
+                lows, highs, region.low, region.high
+            ),
         )
         results = list(stream)
         distances = [n.distance for n in results]
@@ -123,5 +101,9 @@ class TestIncrementalGeneric:
         assert distances[0] == pytest.approx(expected_best)
 
     def test_constant_keys_enumerate_everything(self, small_tree, small_points):
-        stream = incremental_nearest_generic(small_tree, lambda mbr: 0.0, lambda p: 0.0)
+        stream = flat_incremental_nearest_generic(
+            small_tree,
+            points_key=lambda pts: np.zeros(len(pts)),
+            mbrs_key=lambda lows, highs: np.zeros(len(lows)),
+        )
         assert len(list(stream)) == len(small_points)

@@ -138,10 +138,10 @@ class TestProtocol:
         spec = QuerySpec(
             group=rng.uniform(0, 1000, size=(7, 2)),
             k=4,
-            aggregate="max",
+            aggregate="sum",
             weights=np.arange(1.0, 8.0),
-            options={"traversal": "best_first"},
-            algorithm="best-first",
+            options={"use_heuristic3": False},
+            algorithm="mbm",
             label="tag-17",
         )
         decoded = decode_spec(encode_spec(spec))
@@ -160,21 +160,12 @@ class TestProtocol:
         with pytest.raises(ValueError, match="group_file"):
             check_servable(spec, plan)
 
-    def test_object_index_specs_are_not_servable(self, rng, engine):
-        spec = QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), index="object")
-        with pytest.raises(ValueError, match="index='object'"):
+    def test_disk_resident_specs_are_not_servable(self, rng, engine):
+        spec = QuerySpec(group=rng.uniform(0, 1000, size=(60, 2)), residency="disk")
+        with pytest.raises(ValueError, match="disk-resident specs are not served"):
             check_servable(spec, engine.explain(spec))
 
-    def test_depth_first_routes_are_not_servable(self, rng, engine):
-        spec = QuerySpec(
-            group=rng.uniform(0, 1000, size=(3, 2)),
-            algorithm="spm",
-            options={"traversal": "depth_first"},
-        )
-        with pytest.raises(ValueError, match="flat-snapshot"):
-            check_servable(spec, engine.explain(spec))
-
-    def test_flat_routed_specs_are_servable(self, rng, engine):
+    def test_memory_resident_specs_are_servable(self, rng, engine):
         for spec in (
             QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=2),
             QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), aggregate="min"),

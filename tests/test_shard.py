@@ -569,8 +569,7 @@ class TestFailureSemantics:
     def test_semantic_errors_do_not_degrade(self, small_federation, rng):
         """A spec the shard rejects is a query error even under
         allow_degraded — not a liveness problem.  Disk-resident specs
-        are the driver: shard nodes hold only flat snapshots, never the
-        object R-tree the disk algorithms stream against."""
+        are the driver: shard nodes serve memory-resident groups only."""
         _, manifest, _, addresses = small_federation
         with ShardCoordinator(
             manifest, addresses, timeout_s=30.0, allow_degraded=True
@@ -687,7 +686,7 @@ class TestShardedPlanning:
         with pytest.raises(ValueError, match="coordinator-backed") as excinfo:
             engine.explain(spec)
         message = str(excinfo.value)
-        assert "'auto'" in message and "'flat'" in message and "'object'" in message
+        assert "'auto'" in message
         assert "ShardedEngine" in message
 
     def test_sharded_engine_accepts_sharded_specs(self, federations, rng):
@@ -695,15 +694,19 @@ class TestShardedPlanning:
         plan = engine.explain(
             QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), index="sharded")
         )
-        assert plan.use_flat
+        assert plan.algorithm.name == "mbm"
 
     def test_sharded_engine_rejects_unservable_specs_client_side(
         self, federations, rng
     ):
         _, _, engine = federations[2]
-        with pytest.raises(ValueError, match="index='object'"):
+        with pytest.raises(ValueError, match="disk-resident specs are not served"):
             engine.execute(
-                QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), index="object")
+                QuerySpec(
+                    group=rng.uniform(0, 1000, size=(60, 2)),
+                    residency="disk",
+                    index="sharded",
+                )
             )
 
     def test_submit_after_close_raises(self, shard_points, tmp_path, rng):

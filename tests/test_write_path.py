@@ -4,9 +4,10 @@ overlay execution, compaction, and the serving/sharding write APIs.
 Three historical engine bugs are pinned here as regression tests:
 
 * calling ``tree.delete`` directly (the only delete path that existed)
-  left ``engine.points`` and the cached flat snapshot stale, so
-  snapshot-routed queries kept returning deleted records —
-  ``engine.delete`` now updates every view together;
+  left ``engine.points`` and the cached flat snapshot stale, so queries
+  kept returning deleted records — ``engine.delete`` updates every view
+  together (and the engine no longer holds a second structure to
+  forget);
 * ``engine.insert`` used to assign ``record_id = len(self.points)``,
   which collides with a live record after any deletion — ids now come
   from a monotonic never-reused counter;
@@ -168,23 +169,6 @@ class TestDeltaOverlay:
         assert np.array_equal(points[-2], [8.0, 8.0])
         assert np.array_equal(points[-1], [9.0, 9.0])
 
-    def test_group_nn_stream_merges_and_skips_tombstones(self, base, dataset, rng):
-        overlay = DeltaOverlay(base)
-        for rid in range(0, 40, 2):
-            overlay.delete(dataset[rid], rid)
-        for i in range(10):
-            overlay.insert(rng.uniform(0, 1000, size=2), 400 + i)
-        query = GroupQuery(rng.uniform(200, 800, size=(3, 2)), k=15)
-        points, ids = overlay.live_points()
-        expected = brute_force_gnn(points, query, record_ids=ids)
-        got = []
-        for neighbor in overlay.group_nn_stream(query):
-            got.append((neighbor.record_id, neighbor.distance))
-            if len(got) == 15:
-                break
-        assert [rid for rid, _ in got] == expected.record_ids()
-        assert [d for _, d in got] == expected.distances()
-
     def test_compact_is_structurally_identical_to_rebuild(self, base, dataset):
         overlay = DeltaOverlay(base)
         overlay.delete(dataset[7], 7)
@@ -215,29 +199,23 @@ class TestDeltaOverlay:
 # the three pinned engine bugs
 # ----------------------------------------------------------------------
 class TestEngineMutationBugfixes:
-    def test_direct_tree_delete_left_snapshot_stale(self, dataset, rng):
-        """The pre-fix wrong answer: ``tree.delete`` alone is not a delete.
+    def test_engine_delete_keeps_every_view_consistent(self, dataset, rng):
+        """The stale-delete bug: a delete must reach every view at once.
 
-        With a flat snapshot materialised, bypassing ``engine.delete``
-        demonstrably serves the deleted record from snapshot-routed
-        queries — exactly the bug; ``engine.delete`` keeps every view
-        consistent.
+        The engine used to expose its object tree, and ``tree.delete``
+        alone left the snapshot serving the deleted record.  There is no
+        second structure to forget now: ``engine.delete`` tombstones the
+        record and drops it from the live point store together.
         """
         group = np.vstack([dataset[42] + 0.5, dataset[42] - 0.5])
         spec = QuerySpec(group=group, k=1)
 
-        buggy = GNNEngine(dataset, capacity=16)
-        buggy.execute(spec)  # materialises the snapshot
-        assert buggy.tree.delete(dataset[42], 42)  # the old "delete"
-        stale = buggy.execute(spec)
-        assert stale.record_ids() == [42]  # wrong: still served
-
-        fixed = GNNEngine(dataset, capacity=16)
-        fixed.execute(spec)
-        assert fixed.delete(dataset[42], 42)
-        fresh = fixed.execute(spec)
-        assert fresh.record_ids() != [42]
-        assert 42 not in {int(i) for i in fixed._store.live_points()[1].tolist()}
+        engine = GNNEngine(dataset, capacity=16)
+        assert engine.execute(spec).record_ids() == [42]
+        assert engine.delete(dataset[42], 42)
+        assert engine.execute(spec).record_ids() != [42]
+        assert engine.execute(spec.replace(algorithm="brute-force")).record_ids() != [42]
+        assert 42 not in {int(i) for i in engine._store.live_points()[1].tolist()}
 
     def test_insert_after_delete_never_reuses_a_live_id(self, dataset):
         """The id-collision bug: ``len(self.points)`` is not an id."""
@@ -246,7 +224,7 @@ class TestEngineMutationBugfixes:
         # Old rule: len(points) == 399 — a *live* record's id.
         assigned = engine.insert([111.0, 222.0])
         assert assigned == 400
-        live_ids = {int(i) for i, _ in engine.tree.all_points()}
+        live_ids = {int(i) for i in engine.overlay.live_points()[1]}
         assert assigned in live_ids and 0 not in live_ids
         spec = QuerySpec(group=[[111.0, 222.0]], k=1, algorithm="brute-force")
         assert engine.execute(spec).record_ids() == [assigned]
@@ -268,10 +246,9 @@ class TestOverlayExecution:
         for _ in range(inserts):
             engine.insert(rng.uniform(0, 1000, size=2))
 
-    def test_tree_backed_dirty_engine_matches_rebuild(self, dataset, rng):
+    def test_points_built_dirty_engine_matches_rebuild(self, dataset, rng):
         engine = GNNEngine(dataset, capacity=16)
         group = rng.uniform(200, 800, size=(3, 2))
-        engine.execute(QuerySpec(group=group, k=2))  # build the snapshot
         self._mutate(engine, dataset, rng)
         assert engine.dirty
         reference = _rebuilt_reference(engine)
@@ -295,7 +272,6 @@ class TestOverlayExecution:
     def test_overlay_counters_are_deterministic(self, dataset, rng):
         engine = GNNEngine(dataset, capacity=16)
         group = rng.uniform(200, 800, size=(4, 2))
-        engine.execute(QuerySpec(group=group, k=2))
         self._mutate(engine, dataset, rng, deletes=20, inserts=20)
         spec = QuerySpec(group=group, k=5, algorithm="mbm")
         first = engine.execute(spec).cost
@@ -303,18 +279,6 @@ class TestOverlayExecution:
         assert first.node_accesses == second.node_accesses
         assert first.distance_computations == second.distance_computations
         assert first.algorithm.endswith("+overlay")
-
-    def test_object_index_bypasses_the_overlay(self, dataset, rng):
-        engine = GNNEngine(dataset, capacity=16)
-        group = rng.uniform(200, 800, size=(3, 2))
-        engine.execute(QuerySpec(group=group, k=2))
-        self._mutate(engine, dataset, rng, deletes=10, inserts=10)
-        result = engine.execute(QuerySpec(group=group, k=5, index="object"))
-        # The object tree is mutated in place — already current, no
-        # overlay label, and the same answers as the merged view.
-        assert not result.cost.algorithm.endswith("+overlay")
-        merged = engine.execute(QuerySpec(group=group, k=5))
-        assert result.record_ids() == merged.record_ids()
 
     def test_excluded_records_are_not_charged_distance_computations(self, dataset, rng):
         from repro.core.mbm import mbm
