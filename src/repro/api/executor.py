@@ -94,25 +94,23 @@ SHARED_BUCKET_MAX_MEMBERS = 32
 
 @dataclass
 class ExecutionContext:
-    """Everything a runner may need: the index, the raw dataset, the buffer.
+    """Everything a runner may need: the index, the buffer, pending writes.
 
     ``flat`` is the one index every plan traverses — memory- and
-    disk-resident alike.  ``points`` optionally carries the raw dataset
-    for the brute-force scans; without it they reconstruct the dataset
-    from the snapshot.  ``point_ids`` names the record id of each row
-    of ``points`` when the two no longer coincide (after deletions, or
-    for shard views carrying global ids); ``None`` keeps the classic
-    row-index rule.  ``overlay`` carries the engine's *dirty* delta
+    disk-resident alike.  ``overlay`` carries the engine's *dirty* delta
     overlay — when set, memory-resident plans execute through
     :func:`execute_overlay` (base + delta − tombstones) instead of the
     stale frozen arrays.
     """
 
     flat: FlatRTree
-    points: np.ndarray | None = None
-    point_ids: np.ndarray | None = None
     buffer: LRUBuffer | None = None
     overlay: DeltaOverlay | None = None
+
+    def live_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live dataset as id-ordered ``(points, record_ids)`` — what brute force scans."""
+        source = self.flat if self.overlay is None else self.overlay
+        return source.live_points()
 
 
 @dataclass
@@ -278,14 +276,10 @@ _OVERLAY_DRIVERS: dict[str, Callable[..., GNNResult]] = {
 def _overlay_routed(context: ExecutionContext, plan: QueryPlan) -> bool:
     """Whether this plan must answer from the merged overlay view.
 
-    Every memory-resident plan over a dirty overlay does, except a
-    brute-force scan of a context that carries the live points itself
-    (the engine keeps that view current through its point store).
+    Every memory-resident plan over a dirty overlay does.
     """
     overlay = context.overlay
-    if overlay is None or not overlay.dirty or plan.residency != MEMORY:
-        return False
-    return plan.algorithm.name != "brute-force" or context.points is None
+    return overlay is not None and overlay.dirty and plan.residency == MEMORY
 
 
 def execute_overlay(
@@ -391,7 +385,6 @@ def execute_batch(
         if plan.algorithm.name == "brute-force"
         and specs[i].weights is None
         and specs[i].group is not None
-        and context.points is not None
     ]
     for index, result in _batched_brute_force(context, specs, scan_indices):
         if specs[index].trace:
@@ -561,8 +554,7 @@ def _batched_brute_force(
     """
     if not indices:
         return
-    pts = np.asarray(context.points, dtype=np.float64)
-    ids = context.point_ids
+    pts, ids = context.live_points()
     size, dims = pts.shape
     buckets: dict[tuple[str, int], list[int]] = {}
     for i in indices:
@@ -588,18 +580,15 @@ def _topk_result(
     k: int,
     cardinality: int,
     elapsed: float,
-    record_ids: np.ndarray | None = None,
+    record_ids: np.ndarray,
 ) -> GNNResult:
     """Select the top-k exactly like :func:`repro.core.bruteforce.brute_force_gnn`."""
     k = min(k, pts.shape[0])
     candidate_ids = np.argpartition(distances, k - 1)[:k]
     order = candidate_ids[np.argsort(distances[candidate_ids], kind="stable")]
-    if record_ids is None:
-        neighbors = [GroupNeighbor(int(i), pts[i], float(distances[i])) for i in order]
-    else:
-        neighbors = [
-            GroupNeighbor(int(record_ids[i]), pts[i], float(distances[i])) for i in order
-        ]
+    neighbors = [
+        GroupNeighbor(int(record_ids[i]), pts[i], float(distances[i])) for i in order
+    ]
     cost = QueryCost(
         algorithm="brute-force",
         distance_computations=int(pts.shape[0] * cardinality),

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.fmbm import fmbm
@@ -48,7 +46,7 @@ class AlgorithmInfo:
 
     ``runner`` receives ``(context, request)`` where ``context`` is the
     executor's :class:`~repro.api.executor.ExecutionContext` (flat
-    index, dataset points, buffer) and ``request`` the prepared
+    index, buffer, pending-write overlay) and ``request`` the prepared
     :class:`~repro.api.executor.PreparedQuery` (spec, materialised
     ``GroupQuery`` or ``PointFile``, algorithm options).
     """
@@ -156,24 +154,8 @@ def _run_best_first(context, request):
 
 
 def _run_brute_force(context, request):
-    if context.points is not None:
-        # point_ids maps live rows back to record ids once deletions (or
-        # shard-global ids) break the row-index rule; None keeps it.
-        return brute_force_gnn(
-            context.points, request.query, record_ids=context.point_ids
-        )
-    # Snapshot-only context: reconstruct the dataset from the flat
-    # snapshot (cached there) when record ids are the usual row indices,
-    # else scan its leaf arrays in record-id order (compacted
-    # generations keep their original ids, so ids are no longer dense).
-    flat = context.flat
-    points = flat.points_by_record_id()
-    if points is not None:
-        return brute_force_gnn(points, request.query)
-    order = np.argsort(flat.record_ids, kind="stable")
-    return brute_force_gnn(
-        flat.points[order], request.query, record_ids=flat.record_ids[order]
-    )
+    points, ids = context.live_points()
+    return brute_force_gnn(points, request.query, record_ids=ids)
 
 
 def _run_fmqm(context, request):

@@ -76,8 +76,11 @@ from repro.storage.pointfile import PointFile
 #: disabled vs fully enabled — tracing, metrics, slow-query log, JSON
 #: logging — gating the cost of instrumentation).  Schema 8 dropped
 #: ``object_ms_per_query`` / ``flat_speedup`` from ``memory_fig5_1``:
-#: the object-tree query paths they measured no longer exist.
-SCHEMA_VERSION = 8
+#: the object-tree query paths they measured no longer exist.  Schema 9
+#: dropped ``durability_efficiency``: a ratio of two microsecond costs
+#: that could not fail while inserts took milliseconds and says nothing
+#: now that they do not.
+SCHEMA_VERSION = 9
 
 #: Default output filename (also the CI artifact name).
 DEFAULT_OUTPUT = "BENCH_quick.json"
@@ -155,8 +158,7 @@ WRITE_PATH_INSERTS = 60
 #: (``interval`` fsync — the serving default) against the same inserts
 #: into a volatile overlay, plus the time to recover (snapshot load +
 #: full WAL replay) a directory carrying this many logged writes.
-#: ``durability_efficiency`` is volatile over logged per-write time, so
-#: 0.5 means logging doubles the insert cost.
+#: Reported numbers, not gated ratios.
 WAL_WRITES = 400
 
 #: Regression floor of the --compare gate: a freshly measured speedup
@@ -679,15 +681,12 @@ def _write_path_baseline(repeats: int) -> dict:
 def _durability_baseline(repeats: int) -> dict:
     """WAL append overhead and crash-recovery replay time.
 
-    The volatile write path (PR 7's plain overlay insert) is timed
-    against the *durable increment* — one ``WriteAheadLog.append`` per
-    write at the ``interval`` fsync policy — measured on its own, since
-    the append is orders of magnitude cheaper than the R*-tree delta
-    insert it precedes and would drown in its timing noise if the two
-    were compared insert-vs-insert.  ``durability_efficiency`` is the
-    decomposed throughput retention ``volatile / (volatile + append)``.
-    A populated log is then left behind and a full ``GNNEngine.recover``
-    (snapshot load + replay) is timed.
+    The volatile write path (an engine insert into the overlay's point
+    array, no log attached) and the *durable increment* — one
+    ``WriteAheadLog.append`` per write at the ``interval`` fsync policy
+    — are each timed on their own.  A populated log is then left behind
+    and a full ``GNNEngine.recover`` (snapshot load + replay) is timed.
+    All three are reported as measured; none is a gated ratio.
     """
     import numpy as np
 
@@ -753,7 +752,6 @@ def _durability_baseline(repeats: int) -> dict:
         "wal_append_us_per_write": round(append_us, 3),
         "recovery_ms": round(recovery_ms, 3),
         "recovered_records": WAL_WRITES,
-        "durability_efficiency": round(volatile_us / (volatile_us + append_us), 3),
     }
 
 
@@ -848,11 +846,6 @@ def collect_speedups(document: dict) -> dict[str, float]:
     write_path = document.get("write_path", {})
     if "write_path_efficiency" in write_path:
         speedups["write_path_efficiency"] = float(write_path["write_path_efficiency"])
-    durability = document.get("durability", {})
-    if "durability_efficiency" in durability:
-        speedups["durability_efficiency"] = float(
-            durability["durability_efficiency"]
-        )
     serving = document.get("serving", {})
     if "throughput_speedup_4w_vs_1w" in serving:
         speedups["serving_speedup"] = float(serving["throughput_speedup_4w_vs_1w"])

@@ -2,9 +2,11 @@
 
 :class:`GNNEngine` owns the index for a dataset ``P`` — one flat R-tree
 snapshot (:class:`~repro.rtree.flat.FlatRTree`) plus, between
-compactions, a delta overlay of pending writes — and answers
-declarative :class:`~repro.api.spec.QuerySpec` queries through the
-planner-based API:
+compactions, a delta overlay of pending writes (the only place a
+written point is stored; the engine keeps no copy of the dataset and
+allocates record ids from one counter) — and answers declarative
+:class:`~repro.api.spec.QuerySpec` queries through the planner-based
+API:
 
 * :meth:`GNNEngine.execute` — plan and run one spec;
 * :meth:`GNNEngine.explain` — return the :class:`~repro.api.planner.QueryPlan`
@@ -27,7 +29,6 @@ from repro.api.executor import ExecutionContext, execute_batch, execute_spec
 from repro.api.planner import AUTO_FMQM_MAX_BLOCKS, QueryPlan, QueryPlanner
 from repro.api.registry import available_algorithms
 from repro.api.spec import DISK, QuerySpec
-from repro.core.store import PointStore
 from repro.core.types import GNNResult
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -77,10 +78,9 @@ class GNNEngine:
         buffer_pages: int | None = None,
         bulk_method: str = "str",
     ):
-        self._store = PointStore(data_points)
         self.buffer = LRUBuffer(buffer_pages) if buffer_pages else None
         self._flat = FlatRTree.bulk_load(
-            self._store.live_points()[0],
+            data_points,
             capacity=capacity,
             method=bulk_method,
             buffer=self.buffer,
@@ -91,23 +91,22 @@ class GNNEngine:
         self.planner = QueryPlanner(self)
 
     @classmethod
-    def from_index(cls, index: FlatRTree, points=None) -> "GNNEngine":
+    def from_index(cls, index: FlatRTree) -> "GNNEngine":
         """Build an engine around an existing flat snapshot.
 
         This is the deserialisation path: save a snapshot once, then
         ``GNNEngine.from_index(FlatRTree.load(path, mmap_mode="r"))``
         serves queries without rebuilding anything.  Nothing is copied
         up front — a memory-mapped snapshot stays memory-mapped;
-        brute-force specs reconstruct the raw dataset from the snapshot
-        lazily on first use (or use the ``points`` argument when
-        supplied).  :meth:`insert` / :meth:`delete` work: writes land in
-        a delta overlay on top of the (untouched, possibly read-only)
-        snapshot — the per-shard write path uses exactly this.
+        brute-force specs and :attr:`points` read the dataset out of the
+        snapshot lazily on first use.  :meth:`insert` / :meth:`delete`
+        work: writes land in a delta overlay on top of the (untouched,
+        possibly read-only) snapshot — the per-shard write path uses
+        exactly this.
         """
         if not isinstance(index, FlatRTree):
             raise TypeError(f"from_index expects a FlatRTree, got {type(index).__name__}")
         engine = cls.__new__(cls)
-        engine._store = PointStore(points) if points is not None else None
         engine.buffer = index.buffer
         engine._flat = index
         engine._overlay = None
@@ -189,16 +188,15 @@ class GNNEngine:
     # dataset views
     # ------------------------------------------------------------------
     @property
-    def points(self) -> np.ndarray | None:
-        """The *live* dataset as an ``(N, dims)`` array (or None).
+    def points(self) -> np.ndarray:
+        """The *live* dataset as an ``(N, dims)`` array in record-id order.
 
-        Backed by the engine's append-only :class:`PointStore`: inserts
-        append in amortised O(1) and deletes drop out of this view, so
-        it always matches what queries can return.
+        The snapshot's own points when clean, the overlay's merged view
+        when dirty — on every engine kind — so it always matches what
+        queries can return.
         """
-        if self._store is None:
-            return None
-        return self._store.live_points()[0]
+        source = self._overlay if self.dirty else self._flat
+        return source.live_points()[0]
 
     # ------------------------------------------------------------------
     # flat snapshot and overlay management
@@ -295,13 +293,8 @@ class GNNEngine:
         # that is exact on the live data.
         if self.dirty and any(spec.resolved_residency() == DISK for spec in specs):
             self.compact()
-        points = ids = None
-        if self._store is not None:
-            points, ids = self._store.live_points()
         return ExecutionContext(
             flat=self._flat,
-            points=points,
-            point_ids=ids,
             buffer=self.buffer,
             overlay=self._overlay if self.dirty else None,
         )
@@ -339,65 +332,50 @@ class GNNEngine:
             raise ValueError("point must have finite coordinates")
         return point
 
-    def _allocate_record_id(self) -> int:
-        # Monotonic allocation: ids are never reused, so a record id
-        # deleted yesterday can never collide with one inserted today
-        # (``len(self.points)`` — the old rule — collides after any
-        # deletion).
-        self._init_id_counter()
-        record_id = self._next_id
-        self._next_id += 1
-        return record_id
-
-    def _init_id_counter(self) -> None:
-        if self._next_id is None:
-            bound = 0
-            if self._store is not None:
-                bound = self._store.next_record_id
-            if self._flat.size:
-                base_ids = np.asarray(self._flat.record_ids)
-                bound = max(bound, int(base_ids.max()) + 1)
-            self._next_id = bound
-
     def insert(self, point, record_id: int | None = None) -> int:
         """Insert a new data point into the index; returns its record id.
 
-        Record ids come from a monotonic counter and are never reused.
-        Writes never touch the flat snapshot: the insert lands in the
-        delta overlay and queries answer from the merged (base + delta −
-        tombstones) view, bit-identical to a from-scratch rebuild; a
-        memory-mapped base stays untouched.  Point storage appends into
-        an amortised growth buffer.
+        Record ids come from a monotonic counter and are never reused,
+        so a record deleted yesterday can never collide with one
+        inserted today.  Writes never touch the flat snapshot: the
+        insert is appended to the overlay's delta and queries answer
+        from the merged (base + delta − tombstones) view, bit-identical
+        to a from-scratch rebuild; a memory-mapped base stays untouched.
 
         An explicit ``record_id`` overrides the allocator — the shard
-        write path assigns federation-global ids this way.  The counter
+        write path assigns federation-global ids this way, and WAL
+        replay restores the logged ones.  It must not be live here
+        (``ValueError``, raised before anything is logged); the counter
         advances past it, so later automatic ids never collide; the
         caller owns uniqueness against records this engine cannot see.
         """
         point = self._validated_point(point)
+        overlay = self._ensure_overlay()
+        if self._next_id is None:
+            base_ids = np.asarray(self._flat.record_ids)
+            self._next_id = int(base_ids.max()) + 1 if base_ids.size else 0
         if record_id is None:
-            record_id = self._allocate_record_id()
+            record_id = self._next_id
         else:
             record_id = int(record_id)
-            self._init_id_counter()
-            self._next_id = max(self._next_id, record_id + 1)
+            # Checked before the log sees it: a logged record that the
+            # overlay rejects would fail every later recover().
+            if overlay.is_live(record_id):
+                raise ValueError(f"record id {record_id} is already live")
+        self._next_id = max(self._next_id, record_id + 1)
         if self._wal is not None:
             # Write-ahead: the record must be on disk before any
             # in-memory structure reflects it, or a crash in between
             # loses an applied write.
             self._wal.append("insert", record_id, point)
-        self._ensure_overlay().insert(point, record_id)
-        if self._store is not None:
-            self._store.append(point, record_id)
+        overlay.insert(point, record_id)
         return record_id
 
     def delete(self, point, record_id: int) -> bool:
         """Delete the record with the given point and id; True when removed.
 
-        Every view updates together: the live point store and the
-        overlay — a delete of a base-snapshot record becomes a
-        tombstone; a delete of a not-yet-compacted insert is removed
-        from the delta physically.
+        A delete of a base-snapshot record becomes a tombstone; a delete
+        of a not-yet-compacted insert drops it from the delta.
         """
         point = self._validated_point(point)
         record_id = int(record_id)
@@ -405,11 +383,7 @@ class GNNEngine:
             # Logged before the mutation (write-ahead); a logged delete
             # that turns out to be a miss replays as the same no-op.
             self._wal.append("delete", record_id, point)
-        if not self._ensure_overlay().delete(point, record_id):
-            return False
-        if self._store is not None:
-            self._store.delete(record_id)
-        return True
+        return self._ensure_overlay().delete(point, record_id)
 
     def __len__(self) -> int:
         if self.dirty:

@@ -3,8 +3,8 @@
 The package provides:
 
 * :class:`~repro.rtree.tree.RTree` — an R*-tree over points with insert,
-  delete, range search and STR bulk loading: the *build and mutation*
-  structure,
+  delete, range search and STR bulk loading: the *builder* behind
+  every snapshot (nothing mutates one at run time),
 * :class:`~repro.rtree.flat.FlatRTree` — the array-backed snapshot of a
   tree, the one index every query traverses,
 * best-first (incremental) nearest-neighbor search in
@@ -14,8 +14,9 @@ The package provides:
   Section 4.1 of the paper),
 * node-access accounting in :mod:`repro.rtree.stats`, which the paper's
   experiments report as "NA",
-* a mutable view over a frozen snapshot — delta tree plus tombstones —
-  in :mod:`repro.rtree.overlay` (the engine's LSM-style write path).
+* a mutable view over a frozen snapshot — an append-only point array
+  of inserts plus tombstones — in :mod:`repro.rtree.overlay` (the
+  engine's LSM-style write path).
 """
 
 from repro.rtree.closest_pairs import incremental_closest_pairs

@@ -3,11 +3,10 @@
 :class:`FlatRTree` is a read-optimized, immutable snapshot of an R-tree:
 the whole index lives in a handful of contiguous numpy arrays instead of
 linked Python ``Node``/``Entry`` objects.  :class:`~repro.rtree.tree.RTree`
-builds and mutates; every query algorithm runs over the snapshot taken
-from it.  Nodes are numbered in
-breadth-first order (the root is node 0) so that the children of every
-internal node — and the points of every leaf — occupy one contiguous
-slice:
+builds; every query algorithm runs over the snapshot taken from it.
+Nodes are numbered in breadth-first order (the root is node 0) so that
+the children of every internal node — and the points of every leaf —
+occupy one contiguous slice:
 
 ================  =====================================================
 ``lows/highs``    ``(num_nodes, dims)`` — the MBR of every node, exactly
@@ -73,9 +72,6 @@ _META_FIELDS = ("dims", "size", "capacity", "height", "generation")
 #: archives (no token) are still read, with generation 0.
 FORMAT_VERSION = 2
 
-#: Sentinel distinguishing "not computed yet" from a legitimate None.
-_UNSET = object()
-
 
 class FlatRTree:
     """A read-only, struct-of-arrays snapshot of an R-tree.
@@ -118,7 +114,7 @@ class FlatRTree:
         self.stats = TreeStats()
         self.buffer = buffer
         self.mmap_io = mmap_io
-        self._points_cache = _UNSET
+        self._points_cache = None
 
     # ------------------------------------------------------------------
     # construction
@@ -263,26 +259,23 @@ class FlatRTree:
             np.array(self.highs[0], dtype=np.float64),
         )
 
-    def points_by_record_id(self) -> np.ndarray | None:
-        """The dataset in record-id order, or None when ids are not 0..N-1.
+    def live_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dataset as ``(points, record_ids)`` in record-id order, cached.
 
-        Bulk-loaded trees use row indices as record ids, so the original
-        ``(N, dims)`` dataset can be reconstructed exactly; trees with
-        arbitrary ids cannot.  The reconstruction copies the point
-        matrix once and is cached — snapshot-only engines call this
-        lazily on the first brute-force spec.
+        Bulk-loaded snapshots use row indices as record ids, so this is
+        the original ``(N, dims)`` dataset; compacted and shard snapshots
+        keep whatever ids their records were given.  The one copy is made
+        on first use — it is what brute-force specs scan and what
+        :meth:`repro.rtree.overlay.DeltaOverlay.live_points` merges the
+        pending writes into (same name, same shape).
         """
-        if self._points_cache is _UNSET:
-            self._points_cache = self._reconstruct_points()
+        if self._points_cache is None:
+            order = np.argsort(self.record_ids, kind="stable")
+            self._points_cache = (
+                np.asarray(self.points)[order],
+                np.asarray(self.record_ids)[order],
+            )
         return self._points_cache
-
-    def _reconstruct_points(self) -> np.ndarray | None:
-        if self.size == 0:
-            return np.array(self.points)
-        order = np.argsort(self.record_ids, kind="stable")
-        if not np.array_equal(self.record_ids[order], np.arange(self.size)):
-            return None
-        return np.ascontiguousarray(self.points[order])
 
     # ------------------------------------------------------------------
     # persistence

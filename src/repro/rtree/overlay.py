@@ -4,21 +4,21 @@ The write path follows the LSM pattern the ROADMAP names: the big,
 read-optimised :class:`~repro.rtree.flat.FlatRTree` stays immutable
 (and memory-mappable), while writes land in a small side structure —
 
-* **inserts** go into ``delta``, a dynamic R*-tree holding only the
-  post-snapshot points (write-only storage: it is never traversed);
+* **inserts** go into ``delta``, a :class:`PointStore`: an append-only
+  point array holding only the post-snapshot records (the memtable);
 * **deletes** of snapshot-resident records become **tombstones**, a set
   of record ids the read path must skip (deletes of delta-resident
-  records are removed from the delta physically).
+  records drop the row from the delta's live set).
 
 Queries answer from the *merged* view: the algorithms traverse the base
-snapshot with the tombstone set excluded and scan the delta's points
-(:meth:`DeltaOverlay.delta_points` — no query traverses the delta tree)
-as a second candidate source, producing answers bit-identical to a
-from-scratch rebuild over the live dataset (the distances come from the
-same kernels applied to the same coordinates, and ties resolve by the
-library-wide ``(distance, record_id)`` rule).  :meth:`DeltaOverlay.compact` folds the
-whole overlay into a generation ``N+1`` snapshot — the artifact a
-background compactor publishes to the serving hot-swap.
+snapshot with the tombstone set excluded and scan the delta's live rows
+(:meth:`DeltaOverlay.delta_points`) as a second candidate source,
+producing answers bit-identical to a from-scratch rebuild over the live
+dataset (the distances come from the same kernels applied to the same
+coordinates, and ties resolve by the library-wide ``(distance,
+record_id)`` rule).  :meth:`DeltaOverlay.compact` folds the whole
+overlay into a generation ``N+1`` snapshot — the artifact a background
+compactor publishes to the serving hot-swap.
 """
 
 from __future__ import annotations
@@ -26,7 +26,65 @@ from __future__ import annotations
 import numpy as np
 
 from repro.rtree.flat import FlatRTree
-from repro.rtree.tree import RTree
+
+#: Rows allocated for an empty store; the buffer doubles from here.
+_INITIAL_ROWS = 16
+
+
+class PointStore:
+    """Append-only ``(rows, dims)`` point array keyed by record id.
+
+    The one place written points are stored.  Rows are immutable once
+    appended (amortised O(1), capacity doubling); a delete only drops
+    the id from the live map, so dead rows stay in the buffer but are
+    never handed to a scan.  ``len(store)`` counts live records.
+    """
+
+    def __init__(self, dims: int):
+        self.dims = int(dims)
+        self._data = np.empty((_INITIAL_ROWS, self.dims), dtype=np.float64)
+        self._count = 0
+        self._rows: dict[int, int] = {}  # live record id -> row
+        self._view: tuple[np.ndarray, np.ndarray] | None = None
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __contains__(self, record_id: int) -> bool:
+        return record_id in self._rows
+
+    def append(self, point, record_id: int) -> None:
+        """Append one live record; the caller guarantees the id is not live."""
+        row = self._count
+        if row == self._data.shape[0]:
+            self._data = np.concatenate([self._data, np.empty_like(self._data)])
+        self._data[row] = point
+        self._count = row + 1
+        self._rows[record_id] = row
+        self._view = None
+
+    def delete(self, point, record_id: int) -> bool:
+        """Drop a live record; False when the id is not live or the point differs."""
+        row = self._rows.get(record_id)
+        if row is None or not np.array_equal(self._data[row], point):
+            return False
+        del self._rows[record_id]
+        self._view = None
+        return True
+
+    def live_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live records as ``(points, record_ids)`` copies, id-ordered.
+
+        Cached until the next write; a pair handed out earlier is never
+        touched by later appends.
+        """
+        if self._view is None:
+            count = len(self._rows)
+            ids = np.fromiter(self._rows, dtype=np.int64, count=count)
+            rows = np.fromiter(self._rows.values(), dtype=np.intp, count=count)
+            order = np.argsort(ids, kind="stable")
+            self._view = (self._data[rows[order]], ids[order])
+        return self._view
 
 
 class DeltaOverlay:
@@ -38,17 +96,15 @@ class DeltaOverlay:
     :class:`repro.serve.compaction.CompactingWriter`.
     """
 
-    def __init__(self, base: FlatRTree, capacity: int | None = None):
+    def __init__(self, base: FlatRTree):
         if not isinstance(base, FlatRTree):
             raise TypeError(f"DeltaOverlay expects a FlatRTree base, got {type(base).__name__}")
         self.base = base
-        self.delta = RTree(dims=base.dims, capacity=capacity or base.capacity)
+        self.delta = PointStore(base.dims)
         self.tombstones: set[int] = set()
-        self._delta_ids: set[int] = set()
-        self._delta_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._base_rows: dict[int, int] | None = None
         self._base_identity: bool | None = None
-        self._max_id: int | None = None
+        self._live_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # shape
@@ -81,61 +137,45 @@ class DeltaOverlay:
         """Pending writes relative to the base size (compaction trigger)."""
         return self.write_count / max(1, self.base.size)
 
-    @property
-    def next_record_id(self) -> int:
-        """Smallest id strictly above every id the merged view has seen."""
-        if self._max_id is None:
-            base_ids = np.asarray(self.base.record_ids)
-            self._max_id = int(base_ids.max()) if base_ids.size else -1
-        bound = self._max_id + 1
-        if self._delta_ids:
-            bound = max(bound, max(self._delta_ids) + 1)
-        if self.tombstones:
-            bound = max(bound, max(self.tombstones) + 1)
-        return bound
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    def is_live(self, record_id: int) -> bool:
+        """Whether the merged view currently holds ``record_id``."""
+        return record_id in self.delta or (
+            record_id not in self.tombstones and self.base_row(record_id) is not None
+        )
+
     def insert(self, point, record_id: int) -> None:
-        """Record a post-snapshot insert in the delta tree."""
+        """Record a post-snapshot insert in the delta."""
         record_id = int(record_id)
-        if record_id in self._delta_ids:
-            raise ValueError(f"record id {record_id} is already live in the delta tree")
-        if record_id not in self.tombstones and self.base_row(record_id) is not None:
-            raise ValueError(f"record id {record_id} is already live in the base snapshot")
-        self.delta.insert(np.asarray(point, dtype=np.float64), record_id=record_id)
-        self._delta_ids.add(record_id)
-        self._delta_cache = None
-        if self._max_id is not None:
-            self._max_id = max(self._max_id, record_id)
+        if self.is_live(record_id):
+            raise ValueError(f"record id {record_id} is already live")
+        self.delta.append(np.asarray(point, dtype=np.float64), record_id)
+        self._live_cache = None
 
     def delete(self, point, record_id: int) -> bool:
         """Delete a record from the merged view; returns True when it was live.
 
-        Delta-resident records are removed physically; base-resident
-        records become tombstones (the base arrays stay untouched — they
-        may be a read-only memory map shared with serving workers).
+        Both the id and the coordinates must match.  Delta-resident
+        records leave the delta's live set; base-resident records become
+        tombstones (the base arrays stay untouched — they may be a
+        read-only memory map shared with serving workers).
         """
         record_id = int(record_id)
-        if record_id in self._delta_ids:
-            removed = self.delta.delete(np.asarray(point, dtype=np.float64), record_id)
+        point = np.asarray(point, dtype=np.float64)
+        if record_id in self.delta:
+            removed = self.delta.delete(point, record_id)
+        else:
+            row = None if record_id in self.tombstones else self.base_row(record_id)
+            removed = row is not None and np.array_equal(
+                np.asarray(self.base.points[row], dtype=np.float64), point
+            )
             if removed:
-                self._delta_ids.discard(record_id)
-                self._delta_cache = None
-            return removed
-        if record_id in self.tombstones:
-            return False
-        row = self.base_row(record_id)
-        if row is None:
-            return False
-        if not np.array_equal(
-            np.asarray(self.base.points[row], dtype=np.float64),
-            np.asarray(point, dtype=np.float64),
-        ):
-            return False
-        self.tombstones.add(record_id)
-        return True
+                self.tombstones.add(record_id)
+        if removed:
+            self._live_cache = None
+        return removed
 
     # ------------------------------------------------------------------
     # lookup
@@ -156,24 +196,15 @@ class DeltaOverlay:
         return self._base_rows.get(record_id)
 
     def delta_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """The delta tree's live records as ``(points, record_ids)``, id-ordered.
+        """The delta's live records as ``(points, record_ids)``, id-ordered.
 
         Cached until the next delta write.  This is the read path's
         memtable scan: the delta stays small between compactions, so
-        queries score it with one vectorised kernel call instead of a
-        second tree traversal — the distances are computed by the same
-        kernels either way, so the merged answers do not change.
+        queries score it with one vectorised kernel call — the same
+        kernels the base traversal uses, so merged answers equal a
+        rebuild's.
         """
-        if self._delta_cache is None:
-            items = sorted(self.delta.all_points(), key=lambda item: item[0])
-            if items:
-                ids = np.array([rid for rid, _ in items], dtype=np.int64)
-                points = np.vstack([point for _, point in items])
-            else:
-                ids = np.empty(0, dtype=np.int64)
-                points = np.empty((0, self.dims), dtype=np.float64)
-            self._delta_cache = (points, ids)
-        return self._delta_cache
+        return self.delta.live_points()
 
     def live_points(self) -> tuple[np.ndarray, np.ndarray]:
         """The merged live dataset as ``(points, record_ids)``, id-ordered.
@@ -181,25 +212,23 @@ class DeltaOverlay:
         Record-id order makes the output deterministic and — because ids
         are allocated monotonically — identical to the append order of
         the original ingest, so bulk-loading it reproduces exactly the
-        tree a from-scratch rebuild would build.
+        tree a from-scratch rebuild would build.  Cached until the next
+        write.
         """
-        base_ids = np.asarray(self.base.record_ids)
-        base_points = np.asarray(self.base.points)
-        if self.tombstones:
-            dead = np.fromiter(self.tombstones, dtype=np.int64, count=len(self.tombstones))
-            keep = ~np.isin(base_ids, dead)
-            base_points = base_points[keep]
-            base_ids = base_ids[keep]
-        parts_points = [base_points]
-        parts_ids = [base_ids]
-        if len(self.delta):
-            delta_points, delta_ids = self.delta_points()
-            parts_points.append(delta_points)
-            parts_ids.append(delta_ids)
-        points = np.concatenate(parts_points, axis=0)
-        ids = np.concatenate(parts_ids, axis=0)
-        order = np.argsort(ids, kind="stable")
-        return np.ascontiguousarray(points[order]), ids[order]
+        if self._live_cache is None:
+            points, ids = self.base.live_points()
+            if self.tombstones:
+                dead = np.fromiter(self.tombstones, dtype=np.int64, count=len(self.tombstones))
+                keep = ~np.isin(ids, dead)
+                points, ids = points[keep], ids[keep]
+            if len(self.delta):
+                delta_points, delta_ids = self.delta_points()
+                points = np.concatenate([points, delta_points], axis=0)
+                ids = np.concatenate([ids, delta_ids], axis=0)
+                order = np.argsort(ids, kind="stable")
+                points, ids = points[order], ids[order]
+            self._live_cache = (points, ids)
+        return self._live_cache
 
     # ------------------------------------------------------------------
     # compaction

@@ -1,11 +1,13 @@
 """The R*-tree facade.
 
 :class:`RTree` ties together the bulk loader, the R* insertion policies
-and the splitting strategies.  It is the *build and mutation* structure:
-queries never traverse it — every GNN algorithm in :mod:`repro.core`
-runs over the :class:`~repro.rtree.flat.FlatRTree` snapshot taken from
-it (``FlatRTree.from_tree`` / ``FlatRTree.bulk_load``), which is where
-the "NA" metric of the paper's experiments is charged.
+and the splitting strategies.  It is the *builder*: queries never
+traverse it and the engine's write path never mutates one (writes land
+in :class:`~repro.rtree.overlay.DeltaOverlay`'s point array) — every
+GNN algorithm in :mod:`repro.core` runs over the
+:class:`~repro.rtree.flat.FlatRTree` snapshot taken from it
+(``FlatRTree.from_tree`` / ``FlatRTree.bulk_load``), which is where the
+"NA" metric of the paper's experiments is charged.
 """
 
 from __future__ import annotations

@@ -70,7 +70,7 @@ def mapped_path(flat, tmp_path_factory):
 def context(request, dataset, flat, mapped_path):
     if request.param == "mmap":
         flat = FlatRTree.load(mapped_path, mmap_mode="r")
-    return ExecutionContext(flat=flat, points=dataset)
+    return ExecutionContext(flat=flat)
 
 
 def _shared_groups():
@@ -92,11 +92,11 @@ def _assert_matches_reference(result, reference, label):
 class TestMemoryEquivalenceMatrix:
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
     @pytest.mark.parametrize("k", [1, 5])
-    def test_all_capable_algorithms_agree_with_brute_force(self, context, aggregate, k):
+    def test_all_capable_algorithms_agree_with_brute_force(self, context, dataset, aggregate, k):
         ran = set()
         for group in _shared_groups():
             base = QuerySpec(group=group, k=k, aggregate=aggregate)
-            reference = brute_force_gnn(context.points, base.group_query())
+            reference = brute_force_gnn(dataset, base.group_query())
             for info in available_algorithms(MEMORY):
                 spec = QuerySpec(group=group, k=k, aggregate=aggregate, algorithm=info.name)
                 if not info.supports(spec):
@@ -113,12 +113,12 @@ class TestMemoryEquivalenceMatrix:
             assert {"best-first", "brute-force"} <= ran
 
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
-    def test_weighted_queries_agree_with_brute_force(self, context, aggregate):
+    def test_weighted_queries_agree_with_brute_force(self, context, dataset, aggregate):
         rng = np.random.default_rng(SEED + 2)
         for group in _shared_groups():
             weights = rng.uniform(0.5, 2.0, size=group.shape[0])
             base = QuerySpec(group=group, k=3, aggregate=aggregate, weights=weights)
-            reference = brute_force_gnn(context.points, base.group_query())
+            reference = brute_force_gnn(dataset, base.group_query())
             for info in available_algorithms(MEMORY):
                 spec = QuerySpec(
                     group=group, k=3, aggregate=aggregate, weights=weights, algorithm=info.name
@@ -133,14 +133,12 @@ class TestMemoryEquivalenceMatrix:
 
 class TestDiskEquivalenceMatrix:
     @pytest.mark.parametrize("k", [1, 4])
-    def test_disk_algorithms_agree_with_brute_force(self, context, k):
+    def test_disk_algorithms_agree_with_brute_force(self, context, dataset, k):
         rng = np.random.default_rng(SEED + 3)
         ran = set()
         for n in (25, 60):
             group = rng.uniform(150, 850, size=(n, 2))
-            reference = brute_force_gnn(
-                context.points, QuerySpec(group=group, k=k).group_query()
-            )
+            reference = brute_force_gnn(dataset, QuerySpec(group=group, k=k).group_query())
             for info in available_algorithms(DISK):
                 options = (
                     {"query_tree_capacity": 8} if info.name == "gcp" else dict(DISK_OPTIONS)

@@ -4,9 +4,28 @@ import numpy as np
 import pytest
 
 from repro.api import QuerySpec
+from repro.core.bruteforce import brute_force_gnn
 from repro.core.engine import GNNEngine
 from repro.rtree.flat import FlatRTree
+from repro.storage.generations import GenerationStore
 from repro.storage.pointfile import PointFile
+
+
+@pytest.fixture(params=["points", "mmap", "recover"])
+def any_engine(request, small_points, tmp_path):
+    """The three ways an engine comes to exist, over the same dataset."""
+    if request.param == "points":
+        yield GNNEngine(small_points, capacity=16)
+        return
+    flat = FlatRTree.bulk_load(small_points, capacity=16)
+    if request.param == "mmap":
+        flat.save(tmp_path / "index.npz")
+        yield GNNEngine.from_index(FlatRTree.load(tmp_path / "index.npz", mmap_mode="r"))
+        return
+    GenerationStore(tmp_path).publish(flat)
+    engine = GNNEngine.recover(tmp_path, fsync="off")
+    yield engine
+    engine.wal.close()
 
 
 class TestExecute:
@@ -87,8 +106,27 @@ class TestExecuteMany:
         assert labels[1].startswith("best-first")
         assert labels[3] == "brute-force"
 
-    def test_vectorised_brute_force_batch_is_identical(self, engine, rng):
-        """The shared-tensor scan must reproduce per-query answers exactly."""
+    @pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
+    def test_vectorised_brute_force_batch_is_identical(
+        self, any_engine, dirty, small_points, rng
+    ):
+        """The shared-tensor scan must reproduce per-query answers exactly.
+
+        On every engine kind, clean or dirty: they all read the same
+        live array, which must equal the dict model's.
+        """
+        engine = any_engine
+        live = dict(enumerate(small_points))
+        if dirty:
+            for _ in range(12):
+                point = rng.uniform(0, 1000, size=2)
+                live[engine.insert(point)] = point
+            for rid in (3, 250, 605):  # two base records, one delta record
+                assert engine.delete(live.pop(rid), rid)
+        assert engine.dirty == dirty
+        model_ids = np.array(sorted(live))
+        model = np.array([live[i] for i in model_ids])
+        assert np.array_equal(engine.points, model)
         specs = []
         for _ in range(30):
             group = rng.uniform(0, 1000, size=(5, 2))
@@ -101,6 +139,12 @@ class TestExecuteMany:
             assert outcome.record_ids() == single.record_ids()
             assert outcome.distances() == single.distances()
             assert outcome.cost.distance_computations == single.cost.distance_computations
+            # the batch really took the shared scan, not the per-spec overlay route
+            assert outcome.cost.algorithm == "brute-force"
+            assert single.cost.algorithm == ("brute-force+overlay" if dirty else "brute-force")
+            reference = brute_force_gnn(model, spec.group_query(), record_ids=model_ids)
+            assert single.record_ids() == reference.record_ids()
+            assert single.distances() == reference.distances()
 
     def test_batch_includes_disk_specs(self, engine, rng):
         queries = rng.uniform(300, 700, size=(120, 2))

@@ -215,6 +215,12 @@ class TestBaselineCompare:
             "memory_fig5_1": {"algorithms": {"MBM": {"flat_ms_per_query": 0.7}}},
             "batch_flat": {"batch_speedup": batch},
             "serving": {"throughput_speedup_4w_vs_1w": serving},
+            # reported numbers only: this section contributes no gated ratio
+            "durability": {
+                "volatile_us_per_write": 7.0,
+                "wal_append_us_per_write": 6.0,
+                "recovery_ms": 15.0,
+            },
         }
 
     def test_collect_speedups_flattens_every_ratio(self):

@@ -348,6 +348,31 @@ class TestEngineRecovery:
         assert store.manifest_generation() == 0
         recovered.wal.close()
 
+    def test_rejected_duplicate_insert_is_never_logged(self, tmp_path, dataset, rng):
+        """A write the overlay rejects must not reach the log.
+
+        It used to be appended first, so every later ``recover`` replayed
+        it, hit the same ``ValueError`` and the directory was lost.
+        """
+        _seed_generation(tmp_path, dataset)
+        engine = GNNEngine.recover(tmp_path, fsync="off")
+        live = {i: dataset[i] for i in range(len(dataset))}
+        live[engine.insert([5.0, 5.0])] = np.array([5.0, 5.0])
+        for taken in (7, 60):  # live in the base, live in the delta
+            with pytest.raises(ValueError, match="already live"):
+                engine.insert([1.0, 2.0], record_id=taken)
+        live[engine.insert([6.0, 6.0])] = np.array([6.0, 6.0])
+        assert sorted(live)[-2:] == [60, 61]
+        engine.wal.close()  # "crash"
+
+        recovered = GNNEngine.recover(tmp_path, fsync="off")
+        reference = _reference_engine(live)
+        group = rng.uniform(0, 400, size=(3, 2))
+        for name in ALGORITHMS:
+            spec = QuerySpec(group=group, k=7, algorithm=name)
+            _assert_identical(recovered.execute(spec), reference.execute(spec), name)
+        recovered.wal.close()
+
     def test_stale_wal_is_discarded_not_replayed_twice(self, tmp_path, dataset):
         _seed_generation(tmp_path, dataset)
         wal_path = tmp_path / "wal.log"
@@ -441,6 +466,12 @@ class TestCrashPointSweep:
             ("delete", 42, tuple(dataset[42])),
             ("insert", 65, (760.0, 240.0)),
             ("delete", 999, (1.0, 1.0)),  # a logged miss replays as a no-op
+            ("insert", 63, (505.0, 495.0)),  # a deleted explicit id comes back
+            ("insert", 70, (333.0, 667.0)),  # same coordinates as 64, another id
+            ("insert", 68, tuple(dataset[30])),  # ids out of order; twin of a base record
+            ("delete", 64, (333.0, 667.0)),  # one of two twins, the other stays
+            ("delete", 70, (333.0, 667.5)),  # right id, wrong point: a miss
+            ("delete", 30, tuple(dataset[30])),
         ]
         _run_crash_sweep(tmp_path, dataset, operations)
 

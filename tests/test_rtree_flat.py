@@ -89,9 +89,10 @@ class TestConstruction:
         assert flat.num_nodes == tree.node_count()
 
     def test_every_point_round_trips(self, dataset, flat):
-        recovered = flat.points_by_record_id()
-        assert recovered is not None
+        recovered, ids = flat.live_points()
         assert np.array_equal(recovered, dataset)
+        assert np.array_equal(ids, np.arange(len(dataset)))
+        assert flat.live_points()[0] is recovered  # cached
 
     def test_bulk_load_matches_from_tree(self, dataset, tree, flat):
         direct = FlatRTree.bulk_load(dataset, capacity=16)
@@ -458,7 +459,8 @@ class TestEngineIntegration:
         path = tmp_path / "engine.npz"
         engine.snapshot().save(path)
         readonly = GNNEngine.from_index(FlatRTree.load(path, mmap_mode="r"))
-        assert readonly.points is None  # nothing copied up front
+        # read out of the mapped snapshot on demand, on every engine kind
+        assert np.array_equal(readonly.points, engine.points)
         rng = np.random.default_rng(55)
         spec = QuerySpec(group=rng.uniform(300, 700, size=(5, 2)), k=3)
         assert readonly.execute(spec).record_ids() == engine.execute(spec).record_ids()

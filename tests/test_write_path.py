@@ -12,8 +12,8 @@ Three historical engine bugs are pinned here as regression tests:
   which collides with a live record after any deletion — ids now come
   from a monotonic never-reused counter;
 * ``engine.insert`` used to ``np.vstack`` the whole dataset per call
-  (O(n²) ingest) — :class:`PointStore` appends into an amortised
-  doubling buffer.
+  (O(n²) ingest) — the overlay's :class:`PointStore` appends into an
+  amortised doubling buffer.
 
 The overlay invariant checked throughout: queries over a dirty
 (base + delta − tombstones) view are bit-identical — record ids *and*
@@ -28,10 +28,9 @@ from hypothesis import strategies as st
 from repro.api.spec import QuerySpec
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.engine import GNNEngine
-from repro.core.store import PointStore
 from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
-from repro.rtree.overlay import DeltaOverlay
+from repro.rtree.overlay import DeltaOverlay, PointStore
 
 SEED = 20040301
 
@@ -66,54 +65,57 @@ def _assert_identical(result, reference, label):
 # PointStore
 # ----------------------------------------------------------------------
 class TestPointStore:
-    def test_append_and_live_points_identity_fast_path(self, dataset):
-        store = PointStore(dataset)
+    def test_live_points_are_id_ordered_whatever_the_arrival_order(self):
+        store = PointStore(dims=2)
+        for rid in (9, 3, 7):
+            store.append([float(rid), -float(rid)], rid)
         points, ids = store.live_points()
-        assert ids is None  # row index == record id, nothing materialised
-        assert np.array_equal(points, dataset)
-        assert len(store) == 400
+        assert ids.tolist() == [3, 7, 9]
+        assert points.tolist() == [[3.0, -3.0], [7.0, -7.0], [9.0, -9.0]]
+        assert len(store) == 3 and 7 in store and 4 not in store
 
-    def test_delete_breaks_identity_and_maps_ids(self, dataset):
-        store = PointStore(dataset)
-        assert store.delete(5)
-        assert not store.delete(5)  # double delete is a no-op
+    def test_delete_needs_the_id_and_the_coordinates(self):
+        store = PointStore(dims=2)
+        store.append([1.0, 2.0], 5)
+        assert not store.delete([1.0, 2.5], 5)  # right id, wrong point
+        assert not store.delete([1.0, 2.0], 6)  # unknown id
+        assert store.delete([1.0, 2.0], 5)
+        assert not store.delete([1.0, 2.0], 5)  # double delete is a no-op
+        assert len(store) == 0 and store.live_points()[1].tolist() == []
+
+    def test_dead_rows_are_never_handed_out_and_ids_can_return(self):
+        store = PointStore(dims=2)
+        store.append([1.0, 1.0], 5)
+        store.append([2.0, 2.0], 6)
+        assert store.delete([1.0, 1.0], 5)
+        store.append([3.0, 3.0], 5)  # same id, new coordinates
         points, ids = store.live_points()
-        assert ids is not None
-        assert 5 not in set(ids.tolist())
-        assert points.shape[0] == 399
-        row = list(ids).index(6)
-        assert np.array_equal(points[row], dataset[6])
-
-    def test_next_record_id_is_monotonic_across_deletes(self, dataset):
-        store = PointStore(dataset)
-        assert store.next_record_id == 400
-        store.delete(399)
-        # The old rule (len(points)) would re-issue 399 here.
-        assert store.next_record_id == 400
-        assigned = store.append([1.0, 2.0])
-        assert assigned == 400
-        store.delete(400)
-        assert store.append([3.0, 4.0]) == 401
+        assert ids.tolist() == [5, 6]
+        assert points.tolist() == [[3.0, 3.0], [2.0, 2.0]]
 
     def test_append_is_amortised_not_per_call_copy(self):
         store = PointStore(dims=2)
         buffers = set()
         for i in range(100):
-            store.append([float(i), float(i)])
+            store.append([float(i), float(i)], i)
             buffers.add(id(store._data))
         # A per-append vstack would allocate 100 buffers; doubling from
         # 16 rows needs only a handful of growth steps.
         assert len(buffers) <= 5
         points, ids = store.live_points()
-        assert ids is None and points.shape == (100, 2)
+        assert points.shape == (100, 2) and ids.tolist() == list(range(100))
 
-    def test_explicit_record_ids_round_trip(self):
-        store = PointStore(
-            np.array([[0.0, 0.0], [1.0, 1.0]]), record_ids=np.array([7, 9])
-        )
+    def test_a_view_handed_out_survives_later_appends(self):
+        store = PointStore(dims=2)
+        for i in range(16):  # fill the first buffer exactly
+            store.append([float(i), 0.0], i)
         points, ids = store.live_points()
-        assert ids.tolist() == [7, 9]
-        assert store.next_record_id == 10
+        before = points.copy(), ids.copy()
+        for i in range(16, 40):  # forces a growth step
+            store.append([float(i), 0.0], i)
+        store.delete([3.0, 0.0], 3)
+        assert np.array_equal(points, before[0]) and np.array_equal(ids, before[1])
+        assert len(store.live_points()[1]) == 39
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +135,6 @@ class TestDeltaOverlay:
         assert overlay.write_count == 2
         assert len(overlay) == 400  # 400 − 1 + 1
         assert overlay.dirty_ratio == pytest.approx(2 / 400)
-        assert overlay.next_record_id == 401
 
     def test_duplicate_live_id_rejected(self, base):
         overlay = DeltaOverlay(base)
@@ -147,6 +148,7 @@ class TestDeltaOverlay:
         overlay = DeltaOverlay(base)
         overlay.insert([5.0, 5.0], 400)
         # delta-resident: removed physically, no tombstone
+        assert not overlay.delete([5.0, 5.5], 400)  # right id, wrong point
         assert overlay.delete([5.0, 5.0], 400)
         assert len(overlay.delta) == 0 and not overlay.tombstones
         # base-resident: tombstoned, base untouched
@@ -182,6 +184,23 @@ class TestDeltaOverlay:
         # compaction leaves the overlay itself untouched
         assert overlay.dirty and len(overlay.delta) == 1
 
+    def test_twin_coordinates_with_distinct_ids_delete_one_of_two(self, base, dataset):
+        overlay = DeltaOverlay(base)
+        twin = dataset[20].copy()
+        overlay.insert(twin, 400)  # twin of a base record
+        overlay.insert(twin, 401)  # and a second twin inside the delta
+        query = GroupQuery(np.vstack([twin + 0.25, twin - 0.25]), k=3)
+        points, ids = overlay.live_points()
+        # (exact ties: the order among the three twins is not pinned)
+        assert sorted(brute_force_gnn(points, query, record_ids=ids).record_ids()) == [20, 400, 401]
+        assert overlay.delete(twin, 400)  # removes exactly the named twin
+        assert overlay.delete(twin, 20)
+        assert overlay.delta_points()[1].tolist() == [401] and overlay.tombstones == {20}
+        compacted = overlay.compact()
+        assert compacted.size == 400  # 400 + 2 twins − 2 deletes
+        points, ids = compacted.live_points()
+        assert ids[(points == twin).all(axis=1)].tolist() == [401]
+
     def test_delta_points_cache_invalidation(self, base):
         overlay = DeltaOverlay(base)
         overlay.insert([1.0, 1.0], 400)
@@ -194,6 +213,34 @@ class TestDeltaOverlay:
         points, ids = overlay.delta_points()
         assert ids.tolist() == [401]
 
+    def test_out_of_order_explicit_ids_give_an_id_ordered_delta(self, base):
+        overlay = DeltaOverlay(base)
+        for rid in (450, 410, 430):
+            overlay.insert([float(rid), 1.0], rid)
+        handed_out = overlay.delta_points()
+        assert handed_out[1].tolist() == [410, 430, 450]
+        assert handed_out[0][:, 0].tolist() == [410.0, 430.0, 450.0]
+        # a pair handed out is not touched by later writes
+        overlay.insert([420.0, 1.0], 420)
+        assert handed_out[1].tolist() == [410, 430, 450]
+        assert overlay.delta_points()[1].tolist() == [410, 420, 430, 450]
+        assert overlay.live_points()[1].tolist() == list(range(400)) + [410, 420, 430, 450]
+
+    def test_reinsert_of_a_deleted_explicit_id(self, base, dataset):
+        overlay = DeltaOverlay(base)
+        overlay.insert([1.0, 1.0], 400)
+        assert overlay.delete([1.0, 1.0], 400)
+        overlay.insert([2.0, 2.0], 400)  # delta id returns with a new point
+        assert overlay.delete(dataset[3], 3)
+        overlay.insert([3.0, 3.0], 3)  # tombstoned base id returns in the delta
+        points, ids = overlay.delta_points()
+        assert ids.tolist() == [3, 400]
+        assert points.tolist() == [[3.0, 3.0], [2.0, 2.0]]
+        assert len(overlay) == 401 and overlay.tombstones == {3}
+        live_points, live_ids = overlay.live_points()
+        assert live_ids.tolist() == list(range(401))
+        assert live_points[3].tolist() == [3.0, 3.0]
+
 
 # ----------------------------------------------------------------------
 # the three pinned engine bugs
@@ -205,7 +252,7 @@ class TestEngineMutationBugfixes:
         The engine used to expose its object tree, and ``tree.delete``
         alone left the snapshot serving the deleted record.  There is no
         second structure to forget now: ``engine.delete`` tombstones the
-        record and drops it from the live point store together.
+        record, and ``engine.points`` is read from that same overlay.
         """
         group = np.vstack([dataset[42] + 0.5, dataset[42] - 0.5])
         spec = QuerySpec(group=group, k=1)
@@ -215,7 +262,8 @@ class TestEngineMutationBugfixes:
         assert engine.delete(dataset[42], 42)
         assert engine.execute(spec).record_ids() != [42]
         assert engine.execute(spec.replace(algorithm="brute-force")).record_ids() != [42]
-        assert 42 not in {int(i) for i in engine._store.live_points()[1].tolist()}
+        assert engine.points.shape == (399, 2)
+        assert not (engine.points == dataset[42]).all(axis=1).any()
 
     def test_insert_after_delete_never_reuses_a_live_id(self, dataset):
         """The id-collision bug: ``len(self.points)`` is not an id."""
@@ -350,7 +398,11 @@ class TestMutationScheduleProperty:
     @given(
         initial=st.lists(point_strategy, min_size=5, max_size=40),
         schedule=st.lists(
-            st.tuples(st.sampled_from(["insert", "delete"]), point_strategy, st.integers(0, 10_000)),
+            st.tuples(
+                st.sampled_from(["insert", "delete", "twin"]),
+                point_strategy,
+                st.integers(0, 10_000),
+            ),
             min_size=1,
             max_size=25,
         ),
@@ -362,12 +414,22 @@ class TestMutationScheduleProperty:
         engine = GNNEngine(data, capacity=8)
         engine.execute(QuerySpec(group=[[500.0, 500.0]], k=1))  # build base
         live = {i: data[i] for i in range(len(data))}
-        for action, point, selector in schedule:
+        for step, (action, point, selector) in enumerate(schedule):
             if action == "insert":
                 rid = engine.insert(point)
                 assert rid not in live
                 live[rid] = np.asarray(point, dtype=np.float64)
-            elif live:
+            elif not live:
+                continue
+            elif action == "twin":
+                # A live record's coordinates again, under an explicit id
+                # below every id handed out so far in this run: duplicate
+                # payloads and out-of-order ids in one move.
+                original = sorted(live)[selector % len(live)]
+                rid = 50_000 - step
+                assert engine.insert(live[original], record_id=rid) == rid
+                live[rid] = live[original]
+            else:
                 rid = sorted(live)[selector % len(live)]
                 assert engine.delete(live[rid], rid)
                 del live[rid]
@@ -382,6 +444,7 @@ class TestMutationScheduleProperty:
         # distance multiset is pinned there.)
         ids = np.array(sorted(live), dtype=np.int64)
         points = np.vstack([live[i] for i in ids])
+        assert np.array_equal(engine.points, points)
         group = np.array([[250.0, 250.0], [750.0, 750.0]])
         query = GroupQuery(group, k=k)
         all_distances = query.distances_to(points)
