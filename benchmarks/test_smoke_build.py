@@ -1,0 +1,69 @@
+"""Smoke benchmarks guarding the index build.
+
+Selected with ``-k smoke`` like the kernel and write-path smokes.  The
+bulk load packs straight into the snapshot arrays; these guards fail
+loudly if a per-record (or per-page) Python object creeps back onto the
+path every engine start, compaction and shard publish takes.  Sized
+from ``pp_like(100_000)`` on the development container — array packer
+0.03 s / 2.6x the input's bytes / 0.07 s to partition, object packers
+0.69 s / 25x / 1.13 s — with ~5x headroom or more for a slow runner, so
+each limit still sits below what one object per record costs.
+"""
+
+from __future__ import annotations
+
+import time
+import tracemalloc
+
+import pytest
+
+from repro.datasets.real_like import pp_like
+from repro.rtree.flat import FlatRTree
+from repro.shard.partition import partition_dataset
+
+MAX_BULK_LOAD_S = 0.25
+MAX_PEAK_OVER_INPUT = 10.0
+MAX_PARTITION_S = 0.5
+
+
+@pytest.fixture(scope="module")
+def points():
+    return pp_like(100_000)
+
+
+def test_smoke_bulk_load_time(points):
+    def timed() -> float:
+        started = time.perf_counter()
+        FlatRTree.bulk_load(points)
+        return time.perf_counter() - started
+
+    best = min(timed() for _ in range(3))
+    assert best < MAX_BULK_LOAD_S, (
+        f"bulk-loading 100k points took {best:.3f}s (limit {MAX_BULK_LOAD_S}s)"
+    )
+
+
+def test_smoke_bulk_load_allocations(points):
+    tracemalloc.start()
+    try:
+        flat = FlatRTree.bulk_load(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert flat.size == len(points)
+    ratio = peak / points.nbytes
+    assert ratio < MAX_PEAK_OVER_INPUT, (
+        f"bulk load peaked at {ratio:.1f}x the input's bytes "
+        f"(limit {MAX_PEAK_OVER_INPUT}x) — is something allocated per record?"
+    )
+
+
+def test_smoke_partition_time(points, tmp_path):
+    started = time.perf_counter()
+    manifest = partition_dataset(points, shards=2, directory=tmp_path)
+    elapsed = time.perf_counter() - started
+    assert manifest.size == len(points)
+    assert elapsed < MAX_PARTITION_S, (
+        f"partitioning 100k points into 2 shards took {elapsed:.3f}s "
+        f"(limit {MAX_PARTITION_S}s)"
+    )

@@ -8,6 +8,14 @@ also used for Hilbert-packing bulk loads of the R-tree.
 The implementation follows the classic iterative bit-manipulation
 formulation (Hamilton's compact Hilbert indices restricted to equal
 per-dimension precision), supporting arbitrary dimensionality.
+
+Two forms of the same curve live here.  The scalar functions
+(:func:`hilbert_index_2d`, :func:`hilbert_index`) map one grid cell with
+Python integers.  :func:`hilbert_indices` maps a whole collection: the
+same rotate-and-flip step, run once per curve level over every point at
+a time on int64 columns, so a bulk load, a query-group sort or a
+federation (re)partition pays ``order`` array passes instead of one
+interpreter loop per point.  The two agree key for key.
 """
 
 from __future__ import annotations
@@ -99,15 +107,54 @@ def hilbert_indices(points: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarra
     """Hilbert index of every point of a real-coordinate collection.
 
     The points are first normalised onto the ``2**order`` grid spanned by
-    their own bounding box.
+    their own bounding box.  Keys are int64, so ``order * dims`` — the
+    number of key bits — may not exceed 63.
     """
     pts = as_points(points)
-    grid = _normalise_to_grid(pts, order)
-    if pts.shape[1] == 2:
-        return np.array(
-            [hilbert_index_2d(int(x), int(y), order) for x, y in grid], dtype=np.int64
+    dims = pts.shape[1]
+    if not 0 <= order * dims <= 63:
+        raise ValueError(
+            f"a Hilbert key of order {order} over {dims} dimensions needs "
+            f"{order * dims} bits; int64 keys hold 63"
         )
-    return np.array([_zorder_index(row, order) for row in grid], dtype=np.int64)
+    grid = _normalise_to_grid(pts, order)
+    if dims == 2:
+        return _hilbert_keys_2d(grid[:, 0].copy(), grid[:, 1].copy(), order)
+    return _zorder_keys(grid, order)
+
+
+def _hilbert_keys_2d(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    """:func:`hilbert_index_2d` over int64 columns (consumed as scratch).
+
+    Branch-free form of the scalar loop.  Below bit ``s`` the flip
+    ``s - 1 - x`` is the bit complement, i.e. ``x ^ (s - 1)``, and later
+    levels only test those lower bits, so the keys are the same; the swap
+    is the usual masked XOR exchange.
+    """
+    keys = np.zeros(x.shape[0], dtype=np.int64)
+    for level in range(order - 1, -1, -1):
+        s = 1 << level
+        rx = (x >> level) & 1
+        ry = (y >> level) & 1
+        keys += (s * s) * ((3 * rx) ^ ry)
+        # rotate the quadrant: flip where (rx, ry) == (1, 0), swap where ry == 0
+        flip = (rx & (ry ^ 1)) * (s - 1)
+        x ^= flip
+        y ^= flip
+        swap = (x ^ y) & (ry - 1)
+        x ^= swap
+        y ^= swap
+    return keys
+
+
+def _zorder_keys(grid: np.ndarray, order: int) -> np.ndarray:
+    """:func:`_zorder_index` over the rows of an int64 grid."""
+    dims = grid.shape[1]
+    keys = np.zeros(grid.shape[0], dtype=np.int64)
+    for bit in range(order):
+        for dim in range(dims):
+            keys |= ((grid[:, dim] >> bit) & 1) << (bit * dims + dim)
+    return keys
 
 
 def hilbert_sort(points: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 The package provides:
 
-* :class:`~repro.rtree.tree.RTree` — an R*-tree over points with insert,
-  delete, range search and STR bulk loading: the *builder* behind
-  every snapshot (nothing mutates one at run time),
-* :class:`~repro.rtree.flat.FlatRTree` — the array-backed snapshot of a
-  tree, the one index every query traverses,
+* :class:`~repro.rtree.flat.FlatRTree` — the array-backed R-tree
+  snapshot, the one index every query traverses; ``bulk_load`` packs a
+  static point set straight into its arrays,
+* :mod:`repro.rtree.bulkload` — the STR and Hilbert leaf orders behind
+  that packing (array sorts, no object per point),
+* :class:`~repro.rtree.tree.RTree` — the dynamic R*-tree over points
+  (insert, delete, split, range search), off the build path: kept for
+  the mutation tests and snapshotted with ``FlatRTree.from_tree``,
 * best-first (incremental) nearest-neighbor search in
   :mod:`repro.rtree.traversal`,
 * an incremental closest-pair join over two snapshots in

@@ -1,17 +1,23 @@
-"""Bulk loading.
+"""Bulk loading: the packed leaf order of a static point set.
 
 The experiments of the paper operate on static datasets (PP and TS), so
-the natural way to build the R*-tree is a packed bulk load.  Two packing
-strategies are provided:
+the natural way to build the R*-tree is a packed bulk load.  Packing is
+done on arrays: :func:`pack` returns the *leaf order* — the permutation
+that lists the points leaf by leaf — and the row at which every leaf
+starts.  Nothing else is decided here; the levels above the leaves group
+``capacity`` consecutive nodes per parent, which
+:meth:`FlatRTree.bulk_load <repro.rtree.flat.FlatRTree.bulk_load>`
+assembles straight into the snapshot arrays (no ``Node`` or entry object
+per point or page).  ``RTree.bulk_load`` thaws that snapshot into nodes,
+so both index flavours come from this one packing implementation.
 
-* :func:`str_pack` — Sort-Tile-Recursive [LEL97-style], the default; it
+Two packing strategies are provided:
+
+* ``"str"`` — Sort-Tile-Recursive [LEL97-style], the default; it
   produces well-shaped, low-overlap leaves for point data.
-* :func:`hilbert_pack` — packing by Hilbert order, useful as an
-  alternative and for testing that tree quality (not a specific packing)
-  drives the algorithms' behaviour.
-
-Both return the root :class:`~repro.rtree.node.Node` of a height-balanced
-tree whose nodes contain at most ``capacity`` entries.
+* ``"hilbert"`` — packing by Hilbert order, useful as an alternative and
+  for testing that tree quality (not a specific packing) drives the
+  algorithms' behaviour.
 """
 
 from __future__ import annotations
@@ -21,48 +27,56 @@ import math
 import numpy as np
 
 from repro.geometry.hilbert import hilbert_sort
-from repro.geometry.point import as_points
-from repro.rtree.entry import ChildEntry, LeafEntry
-from repro.rtree.node import Node
 
 
-def _resolve_record_ids(count: int, record_ids) -> np.ndarray:
+def resolve_record_ids(count: int, record_ids) -> np.ndarray:
     """Validate caller-supplied record ids (default: the row indices).
 
     Horizontal sharding is the motivating caller: a shard packs the rows
     ``points[global_rows]`` but must keep the *global* row numbers as
     record ids, so federated answers merge against the same identifier
-    space as a single index over the whole dataset.
+    space as a single index over the whole dataset.  The id is the key
+    of delete, tombstones and the federated merge, so supplied ids must
+    be whole numbers and distinct.
     """
     if record_ids is None:
         return np.arange(count, dtype=np.int64)
-    ids = np.asarray(record_ids, dtype=np.int64)
+    given = np.asarray(record_ids)
+    with np.errstate(invalid="ignore"):  # NaN ids are reported below, not warned about
+        ids = given.astype(np.int64)
     if ids.ndim != 1 or ids.shape[0] != count:
         raise ValueError(
             f"record_ids must be a flat vector with one id per point "
             f"({count}), got shape {ids.shape}"
         )
+    fractional = given != ids
+    if fractional.any():
+        raise ValueError(
+            f"record ids must be integers, got {given[np.argmax(fractional)]}"
+        )
+    ranked = np.sort(ids)
+    repeated = ranked[1:] == ranked[:-1]
+    if repeated.any():
+        raise ValueError(
+            f"record ids must be unique, got {int(ranked[1:][np.argmax(repeated)])} twice"
+        )
     return ids
 
 
-def _pack_upwards(nodes: list[Node], capacity: int) -> Node:
-    """Group ``nodes`` into parents level by level until one root remains."""
-    level = nodes[0].level
-    while len(nodes) > 1:
-        level += 1
-        parents: list[Node] = []
-        for start in range(0, len(nodes), capacity):
-            children = nodes[start : start + capacity]
-            parent = Node(level)
-            for child in children:
-                parent.add(ChildEntry(child.compute_mbr(), child))
-            parents.append(parent)
-        nodes = parents
-    return nodes[0]
+def _leaf_starts(run_starts: np.ndarray, run_sizes: np.ndarray, capacity: int) -> np.ndarray:
+    """Start rows of the leaves cut from consecutive runs of points.
+
+    Every run is chopped into leaves of ``capacity`` points; its last
+    leaf takes the remainder.
+    """
+    leaves_per_run = -(-run_sizes // capacity)
+    first_leaf = np.cumsum(leaves_per_run) - leaves_per_run
+    within_run = np.arange(int(leaves_per_run.sum())) - np.repeat(first_leaf, leaves_per_run)
+    return np.repeat(run_starts, leaves_per_run) + within_run * capacity
 
 
-def str_pack(points: np.ndarray, capacity: int, record_ids=None) -> Node:
-    """Bulk load points with the Sort-Tile-Recursive strategy.
+def _str_order(points: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort-Tile-Recursive leaf order.
 
     Points are sorted by the first coordinate, cut into vertical slabs of
     roughly ``sqrt(leaf_count)`` leaves each, and each slab is sorted by
@@ -71,59 +85,49 @@ def str_pack(points: np.ndarray, capacity: int, record_ids=None) -> Node:
     sufficient for the (2-D) evaluation of the paper while remaining
     correct for any dimensionality.
     """
-    pts = as_points(points)
-    count = pts.shape[0]
-    ids = _resolve_record_ids(count, record_ids)
+    count = points.shape[0]
     leaf_count = math.ceil(count / capacity)
     slab_count = max(1, math.ceil(math.sqrt(leaf_count)))
     per_slab = math.ceil(count / slab_count)
 
-    order_x = np.argsort(pts[:, 0], kind="stable")
-    leaves: list[Node] = []
-    for slab_start in range(0, count, per_slab):
-        slab_ids = order_x[slab_start : slab_start + per_slab]
-        sort_axis = 1 if pts.shape[1] > 1 else 0
-        slab_ids = slab_ids[np.argsort(pts[slab_ids, sort_axis], kind="stable")]
-        for leaf_start in range(0, slab_ids.size, capacity):
-            chunk = slab_ids[leaf_start : leaf_start + capacity]
-            leaf = Node(0)
-            for row in chunk:
-                leaf.add(LeafEntry(pts[row], int(ids[row])))
-            leaves.append(leaf)
-    return _pack_upwards(leaves, capacity)
+    by_x = np.argsort(points[:, 0], kind="stable")
+    sort_axis = 1 if points.shape[1] > 1 else 0
+    # lexsort is stable: ties on the slab's sort axis keep their x order.
+    slab = np.arange(count) // per_slab
+    order = by_x[np.lexsort((points[by_x, sort_axis], slab))]
+
+    slab_starts = np.arange(0, count, per_slab)
+    slab_sizes = np.minimum(per_slab, count - slab_starts)
+    return order, _leaf_starts(slab_starts, slab_sizes, capacity)
 
 
-def pack(points: np.ndarray, capacity: int, method: str = "str", record_ids=None) -> Node:
-    """Bulk load with a named packing strategy (``"str"`` or ``"hilbert"``).
+def _hilbert_order(points: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf order along the Hilbert curve: one run, chopped into leaves."""
+    return hilbert_sort(points), np.arange(0, points.shape[0], capacity)
 
-    The single entry point shared by ``RTree.bulk_load`` and
-    ``FlatRTree.bulk_load``, so both index flavours accept exactly the
-    same methods and fail with the same message on a typo.
-    ``record_ids`` optionally replaces the default row-index ids (one id
-    per point) — the sharding partitioner passes global row numbers.
+
+def pack(points: np.ndarray, capacity: int, method: str = "str") -> tuple[np.ndarray, np.ndarray]:
+    """Leaf order of ``points`` under a named packing strategy.
+
+    Returns ``(order, leaf_starts)``: ``points[order]`` lists the points
+    leaf by leaf, and leaf ``j`` holds the rows from ``leaf_starts[j]``
+    up to the next start (the last leaf runs to the end).  ``points`` is
+    a validated ``(count, dims)`` array; zero points pack into one empty
+    leaf.  The single entry point behind ``FlatRTree.bulk_load`` and ``RTree.bulk_load``, so both
+    accept exactly the same methods and capacities and fail with the
+    same message on a typo.
     """
+    if capacity < 4:
+        raise ValueError("node capacity must be at least 4")
     if method not in PACKERS:
         raise ValueError(f"unknown bulk-load method {method!r}")
-    return PACKERS[method](points, capacity, record_ids=record_ids)
-
-
-def hilbert_pack(points: np.ndarray, capacity: int, record_ids=None) -> Node:
-    """Bulk load points in Hilbert-curve order."""
-    pts = as_points(points)
-    ids = _resolve_record_ids(pts.shape[0], record_ids)
-    order = hilbert_sort(pts)
-    leaves: list[Node] = []
-    for start in range(0, order.size, capacity):
-        chunk = order[start : start + capacity]
-        leaf = Node(0)
-        for row in chunk:
-            leaf.add(LeafEntry(pts[row], int(ids[row])))
-        leaves.append(leaf)
-    return _pack_upwards(leaves, capacity)
+    if points.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    return PACKERS[method](points, capacity)
 
 
 #: Registered packing strategies by name (consulted by :func:`pack`).
 PACKERS = {
-    "str": str_pack,
-    "hilbert": hilbert_pack,
+    "str": _str_order,
+    "hilbert": _hilbert_order,
 }

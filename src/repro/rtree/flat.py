@@ -2,23 +2,30 @@
 
 :class:`FlatRTree` is a read-optimized, immutable snapshot of an R-tree:
 the whole index lives in a handful of contiguous numpy arrays instead of
-linked Python ``Node``/``Entry`` objects.  :class:`~repro.rtree.tree.RTree`
-builds; every query algorithm runs over the snapshot taken from it.
+linked Python ``Node``/``Entry`` objects, and every query algorithm runs
+over it.  A static point set is packed straight into the arrays
+(:meth:`FlatRTree.bulk_load`: the leaf order comes from
+:mod:`repro.rtree.bulkload`, the levels above it are assembled with
+``reduceat`` — no object per point or page); a dynamic
+:class:`~repro.rtree.tree.RTree` is copied in by :meth:`FlatRTree.from_tree`.
 Nodes are numbered in breadth-first order (the root is node 0) so that
 the children of every internal node — and the points of every leaf —
 occupy one contiguous slice:
 
 ================  =====================================================
-``lows/highs``    ``(num_nodes, dims)`` — the MBR of every node, exactly
-                  the bounds the parent entry stored in the source tree
-                  (the root row is the tree's computed MBR).
+``lows/highs``    ``(num_nodes, dims)`` — the MBR of every node: the
+                  tight bounds of its slice for a packed snapshot,
+                  exactly what the parent entry stored for a snapshot
+                  of a dynamic tree (whose root row is computed).
 ``child_start``   CSR-style offsets: for an internal node the id of its
 ``child_count``   first child; for a leaf the row of its first point in
                   ``points``.
 ``levels``        per-node level (0 for leaves), so all traversal state
                   is plain integers.
-``node_ids``      the source tree's page ids: the keys an attached LRU
-                  buffer sees, unique across every tree of the process.
+``node_ids``      page ids: the keys an attached LRU buffer sees, drawn
+                  from one process-wide counter (a packed snapshot
+                  reserves a block, ``from_tree`` keeps the tree's), so
+                  they are unique across every index of the process.
 ``points``        ``(size, dims)`` leaf-point matrix in leaf order, with
 ``record_ids``    the matching record identifiers.
 ================  =====================================================
@@ -49,6 +56,9 @@ import zipfile
 import numpy as np
 from numpy.lib import format as npy_format
 
+from repro.geometry.point import as_points
+from repro.rtree.bulkload import pack, resolve_record_ids
+from repro.rtree.node import reserve_node_ids
 from repro.rtree.stats import TreeStats
 from repro.storage.counters import MappedPageCounters
 
@@ -201,19 +211,64 @@ class FlatRTree:
     ) -> "FlatRTree":
         """Pack a static point set straight into a flat snapshot.
 
-        Runs the same STR/Hilbert packer as ``RTree.bulk_load`` and
-        flattens the result, so the snapshot is structurally identical
-        to ``FlatRTree.from_tree(RTree.bulk_load(...))``.  ``record_ids``
+        :func:`repro.rtree.bulkload.pack` decides the leaf order; the
+        arrays are then assembled level by level — ``capacity``
+        consecutive nodes per parent, MBRs by ``reduceat`` over the level
+        below — in the breadth-first numbering :meth:`from_tree` produces,
+        without creating a node or entry object.  ``record_ids``
         optionally replaces the default row-index ids — shard snapshots
         carry global row numbers so federated answers merge in the same
-        identifier space as a single whole-dataset index.
+        identifier space as a single whole-dataset index.  A ``(0, dims)``
+        array gives the empty single-leaf snapshot (what an engine whose
+        every record was deleted compacts to).
         """
-        from repro.rtree.tree import RTree
+        pts = np.asarray(points, dtype=np.float64)
+        no_points = pts.ndim == 2 and pts.shape[0] == 0 and pts.shape[1] > 0
+        if not no_points:
+            pts = as_points(pts)
+        count, dims = pts.shape
+        order, leaf_starts = pack(pts, capacity, method)
+        ids = resolve_record_ids(count, record_ids)
 
-        tree = RTree.bulk_load(
-            points, capacity=capacity, method=method, buffer=buffer, record_ids=record_ids
-        )
-        return cls.from_tree(tree, buffer=buffer)
+        # Bottom-up: per level the node MBRs and, per node, the offset and
+        # length of its slice in the level below (for leaves: in ``points``).
+        leaf_points = pts[order]
+        if count:
+            lows = [np.minimum.reduceat(leaf_points, leaf_starts, axis=0)]
+            highs = [np.maximum.reduceat(leaf_points, leaf_starts, axis=0)]
+        else:
+            lows = [np.zeros((1, dims))]
+            highs = [np.zeros((1, dims))]
+        starts = [leaf_starts]
+        counts = [np.diff(leaf_starts, append=count)]
+        while starts[-1].shape[0] > 1:
+            width = starts[-1].shape[0]
+            groups = np.arange(0, width, capacity)
+            lows.append(np.minimum.reduceat(lows[-1], groups, axis=0))
+            highs.append(np.maximum.reduceat(highs[-1], groups, axis=0))
+            starts.append(groups)
+            counts.append(np.minimum(capacity, width - groups))
+
+        # Top-down: breadth-first numbering puts each level right after its
+        # parents', which turns the in-level offsets into node indices.
+        height = len(starts)
+        widths = [level_starts.shape[0] for level_starts in starts]
+        first_node = 0
+        for level in range(height - 1, 0, -1):
+            first_node += widths[level]
+            starts[level] += first_node
+        arrays = {
+            "lows": np.concatenate(lows[::-1]),
+            "highs": np.concatenate(highs[::-1]),
+            "child_start": np.concatenate(starts[::-1], dtype=np.int64),
+            "child_count": np.concatenate(counts[::-1], dtype=np.int64),
+            "levels": np.repeat(np.arange(height - 1, -1, -1, dtype=np.int16), widths[::-1]),
+            "node_ids": reserve_node_ids(sum(widths)),
+            "points": leaf_points,
+            "record_ids": ids[order],
+        }
+        meta = {"dims": dims, "size": count, "capacity": capacity, "height": height}
+        return cls(arrays, meta, buffer=buffer)
 
     # ------------------------------------------------------------------
     # access accounting

@@ -10,10 +10,24 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from repro.geometry.mbr import MBR
 from repro.rtree.entry import ChildEntry, LeafEntry, entries_mbr
 
 _node_id_counter = itertools.count()
+
+
+def reserve_node_ids(count: int) -> np.ndarray:
+    """Draw ``count`` page ids from the counter every :class:`Node` draws from.
+
+    The array packer numbers a whole snapshot this way, so its pages
+    never collide with another snapshot's or a dynamic tree's in a
+    shared LRU buffer.
+    """
+    return np.fromiter(
+        itertools.islice(_node_id_counter, count), dtype=np.int64, count=count
+    )
 
 
 class Node:

@@ -1,13 +1,18 @@
-"""The R*-tree facade.
+"""The dynamic R*-tree.
 
-:class:`RTree` ties together the bulk loader, the R* insertion policies
-and the splitting strategies.  It is the *builder*: queries never
-traverse it and the engine's write path never mutates one (writes land
-in :class:`~repro.rtree.overlay.DeltaOverlay`'s point array) — every
-GNN algorithm in :mod:`repro.core` runs over the
-:class:`~repro.rtree.flat.FlatRTree` snapshot taken from it
-(``FlatRTree.from_tree`` / ``FlatRTree.bulk_load``), which is where the
-"NA" metric of the paper's experiments is charged.
+:class:`RTree` ties together the R* insertion policies and the splitting
+strategies over linked :class:`~repro.rtree.node.Node` objects: insert
+with forced reinsertion, delete with condensation, range search,
+validation.  It is not on the engine's build path — a static dataset is
+packed straight into a :class:`~repro.rtree.flat.FlatRTree`
+(``FlatRTree.bulk_load``), and the engine's write path never mutates a
+tree (writes land in :class:`~repro.rtree.overlay.DeltaOverlay`'s point
+array).  It is kept for what only an object tree can show — the
+insert/delete/split behaviour the tests exercise — and is queried by
+snapshotting it (``FlatRTree.from_tree``): every GNN algorithm in
+:mod:`repro.core` runs over the flat arrays, which is where the "NA"
+metric of the paper's experiments is charged.  :meth:`RTree.bulk_load`
+thaws a packed snapshot into nodes, so packing exists once.
 """
 
 from __future__ import annotations
@@ -17,10 +22,10 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.geometry.mbr import MBR
-from repro.geometry.point import as_point, as_points
+from repro.geometry.point import as_point
 from repro.rtree import rstar
-from repro.rtree.bulkload import pack
 from repro.rtree.entry import ChildEntry, LeafEntry
+from repro.rtree.flat import FlatRTree
 from repro.rtree.node import Node
 from repro.rtree.split import quadratic_split, rstar_split
 from repro.rtree.stats import TreeStats
@@ -102,11 +107,33 @@ class RTree:
         ``"hilbert"``).  Record ids default to the row indices of
         ``points``; ``record_ids`` overrides them (the sharding
         partitioner keeps each shard's *global* row numbers this way).
+
+        The packing itself is :meth:`FlatRTree.bulk_load`'s; this thaws
+        its arrays into nodes — one ``LeafEntry`` per point, one
+        ``ChildEntry`` per page — for callers that go on to mutate or
+        inspect the object tree.
         """
-        pts = as_points(points)
-        tree = cls(dims=pts.shape[1], capacity=capacity, buffer=buffer, split=split)
-        tree.root = pack(pts, capacity, method=method, record_ids=record_ids)
-        tree.size = pts.shape[0]
+        flat = FlatRTree.bulk_load(points, capacity=capacity, method=method, record_ids=record_ids)
+        tree = cls(dims=flat.dims, capacity=capacity, buffer=buffer, split=split)
+        # Children follow their parents in the snapshot's breadth-first
+        # numbering, so walking it backwards meets every child first.
+        nodes: list[Node] = [None] * flat.num_nodes
+        for index in range(flat.num_nodes - 1, -1, -1):
+            start = int(flat.child_start[index])
+            stop = start + int(flat.child_count[index])
+            if flat.levels[index] == 0:
+                entries = [
+                    LeafEntry(point, record_id)
+                    for point, record_id in zip(flat.points[start:stop], flat.record_ids[start:stop])
+                ]
+            else:
+                entries = [
+                    ChildEntry(MBR(flat.lows[child], flat.highs[child]), nodes[child])
+                    for child in range(start, stop)
+                ]
+            nodes[index] = Node(int(flat.levels[index]), entries)
+        tree.root = nodes[0]
+        tree.size = flat.size
         tree._strict_fill = False
         return tree
 

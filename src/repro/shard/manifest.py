@@ -144,10 +144,16 @@ class ShardManifest:
         (Heuristic 2, one level up).
         """
         lows, highs = self.root_bounds()
-        return kernels.boxes_group_mindist(
+        bounds = kernels.boxes_group_mindist(
             lows, highs, np.asarray(group, dtype=np.float64),
             weights=weights, aggregate=aggregate,
         )
+        # A shard compacted down to nothing has a placeholder root row and
+        # no record to bound: it is never worth contacting.
+        for shard in self.shards:
+            if shard.count == 0:
+                bounds[shard.shard_id] = np.inf
+        return bounds
 
     def sample_points(self, shard_id: int | None = None) -> np.ndarray:
         """Sample records stacked as one ``(S, dims)`` array.

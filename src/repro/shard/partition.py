@@ -52,6 +52,28 @@ def sample_rows(rows: np.ndarray, size: int = SAMPLE_SIZE) -> np.ndarray:
     return rows[np.unique(picks)]
 
 
+def describe_shard(
+    shard_id: int, name: str, tree: FlatRTree, points: np.ndarray, keys: np.ndarray, run: np.ndarray
+) -> ShardInfo:
+    """One manifest row for a non-empty shard saved as ``name``.
+
+    ``run`` lists the shard's rows of ``points``/``keys`` in Hilbert-rank
+    order, so its ends carry the shard's key range and an even pick along
+    it samples the shard's spatial spread.
+    """
+    low, high = tree.root_mbr()
+    return ShardInfo(
+        shard_id=shard_id,
+        path=name,
+        count=int(run.shape[0]),
+        root_low=tuple(low.tolist()),
+        root_high=tuple(high.tolist()),
+        hilbert_low=int(keys[run[0]]),
+        hilbert_high=int(keys[run[-1]]),
+        sample=tuple(map(tuple, points[sample_rows(run)].tolist())),
+    )
+
+
 def partition_points(points: np.ndarray, shards: int, order: int = DEFAULT_ORDER):
     """Split ``points`` into ``shards`` contiguous Hilbert-rank runs.
 
@@ -109,22 +131,7 @@ def partition_dataset(
         )
         name = shard_snapshot_name(shard_id, generation)
         tree.save(base / name, generation=generation)
-        low, high = tree.root_mbr()
-        shard_keys = keys[rows]
-        infos.append(
-            ShardInfo(
-                shard_id=shard_id,
-                path=name,
-                count=int(rows.shape[0]),
-                root_low=tuple(float(v) for v in low),
-                root_high=tuple(float(v) for v in high),
-                hilbert_low=int(shard_keys.min()),
-                hilbert_high=int(shard_keys.max()),
-                sample=tuple(
-                    tuple(float(v) for v in pts[row]) for row in sample_rows(rows)
-                ),
-            )
-        )
+        infos.append(describe_shard(shard_id, name, tree, pts, keys, rows))
 
     manifest = ShardManifest(
         dims=int(pts.shape[1]),

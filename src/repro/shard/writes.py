@@ -23,6 +23,7 @@ the new files up through :meth:`ShardNode.swap_snapshot`.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.core.engine import GNNEngine
 from repro.geometry.hilbert import DEFAULT_ORDER, hilbert_indices
 from repro.rtree.flat import FlatRTree
 from repro.shard.manifest import ShardInfo, ShardManifest
-from repro.shard.partition import sample_rows, shard_snapshot_name
+from repro.shard.partition import describe_shard, shard_snapshot_name
 
 
 class ShardWriter:
@@ -181,11 +182,6 @@ class ShardWriter:
             engine = self.engine(shard_id)
             if not engine.dirty:
                 continue
-            if len(engine) == 0:
-                raise ValueError(
-                    f"compacting shard {shard_id} would leave it empty; "
-                    "re-partition the dataset instead"
-                )
             flat = engine.compact(capacity=self.manifest.capacity)
             flat.generation = generation
             name = shard_snapshot_name(shard_id, generation)
@@ -204,23 +200,22 @@ class ShardWriter:
 
     def _describe(self, shard_id: int, name: str, flat: FlatRTree) -> ShardInfo:
         """Rebuild one manifest row from a compacted shard snapshot."""
+        if flat.size == 0:
+            # Nothing to sample or bound; the shard keeps the stretch of
+            # the curve it owned, so later inserts there still route to it.
+            low, high = flat.root_mbr()
+            return replace(
+                self.manifest.shards[shard_id],
+                path=name,
+                count=0,
+                root_low=tuple(low.tolist()),
+                root_high=tuple(high.tolist()),
+                sample=(),
+            )
         points = np.asarray(flat.points, dtype=np.float64)
         keys = hilbert_indices(points, self._order)
         ranked = np.argsort(keys, kind="stable")
-        low, high = flat.root_mbr()
-        return ShardInfo(
-            shard_id=shard_id,
-            path=name,
-            count=int(flat.size),
-            root_low=tuple(float(v) for v in low),
-            root_high=tuple(float(v) for v in high),
-            hilbert_low=int(keys.min()),
-            hilbert_high=int(keys.max()),
-            sample=tuple(
-                tuple(float(v) for v in points[row])
-                for row in sample_rows(ranked)
-            ),
-        )
+        return describe_shard(shard_id, name, flat, points, keys, ranked)
 
     def __repr__(self) -> str:
         return (

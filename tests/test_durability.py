@@ -28,7 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.spec import QuerySpec
+from repro.core.bruteforce import brute_force_gnn
 from repro.core.engine import GNNEngine
+from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
 from repro.serve.compaction import CompactingWriter
 from repro.storage.atomicio import atomic_output, write_json_atomic
@@ -573,6 +575,41 @@ class TestCompactionCrashSafety:
         assert store.manifest_generation() == 0
         assert WriteAheadLog.scan(store.wal_path).base_generation == 0
         self._assert_view(tmp_path, live)
+
+    def test_an_emptied_engine_folds_its_tombstones_and_lives_on(self, tmp_path, dataset, rng):
+        """delete-all → compact → publish → recover → insert → query."""
+        engine, store, writer = self._recovered_writer(tmp_path, dataset)
+        for rid, point in enumerate(dataset):
+            assert writer.delete(point, rid)
+        flat = writer.compact_now()
+        assert (flat.size, flat.num_nodes, flat.generation) == (0, 1, 1)
+        assert len(engine) == 0 and not engine.dirty
+        group = rng.uniform(200, 800, size=(3, 2))
+        assert engine.execute(QuerySpec(group=group, k=3)).neighbors == []
+        engine.wal.close()  # "crash"
+
+        recovered = GNNEngine.recover(tmp_path, fsync="off")
+        assert recovered.flat.generation == 1 and len(recovered) == 0
+        live = {}
+        for _ in range(11):
+            point = rng.uniform(0, 1000, size=2)
+            live[recovered.insert(point)] = point
+        victim = sorted(live)[4]
+        assert recovered.delete(live.pop(victim), victim)
+        ids = np.array(sorted(live), dtype=np.int64)
+        points = np.array([live[i] for i in ids])
+
+        def check(subject, label):
+            for name in ALGORITHMS:
+                for k in (1, 4, len(live) + 2):
+                    expected = brute_force_gnn(points, GroupQuery(group, k=k), record_ids=ids)
+                    spec = QuerySpec(group=group, k=k, algorithm=name)
+                    _assert_identical(subject.execute(spec), expected, (label, name, k))
+
+        check(recovered, "overlay over an empty base")
+        assert recovered.compact().size == len(live)
+        check(recovered, "compacted")
+        recovered.wal.close()
 
     def _assert_view(self, directory, live):
         recovered = GNNEngine.recover(directory, fsync="off")

@@ -1,0 +1,221 @@
+"""The array packer against the object packers it replaced.
+
+``tests/bulkload_reference.py`` keeps the parent's bulk loader — one
+``LeafEntry`` per record, one ``Node`` per page, flattened by
+``FlatRTree.from_tree``.  The contract: ``FlatRTree.bulk_load`` and
+``FlatRTree.from_tree(RTree.bulk_load(...))`` reproduce every array of
+that snapshot except the *values* of ``node_ids`` (which only have to be
+process-unique), so node accesses, distance computations and answers of
+every algorithm stay where they were; and the vectorised Hilbert keys
+equal the scalar curve evaluated point by point.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from bulkload_reference import reference_hilbert_indices, reference_snapshot
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.datasets.real_like import pp_like
+from repro.geometry.hilbert import (
+    _normalise_to_grid,
+    hilbert_index,
+    hilbert_index_2d,
+    hilbert_indices,
+)
+from repro.geometry.point import GeometryError
+from repro.rtree.flat import FlatRTree
+from repro.rtree.tree import RTree
+from repro.shard.manifest import MANIFEST_FILENAME
+from repro.shard.partition import partition_dataset
+
+STRUCTURE_FIELDS = ("lows", "highs", "child_start", "child_count", "levels", "points", "record_ids")
+META_FIELDS = ("dims", "size", "capacity", "height", "generation")
+
+#: ``manifest.json`` of ``partition_dataset(pp_like(5000), 4, ...)`` as the
+#: object packers and the per-point Hilbert loop wrote it.
+PARENT_MANIFEST_SHA256 = "50a1decfef89a22805c270673a65ca2af5fa2eb5f9444de3289fa30f40a542ab"
+
+
+def assert_same_structure(built: FlatRTree, reference: FlatRTree, label=""):
+    for name in STRUCTURE_FIELDS:
+        ours, theirs = getattr(built, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype, (label, name)
+        assert ours.shape == theirs.shape, (label, name)
+        assert np.array_equal(ours, theirs), (label, name)
+    for name in META_FIELDS:
+        assert getattr(built, name) == getattr(reference, name), (label, name)
+    assert built.node_ids.dtype == reference.node_ids.dtype
+    assert built.node_ids.shape == reference.node_ids.shape
+
+
+@st.composite
+def tied_points(draw):
+    """Point sets dominated by coordinate ties and repeated rows."""
+    size = draw(st.integers(1, 3000))
+    dims = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    style = draw(st.sampled_from(("lattice", "columns", "copies", "continuous")))
+    if style == "lattice":  # every coordinate from a handful of values
+        points = rng.integers(0, draw(st.integers(1, 6)), size=(size, dims)).astype(np.float64)
+    elif style == "columns":  # first axis tied, the rest free (and signed zeros)
+        points = rng.normal(size=(size, dims))
+        points[:, 0] = rng.choice([-0.0, 0.0, 1.5], size=size)
+    elif style == "copies":  # a few distinct points, each stored many times
+        distinct = rng.uniform(-50, 50, size=(draw(st.integers(1, 7)), dims))
+        points = distinct[rng.integers(0, len(distinct), size=size)]
+    else:
+        points = rng.uniform(0, 1000, size=(size, dims))
+    return points, rng
+
+
+class TestDifferential:
+    @given(
+        drawn=tied_points(),
+        capacity=st.integers(4, 64),
+        method=st.sampled_from(("str", "hilbert")),
+        explicit_ids=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_array_equals_the_object_packers(self, drawn, capacity, method, explicit_ids):
+        points, rng = drawn
+        ids = rng.permutation(len(points)) * 3 + 7 if explicit_ids else None
+        if method == "hilbert" and points.shape[1] == 4:
+            # 16 bits x 4 dimensions: where the per-point loop overflowed.
+            with pytest.raises(ValueError, match="needs 64 bits"):
+                FlatRTree.bulk_load(points, capacity=capacity, method=method)
+            return
+        reference = reference_snapshot(points, capacity, method, record_ids=ids)
+        direct = FlatRTree.bulk_load(points, capacity=capacity, method=method, record_ids=ids)
+        tree = RTree.bulk_load(points, capacity=capacity, method=method, record_ids=ids)
+        thawed = FlatRTree.from_tree(tree)
+        assert_same_structure(direct, reference, "bulk_load")
+        assert_same_structure(thawed, reference, "from_tree(RTree.bulk_load)")
+        tree.validate()
+
+        # Shared-LRU safety: page ids never repeat, within or across indexes.
+        again = FlatRTree.bulk_load(points, capacity=capacity, method=method, record_ids=ids)
+        pages = [
+            direct.node_ids.tolist(),
+            again.node_ids.tolist(),
+            [node.node_id for node in tree.iter_nodes()],
+        ]
+        assert len(set().union(*pages)) == sum(len(page_ids) for page_ids in pages)
+
+    @pytest.mark.parametrize("method", ["str", "hilbert"])
+    def test_pp_like_100k_at_the_paper_capacity(self, method):
+        points = pp_like(100_000, seed=7)
+        assert_same_structure(
+            FlatRTree.bulk_load(points, capacity=50, method=method),
+            reference_snapshot(points, 50, method),
+        )
+
+    @pytest.mark.parametrize("dims", [1, 2, 5])
+    def test_no_points_is_the_empty_single_leaf_snapshot(self, dims):
+        empty = FlatRTree.bulk_load(np.zeros((0, dims)), capacity=8, method="hilbert")
+        assert_same_structure(empty, FlatRTree.from_tree(RTree(dims=dims, capacity=8)))
+        assert empty.live_points()[0].shape == (0, dims)
+        with pytest.raises(GeometryError, match="non-empty"):
+            FlatRTree.bulk_load([])  # no dimensionality to build over
+
+
+class TestRejectedInput:
+    """The parent's messages, from every builder."""
+
+    BUILDERS = {
+        "flat": lambda points, **kw: FlatRTree.bulk_load(points, **kw),
+        "tree": lambda points, **kw: RTree.bulk_load(points, **kw),
+        "reference": lambda points, capacity=50, method="str": reference_snapshot(
+            points, capacity, method
+        ),
+    }
+
+    @pytest.fixture(params=sorted(BUILDERS))
+    def build(self, request):
+        return self.BUILDERS[request.param]
+
+    def test_capacity_below_four(self, build):
+        with pytest.raises(ValueError, match="node capacity must be at least 4"):
+            build(np.zeros((10, 2)), capacity=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates(self, build, bad):
+        points = np.ones((10, 2))
+        points[4, 1] = bad
+        with pytest.raises(GeometryError, match="point coordinates must be finite"):
+            build(points, capacity=8)
+
+    def test_unknown_method(self, build):
+        with pytest.raises(ValueError, match="unknown bulk-load method 'zorder'"):
+            build(np.zeros((10, 2)), capacity=8, method="zorder")
+
+
+class TestRecordIds:
+    POINTS = np.arange(12, dtype=np.float64).reshape(6, 2)
+
+    def test_fractional_ids_are_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=r"record ids must be integers, got 0\.5"):
+            FlatRTree.bulk_load(self.POINTS, capacity=4, record_ids=[4, 3, 0.5, 1, 2, 9])
+        with pytest.raises(ValueError, match="record ids must be integers, got nan"):
+            FlatRTree.bulk_load(self.POINTS, capacity=4, record_ids=[4, 3, np.nan, 1, 2, 9])
+
+    def test_duplicate_ids_are_rejected(self):
+        with pytest.raises(ValueError, match="record ids must be unique, got 3 twice"):
+            RTree.bulk_load(self.POINTS, capacity=4, record_ids=[4, 3, 8, 3, 2, 9])
+
+    def test_shape_check_keeps_its_message(self):
+        with pytest.raises(ValueError, match=r"one id per point \(6\), got shape \(5,\)"):
+            FlatRTree.bulk_load(self.POINTS, capacity=4, record_ids=np.arange(5))
+
+    def test_whole_numbers_of_any_dtype_are_kept(self):
+        given_ids = [40.0, 30.0, 0.0, 10.0, 20.0, 90.0]
+        flat = FlatRTree.bulk_load(self.POINTS, capacity=4, record_ids=given_ids)
+        assert flat.record_ids.dtype == np.int64
+        assert sorted(flat.record_ids.tolist()) == sorted(int(v) for v in given_ids)
+
+
+class TestVectorisedHilbertKeys:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from((2, 3)),
+        order=st.sampled_from((1, 8, 16, "largest")),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_keys_equal_the_scalar_curve_point_by_point(self, seed, dims, order):
+        rng = np.random.default_rng(seed)
+        # A dozen distinct values per axis: many shared cells, many ties.
+        points = rng.choice(rng.uniform(-9, 9, size=12), size=(int(rng.integers(1, 400)), dims))
+        if order == "largest":
+            order = 63 // dims
+        keys = hilbert_indices(points, order)
+        assert keys.dtype == np.int64
+        grid = _normalise_to_grid(points, order)
+        assert keys.tolist() == [hilbert_index(cell, order) for cell in grid]
+        assert np.array_equal(keys, reference_hilbert_indices(points, order))
+        if dims == 2:
+            assert keys.tolist() == [hilbert_index_2d(int(x), int(y), order) for x, y in grid]
+
+    @pytest.mark.parametrize("dims,order", [(2, 32), (3, 22), (4, 16), (2, -1)])
+    def test_keys_that_cannot_fit_int64_are_refused(self, dims, order):
+        with pytest.raises(ValueError, match="int64 keys hold 63"):
+            hilbert_indices(np.zeros((3, dims)), order)
+
+
+class TestPartitionUnchanged:
+    def test_manifest_bytes_and_assignments_match_the_parent(self, tmp_path):
+        points = pp_like(5000)
+        manifest = partition_dataset(points, 4, tmp_path)
+        raw = (tmp_path / MANIFEST_FILENAME).read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == PARENT_MANIFEST_SHA256
+        assert json.loads(raw)["shards"][2]["count"] == 1250
+
+        ranked = np.argsort(reference_hilbert_indices(points), kind="stable")
+        for shard, rows in zip(manifest.shards, np.array_split(ranked, 4)):
+            assert_same_structure(
+                FlatRTree.load(tmp_path / shard.path),
+                reference_snapshot(points[rows], 50, record_ids=rows),
+                shard.path,
+            )

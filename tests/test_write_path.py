@@ -605,19 +605,54 @@ class TestShardedWritePath:
         merged.sort()
         assert [rid for _, rid in merged[:6]] == expected.record_ids()
 
-    def test_compacting_an_empty_shard_is_refused(self, dataset, tmp_path):
-        from repro.shard import ShardWriter, partition_dataset
+    def test_an_emptied_shard_folds_its_tombstones_and_lives_on(self, dataset, tmp_path, rng):
+        """delete-all → compact → publish → reopen → insert → query, on one shard."""
+        from repro.shard import ShardManifest, ShardWriter, partition_dataset
 
-        partition_dataset(dataset[:9], shards=3, directory=tmp_path, capacity=16)
+        before = partition_dataset(dataset[:30], shards=3, directory=tmp_path, capacity=16)
         writer = ShardWriter(tmp_path)
+        live = {i: dataset[i] for i in range(30)}
         # Drain one shard completely.
-        target = writer.manifest.shards[0]
-        flat = FlatRTree.load(tmp_path / target.path)
-        for row in range(flat.size):
-            rid = int(np.asarray(flat.record_ids)[row])
-            assert writer.delete(np.asarray(flat.points[row]), rid) is not None
-        with pytest.raises(ValueError, match="empty"):
-            writer.compact()
+        drained = FlatRTree.load(tmp_path / before.shards[1].path)
+        for point, rid in zip(np.asarray(drained.points), np.asarray(drained.record_ids)):
+            assert writer.delete(point, int(rid)) == 1
+            del live[int(rid)]
+        published = writer.compact()
+        row = published.shards[1]
+        assert (row.count, row.sample, published.size) == (0, (), 20)
+        assert (row.hilbert_low, row.hilbert_high) == (
+            before.shards[1].hilbert_low,
+            before.shards[1].hilbert_high,
+        )
+        assert FlatRTree.load(tmp_path / row.path, mmap_mode="r").size == 0
+        group = rng.uniform(0, 1000, size=(3, 2))
+        # Nothing to contribute: the coordinator never contacts it.
+        assert np.isinf(published.group_mindist_bounds(group)[1])
+
+        # A fresh writer over the published directory keeps taking writes.
+        assert ShardManifest.load(tmp_path) == published
+        writer = ShardWriter(tmp_path)
+        assert not writer.engine(1).dirty and len(writer.engine(1)) == 0
+        for _ in range(12):
+            point = rng.uniform(0, 1000, size=2)
+            _, rid = writer.insert(point)
+            live[rid] = point
+        refill = np.array([1.5, 2.5])
+        live[writer.engine(1).insert(refill, record_id=1000)] = refill
+
+        ids = np.array(sorted(live), dtype=np.int64)
+        points = np.vstack([live[i] for i in ids])
+        for k in (1, 5, len(live) + 3):
+            query = GroupQuery(group, k=k)
+            expected = brute_force_gnn(points, query, record_ids=ids)
+            merged = []
+            for shard_id in range(3):
+                result = writer.engine(shard_id).execute(QuerySpec(group=group, k=k))
+                merged.extend((n.distance, n.record_id) for n in result.neighbors)
+            merged.sort()
+            assert [rid for _, rid in merged[:k]] == expected.record_ids()
+            assert [d for d, _ in merged[:k]] == expected.distances()
+        assert writer.compact().shards[1].count == 1
 
     def test_node_swap_snapshot_follows_compaction(self, partitioned, dataset, rng):
         from repro.shard import ShardNode, ShardWriter
