@@ -59,7 +59,7 @@ from repro.geometry import MBR
 from repro.rtree import FlatRTree, RTree
 from repro.storage import LRUBuffer, PointFile
 
-__version__ = "3.0.0"
+__version__ = "3.1.0"
 
 __all__ = [
     "AlgorithmInfo",

@@ -112,6 +112,18 @@ class ExecutionContext:
         source = self.flat if self.overlay is None else self.overlay
         return source.live_points()
 
+    def brute_force(self, query: GroupQuery) -> GNNResult:
+        """Exhaustive scan of the live records.
+
+        With zero live records the answer is ``[]`` at zero cost, like
+        every tree algorithm's (the scan kernel itself rejects an empty
+        point collection).
+        """
+        points, ids = self.live_points()
+        if not len(ids):
+            return GNNResult(cost=QueryCost(algorithm="brute-force"))
+        return brute_force_gnn(points, query, record_ids=ids)
+
 
 @dataclass
 class PreparedQuery:
@@ -301,8 +313,7 @@ def execute_overlay(
     name = plan.algorithm.name
     query = spec.group_query()
     if name == "brute-force":
-        points, ids = overlay.live_points()
-        result = brute_force_gnn(points, query, record_ids=ids)
+        result = context.brute_force(query)
         result.cost.algorithm = "brute-force+overlay"
         result.cost.cpu_time = time.perf_counter() - started
         return result
@@ -344,14 +355,10 @@ def _merge_overlay_parts(
     # Base and delta record ids are disjoint by construction, so the
     # merge is a plain sort by the canonical (distance, record id) rule.
     candidates.sort(key=lambda neighbor: (neighbor.distance, neighbor.record_id))
-    cost = QueryCost(algorithm=f"{parts[0].cost.algorithm}+overlay", cpu_time=elapsed)
+    cost = QueryCost(algorithm=f"{parts[0].cost.algorithm}+overlay")
     for part in parts:
-        cost.node_accesses += part.cost.node_accesses
-        cost.leaf_accesses += part.cost.leaf_accesses
-        cost.page_faults += part.cost.page_faults
-        cost.distance_computations += part.cost.distance_computations
-        cost.page_reads += part.cost.page_reads
-        cost.block_reads += part.cost.block_reads
+        cost.merge(part.cost)
+    cost.cpu_time = elapsed  # the whole overlay call, not the sum of its parts
     return GNNResult(neighbors=candidates[:k], cost=cost)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.core.aggregates import aggregate_gnn
-from repro.core.bruteforce import brute_force_gnn
 from repro.core.fmbm import fmbm
 from repro.core.fmqm import fmqm
 from repro.core.gcp import gcp
@@ -154,8 +153,7 @@ def _run_best_first(context, request):
 
 
 def _run_brute_force(context, request):
-    points, ids = context.live_points()
-    return brute_force_gnn(points, request.query, record_ids=ids)
+    return context.brute_force(request.query)
 
 
 def _run_fmqm(context, request):

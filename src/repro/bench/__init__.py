@@ -10,6 +10,12 @@ driven three ways:
 * from the command line (``python -m repro.bench --list`` /
   ``python -m repro.bench fig5_1_pp --scale quick``),
 * through the pytest-benchmark modules under ``benchmarks/``.
+
+This package reproduces the paper's *figures* (series of node accesses
+and CPU time per algorithm).  It is not the repo's performance
+benchmark: every number a change is judged by comes from
+``benchmarks/gnnbench`` (``BENCHMARK.json``), the one harness with
+scale tiers, repeated runs and bounds.
 """
 
 from repro.bench.config import BenchScale, get_scale

@@ -18,9 +18,7 @@ Figures and settings (Section 5):
 
 plus two ablations called out in the paper's text (footnote 3 on the
 value of Heuristic 3, and the sensitivity of SPM to the centroid
-approximation), and one engine-level experiment beyond the paper:
-``batch_throughput`` measures the planner API's ``execute_many`` batch
-path against one ``execute`` call per query.
+approximation).
 
 Workloads are executed through the declarative
 :class:`~repro.api.spec.QuerySpec` / planner / executor layer (see
@@ -29,13 +27,10 @@ Workloads are executed through the declarative
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-from repro.api.spec import QuerySpec
 from repro.bench.config import BenchScale, get_scale
 from repro.bench.runner import run_disk_setting, run_memory_setting
-from repro.core.engine import GNNEngine
 from repro.datasets.real_like import pp_like, ts_like
 from repro.datasets.workload import (
     WorkloadSpec,
@@ -324,69 +319,6 @@ def ablation_centroid(dataset: str, scale: BenchScale) -> ExperimentResult:
     )
 
 
-# ----------------------------------------------------------------------
-# engine-level experiments (beyond the paper)
-# ----------------------------------------------------------------------
-def batch_throughput(dataset: str, scale: BenchScale) -> ExperimentResult:
-    """Batched vs. per-query execution of the same memory-resident workload.
-
-    Both series answer identical auto-planned specs; ``execute_many``
-    additionally amortises planning, schedules queries in Hilbert order
-    for buffer locality, and is the hook for future sharding/async.
-    """
-    data = _dataset(dataset, scale)
-    engine = GNNEngine(data, capacity=scale.node_capacity, buffer_pages=scale.node_capacity * 8)
-    result = ExperimentResult(
-        name=f"batch_throughput_{dataset}",
-        description=(
-            "execute_many vs. per-query execute on identical auto-planned specs "
-            f"(n={scale.fixed_n}, k={scale.fixed_k}, dataset={dataset.upper()})"
-        ),
-        x_label="batch size",
-        scale=scale.name,
-    )
-    for batch_size in scale.cardinalities:
-        spec_def = WorkloadSpec(
-            n=scale.fixed_n,
-            mbr_fraction=scale.fixed_mbr_fraction,
-            k=scale.fixed_k,
-            queries=int(batch_size),
-        )
-        groups = generate_workload(data, spec_def, seed=23)
-        specs = [QuerySpec(group=group, k=scale.fixed_k) for group in groups]
-        for label, run in (
-            ("execute", lambda: [engine.execute(spec) for spec in specs]),
-            ("execute_many", lambda: engine.execute_many(specs)),
-        ):
-            # Cold cache for every timed series: without this the
-            # per-query series would pre-warm the buffer for the batched
-            # one and the comparison would conflate scheduling with
-            # leftover cache warmth.
-            engine.buffer.clear()
-            started = time.perf_counter()
-            outcomes = run()
-            elapsed = time.perf_counter() - started
-            page_faults = sum(outcome.cost.page_faults for outcome in outcomes)
-            result.rows.append(
-                {
-                    "x": int(batch_size),
-                    "dataset": dataset.upper(),
-                    "algorithm": label,
-                    "node_accesses": round(
-                        sum(o.cost.node_accesses for o in outcomes) / len(outcomes), 1
-                    ),
-                    "cpu_time": elapsed / len(outcomes),
-                    "distance_computations": round(
-                        sum(o.cost.distance_computations for o in outcomes) / len(outcomes), 1
-                    ),
-                    "page_reads": round(page_faults / len(outcomes), 1),
-                    "queries": len(outcomes),
-                    "notes": "batched" if label == "execute_many" else "",
-                }
-            )
-    return result
-
-
 #: Registry used by the CLI and the pytest benchmark modules.
 EXPERIMENTS = {
     "fig5_1_pp": lambda scale: fig5_1("pp", scale),
@@ -401,7 +333,6 @@ EXPERIMENTS = {
     "fig5_7": fig5_7,
     "ablation_heuristics": lambda scale: ablation_heuristics("pp", scale),
     "ablation_centroid": lambda scale: ablation_centroid("pp", scale),
-    "batch_throughput": lambda scale: batch_throughput("pp", scale),
 }
 
 

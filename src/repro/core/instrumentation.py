@@ -32,19 +32,13 @@ class CostTracker:
 
     def finish(self) -> QueryCost:
         """Return the cost accumulated since the tracker was created."""
-        cost = QueryCost(algorithm=self.algorithm)
-        cost.cpu_time = time.perf_counter() - self._started
+        cost = QueryCost(
+            algorithm=self.algorithm,
+            cpu_time=time.perf_counter() - self._started,
+            distance_computations=self._extra_distance_computations,
+        )
         for tree, baseline in zip(self._trees, self._tree_baselines):
-            current = tree.stats.snapshot()
-            cost.node_accesses += current["node_accesses"] - baseline["node_accesses"]
-            cost.leaf_accesses += current["leaf_accesses"] - baseline["leaf_accesses"]
-            cost.page_faults += current["page_faults"] - baseline["page_faults"]
-            cost.distance_computations += (
-                current["distance_computations"] - baseline["distance_computations"]
-            )
+            cost.merge(tree.stats.delta(baseline))
         for io, baseline in zip(self._io_counters, self._io_baselines):
-            current = io.snapshot()
-            cost.page_reads += current["page_reads"] - baseline["page_reads"]
-            cost.block_reads += current["block_reads"] - baseline["block_reads"]
-        cost.distance_computations += self._extra_distance_computations
+            cost.merge(io.delta(baseline))
         return cost

@@ -23,6 +23,7 @@ from repro.geometry import kernels
 from repro.geometry.distance import SUM, _check_weights, _fast_point
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_points
+from repro.storage.counters import CounterSet
 
 
 class GroupQuery:
@@ -196,12 +197,14 @@ class BestList:
 
 
 @dataclass
-class QueryCost:
+class QueryCost(CounterSet):
     """Cost metrics of one executed query, matching the paper's reporting.
 
     ``node_accesses`` and ``cpu_time`` are the two series plotted in every
     figure of Section 5; the remaining counters add detail that helps
-    explain them (and are used by the ablation benches).
+    explain them (and are used by the ablation benches).  Costs fold
+    with ``merge`` (another cost, or the delta of any counter set that
+    shares field names); the ``algorithm`` label is not a counter.
     """
 
     algorithm: str = ""
@@ -215,16 +218,7 @@ class QueryCost:
 
     def as_dict(self) -> dict[str, float]:
         """Return the metrics as a plain dictionary (used by the report writer)."""
-        return {
-            "algorithm": self.algorithm,
-            "node_accesses": self.node_accesses,
-            "leaf_accesses": self.leaf_accesses,
-            "page_faults": self.page_faults,
-            "distance_computations": self.distance_computations,
-            "page_reads": self.page_reads,
-            "block_reads": self.block_reads,
-            "cpu_time": self.cpu_time,
-        }
+        return {"algorithm": self.algorithm, **self.snapshot()}
 
 
 @dataclass

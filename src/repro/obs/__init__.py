@@ -1,14 +1,15 @@
 """Observability: tracing, metrics, exposition, slow-query log, logging.
 
 The repo's cost accounting (node accesses, distance computations, CPU
-time — the paper's reported metrics) historically lived in four
-disconnected counter surfaces.  This package is the cross-cutting layer
-that unifies them:
+time — the paper's reported metrics) lives in counter dataclasses that
+share one protocol (:class:`repro.storage.counters.CounterSet`).  This
+package is the cross-cutting layer that exports and follows them:
 
 * :mod:`repro.obs.trace` — per-query span trees that follow a request
   through planner → micro-batcher → worker → shard fan-out;
-* :mod:`repro.obs.metrics` — one process-wide registry mounting every
-  counter surface under the ``repro_*`` namespace;
+* :mod:`repro.obs.metrics` — the metrics registry and the scrape-time
+  collectors that export ``stats()`` surfaces and counter sets under
+  the ``repro_*`` namespace;
 * :mod:`repro.obs.exposition` — Prometheus text rendering, the admin
   HTTP endpoint, and the ``python -m repro.obs`` federation scraper;
 * :mod:`repro.obs.slowlog` — threshold-triggered structured records of

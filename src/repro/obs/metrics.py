@@ -1,32 +1,29 @@
-"""Process-wide metrics registry unifying the repo's counter surfaces.
+"""Metrics registry and the scrape-time collectors over the stats surfaces.
 
-The paper's cost accounting lives in four counter families that grew up
-independently — :class:`~repro.rtree.stats.TreeStats`,
-:class:`~repro.storage.counters.IOCounters` /
-:class:`~repro.storage.counters.MappedPageCounters`,
-:class:`~repro.serve.stats.ServingCounters` (plus ``ServerStats``) and
-:class:`~repro.shard.coordinator.CoordinatorStats`.  This module mounts
-them all under one ``repro_*`` namespace:
+The paper's cost accounting lives in counter dataclasses that all speak
+one protocol (:class:`~repro.storage.counters.CounterSet`).  This module
+exports them under one ``repro_*`` namespace:
 
 ==============================================  =========================
-``repro_tree_node_accesses_total`` (+ leaf,     TreeStats
-``page_faults``, ``distance_computations``)
-``repro_storage_page_reads_total`` (+ block,    IOCounters /
-sort passes, mapped arrays/bytes/pages)         MappedPageCounters
-``repro_serve_requests_total{outcome=...}``,    ServerStats +
-``repro_serve_latency_seconds`` (histogram),    ServingCounters
-``repro_serve_*_total``, worker gauges
-``repro_shard_queries_total``, retries,         CoordinatorStats +
-degraded, ``repro_shard_breaker_state``         per-replica breakers
+``repro_serve_requests_total{outcome=...}``,    :func:`server_collector`
+``repro_serve_latency_seconds`` (histogram),    over ``server.stats()`` —
+``repro_serve_*_total``, scheduler and worker   mounted by
+gauges, ``repro_serve_worker_*_total``          ``start_exposition()``
+``repro_shard_*_total``,                        :func:`coordinator_collector`
+``repro_shard_cost_*_total``,                   over ``coordinator.stats()``
+``repro_shard_breaker_state{shard,replica}``    and the replica breakers
+``<prefix>_<field>_total``, e.g.                :func:`counters_collector`
+``repro_tree_node_accesses_total``,             over any ``CounterSet``
+``repro_storage_page_reads_total``              (mounted by the caller)
 ==============================================  =========================
 
 Two mechanisms coexist:
 
 * **direct metrics** — :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` objects created via the registry, updated by
-  callers, snapshottable and *mergeable* exactly like the existing
-  snapshot dicts (:func:`MetricsRegistry.merge` is key-wise addition,
-  the same contract as :func:`repro.storage.counters.merge_snapshots`);
+  callers, snapshottable and *mergeable* exactly like counter snapshot
+  dicts (:func:`MetricsRegistry.merge` is key-wise addition, the same
+  contract as :func:`repro.storage.counters.merge_snapshots`);
 * **collectors** — zero-hot-path-cost adapters registered with
   :meth:`MetricsRegistry.register`, sampled only at scrape time from
   the live ``stats()`` snapshots the subsystems already maintain.
@@ -354,57 +351,56 @@ class MetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# adapters: the four existing counter surfaces
+# collectors: scrape-time adapters over the live stats() surfaces
 # ----------------------------------------------------------------------
-def _counter_families(prefix: str, snapshot: dict, help_prefix: str):
-    for key, value in sorted(snapshot.items()):
-        name = f"{prefix}_{key}_total"
+def _families(prefix: str, kind: str, help_prefix: str, values: dict, keys=None):
+    """One unlabelled single-sample family per key of ``values``.
+
+    ``keys`` fixes which entries are exported (a missing one reads 0);
+    by default every numeric entry is, in sorted order.  Counters get
+    the conventional ``_total`` suffix.
+    """
+    if keys is None:
+        keys = sorted(k for k, v in values.items() if isinstance(v, (int, float)))
+    suffix = "_total" if kind == "counter" else ""
+    for key in keys:
+        name = f"{prefix}_{key}{suffix}"
         yield MetricFamily(
-            name, "counter", f"{help_prefix} {key}", [Sample(name, {}, value)]
+            name, kind, f"{help_prefix} {key}", [Sample(name, {}, values.get(key, 0))]
         )
 
 
-def tree_collector(stats):
-    """Adapter for :class:`~repro.rtree.stats.TreeStats` (or a provider).
+def counters_collector(prefix: str, source):
+    """Export any :class:`~repro.storage.counters.CounterSet` as counters.
 
-    ``stats`` may be the TreeStats object itself or a zero-argument
-    callable returning one (engines swap their flat index on compaction,
-    so a provider keeps the collector pointed at the live object).
+    ``source`` is the counter object (``TreeStats``, ``IOCounters``,
+    ``MappedPageCounters``, ...) or a zero-argument callable returning
+    one — engines swap their flat index on compaction, so a provider
+    keeps the collector pointed at the live object.  Each counter
+    becomes ``<prefix>_<field>_total``, e.g.
+    ``counters_collector("repro_tree", lambda: engine.flat.stats)``.
     """
 
     def collect():
-        source = stats() if callable(stats) else stats
-        return list(
-            _counter_families("repro_tree", source.snapshot(), "R-tree traversal")
-        )
-
-    return collect
-
-
-def storage_collector(io_counters=None, mapped_counters=None):
-    """Adapter for IOCounters / MappedPageCounters."""
-
-    def collect():
-        families = []
-        if io_counters is not None:
-            families.extend(
-                _counter_families(
-                    "repro_storage", io_counters.snapshot(), "Simulated disk"
-                )
-            )
-        if mapped_counters is not None:
-            families.extend(
-                _counter_families(
-                    "repro_storage", mapped_counters.snapshot(), "Mapped snapshot"
-                )
-            )
-        return families
+        counters = source() if callable(source) else source
+        return list(_families(prefix, "counter", prefix, counters.snapshot()))
 
     return collect
 
 
 #: Fixed buckets for ``repro_serve_latency_seconds``.
 SERVE_LATENCY_BUCKETS = DEFAULT_BUCKETS
+
+#: ``server.stats()`` entries exported one family each:
+#: ``(section, name prefix, kind, help prefix, keys)``.
+_SERVER_FAMILIES = (
+    ("server", "repro_serve", "counter", "Server", ("submitted", "swaps", "worker_deaths")),
+    ("server", "repro_serve", "gauge", "Server", ("pending", "workers_alive")),
+    ("scheduler", "repro_serve_scheduler", "gauge", "Scheduler", ("queued", "in_flight", "epoch")),
+)
+
+#: Worker totals that are high-water marks (gauges); the rest sum (counters).
+_WORKER_PEAKS = ("largest_batch",)
 
 
 def server_collector(server):
@@ -418,91 +414,40 @@ def server_collector(server):
 
     def collect():
         stats = server.stats()
-        families = []
         served = stats.get("server", {})
-        requests = MetricFamily(
-            "repro_serve_requests_total",
-            "counter",
-            "Requests by outcome",
-        )
-        for outcome in ("completed", "failed", "shed"):
-            requests.samples.append(
-                Sample(
-                    "repro_serve_requests_total",
-                    {"outcome": outcome},
-                    served.get(outcome, 0),
-                )
+        name = "repro_serve_requests_total"
+        families = [
+            MetricFamily(
+                name,
+                "counter",
+                "Requests by outcome",
+                [
+                    Sample(name, {"outcome": outcome}, served.get(outcome, 0))
+                    for outcome in ("completed", "failed", "shed")
+                ],
             )
-        families.append(requests)
-        for key in ("submitted", "swaps", "worker_deaths"):
-            name = f"repro_serve_{key}_total"
-            families.append(
-                MetricFamily(
-                    name, "counter", f"Server {key}", [Sample(name, {}, served.get(key, 0))]
-                )
-            )
-        for key in ("pending", "workers_alive"):
-            name = f"repro_serve_{key}"
-            families.append(
-                MetricFamily(
-                    name, "gauge", f"Server {key}", [Sample(name, {}, served.get(key, 0))]
-                )
-            )
-        scheduler = stats.get("scheduler", {})
-        for key in ("queued", "in_flight", "epoch"):
-            name = f"repro_serve_scheduler_{key}"
-            families.append(
-                MetricFamily(
-                    name,
-                    "gauge",
-                    f"Scheduler {key}",
-                    [Sample(name, {}, scheduler.get(key, 0))],
-                )
-            )
+        ]
+        for section, prefix, kind, help_prefix, keys in _SERVER_FAMILIES:
+            families += _families(prefix, kind, help_prefix, stats.get(section, {}), keys)
         # The cross-worker execution totals get their own "worker"
         # segment so e.g. ``requests`` cannot collide with the labelled
         # ``repro_serve_requests_total`` family above.
-        for key, value in sorted(stats.get("total", {}).items()):
-            if key == "largest_batch":
-                families.append(
-                    MetricFamily(
-                        "repro_serve_worker_largest_batch",
-                        "gauge",
-                        "Largest batch executed",
-                        [Sample("repro_serve_worker_largest_batch", {}, value)],
-                    )
-                )
-                continue
-            name = f"repro_serve_worker_{key}_total"
-            families.append(
-                MetricFamily(
-                    name, "counter", f"Across workers: {key}", [Sample(name, {}, value)]
-                )
-            )
+        total = stats.get("total", {})
+        summed = sorted(set(total) - set(_WORKER_PEAKS))
+        families += _families("repro_serve_worker", "counter", "Across workers:", total, summed)
+        families += _families(
+            "repro_serve_worker", "gauge", "Across workers:", total, _WORKER_PEAKS
+        )
         latency_seconds = getattr(server, "latency_seconds", None)
         if latency_seconds is not None:
-            samples = latency_seconds()
-            buckets = SERVE_LATENCY_BUCKETS
-            counts = [0] * (len(buckets) + 1)
-            total_s = 0.0
-            for value in samples:
-                total_s += value
-                for index, bound in enumerate(buckets):
-                    if value <= bound:
-                        counts[index] += 1
-                        break
-                else:
-                    counts[-1] += 1
-            families.append(
-                histogram_family(
-                    "repro_serve_latency_seconds",
-                    buckets,
-                    counts,
-                    total_s,
-                    len(samples),
-                    "Request latency (reservoir)",
-                )
+            histogram = Histogram(
+                "repro_serve_latency_seconds",
+                "Request latency (reservoir)",
+                SERVE_LATENCY_BUCKETS,
             )
+            for value in latency_seconds():
+                histogram.observe(value)
+            families.append(histogram.family())
         return families
 
     return collect
@@ -516,50 +461,30 @@ def coordinator_collector(coordinator):
 
     def collect():
         stats = coordinator.stats()
-        families = []
-        counter_keys = (
-            "queries",
-            "subqueries",
-            "shards_contacted",
-            "shards_pruned",
-            "retries",
-            "degraded_queries",
-            "failed_subqueries",
-            "breaker_trips",
-            "breaker_fast_fails",
+        # Top-level numbers are the coordinator's counters; the nested
+        # cost's non-numeric "algorithm" label is skipped by _families.
+        families = list(_families("repro_shard", "counter", "Coordinator", stats))
+        families += _families(
+            "repro_shard_cost", "counter", "Merged query cost", stats.get("cost", {})
         )
-        for key in counter_keys:
-            name = f"repro_shard_{key}_total"
-            families.append(
-                MetricFamily(
-                    name, "counter", f"Coordinator {key}", [Sample(name, {}, stats.get(key, 0))]
-                )
-            )
-        for key, value in sorted(stats.get("cost", {}).items()):
-            if not isinstance(value, (int, float)):
-                continue  # e.g. the "algorithm" label of a QueryCost dict
-            name = f"repro_shard_cost_{key}_total"
-            families.append(
-                MetricFamily(
-                    name, "counter", f"Merged query cost {key}", [Sample(name, {}, value)]
-                )
-            )
         breaker_states = getattr(coordinator, "breaker_states", None)
         if breaker_states is not None:
-            family = MetricFamily(
-                "repro_shard_breaker_state",
-                "gauge",
-                "Replica breaker state (0=closed, 1=half-open, 2=open)",
-            )
-            for (shard_id, address), state in sorted(breaker_states().items()):
-                family.samples.append(
-                    Sample(
-                        "repro_shard_breaker_state",
-                        {"shard": str(shard_id), "replica": address},
-                        _BREAKER_STATE_VALUES.get(state, -1),
-                    )
+            name = "repro_shard_breaker_state"
+            families.append(
+                MetricFamily(
+                    name,
+                    "gauge",
+                    "Replica breaker state (0=closed, 1=half-open, 2=open)",
+                    [
+                        Sample(
+                            name,
+                            {"shard": str(shard_id), "replica": address},
+                            _BREAKER_STATE_VALUES.get(state, -1),
+                        )
+                        for (shard_id, address), state in sorted(breaker_states().items())
+                    ],
                 )
-            families.append(family)
+            )
         return families
 
     return collect

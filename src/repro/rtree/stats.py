@@ -4,15 +4,20 @@ The paper's experiments report two cost metrics per query: the number of
 R-tree node accesses ("NA") and CPU time.  Every traversal in this
 package funnels node reads through :class:`TreeStats` so both logical
 accesses and (optionally) buffer-aware page faults can be measured.
+``snapshot()``, ``reset()`` (called between queries of a workload),
+``merge()`` and ``delta()`` come from
+:class:`~repro.storage.counters.CounterSet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.storage.counters import CounterSet
 
 
 @dataclass
-class TreeStats:
+class TreeStats(CounterSet):
     """Mutable counters attached to an :class:`~repro.rtree.tree.RTree`.
 
     Attributes
@@ -35,7 +40,6 @@ class TreeStats:
     leaf_accesses: int = 0
     page_faults: int = 0
     distance_computations: int = 0
-    _history: list[tuple[str, int]] = field(default_factory=list, repr=False)
 
     def record_node_access(self, is_leaf: bool, buffer_hit: bool = False) -> None:
         """Charge one node read (leaf or internal), noting whether the buffer hit."""
@@ -48,33 +52,3 @@ class TreeStats:
     def record_distance_computations(self, count: int = 1) -> None:
         """Charge ``count`` distance evaluations."""
         self.distance_computations += count
-
-    def snapshot(self) -> dict[str, int]:
-        """Return the current counter values as a plain dictionary."""
-        return {
-            "node_accesses": self.node_accesses,
-            "leaf_accesses": self.leaf_accesses,
-            "page_faults": self.page_faults,
-            "distance_computations": self.distance_computations,
-        }
-
-    def reset(self) -> None:
-        """Zero every counter (called between queries of a workload)."""
-        self.node_accesses = 0
-        self.leaf_accesses = 0
-        self.page_faults = 0
-        self.distance_computations = 0
-        self._history.clear()
-
-    def merge(self, other: "TreeStats") -> None:
-        """Accumulate the counters of ``other`` into this object."""
-        self.node_accesses += other.node_accesses
-        self.leaf_accesses += other.leaf_accesses
-        self.page_faults += other.page_faults
-        self.distance_computations += other.distance_computations
-
-    def __add__(self, other: "TreeStats") -> "TreeStats":
-        merged = TreeStats()
-        merged.merge(self)
-        merged.merge(other)
-        return merged

@@ -110,8 +110,8 @@ class GNNServer:
         requests shed with :class:`ServerOverloadedError`.
     io_stall_s_per_access:
         Optional simulated disk stall charged by workers per R-tree
-        node access (0 disables; used by the serving benchmark to model
-        the paper's I/O cost).
+        node access, modelling the paper's I/O cost (0, the default,
+        disables; no run-time caller sets it any more — see ROADMAP).
     start_method:
         ``multiprocessing`` start method (default: fork when available).
     respawn_workers:

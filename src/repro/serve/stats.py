@@ -7,6 +7,8 @@ into one :class:`ServingCounters` per worker and exposes the merged
 picture through :meth:`ServerStats.snapshot`, alongside scheduler-side
 counts (submitted / completed / shed / failed / swaps) and request
 latency percentiles over a bounded reservoir of recent requests.
+:class:`ServingCounters` is a :class:`~repro.storage.counters.CounterSet`:
+its snapshot/merge come from the field declarations.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-from repro.storage.counters import merge_snapshots
+from repro.storage.counters import CounterSet
 
 #: How many recent request latencies the percentile reservoir keeps.
 LATENCY_RESERVOIR = 8192
@@ -48,14 +50,16 @@ def percentiles(values, qs) -> list[float]:
 
 
 @dataclass
-class ServingCounters:
+class ServingCounters(CounterSet):
     """Mergeable execution counters of one worker (or one batch delta).
 
-    All fields sum under :meth:`merge` except ``largest_batch``, which
-    takes the maximum — exactly the semantics a server-wide rollup
-    needs.  ``snapshot()`` dictionaries are the wire format; they merge
-    with the same rules, so worker deltas can be folded in any order.
+    All fields sum under ``merge`` except ``largest_batch``, which takes
+    the maximum — exactly the semantics a server-wide rollup needs.
+    ``snapshot()`` dictionaries are the wire format; they merge with the
+    same rules, so worker deltas can be folded in any order.
     """
+
+    MAXIMA = ("largest_batch",)
 
     requests: int = 0
     batches: int = 0
@@ -77,10 +81,10 @@ class ServingCounters:
         """Fold one executed batch into the counters.
 
         ``index_stats_delta`` is the *physical* index work of the batch
-        (a :meth:`~repro.rtree.stats.TreeStats.snapshot` delta across
-        the ``execute_many`` call), so a shared-traversal bucket charges
-        its one traversal once — not once per member, as summing the
-        bucket-level per-result costs would.
+        (a :meth:`TreeStats.delta <repro.storage.counters.CounterSet.delta>`
+        across the ``execute_many`` call), so a shared-traversal bucket
+        charges its one traversal once — not once per member, as summing
+        the bucket-level per-result costs would.
         """
         self.requests += int(batch_size)
         self.batches += 1
@@ -88,49 +92,11 @@ class ServingCounters:
         self.cpu_time += float(cpu_time)
         self.io_stall_s += float(io_stall_s)
         if index_stats_delta:
-            self.node_accesses += int(index_stats_delta.get("node_accesses", 0))
-            self.leaf_accesses += int(index_stats_delta.get("leaf_accesses", 0))
-            self.distance_computations += int(
-                index_stats_delta.get("distance_computations", 0)
-            )
+            self.merge(index_stats_delta)
 
     def record_swap(self) -> None:
         """Charge one snapshot remap (hot-swap observed by the worker)."""
         self.snapshot_swaps += 1
-
-    def merge(self, other) -> "ServingCounters":
-        """Fold another :class:`ServingCounters` (or snapshot dict) into this one."""
-        snapshot = other if isinstance(other, dict) else other.snapshot()
-        self.largest_batch = max(self.largest_batch, int(snapshot.get("largest_batch", 0)))
-        summed = merge_snapshots(
-            [
-                {k: v for k, v in self.snapshot().items() if k != "largest_batch"},
-                {k: v for k, v in snapshot.items() if k != "largest_batch"},
-            ]
-        )
-        self.requests = int(summed.get("requests", 0))
-        self.batches = int(summed.get("batches", 0))
-        self.node_accesses = int(summed.get("node_accesses", 0))
-        self.leaf_accesses = int(summed.get("leaf_accesses", 0))
-        self.distance_computations = int(summed.get("distance_computations", 0))
-        self.cpu_time = float(summed.get("cpu_time", 0.0))
-        self.io_stall_s = float(summed.get("io_stall_s", 0.0))
-        self.snapshot_swaps = int(summed.get("snapshot_swaps", 0))
-        return self
-
-    def snapshot(self) -> dict:
-        """The counters as a plain (picklable, mergeable) dictionary."""
-        return {
-            "requests": self.requests,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "node_accesses": self.node_accesses,
-            "leaf_accesses": self.leaf_accesses,
-            "distance_computations": self.distance_computations,
-            "cpu_time": self.cpu_time,
-            "io_stall_s": self.io_stall_s,
-            "snapshot_swaps": self.snapshot_swaps,
-        }
 
 
 class ServerStats:

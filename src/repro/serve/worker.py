@@ -59,7 +59,7 @@ def execute_batch_message(
     Split out of the process loop so tests can drive a worker's
     execution path in-process.  ``io_stall_s_per_access`` optionally
     charges a simulated disk stall per R-tree node access (the paper's
-    I/O cost model made temporal; see the serving benchmark) — the
+    I/O cost model made temporal) — the
     stall is slept *after* the batch, which preserves throughput
     semantics without perturbing the measured CPU path.
 
@@ -112,8 +112,7 @@ def execute_batch_message(
             started = time.perf_counter()
             results = engine.execute_many(specs)
             elapsed = time.perf_counter() - started
-            after = engine.flat.stats.snapshot()
-            delta = {key: after[key] - before[key] for key in after}
+            delta = engine.flat.stats.delta(before)
             for (request_id, _), result in zip(decoded, results):
                 span = spans.get(request_id)
                 if span is not None:

@@ -9,8 +9,8 @@ process-pool :class:`~repro.serve.server.GNNServer`); and a
 — answers queries by best-first scatter-gather over the federation,
 pruning shards with the paper's Heuristic-2 bound applied to shard
 root MBRs.  :class:`ShardWriter` is the federation's write path: it
-Hilbert-routes inserts and deletes into per-shard delta overlays
-(federation-global record ids) and compacts dirty shards into
+routes inserts and deletes to the delta overlay of the shard whose root
+MBR is nearest (federation-global record ids) and compacts dirty shards into
 generation-``N+1`` snapshots plus an updated manifest, which live
 nodes absorb via :meth:`ShardNode.swap_snapshot`.
 

@@ -50,6 +50,7 @@ import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from random import Random
+from typing import Mapping
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from repro.serve.protocol import encode_spec, pack_frame, read_frame
 from repro.shard.health import CircuitBreaker, HealthMonitor
 from repro.shard.manifest import ShardManifest
 from repro.shard.wire import ShardPing, ShardPong, ShardQuery, ShardReply
+from repro.storage.counters import CounterSet
 
 #: Seconds slept before retrying a sub-query an overloaded node shed.
 OVERLOAD_BACKOFF_S = 0.05
@@ -78,12 +80,15 @@ class ShardQueryError(RuntimeError):
 
 
 @dataclass
-class CoordinatorStats:
+class CoordinatorStats(CounterSet):
     """Mergeable counters of one coordinator's lifetime.
 
     ``shards_contacted``/``shards_pruned`` partition every query's
     shard set (minus failed ones); their ratio is the federation-level
     pruning rate, the headline number of the scatter-gather design.
+    ``cost`` is the merged :class:`QueryCost` of every answered query;
+    snapshots carry it nested under ``"cost"``, so multi-coordinator
+    deployments roll their stats up exactly like worker counters.
     """
 
     queries: int = 0
@@ -97,52 +102,15 @@ class CoordinatorStats:
     breaker_fast_fails: int = 0
     cost: QueryCost = field(default_factory=QueryCost)
 
-    #: The integer fields :meth:`merge` sums (everything but ``cost``).
-    COUNTER_FIELDS = (
-        "queries",
-        "subqueries",
-        "shards_contacted",
-        "shards_pruned",
-        "retries",
-        "degraded_queries",
-        "failed_subqueries",
-        "breaker_trips",
-        "breaker_fast_fails",
-    )
-
     def snapshot(self) -> dict:
-        data = {key: getattr(self, key) for key in self.COUNTER_FIELDS}
-        data["cost"] = self.cost.as_dict()
-        return data
+        """The counters plus the nested ``cost`` (:meth:`QueryCost.as_dict`)."""
+        return {**super().snapshot(), "cost": self.cost.as_dict()}
 
     def merge(self, other) -> "CoordinatorStats":
-        """Fold another :class:`CoordinatorStats` (or snapshot dict) in.
-
-        The same contract as :meth:`ServingCounters.merge`: every
-        counter sums key-wise and the nested ``cost`` folds with
-        :func:`merge_costs`, so multi-coordinator deployments can roll
-        their stats up exactly like worker counters.
-        """
-        snapshot = other if isinstance(other, dict) else other.snapshot()
-        for key in self.COUNTER_FIELDS:
-            setattr(self, key, getattr(self, key) + int(snapshot.get(key, 0)))
-        cost = snapshot.get("cost", {})
-        part = QueryCost(
-            **{key: value for key, value in cost.items() if key != "algorithm"}
-        )
-        merge_costs(self.cost, part)
-        return self
-
-
-def merge_costs(total: QueryCost, part: QueryCost) -> None:
-    """Fold one shard's measured cost into a federation total, in place."""
-    total.node_accesses += part.node_accesses
-    total.leaf_accesses += part.leaf_accesses
-    total.page_faults += part.page_faults
-    total.distance_computations += part.distance_computations
-    total.page_reads += part.page_reads
-    total.block_reads += part.block_reads
-    total.cpu_time += part.cpu_time
+        """Fold another :class:`CoordinatorStats` (or snapshot dict) in, cost included."""
+        snapshot = other if isinstance(other, Mapping) else other.snapshot()
+        self.cost.merge(snapshot.get("cost", {}))
+        return super().merge(snapshot)
 
 
 def _replica_addresses(entry) -> list:
@@ -597,7 +565,7 @@ class ShardCoordinator:
                         raise outcome
                     contacted.append(shard_id)
                     candidates.extend(outcome.neighbors)
-                    merge_costs(cost, outcome.cost)
+                    cost.merge(outcome.cost)
                 if unreachable is not None and not self.allow_degraded:
                     raise unreachable
 
@@ -625,7 +593,7 @@ class ShardCoordinator:
         self._stats.shards_contacted += len(contacted)
         self._stats.shards_pruned += len(remaining)
         self._stats.degraded_queries += bool(failed)
-        merge_costs(self._stats.cost, cost)
+        self._stats.cost.merge(cost)
 
         if root_span is not None:
             tracer.finish(

@@ -42,9 +42,10 @@ class ShardInfo:
     ``path`` is the snapshot filename *relative to the manifest's
     directory*, so a partition directory can be copied or mounted
     elsewhere wholesale.  ``hilbert_low``/``hilbert_high`` record the
-    (inclusive) Hilbert-key range of the shard's points — adjacent
-    shards own adjacent ranges, which is what keeps their root MBRs
-    spatially tight and the federation-level pruning effective.
+    (inclusive) Hilbert-key range the partitioner cut for the shard —
+    adjacent shards own adjacent ranges, which is what makes their root
+    MBRs spatially tight and the federation-level pruning effective.
+    They describe the partition; writes route on the root MBRs.
 
     ``sample`` holds a few of the shard's *actual* records (coordinate
     tuples, picked evenly along the shard's Hilbert order by the

@@ -4,21 +4,21 @@
 engine (:class:`~repro.rtree.overlay.DeltaOverlay` plus
 :meth:`~repro.core.engine.GNNEngine.compact`) across a partitioned
 dataset.  It opens one snapshot-only engine per shard (memory-mapped,
-nothing copied), routes every insert to the shard owning the point's
-Hilbert key — the same curve the partitioner cut on, so writes land in
-the shard whose root MBR already covers them and the federation-level
-pruning stays tight — and allocates *federation-global* record ids, so
-a sharded top-k and a single-index top-k keep speaking the same
+nothing copied), routes every insert to the shard whose root MBR is
+nearest the point — a point inside a shard's box lands in that shard,
+so compaction does not grow the boxes and the federation-level pruning
+stays tight — and allocates *federation-global* record ids, so a
+sharded top-k and a single-index top-k keep speaking the same
 identifier space after any number of writes.
 
 Compaction is per shard: each dirty overlay folds into a
 generation-``N+1`` ``shard-XXX-genNNNNNN.npz`` and the manifest row is
-rebuilt (count, root MBR, Hilbert range, record sample) from the live
-points.  The new ``manifest.json`` is written *last*, mirroring the
-partitioner's discipline — a manifest on disk never names snapshot
-files that do not exist yet, so a coordinator (re)connecting mid-write
-always finds a consistent federation.  Live :class:`ShardNode`\\ s pick
-the new files up through :meth:`ShardNode.swap_snapshot`.
+rebuilt (count, root MBR, record sample) from the live points.  The new
+``manifest.json`` is written *last*, mirroring the partitioner's
+discipline — a manifest on disk never names snapshot files that do not
+exist yet, so a coordinator (re)connecting mid-write always finds a
+consistent federation.  Live :class:`ShardNode`\\ s pick the new files
+up through :meth:`ShardNode.swap_snapshot`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.engine import GNNEngine
-from repro.geometry.hilbert import DEFAULT_ORDER, hilbert_indices
+from repro.geometry.hilbert import hilbert_indices
 from repro.rtree.flat import FlatRTree
 from repro.shard.manifest import ShardInfo, ShardManifest
 from repro.shard.partition import describe_shard, shard_snapshot_name
@@ -47,10 +47,6 @@ class ShardWriter:
     manifest:
         Optional already-loaded :class:`ShardManifest`; loaded from
         ``directory`` when omitted.
-    order:
-        Hilbert curve order used for routing; must match the order the
-        dataset was partitioned with (the default matches the
-        partitioner's default).
     fsync:
         When True, compaction fsyncs every published shard snapshot and
         the manifest — crash-durable publication at the cost of a disk
@@ -58,11 +54,10 @@ class ShardWriter:
     """
 
     def __init__(self, directory, manifest: ShardManifest | None = None, *,
-                 order: int = DEFAULT_ORDER, fsync: bool = False):
+                 fsync: bool = False):
         self.directory = Path(directory)
         self.manifest = manifest or ShardManifest.load(self.directory)
         self.fsync = bool(fsync)
-        self._order = int(order)
         self._engines: dict[int, GNNEngine] = {}
         self._next_id: int | None = None
 
@@ -90,13 +85,14 @@ class ShardWriter:
     # routing and id allocation
     # ------------------------------------------------------------------
     def route(self, point) -> int:
-        """The shard owning ``point``'s Hilbert key.
+        """The non-empty shard whose root MBR is nearest ``point``.
 
-        Keys inside a shard's ``[hilbert_low, hilbert_high]`` range route
-        there; keys falling between ranges (space vacated by the cuts)
-        go to the shard whose range starts closest above the key — the
-        same side :func:`numpy.array_split` gave that gap's points at
-        partition time.
+        A point inside a root MBR (mindist 0) routes to that shard, so
+        folding it in leaves the box as it was; a point outside every
+        box goes to the nearest one.  Ties — overlapping boxes — go to
+        the shard with fewer records, then the lower id.  Root MBRs are
+        what the manifest keeps exact through every compaction; with
+        every shard empty the point goes to shard 0.
         """
         point = np.asarray(point, dtype=np.float64).reshape(1, -1)
         if point.shape[1] != self.manifest.dims:
@@ -104,14 +100,13 @@ class ShardWriter:
                 f"point is {point.shape[1]}-d; the federation is "
                 f"{self.manifest.dims}-d"
             )
-        key = int(hilbert_indices(point, self._order)[0])
-        for shard in self.manifest.shards:
-            if shard.hilbert_low <= key <= shard.hilbert_high:
-                return shard.shard_id
-        for shard in self.manifest.shards:
-            if key < shard.hilbert_low:
-                return shard.shard_id
-        return self.manifest.shards[-1].shard_id
+        # A group of one: amindist is the plain point-to-box mindist,
+        # and empty shards come back at infinity.
+        distances = self.manifest.group_mindist_bounds(point)
+        counts = [shard.count for shard in self.manifest.shards]
+        # lexsort's last key is the primary one; its stable order makes
+        # the lower shard id win whatever is still tied.
+        return int(np.lexsort((counts, distances))[0])
 
     @property
     def next_record_id(self) -> int:
@@ -134,7 +129,7 @@ class ShardWriter:
         """Insert one point; returns ``(shard_id, record_id)``.
 
         The id comes from the federation-global allocator, the point
-        lands in its Hilbert-routed shard's overlay.
+        lands in the overlay of the shard :meth:`route` picks.
         """
         shard_id = self.route(point)
         record_id = self.next_record_id
@@ -145,10 +140,11 @@ class ShardWriter:
     def delete(self, point, record_id: int) -> int | None:
         """Delete one record; returns its shard id, or ``None`` if absent.
 
-        The Hilbert-routed shard is tried first; ties at partition cut
-        boundaries (equal keys split across adjacent shards) fall back
-        to probing the remaining shards — deletion verifies coordinates
-        *and* id, so a probe can never remove the wrong record.
+        The routed shard is tried first; a record that lives elsewhere
+        (overlapping root MBRs, or a shard that has grown since the
+        record was written) is found by probing the remaining shards —
+        deletion verifies coordinates *and* id, so a probe can never
+        remove the wrong record.
         """
         first = self.route(point)
         order = [first] + [
@@ -199,13 +195,19 @@ class ShardWriter:
         return manifest
 
     def _describe(self, shard_id: int, name: str, flat: FlatRTree) -> ShardInfo:
-        """Rebuild one manifest row from a compacted shard snapshot."""
+        """Rebuild one manifest row from a compacted shard snapshot.
+
+        Count, root MBR and record sample follow the live points.  The
+        Hilbert range stays the partition-time one: keys computed over
+        one shard's points alone are normalised to that shard's own box
+        and would not be comparable across shards.
+        """
+        previous = self.manifest.shards[shard_id]
         if flat.size == 0:
-            # Nothing to sample or bound; the shard keeps the stretch of
-            # the curve it owned, so later inserts there still route to it.
+            # Nothing to sample or bound: a placeholder root row.
             low, high = flat.root_mbr()
             return replace(
-                self.manifest.shards[shard_id],
+                previous,
                 path=name,
                 count=0,
                 root_low=tuple(low.tolist()),
@@ -213,9 +215,13 @@ class ShardWriter:
                 sample=(),
             )
         points = np.asarray(flat.points, dtype=np.float64)
-        keys = hilbert_indices(points, self._order)
+        keys = hilbert_indices(points)
         ranked = np.argsort(keys, kind="stable")
-        return describe_shard(shard_id, name, flat, points, keys, ranked)
+        return replace(
+            describe_shard(shard_id, name, flat, points, keys, ranked),
+            hilbert_low=previous.hilbert_low,
+            hilbert_high=previous.hilbert_high,
+        )
 
     def __repr__(self) -> str:
         return (

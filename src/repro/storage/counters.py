@@ -1,16 +1,26 @@
-"""I/O counters for the simulated disk and for memory-mapped snapshots.
+"""The one counter protocol, and the I/O counters built on it.
 
-All counter classes here expose the same tiny protocol: ``snapshot()``
-returns the counters as a plain numeric dictionary, ``reset()`` zeroes
-them, and ``merge(other)`` folds another instance (or snapshot
-dictionary) into this one.  Snapshots are therefore *mergeable*: the
-serving subsystem ships per-worker snapshots across process boundaries
-and folds them into one server-wide view with :func:`merge_snapshots`.
+Every counter class in the package — :class:`IOCounters` and
+:class:`MappedPageCounters` here, :class:`~repro.rtree.stats.TreeStats`,
+:class:`~repro.core.types.QueryCost`,
+:class:`~repro.serve.stats.ServingCounters` and
+:class:`~repro.shard.coordinator.CoordinatorStats` — is a dataclass of
+``int``/``float`` fields plus its ``record_*`` methods, and inherits
+``snapshot/reset/merge/delta/__add__`` from :class:`CounterSet`, which
+derives them once from the field declarations.  Hot paths keep
+incrementing plain attributes; the protocol only runs per query, per
+batch or per scrape.
+
+Snapshots are plain numeric dictionaries, so they cross process
+boundaries as they are: workers ship them to the server, shard nodes to
+the coordinator, and :meth:`CounterSet.merge` (or the key-union
+:func:`merge_snapshots`) folds them back together in any order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 #: Default OS page size used to report memory-mapped extents.
@@ -30,15 +40,75 @@ def merge_snapshots(snapshots: Iterable[Mapping[str, float]]) -> dict[str, float
     return merged
 
 
-def _as_snapshot(other) -> Mapping[str, float]:
-    """Normalise a counter object or a plain dictionary to a snapshot."""
-    if isinstance(other, Mapping):
-        return other
-    return other.snapshot()
+@functools.cache
+def _counter_defaults(cls) -> dict[str, float]:
+    """``{name: default}`` of a counter dataclass's ``int``/``float`` fields."""
+    return {
+        spec.name: spec.default
+        for spec in fields(cls)
+        if isinstance(spec.default, (int, float))
+    }
+
+
+class CounterSet:
+    """Mixin giving a counter dataclass its snapshot/merge protocol.
+
+    The counters are the dataclass's ``int``/``float`` fields; any other
+    field (a label such as ``QueryCost.algorithm``) is left alone by
+    every method.  Fields named in :attr:`MAXIMA` are high-water marks:
+    they merge by ``max`` where every other counter sums.  A subclass
+    nesting another counter set (``CoordinatorStats.cost``) extends
+    :meth:`snapshot` and :meth:`merge` to carry it.
+    """
+
+    #: Names of the fields that merge by maximum instead of by sum.
+    MAXIMA: tuple[str, ...] = ()
+
+    def snapshot(self) -> dict:
+        """The counters as a plain (picklable, mergeable) dictionary."""
+        return {name: getattr(self, name) for name in _counter_defaults(type(self))}
+
+    def reset(self) -> None:
+        """Restore every counter to its declared default."""
+        for name, default in _counter_defaults(type(self)).items():
+            setattr(self, name, default)
+
+    def merge(self, other):
+        """Fold another counter set (or a snapshot dictionary) into this one.
+
+        Keys this class does not declare are ignored and keys the
+        snapshot lacks count as zero, so heterogeneous snapshots fold
+        safely — a ``TreeStats`` delta into a ``QueryCost``, say.
+        """
+        snapshot = other if isinstance(other, Mapping) else other.snapshot()
+        for name, default in _counter_defaults(type(self)).items():
+            if name not in snapshot:
+                continue
+            value = type(default)(snapshot[name])
+            current = getattr(self, name)
+            setattr(
+                self, name, max(current, value) if name in self.MAXIMA else current + value
+            )
+        return self
+
+    def delta(self, before) -> dict:
+        """What was counted since ``before`` (an earlier snapshot or object).
+
+        Snapshot-shaped, so merging it back onto ``before`` reproduces
+        the current counters; a high-water mark reports its current value.
+        """
+        before = before if isinstance(before, Mapping) else before.snapshot()
+        return {
+            name: getattr(self, name) - (0 if name in self.MAXIMA else before.get(name, 0))
+            for name in _counter_defaults(type(self))
+        }
+
+    def __add__(self, other):
+        return type(self)().merge(self).merge(other)
 
 
 @dataclass
-class IOCounters:
+class IOCounters(CounterSet):
     """Counts page and block reads against the simulated query file.
 
     Attributes
@@ -71,31 +141,9 @@ class IOCounters:
         """Charge one external-sort pass."""
         self.sort_passes += 1
 
-    def merge(self, other) -> "IOCounters":
-        """Fold another :class:`IOCounters` (or its snapshot dict) into this one."""
-        snapshot = _as_snapshot(other)
-        self.page_reads += int(snapshot.get("page_reads", 0))
-        self.block_reads += int(snapshot.get("block_reads", 0))
-        self.sort_passes += int(snapshot.get("sort_passes", 0))
-        return self
-
-    def snapshot(self) -> dict[str, int]:
-        """Return the counters as a plain dictionary."""
-        return {
-            "page_reads": self.page_reads,
-            "block_reads": self.block_reads,
-            "sort_passes": self.sort_passes,
-        }
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.page_reads = 0
-        self.block_reads = 0
-        self.sort_passes = 0
-
 
 @dataclass
-class MappedPageCounters:
+class MappedPageCounters(CounterSet):
     """Extent of the arrays a memory-mapped flat snapshot spans.
 
     A ``FlatRTree`` opened with ``mmap_mode="r"`` copies nothing: the OS
@@ -116,25 +164,3 @@ class MappedPageCounters:
         self.arrays_mapped += 1
         self.bytes_mapped += nbytes
         self.pages_mapped += -(-nbytes // page_bytes)
-
-    def merge(self, other) -> "MappedPageCounters":
-        """Fold another :class:`MappedPageCounters` (or its snapshot dict) into this one."""
-        snapshot = _as_snapshot(other)
-        self.arrays_mapped += int(snapshot.get("arrays_mapped", 0))
-        self.bytes_mapped += int(snapshot.get("bytes_mapped", 0))
-        self.pages_mapped += int(snapshot.get("pages_mapped", 0))
-        return self
-
-    def snapshot(self) -> dict[str, int]:
-        """Return the counters as a plain dictionary."""
-        return {
-            "arrays_mapped": self.arrays_mapped,
-            "bytes_mapped": self.bytes_mapped,
-            "pages_mapped": self.pages_mapped,
-        }
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.arrays_mapped = 0
-        self.bytes_mapped = 0
-        self.pages_mapped = 0

@@ -506,6 +506,34 @@ class TestMutationConformance:
             assert first.record_ids() == second.record_ids()
             assert first.distances() == second.distances()
 
+    def test_delete_all_answers_empty_dirty_and_compacted(self, mutable_engine, dataset):
+        """Zero live records is one more engine state of the matrix: every
+        algorithm × aggregate answers ``[]``, per spec and batched alike.
+        (Brute force used to raise ``GeometryError`` from ``execute``.)"""
+        engine = mutable_engine
+        for rid, row in enumerate(dataset):
+            assert engine.delete(row, rid)
+        assert len(engine) == 0
+        group = _shared_groups()[0]
+        for state in ("dirty", "compacted"):
+            assert engine.dirty == (state == "dirty")
+            answers = self._answers(engine, [group])
+            assert {"mqm", "spm", "mbm", "best-first", "brute-force"} <= {
+                spec.algorithm for spec, _ in answers
+            }
+            batched = engine.execute_many([spec for spec, _ in answers])
+            for (spec, single), many in zip(answers, batched):
+                label = f"{state} {spec.algorithm} {spec.aggregate}"
+                assert single.neighbors == [] and many.neighbors == [], label
+                if spec.algorithm == "brute-force":
+                    assert single.cost.distance_computations == 0, label
+            assert engine.dirty == (state == "dirty")
+            # Disk-resident plans fold a dirty overlay first, which is
+            # what moves the engine on to the compacted state.
+            for spec in TestDiskSpecsOnEveryEngineKind._disk_specs(group, 5):
+                assert engine.execute(spec).neighbors == [], f"{state} {spec.algorithm}"
+                assert engine.execute_many([spec])[0].neighbors == []
+
 
 class TestDiskSpecsOnEveryEngineKind:
     """Disk-resident specs run over the flat index, so every engine answers them.

@@ -205,103 +205,13 @@ class TestCommandLine:
         assert "| node_accesses |" in content or "node_accesses" in content
 
 
-class TestBaselineCompare:
-    """The --compare regression gate over baseline documents."""
-
-    @staticmethod
-    def _document(batch=4.5, serving=2.6, schema=3):
-        return {
-            "schema": schema,
-            "memory_fig5_1": {"algorithms": {"MBM": {"flat_ms_per_query": 0.7}}},
-            "batch_flat": {"batch_speedup": batch},
-            "serving": {"throughput_speedup_4w_vs_1w": serving},
-            # reported numbers only: this section contributes no gated ratio
-            "durability": {
-                "volatile_us_per_write": 7.0,
-                "wal_append_us_per_write": 6.0,
-                "recovery_ms": 15.0,
-            },
-        }
-
-    def test_collect_speedups_flattens_every_ratio(self):
-        from repro.bench.baseline import collect_speedups
-
-        speedups = collect_speedups(self._document())
-        assert speedups == {"batch_speedup": 4.5, "serving_speedup": 2.6}
-
-    def test_identical_documents_pass(self):
-        from repro.bench.baseline import compare_baseline
-
-        document = self._document()
-        assert compare_baseline(document, document) == []
-
-    def test_small_noise_within_floor_passes(self):
-        from repro.bench.baseline import compare_baseline
-
-        reference = self._document(batch=4.5)
-        current = self._document(batch=4.1)  # above the 0.9 floor of 4.05
-        assert compare_baseline(current, reference) == []
-
-    def test_regression_below_floor_fails_with_named_ratio(self):
-        from repro.bench.baseline import compare_baseline
-
-        reference = self._document(batch=4.5, serving=2.6)
-        current = self._document(batch=1.0, serving=1.1)
-        failures = compare_baseline(current, reference)
-        assert len(failures) == 2
-        assert any("batch_speedup" in failure for failure in failures)
-        assert any("serving_speedup" in failure for failure in failures)
-
-    def test_missing_section_fails(self):
-        from repro.bench.baseline import compare_baseline
-
-        reference = self._document()
-        current = self._document()
-        del current["batch_flat"]
-        failures = compare_baseline(current, reference)
-        assert failures == ["batch_speedup: missing from the current measurement"]
-
-    def test_serving_regression_is_gated(self):
-        from repro.bench.baseline import compare_baseline
-
-        reference = self._document(serving=2.6)
-        current = self._document(serving=1.2)
-        failures = compare_baseline(current, reference)
-        assert any("serving_speedup" in failure for failure in failures)
-
-    def test_older_schema_baseline_warns_but_does_not_fail(self):
-        """--compare against a schema-2 baseline (no serving section)
-        must tolerate the missing sections: warn, don't crash or fail."""
-        from repro.bench.baseline import baseline_warnings, compare_baseline
-
-        reference = self._document(schema=2)
-        del reference["serving"]
-        current = self._document()
-        assert compare_baseline(current, reference) == []
-        warnings = baseline_warnings(current, reference)
-        assert any("schema" in warning for warning in warnings)
-        assert any("serving_speedup" in warning for warning in warnings)
-
-    def test_same_schema_no_warnings(self):
-        from repro.bench.baseline import baseline_warnings
-
-        document = self._document()
-        assert baseline_warnings(document, document) == []
-
-    def test_cli_compare_requires_quick(self, capsys):
-        from repro.bench.__main__ import main
-
-        assert main(["--compare", "whatever.json"]) == 2
-        assert "--compare requires --quick" in capsys.readouterr().err
-
-
 class TestBaselineWrite:
-    """Atomic persistence of BENCH_quick.json."""
+    """Atomic persistence of the JSON documents the system publishes."""
 
     def test_write_json_atomic_roundtrips(self, tmp_path):
         import json
 
-        from repro.bench.baseline import write_json_atomic
+        from repro.storage.atomicio import write_json_atomic
 
         path = tmp_path / "baseline.json"
         write_json_atomic(str(path), {"schema": 3, "value": 1.5})
@@ -312,7 +222,7 @@ class TestBaselineWrite:
         no temp litter) behind — never a truncated baseline."""
         import json
 
-        from repro.bench.baseline import write_json_atomic
+        from repro.storage.atomicio import write_json_atomic
 
         path = tmp_path / "baseline.json"
         write_json_atomic(str(path), {"schema": 3, "generation": 1})

@@ -336,26 +336,31 @@ class TestDeadShardLifecycle:
         self, chaos_points, tmp_path
     ):
         manifest, nodes, addresses = build_federation(chaos_points, 2, tmp_path)
-        coordinator = ShardCoordinator(
-            manifest,
-            addresses,
+        settings = dict(
             timeout_s=2.0,
             retries=1,
             allow_degraded=True,
             failure_threshold=2,
-            breaker_reset_s=30.0,  # only the health monitor can re-admit
-            health_interval_s=0.2,
+            breaker_reset_s=30.0,  # only a health monitor can re-admit
             jitter_seed=CHAOS_SEED,
         )
+        # Heartbeat and request failures share one consecutive-failure
+        # count per breaker, so a heartbeat round landing between the
+        # kill and the next query would trip the breaker one attempt
+        # early.  The exact counters are pinned without a monitor; the
+        # re-admission half runs on a second, monitored coordinator and
+        # asserts nothing that depends on who tripped the breaker.
+        counted = ShardCoordinator(manifest, addresses, **settings)
+        monitored = None
         restarted = None
         try:
             spec = broad_spec()
-            healthy = coordinator.execute(spec)
+            healthy = counted.execute(spec)
             assert healthy.shards_contacted == [0, 1]  # the wave covers both
 
             nodes[1].close()
             started = time.perf_counter()
-            first = coordinator.execute(spec)
+            first = counted.execute(spec)
             assert first.degraded and first.failed_shards == [1]
             assert first.shards_contacted == [0]
             # Both attempts hit a closed socket: fast connection refusals,
@@ -363,12 +368,12 @@ class TestDeadShardLifecycle:
             assert time.perf_counter() - started < 1.0
 
             started = time.perf_counter()
-            second = coordinator.execute(spec)
+            second = counted.execute(spec)
             assert second.degraded and second.failed_shards == [1]
             # The tripped breaker skips the dead shard entirely.
             assert time.perf_counter() - started < 0.5
 
-            stats = coordinator.stats()
+            stats = counted.stats()
             assert stats["queries"] == 3
             assert stats["subqueries"] == 6  # 2 healthy + (1 live + 2 dead) + 1
             assert stats["retries"] == 1
@@ -379,6 +384,16 @@ class TestDeadShardLifecycle:
             assert stats["shards_contacted"] == 4
             assert stats["shards_pruned"] == 0
 
+            # Against the still-dead node, one query (two refused
+            # attempts) leaves the monitored breaker open whether or not
+            # a heartbeat got there first.
+            monitored = ShardCoordinator(
+                manifest, addresses, health_interval_s=0.2, **settings
+            )
+            dead_replica = (1, f"{addresses[1][0]}:{addresses[1][1]}")
+            assert monitored.execute(spec).degraded
+            assert monitored.breaker_states()[dead_replica] == OPEN
+
             # Restart the node on the *same* address; the heartbeat loop
             # records a success into the open breaker and re-admits it.
             restarted = ShardNode(
@@ -388,16 +403,23 @@ class TestDeadShardLifecycle:
             deadline = time.monotonic() + 15.0
             recovered = None
             while time.monotonic() < deadline:
-                recovered = coordinator.execute(spec)
+                recovered = monitored.execute(spec)
                 if not recovered.degraded:
                     break
                 time.sleep(0.2)
             assert recovered is not None and not recovered.degraded
             assert recovered.shards_contacted == [0, 1]
             assert as_tuples(recovered) == as_tuples(healthy)
-            assert coordinator.stats()["breaker_trips"] == 1  # never re-tripped
+            assert monitored.breaker_states()[dead_replica] == CLOSED
+            # Tripped once — by a query or by a heartbeat — never re-tripped.
+            assert monitored._breakers[1][0].trips == 1
         finally:
-            close_all(coordinator, *nodes, *([restarted] if restarted else []))
+            close_all(
+                counted,
+                *([monitored] if monitored else []),
+                *nodes,
+                *([restarted] if restarted else []),
+            )
 
     def test_replica_failover_answers_from_the_standby(
         self, chaos_points, reference_engine, tmp_path

@@ -16,7 +16,7 @@ EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "3.0.0"
+        assert repro.__version__ == "3.1.0"
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

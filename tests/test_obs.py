@@ -31,9 +31,9 @@ from repro.obs.metrics import (
     MetricsRegistry,
     Sample,
     coordinator_collector,
+    counters_collector,
     histogram_family,
     server_collector,
-    tree_collector,
 )
 from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import (
@@ -56,6 +56,32 @@ def obs_reset():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture()
+def snapshot_path(rng, tmp_path):
+    engine = GNNEngine(rng.uniform(0, 1000, size=(300, 2)), capacity=16)
+    path = tmp_path / "snapshot-gen000000.npz"
+    engine.snapshot().save(path, generation=0)
+    return path
+
+
+@pytest.fixture()
+def federation(rng, tmp_path):
+    from repro.shard import ShardNode, ShardedEngine, partition_dataset
+
+    points = rng.uniform(0, 1000, size=(400, 2))
+    manifest = partition_dataset(points, 2, tmp_path / "shards", capacity=16)
+    nodes = [
+        ShardNode(shard.shard_id, tmp_path / "shards" / shard.path, workers=1)
+        for shard in manifest.shards
+    ]
+    addresses = [node.start() for node in nodes]
+    engine = ShardedEngine.connect(manifest, addresses, timeout_s=30.0)
+    yield engine, nodes, addresses
+    engine.close()
+    for node in nodes:
+        node.close()
 
 
 def parse_prometheus(text):
@@ -313,7 +339,7 @@ class TestCollectors:
     def test_tree_collector_tracks_live_engine_stats(self, rng):
         engine = GNNEngine(rng.uniform(0, 1000, size=(200, 2)), capacity=16)
         registry = MetricsRegistry()
-        registry.register(tree_collector(lambda: engine.flat.stats))
+        registry.register(counters_collector("repro_tree", lambda: engine.flat.stats))
         engine.execute(QuerySpec(group=rng.uniform(400, 600, size=(4, 2)), k=2))
         samples, types = parse_prometheus(render(registry))
         assert types["repro_tree_node_accesses_total"] == "counter"
@@ -523,6 +549,73 @@ class TestReconciliation:
         assert attrs["distance_computations"] == result.cost.distance_computations
         assert attrs["distance_computations"] == delta["distance_computations"] > 0
 
+    #: The counters every execution mode must agree on.
+    RECONCILED = ("node_accesses", "distance_computations")
+
+    def test_served_request_reconciles_with_server_stats(self, snapshot_path, rng):
+        """Served: a solo request's cost == the ``server.stats()["total"]`` delta.
+
+        The key sets are the ones ``benchmarks/gnnbench/workloads.py``
+        subtracts snapshot from snapshot, so they are pinned with it.
+        """
+        from repro.serve import GNNServer
+
+        with GNNServer(snapshot_path, workers=1, window_s=0.001) as server:
+            before = server.stats()
+            spec = QuerySpec(group=rng.uniform(300, 700, size=(5, 2)), k=3)
+            result = server.submit(spec).result(timeout=60)
+            after = server.stats()
+
+        for key in self.RECONCILED:
+            delta = after["total"][key] - before["total"][key]
+            assert getattr(result.cost, key) == delta > 0, key
+        assert after["total"]["requests"] - before["total"]["requests"] == 1
+        assert set(after) == {"server", "latency_ms", "scheduler", "workers", "total"}
+        assert set(after["server"]) == {
+            "submitted", "completed", "failed", "shed", "swaps", "pending",
+            "workers_alive", "worker_deaths",
+        }
+        assert set(after["scheduler"]) == {"queued", "in_flight", "epoch", "snapshot_path"}
+        assert set(before["total"]) == set(after["total"]) == set(after["workers"][0]) == {
+            "requests", "batches", "largest_batch", "node_accesses", "leaf_accesses",
+            "distance_computations", "cpu_time", "io_stall_s", "snapshot_swaps",
+        }
+
+    def test_federated_query_reconciles_with_coordinator_and_node_stats(
+        self, federation, rng
+    ):
+        """Sharded: result.cost == coordinator ``stats()["cost"]`` delta ==
+        the sum of the contacted nodes' ``stats()["total"]`` deltas."""
+        engine, nodes, _addresses = federation
+        coordinator_before = engine.stats()["coordinator"]
+        nodes_before = [node.stats()["total"] for node in nodes]
+        result = engine.execute(QuerySpec(group=rng.uniform(100, 900, size=(4, 2)), k=3))
+        coordinator_after = engine.stats()["coordinator"]
+        nodes_after = [node.stats()["total"] for node in nodes]
+
+        assert result.shards_contacted
+        for key in self.RECONCILED:
+            served = [after[key] - before[key] for before, after in zip(nodes_before, nodes_after)]
+            federated = coordinator_after["cost"][key] - coordinator_before["cost"][key]
+            contacted = sum(served[shard] for shard in result.shards_contacted)
+            assert getattr(result.cost, key) == federated == contacted > 0, key
+            assert all(served[shard] == 0 for shard in result.shards_pruned), key
+        # gnnbench subtracts every non-"cost" entry key by key.
+        assert set(coordinator_after) == {
+            "queries", "subqueries", "shards_contacted", "shards_pruned", "retries",
+            "degraded_queries", "failed_subqueries", "breaker_trips",
+            "breaker_fast_fails", "cost",
+        }
+        assert all(
+            isinstance(value, (int, float))
+            for key, value in coordinator_after.items()
+            if key != "cost"
+        )
+        assert list(coordinator_after["cost"]) == list(result.cost.as_dict()) == [
+            "algorithm", "node_accesses", "leaf_accesses", "page_faults",
+            "distance_computations", "page_reads", "block_reads", "cpu_time",
+        ]
+
     def test_untraced_execution_attaches_no_trace_id(self, rng):
         engine = GNNEngine(rng.uniform(0, 1000, size=(100, 2)), capacity=16)
         result = engine.execute(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=1))
@@ -545,13 +638,6 @@ class TestReconciliation:
 # serving integration: traces cross the worker boundary
 # ----------------------------------------------------------------------
 class TestServingIntegration:
-    @pytest.fixture()
-    def snapshot_path(self, rng, tmp_path):
-        engine = GNNEngine(rng.uniform(0, 1000, size=(300, 2)), capacity=16)
-        path = tmp_path / "snapshot-gen000000.npz"
-        engine.snapshot().save(path, generation=0)
-        return path
-
     def test_served_query_yields_complete_span_tree(self, snapshot_path, rng):
         from repro.serve import GNNServer
 
@@ -613,23 +699,6 @@ class TestServingIntegration:
 # sharding integration: traces cross the federation, STATS scrapes work
 # ----------------------------------------------------------------------
 class TestShardIntegration:
-    @pytest.fixture()
-    def federation(self, rng, tmp_path):
-        from repro.shard import ShardNode, ShardedEngine, partition_dataset
-
-        points = rng.uniform(0, 1000, size=(400, 2))
-        manifest = partition_dataset(points, 2, tmp_path / "shards", capacity=16)
-        nodes = [
-            ShardNode(shard.shard_id, tmp_path / "shards" / shard.path, workers=1)
-            for shard in manifest.shards
-        ]
-        addresses = [node.start() for node in nodes]
-        engine = ShardedEngine.connect(manifest, addresses, timeout_s=30.0)
-        yield engine, nodes, addresses
-        engine.close()
-        for node in nodes:
-            node.close()
-
     def test_federated_query_yields_complete_span_tree(self, federation, rng):
         engine, _nodes, _addresses = federation
         tracer, _, _ = enable_all(log_stream=io.StringIO())

@@ -8,13 +8,17 @@ an error, and hot-swaps never tear in-flight work.
 """
 
 import asyncio
+import dataclasses
+import pickle
 import time
 
 import numpy as np
 import pytest
 
 from repro import GNNEngine, QuerySpec
+from repro.core.types import QueryCost
 from repro.rtree.flat import FlatRTree
+from repro.rtree.stats import TreeStats
 from repro.serve import (
     GNNServer,
     MicroBatcher,
@@ -26,6 +30,7 @@ from repro.serve import (
 from repro.serve.protocol import BatchRequest, decode_spec, encode_spec
 from repro.serve.stats import percentile
 from repro.serve.worker import execute_batch_message
+from repro.shard.coordinator import CoordinatorStats
 from repro.storage.counters import IOCounters, MappedPageCounters, merge_snapshots
 from repro.storage.pointfile import PointFile
 
@@ -210,6 +215,67 @@ class TestMergeableCounters:
         left.merge({"requests": 1, "largest_batch": 20})
         assert left.requests == 16
         assert left.largest_batch == 20
+
+    @pytest.mark.parametrize(
+        "cls",
+        [TreeStats, IOCounters, MappedPageCounters, ServingCounters, QueryCost, CoordinatorStats],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_counter_set_protocol(self, cls):
+        """Every counter class speaks the one derived ``CounterSet`` protocol."""
+        numeric = [
+            spec.name for spec in dataclasses.fields(cls) if spec.type in ("int", "float")
+        ]
+        nested = {"cost"} if cls is CoordinatorStats else set()
+
+        def filled(start):
+            counters = cls()
+            for offset, name in enumerate(numeric):
+                kind = type(getattr(counters, name))
+                setattr(counters, name, kind(start + offset))
+            if nested:
+                counters.cost = QueryCost(node_accesses=start, cpu_time=start / 4)
+            return counters
+
+        def counted(counters):
+            return {name: getattr(counters, name) for name in numeric}
+
+        low, high = filled(3), filled(10)
+        assert set(low.snapshot()) == set(numeric) | nested
+        assert {key: low.snapshot()[key] for key in numeric} == counted(low)
+
+        # An object, its snapshot and its pickle round-trip all merge alike.
+        for other in (low, low.snapshot(), pickle.loads(pickle.dumps(low))):
+            assert cls().merge(other).snapshot() == low.snapshot()
+        # Unknown keys are ignored, missing keys count as zero.
+        sparse = cls().merge({"no_such_counter": 7, numeric[0]: 2})
+        assert counted(sparse) == {**counted(cls()), numeric[0]: 2}
+        assert not hasattr(sparse, "no_such_counter")
+
+        # Sums everywhere, maxima where declared.
+        merged = filled(3).merge(high)
+        assert counted(merged) == {
+            name: max(getattr(low, name), getattr(high, name))
+            if name in cls.MAXIMA
+            else getattr(low, name) + getattr(high, name)
+            for name in numeric
+        }
+        assert (low + high).snapshot() == merged.snapshot()
+        assert counted(low) == counted(filled(3))  # operands untouched
+        if nested:
+            assert merged.cost.node_accesses == 13 and merged.cost.cpu_time == 3.25
+
+        # delta(before), merged back onto before, reproduces the present.
+        assert merged.delta(low) == merged.delta(low.snapshot())
+        assert counted(filled(3).merge(merged.delta(low))) == counted(merged)
+
+        # reset restores the declared defaults and nothing but the counters.
+        if cls is QueryCost:
+            merged.algorithm = "mbm"
+        merged.reset()
+        assert counted(merged) == counted(cls())
+        if cls is QueryCost:
+            assert merged.algorithm == "mbm"
 
     def test_percentile_nearest_rank(self):
         values = list(range(1, 101))

@@ -552,6 +552,48 @@ class TestShardedWritePath:
             seen.append(record_id)
         assert seen == list(range(400, 410))  # global, monotonic, gap-free
 
+    def test_a_point_inside_exactly_one_root_mbr_routes_there(self, partitioned):
+        from repro.shard import ShardWriter
+
+        directory, manifest = partitioned
+        writer = ShardWriter(directory)
+        lows, highs = manifest.root_bounds()
+        probes = np.random.default_rng(SEED + 1).uniform(0, 1000, size=(200, 2))
+        inside = ((probes[:, None] > lows) & (probes[:, None] < highs)).all(axis=2)
+        owned = np.flatnonzero(inside.sum(axis=1) == 1)
+        assert len(owned) > 50
+        for row in owned:
+            assert writer.route(probes[row]) == int(np.argmax(inside[row]))
+        # Outside every box: the nearest one takes it.
+        far = highs.max(axis=0) + 10_000.0
+        gaps = np.maximum(far - highs, 0.0)
+        assert writer.route(far) == int(np.argmin((gaps**2).sum(axis=1)))
+        with pytest.raises(ValueError):
+            writer.route([1.0, 2.0, 3.0])
+
+    def test_routed_inserts_spread_and_keep_root_mbrs_tight(self, tmp_path):
+        """2,000 inserts + compact: every shard takes writes and the root
+        MBRs barely move.  (Routing every insert to shard 0 — the key-is-
+        always-0 bug — grew the total root-MBR area by 60% here.)"""
+        from repro.datasets.real_like import pp_like
+        from repro.shard import ShardWriter, partition_dataset
+
+        points = pp_like(20_000)
+        before = partition_dataset(points[:18_000], 4, tmp_path)
+        writer = ShardWriter(tmp_path)
+        inserts = np.bincount(
+            [writer.insert(point)[0] for point in points[18_000:]], minlength=4
+        )
+        after = writer.compact()
+
+        def total_area(manifest):
+            lows, highs = manifest.root_bounds()
+            return float(np.prod(highs - lows, axis=1).sum())
+
+        assert inserts.sum() == 2_000 and inserts.min() > 0
+        assert [row.count for row in after.shards] == [4_500 + n for n in inserts]
+        assert total_area(after) < 1.01 * total_area(before)
+
     def test_delete_probes_past_routing_ties(self, partitioned, dataset):
         from repro.shard import ShardWriter
 
@@ -583,8 +625,13 @@ class TestShardedWritePath:
         # names exists (manifest-written-last discipline).
         reloaded = ShardManifest.load(directory)
         assert reloaded.generation == updated.generation
-        for shard in reloaded.shards:
+        for shard, original in zip(reloaded.shards, manifest.shards):
             assert (directory / shard.path).exists()
+            # The Hilbert range describes the partition, not the writes.
+            assert (shard.hilbert_low, shard.hilbert_high) == (
+                original.hilbert_low,
+                original.hilbert_high,
+            )
         # Federated view == single rebuilt index over the live records.
         live = {i: dataset[i] for i in range(400) if i not in set(deleted)}
         live.update(inserted)
