@@ -48,6 +48,16 @@ def ts_tree(ts_points, scale):
     return FlatRTree.bulk_load(ts_points, capacity=scale.node_capacity)
 
 
+@pytest.fixture(scope="module")
+def node_accesses():
+    """Per-module table a figure's sweep fills with its average node accesses.
+
+    Keyed by the sweep's own setting; the module's ``*_finding`` test, which
+    runs after the sweep, asserts the paper's finding over it.
+    """
+    return {}
+
+
 @pytest.fixture(scope="session")
 def datasets(pp_points, ts_points, pp_tree, ts_tree):
     """Convenience bundle mapping dataset names to (points, tree)."""

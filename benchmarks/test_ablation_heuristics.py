@@ -19,7 +19,7 @@ N_STEPS = range(3)
 
 @pytest.mark.parametrize("n_index", N_STEPS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_ablation_mbm_heuristics(benchmark, datasets, scale, n_index, algorithm):
+def test_ablation_mbm_heuristics(benchmark, datasets, scale, node_accesses, n_index, algorithm):
     if n_index >= len(scale.cardinalities):
         pytest.skip("scale defines fewer cardinality steps")
     n = scale.cardinalities[n_index]
@@ -32,3 +32,14 @@ def test_ablation_mbm_heuristics(benchmark, datasets, scale, n_index, algorithm)
     )
     averages = run_memory_benchmark(benchmark, tree, points, spec, algorithm)
     benchmark.extra_info["n"] = n
+    node_accesses[n, algorithm] = averages.node_accesses
+
+
+def test_ablation_finding(node_accesses, scale):
+    """Heuristic 3 is MBM's edge: it never adds accesses, and with it MBM beats SPM."""
+    steps = scale.cardinalities[: len(N_STEPS)]
+    if len(node_accesses) < len(steps) * len(ALGORITHMS):
+        pytest.skip("needs the whole sweep of this module to have run first")
+    for n in steps:
+        assert node_accesses[n, "MBM"] <= node_accesses[n, "MBM-H2"], n
+        assert node_accesses[n, "MBM"] <= node_accesses[n, "SPM"], n

@@ -23,7 +23,9 @@ N_STEPS = range(5)
 @pytest.mark.parametrize("dataset", ["pp", "ts"])
 @pytest.mark.parametrize("n_index", N_STEPS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_fig5_1_cost_vs_cardinality(benchmark, datasets, scale, dataset, n_index, algorithm):
+def test_fig5_1_cost_vs_cardinality(
+    benchmark, datasets, scale, node_accesses, dataset, n_index, algorithm
+):
     if n_index >= len(scale.cardinalities):
         pytest.skip("scale defines fewer cardinality steps")
     n = scale.cardinalities[n_index]
@@ -38,3 +40,15 @@ def test_fig5_1_cost_vs_cardinality(benchmark, datasets, scale, dataset, n_index
     benchmark.extra_info["n"] = n
     benchmark.extra_info["dataset"] = dataset.upper()
     assert averages.queries == scale.queries_per_setting
+    node_accesses[dataset, n, algorithm] = averages.node_accesses
+
+
+@pytest.mark.parametrize("dataset", ["pp", "ts"])
+def test_fig5_1_finding(node_accesses, scale, dataset):
+    """The finding above, over the sweep's node accesses (exact repeats for a seed)."""
+    if len(node_accesses) < 2 * len(scale.cardinalities) * len(ALGORITHMS):
+        pytest.skip("needs the whole sweep of this module to have run first")
+    for n in scale.cardinalities:
+        assert node_accesses[dataset, n, "MBM"] <= node_accesses[dataset, n, "SPM"], n
+    smallest, largest = scale.cardinalities[0], scale.cardinalities[-1]
+    assert node_accesses[dataset, largest, "MQM"] >= 4 * node_accesses[dataset, smallest, "MQM"]

@@ -42,7 +42,10 @@ def _parser() -> argparse.ArgumentParser:
         "--scale",
         default="quick",
         choices=available_scales(),
-        help="problem size: smoke (seconds), quick (minutes, default), paper (hours)",
+        help=(
+            "problem size: smoke (seconds), quick (minutes, default), paper (the paper's "
+            "sizes; fig5_1_pp measured at 212 s, the GCP-bound disk figures not timed)"
+        ),
     )
     parser.add_argument("--list", action="store_true", help="list available experiments and exit")
     parser.add_argument(

@@ -9,8 +9,10 @@ that full matrix in CI time, so the harness defines three scales:
 * ``quick`` — the default for ``python -m repro.bench``; large enough
   for the figures' qualitative shape (orderings, growth trends,
   crossovers) to be clearly visible.
-* ``paper`` — the paper's cardinalities and workload sizes.  Slow in
-  pure Python; provided for completeness.
+* ``paper`` — the paper's cardinalities and workload sizes.  Measured:
+  ``fig5_1_pp`` takes 212 s (24,493 points, 100 queries x 5 cardinalities
+  x 3 algorithms), 166 s of it MQM at n=1024; the disk figures with an
+  uncapped GCP have not been timed.
 
 Absolute numbers differ from the paper at every scale (different
 hardware, language and datasets); EXPERIMENTS.md records the comparison

@@ -7,15 +7,16 @@ inlining the inequalities, so the exact conditions of the paper are
 visible in one place and covered by dedicated tests (including the
 property-based ones that check they never prune the true answer).
 
-Two deliberate exceptions: the flat-snapshot consumption loops —
-``repro.core.mbm._process_leaf_flat`` (Heuristic 2) and
-``repro.core.spm._spm_best_first_flat`` (Heuristic 1) — replicate the
+Two deliberate exceptions: the per-candidate consumption loops —
+``repro.core.mbm._process_leaf`` (Heuristic 2) and
+``repro.core.spm._spm_best_first`` (Heuristic 1) — replicate the
 inequality inline because a predicate call per candidate is exactly the
 per-item overhead those loops exist to remove.  **Any change to the
 comparisons in** :func:`heuristic1_prunes_point` **or**
-:func:`heuristic2_prunes` **must be mirrored there**; the
-``flat-conformance`` CI job (bit-identical answers and pinned counters,
-object vs flat) is the backstop that catches a divergence.
+:func:`heuristic2_prunes` **must be mirrored there**; the pinned answers
+and counters of ``TestPinnedAccessCounters``
+(``tests/test_algorithm_conformance.py``) and ``TestTraversalPins``
+(``tests/test_rtree_flat.py``) are the backstop that catches a divergence.
 
 Numbering follows the paper:
 

@@ -6,12 +6,20 @@ MBM performs a single traversal of the R-tree of ``P`` pruned by the MBR
 * **Heuristic 2** — a node (or point) whose ``mindist`` to ``M`` reaches
   ``best_dist / n`` cannot qualify.  One distance computation per node.
 * **Heuristic 3** — a node whose summed per-query-point ``mindist``
-  reaches ``best_dist`` cannot qualify.  Tighter, but needs ``n``
-  distance computations, so it is only evaluated for nodes that survive
-  Heuristic 2 (the paper's footnote 3 reports the same trade-off and the
-  ablation benchmark reproduces it).
+  reaches ``best_dist`` cannot qualify.  Tighter, but ``n`` distance
+  computations per node, so Heuristic 2 stays in front as the cheap
+  pre-filter and only its survivors pay for the bound (the paper's
+  footnote 3 reports the same trade-off and the ablation benchmark
+  reproduces it).
 
-The traversal is best-first, as in the paper's experiments.  The weighted and max/min-aggregate extensions reuse the same traversal
+The traversal is best-first with the heap keyed on the Heuristic-3 bound
+and stops when the head reaches ``best_dist``, so the nodes read are
+exactly those whose bound is below the k-th distance — the fewest these
+bounds allow.  The paper's text orders by ``mindist(N, M)``, which is 0
+for every node intersecting ``M`` and so reads every leaf under the query
+MBR; only the Heuristic-2-only ablation, having no tighter key, keeps it.
+
+The weighted and max/min-aggregate extensions reuse the same traversal
 with generalised bounds (see :mod:`repro.core.aggregates`).
 """
 
@@ -26,6 +34,7 @@ from repro.core.heuristics import (
     heuristic2_prunes,
     heuristic2_prunes_batch,
     heuristic3_prunes_batch,
+    heuristic3_prunes_precomputed,
 )
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, GroupNeighbor, GroupQuery, QueryCost
@@ -90,65 +99,53 @@ def _divisor(query: GroupQuery) -> float:
 
 
 def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
-    """Best-first MBM: the heap is ordered by mindist to the query MBR.
+    """Best-first MBM over the flat snapshot (heap order: module docstring).
 
     Each popped node is scored with batched kernels: one call computes
     the mindist of the whole child slice to the query MBR (Heuristic 2)
-    and one more computes the aggregate lower bounds of the survivors
-    (Heuristic 3).  ``best`` cannot change while a child slice is being
-    scored (offers only happen at leaves), so the batched checks decide
-    exactly what an entry-at-a-time loop would.
+    and one more the aggregate lower bounds of the survivors (Heuristic
+    3), the keys they are pushed under (without it, the mindists are).
+    ``best`` cannot change while a child slice is being scored (offers
+    only happen at leaves), so the batched checks decide exactly what an
+    entry-at-a-time loop would.
     """
     query_mbr = query.mbr
     divisor = _divisor(query)
     counter = itertools.count()
     heap: list[tuple[float, int, int]] = [(0.0, next(counter), 0)]
-    stats = flat.stats
-    child_start = flat.child_start
-    child_count = flat.child_count
-    levels = flat.levels
-    all_lows = flat.lows
-    all_highs = flat.highs
     scorer = kernels.scorer_for(query.points, query.weights, query.aggregate, flat.capacity)
+    mindists_to_mbr = kernels.boxes_mindist_box if scorer is None else scorer.boxes_mindist_box
+    lower_bounds = query.mindist_lower_bounds if scorer is None else scorer.boxes_group_sum_mindist
 
     while heap:
-        mindist_to_m, _, node_id = heapq.heappop(heap)
-        # The heap is ordered by mindist(N, M): once the head fails
-        # Heuristic 2 every remaining entry fails it too.
-        if best.is_full() and heuristic2_prunes(mindist_to_m, best.best_dist, divisor):
+        key, _, node_id = heapq.heappop(heap)
+        # Once the head fails the heuristic it is keyed on, every entry
+        # does (``best_dist`` is infinite until ``best`` is full).
+        if use_heuristic3:
+            if heuristic3_prunes_precomputed(key, best.best_dist):
+                break
+        elif heuristic2_prunes(key, best.best_dist, divisor):
             break
         index = flat.read_node(node_id)
-        start = int(child_start[index])
-        stop = start + int(child_count[index])
-        if levels[index] == 0:
+        start = int(flat.child_start[index])
+        stop = start + int(flat.child_count[index])
+        if flat.levels[index] == 0:
             _process_leaf(flat, start, stop, query, best, divisor, scorer, exclude)
             continue
-        lows = all_lows[start:stop]
-        highs = all_highs[start:stop]
-        if scorer is not None:
-            child_mindists = scorer.boxes_mindist_box(lows, highs, query_mbr.low, query_mbr.high)
+        lows = flat.lows[start:stop]
+        highs = flat.highs[start:stop]
+        keys = mindists_to_mbr(lows, highs, query_mbr.low, query_mbr.high)
+        flat.stats.record_distance_computations(stop - start)
+        survivors = np.flatnonzero(~heuristic2_prunes_batch(keys, best.best_dist, divisor))
+        if use_heuristic3 and survivors.size:
+            keys = lower_bounds(lows[survivors], highs[survivors])
+            flat.stats.record_distance_computations(query.cardinality * survivors.size)
+            kept = ~heuristic3_prunes_batch(keys, best.best_dist)
+            survivors, keys = survivors[kept], keys[kept]
         else:
-            child_mindists = kernels.boxes_mindist_box(lows, highs, query_mbr.low, query_mbr.high)
-        stats.record_distance_computations(stop - start)
-        if best.is_full():
-            survives = ~heuristic2_prunes_batch(child_mindists, best.best_dist, divisor)
-        else:
-            survives = np.ones(stop - start, dtype=bool)
-        if use_heuristic3 and best.is_full() and survives.any():
-            indices = np.flatnonzero(survives)
-            if scorer is not None:
-                # boxes_group_sum_mindist shares no state with the box
-                # buffer holding child_mindists, so the bounds can be
-                # computed before the surviving children are pushed.
-                lower_bounds = scorer.boxes_group_sum_mindist(lows[indices], highs[indices])
-            else:
-                lower_bounds = query.mindist_lower_bounds(lows[indices], highs[indices])
-            stats.record_distance_computations(query.cardinality * indices.size)
-            survives[indices[heuristic3_prunes_batch(lower_bounds, best.best_dist)]] = False
-        for offset in np.flatnonzero(survives):
-            heapq.heappush(
-                heap, (float(child_mindists[offset]), next(counter), start + int(offset))
-            )
+            keys = keys[survivors]
+        for child_key, offset in zip(keys.tolist(), survivors.tolist()):
+            heapq.heappush(heap, (child_key, next(counter), start + offset))
 
 
 def _process_leaf(
@@ -227,8 +224,10 @@ def mbm_batch(
     slice) is scored against all still-active queries in a single
     ``(B, m)`` / ``(B, fanout)`` kernel call, and per-query top-``k``
     state is maintained as ``(B, k)`` arrays.  Heuristics 2 and 3 prune
-    per query exactly as in :func:`mbm` — a node is expanded while *any*
-    query still needs it — so every returned answer is exact.
+    per query exactly as in :func:`mbm`, and an entry is keyed on the
+    smallest Heuristic-3 bound among the queries that still need it, so
+    every answer is exact and the nodes read are the union of the nodes
+    the ``B`` solo traversals read.
 
     Aggregate distances come from the same bit-identical kernels the
     per-query path uses, so returned distances equal per-query
@@ -268,7 +267,12 @@ def mbm_batch(
     query_lows = groups.min(axis=1)
     query_highs = groups.max(axis=1)
     divisor = float(cardinality)
-    use_2d = dims == 2
+    if dims == 2:
+        aggregate_distances = kernels.groups_aggregate_distances_2d
+        group_bounds = kernels.boxes_groups_mindist_2d
+    else:
+        aggregate_distances = kernels.batched_aggregate_distances
+        group_bounds = kernels.boxes_groups_mindist
     stats = flat.stats
     points = flat.points
     record_ids = flat.record_ids
@@ -278,17 +282,20 @@ def mbm_batch(
     best_dist = np.full(batch, np.inf)
 
     counter = itertools.count()
-    root_vec = kernels.boxes_mindist_boxes(
-        flat.lows[0:1], flat.highs[0:1], query_lows, query_highs
-    )[:, 0]
-    heap: list[tuple] = [(float(root_vec.min()), next(counter), 0, root_vec)]
+    heap: list[tuple] = [(0.0, next(counter), 0, np.zeros(batch))]
 
     while heap:
-        _, _, node_id, mindist_vec = heapq.heappop(heap)
-        # Heuristic 2 per query; thresholds only shrink, so a query
-        # pruned at push time stays pruned here.
-        active = mindist_vec < best_dist / divisor
+        _, _, node_id, key_vec = heapq.heappop(heap)
+        # Per query, the heuristic the entry is keyed on (thresholds only
+        # shrink, so a query pruned at push time stays pruned here).
+        active = key_vec < (best_dist if use_heuristic3 else best_dist / divisor)
         if not active.any():
+            continue
+        # The query that ranked this entry first may be done with it:
+        # requeue under the smallest key of the queries still active.
+        live_key = float(key_vec[active].min())
+        if heap and live_key > heap[0][0]:
+            heapq.heappush(heap, (live_key, next(counter), node_id, key_vec))
             continue
         index = flat.read_node(node_id)
         start = int(flat.child_start[index])
@@ -297,11 +304,7 @@ def mbm_batch(
         if flat.levels[index] == 0:
             members = np.flatnonzero(active)
             coords = points[start:stop]
-            subset = groups[members]
-            if use_2d:
-                distances = kernels.groups_aggregate_distances_2d(coords, subset)
-            else:
-                distances = kernels.batched_aggregate_distances(coords, subset)
+            distances = aggregate_distances(coords, groups[members])
             stats.record_distance_computations(cardinality * count * members.size)
             rows = np.arange(start, stop, dtype=np.int64)
             merged_dists = np.concatenate((top_dists[members], distances), axis=1)
@@ -344,27 +347,24 @@ def mbm_batch(
             continue
         lows = flat.lows[start:stop]
         highs = flat.highs[start:stop]
-        child_mindists = kernels.boxes_mindist_boxes(lows, highs, query_lows, query_highs)
+        child_keys = kernels.boxes_mindist_boxes(lows, highs, query_lows, query_highs)
         stats.record_distance_computations(count * batch)
         # A query only continues below this node if it reached it
         # (``active``) and the child survives its Heuristics 2/3 — the
         # same per-query pruning the solo traversal applies.
-        survives = child_mindists < (best_dist / divisor)[:, None]
+        survives = child_keys < (best_dist / divisor)[:, None]
         survives &= active[:, None]
         if use_heuristic3:
             members = np.flatnonzero(survives.any(axis=1))
             if members.size:
-                if use_2d:
-                    bounds = kernels.boxes_groups_mindist_2d(lows, highs, groups[members])
-                else:
-                    bounds = kernels.boxes_groups_mindist(lows, highs, groups[members])
+                bounds = group_bounds(lows, highs, groups[members])
                 stats.record_distance_computations(cardinality * count * members.size)
                 survives[members] &= bounds < best_dist[members][:, None]
-        # Children are pushed with per-query mindists masked to +inf for
-        # the queries pruned here, so every later ``active`` check
-        # inherits the upstream Heuristic-2/3 decisions per query.
+                child_keys[members] = bounds
+        # Children carry their per-query keys, +inf for the queries pruned
+        # here, so every later ``active`` check inherits these decisions.
         for offset in np.flatnonzero(survives.any(axis=0)).tolist():
-            child_vec = np.where(survives[:, offset], child_mindists[:, offset], np.inf)
+            child_vec = np.where(survives[:, offset], child_keys[:, offset], np.inf)
             heapq.heappush(
                 heap, (float(child_vec.min()), next(counter), start + offset, child_vec)
             )

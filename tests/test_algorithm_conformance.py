@@ -166,7 +166,7 @@ class TestPinnedAccessCounters:
     MEMORY_PINS = {
         "mqm": (142, 3008),
         "spm": (23, 3392),
-        "mbm": (19, 3614),
+        "mbm": (5, 1139),
         "best-first": (5, 1088),
     }
     DISK_PINS = {
@@ -174,6 +174,10 @@ class TestPinnedAccessCounters:
         "fmbm": (35, 168),
     }
     GCP_PIN = (3895, 0)
+    #: MBM without Heuristic 3 (the paper's footnote-3 ablation), captured
+    #: at the commit before MBM's heap was re-keyed on the Heuristic-3
+    #: bound: that path keeps the mindist-to-MBR order and these counters.
+    MBM_H2_ONLY_PIN = (30, 5870)
 
     @pytest.fixture()
     def pinned_group(self):
@@ -184,6 +188,13 @@ class TestPinnedAccessCounters:
             result = execute_spec(context, QuerySpec(group=pinned_group, k=4, algorithm=name))
             assert result.cost.node_accesses == node_accesses, name
             assert result.cost.distance_computations == distance_computations, name
+
+    def test_mbm_heuristic2_only_counters(self, context, pinned_group):
+        spec = QuerySpec(
+            group=pinned_group, k=4, algorithm="mbm", options={"use_heuristic3": False}
+        )
+        cost = execute_spec(context, spec).cost
+        assert (cost.node_accesses, cost.distance_computations) == self.MBM_H2_ONLY_PIN
 
     def test_disk_counters(self, context):
         disk_group = np.random.default_rng(7).uniform(200, 800, size=(60, 2))
@@ -372,10 +383,13 @@ class TestSharedTraversalBatchConformance:
     #: most once per bucket — far below the summed per-query counts —
     #: and any change to its pruning or charging shows up here exactly.
     BATCH_PINS = {
-        1: (22, 18624),
-        4: (22, 20984),
-        8: (27, 22776),
+        1: (10, 8496),
+        4: (11, 9648),
+        8: (17, 11384),
     }
+    #: The k=1 bucket without Heuristic 3, captured before the shared
+    #: traversal was re-keyed: that path keeps the mindist-to-MBR order.
+    BATCH_H2_ONLY_PIN = (25, 17024)
 
     @pytest.fixture()
     def pinned_specs(self):
@@ -417,6 +431,15 @@ class TestSharedTraversalBatchConformance:
                 assert outcome.cost.algorithm == "MBM-batch"
                 assert outcome.cost.node_accesses == node_accesses, k
                 assert outcome.cost.distance_computations == distance_computations, k
+
+    def test_heuristic2_only_bucket_counters(self, context, pinned_specs):
+        specs = [
+            spec.replace(k=1, options={"use_heuristic3": False}) for spec in pinned_specs
+        ]
+        for outcome in execute_batch(context, specs):
+            cost = outcome.cost
+            assert cost.algorithm == "MBM-batch"
+            assert (cost.node_accesses, cost.distance_computations) == self.BATCH_H2_ONLY_PIN
 
     def test_weighted_specs_stay_off_the_shared_path(self, context):
         rng = np.random.default_rng(SEED + 11)

@@ -7,9 +7,12 @@ the paper's qualitative claims about their costs.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
-from repro.core.mbm import mbm
+from repro.core.mbm import mbm, mbm_batch
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery
@@ -149,6 +152,78 @@ class TestMBM:
             total_mbm += mbm(small_tree, GroupQuery(group, k=8)).cost.node_accesses
             total_spm += spm(small_tree, GroupQuery(group, k=8)).cost.node_accesses
         assert total_mbm <= total_spm * 1.1
+
+
+def _needed_nodes(flat, points, query):
+    """Mask of the nodes whose Heuristic-3 bound is below the k-th distance.
+
+    No exact traversal pruned by these bounds can skip one of them; MBM
+    reads nothing else.  Inputs where a bound *equals* the k-th distance
+    (a data point on the corner of its leaf MBR that faces the whole
+    group) are rejected: whether such a node is read depends on the order
+    ties are met in.
+    """
+    expected = brute_force_gnn(points, query).distances()
+    kth = expected[-1] if len(expected) == query.k else np.inf
+    bounds = query.mindist_lower_bounds(flat.lows, flat.highs)
+    assume(not np.any(bounds == kth))
+    return bounds < kth, expected
+
+
+@st.composite
+def _workloads(draw, max_batch=1):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(0, 1000, size=(draw(st.integers(1, 300)), 2))
+    flat = FlatRTree.bulk_load(points, capacity=draw(st.sampled_from([4, 8, 16])))
+    batch = draw(st.integers(1, max_batch))
+    cardinality = draw(st.integers(1, 8))
+    centers = rng.uniform(0, 1000, size=(batch, 1, 2))
+    extents = rng.uniform(5, 300, size=(batch, 1, 1))
+    groups = centers + extents * rng.uniform(-1, 1, size=(batch, cardinality, 2))
+    return rng, points, flat, groups, draw(st.integers(1, 6))
+
+
+class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
+    @given(workload=_workloads(), weighted=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_visited_set_is_the_minimum_for_heuristic3(self, workload, weighted):
+        rng, points, flat, groups, k = workload
+        weights = rng.uniform(0.5, 3.0, size=groups.shape[1]) if weighted else None
+        query = GroupQuery(groups[0], k=k, weights=weights)
+        needed, expected = _needed_nodes(flat, points, query)
+        result = mbm(flat, query)
+        assert result.distances() == expected
+        assert result.cost.node_accesses == np.count_nonzero(needed)
+        assert result.cost.node_accesses == aggregate_gnn(flat, query).cost.node_accesses
+
+    @given(workload=_workloads(max_batch=5))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_traversal_reads_the_union_of_the_solo_sets(self, workload):
+        _, points, flat, groups, k = workload
+        needed = np.zeros(flat.num_nodes, dtype=bool)
+        expected = []
+        solo_accesses = 0
+        for group in groups:
+            query = GroupQuery(group, k=k)
+            mask, distances = _needed_nodes(flat, points, query)
+            needed |= mask
+            expected.append(distances)
+            solo_accesses += mbm(flat, query).cost.node_accesses
+        results = mbm_batch(flat, groups, k)
+        assert [result.distances() for result in results] == expected
+        assert results[0].cost.node_accesses == np.count_nonzero(needed) <= solo_accesses
+
+    @given(workload=_workloads(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tombstones_keep_the_answer_exact(self, workload, data):
+        _, points, flat, groups, k = workload
+        dead = data.draw(st.sets(st.integers(0, len(points) - 1), max_size=len(points) - 1))
+        live = np.array(sorted(set(range(len(points))) - dead))
+        query = GroupQuery(groups[0], k=k)
+        result = mbm(flat, query, exclude=frozenset(dead))
+        expected = brute_force_gnn(points[live], query)
+        assert result.distances() == expected.distances()
+        assert result.record_ids() == [int(live[i]) for i in expected.record_ids()]
 
 
 class TestCrossAlgorithmAgreement:

@@ -161,7 +161,7 @@ ANSWER_PINS = [
 COST_PINS = {
     "mqm": [(18, 12, 168), (103, 79, 1834), (529, 418, 19654)],
     "spm": [(21, 18, 326), (35, 30, 2058), (45, 40, 13578)],
-    "mbm": [(9, 6, 300), (24, 19, 2198), (62, 57, 26195)],
+    "mbm": [(7, 4, 296), (9, 6, 1056), (11, 8, 5248)],
     "best-first": [(7, 4, 202), (9, 6, 931), (11, 8, 5115)],
 }
 ALGORITHMS = {"mqm": mqm, "spm": spm, "mbm": mbm, "best-first": aggregate_gnn}
@@ -170,11 +170,7 @@ ALGORITHMS = {"mqm": mqm, "spm": spm, "mbm": mbm, "best-first": aggregate_gnn}
 #: ``test_buffer_hit_miss_sequences``: ``(hits, misses)``, page faults
 #: per query, and the full hit/miss sequence.
 BUFFER_PINS = {
-    "mbm": (
-        (59, 25),
-        [21, 3, 0, 1],
-        "mmmmmmmmmmmmmmmmmmmmmhhhhhhhhhhhhhhhhhmmhmhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhhmhhhhhh",
-    ),
+    "mbm": ((20, 9), [8, 0, 0, 1], "mmmmmmmmhhhhhhhhhhhhhhhhhhhmh"),
     "spm": (
         (55, 25),
         [21, 2, 0, 2],
@@ -229,7 +225,7 @@ class TestTraversalPins:
         assert result.distances() == [
             1022.7416703926588, 1024.090726428807, 1031.0959163155565, 1033.0078950092518
         ]
-        assert _costs(result) == (21, 17, 1458)
+        assert _costs(result) == (9, 6, 912)
 
     @pytest.mark.parametrize(
         "aggregate, ids, distances, costs",
@@ -251,9 +247,9 @@ class TestTraversalPins:
         group = np.random.default_rng(12).uniform(200, 800, size=(8, 2))
         buffer = LRUBuffer(8)
         flat = FlatRTree.bulk_load(dataset, capacity=16, buffer=buffer)
-        for _ in range(3):  # repeated queries: 49 pages cycle through 8 frames
+        for _ in range(3):  # repeated queries: 12 pages cycle through 8 frames
             mbm(flat, GroupQuery(group, k=4))
-        assert (buffer.hits, buffer.misses) == (0, 147)
+        assert (buffer.hits, buffer.misses) == (0, 36)
 
     @pytest.mark.parametrize("name", sorted(BUFFER_PINS))
     def test_buffer_hit_miss_sequences(self, dataset, name):
@@ -330,7 +326,7 @@ class TestPersistence:
             x.as_tuple() for x in reference.neighbors
         ]
         assert result.record_ids() == [603, 279, 538, 887, 461, 142]
-        assert _costs(result) == _costs(reference) == (33, 28, 5699)
+        assert _costs(result) == _costs(reference) == (11, 8, 2132)
 
     def test_compressed_archives_cannot_be_mapped(self, flat, tmp_path):
         path = tmp_path / "compressed.npz"
