@@ -4,7 +4,10 @@ The paper states: "We implemented a version of MBM with only heuristic 2
 and we found it inferior to SPM.  Nevertheless, heuristic 2 is useful
 (in conjunction with heuristic 3) because it reduces the CPU time."
 This benchmark reproduces that comparison: full MBM vs. MBM restricted
-to Heuristic 2 vs. SPM, on the same workloads.
+to Heuristic 2 vs. SPM, on the same workloads.  MBM's own key is the
+tangent bound, which is not the paper's, so the footnote is asserted on
+``best-first`` too: the paper's Heuristic 3, a heap on the summed
+mindists.
 """
 
 import pytest
@@ -13,7 +16,7 @@ from repro.datasets.workload import WorkloadSpec
 
 from helpers import run_memory_benchmark
 
-ALGORITHMS = ("MBM", "MBM-H2", "SPM")
+ALGORITHMS = ("MBM", "best-first", "MBM-H2", "SPM")
 N_STEPS = range(3)
 
 
@@ -36,10 +39,14 @@ def test_ablation_mbm_heuristics(benchmark, datasets, scale, node_accesses, n_in
 
 
 def test_ablation_finding(node_accesses, scale):
-    """Heuristic 3 is MBM's edge: it never adds accesses, and with it MBM beats SPM."""
+    """Heuristic 3 never adds accesses and beats SPM; the tangent key reads no more than it."""
     steps = scale.cardinalities[: len(N_STEPS)]
     if len(node_accesses) < len(steps) * len(ALGORITHMS):
         pytest.skip("needs the whole sweep of this module to have run first")
     for n in steps:
-        assert node_accesses[n, "MBM"] <= node_accesses[n, "MBM-H2"], n
-        assert node_accesses[n, "MBM"] <= node_accesses[n, "SPM"], n
+        assert (
+            node_accesses[n, "MBM"]
+            <= node_accesses[n, "best-first"]
+            <= node_accesses[n, "MBM-H2"]
+        ), n
+        assert node_accesses[n, "best-first"] <= node_accesses[n, "SPM"], n

@@ -70,6 +70,33 @@ def test_smoke_kernel_beats_scalar_loop(benchmark):
     )
 
 
+def test_smoke_tangent_kernel_price_per_node():
+    """MBM's tangent key must cost at most 2x the summed-mindist kernel per node.
+
+    The tangent bound buys its fewer node accesses with more arithmetic
+    per scored child slice (~1.4x at the paper's n=64); this keeps that
+    per-node price from drifting unseen.
+    """
+    rng = np.random.default_rng(123)
+    flat = FlatRTree.bulk_load(rng.uniform(0, 1000, size=(10_000, 2)), capacity=50)
+    node = int(np.flatnonzero((flat.levels == 1) & (flat.child_count == 50))[0])
+    start = int(flat.child_start[node])
+    lows, highs = flat.lows[start : start + 50], flat.highs[start : start + 50]
+    group = rng.uniform(400, 680, size=(64, 2))
+    anchor = group.mean(axis=0)
+    scorer = kernels.Scorer2D(group, flat.capacity)
+
+    def best_of_200_calls(kernel, *args):
+        return _best_of(7, lambda: [kernel(lows, highs, *args) for _ in range(200)])
+
+    mindist_time = best_of_200_calls(scorer.boxes_group_sum_mindist)
+    tangent_time = best_of_200_calls(scorer.boxes_group_tangent_bound, anchor)
+    assert tangent_time <= 2.0 * mindist_time, (
+        f"tangent kernel costs {tangent_time / mindist_time:.2f}x the summed-mindist "
+        "kernel on a 50-box slice (expected <= 2x)"
+    )
+
+
 def test_smoke_traversal_stream_tuples(benchmark):
     """Profile-guard for the plain-tuple heap items in the traversals.
 

@@ -33,6 +33,8 @@ MEMORY_VARIANTS = {
     "SPM": ("spm", {}),
     "MBM": ("mbm", {}),
     "MBM-H2": ("mbm", {"use_heuristic3": False}),
+    # the paper's literal Heuristic 3: best-first on sum_i mindist(N, q_i)
+    "best-first": ("best-first", {}),
     "SPM-weiszfeld": ("spm", {"centroid_method": "weiszfeld"}),
     "SPM-mean": ("spm", {"centroid_method": "mean"}),
 }

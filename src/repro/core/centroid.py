@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.distance import distances_to_group
+from repro.geometry import kernels
 from repro.geometry.point import as_points
 
 #: Convergence tolerance on the movement of the iterate between steps.
@@ -104,18 +104,21 @@ def weiszfeld_centroid(
     points,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     tolerance: float = DEFAULT_TOLERANCE,
+    weights=None,
 ) -> np.ndarray:
     """Approximate the geometric median with Weiszfeld's fixed-point iteration.
 
     Converges faster than plain gradient descent on most inputs and is
-    provided as an alternative centroid backend for SPM.
+    provided as an alternative centroid backend for SPM.  With
+    ``weights`` the iteration minimises ``sum_i w_i |q - q_i|`` instead;
+    a small ``max_iterations`` gives MBM's tangent-bound anchor.
     """
     pts = as_points(points)
     if pts.shape[0] == 1:
         return pts[0].copy()
     q = arithmetic_mean(pts)
     for _ in range(max_iterations):
-        dists = distances_to_group(q, pts)
+        dists = kernels.point_distances(pts, q)
         at_point = dists <= tolerance
         if np.any(at_point):
             # The iterate sits on a query point; that point is either the
@@ -126,8 +129,11 @@ def weiszfeld_centroid(
             if others.shape[0] == 0:
                 return q
             dists = np.where(at_point, np.inf, dists)
-        weights = 1.0 / dists
-        candidate = (pts * weights[:, None]).sum(axis=0) / weights.sum()
+        pull = 1.0 / dists if weights is None else weights / dists
+        total = pull.sum()
+        if total == 0.0:
+            return q
+        candidate = (pts * pull[:, None]).sum(axis=0) / total
         if np.all(np.abs(candidate - q) <= tolerance):
             return candidate
         q = candidate

@@ -26,6 +26,12 @@ Numbering follows the paper:
 * Heuristic 4 — GCP, partial-distance pruning (Section 4.1)
 * Heuristic 5 — F-MBM, weighted-mindist node pruning (Section 4.3)
 * Heuristic 6 — F-MBM, per-point remaining-group pruning (Section 4.3)
+* *not from the paper* — MBM's tangent bound for the sum aggregate
+  (``geometry.kernels.boxes_group_tangent_bound``): ``dist(., Q)`` is
+  convex, so its tangent plane at a point of ``N`` bounds it over ``N``.
+  It takes Heuristic 3's place in :mod:`repro.core.mbm`, compared
+  against ``best_dist`` by the same ``heuristic3_prunes_*`` predicates;
+  Heuristic 3 as printed is what ``algorithm="best-first"`` runs.
 
 Lemma 1 (the triangle-inequality bound behind Heuristic 1) is also
 exposed for direct testing.

@@ -5,19 +5,30 @@ MBM performs a single traversal of the R-tree of ``P`` pruned by the MBR
 
 * **Heuristic 2** — a node (or point) whose ``mindist`` to ``M`` reaches
   ``best_dist / n`` cannot qualify.  One distance computation per node.
-* **Heuristic 3** — a node whose summed per-query-point ``mindist``
-  reaches ``best_dist`` cannot qualify.  Tighter, but ``n`` distance
-  computations per node, so Heuristic 2 stays in front as the cheap
-  pre-filter and only its survivors pay for the bound (the paper's
-  footnote 3 reports the same trade-off and the ablation benchmark
-  reproduces it).
+* **Heuristic 3** — a node whose lower bound on ``dist(p, Q)`` over its
+  MBR reaches ``best_dist`` cannot qualify.  ``n`` distance computations
+  per node, so Heuristic 2 stays in front as the cheap pre-filter and
+  only its survivors pay for the bound (the paper's footnote 3 reports
+  the same trade-off and the ablation benchmark reproduces it).
 
-The traversal is best-first with the heap keyed on the Heuristic-3 bound
-and stops when the head reaches ``best_dist``, so the nodes read are
-exactly those whose bound is below the k-th distance — the fewest these
-bounds allow.  The paper's text orders by ``mindist(N, M)``, which is 0
-for every node intersecting ``M`` and so reads every leaf under the query
-MBR; only the Heuristic-2-only ablation, having no tighter key, keeps it.
+The traversal is best-first with the heap keyed on that bound and stops
+when the head reaches ``best_dist``, so the nodes read are exactly those
+whose key is below the k-th distance.  The paper's bound,
+``sum_i mindist(N, q_i)``, is loose because every ``q_i`` picks its own
+nearest point of ``N``.  For the sum aggregate the key is the *tangent
+bound* instead (not from the paper): ``f = dist(., Q)`` is convex, so
+``f(p) >= f(a) + g . (p - a)`` for a subgradient ``g`` at any anchor
+``a``, and the right-hand side has a closed-form minimum over a box.
+Anchored at the point of ``N`` nearest the group's approximate geometric
+median it is near-exact on leaf-sized boxes, for the same ``n``
+distances.  One plane is loose over a wide box and not monotone parent
+to child, so a child is pushed under the largest of its parent's key,
+its tangent bound, ``W * mindist(N, M)`` and — internal nodes only,
+``2n`` distances each — the paper's bound.  ``min`` of distances is not
+convex, so ``max``/``min`` keep the paper's bound; for sums it stays
+runnable as ``algorithm="best-first"``.  (The paper's text orders by
+``mindist(N, M)``, 0 wherever ``N`` meets ``M``; only the
+Heuristic-2-only ablation, having no tighter key, keeps that.)
 
 The weighted and max/min-aggregate extensions reuse the same traversal
 with generalised bounds (see :mod:`repro.core.aggregates`).
@@ -30,6 +41,7 @@ import itertools
 
 import numpy as np
 
+from repro.core.centroid import weiszfeld_centroid
 from repro.core.heuristics import (
     heuristic2_prunes,
     heuristic2_prunes_batch,
@@ -40,6 +52,8 @@ from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, GroupNeighbor, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
+
+ANCHOR_STEPS = 3  #: Weiszfeld steps; any anchor is sound, more read no fewer nodes
 
 
 def mbm(
@@ -98,13 +112,19 @@ def _divisor(query: GroupQuery) -> float:
     return float(weights.min())
 
 
+def _tangent_anchor(stats, group: np.ndarray, weights=None) -> np.ndarray:
+    """The tangent key's anchor: a few Weiszfeld steps off the mean, charged ``n`` each."""
+    stats.record_distance_computations(ANCHOR_STEPS * group.shape[0])
+    return weiszfeld_centroid(group, max_iterations=ANCHOR_STEPS, weights=weights)
+
+
 def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
     """Best-first MBM over the flat snapshot (heap order: module docstring).
 
     Each popped node is scored with batched kernels: one call computes
     the mindist of the whole child slice to the query MBR (Heuristic 2)
-    and one more the aggregate lower bounds of the survivors (Heuristic
-    3), the keys they are pushed under (without it, the mindists are).
+    and one more (two for internal children) the survivors' lower
+    bounds, the keys they are pushed under (else the mindists are).
     ``best`` cannot change while a child slice is being scored (offers
     only happen at leaves), so the batched checks decide exactly what an
     entry-at-a-time loop would.
@@ -116,6 +136,12 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
     scorer = kernels.scorer_for(query.points, query.weights, query.aggregate, flat.capacity)
     mindists_to_mbr = kernels.boxes_mindist_box if scorer is None else scorer.boxes_mindist_box
     lower_bounds = query.mindist_lower_bounds if scorer is None else scorer.boxes_group_sum_mindist
+    tangent = use_heuristic3 and query.aggregate == kernels.SUM
+    if tangent:
+        anchor = _tangent_anchor(flat.stats, query.points, query.weights)
+        tangent_bounds = (
+            query.tangent_lower_bounds if scorer is None else scorer.boxes_group_tangent_bound
+        )
 
     while heap:
         key, _, node_id = heapq.heappop(heap)
@@ -138,10 +164,16 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
         flat.stats.record_distance_computations(stop - start)
         survivors = np.flatnonzero(~heuristic2_prunes_batch(keys, best.best_dist, divisor))
         if use_heuristic3 and survivors.size:
-            keys = lower_bounds(lows[survivors], highs[survivors])
-            flat.stats.record_distance_computations(query.cardinality * survivors.size)
-            kept = ~heuristic3_prunes_batch(keys, best.best_dist)
-            survivors, keys = survivors[kept], keys[kept]
+            lows, highs = lows[survivors], highs[survivors]
+            wide = tangent and bool(flat.levels[index] > 1)  # the children are internal nodes
+            bounds = tangent_bounds(lows, highs, anchor) if tangent else lower_bounds(lows, highs)
+            if wide:
+                bounds = np.maximum(bounds, lower_bounds(lows, highs))
+            if tangent:
+                bounds = np.maximum(np.maximum(bounds, divisor * keys[survivors]), key)
+            flat.stats.record_distance_computations((1 + wide) * query.cardinality * survivors.size)
+            kept = ~heuristic3_prunes_batch(bounds, best.best_dist)
+            survivors, keys = survivors[kept], bounds[kept]
         else:
             keys = keys[survivors]
         for child_key, offset in zip(keys.tolist(), survivors.tolist()):
@@ -224,10 +256,10 @@ def mbm_batch(
     slice) is scored against all still-active queries in a single
     ``(B, m)`` / ``(B, fanout)`` kernel call, and per-query top-``k``
     state is maintained as ``(B, k)`` arrays.  Heuristics 2 and 3 prune
-    per query exactly as in :func:`mbm`, and an entry is keyed on the
-    smallest Heuristic-3 bound among the queries that still need it, so
-    every answer is exact and the nodes read are the union of the nodes
-    the ``B`` solo traversals read.
+    per query exactly as in :func:`mbm` (same keys, bit for bit), and an
+    entry is keyed on the smallest key among the queries that still need
+    it, so every answer is exact and the nodes read are the union of the
+    nodes the ``B`` solo traversals read.
 
     Aggregate distances come from the same bit-identical kernels the
     per-query path uses, so returned distances equal per-query
@@ -274,6 +306,8 @@ def mbm_batch(
         aggregate_distances = kernels.batched_aggregate_distances
         group_bounds = kernels.boxes_groups_mindist
     stats = flat.stats
+    if use_heuristic3:
+        anchors = np.stack([_tangent_anchor(stats, group) for group in groups])
     points = flat.points
     record_ids = flat.record_ids
 
@@ -357,8 +391,14 @@ def mbm_batch(
         if use_heuristic3:
             members = np.flatnonzero(survives.any(axis=1))
             if members.size:
-                bounds = group_bounds(lows, highs, groups[members])
-                stats.record_distance_computations(cardinality * count * members.size)
+                stacked = groups[members]
+                bounds = kernels.boxes_group_tangent_bound(lows, highs, stacked, anchors[members])
+                wide = bool(flat.levels[index] > 1)  # the children are internal nodes
+                if wide:
+                    bounds = np.maximum(bounds, group_bounds(lows, highs, stacked))
+                bounds = np.maximum(bounds, divisor * child_keys[members])
+                bounds = np.maximum(bounds, key_vec[members][:, None])
+                stats.record_distance_computations((1 + wide) * cardinality * count * members.size)
                 survives[members] &= bounds < best_dist[members][:, None]
                 child_keys[members] = bounds
         # Children carry their per-query keys, +inf for the queries pruned

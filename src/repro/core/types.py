@@ -102,6 +102,12 @@ class GroupQuery:
             lows, highs, self.points, weights=self.weights, aggregate=self.aggregate
         )
 
+    def tangent_lower_bounds(
+        self, lows: np.ndarray, highs: np.ndarray, anchor: np.ndarray
+    ) -> np.ndarray:
+        """Batched convexity bound of the (weighted) sum aggregate over many MBRs."""
+        return kernels.boxes_group_tangent_bound(lows, highs, self.points, anchor, self.weights)
+
     def total_weight(self) -> float:
         """Sum of weights (``n`` when the query is unweighted)."""
         if self.weights is None:

@@ -166,7 +166,7 @@ class TestPinnedAccessCounters:
     MEMORY_PINS = {
         "mqm": (142, 3008),
         "spm": (23, 3392),
-        "mbm": (5, 1139),
+        "mbm": (4, 963),
         "best-first": (5, 1088),
     }
     DISK_PINS = {
@@ -383,9 +383,9 @@ class TestSharedTraversalBatchConformance:
     #: most once per bucket — far below the summed per-query counts —
     #: and any change to its pruning or charging shows up here exactly.
     BATCH_PINS = {
-        1: (10, 8496),
-        4: (11, 9648),
-        8: (17, 11384),
+        1: (9, 12208),
+        4: (10, 13232),
+        8: (17, 14456),
     }
     #: The k=1 bucket without Heuristic 3, captured before the shared
     #: traversal was re-keyed: that path keeps the mindist-to-MBR order.

@@ -147,7 +147,7 @@ class TestExperiments:
 
     def test_ablation_heuristics_rows(self):
         result = run_experiment("ablation_heuristics", TINY)
-        assert set(result.algorithms()) == {"MBM", "MBM-H2", "SPM"}
+        assert set(result.algorithms()) == {"MBM", "best-first", "MBM-H2", "SPM"}
 
     def test_scale_can_be_given_by_name(self):
         # 'smoke' is heavier than TINY, so only check the lookup wiring by

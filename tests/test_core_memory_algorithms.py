@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
-from repro.core.mbm import mbm, mbm_batch
+from repro.core.centroid import weiszfeld_centroid
+from repro.core.mbm import ANCHOR_STEPS, mbm, mbm_batch
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery
+from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.tree import RTree
 
@@ -155,19 +157,41 @@ class TestMBM:
 
 
 def _needed_nodes(flat, points, query):
-    """Mask of the nodes whose Heuristic-3 bound is below the k-th distance.
+    """Mask of the nodes whose key is below the k-th distance.
 
-    No exact traversal pruned by these bounds can skip one of them; MBM
-    reads nothing else.  Inputs where a bound *equals* the k-th distance
-    (a data point on the corner of its leaf MBR that faces the whole
-    group) are rejected: whether such a node is read depends on the order
-    ties are met in.
+    Computed from ``flat.lows/highs`` without a traversal: a node's own
+    bound is ``max(T(N), W * mindist(N, M))`` — internal nodes add the
+    paper's ``sum_i w_i mindist(N, q_i)`` to the max — and its key the
+    largest bound on its path from the root (the tangent bound alone is
+    not monotone parent to child).  No exact traversal pruned by these
+    keys can skip one of them; MBM reads nothing else.  Inputs where a
+    key *equals* the k-th distance are rejected: whether such a node is
+    read depends on the order ties are met in.
     """
     expected = brute_force_gnn(points, query).distances()
     kth = expected[-1] if len(expected) == query.k else np.inf
-    bounds = query.mindist_lower_bounds(flat.lows, flat.highs)
-    assume(not np.any(bounds == kth))
-    return bounds < kth, expected
+    anchor = weiszfeld_centroid(
+        query.points, max_iterations=ANCHOR_STEPS, weights=query.weights
+    )
+    keys = np.maximum(
+        query.tangent_lower_bounds(flat.lows, flat.highs, anchor),
+        query.total_weight()
+        * kernels.boxes_mindist_box(flat.lows, flat.highs, query.mbr.low, query.mbr.high),
+    )
+    internal = flat.levels > 0
+    keys[internal] = np.maximum(
+        keys[internal], query.mindist_lower_bounds(flat.lows[internal], flat.highs[internal])
+    )
+    keys[0] = 0.0
+    # Nodes are numbered breadth-first, so a parent's key is final
+    # before its children's slice is reached.
+    for index in np.flatnonzero(flat.levels > 0):
+        children = slice(
+            flat.child_start[index], flat.child_start[index] + flat.child_count[index]
+        )
+        keys[children] = np.maximum(keys[children], keys[index])
+    assume(not np.any(keys == kth))
+    return keys < kth, expected
 
 
 @st.composite
@@ -186,7 +210,7 @@ def _workloads(draw, max_batch=1):
 class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
     @given(workload=_workloads(), weighted=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_visited_set_is_the_minimum_for_heuristic3(self, workload, weighted):
+    def test_visited_set_is_the_minimum_for_its_key(self, workload, weighted):
         rng, points, flat, groups, k = workload
         weights = rng.uniform(0.5, 3.0, size=groups.shape[1]) if weighted else None
         query = GroupQuery(groups[0], k=k, weights=weights)
@@ -194,7 +218,22 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
         result = mbm(flat, query)
         assert result.distances() == expected
         assert result.cost.node_accesses == np.count_nonzero(needed)
-        assert result.cost.node_accesses == aggregate_gnn(flat, query).cost.node_accesses
+
+    def test_reads_no_more_than_the_papers_heuristic3(self):
+        # best-first keeps the paper's key, sum_i mindist(N, q_i).  One
+        # query can go either way (the tangent bound is not pointwise
+        # above it), a workload cannot.
+        rng = np.random.default_rng(23)
+        flat = FlatRTree.bulk_load(rng.uniform(0, 1000, size=(3000, 2)), capacity=16)
+        tangent = paper = 0
+        for cardinality in (1, 2, 4, 16, 64):
+            for extent in (10, 80, 300):
+                center = rng.uniform(100, 900, size=2)
+                group = center + extent * rng.uniform(-1, 1, size=(cardinality, 2))
+                query = GroupQuery(group, k=4)
+                tangent += mbm(flat, query).cost.node_accesses
+                paper += aggregate_gnn(flat, query).cost.node_accesses
+        assert tangent <= paper
 
     @given(workload=_workloads(max_batch=5))
     @settings(max_examples=60, deadline=None)

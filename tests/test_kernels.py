@@ -8,11 +8,14 @@ guarantee that lets the R-tree traversals score whole leaves per heap
 pop without changing a single answer.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.centroid import weiszfeld_centroid
 from repro.geometry import kernels
 from repro.geometry.distance import (
     euclidean,
@@ -347,6 +350,8 @@ class TestBatchKernels:
         query_highs = groups.max(axis=1)
         mindists = kernels.boxes_mindist_boxes(lows, highs, query_lows, query_highs)
         bounds = kernels.boxes_groups_mindist(lows, highs, groups)
+        anchors = groups.mean(axis=1)  # one per query, as the shared traversal passes
+        tangents = kernels.boxes_group_tangent_bound(lows, highs, groups, anchors)
         for b in range(batch):
             assert np.array_equal(
                 mindists[b],
@@ -355,11 +360,19 @@ class TestBatchKernels:
             assert np.array_equal(
                 bounds[b], kernels.boxes_group_mindist(lows, highs, groups[b])
             )
+            assert np.array_equal(
+                tangents[b],
+                kernels.boxes_group_tangent_bound(lows, highs, groups[b], anchors[b]),
+            )
         if group.shape[1] == 2:
             fast = kernels.boxes_groups_mindist_2d(lows, highs, groups)
             for b in range(batch):
                 assert np.array_equal(
                     fast[b], kernels.boxes_group_mindist(lows, highs, groups[b])
+                )
+                scorer = kernels.Scorer2D(groups[b], capacity=lows.shape[0])
+                assert np.array_equal(
+                    tangents[b], scorer.boxes_group_tangent_bound(lows, highs, anchors[b])
                 )
 
     @given(data=boxes_and_group())
@@ -387,3 +400,79 @@ class TestBatchKernels:
         assert np.array_equal(
             mindists, kernels.boxes_mindist_points(lows, highs, group).T
         )
+
+
+@st.composite
+def tangent_case(draw):
+    """Draw (lows, highs, group, weights, anchor) with the degenerate shapes mixed in."""
+    dims = draw(st.sampled_from([2, 3]))
+    point = st.tuples(*[coordinate] * dims)
+    n = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        group = np.array(draw(st.lists(point, min_size=n, max_size=n)), dtype=np.float64)
+    else:  # all-coincident group
+        group = np.tile(np.array(draw(point), dtype=np.float64), (n, 1))
+    weights = None
+    if draw(st.booleans()):
+        weights = np.array(
+            draw(st.lists(st.floats(0.0, 10.0, width=32), min_size=n, max_size=n))
+        )
+    corners = np.array(
+        draw(st.lists(st.tuples(point, point), min_size=1, max_size=6)), dtype=np.float64
+    )
+    lows, highs = corners.min(axis=1), corners.max(axis=1)
+    shape = draw(st.sampled_from(["free", "zero-extent", "around the group"]))
+    if shape == "zero-extent":
+        highs = lows.copy()
+    elif shape == "around the group":
+        lows = np.minimum(lows, group.min(axis=0))
+        highs = np.maximum(highs, group.max(axis=0))
+    anchor = draw(
+        st.sampled_from(
+            [
+                weiszfeld_centroid(group, max_iterations=3, weights=weights),
+                group[draw(st.integers(0, n - 1))],  # exactly on a query point
+                np.array(draw(point), dtype=np.float64),  # any point is a sound anchor
+            ]
+        )
+    )
+    fractions = np.array(
+        draw(st.lists(st.tuples(*[st.floats(0.0, 1.0)] * dims), min_size=1, max_size=6))
+    )
+    return lows, highs, group, weights, anchor, fractions
+
+
+class TestTangentBound:
+    """``boxes_group_tangent_bound`` never exceeds a distance inside its box."""
+
+    @given(case=tangent_case())
+    @settings(deadline=None, max_examples=300)
+    def test_never_exceeds_the_distance_of_a_point_in_the_box(self, case):
+        lows, highs, group, weights, anchor, fractions = case
+        bounds = kernels.boxes_group_tangent_bound(lows, highs, group, anchor, weights)
+        dims = group.shape[1]
+        corners = np.array(list(itertools.product([0.0, 1.0], repeat=dims)))
+        for low, high, bound in zip(lows, highs, bounds):
+            inside = np.vstack(
+                [
+                    low + np.vstack([fractions, corners]) * (high - low),
+                    np.clip(group, low, high),
+                    np.clip(anchor, low, high)[None, :],
+                ]
+            )
+            inside = np.clip(inside, low, high)  # low + 1.0 * (high - low) may round out
+            distances = kernels.aggregate_distances(inside, group, weights=weights)
+            assert np.all(bound <= distances), (bound, distances.min())
+
+    def test_tight_at_the_box_nearest_the_median(self):
+        # Anchored at the constrained minimiser the tangent plane is exact;
+        # the paper's sum of mindists lets every q_i pick its own corner.
+        group = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0]])
+        anchor = weiszfeld_centroid(group)
+        lows, highs = np.array([[4.0, 20.0]]), np.array([[6.0, 22.0]])
+        tangent = kernels.boxes_group_tangent_bound(lows, highs, group, anchor)[0]
+        true_minimum = kernels.aggregate_distances(
+            np.array([[anchor[0], 20.0]]), group
+        )[0]
+        assert kernels.boxes_group_mindist(lows, highs, group)[0] < tangent <= true_minimum
+        assert tangent == pytest.approx(true_minimum, rel=1e-6)

@@ -161,7 +161,7 @@ ANSWER_PINS = [
 COST_PINS = {
     "mqm": [(18, 12, 168), (103, 79, 1834), (529, 418, 19654)],
     "spm": [(21, 18, 326), (35, 30, 2058), (45, 40, 13578)],
-    "mbm": [(7, 4, 296), (9, 6, 1056), (11, 8, 5248)],
+    "mbm": [(7, 4, 308), (5, 2, 593), (4, 2, 1881)],
     "best-first": [(7, 4, 202), (9, 6, 931), (11, 8, 5115)],
 }
 ALGORITHMS = {"mqm": mqm, "spm": spm, "mbm": mbm, "best-first": aggregate_gnn}
@@ -170,7 +170,7 @@ ALGORITHMS = {"mqm": mqm, "spm": spm, "mbm": mbm, "best-first": aggregate_gnn}
 #: ``test_buffer_hit_miss_sequences``: ``(hits, misses)``, page faults
 #: per query, and the full hit/miss sequence.
 BUFFER_PINS = {
-    "mbm": ((20, 9), [8, 0, 0, 1], "mmmmmmmmhhhhhhhhhhhhhhhhhhhmh"),
+    "mbm": ((13, 8), [5, 2, 0, 1], "mmmmmhhhhmmhhhhhhhhmh"),
     "spm": (
         (55, 25),
         [21, 2, 0, 2],
@@ -225,7 +225,7 @@ class TestTraversalPins:
         assert result.distances() == [
             1022.7416703926588, 1024.090726428807, 1031.0959163155565, 1033.0078950092518
         ]
-        assert _costs(result) == (9, 6, 912)
+        assert _costs(result) == (5, 2, 518)
 
     @pytest.mark.parametrize(
         "aggregate, ids, distances, costs",
@@ -245,11 +245,11 @@ class TestTraversalPins:
 
     def test_small_buffer_thrashes_exactly_like_the_object_tree(self, dataset):
         group = np.random.default_rng(12).uniform(200, 800, size=(8, 2))
-        buffer = LRUBuffer(8)
+        buffer = LRUBuffer(4)
         flat = FlatRTree.bulk_load(dataset, capacity=16, buffer=buffer)
-        for _ in range(3):  # repeated queries: 12 pages cycle through 8 frames
+        for _ in range(3):  # repeated queries: 5 pages cycle through 4 frames
             mbm(flat, GroupQuery(group, k=4))
-        assert (buffer.hits, buffer.misses) == (0, 36)
+        assert (buffer.hits, buffer.misses) == (0, 15)
 
     @pytest.mark.parametrize("name", sorted(BUFFER_PINS))
     def test_buffer_hit_miss_sequences(self, dataset, name):
@@ -326,7 +326,7 @@ class TestPersistence:
             x.as_tuple() for x in reference.neighbors
         ]
         assert result.record_ids() == [603, 279, 538, 887, 461, 142]
-        assert _costs(result) == _costs(reference) == (11, 8, 2132)
+        assert _costs(result) == _costs(reference) == (7, 4, 1360)
 
     def test_compressed_archives_cannot_be_mapped(self, flat, tmp_path):
         path = tmp_path / "compressed.npz"
@@ -394,6 +394,16 @@ class TestScorer2D:
                 (
                     lambda: kernels.boxes_group_mindist(lows, highs, group),
                     lambda: scorer.boxes_group_sum_mindist(lows, highs),
+                ),
+                (
+                    lambda: kernels.boxes_group_tangent_bound(lows, highs, group, q),
+                    lambda: scorer.boxes_group_tangent_bound(lows, highs, q),
+                ),
+                (  # the batched form's rows, each with its own anchor
+                    lambda: kernels.boxes_group_tangent_bound(
+                        lows, highs, np.stack([group + 7.0, group]), np.stack([low, q])
+                    )[1],
+                    lambda: scorer.boxes_group_tangent_bound(lows, highs, q),
                 ),
             ]
             for index, (reference, fast) in enumerate(pairs):
