@@ -26,11 +26,12 @@ Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
 *dirty* delta overlay (:class:`~repro.rtree.overlay.DeltaOverlay` — the
 engine's mutable write path), memory-resident plans detour through
-:func:`execute_overlay`: the planned algorithm runs over the frozen
-base with tombstones excluded, the post-snapshot inserts are scored in
-one vectorised scan, and the candidates merge by ``(distance,
-record_id)`` — bit-identical to a from-scratch rebuild.  Shared
-traversals are disabled while dirty (they see only the base arrays).
+:func:`execute_overlay`: a built-in algorithm's driver scans the delta
+as its traversal's first leaf — the delta seeds its best list — and
+then traverses the frozen base with tombstones excluded, pruning
+against the merged view's k-th distance; answers are bit-identical to
+a from-scratch rebuild.  Shared traversals are disabled while dirty
+(they see only the base arrays).
 Disk-resident plans have no overlay form: the engine folds the overlay
 (``compact()``) before handing such a plan a context.
 
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -59,12 +60,10 @@ from repro.api.planner import (
     QueryPlan,
     QueryPlanner,
 )
+from repro.api.registry import BUILTIN_ALGORITHMS
 from repro.api.spec import MEMORY, QuerySpec
-from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
-from repro.core.mbm import mbm, mbm_batch
-from repro.core.mqm import mqm
-from repro.core.spm import spm
+from repro.core.mbm import mbm_batch
 from repro.core.types import GNNResult, GroupNeighbor, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.geometry.hilbert import hilbert_indices
@@ -265,26 +264,6 @@ def _execute_observed(
 # ----------------------------------------------------------------------
 # delta-overlay execution
 # ----------------------------------------------------------------------
-#: Tombstone-aware entry points of the built-in algorithms: these merge
-#: the overlay inside the driver (the base traversal excludes the
-#: tombstone set directly, so pruning bounds track the *live* k-th best
-#: instead of an inflated k).  Algorithms registered by third parties
-#: fall back to k-widening plus post-filtering in
-#: :func:`execute_overlay`, which is exact but less tight.
-_OVERLAY_DRIVERS: dict[str, Callable[..., GNNResult]] = {
-    "mqm": lambda index, query, options, exclude: mqm(index, query, exclude=exclude),
-    "spm": lambda index, query, options, exclude: spm(
-        index, query, exclude=exclude, **options
-    ),
-    "mbm": lambda index, query, options, exclude: mbm(
-        index, query, exclude=exclude, **options
-    ),
-    "best-first": lambda index, query, options, exclude: aggregate_gnn(
-        index, query, exclude=exclude
-    ),
-}
-
-
 def _overlay_routed(context: ExecutionContext, plan: QueryPlan) -> bool:
     """Whether this plan must answer from the merged overlay view.
 
@@ -299,58 +278,52 @@ def execute_overlay(
 ) -> GNNResult:
     """Answer a memory-resident spec over a dirty delta overlay.
 
-    The planned algorithm runs over the frozen base snapshot with the
-    tombstone set excluded, the (small) delta of post-snapshot inserts
-    is scored in one vectorised scan, and the two candidate lists merge
-    by the library-wide ``(distance, record_id)`` rule.  Both parts use
-    the same distance kernels over the same coordinates a rebuilt single
-    tree would hold, so the merged answers are bit-identical to a
-    from-scratch rebuild over the live dataset; counters sum the two
-    parts and the algorithm label gains an ``+overlay`` suffix.
+    A built-in algorithm's runner takes the overlay itself: its driver
+    scans the delta first as the traversal's first leaf (seeding the
+    best list, so the base traversal prunes against the merged view's
+    k-th distance from its first node) and skips the tombstones inside
+    the base traversal.  Its counters are the base index's, and the
+    algorithm label gains an ``+overlay`` suffix.
+
+    A third-party algorithm knows nothing of overlays: it runs over the
+    base with ``k`` widened by the tombstone count, its answer is
+    post-filtered, the delta is scored by brute force, and the two
+    candidate lists merge by ``(distance, record_id)`` in
+    :func:`_merge_overlay_parts`.
+
+    Either way the distances come from the same kernels over the same
+    coordinates a rebuilt single tree would hold, so the answers are
+    bit-identical to a from-scratch rebuild over the live dataset
+    (an exact tie at the k-th distance aside: see the module docstring
+    of :mod:`repro.rtree.overlay`).
     """
-    overlay = context.overlay
-    started = time.perf_counter()
-    name = plan.algorithm.name
-    query = spec.group_query()
-    if name == "brute-force":
-        result = context.brute_force(query)
-        result.cost.algorithm = "brute-force+overlay"
-        result.cost.cpu_time = time.perf_counter() - started
+    if plan.algorithm in BUILTIN_ALGORITHMS:
+        result = plan.algorithm.runner(context, prepare(spec, plan))
+        result.cost.algorithm += "+overlay"
         return result
 
-    driver = _OVERLAY_DRIVERS.get(name)
-    if driver is not None:
-        exclude = overlay.tombstones if overlay.tombstones else None
-        parts = [driver(overlay.base, query, dict(plan.options), exclude)]
-    else:
-        # Unknown (third-party) algorithm: widen k so the base's top
-        # k + |tombstones| provably contains the top-k live records,
-        # then post-filter.
-        base_spec = (
-            spec.replace(k=spec.k + len(overlay.tombstones))
-            if overlay.tombstones
-            else spec
-        )
-        base_plan = replace(plan, spec=base_spec)
-        base_context = ExecutionContext(flat=overlay.base, buffer=context.buffer)
-        base = plan.algorithm.runner(base_context, prepare(base_spec, base_plan))
-        base.neighbors = [
-            n for n in base.neighbors if n.record_id not in overlay.tombstones
-        ]
-        parts = [base]
+    overlay = context.overlay
+    started = time.perf_counter()
+    # Widen k so the base's top k + |tombstones| provably contains the
+    # top-k live records, then post-filter.
+    base_spec = (
+        spec.replace(k=spec.k + len(overlay.tombstones)) if overlay.tombstones else spec
+    )
+    base_plan = replace(plan, spec=base_spec)
+    base_context = ExecutionContext(flat=overlay.base, buffer=context.buffer)
+    base = plan.algorithm.runner(base_context, prepare(base_spec, base_plan))
+    base.neighbors = [n for n in base.neighbors if n.record_id not in overlay.tombstones]
+    parts = [base]
     if len(overlay.delta):
-        # The memtable scan: the delta stays small between compactions,
-        # so one vectorised kernel call scores all of it — the same
-        # kernel the traversals use, so the merged answers are unchanged.
         delta_points, delta_ids = overlay.delta_points()
-        parts.append(brute_force_gnn(delta_points, query, record_ids=delta_ids))
+        parts.append(brute_force_gnn(delta_points, spec.group_query(), record_ids=delta_ids))
     return _merge_overlay_parts(spec.k, parts, time.perf_counter() - started)
 
 
 def _merge_overlay_parts(
     k: int, parts: list[GNNResult], elapsed: float
 ) -> GNNResult:
-    """Merge base and delta candidates; sum the counters of both runs."""
+    """Merge a third-party base answer with the delta's; sum both counters."""
     candidates = [neighbor for part in parts for neighbor in part.neighbors]
     # Base and delta record ids are disjoint by construction, so the
     # merge is a plain sort by the canonical (distance, record id) rule.

@@ -47,7 +47,10 @@ class AlgorithmInfo:
     executor's :class:`~repro.api.executor.ExecutionContext` (flat
     index, buffer, pending-write overlay) and ``request`` the prepared
     :class:`~repro.api.executor.PreparedQuery` (spec, materialised
-    ``GroupQuery`` or ``PointFile``, algorithm options).
+    ``GroupQuery`` or ``PointFile``, algorithm options).  The built-in
+    memory-resident runners honour ``context.overlay``; a third-party
+    runner only ever sees a clean context (the executor answers dirty
+    views for it by k-widening and a delta merge).
     """
 
     name: str
@@ -136,20 +139,23 @@ def available_algorithms(residency: str | None = None) -> list[AlgorithmInfo]:
 # ----------------------------------------------------------------------
 # built-in runners
 # ----------------------------------------------------------------------
+# The memory-resident runners answer from the merged view whenever the
+# context carries a delta overlay: each driver seeds its best list from
+# the delta and skips the tombstones inside its own traversal.
 def _run_mqm(context, request):
-    return mqm(context.flat, request.query)
+    return mqm(context.flat, request.query, overlay=context.overlay)
 
 
 def _run_spm(context, request):
-    return spm(context.flat, request.query, **request.options)
+    return spm(context.flat, request.query, overlay=context.overlay, **request.options)
 
 
 def _run_mbm(context, request):
-    return mbm(context.flat, request.query, **request.options)
+    return mbm(context.flat, request.query, overlay=context.overlay, **request.options)
 
 
 def _run_best_first(context, request):
-    return aggregate_gnn(context.flat, request.query)
+    return aggregate_gnn(context.flat, request.query, overlay=context.overlay)
 
 
 def _run_brute_force(context, request):

@@ -19,8 +19,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from repro.core.instrumentation import CostTracker
-from repro.core.types import GNNResult, GroupNeighbor, GroupQuery
+from repro.core.mbm import seed_from_delta
+from repro.core.types import BestList, GNNResult, GroupQuery
 from repro.rtree.flat import FlatRTree
+from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.traversal import Neighbor, flat_incremental_nearest_generic
 
 
@@ -46,21 +48,23 @@ def group_nn_stream(tree: FlatRTree, query: GroupQuery) -> Iterator[Neighbor]:
 def aggregate_gnn(
     tree: FlatRTree,
     query: GroupQuery,
-    exclude: frozenset | set | None = None,
+    overlay: DeltaOverlay | None = None,
 ) -> GNNResult:
     """Exact k-GNN retrieval for any supported aggregate via best-first search.
 
-    ``exclude`` bars a set of record ids (delta-overlay tombstones) from
-    the result: the stream still emits them in order — they are real
-    index entries — but the consumer skips past to the next live record,
-    which the ascending emission order keeps exact.
+    ``overlay`` carries pending writes over ``tree`` (its ``base``).
+    The delta seeds the best list (:func:`~repro.core.mbm.seed_from_delta`)
+    and the stream is consumed until it emits a distance that cannot
+    beat the k-th best, which the ascending emission order makes final.
+    Tombstoned records are still emitted — they are real index entries —
+    but never offered.
     """
     tracker = CostTracker(f"best-first-{query.aggregate}", trees=[tree])
-    neighbors: list[GroupNeighbor] = []
+    best = BestList(query.k)
+    exclude = seed_from_delta(tree, query, best, overlay)
     for neighbor in group_nn_stream(tree, query):
-        if exclude is not None and neighbor.record_id in exclude:
-            continue
-        neighbors.append(GroupNeighbor(neighbor.record_id, neighbor.point, neighbor.distance))
-        if len(neighbors) == query.k:
+        if exclude is None or neighbor.record_id not in exclude:
+            best.offer(neighbor.record_id, neighbor.point, neighbor.distance)
+        if best.is_full() and neighbor.distance >= best.best_dist:
             break
-    return GNNResult(neighbors=neighbors, cost=tracker.finish())
+    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())

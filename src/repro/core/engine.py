@@ -245,11 +245,20 @@ class GNNEngine:
         engine returns its base snapshot unchanged.
         """
         if self.dirty:
+            # The outgoing base may hold the largest id ever allocated
+            # (all of it may be deleted): ids must not restart below it.
+            self._seed_next_id()
             self._flat = self._overlay.compact(
                 capacity=capacity, method=method, buffer=self.buffer
             )
         self._overlay = None
         return self._flat
+
+    def _seed_next_id(self) -> None:
+        """Start the id counter past the base's largest id, once per engine."""
+        if self._next_id is None:
+            base_ids = np.asarray(self._flat.record_ids)
+            self._next_id = int(base_ids.max()) + 1 if base_ids.size else 0
 
     def _ensure_overlay(self) -> DeltaOverlay:
         if self._overlay is None:
@@ -351,9 +360,7 @@ class GNNEngine:
         """
         point = self._validated_point(point)
         overlay = self._ensure_overlay()
-        if self._next_id is None:
-            base_ids = np.asarray(self._flat.record_ids)
-            self._next_id = int(base_ids.max()) + 1 if base_ids.size else 0
+        self._seed_next_id()
         if record_id is None:
             record_id = self._next_id
         else:

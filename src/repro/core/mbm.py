@@ -32,6 +32,12 @@ Heuristic-2-only ablation, having no tighter key, keeps that.)
 
 The weighted and max/min-aggregate extensions reuse the same traversal
 with generalised bounds (see :mod:`repro.core.aggregates`).
+
+Over a dirty delta overlay the delta is the traversal's first leaf
+(:func:`seed_from_delta`): its live rows go through the same
+Heuristic-2 leaf scan before the base is traversed, so ``best_dist`` is
+finite from the first pop and the base reads only the nodes whose key
+is below the k-th distance of the *merged* view.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, GroupNeighbor, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
+from repro.rtree.overlay import DeltaOverlay
 
 ANCHOR_STEPS = 3  #: Weiszfeld steps; any anchor is sound, more read no fewer nodes
 
@@ -60,7 +67,7 @@ def mbm(
     tree: FlatRTree,
     query: GroupQuery,
     use_heuristic3: bool = True,
-    exclude: frozenset | set | None = None,
+    overlay: DeltaOverlay | None = None,
 ) -> GNNResult:
     """Run the minimum bounding method.
 
@@ -76,18 +83,43 @@ def mbm(
     use_heuristic3:
         Disable to reproduce the paper's ablation ("MBM with only
         heuristic 2 ... inferior to SPM").
-    exclude:
-        Optional record ids barred from the result (delta-overlay
-        tombstones).  Excluded points are skipped at the leaves before
-        any per-point aggregate distance is charged; node-level pruning
-        is untouched (Heuristics 2/3 stay safe bounds for the live
-        records the traversal is actually after).
+    overlay:
+        Optional pending writes over ``tree`` (its ``base``), answered
+        as one merged view: the delta seeds the best list
+        (:func:`seed_from_delta`), and tombstoned records are skipped at
+        the leaves before any per-point aggregate distance is charged;
+        node-level pruning is untouched (Heuristics 2/3 stay safe bounds
+        for the live records the traversal is actually after).
     """
     tracker = CostTracker("MBM-best_first", trees=[tree])
     best = BestList(query.k)
+    exclude = seed_from_delta(tree, query, best, overlay)
     if len(tree) > 0:
         _mbm_best_first(tree, query, best, use_heuristic3, exclude)
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+
+
+def seed_from_delta(
+    tree: FlatRTree, query: GroupQuery, best: BestList, overlay: DeltaOverlay | None
+) -> set | None:
+    """Offer the overlay's delta to ``best``; return the tombstones to skip.
+
+    The delta is scanned as the traversal's first leaf, through
+    :func:`_process_leaf` (Heuristic 2 on every row, aggregate distances
+    only for the ascending-mindist prefix it cannot prune) and charged
+    to ``tree.stats`` like any leaf.  Every tombstone-aware driver
+    (MBM, SPM, MQM, best-first) calls this before touching the base, so
+    its own pruning bound starts from the delta's k-th distance instead
+    of infinity.  Returns ``None`` when nothing is tombstoned.
+    """
+    if overlay is None:
+        return None
+    if overlay.base is not tree:
+        raise ValueError("the overlay must shadow the tree being traversed")
+    points, record_ids = overlay.delta_points()
+    if len(record_ids):
+        _process_leaf(tree, points, record_ids, query, best, _divisor(query))
+    return overlay.tombstones or None
 
 
 def _divisor(query: GroupQuery) -> float:
@@ -156,7 +188,10 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
         if flat.levels[index] == 0:
-            _process_leaf(flat, start, stop, query, best, divisor, scorer, exclude)
+            _process_leaf(
+                flat, flat.points[start:stop], flat.record_ids[start:stop],
+                query, best, divisor, scorer, exclude,
+            )
             continue
         lows = flat.lows[start:stop]
         highs = flat.highs[start:stop]
@@ -181,28 +216,33 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
 
 
 def _process_leaf(
-    flat, start, stop, query, best, divisor, scorer=None, exclude=None
+    flat, points, record_ids, query, best, divisor, scorer=None, exclude=None
 ) -> None:
     """Apply Heuristic 2 to leaf points before paying the full distance computation.
 
-    The leaf's points are scored in two kernel calls: mindists to the
-    query MBR for the Heuristic-2 ordering, then aggregate distances for
-    the candidates that can possibly survive.  ``best_dist`` only shrinks
-    while the ordered candidates are consumed, so the sequential pruning
-    loop visits a prefix of that candidate set.  The loop is pure-float:
-    it inlines the Heuristic-2 inequality, skips ``offer`` calls that
+    ``(points, record_ids)`` is a leaf slice of ``flat`` or — through
+    :func:`seed_from_delta` — the overlay's delta; either way the
+    charges go to ``flat.stats``.  Every point's mindist to the query
+    MBR is computed in one kernel call for the Heuristic-2 ordering;
+    aggregate distances are computed for the candidates that can
+    possibly survive, ``flat.capacity`` of them per call, fetched as the
+    loop reaches them — one call for a leaf, and for a delta only the
+    chunks before the break, so the computed distances match the charged
+    ones to within a chunk.  ``best_dist`` only shrinks while the
+    ordered candidates are consumed, so the sequential pruning loop
+    visits a prefix of that candidate set.  The loop is pure-float: it
+    inlines the Heuristic-2 inequality, skips ``offer`` calls that
     provably return False (a full best-list and ``distance >=
     best_dist``), and records the per-candidate distance charges — ``n``
     for every candidate consumed before the break — as one batched
     charge.
     """
     query_mbr = query.mbr
-    coords = flat.points[start:stop]
     if scorer is not None:
-        mindists = scorer.points_mindist_box(coords, query_mbr.low, query_mbr.high)
+        mindists = scorer.points_mindist_box(points, query_mbr.low, query_mbr.high)
     else:
-        mindists = kernels.points_mindist_box(coords, query_mbr.low, query_mbr.high)
-    flat.stats.record_distance_computations(stop - start)
+        mindists = kernels.points_mindist_box(points, query_mbr.low, query_mbr.high)
+    flat.stats.record_distance_computations(len(points))
     order = np.argsort(mindists, kind="stable")
     if best.is_full():
         candidates = order[~heuristic2_prunes_batch(mindists[order], best.best_dist, divisor)]
@@ -210,18 +250,11 @@ def _process_leaf(
         candidates = order
     if candidates.size == 0:
         return
-    if scorer is not None:
-        # mindists lives in the scorer's box buffer, which the group
-        # kernel below does not touch; both are consumed via tolist()
-        # before any further scorer call.
-        distances = scorer.group_sum_distances(coords[candidates])
-    else:
-        distances = query.distances_to(coords[candidates])
-
+    # mindists may alias a scorer buffer: consume it before any group-kernel call.
     candidate_mindists = mindists[candidates].tolist()
-    candidate_distances = distances.tolist()
-    record_ids = flat.record_ids
-    points = flat.points
+    group_distances = query.distances_to if scorer is None else scorer.group_sum_distances
+    chunk = flat.capacity
+    candidate_distances: list[float] = []
     offer = best.offer
     best_dist = best.best_dist
     full = best.is_full()
@@ -229,13 +262,15 @@ def _process_leaf(
     for position, offset in enumerate(candidates.tolist()):
         if full and candidate_mindists[position] >= best_dist / divisor:
             break
-        row = start + offset
-        if exclude is not None and int(record_ids[row]) in exclude:
+        if position == len(candidate_distances):
+            part = candidates[position : position + chunk]
+            candidate_distances += group_distances(points[part]).tolist()
+        if exclude is not None and int(record_ids[offset]) in exclude:
             continue
         consumed += 1
         distance = candidate_distances[position]
         if not full or distance < best_dist:
-            offer(int(record_ids[row]), points[row], distance)
+            offer(int(record_ids[offset]), points[offset], distance)
             best_dist = best.best_dist
             full = best.is_full()
     flat.stats.record_distance_computations(query.cardinality * consumed)
@@ -259,7 +294,9 @@ def mbm_batch(
     per query exactly as in :func:`mbm` (same keys, bit for bit), and an
     entry is keyed on the smallest key among the queries that still need
     it, so every answer is exact and the nodes read are the union of the
-    nodes the ``B`` solo traversals read.
+    nodes the ``B`` solo traversals read.  The traversal stops once the
+    heap head reaches the largest per-query threshold: every entry left
+    is inactive for every query.
 
     Aggregate distances come from the same bit-identical kernels the
     per-query path uses, so returned distances equal per-query
@@ -317,8 +354,11 @@ def mbm_batch(
 
     counter = itertools.count()
     heap: list[tuple] = [(0.0, next(counter), 0, np.zeros(batch))]
+    # The largest per-query threshold: an entry keyed at or past it is
+    # inactive for every query, and so is everything behind it.
+    limit = np.inf
 
-    while heap:
+    while heap and heap[0][0] < limit:
         _, _, node_id, key_vec = heapq.heappop(heap)
         # Per query, the heuristic the entry is keyed on (thresholds only
         # shrink, so a query pruned at push time stays pruned here).
@@ -378,6 +418,7 @@ def mbm_batch(
             top_dists[members] = kept_dists
             top_rows[members] = kept_rows
             best_dist[members] = kth
+            limit = float(best_dist.max() if use_heuristic3 else (best_dist / divisor).max())
             continue
         lows = flat.lows[start:stop]
         highs = flat.highs[start:stop]

@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from repro.geometry.hilbert import hilbert_sort
 from repro.core.instrumentation import CostTracker
+from repro.core.mbm import seed_from_delta
 from repro.core.types import BestList, GNNResult, GroupQuery
 from repro.rtree.flat import FlatRTree
+from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.traversal import MultiStreamFrontier
 
 #: One unit in the last place of a float64 near 1.0, doubled for slack.
@@ -38,7 +40,7 @@ _TWO_ULP = 4.5e-16
 
 
 def mqm(
-    tree: FlatRTree, query: GroupQuery, exclude: frozenset | set | None = None
+    tree: FlatRTree, query: GroupQuery, overlay: DeltaOverlay | None = None
 ) -> GNNResult:
     """Run the multiple query method and return the k group nearest neighbors.
 
@@ -50,12 +52,13 @@ def mqm(
         The query group; ``query.aggregate`` must be ``"sum"`` — the
         threshold argument relies on the additivity of the aggregate
         (the paper only defines MQM for the sum).
-    exclude:
-        Optional set of record ids that must never enter the result —
-        the delta overlay's tombstones.  Excluded records still advance
-        the per-stream thresholds (they are real points of the index),
-        they are only barred from the best list, so the threshold
-        termination argument is unchanged.
+    overlay:
+        Optional pending writes over ``tree`` (its ``base``).  The delta
+        seeds the best list (:func:`~repro.core.mbm.seed_from_delta`),
+        so the threshold test can fire from the first round.  Tombstoned
+        records still advance the per-stream thresholds (they are real
+        points of the index), they are only barred from the best list,
+        so the threshold termination argument is unchanged.
     """
     if query.aggregate != "sum":
         raise ValueError("MQM is only defined for the sum aggregate")
@@ -63,11 +66,9 @@ def mqm(
         raise ValueError("MQM does not support weighted queries; use MBM instead")
     tracker = CostTracker("MQM", trees=[tree])
     best = BestList(query.k)
-
-    if len(tree) == 0:
-        return GNNResult(neighbors=[], cost=tracker.finish())
-
-    _mqm_round_robin(tree, query, best, exclude)
+    exclude = seed_from_delta(tree, query, best, overlay)
+    if len(tree) > 0:
+        _mqm_round_robin(tree, query, best, exclude)
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
 
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from repro.core.centroid import compute_centroid
 from repro.core.instrumentation import CostTracker
+from repro.core.mbm import seed_from_delta
 from repro.core.types import BestList, GNNResult, GroupQuery
 from repro.geometry import kernels
 from repro.geometry.distance import group_distance
 from repro.rtree.flat import FlatRTree
+from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.traversal import flat_incremental_nearest_generic
 
 
@@ -27,7 +29,7 @@ def spm(
     tree: FlatRTree,
     query: GroupQuery,
     centroid_method: str = "gradient",
-    exclude: frozenset | set | None = None,
+    overlay: DeltaOverlay | None = None,
 ) -> GNNResult:
     """Run the single point method.
 
@@ -40,11 +42,13 @@ def spm(
     centroid_method:
         Passed to :func:`repro.core.centroid.compute_centroid`; the paper
         uses gradient descent.
-    exclude:
-        Optional record ids barred from the result (delta-overlay
-        tombstones).  Excluded points are skipped before any aggregate
-        distance is charged; Heuristic 1's bound is unaffected because
-        it only depends on the centroid stream's emission order.
+    overlay:
+        Optional pending writes over ``tree`` (its ``base``): the delta
+        seeds the best list (:func:`~repro.core.mbm.seed_from_delta`),
+        so Heuristic 1 prunes from the first emission, and tombstoned
+        points are skipped before any aggregate distance is charged;
+        Heuristic 1's bound is unaffected because it only depends on
+        the centroid stream's emission order.
     """
     if query.aggregate != "sum":
         raise ValueError("SPM is only defined for the sum aggregate")
@@ -53,12 +57,11 @@ def spm(
 
     tracker = CostTracker("SPM-best_first", trees=[tree])
     best = BestList(query.k)
-    if len(tree) == 0:
-        return GNNResult(neighbors=[], cost=tracker.finish())
-
-    centroid = compute_centroid(query.points, method=centroid_method)
-    centroid_distance = group_distance(centroid, query.points)
-    _spm_best_first(tree, query, centroid, centroid_distance, best, exclude)
+    exclude = seed_from_delta(tree, query, best, overlay)
+    if len(tree) > 0:
+        centroid = compute_centroid(query.points, method=centroid_method)
+        centroid_distance = group_distance(centroid, query.points)
+        _spm_best_first(tree, query, centroid, centroid_distance, best, exclude)
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
 
 

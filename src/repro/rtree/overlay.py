@@ -10,15 +10,19 @@ read-optimised :class:`~repro.rtree.flat.FlatRTree` stays immutable
   of record ids the read path must skip (deletes of delta-resident
   records drop the row from the delta's live set).
 
-Queries answer from the *merged* view: the algorithms traverse the base
-snapshot with the tombstone set excluded and scan the delta's live rows
-(:meth:`DeltaOverlay.delta_points`) as a second candidate source,
-producing answers bit-identical to a from-scratch rebuild over the live
-dataset (the distances come from the same kernels applied to the same
-coordinates, and ties resolve by the library-wide ``(distance,
-record_id)`` rule).  :meth:`DeltaOverlay.compact` folds the whole
-overlay into a generation ``N+1`` snapshot — the artifact a background
-compactor publishes to the serving hot-swap.
+Queries answer from the *merged* view: each built-in algorithm scans the
+delta's live rows (:meth:`DeltaOverlay.delta_points`) first, as its
+traversal's first leaf — the delta seeds the best list through
+Heuristic 2 (:func:`repro.core.mbm.seed_from_delta`) — and then
+traverses the base snapshot with the tombstone set excluded, pruning
+against the merged view's k-th distance.  Answers are bit-identical to
+a from-scratch rebuild over the live dataset: the distances come from
+the same kernels applied to the same coordinates.  The one caveat is
+the one a single tree already has: an exact tie at the k-th distance,
+here between a delta record and a base record, resolves by scan order
+(the delta is scanned first).  :meth:`DeltaOverlay.compact` folds the
+whole overlay into a generation ``N+1`` snapshot — the artifact a
+background compactor publishes to the serving hot-swap.
 """
 
 from __future__ import annotations
@@ -199,10 +203,10 @@ class DeltaOverlay:
         """The delta's live records as ``(points, record_ids)``, id-ordered.
 
         Cached until the next delta write.  This is the read path's
-        memtable scan: the delta stays small between compactions, so
-        queries score it with one vectorised kernel call — the same
-        kernels the base traversal uses, so merged answers equal a
-        rebuild's.
+        memtable scan: queries score it as the traversal's first leaf,
+        ``|delta|`` mindists to the group MBR plus ``n`` distances per
+        row Heuristic 2 cannot prune — the same kernels the base
+        traversal uses, so merged answers equal a rebuild's.
         """
         return self.delta.live_points()
 

@@ -27,6 +27,7 @@ from repro.core.engine import GNNEngine
 from repro.core.mqm import mqm
 from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
+from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.tree import RTree
 from repro.storage.buffer import LRUBuffer
 from repro.storage.generations import GenerationStore
@@ -345,9 +346,12 @@ class TestMultiStreamMQMConformance:
     def test_mqm_matches_the_reference_with_tombstones(self, flat):
         rng = np.random.default_rng(SEED + 13)
         group = rng.uniform(300, 700, size=(7, 2))
-        exclude = set(mqm(flat, GroupQuery(group, k=6)).record_ids()[::2])
+        overlay = DeltaOverlay(flat)
+        for neighbor in mqm(flat, GroupQuery(group, k=6)).neighbors[::2]:
+            assert overlay.delete(neighbor.point, neighbor.record_id)
+        exclude = overlay.tombstones
         reference = mqm_reference(flat, GroupQuery(group, k=6), exclude=exclude)
-        result = mqm(flat, GroupQuery(group, k=6), exclude=exclude)
+        result = mqm(flat, GroupQuery(group, k=6), overlay=overlay)
         _assert_indistinguishable(result, reference, "tombstones")
         assert not exclude & set(result.record_ids())
 

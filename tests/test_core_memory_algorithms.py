@@ -19,6 +19,7 @@ from repro.core.spm import spm
 from repro.core.types import GroupQuery
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
+from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.tree import RTree
 
 EMPTY = FlatRTree.from_tree(RTree())
@@ -259,7 +260,10 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
         dead = data.draw(st.sets(st.integers(0, len(points) - 1), max_size=len(points) - 1))
         live = np.array(sorted(set(range(len(points))) - dead))
         query = GroupQuery(groups[0], k=k)
-        result = mbm(flat, query, exclude=frozenset(dead))
+        overlay = DeltaOverlay(flat)
+        for rid in dead:
+            assert overlay.delete(points[rid], rid)
+        result = mbm(flat, query, overlay=overlay)
         expected = brute_force_gnn(points[live], query)
         assert result.distances() == expected.distances()
         assert result.record_ids() == [int(live[i]) for i in expected.record_ids()]

@@ -1,7 +1,7 @@
 """The mutable write path: PointStore, DeltaOverlay, engine mutations,
 overlay execution, compaction, and the serving/sharding write APIs.
 
-Three historical engine bugs are pinned here as regression tests:
+Four historical engine bugs are pinned here as regression tests:
 
 * calling ``tree.delete`` directly (the only delete path that existed)
   left ``engine.points`` and the cached flat snapshot stale, so queries
@@ -13,11 +13,14 @@ Three historical engine bugs are pinned here as regression tests:
   from a monotonic never-reused counter;
 * ``engine.insert`` used to ``np.vstack`` the whole dataset per call
   (O(n²) ingest) — the overlay's :class:`PointStore` appends into an
-  amortised doubling buffer.
+  amortised doubling buffer;
+* ``engine.compact()`` of an emptied engine let the id counter restart
+  at 0 — it is now seeded from the outgoing base first.
 
 The overlay invariant checked throughout: queries over a dirty
 (base + delta − tombstones) view are bit-identical — record ids *and*
-distances — to a from-scratch rebuild over the live dataset.
+distances — to a from-scratch rebuild over the live dataset (under
+exact ties at the k-th distance, up to which tied record is kept).
 """
 
 import numpy as np
@@ -26,13 +29,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.spec import QuerySpec
+from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.engine import GNNEngine
+from repro.core.mbm import mbm
+from repro.core.mqm import mqm
+from repro.core.spm import spm
 from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay, PointStore
 
 SEED = 20040301
+
+#: The overlay-aware drivers behind the built-in tree algorithms.
+DRIVERS = {"mqm": mqm, "spm": spm, "mbm": mbm, "best-first": aggregate_gnn}
 
 
 @pytest.fixture()
@@ -243,7 +253,7 @@ class TestDeltaOverlay:
 
 
 # ----------------------------------------------------------------------
-# the three pinned engine bugs
+# the pinned engine bugs
 # ----------------------------------------------------------------------
 class TestEngineMutationBugfixes:
     def test_engine_delete_keeps_every_view_consistent(self, dataset, rng):
@@ -276,6 +286,18 @@ class TestEngineMutationBugfixes:
         assert assigned in live_ids and 0 not in live_ids
         spec = QuerySpec(group=[[111.0, 222.0]], k=1, algorithm="brute-force")
         assert engine.execute(spec).record_ids() == [assigned]
+
+    def test_ids_are_not_reused_after_compacting_an_emptied_engine(self, dataset):
+        """Compaction used to leave the counter to be seeded from the new,
+        empty base, so the first insert after it got id 0 again."""
+        engine = GNNEngine(dataset[:20], capacity=8)
+        for rid in range(20):
+            assert engine.delete(dataset[rid], rid)
+        assert engine.compact().size == 0
+        assigned = engine.insert([5.0, 5.0])
+        assert assigned == 20
+        result = engine.execute(QuerySpec(group=[[5.0, 5.0]], k=3))
+        assert result.record_ids() == [assigned]
 
     def test_engine_delete_unknown_record_returns_false(self, dataset):
         engine = GNNEngine(dataset, capacity=16)
@@ -328,15 +350,55 @@ class TestOverlayExecution:
         assert first.distance_computations == second.distance_computations
         assert first.algorithm.endswith("+overlay")
 
-    def test_excluded_records_are_not_charged_distance_computations(self, dataset, rng):
-        from repro.core.mbm import mbm
+    def test_dirty_mbm_counters_are_pinned(self):
+        """The delta seeds MBM's best list instead of being brute-forced
+        beside the base: same nodes, a third of the distances."""
+        rng = np.random.default_rng(SEED)
+        points = rng.uniform(0, 1000, size=(5000, 2))
+        engine = GNNEngine(points, capacity=16)
+        for point in rng.uniform(0, 1000, size=(360, 2)):
+            engine.insert(point)
+        for rid in (7, 11, 13):
+            assert engine.delete(points[rid], rid)
+        group = rng.uniform(400, 600, size=(16, 2))
+        result = engine.execute(QuerySpec(group=group, k=8, algorithm="mbm"))
+        # With the delta scanned by brute force beside the base: (11, 8850).
+        assert (result.cost.node_accesses, result.cost.distance_computations) == (11, 3082)
+        assert result.record_ids() == _rebuilt_reference(engine).execute(
+            QuerySpec(group=group, k=8, algorithm="mbm")
+        ).record_ids()
 
+    def test_a_third_party_algorithm_answers_the_merged_view(self, dataset, rng):
+        """An algorithm that knows nothing of overlays is k-widened over
+        the base, post-filtered and merged with a scan of the delta."""
+        from repro.api.registry import AlgorithmInfo, register_algorithm, unregister_algorithm
+
+        def runner(context, request):
+            assert context.overlay is None
+            return context.brute_force(request.query)
+
+        register_algorithm(AlgorithmInfo(name="plain-scan", runner=runner, residency="memory"))
+        try:
+            engine = GNNEngine(dataset, capacity=16)
+            group = rng.uniform(200, 800, size=(3, 2))
+            self._mutate(engine, dataset, rng, deletes=10, inserts=10)
+            result = engine.execute(QuerySpec(group=group, k=7, algorithm="plain-scan"))
+        finally:
+            unregister_algorithm("plain-scan")
+        reference = _rebuilt_reference(engine).execute(QuerySpec(group=group, k=7))
+        _assert_identical(result, reference, "plain-scan")
+        assert result.cost.algorithm == "brute-force+overlay"
+
+    def test_excluded_records_are_not_charged_distance_computations(self, dataset, rng):
         flat = FlatRTree.bulk_load(dataset, capacity=16)
         group = rng.uniform(200, 800, size=(3, 2))
         query = GroupQuery(group, k=5)
         clean = mbm(flat, query)
-        excluded = {n.record_id for n in clean.neighbors[:2]}
-        shifted = mbm(flat, query, exclude=excluded)
+        overlay = DeltaOverlay(flat)
+        for neighbor in clean.neighbors[:2]:
+            assert overlay.delete(neighbor.point, neighbor.record_id)
+        excluded = overlay.tombstones
+        shifted = mbm(flat, query, overlay=overlay)
         assert len(shifted.neighbors) == 5
         assert not excluded & {n.record_id for n in shifted.neighbors}
         # The excluded records shift the ranking down by exactly two slots.
@@ -392,47 +454,52 @@ class TestOverlayExecution:
 # ----------------------------------------------------------------------
 coordinate = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, width=32)
 point_strategy = st.tuples(coordinate, coordinate)
+initial_points = st.lists(point_strategy, min_size=5, max_size=40)
+schedules = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "delete", "twin"]),
+        point_strategy,
+        st.integers(0, 10_000),
+    ),
+    min_size=1,
+    max_size=25,
+)
+ks = st.integers(min_value=1, max_value=4)
+
+
+def _run_schedule(initial, schedule):
+    """A dirty engine after ``schedule``, and the dict model of its live records."""
+    data = np.array(initial, dtype=np.float64)
+    engine = GNNEngine(data, capacity=8)
+    engine.execute(QuerySpec(group=[[500.0, 500.0]], k=1))  # build base
+    live = {i: data[i] for i in range(len(data))}
+    for step, (action, point, selector) in enumerate(schedule):
+        if action == "insert":
+            rid = engine.insert(point)
+            assert rid not in live
+            live[rid] = np.asarray(point, dtype=np.float64)
+        elif not live:
+            continue
+        elif action == "twin":
+            # A live record's coordinates again, under an explicit id
+            # below every id handed out so far in this run: duplicate
+            # payloads and out-of-order ids in one move.
+            original = sorted(live)[selector % len(live)]
+            rid = 50_000 - step
+            assert engine.insert(live[original], record_id=rid) == rid
+            live[rid] = live[original]
+        else:
+            rid = sorted(live)[selector % len(live)]
+            assert engine.delete(live[rid], rid)
+            del live[rid]
+    return engine, live
 
 
 class TestMutationScheduleProperty:
-    @given(
-        initial=st.lists(point_strategy, min_size=5, max_size=40),
-        schedule=st.lists(
-            st.tuples(
-                st.sampled_from(["insert", "delete", "twin"]),
-                point_strategy,
-                st.integers(0, 10_000),
-            ),
-            min_size=1,
-            max_size=25,
-        ),
-        k=st.integers(min_value=1, max_value=4),
-    )
+    @given(initial=initial_points, schedule=schedules, k=ks)
     @settings(max_examples=40, deadline=None)
     def test_any_schedule_keeps_overlay_exact(self, initial, schedule, k):
-        data = np.array(initial, dtype=np.float64)
-        engine = GNNEngine(data, capacity=8)
-        engine.execute(QuerySpec(group=[[500.0, 500.0]], k=1))  # build base
-        live = {i: data[i] for i in range(len(data))}
-        for step, (action, point, selector) in enumerate(schedule):
-            if action == "insert":
-                rid = engine.insert(point)
-                assert rid not in live
-                live[rid] = np.asarray(point, dtype=np.float64)
-            elif not live:
-                continue
-            elif action == "twin":
-                # A live record's coordinates again, under an explicit id
-                # below every id handed out so far in this run: duplicate
-                # payloads and out-of-order ids in one move.
-                original = sorted(live)[selector % len(live)]
-                rid = 50_000 - step
-                assert engine.insert(live[original], record_id=rid) == rid
-                live[rid] = live[original]
-            else:
-                rid = sorted(live)[selector % len(live)]
-                assert engine.delete(live[rid], rid)
-                del live[rid]
+        engine, live = _run_schedule(initial, schedule)
         if not live:
             return
         # The invariant under test: the dirty merged view is a correct
@@ -467,6 +534,25 @@ class TestMutationScheduleProperty:
                 reference = rebuilt.execute(spec)
                 assert result.record_ids() == reference.record_ids(), name
                 assert np.array_equal(result.distances(), reference.distances()), name
+
+    @given(initial=initial_points, schedule=schedules, k=ks)
+    @settings(max_examples=40, deadline=None)
+    def test_the_delta_seed_never_reads_more_base_nodes(self, initial, schedule, k):
+        """Seeded from the delta, every driver reads at most the nodes it
+        reads over the base with the same tombstones and no delta: its
+        pruning bound is the k-th distance of a superset of candidates."""
+        engine, _ = _run_schedule(initial, schedule)
+        if not engine.dirty:
+            return
+        base = engine.flat
+        tombstones_only = DeltaOverlay(base)
+        for rid in engine.overlay.tombstones:
+            assert tombstones_only.delete(base.points[tombstones_only.base_row(rid)], rid)
+        query = GroupQuery(np.array([[250.0, 250.0], [750.0, 750.0]]), k=k)
+        for name, driver in DRIVERS.items():
+            seeded = engine.execute(QuerySpec(group=query.points, k=k, algorithm=name))
+            unseeded = driver(base, query, overlay=tombstones_only)
+            assert seeded.cost.node_accesses <= unseeded.cost.node_accesses, name
 
 
 # ----------------------------------------------------------------------
