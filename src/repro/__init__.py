@@ -5,7 +5,7 @@ Given a dataset ``P`` indexed by an R-tree and a group of query points
 ``P`` with the smallest sum of Euclidean distances to all points of
 ``Q``.  This package implements the paper's six algorithms (MQM, SPM,
 MBM for memory-resident ``Q``; GCP, F-MQM, F-MBM for disk-resident
-``Q``), every substrate they depend on (R*-tree, incremental NN and
+``Q``), every substrate they depend on (R-tree, incremental NN and
 closest-pair search, Hilbert sorting, simulated disk I/O), and the full
 experimental harness of Section 5.
 
@@ -53,13 +53,12 @@ from repro.api import (
     QueryPlanner,
     QuerySpec,
     available_algorithms,
-    register_algorithm,
 )
 from repro.geometry import MBR
-from repro.rtree import FlatRTree, RTree
+from repro.rtree import FlatRTree
 from repro.storage import LRUBuffer, PointFile
 
-__version__ = "3.1.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AlgorithmInfo",
@@ -75,7 +74,6 @@ __all__ = [
     "QueryPlan",
     "QueryPlanner",
     "QuerySpec",
-    "RTree",
     "aggregate_gnn",
     "available_algorithms",
     "brute_force_gnn",
@@ -84,7 +82,6 @@ __all__ = [
     "gcp",
     "mbm",
     "mqm",
-    "register_algorithm",
     "spm",
     "__version__",
 ]

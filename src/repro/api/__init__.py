@@ -1,4 +1,4 @@
-"""Declarative query API: specs, planning, registry, execution.
+"""Declarative query API: specs, planning, algorithm catalogue, execution.
 
 This package is the public face of the engine redesign:
 
@@ -6,9 +6,9 @@ This package is the public face of the engine redesign:
   of one GNN query (group or file, ``k``, aggregate, weights, residency,
   algorithm hint, options);
 * :class:`~repro.api.registry.AlgorithmInfo` /
-  :func:`~repro.api.registry.register_algorithm` — the capability-aware
-  algorithm registry the paper's six algorithms (plus the baselines)
-  register into, and the extension point for new ones;
+  :func:`~repro.api.registry.available_algorithms` — the closed,
+  capability-aware catalogue of the paper's six algorithms plus the
+  baselines;
 * :class:`~repro.api.planner.QueryPlanner` — ``plan(spec)`` returns a
   :class:`~repro.api.planner.QueryPlan` with the chosen algorithm, a
   human-readable rationale and a cost estimate;
@@ -37,8 +37,6 @@ from repro.api.registry import (
     AlgorithmInfo,
     available_algorithms,
     get_algorithm,
-    register_algorithm,
-    unregister_algorithm,
 )
 from repro.api.spec import AUTO, DISK, MEMORY, QuerySpec
 
@@ -59,6 +57,4 @@ __all__ = [
     "execute_spec",
     "get_algorithm",
     "prepare",
-    "register_algorithm",
-    "unregister_algorithm",
 ]

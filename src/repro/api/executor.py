@@ -2,8 +2,8 @@
 
 The executor is the only layer that touches resources: it materialises
 ``GroupQuery`` objects and simulated-disk :class:`PointFile`\\ s from a
-:class:`~repro.api.spec.QuerySpec`, hands them to the registered runner
-of the planned algorithm, and (for batches) amortises work across
+:class:`~repro.api.spec.QuerySpec`, hands them to the runner of the
+planned algorithm, and (for batches) amortises work across
 queries:
 
 * **plan caching** — specs with equal plan signatures are planned once;
@@ -25,13 +25,13 @@ queries:
 Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
 *dirty* delta overlay (:class:`~repro.rtree.overlay.DeltaOverlay` — the
-engine's mutable write path), memory-resident plans detour through
-:func:`execute_overlay`: a built-in algorithm's driver scans the delta
-as its traversal's first leaf — the delta seeds its best list — and
-then traverses the frozen base with tombstones excluded, pruning
-against the merged view's k-th distance; answers are bit-identical to
-a from-scratch rebuild.  Shared traversals are disabled while dirty
-(they see only the base arrays).
+engine's mutable write path), every memory-resident algorithm's driver
+scans the delta as its traversal's first leaf — the delta seeds its
+best list — and then traverses the frozen base with tombstones
+excluded, pruning against the merged view's k-th distance; answers are
+bit-identical to a from-scratch rebuild (an exact tie at the k-th
+distance aside: see :mod:`repro.rtree.overlay`).  Shared traversals
+are disabled while dirty (they see only the base arrays).
 Disk-resident plans have no overlay form: the engine folds the overlay
 (``compact()``) before handing such a plan a context.
 
@@ -49,7 +49,7 @@ results carry the counters of the one traversal under the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ from repro.api.planner import (
     QueryPlan,
     QueryPlanner,
 )
-from repro.api.registry import BUILTIN_ALGORITHMS
 from repro.api.spec import MEMORY, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.mbm import mbm_batch
@@ -97,9 +96,9 @@ class ExecutionContext:
 
     ``flat`` is the one index every plan traverses — memory- and
     disk-resident alike.  ``overlay`` carries the engine's *dirty* delta
-    overlay — when set, memory-resident plans execute through
-    :func:`execute_overlay` (base + delta − tombstones) instead of the
-    stale frozen arrays.
+    overlay — when set, every memory-resident runner answers from the
+    merged view (base + delta − tombstones) instead of the stale frozen
+    arrays.
     """
 
     flat: FlatRTree
@@ -178,11 +177,15 @@ def execute_spec(
 def _run_planned(
     context: ExecutionContext, spec: QuerySpec, plan: QueryPlan
 ) -> GNNResult:
-    """The classic execution core: route one planned spec to its runner."""
+    """The classic execution core: route one planned spec to its runner.
+
+    Over a dirty overlay a memory-resident runner answers the merged
+    view itself (see the module docstring); its counters are the base
+    index's, and the algorithm label gains an ``+overlay`` suffix.
+    """
+    result = plan.algorithm.runner(context, prepare(spec, plan))
     if _overlay_routed(context, plan):
-        result = execute_overlay(context, spec, plan)
-    else:
-        result = plan.algorithm.runner(context, prepare(spec, plan))
+        result.cost.algorithm += "+overlay"
     if spec.trace:
         result.plan = plan
     return result
@@ -271,68 +274,6 @@ def _overlay_routed(context: ExecutionContext, plan: QueryPlan) -> bool:
     """
     overlay = context.overlay
     return overlay is not None and overlay.dirty and plan.residency == MEMORY
-
-
-def execute_overlay(
-    context: ExecutionContext, spec: QuerySpec, plan: QueryPlan
-) -> GNNResult:
-    """Answer a memory-resident spec over a dirty delta overlay.
-
-    A built-in algorithm's runner takes the overlay itself: its driver
-    scans the delta first as the traversal's first leaf (seeding the
-    best list, so the base traversal prunes against the merged view's
-    k-th distance from its first node) and skips the tombstones inside
-    the base traversal.  Its counters are the base index's, and the
-    algorithm label gains an ``+overlay`` suffix.
-
-    A third-party algorithm knows nothing of overlays: it runs over the
-    base with ``k`` widened by the tombstone count, its answer is
-    post-filtered, the delta is scored by brute force, and the two
-    candidate lists merge by ``(distance, record_id)`` in
-    :func:`_merge_overlay_parts`.
-
-    Either way the distances come from the same kernels over the same
-    coordinates a rebuilt single tree would hold, so the answers are
-    bit-identical to a from-scratch rebuild over the live dataset
-    (an exact tie at the k-th distance aside: see the module docstring
-    of :mod:`repro.rtree.overlay`).
-    """
-    if plan.algorithm in BUILTIN_ALGORITHMS:
-        result = plan.algorithm.runner(context, prepare(spec, plan))
-        result.cost.algorithm += "+overlay"
-        return result
-
-    overlay = context.overlay
-    started = time.perf_counter()
-    # Widen k so the base's top k + |tombstones| provably contains the
-    # top-k live records, then post-filter.
-    base_spec = (
-        spec.replace(k=spec.k + len(overlay.tombstones)) if overlay.tombstones else spec
-    )
-    base_plan = replace(plan, spec=base_spec)
-    base_context = ExecutionContext(flat=overlay.base, buffer=context.buffer)
-    base = plan.algorithm.runner(base_context, prepare(base_spec, base_plan))
-    base.neighbors = [n for n in base.neighbors if n.record_id not in overlay.tombstones]
-    parts = [base]
-    if len(overlay.delta):
-        delta_points, delta_ids = overlay.delta_points()
-        parts.append(brute_force_gnn(delta_points, spec.group_query(), record_ids=delta_ids))
-    return _merge_overlay_parts(spec.k, parts, time.perf_counter() - started)
-
-
-def _merge_overlay_parts(
-    k: int, parts: list[GNNResult], elapsed: float
-) -> GNNResult:
-    """Merge a third-party base answer with the delta's; sum both counters."""
-    candidates = [neighbor for part in parts for neighbor in part.neighbors]
-    # Base and delta record ids are disjoint by construction, so the
-    # merge is a plain sort by the canonical (distance, record id) rule.
-    candidates.sort(key=lambda neighbor: (neighbor.distance, neighbor.record_id))
-    cost = QueryCost(algorithm=f"{parts[0].cost.algorithm}+overlay")
-    for part in parts:
-        cost.merge(part.cost)
-    cost.cpu_time = elapsed  # the whole overlay call, not the sum of its parts
-    return GNNResult(neighbors=candidates[:k], cost=cost)
 
 
 def execute_batch(

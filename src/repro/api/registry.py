@@ -1,13 +1,13 @@
-"""Capability-aware algorithm registry.
+"""The closed, capability-aware algorithm catalogue.
 
 Every GNN algorithm the engine can execute is described by an
 :class:`AlgorithmInfo`: its runner, the residency it handles
 (memory-resident group vs. disk-resident query file), the aggregates it
 is defined for, whether it accepts per-point weights, and the options it
-understands.  The planner consults this metadata instead of hard-coding
-``if/elif`` chains, so third-party algorithms plug in with a single
-:func:`register_algorithm` call and immediately participate in
-``engine.execute`` / ``engine.explain`` / ``engine.execute_many``.
+understands.  The catalogue is the fixed :data:`BUILTIN_ALGORITHMS`
+table; the planner, ``engine.algorithms()`` and the conformance matrix
+read it through :func:`get_algorithm` / :func:`available_algorithms`
+instead of hard-coding ``if/elif`` chains.
 
 The capability declarations follow the *paper's* definitions (MQM, SPM,
 MBM and F-MQM/F-MBM are sum-aggregate algorithms; Section 3/4), even
@@ -29,8 +29,7 @@ from repro.core.mbm import mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.geometry.distance import MAX, MIN, SUM
-from repro.rtree.flat import FlatRTree
-from repro.rtree.tree import DEFAULT_CAPACITY
+from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 
 from repro.api.spec import DISK, MEMORY, QuerySpec
 
@@ -41,16 +40,15 @@ FILE_GEOMETRY_OPTIONS = ("points_per_page", "block_pages")
 
 @dataclass(frozen=True)
 class AlgorithmInfo:
-    """Metadata and entry point of one registered algorithm.
+    """Metadata and entry point of one catalogued algorithm.
 
     ``runner`` receives ``(context, request)`` where ``context`` is the
     executor's :class:`~repro.api.executor.ExecutionContext` (flat
     index, buffer, pending-write overlay) and ``request`` the prepared
     :class:`~repro.api.executor.PreparedQuery` (spec, materialised
-    ``GroupQuery`` or ``PointFile``, algorithm options).  The built-in
-    memory-resident runners honour ``context.overlay``; a third-party
-    runner only ever sees a clean context (the executor answers dirty
-    views for it by k-widening and a delta merge).
+    ``GroupQuery`` or ``PointFile``, algorithm options).  Every
+    memory-resident runner answers from ``context.overlay`` when it is
+    set; disk-resident runners only ever see a clean context.
     """
 
     name: str
@@ -92,27 +90,6 @@ class AlgorithmInfo:
         return not self.capability_errors(spec)
 
 
-_REGISTRY: dict[str, AlgorithmInfo] = {}
-
-
-def register_algorithm(info: AlgorithmInfo, overwrite: bool = False) -> AlgorithmInfo:
-    """Add an algorithm to the registry; returns the stored info."""
-    name = info.name.lower()
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(f"algorithm {name!r} is already registered")
-    if info.residency not in (MEMORY, DISK):
-        raise ValueError(
-            f"algorithm residency must be {MEMORY!r} or {DISK!r}, got {info.residency!r}"
-        )
-    _REGISTRY[name] = info
-    return info
-
-
-def unregister_algorithm(name: str) -> None:
-    """Remove an algorithm (mostly useful for tests of the registry itself)."""
-    _REGISTRY.pop(name.lower(), None)
-
-
 def get_algorithm(name: str) -> AlgorithmInfo:
     """Look up an algorithm by (case-insensitive) name.
 
@@ -122,14 +99,14 @@ def get_algorithm(name: str) -> AlgorithmInfo:
     info = _REGISTRY.get(name.lower())
     if info is None:
         raise ValueError(
-            f"unknown algorithm {name!r}; registered algorithms: "
+            f"unknown algorithm {name!r}; known algorithms: "
             f"{sorted(_REGISTRY)}"
         )
     return info
 
 
 def available_algorithms(residency: str | None = None) -> list[AlgorithmInfo]:
-    """All registered algorithms, optionally filtered by residency."""
+    """All catalogued algorithms, optionally filtered by residency."""
     infos = sorted(_REGISTRY.values(), key=lambda info: info.name)
     if residency is None:
         return infos
@@ -253,5 +230,4 @@ BUILTIN_ALGORITHMS = (
     ),
 )
 
-for _info in BUILTIN_ALGORITHMS:
-    register_algorithm(_info, overwrite=True)
+_REGISTRY = {info.name: info for info in BUILTIN_ALGORITHMS}

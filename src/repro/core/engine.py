@@ -30,9 +30,8 @@ from repro.api.planner import AUTO_FMQM_MAX_BLOCKS, QueryPlan, QueryPlanner
 from repro.api.registry import available_algorithms
 from repro.api.spec import DISK, QuerySpec
 from repro.core.types import GNNResult
-from repro.rtree.flat import FlatRTree
+from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.tree import DEFAULT_CAPACITY
 from repro.storage.buffer import LRUBuffer
 
 MEMORY_ALGORITHMS = ("mqm", "spm", "mbm", "best-first", "brute-force")

@@ -1,4 +1,4 @@
-"""A from-scratch R*-tree and the search primitives the GNN algorithms need.
+"""The R-tree the GNN algorithms run over, and its search primitives.
 
 The package provides:
 
@@ -7,9 +7,6 @@ The package provides:
   static point set straight into its arrays,
 * :mod:`repro.rtree.bulkload` — the STR and Hilbert leaf orders behind
   that packing (array sorts, no object per point),
-* :class:`~repro.rtree.tree.RTree` — the dynamic R*-tree over points
-  (insert, delete, split, range search), off the build path: kept for
-  the mutation tests and snapshotted with ``FlatRTree.from_tree``,
 * best-first (incremental) nearest-neighbor search in
   :mod:`repro.rtree.traversal`,
 * an incremental closest-pair join over two snapshots in
@@ -23,9 +20,7 @@ The package provides:
 """
 
 from repro.rtree.closest_pairs import incremental_closest_pairs
-from repro.rtree.entry import ChildEntry, LeafEntry
 from repro.rtree.flat import FlatRTree
-from repro.rtree.node import Node
 from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.stats import TreeStats
 from repro.rtree.traversal import (
@@ -33,15 +28,10 @@ from repro.rtree.traversal import (
     flat_incremental_nearest_generic,
     incremental_nearest,
 )
-from repro.rtree.tree import RTree
 
 __all__ = [
-    "ChildEntry",
     "DeltaOverlay",
     "FlatRTree",
-    "LeafEntry",
-    "Node",
-    "RTree",
     "TreeStats",
     "best_first_nearest",
     "flat_incremental_nearest_generic",

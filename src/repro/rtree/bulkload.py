@@ -1,15 +1,14 @@
 """Bulk loading: the packed leaf order of a static point set.
 
 The experiments of the paper operate on static datasets (PP and TS), so
-the natural way to build the R*-tree is a packed bulk load.  Packing is
+the natural way to build the R-tree is a packed bulk load.  Packing is
 done on arrays: :func:`pack` returns the *leaf order* — the permutation
 that lists the points leaf by leaf — and the row at which every leaf
 starts.  Nothing else is decided here; the levels above the leaves group
 ``capacity`` consecutive nodes per parent, which
 :meth:`FlatRTree.bulk_load <repro.rtree.flat.FlatRTree.bulk_load>`
-assembles straight into the snapshot arrays (no ``Node`` or entry object
-per point or page).  ``RTree.bulk_load`` thaws that snapshot into nodes,
-so both index flavours come from this one packing implementation.
+assembles straight into the snapshot arrays (no node or entry object
+per point or page).
 
 Two packing strategies are provided:
 
@@ -113,9 +112,7 @@ def pack(points: np.ndarray, capacity: int, method: str = "str") -> tuple[np.nda
     leaf by leaf, and leaf ``j`` holds the rows from ``leaf_starts[j]``
     up to the next start (the last leaf runs to the end).  ``points`` is
     a validated ``(count, dims)`` array; zero points pack into one empty
-    leaf.  The single entry point behind ``FlatRTree.bulk_load`` and ``RTree.bulk_load``, so both
-    accept exactly the same methods and capacities and fail with the
-    same message on a typo.
+    leaf.
     """
     if capacity < 4:
         raise ValueError("node capacity must be at least 4")

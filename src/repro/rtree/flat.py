@@ -1,37 +1,34 @@
 """Flat array-backed R-tree snapshots — the one index queries traverse.
 
 :class:`FlatRTree` is a read-optimized, immutable snapshot of an R-tree:
-the whole index lives in a handful of contiguous numpy arrays instead of
-linked Python ``Node``/``Entry`` objects, and every query algorithm runs
-over it.  A static point set is packed straight into the arrays
-(:meth:`FlatRTree.bulk_load`: the leaf order comes from
+the whole index lives in a handful of contiguous numpy arrays, and every
+query algorithm runs over it.  A static point set is packed straight
+into the arrays (:meth:`FlatRTree.bulk_load`: the leaf order comes from
 :mod:`repro.rtree.bulkload`, the levels above it are assembled with
-``reduceat`` — no object per point or page); a dynamic
-:class:`~repro.rtree.tree.RTree` is copied in by :meth:`FlatRTree.from_tree`.
-Nodes are numbered in breadth-first order (the root is node 0) so that
-the children of every internal node — and the points of every leaf —
-occupy one contiguous slice:
+``reduceat`` — no object per point or page).  Nodes are numbered in
+breadth-first order (the root is node 0) so that the children of every
+internal node — and the points of every leaf — occupy one contiguous
+slice:
 
 ================  =====================================================
-``lows/highs``    ``(num_nodes, dims)`` — the MBR of every node: the
-                  tight bounds of its slice for a packed snapshot,
-                  exactly what the parent entry stored for a snapshot
-                  of a dynamic tree (whose root row is computed).
+``lows/highs``    ``(num_nodes, dims)`` — the tight MBR of every node's
+                  slice.
 ``child_start``   CSR-style offsets: for an internal node the id of its
 ``child_count``   first child; for a leaf the row of its first point in
                   ``points``.
 ``levels``        per-node level (0 for leaves), so all traversal state
                   is plain integers.
-``node_ids``      page ids: the keys an attached LRU buffer sees, drawn
-                  from one process-wide counter (a packed snapshot
-                  reserves a block, ``from_tree`` keeps the tree's), so
-                  they are unique across every index of the process.
+``node_ids``      page ids: the keys an attached LRU buffer sees, each
+                  snapshot reserving a block of one process-wide
+                  counter, so they are unique across every index of the
+                  process (a compacted generation inherits the engine's
+                  buffer, and must not hit its predecessor's pages).
 ``points``        ``(size, dims)`` leaf-point matrix in leaf order, with
 ``record_ids``    the matching record identifiers.
 ================  =====================================================
 
-Best-first traversal over this layout never touches a Python ``Node``:
-a heap pop scores an entire child slice (or leaf slice) with one kernel
+Best-first traversal over this layout creates no object per node: a
+heap pop scores an entire child slice (or leaf slice) with one kernel
 call and pushes plain ``(key, counter, int)`` tuples.  The traversal
 loops themselves live in :mod:`repro.rtree.traversal`
 (``flat_incremental_nearest_generic``, ``MultiStreamFrontier``),
@@ -50,6 +47,7 @@ reported through :class:`repro.storage.counters.MappedPageCounters`.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import zipfile
 
@@ -58,9 +56,14 @@ from numpy.lib import format as npy_format
 
 from repro.geometry.point import as_points
 from repro.rtree.bulkload import pack, resolve_record_ids
-from repro.rtree.node import reserve_node_ids
 from repro.rtree.stats import TreeStats
 from repro.storage.counters import MappedPageCounters
+
+#: Node capacity of the paper's experiments (1 KByte pages, 50 entries).
+DEFAULT_CAPACITY = 50
+
+#: The process-wide page-id counter every snapshot reserves its block from.
+_page_ids = itertools.count()
 
 #: Array names persisted by :meth:`FlatRTree.save`.
 _ARRAY_FIELDS = (
@@ -86,10 +89,9 @@ FORMAT_VERSION = 2
 class FlatRTree:
     """A read-only, struct-of-arrays snapshot of an R-tree.
 
-    Instances are built with :meth:`from_tree` (snapshot an existing
-    :class:`~repro.rtree.tree.RTree`), :meth:`bulk_load` (pack a static
-    point set directly) or :meth:`load` (reopen a saved snapshot,
-    optionally memory-mapped).  ``stats``, ``read_node`` and an optional
+    Instances are built with :meth:`bulk_load` (pack a static point
+    set) or :meth:`load` (reopen a saved snapshot, optionally
+    memory-mapped).  ``stats``, ``read_node`` and an optional
     LRU ``buffer`` form the accounting surface every traversal charges.
     """
 
@@ -130,92 +132,21 @@ class FlatRTree:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_tree(cls, tree, buffer="inherit") -> "FlatRTree":
-        """Snapshot an existing :class:`~repro.rtree.tree.RTree`.
-
-        The breadth-first walk preserves entry (storage) order, which
-        is the order traversals push children and break ties in.
-        ``buffer`` defaults to sharing the tree's LRU buffer; pass ``None`` (or a
-        different buffer) to detach.
-        """
-        dims = tree.dims
-        if buffer == "inherit":
-            buffer = tree.buffer
-
-        lows: list = []
-        highs: list = []
-        child_start: list = []
-        child_count: list = []
-        levels: list = []
-        node_ids: list = []
-        point_rows: list = []
-        record_ids: list = []
-
-        if tree.size == 0:
-            arrays = {
-                "lows": np.zeros((1, dims), dtype=np.float64),
-                "highs": np.zeros((1, dims), dtype=np.float64),
-                "child_start": np.zeros(1, dtype=np.int64),
-                "child_count": np.zeros(1, dtype=np.int64),
-                "levels": np.zeros(1, dtype=np.int16),
-                "node_ids": np.array([tree.root.node_id], dtype=np.int64),
-                "points": np.zeros((0, dims), dtype=np.float64),
-                "record_ids": np.zeros(0, dtype=np.int64),
-            }
-        else:
-            root_mbr = tree.root.compute_mbr()
-            queue = [tree.root]
-            queue_mbrs = [root_mbr]
-            index = 0
-            while index < len(queue):
-                node = queue[index]
-                mbr = queue_mbrs[index]
-                lows.append(np.asarray(mbr.low, dtype=np.float64))
-                highs.append(np.asarray(mbr.high, dtype=np.float64))
-                levels.append(node.level)
-                node_ids.append(node.node_id)
-                if node.is_leaf:
-                    child_start.append(len(point_rows))
-                    child_count.append(len(node.entries))
-                    for entry in node.entries:
-                        point_rows.append(np.asarray(entry.point, dtype=np.float64))
-                        record_ids.append(entry.record_id)
-                else:
-                    child_start.append(len(queue))
-                    child_count.append(len(node.entries))
-                    for entry in node.entries:
-                        queue.append(entry.child)
-                        queue_mbrs.append(entry.mbr)
-                index += 1
-            arrays = {
-                "lows": np.ascontiguousarray(np.vstack(lows)),
-                "highs": np.ascontiguousarray(np.vstack(highs)),
-                "child_start": np.asarray(child_start, dtype=np.int64),
-                "child_count": np.asarray(child_count, dtype=np.int64),
-                "levels": np.asarray(levels, dtype=np.int16),
-                "node_ids": np.asarray(node_ids, dtype=np.int64),
-                "points": np.ascontiguousarray(np.vstack(point_rows)),
-                "record_ids": np.asarray(record_ids, dtype=np.int64),
-            }
-        meta = {
-            "dims": dims,
-            "size": tree.size,
-            "capacity": tree.capacity,
-            "height": tree.height,
-        }
-        return cls(arrays, meta, buffer=buffer)
-
-    @classmethod
     def bulk_load(
-        cls, points, capacity: int = 50, method: str = "str", buffer=None, record_ids=None
+        cls,
+        points,
+        capacity: int = DEFAULT_CAPACITY,
+        method: str = "str",
+        buffer=None,
+        record_ids=None,
     ) -> "FlatRTree":
         """Pack a static point set straight into a flat snapshot.
 
         :func:`repro.rtree.bulkload.pack` decides the leaf order; the
         arrays are then assembled level by level — ``capacity``
         consecutive nodes per parent, MBRs by ``reduceat`` over the level
-        below — in the breadth-first numbering :meth:`from_tree` produces,
-        without creating a node or entry object.  ``record_ids``
+        below — in breadth-first numbering, without creating a node or
+        entry object.  ``record_ids``
         optionally replaces the default row-index ids — shard snapshots
         carry global row numbers so federated answers merge in the same
         identifier space as a single whole-dataset index.  A ``(0, dims)``
@@ -257,13 +188,16 @@ class FlatRTree:
         for level in range(height - 1, 0, -1):
             first_node += widths[level]
             starts[level] += first_node
+        num_nodes = sum(widths)
         arrays = {
             "lows": np.concatenate(lows[::-1]),
             "highs": np.concatenate(highs[::-1]),
             "child_start": np.concatenate(starts[::-1], dtype=np.int64),
             "child_count": np.concatenate(counts[::-1], dtype=np.int64),
             "levels": np.repeat(np.arange(height - 1, -1, -1, dtype=np.int16), widths[::-1]),
-            "node_ids": reserve_node_ids(sum(widths)),
+            "node_ids": np.fromiter(
+                itertools.islice(_page_ids, num_nodes), dtype=np.int64, count=num_nodes
+            ),
             "points": leaf_points,
             "record_ids": ids[order],
         }

@@ -18,7 +18,7 @@ from repro.storage.counters import CounterSet
 
 @dataclass
 class TreeStats(CounterSet):
-    """Mutable counters attached to an :class:`~repro.rtree.tree.RTree`.
+    """Mutable counters attached to a :class:`~repro.rtree.flat.FlatRTree`.
 
     Attributes
     ----------

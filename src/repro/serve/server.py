@@ -44,7 +44,7 @@ from repro.core.types import GNNResult
 from repro.obs import slowlog as obs_slowlog
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
-from repro.rtree.flat import FlatRTree
+from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 from repro.serve.protocol import SHUTDOWN, BatchClaim, BatchRequest, check_servable, encode_spec
 from repro.serve.scheduler import MicroBatcher
 from repro.serve.stats import ServerStats
@@ -197,7 +197,9 @@ class GNNServer:
     # construction conveniences
     # ------------------------------------------------------------------
     @classmethod
-    def from_points(cls, data_points, directory, capacity: int = 50, **server_options) -> "GNNServer":
+    def from_points(
+        cls, data_points, directory, capacity: int = DEFAULT_CAPACITY, **server_options
+    ) -> "GNNServer":
         """Build the index, publish generation-0, and serve it.
 
         The one-call path from a raw dataset to a running server:

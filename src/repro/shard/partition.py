@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.geometry.hilbert import DEFAULT_ORDER, hilbert_indices
 from repro.geometry.point import as_points
-from repro.rtree.flat import FlatRTree
+from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 from repro.shard.manifest import ShardInfo, ShardManifest
 
 
@@ -102,7 +102,7 @@ def partition_dataset(
     shards: int,
     directory,
     *,
-    capacity: int = 50,
+    capacity: int = DEFAULT_CAPACITY,
     method: str = "str",
     generation: int = 0,
     order: int = DEFAULT_ORDER,

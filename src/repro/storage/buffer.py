@@ -2,10 +2,10 @@
 
 The paper notes that MQM "benefits from the existence of an LRU buffer"
 because successive per-query-point NN searches revisit the same R-tree
-nodes.  Attaching an :class:`LRUBuffer` to an
-:class:`~repro.rtree.tree.RTree` makes the tree report both logical node
-accesses and buffer misses (page faults), so that effect can be
-reproduced and measured.
+nodes.  Attaching an :class:`LRUBuffer` to a
+:class:`~repro.rtree.flat.FlatRTree` makes the snapshot report both
+logical node accesses and buffer misses (page faults), so that effect
+can be reproduced and measured.
 """
 
 from __future__ import annotations

@@ -5,13 +5,14 @@ This is the bulk loader as it stood before the array packer: one
 verbatim — together with the per-point Hilbert key loop it sorted by
 (:func:`reference_hilbert_indices`), so the reference shares no
 vectorised code with what it checks.  :func:`reference_snapshot`
-flattens the packed nodes with ``FlatRTree.from_tree``; the differential
-tests require ``FlatRTree.bulk_load`` and ``RTree.bulk_load`` to
-reproduce every array of it except the values of ``node_ids``.
+flattens the packed nodes breadth-first into the snapshot arrays; the
+differential tests require ``FlatRTree.bulk_load`` to reproduce every
+array of it except the values of ``node_ids``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -22,11 +23,54 @@ from repro.geometry.hilbert import (
     _zorder_index,
     hilbert_index_2d,
 )
-from repro.geometry.point import as_points
-from repro.rtree.entry import ChildEntry, LeafEntry
+from repro.geometry.mbr import MBR
+from repro.geometry.point import as_point, as_points
 from repro.rtree.flat import FlatRTree
-from repro.rtree.node import Node
-from repro.rtree.tree import RTree
+
+_node_ids = itertools.count()
+
+
+class LeafEntry:
+    """A data point stored at the leaf level, with its record id."""
+
+    __slots__ = ("point", "record_id")
+
+    def __init__(self, point, record_id: int):
+        self.point = as_point(point)
+        self.record_id = int(record_id)
+
+
+class ChildEntry:
+    """An internal-node entry: a child node and the MBR stored for it."""
+
+    __slots__ = ("mbr", "child")
+
+    def __init__(self, mbr: MBR, child: "Node"):
+        self.mbr = mbr
+        self.child = child
+
+
+class Node:
+    """One page: ``LeafEntry`` objects at level 0, ``ChildEntry`` above."""
+
+    __slots__ = ("level", "entries", "node_id")
+
+    def __init__(self, level: int):
+        self.level = int(level)
+        self.entries: list = []
+        self.node_id = next(_node_ids)
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.level == 0
+
+    def add(self, entry) -> None:
+        self.entries.append(entry)
+
+    def compute_mbr(self) -> MBR:
+        if self.is_leaf:
+            return MBR.from_points(np.vstack([entry.point for entry in self.entries]))
+        return MBR.union_of(entry.mbr for entry in self.entries)
 
 
 def reference_hilbert_indices(points: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
@@ -114,9 +158,7 @@ def str_pack(points: np.ndarray, capacity: int, record_ids=None) -> Node:
 def pack(points: np.ndarray, capacity: int, method: str = "str", record_ids=None) -> Node:
     """Bulk load with a named packing strategy (``"str"`` or ``"hilbert"``).
 
-    The single entry point shared by ``RTree.bulk_load`` and
-    ``FlatRTree.bulk_load``, so both index flavours accept exactly the
-    same methods and fail with the same message on a typo.
+    Fails with the same message as ``FlatRTree.bulk_load`` on a typo.
     ``record_ids`` optionally replaces the default row-index ids (one id
     per point) — the sharding partitioner passes global row numbers.
     """
@@ -147,10 +189,67 @@ PACKERS = {
 }
 
 
+def flatten(root: Node, dims: int, size: int, capacity: int) -> FlatRTree:
+    """Number ``root``'s nodes breadth-first into the snapshot arrays.
+
+    The walk keeps entry (storage) order, which is the order traversals
+    push children and break ties in; the stored child MBRs become the
+    node rows (the root's is computed).  An empty root is the single
+    empty leaf.
+    """
+    if size == 0:
+        arrays = {
+            "lows": np.zeros((1, dims), dtype=np.float64),
+            "highs": np.zeros((1, dims), dtype=np.float64),
+            "child_start": np.zeros(1, dtype=np.int64),
+            "child_count": np.zeros(1, dtype=np.int64),
+            "levels": np.zeros(1, dtype=np.int16),
+            "node_ids": np.array([root.node_id], dtype=np.int64),
+            "points": np.zeros((0, dims), dtype=np.float64),
+            "record_ids": np.zeros(0, dtype=np.int64),
+        }
+    else:
+        lows, highs, child_start, child_count = [], [], [], []
+        levels, node_ids, point_rows, record_ids = [], [], [], []
+        queue = [root]
+        queue_mbrs = [root.compute_mbr()]
+        for node, mbr in zip(queue, queue_mbrs):  # the queue grows as it is walked
+            lows.append(np.asarray(mbr.low, dtype=np.float64))
+            highs.append(np.asarray(mbr.high, dtype=np.float64))
+            levels.append(node.level)
+            node_ids.append(node.node_id)
+            child_count.append(len(node.entries))
+            if node.is_leaf:
+                child_start.append(len(point_rows))
+                for entry in node.entries:
+                    point_rows.append(entry.point)
+                    record_ids.append(entry.record_id)
+            else:
+                child_start.append(len(queue))
+                for entry in node.entries:
+                    queue.append(entry.child)
+                    queue_mbrs.append(entry.mbr)
+        arrays = {
+            "lows": np.ascontiguousarray(np.vstack(lows)),
+            "highs": np.ascontiguousarray(np.vstack(highs)),
+            "child_start": np.asarray(child_start, dtype=np.int64),
+            "child_count": np.asarray(child_count, dtype=np.int64),
+            "levels": np.asarray(levels, dtype=np.int16),
+            "node_ids": np.asarray(node_ids, dtype=np.int64),
+            "points": np.ascontiguousarray(np.vstack(point_rows)),
+            "record_ids": np.asarray(record_ids, dtype=np.int64),
+        }
+    meta = {"dims": dims, "size": size, "capacity": capacity, "height": root.level + 1}
+    return FlatRTree(arrays, meta)
+
+
 def reference_snapshot(points, capacity: int, method: str = "str", record_ids=None) -> FlatRTree:
     """What the parent's ``FlatRTree.bulk_load`` returned for these arguments."""
-    pts = as_points(points)
-    tree = RTree(dims=pts.shape[1], capacity=capacity)
-    tree.root = pack(pts, capacity, method=method, record_ids=record_ids)
-    tree.size = pts.shape[0]
-    return FlatRTree.from_tree(tree)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 2 and pts.shape[0] == 0 and pts.shape[1] > 0:
+        return flatten(Node(0), pts.shape[1], 0, capacity)
+    pts = as_points(pts)
+    if capacity < 4:
+        raise ValueError("node capacity must be at least 4")
+    root = pack(pts, capacity, method=method, record_ids=record_ids)
+    return flatten(root, pts.shape[1], pts.shape[0], capacity)

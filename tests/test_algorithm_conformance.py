@@ -4,7 +4,7 @@ Every registered algorithm that can answer a spec must return the same
 result set as brute force — same record ids under the library's
 deterministic tie-breaking (ascending ``(distance, record_id)``) and the
 same distances to 1e-9 — across aggregates, weighted queries, both
-group residencies, and dynamic (insert/delete) trees.  A fixed-seed
+group residencies, and engines under inserts and deletes.  A fixed-seed
 workload additionally pins the node/page-access counters so accounting
 regressions (e.g. a vectorised path charging differently from the
 entry-at-a-time loop it replaced) are caught immediately.
@@ -12,7 +12,9 @@ entry-at-a-time loop it replaced) are caught immediately.
 The whole matrix — including the pinned counters — runs twice, over the
 flat snapshot held in memory and over the same snapshot saved to
 ``.npz`` and reopened memory-mapped (the ``context`` / ``mutable_engine``
-fixtures are parametrised by index residency).
+fixtures are parametrised by index residency).  The answer-only checks
+also run over a Hilbert-packed snapshot, whose leaves overlap and are
+irregular where STR's tile the plane; the counter pins stay on STR.
 """
 
 import numpy as np
@@ -28,7 +30,6 @@ from repro.core.mqm import mqm
 from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.tree import RTree
 from repro.storage.buffer import LRUBuffer
 from repro.storage.generations import GenerationStore
 
@@ -39,6 +40,10 @@ SEED = 20040101
 #: Where the index arrays live: built in memory, or saved to .npz and
 #: reopened with mmap_mode="r".
 INDEX_RESIDENCIES = ["memory", "mmap"]
+
+#: The inputs of the answer-only checks: both residencies of the STR
+#: snapshot, plus a Hilbert-packed one.
+ANSWER_INDEXES = INDEX_RESIDENCIES + ["hilbert"]
 
 #: Simulated-disk geometry small enough that the 60-point disk group
 #: splits into multiple blocks (so F-MQM/F-MBM exercise their
@@ -67,11 +72,22 @@ def mapped_path(flat, tmp_path_factory):
     return path
 
 
+def _context(kind, dataset, flat, mapped_path):
+    if kind == "mmap":
+        flat = FlatRTree.load(mapped_path, mmap_mode="r")
+    elif kind == "hilbert":
+        flat = FlatRTree.bulk_load(dataset, capacity=16, method="hilbert")
+    return ExecutionContext(flat=flat)
+
+
 @pytest.fixture(scope="module", params=INDEX_RESIDENCIES)
 def context(request, dataset, flat, mapped_path):
-    if request.param == "mmap":
-        flat = FlatRTree.load(mapped_path, mmap_mode="r")
-    return ExecutionContext(flat=flat)
+    return _context(request.param, dataset, flat, mapped_path)
+
+
+@pytest.fixture(scope="module", params=ANSWER_INDEXES)
+def answer_context(request, dataset, flat, mapped_path):
+    return _context(request.param, dataset, flat, mapped_path)
 
 
 def _shared_groups():
@@ -93,7 +109,9 @@ def _assert_matches_reference(result, reference, label):
 class TestMemoryEquivalenceMatrix:
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
     @pytest.mark.parametrize("k", [1, 5])
-    def test_all_capable_algorithms_agree_with_brute_force(self, context, dataset, aggregate, k):
+    def test_all_capable_algorithms_agree_with_brute_force(
+        self, answer_context, dataset, aggregate, k
+    ):
         ran = set()
         for group in _shared_groups():
             base = QuerySpec(group=group, k=k, aggregate=aggregate)
@@ -103,7 +121,7 @@ class TestMemoryEquivalenceMatrix:
                 if not info.supports(spec):
                     continue
                 ran.add(info.name)
-                result = execute_spec(context, spec)
+                result = execute_spec(answer_context, spec)
                 _assert_matches_reference(
                     result, reference, f"{info.name} k={k} aggregate={aggregate}"
                 )
@@ -114,7 +132,7 @@ class TestMemoryEquivalenceMatrix:
             assert {"best-first", "brute-force"} <= ran
 
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
-    def test_weighted_queries_agree_with_brute_force(self, context, dataset, aggregate):
+    def test_weighted_queries_agree_with_brute_force(self, answer_context, dataset, aggregate):
         rng = np.random.default_rng(SEED + 2)
         for group in _shared_groups():
             weights = rng.uniform(0.5, 2.0, size=group.shape[0])
@@ -126,7 +144,7 @@ class TestMemoryEquivalenceMatrix:
                 )
                 if not info.supports(spec):
                     continue
-                result = execute_spec(context, spec)
+                result = execute_spec(answer_context, spec)
                 _assert_matches_reference(
                     result, reference, f"{info.name} weighted aggregate={aggregate}"
                 )
@@ -223,43 +241,6 @@ class TestPinnedAccessCounters:
             ),
         )
         assert (result.cost.node_accesses, result.cost.distance_computations) == self.GCP_PIN
-
-
-class TestDynamicTreeConformance:
-    """A snapshot taken after any mutation batch must answer for the live tree."""
-
-    def test_mutation_heavy_tree_agrees_with_brute_force(self):
-        rng = np.random.default_rng(SEED + 5)
-        points = rng.uniform(0, 100, size=(300, 2))
-        tree = RTree(dims=2, capacity=8)
-        for i, p in enumerate(points):
-            tree.insert(p, record_id=i)
-        group = rng.uniform(20, 80, size=(6, 2))
-
-        def check():
-            alive = sorted(tree.all_points(), key=lambda item: item[0])
-            ids = np.array([record_id for record_id, _ in alive])
-            pts = np.vstack([point for _, point in alive])
-            reference = brute_force_gnn(pts, QuerySpec(group=group, k=5).group_query())
-            context = ExecutionContext(flat=FlatRTree.from_tree(tree))
-            for name in ("mqm", "mbm", "spm", "best-first"):
-                result = execute_spec(context, QuerySpec(group=group, k=5, algorithm=name))
-                expected_ids = [int(ids[i]) for i in reference.record_ids()]
-                assert result.record_ids() == expected_ids, name
-                assert np.allclose(
-                    result.distances(), reference.distances(), rtol=1e-9, atol=1e-9
-                ), name
-
-        check()
-        # Interleave queries with deletions and re-insertions: a snapshot
-        # that missed a structural change would surface as a wrong result.
-        for i in range(0, 150, 2):
-            assert tree.delete(points[i], record_id=i)
-        check()
-        for i in range(0, 150, 2):
-            tree.insert(points[i] + 0.25, record_id=1000 + i)
-        tree.validate()
-        check()
 
 
 def _assert_indistinguishable(result, reference, label):
@@ -468,19 +449,22 @@ def _live_arrays(live):
 class TestMutationConformance:
     """The matrix under mutation: interleaved insert/delete/query rounds.
 
-    The engine under test is shaped by index residency like the rest of
-    this module — ``memory`` mutates an engine built from the points,
-    ``mmap`` mutates a snapshot-only engine over a read-only memory map.
-    Either way the delta overlay is the write path.  After every round
-    each algorithm × aggregate must agree with brute force over the
-    independently tracked live dataset, and folding the overlay away
-    with :meth:`GNNEngine.compact` must not change a single answer.
+    The engine under test is shaped like the answer-only checks of this
+    module — ``memory`` mutates an engine built from the points, ``mmap``
+    a snapshot-only engine over a read-only memory map, ``hilbert`` an
+    engine over a Hilbert-packed base.  Every way the delta overlay is
+    the write path.  After every round each algorithm × aggregate must
+    agree with brute force over the independently tracked live dataset,
+    and folding the overlay away with :meth:`GNNEngine.compact` must not
+    change a single answer.
     """
 
-    @pytest.fixture(params=INDEX_RESIDENCIES)
+    @pytest.fixture(params=ANSWER_INDEXES)
     def mutable_engine(self, request, dataset, mapped_path):
         if request.param == "mmap":
             return GNNEngine.from_index(FlatRTree.load(mapped_path, mmap_mode="r"))
+        if request.param == "hilbert":
+            return GNNEngine(dataset, capacity=16, bulk_method="hilbert")
         return GNNEngine(dataset, capacity=16)
 
     @staticmethod

@@ -1,19 +1,15 @@
-"""Tests for the algorithm registry and the query planner."""
+"""Tests for the algorithm catalogue and the query planner."""
 
 import numpy as np
 import pytest
 
 from repro.api import (
-    AlgorithmInfo,
     QueryPlanner,
     QuerySpec,
     available_algorithms,
     get_algorithm,
-    register_algorithm,
-    unregister_algorithm,
 )
 from repro.api.planner import AUTO_FMQM_MAX_BLOCKS
-from repro.core.types import GNNResult
 from repro.storage.pointfile import PointFile
 
 
@@ -23,7 +19,7 @@ GROUP = [[100.0, 100.0], [200.0, 150.0], [150.0, 300.0]]
 class TestRegistry:
     def test_builtins_are_registered(self):
         names = {info.name for info in available_algorithms()}
-        assert {"mqm", "spm", "mbm", "best-first", "brute-force", "fmqm", "fmbm", "gcp"} <= names
+        assert names == {"mqm", "spm", "mbm", "best-first", "brute-force", "fmqm", "fmbm", "gcp"}
 
     def test_residency_filter(self):
         memory = {info.name for info in available_algorithms("memory")}
@@ -37,36 +33,6 @@ class TestRegistry:
 
     def test_lookup_is_case_insensitive(self):
         assert get_algorithm("MBM").name == "mbm"
-
-    def test_duplicate_registration_rejected(self):
-        info = get_algorithm("mbm")
-        with pytest.raises(ValueError, match="already registered"):
-            register_algorithm(info)
-
-    def test_custom_algorithm_can_register_and_plan(self):
-        def runner(context, request):
-            return GNNResult()
-
-        info = AlgorithmInfo(
-            name="my-scan",
-            runner=runner,
-            residency="memory",
-            aggregates=("sum", "max", "min"),
-            supports_weights=True,
-            description="test-only scan",
-        )
-        register_algorithm(info)
-        try:
-            plan = QueryPlanner().plan(QuerySpec(group=GROUP, algorithm="my-scan"))
-            assert plan.algorithm.name == "my-scan"
-            assert "explicitly requested" in plan.rationale
-        finally:
-            unregister_algorithm("my-scan")
-
-    def test_invalid_residency_rejected_at_registration(self):
-        info = AlgorithmInfo(name="bad", runner=lambda c, r: None, residency="cloud")
-        with pytest.raises(ValueError, match="residency"):
-            register_algorithm(info)
 
 
 class TestCapabilityChecks:

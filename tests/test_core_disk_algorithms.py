@@ -9,10 +9,9 @@ from repro.core.fmqm import fmqm
 from repro.core.gcp import gcp
 from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
-from repro.rtree.tree import RTree
 from repro.storage.pointfile import PointFile
 
-EMPTY = FlatRTree.from_tree(RTree())
+EMPTY = FlatRTree.bulk_load(np.zeros((0, 2)))
 
 
 @pytest.fixture(scope="module")

@@ -20,9 +20,8 @@ from repro.core.types import GroupQuery
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.tree import RTree
 
-EMPTY = FlatRTree.from_tree(RTree())
+EMPTY = FlatRTree.bulk_load(np.zeros((0, 2)))
 
 
 def _check_against_bruteforce(algorithm, tree, points, group, k, **kwargs):

@@ -14,9 +14,39 @@ from repro.rtree.flat import FlatRTree
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
+#: The public surface, pinned: removing or adding a public name is a
+#: deliberate edit of these sets (and of the version).
+PUBLIC_NAMES = {
+    "repro": {
+        "AlgorithmInfo", "FlatRTree", "GNNEngine", "GNNResult", "GroupNeighbor",
+        "GroupQuery", "LRUBuffer", "MBR", "PointFile", "QueryCost", "QueryPlan",
+        "QueryPlanner", "QuerySpec", "__version__", "aggregate_gnn",
+        "available_algorithms", "brute_force_gnn", "fmbm", "fmqm", "gcp", "mbm",
+        "mqm", "spm",
+    },
+    "repro.api": {
+        "AUTO", "AUTO_FMQM_MAX_BLOCKS", "AlgorithmInfo", "CostEstimate", "DISK",
+        "ExecutionContext", "MEMORY", "PreparedQuery", "QueryPlan", "QueryPlanner",
+        "QuerySpec", "available_algorithms", "execute_batch", "execute_spec",
+        "get_algorithm", "prepare",
+    },
+    "repro.rtree": {
+        "DeltaOverlay", "FlatRTree", "TreeStats", "best_first_nearest",
+        "flat_incremental_nearest_generic", "incremental_closest_pairs",
+        "incremental_nearest",
+    },
+}
+
+
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "3.1.0"
+        assert repro.__version__ == "4.0.0"
+
+    @pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))
+    def test_public_names_are_pinned(self, package):
+        module = importlib.import_module(package)
+        assert set(module.__all__) == PUBLIC_NAMES[package]
+        assert len(module.__all__) == len(PUBLIC_NAMES[package])  # no duplicates
 
     def test_all_names_resolve(self):
         for name in repro.__all__:

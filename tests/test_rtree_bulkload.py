@@ -1,10 +1,9 @@
 """The array packer against the object packers it replaced.
 
 ``tests/bulkload_reference.py`` keeps the parent's bulk loader — one
-``LeafEntry`` per record, one ``Node`` per page, flattened by
-``FlatRTree.from_tree``.  The contract: ``FlatRTree.bulk_load`` and
-``FlatRTree.from_tree(RTree.bulk_load(...))`` reproduce every array of
-that snapshot except the *values* of ``node_ids`` (which only have to be
+``LeafEntry`` per record, one ``Node`` per page, flattened breadth-first.
+The contract: ``FlatRTree.bulk_load`` reproduces every array of that
+snapshot except the *values* of ``node_ids`` (which only have to be
 process-unique), so node accesses, distance computations and answers of
 every algorithm stay where they were; and the vectorised Hilbert keys
 equal the scalar curve evaluated point by point.
@@ -28,7 +27,6 @@ from repro.geometry.hilbert import (
 )
 from repro.geometry.point import GeometryError
 from repro.rtree.flat import FlatRTree
-from repro.rtree.tree import RTree
 from repro.shard.manifest import MANIFEST_FILENAME
 from repro.shard.partition import partition_dataset
 
@@ -90,19 +88,11 @@ class TestDifferential:
             return
         reference = reference_snapshot(points, capacity, method, record_ids=ids)
         direct = FlatRTree.bulk_load(points, capacity=capacity, method=method, record_ids=ids)
-        tree = RTree.bulk_load(points, capacity=capacity, method=method, record_ids=ids)
-        thawed = FlatRTree.from_tree(tree)
         assert_same_structure(direct, reference, "bulk_load")
-        assert_same_structure(thawed, reference, "from_tree(RTree.bulk_load)")
-        tree.validate()
 
         # Shared-LRU safety: page ids never repeat, within or across indexes.
         again = FlatRTree.bulk_load(points, capacity=capacity, method=method, record_ids=ids)
-        pages = [
-            direct.node_ids.tolist(),
-            again.node_ids.tolist(),
-            [node.node_id for node in tree.iter_nodes()],
-        ]
+        pages = [direct.node_ids.tolist(), again.node_ids.tolist()]
         assert len(set().union(*pages)) == sum(len(page_ids) for page_ids in pages)
 
     @pytest.mark.parametrize("method", ["str", "hilbert"])
@@ -116,7 +106,7 @@ class TestDifferential:
     @pytest.mark.parametrize("dims", [1, 2, 5])
     def test_no_points_is_the_empty_single_leaf_snapshot(self, dims):
         empty = FlatRTree.bulk_load(np.zeros((0, dims)), capacity=8, method="hilbert")
-        assert_same_structure(empty, FlatRTree.from_tree(RTree(dims=dims, capacity=8)))
+        assert_same_structure(empty, reference_snapshot(np.zeros((0, dims)), 8, "hilbert"))
         assert empty.live_points()[0].shape == (0, dims)
         with pytest.raises(GeometryError, match="non-empty"):
             FlatRTree.bulk_load([])  # no dimensionality to build over
@@ -127,7 +117,6 @@ class TestRejectedInput:
 
     BUILDERS = {
         "flat": lambda points, **kw: FlatRTree.bulk_load(points, **kw),
-        "tree": lambda points, **kw: RTree.bulk_load(points, **kw),
         "reference": lambda points, capacity=50, method="str": reference_snapshot(
             points, capacity, method
         ),
@@ -164,7 +153,7 @@ class TestRecordIds:
 
     def test_duplicate_ids_are_rejected(self):
         with pytest.raises(ValueError, match="record ids must be unique, got 3 twice"):
-            RTree.bulk_load(self.POINTS, capacity=4, record_ids=[4, 3, 8, 3, 2, 9])
+            FlatRTree.bulk_load(self.POINTS, capacity=4, record_ids=[4, 3, 8, 3, 2, 9])
 
     def test_shape_check_keeps_its_message(self):
         with pytest.raises(ValueError, match=r"one id per point \(6\), got shape \(5,\)"):

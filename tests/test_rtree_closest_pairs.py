@@ -5,7 +5,6 @@ import pytest
 
 from repro.rtree.closest_pairs import incremental_closest_pairs
 from repro.rtree.flat import FlatRTree
-from repro.rtree.tree import RTree
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +69,7 @@ class TestClosestPairStream:
         assert query_tree.stats.node_accesses > 0
 
     def test_empty_trees_produce_empty_stream(self):
-        empty = FlatRTree.from_tree(RTree())
+        empty = FlatRTree.bulk_load(np.zeros((0, 2)))
         other = FlatRTree.bulk_load(np.random.default_rng(0).uniform(0, 1, size=(10, 2)))
         assert list(incremental_closest_pairs(empty, other)) == []
         assert list(incremental_closest_pairs(other, empty)) == []

@@ -1,12 +1,11 @@
 """Tests for the flat array-backed R-tree snapshot (repro.rtree.flat).
 
-The contract under test: a ``FlatRTree`` snapshots an ``RTree``
-losslessly, its traversals produce exactly the results, node-access and
-distance-computation counts and buffer hit/miss sequences the
-object-tree traversals produced (pinned as literals captured from the
-object paths at the commit that removed them), and it round-trips
-losslessly through its ``.npz`` persistence in both eager and
-memory-mapped modes.
+The contract under test: a ``FlatRTree``'s traversals produce exactly
+the results, node-access and distance-computation counts and buffer
+hit/miss sequences the object-tree traversals produced (pinned as
+literals captured from the object paths at the commit that removed
+them), and it round-trips losslessly through its ``.npz`` persistence in
+both eager and memory-mapped modes.
 """
 
 import hashlib
@@ -24,7 +23,6 @@ from repro.core.types import GroupQuery
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import best_first_nearest, incremental_nearest
-from repro.rtree.tree import RTree
 from repro.storage.buffer import LRUBuffer
 
 ARRAY_FIELDS = (
@@ -45,13 +43,8 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def tree(dataset):
-    return RTree.bulk_load(dataset, capacity=16)
-
-
-@pytest.fixture(scope="module")
-def flat(tree):
-    return FlatRTree.from_tree(tree)
+def flat(dataset):
+    return FlatRTree.bulk_load(dataset, capacity=16)
 
 
 def _costs(result):
@@ -81,59 +74,15 @@ class RecordingBuffer(LRUBuffer):
 
 
 class TestConstruction:
-    def test_shape_matches_tree(self, tree, flat):
-        assert len(flat) == len(tree)
-        assert flat.dims == tree.dims
-        assert flat.height == tree.height
-        assert flat.capacity == tree.capacity
-        assert flat.num_nodes == tree.node_count()
-
     def test_every_point_round_trips(self, dataset, flat):
         recovered, ids = flat.live_points()
         assert np.array_equal(recovered, dataset)
         assert np.array_equal(ids, np.arange(len(dataset)))
         assert flat.live_points()[0] is recovered  # cached
 
-    def test_bulk_load_matches_from_tree(self, dataset, tree, flat):
-        direct = FlatRTree.bulk_load(dataset, capacity=16)
-        assert direct.num_nodes == flat.num_nodes
-        assert np.array_equal(direct.points, flat.points)
-        assert np.array_equal(direct.record_ids, flat.record_ids)
-        assert np.array_equal(direct.lows, flat.lows)
-        assert np.array_equal(direct.highs, flat.highs)
-
     def test_bulk_load_rejects_unknown_method(self, dataset):
         with pytest.raises(ValueError, match="unknown bulk-load method"):
             FlatRTree.bulk_load(dataset, capacity=16, method="zorder")
-
-    def test_empty_tree_snapshot(self):
-        flat = FlatRTree.from_tree(RTree(dims=2))
-        assert len(flat) == 0
-        assert list(incremental_nearest(flat, [0.0, 0.0])) == []
-
-    def test_single_leaf_snapshot(self):
-        tree = RTree.bulk_load(np.array([[1.0, 2.0], [3.0, 4.0]]), capacity=16)
-        flat = FlatRTree.from_tree(tree)
-        stream = [n.as_tuple() for n in incremental_nearest(flat, [1.0, 2.0])]
-        assert stream == [(0, 0.0), (1, float(np.sqrt(8.0)))]
-
-    def test_dynamic_tree_snapshot(self):
-        rng = np.random.default_rng(5)
-        points = rng.uniform(0, 100, size=(250, 2))
-        tree = RTree(dims=2, capacity=8)
-        for i, p in enumerate(points):
-            tree.insert(p, record_id=i)
-        flat = FlatRTree.from_tree(tree)
-        stream = [n.as_tuple() for n in incremental_nearest(flat, [50.0, 50.0])]
-        assert stream[:3] == [
-            (16, 6.342222437259462),
-            (83, 6.357139183616048),
-            (95, 6.780580960305568),
-        ]
-        assert _sha256([i for i, _ in stream], np.int64) == (
-            "d032e71f5ac935e00d06df080af774c028ec6b4126560808f1e0fd7a464bb2e0"
-        )
-        assert (flat.stats.node_accesses, flat.stats.leaf_accesses) == (51, 42)
 
 
 #: What the object-tree traversals returned and charged for the module
@@ -493,9 +442,9 @@ class TestEngineIntegration:
         spec = QuerySpec(group=[[400.0, 400.0]], k=1)
         assert writable.execute(spec).record_ids() == [inserted]
 
-    def test_from_index_rejects_non_snapshots(self, tree):
+    def test_from_index_rejects_non_snapshots(self, dataset):
         with pytest.raises(TypeError, match="FlatRTree"):
-            GNNEngine.from_index(tree)
+            GNNEngine.from_index(dataset)
 
     def test_execute_many_uses_flat_and_matches(self, engine):
         rng = np.random.default_rng(60)

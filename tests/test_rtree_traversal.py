@@ -10,9 +10,8 @@ from repro.rtree.traversal import (
     flat_incremental_nearest_generic,
     incremental_nearest,
 )
-from repro.rtree.tree import RTree
 
-EMPTY = FlatRTree.from_tree(RTree())
+EMPTY = FlatRTree.bulk_load(np.zeros((0, 2)))
 
 
 def _true_knn(points, query, k):

@@ -368,27 +368,6 @@ class TestOverlayExecution:
             QuerySpec(group=group, k=8, algorithm="mbm")
         ).record_ids()
 
-    def test_a_third_party_algorithm_answers_the_merged_view(self, dataset, rng):
-        """An algorithm that knows nothing of overlays is k-widened over
-        the base, post-filtered and merged with a scan of the delta."""
-        from repro.api.registry import AlgorithmInfo, register_algorithm, unregister_algorithm
-
-        def runner(context, request):
-            assert context.overlay is None
-            return context.brute_force(request.query)
-
-        register_algorithm(AlgorithmInfo(name="plain-scan", runner=runner, residency="memory"))
-        try:
-            engine = GNNEngine(dataset, capacity=16)
-            group = rng.uniform(200, 800, size=(3, 2))
-            self._mutate(engine, dataset, rng, deletes=10, inserts=10)
-            result = engine.execute(QuerySpec(group=group, k=7, algorithm="plain-scan"))
-        finally:
-            unregister_algorithm("plain-scan")
-        reference = _rebuilt_reference(engine).execute(QuerySpec(group=group, k=7))
-        _assert_identical(result, reference, "plain-scan")
-        assert result.cost.algorithm == "brute-force+overlay"
-
     def test_excluded_records_are_not_charged_distance_computations(self, dataset, rng):
         flat = FlatRTree.bulk_load(dataset, capacity=16)
         group = rng.uniform(200, 800, size=(3, 2))
