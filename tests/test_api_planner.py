@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+import repro.api
 from repro.api import (
+    DISK,
+    MEMORY,
     QueryPlanner,
     QuerySpec,
     available_algorithms,
     get_algorithm,
 )
 from repro.api.planner import AUTO_FMQM_MAX_BLOCKS
+from repro.api.registry import BUILTIN_ALGORITHMS
 from repro.storage.pointfile import PointFile
 
 
@@ -33,6 +37,18 @@ class TestRegistry:
 
     def test_lookup_is_case_insensitive(self):
         assert get_algorithm("MBM").name == "mbm"
+
+    def test_the_catalogue_is_the_builtin_table(self):
+        assert available_algorithms() == sorted(BUILTIN_ALGORITHMS, key=lambda info: info.name)
+        for info in BUILTIN_ALGORITHMS:
+            assert get_algorithm(info.name) is info
+        assert not hasattr(repro.api, "register_algorithm")
+        assert not hasattr(repro.api, "unregister_algorithm")
+
+    def test_every_builtin_declares_a_known_residency(self):
+        residencies = {info.residency for info in available_algorithms()}
+        assert residencies == {MEMORY, DISK}
+        assert all(callable(info.runner) and info.description for info in available_algorithms())
 
 
 class TestCapabilityChecks:

@@ -6,10 +6,14 @@ The contract: ``FlatRTree.bulk_load`` reproduces every array of that
 snapshot except the *values* of ``node_ids`` (which only have to be
 process-unique), so node accesses, distance computations and answers of
 every algorithm stay where they were; and the vectorised Hilbert keys
-equal the scalar curve evaluated point by point.
+equal the scalar curve evaluated point by point.  Every builder that
+packs through it — the engine and the overlay's compaction included —
+rejects bad input with the same messages and defaults to the same page
+size.
 """
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -18,6 +22,7 @@ from bulkload_reference import reference_hilbert_indices, reference_snapshot
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import GNNEngine
 from repro.datasets.real_like import pp_like
 from repro.geometry.hilbert import (
     _normalise_to_grid,
@@ -26,7 +31,9 @@ from repro.geometry.hilbert import (
     hilbert_indices,
 )
 from repro.geometry.point import GeometryError
-from repro.rtree.flat import FlatRTree
+from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
+from repro.rtree.overlay import DeltaOverlay
+from repro.serve.server import GNNServer
 from repro.shard.manifest import MANIFEST_FILENAME
 from repro.shard.partition import partition_dataset
 
@@ -112,6 +119,18 @@ class TestDifferential:
             FlatRTree.bulk_load([])  # no dimensionality to build over
 
 
+def _engine_build(points, capacity=DEFAULT_CAPACITY, method="str"):
+    return GNNEngine(points, capacity=capacity, bulk_method=method).flat
+
+
+def _compacted_overlay(points, capacity=DEFAULT_CAPACITY, method="str"):
+    """Every point written through the overlay of an empty base, then compacted."""
+    overlay = DeltaOverlay(FlatRTree.bulk_load(np.zeros((0, points.shape[1]))))
+    for record_id, point in enumerate(points):
+        overlay.insert(point, record_id)
+    return overlay.compact(capacity=capacity, method=method)
+
+
 class TestRejectedInput:
     """The parent's messages, from every builder."""
 
@@ -120,6 +139,8 @@ class TestRejectedInput:
         "reference": lambda points, capacity=50, method="str": reference_snapshot(
             points, capacity, method
         ),
+        "engine": _engine_build,
+        "overlay": _compacted_overlay,
     }
 
     @pytest.fixture(params=sorted(BUILDERS))
@@ -140,6 +161,31 @@ class TestRejectedInput:
     def test_unknown_method(self, build):
         with pytest.raises(ValueError, match="unknown bulk-load method 'zorder'"):
             build(np.zeros((10, 2)), capacity=8, method="zorder")
+
+
+class TestDefaultCapacity:
+    """One page size: every builder defaults to the paper's 50 entries."""
+
+    BUILDERS = {
+        "bulk_load": FlatRTree.bulk_load,
+        "engine": GNNEngine,
+        "server": GNNServer.from_points,
+        "partition": partition_dataset,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_builder_defaults_to_the_paper_page(self, name):
+        default = inspect.signature(self.BUILDERS[name]).parameters["capacity"].default
+        assert default is DEFAULT_CAPACITY
+        assert DEFAULT_CAPACITY == 50
+
+    def test_default_built_indexes_use_it(self, tmp_path):
+        points = pp_like(400)
+        assert FlatRTree.bulk_load(points).capacity == DEFAULT_CAPACITY
+        assert GNNEngine(points).flat.capacity == DEFAULT_CAPACITY
+        manifest = partition_dataset(points, 2, tmp_path)
+        for shard in manifest.shards:
+            assert FlatRTree.load(tmp_path / shard.path).capacity == DEFAULT_CAPACITY
 
 
 class TestRecordIds:

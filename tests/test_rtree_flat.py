@@ -84,6 +84,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="unknown bulk-load method"):
             FlatRTree.bulk_load(dataset, capacity=16, method="zorder")
 
+    def test_empty_tree_snapshot(self):
+        flat = FlatRTree.bulk_load(np.zeros((0, 2)))
+        assert len(flat) == 0
+        assert list(incremental_nearest(flat, [0.0, 0.0])) == []
+
+    def test_single_leaf_snapshot(self):
+        flat = FlatRTree.bulk_load(np.array([[1.0, 2.0], [3.0, 4.0]]), capacity=16)
+        stream = [n.as_tuple() for n in incremental_nearest(flat, [1.0, 2.0])]
+        assert stream == [(0, 0.0), (1, float(np.sqrt(8.0)))]
+
 
 #: What the object-tree traversals returned and charged for the module
 #: dataset (rng(42), capacity 16) at the commit that removed them: per

@@ -1,0 +1,249 @@
+"""Structural invariants of bulk-loaded snapshots, and their accounting.
+
+Whatever the packing, capacity, dimensionality or degeneracy of the
+input, ``FlatRTree.bulk_load`` must produce a balanced R-tree in
+breadth-first layout whose node rows are the tight MBRs of what they
+hold (:func:`snapshot_invariants.assert_valid_snapshot`), with the
+levels above the leaves packed full.  Traversals over a snapshot charge
+one node access per node read, and an LRU buffer shared between
+snapshots never confuses their pages.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from snapshot_invariants import assert_valid_snapshot, level_widths
+
+from repro.api.spec import QuerySpec
+from repro.core.engine import GNNEngine
+from repro.rtree.flat import FlatRTree
+from repro.rtree.traversal import best_first_nearest, incremental_nearest
+from repro.storage.buffer import LRUBuffer
+
+METHODS = ["str", "hilbert"]
+
+
+def _uniform(seed, size, dims=2):
+    return np.random.default_rng(seed).uniform(0, 100, size=(size, dims))
+
+
+def _leaf_depths(flat, node=0, depth=0):
+    """Depth of every leaf under ``node``, walking the child slices."""
+    if flat.levels[node] == 0:
+        return [depth]
+    start, count = int(flat.child_start[node]), int(flat.child_count[node])
+    children = range(start, start + count)
+    return [d for child in children for d in _leaf_depths(flat, child, depth + 1)]
+
+
+class TestBulkLoad:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bulk_load_indexes_every_point(self, method):
+        points = _uniform(0, 500)
+        flat = FlatRTree.bulk_load(points, capacity=10, method=method)
+        assert len(flat) == 500
+        assert sorted(flat.record_ids.tolist()) == list(range(500))
+        recovered, ids = flat.live_points()
+        assert np.array_equal(recovered, points)
+        assert np.array_equal(ids, np.arange(500))
+        assert_valid_snapshot(flat)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bulk_load_respects_capacity(self, method):
+        flat = FlatRTree.bulk_load(_uniform(1, 300), capacity=8, method=method)
+        assert flat.capacity == 8
+        assert int(flat.child_count.max()) <= 8
+        assert_valid_snapshot(flat)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_bulk_load_builds_balanced_tree(self, method):
+        flat = FlatRTree.bulk_load(_uniform(2, 1000), capacity=10, method=method)
+        depths = _leaf_depths(flat)
+        assert set(depths) == {flat.height - 1}
+        assert len(depths) == level_widths(flat)[0]
+        assert flat.height == 3
+
+    def test_single_point_bulk_load(self):
+        flat = FlatRTree.bulk_load(np.array([[1.0, 2.0]]), capacity=8)
+        assert len(flat) == 1
+        assert (flat.height, flat.num_nodes) == (1, 1)
+        assert_valid_snapshot(flat)
+        assert [n.as_tuple() for n in incremental_nearest(flat, [4.0, 6.0])] == [(0, 5.0)]
+
+
+class TestLayoutMatrix:
+    """Every packing × dimensionality × capacity is a valid snapshot
+    whose internal levels hold ``capacity`` children per parent."""
+
+    @pytest.mark.parametrize("capacity", [4, 50])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_snapshot_is_valid_and_packed_full(self, dims, method, capacity):
+        points = _uniform(dims * 100 + capacity, 2000, dims)
+        flat = FlatRTree.bulk_load(points, capacity=capacity, method=method)
+        assert_valid_snapshot(flat)
+        assert flat.dims == dims
+        widths = level_widths(flat)
+        for below, above in zip(widths, widths[1:]):
+            assert above == math.ceil(below / capacity)
+        assert widths[-1] == 1
+        assert np.array_equal(flat.live_points()[0], points)
+
+
+class TestLevelBoundaries:
+    """Hilbert packing fills every leaf, so the height steps exactly
+    when the point count passes a power of the capacity."""
+
+    @pytest.mark.parametrize(
+        "size,height", [(1, 1), (4, 1), (5, 2), (16, 2), (17, 3), (64, 3), (65, 4)]
+    )
+    def test_height_steps_at_powers_of_the_capacity(self, size, height):
+        flat = FlatRTree.bulk_load(_uniform(size, size), capacity=4, method="hilbert")
+        assert flat.height == height
+        assert level_widths(flat)[0] == math.ceil(size / 4)
+        assert_valid_snapshot(flat)
+
+
+class TestDegenerateInput:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_duplicate_points_pack_without_error(self, method):
+        points = np.full((200, 2), 7.0)
+        flat = FlatRTree.bulk_load(points, capacity=6, method=method)
+        assert_valid_snapshot(flat)
+        assert np.array_equal(flat.lows, flat.highs)  # every MBR is the one point
+        assert sorted(flat.record_ids.tolist()) == list(range(200))
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_collinear_points_pack_without_error(self, method):
+        xs = np.random.default_rng(3).uniform(0, 100, size=150)
+        points = np.column_stack([xs, 2.0 * xs + 1.0])
+        flat = FlatRTree.bulk_load(points, capacity=6, method=method)
+        assert_valid_snapshot(flat)
+        nearest = best_first_nearest(flat, points[17], k=1)[0]
+        assert nearest.distance == 0.0
+
+    def test_separated_clusters_are_not_mixed(self):
+        rng = np.random.default_rng(4)
+        near = rng.uniform(0, 1, size=(32, 2))
+        far = rng.uniform(100, 101, size=(32, 2))
+        flat = FlatRTree.bulk_load(np.vstack([near, far]), capacity=8, method="hilbert")
+        assert_valid_snapshot(flat)
+        for node in np.flatnonzero(flat.levels == 0):
+            start, count = int(flat.child_start[node]), int(flat.child_count[node])
+            clusters = set((flat.record_ids[start : start + count] >= 32).tolist())
+            assert len(clusters) == 1, node
+
+
+class TestEmptySnapshot:
+    @pytest.mark.parametrize("dims", [1, 2, 3])
+    def test_empty_snapshot_properties(self, dims):
+        flat = FlatRTree.bulk_load(np.zeros((0, dims)))
+        assert len(flat) == 0
+        assert (flat.dims, flat.height, flat.num_nodes) == (dims, 1, 1)
+        assert_valid_snapshot(flat)
+        assert list(incremental_nearest(flat, np.zeros(dims))) == []
+        assert best_first_nearest(flat, np.zeros(dims), k=3) == []
+        points, ids = flat.live_points()
+        assert points.shape == (0, dims) and ids.shape == (0,)
+
+
+class TestAccessAccounting:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_full_stream_reads_every_node_once(self, method):
+        flat = FlatRTree.bulk_load(_uniform(11, 400), capacity=10, method=method)
+        flat.reset_stats()
+        assert len(list(incremental_nearest(flat, [50.0, 50.0]))) == 400
+        assert flat.stats.node_accesses == flat.num_nodes
+        assert flat.stats.leaf_accesses == level_widths(flat)[0]
+
+    def test_selective_search_touches_few_nodes(self):
+        flat = FlatRTree.bulk_load(_uniform(12, 2000), capacity=20)
+        flat.reset_stats()
+        best_first_nearest(flat, [50.5, 50.5], k=1)
+        assert flat.stats.node_accesses < flat.num_nodes / 4
+
+    def test_read_node_charges_leaves_separately(self):
+        flat = FlatRTree.bulk_load(_uniform(13, 100), capacity=10)
+        leaf = int(np.flatnonzero(flat.levels == 0)[0])
+        assert flat.read_node(0) == 0
+        assert flat.read_node(leaf) == leaf
+        assert (flat.stats.node_accesses, flat.stats.leaf_accesses) == (2, 1)
+        assert flat.stats.page_faults == 2  # no buffer: every read faults
+
+    def test_reset_stats_keeps_the_buffer_warm(self):
+        flat = FlatRTree.bulk_load(_uniform(14, 300), capacity=10, buffer=LRUBuffer(1000))
+        list(incremental_nearest(flat, [10.0, 90.0]))
+        flat.reset_stats()
+        assert flat.stats.node_accesses == 0
+        list(incremental_nearest(flat, [10.0, 90.0]))
+        assert flat.stats.node_accesses == flat.num_nodes
+        assert flat.stats.page_faults == 0
+
+
+class TestBufferIntegration:
+    def test_buffer_hits_reduce_page_faults(self):
+        flat = FlatRTree.bulk_load(_uniform(13, 500), capacity=10, buffer=LRUBuffer(10_000))
+        list(incremental_nearest(flat, [50.0, 50.0]))
+        first_faults = flat.stats.page_faults
+        assert first_faults == flat.num_nodes
+        list(incremental_nearest(flat, [50.0, 50.0]))
+        assert flat.stats.page_faults == first_faults  # second pass fully buffered
+        assert flat.stats.node_accesses == 2 * first_faults
+
+    def test_a_buffer_smaller_than_the_tree_faults_again(self):
+        flat = FlatRTree.bulk_load(_uniform(15, 500), capacity=10, buffer=LRUBuffer(4))
+        list(incremental_nearest(flat, [50.0, 50.0]))
+        first_faults = flat.stats.page_faults
+        list(incremental_nearest(flat, [50.0, 50.0]))
+        assert flat.stats.page_faults > first_faults
+
+    def test_snapshots_sharing_a_buffer_never_hit_each_others_pages(self):
+        points = _uniform(16, 300)
+        shared = LRUBuffer(10_000)
+        first = FlatRTree.bulk_load(points, capacity=10, buffer=shared)
+        second = FlatRTree.bulk_load(points, capacity=10, buffer=shared)
+        assert not set(first.node_ids.tolist()) & set(second.node_ids.tolist())
+        list(incremental_nearest(first, [50.0, 50.0]))
+        list(incremental_nearest(second, [50.0, 50.0]))
+        assert second.stats.page_faults == second.num_nodes  # identical tree, cold pages
+
+    def test_a_compacted_generation_gets_fresh_page_ids(self):
+        points = _uniform(17, 400)
+        engine = GNNEngine(points, capacity=10, buffer_pages=256)
+        spec = QuerySpec(group=[[20.0, 20.0], [60.0, 70.0]], k=3)
+        engine.execute(spec)
+        old_pages = set(engine.flat.node_ids.tolist())
+        engine.insert([50.0, 50.0])
+        compacted = engine.compact()
+        assert compacted.buffer is engine.buffer
+        assert not old_pages & set(compacted.node_ids.tolist())
+        assert_valid_snapshot(compacted)
+
+
+class TestRootMbr:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_root_mbr_is_the_tight_box_of_the_points(self, method):
+        points = _uniform(18, 700, dims=3)
+        low, high = FlatRTree.bulk_load(points, capacity=12, method=method).root_mbr()
+        assert np.array_equal(low, points.min(axis=0))
+        assert np.array_equal(high, points.max(axis=0))
+
+    def test_root_mbr_returns_copies(self):
+        flat = FlatRTree.bulk_load(_uniform(19, 50), capacity=8)
+        low, high = flat.root_mbr()
+        low[:] = -1.0
+        high[:] = -1.0
+        assert np.all(flat.lows[0] >= 0.0) and np.all(flat.highs[0] >= 0.0)
+
+
+class TestRepr:
+    def test_repr_mentions_the_shape(self):
+        flat = FlatRTree.bulk_load(_uniform(20, 500), capacity=10)
+        assert repr(flat) == f"FlatRTree(size=500, dims=2, height=3, nodes={flat.num_nodes})"
+
+    def test_repr_marks_a_memory_mapped_snapshot(self, tmp_path):
+        path = tmp_path / "snapshot.npz"
+        FlatRTree.bulk_load(_uniform(21, 200), capacity=10).save(path)
+        assert repr(FlatRTree.load(path, mmap_mode="r")).endswith(", mmap)")
+        assert "mmap" not in repr(FlatRTree.load(path))

@@ -339,6 +339,19 @@ class TestOverlayExecution:
             _assert_identical(result, reference.execute(spec), name)
             assert result.cost.algorithm.endswith("+overlay"), name
 
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_overlay_answers_are_labelled_with_the_runner(self, dataset, rng, name):
+        """The runner answers the merged view itself; the executor only
+        appends ``+overlay`` to the runner's own label."""
+        engine = GNNEngine(dataset, capacity=16)
+        spec = QuerySpec(group=rng.uniform(200, 800, size=(3, 2)), k=4, algorithm=name)
+        clean_label = engine.execute(spec).cost.algorithm
+        assert "overlay" not in clean_label
+        self._mutate(engine, dataset, rng, deletes=5, inserts=5)
+        result = engine.execute(spec)
+        assert result.cost.algorithm == f"{clean_label}+overlay"
+        _assert_identical(result, _rebuilt_reference(engine).execute(spec), name)
+
     def test_overlay_counters_are_deterministic(self, dataset, rng):
         engine = GNNEngine(dataset, capacity=16)
         group = rng.uniform(200, 800, size=(4, 2))
