@@ -20,7 +20,9 @@ queries:
   snapshot serves the whole bucket, scoring each visited node for every
   still-active query in a single ``(B, fanout)`` (or ``(B, m)``) kernel
   call and pruning per query with Heuristics 2/3 — so a bucket pays the
-  traversal once instead of ``B`` times.
+  traversal once instead of ``B`` times.  Specs carrying a ``within``
+  ceiling take the per-query path (the shared traversal has no
+  ceiling), and so do brute-force specs carrying one.
 
 Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
@@ -48,6 +50,7 @@ results carry the counters of the one traversal under the
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -60,7 +63,7 @@ from repro.api.planner import (
     QueryPlan,
     QueryPlanner,
 )
-from repro.api.spec import MEMORY, QuerySpec
+from repro.api.spec import MEMORY, WITHIN, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.mbm import mbm_batch
 from repro.core.types import GNNResult, GroupNeighbor, GroupQuery, QueryCost
@@ -110,8 +113,8 @@ class ExecutionContext:
         source = self.flat if self.overlay is None else self.overlay
         return source.live_points()
 
-    def brute_force(self, query: GroupQuery) -> GNNResult:
-        """Exhaustive scan of the live records.
+    def brute_force(self, query: GroupQuery, within: float = math.inf) -> GNNResult:
+        """Exhaustive scan of the live records (those ``<= within``).
 
         With zero live records the answer is ``[]`` at zero cost, like
         every tree algorithm's (the scan kernel itself rejects an empty
@@ -120,7 +123,7 @@ class ExecutionContext:
         points, ids = self.live_points()
         if not len(ids):
             return GNNResult(cost=QueryCost(algorithm="brute-force"))
-        return brute_force_gnn(points, query, record_ids=ids)
+        return brute_force_gnn(points, query, record_ids=ids, within=within)
 
 
 @dataclass
@@ -306,6 +309,7 @@ def execute_batch(
         if plan.algorithm.name == "brute-force"
         and specs[i].weights is None
         and specs[i].group is not None
+        and WITHIN not in plan.options
     ]
     for index, result in _batched_brute_force(context, specs, scan_indices):
         if specs[index].trace:
@@ -354,6 +358,7 @@ def shared_traversal_eligible(spec: QuerySpec, plan: QueryPlan) -> bool:
         and spec.group is not None
         and spec.weights is None
         and spec.aggregate == kernels.SUM
+        and WITHIN not in plan.options
     )
 
 

@@ -31,7 +31,7 @@ from repro.api.registry import (
     available_algorithms,
     get_algorithm,
 )
-from repro.api.spec import AUTO, MEMORY, SHARDED, QuerySpec
+from repro.api.spec import AUTO, MEMORY, SHARDED, WITHIN, QuerySpec
 
 #: Block-count threshold below which the auto policy prefers F-MQM; the
 #: paper's PP-as-query experiments (3 blocks) favour F-MQM while the
@@ -79,8 +79,11 @@ class QueryPlan:
     estimate: CostEstimate | None = None
 
     def for_spec(self, spec: QuerySpec) -> "QueryPlan":
-        """Rebind a cached plan to another spec with the same signature."""
-        return replace(self, spec=spec)
+        """Rebind a cached plan to another spec with the same signature (and its ``within``)."""
+        options = self.options
+        if WITHIN in options:
+            options = MappingProxyType({**options, WITHIN: spec.options[WITHIN]})
+        return replace(self, spec=spec, options=options)
 
     def describe(self) -> str:
         """Human-readable multi-line explanation (what ``explain`` prints)."""
@@ -176,15 +179,10 @@ class QueryPlanner:
                 if (close := difflib.get_close_matches(name, valid, n=1))
             ]
             hint = f" (did you mean {sorted(set(suggestions))}?)" if suggestions else ""
-            known = sorted(info.options)
-            known_text = (
-                f"options valid for {info.name!r}: {known}"
-                if known
-                else f"algorithm {info.name!r} takes no algorithm options"
-            )
             raise ValueError(
                 f"algorithm {info.name!r} does not understand option(s) "
-                f"{unknown}{hint}; {known_text}; file-geometry options "
+                f"{unknown}{hint}; options valid for {info.name!r}: "
+                f"{sorted(info.options)}; file-geometry options "
                 f"{sorted(FILE_GEOMETRY_OPTIONS)} are accepted on any spec"
             )
         return QueryPlan(

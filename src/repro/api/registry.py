@@ -31,7 +31,7 @@ from repro.core.spm import spm
 from repro.geometry.distance import MAX, MIN, SUM
 from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 
-from repro.api.spec import DISK, MEMORY, QuerySpec
+from repro.api.spec import DISK, MEMORY, WITHIN, QuerySpec
 
 #: Options that shape the simulated disk file rather than the algorithm
 #: itself; the executor consumes them when it builds a PointFile.
@@ -120,7 +120,7 @@ def available_algorithms(residency: str | None = None) -> list[AlgorithmInfo]:
 # context carries a delta overlay: each driver seeds its best list from
 # the delta and skips the tombstones inside its own traversal.
 def _run_mqm(context, request):
-    return mqm(context.flat, request.query, overlay=context.overlay)
+    return mqm(context.flat, request.query, overlay=context.overlay, **request.options)
 
 
 def _run_spm(context, request):
@@ -132,11 +132,11 @@ def _run_mbm(context, request):
 
 
 def _run_best_first(context, request):
-    return aggregate_gnn(context.flat, request.query, overlay=context.overlay)
+    return aggregate_gnn(context.flat, request.query, overlay=context.overlay, **request.options)
 
 
 def _run_brute_force(context, request):
-    return context.brute_force(request.query)
+    return context.brute_force(request.query, **request.options)
 
 
 def _run_fmqm(context, request):
@@ -160,6 +160,7 @@ BUILTIN_ALGORITHMS = (
         runner=_run_mqm,
         residency=MEMORY,
         aggregates=(SUM,),
+        options=(WITHIN,),
         cost_rank=3,
         description="Multiple query method: one incremental NN search per query point (Section 3.1).",
     ),
@@ -168,7 +169,7 @@ BUILTIN_ALGORITHMS = (
         runner=_run_spm,
         residency=MEMORY,
         aggregates=(SUM,),
-        options=("centroid_method",),
+        options=("centroid_method", WITHIN),
         cost_rank=2,
         description="Single point method: one traversal around the group centroid (Section 3.2).",
     ),
@@ -178,7 +179,7 @@ BUILTIN_ALGORITHMS = (
         residency=MEMORY,
         aggregates=(SUM,),
         supports_weights=True,
-        options=("use_heuristic3",),
+        options=("use_heuristic3", WITHIN),
         cost_rank=1,
         description="Minimum bounding method: single traversal pruned by the group MBR (Section 3.3).",
     ),
@@ -188,6 +189,7 @@ BUILTIN_ALGORITHMS = (
         residency=MEMORY,
         aggregates=(SUM, MAX, MIN),
         supports_weights=True,
+        options=(WITHIN,),
         cost_rank=2,
         description="Aggregate-generalised optimal best-first traversal (sum/max/min, weighted).",
     ),
@@ -197,6 +199,7 @@ BUILTIN_ALGORITHMS = (
         residency=MEMORY,
         aggregates=(SUM, MAX, MIN),
         supports_weights=True,
+        options=(WITHIN,),
         cost_rank=9,
         description="Exhaustive scan of the dataset; the ground-truth baseline.",
     ),

@@ -48,6 +48,11 @@ RESIDENCIES = (AUTO, MEMORY, DISK)
 SHARDED = "sharded"
 INDEXES = (AUTO, SHARDED)
 
+#: The option every memory-resident algorithm accepts: only records with
+#: aggregate distance ``<= within`` are returned (fewer than ``k`` when
+#: fewer qualify), and the bound prunes from the traversal's first pop.
+WITHIN = "within"
+
 
 @dataclass(frozen=True, eq=False)
 class QuerySpec:
@@ -215,7 +220,9 @@ class QuerySpec:
         same plan (algorithm choice and rationale): the planner's output
         depends on the algorithm hint, residency, aggregate, presence of
         weights, ``k``, group cardinality, and the options mapping — but
-        never on the coordinates themselves.
+        never on the coordinates themselves, nor on the value of a
+        ``within`` bound (only on its presence;
+        :meth:`~repro.api.planner.QueryPlan.for_spec` rebinds the value).
         """
         return (
             self.algorithm,
@@ -226,7 +233,12 @@ class QuerySpec:
             self.cardinality,
             self.index,
             self.group_file.block_count if self.group_file is not None else None,
-            tuple(sorted((key, repr(value)) for key, value in self.options.items())),
+            tuple(
+                sorted(
+                    (key, "bounded" if key == WITHIN else repr(value))
+                    for key, value in self.options.items()
+                )
+            ),
         )
 
     def __repr__(self) -> str:

@@ -16,6 +16,7 @@ independent exact method to cross-check the paper's algorithms.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 
 from repro.core.instrumentation import CostTracker
@@ -49,6 +50,7 @@ def aggregate_gnn(
     tree: FlatRTree,
     query: GroupQuery,
     overlay: DeltaOverlay | None = None,
+    within: float = math.inf,
 ) -> GNNResult:
     """Exact k-GNN retrieval for any supported aggregate via best-first search.
 
@@ -57,14 +59,16 @@ def aggregate_gnn(
     and the stream is consumed until it emits a distance that cannot
     beat the k-th best, which the ascending emission order makes final.
     Tombstoned records are still emitted — they are real index entries —
-    but never offered.
+    but never offered.  Only records with aggregate distance
+    ``<= within`` are returned; the stream stops at the first emission
+    past it.
     """
     tracker = CostTracker(f"best-first-{query.aggregate}", trees=[tree])
-    best = BestList(query.k)
+    best = BestList(query.k, within)
     exclude = seed_from_delta(tree, query, best, overlay)
     for neighbor in group_nn_stream(tree, query):
         if exclude is None or neighbor.record_id not in exclude:
             best.offer(neighbor.record_id, neighbor.point, neighbor.distance)
-        if best.is_full() and neighbor.distance >= best.best_dist:
+        if neighbor.distance >= best.best_dist:
             break
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())

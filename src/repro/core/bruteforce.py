@@ -9,6 +9,7 @@ the indexed algorithms tangible).
 
 from __future__ import annotations
 
+import math
 import time
 
 import numpy as np
@@ -18,7 +19,9 @@ from repro.geometry.point import as_points
 from repro.core.types import GNNResult, GroupNeighbor, GroupQuery, QueryCost
 
 
-def brute_force_gnn(points, query: GroupQuery, record_ids=None) -> GNNResult:
+def brute_force_gnn(
+    points, query: GroupQuery, record_ids=None, within: float = math.inf
+) -> GNNResult:
     """Return the exact top-k group neighbors by exhaustive scan.
 
     ``points`` is the full dataset ``P`` as an ``(N, dims)`` array whose
@@ -26,7 +29,8 @@ def brute_force_gnn(points, query: GroupQuery, record_ids=None) -> GNNResult:
     id of each row explicitly (the write path hands live views whose
     rows no longer coincide with record ids after deletions).  The whole
     scan is a single call of the aggregate-distance kernel (weights were
-    validated by the query).
+    validated by the query).  Only records with aggregate distance
+    ``<= within`` are returned.
     """
     started = time.perf_counter()
     pts = as_points(points)
@@ -37,6 +41,7 @@ def brute_force_gnn(points, query: GroupQuery, record_ids=None) -> GNNResult:
     # argpartition gives the k smallest in O(N); sort just those k.
     candidate_ids = np.argpartition(distances, k - 1)[:k]
     order = candidate_ids[np.argsort(distances[candidate_ids], kind="stable")]
+    order = order[distances[order] <= within]
     if record_ids is None:
         neighbors = [GroupNeighbor(int(i), pts[i], float(distances[i])) for i in order]
     else:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 
 import numpy as np
 
@@ -68,6 +69,7 @@ def mbm(
     query: GroupQuery,
     use_heuristic3: bool = True,
     overlay: DeltaOverlay | None = None,
+    within: float = math.inf,
 ) -> GNNResult:
     """Run the minimum bounding method.
 
@@ -90,9 +92,15 @@ def mbm(
         the leaves before any per-point aggregate distance is charged;
         node-level pruning is untouched (Heuristics 2/3 stay safe bounds
         for the live records the traversal is actually after).
+    within:
+        Only records with aggregate distance ``<= within`` are returned
+        (fewer than ``k`` when fewer qualify).  A finite bound prunes
+        from the first pop instead of once ``k`` answers exist; the
+        shard coordinator sends its sampled upper bound on the
+        federation's k-th distance here.
     """
     tracker = CostTracker("MBM-best_first", trees=[tree])
-    best = BestList(query.k)
+    best = BestList(query.k, within)
     exclude = seed_from_delta(tree, query, best, overlay)
     if len(tree) > 0:
         _mbm_best_first(tree, query, best, use_heuristic3, exclude)
@@ -232,10 +240,9 @@ def _process_leaf(
     ordered candidates are consumed, so the sequential pruning loop
     visits a prefix of that candidate set.  The loop is pure-float: it
     inlines the Heuristic-2 inequality, skips ``offer`` calls that
-    provably return False (a full best-list and ``distance >=
-    best_dist``), and records the per-candidate distance charges — ``n``
-    for every candidate consumed before the break — as one batched
-    charge.
+    provably return False (``distance >= best_dist``), and records the
+    per-candidate distance charges — ``n`` for every candidate consumed
+    before the break — as one batched charge.
     """
     query_mbr = query.mbr
     if scorer is not None:
@@ -244,7 +251,7 @@ def _process_leaf(
         mindists = kernels.points_mindist_box(points, query_mbr.low, query_mbr.high)
     flat.stats.record_distance_computations(len(points))
     order = np.argsort(mindists, kind="stable")
-    if best.is_full():
+    if best.best_dist < math.inf:
         candidates = order[~heuristic2_prunes_batch(mindists[order], best.best_dist, divisor)]
     else:
         candidates = order
@@ -257,10 +264,10 @@ def _process_leaf(
     candidate_distances: list[float] = []
     offer = best.offer
     best_dist = best.best_dist
-    full = best.is_full()
+    bounded = best_dist < math.inf
     consumed = 0
     for position, offset in enumerate(candidates.tolist()):
-        if full and candidate_mindists[position] >= best_dist / divisor:
+        if bounded and candidate_mindists[position] >= best_dist / divisor:
             break
         if position == len(candidate_distances):
             part = candidates[position : position + chunk]
@@ -269,10 +276,10 @@ def _process_leaf(
             continue
         consumed += 1
         distance = candidate_distances[position]
-        if not full or distance < best_dist:
+        if distance < best_dist:
             offer(int(record_ids[offset]), points[offset], distance)
             best_dist = best.best_dist
-            full = best.is_full()
+            bounded = best_dist < math.inf
     flat.stats.record_distance_computations(query.cardinality * consumed)
 
 

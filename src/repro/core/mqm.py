@@ -26,6 +26,8 @@ overhead per retrieval changes.
 
 from __future__ import annotations
 
+import math
+
 from repro.geometry.hilbert import hilbert_sort
 from repro.core.instrumentation import CostTracker
 from repro.core.mbm import seed_from_delta
@@ -40,7 +42,10 @@ _TWO_ULP = 4.5e-16
 
 
 def mqm(
-    tree: FlatRTree, query: GroupQuery, overlay: DeltaOverlay | None = None
+    tree: FlatRTree,
+    query: GroupQuery,
+    overlay: DeltaOverlay | None = None,
+    within: float = math.inf,
 ) -> GNNResult:
     """Run the multiple query method and return the k group nearest neighbors.
 
@@ -59,13 +64,17 @@ def mqm(
         records still advance the per-stream thresholds (they are real
         points of the index), they are only barred from the best list,
         so the threshold termination argument is unchanged.
+    within:
+        Only records with aggregate distance ``<= within`` are returned;
+        a finite bound lets the threshold test fire before ``k`` answers
+        exist (see :func:`~repro.core.mbm.mbm`).
     """
     if query.aggregate != "sum":
         raise ValueError("MQM is only defined for the sum aggregate")
     if query.weights is not None:
         raise ValueError("MQM does not support weighted queries; use MBM instead")
     tracker = CostTracker("MQM", trees=[tree])
-    best = BestList(query.k)
+    best = BestList(query.k, within)
     exclude = seed_from_delta(tree, query, best, overlay)
     if len(tree) > 0:
         _mqm_round_robin(tree, query, best, exclude)
@@ -127,13 +136,13 @@ def _mqm_round_robin(
     seen: set[int] = set()
     new_records = 0
     best_dist = best.best_dist
-    full = best.is_full()
+    bounded = best_dist < math.inf
     total = 0.0                       # incremental sum(thresholds)
     slack = (n + 4.0) * _TWO_ULP      # relative error budget of the screen
 
     while True:
         threshold_total = sum(thresholds)
-        if full and threshold_total >= best_dist:
+        if bounded and threshold_total >= best_dist:
             break
         if all(exhausted):
             break
@@ -167,9 +176,9 @@ def _mqm_round_robin(
                     new_records += 1
                     offer(record_id, points[row], float(agg_by_row[row]))
                     best_dist = best.best_dist
-                    full = best.is_full()
+                    bounded = best_dist < math.inf
             if (
-                full
+                bounded
                 and total + slack * (total + best_dist + 1.0) >= best_dist
                 and sum(thresholds) >= best_dist
             ):

@@ -14,6 +14,8 @@ experiments.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.centroid import compute_centroid
 from repro.core.instrumentation import CostTracker
 from repro.core.mbm import seed_from_delta
@@ -30,6 +32,7 @@ def spm(
     query: GroupQuery,
     centroid_method: str = "gradient",
     overlay: DeltaOverlay | None = None,
+    within: float = math.inf,
 ) -> GNNResult:
     """Run the single point method.
 
@@ -49,6 +52,10 @@ def spm(
         points are skipped before any aggregate distance is charged;
         Heuristic 1's bound is unaffected because it only depends on
         the centroid stream's emission order.
+    within:
+        Only records with aggregate distance ``<= within`` are returned;
+        a finite bound makes Heuristic 1 fire before ``k`` answers exist
+        (see :func:`~repro.core.mbm.mbm`).
     """
     if query.aggregate != "sum":
         raise ValueError("SPM is only defined for the sum aggregate")
@@ -56,7 +63,7 @@ def spm(
         raise ValueError("SPM does not support weighted queries; use MBM instead")
 
     tracker = CostTracker("SPM-best_first", trees=[tree])
-    best = BestList(query.k)
+    best = BestList(query.k, within)
     exclude = seed_from_delta(tree, query, best, overlay)
     if len(tree) > 0:
         centroid = compute_centroid(query.points, method=centroid_method)
@@ -110,7 +117,6 @@ def _spm_best_first(flat, query, centroid, centroid_distance, best, exclude=None
     offer = best.offer
     consumed = 0
     best_dist = best.best_dist
-    full = best.is_full()
     for neighbor in stream:
         # neighbor.distance is |p q|; the stream is ascending in it, so the
         # first point failing Heuristic 1 terminates the whole search.
@@ -120,8 +126,7 @@ def _spm_best_first(flat, query, centroid, centroid_distance, best, exclude=None
             continue
         consumed += 1
         distance = neighbor.aux
-        if not full or distance < best_dist:
+        if distance < best_dist:
             offer(neighbor.record_id, neighbor.point, distance)
             best_dist = best.best_dist
-            full = best.is_full()
     flat.stats.record_distance_computations(n * consumed)

@@ -15,6 +15,7 @@ The symbols mirror Table 3.1 of the paper:
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,24 +146,32 @@ class GroupNeighbor:
 class BestList:
     """Running list of the ``k`` best group neighbors found so far.
 
-    ``best_dist`` is the distance of the k-th best neighbor, or infinity
-    while fewer than ``k`` neighbors have been seen — exactly the pruning
-    bound every heuristic of the paper compares against.
+    ``best_dist`` is the distance of the k-th best neighbor, or the
+    ceiling while fewer than ``k`` neighbors have been seen — exactly the
+    pruning bound every heuristic of the paper compares against.
+
+    ``within`` admits only neighbors at aggregate distance ``<= within``
+    (the ceiling is the next float above it, so a record exactly at
+    ``within`` still enters).  The default, infinity, is the paper's
+    setting: the bound stays infinite until ``k`` neighbors exist.
     """
 
-    def __init__(self, k: int):
+    def __init__(self, k: int, within: float = math.inf):
         if k < 1:
             raise ValueError("k must be at least 1")
+        if math.isnan(within):
+            raise ValueError("within must be a number, not NaN")
         self.k = int(k)
+        self._ceiling = math.nextafter(float(within), math.inf)
         # max-heap on distance, emulated by negating distances
         self._heap: list[tuple[float, int, GroupNeighbor]] = []
         self._members: set[int] = set()
 
     @property
     def best_dist(self) -> float:
-        """Distance of the k-th best neighbor (infinity until k have been found)."""
+        """Distance of the k-th best neighbor (the ceiling until k have been found)."""
         if len(self._heap) < self.k:
-            return float("inf")
+            return self._ceiling
         return -self._heap[0][0]
 
     def offer(self, record_id: int, point: np.ndarray, distance: float) -> bool:
@@ -171,18 +180,14 @@ class BestList:
         Duplicate record ids are ignored (a point encountered through two
         different search paths must not occupy two result slots).
         """
-        if record_id in self._members:
+        if record_id in self._members or distance >= self.best_dist:
             return False
+        entry = (-distance, record_id, GroupNeighbor(record_id, point, distance))
         if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-distance, record_id, GroupNeighbor(record_id, point, distance)))
-            self._members.add(record_id)
-            return True
-        if distance >= self.best_dist:
-            return False
-        _, evicted_id, _ = heapq.heapreplace(
-            self._heap, (-distance, record_id, GroupNeighbor(record_id, point, distance))
-        )
-        self._members.discard(evicted_id)
+            heapq.heappush(self._heap, entry)
+        else:
+            _, evicted_id, _ = heapq.heapreplace(self._heap, entry)
+            self._members.discard(evicted_id)
         self._members.add(record_id)
         return True
 

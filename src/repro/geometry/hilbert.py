@@ -103,15 +103,19 @@ def hilbert_index(point, order: int = DEFAULT_ORDER, grid: np.ndarray | None = N
     return _zorder_index(coords.astype(np.int64), order)
 
 
-def hilbert_indices(points: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
+def hilbert_indices(points: np.ndarray, order: int | None = None) -> np.ndarray:
     """Hilbert index of every point of a real-coordinate collection.
 
     The points are first normalised onto the ``2**order`` grid spanned by
     their own bounding box.  Keys are int64, so ``order * dims`` — the
-    number of key bits — may not exceed 63.
+    number of key bits — may not exceed 63.  ``order=None`` takes
+    :data:`DEFAULT_ORDER`, lowered to ``63 // dims`` where the keys need
+    it (4-D: 15, 5-D: 12, 6-D: 10).
     """
     pts = as_points(points)
     dims = pts.shape[1]
+    if order is None:
+        order = min(DEFAULT_ORDER, 63 // max(1, dims))
     if not 0 <= order * dims <= 63:
         raise ValueError(
             f"a Hilbert key of order {order} over {dims} dimensions needs "
@@ -157,7 +161,7 @@ def _zorder_keys(grid: np.ndarray, order: int) -> np.ndarray:
     return keys
 
 
-def hilbert_sort(points: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
+def hilbert_sort(points: np.ndarray, order: int | None = None) -> np.ndarray:
     """Return the permutation that sorts ``points`` by Hilbert value.
 
     This is the "sort points in Q according to Hilbert value" step of

@@ -18,9 +18,14 @@ The execution of one query is a **sample-seeded wave**:
    ``<= tau0``; shards beyond it are never contacted (Heuristic 2 at
    federation level).  The ``<=`` is what makes one wave sufficient:
    the record achieving ``tau0`` lives in a shard whose root bound can
-   equal it, so the inclusive wave provably covers the exact top-k;
-4. merge all per-shard top-k lists by ``(distance, record_id)`` and
-   keep the best ``k``.
+   equal it, so the inclusive wave provably covers the exact top-k.
+   Each sub-query carries ``tau0`` as a ceiling (the ``within`` option
+   every memory-resident algorithm accepts): no record past it can be
+   in the federation's top-k, so every shard's traversal prunes from
+   its first pop instead of once it holds ``k`` answers, and returns
+   only the records ``<= tau0`` — possibly fewer than ``k``;
+4. merge all per-shard lists by ``(distance, record_id)`` and keep the
+   best ``k``.
 
 The loop re-checks with the merged candidates' own k-th distance, but
 with a healthy federation a second wave can never admit new shards:
@@ -40,12 +45,26 @@ a short backoff).  A shard that stays unreachable raises
 ``allow_degraded=True``, in which case the query completes from the
 reachable shards and the result is stamped ``degraded=True`` with the
 dead shards listed (a documented under-approximation, never a wrong
-answer presented as complete).
+answer presented as complete).  Replies gathered under the ceiling
+may be short of ``k`` once a shard is lost, because ``tau0`` may rest
+on the dead shard's samples; the surviving shards are then asked again
+without it.
+
+Measured and rejected (in-process replica of this routing, 100k points,
+capacity 50, 2 shards, 1000 ``shard_scatter`` requests): MBM's tangent /
+internal-node key as the shard-root bound moved sub-queries per query
+1.470 → 1.465 and node accesses 13.10 → 13.07, not worth its cost; a
+``tau0`` from one sample per leaf reached ~6.1k distance computations
+per query against ~8.2k, but scores ~1,000 samples × ``n`` at the
+coordinator per query, work the query's cost never sees; sampling every
+shard instead of the best-bound one gave 8.0k against 8.2k for twice
+the coordinator work.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -54,7 +73,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.api.spec import AUTO, SHARDED, QuerySpec
+from repro.api.spec import AUTO, MEMORY, SHARDED, WITHIN, QuerySpec
 from repro.core.types import GNNResult, QueryCost
 from repro.obs import slowlog as obs_slowlog
 from repro.obs import trace as obs_trace
@@ -86,6 +105,8 @@ class CoordinatorStats(CounterSet):
     ``shards_contacted``/``shards_pruned`` partition every query's
     shard set (minus failed ones); their ratio is the federation-level
     pruning rate, the headline number of the scatter-gather design.
+    ``neighbors_merged`` counts the per-shard neighbors the merge step
+    received (divide by ``queries`` for the reply size per query).
     ``cost`` is the merged :class:`QueryCost` of every answered query;
     snapshots carry it nested under ``"cost"``, so multi-coordinator
     deployments roll their stats up exactly like worker counters.
@@ -100,6 +121,7 @@ class CoordinatorStats(CounterSet):
     failed_subqueries: int = 0
     breaker_trips: int = 0
     breaker_fast_fails: int = 0
+    neighbors_merged: int = 0
     cost: QueryCost = field(default_factory=QueryCost)
 
     def snapshot(self) -> dict:
@@ -520,6 +542,13 @@ class ShardCoordinator:
                     )
             if route_span is not None:
                 tracer.finish(route_span, tau0=tau0)
+            # Push tau0 down as every sub-query's ceiling (disk-resident
+            # specs are rejected by the nodes, with or without it).
+            bounded = payload
+            if tau0 < math.inf and spec.resolved_residency() == MEMORY:
+                options = payload["options"]
+                ceiling = min(tau0, options.get(WITHIN, math.inf))
+                bounded = {**payload, "options": {**options, WITHIN: ceiling}}
 
             candidates = []
             contacted: list[int] = []
@@ -541,11 +570,12 @@ class ShardCoordinator:
                     break
                 piloted = True
                 remaining = [sid for sid in remaining if sid not in targets]
+                sent = bounded if tau0 < math.inf else payload
                 replies = await asyncio.gather(
                     *(
                         self._query_shard(
                             sid,
-                            payload,
+                            sent,
                             deadline,
                             parent_span=root_span,
                             obs_records=obs_records,
@@ -568,6 +598,11 @@ class ShardCoordinator:
                     cost.merge(outcome.cost)
                 if unreachable is not None and not self.allow_degraded:
                     raise unreachable
+                if failed and sent is not payload and len(candidates) < spec.k:
+                    # These replies were cut at tau0, which may rest on the
+                    # dead shard's samples: ask the survivors again, unbounded.
+                    remaining = sorted(contacted + remaining, key=lambda sid: (bounds[sid], sid))
+                    contacted, candidates = [], []
 
             merge_span = (
                 tracer.start("shard.merge", parent=root_span)
@@ -593,6 +628,7 @@ class ShardCoordinator:
         self._stats.shards_contacted += len(contacted)
         self._stats.shards_pruned += len(remaining)
         self._stats.degraded_queries += bool(failed)
+        self._stats.neighbors_merged += len(candidates)
         self._stats.cost.merge(cost)
 
         if root_span is not None:
@@ -661,7 +697,12 @@ class ShardCoordinator:
         loop = asyncio.get_running_loop()
         tracer = obs_trace.get() if parent_span is not None else None
         dispatch_span = (
-            tracer.start("shard.dispatch", parent=parent_span, shard=shard_id)
+            tracer.start(
+                "shard.dispatch",
+                parent=parent_span,
+                shard=shard_id,
+                within=payload["options"].get(WITHIN, math.inf),
+            )
             if tracer is not None
             else None
         )

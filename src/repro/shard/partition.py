@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.geometry.hilbert import DEFAULT_ORDER, hilbert_indices
+from repro.geometry.hilbert import hilbert_indices
 from repro.geometry.point import as_points
 from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 from repro.shard.manifest import ShardInfo, ShardManifest
@@ -74,7 +74,7 @@ def describe_shard(
     )
 
 
-def partition_points(points: np.ndarray, shards: int, order: int = DEFAULT_ORDER):
+def partition_points(points: np.ndarray, shards: int, order: int | None = None):
     """Split ``points`` into ``shards`` contiguous Hilbert-rank runs.
 
     Returns ``(assignments, keys)`` where ``assignments`` is a list of
@@ -105,7 +105,7 @@ def partition_dataset(
     capacity: int = DEFAULT_CAPACITY,
     method: str = "str",
     generation: int = 0,
-    order: int = DEFAULT_ORDER,
+    order: int | None = None,
 ) -> ShardManifest:
     """Partition ``points`` into ``shards`` snapshot files under ``directory``.
 

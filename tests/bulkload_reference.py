@@ -73,9 +73,14 @@ class Node:
         return MBR.union_of(entry.mbr for entry in self.entries)
 
 
-def reference_hilbert_indices(points: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
-    """One scalar curve evaluation per point (the parent's ``hilbert_indices``)."""
+def reference_hilbert_indices(points: np.ndarray, order: int | None = None) -> np.ndarray:
+    """One scalar curve evaluation per point (the parent's ``hilbert_indices``).
+
+    The default order is 16, lowered so ``order * dims`` key bits fit int64.
+    """
     pts = as_points(points)
+    if order is None:
+        order = min(DEFAULT_ORDER, 63 // pts.shape[1])
     grid = _normalise_to_grid(pts, order)
     if pts.shape[1] == 2:
         return np.array(
@@ -84,7 +89,7 @@ def reference_hilbert_indices(points: np.ndarray, order: int = DEFAULT_ORDER) ->
     return np.array([_zorder_index(row, order) for row in grid], dtype=np.int64)
 
 
-def hilbert_sort(points: np.ndarray, order: int = DEFAULT_ORDER) -> np.ndarray:
+def hilbert_sort(points: np.ndarray, order: int | None = None) -> np.ndarray:
     return np.argsort(reference_hilbert_indices(points, order), kind="stable")
 
 

@@ -99,9 +99,9 @@ class TestCapabilityChecks:
         assert "did you mean" in message and "use_heuristic3" in message
         assert "points_per_page" in message and "block_pages" in message
 
-    def test_unknown_option_error_for_optionless_algorithm(self):
+    def test_unknown_option_error_names_the_ceiling_option(self):
         planner = QueryPlanner()
-        with pytest.raises(ValueError, match="takes no algorithm options"):
+        with pytest.raises(ValueError, match=r"options valid for 'mqm': \['within'\]"):
             planner.plan(
                 QuerySpec(group=GROUP, algorithm="mqm", options={"window": 3})
             )

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import GNNEngine, QuerySpec
 from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.centroid import weiszfeld_centroid
@@ -56,6 +57,18 @@ class TestMQM:
 
     def test_empty_tree(self):
         assert mqm(EMPTY, GroupQuery([[0.0, 0.0]])).neighbors == []
+
+    @pytest.mark.parametrize("dims", [4, 5])
+    def test_matches_brute_force_beyond_three_dimensions(self, dims):
+        """The Hilbert sort of the group picks an order whose keys fit int64."""
+        rng = np.random.default_rng(dims)
+        engine = GNNEngine(rng.uniform(0, 100, size=(1500, dims)), capacity=16)
+        for _ in range(3):
+            group = rng.uniform(30, 70, size=(6, dims))
+            result = engine.execute(QuerySpec(group=group, k=5, algorithm="mqm"))
+            expected = engine.execute(QuerySpec(group=group, k=5, algorithm="brute-force"))
+            assert result.record_ids() == expected.record_ids()
+            assert result.distances() == expected.distances()
 
     def test_cost_grows_with_query_cardinality(self, small_tree, rng):
         small = rng.uniform(300, 700, size=(4, 2))

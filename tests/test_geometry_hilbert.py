@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.hilbert import (
+    DEFAULT_ORDER,
     hilbert_index_2d,
     hilbert_indices,
     hilbert_point_2d,
@@ -89,3 +90,17 @@ class TestHilbertSort:
     def test_sort_is_deterministic(self):
         points = np.random.default_rng(4).uniform(0, 10, size=(50, 2))
         assert np.array_equal(hilbert_sort(points), hilbert_sort(points))
+
+
+class TestDefaultOrder:
+    @pytest.mark.parametrize("dims,order", [(1, 16), (2, 16), (3, 16)])
+    def test_low_dimensions_keep_order_16(self, dims, order):
+        points = np.random.default_rng(5).uniform(0, 1000, size=(200, dims))
+        assert order == DEFAULT_ORDER
+        assert np.array_equal(hilbert_indices(points), hilbert_indices(points, order))
+
+    @pytest.mark.parametrize("dims,order", [(4, 15), (5, 12), (6, 10)])
+    def test_four_to_six_dimensions_lower_the_order_to_fit_int64(self, dims, order):
+        points = np.random.default_rng(dims).uniform(0, 1, size=(64, dims))
+        assert np.array_equal(hilbert_indices(points), hilbert_indices(points, order))
+        assert sorted(hilbert_sort(points).tolist()) == list(range(64))

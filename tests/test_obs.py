@@ -623,8 +623,10 @@ class TestReconciliation:
         assert set(coordinator_after) == {
             "queries", "subqueries", "shards_contacted", "shards_pruned", "retries",
             "degraded_queries", "failed_subqueries", "breaker_trips",
-            "breaker_fast_fails", "cost",
+            "breaker_fast_fails", "neighbors_merged", "cost",
         }
+        merged = coordinator_after["neighbors_merged"] - coordinator_before["neighbors_merged"]
+        assert merged >= len(result.neighbors) == 3
         assert all(
             isinstance(value, (int, float))
             for key, value in coordinator_after.items()

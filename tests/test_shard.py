@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from repro import GNNEngine, QuerySpec
+from repro.core.bruteforce import brute_force_gnn
+from repro.core.types import GroupQuery
 from repro.geometry.distance import group_distance
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -357,6 +359,32 @@ class TestFederatedConformance:
             for node in nodes:
                 node.close()
 
+    #: Sums over the fixed replay below: (node accesses, distance
+    #: computations, shards contacted, neighbors merged) per shard count.
+    #: Before sub-queries carried tau0 as a ceiling the same replay read
+    #: (406, 47954) at 2 shards and (455, 56376) at 4, with every shard
+    #: returning its full top-k (50 x 8 per contacted shard).  Routing
+    #: is unchanged, so the contact counts are the same at both.
+    REPLAY_PINS = {2: (392, 43474, 81, 603), 4: (370, 41998, 132, 698)}
+
+    @pytest.mark.parametrize("shards", (2, 4))
+    def test_replay_work_is_pinned(self, federations, reference_engine, shards):
+        _, _, engine = federations[shards]
+        before = engine.stats()["coordinator"]["neighbors_merged"]
+        rng = np.random.default_rng(2004)
+        totals = [0, 0, 0]
+        for _ in range(50):
+            center = rng.uniform(100, 900, size=2)
+            group = rng.uniform(center - 150, center + 150, size=(8, 2))
+            federated = engine.execute(QuerySpec(group=group, k=8, index="sharded"))
+            expected = reference_engine.execute(QuerySpec(group=group, k=8))
+            assert as_tuples(federated) == as_tuples(expected)
+            totals[0] += federated.cost.node_accesses
+            totals[1] += federated.cost.distance_computations
+            totals[2] += len(federated.shards_contacted)
+        merged = engine.stats()["coordinator"]["neighbors_merged"] - before
+        assert (*totals, merged) == self.REPLAY_PINS[shards]
+
     def test_execute_many_pipelines_and_matches(
         self, federations, reference_engine, rng
     ):
@@ -508,28 +536,39 @@ class TestFailureSemantics:
                 )
             assert coordinator.stats()["retries"] >= 1
 
-    def test_degraded_mode_answers_from_surviving_shards(self, small_federation, rng):
+    def test_degraded_mode_answers_from_surviving_shards(self, small_federation):
+        """The dead shard is the best-bound one, whose samples set tau0,
+        and the survivor holds fewer than k records under tau0: its
+        ceiling-cut reply is short, so it is asked again without one."""
         points, manifest, nodes, addresses = small_federation
+        k = 4
+        survivor_rows = partition_points(points, 2)[0][1]
+        search = np.random.default_rng(0)
+        while True:
+            group = search.uniform(0, 1000, size=(8, 2))
+            bounds = manifest.group_mindist_bounds(group)
+            tau0 = manifest.sample_kth_distance(group, k, shard_id=0)
+            under = GroupQuery(group).distances_to(points[survivor_rows]) <= tau0
+            if bounds[0] < bounds[1] <= tau0 and under.sum() < k:
+                break
         nodes[0].close()
-        group = rng.uniform(0, 1000, size=(8, 2))
         with ShardCoordinator(
             manifest, addresses, timeout_s=2.0, retries=0, allow_degraded=True
         ) as coordinator:
-            result = coordinator.execute(QuerySpec(group=group, k=4))
+            result = coordinator.execute(QuerySpec(group=group, k=k))
             assert result.degraded is True
             assert result.failed_shards == [0]
             assert result.shards_contacted == [1]
-            assert coordinator.stats()["degraded_queries"] == 1
-        # The survivors' answer is the single-index answer restricted to
-        # the reachable shard's records.
-        survivor_rows = np.sort(
-            np.concatenate([partition_points(points, 2)[0][1]])
+            stats = coordinator.stats()
+            assert stats["degraded_queries"] == 1
+            # One failed attempt at shard 0, then shard 1 bounded and unbounded.
+            assert stats["subqueries"] == 3
+        # The survivors' answer: k records, the exact top-k of the
+        # reachable shard's records.
+        expected = brute_force_gnn(
+            points[survivor_rows], GroupQuery(group, k=k), record_ids=survivor_rows
         )
-        reference = GNNEngine(points[survivor_rows], capacity=16)
-        expected = reference.execute(QuerySpec(group=group, k=4))
-        assert [n.distance for n in result.neighbors] == pytest.approx(
-            [n.distance for n in expected.neighbors]
-        )
+        assert as_tuples(result) == as_tuples(expected)
 
     def test_healthy_queries_are_never_degraded(self, small_federation, rng):
         _, manifest, _, addresses = small_federation
