@@ -12,8 +12,8 @@ executed any number of times — including in batches through
 All input validation that used to be scattered across ``GroupQuery`` and
 the engine's keyword plumbing happens here, up front, with explicit
 error messages: ``k < 1``, empty groups, weight vectors whose length
-does not match the group cardinality, unknown aggregates and residencies
-are all rejected at construction time.
+does not match the group cardinality or that are all zero, unknown
+aggregates and residencies are all rejected at construction time.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.core.types import GroupQuery
 from repro.geometry.distance import AGGREGATES, SUM
+from repro.geometry.kernels import check_weights
 from repro.geometry.point import as_points
 from repro.storage.pointfile import PointFile
 
@@ -136,19 +137,7 @@ class QuerySpec:
                 f"unknown aggregate {self.aggregate!r}; expected one of {AGGREGATES}"
             )
         if self.weights is not None:
-            weights = np.asarray(self.weights, dtype=np.float64)
-            if weights.ndim != 1:
-                raise ValueError(
-                    f"weights must be a 1-d vector, got shape {weights.shape}"
-                )
-            if self.group is not None and weights.size != self.group.shape[0]:
-                raise ValueError(
-                    f"weights length {weights.size} does not match the "
-                    f"group cardinality {self.group.shape[0]}"
-                )
-            if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-                raise ValueError("weights must be finite and non-negative")
-            weights = weights.copy()
+            weights = check_weights(self.weights, self.cardinality).copy()
             weights.setflags(write=False)
             object.__setattr__(self, "weights", weights)
         residency = str(self.residency).lower()

@@ -173,15 +173,9 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
     divisor = _divisor(query)
     counter = itertools.count()
     heap: list[tuple[float, int, int]] = [(0.0, next(counter), 0)]
-    scorer = kernels.scorer_for(query.points, query.weights, query.aggregate, flat.capacity)
-    mindists_to_mbr = kernels.boxes_mindist_box if scorer is None else scorer.boxes_mindist_box
-    lower_bounds = query.mindist_lower_bounds if scorer is None else scorer.boxes_group_sum_mindist
     tangent = use_heuristic3 and query.aggregate == kernels.SUM
     if tangent:
         anchor = _tangent_anchor(flat.stats, query.points, query.weights)
-        tangent_bounds = (
-            query.tangent_lower_bounds if scorer is None else scorer.boxes_group_tangent_bound
-        )
 
     while heap:
         key, _, node_id = heapq.heappop(heap)
@@ -198,20 +192,23 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
         if flat.levels[index] == 0:
             _process_leaf(
                 flat, flat.points[start:stop], flat.record_ids[start:stop],
-                query, best, divisor, scorer, exclude,
+                query, best, divisor, exclude,
             )
             continue
         lows = flat.lows[start:stop]
         highs = flat.highs[start:stop]
-        keys = mindists_to_mbr(lows, highs, query_mbr.low, query_mbr.high)
+        keys = kernels.boxes_mindist_box(lows, highs, query_mbr.low, query_mbr.high)
         flat.stats.record_distance_computations(stop - start)
         survivors = np.flatnonzero(~heuristic2_prunes_batch(keys, best.best_dist, divisor))
         if use_heuristic3 and survivors.size:
             lows, highs = lows[survivors], highs[survivors]
             wide = tangent and bool(flat.levels[index] > 1)  # the children are internal nodes
-            bounds = tangent_bounds(lows, highs, anchor) if tangent else lower_bounds(lows, highs)
+            if tangent:
+                bounds = query.tangent_lower_bounds(lows, highs, anchor)
+            else:
+                bounds = query.mindist_lower_bounds(lows, highs)
             if wide:
-                bounds = np.maximum(bounds, lower_bounds(lows, highs))
+                bounds = np.maximum(bounds, query.mindist_lower_bounds(lows, highs))
             if tangent:
                 bounds = np.maximum(np.maximum(bounds, divisor * keys[survivors]), key)
             flat.stats.record_distance_computations((1 + wide) * query.cardinality * survivors.size)
@@ -223,9 +220,7 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
             heapq.heappush(heap, (child_key, next(counter), start + offset))
 
 
-def _process_leaf(
-    flat, points, record_ids, query, best, divisor, scorer=None, exclude=None
-) -> None:
+def _process_leaf(flat, points, record_ids, query, best, divisor, exclude=None) -> None:
     """Apply Heuristic 2 to leaf points before paying the full distance computation.
 
     ``(points, record_ids)`` is a leaf slice of ``flat`` or — through
@@ -245,10 +240,7 @@ def _process_leaf(
     before the break — as one batched charge.
     """
     query_mbr = query.mbr
-    if scorer is not None:
-        mindists = scorer.points_mindist_box(points, query_mbr.low, query_mbr.high)
-    else:
-        mindists = kernels.points_mindist_box(points, query_mbr.low, query_mbr.high)
+    mindists = kernels.points_mindist_box(points, query_mbr.low, query_mbr.high)
     flat.stats.record_distance_computations(len(points))
     order = np.argsort(mindists, kind="stable")
     if best.best_dist < math.inf:
@@ -257,9 +249,7 @@ def _process_leaf(
         candidates = order
     if candidates.size == 0:
         return
-    # mindists may alias a scorer buffer: consume it before any group-kernel call.
     candidate_mindists = mindists[candidates].tolist()
-    group_distances = query.distances_to if scorer is None else scorer.group_sum_distances
     chunk = flat.capacity
     candidate_distances: list[float] = []
     offer = best.offer
@@ -271,7 +261,7 @@ def _process_leaf(
             break
         if position == len(candidate_distances):
             part = candidates[position : position + chunk]
-            candidate_distances += group_distances(points[part]).tolist()
+            candidate_distances += query.distances_to(points[part]).tolist()
         if exclude is not None and int(record_ids[offset]) in exclude:
             continue
         consumed += 1
@@ -343,12 +333,6 @@ def mbm_batch(
     query_lows = groups.min(axis=1)
     query_highs = groups.max(axis=1)
     divisor = float(cardinality)
-    if dims == 2:
-        aggregate_distances = kernels.groups_aggregate_distances_2d
-        group_bounds = kernels.boxes_groups_mindist_2d
-    else:
-        aggregate_distances = kernels.batched_aggregate_distances
-        group_bounds = kernels.boxes_groups_mindist
     stats = flat.stats
     if use_heuristic3:
         anchors = np.stack([_tangent_anchor(stats, group) for group in groups])
@@ -385,7 +369,7 @@ def mbm_batch(
         if flat.levels[index] == 0:
             members = np.flatnonzero(active)
             coords = points[start:stop]
-            distances = aggregate_distances(coords, groups[members])
+            distances = kernels.batched_aggregate_distances(coords, groups[members])
             stats.record_distance_computations(cardinality * count * members.size)
             rows = np.arange(start, stop, dtype=np.int64)
             merged_dists = np.concatenate((top_dists[members], distances), axis=1)
@@ -443,7 +427,7 @@ def mbm_batch(
                 bounds = kernels.boxes_group_tangent_bound(lows, highs, stacked, anchors[members])
                 wide = bool(flat.levels[index] > 1)  # the children are internal nodes
                 if wide:
-                    bounds = np.maximum(bounds, group_bounds(lows, highs, stacked))
+                    bounds = np.maximum(bounds, kernels.boxes_groups_mindist(lows, highs, stacked))
                 bounds = np.maximum(bounds, divisor * child_keys[members])
                 bounds = np.maximum(bounds, key_vec[members][:, None])
                 stats.record_distance_computations((1 + wide) * cardinality * count * members.size)

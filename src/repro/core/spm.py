@@ -86,33 +86,15 @@ def _spm_best_first(flat, query, centroid, centroid_distance, best, exclude=None
     consumed neighbor — is accumulated and recorded once.
     """
     n = query.cardinality
-    scorer = kernels.scorer_for(query.points, query.weights, query.aggregate, flat.capacity)
 
-    if scorer is not None:
-        # The stream tolist()s every key/aux batch before the next pop,
-        # so the scorer's reused buffers are safe to hand out here.
-        def points_key(points):
-            return scorer.point_distances(points, centroid)
+    def points_key(points):
+        return kernels.point_distances(points, centroid)
 
-        def mbrs_key(lows, highs):
-            return scorer.boxes_mindist_point(lows, highs, centroid)
-
-        def points_aux(points):
-            return scorer.group_sum_distances(points)
-
-    else:
-
-        def points_key(points):
-            return kernels.point_distances(points, centroid)
-
-        def mbrs_key(lows, highs):
-            return kernels.boxes_mindist_point(lows, highs, centroid)
-
-        def points_aux(points):
-            return query.distances_to(points)
+    def mbrs_key(lows, highs):
+        return kernels.boxes_mindist_point(lows, highs, centroid)
 
     stream = flat_incremental_nearest_generic(
-        flat, points_key, mbrs_key, points_aux=points_aux
+        flat, points_key, mbrs_key, points_aux=query.distances_to
     )
     offer = best.offer
     consumed = 0

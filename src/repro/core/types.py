@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.distance import SUM, _check_weights, _fast_point
+from repro.geometry.distance import SUM, _fast_point
+from repro.geometry.kernels import check_weights
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_points
 from repro.storage.counters import CounterSet
@@ -49,7 +50,7 @@ class GroupQuery:
         self.k = int(k)
         self.aggregate = aggregate
         # Validate once here so the per-candidate kernel calls can skip it.
-        self.weights = None if weights is None else _check_weights(weights, self.points.shape[0])
+        self.weights = None if weights is None else check_weights(weights, self.points.shape[0])
         self._mbr: MBR | None = None
         self._centroid: np.ndarray | None = None
 

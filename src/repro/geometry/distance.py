@@ -13,7 +13,8 @@ Since the kernel layer landed, these helpers are thin *validating*
 wrappers over the one-candidate case of :mod:`repro.geometry.kernels`:
 they normalise arbitrary user input once, then delegate to the same
 vectorised arithmetic the hot paths use, so scalar and batched
-evaluation agree bit for bit.  Inputs that are already canonical
+evaluation agree bit for bit (up to seven dimensions; see the kernel
+module's bit-identity rule for why).  Inputs that are already canonical
 ``float64`` arrays skip re-validation entirely (the fast path).
 """
 
@@ -27,8 +28,6 @@ from repro.geometry import kernels
 from repro.geometry.kernels import AGGREGATES, MAX, MIN, SUM  # noqa: F401  (re-exported API)
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_point, as_points
-
-_check_weights = kernels.check_weights  # backwards-compatible alias
 
 
 def _fast_point(value, dims: int | None = None) -> np.ndarray:
@@ -126,7 +125,7 @@ def group_distance(
     """
     dists = distances_to_group(point, group)
     if weights is not None:
-        weights = _check_weights(weights, dists.size)
+        weights = kernels.check_weights(weights, dists.size)
     return float(kernels.reduce_aggregate(dists, aggregate, weights))
 
 
@@ -144,7 +143,7 @@ def group_distances_bulk(
     pts = _fast_points(points)
     grp = _fast_points(group, dims=pts.shape[1])
     if weights is not None:
-        weights = _check_weights(weights, grp.shape[0])
+        weights = kernels.check_weights(weights, grp.shape[0])
     return kernels.aggregate_distances(pts, grp, weights=weights, aggregate=aggregate)
 
 
@@ -165,7 +164,7 @@ def group_mindist(
     pts = _fast_points(group, dims=mbr.dims)
     dists = kernels.points_mindist_box(pts, mbr.low, mbr.high)
     if weights is not None:
-        weights = _check_weights(weights, dists.size)
+        weights = kernels.check_weights(weights, dists.size)
     return float(kernels.reduce_aggregate(dists, aggregate, weights))
 
 

@@ -1,11 +1,26 @@
 """Vectorised aggregate-distance kernels.
 
-Every GNN algorithm in the paper bottoms out in per-point aggregate
-distance evaluation; this module is the array-at-a-time engine behind
-those evaluations.  Each kernel scores a whole *array* of candidates
-(data points, R-tree node rectangles, or stacked query groups) against a
-query group in a single NumPy call, instead of one Python-level call per
-candidate.
+Every GNN algorithm in the paper bottoms out in two evaluations: the
+aggregate distance ``dist(p, Q)`` of every point of a leaf, and a lower
+bound of it over every box of a child slice.  This module is the
+array-at-a-time engine behind both.  Each kernel scores a whole *array*
+of candidates (data points, R-tree node rectangles, or stacked query
+groups) against a query group in a single call, instead of one
+Python-level call per candidate.
+
+One form
+--------
+Every Euclidean kernel is written the same way, whatever the query's
+dimensionality, weights or aggregate.  Coordinates are taken axis-major:
+one broadcast subtraction builds a C-ordered ``(dims, m, n)`` stack of
+differences (or box gaps) that holds one contiguous ``(m, n)`` slab per
+axis.  The slabs are squared in place and added over the leading axis —
+the column loop ``total += d_j * d_j``, axis by axis, done by one NumPy
+reduction — then rooted in place, and :func:`reduce_aggregate` runs over
+the contiguous query axis.  There is no coordinates-last ``(m, n, dims)``
+tensor, no reusable workspace (a result never aliases another call's)
+and no special case: the paper's 2-D unweighted sums run the same code
+as every other query at the same per-call price.
 
 Layering contract
 -----------------
@@ -13,16 +28,22 @@ Kernels sit *below* the scalar helpers of :mod:`repro.geometry.distance`
 and assume well-formed ``float64`` arrays: callers on the hot paths
 (R-tree traversal, the GNN algorithms, the batch executor) pass arrays
 that were validated once at the API boundary.  The scalar helpers remain
-the validating public entry points and are now thin wrappers over the
-one-candidate case of these kernels.
+the validating public entry points.
 
 Bit-identity
 ------------
-Each kernel mirrors the arithmetic of the scalar helper it accelerates
-axis for axis (same subtraction direction up to sign, same ``x * x``
-squaring, same reduction order), so replacing a Python loop of scalar
-calls with one kernel call produces bit-identical floats.  The
-conformance suite in ``tests/test_kernels.py`` pins this down.
+The scalar helpers (:mod:`repro.geometry.distance`, ``MBR.mindist_*``)
+sum squared differences with ``np.sum`` over the coordinate axis.  Below
+eight terms NumPy adds them one after the other, exactly as the per-axis
+accumulation does, so for ``dims <= 7`` every kernel returns the floats
+of the scalar loop it replaces, and row ``b`` of every stacked
+``(B, ...)`` kernel the floats of the solo kernel on group ``b`` (each
+reduction over the query axis runs over its own contiguous ``n``
+values).  From eight dimensions ``np.sum`` switches to pairwise
+summation, so a scalar helper may differ from a kernel in the last ulp;
+every algorithm, brute force included, scores through these kernels, so
+answers stay exact against each other.  ``tests/test_kernels.py`` pins
+the rule for dims 1–7.
 
 Supported metrics are Euclidean (the paper's), squared Euclidean (for
 order-only comparisons) and Minkowski ``L_p``; supported aggregates are
@@ -47,12 +68,23 @@ METRICS = (EUCLIDEAN, SQUARED, MINKOWSKI)
 
 
 def check_weights(weights: np.ndarray, expected: int) -> np.ndarray:
-    """Validate a per-query-point weight vector and return it as float64."""
+    """Validate a per-query-point weight vector and return it as float64.
+
+    Weights must be finite and non-negative, one per query point, and
+    not all zero: a group with no weight puts every point at aggregate
+    distance 0, so it has no nearest neighbour.
+    """
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size != expected:
-        raise ValueError(f"weights must be a vector of length {expected}, got shape {w.shape}")
+    if w.ndim != 1:
+        raise ValueError(f"weights must be a 1-d vector, got shape {w.shape}")
+    if w.size != expected:
+        raise ValueError(
+            f"weights length {w.size} does not match the group cardinality {expected}"
+        )
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
+    if not w.sum() > 0:
+        raise ValueError("weights must not all be zero: the group would have no nearest neighbour")
     return w
 
 
@@ -70,41 +102,48 @@ def reduce_aggregate(
     if weights is not None:
         values = values * weights
     if aggregate == SUM:
-        return values.sum(axis=axis)
+        return np.add.reduce(values, axis=axis)
     if aggregate == MAX:
-        return values.max(axis=axis)
+        return np.maximum.reduce(values, axis=axis)
     if aggregate == MIN:
-        return values.min(axis=axis)
+        return np.minimum.reduce(values, axis=axis)
     raise ValueError(f"unknown aggregate {aggregate!r}; expected one of {AGGREGATES}")
 
 
 # ----------------------------------------------------------------------
-# point-array metric kernels
+# the axis-major building blocks
 # ----------------------------------------------------------------------
-def point_distances(points: np.ndarray, q: np.ndarray, metric: str = EUCLIDEAN, p: float = 2.0) -> np.ndarray:
-    """Distances from each row of ``points`` (``(m, d)``) to the single point ``q``."""
-    delta = points - q
+def _axis_major(x: np.ndarray) -> np.ndarray:
+    """A view of ``x`` with its coordinate (last) axis moved to the front."""
+    return x.transpose((x.ndim - 1, *range(x.ndim - 1)))
+
+
+def _norms(terms: np.ndarray, metric: str = EUCLIDEAN) -> np.ndarray:
+    """Norms over a fresh C-ordered ``(dims, ...)`` stack of per-axis terms.
+
+    The slabs are squared in place and added over the leading axis in
+    axis order, then rooted in place when ``metric`` is Euclidean.
+    """
+    terms *= terms
+    total = np.add.reduce(terms, axis=0)
     if metric == EUCLIDEAN:
-        return np.sqrt(np.sum(delta * delta, axis=1))
+        return np.sqrt(total, out=total)
     if metric == SQUARED:
-        return np.sum(delta * delta, axis=1)
-    if metric == MINKOWSKI:
-        return _minkowski_reduce(delta, p, axis=1)
+        return total
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def pairwise_distances(
-    points: np.ndarray, group: np.ndarray, metric: str = EUCLIDEAN, p: float = 2.0
-) -> np.ndarray:
-    """The ``(m, n)`` matrix of distances between ``points`` and ``group`` rows."""
-    delta = points[:, None, :] - group[None, :, :]
-    if metric == EUCLIDEAN:
-        return np.sqrt(np.sum(delta * delta, axis=2))
-    if metric == SQUARED:
-        return np.sum(delta * delta, axis=2)
-    if metric == MINKOWSKI:
-        return _minkowski_reduce(delta, p, axis=2)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+def _gap(low_a, high_a, low_b, high_b) -> np.ndarray:
+    """Axis-major ``mindist`` terms between boxes: ``max(low_a - high_b, low_b - high_a, 0)``.
+
+    A point is the box whose corners coincide.  The result is fresh and
+    C-ordered; so is the second difference, because NumPy's default
+    layout for broadcast strided operands makes the ``max`` several
+    times slower.
+    """
+    gap = np.subtract(low_a, high_b, order="C")
+    np.maximum(gap, np.subtract(low_b, high_a, order="C"), out=gap)
+    return np.maximum(gap, 0.0, out=gap)
 
 
 def _minkowski_reduce(delta: np.ndarray, p: float, axis: int) -> np.ndarray:
@@ -113,6 +152,27 @@ def _minkowski_reduce(delta: np.ndarray, p: float, axis: int) -> np.ndarray:
     if np.isinf(p):
         return np.abs(delta).max(axis=axis)
     return np.sum(np.abs(delta) ** p, axis=axis) ** (1.0 / p)
+
+
+# ----------------------------------------------------------------------
+# point-array metric kernels
+# ----------------------------------------------------------------------
+def point_distances(
+    points: np.ndarray, q: np.ndarray, metric: str = EUCLIDEAN, p: float = 2.0
+) -> np.ndarray:
+    """Distances from each row of ``points`` (``(m, d)``) to the single point ``q``."""
+    if metric == MINKOWSKI:
+        return _minkowski_reduce(points - q, p, axis=1)
+    return _norms(np.subtract(points.T, q[:, None], order="C"), metric)
+
+
+def pairwise_distances(
+    points: np.ndarray, group: np.ndarray, metric: str = EUCLIDEAN, p: float = 2.0
+) -> np.ndarray:
+    """The ``(m, n)`` matrix of distances between ``points`` and ``group`` rows."""
+    if metric == MINKOWSKI:
+        return _minkowski_reduce(points[:, None, :] - group[None, :, :], p, axis=2)
+    return _norms(np.subtract(points.T[:, :, None], group.T[:, None, :], order="C"), metric)
 
 
 def aggregate_distances(
@@ -131,34 +191,19 @@ def aggregate_distances(
     return reduce_aggregate(pairwise_distances(points, group, metric, p), aggregate, weights)
 
 
-def point_aggregate_distance(
-    point: np.ndarray,
-    group: np.ndarray,
-    weights: np.ndarray | None = None,
-    aggregate: str = SUM,
-) -> float:
-    """The one-candidate case of :func:`aggregate_distances` as a scalar.
-
-    Mirrors the historical scalar helper exactly: per-query distances via
-    a single ``(n, d)`` difference, then the weighted reduction.
-    """
-    dists = point_distances(group, point)
-    return float(reduce_aggregate(dists, aggregate, weights))
-
-
 def batched_aggregate_distances(
     points: np.ndarray, groups: np.ndarray, aggregate: str = SUM
 ) -> np.ndarray:
-    """Aggregate distances of ``(N, d)`` points against ``(g, n, d)`` stacked groups.
+    """Aggregate distances of ``(N, d)`` points against ``(B, n, d)`` stacked groups.
 
-    Returns a ``(g, N)`` array; used by the batch executor to answer many
-    brute-force specs through one shared distance tensor.  The arithmetic
-    matches :func:`aggregate_distances` axis for axis so batched answers
-    are bitwise identical to per-query answers.
+    Returns a ``(B, N)`` array whose row ``b`` equals
+    :func:`aggregate_distances` against ``groups[b]``; used by the batch
+    executor and the shared MBM traversal to score many specs in one
+    call.
     """
-    delta = points[None, :, None, :] - groups[:, None, :, :]
-    matrix = np.sqrt(np.sum(delta * delta, axis=3))
-    return reduce_aggregate(matrix, aggregate)
+    columns = groups.transpose(2, 0, 1)[:, :, None, :]
+    terms = np.subtract(points.T[:, None, :, None], columns, order="C")
+    return reduce_aggregate(_norms(terms), aggregate)
 
 
 # ----------------------------------------------------------------------
@@ -166,39 +211,32 @@ def batched_aggregate_distances(
 # ----------------------------------------------------------------------
 def boxes_mindist_point(lows: np.ndarray, highs: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``mindist(N_j, q)`` for ``m`` boxes (``(m, d)`` corners) and one point."""
-    delta = np.maximum(0.0, np.maximum(lows - q, q - highs))
-    return np.sqrt(np.sum(delta * delta, axis=1))
+    q = q[:, None]
+    return _norms(_gap(lows.T, highs.T, q, q))
 
 
 def points_mindist_box(points: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """``mindist(p_i, M)`` for ``m`` points against one box ``[low, high]``."""
-    delta = np.maximum(0.0, np.maximum(low - points, points - high))
-    return np.sqrt(np.sum(delta * delta, axis=1))
+    return _norms(_gap(low[:, None], high[:, None], points.T, points.T))
 
 
 def boxes_mindist_box(
     lows: np.ndarray, highs: np.ndarray, low: np.ndarray, high: np.ndarray
 ) -> np.ndarray:
     """``mindist(N_j, M)`` for ``m`` boxes against one box ``[low, high]``."""
-    delta = np.maximum(0.0, np.maximum(lows - high, low - highs))
-    return np.sqrt(np.sum(delta * delta, axis=1))
+    return _norms(_gap(lows.T, highs.T, low[:, None], high[:, None]))
 
 
 def boxes_mindist_points(lows: np.ndarray, highs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """``mindist(N_j, q_i)`` matrix for ``m`` boxes against ``n`` points.
 
     Returns an ``(n, m)`` array whose row ``i`` equals
-    :func:`boxes_mindist_point` for ``points[i]`` — the same subtraction
-    and max operations applied per element, so the matrix rows are
-    bit-identical to the per-point kernel.  The multi-stream MQM
+    :func:`boxes_mindist_point` for ``points[i]``.  The multi-stream MQM
     frontier scores an internal node against every query point in this
     single call.
     """
-    delta = np.maximum(
-        0.0,
-        np.maximum(lows[None, :, :] - points[:, None, :], points[:, None, :] - highs[None, :, :]),
-    )
-    return np.sqrt(np.sum(delta * delta, axis=2))
+    columns = points.T[:, :, None]
+    return _norms(_gap(lows.T[:, None, :], highs.T[:, None, :], columns, columns))
 
 
 def boxes_mindist_boxes(
@@ -207,82 +245,18 @@ def boxes_mindist_boxes(
     """``mindist(N_j, M_b)`` for ``m`` boxes against ``B`` query rectangles.
 
     Returns a ``(B, m)`` array whose row ``b`` equals
-    :func:`boxes_mindist_box` for ``[query_lows[b], query_highs[b]]``
-    (same elementwise arithmetic, hence bit-identical rows).  The shared
-    batch executor scores one child slice against every query MBR of a
-    bucket in this single call.
+    :func:`boxes_mindist_box` for ``[query_lows[b], query_highs[b]]``.
+    The shared batch traversal scores one child slice against every
+    query MBR of a bucket in this single call.
     """
-    delta = np.maximum(
-        0.0,
-        np.maximum(
-            lows[None, :, :] - query_highs[:, None, :],
-            query_lows[:, None, :] - highs[None, :, :],
-        ),
+    return _norms(
+        _gap(
+            lows.T[:, None, :],
+            highs.T[:, None, :],
+            query_lows.T[:, :, None],
+            query_highs.T[:, :, None],
+        )
     )
-    return np.sqrt(np.sum(delta * delta, axis=2))
-
-
-def boxes_groups_mindist(lows: np.ndarray, highs: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Aggregate lower bound ``amindist(N_j, Q_b)`` for ``B`` stacked groups.
-
-    ``groups`` is a ``(B, n, dims)`` stack; the result is ``(B, m)`` and
-    row ``b`` equals :func:`boxes_group_mindist` (sum, unweighted) for
-    ``groups[b]``: the per-element max/subtract arithmetic is identical
-    and each reduction runs over its own contiguous ``n`` axis, so rows
-    are bit-identical to the per-query kernel.
-    """
-    delta = np.maximum(
-        0.0,
-        np.maximum(
-            lows[None, :, None, :] - groups[:, None, :, :],
-            groups[:, None, :, :] - highs[None, :, None, :],
-        ),
-    )
-    matrix = np.sqrt(np.sum(delta * delta, axis=3))
-    return reduce_aggregate(matrix, SUM)
-
-
-def groups_aggregate_distances_2d(points: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """2-D fast path of :func:`batched_aggregate_distances` (sum, unweighted).
-
-    Flattens the ``(B, n, 2)`` group stack into per-axis ``(m, B*n)``
-    operations (the same arithmetic :class:`Scorer2D` uses — summing a
-    length-2 axis is exactly ``x + y``) and reduces each group's
-    contiguous ``n`` block, so row ``b`` of the ``(B, m)`` result is
-    bit-identical to :func:`aggregate_distances` against ``groups[b]``
-    while avoiding the 4-D broadcast temporaries.
-    """
-    count, batch, n = points.shape[0], groups.shape[0], groups.shape[1]
-    gx = np.ascontiguousarray(groups[:, :, 0]).reshape(-1)
-    gy = np.ascontiguousarray(groups[:, :, 1]).reshape(-1)
-    dx = points[:, None, 0] - gx[None, :]
-    dx *= dx
-    dy = points[:, None, 1] - gy[None, :]
-    dy *= dy
-    dx += dy
-    np.sqrt(dx, out=dx)
-    return np.ascontiguousarray(np.add.reduce(dx.reshape(count, batch, n), axis=2).T)
-
-
-def boxes_groups_mindist_2d(lows: np.ndarray, highs: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """2-D fast path of :func:`boxes_groups_mindist` (sum, unweighted).
-
-    Same flattening as :func:`groups_aggregate_distances_2d`; row ``b``
-    of the ``(B, m)`` result is bit-identical to
-    :func:`boxes_group_mindist` against ``groups[b]``.
-    """
-    count, batch, n = lows.shape[0], groups.shape[0], groups.shape[1]
-    gx = np.ascontiguousarray(groups[:, :, 0]).reshape(-1)
-    gy = np.ascontiguousarray(groups[:, :, 1]).reshape(-1)
-    ax = np.maximum(lows[:, None, 0] - gx[None, :], gx[None, :] - highs[:, None, 0])
-    np.maximum(ax, 0.0, out=ax)
-    ax *= ax
-    ay = np.maximum(lows[:, None, 1] - gy[None, :], gy[None, :] - highs[:, None, 1])
-    np.maximum(ay, 0.0, out=ay)
-    ay *= ay
-    ax += ay
-    np.sqrt(ax, out=ax)
-    return np.ascontiguousarray(np.add.reduce(ax.reshape(count, batch, n), axis=2).T)
 
 
 def boxes_group_mindist(
@@ -299,12 +273,21 @@ def boxes_group_mindist(
     call; ``max``/``min`` (optionally weighted) generalise it the same
     way :func:`repro.geometry.distance.group_mindist` does.
     """
-    delta = np.maximum(
-        0.0,
-        np.maximum(lows[:, None, :] - group[None, :, :], group[None, :, :] - highs[:, None, :]),
-    )
-    matrix = np.sqrt(np.sum(delta * delta, axis=2))
+    columns = group.T[:, None, :]
+    matrix = _norms(_gap(lows.T[:, :, None], highs.T[:, :, None], columns, columns))
     return reduce_aggregate(matrix, aggregate, weights)
+
+
+def boxes_groups_mindist(lows: np.ndarray, highs: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Aggregate lower bound ``amindist(N_j, Q_b)`` for ``B`` stacked groups.
+
+    ``groups`` is a ``(B, n, dims)`` stack; the result is ``(B, m)`` and
+    row ``b`` equals :func:`boxes_group_mindist` (sum, unweighted) for
+    ``groups[b]``.
+    """
+    columns = groups.transpose(2, 0, 1)[:, :, None, :]
+    box_lows, box_highs = lows.T[:, None, :, None], highs.T[:, None, :, None]
+    return reduce_aggregate(_norms(_gap(box_lows, box_highs, columns, columns)), SUM)
 
 
 #: Relative rounding allowance of the tangent bound.  Unlike a sum of
@@ -342,243 +325,20 @@ def boxes_group_tangent_bound(
     ``(B, m)`` result whose rows are bit-identical to the per-group call.
     """
     a = np.minimum(np.maximum(anchor[..., None, :], lows), highs)
-    # (..., m, dims, n) with the query axis last *in memory* (broadcast
-    # results inherit a strided operand's layout), so the reductions over
-    # it run pairwise over contiguous rows exactly as Scorer2D's do.
-    delta = a[..., None] - np.ascontiguousarray(np.swapaxes(group, -1, -2))[..., None, :, :]
-    dist = np.sqrt(np.sum(delta * delta, axis=-2))
+    # (dims, ..., m, n) differences, kept past the norms for the gradient.
+    deltas = np.subtract(_axis_major(a)[..., None], _axis_major(group)[..., None, :], order="C")
+    dist = _norms(deltas.copy())
     value = reduce_aggregate(dist, SUM, weights)
-    unit = delta / np.where(dist > 0.0, dist, np.inf)[..., None, :]
+    np.putmask(dist, dist == 0.0, np.inf)  # a query point at the anchor adds no direction
+    deltas /= dist
     if weights is not None:
-        unit = unit * weights
-    gradient = unit.sum(axis=-1)
-    linear = np.minimum(gradient * (lows - a), gradient * (highs - a)).sum(axis=-1)
+        deltas *= weights
+    gradient = np.add.reduce(deltas, axis=-1)
+    gradient = gradient.transpose((*range(1, gradient.ndim), 0))  # back to (..., m, dims)
+    linear = np.add.reduce(np.minimum(gradient * (lows - a), gradient * (highs - a)), axis=-1)
     total = float(group.shape[-2]) if weights is None else float(weights.sum())
-    margin = TANGENT_MARGIN * (value + total * (highs - lows).sum(axis=-1))
+    margin = TANGENT_MARGIN * (value + total * np.add.reduce(highs - lows, axis=-1))
     return value + linear - margin
-
-
-# ----------------------------------------------------------------------
-# workspace-backed 2-D kernels (the flat snapshot's hot path)
-# ----------------------------------------------------------------------
-class Scorer2D:
-    """Reusable evaluation buffers for one 2-D query over a flat index.
-
-    The flat traversals score one child/leaf slice per heap pop; at that
-    rate the general kernels above spend much of their time allocating
-    broadcast temporaries and dispatching through ``np.sum``.  This
-    scorer preallocates every intermediate once per query and evaluates
-    the same arithmetic through explicit ufunc calls with ``out=``:
-
-    * per-axis subtraction and squaring instead of a ``(m, n, 2)``
-      difference tensor — summing a length-2 axis is exactly
-      ``x + y``, so the per-axis form is bit-identical;
-    * ``np.add.reduce`` instead of ``np.sum`` / ``ndarray.sum`` — which
-      is the reduction those helpers dispatch to internally.
-
-    Every method returns a **view into a reused buffer**: the caller
-    must consume (or copy) the result before the next scorer call.
-    Results are bit-identical to the corresponding general kernels for
-    the unweighted ``sum`` aggregate in two dimensions; callers fall
-    back to the general kernels for anything else.
-    """
-
-    __slots__ = (
-        "group_x", "group_y", "_mn_a", "_mn_b", "_mn_c", "_mn_d", "_m_a", "_m_b", "_m_out"
-    )
-
-    def __init__(self, group: np.ndarray, capacity: int):
-        if group.ndim != 2 or group.shape[1] != 2:
-            raise ValueError("Scorer2D requires a 2-D query group")
-        capacity = max(1, int(capacity))
-        n = group.shape[0]
-        self.group_x = np.ascontiguousarray(group[:, 0])
-        self.group_y = np.ascontiguousarray(group[:, 1])
-        self._mn_a = np.empty((capacity, n), dtype=np.float64)
-        self._mn_b = np.empty((capacity, n), dtype=np.float64)
-        self._mn_c = np.empty((capacity, n), dtype=np.float64)
-        self._mn_d = np.empty((capacity, n), dtype=np.float64)
-        self._m_a = np.empty(capacity, dtype=np.float64)
-        self._m_b = np.empty(capacity, dtype=np.float64)
-        self._m_out = np.empty(capacity, dtype=np.float64)
-
-    # -- point/box kernels against a single reference ------------------
-    def point_distances(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """:func:`point_distances` (Euclidean) into reused buffers."""
-        m = points.shape[0]
-        a, b = self._m_a[:m], self._m_b[:m]
-        np.subtract(points[:, 0], q[0], out=a)
-        np.multiply(a, a, out=a)
-        np.subtract(points[:, 1], q[1], out=b)
-        np.multiply(b, b, out=b)
-        np.add(a, b, out=a)
-        return np.sqrt(a, out=a)
-
-    def points_mindist_box(self, points: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
-        """:func:`points_mindist_box` into reused buffers."""
-        m = points.shape[0]
-        a, b = self._m_a[:m], self._m_b[:m]
-        x, y = points[:, 0], points[:, 1]
-        np.subtract(low[0], x, out=a)
-        np.subtract(x, high[0], out=b)
-        np.maximum(a, b, out=a)
-        np.maximum(a, 0.0, out=a)
-        np.multiply(a, a, out=a)
-        np.subtract(low[1], y, out=b)
-        np.subtract(y, high[1], out=self._m_out[:m])
-        np.maximum(b, self._m_out[:m], out=b)
-        np.maximum(b, 0.0, out=b)
-        np.multiply(b, b, out=b)
-        np.add(a, b, out=a)
-        return np.sqrt(a, out=a)
-
-    def boxes_mindist_point(self, lows: np.ndarray, highs: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """:func:`boxes_mindist_point` into reused buffers."""
-        m = lows.shape[0]
-        a, b = self._m_a[:m], self._m_b[:m]
-        np.subtract(lows[:, 0], q[0], out=a)
-        np.subtract(q[0], highs[:, 0], out=b)
-        np.maximum(a, b, out=a)
-        np.maximum(a, 0.0, out=a)
-        np.multiply(a, a, out=a)
-        np.subtract(lows[:, 1], q[1], out=b)
-        np.subtract(q[1], highs[:, 1], out=self._m_out[:m])
-        np.maximum(b, self._m_out[:m], out=b)
-        np.maximum(b, 0.0, out=b)
-        np.multiply(b, b, out=b)
-        np.add(a, b, out=a)
-        return np.sqrt(a, out=a)
-
-    def boxes_mindist_box(
-        self, lows: np.ndarray, highs: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        """:func:`boxes_mindist_box` into reused buffers."""
-        m = lows.shape[0]
-        a, b = self._m_a[:m], self._m_b[:m]
-        np.subtract(lows[:, 0], high[0], out=a)
-        np.subtract(low[0], highs[:, 0], out=b)
-        np.maximum(a, b, out=a)
-        np.maximum(a, 0.0, out=a)
-        np.multiply(a, a, out=a)
-        np.subtract(lows[:, 1], high[1], out=b)
-        np.subtract(low[1], highs[:, 1], out=self._m_out[:m])
-        np.maximum(b, self._m_out[:m], out=b)
-        np.maximum(b, 0.0, out=b)
-        np.multiply(b, b, out=b)
-        np.add(a, b, out=a)
-        return np.sqrt(a, out=a)
-
-    # -- group kernels (unweighted sum aggregate) ----------------------
-    def group_distance_matrix(self, points: np.ndarray) -> np.ndarray:
-        """The ``(m, n)`` distance matrix behind :meth:`group_sum_distances`.
-
-        Column ``i`` is bit-identical to :meth:`point_distances` against
-        query point ``i`` (per-axis subtract/square/add/sqrt — summing a
-        length-2 axis is exactly ``x + y``).  The multi-stream MQM
-        frontier consumes the whole matrix: every active stream's leaf
-        keys come from one call.  The view aliases the workspace — copy
-        before the next scorer call.
-        """
-        m = points.shape[0]
-        a, b = self._mn_a[:m], self._mn_b[:m]
-        np.subtract(points[:, None, 0], self.group_x[None, :], out=a)
-        np.multiply(a, a, out=a)
-        np.subtract(points[:, None, 1], self.group_y[None, :], out=b)
-        np.multiply(b, b, out=b)
-        np.add(a, b, out=a)
-        return np.sqrt(a, out=a)
-
-    def group_mindist_matrix(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """The ``(m, n)`` mindist matrix behind :meth:`boxes_group_sum_mindist`.
-
-        Column ``i`` is bit-identical to :meth:`boxes_mindist_point`
-        against query point ``i``; used by the multi-stream MQM frontier
-        to bound an internal node's children for every stream at once.
-        The view aliases the workspace — copy before the next call.
-        """
-        m = lows.shape[0]
-        a, b = self._mn_a[:m], self._mn_b[:m]
-        np.subtract(lows[:, None, 0], self.group_x[None, :], out=a)
-        np.subtract(self.group_x[None, :], highs[:, None, 0], out=b)
-        np.maximum(a, b, out=a)
-        np.maximum(a, 0.0, out=a)
-        np.multiply(a, a, out=a)
-        c = self._mn_c[:m]
-        np.subtract(lows[:, None, 1], self.group_y[None, :], out=b)
-        np.subtract(self.group_y[None, :], highs[:, None, 1], out=c)
-        np.maximum(b, c, out=b)
-        np.maximum(b, 0.0, out=b)
-        np.multiply(b, b, out=b)
-        np.add(a, b, out=a)
-        return np.sqrt(a, out=a)
-
-    def group_sum_distances(self, points: np.ndarray) -> np.ndarray:
-        """:func:`aggregate_distances` (sum, unweighted) into reused buffers."""
-        m = points.shape[0]
-        a, b = self._mn_a[:m], self._mn_b[:m]
-        np.subtract(points[:, None, 0], self.group_x[None, :], out=a)
-        np.multiply(a, a, out=a)
-        np.subtract(points[:, None, 1], self.group_y[None, :], out=b)
-        np.multiply(b, b, out=b)
-        np.add(a, b, out=a)
-        np.sqrt(a, out=a)
-        return np.add.reduce(a, axis=1, out=self._m_out[:m])
-
-    def boxes_group_sum_mindist(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """:func:`boxes_group_mindist` (sum, unweighted) into reused buffers."""
-        m = lows.shape[0]
-        a, b = self._mn_a[:m], self._mn_b[:m]
-        np.subtract(lows[:, None, 0], self.group_x[None, :], out=a)
-        np.subtract(self.group_x[None, :], highs[:, None, 0], out=b)
-        np.maximum(a, b, out=a)
-        np.maximum(a, 0.0, out=a)
-        np.multiply(a, a, out=a)
-        c = self._mn_c[:m]
-        np.subtract(lows[:, None, 1], self.group_y[None, :], out=b)
-        np.subtract(self.group_y[None, :], highs[:, None, 1], out=c)
-        np.maximum(b, c, out=b)
-        np.maximum(b, 0.0, out=b)
-        np.multiply(b, b, out=b)
-        np.add(a, b, out=a)
-        np.sqrt(a, out=a)
-        return np.add.reduce(a, axis=1, out=self._m_out[:m])
-
-    def boxes_group_tangent_bound(
-        self, lows: np.ndarray, highs: np.ndarray, anchor: np.ndarray
-    ) -> np.ndarray:
-        """:func:`boxes_group_tangent_bound` (unweighted); returns a fresh array."""
-        m = lows.shape[0]
-        dx, dy, dist, squared = self._mn_a[:m], self._mn_b[:m], self._mn_c[:m], self._mn_d[:m]
-        a = np.minimum(np.maximum(anchor, lows), highs)
-        np.subtract(a[:, 0, None], self.group_x[None, :], out=dx)
-        np.subtract(a[:, 1, None], self.group_y[None, :], out=dy)
-        np.multiply(dx, dx, out=dist)
-        np.multiply(dy, dy, out=squared)
-        np.add(dist, squared, out=dist)
-        np.sqrt(dist, out=dist)
-        value = np.add.reduce(dist, axis=1)
-        np.putmask(dist, dist == 0.0, np.inf)
-        gradient = np.empty_like(a)
-        np.add.reduce(np.divide(dx, dist, out=dx), axis=1, out=gradient[:, 0])
-        np.add.reduce(np.divide(dy, dist, out=dy), axis=1, out=gradient[:, 1])
-        linear = np.minimum(gradient * (lows - a), gradient * (highs - a))
-        extent = highs - lows
-        margin = TANGENT_MARGIN * (
-            value + float(self.group_x.size) * (extent[:, 0] + extent[:, 1])
-        )
-        return value + (linear[:, 0] + linear[:, 1]) - margin
-
-
-def scorer_for(group: np.ndarray, weights, aggregate: str, capacity: int) -> Scorer2D | None:
-    """A :class:`Scorer2D` when the query qualifies for the 2-D fast path.
-
-    The scorer's group kernels specialise the unweighted ``sum``
-    aggregate in two dimensions — exactly the paper's setting; any other
-    combination returns ``None`` and callers use the general kernels.
-    """
-    if group.ndim == 2 and group.shape[1] == 2 and weights is None and aggregate == SUM:
-        return Scorer2D(group, capacity)
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -592,15 +352,15 @@ def boxes_weighted_group_mindist(
     cardinalities: np.ndarray,
 ) -> np.ndarray:
     """Heuristic-5 weighted mindist ``sum_i n_i * mindist(N_j, M_i)`` per box."""
-    delta = np.maximum(
-        0.0,
-        np.maximum(
-            lows[:, None, :] - summary_highs[None, :, :],
-            summary_lows[None, :, :] - highs[:, None, :],
-        ),
+    matrix = _norms(
+        _gap(
+            lows.T[:, :, None],
+            highs.T[:, :, None],
+            summary_lows.T[:, None, :],
+            summary_highs.T[:, None, :],
+        )
     )
-    matrix = np.sqrt(np.sum(delta * delta, axis=2))
-    return (matrix * cardinalities).sum(axis=1)
+    return reduce_aggregate(matrix, SUM, cardinalities)
 
 
 def points_weighted_group_mindist(
@@ -610,12 +370,26 @@ def points_weighted_group_mindist(
     cardinalities: np.ndarray,
 ) -> np.ndarray:
     """Heuristic-5 weighted mindist for ``m`` points against the block summaries."""
-    delta = np.maximum(
-        0.0,
-        np.maximum(
-            summary_lows[None, :, :] - points[:, None, :],
-            points[:, None, :] - summary_highs[None, :, :],
-        ),
-    )
-    matrix = np.sqrt(np.sum(delta * delta, axis=2))
-    return (matrix * cardinalities).sum(axis=1)
+    columns = points.T[:, :, None]
+    matrix = _norms(_gap(summary_lows.T[:, None, :], summary_highs.T[:, None, :], columns, columns))
+    return reduce_aggregate(matrix, SUM, cardinalities)
+
+
+class Scorer2D:
+    """A query group bound to two general kernels, kept for gnnbench's frozen probes.
+
+    ``benchmarks/gnnbench/probes.py`` is frozen and times
+    ``Scorer2D(group, capacity).group_sum_distances`` and
+    ``.boxes_group_sum_mindist`` by name; those probes are this class's
+    only user.  Nothing in ``src/`` constructs it, and ``capacity`` is
+    ignored: the kernels need no workspace.
+    """
+
+    def __init__(self, group: np.ndarray, capacity: int = 0):
+        self.group = group
+
+    def group_sum_distances(self, points: np.ndarray) -> np.ndarray:
+        return aggregate_distances(points, self.group)
+
+    def boxes_group_sum_mindist(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+        return boxes_group_mindist(lows, highs, self.group)

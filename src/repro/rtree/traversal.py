@@ -167,11 +167,9 @@ class MultiStreamFrontier:
     * **shared per-node score matrices** — the first stream to read a
       node triggers one ``(n, fanout)`` kernel call that scores the
       node's child boxes (or leaf points, plus their exact aggregate
-      group distances) against *all* query points at once
-      (:class:`~repro.geometry.kernels.Scorer2D` in two dimensions, the
-      general kernels otherwise), followed by one batched stable argsort
-      that fixes every stream's emission order for that leaf; later
-      streams reuse their row;
+      group distances) against *all* query points at once, followed by
+      one batched stable argsort that fixes every stream's emission
+      order for that leaf; later streams reuse their row;
     * **merged pending frontier** — each stream keeps the points of its
       visited leaves merged into one ``(key, counter)``-sorted pair of
       arrays (key array plus packed counter/row array) while its heap
@@ -207,7 +205,6 @@ class MultiStreamFrontier:
     __slots__ = (
         "_flat",
         "_group",
-        "_scorer",
         "_node_heaps",
         "segs",
         "agg_by_row",
@@ -223,14 +220,14 @@ class MultiStreamFrontier:
         self._flat = flat
         self._group = np.asarray(group, dtype=np.float64)
         n = self._group.shape[0]
-        self._scorer = kernels.scorer_for(self._group, None, kernels.SUM, flat.capacity)
         self._leaf_cache: dict[int, tuple] = {}
         self._node_cache: dict[int, np.ndarray] = {}
         #: Exact aggregate group distance per leaf row, filled leaf by
         #: leaf as leaves are first scored (public: drivers read the
         #: aggregate of an emitted row directly).
         self.agg_by_row = np.empty(flat.points.shape[0], dtype=np.float64)
-        root_keys = self._bounds_matrix(flat.lows[0:1], flat.highs[0:1])[:, 0].tolist()
+        root = kernels.boxes_mindist_points(flat.lows[0:1], flat.highs[0:1], self._group)
+        root_keys = root[:, 0].tolist()
         # Mirrors the generator's start state: the root enters every
         # stream's heap with counter 0 before any node is read.
         self._node_heaps: list[list[tuple]] = [[(root_keys[i], 0, 0)] for i in range(n)]
@@ -245,15 +242,6 @@ class MultiStreamFrontier:
         self._counters: list[int] = [1] * n
 
     # -- shared scoring -------------------------------------------------
-    def _bounds_matrix(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """``(n, m)`` mindist matrix of ``m`` boxes against every stream."""
-        if self._scorer is not None:
-            # .T.copy(), not ascontiguousarray: a single-child slice
-            # yields an (n, 1) transpose that numpy flags as contiguous,
-            # and the cache must never alias the scorer workspace.
-            return self._scorer.group_mindist_matrix(lows, highs).T.copy()
-        return kernels.boxes_mindist_points(lows, highs, self._group)
-
     def _leaf_entry(self, index: int, start: int, stop: int) -> tuple:
         """Score *and presort* leaf ``index`` once for all streams.
 
@@ -265,16 +253,9 @@ class MultiStreamFrontier:
         order).  The exact aggregate distances land in
         :attr:`agg_by_row`.
         """
-        coords = self._flat.points[start:stop]
-        if self._scorer is not None:
-            matrix = self._scorer.group_distance_matrix(coords)  # (fanout, n) view
-            aggregates = np.add.reduce(matrix, axis=1)
-            keys = matrix.T.copy()  # must not alias the scorer workspace
-        else:
-            matrix = kernels.pairwise_distances(coords, self._group)
-            aggregates = kernels.reduce_aggregate(matrix, kernels.SUM)
-            keys = np.ascontiguousarray(matrix.T)
-        self.agg_by_row[start:stop] = aggregates
+        matrix = kernels.pairwise_distances(self._flat.points[start:stop], self._group)
+        self.agg_by_row[start:stop] = kernels.reduce_aggregate(matrix, kernels.SUM)
+        keys = np.ascontiguousarray(matrix.T)
         order = keys.argsort(kind="stable", axis=1)
         entry = (np.take_along_axis(keys, order, axis=1), order)
         self._leaf_cache[index] = entry
@@ -330,8 +311,9 @@ class MultiStreamFrontier:
                     matrix = self._node_cache.get(index)
                     if matrix is None:
                         stop = start + count
-                        matrix = self._bounds_matrix(
-                            flat.lows[start:stop], flat.highs[start:stop]
+                        # (n, fanout): every stream's bounds in one call
+                        matrix = kernels.boxes_mindist_points(
+                            flat.lows[start:stop], flat.highs[start:stop], self._group
                         )
                         self._node_cache[index] = matrix
                     bounds = matrix[stream].tolist()

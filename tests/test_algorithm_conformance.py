@@ -14,7 +14,9 @@ flat snapshot held in memory and over the same snapshot saved to
 ``.npz`` and reopened memory-mapped (the ``context`` / ``mutable_engine``
 fixtures are parametrised by index residency).  The answer-only checks
 also run over a Hilbert-packed snapshot, whose leaves overlap and are
-irregular where STR's tile the plane; the counter pins stay on STR.
+irregular where STR's tile the plane, and at every dimensionality of
+:data:`DIMS`, each over a seeded dataset of that many axes; the counter
+pins stay on the 2-D STR snapshot.
 """
 
 import numpy as np
@@ -45,19 +47,33 @@ INDEX_RESIDENCIES = ["memory", "mmap"]
 #: snapshot, plus a Hilbert-packed one.
 ANSWER_INDEXES = INDEX_RESIDENCIES + ["hilbert"]
 
+#: Dimensionalities of the answer-only checks.
+DIMS = [2, 3, 5]
+
 #: Simulated-disk geometry small enough that the 60-point disk group
 #: splits into multiple blocks (so F-MQM/F-MBM exercise their
 #: multi-block logic).
 DISK_OPTIONS = {"points_per_page": 10, "block_pages": 2}
 
 
+def _clustered(dims):
+    """500 seeded points in five clusters of ``[0, 1000]^dims``."""
+    rng = np.random.default_rng(SEED)
+    clusters = rng.uniform(100, 900, size=(5, dims))
+    assignments = rng.integers(0, 5, size=500)
+    noise = rng.normal(scale=60.0, size=(500, dims))
+    return np.clip(clusters[assignments] + noise, 0, 1000)
+
+
+def _saved(flat, tmp_path_factory):
+    path = tmp_path_factory.mktemp("conformance") / "index.npz"
+    flat.save(path)
+    return path
+
+
 @pytest.fixture(scope="module")
 def dataset():
-    rng = np.random.default_rng(SEED)
-    clusters = rng.uniform(100, 900, size=(5, 2))
-    assignments = rng.integers(0, 5, size=500)
-    noise = rng.normal(scale=60.0, size=(500, 2))
-    return np.clip(clusters[assignments] + noise, 0, 1000)
+    return _clustered(2)
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +83,19 @@ def flat(dataset):
 
 @pytest.fixture(scope="module")
 def mapped_path(flat, tmp_path_factory):
-    path = tmp_path_factory.mktemp("conformance") / "index.npz"
-    flat.save(path)
-    return path
+    return _saved(flat, tmp_path_factory)
+
+
+@pytest.fixture(scope="module", params=DIMS, ids=lambda dims: f"{dims}d")
+def dims_dataset(request):
+    return _clustered(request.param)
+
+
+@pytest.fixture(scope="module")
+def dims_snapshot(dims_dataset, tmp_path_factory):
+    """The STR snapshot of ``dims_dataset`` and the path of its saved copy."""
+    flat = FlatRTree.bulk_load(dims_dataset, capacity=16)
+    return flat, _saved(flat, tmp_path_factory)
 
 
 def _context(kind, dataset, flat, mapped_path):
@@ -86,18 +112,18 @@ def context(request, dataset, flat, mapped_path):
 
 
 @pytest.fixture(scope="module", params=ANSWER_INDEXES)
-def answer_context(request, dataset, flat, mapped_path):
-    return _context(request.param, dataset, flat, mapped_path)
+def answer_context(request, dims_dataset, dims_snapshot):
+    return _context(request.param, dims_dataset, *dims_snapshot)
 
 
-def _shared_groups():
+def _shared_groups(dims):
     """The shared random workload: diverse cardinalities and extents."""
     rng = np.random.default_rng(SEED + 1)
     groups = []
     for n in (1, 3, 8, 32):
-        center = rng.uniform(250, 750, size=2)
+        center = rng.uniform(250, 750, size=dims)
         spread = rng.uniform(20, 300)
-        groups.append(rng.uniform(center - spread, center + spread, size=(n, 2)))
+        groups.append(rng.uniform(center - spread, center + spread, size=(n, dims)))
     return groups
 
 
@@ -110,12 +136,12 @@ class TestMemoryEquivalenceMatrix:
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
     @pytest.mark.parametrize("k", [1, 5])
     def test_all_capable_algorithms_agree_with_brute_force(
-        self, answer_context, dataset, aggregate, k
+        self, answer_context, dims_dataset, aggregate, k
     ):
         ran = set()
-        for group in _shared_groups():
+        for group in _shared_groups(dims_dataset.shape[1]):
             base = QuerySpec(group=group, k=k, aggregate=aggregate)
-            reference = brute_force_gnn(dataset, base.group_query())
+            reference = brute_force_gnn(dims_dataset, base.group_query())
             for info in available_algorithms(MEMORY):
                 spec = QuerySpec(group=group, k=k, aggregate=aggregate, algorithm=info.name)
                 if not info.supports(spec):
@@ -132,12 +158,14 @@ class TestMemoryEquivalenceMatrix:
             assert {"best-first", "brute-force"} <= ran
 
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
-    def test_weighted_queries_agree_with_brute_force(self, answer_context, dataset, aggregate):
+    def test_weighted_queries_agree_with_brute_force(
+        self, answer_context, dims_dataset, aggregate
+    ):
         rng = np.random.default_rng(SEED + 2)
-        for group in _shared_groups():
+        for group in _shared_groups(dims_dataset.shape[1]):
             weights = rng.uniform(0.5, 2.0, size=group.shape[0])
             base = QuerySpec(group=group, k=3, aggregate=aggregate, weights=weights)
-            reference = brute_force_gnn(dataset, base.group_query())
+            reference = brute_force_gnn(dims_dataset, base.group_query())
             for info in available_algorithms(MEMORY):
                 spec = QuerySpec(
                     group=group, k=3, aggregate=aggregate, weights=weights, algorithm=info.name
@@ -148,6 +176,30 @@ class TestMemoryEquivalenceMatrix:
                 _assert_matches_reference(
                     result, reference, f"{info.name} weighted aggregate={aggregate}"
                 )
+
+
+class TestEightDimensions:
+    """Past the kernels' bit-identity range, answers stay exact.
+
+    From eight axes ``np.sum`` adds squared differences pairwise, so a
+    scalar helper may differ from the per-axis kernels in the last ulp.
+    Every algorithm, brute force included, scores through those kernels,
+    so each must return brute force's top-k with equal distances.
+    """
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        return _clustered(8)
+
+    @pytest.mark.parametrize("algorithm", [info.name for info in available_algorithms(MEMORY)])
+    def test_exact_top_k(self, points, algorithm):
+        context = ExecutionContext(flat=FlatRTree.bulk_load(points, capacity=16))
+        for group in _shared_groups(8):
+            spec = QuerySpec(group=group, k=5, algorithm=algorithm)
+            reference = brute_force_gnn(points, spec.group_query())
+            result = execute_spec(context, spec)
+            assert result.record_ids() == reference.record_ids(), len(group)
+            assert result.distances() == reference.distances(), len(group)
 
 
 class TestDiskEquivalenceMatrix:
@@ -452,20 +504,20 @@ class TestMutationConformance:
     The engine under test is shaped like the answer-only checks of this
     module — ``memory`` mutates an engine built from the points, ``mmap``
     a snapshot-only engine over a read-only memory map, ``hilbert`` an
-    engine over a Hilbert-packed base.  Every way the delta overlay is
-    the write path.  After every round each algorithm × aggregate must
-    agree with brute force over the independently tracked live dataset,
-    and folding the overlay away with :meth:`GNNEngine.compact` must not
-    change a single answer.
+    engine over a Hilbert-packed base — each at every dimensionality of
+    :data:`DIMS`.  Every way the delta overlay is the write path.  After
+    every round each algorithm × aggregate must agree with brute force
+    over the independently tracked live dataset, and folding the overlay
+    away with :meth:`GNNEngine.compact` must not change a single answer.
     """
 
     @pytest.fixture(params=ANSWER_INDEXES)
-    def mutable_engine(self, request, dataset, mapped_path):
+    def mutable_engine(self, request, dims_dataset, dims_snapshot):
         if request.param == "mmap":
-            return GNNEngine.from_index(FlatRTree.load(mapped_path, mmap_mode="r"))
+            return GNNEngine.from_index(FlatRTree.load(dims_snapshot[1], mmap_mode="r"))
         if request.param == "hilbert":
-            return GNNEngine(dataset, capacity=16, bulk_method="hilbert")
-        return GNNEngine(dataset, capacity=16)
+            return GNNEngine(dims_dataset, capacity=16, bulk_method="hilbert")
+        return GNNEngine(dims_dataset, capacity=16)
 
     @staticmethod
     def _answers(engine, groups):
@@ -481,19 +533,20 @@ class TestMutationConformance:
         return results
 
     def test_interleaved_mutation_rounds_agree_with_brute_force(
-        self, mutable_engine, dataset
+        self, mutable_engine, dims_dataset
     ):
         engine = mutable_engine
+        dims = dims_dataset.shape[1]
         rng = np.random.default_rng(SEED + 21)
-        live = {i: np.array(row) for i, row in enumerate(dataset)}
-        groups = _shared_groups()
+        live = {i: np.array(row) for i, row in enumerate(dims_dataset)}
+        groups = _shared_groups(dims)
         for round_no in range(4):
             victims = rng.choice(sorted(live), size=12, replace=False)
             for rid in victims:
                 assert engine.delete(live[int(rid)], int(rid)), round_no
                 del live[int(rid)]
             for _ in range(9):
-                point = rng.uniform(0, 1000, size=2)
+                point = rng.uniform(0, 1000, size=dims)
                 rid = engine.insert(point)
                 assert rid not in live
                 live[rid] = point
@@ -517,15 +570,15 @@ class TestMutationConformance:
             assert first.record_ids() == second.record_ids()
             assert first.distances() == second.distances()
 
-    def test_delete_all_answers_empty_dirty_and_compacted(self, mutable_engine, dataset):
+    def test_delete_all_answers_empty_dirty_and_compacted(self, mutable_engine, dims_dataset):
         """Zero live records is one more engine state of the matrix: every
         algorithm × aggregate answers ``[]``, per spec and batched alike.
         (Brute force used to raise ``GeometryError`` from ``execute``.)"""
         engine = mutable_engine
-        for rid, row in enumerate(dataset):
+        for rid, row in enumerate(dims_dataset):
             assert engine.delete(row, rid)
         assert len(engine) == 0
-        group = _shared_groups()[0]
+        group = _shared_groups(dims_dataset.shape[1])[0]
         for state in ("dirty", "compacted"):
             assert engine.dirty == (state == "dirty")
             answers = self._answers(engine, [group])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.api import QuerySpec
+from repro.api.registry import available_algorithms
+from repro.api.spec import AUTO
 from repro.core.types import GroupQuery
 from repro.storage.pointfile import PointFile
 
@@ -36,6 +38,17 @@ class TestValidation:
     def test_rejects_non_vector_weights(self):
         with pytest.raises(ValueError, match="1-d vector"):
             QuerySpec(group=GROUP, weights=[[1.0, 2.0, 3.0]])
+
+    @pytest.mark.parametrize(
+        "algorithm", [AUTO] + [info.name for info in available_algorithms()]
+    )
+    def test_rejects_all_zero_weights_for_every_algorithm(self, algorithm):
+        # A weightless group has no nearest neighbour.  The spec used to
+        # plan, and MBM then failed mid-traversal on a zero divisor.
+        with pytest.raises(ValueError, match="all be zero"):
+            QuerySpec(group=GROUP, weights=np.zeros(3), algorithm=algorithm)
+        with pytest.raises(ValueError, match="all be zero"):
+            GroupQuery(GROUP, weights=[0.0, 0.0, 0.0])
 
     def test_rejects_unknown_aggregate(self):
         with pytest.raises(ValueError, match="unknown aggregate"):

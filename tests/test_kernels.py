@@ -1,11 +1,11 @@
 """Property-based conformance suite for the vectorised kernel layer.
 
-Every kernel in :mod:`repro.geometry.kernels` must agree with the scalar
-helper it accelerates (to 1e-9, and bit-for-bit on the hot 2-D paths)
-across dimensionalities 2-6, singleton and larger groups, empty and
-non-empty candidate arrays, and weighted sum/max/min aggregates — the
-guarantee that lets the R-tree traversals score whole leaves per heap
-pop without changing a single answer.
+Every kernel in :mod:`repro.geometry.kernels` must agree bit for bit
+with the scalar helper it accelerates across dimensionalities 1-7 (the
+range the kernel module's bit-identity rule covers), singleton and
+larger groups, empty and non-empty candidate arrays, and weighted
+sum/max/min aggregates — the guarantee that lets the R-tree traversals
+score whole leaves per heap pop without changing a single answer.
 """
 
 import itertools
@@ -28,12 +28,20 @@ from repro.geometry.distance import (
 from repro.geometry.mbr import MBR
 from repro.geometry.point import GeometryError
 
-# Coordinates are kept modest so the 1e-9 agreement bound is meaningful
-# even for dimension-6 sums of squares.
 coordinate = st.floats(
     min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False, width=32
 )
-dims_strategy = st.integers(min_value=2, max_value=6)
+#: Up to seven axes NumPy's ``np.sum`` adds squared differences in order,
+#: as the per-axis kernels do, so kernel and scalar helper agree exactly.
+dims_strategy = st.integers(min_value=1, max_value=7)
+
+
+def weight_vector(draw, n):
+    """``n`` non-negative weights, not all zero (an all-zero vector is refused)."""
+    weights = draw(st.lists(st.floats(0.0, 10.0, width=32), min_size=n, max_size=n))
+    if not any(weights):
+        weights[0] = 1.0
+    return np.array(weights)
 
 
 @st.composite
@@ -51,10 +59,7 @@ def workload(draw, min_candidates=0, max_candidates=10, min_group=1, max_group=8
     candidates = np.array(point_list(min_candidates, max_candidates), dtype=np.float64)
     candidates = candidates.reshape(-1, dims)
     group = np.array(point_list(min_group, max_group), dtype=np.float64)
-    weights = np.array(
-        [draw(st.floats(min_value=0.0, max_value=10.0, width=32)) for _ in range(group.shape[0])]
-    )
-    return candidates, group, weights
+    return candidates, group, weight_vector(draw, group.shape[0])
 
 
 @st.composite
@@ -75,14 +80,15 @@ def boxes_and_group(draw, max_boxes=8, min_group=1, max_group=8):
         draw(st.lists(st.tuples(*[coordinate] * dims), min_size=min_group, max_size=max_group)),
         dtype=np.float64,
     )
-    weights = np.array(
-        [draw(st.floats(min_value=0.0, max_value=10.0, width=32)) for _ in range(group.shape[0])]
-    )
-    return lows, highs, group, weights
+    return lows, highs, group, weight_vector(draw, group.shape[0])
 
 
 def _close(a, b):
     return np.allclose(a, b, rtol=1e-9, atol=1e-9)
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
 
 
 class TestAggregateDistanceKernels:
@@ -93,7 +99,7 @@ class TestAggregateDistanceKernels:
         bulk = kernels.aggregate_distances(candidates, group, aggregate=aggregate)
         assert bulk.shape == (candidates.shape[0],)
         scalar = [group_distance(p, group, aggregate=aggregate) for p in candidates]
-        assert _close(bulk, scalar)
+        assert _same(bulk, scalar)
 
     @given(data=workload(), aggregate=st.sampled_from(kernels.AGGREGATES))
     @settings(max_examples=150, deadline=None)
@@ -105,16 +111,26 @@ class TestAggregateDistanceKernels:
         scalar = [
             group_distance(p, group, weights=weights, aggregate=aggregate) for p in candidates
         ]
-        assert _close(bulk, scalar)
+        assert _same(bulk, scalar)
 
     @given(data=workload(min_candidates=1))
     @settings(max_examples=100, deadline=None)
     def test_point_distances_match_euclidean(self, data):
         candidates, group, _ = data
         q = group[0]
-        assert _close(
+        assert _same(
             kernels.point_distances(candidates, q), [euclidean(p, q) for p in candidates]
         )
+
+    @given(data=workload(min_candidates=1))
+    @settings(max_examples=100, deadline=None)
+    def test_pairwise_matrix_columns_match_point_kernel(self, data):
+        # The multi-stream MQM frontier reads stream i's leaf keys from
+        # column i of one matrix.
+        candidates, group, _ = data
+        matrix = kernels.pairwise_distances(candidates, group)
+        for i, q in enumerate(group):
+            assert _same(matrix[:, i], kernels.point_distances(candidates, q))
 
     @given(data=workload(min_candidates=1))
     @settings(max_examples=100, deadline=None)
@@ -122,7 +138,7 @@ class TestAggregateDistanceKernels:
         candidates, group, _ = data
         q = group[0]
         squared = kernels.point_distances(candidates, q, metric=kernels.SQUARED)
-        assert _close(squared, [squared_euclidean(p, q) for p in candidates])
+        assert _same(squared, [squared_euclidean(p, q) for p in candidates])
         p1 = kernels.point_distances(candidates, q, metric=kernels.MINKOWSKI, p=1.0)
         assert _close(p1, np.abs(candidates - q).sum(axis=1))
         p2 = kernels.point_distances(candidates, q, metric=kernels.MINKOWSKI, p=2.0)
@@ -178,7 +194,7 @@ class TestBoxKernels:
             group_mindist(MBR(low, high), group, aggregate=aggregate)
             for low, high in zip(lows, highs)
         ]
-        assert _close(bulk, scalar)
+        assert _same(bulk, scalar)
         weighted = kernels.boxes_group_mindist(
             lows, highs, group, weights=weights, aggregate=aggregate
         )
@@ -186,7 +202,7 @@ class TestBoxKernels:
             group_mindist(MBR(low, high), group, weights=weights, aggregate=aggregate)
             for low, high in zip(lows, highs)
         ]
-        assert _close(weighted, scalar_weighted)
+        assert _same(weighted, scalar_weighted)
 
     @given(data=boxes_and_group())
     @settings(max_examples=100, deadline=None)
@@ -195,7 +211,7 @@ class TestBoxKernels:
         q = group[0]
         bulk = kernels.boxes_mindist_point(lows, highs, q)
         scalar = [MBR(low, high).mindist_point(q) for low, high in zip(lows, highs)]
-        assert _close(bulk, scalar)
+        assert _same(bulk, scalar)
 
     @given(data=boxes_and_group(min_group=2))
     @settings(max_examples=100, deadline=None)
@@ -203,7 +219,7 @@ class TestBoxKernels:
         lows, highs, group, _ = data
         box = MBR(lows[0], highs[0])
         bulk = kernels.points_mindist_box(group, box.low, box.high)
-        assert _close(bulk, box.mindist_points(group))
+        assert _same(bulk, box.mindist_points(group))
 
     @given(data=boxes_and_group())
     @settings(max_examples=100, deadline=None)
@@ -212,7 +228,7 @@ class TestBoxKernels:
         other = MBR.from_points(group)
         bulk = kernels.boxes_mindist_box(lows, highs, other.low, other.high)
         scalar = [MBR(low, high).mindist_mbr(other) for low, high in zip(lows, highs)]
-        assert _close(bulk, scalar)
+        assert _same(bulk, scalar)
 
     @given(data=boxes_and_group())
     @settings(max_examples=100, deadline=None)
@@ -334,12 +350,6 @@ class TestBatchKernels:
             assert np.array_equal(
                 stacked[b], kernels.aggregate_distances(candidates, groups[b])
             )
-        if group.shape[1] == 2:
-            fast = kernels.groups_aggregate_distances_2d(candidates, groups)
-            for b in range(batch):
-                assert np.array_equal(
-                    fast[b], kernels.aggregate_distances(candidates, groups[b])
-                )
 
     @given(data=boxes_and_group(), batch=st.integers(min_value=1, max_value=4))
     @settings(deadline=None, max_examples=40)
@@ -364,16 +374,6 @@ class TestBatchKernels:
                 tangents[b],
                 kernels.boxes_group_tangent_bound(lows, highs, groups[b], anchors[b]),
             )
-        if group.shape[1] == 2:
-            fast = kernels.boxes_groups_mindist_2d(lows, highs, groups)
-            for b in range(batch):
-                assert np.array_equal(
-                    fast[b], kernels.boxes_group_mindist(lows, highs, groups[b])
-                )
-                scorer = kernels.Scorer2D(groups[b], capacity=lows.shape[0])
-                assert np.array_equal(
-                    tangents[b], scorer.boxes_group_tangent_bound(lows, highs, anchors[b])
-                )
 
     @given(data=boxes_and_group())
     @settings(deadline=None, max_examples=40)
@@ -385,27 +385,30 @@ class TestBatchKernels:
                 matrix[i], kernels.boxes_mindist_point(lows, highs, point)
             )
 
-    @given(data=workload(min_candidates=1))
-    @settings(deadline=None, max_examples=40)
-    def test_scorer_matrix_methods_match_general_kernels(self, data):
-        candidates, group, _ = data
-        if group.shape[1] != 2:
-            return  # Scorer2D is the 2-D fast path only
-        scorer = kernels.Scorer2D(group, capacity=max(1, candidates.shape[0]))
-        matrix = np.array(scorer.group_distance_matrix(candidates))
-        assert np.array_equal(matrix, kernels.pairwise_distances(candidates, group))
-        lows = np.minimum(candidates, candidates - 1.0)
-        highs = np.maximum(candidates, candidates + 1.0)
-        mindists = np.array(scorer.group_mindist_matrix(lows, highs))
+
+class TestProbeAdapter:
+    """``Scorer2D`` survives only for gnnbench's probes; it must time the general kernels."""
+
+    def test_methods_equal_the_general_kernels(self):
+        rng = np.random.default_rng(77)
+        group = rng.uniform(0, 1000, size=(64, 2))
+        points = rng.uniform(0, 1000, size=(50, 2))
+        lows = rng.uniform(0, 900, size=(50, 2))
+        highs = lows + rng.uniform(0, 120, size=lows.shape)
+        adapter = kernels.Scorer2D(group, 50)
         assert np.array_equal(
-            mindists, kernels.boxes_mindist_points(lows, highs, group).T
+            adapter.group_sum_distances(points), kernels.aggregate_distances(points, group)
+        )
+        assert np.array_equal(
+            adapter.boxes_group_sum_mindist(lows, highs),
+            kernels.boxes_group_mindist(lows, highs, group),
         )
 
 
 @st.composite
 def tangent_case(draw):
     """Draw (lows, highs, group, weights, anchor) with the degenerate shapes mixed in."""
-    dims = draw(st.sampled_from([2, 3]))
+    dims = draw(st.sampled_from([2, 3, 5]))
     point = st.tuples(*[coordinate] * dims)
     n = draw(st.integers(min_value=1, max_value=8))
     if draw(st.booleans()):

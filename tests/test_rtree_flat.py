@@ -20,7 +20,6 @@ from repro.core.mbm import mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery
-from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import best_first_nearest, incremental_nearest
 from repro.storage.buffer import LRUBuffer
@@ -314,72 +313,6 @@ class TestPersistence:
         np.savez(path, **payload)
         with pytest.raises(ValueError, match="version"):
             FlatRTree.load(path)
-
-
-class TestScorer2D:
-    """The workspace kernels must be bit-identical to the general ones."""
-
-    def test_all_kernels_bit_identical(self):
-        rng = np.random.default_rng(77)
-        for trial in range(5):
-            group = rng.uniform(0, 1000, size=(rng.integers(1, 80), 2))
-            scorer = kernels.Scorer2D(group, 64)
-            points = rng.uniform(0, 1000, size=(rng.integers(1, 64), 2))
-            lows = rng.uniform(0, 900, size=(rng.integers(1, 64), 2))
-            highs = lows + rng.uniform(0, 120, size=lows.shape)
-            q = rng.uniform(0, 1000, size=2)
-            low, high = np.sort(rng.uniform(0, 1000, size=(2, 2)), axis=0)
-            pairs = [
-                (
-                    lambda: kernels.point_distances(points, q),
-                    lambda: scorer.point_distances(points, q),
-                ),
-                (
-                    lambda: kernels.points_mindist_box(points, low, high),
-                    lambda: scorer.points_mindist_box(points, low, high),
-                ),
-                (
-                    lambda: kernels.boxes_mindist_point(lows, highs, q),
-                    lambda: scorer.boxes_mindist_point(lows, highs, q),
-                ),
-                (
-                    lambda: kernels.boxes_mindist_box(lows, highs, low, high),
-                    lambda: scorer.boxes_mindist_box(lows, highs, low, high),
-                ),
-                (
-                    lambda: kernels.aggregate_distances(points, group),
-                    lambda: scorer.group_sum_distances(points),
-                ),
-                (
-                    lambda: kernels.boxes_group_mindist(lows, highs, group),
-                    lambda: scorer.boxes_group_sum_mindist(lows, highs),
-                ),
-                (
-                    lambda: kernels.boxes_group_tangent_bound(lows, highs, group, q),
-                    lambda: scorer.boxes_group_tangent_bound(lows, highs, q),
-                ),
-                (  # the batched form's rows, each with its own anchor
-                    lambda: kernels.boxes_group_tangent_bound(
-                        lows, highs, np.stack([group + 7.0, group]), np.stack([low, q])
-                    )[1],
-                    lambda: scorer.boxes_group_tangent_bound(lows, highs, q),
-                ),
-            ]
-            for index, (reference, fast) in enumerate(pairs):
-                # scorer results are views into reused buffers, so each
-                # pair is evaluated and compared before the next call.
-                assert np.array_equal(reference(), np.array(fast())), (trial, index)
-
-    def test_scorer_for_gates_on_query_shape(self):
-        group = np.zeros((4, 2))
-        assert kernels.scorer_for(group, None, "sum", 8) is not None
-        assert kernels.scorer_for(group, np.ones(4), "sum", 8) is None
-        assert kernels.scorer_for(group, None, "max", 8) is None
-        assert kernels.scorer_for(np.zeros((4, 3)), None, "sum", 8) is None
-
-    def test_rejects_non_2d_groups(self):
-        with pytest.raises(ValueError, match="2-D"):
-            kernels.Scorer2D(np.zeros((4, 3)), 8)
 
 
 class TestEngineIntegration:
