@@ -1,15 +1,15 @@
-"""Observability end-to-end: traces, metrics, slow queries, live scraping.
+"""Observability end-to-end: traces, slow queries, metrics, live scraping.
 
 Everything the ``repro.obs`` layer offers, on one screen:
 
-1. enable the whole layer — tracer, metrics registry, slow-query log,
-   structured JSON event logging;
+1. enable the whole layer — the tracer (keeping the trees of slow
+   queries) and structured JSON event logging;
 2. serve the bench's Poisson/Zipf request trace from a multi-process
    :class:`~repro.serve.GNNServer` with the admin HTTP endpoint up;
 3. scrape ``/metrics`` (Prometheus text) *while* the trace replays —
    the collectors sample the live ``stats()`` surfaces at scrape time;
 4. read back one request's complete span tree (front process → worker
-   process and back) and the slow-query log's structured records.
+   process and back) and the slowest requests' trees.
 
 Run with ``PYTHONPATH=src python examples/observability.py``.
 """
@@ -65,7 +65,7 @@ def main() -> None:
     # this stream as JSON lines; a real deployment would leave the
     # default (stderr) or point it at a file.
     events = io.StringIO()
-    tracer, _registry, slow = enable_all(
+    tracer = enable_all(
         slow_threshold_s=0.010,  # 10 ms — low enough to catch real entries
         log_stream=events,
     )
@@ -110,14 +110,10 @@ def main() -> None:
         print(f"span tree of request trace_id={sample.trace_id}:")
         indent_tree(tracer.tree(sample.trace_id))
 
-        print(f"\nslow-query log ({slow.recorded} of {slow.observed} observed):")
-        for entry in slow.entries()[-3:]:
-            cost = entry.get("cost") or {}
-            print(
-                f"  {entry['kind']}: {1000 * entry['latency_s']:.1f} ms  "
-                f"{cost.get('node_accesses', '?')} node accesses  "
-                f"trace={entry.get('trace_id')}"
-            )
+        slow = tracer.slow_traces()
+        print(f"\nslow requests ({len(slow)} of {len(results)} took 10 ms or more):")
+        for tree in slow[-2:]:
+            indent_tree(tree)
 
         event_lines = events.getvalue().splitlines()
         print(f"\nstructured events emitted: {len(event_lines)}")

@@ -50,7 +50,6 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as tmp:
         with GNNServer.from_points(restaurants, tmp, workers=WORKERS) as server:
-            handle = server.handle()
             print(f"server up: {server!r}")
 
             # Replay the trace at its recorded arrival times.
@@ -60,7 +59,7 @@ def main() -> None:
                 delay = started + request.arrival_s - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
-                futures.append(handle.submit(spec))
+                futures.append(server.submit(spec))
             results = [future.result(timeout=60) for future in futures]
             elapsed = time.perf_counter() - started
             print(
@@ -68,7 +67,7 @@ def main() -> None:
                 f"({len(results) / elapsed:,.0f} req/s sustained)"
             )
 
-            stats = handle.stats()
+            stats = server.stats()
             print(
                 f"micro-batching: {stats['total']['batches']} batches, "
                 f"largest {stats['total']['largest_batch']}, "
@@ -81,14 +80,14 @@ def main() -> None:
             # Hot-swap: a new restaurant opens at the group's geometric
             # median — the sum-distance optimum, so it must take over.
             hot_group = trace[0].group
-            before = handle.run(QuerySpec(group=hot_group, k=1), timeout=60)
+            before = server.submit(QuerySpec(group=hot_group, k=1)).result(timeout=60)
             newcomer = hot_group.mean(axis=0)
             for _ in range(50):  # Weiszfeld iteration
                 gaps = np.maximum(np.linalg.norm(hot_group - newcomer, axis=1), 1e-12)
                 newcomer = (hot_group / gaps[:, None]).sum(axis=0) / (1.0 / gaps).sum()
             grown = GNNEngine(np.vstack([restaurants, newcomer]))
             epoch = server.publish_snapshot(grown)
-            after = handle.run(QuerySpec(group=hot_group, k=1), timeout=60)
+            after = server.submit(QuerySpec(group=hot_group, k=1)).result(timeout=60)
             print(
                 f"hot-swap to generation {epoch}: nearest restaurant went "
                 f"from record {before.best.record_id} to record "

@@ -69,7 +69,6 @@ from repro.core.mbm import mbm_batch
 from repro.core.types import GNNResult, GroupNeighbor, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.geometry.hilbert import hilbert_indices
-from repro.obs import slowlog as obs_slowlog
 from repro.obs import trace as obs_trace
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -163,18 +162,16 @@ def execute_spec(
 ) -> GNNResult:
     """Plan (unless a plan is supplied) and execute one spec.
 
-    With a tracer or slow-query log enabled (:mod:`repro.obs`) the call
-    is wrapped in a ``query`` span tree and threshold-checked; the
-    common disabled path pays exactly two module-global ``is None``
-    reads on top of the classic code.
+    With a tracer enabled (:mod:`repro.obs.trace`) the call is wrapped in
+    a ``query`` span tree; the common disabled path pays exactly one
+    module-global ``is None`` read on top of the classic code.
     """
     tracer = obs_trace.get()
-    slow = obs_slowlog.get()
-    if tracer is None and slow is None:
+    if tracer is None:
         if plan is None:
             plan = (planner or QueryPlanner()).plan(spec)
         return _run_planned(context, spec, plan)
-    return _execute_observed(context, spec, planner, plan, tracer, slow)
+    return _execute_traced(context, spec, planner, plan, tracer)
 
 
 def _run_planned(
@@ -194,76 +191,50 @@ def _run_planned(
     return result
 
 
-def _execute_observed(
+def _execute_traced(
     context: ExecutionContext,
     spec: QuerySpec,
     planner: QueryPlanner | None,
     plan: QueryPlan | None,
     tracer,
-    slow,
 ) -> GNNResult:
-    """:func:`execute_spec` with observability on: span tree + slow log.
+    """:func:`execute_spec` with tracing on: the ``query`` span tree.
 
-    The ``query`` root span's counter attributes are copied from
-    ``result.cost`` *after* execution, so for a single query they
-    reconcile exactly — by construction — with both the result's cost
-    and the index's stats delta (pinned by the obs test suite).
+    The ``query`` root carries the spec's label, the plan's algorithm
+    and rationale (also for a plan handed in, which has no
+    ``query.plan`` span) and every field of ``result.cost``, copied
+    *after* execution — so for a single query its counters reconcile
+    exactly, by construction, with both the result's cost and the
+    index's stats delta (pinned by the obs test suite).
     """
-    started = time.perf_counter()
-    root = (
-        tracer.start(
-            "query",
-            k=spec.k,
-            group_size=spec.cardinality,
-            aggregate=spec.aggregate,
-        )
-        if tracer is not None
-        else None
-    )
+    attrs = {"k": spec.k, "group_size": spec.cardinality, "aggregate": spec.aggregate}
+    if spec.label is not None:
+        attrs["label"] = spec.label
+    root = tracer.start("query", **attrs)
     try:
         if plan is None:
-            plan_span = (
-                tracer.start("query.plan", parent=root) if tracer is not None else None
-            )
+            plan_span = tracer.start("query.plan", parent=root)
             plan = (planner or QueryPlanner()).plan(spec)
-            if plan_span is not None:
-                tracer.finish(
-                    plan_span,
-                    algorithm=plan.algorithm.name,
-                    residency=plan.residency,
-                    rationale=plan.rationale,
-                )
-        execute_span = (
-            tracer.start("query.execute", parent=root) if tracer is not None else None
-        )
+            tracer.finish(
+                plan_span,
+                algorithm=plan.algorithm.name,
+                residency=plan.residency,
+                rationale=plan.rationale,
+            )
+        execute_span = tracer.start("query.execute", parent=root)
         result = _run_planned(context, spec, plan)
-        if execute_span is not None:
-            tracer.finish(execute_span, algorithm=result.cost.algorithm)
+        tracer.finish(execute_span, algorithm=result.cost.algorithm)
     except BaseException as error:
-        if root is not None:
-            tracer.finish(root, outcome="error", error=str(error))
+        tracer.finish(root, outcome="error", error=str(error))
         raise
-    elapsed = time.perf_counter() - started
-    if root is not None:
-        tracer.finish(
-            root,
-            outcome="ok",
-            algorithm=result.cost.algorithm,
-            node_accesses=result.cost.node_accesses,
-            leaf_accesses=result.cost.leaf_accesses,
-            page_faults=result.cost.page_faults,
-            distance_computations=result.cost.distance_computations,
-        )
-        result.trace_id = root["trace_id"]
-    if slow is not None:
-        slow.observe(
-            elapsed,
-            kind="query",
-            spec=spec,
-            plan=plan,
-            cost=result.cost,
-            trace_id=None if root is None else root["trace_id"],
-        )
+    tracer.finish(
+        root,
+        outcome="ok",
+        plan=plan.algorithm.name,
+        rationale=plan.rationale,
+        **result.cost.as_dict(),
+    )
+    result.trace_id = root["trace_id"]
     return result
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from repro.api.executor import ExecutionContext, execute_spec
 from repro.api.planner import QueryPlanner
 from repro.api.spec import DISK, QuerySpec
+from repro.core.gcp import PairCapExceeded
 from repro.rtree.flat import FlatRTree
 
 MEMORY_ALGORITHMS = ("MQM", "SPM", "MBM")
@@ -191,15 +192,18 @@ def run_disk_setting(
             algorithm=DISK_VARIANTS[name],
             options=options,
         )
-        outcome = execute_spec(context, spec, planner=planner)
-        if name == "GCP" and "aborted" in outcome.cost.algorithm:
+        try:
+            outcome = execute_spec(context, spec, planner=planner)
+        except PairCapExceeded as capped:
+            # A capped GCP run has a cost but no answer to check.
             averages.notes = "did not terminate within the pair cap"
+            _accumulate(averages, capped.cost)
+            _finalise(averages)
+            continue
         _accumulate(averages, outcome.cost)
         _finalise(averages)
 
         distances = np.array(outcome.distances())
-        if averages.notes:
-            continue  # an aborted GCP run cannot be used as a correctness reference
         if reference_distances is None:
             reference_distances = distances
         elif distances.size and not np.allclose(

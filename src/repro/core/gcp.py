@@ -16,6 +16,9 @@ Two mechanisms bound the work:
 * **Global threshold T** — the maximum per-candidate threshold
   ``t = (best_dist - curr_dist) / (n - counter)``; once the emitted pair
   distance reaches ``T`` no candidate can improve, so GCP stops.
+
+A run stopped by its ``max_pairs`` cap has no exact answer yet, so it
+raises :class:`PairCapExceeded` instead of returning one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,19 @@ from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, QueryCost
 from repro.rtree.closest_pairs import incremental_closest_pairs
 from repro.rtree.flat import FlatRTree
+
+
+class PairCapExceeded(RuntimeError):
+    """GCP emitted ``max_pairs`` pairs without terminating.
+
+    Its candidates are incomplete, so no exact top-k exists; ``cost`` is
+    the run's :class:`QueryCost` up to the cap.
+    """
+
+    def __init__(self, max_pairs: int, cost: QueryCost):
+        super().__init__(f"GCP did not terminate within max_pairs={max_pairs} pairs")
+        self.max_pairs = max_pairs
+        self.cost = cost
 
 
 class _Candidate:
@@ -53,11 +69,12 @@ def gcp(
     k:
         Number of group nearest neighbors to return.
     max_pairs:
-        Optional safety valve: abort after this many emitted pairs.  The
-        paper observes that GCP may effectively not terminate when the
-        query workspace is large relative to the data workspace; the
-        experiment harness uses this cap to reproduce that observation
-        without hanging.  ``None`` (default) means no cap.
+        Optional safety valve: raise :class:`PairCapExceeded` once the
+        stream emits more pairs than this.  The paper observes that GCP
+        may effectively not terminate when the query workspace is large
+        relative to the data workspace; the experiment harness uses this
+        cap to reproduce that observation without hanging.  ``None``
+        (default) means no cap.
 
     Notes
     -----
@@ -77,13 +94,11 @@ def gcp(
     completed: set[int] = set()
     threshold = 0.0
     pairs_emitted = 0
-    terminated_by_cap = False
 
     for pair in incremental_closest_pairs(data_tree, query_tree):
         pairs_emitted += 1
         if max_pairs is not None and pairs_emitted > max_pairs:
-            terminated_by_cap = True
-            break
+            raise PairCapExceeded(max_pairs, tracker.finish())
         record_id = pair.data_id
         pair_distance = pair.distance
 
@@ -126,10 +141,7 @@ def gcp(
         if best.is_full() and (pair_distance >= threshold or not candidates):
             break
 
-    cost = tracker.finish()
-    if terminated_by_cap:
-        cost.algorithm = "GCP (aborted at pair cap)"
-    return GNNResult(neighbors=best.neighbors(), cost=cost)
+    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
 
 
 def _reprune(candidates, completed, n, pair_distance, best) -> float:

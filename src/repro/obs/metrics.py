@@ -17,16 +17,9 @@ gauges, ``repro_serve_worker_*_total``          ``start_exposition()``
 ``repro_storage_page_reads_total``              (mounted by the caller)
 ==============================================  =========================
 
-Two mechanisms coexist:
-
-* **direct metrics** — :class:`Counter` / :class:`Gauge` /
-  :class:`Histogram` objects created via the registry, updated by
-  callers, snapshottable and *mergeable* exactly like counter snapshot
-  dicts (:func:`MetricsRegistry.merge` is key-wise addition, the same
-  contract as :func:`repro.storage.counters.merge_snapshots`);
-* **collectors** — zero-hot-path-cost adapters registered with
-  :meth:`MetricsRegistry.register`, sampled only at scrape time from
-  the live ``stats()`` snapshots the subsystems already maintain.
+Collectors are zero-hot-path-cost adapters registered with
+:meth:`MetricsRegistry.register`, sampled only at scrape time from the
+live ``stats()`` snapshots the subsystems already maintain.
 
 Rendering to the Prometheus text format lives in
 :mod:`repro.obs.exposition`.
@@ -34,13 +27,14 @@ Rendering to the Prometheus text format lives in
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass, field
 
-#: Default histogram buckets (seconds) — tuned for query latencies that
-#: range from tens of microseconds (memory) to whole seconds (degraded
-#: shard fan-outs).
-DEFAULT_BUCKETS = (
+#: Fixed buckets (seconds) of ``repro_serve_latency_seconds`` — query
+#: latencies range from tens of microseconds (memory) to whole seconds
+#: (degraded shard fan-outs).
+SERVE_LATENCY_BUCKETS = (
     0.0001,
     0.00025,
     0.0005,
@@ -78,150 +72,13 @@ class MetricFamily:
     samples: list = field(default_factory=list)
 
 
-class Counter:
-    """A monotonically increasing value."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def family(self) -> MetricFamily:
-        return MetricFamily(
-            self.name, self.kind, self.help, [Sample(self.name, {}, self._value)]
-        )
-
-    def state(self):
-        return self._value
-
-    def merge_state(self, state) -> None:
-        with self._lock:
-            self._value += float(state)
-
-
-class Gauge:
-    """A value that can go up and down."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def family(self) -> MetricFamily:
-        return MetricFamily(
-            self.name, self.kind, self.help, [Sample(self.name, {}, self._value)]
-        )
-
-    def state(self):
-        return self._value
-
-    def merge_state(self, state) -> None:
-        # Merging gauges across workers sums them (pending depths add).
-        with self._lock:
-            self._value += float(state)
-
-
-class Histogram:
-    """Fixed-bucket histogram (cumulative counts, Prometheus-style)."""
-
-    kind = "histogram"
-
-    def __init__(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS):
-        self.name = name
-        self.help = help
-        self.buckets = tuple(sorted(float(b) for b in buckets))
-        if not self.buckets:
-            raise ValueError("a histogram needs at least one bucket bound")
-        self._counts = [0] * (len(self.buckets) + 1)  # + overflow (+Inf)
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            self._sum += value
-            self._count += 1
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[index] += 1
-                    return
-            self._counts[-1] += 1
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def sum(self) -> float:
-        return self._sum
-
-    def family(self) -> MetricFamily:
-        with self._lock:
-            counts = list(self._counts)
-            total, summed = self._count, self._sum
-        return histogram_family(
-            self.name, self.buckets, counts, summed, total, self.help
-        )
-
-    def state(self):
-        with self._lock:
-            return {
-                "buckets": list(self._counts),
-                "sum": self._sum,
-                "count": self._count,
-            }
-
-    def merge_state(self, state) -> None:
-        counts = state["buckets"]
-        if len(counts) != len(self._counts):
-            raise ValueError(f"bucket mismatch merging histogram {self.name!r}")
-        with self._lock:
-            for index, count in enumerate(counts):
-                self._counts[index] += int(count)
-            self._sum += float(state["sum"])
-            self._count += int(state["count"])
-
-
 def histogram_family(
     name: str, buckets, counts, summed: float, total: int, help: str = "", labels=None
 ) -> MetricFamily:
     """Build a histogram family from per-bucket (non-cumulative) counts.
 
-    Shared by :class:`Histogram` and collectors that derive histograms
-    from raw samples at scrape time (e.g. the server latency reservoir).
+    ``counts`` may carry one extra trailing entry: the overflow past the
+    last bound, counted only by the ``+Inf`` bucket.
     """
     labels = dict(labels or {})
     samples = []
@@ -247,107 +104,27 @@ def format_float(value: float) -> str:
 
 
 class MetricsRegistry:
-    """Owns direct metrics and scrape-time collectors.
+    """The scrape-time collectors one exposition endpoint renders.
 
-    Direct metrics are created with :meth:`counter` / :meth:`gauge` /
-    :meth:`histogram` (get-or-create by name).  Collectors are callables
-    returning an iterable of :class:`MetricFamily`; they are invoked
-    only by :meth:`collect`, so registering one adds nothing to any
-    query hot path.
+    Collectors are callables returning an iterable of
+    :class:`MetricFamily`; they are invoked only by :meth:`collect`, so
+    registering one adds nothing to any query hot path.
     """
 
     def __init__(self):
-        self._metrics: dict = {}
         self._collectors: list = []
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-    # direct metrics
-    # ------------------------------------------------------------------
-    def _get_or_create(self, cls, name: str, help: str, **kwargs):
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as {existing.kind}"
-                    )
-                return existing
-            metric = cls(name, help, **kwargs)
-            self._metrics[name] = metric
-            return metric
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
-
-    def histogram(self, name: str, help: str = "", buckets=DEFAULT_BUCKETS) -> Histogram:
-        return self._get_or_create(Histogram, name, help, buckets=buckets)
-
-    # ------------------------------------------------------------------
-    # collectors
-    # ------------------------------------------------------------------
     def register(self, collector) -> None:
         """Add a scrape-time collector (``() -> iterable[MetricFamily]``)."""
         with self._lock:
             self._collectors.append(collector)
 
-    def unregister(self, collector) -> None:
-        with self._lock:
-            self._collectors.remove(collector)
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
     def collect(self) -> list[MetricFamily]:
-        """Every family: direct metrics first, then collector output."""
+        """Every collector's families, in registration order."""
         with self._lock:
-            metrics = list(self._metrics.values())
             collectors = list(self._collectors)
-        families = [metric.family() for metric in metrics]
-        for collector in collectors:
-            families.extend(collector())
-        return families
-
-    # ------------------------------------------------------------------
-    # snapshot / merge — the existing counter-dict contract
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """Direct metrics as a plain dict (counters/gauges: numbers;
-        histograms: ``{"buckets": [...], "sum": s, "count": n}``).
-
-        Collector-backed families are intentionally excluded — their
-        sources (worker counters, coordinator stats) already have their
-        own mergeable snapshots.
-        """
-        with self._lock:
-            metrics = dict(self._metrics)
-        return {name: metric.state() for name, metric in metrics.items()}
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` dict in by key-wise addition.
-
-        Unknown names are created as counters (numeric state) or
-        histograms with default buckets (dict state) so merging across
-        heterogeneous workers carries the union of keys, mirroring
-        :func:`repro.storage.counters.merge_snapshots`.
-        """
-        for name, state in snapshot.items():
-            with self._lock:
-                metric = self._metrics.get(name)
-            if metric is None:
-                if isinstance(state, dict):
-                    buckets = DEFAULT_BUCKETS
-                    if len(state["buckets"]) != len(buckets) + 1:
-                        raise ValueError(
-                            f"cannot infer buckets for unknown histogram {name!r}"
-                        )
-                    metric = self.histogram(name)
-                else:
-                    metric = self.counter(name)
-            metric.merge_state(state)
+        return [family for collector in collectors for family in collector()]
 
 
 # ----------------------------------------------------------------------
@@ -387,9 +164,6 @@ def counters_collector(prefix: str, source):
 
     return collect
 
-
-#: Fixed buckets for ``repro_serve_latency_seconds``.
-SERVE_LATENCY_BUCKETS = DEFAULT_BUCKETS
 
 #: ``server.stats()`` entries exported one family each:
 #: ``(section, name prefix, kind, help prefix, keys)``.
@@ -440,14 +214,20 @@ def server_collector(server):
         )
         latency_seconds = getattr(server, "latency_seconds", None)
         if latency_seconds is not None:
-            histogram = Histogram(
-                "repro_serve_latency_seconds",
-                "Request latency (reservoir)",
-                SERVE_LATENCY_BUCKETS,
+            values = latency_seconds()
+            counts = [0] * (len(SERVE_LATENCY_BUCKETS) + 1)  # + overflow (+Inf)
+            for value in values:
+                counts[bisect.bisect_left(SERVE_LATENCY_BUCKETS, value)] += 1
+            families.append(
+                histogram_family(
+                    "repro_serve_latency_seconds",
+                    SERVE_LATENCY_BUCKETS,
+                    counts,
+                    float(sum(values)),
+                    len(values),
+                    "Request latency (reservoir)",
+                )
             )
-            for value in latency_seconds():
-                histogram.observe(value)
-            families.append(histogram.family())
         return families
 
     return collect
@@ -488,27 +268,3 @@ def coordinator_collector(coordinator):
         return families
 
     return collect
-
-
-# ----------------------------------------------------------------------
-# the process-default registry (faults.py-style gate)
-# ----------------------------------------------------------------------
-_active: MetricsRegistry | None = None
-
-
-def get() -> MetricsRegistry | None:
-    """The installed process-default registry, or ``None``."""
-    return _active
-
-
-def enable() -> MetricsRegistry:
-    """Install (or return the existing) process-default registry."""
-    global _active
-    if _active is None:
-        _active = MetricsRegistry()
-    return _active
-
-
-def disable() -> None:
-    global _active
-    _active = None

@@ -23,8 +23,10 @@ Quickstart::
 
     from repro.serve import GNNServer
     with GNNServer.from_points(points, tmpdir, workers=4) as server:
-        handle = server.handle()
-        result = handle.run(QuerySpec(group=group, k=3))
+        result = server.submit(QuerySpec(group=group, k=3)).result()
+
+``submit`` returns a ``concurrent.futures.Future``; asyncio code awaits
+``asyncio.wrap_future(server.submit(spec))``.
 
 Answers are bit-identical to sequential ``engine.execute`` — batching
 and parallelism change the schedule, never the arithmetic.
@@ -34,27 +36,21 @@ from repro.serve.compaction import CompactingWriter
 from repro.serve.protocol import check_servable
 from repro.serve.scheduler import MicroBatcher
 from repro.serve.server import (
-    AsyncServerHandle,
     GNNServer,
-    ServerHandle,
     ServerOverloadedError,
     ServingError,
     WorkerDiedError,
-    default_worker_count,
 )
 from repro.serve.stats import ServerStats, ServingCounters
 
 __all__ = [
-    "AsyncServerHandle",
     "CompactingWriter",
     "GNNServer",
     "MicroBatcher",
-    "ServerHandle",
     "ServerOverloadedError",
     "ServerStats",
     "ServingCounters",
     "ServingError",
     "WorkerDiedError",
     "check_servable",
-    "default_worker_count",
 ]

@@ -16,19 +16,17 @@
   ``execute_many`` (shared traversals where members are compatible);
 * **futures** — ``submit`` returns a ``concurrent.futures.Future``; a
   reply thread resolves it with the worker's result (or a
-  :class:`ServingError`) and feeds the latency reservoir;
+  :class:`ServingError`) and feeds the latency reservoir.  Block with
+  ``server.submit(spec).result()``, or await it from asyncio code with
+  ``await asyncio.wrap_future(server.submit(spec))``;
 * **hot-swap** — :meth:`publish_snapshot` persists a successor snapshot
   under the next generation token and :meth:`swap_snapshot` re-points
   dispatch at it; workers finish their in-flight batch, then remap.
-
-:class:`ServerHandle` / :class:`AsyncServerHandle` are the client
-facades (sync and ``asyncio``).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue
 import threading
 import time
@@ -40,8 +38,6 @@ from repro.api.executor import SHARED_BUCKET_MAX_MEMBERS, shared_bucket_key
 from repro.api.planner import QueryPlanner
 from repro.api.spec import QuerySpec
 from repro.core.engine import GNNEngine
-from repro.core.types import GNNResult
-from repro.obs import slowlog as obs_slowlog
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
 from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
@@ -247,18 +243,17 @@ class GNNServer:
             key = ("shared", *key)
 
         root_span = None
-        if trace_parent is not None:
+        if trace_parent is not None or obs_trace.get() is not None:
+            trace_id, parent_id = trace_parent or (None, None)
             root_span = obs_trace.start_span(
                 "serve.request",
-                trace_id=trace_parent[0],
-                parent_id=trace_parent[1],
+                trace_id=trace_id,
+                parent_id=parent_id,
                 k=spec.k,
                 group_size=len(spec.group),
             )
-        elif obs_trace.get() is not None:
-            root_span = obs_trace.start_span(
-                "serve.request", k=spec.k, group_size=len(spec.group)
-            )
+            if spec.label is not None:
+                root_span["attrs"]["label"] = spec.label
 
         future: Future = Future()
         with self._cond:
@@ -293,14 +288,6 @@ class GNNServer:
         already-admitted prefix was accepted (those futures stay live).
         """
         return [self.submit(spec) for spec in specs]
-
-    def handle(self) -> "ServerHandle":
-        """A synchronous client facade bound to this server."""
-        return ServerHandle(self)
-
-    def async_handle(self) -> "AsyncServerHandle":
-        """An ``asyncio`` client facade bound to this server."""
-        return AsyncServerHandle(self)
 
     # ------------------------------------------------------------------
     # observability
@@ -744,89 +731,9 @@ class GNNServer:
                 if future is None:
                     continue
                 latency = now - submitted if submitted is not None else 0.0
-                slow = obs_slowlog.get()
-                if slow is not None:
-                    slow.observe(
-                        latency,
-                        kind="serve",
-                        cost=None if result is None else result.cost,
-                        trace_id=None if result is None else result.trace_id,
-                        **({"error": error} if error is not None else {}),
-                    )
                 if error is not None:
                     self._stats.record_outcome(latency, failed=True)
                     future.set_exception(ServingError(error))
                 else:
                     self._stats.record_outcome(latency)
                     future.set_result(result)
-
-
-class ServerHandle:
-    """Synchronous client facade over a :class:`GNNServer`.
-
-    The handle is what application code should hold: it exposes
-    ``submit`` (future), ``submit_many`` (futures) and the blocking
-    conveniences ``run`` / ``run_many``, plus the server's stats.
-    """
-
-    def __init__(self, server: GNNServer):
-        self._server = server
-
-    def submit(self, spec: QuerySpec) -> Future:
-        """Submit one spec; returns its future."""
-        return self._server.submit(spec)
-
-    def submit_many(self, specs: Sequence[QuerySpec]) -> list[Future]:
-        """Submit many specs; returns their futures in order."""
-        return self._server.submit_many(specs)
-
-    def run(self, spec: QuerySpec, timeout: float | None = None) -> GNNResult:
-        """Submit one spec and block for its result."""
-        return self._server.submit(spec).result(timeout=timeout)
-
-    def run_many(
-        self, specs: Sequence[QuerySpec], timeout: float | None = None
-    ) -> list[GNNResult]:
-        """Submit many specs and block for all results (input order)."""
-        futures = self._server.submit_many(specs)
-        return [future.result(timeout=timeout) for future in futures]
-
-    def stats(self) -> dict:
-        """The server's statistics snapshot."""
-        return self._server.stats()
-
-
-class AsyncServerHandle:
-    """``asyncio`` client facade: awaitable submission over the same server.
-
-    The server stays thread-and-process based; this wrapper only bridges
-    its ``concurrent.futures`` futures into the running event loop, so
-    an async application can ``await handle.submit(spec)`` without
-    blocking the loop while workers execute.
-    """
-
-    def __init__(self, server: GNNServer):
-        self._server = server
-
-    async def submit(self, spec: QuerySpec) -> GNNResult:
-        """Submit one spec and await its result."""
-        import asyncio
-
-        return await asyncio.wrap_future(self._server.submit(spec))
-
-    async def submit_many(self, specs: Sequence[QuerySpec]) -> list[GNNResult]:
-        """Submit many specs and await all results (input order)."""
-        import asyncio
-
-        futures = [asyncio.wrap_future(f) for f in self._server.submit_many(specs)]
-        return list(await asyncio.gather(*futures))
-
-    def stats(self) -> dict:
-        """The server's statistics snapshot."""
-        return self._server.stats()
-
-
-# Re-exported for os.cpu_count-based sizing in examples/benchmarks.
-def default_worker_count() -> int:
-    """A reasonable worker count for this machine (cpu count, min 1)."""
-    return max(1, os.cpu_count() or 1)

@@ -153,6 +153,9 @@ def worker_main(
     io_stall_s_per_access: float = 0.0,
 ) -> None:
     """Process entry point: map the snapshot, drain batches until shutdown."""
+    # A forked worker traces nothing itself: its spans reach the front's
+    # tracer only on the reply, never through the inherited sink.
+    obs_trace.drop_inherited()
     engine, generation = _load_engine(snapshot_path)
     current_epoch = epoch
     while True:

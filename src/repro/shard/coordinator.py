@@ -75,7 +75,6 @@ import numpy as np
 
 from repro.api.spec import AUTO, MEMORY, SHARDED, WITHIN, QuerySpec
 from repro.core.types import GNNResult, QueryCost
-from repro.obs import slowlog as obs_slowlog
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
 from repro.serve.protocol import encode_spec, pack_frame, read_frame
@@ -485,27 +484,18 @@ class ShardCoordinator:
         # One shared budget for the whole query: every sub-query attempt
         # (and its backoff sleep) draws from it, so a retried shard can
         # never stretch the query past the caller's deadline.
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        deadline = started + self.deadline_s
+        deadline = asyncio.get_running_loop().time() + self.deadline_s
         tracer = obs_trace.get()
-        slow = obs_slowlog.get()
-        # Per-shard timing records, collected for the trace *and* the
-        # slow-query log; ``None`` (the common case) keeps the wave loop
-        # at one extra ``is None`` check per shard.
-        obs_records: list | None = (
-            [] if tracer is not None or slow is not None else None
-        )
-        root_span = (
-            tracer.start(
+        root_span = None
+        if tracer is not None:
+            root_span = tracer.start(
                 "shard.query",
                 k=spec.k,
                 group_size=len(spec.group),
                 shard_count=self.manifest.shard_count,
             )
-            if tracer is not None
-            else None
-        )
+            if spec.label is not None:
+                root_span["attrs"]["label"] = spec.label
         try:
             group = np.asarray(spec.group, dtype=np.float64)
             route_span = (
@@ -541,7 +531,11 @@ class ShardCoordinator:
                         group, spec.k, spec.weights, spec.aggregate
                     )
             if route_span is not None:
-                tracer.finish(route_span, tau0=tau0)
+                # A bound is stamped only when there is one: the trace
+                # JSONL is strict JSON, which has no infinity.
+                if tau0 < math.inf:
+                    route_span["attrs"]["tau0"] = tau0
+                tracer.finish(route_span)
             # Push tau0 down as every sub-query's ceiling (disk-resident
             # specs are rejected by the nodes, with or without it).
             bounded = payload
@@ -573,13 +567,7 @@ class ShardCoordinator:
                 sent = bounded if tau0 < math.inf else payload
                 replies = await asyncio.gather(
                     *(
-                        self._query_shard(
-                            sid,
-                            sent,
-                            deadline,
-                            parent_span=root_span,
-                            obs_records=obs_records,
-                        )
+                        self._query_shard(sid, sent, deadline, parent_span=root_span)
                         for sid in targets
                     ),
                     return_exceptions=True,
@@ -642,16 +630,6 @@ class ShardCoordinator:
                 distance_computations=cost.distance_computations,
             )
             result.trace_id = root_span["trace_id"]
-        if slow is not None:
-            slow.observe(
-                loop.time() - started,
-                kind="coordinator",
-                spec=spec,
-                cost=cost,
-                trace_id=None if root_span is None else root_span["trace_id"],
-                shards=obs_records,
-                degraded=bool(failed),
-            )
         return result
 
     @staticmethod
@@ -675,7 +653,6 @@ class ShardCoordinator:
         payload: dict,
         deadline: float,
         parent_span: dict | None = None,
-        obs_records: list | None = None,
     ) -> GNNResult:
         """One sub-query: breaker-gated failover, budgeted timeout, retries.
 
@@ -690,38 +667,23 @@ class ShardCoordinator:
         span covers the whole sub-query and every attempt gets its own
         ``shard.attempt`` child annotated with the attempt number, the
         replica it hit, the breaker state at dispatch and the outcome;
-        spans the node shipped back ride into the local tracer.
-        ``obs_records`` (when given) collects a per-shard timing record
-        for the slow-query log.
+        spans the node shipped back ride into the local tracer.  The
+        dispatch span carries the sub-query's ``within`` ceiling only
+        when it was sent one.
         """
         loop = asyncio.get_running_loop()
         tracer = obs_trace.get() if parent_span is not None else None
-        dispatch_span = (
-            tracer.start(
-                "shard.dispatch",
-                parent=parent_span,
-                shard=shard_id,
-                within=payload["options"].get(WITHIN, math.inf),
-            )
-            if tracer is not None
-            else None
-        )
-        observing = dispatch_span is not None or obs_records is not None
-        query_started = loop.time() if observing else 0.0
+        dispatch_span = None
+        if tracer is not None:
+            dispatch_span = tracer.start("shard.dispatch", parent=parent_span, shard=shard_id)
+            within = payload["options"].get(WITHIN, math.inf)
+            if within < math.inf:
+                dispatch_span["attrs"][WITHIN] = within
         attempts_made = 0
 
         def _conclude(outcome: str) -> None:
             if dispatch_span is not None:
                 tracer.finish(dispatch_span, outcome=outcome, attempts=attempts_made)
-            if obs_records is not None:
-                obs_records.append(
-                    {
-                        "shard": shard_id,
-                        "elapsed_s": loop.time() - query_started,
-                        "attempts": attempts_made,
-                        "outcome": outcome,
-                    }
-                )
 
         attempts = self.retries + 1
         last_error: Exception | None = None

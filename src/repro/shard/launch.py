@@ -26,8 +26,12 @@ from repro.serve.server import _default_start_method
 
 def _node_process_main(conn, shard_id, snapshot_path, options) -> None:
     """Child entry point: serve until the parent signals or vanishes."""
+    from repro.obs import trace as obs_trace
     from repro.shard.node import ShardNode
 
+    # The node's spans ride back on its replies; the parent's tracer
+    # (and its sink) must not be written from here.
+    obs_trace.drop_inherited()
     try:
         node = ShardNode(shard_id, snapshot_path, **options)
     except Exception as error:

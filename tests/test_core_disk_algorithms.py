@@ -6,7 +6,7 @@ import pytest
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.fmbm import fmbm
 from repro.core.fmqm import fmqm
-from repro.core.gcp import gcp
+from repro.core.gcp import PairCapExceeded, gcp
 from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
 from repro.storage.pointfile import PointFile
@@ -54,11 +54,32 @@ class TestGCP:
         _, tree, _, _ = disk_setup
         assert gcp(tree, EMPTY, k=1).neighbors == []
 
-    def test_pair_cap_marks_result_as_aborted(self, disk_setup):
+    def test_pair_cap_raises_with_the_runs_cost(self, disk_setup):
         _, tree, _, spread = disk_setup
         query_tree = FlatRTree.bulk_load(spread, capacity=16)
-        result = gcp(tree, query_tree, k=1, max_pairs=100)
-        assert "aborted" in result.cost.algorithm
+        with pytest.raises(PairCapExceeded, match="max_pairs=100") as capped:
+            gcp(tree, query_tree, k=1, max_pairs=100)
+        assert capped.value.max_pairs == 100
+        assert capped.value.cost.algorithm == "GCP"
+        assert capped.value.cost.node_accesses > 0
+
+    @pytest.mark.parametrize("max_pairs", [20, 200, 800])
+    def test_capped_engine_query_returns_no_answer(self, max_pairs):
+        """A capped run's candidates are incomplete, so through
+        ``engine.execute`` it must raise, not return ``[]`` or a wrong top-k."""
+        from repro import GNNEngine, QuerySpec
+
+        rng = np.random.default_rng(7)
+        engine = GNNEngine(rng.uniform(0, 1000, size=(3000, 2)))
+        spec = QuerySpec(
+            group=rng.uniform(200, 800, size=(6, 2)),
+            k=3,
+            residency="disk",
+            algorithm="gcp",
+            options={"max_pairs": max_pairs},
+        )
+        with pytest.raises(PairCapExceeded):
+            engine.execute(spec)
 
     def test_charges_node_accesses_on_both_trees(self, disk_setup):
         _, tree, clustered, _ = disk_setup

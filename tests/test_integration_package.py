@@ -35,12 +35,21 @@ PUBLIC_NAMES = {
         "flat_incremental_nearest_generic", "incremental_closest_pairs",
         "incremental_nearest",
     },
+    "repro.serve": {
+        "CompactingWriter", "GNNServer", "MicroBatcher", "ServerOverloadedError",
+        "ServerStats", "ServingCounters", "ServingError", "WorkerDiedError",
+        "check_servable",
+    },
+    "repro.obs": {
+        "MetricsRegistry", "Tracer", "disable_all", "enable_all", "logging",
+        "metrics", "orphan_spans", "trace",
+    },
 }
 
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "4.0.0"
+        assert repro.__version__ == "5.0.0"
 
     @pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))
     def test_public_names_are_pinned(self, package):

@@ -1,4 +1,4 @@
-"""Tests for the observability layer: tracing, metrics, exposition, slow log.
+"""Tests for the observability layer: tracing, slow traces, metrics, exposition.
 
 The unit tests pin the span/metric primitives and the Prometheus text
 renderer (validated with a tiny in-test parser — the repo takes no new
@@ -19,14 +19,9 @@ import pytest
 from repro import GNNEngine, QuerySpec
 from repro.obs import disable_all, enable_all, orphan_spans
 from repro.obs import logging as obslog
-from repro.obs import metrics as obsmetrics
-from repro.obs import slowlog as obsslowlog
 from repro.obs import trace as obstrace
 from repro.obs.exposition import HttpExposition, render, render_dashboard, scrape_node
 from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
     MetricFamily,
     MetricsRegistry,
     Sample,
@@ -35,8 +30,8 @@ from repro.obs.metrics import (
     histogram_family,
     server_collector,
 )
-from repro.obs.slowlog import SlowQueryLog
 from repro.obs.trace import (
+    SLOW_TRACES,
     Tracer,
     child_span,
     finish_span,
@@ -67,21 +62,44 @@ def snapshot_path(rng, tmp_path):
 
 
 @pytest.fixture()
-def federation(rng, tmp_path):
+def start_federation(rng, tmp_path):
+    """Start ``start_federation(shards)`` in-process nodes; all closed at teardown."""
     from repro.shard import ShardNode, ShardedEngine, partition_dataset
 
-    points = rng.uniform(0, 1000, size=(400, 2))
-    manifest = partition_dataset(points, 2, tmp_path / "shards", capacity=16)
-    nodes = [
-        ShardNode(shard.shard_id, tmp_path / "shards" / shard.path, workers=1)
-        for shard in manifest.shards
-    ]
-    addresses = [node.start() for node in nodes]
-    engine = ShardedEngine.connect(manifest, addresses, timeout_s=30.0)
-    yield engine, nodes, addresses
-    engine.close()
-    for node in nodes:
-        node.close()
+    opened = []
+
+    def start(shards):
+        points = rng.uniform(0, 1000, size=(400, 2))
+        directory = tmp_path / f"shards-{len(opened)}"
+        manifest = partition_dataset(points, shards, directory, capacity=16)
+        nodes = [
+            ShardNode(shard.shard_id, directory / shard.path, workers=1)
+            for shard in manifest.shards
+        ]
+        addresses = [node.start() for node in nodes]
+        engine = ShardedEngine.connect(manifest, addresses, timeout_s=30.0)
+        opened.append((engine, nodes))
+        return engine, nodes, addresses
+
+    yield start
+    for engine, nodes in opened:
+        engine.close()
+        for node in nodes:
+            node.close()
+
+
+@pytest.fixture()
+def federation(start_federation):
+    return start_federation(2)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def _names(tree):
+    """Every span name in an assembled tree, depth first."""
+    return [tree["name"], *(name for child in tree["children"] for name in _names(child))]
 
 
 def parse_prometheus(text):
@@ -189,10 +207,15 @@ class TestSpans:
 
     def test_ring_keeps_newest_spans(self):
         tracer = Tracer(ring=4)
-        for index in range(10):
-            tracer.export(finish_span(start_span(f"s{index}")))
+        exported = [finish_span(start_span(f"s{index}")) for index in range(10)]
+        for span in exported:
+            tracer.export(span)
         names = [span["name"] for span in tracer.spans()]
         assert names == ["s6", "s7", "s8", "s9"]
+        # The per-trace view forgets evicted spans with the ring.
+        assert tracer.spans(exported[0]["trace_id"]) == []
+        assert tracer.spans(exported[9]["trace_id"]) == [exported[9]]
+        assert tracer.trace_ids() == [span["trace_id"] for span in exported[6:]]
 
     def test_jsonl_sink_writes_one_valid_line_per_span(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -220,40 +243,28 @@ class TestSpans:
 # metric primitives and the registry
 # ----------------------------------------------------------------------
 class TestMetricsPrimitives:
-    def test_counter_monotonic(self):
-        counter = Counter("c_total")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("g")
-        gauge.set(5)
-        gauge.inc()
-        gauge.dec(2)
-        assert gauge.value == 4.0
-
     def test_histogram_bucket_placement(self):
-        histogram = Histogram("h", buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.05, 0.5, 5.0):
-            histogram.observe(value)
-        state = histogram.state()
-        assert state["buckets"] == [1, 1, 1, 1]  # last slot is +Inf overflow
-        assert state["count"] == 4
-        assert state["sum"] == pytest.approx(5.555)
+        """A value on a bound counts in that bound's bucket; past the last, only in +Inf."""
 
-    def test_histogram_merge_state_adds_and_checks_shape(self):
-        left = Histogram("h", buckets=(0.1, 1.0))
-        right = Histogram("h", buckets=(0.1, 1.0))
-        left.observe(0.05)
-        right.observe(0.5)
-        left.merge_state(right.state())
-        assert left.state()["buckets"] == [1, 1, 0]
-        assert left.count == 2
-        with pytest.raises(ValueError):
-            left.merge_state({"buckets": [1, 2], "sum": 0.0, "count": 1})
+        class Server:
+            def stats(self):
+                return {}
+
+            def latency_seconds(self):
+                return [0.0001, 0.004, 0.05, 10.0]
+
+        registry = MetricsRegistry()
+        registry.register(server_collector(Server()))
+        samples, _ = parse_prometheus(render(registry))
+        buckets = {
+            dict(labels)["le"]: value
+            for (name, labels), value in samples.items()
+            if name == "repro_serve_latency_seconds_bucket"
+        }
+        assert (buckets["0.0001"], buckets["0.005"], buckets["0.05"]) == (1, 2, 3)
+        assert (buckets["5.0"], buckets["+Inf"]) == (3, 4)
+        assert samples[("repro_serve_latency_seconds_count", ())] == 4
+        assert samples[("repro_serve_latency_seconds_sum", ())] == pytest.approx(10.0541)
 
     def test_histogram_family_is_cumulative_with_inf(self):
         family = histogram_family("lat", (0.1, 1.0), [2, 3, 1], 4.2, 6)
@@ -266,33 +277,16 @@ class TestMetricsPrimitives:
         tail = {sample.name: sample.value for sample in family.samples[-2:]}
         assert tail == {"lat_sum": 4.2, "lat_count": 6}
 
-    def test_registry_get_or_create_and_type_conflict(self):
+    def test_registry_collects_in_registration_order(self):
         registry = MetricsRegistry()
-        counter = registry.counter("repro_x_total", "help")
-        assert registry.counter("repro_x_total") is counter
-        with pytest.raises(ValueError):
-            registry.gauge("repro_x_total")
+        registry.register(lambda: [MetricFamily("repro_a", "gauge")])
+        registry.register(lambda: [MetricFamily("repro_b", "gauge"), MetricFamily("repro_c", "gauge")])
+        assert [family.name for family in registry.collect()] == ["repro_a", "repro_b", "repro_c"]
 
-    def test_registry_snapshot_merge_roundtrip(self):
-        source = MetricsRegistry()
-        source.counter("repro_a_total").inc(3)
-        source.gauge("repro_b").set(2)
-        source.histogram("repro_c_seconds").observe(0.02)
 
-        target = MetricsRegistry()
-        target.counter("repro_a_total").inc(1)
-        target.merge(source.snapshot())
-        target.merge(source.snapshot())
-
-        snapshot = target.snapshot()
-        assert snapshot["repro_a_total"] == 7  # 1 + 3 + 3
-        assert snapshot["repro_b"] == 4  # gauges sum across workers
-        assert snapshot["repro_c_seconds"]["count"] == 2
-
-    def test_merge_rejects_unknown_histogram_with_foreign_buckets(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.merge({"repro_h": {"buckets": [1, 2], "sum": 0.0, "count": 1}})
+def _constant_collector(name, kind, value, help=""):
+    """A collector exporting one unlabelled sample."""
+    return lambda: [MetricFamily(name, kind, help, [Sample(name, {}, value)])]
 
 
 class _FakeServer:
@@ -390,7 +384,7 @@ class TestCollectors:
 class TestExposition:
     def test_render_escapes_labels_and_formats_values(self):
         registry = MetricsRegistry()
-        registry.counter("repro_plain_total", "a help line").inc(2)
+        registry.register(_constant_collector("repro_plain_total", "counter", 2, "a help line"))
 
         def weird():
             return [
@@ -412,7 +406,7 @@ class TestExposition:
 
     def test_http_endpoints(self):
         registry = MetricsRegistry()
-        registry.counter("repro_http_total").inc(5)
+        registry.register(_constant_collector("repro_http_total", "counter", 5))
         exposition = HttpExposition(registry, stats_fn=lambda: {"answer": 42})
         try:
             with urllib.request.urlopen(exposition.url + "/metrics") as response:
@@ -431,48 +425,56 @@ class TestExposition:
 
 
 # ----------------------------------------------------------------------
-# slow-query log and structured logging
+# slow traces and structured logging
 # ----------------------------------------------------------------------
-class TestSlowLog:
-    def test_fast_queries_are_observed_not_recorded(self, rng):
-        log = SlowQueryLog(threshold_s=0.5)
-        spec = QuerySpec(group=rng.uniform(0, 1, size=(3, 2)), k=1)
-        assert log.observe(0.001, kind="engine", spec=spec) is None
-        assert (log.observed, log.recorded) == (1, 0)
-        assert log.entries() == []
+class TestSlowTraces:
+    def test_fast_roots_are_not_kept(self):
+        tracer = Tracer(slow_threshold_s=0.5)
+        tracer.finish(tracer.start("query"))
+        assert tracer.slow_traces() == []
 
-    def test_slow_queries_record_structured_entries(self, rng, tmp_path):
-        path = tmp_path / "slow.jsonl"
-        log = SlowQueryLog(threshold_s=0.01, jsonl_path=path)
-        spec = QuerySpec(group=rng.uniform(0, 1, size=(4, 2)), k=2, aggregate="max")
-        record = log.observe(
-            0.2,
-            kind="coordinator",
-            spec=spec,
-            cost={"node_accesses": 7},
-            trace_id="t-1",
-            shards=[{"shard": 0, "elapsed_s": 0.1, "attempts": 2, "outcome": "ok"}],
-            degraded=False,
-        )
-        assert record["latency_s"] == 0.2
-        assert record["spec"]["group_size"] == 4
-        assert record["spec"]["aggregate"] == "max"
-        assert record["cost"] == {"node_accesses": 7}
-        assert record["trace_id"] == "t-1"
-        assert record["shards"][0]["attempts"] == 2
-        assert record["degraded"] is False
-        assert log.entries() == [record]
-        log.close()
-        assert json.loads(path.read_text().splitlines()[0]) == json.loads(
-            json.dumps(record, default=str)
-        )
+    def test_no_threshold_keeps_nothing(self):
+        tracer = Tracer()
+        root = tracer.start("query")
+        root["start_s"] -= 10.0  # a ten-second query
+        tracer.finish(root)
+        assert tracer.slow_traces() == []
 
-    def test_ring_capacity_bounds_entries(self, rng):
-        log = SlowQueryLog(threshold_s=0.0, capacity=3)
-        for index in range(6):
-            log.observe(0.01 * (index + 1), kind="engine", marker=index)
-        assert [entry["marker"] for entry in log.entries()] == [3, 4, 5]
-        assert log.recorded == 6
+    def test_slow_root_keeps_its_assembled_tree(self):
+        tracer = Tracer(slow_threshold_s=0.0)
+        other = tracer.finish(tracer.start("unrelated"))
+        root = tracer.start("shard.query", k=3)
+        dispatch = tracer.start("shard.dispatch", parent=root, shard=0)
+        # A root exported in the same call as its children still sees them.
+        remote = finish_span(child_span(dispatch, "serve.request"))
+        tracer.export(finish_span(dispatch), remote)
+        tracer.finish(root, outcome="ok")
+        kept = tracer.slow_traces()
+        assert [tree["trace_id"] for tree in kept] == [other["trace_id"], root["trace_id"]]
+        tree = kept[-1]
+        assert _names(tree) == ["shard.query", "shard.dispatch", "serve.request"]
+        assert tree["attrs"] == {"k": 3, "outcome": "ok"}
+
+    def test_only_outermost_roots_count(self):
+        tracer = Tracer(slow_threshold_s=0.0)
+        # A span parented under a remote caller's span is that caller's
+        # child, not a query of its own.
+        tracer.export(finish_span(start_span("serve.request", trace_id="t", parent_id="p")))
+        assert tracer.slow_traces() == []
+
+    def test_served_root_exported_with_its_worker_span(self):
+        tracer = Tracer(slow_threshold_s=0.0)
+        root = finish_span(start_span("serve.request"))
+        worker = finish_span(child_span(root, "serve.worker"))
+        tracer.export(root, worker)
+        assert [_names(tree) for tree in tracer.slow_traces()] == [["serve.request", "serve.worker"]]
+
+    def test_capacity_keeps_the_newest(self):
+        tracer = Tracer(slow_threshold_s=0.0)
+        roots = [tracer.finish(tracer.start(f"q{index}")) for index in range(SLOW_TRACES + 3)]
+        kept = tracer.slow_traces()
+        assert len(kept) == SLOW_TRACES
+        assert [tree["name"] for tree in kept] == [root["name"] for root in roots[3:]]
 
 
 class TestStructuredLogging:
@@ -496,16 +498,15 @@ class TestStructuredLogging:
         assert stream.getvalue() == ""
 
     def test_enable_all_switches_every_subsystem(self):
-        tracer, registry, slow = enable_all(log_stream=io.StringIO())
+        tracer = enable_all(log_stream=io.StringIO())
         assert obstrace.get() is tracer
-        assert obsmetrics.get() is registry
-        assert obsslowlog.get() is slow
+        assert tracer.slow_threshold_s == obstrace.DEFAULT_SLOW_THRESHOLD_S
         assert obslog.is_enabled()
         disable_all()
         assert obstrace.get() is None
-        assert obsmetrics.get() is None
-        assert obsslowlog.get() is None
         assert not obslog.is_enabled()
+        tracer = enable_all(slow_threshold_s=0.25, log_stream=io.StringIO())
+        assert tracer.slow_threshold_s == 0.25
 
 
 # ----------------------------------------------------------------------
@@ -521,7 +522,7 @@ class TestReconciliation:
         """
         points = rng.uniform(0, 1000, size=(400, 2))
         engine = GNNEngine(points, capacity=16)
-        tracer, _, _ = enable_all(log_stream=io.StringIO())
+        tracer = enable_all(log_stream=io.StringIO())
 
         before = engine.flat.stats.snapshot()
         spec = QuerySpec(group=rng.uniform(300, 700, size=(5, 2)), k=3, algorithm="mbm")
@@ -548,6 +549,10 @@ class TestReconciliation:
         assert attrs["node_accesses"] == delta["node_accesses"] > 0
         assert attrs["distance_computations"] == result.cost.distance_computations
         assert attrs["distance_computations"] == delta["distance_computations"] > 0
+        # Every field of the result's cost, and the plan, ride on the root.
+        assert result.cost.as_dict().items() <= attrs.items()
+        assert attrs["plan"] == "mbm"
+        assert attrs["rationale"] == tree["children"][0]["attrs"]["rationale"]
 
     #: The counters every execution mode must agree on.
     RECONCILED = ("node_accesses", "distance_computations")
@@ -644,15 +649,31 @@ class TestReconciliation:
 
     def test_slow_log_captures_engine_queries(self, rng):
         engine = GNNEngine(rng.uniform(0, 1000, size=(200, 2)), capacity=16)
-        enable_all(slow_threshold_s=0.0, log_stream=io.StringIO())
+        tracer = enable_all(slow_threshold_s=0.0, log_stream=io.StringIO())
         result = engine.execute(
-            QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2)
+            QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2, label="lunch")
         )
-        entries = obsslowlog.get().entries()
-        assert len(entries) == 1
-        assert entries[0]["kind"] == "query"
-        assert entries[0]["trace_id"] == result.trace_id
-        assert entries[0]["cost"]["node_accesses"] == result.cost.node_accesses
+        (slow,) = tracer.slow_traces()
+        assert slow["name"] == "query"
+        assert slow["trace_id"] == result.trace_id
+        assert slow["attrs"]["label"] == "lunch"
+        assert slow["attrs"]["node_accesses"] == result.cost.node_accesses
+        assert slow["attrs"]["algorithm"] == result.cost.algorithm
+
+    def test_handed_in_plan_still_lands_on_the_root(self, rng):
+        """``execute_many`` plans up front, so its per-query roots have no
+        ``query.plan`` child; the plan's algorithm and rationale are on the
+        root all the same."""
+        engine = GNNEngine(rng.uniform(0, 1000, size=(200, 2)), capacity=16)
+        tracer = enable_all(slow_threshold_s=0.0, log_stream=io.StringIO())
+        spec = QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2, aggregate="max")
+        (result,) = engine.execute_many([spec])
+        tree = tracer.tree(result.trace_id)
+        assert _names(tree) == ["query", "query.execute"]
+        plan = engine.explain(spec)
+        assert tree["attrs"]["plan"] == plan.algorithm.name
+        assert tree["attrs"]["rationale"] == plan.rationale
+        assert tracer.slow_traces() == [tree]
 
 
 # ----------------------------------------------------------------------
@@ -662,11 +683,9 @@ class TestServingIntegration:
     def test_served_query_yields_complete_span_tree(self, snapshot_path, rng):
         from repro.serve import GNNServer
 
-        tracer, _, slow = enable_all(
-            slow_threshold_s=0.0, log_stream=io.StringIO()
-        )
+        tracer = enable_all(slow_threshold_s=0.0, log_stream=io.StringIO())
         with GNNServer(snapshot_path, workers=1, window_s=0.001) as server:
-            spec = QuerySpec(group=rng.uniform(200, 800, size=(4, 2)), k=2)
+            spec = QuerySpec(group=rng.uniform(200, 800, size=(4, 2)), k=2, label="dinner")
             result = server.submit(spec).result(timeout=60)
         assert result.trace_id is not None
         spans = tracer.spans(result.trace_id)
@@ -679,14 +698,12 @@ class TestServingIntegration:
         assert worker_spans[0]["parent_id"] == tree["span_id"]
         assert worker_spans[0]["attrs"]["node_accesses"] >= 0
         assert worker_spans[0]["attrs"]["queue_wait_s"] >= 0.0
-        # The serving front feeds the slow-query log with the measured
-        # request latency and the trace id of the span tree above.
-        serve_entries = [
-            entry for entry in slow.entries() if entry["kind"] == "serve"
-        ]
-        assert len(serve_entries) == 1
-        assert serve_entries[0]["trace_id"] == result.trace_id
-        assert serve_entries[0]["cost"]["algorithm"] == result.cost.algorithm
+        # The slow trace is the request's own tree: one record per query.
+        (slow,) = tracer.slow_traces()
+        assert slow["trace_id"] == result.trace_id
+        assert slow["attrs"]["label"] == "dinner"
+        (worker,) = slow["children"]
+        assert worker["attrs"]["node_accesses"] == result.cost.node_accesses
 
     def test_server_exposition_scrapes_mid_traffic(self, snapshot_path, rng):
         from repro.serve import GNNServer
@@ -722,7 +739,7 @@ class TestServingIntegration:
 class TestShardIntegration:
     def test_federated_query_yields_complete_span_tree(self, federation, rng):
         engine, _nodes, _addresses = federation
-        tracer, _, _ = enable_all(log_stream=io.StringIO())
+        tracer = enable_all(log_stream=io.StringIO())
         spec = QuerySpec(group=rng.uniform(100, 900, size=(4, 2)), k=3)
         result = engine.execute(spec)
 
@@ -769,3 +786,92 @@ class TestShardIntegration:
         assert "requests:" in dashboard
         unreachable = render_dashboard([("gone:1", ConnectionError("refused"))])
         assert "UNREACHABLE" in unreachable
+
+
+# ----------------------------------------------------------------------
+# one record per query, and the trace file it lands in
+# ----------------------------------------------------------------------
+class TestOneRecordPerQuery:
+    """With a zero threshold every query leaves exactly one slow trace,
+    rooted at its outermost span — never a second record of its own
+    sub-queries or worker-side execution."""
+
+    QUERIES = 3
+
+    def _specs(self, rng):
+        return [
+            QuerySpec(group=rng.uniform(100, 900, size=(4, 2)), k=3)
+            for _ in range(self.QUERIES)
+        ]
+
+    def test_engine_queries(self, rng):
+        engine = GNNEngine(rng.uniform(0, 1000, size=(400, 2)), capacity=16)
+        tracer = enable_all(slow_threshold_s=0.0, log_stream=io.StringIO())
+        results = [engine.execute(spec) for spec in self._specs(rng)]
+        slow = tracer.slow_traces()
+        assert [tree["trace_id"] for tree in slow] == [r.trace_id for r in results]
+        assert all(tree["name"] == "query" for tree in slow)
+
+    def test_served_requests(self, snapshot_path, rng):
+        from repro.serve import GNNServer
+
+        tracer = enable_all(slow_threshold_s=0.0, log_stream=io.StringIO())
+        with GNNServer(snapshot_path, workers=1, window_s=0.0) as server:
+            results = [server.submit(spec).result(timeout=60) for spec in self._specs(rng)]
+        slow = tracer.slow_traces()
+        assert [tree["trace_id"] for tree in slow] == [r.trace_id for r in results]
+        assert all(_names(tree) == ["serve.request", "serve.worker"] for tree in slow)
+
+    def test_federated_queries(self, federation, rng):
+        engine, _nodes, _addresses = federation
+        tracer = enable_all(slow_threshold_s=0.0, log_stream=io.StringIO())
+        results = [engine.execute(spec) for spec in self._specs(rng)]
+        slow = tracer.slow_traces()
+        assert [tree["trace_id"] for tree in slow] == [r.trace_id for r in results]
+        for tree, result in zip(slow, results):
+            assert tree["name"] == "shard.query"
+            dispatched = [c for c in tree["children"] if c["name"] == "shard.dispatch"]
+            assert sorted(c["attrs"]["shard"] for c in dispatched) == result.shards_contacted
+            assert all(c["attrs"]["outcome"] == "ok" for c in dispatched)
+
+
+class TestTraceFile:
+    def test_forked_workers_write_nothing_into_the_front_trace(self, rng, tmp_path):
+        """Workers forked from a traced front drop the inherited tracer.
+
+        ``max`` specs take the worker's per-query path, which a worker
+        still holding the front's tracer would trace into the front's
+        JSONL as ``query`` trees the front never sees.
+        """
+        from repro.serve import GNNServer
+
+        path = tmp_path / "trace.jsonl"
+        tracer = enable_all(trace_jsonl=path, log_stream=io.StringIO())
+        points = rng.uniform(0, 1000, size=(300, 2))
+        with GNNServer.from_points(points, tmp_path / "snap", capacity=16, workers=1) as server:
+            for _ in range(5):
+                spec = QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=2, aggregate="max")
+                server.submit(spec).result(timeout=60)
+        rooted = {span["trace_id"] for span in tracer.spans() if span["parent_id"] is None}
+        disable_all()
+        written = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(rooted) == 5
+        assert len(written) == 10  # serve.request + serve.worker per request
+        assert {span["trace_id"] for span in written} == rooted
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_federated_trace_lines_are_strict_json(self, start_federation, rng, tmp_path, shards):
+        """No span carries an infinite bound: ``json.dumps`` would write
+        ``Infinity``, which RFC 8259 does not allow."""
+        engine, _nodes, _addresses = start_federation(shards)
+        path = tmp_path / "trace.jsonl"
+        enable_all(trace_jsonl=path, log_stream=io.StringIO())
+        for _ in range(3):
+            engine.execute(QuerySpec(group=rng.uniform(100, 900, size=(4, 2)), k=3))
+        disable_all()
+        lines = path.read_text().splitlines()
+        assert lines
+        names = set()
+        for line in lines:
+            names.add(json.loads(line, parse_constant=_refuse_constant)["name"])
+        assert {"shard.route", "shard.dispatch"} <= names

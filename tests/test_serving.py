@@ -374,22 +374,22 @@ class TestServerConformance:
             with GNNServer(
                 snapshot_path, workers=2, window_s=window_s, max_batch=max_batch
             ) as server:
-                results = server.handle().run_many(specs, timeout=60)
+                results = [f.result(timeout=60) for f in server.submit_many(specs)]
             assert [as_tuples(result) for result in results] == expected
 
     def test_served_results_carry_no_plan(self, server, rng):
-        result = server.handle().run(
-            QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2, trace=True),
-            timeout=30,
-        )
+        result = server.submit(
+            QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2, trace=True)
+        ).result(timeout=30)
         assert result.plan is None
 
-    def test_async_handle_matches_sequential(self, server, sequential_engine):
+    def test_asyncio_callers_match_sequential(self, server, sequential_engine):
         rng = np.random.default_rng(13)
         specs = mixed_specs(rng, 12)
 
         async def run():
-            return await server.async_handle().submit_many(specs)
+            futures = [asyncio.wrap_future(server.submit(spec)) for spec in specs]
+            return await asyncio.gather(*futures)
 
         results = asyncio.run(run())
         for spec, served in zip(specs, results):
@@ -508,13 +508,12 @@ class TestHotSwap:
         group = np.array([[555.0, 555.0], [557.0, 555.0]])
         spec = QuerySpec(group=group, k=1)
         with GNNServer(snapshot_path, workers=2) as server:
-            handle = server.handle()
-            before = handle.run(spec, timeout=30)
+            before = server.submit(spec).result(timeout=30)
             grown = GNNEngine(np.vstack([serve_points, [[556.0, 555.0]]]), capacity=16)
             epoch = server.publish_snapshot(grown)
             assert epoch == 1
             assert server.epoch == 1
-            after = handle.run(spec, timeout=30)
+            after = server.submit(spec).result(timeout=30)
             assert after.record_ids() == [len(serve_points)]
             assert before.record_ids() != after.record_ids()
             # The published file carries the generation token.

@@ -580,11 +580,10 @@ class TestServedWritePath:
             writer = CompactingWriter(
                 engine, server, dirty_ratio_trigger=0.02, min_writes=4
             )
-            handle = server.handle()
             futures = []
             for i in range(60):
                 futures.append(
-                    handle.submit(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=4))
+                    server.submit(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=4))
                 )
                 if i % 5 == 0:
                     writer.delete(dataset[i], i)
@@ -602,7 +601,7 @@ class TestServedWritePath:
             # Post-swap answers match the local merged view exactly.
             spec = QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=4)
             _assert_identical(
-                handle.run(spec, timeout=60), engine.execute(spec), "served-post-swap"
+                server.submit(spec).result(timeout=60), engine.execute(spec), "served-post-swap"
             )
 
 
