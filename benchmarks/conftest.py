@@ -3,7 +3,8 @@
 The benchmarks regenerate every figure of the paper's evaluation
 (Section 5).  By default they run at the ``smoke`` scale so the whole
 suite finishes in CI time; set ``REPRO_BENCH_SCALE=quick`` (or ``paper``)
-to run closer to the paper's sizes.  EXPERIMENTS.md records the
+to run closer to the paper's sizes.  The ``*_finding`` tests
+(``test_fig5_1_finding``, ``test_ablation_finding``) assert the
 shape-level comparison against the paper.
 """
 

@@ -8,11 +8,16 @@ without slowing the main test job down.
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.mbm import mbm
+from repro.core.types import GroupQuery
+from repro.datasets import pp_like
 from repro.datasets.workload import WorkloadSpec, generate_workload
 from repro.geometry import kernels
 from repro.geometry.distance import group_distance
@@ -109,6 +114,54 @@ def test_smoke_tangent_kernel_price_per_node():
     assert ratio <= 2.0, (
         f"tangent kernel costs {ratio:.2f}x the summed-mindist "
         "kernel on a 50-box slice (expected <= 2x)"
+    )
+
+
+#: How much more CPU MBM may spend than the eager-key reference it
+#: replaced, on the same replay.
+MAX_MBM_CPU_RATIO = 1.10
+
+
+def _load_mbm_reference():
+    path = Path(__file__).resolve().parents[1] / "tests" / "mbm_reference.py"
+    spec = importlib.util.spec_from_file_location("mbm_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.mbm_reference
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_smoke_mbm_cpu_per_query(n):
+    """MBM's deferred keys must not cost CPU against the eager keys of ``tests/mbm_reference.py``.
+
+    A fixed ``pp_like(20000)`` replay of 40 Figure-5.1-shaped groups
+    (M = 8%, k = 8), timed with the alternating ``_cost_ratio``.
+    Deferring saves distance computations; heap or batching overhead
+    that eats the saving shows up as a ratio above 1.10.  A burst of
+    load on a shared machine can still land on one side, so the check
+    fails only when three measurements in a row do.
+    """
+    mbm_reference = _load_mbm_reference()
+    points = pp_like(20_000)
+    flat = FlatRTree.bulk_load(points, capacity=50)
+    spec = WorkloadSpec(n=n, mbr_fraction=0.08, k=8, queries=40)
+    queries = [GroupQuery(group, k=8) for group in generate_workload(points, spec, seed=17)]
+    for query in queries:
+        assert mbm(flat, query).distances() == mbm_reference(flat, query).distances()
+
+    ratios = []
+    while len(ratios) < 3 and (not ratios or ratios[-1] > MAX_MBM_CPU_RATIO):
+        ratios.append(
+            _cost_ratio(
+                lambda: [mbm(flat, query) for query in queries],
+                lambda: [mbm_reference(flat, query) for query in queries],
+                rounds=15,
+                calls=1,
+            )
+        )
+    assert ratios[-1] <= MAX_MBM_CPU_RATIO, (
+        f"MBM costs {', '.join(f'{r:.2f}x' for r in ratios)} the eager-key reference's "
+        f"CPU at n={n} (expected <= {MAX_MBM_CPU_RATIO}x)"
     )
 
 

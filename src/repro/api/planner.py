@@ -12,7 +12,8 @@ message that names the mismatch instead of deep inside a traversal.
 The auto policy encodes the paper's recommendations:
 
 * memory-resident groups → **MBM** (the clear winner of Figures 5.1-5.3)
-  for the sum aggregate, the generalised best-first traversal otherwise;
+  for the sum aggregate, weighted or not, the generalised best-first
+  traversal otherwise;
 * disk-resident files with few blocks → **F-MQM**, otherwise **F-MBM**
   (Figures 5.4-5.7 and the summary of Section 5.2).
 """
@@ -199,11 +200,16 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     def _choose(self, spec: QuerySpec, residency: str) -> tuple[AlgorithmInfo, str]:
         if residency == MEMORY:
-            if spec.aggregate == "sum" and spec.weights is None:
+            if spec.aggregate == "sum":
+                weighted = (
+                    "; weighted, it reads no more nodes than best-first"
+                    if spec.weights is not None
+                    else ""
+                )
                 return (
                     get_algorithm("mbm"),
                     "memory-resident sum query: MBM is the paper's overall winner "
-                    "(Figures 5.1-5.3)",
+                    f"(Figures 5.1-5.3){weighted}",
                 )
             flavour = (
                 f"{spec.aggregate} aggregate"
@@ -212,8 +218,8 @@ class QueryPlanner:
             )
             return (
                 get_algorithm("best-first"),
-                f"{flavour}: only the generalised best-first traversal is exact "
-                "for non-sum/weighted groups",
+                f"{flavour}: MBM answers sums only; the generalised best-first "
+                "traversal keys every node by this aggregate's own lower bound",
             )
         blocks = self._block_count(spec)
         if blocks <= self.fmqm_max_blocks:

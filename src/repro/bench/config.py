@@ -15,8 +15,9 @@ that full matrix in CI time, so the harness defines three scales:
   uncapped GCP have not been timed.
 
 Absolute numbers differ from the paper at every scale (different
-hardware, language and datasets); EXPERIMENTS.md records the comparison
-of shapes.
+hardware, language and datasets); only shapes are compared, by the
+``*_finding`` tests under ``benchmarks/`` (``test_fig5_1_finding``,
+``test_ablation_finding``).
 """
 
 from __future__ import annotations

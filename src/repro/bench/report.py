@@ -3,8 +3,9 @@
 The paper presents its results as log-scale plots; a text harness cannot
 draw them, so the report writer prints, for each x-axis value, one row
 per algorithm with the two metrics of every figure (average node
-accesses and CPU seconds).  The Markdown writer produces the tables that
-EXPERIMENTS.md embeds.
+accesses and CPU seconds).  The Markdown writer produces the same tables
+for ``python -m repro.bench ... --markdown`` (README, *Reproducing the
+paper's experiments*).
 """
 
 from __future__ import annotations

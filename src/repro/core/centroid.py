@@ -116,17 +116,19 @@ def weiszfeld_centroid(
     pts = as_points(points)
     if pts.shape[0] == 1:
         return pts[0].copy()
-    q = arithmetic_mean(pts)
+    # MBM runs three steps of this per query, so each step makes as few
+    # array calls as the arithmetic allows (one validation of ``points``,
+    # reductions instead of element-wise tests).
+    q = pts.mean(axis=0)
     for _ in range(max_iterations):
         dists = kernels.point_distances(pts, q)
-        at_point = dists <= tolerance
-        if np.any(at_point):
+        if dists.min() <= tolerance:
             # The iterate sits on a query point; that point is either the
             # median itself or the standard perturbation applies.  Moving
             # on from the unperturbed average of the rest is sufficient
             # for SPM's purposes.
-            others = pts[~at_point]
-            if others.shape[0] == 0:
+            at_point = dists <= tolerance
+            if at_point.all():
                 return q
             dists = np.where(at_point, np.inf, dists)
         pull = 1.0 / dists if weights is None else weights / dists
@@ -134,7 +136,7 @@ def weiszfeld_centroid(
         if total == 0.0:
             return q
         candidate = (pts * pull[:, None]).sum(axis=0) / total
-        if np.all(np.abs(candidate - q) <= tolerance):
+        if np.abs(candidate - q).max() <= tolerance:
             return candidate
         q = candidate
     return q

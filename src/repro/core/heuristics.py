@@ -7,14 +7,17 @@ inlining the inequalities, so the exact conditions of the paper are
 visible in one place and covered by dedicated tests (including the
 property-based ones that check they never prune the true answer).
 
-Two deliberate exceptions: the per-candidate consumption loops —
-``repro.core.mbm._process_leaf`` (Heuristic 2) and
-``repro.core.spm._spm_best_first`` (Heuristic 1) — replicate the
-inequality inline because a predicate call per candidate is exactly the
-per-item overhead those loops exist to remove.  **Any change to the
-comparisons in** :func:`heuristic1_prunes_point` **or**
-:func:`heuristic2_prunes` **must be mirrored there**; the pinned answers
-and counters of ``TestPinnedAccessCounters``
+Two deliberate exceptions.  ``repro.core.spm._spm_best_first``
+(Heuristic 1) replicates the inequality inline because a predicate call
+per candidate is exactly the per-item overhead that loop exists to
+remove; **any change to the comparison in**
+:func:`heuristic1_prunes_point` **must be mirrored there**.
+``repro.core.mbm`` compares *keys* instead: Heuristic 2 enters as
+``W * mindist(N, M)``, Heuristic 3 as the paper's bound, each maxed into
+an entry's key and checked against ``best_dist`` once, at the heap head
+or the leaf scan (``tests/mbm_reference.py`` keeps the predicate-by-
+predicate MBM these keys are proven against).  The pinned answers and
+counters of ``TestPinnedAccessCounters``
 (``tests/test_algorithm_conformance.py``) and ``TestTraversalPins``
 (``tests/test_rtree_flat.py``) are the backstop that catches a divergence.
 
@@ -26,12 +29,12 @@ Numbering follows the paper:
 * Heuristic 4 — GCP, partial-distance pruning (Section 4.1)
 * Heuristic 5 — F-MBM, weighted-mindist node pruning (Section 4.3)
 * Heuristic 6 — F-MBM, per-point remaining-group pruning (Section 4.3)
-* *not from the paper* — MBM's tangent bound for the sum aggregate
-  (``geometry.kernels.boxes_group_tangent_bound``): ``dist(., Q)`` is
-  convex, so its tangent plane at a point of ``N`` bounds it over ``N``.
-  It takes Heuristic 3's place in :mod:`repro.core.mbm`, compared
-  against ``best_dist`` by the same ``heuristic3_prunes_*`` predicates;
-  Heuristic 3 as printed is what ``algorithm="best-first"`` runs.
+* *not from the paper* — MBM's tangent planes for the sum aggregate
+  (``geometry.kernels.group_tangent_planes``): ``dist(., Q)`` is convex,
+  so its tangent plane at a point of ``N`` bounds it over ``N`` and over
+  everything inside ``N``.  Its minimum joins Heuristic 3 in
+  :mod:`repro.core.mbm`'s keys; Heuristic 3 as printed is what
+  ``algorithm="best-first"`` runs.
 
 Lemma 1 (the triangle-inequality bound behind Heuristic 1) is also
 exposed for direct testing.

@@ -6,42 +6,58 @@ MBM performs a single traversal of the R-tree of ``P`` pruned by the MBR
 * **Heuristic 2** — a node (or point) whose ``mindist`` to ``M`` reaches
   ``best_dist / n`` cannot qualify.  One distance computation per node.
 * **Heuristic 3** — a node whose lower bound on ``dist(p, Q)`` over its
-  MBR reaches ``best_dist`` cannot qualify.  ``n`` distance computations
-  per node, so Heuristic 2 stays in front as the cheap pre-filter and
-  only its survivors pay for the bound (the paper's footnote 3 reports
-  the same trade-off and the ablation benchmark reproduces it).
+  MBR reaches ``best_dist`` cannot qualify.  The bound costs ``n``
+  distance computations, so Heuristic 2 stays in front as the cheap
+  pre-filter (the paper's footnote 3 reports the same trade-off and the
+  ablation benchmark reproduces it), and MBM pays it only for the nodes
+  that reach the heap head.
 
-The traversal is best-first with the heap keyed on that bound and stops
-when the head reaches ``best_dist``, so the nodes read are exactly those
-whose key is below the k-th distance.  The paper's bound,
-``sum_i mindist(N, q_i)``, is loose because every ``q_i`` picks its own
-nearest point of ``N``.  For the sum aggregate the key is the *tangent
-bound* instead (not from the paper): ``f = dist(., Q)`` is convex, so
-``f(p) >= f(a) + g . (p - a)`` for a subgradient ``g`` at any anchor
-``a``, and the right-hand side has a closed-form minimum over a box.
-Anchored at the point of ``N`` nearest the group's approximate geometric
-median it is near-exact on leaf-sized boxes, for the same ``n``
-distances.  One plane is loose over a wide box and not monotone parent
-to child, so a child is pushed under the largest of its parent's key,
-its tangent bound, ``W * mindist(N, M)`` and — internal nodes only,
-``2n`` distances each — the paper's bound.  ``min`` of distances is not
-convex, so ``max``/``min`` keep the paper's bound; for sums it stays
-runnable as ``algorithm="best-first"``.  (The paper's text orders by
-``mindist(N, M)``, 0 wherever ``N`` meets ``M``; only the
+The traversal is best-first and stops when the heap head reaches
+``best_dist``, so the nodes read are exactly those whose key is below
+the k-th distance.  The paper's bound, ``sum_i mindist(N, q_i)``, is
+loose because every ``q_i`` picks its own nearest point of ``N``.  For
+the sum aggregate MBM adds a *tangent plane* (not from the paper):
+``f = dist(., Q)`` is convex, so ``f(p) >= f(a) + g . (p - a)`` for a
+subgradient ``g`` at any ``a``, and the right-hand side has a
+closed-form minimum over a box.  Taken at the point of ``N`` nearest the
+group's approximate geometric median (the *anchor*) it is near-exact on
+leaf-sized boxes, for the same ``n`` distances.
+
+Those ``n`` distances are paid only by entries that reach the heap head
+(or, a few at a time, come next to it): the paper's footnote-3
+trade-off, applied to the key itself.  Reading a node keys its children
+under a *cheap key*, ``O(dims)`` each and no group distance: the
+largest of the node's key, ``W * mindist(N, M)`` and — sums only — the
+node's own tangent plane minimised over the child's box; they go into
+the heap together, as one entry, in ascending cheap key.  When that
+entry reaches the head, its children that would come off
+the heap first (up to :data:`EVALUATION_BATCH`, at least
+:data:`EVALUATION_MIN`) are keyed in one kernel call by their own bound —
+their plane's minimum plus, internal nodes only, the paper's bound — and
+each goes back under the largest of that and its cheap key, or is
+dropped once that reaches ``best_dist``.  A node is read when it reaches
+the head keyed; its plane then pre-keys its children, and a leaf's plane
+bounds each point by ``f0 + g . (p - x0)``, so points are visited in
+ascending ``max(plane, W * mindist(p, M))`` until ``best_dist``.  The
+root is read first, without a plane.  ``min`` of distances is not
+convex, so ``max``/``min`` defer the paper's bound instead; for sums the
+paper's key stays runnable as ``algorithm="best-first"``.  (The paper's
+text orders by ``mindist(N, M)``, 0 wherever ``N`` meets ``M``; only the
 Heuristic-2-only ablation, having no tighter key, keeps that.)
 
 The weighted and max/min-aggregate extensions reuse the same traversal
 with generalised bounds (see :mod:`repro.core.aggregates`).
 
 Over a dirty delta overlay the delta is the traversal's first leaf
-(:func:`seed_from_delta`): its live rows go through the same
-Heuristic-2 leaf scan before the base is traversed, so ``best_dist`` is
+(:func:`seed_from_delta`): its live rows go through the same leaf scan,
+keyed by Heuristic 2, before the base is traversed, so ``best_dist`` is
 finite from the first pop and the base reads only the nodes whose key
 is below the k-th distance of the *merged* view.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -49,12 +65,6 @@ import math
 import numpy as np
 
 from repro.core.centroid import weiszfeld_centroid
-from repro.core.heuristics import (
-    heuristic2_prunes,
-    heuristic2_prunes_batch,
-    heuristic3_prunes_batch,
-    heuristic3_prunes_precomputed,
-)
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult, GroupNeighbor, GroupQuery, QueryCost
 from repro.geometry import kernels
@@ -62,6 +72,14 @@ from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 
 ANCHOR_STEPS = 3  #: Weiszfeld steps; any anchor is sound, more read no fewer nodes
+EVALUATION_BATCH = 16  #: children keyed per kernel call, at most
+#: Children of a popped entry keyed together even when the next heap
+#: entry comes first: a few speculative keys cost fewer kernel calls.
+EVALUATION_MIN = 4
+
+#: The plane slot of a keyed entry without a plane: the root, every
+#: ``max``/``min`` entry once evaluated and every Heuristic-2-only entry.
+_KEYED = ()
 
 
 def mbm(
@@ -113,12 +131,13 @@ def seed_from_delta(
     """Offer the overlay's delta to ``best``; return the tombstones to skip.
 
     The delta is scanned as the traversal's first leaf, through
-    :func:`_process_leaf` (Heuristic 2 on every row, aggregate distances
-    only for the ascending-mindist prefix it cannot prune) and charged
-    to ``tree.stats`` like any leaf.  Every tombstone-aware driver
-    (MBM, SPM, MQM, best-first) calls this before touching the base, so
-    its own pruning bound starts from the delta's k-th distance instead
-    of infinity.  Returns ``None`` when nothing is tombstoned.
+    :func:`_scan_leaf` keyed by Heuristic 2 (``W * mindist(p, M)``, one
+    distance computation per row; aggregate distances only for the
+    ascending prefix it cannot prune) and charged to ``tree.stats`` like
+    any leaf.  Every tombstone-aware driver (MBM, SPM, MQM, best-first)
+    calls this before touching the base, so its own pruning bound starts
+    from the delta's k-th distance instead of infinity.  Returns
+    ``None`` when nothing is tombstoned.
     """
     if overlay is None:
         return None
@@ -126,7 +145,10 @@ def seed_from_delta(
         raise ValueError("the overlay must shadow the tree being traversed")
     points, record_ids = overlay.delta_points()
     if len(record_ids):
-        _process_leaf(tree, points, record_ids, query, best, _divisor(query))
+        mbr = query.mbr
+        bounds = _divisor(query) * kernels.points_mindist_box(points, mbr.low, mbr.high)
+        tree.stats.record_distance_computations(len(points))
+        _scan_leaf(tree, points, record_ids, bounds, query, best)
     return overlay.tombstones or None
 
 
@@ -159,117 +181,198 @@ def _tangent_anchor(stats, group: np.ndarray, weights=None) -> np.ndarray:
 
 
 def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
-    """Best-first MBM over the flat snapshot (heap order: module docstring).
+    """Best-first MBM over the flat snapshot, its keys deferred (module docstring).
 
-    Each popped node is scored with batched kernels: one call computes
-    the mindist of the whole child slice to the query MBR (Heuristic 2)
-    and one more (two for internal children) the survivors' lower
-    bounds, the keys they are pushed under (else the mindists are).
-    ``best`` cannot change while a child slice is being scored (offers
-    only happen at leaves), so the batched checks decide exactly what an
-    entry-at-a-time loop would.
+    A heap entry is ``(key, tie, node, plane)``.  A keyed entry carries
+    its tangent plane (sums) or :data:`_KEYED` and is read when it
+    reaches the head; an entry whose ``plane`` slot holds
+    :class:`_Children` stands for a read node's children still under
+    their cheap keys and is handed to :func:`_evaluate`.  Reading a node
+    scores its whole child or leaf slice with one or two kernel calls:
+    ``mindist`` to the query MBR (one distance computation per box or
+    point) and the node's plane over each box or point (one more).
+    ``best`` only changes at leaves, so each batched check decides
+    exactly what an entry-at-a-time loop would.
     """
-    query_mbr = query.mbr
+    stats = flat.stats
     divisor = _divisor(query)
-    counter = itertools.count()
-    heap: list[tuple[float, int, int]] = [(0.0, next(counter), 0)]
+    low, high = query.mbr.low, query.mbr.high
     tangent = use_heuristic3 and query.aggregate == kernels.SUM
-    if tangent:
-        anchor = _tangent_anchor(flat.stats, query.points, query.weights)
+    anchor = _tangent_anchor(stats, query.points, query.weights) if tangent else None
+    counter = itertools.count()
+    heap = [(0.0, next(counter), 0, _KEYED)]
 
-    while heap:
-        key, _, node_id = heapq.heappop(heap)
-        # Once the head fails the heuristic it is keyed on, every entry
-        # does (``best_dist`` is infinite until ``best`` is full).
-        if use_heuristic3:
-            if heuristic3_prunes_precomputed(key, best.best_dist):
-                break
-        elif heuristic2_prunes(key, best.best_dist, divisor):
-            break
-        index = flat.read_node(node_id)
+    # Once the head's key reaches ``best_dist`` every entry's does
+    # (``best_dist`` is the ceiling until ``best`` is full).
+    while heap and heap[0][0] < best.best_dist:
+        key, _, node, plane = heapq.heappop(heap)
+        if type(plane) is _Children:
+            _evaluate(flat, query, best, heap, counter, node, plane, anchor)
+            continue
+        index = flat.read_node(node)
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
-        if flat.levels[index] == 0:
-            _process_leaf(
-                flat, flat.points[start:stop], flat.record_ids[start:stop],
-                query, best, divisor, exclude,
-            )
+        level = flat.levels[index]
+        if level == 0:
+            points = flat.points[start:stop]
+            bounds = divisor * kernels.points_mindist_box(points, low, high)
+            if plane:
+                np.maximum(bounds, _plane_minimum(plane, points, points), out=bounds)
+            stats.record_distance_computations((1 + bool(plane)) * (stop - start))
+            _scan_leaf(flat, points, flat.record_ids[start:stop], bounds, query, best, exclude)
             continue
-        lows = flat.lows[start:stop]
-        highs = flat.highs[start:stop]
-        keys = kernels.boxes_mindist_box(lows, highs, query_mbr.low, query_mbr.high)
-        flat.stats.record_distance_computations(stop - start)
-        survivors = np.flatnonzero(~heuristic2_prunes_batch(keys, best.best_dist, divisor))
-        if use_heuristic3 and survivors.size:
-            lows, highs = lows[survivors], highs[survivors]
-            wide = tangent and bool(flat.levels[index] > 1)  # the children are internal nodes
-            if tangent:
-                bounds = query.tangent_lower_bounds(lows, highs, anchor)
-            else:
-                bounds = query.mindist_lower_bounds(lows, highs)
-            if wide:
-                bounds = np.maximum(bounds, query.mindist_lower_bounds(lows, highs))
-            if tangent:
-                bounds = np.maximum(np.maximum(bounds, divisor * keys[survivors]), key)
-            flat.stats.record_distance_computations((1 + wide) * query.cardinality * survivors.size)
-            kept = ~heuristic3_prunes_batch(bounds, best.best_dist)
-            survivors, keys = survivors[kept], bounds[kept]
-        else:
-            keys = keys[survivors]
-        for child_key, offset in zip(keys.tolist(), survivors.tolist()):
-            heapq.heappush(heap, (child_key, next(counter), start + offset))
+        lows, highs = flat.lows[start:stop], flat.highs[start:stop]
+        keys = divisor * kernels.boxes_mindist_box(lows, highs, low, high)
+        if plane:
+            np.maximum(keys, _plane_minimum(plane, lows, highs), out=keys)
+        stats.record_distance_computations((1 + bool(plane)) * (stop - start))
+        np.maximum(keys, key, out=keys)
+        order = keys.argsort(kind="stable")
+        ordered = keys.take(order).tolist()
+        survivors = bisect.bisect_left(ordered, best.best_dist)
+        order += start  # the children's node ids, in ascending cheap key
+        if not use_heuristic3:  # the ablation's cheap key is its only key
+            for child_key, child in zip(ordered[:survivors], order[:survivors].tolist()):
+                heapq.heappush(heap, (child_key, next(counter), child, _KEYED))
+        elif survivors:
+            children = _Children(order[:survivors], ordered[:survivors], level > 1)
+            heapq.heappush(heap, (ordered[0], next(counter), node, children))
 
 
-def _process_leaf(flat, points, record_ids, query, best, divisor, exclude=None) -> None:
-    """Apply Heuristic 2 to leaf points before paying the full distance computation.
+class _Children:
+    """The children of a read node still under their cheap keys, ascending.
+
+    Siblings share a level: ``internal`` holds for all of them or none.
+    """
+
+    __slots__ = ("nodes", "keys", "internal", "next")
+
+    def __init__(self, nodes: np.ndarray, keys: list[float], internal: bool):
+        self.nodes = nodes
+        self.keys = keys
+        self.internal = bool(internal)
+        self.next = 0
+
+
+def _evaluate(flat, query, best, heap, counter, parent, children, anchor) -> None:
+    """Key the unevaluated children at the heap head by their own bounds.
+
+    ``children`` was just popped; the batch takes its next children, in
+    ascending cheap key, while they stay below the next heap entry (and
+    at least :data:`EVALUATION_MIN` of them), then continues with that
+    entry while it is another :class:`_Children`.  It stops at a keyed
+    entry, at ``best_dist`` or after :data:`EVALUATION_BATCH` children,
+    so all but the speculative few would have reached the head one by
+    one before the next read.  One kernel call scores them: for
+    sums each node's tangent plane at ``clip(anchor, N)`` (``n``
+    distance computations) and its minimum over ``N`` (one), plus the
+    paper's ``sum_i mindist(N, q_i)`` for internal nodes (``n``; they
+    are put first); for ``max``/``min`` (``anchor`` is ``None``) the
+    paper's bound alone.  Each goes back under the largest of that and
+    its cheap key, carrying its plane, or is dropped once that reaches
+    ``best_dist``.
+    """
+    best_dist = best.best_dist
+    taken = {True: ([], []), False: ([], [])}  # internal? -> (node slices, cheap keys)
+    count = 0
+    while True:
+        keys, first = children.keys, children.next
+        limit = min(heap[0][0], best_dist) if heap else best_dist
+        stop = min(len(keys), first + EVALUATION_BATCH - count)
+        below = bisect.bisect_left(keys, best_dist, first + 1, stop)
+        last = max(
+            first + 1,
+            min(first + EVALUATION_MIN, below),
+            bisect.bisect_left(keys, limit, first + 1, below),
+        )
+        runs, cheap = taken[children.internal]
+        runs.append(children.nodes[first:last])
+        cheap += keys[first:last]
+        count += last - first
+        children.next = last
+        if last < len(keys) and keys[last] < best_dist:
+            heapq.heappush(heap, (keys[last], next(counter), parent, children))
+        if (
+            count == EVALUATION_BATCH
+            or not heap
+            or heap[0][0] >= best_dist
+            or type(heap[0][3]) is not _Children
+        ):
+            break
+        _, _, parent, children = heapq.heappop(heap)
+    (inner, inner_keys), (outer, outer_keys) = taken[True], taken[False]
+    runs = inner + outer
+    nodes = runs[0] if len(runs) == 1 else np.concatenate(runs)
+    internal = len(inner_keys)
+    lows, highs = flat.lows.take(nodes, axis=0), flat.highs.take(nodes, axis=0)
+    cardinality = query.cardinality
+    if anchor is None:
+        bounds = query.mindist_lower_bounds(lows, highs)
+        flat.stats.record_distance_computations(cardinality * count)
+        planes = None
+    else:
+        planes = kernels.group_tangent_planes(lows, highs, query.points, anchor, query.weights)
+        bounds = kernels.plane_lower_bounds(*planes, lows, highs)
+        if internal:
+            head = bounds[:internal]
+            np.maximum(head, query.mindist_lower_bounds(lows[:internal], highs[:internal]), out=head)
+        flat.stats.record_distance_computations((cardinality + 1) * count + cardinality * internal)
+    rows = zip(bounds.tolist(), inner_keys + outer_keys, nodes.tolist())
+    for row, (bound, cheap, node) in enumerate(rows):
+        key = bound if bound > cheap else cheap
+        if key < best_dist:
+            plane = _KEYED if planes is None else (planes, row)
+            heapq.heappush(heap, (key, next(counter), node, plane))
+
+
+def _plane_minimum(plane, lows, highs) -> np.ndarray:
+    """A keyed node's tangent plane minimised over each box (or at each point) given."""
+    (values, gradients, origins), row = plane
+    return kernels.plane_lower_bounds(values[row], gradients[row], origins[row], lows, highs)
+
+
+def _scan_leaf(flat, points, record_ids, bounds, query, best, exclude=None) -> None:
+    """Offer leaf points to ``best`` in ascending lower bound until one reaches ``best_dist``.
 
     ``(points, record_ids)`` is a leaf slice of ``flat`` or — through
-    :func:`seed_from_delta` — the overlay's delta; either way the
-    charges go to ``flat.stats``.  Every point's mindist to the query
-    MBR is computed in one kernel call for the Heuristic-2 ordering;
-    aggregate distances are computed for the candidates that can
-    possibly survive, ``flat.capacity`` of them per call, fetched as the
-    loop reaches them — one call for a leaf, and for a delta only the
-    chunks before the break, so the computed distances match the charged
-    ones to within a chunk.  ``best_dist`` only shrinks while the
-    ordered candidates are consumed, so the sequential pruning loop
-    visits a prefix of that candidate set.  The loop is pure-float: it
-    inlines the Heuristic-2 inequality, skips ``offer`` calls that
-    provably return False (``distance >= best_dist``), and records the
-    per-candidate distance charges — ``n`` for every candidate consumed
-    before the break — as one batched charge.
+    :func:`seed_from_delta` — the overlay's delta, ``bounds`` a lower
+    bound of each point's aggregate distance, charged by the caller;
+    every charge goes to ``flat.stats``.  Aggregate distances are
+    computed for the points whose bound is below ``best_dist``,
+    ``flat.capacity`` of them per call, fetched as the loop reaches them
+    — one call for a leaf, and for a delta only the chunks before the
+    break, so the computed distances match the charged ones to within a
+    chunk.  ``best_dist`` only shrinks while the ordered candidates are
+    consumed, so the loop visits a prefix of them.  The loop is
+    pure-float: it skips ``offer`` calls that provably return False
+    (``distance >= best_dist``) and records the per-candidate distance
+    charges — ``n`` for every candidate consumed before the break — as
+    one batched charge.
     """
-    query_mbr = query.mbr
-    mindists = kernels.points_mindist_box(points, query_mbr.low, query_mbr.high)
-    flat.stats.record_distance_computations(len(points))
-    order = np.argsort(mindists, kind="stable")
-    if best.best_dist < math.inf:
-        candidates = order[~heuristic2_prunes_batch(mindists[order], best.best_dist, divisor)]
-    else:
-        candidates = order
+    order = bounds.argsort(kind="stable")
+    candidate_bounds = bounds.take(order).tolist()
+    best_dist = best.best_dist
+    candidates = order[: bisect.bisect_left(candidate_bounds, best_dist)]
     if candidates.size == 0:
         return
-    candidate_mindists = mindists[candidates].tolist()
+    ids = record_ids.take(candidates).tolist()
     chunk = flat.capacity
     candidate_distances: list[float] = []
     offer = best.offer
-    best_dist = best.best_dist
-    bounded = best_dist < math.inf
     consumed = 0
-    for position, offset in enumerate(candidates.tolist()):
-        if bounded and candidate_mindists[position] >= best_dist / divisor:
+    for position, (offset, record_id) in enumerate(zip(candidates.tolist(), ids)):
+        if candidate_bounds[position] >= best_dist:
             break
         if position == len(candidate_distances):
             part = candidates[position : position + chunk]
-            candidate_distances += query.distances_to(points[part]).tolist()
-        if exclude is not None and int(record_ids[offset]) in exclude:
+            candidate_distances += query.distances_to(points.take(part, axis=0)).tolist()
+        if exclude is not None and record_id in exclude:
             continue
         consumed += 1
         distance = candidate_distances[position]
         if distance < best_dist:
-            offer(int(record_ids[offset]), points[offset], distance)
+            offer(record_id, points[offset], distance)
             best_dist = best.best_dist
-            bounded = best_dist < math.inf
     flat.stats.record_distance_computations(query.cardinality * consumed)
 
 

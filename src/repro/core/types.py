@@ -104,12 +104,6 @@ class GroupQuery:
             lows, highs, self.points, weights=self.weights, aggregate=self.aggregate
         )
 
-    def tangent_lower_bounds(
-        self, lows: np.ndarray, highs: np.ndarray, anchor: np.ndarray
-    ) -> np.ndarray:
-        """Batched convexity bound of the (weighted) sum aggregate over many MBRs."""
-        return kernels.boxes_group_tangent_bound(lows, highs, self.points, anchor, self.weights)
-
     def total_weight(self) -> float:
         """Sum of weights (``n`` when the query is unweighted)."""
         if self.weights is None:
@@ -164,8 +158,9 @@ class BestList:
             raise ValueError("within must be a number, not NaN")
         self.k = int(k)
         self._ceiling = math.nextafter(float(within), math.inf)
-        # max-heap on distance, emulated by negating distances
-        self._heap: list[tuple[float, int, GroupNeighbor]] = []
+        # max-heap on distance, emulated by negating distances; each
+        # entry's GroupNeighbor is only built by neighbors()
+        self._heap: list[tuple[float, int, np.ndarray]] = []
         self._members: set[int] = set()
 
     @property
@@ -181,14 +176,15 @@ class BestList:
         Duplicate record ids are ignored (a point encountered through two
         different search paths must not occupy two result slots).
         """
-        if record_id in self._members or distance >= self.best_dist:
+        heap = self._heap
+        full = len(heap) >= self.k
+        if distance >= (-heap[0][0] if full else self._ceiling) or record_id in self._members:
             return False
-        entry = (-distance, record_id, GroupNeighbor(record_id, point, distance))
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
+        entry = (-distance, record_id, point)
+        if full:
+            self._members.discard(heapq.heapreplace(heap, entry)[1])
         else:
-            _, evicted_id, _ = heapq.heapreplace(self._heap, entry)
-            self._members.discard(evicted_id)
+            heapq.heappush(heap, entry)
         self._members.add(record_id)
         return True
 
@@ -205,7 +201,7 @@ class BestList:
     def neighbors(self) -> list[GroupNeighbor]:
         """Return the collected neighbors sorted by ascending distance."""
         ordered = sorted(self._heap, key=lambda item: (-item[0], item[1]))
-        return [item[2] for item in ordered]
+        return [GroupNeighbor(record_id, point, -negated) for negated, record_id, point in ordered]
 
 
 @dataclass

@@ -290,13 +290,71 @@ def boxes_groups_mindist(lows: np.ndarray, highs: np.ndarray, groups: np.ndarray
     return reduce_aggregate(_norms(_gap(box_lows, box_highs, columns, columns)), SUM)
 
 
-#: Relative rounding allowance of the tangent bound.  Unlike a sum of
-#: mindists, ``f(a) + g . (p - a)`` cancels: its rounding error scales
-#: with ``f(a) + W * extent`` (about ``n * 2**-53`` of it), not with the
-#: result, so the bound is lowered by this fraction of that scale —
-#: orders of magnitude above the error for any ``n`` below ~10**6 and
-#: orders below the gaps pruning decides on.
+#: Relative rounding allowance of a tangent plane.  Unlike a sum of
+#: mindists, ``f(a) + g . (p - a)`` cancels: evaluated anywhere in a box
+#: around ``a``, its rounding error scales with ``f(a) + W * extent``
+#: (about ``n * 2**-53`` of it), not with the result, so each plane is
+#: lowered by this fraction of that scale — orders of magnitude above
+#: the error for any ``n`` below ~10**6 and orders below the gaps
+#: pruning decides on.
 TANGENT_MARGIN = 1e-9
+
+
+def group_tangent_planes(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    group: np.ndarray,
+    anchor: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tangent planes of ``f = sum_i w_i |. - q_i|``, one per box: ``(values, gradients, origins)``.
+
+    ``f`` is convex, so the plane at any origin ``a`` lies below it:
+    ``f(p) >= f(a) + g . (p - a)`` with ``g`` a subgradient at ``a``
+    (``sum_i w_i (a - q_i) / |a - q_i|``, terms at distance 0 dropped).
+    Each box's plane is taken at ``clip(anchor, low, high)`` — its point
+    nearest the caller's estimate of the group's geometric median, where
+    the plane is near-exact — for the ``n`` distances of ``f(a)``, and
+    its value is lowered by :data:`TANGENT_MARGIN` of
+    ``f(a) + W * |high - low|_1``, so that :func:`plane_lower_bounds`
+    never exceeds the computed distance of a point inside that box.
+
+    ``group`` is ``(n, dims)`` with an ``(dims,)`` anchor, or a stack
+    ``(B, n, dims)`` with ``(B, dims)`` anchors (unweighted): values are
+    ``(..., m)``, gradients and origins ``(..., m, dims)``, each row
+    bit-identical to the per-group call.
+    """
+    origins = np.minimum(np.maximum(anchor[..., None, :], lows), highs)
+    # (dims, ..., m, n) differences, kept past the norms for the gradient.
+    deltas = np.subtract(
+        _axis_major(origins)[..., None], _axis_major(group)[..., None, :], order="C"
+    )
+    dist = np.add.reduce(deltas * deltas, axis=0)  # _norms, keeping ``deltas``
+    np.sqrt(dist, out=dist)
+    values = reduce_aggregate(dist, SUM, weights)
+    np.putmask(dist, dist == 0.0, np.inf)  # a query point at the origin adds no direction
+    deltas /= dist
+    if weights is not None:
+        deltas *= weights
+    gradients = np.add.reduce(deltas, axis=-1)
+    total = float(group.shape[-2]) if weights is None else float(weights.sum())
+    values *= 1.0 - TANGENT_MARGIN
+    values -= (TANGENT_MARGIN * total) * np.add.reduce(highs - lows, axis=-1)
+    return values, gradients.transpose((*range(1, gradients.ndim), 0)), origins
+
+
+def plane_lower_bounds(values, gradients, origins, lows: np.ndarray, highs: np.ndarray):
+    """Minimum of each plane ``value + g . (p - origin)`` over a box, or at a point.
+
+    ``O(dims)`` per box: the minimum sits at the corner that takes
+    ``high`` on the axes where ``g`` is negative and ``low`` elsewhere.
+    Broadcasts: one plane against ``m`` boxes, or ``m`` planes against
+    their own boxes.  Pass the same array as ``lows`` and ``highs`` for
+    points.  Sound only inside the box each plane was taken for (see
+    :func:`group_tangent_planes`).
+    """
+    corners = lows if highs is lows else np.where(gradients < 0.0, highs, lows)
+    return values + np.add.reduce((corners - origins) * gradients, axis=-1)
 
 
 def boxes_group_tangent_bound(
@@ -306,39 +364,15 @@ def boxes_group_tangent_bound(
     anchor: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Convexity lower bound of ``sum_i w_i |p - q_i|`` over ``m`` boxes.
+    """Convexity lower bound of ``sum_i w_i |p - q_i|`` over each of ``m`` boxes.
 
-    ``f = dist(., Q)`` is convex, so the tangent plane at any point
-    ``a`` lies below it: ``f(p) >= f(a) + g . (p - a)`` with ``g`` a
-    subgradient at ``a`` (``sum_i w_i (a - q_i) / |a - q_i|``, terms at
-    distance 0 dropped).  Minimising the right-hand side over a box is
-    closed-form per axis, which bounds ``f`` over the whole box from
-    ``n`` distance evaluations — the price of :func:`boxes_group_mindist`
-    — and is near-exact when ``a`` is close to the box's own minimiser:
-    each box is anchored at ``clip(anchor, low, high)``, its point
-    nearest the caller's estimate of the group's geometric median.
-    The result is lowered by :data:`TANGENT_MARGIN` so that it never
-    exceeds the computed distance of a point inside the box.
-
-    ``group`` is ``(n, dims)`` with an ``(dims,)`` anchor, or a stack
-    ``(B, n, dims)`` with ``(B, dims)`` anchors (unweighted) giving a
-    ``(B, m)`` result whose rows are bit-identical to the per-group call.
+    Each box's own plane (:func:`group_tangent_planes`) minimised over
+    it (:func:`plane_lower_bounds`): ``n`` distance evaluations per box,
+    the price of :func:`boxes_group_mindist`.  Shapes as
+    :func:`group_tangent_planes`; the result is ``(..., m)``.
     """
-    a = np.minimum(np.maximum(anchor[..., None, :], lows), highs)
-    # (dims, ..., m, n) differences, kept past the norms for the gradient.
-    deltas = np.subtract(_axis_major(a)[..., None], _axis_major(group)[..., None, :], order="C")
-    dist = _norms(deltas.copy())
-    value = reduce_aggregate(dist, SUM, weights)
-    np.putmask(dist, dist == 0.0, np.inf)  # a query point at the anchor adds no direction
-    deltas /= dist
-    if weights is not None:
-        deltas *= weights
-    gradient = np.add.reduce(deltas, axis=-1)
-    gradient = gradient.transpose((*range(1, gradient.ndim), 0))  # back to (..., m, dims)
-    linear = np.add.reduce(np.minimum(gradient * (lows - a), gradient * (highs - a)), axis=-1)
-    total = float(group.shape[-2]) if weights is None else float(weights.sum())
-    margin = TANGENT_MARGIN * (value + total * np.add.reduce(highs - lows, axis=-1))
-    return value + linear - margin
+    planes = group_tangent_planes(lows, highs, group, anchor, weights)
+    return plane_lower_bounds(*planes, lows, highs)
 
 
 # ----------------------------------------------------------------------

@@ -134,11 +134,21 @@ class TestAutoPolicy:
         plan = QueryPlanner().plan(QuerySpec(group=GROUP, aggregate=aggregate))
         assert plan.algorithm.name == "best-first"
         assert aggregate in plan.rationale
+        assert "sums only" in plan.rationale
 
-    def test_memory_weighted_chooses_best_first(self):
+    def test_memory_weighted_sum_chooses_mbm(self):
+        # MBM answers weighted sums exactly and reads fewer nodes than
+        # best-first on them (the weighted pin in tests/test_rtree_flat.py:
+        # 5 node accesses against 9).
         plan = QueryPlanner().plan(QuerySpec(group=GROUP, weights=[1.0, 2.0, 3.0]))
-        assert plan.algorithm.name == "best-first"
+        assert plan.algorithm.name == "mbm"
         assert "weighted" in plan.rationale
+
+    def test_memory_weighted_max_chooses_best_first(self):
+        spec = QuerySpec(group=GROUP, weights=[1.0, 2.0, 3.0], aggregate="max")
+        plan = QueryPlanner().plan(spec)
+        assert plan.algorithm.name == "best-first"
+        assert "weighted max aggregate" in plan.rationale
 
     def test_disk_few_blocks_chooses_fmqm(self, rng):
         file = PointFile(rng.uniform(0, 1, size=(100, 2)), points_per_page=50, block_pages=10)

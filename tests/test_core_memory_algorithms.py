@@ -5,10 +5,13 @@ diverse set of query groups (the ``query_groups`` fixture) and against
 the paper's qualitative claims about their costs.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from mbm_reference import mbm_reference
 
 from repro import GNNEngine, QuerySpec
 from repro.core.aggregates import aggregate_gnn
@@ -169,39 +172,87 @@ class TestMBM:
         assert total_mbm <= total_spm * 1.1
 
 
-def _needed_nodes(flat, points, query):
-    """Mask of the nodes whose key is below the k-th distance.
-
-    Computed from ``flat.lows/highs`` without a traversal: a node's own
-    bound is ``max(T(N), W * mindist(N, M))`` — internal nodes add the
-    paper's ``sum_i w_i mindist(N, q_i)`` to the max — and its key the
-    largest bound on its path from the root (the tangent bound alone is
-    not monotone parent to child).  No exact traversal pruned by these
-    keys can skip one of them; MBM reads nothing else.  Inputs where a
-    key *equals* the k-th distance are rejected: whether such a node is
-    read depends on the order ties are met in.
-    """
+def _kth_distance(points, query):
     expected = brute_force_gnn(points, query).distances()
-    kth = expected[-1] if len(expected) == query.k else np.inf
-    anchor = weiszfeld_centroid(
-        query.points, max_iterations=ANCHOR_STEPS, weights=query.weights
+    return (expected[-1] if len(expected) == query.k else np.inf), expected
+
+
+def _anchor(query):
+    return weiszfeld_centroid(query.points, max_iterations=ANCHOR_STEPS, weights=query.weights)
+
+
+def _needed_nodes(flat, points, query):
+    """Mask of the nodes whose deferred key is below the k-th distance.
+
+    Computed from ``flat.lows/highs`` without a traversal.  Every node
+    gets its own tangent plane at ``clip(anchor, N)``; its own bound is
+    that plane's minimum over ``N`` (internal nodes: the larger of it
+    and the paper's ``sum_i w_i mindist(N, q_i)``).  A child's cheap key
+    is the largest of its parent's key, ``W * mindist(N, M)`` and the
+    parent's plane minimised over the child (the root has no plane), and
+    its key the larger of the cheap key and its own bound.  The root's
+    key is 0.  No exact traversal pruned by these keys can skip a node
+    whose key is below the k-th distance; MBM reads nothing else.
+    Inputs where a key *equals* the k-th distance are rejected: whether
+    such a node is read depends on the order ties are met in.
+    """
+    kth, expected = _kth_distance(points, query)
+    values, gradients, origins = planes = kernels.group_tangent_planes(
+        flat.lows, flat.highs, query.points, _anchor(query), query.weights
     )
+    own = kernels.plane_lower_bounds(*planes, flat.lows, flat.highs)
+    internal = flat.levels > 0
+    own[internal] = np.maximum(
+        own[internal], query.mindist_lower_bounds(flat.lows[internal], flat.highs[internal])
+    )
+    mbr = query.mbr
+    cheap = query.total_weight() * kernels.boxes_mindist_box(
+        flat.lows, flat.highs, mbr.low, mbr.high
+    )
+    keys = np.zeros(flat.num_nodes)
+    # Nodes are numbered breadth-first, so a parent's key is final
+    # before its children's slice is reached.
+    for index in np.flatnonzero(internal):
+        start = flat.child_start[index]
+        children = slice(start, start + flat.child_count[index])
+        bound = np.maximum(cheap[children], keys[index])
+        if index > 0:
+            bound = np.maximum(
+                bound,
+                kernels.plane_lower_bounds(
+                    values[index], gradients[index], origins[index],
+                    flat.lows[children], flat.highs[children],
+                ),
+            )
+        keys[children] = np.maximum(bound, own[children])
+    assume(not np.any(keys == kth))
+    return keys < kth, expected
+
+
+def _eager_needed_nodes(flat, points, query):
+    """:func:`_needed_nodes` for the eager keys ``mbm_batch`` and the reference keep.
+
+    A node's own bound is ``max(T(N), W * mindist(N, M))`` — internal
+    nodes add the paper's bound to the max — with ``T`` the tangent
+    bound about the group's anchor, and its key the largest bound on its
+    path from the root, whose key is 0.
+    """
+    kth, expected = _kth_distance(points, query)
+    mbr = query.mbr
     keys = np.maximum(
-        query.tangent_lower_bounds(flat.lows, flat.highs, anchor),
-        query.total_weight()
-        * kernels.boxes_mindist_box(flat.lows, flat.highs, query.mbr.low, query.mbr.high),
+        kernels.boxes_group_tangent_bound(
+            flat.lows, flat.highs, query.points, _anchor(query), query.weights
+        ),
+        query.total_weight() * kernels.boxes_mindist_box(flat.lows, flat.highs, mbr.low, mbr.high),
     )
     internal = flat.levels > 0
     keys[internal] = np.maximum(
         keys[internal], query.mindist_lower_bounds(flat.lows[internal], flat.highs[internal])
     )
     keys[0] = 0.0
-    # Nodes are numbered breadth-first, so a parent's key is final
-    # before its children's slice is reached.
-    for index in np.flatnonzero(flat.levels > 0):
-        children = slice(
-            flat.child_start[index], flat.child_start[index] + flat.child_count[index]
-        )
+    for index in np.flatnonzero(internal):
+        start = flat.child_start[index]
+        children = slice(start, start + flat.child_count[index])
         keys[children] = np.maximum(keys[children], keys[index])
     assume(not np.any(keys == kth))
     return keys < kth, expected
@@ -251,16 +302,17 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
     @given(workload=_workloads(max_batch=5))
     @settings(max_examples=60, deadline=None)
     def test_shared_traversal_reads_the_union_of_the_solo_sets(self, workload):
+        # ``mbm_batch`` keeps the eager keys: its solo counterpart is the reference.
         _, points, flat, groups, k = workload
         needed = np.zeros(flat.num_nodes, dtype=bool)
         expected = []
         solo_accesses = 0
         for group in groups:
             query = GroupQuery(group, k=k)
-            mask, distances = _needed_nodes(flat, points, query)
+            mask, distances = _eager_needed_nodes(flat, points, query)
             needed |= mask
             expected.append(distances)
-            solo_accesses += mbm(flat, query).cost.node_accesses
+            solo_accesses += mbm_reference(flat, query).cost.node_accesses
         results = mbm_batch(flat, groups, k)
         assert [result.distances() for result in results] == expected
         assert results[0].cost.node_accesses == np.count_nonzero(needed) <= solo_accesses
@@ -279,6 +331,45 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
         expected = brute_force_gnn(points[live], query)
         assert result.distances() == expected.distances()
         assert result.record_ids() == [int(live[i]) for i in expected.record_ids()]
+
+
+class TestDeferredKeysAgainstTheEagerReference:
+    """``mbm`` against ``tests/mbm_reference.py``, which keys every child when it is pushed.
+
+    Deferring a bound never lowers a key, so the answers must be the
+    reference's, id for id and float for float, and the node accesses
+    never more.
+    """
+
+    @given(workload=_workloads(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_same_answers_and_no_more_node_accesses(self, workload, data):
+        rng, points, flat, groups, k = workload
+        n = groups.shape[1]
+        weights = rng.uniform(0.5, 3.0, size=n) if data.draw(st.booleans()) else None
+        aggregate = data.draw(st.sampled_from(["sum", "sum", "max", "min"]))
+        query = GroupQuery(groups[0], k=k, aggregate=aggregate, weights=weights)
+        overlay = None
+        if data.draw(st.booleans(), label="dirty"):
+            overlay = DeltaOverlay(flat)
+            dead = data.draw(st.sets(st.integers(0, len(points) - 1), max_size=len(points) // 2))
+            for rid in dead:
+                assert overlay.delete(points[rid], rid)
+            fresh = rng.uniform(0, 1000, size=(data.draw(st.integers(0, 12)), 2))
+            for offset, row in enumerate(fresh):
+                overlay.insert(row, len(points) + offset)
+        within = math.inf
+        if data.draw(st.booleans(), label="within"):
+            distances = np.sort(query.distances_to(points))
+            within = float(distances[data.draw(st.integers(0, len(points) - 1))])
+        options = {"overlay": overlay, "within": within}
+        if aggregate == "sum":
+            options["use_heuristic3"] = data.draw(st.booleans())
+        expected = mbm_reference(flat, query, **options)
+        result = mbm(flat, query, **options)
+        assert result.record_ids() == expected.record_ids()
+        assert result.distances() == expected.distances()
+        assert result.cost.node_accesses <= expected.cost.node_accesses
 
 
 class TestCrossAlgorithmAgreement:

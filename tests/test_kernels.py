@@ -446,7 +446,11 @@ def tangent_case(draw):
 
 
 class TestTangentBound:
-    """``boxes_group_tangent_bound`` never exceeds a distance inside its box."""
+    """A box's tangent plane never exceeds a computed distance inside the box.
+
+    ``boxes_group_tangent_bound`` is the plane minimised over its own
+    box; MBM also minimises it over the box's children and points.
+    """
 
     @given(case=tangent_case())
     @settings(deadline=None, max_examples=300)
@@ -466,6 +470,35 @@ class TestTangentBound:
             inside = np.clip(inside, low, high)  # low + 1.0 * (high - low) may round out
             distances = kernels.aggregate_distances(inside, group, weights=weights)
             assert np.all(bound <= distances), (bound, distances.min())
+
+    @given(case=tangent_case())
+    @settings(deadline=None, max_examples=300)
+    def test_a_parents_plane_never_exceeds_a_distance_inside_it(self, case):
+        # MBM pre-keys a read node's children, and a leaf's points, by the
+        # node's own plane: it must stay below every child box and point.
+        lows, highs, group, weights, anchor, fractions = case
+        values, gradients, origins = kernels.group_tangent_planes(
+            lows, highs, group, anchor, weights
+        )
+        dims = group.shape[1]
+        unit = np.vstack([fractions, np.array(list(itertools.product([0.0, 1.0], repeat=dims)))])
+        for row, (low, high) in enumerate(zip(lows, highs)):
+            plane = values[row], gradients[row], origins[row]
+            inside = np.vstack(
+                [low + unit * (high - low), np.clip(group, low, high), origins[row][None, :]]
+            )
+            inside = np.clip(inside, low, high)  # low + 1.0 * (high - low) may round out
+            at_points = kernels.plane_lower_bounds(*plane, inside, inside)
+            distances = kernels.aggregate_distances(inside, group, weights=weights)
+            assert np.all(at_points <= distances), (at_points - distances).max()
+            # child boxes spanned by pairs of those points
+            pairs = np.array(list(itertools.combinations(range(len(inside)), 2))[:40])
+            child_lows = np.minimum(inside[pairs[:, 0]], inside[pairs[:, 1]])
+            child_highs = np.maximum(inside[pairs[:, 0]], inside[pairs[:, 1]])
+            bounds = kernels.plane_lower_bounds(*plane, child_lows, child_highs)
+            for child_low, child_high, bound in zip(child_lows, child_highs, bounds):
+                points = np.clip(child_low + unit * (child_high - child_low), child_low, child_high)
+                assert np.all(bound <= kernels.aggregate_distances(points, group, weights=weights))
 
     def test_tight_at_the_box_nearest_the_median(self):
         # Anchored at the constrained minimiser the tangent plane is exact;

@@ -364,8 +364,10 @@ class TestFederatedConformance:
     #: Before sub-queries carried tau0 as a ceiling the same replay read
     #: (406, 47954) at 2 shards and (455, 56376) at 4, with every shard
     #: returning its full top-k (50 x 8 per contacted shard).  Routing
-    #: is unchanged, so the contact counts are the same at both.
-    REPLAY_PINS = {2: (392, 43474, 81, 603), 4: (370, 41998, 132, 698)}
+    #: is unchanged, so the contact counts are the same at both.  With
+    #: MBM's keys computed eagerly for every pushed child the distance
+    #: computations were 43474 (2 shards) and 41998 (4 shards).
+    REPLAY_PINS = {2: (392, 35722, 81, 603), 4: (370, 34689, 132, 698)}
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_replay_work_is_pinned(self, federations, reference_engine, shards):
