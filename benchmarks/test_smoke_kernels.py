@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.mbm import mbm
+from repro.core.mbm import mbm, mbm_batch
 from repro.core.types import GroupQuery
 from repro.datasets import pp_like
 from repro.datasets.workload import WorkloadSpec, generate_workload
@@ -107,10 +107,11 @@ def test_smoke_tangent_kernel_price_per_node():
     group = rng.uniform(400, 680, size=(64, 2))
     anchor = group.mean(axis=0)
 
-    ratio = _cost_ratio(
-        lambda: kernels.boxes_group_tangent_bound(lows, highs, group, anchor),
-        lambda: kernels.boxes_group_mindist(lows, highs, group),
-    )
+    def tangent_bound():
+        planes = kernels.group_tangent_planes(lows, highs, group, anchor)
+        return kernels.plane_lower_bounds(*planes, lows, highs)
+
+    ratio = _cost_ratio(tangent_bound, lambda: kernels.boxes_group_mindist(lows, highs, group))
     assert ratio <= 2.0, (
         f"tangent kernel costs {ratio:.2f}x the summed-mindist "
         "kernel on a 50-box slice (expected <= 2x)"
@@ -122,12 +123,28 @@ def test_smoke_tangent_kernel_price_per_node():
 MAX_MBM_CPU_RATIO = 1.10
 
 
-def _load_mbm_reference():
+def _load_mbm_reference(name="mbm_reference"):
     path = Path(__file__).resolve().parents[1] / "tests" / "mbm_reference.py"
     spec = importlib.util.spec_from_file_location("mbm_reference", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.mbm_reference
+    return getattr(module, name)
+
+
+def _assert_cpu_ratio(subject, reference, label):
+    """``subject`` must cost at most :data:`MAX_MBM_CPU_RATIO` times ``reference``.
+
+    Timed with the alternating ``_cost_ratio``.  A burst of load on a
+    shared machine can still land on one side, so the check fails only
+    when three measurements in a row do.
+    """
+    ratios = []
+    while len(ratios) < 3 and (not ratios or ratios[-1] > MAX_MBM_CPU_RATIO):
+        ratios.append(_cost_ratio(subject, reference, rounds=15, calls=1))
+    assert ratios[-1] <= MAX_MBM_CPU_RATIO, (
+        f"{label} costs {', '.join(f'{r:.2f}x' for r in ratios)} the eager-key "
+        f"reference's CPU (expected <= {MAX_MBM_CPU_RATIO}x)"
+    )
 
 
 @pytest.mark.parametrize("n", [4, 64])
@@ -137,9 +154,7 @@ def test_smoke_mbm_cpu_per_query(n):
     A fixed ``pp_like(20000)`` replay of 40 Figure-5.1-shaped groups
     (M = 8%, k = 8), timed with the alternating ``_cost_ratio``.
     Deferring saves distance computations; heap or batching overhead
-    that eats the saving shows up as a ratio above 1.10.  A burst of
-    load on a shared machine can still land on one side, so the check
-    fails only when three measurements in a row do.
+    that eats the saving shows up as a ratio above 1.10.
     """
     mbm_reference = _load_mbm_reference()
     points = pp_like(20_000)
@@ -149,19 +164,44 @@ def test_smoke_mbm_cpu_per_query(n):
     for query in queries:
         assert mbm(flat, query).distances() == mbm_reference(flat, query).distances()
 
-    ratios = []
-    while len(ratios) < 3 and (not ratios or ratios[-1] > MAX_MBM_CPU_RATIO):
-        ratios.append(
-            _cost_ratio(
-                lambda: [mbm(flat, query) for query in queries],
-                lambda: [mbm_reference(flat, query) for query in queries],
-                rounds=15,
-                calls=1,
-            )
-        )
-    assert ratios[-1] <= MAX_MBM_CPU_RATIO, (
-        f"MBM costs {', '.join(f'{r:.2f}x' for r in ratios)} the eager-key reference's "
-        f"CPU at n={n} (expected <= {MAX_MBM_CPU_RATIO}x)"
+    _assert_cpu_ratio(
+        lambda: [mbm(flat, query) for query in queries],
+        lambda: [mbm_reference(flat, query) for query in queries],
+        f"MBM at n={n}",
+    )
+
+
+@pytest.mark.parametrize("batch", [2, 8])
+def test_smoke_mbm_batch_cpu_per_query(batch):
+    """The deferred shared traversal must not cost CPU against the eager batch.
+
+    A fixed meet-up replay shaped like the served path: ``pp_like(20000)``,
+    64 requests of ``n = 4``, ``k = 1`` groups drawn in 32 fixed boxes of
+    M = 0.5% with Zipf-1.1 popularity, answered ``batch`` consecutive
+    requests at a time by ``mbm_batch`` and by the eager
+    ``mbm_batch_reference`` of ``tests/mbm_reference.py``.
+    """
+    mbm_batch_reference = _load_mbm_reference("mbm_batch_reference")
+    points = pp_like(20_000)
+    flat = FlatRTree.bulk_load(points, capacity=50)
+    rng = np.random.default_rng(31)
+    low, high = points.min(axis=0), points.max(axis=0)
+    side = float(np.sqrt(0.005 * np.prod(high - low)))
+    boxes = rng.uniform(low, high - side, size=(32, 2))
+    popularity = np.arange(1, 33) ** -1.1
+    hotspots = rng.choice(32, size=64, p=popularity / popularity.sum())
+    groups = np.stack([rng.uniform(boxes[h], boxes[h] + side, size=(4, 2)) for h in hotspots])
+    chunks = [groups[start : start + batch] for start in range(0, len(groups), batch)]
+    for chunk in chunks:
+        expected = mbm_batch_reference(flat, chunk, 1)
+        assert [r.distances() for r in mbm_batch(flat, chunk, 1)] == [
+            e.distances() for e in expected
+        ]
+
+    _assert_cpu_ratio(
+        lambda: [mbm_batch(flat, chunk, 1) for chunk in chunks],
+        lambda: [mbm_batch_reference(flat, chunk, 1) for chunk in chunks],
+        f"mbm_batch at B={batch}",
     )
 
 

@@ -17,12 +17,11 @@ queries:
 * **shared traversals** — MBM specs are bucketed by
   ``(cardinality, k, heuristics)``, Hilbert-ordered, and answered by
   :func:`repro.core.mbm.mbm_batch`: *one* best-first traversal of the
-  snapshot serves the whole bucket, scoring each visited node for every
-  still-active query in a single ``(B, fanout)`` (or ``(B, m)``) kernel
-  call and pruning per query with Heuristics 2/3 — so a bucket pays the
-  traversal once instead of ``B`` times.  Specs carrying a ``within``
-  ceiling take the per-query path (the shared traversal has no
-  ceiling), and so do brute-force specs carrying one.
+  snapshot serves the whole bucket, each member keying and pruning as
+  its solo search would, so a bucket reads the union of its members'
+  nodes, each once.  Specs carrying a ``within`` ceiling take the
+  per-query path (the shared traversal has no ceiling), and so do
+  brute-force specs carrying one.
 
 Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
@@ -39,13 +38,12 @@ Disk-resident plans have no overlay form: the engine folds the overlay
 
 Batching never changes answers: every fast path reproduces the exact
 arithmetic of the per-query route, which ``execute_many`` equivalence
-tests pin down.  Two deliberate caveats on the shared paths, both
-matching the batched brute-force precedent: an *exact* tie in the k-th
-distance may resolve to a different, equally distant record (the batch
-picks the smallest record ids, the per-query traversal keeps the first
-one it met), and cost reporting is bucket-level — shared-traversal
-results carry the counters of the one traversal under the
-``MBM-batch`` label rather than per-query fictions.
+tests pin down.  Two deliberate caveats on the shared paths: an *exact*
+tie in the k-th distance may resolve to a different, equally distant
+record (each traversal keeps the first record it meets, and a shared
+traversal may meet them in another order), and cost reporting is
+bucket-level — shared-traversal results carry the counters of the one
+traversal under the ``MBM-batch`` label rather than per-query fictions.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ from repro.api.planner import (
 )
 from repro.api.spec import MEMORY, WITHIN, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
-from repro.core.mbm import mbm_batch
+from repro.core.mbm import EVALUATION_BATCH, mbm_batch
 from repro.core.types import GNNResult, GroupNeighbor, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.geometry.hilbert import hilbert_indices
@@ -79,9 +77,9 @@ from repro.storage.pointfile import PointFile
 #: chunk may allocate (the (g, N, n, dims) difference tensor).
 BATCH_TENSOR_ELEMENT_CAP = 8_000_000
 
-#: Upper bound on the elements of one shared-traversal leaf tensor (the
-#: (B, fanout, n, dims) difference tensor scored per leaf); buckets are
-#: chunked so B stays below it.
+#: Upper bound on the elements of one shared-traversal evaluation tensor
+#: (up to EVALUATION_BATCH * B (member, child) pairs, each with an
+#: (n, dims) difference stack); buckets are chunked so B stays below it.
 SHARED_BUCKET_ELEMENT_CAP = 8_000_000
 
 #: Upper bound on the members of one shared traversal.  Buckets are
@@ -359,7 +357,8 @@ def _shared_traversal_mbm(
     stacking dimensions of :func:`repro.core.mbm.mbm_batch` — and each
     bucket runs in Hilbert order of the group centroids, so one
     traversal's node visits serve spatially coherent queries.  Buckets
-    are chunked to bound the ``(B, fanout, n)`` leaf scoring tensors.
+    are chunked to bound the evaluation tensors (see
+    :data:`SHARED_BUCKET_ELEMENT_CAP`).
     Single-spec buckets stay on the per-query path (a batch of one
     amortises nothing).
     """
@@ -380,7 +379,7 @@ def _shared_traversal_mbm(
             continue
         chunk = min(
             SHARED_BUCKET_MAX_MEMBERS,
-            SHARED_BUCKET_ELEMENT_CAP // max(1, flat.capacity * cardinality * dims),
+            SHARED_BUCKET_ELEMENT_CAP // (EVALUATION_BATCH * cardinality * dims),
         )
         if chunk < 2:
             continue  # groups too large to stack; per-query path handles them
@@ -402,17 +401,10 @@ def _shared_traversal_mbm(
 # locality scheduling
 # ----------------------------------------------------------------------
 def _hilbert_order(specs: Sequence[QuerySpec], indices: list[int]) -> list[int]:
-    """``indices`` reordered along the Hilbert curve of the group centroids.
-
-    The curve is only defined for 2-D groups; other dimensionalities
-    keep their input order.
-    """
+    """``indices`` reordered along the Hilbert curve of the group centroids."""
     if len(indices) < 2:
         return indices
-    centroids = np.vstack([specs[i].group.mean(axis=0) for i in indices])
-    if centroids.shape[1] != 2:
-        return indices
-    keys = hilbert_indices(centroids)
+    keys = hilbert_indices(np.vstack([specs[i].group.mean(axis=0) for i in indices]))
     return [indices[j] for j in np.argsort(keys, kind="stable")]
 
 

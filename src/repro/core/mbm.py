@@ -66,7 +66,7 @@ import numpy as np
 
 from repro.core.centroid import weiszfeld_centroid
 from repro.core.instrumentation import CostTracker
-from repro.core.types import BestList, GNNResult, GroupNeighbor, GroupQuery, QueryCost
+from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -243,67 +243,86 @@ class _Children:
     """The children of a read node still under their cheap keys, ascending.
 
     Siblings share a level: ``internal`` holds for all of them or none.
+    In :func:`mbm_batch`, ``keys`` holds each child's smallest member key
+    and ``cheap`` the ``(members, children)`` matrix of cheap keys,
+    ``inf`` where the member has pruned the child.
     """
 
-    __slots__ = ("nodes", "keys", "internal", "next")
+    __slots__ = ("nodes", "keys", "internal", "next", "members", "cheap")
 
-    def __init__(self, nodes: np.ndarray, keys: list[float], internal: bool):
+    def __init__(
+        self, nodes: np.ndarray, keys: list[float], internal: bool, members=None, cheap=None
+    ):
         self.nodes = nodes
         self.keys = keys
         self.internal = bool(internal)
         self.next = 0
+        self.members = members
+        self.cheap = cheap
 
 
-def _evaluate(flat, query, best, heap, counter, parent, children, anchor) -> None:
-    """Key the unevaluated children at the heap head by their own bounds.
+def _take(heap, counter, parent, children, ceiling) -> dict:
+    """Pop the unevaluated children to key now: ``{internal?: [(children, first, last)]}``.
 
-    ``children`` was just popped; the batch takes its next children, in
+    ``children`` was just popped; this takes its next children, in
     ascending cheap key, while they stay below the next heap entry (and
     at least :data:`EVALUATION_MIN` of them), then continues with that
-    entry while it is another :class:`_Children`.  It stops at a keyed
-    entry, at ``best_dist`` or after :data:`EVALUATION_BATCH` children,
-    so all but the speculative few would have reached the head one by
-    one before the next read.  One kernel call scores them: for
-    sums each node's tangent plane at ``clip(anchor, N)`` (``n``
-    distance computations) and its minimum over ``N`` (one), plus the
-    paper's ``sum_i mindist(N, q_i)`` for internal nodes (``n``; they
-    are put first); for ``max``/``min`` (``anchor`` is ``None``) the
-    paper's bound alone.  Each goes back under the largest of that and
-    its cheap key, carrying its plane, or is dropped once that reaches
-    ``best_dist``.
+    entry while it is another :class:`_Children`.  It stops at a
+    keyed entry, at ``ceiling`` or after :data:`EVALUATION_BATCH`
+    children, so all but the speculative few would have reached the head
+    one by one before the next read.  What is left of an entry goes back
+    under its next cheap key.
     """
-    best_dist = best.best_dist
-    taken = {True: ([], []), False: ([], [])}  # internal? -> (node slices, cheap keys)
+    taken = {True: [], False: []}
     count = 0
     while True:
         keys, first = children.keys, children.next
-        limit = min(heap[0][0], best_dist) if heap else best_dist
+        limit = min(heap[0][0], ceiling) if heap else ceiling
         stop = min(len(keys), first + EVALUATION_BATCH - count)
-        below = bisect.bisect_left(keys, best_dist, first + 1, stop)
+        below = bisect.bisect_left(keys, ceiling, first + 1, stop)
         last = max(
             first + 1,
             min(first + EVALUATION_MIN, below),
             bisect.bisect_left(keys, limit, first + 1, below),
         )
-        runs, cheap = taken[children.internal]
-        runs.append(children.nodes[first:last])
-        cheap += keys[first:last]
+        taken[children.internal].append((children, first, last))
         count += last - first
         children.next = last
-        if last < len(keys) and keys[last] < best_dist:
+        if last < len(keys) and keys[last] < ceiling:
             heapq.heappush(heap, (keys[last], next(counter), parent, children))
         if (
             count == EVALUATION_BATCH
             or not heap
-            or heap[0][0] >= best_dist
+            or heap[0][0] >= ceiling
             or type(heap[0][3]) is not _Children
         ):
-            break
+            return taken
         _, _, parent, children = heapq.heappop(heap)
-    (inner, inner_keys), (outer, outer_keys) = taken[True], taken[False]
+
+
+def _evaluate(flat, query, best, heap, counter, parent, children, anchor) -> None:
+    """Key the unevaluated children at the heap head by their own bounds.
+
+    :func:`_take` picks them; one kernel call scores them: for sums each
+    node's tangent plane at ``clip(anchor, N)`` (``n`` distance
+    computations) and its minimum over ``N`` (one), plus the paper's
+    ``sum_i mindist(N, q_i)`` for internal nodes (``n``; they are put
+    first); for ``max``/``min`` (``anchor`` is ``None``) the paper's
+    bound alone.  Each goes back under the largest of that and its cheap
+    key, carrying its plane, or is dropped once that reaches
+    ``best_dist``.
+    """
+    best_dist = best.best_dist
+    inner, outer = _take(heap, counter, parent, children, best_dist).values()
     runs = inner + outer
-    nodes = runs[0] if len(runs) == 1 else np.concatenate(runs)
-    internal = len(inner_keys)
+    if len(runs) == 1:
+        run, first, last = runs[0]
+        nodes, cheap_keys = run.nodes[first:last], run.keys[first:last]
+    else:
+        nodes = np.concatenate([run.nodes[first:last] for run, first, last in runs])
+        cheap_keys = [key for run, first, last in runs for key in run.keys[first:last]]
+    count = len(cheap_keys)
+    internal = sum(last - first for _, first, last in inner)
     lows, highs = flat.lows.take(nodes, axis=0), flat.highs.take(nodes, axis=0)
     cardinality = query.cardinality
     if anchor is None:
@@ -317,7 +336,7 @@ def _evaluate(flat, query, best, heap, counter, parent, children, anchor) -> Non
             head = bounds[:internal]
             np.maximum(head, query.mindist_lower_bounds(lows[:internal], highs[:internal]), out=head)
         flat.stats.record_distance_computations((cardinality + 1) * count + cardinality * internal)
-    rows = zip(bounds.tolist(), inner_keys + outer_keys, nodes.tolist())
+    rows = zip(bounds.tolist(), cheap_keys, nodes.tolist())
     for row, (bound, cheap, node) in enumerate(rows):
         key = bound if bound > cheap else cheap
         if key < best_dist:
@@ -386,177 +405,183 @@ def mbm_batch(
 
     ``groups`` is a ``(B, n, dims)`` stack of query groups (equal
     cardinality is the stacking requirement; the batch executor buckets
-    specs accordingly).  The snapshot is traversed *once* for the whole
-    batch: every node is read at most one time, its child slice (or leaf
-    slice) is scored against all still-active queries in a single
-    ``(B, m)`` / ``(B, fanout)`` kernel call, and per-query top-``k``
-    state is maintained as ``(B, k)`` arrays.  Heuristics 2 and 3 prune
-    per query exactly as in :func:`mbm` (same keys, bit for bit), and an
-    entry is keyed on the smallest key among the queries that still need
-    it, so every answer is exact and the nodes read are the union of the
-    nodes the ``B`` solo traversals read.  The traversal stops once the
-    heap head reaches the largest per-query threshold: every entry left
-    is inactive for every query.
+    specs accordingly).  Each member keeps what solo :func:`mbm` keeps —
+    its own :class:`BestList`, anchor and tangent planes — and keys every
+    node exactly as solo does, deferred: a read node keys its children
+    for its active members by the cheap key, and at the heap head
+    :func:`_take` picks the children to key by their own bounds, in one
+    stacked kernel call over the (member, child) pairs still below the
+    member's ``best_dist``.  The members share one heap, ranked by the
+    smallest key among the members still active, so a node is read at
+    most once, when that key reaches the head, and every active member
+    then processes it (a leaf through :func:`_scan_leaf`).  A node is
+    read iff some member's solo traversal reads it: the bucket reads the
+    union of its members' solo read sets, and every answer is exact.
 
-    Aggregate distances come from the same bit-identical kernels the
-    per-query path uses, so returned distances equal per-query
-    :func:`mbm` distances float for float.  Exact *ties* in the k-th
-    distance at the selection boundary are resolved canonically — the
-    tied slots go to the smallest record ids — whereas the per-query
-    path keeps the first record its traversal encountered; on such ties
-    (and only there, as with the executor's batched brute-force scan)
-    the two paths may return different, equally distant records.
-    Record ids are assumed unique (engine snapshots index by row).
+    Distances are charged per member, for the pairs each one keys and
+    the points each one scans.  A member also processes nodes read for
+    its siblings, so it may charge more distances than alone.  Per query
+    on ``pp_like(100000)`` (capacity 50), consecutive chunks of a
+    meet-up trace (``n = 4``, ``k = 1``, 32 Zipf hotspots), node
+    accesses / distance computations, eager-key batch -> this one:
+    B = 2: 6.63 / 2,547 -> 6.41 / 1,357; B = 8: 4.76 / 4,513 -> 4.57 /
+    2,235; B = 32: 2.84 / 6,639 -> 2.72 / 3,125 (solo: 7.27 / 1,035).
 
-    Cost reporting follows the shared execution: every result carries
-    the *bucket-level* node-access and distance-computation counters of
-    the one traversal (``algorithm="MBM-batch"``), with the wall-clock
-    split evenly — per-query counters would be fiction here, since the
-    whole point is that the batch does not pay per-query traversal
-    costs.
+    Each member's list keeps the first record it meets at an exact
+    k-th-distance tie, as every traversal does, so on such a tie (and
+    only there) the batch and solo may return different, equally distant
+    records.  Every result carries the *bucket-level* counters of the one
+    traversal (``algorithm="MBM-batch"``), with the wall-clock split
+    evenly.
     """
     groups = np.ascontiguousarray(np.asarray(groups, dtype=np.float64))
     if groups.ndim != 3:
         raise ValueError(f"expected stacked (B, n, dims) groups, got shape {groups.shape}")
-    batch, cardinality, dims = groups.shape
+    batch, _, dims = groups.shape
     if dims != flat.dims:
         raise ValueError(f"groups have dimensionality {dims}, the snapshot {flat.dims}")
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    queries = [GroupQuery(group, k=k) for group in groups]
     tracker = CostTracker("MBM-batch", trees=[flat])
-    if len(flat) == 0:
-        cost = tracker.finish()
-        # One QueryCost per result — results must never share a
-        # mutable cost object.
-        return [
-            GNNResult(neighbors=[], cost=QueryCost(**cost.as_dict())) for _ in range(batch)
-        ]
-
-    # Bit-identical to MBR.from_points on each group (same min/max).
-    query_lows = groups.min(axis=1)
-    query_highs = groups.max(axis=1)
-    divisor = float(cardinality)
-    stats = flat.stats
-    if use_heuristic3:
-        anchors = np.stack([_tangent_anchor(stats, group) for group in groups])
-    points = flat.points
-    record_ids = flat.record_ids
-
-    top_dists = np.full((batch, k), np.inf)
-    top_rows = np.full((batch, k), -1, dtype=np.int64)
-    best_dist = np.full(batch, np.inf)
-
-    counter = itertools.count()
-    heap: list[tuple] = [(0.0, next(counter), 0, np.zeros(batch))]
-    # The largest per-query threshold: an entry keyed at or past it is
-    # inactive for every query, and so is everything behind it.
-    limit = np.inf
-
-    while heap and heap[0][0] < limit:
-        _, _, node_id, key_vec = heapq.heappop(heap)
-        # Per query, the heuristic the entry is keyed on (thresholds only
-        # shrink, so a query pruned at push time stays pruned here).
-        active = key_vec < (best_dist if use_heuristic3 else best_dist / divisor)
-        if not active.any():
-            continue
-        # The query that ranked this entry first may be done with it:
-        # requeue under the smallest key of the queries still active.
-        live_key = float(key_vec[active].min())
-        if heap and live_key > heap[0][0]:
-            heapq.heappush(heap, (live_key, next(counter), node_id, key_vec))
-            continue
-        index = flat.read_node(node_id)
-        start = int(flat.child_start[index])
-        count = int(flat.child_count[index])
-        stop = start + count
-        if flat.levels[index] == 0:
-            members = np.flatnonzero(active)
-            coords = points[start:stop]
-            distances = kernels.batched_aggregate_distances(coords, groups[members])
-            stats.record_distance_computations(cardinality * count * members.size)
-            rows = np.arange(start, stop, dtype=np.int64)
-            merged_dists = np.concatenate((top_dists[members], distances), axis=1)
-            merged_rows = np.concatenate(
-                (top_rows[members], np.broadcast_to(rows, (members.size, count))), axis=1
-            )
-            keep = np.argpartition(merged_dists, k - 1, axis=1)[:, :k]
-            gather = np.arange(members.size)[:, None]
-            kept_dists = merged_dists[gather, keep]
-            kept_rows = merged_rows[gather, keep]
-            kth = kept_dists.max(axis=1)
-            # Boundary-tie canonicalisation: argpartition picks an
-            # arbitrary subset of candidates tied at the k-th distance;
-            # re-resolve those (rare) members so the tied slots go to
-            # the smallest record ids — a deterministic, canonical rule.
-            finite = np.isfinite(kth)
-            tied_members = np.flatnonzero(
-                finite
-                & (
-                    (merged_dists == kth[:, None]).sum(axis=1)
-                    > (kept_dists == kth[:, None]).sum(axis=1)
-                )
-            )
-            for member in tied_members.tolist():
-                threshold = kth[member]
-                below = merged_dists[member] < threshold
-                tied = np.flatnonzero(merged_dists[member] == threshold)
-                needed = k - int(below.sum())
-                order = np.argsort(record_ids[merged_rows[member][tied]], kind="stable")
-                chosen = tied[order[:needed]]
-                kept_dists[member] = np.concatenate(
-                    (merged_dists[member][below], merged_dists[member][chosen])
-                )
-                kept_rows[member] = np.concatenate(
-                    (merged_rows[member][below], merged_rows[member][chosen])
-                )
-            top_dists[members] = kept_dists
-            top_rows[members] = kept_rows
-            best_dist[members] = kth
-            limit = float(best_dist.max() if use_heuristic3 else (best_dist / divisor).max())
-            continue
-        lows = flat.lows[start:stop]
-        highs = flat.highs[start:stop]
-        child_keys = kernels.boxes_mindist_boxes(lows, highs, query_lows, query_highs)
-        stats.record_distance_computations(count * batch)
-        # A query only continues below this node if it reached it
-        # (``active``) and the child survives its Heuristics 2/3 — the
-        # same per-query pruning the solo traversal applies.
-        survives = child_keys < (best_dist / divisor)[:, None]
-        survives &= active[:, None]
-        if use_heuristic3:
-            members = np.flatnonzero(survives.any(axis=1))
-            if members.size:
-                stacked = groups[members]
-                bounds = kernels.boxes_group_tangent_bound(lows, highs, stacked, anchors[members])
-                wide = bool(flat.levels[index] > 1)  # the children are internal nodes
-                if wide:
-                    bounds = np.maximum(bounds, kernels.boxes_groups_mindist(lows, highs, stacked))
-                bounds = np.maximum(bounds, divisor * child_keys[members])
-                bounds = np.maximum(bounds, key_vec[members][:, None])
-                stats.record_distance_computations((1 + wide) * cardinality * count * members.size)
-                survives[members] &= bounds < best_dist[members][:, None]
-                child_keys[members] = bounds
-        # Children carry their per-query keys, +inf for the queries pruned
-        # here, so every later ``active`` check inherits these decisions.
-        for offset in np.flatnonzero(survives.any(axis=0)).tolist():
-            child_vec = np.where(survives[:, offset], child_keys[:, offset], np.inf)
-            heapq.heappush(
-                heap, (float(child_vec.min()), next(counter), start + offset, child_vec)
-            )
-
+    bests = [BestList(k) for _ in range(batch)]
+    if len(flat) > 0:
+        _shared_best_first(flat, groups, queries, bests, use_heuristic3)
     cost = tracker.finish()
     cost.cpu_time /= batch
-    results = []
-    for member in range(batch):
-        valid = np.flatnonzero(top_rows[member] >= 0)
-        rows = top_rows[member][valid]
-        dists = top_dists[member][valid]
-        # Ascending (distance, record id) — BestList.neighbors() order.
-        order = np.lexsort((record_ids[rows], dists))
-        neighbors = [
-            GroupNeighbor(int(record_ids[row]), points[row], float(dist))
-            for row, dist in zip(rows[order].tolist(), dists[order].tolist())
-        ]
-        member_cost = QueryCost(**cost.as_dict())
-        results.append(GNNResult(neighbors=neighbors, cost=member_cost))
-    return results
+    # One QueryCost per result: results must never share a mutable cost.
+    return [
+        GNNResult(neighbors=best.neighbors(), cost=QueryCost(**cost.as_dict())) for best in bests
+    ]
+
+
+def _shared_best_first(flat, groups, queries, bests, use_heuristic3) -> None:
+    """The shared traversal of :func:`mbm_batch`.
+
+    A keyed entry's payload is ``(members, keys, planes, rows)``: the
+    members that still need the node, their keys, and (sums past the
+    root) the stacked planes of its evaluation with each member's row.
+    The loop runs while the head is below the largest ``best_dist``.
+    """
+    stats = flat.stats
+    divisor = float(groups.shape[1])
+    query_lows, query_highs = groups.min(axis=1), groups.max(axis=1)
+    anchors = None
+    if use_heuristic3:
+        anchors = np.stack([_tangent_anchor(stats, query.points) for query in queries])
+    ceilings = np.full(len(bests), math.inf)
+    limit = math.inf
+    counter = itertools.count()
+    heap = [(0.0, next(counter), 0, (list(range(len(bests))), [0.0] * len(bests), None, None))]
+
+    while heap and heap[0][0] < limit:
+        key, _, node, entry = heapq.heappop(heap)
+        if type(entry) is _Children:
+            _evaluate_shared(flat, groups, anchors, ceilings, limit, heap, counter, node, entry)
+            continue
+        members, keys, planes, rows = entry
+        active = [i for i, member in enumerate(members) if keys[i] < bests[member].best_dist]
+        if len(active) < len(members):
+            if not active:
+                continue
+            members = [members[i] for i in active]
+            keys = [keys[i] for i in active]
+            rows = rows and [rows[i] for i in active]
+            live = min(keys)
+            if heap and live > heap[0][0]:  # requeue under the members still active
+                heapq.heappush(heap, (live, next(counter), node, (members, keys, planes, rows)))
+                continue
+        index = flat.read_node(node)
+        start = int(flat.child_start[index])
+        stop = start + int(flat.child_count[index])
+        level = flat.levels[index]
+        chosen = np.array(members)
+        plane = planes and tuple(part[rows] for part in planes)
+        charge = (1 + bool(plane)) * len(members) * (stop - start)
+        if level == 0:
+            points = flat.points[start:stop]
+            bounds = kernels.boxes_mindist_boxes(
+                points, points, query_lows[chosen], query_highs[chosen]
+            )
+            bounds *= divisor
+            if plane:
+                np.maximum(bounds, kernels.plane_lower_bounds(*plane, points, points), out=bounds)
+            stats.record_distance_computations(charge)
+            record_ids = flat.record_ids[start:stop]
+            for row, member in enumerate(members):
+                best = bests[member]
+                _scan_leaf(flat, points, record_ids, bounds[row], queries[member], best)
+                ceilings[member] = best.best_dist
+            limit = float(ceilings.max())
+            continue
+        lows, highs = flat.lows[start:stop], flat.highs[start:stop]
+        cheap = kernels.boxes_mindist_boxes(lows, highs, query_lows[chosen], query_highs[chosen])
+        cheap *= divisor
+        if plane:
+            np.maximum(cheap, kernels.plane_lower_bounds(*plane, lows, highs), out=cheap)
+        stats.record_distance_computations(charge)
+        np.maximum(cheap, np.array(keys)[:, None], out=cheap)
+        cheap[cheap >= ceilings[chosen][:, None]] = math.inf
+        smallest = cheap.min(axis=0)
+        order = smallest.argsort(kind="stable")
+        ordered = smallest.take(order).tolist()
+        survivors = bisect.bisect_left(ordered, math.inf)
+        if not survivors:
+            continue
+        order = order[:survivors]
+        block = cheap[:, order]
+        if use_heuristic3:
+            children = _Children(order + start, ordered[:survivors], level > 1, chosen, block)
+            heapq.heappush(heap, (ordered[0], next(counter), node, children))
+        else:  # the ablation's cheap key is its only key
+            child, member = np.nonzero((block < math.inf).T)
+            _push_pairs(heap, counter, order[child] + start, chosen[member], block[member, child])
+
+
+def _evaluate_shared(flat, groups, anchors, ceilings, limit, heap, counter, parent, children):
+    """:func:`_evaluate` for the shared traversal: one kernel call over the live pairs.
+
+    :func:`_take` picks the children (below ``limit``, the largest
+    ``best_dist``); every (member, child) pair whose cheap key is still
+    below that member's ``best_dist`` gets the member's tangent plane at
+    ``clip(anchor, N)`` and, internal children only, the paper's bound —
+    ``n + 1`` and ``n`` distances per pair, charged for those pairs only.
+    Each child goes back with the members whose key stays below their
+    ``best_dist``, under the smallest such key.
+    """
+    taken = _take(heap, counter, parent, children, limit)
+    members, nodes, cheap = [], [], []
+    internal = 0
+    for run, first, last in taken[True] + taken[False]:
+        block = run.cheap[:, first:last]
+        child, member = np.nonzero((block < ceilings[run.members][:, None]).T)
+        members.append(run.members[member])
+        nodes.append(run.nodes[first + child])
+        cheap.append(block[member, child])
+        if run.internal:
+            internal += len(child)
+    members, nodes, cheap = np.concatenate(members), np.concatenate(nodes), np.concatenate(cheap)
+    if not len(nodes):
+        return
+    lows = flat.lows.take(nodes, axis=0)[:, None, :]
+    highs = flat.highs.take(nodes, axis=0)[:, None, :]
+    stacked = groups[members]
+    planes = kernels.group_tangent_planes(lows, highs, stacked, anchors[members])
+    bounds = kernels.plane_lower_bounds(*planes, lows, highs)
+    if internal:
+        head = bounds[:internal]
+        paper = kernels.boxes_group_mindist(lows[:internal], highs[:internal], stacked[:internal])
+        np.maximum(head, paper, out=head)
+    cardinality = groups.shape[1]
+    flat.stats.record_distance_computations((cardinality + 1) * len(nodes) + cardinality * internal)
+    keys = np.maximum(bounds[:, 0], cheap)
+    alive = np.flatnonzero(keys < ceilings[members])
+    _push_pairs(heap, counter, nodes[alive], members[alive], keys[alive], planes, alive.tolist())
+
+
+def _push_pairs(heap, counter, nodes, members, keys, planes=None, rows=None) -> None:
+    """Push one keyed entry per node from (member, node) pairs listed node by node."""
+    cuts = np.flatnonzero(np.diff(nodes, prepend=-1)).tolist() + [len(nodes)]
+    nodes, members, keys = nodes.tolist(), members.tolist(), keys.tolist()
+    for first, last in zip(cuts, cuts[1:]):
+        node_keys = keys[first:last]
+        payload = (members[first:last], node_keys, planes, rows and rows[first:last])
+        heapq.heappush(heap, (min(node_keys), next(counter), nodes[first], payload))

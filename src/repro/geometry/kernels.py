@@ -197,9 +197,8 @@ def batched_aggregate_distances(
     """Aggregate distances of ``(N, d)`` points against ``(B, n, d)`` stacked groups.
 
     Returns a ``(B, N)`` array whose row ``b`` equals
-    :func:`aggregate_distances` against ``groups[b]``; used by the batch
-    executor and the shared MBM traversal to score many specs in one
-    call.
+    :func:`aggregate_distances` against ``groups[b]``; the batch
+    executor's brute-force scan scores many specs in one call.
     """
     columns = groups.transpose(2, 0, 1)[:, :, None, :]
     terms = np.subtract(points.T[:, None, :, None], columns, order="C")
@@ -246,8 +245,9 @@ def boxes_mindist_boxes(
 
     Returns a ``(B, m)`` array whose row ``b`` equals
     :func:`boxes_mindist_box` for ``[query_lows[b], query_highs[b]]``.
-    The shared batch traversal scores one child slice against every
-    query MBR of a bucket in this single call.
+    The shared batch traversal scores one child slice (or leaf, as
+    zero-extent boxes) against the MBRs of its active members in this
+    single call.
     """
     return _norms(
         _gap(
@@ -271,23 +271,14 @@ def boxes_group_mindist(
     For the ``sum`` aggregate this is the paper's Heuristic 3 bound
     ``sum_i mindist(N, q_i)`` evaluated for a whole child list in one
     call; ``max``/``min`` (optionally weighted) generalise it the same
-    way :func:`repro.geometry.distance.group_mindist` does.
+    way :func:`repro.geometry.distance.group_mindist` does.  A
+    ``(B, n, dims)`` stack of groups takes ``(B, m, dims)`` boxes (or
+    ``(1, m, dims)`` for the same boxes against every group) and gives
+    ``(B, m)``, each row bit-identical to the per-group call.
     """
-    columns = group.T[:, None, :]
-    matrix = _norms(_gap(lows.T[:, :, None], highs.T[:, :, None], columns, columns))
-    return reduce_aggregate(matrix, aggregate, weights)
-
-
-def boxes_groups_mindist(lows: np.ndarray, highs: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Aggregate lower bound ``amindist(N_j, Q_b)`` for ``B`` stacked groups.
-
-    ``groups`` is a ``(B, n, dims)`` stack; the result is ``(B, m)`` and
-    row ``b`` equals :func:`boxes_group_mindist` (sum, unweighted) for
-    ``groups[b]``.
-    """
-    columns = groups.transpose(2, 0, 1)[:, :, None, :]
-    box_lows, box_highs = lows.T[:, None, :, None], highs.T[:, None, :, None]
-    return reduce_aggregate(_norms(_gap(box_lows, box_highs, columns, columns)), SUM)
+    columns = _axis_major(group)[..., None, :]
+    box_lows, box_highs = _axis_major(lows)[..., None], _axis_major(highs)[..., None]
+    return reduce_aggregate(_norms(_gap(box_lows, box_highs, columns, columns)), aggregate, weights)
 
 
 #: Relative rounding allowance of a tangent plane.  Unlike a sum of
@@ -355,24 +346,6 @@ def plane_lower_bounds(values, gradients, origins, lows: np.ndarray, highs: np.n
     """
     corners = lows if highs is lows else np.where(gradients < 0.0, highs, lows)
     return values + np.add.reduce((corners - origins) * gradients, axis=-1)
-
-
-def boxes_group_tangent_bound(
-    lows: np.ndarray,
-    highs: np.ndarray,
-    group: np.ndarray,
-    anchor: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Convexity lower bound of ``sum_i w_i |p - q_i|`` over each of ``m`` boxes.
-
-    Each box's own plane (:func:`group_tangent_planes`) minimised over
-    it (:func:`plane_lower_bounds`): ``n`` distance evaluations per box,
-    the price of :func:`boxes_group_mindist`.  Shapes as
-    :func:`group_tangent_planes`; the result is ``(..., m)``.
-    """
-    planes = group_tangent_planes(lows, highs, group, anchor, weights)
-    return plane_lower_bounds(*planes, lows, highs)
 
 
 # ----------------------------------------------------------------------

@@ -284,12 +284,12 @@ class TestSharedTraversalBatches:
         single = engine.execute(spec)
         assert outcome.record_ids() == single.record_ids()
 
-    def test_boundary_ties_resolve_canonically_to_smallest_ids(self):
-        """Exact k-th-distance ties go to the smallest record ids.
+    def test_boundary_ties_keep_k_exact_distances_in_order(self):
+        """An exact k-th-distance tie keeps k records at ``execute``'s distances.
 
-        Four points tie at the same aggregate distance; the shared
-        traversal must keep the two smallest ids, deterministically,
-        and report them in (distance, record_id) order.
+        Four points tie at the same aggregate distance; each member keeps
+        the first tied records its traversal meets, so the ids are any
+        two of the four, reported in (distance, record_id) order.
         """
         data = np.array(
             [[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0],
@@ -298,10 +298,39 @@ class TestSharedTraversalBatches:
         )
         engine = GNNEngine(data, capacity=4)
         spec = QuerySpec(group=np.array([[5.0, 5.0], [5.0, 5.0]]), k=2)
+        single = engine.execute(spec)
         for outcome in engine.execute_many([spec, spec]):
             assert outcome.cost.algorithm == "MBM-batch"
-            assert outcome.record_ids() == [0, 1]
-            assert outcome.distances()[0] == outcome.distances()[1]
+            assert outcome.distances() == single.distances()
+            assert set(outcome.record_ids()) <= {0, 1, 2, 3}
+            pairs = [(nb.distance, nb.record_id) for nb in outcome.neighbors]
+            assert pairs == sorted(pairs) and len(pairs) == 2
+
+    def test_buckets_follow_the_curve_beyond_two_dimensions(self, monkeypatch):
+        """A 3-D bucket runs in ``hilbert_indices`` order of its centroids."""
+        from repro.api import executor
+        from repro.geometry.hilbert import hilbert_indices
+
+        stacked, original = [], executor.mbm_batch
+
+        def recording(flat, groups, k, use_heuristic3=True):
+            stacked.append(groups)
+            return original(flat, groups, k, use_heuristic3)
+
+        rng = np.random.default_rng(3)
+        engine = GNNEngine(rng.uniform(0, 1000, size=(600, 3)), capacity=16)
+        specs = [
+            QuerySpec(group=center + rng.uniform(-30, 30, size=(4, 3)), k=2)
+            for center in rng.uniform(100, 900, size=(12, 3))
+        ]
+        monkeypatch.setattr(executor, "mbm_batch", recording)
+        batch = engine.execute_many(specs)
+        centroids = np.stack([spec.group.mean(axis=0) for spec in specs])
+        order = np.argsort(hilbert_indices(centroids), kind="stable")
+        (groups,) = stacked
+        assert np.array_equal(groups, np.stack([specs[i].group for i in order]))
+        for spec, outcome in zip(specs, batch):
+            assert outcome.distances() == engine.execute(spec).distances()
 
     def test_leftover_singleton_chunk_stays_on_per_query_path(self, small_points, rng):
         """A bucket of max-chunk + 1 must not run a 1-member shared traversal."""

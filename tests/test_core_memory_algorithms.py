@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from mbm_reference import mbm_reference
+from mbm_reference import mbm_batch_reference, mbm_reference
 
 from repro import GNNEngine, QuerySpec
 from repro.core.aggregates import aggregate_gnn
@@ -229,35 +229,6 @@ def _needed_nodes(flat, points, query):
     return keys < kth, expected
 
 
-def _eager_needed_nodes(flat, points, query):
-    """:func:`_needed_nodes` for the eager keys ``mbm_batch`` and the reference keep.
-
-    A node's own bound is ``max(T(N), W * mindist(N, M))`` — internal
-    nodes add the paper's bound to the max — with ``T`` the tangent
-    bound about the group's anchor, and its key the largest bound on its
-    path from the root, whose key is 0.
-    """
-    kth, expected = _kth_distance(points, query)
-    mbr = query.mbr
-    keys = np.maximum(
-        kernels.boxes_group_tangent_bound(
-            flat.lows, flat.highs, query.points, _anchor(query), query.weights
-        ),
-        query.total_weight() * kernels.boxes_mindist_box(flat.lows, flat.highs, mbr.low, mbr.high),
-    )
-    internal = flat.levels > 0
-    keys[internal] = np.maximum(
-        keys[internal], query.mindist_lower_bounds(flat.lows[internal], flat.highs[internal])
-    )
-    keys[0] = 0.0
-    for index in np.flatnonzero(internal):
-        start = flat.child_start[index]
-        children = slice(start, start + flat.child_count[index])
-        keys[children] = np.maximum(keys[children], keys[index])
-    assume(not np.any(keys == kth))
-    return keys < kth, expected
-
-
 @st.composite
 def _workloads(draw, max_batch=1):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -302,17 +273,20 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
     @given(workload=_workloads(max_batch=5))
     @settings(max_examples=60, deadline=None)
     def test_shared_traversal_reads_the_union_of_the_solo_sets(self, workload):
-        # ``mbm_batch`` keeps the eager keys: its solo counterpart is the reference.
+        # Every member keeps its solo keys, so a node is read iff some
+        # member's solo traversal reads it, and only once.
         _, points, flat, groups, k = workload
         needed = np.zeros(flat.num_nodes, dtype=bool)
         expected = []
         solo_accesses = 0
         for group in groups:
             query = GroupQuery(group, k=k)
-            mask, distances = _eager_needed_nodes(flat, points, query)
+            mask, distances = _needed_nodes(flat, points, query)
             needed |= mask
             expected.append(distances)
-            solo_accesses += mbm_reference(flat, query).cost.node_accesses
+            solo = mbm(flat, query)
+            assert solo.distances() == distances
+            solo_accesses += solo.cost.node_accesses
         results = mbm_batch(flat, groups, k)
         assert [result.distances() for result in results] == expected
         assert results[0].cost.node_accesses == np.count_nonzero(needed) <= solo_accesses
@@ -334,11 +308,12 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
 
 
 class TestDeferredKeysAgainstTheEagerReference:
-    """``mbm`` against ``tests/mbm_reference.py``, which keys every child when it is pushed.
+    """``mbm`` and ``mbm_batch`` against ``tests/mbm_reference.py``, which keys children eagerly.
 
     Deferring a bound never lowers a key, so the answers must be the
-    reference's, id for id and float for float, and the node accesses
-    never more.
+    reference's (solo: id for id and float for float; batch: float for
+    float, the eager batch breaking k-th-distance ties by id), and the
+    node accesses never more.
     """
 
     @given(workload=_workloads(), data=st.data())
@@ -370,6 +345,15 @@ class TestDeferredKeysAgainstTheEagerReference:
         assert result.record_ids() == expected.record_ids()
         assert result.distances() == expected.distances()
         assert result.cost.node_accesses <= expected.cost.node_accesses
+
+    @given(workload=_workloads(max_batch=6), use_heuristic3=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_traversal_against_the_eager_batch(self, workload, use_heuristic3):
+        _, _, flat, groups, k = workload
+        expected = mbm_batch_reference(flat, groups, k, use_heuristic3=use_heuristic3)
+        results = mbm_batch(flat, groups, k, use_heuristic3=use_heuristic3)
+        assert [r.distances() for r in results] == [e.distances() for e in expected]
+        assert results[0].cost.node_accesses <= expected[0].cost.node_accesses
 
 
 class TestCrossAlgorithmAgreement:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mbm_reference import boxes_group_tangent_bound
 
 from repro.core.centroid import weiszfeld_centroid
 from repro.geometry import kernels
@@ -359,9 +360,7 @@ class TestBatchKernels:
         query_lows = groups.min(axis=1)
         query_highs = groups.max(axis=1)
         mindists = kernels.boxes_mindist_boxes(lows, highs, query_lows, query_highs)
-        bounds = kernels.boxes_groups_mindist(lows, highs, groups)
-        anchors = groups.mean(axis=1)  # one per query, as the shared traversal passes
-        tangents = kernels.boxes_group_tangent_bound(lows, highs, groups, anchors)
+        bounds = kernels.boxes_group_mindist(lows[None], highs[None], groups)
         for b in range(batch):
             assert np.array_equal(
                 mindists[b],
@@ -370,9 +369,28 @@ class TestBatchKernels:
             assert np.array_equal(
                 bounds[b], kernels.boxes_group_mindist(lows, highs, groups[b])
             )
+
+    @given(data=boxes_and_group(), batch=st.integers(min_value=1, max_value=4))
+    @settings(deadline=None, max_examples=40)
+    def test_pair_stacks_match_per_query_rows(self, data, batch):
+        # The shared traversal keys (member, child) pairs: pair p is box
+        # ``lows[p]`` against group ``groups[p]``.
+        lows, highs, group, _ = data
+        groups = self._stack(group, batch)
+        pairs = np.arange(len(lows)) % batch
+        stacked, anchors = groups[pairs], groups.mean(axis=1)[pairs]
+        box_lows, box_highs = lows[:, None, :], highs[:, None, :]
+        bounds = kernels.boxes_group_mindist(box_lows, box_highs, stacked)
+        planes = kernels.group_tangent_planes(box_lows, box_highs, stacked, anchors)
+        tangents = kernels.plane_lower_bounds(*planes, box_lows, box_highs)
+        for p, member in enumerate(pairs):
+            box = slice(p, p + 1)
             assert np.array_equal(
-                tangents[b],
-                kernels.boxes_group_tangent_bound(lows, highs, groups[b], anchors[b]),
+                bounds[p], kernels.boxes_group_mindist(lows[box], highs[box], groups[member])
+            )
+            assert np.array_equal(
+                tangents[p],
+                boxes_group_tangent_bound(lows[box], highs[box], groups[member], anchors[p]),
             )
 
     @given(data=boxes_and_group())
@@ -448,15 +466,16 @@ def tangent_case(draw):
 class TestTangentBound:
     """A box's tangent plane never exceeds a computed distance inside the box.
 
-    ``boxes_group_tangent_bound`` is the plane minimised over its own
-    box; MBM also minimises it over the box's children and points.
+    ``boxes_group_tangent_bound`` (``tests/mbm_reference.py``) is the
+    plane minimised over its own box; MBM also minimises it over the
+    box's children and points.
     """
 
     @given(case=tangent_case())
     @settings(deadline=None, max_examples=300)
     def test_never_exceeds_the_distance_of_a_point_in_the_box(self, case):
         lows, highs, group, weights, anchor, fractions = case
-        bounds = kernels.boxes_group_tangent_bound(lows, highs, group, anchor, weights)
+        bounds = boxes_group_tangent_bound(lows, highs, group, anchor, weights)
         dims = group.shape[1]
         corners = np.array(list(itertools.product([0.0, 1.0], repeat=dims)))
         for low, high, bound in zip(lows, highs, bounds):
@@ -506,7 +525,7 @@ class TestTangentBound:
         group = np.array([[0.0, 0.0], [10.0, 0.0], [5.0, 8.0]])
         anchor = weiszfeld_centroid(group)
         lows, highs = np.array([[4.0, 20.0]]), np.array([[6.0, 22.0]])
-        tangent = kernels.boxes_group_tangent_bound(lows, highs, group, anchor)[0]
+        tangent = boxes_group_tangent_bound(lows, highs, group, anchor)[0]
         true_minimum = kernels.aggregate_distances(
             np.array([[anchor[0], 20.0]]), group
         )[0]
