@@ -11,17 +11,13 @@ queries:
   Hilbert order of their group centroids, so consecutive queries touch
   overlapping parts of the R-tree and an LRU buffer serves far more
   requests from memory (results are returned in input order regardless);
-* **vectorised scans** — specs planned to the brute-force baseline are
-  evaluated through a single chunked ``(groups, N, n)`` distance tensor
-  instead of one dataset pass per query;
 * **shared traversals** — MBM specs are bucketed by
   ``(cardinality, k, heuristics)``, Hilbert-ordered, and answered by
   :func:`repro.core.mbm.mbm_batch`: *one* best-first traversal of the
   snapshot serves the whole bucket, each member keying and pruning as
   its solo search would, so a bucket reads the union of its members'
   nodes, each once.  Specs carrying a ``within`` ceiling take the
-  per-query path (the shared traversal has no ceiling), and so do
-  brute-force specs carrying one.
+  per-query path (the shared traversal has no ceiling).
 
 Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
@@ -36,9 +32,9 @@ are disabled while dirty (they see only the base arrays).
 Disk-resident plans have no overlay form: the engine folds the overlay
 (``compact()``) before handing such a plan a context.
 
-Batching never changes answers: every fast path reproduces the exact
-arithmetic of the per-query route, which ``execute_many`` equivalence
-tests pin down.  Two deliberate caveats on the shared paths: an *exact*
+Batching never changes answers: the shared traversal reproduces the
+exact arithmetic of the per-query route, which ``execute_many``
+equivalence tests pin down.  Two deliberate caveats: an *exact*
 tie in the k-th distance may resolve to a different, equally distant
 record (each traversal keeps the first record it meets, and a shared
 traversal may meet them in another order), and cost reporting is
@@ -49,7 +45,6 @@ traversal under the ``MBM-batch`` label rather than per-query fictions.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -64,7 +59,7 @@ from repro.api.planner import (
 from repro.api.spec import MEMORY, WITHIN, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.mbm import EVALUATION_BATCH, mbm_batch
-from repro.core.types import GNNResult, GroupNeighbor, GroupQuery, QueryCost
+from repro.core.types import GNNResult, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.geometry.hilbert import hilbert_indices
 from repro.obs import trace as obs_trace
@@ -72,10 +67,6 @@ from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.storage.buffer import LRUBuffer
 from repro.storage.pointfile import PointFile
-
-#: Upper bound on the number of float64 elements a brute-force batch
-#: chunk may allocate (the (g, N, n, dims) difference tensor).
-BATCH_TENSOR_ELEMENT_CAP = 8_000_000
 
 #: Upper bound on the elements of one shared-traversal evaluation tensor
 #: (up to EVALUATION_BATCH * B (member, child) pairs, each with an
@@ -253,7 +244,7 @@ def execute_batch(
     specs: Sequence[QuerySpec],
     planner: QueryPlanner | None = None,
 ) -> list[GNNResult]:
-    """Execute many specs, amortising planning, locality and scan work.
+    """Execute many specs, amortising planning, locality and shared traversals.
 
     Results are returned in the order of ``specs``.  Answers are
     identical to calling :func:`execute_spec` once per spec.
@@ -271,28 +262,12 @@ def execute_batch(
 
     results: list[GNNResult | None] = [None] * len(specs)
 
-    # Split off the specs the vectorised scan kernel can take wholesale.
-    scan_indices = [
-        i
-        for i, plan in enumerate(plans)
-        if plan.algorithm.name == "brute-force"
-        and specs[i].weights is None
-        and specs[i].group is not None
-        and WITHIN not in plan.options
-    ]
-    for index, result in _batched_brute_force(context, specs, scan_indices):
-        if specs[index].trace:
-            result.plan = plans[index]
-        results[index] = result
-
-    remaining = [i for i in range(len(specs)) if results[i] is None]
-
     # A dirty overlay disables the shared traversal wholesale — the
     # frozen arrays alone no longer describe the live data; the per-spec
     # path below answers from the merged overlay view instead.
     if context.overlay is None:
         shared_indices = [
-            i for i in remaining if shared_traversal_eligible(specs[i], plans[i])
+            i for i in range(len(specs)) if shared_traversal_eligible(specs[i], plans[i])
         ]
         for index, result in _shared_traversal_mbm(
             context.flat, specs, plans, shared_indices
@@ -300,8 +275,8 @@ def execute_batch(
             if specs[index].trace:
                 result.plan = plans[index]
             results[index] = result
-        remaining = [i for i in range(len(specs)) if results[i] is None]
 
+    remaining = [i for i in range(len(specs)) if results[i] is None]
     for index in _locality_order(specs, plans, remaining):
         results[index] = execute_spec(context, specs[index], plan=plans[index])
     return results  # type: ignore[return-value]
@@ -424,63 +399,3 @@ def _locality_order(
     memory_set = set(memory)
     other = [i for i in indices if i not in memory_set]
     return _hilbert_order(specs, memory) + other
-
-
-# ----------------------------------------------------------------------
-# vectorised brute-force batches
-# ----------------------------------------------------------------------
-def _batched_brute_force(
-    context: ExecutionContext, specs: Sequence[QuerySpec], indices: list[int]
-):
-    """Evaluate brute-force specs through shared distance tensors.
-
-    Groups are bucketed by (aggregate, cardinality) so each bucket stacks
-    into a dense ``(g, n, dims)`` array; buckets are processed in chunks
-    bounded by :data:`BATCH_TENSOR_ELEMENT_CAP`.  The tensor arithmetic
-    lives in :func:`repro.geometry.kernels.batched_aggregate_distances`,
-    which mirrors the per-query kernel axis for axis so the resulting
-    distances are bitwise identical to the per-query path.
-    """
-    if not indices:
-        return
-    pts, ids = context.live_points()
-    size, dims = pts.shape
-    buckets: dict[tuple[str, int], list[int]] = {}
-    for i in indices:
-        buckets.setdefault((specs[i].aggregate, specs[i].cardinality), []).append(i)
-
-    for (aggregate, cardinality), bucket in buckets.items():
-        chunk = max(1, BATCH_TENSOR_ELEMENT_CAP // max(1, size * cardinality * dims))
-        for start in range(0, len(bucket), chunk):
-            members = bucket[start : start + chunk]
-            started = time.perf_counter()
-            groups = np.stack([specs[i].group for i in members])  # (g, n, dims)
-            distances = kernels.batched_aggregate_distances(pts, groups, aggregate)  # (g, N)
-            elapsed = (time.perf_counter() - started) / len(members)
-            for row, i in enumerate(members):
-                yield i, _topk_result(
-                    pts, distances[row], specs[i].k, cardinality, elapsed, ids
-                )
-
-
-def _topk_result(
-    pts: np.ndarray,
-    distances: np.ndarray,
-    k: int,
-    cardinality: int,
-    elapsed: float,
-    record_ids: np.ndarray,
-) -> GNNResult:
-    """Select the top-k exactly like :func:`repro.core.bruteforce.brute_force_gnn`."""
-    k = min(k, pts.shape[0])
-    candidate_ids = np.argpartition(distances, k - 1)[:k]
-    order = candidate_ids[np.argsort(distances[candidate_ids], kind="stable")]
-    neighbors = [
-        GroupNeighbor(int(record_ids[i]), pts[i], float(distances[i])) for i in order
-    ]
-    cost = QueryCost(
-        algorithm="brute-force",
-        distance_computations=int(pts.shape[0] * cardinality),
-        cpu_time=elapsed,
-    )
-    return GNNResult(neighbors=neighbors, cost=cost)

@@ -22,7 +22,7 @@ hardware, language and datasets); only shapes are compared, by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

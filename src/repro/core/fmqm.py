@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.aggregates import group_nn_stream
 from repro.core.instrumentation import CostTracker
-from repro.core.types import BestList, GNNResult
+from repro.core.types import BestList, GNNResult, GroupQuery
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
-from repro.rtree.traversal import flat_incremental_nearest_generic
 from repro.storage.pointfile import PointFile
 
 
@@ -61,32 +61,11 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
         return GNNResult(neighbors=[], cost=tracker.finish())
 
     block_count = query_file.block_count
-    blocks = {}
     streams = {}
     thresholds = [0.0] * block_count
     stream_exhausted = [False] * block_count
     pending: dict[int, _PendingCandidate] = {}
     finished: set[int] = set()
-
-    def load_block(index: int):
-        """Bring block ``Q_index`` into memory, charging one block read."""
-        block = query_file.read_block(index)
-        blocks[index] = block
-        return block
-
-    def stream_for(index: int):
-        """Create (lazily) the incremental group-NN stream of block ``Q_index``."""
-        if index not in streams:
-            block = blocks[index]
-
-            def points_key(points, _points=block.points):
-                return kernels.aggregate_distances(points, _points)
-
-            def mbrs_key(lows, highs, _points=block.points):
-                return kernels.boxes_group_mindist(lows, highs, _points)
-
-            streams[index] = flat_incremental_nearest_generic(tree, points_key, mbrs_key)
-        return streams[index]
 
     while True:
         if best.is_full() and sum(thresholds) >= best.best_dist:
@@ -97,15 +76,18 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
         for j in range(block_count):
             # Load Q_j (one block read per visit, as in the paper's
             # round-robin schedule) and advance its stream by one neighbor.
-            block = load_block(j)
+            block = query_file.read_block(j)
             if not stream_exhausted[j]:
-                neighbor = next(stream_for(j), None)
+                if j not in streams:
+                    # The block's group-NN stream, opened at its first
+                    # visit; it charges every row and node it scores.
+                    streams[j] = group_nn_stream(tree, GroupQuery(block.points))
+                neighbor = next(streams[j], None)
                 if neighbor is None:
                     stream_exhausted[j] = True
                 else:
                     progressed = True
                     thresholds[j] = neighbor.distance
-                    tree.stats.record_distance_computations(block.cardinality)
                     record_id = neighbor.record_id
                     if record_id not in finished and record_id not in pending:
                         candidate = _PendingCandidate(neighbor.point)

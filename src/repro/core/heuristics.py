@@ -35,9 +35,6 @@ Numbering follows the paper:
   everything inside ``N``.  Its minimum joins Heuristic 3 in
   :mod:`repro.core.mbm`'s keys; Heuristic 3 as printed is what
   ``algorithm="best-first"`` runs.
-
-Lemma 1 (the triangle-inequality bound behind Heuristic 1) is also
-exposed for direct testing.
 """
 
 from __future__ import annotations
@@ -47,22 +44,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.distance import euclidean, group_distance
-from repro.geometry.mbr import MBR
-
-
-def lemma1_lower_bound(point, reference, group, reference_distance: float | None = None) -> float:
-    """Lower bound on ``dist(p, Q)`` from Lemma 1: ``n*|pq| - dist(q, Q)``.
-
-    ``reference`` is the arbitrary point ``q`` (SPM uses the approximate
-    centroid); ``reference_distance`` caches ``dist(q, Q)`` when the
-    caller already knows it.
-    """
-    group = np.asarray(group, dtype=np.float64)
-    n = group.shape[0]
-    if reference_distance is None:
-        reference_distance = group_distance(reference, group)
-    return n * euclidean(point, reference) - reference_distance
 
 
 def heuristic1_prunes_node(
@@ -108,12 +89,6 @@ def heuristic2_prunes_batch(
     if group_cardinality <= 0:
         raise ValueError("the query group must have positive cardinality/weight")
     return mindists_to_query_mbr >= best_dist / group_cardinality
-
-
-def heuristic3_prunes(mbr: MBR, query_points: np.ndarray, best_dist: float) -> bool:
-    """Heuristic 3: prune node N when ``sum_i mindist(N, q_i) >= best_dist``."""
-    total = float(mbr.mindist_points(query_points).sum())
-    return total >= best_dist
 
 
 def heuristic3_prunes_precomputed(summed_mindist: float, best_dist: float) -> bool:
@@ -170,24 +145,6 @@ def stack_summaries(block_summaries) -> tuple[np.ndarray, np.ndarray, np.ndarray
     highs = np.array([summary.mbr.high for summary in block_summaries], dtype=np.float64)
     cards = np.array([summary.cardinality for summary in block_summaries], dtype=np.float64)
     return lows, highs, cards
-
-
-def weighted_mindist(mbr_or_point, block_summaries) -> float:
-    """The weighted mindist of Heuristic 5: ``sum_i n_i * mindist(N, M_i)``.
-
-    Accepts either an :class:`~repro.geometry.mbr.MBR` (node pruning) or
-    a point (leaf-level ordering in F-MBM).  The batched form used on the
-    hot path is :func:`weighted_mindist_batch`.
-    """
-    lows, highs, cards = stack_summaries(block_summaries)
-    if isinstance(mbr_or_point, MBR):
-        values = kernels.boxes_weighted_group_mindist(
-            mbr_or_point.low[None, :], mbr_or_point.high[None, :], lows, highs, cards
-        )
-    else:
-        point = np.asarray(mbr_or_point, dtype=np.float64)
-        values = kernels.points_weighted_group_mindist(point[None, :], lows, highs, cards)
-    return float(values[0])
 
 
 def weighted_mindist_batch(

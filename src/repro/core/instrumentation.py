@@ -24,18 +24,12 @@ class CostTracker:
         self._tree_baselines = [tree.stats.snapshot() for tree in self._trees]
         self._io_baselines = [io.snapshot() for io in self._io_counters]
         self._started = time.perf_counter()
-        self._extra_distance_computations = 0
-
-    def charge_distance_computations(self, count: int) -> None:
-        """Charge distance evaluations not attributable to a tree traversal."""
-        self._extra_distance_computations += int(count)
 
     def finish(self) -> QueryCost:
         """Return the cost accumulated since the tracker was created."""
         cost = QueryCost(
             algorithm=self.algorithm,
             cpu_time=time.perf_counter() - self._started,
-            distance_computations=self._extra_distance_computations,
         )
         for tree, baseline in zip(self._trees, self._tree_baselines):
             cost.merge(tree.stats.delta(baseline))

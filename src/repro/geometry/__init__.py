@@ -4,7 +4,7 @@ The module exposes the small vocabulary that the paper's algorithms are
 written in:
 
 * :class:`~repro.geometry.mbr.MBR` — axis-aligned minimum bounding
-  rectangles with ``mindist`` / ``maxdist`` metrics,
+  rectangles with the ``mindist`` metrics,
 * distance helpers in :mod:`repro.geometry.distance` — point-to-point,
   point-to-group aggregate distances (validating wrappers),
 * the vectorised kernel layer in :mod:`repro.geometry.kernels` — the
@@ -16,7 +16,6 @@ written in:
 
 from repro.geometry import kernels
 from repro.geometry.distance import (
-    aggregate_distance,
     euclidean,
     group_distance,
     group_mindist,
@@ -25,11 +24,10 @@ from repro.geometry.distance import (
 )
 from repro.geometry.hilbert import hilbert_index, hilbert_sort
 from repro.geometry.mbr import MBR
-from repro.geometry.point import as_point, as_points, point_equal
+from repro.geometry.point import as_point, as_points
 
 __all__ = [
     "MBR",
-    "aggregate_distance",
     "as_point",
     "as_points",
     "euclidean",
@@ -39,6 +37,5 @@ __all__ = [
     "hilbert_sort",
     "kernels",
     "minkowski",
-    "point_equal",
     "squared_euclidean",
 ]

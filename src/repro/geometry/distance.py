@@ -129,24 +129,6 @@ def group_distance(
     return float(kernels.reduce_aggregate(dists, aggregate, weights))
 
 
-def group_distances_bulk(
-    points: np.ndarray,
-    group: np.ndarray,
-    weights: np.ndarray | None = None,
-    aggregate: str = SUM,
-) -> np.ndarray:
-    """Aggregate distance from each of ``points`` to the group ``Q``.
-
-    Vectorised over the data points; the validating entry point of
-    :func:`repro.geometry.kernels.aggregate_distances`.
-    """
-    pts = _fast_points(points)
-    grp = _fast_points(group, dims=pts.shape[1])
-    if weights is not None:
-        weights = kernels.check_weights(weights, grp.shape[0])
-    return kernels.aggregate_distances(pts, grp, weights=weights, aggregate=aggregate)
-
-
 def group_mindist(
     mbr: MBR,
     group: np.ndarray,
@@ -166,13 +148,3 @@ def group_mindist(
     if weights is not None:
         weights = kernels.check_weights(weights, dists.size)
     return float(kernels.reduce_aggregate(dists, aggregate, weights))
-
-
-def aggregate_distance(values: Sequence[float], aggregate: str = SUM) -> float:
-    """Combine already-computed per-query distances with the chosen aggregate."""
-    return float(kernels.reduce_aggregate(np.asarray(values, dtype=np.float64), aggregate))
-
-
-def _aggregate(values: np.ndarray, aggregate: str) -> float:
-    """Backwards-compatible alias for the kernel reduction."""
-    return float(kernels.reduce_aggregate(values, aggregate))

@@ -54,29 +54,6 @@ def hilbert_index_2d(x: int, y: int, order: int = DEFAULT_ORDER) -> int:
     return d
 
 
-def hilbert_point_2d(d: int, order: int = DEFAULT_ORDER) -> tuple[int, int]:
-    """Inverse of :func:`hilbert_index_2d` — map an index back to grid coordinates."""
-    side = 1 << order
-    if not 0 <= d < side * side:
-        raise ValueError(f"index {d} outside the curve of order {order}")
-    x = y = 0
-    t = d
-    s = 1
-    while s < side:
-        rx = 1 & (t // 2)
-        ry = 1 & (t ^ rx)
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        x += s * rx
-        y += s * ry
-        t //= 4
-        s <<= 1
-    return x, y
-
-
 def _normalise_to_grid(points: np.ndarray, order: int) -> np.ndarray:
     """Scale points into the integer grid ``[0, 2**order)`` per dimension."""
     low = points.min(axis=0)

@@ -197,8 +197,9 @@ def batched_aggregate_distances(
     """Aggregate distances of ``(N, d)`` points against ``(B, n, d)`` stacked groups.
 
     Returns a ``(B, N)`` array whose row ``b`` equals
-    :func:`aggregate_distances` against ``groups[b]``; the batch
-    executor's brute-force scan scores many specs in one call.
+    :func:`aggregate_distances` against ``groups[b]``.  Its one caller is
+    the eager batch ``tests/mbm_reference.py::mbm_batch_reference``,
+    which scores a leaf for every member in one call.
     """
     columns = groups.transpose(2, 0, 1)[:, :, None, :]
     terms = np.subtract(points.T[:, None, :, None], columns, order="C")

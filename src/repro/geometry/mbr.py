@@ -40,12 +40,6 @@ class MBR:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_point(cls, point: Sequence[float]) -> "MBR":
-        """Return the degenerate MBR covering a single point."""
-        p = as_point(point)
-        return cls(p, p)
-
-    @classmethod
     def from_points(cls, points: Iterable[Sequence[float]] | np.ndarray) -> "MBR":
         """Return the tightest MBR covering ``points``."""
         pts = as_points(points)
@@ -83,29 +77,12 @@ class MBR:
         """Hyper-volume of the rectangle (area in 2-D)."""
         return float(np.prod(self.extents))
 
-    def margin(self) -> float:
-        """Sum of side lengths (the R*-tree split criterion calls this margin)."""
-        return float(np.sum(self.extents))
-
-    def is_degenerate(self) -> bool:
-        """True when the rectangle has zero extent in every dimension."""
-        return bool(np.all(self.extents == 0.0))
-
     # ------------------------------------------------------------------
     # predicates
     # ------------------------------------------------------------------
-    def contains_point(self, point: Sequence[float]) -> bool:
-        """True when ``point`` lies inside or on the boundary."""
-        p = as_point(point, dims=self.dims)
-        return bool(np.all(p >= self.low) and np.all(p <= self.high))
-
     def contains(self, other: "MBR") -> bool:
         """True when ``other`` is fully covered by this rectangle."""
         return bool(np.all(other.low >= self.low) and np.all(other.high <= self.high))
-
-    def intersects(self, other: "MBR") -> bool:
-        """True when the two rectangles share at least a boundary point."""
-        return bool(np.all(self.low <= other.high) and np.all(other.low <= self.high))
 
     def intersection(self, other: "MBR") -> "MBR | None":
         """Return the overlapping region, or None when disjoint."""
@@ -115,26 +92,12 @@ class MBR:
             return None
         return MBR(low, high)
 
-    def overlap_area(self, other: "MBR") -> float:
-        """Hyper-volume of the overlap region (0.0 when disjoint)."""
-        region = self.intersection(other)
-        return 0.0 if region is None else region.area()
-
     # ------------------------------------------------------------------
     # combining
     # ------------------------------------------------------------------
     def union(self, other: "MBR") -> "MBR":
         """Return the tightest MBR covering both rectangles."""
         return MBR(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
-
-    def union_point(self, point: Sequence[float]) -> "MBR":
-        """Return the tightest MBR covering this rectangle and ``point``."""
-        p = as_point(point, dims=self.dims)
-        return MBR(np.minimum(self.low, p), np.maximum(self.high, p))
-
-    def enlargement(self, other: "MBR") -> float:
-        """Area increase needed to cover ``other`` (the R-tree insertion criterion)."""
-        return self.union(other).area() - self.area()
 
     # ------------------------------------------------------------------
     # distances
@@ -157,12 +120,6 @@ class MBR:
         delta = np.maximum(0.0, np.maximum(self.low - pts, pts - self.high))
         return np.sqrt(np.sum(delta * delta, axis=1))
 
-    def maxdist_point(self, point: Sequence[float]) -> float:
-        """Maximum Euclidean distance from ``point`` to any point of the MBR."""
-        p = as_point(point, dims=self.dims)
-        delta = np.maximum(np.abs(self.low - p), np.abs(self.high - p))
-        return float(np.sqrt(np.sum(delta * delta)))
-
     def mindist_mbr(self, other: "MBR") -> float:
         """Minimum distance between any two points of the two rectangles.
 
@@ -170,11 +127,6 @@ class MBR:
         rectangles intersect.
         """
         delta = np.maximum(0.0, np.maximum(self.low - other.high, other.low - self.high))
-        return float(np.sqrt(np.sum(delta * delta)))
-
-    def maxdist_mbr(self, other: "MBR") -> float:
-        """Maximum distance between any two points of the two rectangles."""
-        delta = np.maximum(np.abs(self.high - other.low), np.abs(other.high - self.low))
         return float(np.sqrt(np.sum(delta * delta)))
 
     # ------------------------------------------------------------------

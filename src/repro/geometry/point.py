@@ -62,12 +62,3 @@ def as_points(values: Iterable[Sequence[float]] | np.ndarray, dims: int | None =
             f"expected {dims}-dimensional points, got {points.shape[1]} coordinates"
         )
     return points
-
-
-def point_equal(a: np.ndarray, b: np.ndarray, tolerance: float = 1e-12) -> bool:
-    """Return True when two points coincide up to ``tolerance``."""
-    a = as_point(a)
-    b = as_point(b)
-    if a.size != b.size:
-        return False
-    return bool(np.all(np.abs(a - b) <= tolerance))

@@ -219,10 +219,6 @@ class FlatRTree:
         self.stats.record_node_access(bool(self.levels[index] == 0), buffer_hit=hit)
         return index
 
-    def reset_stats(self) -> None:
-        """Zero the access counters (the buffer contents are preserved)."""
-        self.stats.reset()
-
     # ------------------------------------------------------------------
     # shape
     # ------------------------------------------------------------------

@@ -10,8 +10,8 @@ asks, against an explicit ``now``, which batches are ready:
   flushed batch is answerable by *one* ``mbm_batch`` traversal;
 * requests with ``key=None`` (not shared-traversal eligible) coalesce
   under a per-plan-signature key as well — ``execute_many`` still
-  amortises planning, Hilbert locality and brute-force tensors for
-  them, falling back to per-query execution where nothing amortises;
+  amortises planning and Hilbert locality for them, running each one
+  on the per-query path;
 * a bucket flushes when it reaches ``max_batch`` items (size trigger,
   reported by :meth:`offer` so the caller can dispatch immediately) or
   when its *oldest* item has waited ``window_s`` (time trigger, polled

@@ -267,11 +267,6 @@ class ShardManifest:
             shards=tuple(ShardInfo.from_dict(row) for row in document["shards"]),
         )
 
-    def shard_paths(self, directory) -> list[Path]:
-        """Absolute snapshot paths of every shard under ``directory``."""
-        base = Path(directory)
-        return [base / shard.path for shard in self.shards]
-
     def __repr__(self) -> str:
         return (
             f"ShardManifest(shards={self.shard_count}, size={self.size}, "

@@ -82,13 +82,6 @@ class LRUBuffer:
         self.hits = 0
         self.misses = 0
 
-    def hit_ratio(self) -> float:
-        """Fraction of accesses that hit the buffer (0.0 when never accessed)."""
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
-
     def __repr__(self) -> str:
         return (
             f"LRUBuffer(capacity={self.capacity}, resident={len(self._pages)}, "

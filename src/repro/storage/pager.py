@@ -97,10 +97,6 @@ class Pager:
         self.counters.record_page_reads(1)
         return self._pages[page_id]
 
-    def read_pages(self, first: int, count: int) -> list[Page]:
-        """Fetch ``count`` consecutive pages starting at ``first``."""
-        return [self.read_page(page_id) for page_id in range(first, first + count)]
-
     def peek_page(self, page_id: int) -> Page:
         """Return a page without charging I/O (used by tests and validation)."""
         return self._pages[page_id]

@@ -174,15 +174,6 @@ class PointFile:
             summaries.append(BlockSummary(block.index, block.mbr, block.cardinality))
         return summaries
 
-    def all_points(self) -> np.ndarray:
-        """Return every point (in storage order) without charging I/O.
-
-        Used by correctness tests and the brute-force baseline, never by
-        the algorithms under measurement.
-        """
-        pages = [self._pager.peek_page(i) for i in range(self._pager.page_count)]
-        return np.vstack([page.points for page in pages])
-
     def __repr__(self) -> str:
         return (
             f"PointFile(points={self.point_count}, blocks={self.block_count}, "

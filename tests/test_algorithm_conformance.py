@@ -244,6 +244,11 @@ class TestPinnedAccessCounters:
         "fmqm": (39, 594),
         "fmbm": (35, 168),
     }
+    #: F-MQM's distance computations on the ``DISK_PINS`` query: every row
+    #: and node its block streams score, plus each candidate's completion
+    #: against every block (22160 while the streams charged one block
+    #: cardinality per emitted neighbour instead).
+    FMQM_DC_PIN = 27520
     GCP_PIN = (3895, 0)
     #: MBM without Heuristic 3 (the paper's footnote-3 ablation), captured
     #: at the commit before MBM's heap was re-keyed on the Heuristic-3
@@ -266,6 +271,16 @@ class TestPinnedAccessCounters:
         )
         cost = execute_spec(context, spec).cost
         assert (cost.node_accesses, cost.distance_computations) == self.MBM_H2_ONLY_PIN
+
+    def test_fmqm_distance_computations(self, context):
+        spec = QuerySpec(
+            group=np.random.default_rng(7).uniform(200, 800, size=(60, 2)),
+            k=4,
+            residency=DISK,
+            algorithm="fmqm",
+            options=dict(DISK_OPTIONS),
+        )
+        assert execute_spec(context, spec).cost.distance_computations == self.FMQM_DC_PIN
 
     def test_disk_counters(self, context):
         disk_group = np.random.default_rng(7).uniform(200, 800, size=(60, 2))

@@ -1,6 +1,5 @@
 """Tests for the algorithm catalogue and the query planner."""
 
-import numpy as np
 import pytest
 
 import repro.api

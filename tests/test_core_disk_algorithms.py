@@ -84,7 +84,7 @@ class TestGCP:
     def test_charges_node_accesses_on_both_trees(self, disk_setup):
         _, tree, clustered, _ = disk_setup
         query_tree = FlatRTree.bulk_load(clustered, capacity=16)
-        tree.reset_stats()
+        tree.stats.reset()
         result = gcp(tree, query_tree, k=1)
         # The tracker reports the union of both trees' accesses.
         assert result.cost.node_accesses > tree.stats.node_accesses

@@ -1,4 +1,9 @@
-"""Tests for repro.core.heuristics: the paper's pruning rules 1-6 and Lemma 1."""
+"""Tests for repro.core.heuristics: the paper's pruning rules 1-6.
+
+Heuristics 3 and 5 are computed by the batched kernels the traversals
+call (``kernels.boxes_group_mindist`` and ``weighted_mindist_batch``), so
+their soundness is checked on those.
+"""
 
 import numpy as np
 import pytest
@@ -8,42 +13,17 @@ from repro.core.heuristics import (
     heuristic1_prunes_node,
     heuristic1_prunes_point,
     heuristic2_prunes,
-    heuristic3_prunes,
     heuristic3_prunes_precomputed,
     heuristic4_prunes,
     heuristic5_prunes,
     heuristic6_prunes,
-    lemma1_lower_bound,
-    weighted_mindist,
+    stack_summaries,
+    weighted_mindist_batch,
 )
+from repro.geometry import kernels
 from repro.geometry.distance import group_distance
 from repro.geometry.mbr import MBR
 from repro.storage.pointfile import BlockSummary
-
-
-class TestLemma1:
-    def test_lower_bound_never_exceeds_true_distance(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            group = rng.uniform(0, 100, size=(rng.integers(1, 10), 2))
-            p = rng.uniform(-50, 150, size=2)
-            q = rng.uniform(-50, 150, size=2)
-            bound = lemma1_lower_bound(p, q, group)
-            assert group_distance(p, group) >= bound - 1e-9
-
-    def test_bound_is_tight_when_p_equals_q(self):
-        group = np.array([[0.0, 0.0], [2.0, 0.0]])
-        q = np.array([1.0, 0.0])
-        assert lemma1_lower_bound(q, q, group) == pytest.approx(
-            2 * 0.0 - group_distance(q, group)
-        )
-
-    def test_reference_distance_can_be_cached(self):
-        group = np.array([[0.0, 0.0], [4.0, 0.0]])
-        q = np.array([2.0, 0.0])
-        cached = lemma1_lower_bound([10.0, 0.0], q, group, reference_distance=4.0)
-        uncached = lemma1_lower_bound([10.0, 0.0], q, group)
-        assert cached == pytest.approx(uncached)
 
 
 class TestHeuristic1:
@@ -93,8 +73,10 @@ class TestHeuristics2And3:
         node = MBR([10.0, 10.0], [12.0, 12.0])
         query_points = np.array([[0.0, 0.0], [0.0, 20.0]])
         summed = float(node.mindist_points(query_points).sum())
-        assert heuristic3_prunes(node, query_points, summed - 0.1)
-        assert not heuristic3_prunes(node, query_points, summed + 0.1)
+        bound = kernels.boxes_group_mindist(node.low[None], node.high[None], query_points)[0]
+        assert bound == pytest.approx(summed)
+        assert heuristic3_prunes_precomputed(bound, summed - 0.1)
+        assert not heuristic3_prunes_precomputed(bound, summed + 0.1)
 
     def test_heuristic2_invalid_cardinality(self):
         with pytest.raises(ValueError):
@@ -107,7 +89,8 @@ class TestHeuristics2And3:
             node = MBR(low, low + rng.uniform(1, 20, size=2))
             group = rng.uniform(0, 100, size=(rng.integers(1, 6), 2))
             best = rng.uniform(0, 300)
-            if heuristic3_prunes(node, group, best):
+            bound = kernels.boxes_group_mindist(node.low[None], node.high[None], group)[0]
+            if heuristic3_prunes_precomputed(bound, best):
                 probe = rng.uniform(node.low, node.high, size=(20, 2))
                 for p in probe:
                     assert group_distance(p, group) >= best - 1e-9
@@ -143,13 +126,16 @@ class TestHeuristics5And6:
             BlockSummary(1, MBR([50.0, 50.0], [60.0, 60.0]), 3),
         ]
 
+    def _weighted_mindist(self, low, high, summaries):
+        return float(weighted_mindist_batch(low[None], high[None], *stack_summaries(summaries))[0])
+
     def test_weighted_mindist_of_node(self):
         summaries = self._summaries()
         node = MBR([20.0, 0.0], [30.0, 10.0])
         expected = 2 * node.mindist_mbr(summaries[0].mbr) + 3 * node.mindist_mbr(
             summaries[1].mbr
         )
-        assert weighted_mindist(node, summaries) == pytest.approx(expected)
+        assert self._weighted_mindist(node.low, node.high, summaries) == pytest.approx(expected)
 
     def test_weighted_mindist_of_point(self):
         summaries = self._summaries()
@@ -157,7 +143,7 @@ class TestHeuristics5And6:
         expected = 2 * summaries[0].mbr.mindist_point(point) + 3 * summaries[
             1
         ].mbr.mindist_point(point)
-        assert weighted_mindist(point, summaries) == pytest.approx(expected)
+        assert self._weighted_mindist(point, point, summaries) == pytest.approx(expected)
 
     def test_example_from_figure_4_5(self):
         # Figure 4.5: two blocks with n1=2, n2=3, best_dist=20; the node's
@@ -178,7 +164,7 @@ class TestHeuristics5And6:
             low = rng.uniform(0, 80, size=2)
             node = MBR(low, low + rng.uniform(1, 20, size=2))
             best = rng.uniform(0, 500)
-            if heuristic5_prunes(weighted_mindist(node, summaries), best):
+            if heuristic5_prunes(self._weighted_mindist(node.low, node.high, summaries), best):
                 for p in rng.uniform(node.low, node.high, size=(20, 2)):
                     total = sum(group_distance(p, g) for g in groups)
                     assert total >= best - 1e-9

@@ -303,7 +303,8 @@ class TestWorkspacePlacement:
         placed = place_with_overlap(queries, data, overlap)
         data_mbr = MBR.from_points(data)
         placed_mbr = MBR.from_points(placed)
-        measured = data_mbr.overlap_area(placed_mbr) / data_mbr.area()
+        region = data_mbr.intersection(placed_mbr)
+        measured = (0.0 if region is None else region.area()) / data_mbr.area()
         assert measured == pytest.approx(overlap, abs=0.03)
 
     def test_place_with_full_overlap_matches_data_workspace(self):

@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.geometry.distance import (
-    aggregate_distance,
     distances_to_group,
     euclidean,
     group_distance,
-    group_distances_bulk,
     group_mindist,
     squared_euclidean,
 )
@@ -69,45 +67,6 @@ class TestGroupDistance:
             group_distance([0.0, 0.0], np.array([[1.0, 1.0]]), weights=np.array([1.0, 2.0]))
 
 
-class TestBulkGroupDistances:
-    def test_bulk_matches_scalar_computation(self):
-        rng = np.random.default_rng(3)
-        points = rng.uniform(0, 10, size=(20, 2))
-        group = rng.uniform(0, 10, size=(5, 2))
-        bulk = group_distances_bulk(points, group)
-        scalar = [group_distance(p, group) for p in points]
-        assert np.allclose(bulk, scalar)
-
-    def test_bulk_max_aggregate(self):
-        rng = np.random.default_rng(4)
-        points = rng.uniform(0, 10, size=(10, 2))
-        group = rng.uniform(0, 10, size=(4, 2))
-        bulk = group_distances_bulk(points, group, aggregate="max")
-        scalar = [group_distance(p, group, aggregate="max") for p in points]
-        assert np.allclose(bulk, scalar)
-
-    def test_bulk_min_aggregate(self):
-        rng = np.random.default_rng(5)
-        points = rng.uniform(0, 10, size=(10, 2))
-        group = rng.uniform(0, 10, size=(4, 2))
-        bulk = group_distances_bulk(points, group, aggregate="min")
-        scalar = [group_distance(p, group, aggregate="min") for p in points]
-        assert np.allclose(bulk, scalar)
-
-    def test_bulk_weighted(self):
-        rng = np.random.default_rng(6)
-        points = rng.uniform(0, 10, size=(8, 2))
-        group = rng.uniform(0, 10, size=(3, 2))
-        weights = np.array([1.0, 2.0, 0.5])
-        bulk = group_distances_bulk(points, group, weights=weights)
-        scalar = [group_distance(p, group, weights=weights) for p in points]
-        assert np.allclose(bulk, scalar)
-
-    def test_bulk_unknown_aggregate_rejected(self):
-        with pytest.raises(ValueError):
-            group_distances_bulk(np.zeros((2, 2)), np.zeros((2, 2)) + 1, aggregate="avg")
-
-
 class TestGroupMindist:
     def test_lower_bounds_every_contained_point(self):
         rng = np.random.default_rng(7)
@@ -131,14 +90,3 @@ class TestGroupMindist:
         inside = rng.uniform(box.low, box.high, size=(50, 2))
         for p in inside:
             assert group_distance(p, group, aggregate="max") >= bound - 1e-9
-
-
-class TestAggregateDistance:
-    def test_sum(self):
-        assert aggregate_distance([1.0, 2.0, 3.0]) == 6.0
-
-    def test_max(self):
-        assert aggregate_distance([1.0, 2.0, 3.0], aggregate="max") == 3.0
-
-    def test_min(self):
-        assert aggregate_distance([1.0, 2.0, 3.0], aggregate="min") == 1.0

@@ -26,17 +26,12 @@ class TestConstruction:
         with pytest.raises(GeometryError):
             MBR([0.0, 0.0], [1.0, 1.0, 1.0])
 
-    def test_from_point_is_degenerate(self):
-        box = MBR.from_point([2.0, 3.0])
-        assert box.is_degenerate()
-        assert box.area() == 0.0
-
     def test_from_points_covers_all(self):
         points = np.array([[0.0, 5.0], [2.0, 1.0], [-1.0, 3.0]])
         box = MBR.from_points(points)
         assert box.low.tolist() == [-1.0, 1.0]
         assert box.high.tolist() == [2.0, 5.0]
-        assert all(box.contains_point(p) for p in points)
+        assert np.all((box.low <= points) & (points <= box.high))
 
     def test_union_of_requires_at_least_one(self):
         with pytest.raises(GeometryError):
@@ -52,10 +47,9 @@ class TestBasicProperties:
     def test_center(self, unit_square):
         assert unit_square.center.tolist() == [0.5, 0.5]
 
-    def test_area_and_margin(self):
+    def test_area(self):
         box = MBR([0.0, 0.0], [2.0, 3.0])
         assert box.area() == 6.0
-        assert box.margin() == 5.0
 
     def test_extents(self):
         box = MBR([1.0, 2.0], [4.0, 6.0])
@@ -67,50 +61,29 @@ class TestBasicProperties:
 
 
 class TestPredicates:
-    def test_contains_point_inside_and_boundary(self, unit_square):
-        assert unit_square.contains_point([0.5, 0.5])
-        assert unit_square.contains_point([0.0, 1.0])
-        assert not unit_square.contains_point([1.5, 0.5])
-
     def test_contains_mbr(self, unit_square):
         inner = MBR([0.2, 0.2], [0.8, 0.8])
         assert unit_square.contains(inner)
         assert not inner.contains(unit_square)
 
-    def test_intersects_touching_boxes(self, unit_square):
+    def test_touching_boxes_intersect_in_their_shared_edge(self, unit_square):
         touching = MBR([1.0, 0.0], [2.0, 1.0])
-        assert unit_square.intersects(touching)
-
-    def test_disjoint_boxes_do_not_intersect(self, unit_square, shifted_square):
-        assert not unit_square.intersects(shifted_square)
+        assert unit_square.intersection(touching) == MBR([1.0, 0.0], [1.0, 1.0])
 
     def test_intersection_of_overlapping_boxes(self, unit_square):
         other = MBR([0.5, 0.5], [2.0, 2.0])
         overlap = unit_square.intersection(other)
         assert overlap == MBR([0.5, 0.5], [1.0, 1.0])
-        assert unit_square.overlap_area(other) == pytest.approx(0.25)
+        assert overlap.area() == pytest.approx(0.25)
 
     def test_intersection_of_disjoint_boxes_is_none(self, unit_square, shifted_square):
         assert unit_square.intersection(shifted_square) is None
-        assert unit_square.overlap_area(shifted_square) == 0.0
 
 
 class TestCombining:
     def test_union_covers_both(self, unit_square, shifted_square):
         union = unit_square.union(shifted_square)
         assert union == MBR([0.0, 0.0], [3.0, 1.0])
-
-    def test_union_point_extends_box(self, unit_square):
-        extended = unit_square.union_point([2.0, -1.0])
-        assert extended.contains_point([2.0, -1.0])
-        assert extended.contains(unit_square)
-
-    def test_enlargement_zero_for_contained_box(self, unit_square):
-        inner = MBR([0.1, 0.1], [0.9, 0.9])
-        assert unit_square.enlargement(inner) == 0.0
-
-    def test_enlargement_positive_for_external_box(self, unit_square, shifted_square):
-        assert unit_square.enlargement(shifted_square) > 0.0
 
 
 class TestDistances:
@@ -129,9 +102,6 @@ class TestDistances:
         scalar = [unit_square.mindist_point(p) for p in pts]
         assert np.allclose(vector, scalar)
 
-    def test_maxdist_point(self, unit_square):
-        assert unit_square.maxdist_point([2.0, 2.0]) == pytest.approx(np.sqrt(8.0))
-
     def test_mindist_mbr_zero_when_intersecting(self, unit_square):
         other = MBR([0.5, 0.5], [2.0, 2.0])
         assert unit_square.mindist_mbr(other) == 0.0
@@ -141,9 +111,6 @@ class TestDistances:
 
     def test_mindist_mbr_is_symmetric(self, unit_square, shifted_square):
         assert unit_square.mindist_mbr(shifted_square) == shifted_square.mindist_mbr(unit_square)
-
-    def test_maxdist_mbr_upper_bounds_mindist(self, unit_square, shifted_square):
-        assert unit_square.maxdist_mbr(shifted_square) >= unit_square.mindist_mbr(shifted_square)
 
 
 class TestDunder:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.point import GeometryError, as_point, as_points, point_equal
+from repro.geometry.point import GeometryError, as_point, as_points
 
 
 class TestAsPoint:
@@ -68,17 +68,3 @@ class TestAsPoints:
     def test_nan_rejected(self):
         with pytest.raises(GeometryError):
             as_points([[1.0, np.nan]])
-
-
-class TestPointEqual:
-    def test_identical_points_are_equal(self):
-        assert point_equal([1.0, 2.0], [1.0, 2.0])
-
-    def test_points_within_tolerance_are_equal(self):
-        assert point_equal([1.0, 2.0], [1.0 + 1e-13, 2.0])
-
-    def test_points_outside_tolerance_differ(self):
-        assert not point_equal([1.0, 2.0], [1.1, 2.0])
-
-    def test_dimension_mismatch_is_not_equal(self):
-        assert not point_equal([1.0, 2.0], [1.0, 2.0, 3.0])

@@ -21,7 +21,6 @@ from repro.geometry import kernels
 from repro.geometry.distance import (
     euclidean,
     group_distance,
-    group_distances_bulk,
     group_mindist,
     minkowski,
     squared_euclidean,
@@ -278,7 +277,7 @@ class TestScalarWrapperFastPath:
         with pytest.raises(GeometryError):
             group_distance(np.array([0.0, np.inf]), np.array([[1.0, 2.0]]))
         with pytest.raises(GeometryError):
-            group_distances_bulk(np.array([[0.0, np.nan]]), np.array([[1.0, 2.0]]))
+            group_distance(np.array([0.0, 1.0]), np.array([[1.0, np.nan]]))
         with pytest.raises(GeometryError):
             euclidean(good, np.array([1.0, 2.0, 3.0]))  # dims mismatch
         with pytest.raises(GeometryError):
@@ -288,13 +287,13 @@ class TestScalarWrapperFastPath:
         # non-float64 arrays flow through the validating path
         assert euclidean(np.array([0, 0]), np.array([3, 4])) == 5.0
 
-    def test_bulk_wrapper_fast_path_agrees_with_validating_path(self):
+    def test_group_wrapper_fast_path_agrees_with_validating_path(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-10, 10, size=(12, 3))
         group = rng.uniform(-10, 10, size=(4, 3))
-        fast = group_distances_bulk(pts, group)
-        validating = group_distances_bulk(pts.tolist(), group.tolist())
-        assert np.array_equal(fast, validating)
+        fast = [group_distance(p, group) for p in pts]
+        validating = [group_distance(p.tolist(), group.tolist()) for p in pts]
+        assert fast == validating
 
 
 class TestBitIdentityHotPath:

@@ -60,8 +60,8 @@ class TestClosestPairStream:
 
     def test_node_accesses_are_charged_to_both_trees(self, pair_setup):
         _, _, data_tree, query_tree = pair_setup
-        data_tree.reset_stats()
-        query_tree.reset_stats()
+        data_tree.stats.reset()
+        query_tree.stats.reset()
         stream = incremental_closest_pairs(data_tree, query_tree)
         for _ in range(20):
             next(stream)

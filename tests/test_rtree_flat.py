@@ -147,7 +147,7 @@ class TestTraversalPins:
     """Streams and algorithms must reproduce the object-tree paths bit for bit."""
 
     def test_incremental_stream_with_counters(self, flat):
-        flat.reset_stats()
+        flat.stats.reset()
         stream = [n.as_tuple() for n in incremental_nearest(flat, [411.0, 290.0])]
         assert stream[:5] == [
             (23, 23.580964558647786),

@@ -152,14 +152,14 @@ class TestAccessAccounting:
     @pytest.mark.parametrize("method", METHODS)
     def test_full_stream_reads_every_node_once(self, method):
         flat = FlatRTree.bulk_load(_uniform(11, 400), capacity=10, method=method)
-        flat.reset_stats()
+        flat.stats.reset()
         assert len(list(incremental_nearest(flat, [50.0, 50.0]))) == 400
         assert flat.stats.node_accesses == flat.num_nodes
         assert flat.stats.leaf_accesses == level_widths(flat)[0]
 
     def test_selective_search_touches_few_nodes(self):
         flat = FlatRTree.bulk_load(_uniform(12, 2000), capacity=20)
-        flat.reset_stats()
+        flat.stats.reset()
         best_first_nearest(flat, [50.5, 50.5], k=1)
         assert flat.stats.node_accesses < flat.num_nodes / 4
 
@@ -174,7 +174,7 @@ class TestAccessAccounting:
     def test_reset_stats_keeps_the_buffer_warm(self):
         flat = FlatRTree.bulk_load(_uniform(14, 300), capacity=10, buffer=LRUBuffer(1000))
         list(incremental_nearest(flat, [10.0, 90.0]))
-        flat.reset_stats()
+        flat.stats.reset()
         assert flat.stats.node_accesses == 0
         list(incremental_nearest(flat, [10.0, 90.0]))
         assert flat.stats.node_accesses == flat.num_nodes

@@ -65,7 +65,7 @@ class TestIncremental:
         assert [p.distance for p in prefix] == pytest.approx([d for _, d in expected])
 
     def test_stream_is_lazy_about_node_accesses(self, uniform_tree):
-        uniform_tree.reset_stats()
+        uniform_tree.stats.reset()
         stream = incremental_nearest(uniform_tree, [500.0, 500.0])
         next(stream)
         partial_accesses = uniform_tree.stats.node_accesses

@@ -106,8 +106,8 @@ class TestPartitioner:
         directory = tmp_path / "ids"
         manifest = partition_dataset(shard_points, 3, directory, capacity=16)
         seen = []
-        for shard, path in zip(manifest.shards, manifest.shard_paths(directory)):
-            tree = FlatRTree.load(path)
+        for shard in manifest.shards:
+            tree = FlatRTree.load(directory / shard.path)
             assert tree.generation == manifest.generation
             leaves = tree.record_ids[tree.record_ids >= 0]
             assert len(leaves) == shard.count

@@ -37,17 +37,6 @@ class TestLRUBuffer:
             buffer.access(page)
         assert len(buffer) == 3
 
-    def test_hit_ratio(self):
-        buffer = LRUBuffer(4)
-        buffer.access(1)
-        buffer.access(1)
-        buffer.access(1)
-        buffer.access(2)
-        assert buffer.hit_ratio() == pytest.approx(0.5)
-
-    def test_hit_ratio_of_untouched_buffer_is_zero(self):
-        assert LRUBuffer(4).hit_ratio() == 0.0
-
     def test_clear_resets_contents_and_counters(self):
         buffer = LRUBuffer(4)
         buffer.access(1)

@@ -48,8 +48,8 @@ class TestPager:
 
     def test_read_page_charges_io(self, sample_points):
         pager = Pager(sample_points, points_per_page=50)
-        pager.read_page(0)
-        pager.read_pages(1, 2)
+        for page_id in range(3):
+            pager.read_page(page_id)
         assert pager.counters.page_reads == 3
 
     def test_peek_does_not_charge_io(self, sample_points):
@@ -93,7 +93,7 @@ class TestPointFile:
 
     def test_file_is_hilbert_sorted_by_default(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
-        stored = pointfile.all_points()
+        stored = np.vstack([block.points for block in pointfile.iter_blocks()])
         indices = hilbert_indices(stored)
         assert all(indices[i] <= indices[i + 1] for i in range(len(indices) - 1))
 
@@ -101,7 +101,8 @@ class TestPointFile:
         pointfile = PointFile(
             sample_points, points_per_page=50, block_pages=2, hilbert_sorted=False
         )
-        assert np.array_equal(pointfile.all_points(), sample_points)
+        stored = np.vstack([block.points for block in pointfile.iter_blocks()])
+        assert np.array_equal(stored, sample_points)
 
     def test_block_read_charges_io(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
@@ -113,7 +114,7 @@ class TestPointFile:
     def test_block_mbr_covers_its_points(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
         block = pointfile.read_block(1)
-        assert all(block.mbr.contains_point(p) for p in block.points)
+        assert np.all((block.mbr.low <= block.points) & (block.points <= block.mbr.high))
 
     def test_block_summaries_match_blocks(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
