@@ -1,4 +1,9 @@
-"""Tests for repro.core.heuristics: the paper's pruning rules 1-6.
+"""Tests for repro.core.heuristics: the paper's pruning rules 1-6 and Lemma 1.
+
+Lemma 1 (``dist(p, Q) >= n * |p q| - dist(q, Q)``) is what Heuristic 1
+rearranges, so it is checked through ``heuristic1_prunes_point``/``_node``:
+a point or node may be pruned only when the lemma's bound reaches
+``best_dist``.
 
 Heuristics 3 and 5 are computed by the batched kernels the traversals
 call (``kernels.boxes_group_mindist`` and ``weighted_mindist_batch``), so
@@ -21,9 +26,48 @@ from repro.core.heuristics import (
     weighted_mindist_batch,
 )
 from repro.geometry import kernels
-from repro.geometry.distance import group_distance
+from repro.geometry.distance import euclidean, group_distance
 from repro.geometry.mbr import MBR
 from repro.storage.pointfile import BlockSummary
+
+
+class TestLemma1:
+    @pytest.mark.parametrize("dims", [2, 3, 5])
+    def test_lower_bound_never_exceeds_true_distance(self, dims):
+        # Heuristic 1 prunes p iff n*|pq| - dist(q, Q) >= best_dist, so with
+        # best_dist just above dist(p, Q) it must keep p for any p and q.
+        rng = np.random.default_rng(dims)
+        for _ in range(50):
+            group = rng.uniform(0, 100, size=(rng.integers(1, 10), dims))
+            p = rng.uniform(-50, 150, size=dims)
+            q = rng.uniform(-50, 150, size=dims)
+            true_distance = group_distance(p, group)
+            best = true_distance + 1e-9 * max(1.0, true_distance)
+            assert not heuristic1_prunes_point(
+                euclidean(p, q), best, group_distance(q, group), len(group)
+            )
+
+    def test_bound_is_tight_when_p_equals_q(self):
+        # At p = q the bound is -dist(q, Q): pruned exactly at that best_dist.
+        group = np.array([[0.0, 0.0], [2.0, 0.0]])
+        q = np.array([1.0, 0.0])
+        reference = group_distance(q, group)
+        assert heuristic1_prunes_point(0.0, -reference, reference, 2)
+        assert not heuristic1_prunes_point(0.0, -reference + 1e-9, reference, 2)
+
+    def test_node_bound_never_exceeds_contained_distances(self):
+        # The node form SPM's stream uses: mindist(N, q) from the box kernel.
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            low = rng.uniform(0, 80, size=2)
+            node = MBR(low, low + rng.uniform(1, 20, size=2))
+            group = rng.uniform(0, 100, size=(rng.integers(1, 8), 2))
+            q = rng.uniform(0, 100, size=2)
+            best = rng.uniform(0, 300)
+            mindist = kernels.boxes_mindist_point(node.low[None], node.high[None], q)[0]
+            if heuristic1_prunes_node(mindist, best, group_distance(q, group), len(group)):
+                for p in rng.uniform(node.low, node.high, size=(20, 2)):
+                    assert group_distance(p, group) >= best - 1e-9
 
 
 class TestHeuristic1:

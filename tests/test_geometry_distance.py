@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.geometry import kernels
 from repro.geometry.distance import (
     distances_to_group,
     euclidean,
@@ -67,6 +68,47 @@ class TestGroupDistance:
             group_distance([0.0, 0.0], np.array([[1.0, 1.0]]), weights=np.array([1.0, 2.0]))
 
 
+class TestBulkGroupDistances:
+    """``kernels.aggregate_distances`` scores many points in one call."""
+
+    def test_bulk_matches_scalar_computation(self):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(0, 10, size=(20, 2))
+        group = rng.uniform(0, 10, size=(5, 2))
+        bulk = kernels.aggregate_distances(points, group)
+        scalar = [group_distance(p, group) for p in points]
+        assert np.allclose(bulk, scalar)
+
+    def test_bulk_max_aggregate(self):
+        rng = np.random.default_rng(4)
+        points = rng.uniform(0, 10, size=(10, 2))
+        group = rng.uniform(0, 10, size=(4, 2))
+        bulk = kernels.aggregate_distances(points, group, aggregate="max")
+        scalar = [group_distance(p, group, aggregate="max") for p in points]
+        assert np.allclose(bulk, scalar)
+
+    def test_bulk_min_aggregate(self):
+        rng = np.random.default_rng(5)
+        points = rng.uniform(0, 10, size=(10, 2))
+        group = rng.uniform(0, 10, size=(4, 2))
+        bulk = kernels.aggregate_distances(points, group, aggregate="min")
+        scalar = [group_distance(p, group, aggregate="min") for p in points]
+        assert np.allclose(bulk, scalar)
+
+    def test_bulk_weighted(self):
+        rng = np.random.default_rng(6)
+        points = rng.uniform(0, 10, size=(8, 2))
+        group = rng.uniform(0, 10, size=(3, 2))
+        weights = np.array([1.0, 2.0, 0.5])
+        bulk = kernels.aggregate_distances(points, group, weights=weights)
+        scalar = [group_distance(p, group, weights=weights) for p in points]
+        assert np.allclose(bulk, scalar)
+
+    def test_bulk_unknown_aggregate_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.aggregate_distances(np.zeros((2, 2)), np.zeros((2, 2)) + 1, aggregate="avg")
+
+
 class TestGroupMindist:
     def test_lower_bounds_every_contained_point(self):
         rng = np.random.default_rng(7)
@@ -90,3 +132,22 @@ class TestGroupMindist:
         inside = rng.uniform(box.low, box.high, size=(50, 2))
         for p in inside:
             assert group_distance(p, group, aggregate="max") >= bound - 1e-9
+
+
+class TestAggregateDistance:
+    """``kernels.reduce_aggregate`` folds per-query-point distances."""
+
+    def test_sum(self):
+        assert kernels.reduce_aggregate(np.array([1.0, 2.0, 3.0])) == 6.0
+
+    def test_max(self):
+        assert kernels.reduce_aggregate(np.array([1.0, 2.0, 3.0]), aggregate="max") == 3.0
+
+    def test_min(self):
+        assert kernels.reduce_aggregate(np.array([1.0, 2.0, 3.0]), aggregate="min") == 1.0
+
+    def test_weights_scale_each_distance_before_the_reduction(self):
+        values = np.array([1.0, 2.0, 3.0])
+        weights = np.array([3.0, 0.0, 1.0])
+        assert kernels.reduce_aggregate(values, weights=weights) == 6.0
+        assert kernels.reduce_aggregate(values, aggregate="max", weights=weights) == 3.0

@@ -37,6 +37,10 @@ class TestHilbertCurve2D:
         with pytest.raises(ValueError):
             hilbert_index_2d(4, 0, order=2)
 
+    def test_negative_coordinates_rejected(self):
+        with pytest.raises(ValueError):
+            hilbert_index_2d(0, -1, order=2)
+
 
 class TestHilbertIndices:
     def test_indices_shape_matches_input(self):
@@ -54,6 +58,12 @@ class TestHilbertIndices:
         points = np.random.default_rng(1).uniform(0, 1, size=(10, 3))
         indices = hilbert_indices(points, order=8)
         assert indices.shape == (10,)
+
+    def test_keys_wider_than_int64_rejected(self):
+        points = np.random.default_rng(1).uniform(0, 1, size=(10, 3))
+        assert hilbert_indices(points, order=21).dtype == np.int64
+        with pytest.raises(ValueError):
+            hilbert_indices(points, order=22)
 
 
 class TestHilbertSort:

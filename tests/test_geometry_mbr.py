@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.geometry import kernels
 from repro.geometry.mbr import MBR
 from repro.geometry.point import GeometryError
 
@@ -25,6 +26,12 @@ class TestConstruction:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(GeometryError):
             MBR([0.0, 0.0], [1.0, 1.0, 1.0])
+
+    def test_single_point_box_is_degenerate(self):
+        box = MBR.from_points([[2.0, 3.0]])
+        assert box.low.tolist() == box.high.tolist() == [2.0, 3.0]
+        assert box.extents.tolist() == [0.0, 0.0]
+        assert box.area() == 0.0
 
     def test_from_points_covers_all(self):
         points = np.array([[0.0, 5.0], [2.0, 1.0], [-1.0, 3.0]])
@@ -61,6 +68,11 @@ class TestBasicProperties:
 
 
 class TestPredicates:
+    def test_contains_point_box_inside_and_on_boundary(self, unit_square):
+        assert unit_square.contains(MBR.from_points([[0.5, 0.5]]))
+        assert unit_square.contains(MBR.from_points([[0.0, 1.0]]))
+        assert not unit_square.contains(MBR.from_points([[1.5, 0.5]]))
+
     def test_contains_mbr(self, unit_square):
         inner = MBR([0.2, 0.2], [0.8, 0.8])
         assert unit_square.contains(inner)
@@ -69,6 +81,14 @@ class TestPredicates:
     def test_touching_boxes_intersect_in_their_shared_edge(self, unit_square):
         touching = MBR([1.0, 0.0], [2.0, 1.0])
         assert unit_square.intersection(touching) == MBR([1.0, 0.0], [1.0, 1.0])
+
+    def test_disjoint_boxes_do_not_intersect(self, unit_square, shifted_square):
+        # the batched box kernel agrees: disjoint boxes are a positive gap apart
+        gap = kernels.boxes_mindist_box(
+            unit_square.low[None], unit_square.high[None], shifted_square.low, shifted_square.high
+        )
+        assert gap.tolist() == [1.0]
+        assert unit_square.intersection(shifted_square) is None
 
     def test_intersection_of_overlapping_boxes(self, unit_square):
         other = MBR([0.5, 0.5], [2.0, 2.0])
@@ -84,6 +104,19 @@ class TestCombining:
     def test_union_covers_both(self, unit_square, shifted_square):
         union = unit_square.union(shifted_square)
         assert union == MBR([0.0, 0.0], [3.0, 1.0])
+
+
+    def test_union_with_point_box_extends_box(self, unit_square):
+        extended = unit_square.union(MBR.from_points([[2.0, -1.0]]))
+        assert extended == MBR([0.0, -1.0], [2.0, 1.0])
+        assert extended.contains(unit_square)
+
+    def test_union_with_contained_box_is_unchanged(self, unit_square):
+        inner = MBR([0.1, 0.1], [0.9, 0.9])
+        assert unit_square.union(inner) == unit_square
+
+    def test_union_with_external_box_grows(self, unit_square, shifted_square):
+        assert unit_square.union(shifted_square).area() > unit_square.area()
 
 
 class TestDistances:

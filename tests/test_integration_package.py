@@ -99,6 +99,13 @@ class TestCostTracker:
         assert 0 < cost.node_accesses < pre_existing + tree.stats.node_accesses
         assert cost.cpu_time > 0
 
+    def test_tree_distance_computations_are_tracked(self):
+        # traversals charge distance computations on their tree's stats
+        tree = FlatRTree.bulk_load(np.zeros((4, 2)), capacity=8)
+        tracker = CostTracker("test", trees=[tree])
+        tree.stats.record_distance_computations(42)
+        assert tracker.finish().distance_computations == 42
+
     def test_io_counters_are_tracked(self):
         from repro.storage.counters import IOCounters
 

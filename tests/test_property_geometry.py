@@ -1,15 +1,17 @@
 """Property-based tests (hypothesis) for the geometric substrate.
 
 These check the invariants listed in DESIGN.md Section 6: mindist is a
-true lower bound, the Hilbert curve is a bijection, and the aggregate
-lower bounds never exceed the true aggregate distances.
+true lower bound, Lemma 1 holds for arbitrary points, the Hilbert curve
+is a bijection, and the aggregate lower bounds never exceed the true
+aggregate distances.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.distance import group_distance, group_mindist
+from repro.core.heuristics import heuristic1_prunes_point
+from repro.geometry.distance import euclidean, group_distance, group_mindist
 from repro.geometry.hilbert import hilbert_index_2d
 from repro.geometry.mbr import MBR
 
@@ -68,6 +70,34 @@ class TestMBRProperties:
             assert a.contains(region) and b.contains(region)
         else:
             assert region is None
+
+
+    @given(a=mbr_strategy(), b=mbr_strategy(), point=st.tuples(coordinate, coordinate))
+    @settings(max_examples=200, deadline=None)
+    def test_union_mindist_never_exceeds_its_parts(self, a, b, point):
+        # A parent box's key lower-bounds its children's: best-first relies on it.
+        point = np.array(point, dtype=np.float64)
+        union = a.union(b)
+        assert union.mindist_point(point) <= min(a.mindist_point(point), b.mindist_point(point))
+
+
+class TestLemma1Property:
+    @given(
+        group=points_strategy(min_count=1, max_count=10),
+        p=st.tuples(coordinate, coordinate),
+        q=st.tuples(coordinate, coordinate),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lemma1_bound_never_exceeds_true_distance(self, group, p, q):
+        # Heuristic 1 is Lemma 1 rearranged: it may not prune p at any
+        # best_dist above p's true aggregate distance.
+        p = np.array(p, dtype=np.float64)
+        q = np.array(q, dtype=np.float64)
+        true_distance = group_distance(p, group)
+        best = true_distance + 1e-6 * max(1.0, true_distance)
+        assert not heuristic1_prunes_point(
+            euclidean(p, q), best, group_distance(q, group), len(group)
+        )
 
 
 class TestGroupMindistProperty:

@@ -37,6 +37,16 @@ class TestLRUBuffer:
             buffer.access(page)
         assert len(buffer) == 3
 
+    def test_hits_and_misses_are_counted(self):
+        buffer = LRUBuffer(4)
+        outcomes = [buffer.access(page) for page in (1, 1, 1, 2)]
+        assert outcomes == [False, True, True, False]
+        assert (buffer.hits, buffer.misses) == (2, 2)
+
+    def test_untouched_buffer_counts_nothing(self):
+        buffer = LRUBuffer(4)
+        assert (buffer.hits, buffer.misses, len(buffer)) == (0, 0, 0)
+
     def test_clear_resets_contents_and_counters(self):
         buffer = LRUBuffer(4)
         buffer.access(1)
