@@ -17,10 +17,16 @@ ALGORITHMS = ("F-MQM", "F-MBM")
 M_STEPS = range(5)
 
 
+@pytest.fixture(scope="module")
+def page_reads():
+    """The sweep's average page reads, keyed like ``node_accesses``."""
+    return {}
+
+
 @pytest.mark.parametrize("m_index", M_STEPS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_fig5_5_disk_cost_vs_mbr_area(
-    benchmark, datasets, scale, m_index, algorithm
+    benchmark, datasets, scale, node_accesses, page_reads, m_index, algorithm
 ):
     if m_index >= len(scale.mbr_fractions):
         pytest.skip("scale defines fewer MBR-size steps")
@@ -33,3 +39,14 @@ def test_fig5_5_disk_cost_vs_mbr_area(
     benchmark.extra_info["P"] = "PP"
     benchmark.extra_info["Q"] = "TS"
     assert averages.queries == 1
+    node_accesses[fraction, algorithm] = averages.node_accesses
+    page_reads[fraction, algorithm] = averages.page_reads
+
+
+def test_fig5_5_finding(node_accesses, page_reads, scale):
+    """F-MBM clearly wins: no more node accesses or page reads than F-MQM at any M."""
+    if len(node_accesses) < len(scale.mbr_fractions) * len(ALGORITHMS):
+        pytest.skip("needs the whole sweep of this module to have run first")
+    for fraction in scale.mbr_fractions:
+        assert node_accesses[fraction, "F-MBM"] <= node_accesses[fraction, "F-MQM"], fraction
+        assert page_reads[fraction, "F-MBM"] <= page_reads[fraction, "F-MQM"], fraction

@@ -15,15 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.fmbm import fmbm
 from repro.core.mbm import mbm, mbm_batch
 from repro.core.types import GroupQuery
-from repro.datasets import pp_like
-from repro.datasets.workload import WorkloadSpec, generate_workload
+from repro.datasets import pp_like, ts_like
+from repro.datasets.workload import WorkloadSpec, generate_workload, scale_into_workspace
 from repro.geometry import kernels
 from repro.geometry.distance import group_distance
+from repro.bench.config import get_scale
 from repro.bench.runner import run_memory_setting
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import incremental_nearest
+from repro.storage.pointfile import PointFile
 
 #: The vectorised kernel is ~50-100x faster than the scalar loop on this
 #: shape; 3x leaves a huge margin against CI noise while still catching
@@ -123,9 +126,9 @@ def test_smoke_tangent_kernel_price_per_node():
 MAX_MBM_CPU_RATIO = 1.10
 
 
-def _load_mbm_reference(name="mbm_reference"):
-    path = Path(__file__).resolve().parents[1] / "tests" / "mbm_reference.py"
-    spec = importlib.util.spec_from_file_location("mbm_reference", path)
+def _load_mbm_reference(name="mbm_reference", module="mbm_reference"):
+    path = Path(__file__).resolve().parents[1] / "tests" / f"{module}.py"
+    spec = importlib.util.spec_from_file_location(module, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return getattr(module, name)
@@ -202,6 +205,42 @@ def test_smoke_mbm_batch_cpu_per_query(batch):
         lambda: [mbm_batch(flat, chunk, 1) for chunk in chunks],
         lambda: [mbm_batch_reference(flat, chunk, 1) for chunk in chunks],
         f"mbm_batch at B={batch}",
+    )
+
+
+#: How much of the per-point leaf loop's CPU F-MBM's array leaf may spend.
+MAX_FMBM_CPU_RATIO = 0.5
+
+
+def test_smoke_fmbm_cpu_per_query():
+    """F-MBM's array leaf must cost well under the per-point loop of ``tests/fmbm_reference.py``.
+
+    The smoke-scale Figure 5.5 input at M = 32% (Q = TS-like placed in
+    32% of PP-like's workspace, the scale's block size and k), timed
+    with the alternating ``_cost_ratio``.  Both sides read blocks as
+    views of one file, so the ratio is the leaf loop's alone; a slide
+    back to per-point Python shows as a ratio near 1.
+    """
+    fmbm_reference = _load_mbm_reference("fmbm_reference", module="fmbm_reference")
+    scale = get_scale("smoke")
+    points = pp_like(scale.pp_size)
+    flat = FlatRTree.bulk_load(points, capacity=scale.node_capacity)
+    queries = scale_into_workspace(ts_like(scale.ts_size), points, 0.32)
+    query_file = PointFile(queries, points_per_page=50, block_pages=scale.block_pages)
+    result = fmbm(flat, query_file, k=scale.fixed_k)
+    reference = fmbm_reference(flat, query_file, k=scale.fixed_k)
+    assert result.distances() == reference.distances()
+    assert result.cost.page_reads == reference.cost.page_reads
+
+    ratio = _cost_ratio(
+        lambda: fmbm(flat, query_file, k=scale.fixed_k),
+        lambda: fmbm_reference(flat, query_file, k=scale.fixed_k),
+        rounds=5,
+        calls=1,
+    )
+    assert ratio <= MAX_FMBM_CPU_RATIO, (
+        f"F-MBM costs {ratio:.2f}x the per-point reference's CPU "
+        f"(expected <= {MAX_FMBM_CPU_RATIO}x)"
     )
 
 

@@ -217,7 +217,7 @@ BUILTIN_ALGORITHMS = (
         runner=_run_fmbm,
         residency=DISK,
         aggregates=(SUM,),
-        options=FILE_GEOMETRY_OPTIONS + ("charge_summary_scan",),
+        options=FILE_GEOMETRY_OPTIONS,
         cost_rank=2,
         description="File minimum bounding method: single traversal pruned by block summaries (Section 4.3).",
     ),

@@ -17,7 +17,7 @@ that full matrix in CI time, so the harness defines three scales:
 Absolute numbers differ from the paper at every scale (different
 hardware, language and datasets); only shapes are compared, by the
 ``*_finding`` tests under ``benchmarks/`` (``test_fig5_1_finding``,
-``test_ablation_finding``).
+``test_fig5_5_finding``, ``test_ablation_finding``).
 """
 
 from __future__ import annotations

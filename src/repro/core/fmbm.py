@@ -23,27 +23,15 @@ import itertools
 
 import numpy as np
 
-from repro.core.heuristics import (
-    heuristic5_prunes,
-    heuristic5_prunes_batch,
-    heuristic6_prunes,
-    stack_summaries,
-    weighted_mindist_batch,
-)
+from repro.core.heuristics import heuristic5_prunes, heuristic5_prunes_batch, heuristic6_prunes
 from repro.core.instrumentation import CostTracker
 from repro.core.types import BestList, GNNResult
 from repro.geometry import kernels
-from repro.geometry.mbr import MBR
 from repro.rtree.flat import FlatRTree
 from repro.storage.pointfile import PointFile
 
 
-def fmbm(
-    tree: FlatRTree,
-    query_file: PointFile,
-    k: int = 1,
-    charge_summary_scan: bool = False,
-) -> GNNResult:
+def fmbm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     """Run F-MBM over a disk-resident query file.
 
     Parameters
@@ -51,13 +39,11 @@ def fmbm(
     tree:
         Flat R-tree snapshot over the dataset ``P``.
     query_file:
-        The (Hilbert-sorted) query file.
+        The (Hilbert-sorted) query file.  Its block summaries come free
+        with the external sort, as in the paper; only the blocks the
+        leaves read are charged.
     k:
         Number of group nearest neighbors to return.
-    charge_summary_scan:
-        The per-block summaries can be produced during the external sort
-        the paper excludes from the measured cost; set this to True to
-        charge the extra sequential scan anyway.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -66,122 +52,76 @@ def fmbm(
     if len(tree) == 0 or len(query_file) == 0:
         return GNNResult(neighbors=[], cost=tracker.finish())
 
-    summaries = _collect_summaries(query_file, charge_summary_scan)
-    stacked = stack_summaries(summaries)
-
-    _fmbm_best_first(tree, query_file, summaries, stacked, best)
+    _fmbm_best_first(tree, query_file, query_file.block_summaries(), best)
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
 
 
-def _collect_summaries(query_file: PointFile, charge_summary_scan: bool):
-    """Build the in-memory (MBR, cardinality) summary of every block."""
-    if charge_summary_scan:
-        return query_file.block_summaries()
-    # Build summaries without charging I/O: the scan piggybacks on the
-    # external sort, whose cost the paper excludes.
-    from repro.storage.pointfile import BlockSummary
-
-    summaries = []
-    charged = query_file.counters.snapshot()
-    for block in query_file.iter_blocks():
-        summaries.append(BlockSummary(block.index, block.mbr, block.cardinality))
-    # Roll back the charges made by iter_blocks.
-    query_file.counters.page_reads = charged["page_reads"]
-    query_file.counters.block_reads = charged["block_reads"]
-    return summaries
-
-
-def _fmbm_best_first(flat, query_file, summaries, stacked, best) -> None:
+def _fmbm_best_first(flat, query_file, summaries, best) -> None:
     """Best-first traversal ordered by the weighted mindist of Heuristic 5.
 
-    ``stacked`` holds the summaries' (lows, highs, cardinalities) arrays
+    ``summaries`` holds the blocks' (lows, highs, cardinalities) arrays
     so each popped node scores its whole child slice in one kernel call.
     """
-    summary_lows, summary_highs, cardinalities = stacked
+    summary_lows, summary_highs, cardinalities = summaries
     counter = itertools.count()
     heap: list[tuple[float, int, int]] = [(0.0, next(counter), 0)]
     while heap:
         bound, _, node_id = heapq.heappop(heap)
-        if best.is_full() and heuristic5_prunes(bound, best.best_dist):
+        if heuristic5_prunes(bound, best.best_dist):
             break
         index = flat.read_node(node_id)
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
         if flat.levels[index] == 0:
-            _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best)
+            _process_leaf(flat, index, start, stop, query_file, summaries, best)
             continue
-        lows = flat.lows[start:stop]
-        highs = flat.highs[start:stop]
-        child_bounds = weighted_mindist_batch(
-            lows, highs, summary_lows, summary_highs, cardinalities
+        child_bounds = kernels.boxes_weighted_group_mindist(
+            flat.lows[start:stop], flat.highs[start:stop], summary_lows, summary_highs, cardinalities
         )
-        flat.stats.record_distance_computations(len(summaries) * (stop - start))
-        if best.is_full():
-            survives = ~heuristic5_prunes_batch(child_bounds, best.best_dist)
-        else:
-            survives = np.ones(stop - start, dtype=bool)
+        flat.stats.record_distance_computations(child_bounds.size * len(cardinalities))
+        survives = ~heuristic5_prunes_batch(child_bounds, best.best_dist)
         for offset in np.flatnonzero(survives):
             heapq.heappush(
                 heap, (float(child_bounds[offset]), next(counter), start + int(offset))
             )
 
 
-def _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best) -> None:
+def _process_leaf(flat, index, start, stop, query_file, summaries, best) -> None:
     """Accumulate exact block distances for the points of one leaf node.
 
-    Implements the leaf-level loop of Figure 4.7: points are ordered by
-    weighted mindist (one kernel call for the whole leaf), blocks are
-    read in descending ``mindist(N, M_i)`` order, Heuristic 6 drops
-    points as soon as their optimistic completion can no longer beat
-    ``best_dist``, and each block's exact distances are accumulated for
-    all still-alive points in one kernel call.
+    Implements the leaf-level loop of Figure 4.7 over one ``(points x
+    blocks)`` matrix of weighted mindists: its row sums are Heuristic 5,
+    blocks are read in descending ``mindist(N, M_i)`` order, Heuristic 6
+    drops points as soon as their optimistic completion can no longer
+    beat ``best_dist``, and each block's exact distances are accumulated
+    for all still-alive points in one kernel call.
     """
-    summary_lows, summary_highs, cardinalities = stacked
-    node_mbr = MBR(flat.lows[index], flat.highs[index])
-    points = flat.points
-    bounds = kernels.points_weighted_group_mindist(
-        points[start:stop], summary_lows, summary_highs, cardinalities
-    )
-    flat.stats.record_distance_computations(len(summaries) * (stop - start))
-    # Survivors: list of [row, accumulated_distance].
-    survivors = []
-    for offset, bound in enumerate(bounds.tolist()):
-        if best.is_full() and heuristic5_prunes(bound, best.best_dist):
-            continue
-        survivors.append([start + offset, 0.0])
-    if not survivors:
+    summary_lows, summary_highs, cardinalities = summaries
+    points = flat.points[start:stop]
+    terms = kernels.points_weighted_mindists(points, summary_lows, summary_highs, cardinalities)
+    flat.stats.record_distance_computations(terms.size)
+    rows = np.flatnonzero(~heuristic5_prunes_batch(np.add.reduce(terms, axis=1), best.best_dist))
+    if not rows.size:
         return
 
     # Blocks far from the leaf are processed first: they contribute large
     # distances and therefore prune points before the expensive
     # computations against the remaining blocks.
-    ordered_blocks = sorted(
-        summaries, key=lambda summary: node_mbr.mindist_mbr(summary.mbr), reverse=True
+    node_mindists = kernels.boxes_mindist_boxes(
+        flat.lows[index : index + 1], flat.highs[index : index + 1], summary_lows, summary_highs
     )
-
-    for position, summary in enumerate(ordered_blocks):
-        if not survivors:
+    order = np.argsort(-node_mindists[:, 0], kind="stable")
+    terms = terms[:, order]
+    accumulated = np.zeros(rows.size)
+    for position, block_index in enumerate(order.tolist()):
+        block = query_file.read_block(block_index)
+        alive = ~heuristic6_prunes(accumulated, terms[rows, position:], best.best_dist)
+        rows, accumulated = rows[alive], accumulated[alive]
+        if not rows.size:
             return
-        remaining = ordered_blocks[position + 1 :]
-        block = query_file.read_block(summary.index)
-        still_alive = [
-            item
-            for item in survivors
-            if not (
-                best.is_full()
-                and heuristic6_prunes(
-                    points[item[0]], item[1], [summary] + remaining, best.best_dist
-                )
-            )
-        ]
-        if still_alive:
-            stacked_points = points[[item[0] for item in still_alive]]
-            contributions = kernels.aggregate_distances(stacked_points, block.points)
-            flat.stats.record_distance_computations(block.cardinality * len(still_alive))
-            for item, contribution in zip(still_alive, contributions):
-                item[1] += float(contribution)
-        survivors = still_alive
+        accumulated += kernels.aggregate_distances(points[rows], block.points)
+        flat.stats.record_distance_computations(block.cardinality * rows.size)
 
-    record_ids = flat.record_ids
-    for row, accumulated in survivors:
-        best.offer(int(record_ids[row]), points[row], accumulated)
+    record_ids = flat.record_ids[start:stop]
+    for row, distance in zip(rows.tolist(), accumulated.tolist()):
+        best.offer(int(record_ids[row]), points[row], distance)

@@ -93,25 +93,10 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
                         candidate = _PendingCandidate(neighbor.point)
                         pending[record_id] = candidate
 
-            # While Q_j is resident, accumulate its contribution to every
-            # pending candidate that has not seen it yet — one kernel call
-            # for the whole waiting set.
-            waiting = [
-                (record_id, candidate)
-                for record_id, candidate in pending.items()
-                if j not in candidate.blocks_seen
-            ]
-            completed_now = []
-            if waiting:
-                stacked = np.array([candidate.point for _, candidate in waiting])
-                contributions = kernels.aggregate_distances(stacked, block.points)
-                tree.stats.record_distance_computations(block.cardinality * len(waiting))
-                for (record_id, candidate), contribution in zip(waiting, contributions):
-                    candidate.accumulated += float(contribution)
-                    candidate.blocks_seen.add(j)
-                    if len(candidate.blocks_seen) == block_count:
-                        completed_now.append(record_id)
-            for record_id in completed_now:
+            # While Q_j is resident, add it to every pending candidate
+            # that has not seen it yet.
+            _add_block(tree, block, pending.values())
+            for record_id in [r for r, c in pending.items() if len(c.blocks_seen) == block_count]:
                 candidate = pending.pop(record_id)
                 finished.add(record_id)
                 best.offer(record_id, candidate.point, candidate.accumulated)
@@ -126,19 +111,27 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     # them; completing them costs at most one extra round of block reads
     # (the pending list never exceeds the number of blocks) and guarantees
     # the result is exact.
-    if pending:
-        for j in range(block_count):
-            waiting = [c for c in pending.values() if j not in c.blocks_seen]
-            if not waiting:
-                continue
-            block = query_file.read_block(j)
-            stacked = np.array([candidate.point for candidate in waiting])
-            contributions = kernels.aggregate_distances(stacked, block.points)
-            tree.stats.record_distance_computations(block.cardinality * len(waiting))
-            for candidate, contribution in zip(waiting, contributions):
-                candidate.accumulated += float(contribution)
-                candidate.blocks_seen.add(j)
-        for record_id, candidate in pending.items():
-            best.offer(record_id, candidate.point, candidate.accumulated)
+    for j in range(block_count):
+        if any(j not in candidate.blocks_seen for candidate in pending.values()):
+            _add_block(tree, query_file.read_block(j), pending.values())
+    for record_id, candidate in pending.items():
+        best.offer(record_id, candidate.point, candidate.accumulated)
 
     return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+
+
+def _add_block(tree, block, candidates) -> None:
+    """Add resident block ``Q_j``'s distances to every candidate that has not seen it.
+
+    One kernel call covers the whole waiting set.
+    """
+    waiting = [candidate for candidate in candidates if block.index not in candidate.blocks_seen]
+    if not waiting:
+        return
+    contributions = kernels.aggregate_distances(
+        np.array([candidate.point for candidate in waiting]), block.points
+    )
+    tree.stats.record_distance_computations(block.cardinality * len(waiting))
+    for candidate, contribution in zip(waiting, contributions.tolist()):
+        candidate.accumulated += contribution
+        candidate.blocks_seen.add(block.index)

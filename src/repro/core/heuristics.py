@@ -21,6 +21,14 @@ counters of ``TestPinnedAccessCounters``
 (``tests/test_algorithm_conformance.py``) and ``TestTraversalPins``
 (``tests/test_rtree_flat.py``) are the backstop that catches a divergence.
 
+F-MBM's weighted mindists come from two kernels:
+``kernels.boxes_weighted_group_mindist`` for nodes and
+``kernels.points_weighted_mindists``, a leaf's ``(points x blocks)``
+matrix of ``n_i * mindist(p, M_i)``.  Heuristic 5 reads the matrix's row
+sums; Heuristic 6 reads the columns of the blocks not read yet.
+``tests/fmbm_reference.py`` keeps the per-point leaf loop the array form
+is proven against.
+
 Numbering follows the paper:
 
 * Heuristic 1 — SPM, centroid-based node pruning (Section 3.2)
@@ -28,7 +36,8 @@ Numbering follows the paper:
 * Heuristic 3 — MBM, per-query-point mindist pruning (Section 3.3)
 * Heuristic 4 — GCP, partial-distance pruning (Section 4.1)
 * Heuristic 5 — F-MBM, weighted-mindist node pruning (Section 4.3)
-* Heuristic 6 — F-MBM, per-point remaining-group pruning (Section 4.3)
+* Heuristic 6 — F-MBM, per-point remaining-group pruning (Section 4.3),
+  over every surviving point of a leaf at once
 * *not from the paper* — MBM's tangent planes for the sum aggregate
   (``geometry.kernels.group_tangent_planes``): ``dist(., Q)`` is convex,
   so its tangent plane at a point of ``N`` bounds it over ``N`` and over
@@ -39,11 +48,7 @@ Numbering follows the paper:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
-
-from repro.geometry import kernels
 
 
 def heuristic1_prunes_node(
@@ -139,27 +144,6 @@ def gcp_candidate_threshold(
     return (best_dist - accumulated_distance) / remaining
 
 
-def stack_summaries(block_summaries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack block summaries into (lows, highs, cardinalities) kernel inputs."""
-    lows = np.array([summary.mbr.low for summary in block_summaries], dtype=np.float64)
-    highs = np.array([summary.mbr.high for summary in block_summaries], dtype=np.float64)
-    cards = np.array([summary.cardinality for summary in block_summaries], dtype=np.float64)
-    return lows, highs, cards
-
-
-def weighted_mindist_batch(
-    lows: np.ndarray,
-    highs: np.ndarray,
-    summary_lows: np.ndarray,
-    summary_highs: np.ndarray,
-    cardinalities: np.ndarray,
-) -> np.ndarray:
-    """Heuristic-5 weighted mindist for a whole child list in one kernel call."""
-    return kernels.boxes_weighted_group_mindist(
-        lows, highs, summary_lows, summary_highs, cardinalities
-    )
-
-
 def heuristic5_prunes(weighted_mindist_value: float, best_dist: float) -> bool:
     """Heuristic 5 (F-MBM): prune node N when its weighted mindist reaches ``best_dist``."""
     return weighted_mindist_value >= best_dist
@@ -171,21 +155,18 @@ def heuristic5_prunes_batch(weighted_mindists: np.ndarray, best_dist: float) -> 
 
 
 def heuristic6_prunes(
-    point,
-    accumulated_distance: float,
-    remaining_summaries: Sequence,
-    best_dist: float,
-) -> bool:
+    accumulated: np.ndarray, remaining: np.ndarray, best_dist: float
+) -> np.ndarray:
     """Heuristic 6 (F-MBM): prune point p when
 
     ``curr_dist(p) + sum_{remaining i} n_i * mindist(p, M_i) >= best_dist``.
 
-    ``remaining_summaries`` are the blocks whose exact distances have not
-    been accumulated into ``accumulated_distance`` yet.
+    Vectorised over points: ``accumulated`` holds each point's
+    ``curr_dist``, the exact distance to the blocks read so far, and row
+    ``j`` of ``remaining`` its ``n_i * mindist(p, M_i)`` for the blocks
+    not read yet, in read order.  The terms are added to
+    ``curr_dist`` left to right, so each bound is the one a per-point
+    running sum reaches.
     """
-    bound = accumulated_distance
-    for summary in remaining_summaries:
-        bound += summary.cardinality * summary.mbr.mindist_point(point)
-        if bound >= best_dist:
-            return True
-    return bound >= best_dist
+    stacked = np.column_stack((accumulated, remaining))
+    return np.add.accumulate(stacked, axis=1)[:, -1] >= best_dist

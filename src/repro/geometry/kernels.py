@@ -371,16 +371,20 @@ def boxes_weighted_group_mindist(
     return reduce_aggregate(matrix, SUM, cardinalities)
 
 
-def points_weighted_group_mindist(
+def points_weighted_mindists(
     points: np.ndarray,
     summary_lows: np.ndarray,
     summary_highs: np.ndarray,
     cardinalities: np.ndarray,
 ) -> np.ndarray:
-    """Heuristic-5 weighted mindist for ``m`` points against the block summaries."""
+    """``n_i * mindist(p_j, M_i)`` for ``m`` points against the block summaries.
+
+    Returns the ``(m, blocks)`` matrix whose row sums are the points'
+    Heuristic-5 weighted mindists and whose columns Heuristic 6 adds up.
+    """
     columns = points.T[:, :, None]
     matrix = _norms(_gap(summary_lows.T[:, None, :], summary_highs.T[:, None, :], columns, columns))
-    return reduce_aggregate(matrix, SUM, cardinalities)
+    return np.multiply(matrix, cardinalities, out=matrix)
 
 
 class Scorer2D:

@@ -5,11 +5,11 @@ F-MQM and F-MBM (Sections 4.2 and 4.3 of the paper) assume the query set
 Both algorithms first sort the file by Hilbert value (for locality) and
 then process it in memory-sized *blocks* ``Q_1 .. Q_m``.
 
-:class:`PointFile` models that file: it wraps a :class:`~repro.storage.pager.Pager`,
-supports Hilbert sorting, and exposes block-level reads that charge the
-shared :class:`~repro.storage.counters.IOCounters`.  :class:`QueryBlock`
-is the in-memory image of one block together with the summary (MBR and
-cardinality) that F-MBM keeps resident.
+:class:`PointFile` models that file as one contiguous, read-only array
+in storage order.  A block read hands out views of its rows and charges
+the shared :class:`~repro.storage.counters.IOCounters` one block and its
+pages; :meth:`PointFile.block_summaries` gives the per-block MBRs and
+cardinalities F-MBM keeps resident.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.hilbert import hilbert_sort
-from repro.geometry.mbr import MBR
 from repro.geometry.point import as_points
 from repro.storage.counters import IOCounters
-from repro.storage.pager import Pager
 
 
 class QueryBlock:
@@ -31,20 +29,17 @@ class QueryBlock:
     index:
         Position of the block within the file (0-based).
     points:
-        ``(n_i, dims)`` array with the block's query points.
+        ``(n_i, dims)`` read-only view of the block's query points.
     record_ids:
         Identifiers of the points in the original (unsorted) file.
-    mbr:
-        Minimum bounding rectangle ``M_i`` of the block.
     """
 
-    __slots__ = ("index", "points", "record_ids", "mbr")
+    __slots__ = ("index", "points", "record_ids")
 
     def __init__(self, index: int, points: np.ndarray, record_ids: np.ndarray):
         self.index = int(index)
         self.points = points
         self.record_ids = record_ids
-        self.mbr = MBR.from_points(points)
 
     @property
     def cardinality(self) -> int:
@@ -58,20 +53,6 @@ class QueryBlock:
         return f"QueryBlock(index={self.index}, points={self.cardinality})"
 
 
-class BlockSummary:
-    """The in-memory summary F-MBM keeps per block: its MBR and cardinality."""
-
-    __slots__ = ("index", "mbr", "cardinality")
-
-    def __init__(self, index: int, mbr: MBR, cardinality: int):
-        self.index = int(index)
-        self.mbr = mbr
-        self.cardinality = int(cardinality)
-
-    def __repr__(self) -> str:
-        return f"BlockSummary(index={self.index}, cardinality={self.cardinality})"
-
-
 class PointFile:
     """A flat file of points stored on the simulated disk.
 
@@ -80,7 +61,8 @@ class PointFile:
     points:
         The query points in their original order.
     points_per_page:
-        Page capacity of the simulated disk.
+        Page capacity of the simulated disk; the paper's 1 KByte pages
+        hold 50 two-dimensional points.
     block_pages:
         Number of pages that fit in memory at once; a block ``Q_i``
         consists of this many consecutive pages (the paper's experiments
@@ -101,19 +83,24 @@ class PointFile:
         hilbert_sorted: bool = True,
     ):
         pts = as_points(points)
-        self.counters = counters if counters is not None else IOCounters()
-        self.block_pages = int(block_pages)
-        if self.block_pages < 1:
+        if points_per_page < 1:
+            raise ValueError("points_per_page must be positive")
+        if block_pages < 1:
             raise ValueError("block_pages must be positive")
-        record_ids = np.arange(pts.shape[0], dtype=np.int64)
+        self.points_per_page = int(points_per_page)
+        self.block_pages = int(block_pages)
+        self.counters = counters if counters is not None else IOCounters()
         if hilbert_sorted:
-            order = hilbert_sort(pts)
-            pts = pts[order]
-            record_ids = record_ids[order]
+            self.record_ids = hilbert_sort(pts).astype(np.int64, copy=False)
+            self.points = pts[self.record_ids]
             # One external sort pass is charged for bookkeeping, although
             # the paper excludes sorting from the reported cost.
             self.counters.record_sort_pass()
-        self._pager = Pager(pts, points_per_page, counters=self.counters, record_ids=record_ids)
+        else:
+            self.record_ids = np.arange(pts.shape[0], dtype=np.int64)
+            self.points = pts.copy()
+        self.points.flags.writeable = False
+        self.record_ids.flags.writeable = False
 
     # ------------------------------------------------------------------
     # shape
@@ -121,23 +108,27 @@ class PointFile:
     @property
     def point_count(self) -> int:
         """Total number of query points (``n`` in the paper)."""
-        return self._pager.point_count
+        return self.points.shape[0]
 
     @property
     def dims(self) -> int:
         """Dimensionality of the stored points."""
-        return self._pager.dims
+        return self.points.shape[1]
+
+    @property
+    def page_count(self) -> int:
+        """Number of pages the file occupies; the last may be partial."""
+        return -(-self.point_count // self.points_per_page)
 
     @property
     def points_per_block(self) -> int:
         """Maximum number of points per block."""
-        return self.block_pages * self._pager.points_per_page
+        return self.block_pages * self.points_per_page
 
     @property
     def block_count(self) -> int:
         """Number of blocks ``m`` the file splits into."""
-        pages = self._pager.page_count
-        return (pages + self.block_pages - 1) // self.block_pages
+        return -(-self.page_count // self.block_pages)
 
     def __len__(self) -> int:
         return self.point_count
@@ -146,33 +137,28 @@ class PointFile:
     # block access
     # ------------------------------------------------------------------
     def read_block(self, index: int) -> QueryBlock:
-        """Load block ``Q_index`` into memory, charging one block read."""
+        """Load block ``Q_index``, charging one block read and its pages."""
         if not 0 <= index < self.block_count:
             raise IndexError(f"block {index} out of range (file has {self.block_count} blocks)")
         first_page = index * self.block_pages
-        last_page = min(first_page + self.block_pages, self._pager.page_count)
-        pages = [self._pager.peek_page(page_id) for page_id in range(first_page, last_page)]
-        self.counters.record_block_read(pages_in_block=len(pages))
-        points = np.vstack([page.points for page in pages])
-        record_ids = np.concatenate([page.record_ids for page in pages])
-        return QueryBlock(index, points, record_ids)
+        last_page = min(first_page + self.block_pages, self.page_count)
+        self.counters.record_block_read(pages_in_block=last_page - first_page)
+        rows = slice(first_page * self.points_per_page, last_page * self.points_per_page)
+        return QueryBlock(index, self.points[rows], self.record_ids[rows])
 
-    def iter_blocks(self):
-        """Yield every block in file order, charging I/O for each."""
-        for index in range(self.block_count):
-            yield self.read_block(index)
+    def block_summaries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every block's MBR corners and cardinality, as ``(lows, highs, cardinalities)``.
 
-    def block_summaries(self) -> list[BlockSummary]:
-        """Return the per-block MBR and cardinality summaries.
-
-        F-MBM computes these once with a single sequential scan of the
-        file (charged here) and keeps them in memory for the rest of the
-        query.
+        Row ``i`` of each array summarises block ``Q_i``; cardinalities
+        are floats, ready to weight a kernel.  Nothing is charged: the
+        paper produces these during the external sort, whose cost it
+        excludes.
         """
-        summaries = []
-        for block in self.iter_blocks():
-            summaries.append(BlockSummary(block.index, block.mbr, block.cardinality))
-        return summaries
+        starts = np.arange(0, self.point_count, self.points_per_block)
+        lows = np.minimum.reduceat(self.points, starts, axis=0)
+        highs = np.maximum.reduceat(self.points, starts, axis=0)
+        cardinalities = np.diff(np.append(starts, self.point_count)).astype(np.float64)
+        return lows, highs, cardinalities
 
     def __repr__(self) -> str:
         return (

@@ -177,8 +177,8 @@ def mbm_batch_reference(
     distance at the selection boundary are resolved canonically — the
     tied slots go to the smallest record ids — whereas the per-query
     path keeps the first record its traversal encountered; on such ties
-    (and only there, as with the executor's batched brute-force scan)
-    the two paths may return different, equally distant records.
+    (and only there) the two paths may return different, equally
+    distant records.
     Record ids are assumed unique (engine snapshots index by row).
 
     Cost reporting follows the shared execution: every result carries

@@ -249,6 +249,11 @@ class TestPinnedAccessCounters:
     #: against every block (22160 while the streams charged one block
     #: cardinality per emitted neighbour instead).
     FMQM_DC_PIN = 27520
+    #: F-MBM's distance computations on the same query: the weighted
+    #: mindists of every scored child and leaf point against every block
+    #: summary, plus each surviving point's exact distance to each block
+    #: it reads.  Heuristic 6 rounding differently would move this.
+    FMBM_DC_PIN = 16634
     GCP_PIN = (3895, 0)
     #: MBM without Heuristic 3 (the paper's footnote-3 ablation), captured
     #: at the commit before MBM's heap was re-keyed on the Heuristic-3
@@ -272,15 +277,21 @@ class TestPinnedAccessCounters:
         cost = execute_spec(context, spec).cost
         assert (cost.node_accesses, cost.distance_computations) == self.MBM_H2_ONLY_PIN
 
-    def test_fmqm_distance_computations(self, context):
+    def _disk_distance_computations(self, context, algorithm):
         spec = QuerySpec(
             group=np.random.default_rng(7).uniform(200, 800, size=(60, 2)),
             k=4,
             residency=DISK,
-            algorithm="fmqm",
+            algorithm=algorithm,
             options=dict(DISK_OPTIONS),
         )
-        assert execute_spec(context, spec).cost.distance_computations == self.FMQM_DC_PIN
+        return execute_spec(context, spec).cost.distance_computations
+
+    def test_fmqm_distance_computations(self, context):
+        assert self._disk_distance_computations(context, "fmqm") == self.FMQM_DC_PIN
+
+    def test_fmbm_distance_computations(self, context):
+        assert self._disk_distance_computations(context, "fmbm") == self.FMBM_DC_PIN
 
     def test_disk_counters(self, context):
         disk_group = np.random.default_rng(7).uniform(200, 800, size=(60, 2))

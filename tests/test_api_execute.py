@@ -6,6 +6,7 @@ import pytest
 from repro.api import QuerySpec
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.engine import GNNEngine
+from repro.core.gcp import PairCapExceeded
 from repro.rtree.flat import FlatRTree
 from repro.storage.generations import GenerationStore
 from repro.storage.pointfile import PointFile
@@ -38,15 +39,10 @@ class TestExecute:
 
     def test_execute_forwards_options(self, engine, rng):
         group = rng.uniform(300, 700, size=(120, 2))
-        options = {"points_per_page": 20, "block_pages": 1}
-        spec = QuerySpec(
-            group=group, k=2, residency="disk", algorithm="fmbm", options=options
-        )
-        plain = engine.execute(spec)
-        charged = engine.execute(
-            spec.replace(options={**options, "charge_summary_scan": True})
-        )
-        assert charged.cost.block_reads > plain.cost.block_reads
+        spec = QuerySpec(group=group, k=2, residency="disk", algorithm="gcp")
+        assert engine.execute(spec).neighbors
+        with pytest.raises(PairCapExceeded, match="max_pairs=10 "):
+            engine.execute(spec.replace(options={"max_pairs": 10}))
 
     def test_execute_disk_from_group_file(self, engine, rng):
         queries = rng.uniform(300, 700, size=(120, 2))

@@ -90,13 +90,12 @@ class TestEngineMemoryQueries:
 
     def test_options_are_forwarded(self, engine, rng):
         queries = rng.uniform(300, 700, size=(120, 2))
-        plain = _disk(engine, queries, k=2, algorithm="fmbm", block_pages=1)
-        charged = _disk(
-            engine, queries, k=2, algorithm="fmbm", block_pages=1, charge_summary_scan=True
-        )
-        # The summary scan reads every block once more.
-        assert charged.cost.block_reads > plain.cost.block_reads
-        assert charged.distances() == plain.distances()
+        spec = QuerySpec(group=queries, k=2, residency="disk", algorithm="gcp")
+        plain = engine.execute(spec)
+        narrow = engine.execute(spec.replace(options={"query_tree_capacity": 4}))
+        # A query R-tree of 4-entry nodes has more nodes to read.
+        assert narrow.cost.node_accesses > plain.cost.node_accesses
+        assert narrow.distances() == pytest.approx(plain.distances())
 
     def test_engine_length(self, engine, small_points):
         assert len(engine) == len(small_points)

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fmbm_reference import fmbm_reference
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.fmbm import fmbm
 from repro.core.fmqm import fmqm
@@ -156,11 +159,34 @@ class TestFMBM:
         expected = brute_force_gnn(data, GroupQuery(spread, k=k))
         assert result.distances() == pytest.approx(expected.distances())
 
-    def test_summary_scan_can_be_charged(self, disk_setup):
-        _, tree, clustered, _ = disk_setup
-        uncharged = fmbm(tree, _query_file(clustered), k=1)
-        charged = fmbm(tree, _query_file(clustered), k=1, charge_summary_scan=True)
-        assert charged.cost.block_reads >= uncharged.cost.block_reads
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([2, 3]),
+        count=st.integers(1, 250),
+        points_per_page=st.integers(1, 20),
+        block_pages=st.integers(1, 6),
+        k=st.integers(1, 6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_point_reference(
+        self, seed, dims, count, points_per_page, block_pages, k
+    ):
+        """The array leaf answers and charges exactly what the per-point loop does."""
+        rng = np.random.default_rng(seed)
+        data = rng.uniform(0, 1000, size=(int(rng.integers(1, 300)), dims))
+        low = rng.uniform(0, 900, size=dims)
+        queries = rng.uniform(low, low + rng.uniform(1, 600, size=dims), size=(count, dims))
+        tree = FlatRTree.bulk_load(data, capacity=int(rng.choice([4, 8, 16])))
+        results = []
+        for run in (fmbm, fmbm_reference):
+            query_file = PointFile(queries, points_per_page=points_per_page, block_pages=block_pages)
+            results.append(run(tree, query_file, k=k))
+        result, reference = results
+        assert [nb.as_tuple() for nb in result.neighbors] == [
+            nb.as_tuple() for nb in reference.neighbors
+        ]
+        for counter in ("node_accesses", "page_reads", "block_reads", "distance_computations"):
+            assert getattr(result.cost, counter) == getattr(reference.cost, counter), counter
 
     def test_invalid_k_rejected(self, disk_setup):
         _, tree, clustered, _ = disk_setup

@@ -6,8 +6,10 @@ a point or node may be pruned only when the lemma's bound reaches
 ``best_dist``.
 
 Heuristics 3 and 5 are computed by the batched kernels the traversals
-call (``kernels.boxes_group_mindist`` and ``weighted_mindist_batch``), so
-their soundness is checked on those.
+call (``kernels.boxes_group_mindist``, ``kernels.boxes_weighted_group_mindist``
+and the row sums of ``kernels.points_weighted_mindists``), so their
+soundness is checked on those.  Heuristic 6 takes a leaf's surviving
+points as arrays, as F-MBM calls it.
 """
 
 import numpy as np
@@ -21,14 +23,12 @@ from repro.core.heuristics import (
     heuristic3_prunes_precomputed,
     heuristic4_prunes,
     heuristic5_prunes,
+    heuristic5_prunes_batch,
     heuristic6_prunes,
-    stack_summaries,
-    weighted_mindist_batch,
 )
 from repro.geometry import kernels
 from repro.geometry.distance import euclidean, group_distance
 from repro.geometry.mbr import MBR
-from repro.storage.pointfile import BlockSummary
 
 
 class TestLemma1:
@@ -163,31 +163,43 @@ class TestHeuristic4AndThreshold:
             gcp_candidate_threshold(3, 3, 4.0, 11.0)
 
 
-class TestHeuristics5And6:
-    def _summaries(self):
-        return [
-            BlockSummary(0, MBR([0.0, 0.0], [10.0, 10.0]), 2),
-            BlockSummary(1, MBR([50.0, 50.0], [60.0, 60.0]), 3),
-        ]
+def _summaries(blocks):
+    """The (lows, highs, cardinalities) F-MBM keeps for a list of blocks."""
+    lows = np.array([block.min(axis=0) for block in blocks])
+    highs = np.array([block.max(axis=0) for block in blocks])
+    return lows, highs, np.array([float(len(block)) for block in blocks])
 
-    def _weighted_mindist(self, low, high, summaries):
-        return float(weighted_mindist_batch(low[None], high[None], *stack_summaries(summaries))[0])
+
+class TestHeuristics5And6:
+    #: Two blocks: M1 = [0, 10]^2 with n1 = 2 and M2 = [50, 60]^2 with n2 = 3.
+    SUMMARIES = (
+        np.array([[0.0, 0.0], [50.0, 50.0]]),
+        np.array([[10.0, 10.0], [60.0, 60.0]]),
+        np.array([2.0, 3.0]),
+    )
 
     def test_weighted_mindist_of_node(self):
-        summaries = self._summaries()
+        lows, highs, _ = self.SUMMARIES
         node = MBR([20.0, 0.0], [30.0, 10.0])
-        expected = 2 * node.mindist_mbr(summaries[0].mbr) + 3 * node.mindist_mbr(
-            summaries[1].mbr
+        expected = 2 * node.mindist_mbr(MBR(lows[0], highs[0])) + 3 * node.mindist_mbr(
+            MBR(lows[1], highs[1])
         )
-        assert self._weighted_mindist(node.low, node.high, summaries) == pytest.approx(expected)
+        bound = kernels.boxes_weighted_group_mindist(
+            node.low[None], node.high[None], *self.SUMMARIES
+        )
+        assert float(bound[0]) == pytest.approx(expected)
 
     def test_weighted_mindist_of_point(self):
-        summaries = self._summaries()
+        lows, highs, _ = self.SUMMARIES
         point = np.array([20.0, 5.0])
-        expected = 2 * summaries[0].mbr.mindist_point(point) + 3 * summaries[
-            1
-        ].mbr.mindist_point(point)
-        assert self._weighted_mindist(point, point, summaries) == pytest.approx(expected)
+        terms = kernels.points_weighted_mindists(point[None], *self.SUMMARIES)
+        expected = [
+            2 * MBR(lows[0], highs[0]).mindist_point(point),
+            3 * MBR(lows[1], highs[1]).mindist_point(point),
+        ]
+        assert terms[0].tolist() == pytest.approx(expected)
+        node_form = kernels.boxes_weighted_group_mindist(point[None], point[None], *self.SUMMARIES)
+        assert float(np.add.reduce(terms, axis=1)[0]) == pytest.approx(float(node_form[0]))
 
     def test_example_from_figure_4_5(self):
         # Figure 4.5: two blocks with n1=2, n2=3, best_dist=20; the node's
@@ -195,43 +207,59 @@ class TestHeuristics5And6:
         # is pruned.
         assert heuristic5_prunes(20.0, 20.0)
         assert not heuristic5_prunes(19.9, 20.0)
+        assert heuristic5_prunes_batch(np.array([20.0, 19.9]), 20.0).tolist() == [True, False]
 
     def test_heuristic5_soundness(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            summaries = []
-            groups = []
-            for index in range(rng.integers(1, 4)):
-                block = rng.uniform(0, 100, size=(rng.integers(1, 6), 2))
-                groups.append(block)
-                summaries.append(BlockSummary(index, MBR.from_points(block), len(block)))
+            groups = [
+                rng.uniform(0, 100, size=(rng.integers(1, 6), 2))
+                for _ in range(rng.integers(1, 4))
+            ]
+            summaries = _summaries(groups)
             low = rng.uniform(0, 80, size=2)
             node = MBR(low, low + rng.uniform(1, 20, size=2))
             best = rng.uniform(0, 500)
-            if heuristic5_prunes(self._weighted_mindist(node.low, node.high, summaries), best):
-                for p in rng.uniform(node.low, node.high, size=(20, 2)):
-                    total = sum(group_distance(p, g) for g in groups)
-                    assert total >= best - 1e-9
+            bound = kernels.boxes_weighted_group_mindist(node.low[None], node.high[None], *summaries)
+            inside = rng.uniform(node.low, node.high, size=(20, 2))
+            terms = kernels.points_weighted_mindists(inside, *summaries)
+            point_bounds = np.add.reduce(terms, axis=1)
+            totals = np.array([sum(group_distance(p, g) for g in groups) for p in inside])
+            if heuristic5_prunes(float(bound[0]), best):
+                assert np.all(totals >= best - 1e-9)
+            assert np.all(totals[heuristic5_prunes_batch(point_bounds, best)] >= best - 1e-9)
 
     def test_example_from_figure_4_6(self):
         # Figure 4.6: curr_dist(p) = 8 after the first block; the remaining
         # block has n=3 and mindist(p, M2) = 4, so 8 + 3*4 = 20 >= best_dist
         # = 20 and the point is dropped.
-        remaining = [BlockSummary(1, MBR([10.0, 0.0], [20.0, 10.0]), 3)]
-        point = np.array([6.0, 5.0])  # mindist to the block MBR is 4
-        assert heuristic6_prunes(point, 8.0, remaining, 20.0)
-        assert not heuristic6_prunes(point, 7.9, remaining, 20.0)
+        point = np.array([[6.0, 5.0]])  # mindist to the block MBR is 4
+        remaining = kernels.points_weighted_mindists(
+            point, np.array([[10.0, 0.0]]), np.array([[20.0, 10.0]]), np.array([3.0])
+        )
+        assert remaining.tolist() == [[12.0]]
+        pruned = heuristic6_prunes(np.array([8.0, 7.9]), np.repeat(remaining, 2, axis=0), 20.0)
+        assert pruned.tolist() == [True, False]
+
+    def test_heuristic6_adds_the_remaining_blocks_left_to_right(self):
+        # (0.1 + 0.2) + 0.3 rounds to 0.6000000000000001, 0.1 + (0.2 + 0.3)
+        # to 0.6: only the per-point running sum's order prunes here.
+        best = (0.1 + 0.2) + 0.3
+        assert best > 0.1 + (0.2 + 0.3)
+        assert heuristic6_prunes(np.array([0.1]), np.array([[0.2, 0.3]]), best).tolist() == [True]
+
+    def test_heuristic6_with_nothing_left_compares_the_exact_distance(self):
+        pruned = heuristic6_prunes(np.array([5.0, 4.0]), np.zeros((2, 0)), 5.0)
+        assert pruned.tolist() == [True, False]
 
     def test_heuristic6_soundness(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             groups = [rng.uniform(0, 100, size=(rng.integers(1, 5), 2)) for _ in range(3)]
-            summaries = [
-                BlockSummary(i, MBR.from_points(g), len(g)) for i, g in enumerate(groups)
-            ]
-            p = rng.uniform(0, 100, size=2)
-            accumulated = group_distance(p, groups[0])
+            points = rng.uniform(0, 100, size=(10, 2))
+            terms = kernels.points_weighted_mindists(points, *_summaries(groups))
+            accumulated = np.array([group_distance(p, groups[0]) for p in points])
             best = rng.uniform(0, 600)
-            if heuristic6_prunes(p, accumulated, summaries[1:], best):
-                total = accumulated + sum(group_distance(p, g) for g in groups[1:])
-                assert total >= best - 1e-9
+            pruned = heuristic6_prunes(accumulated, terms[:, 1:], best)
+            totals = accumulated + [sum(group_distance(p, g) for g in groups[1:]) for p in points]
+            assert np.all(totals[pruned] >= best - 1e-9)

@@ -49,7 +49,7 @@ PUBLIC_NAMES = {
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "6.0.0"
+        assert repro.__version__ == "7.0.0"
 
     @pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))
     def test_public_names_are_pinned(self, package):

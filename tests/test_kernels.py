@@ -242,11 +242,9 @@ class TestBoxKernels:
         )
         expected = sum(c * target.mindist_mbr(box) for c, box in zip(cards, boxes))
         assert _close(bulk[0], expected)
-        point_bulk = kernels.points_weighted_group_mindist(group, lows, highs, cards)
-        point_expected = [
-            sum(c * box.mindist_point(q) for c, box in zip(cards, boxes)) for q in group
-        ]
-        assert _close(point_bulk, point_expected)
+        point_terms = kernels.points_weighted_mindists(group, lows, highs, cards)
+        point_expected = [[c * box.mindist_point(q) for c, box in zip(cards, boxes)] for q in group]
+        assert _same(point_terms, point_expected)
 
 
 class TestScalarWrapperFastPath:

@@ -101,7 +101,7 @@ class TestPointFilePartitionProperty:
             block_pages=block_pages,
             hilbert_sorted=sort,
         )
-        blocks = list(pointfile.iter_blocks())
+        blocks = [pointfile.read_block(index) for index in range(pointfile.block_count)]
         assert sum(len(block) for block in blocks) == count
         ids = np.concatenate([block.record_ids for block in blocks])
         assert sorted(ids.tolist()) == list(range(count))

@@ -1,11 +1,11 @@
-"""Tests for repro.storage.pager, repro.storage.pointfile and counters."""
+"""Tests for repro.storage.pointfile and the I/O counters it charges."""
 
 import numpy as np
 import pytest
 
-from repro.geometry.hilbert import hilbert_indices
+from repro.geometry.hilbert import hilbert_indices, hilbert_sort
+from repro.geometry.mbr import MBR
 from repro.storage.counters import IOCounters
-from repro.storage.pager import Pager
 from repro.storage.pointfile import PointFile
 
 
@@ -35,45 +35,40 @@ class TestIOCounters:
         assert counters.snapshot() == {"page_reads": 0, "block_reads": 0, "sort_passes": 0}
 
 
-class TestPager:
+def _blocks(pointfile):
+    return [pointfile.read_block(index) for index in range(pointfile.block_count)]
+
+
+class TestPages:
+    """A file occupies ``ceil(n / points_per_page)`` pages; block reads charge them."""
+
     def test_pages_cover_all_points_in_order(self, sample_points):
-        pager = Pager(sample_points, points_per_page=50)
-        assert pager.page_count == 5
-        reassembled = np.vstack([pager.peek_page(i).points for i in range(pager.page_count)])
-        assert np.array_equal(reassembled, sample_points)
+        pointfile = PointFile(sample_points, points_per_page=50, hilbert_sorted=False)
+        assert pointfile.page_count == 5
+        assert np.array_equal(pointfile.points, sample_points)
 
     def test_last_page_may_be_partial(self, sample_points):
-        pager = Pager(sample_points, points_per_page=50)
-        assert len(pager.peek_page(4)) == 30
+        pointfile = PointFile(sample_points, points_per_page=50, block_pages=1)
+        assert pointfile.block_count == 5
+        assert len(pointfile.read_block(4)) == 30
+        assert pointfile.counters.page_reads == 1
 
-    def test_read_page_charges_io(self, sample_points):
-        pager = Pager(sample_points, points_per_page=50)
-        for page_id in range(3):
-            pager.read_page(page_id)
-        assert pager.counters.page_reads == 3
-
-    def test_peek_does_not_charge_io(self, sample_points):
-        pager = Pager(sample_points, points_per_page=50)
-        pager.peek_page(0)
-        assert pager.counters.page_reads == 0
-
-    def test_out_of_range_page_rejected(self, sample_points):
-        pager = Pager(sample_points, points_per_page=50)
-        with pytest.raises(IndexError):
-            pager.read_page(99)
+    def test_block_reads_charge_their_pages(self, sample_points):
+        pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
+        for index in range(3):
+            pointfile.read_block(index)
+        # pages 0-1, 2-3 and the partial page 4
+        assert pointfile.counters.snapshot() == {"page_reads": 5, "block_reads": 3, "sort_passes": 1}
 
     def test_invalid_page_size_rejected(self, sample_points):
         with pytest.raises(ValueError):
-            Pager(sample_points, points_per_page=0)
+            PointFile(sample_points, points_per_page=0)
 
-    def test_record_ids_follow_points(self, sample_points):
-        ids = np.arange(len(sample_points))[::-1].copy()
-        pager = Pager(sample_points, points_per_page=64, record_ids=ids)
-        assert pager.peek_page(0).record_ids[0] == len(sample_points) - 1
-
-    def test_record_id_length_mismatch_rejected(self, sample_points):
-        with pytest.raises(ValueError):
-            Pager(sample_points, points_per_page=64, record_ids=np.arange(3))
+    def test_record_ids_follow_hilbert_order(self, sample_points):
+        pointfile = PointFile(sample_points, points_per_page=64, block_pages=1)
+        assert np.array_equal(pointfile.record_ids, hilbert_sort(sample_points))
+        for block in _blocks(pointfile):
+            assert np.array_equal(block.points, sample_points[block.record_ids])
 
 
 class TestPointFile:
@@ -85,7 +80,7 @@ class TestPointFile:
 
     def test_blocks_partition_the_file(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
-        blocks = list(pointfile.iter_blocks())
+        blocks = _blocks(pointfile)
         total = sum(block.cardinality for block in blocks)
         assert total == len(sample_points)
         all_ids = np.concatenate([block.record_ids for block in blocks])
@@ -93,7 +88,7 @@ class TestPointFile:
 
     def test_file_is_hilbert_sorted_by_default(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
-        stored = np.vstack([block.points for block in pointfile.iter_blocks()])
+        stored = np.vstack([block.points for block in _blocks(pointfile)])
         indices = hilbert_indices(stored)
         assert all(indices[i] <= indices[i + 1] for i in range(len(indices) - 1))
 
@@ -101,8 +96,20 @@ class TestPointFile:
         pointfile = PointFile(
             sample_points, points_per_page=50, block_pages=2, hilbert_sorted=False
         )
-        stored = np.vstack([block.points for block in pointfile.iter_blocks()])
+        stored = np.vstack([block.points for block in _blocks(pointfile)])
         assert np.array_equal(stored, sample_points)
+
+    def test_blocks_are_read_only_views_of_the_file(self, sample_points):
+        pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
+        block = pointfile.read_block(1)
+        assert np.shares_memory(block.points, pointfile.points)
+        with pytest.raises(ValueError):
+            block.points[0, 0] = 0.0
+
+    def test_file_does_not_alias_the_callers_points(self, sample_points):
+        pointfile = PointFile(sample_points, points_per_page=50, hilbert_sorted=False)
+        assert not np.shares_memory(pointfile.points, sample_points)
+        assert sample_points.flags.writeable
 
     def test_block_read_charges_io(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
@@ -111,22 +118,24 @@ class TestPointFile:
         assert pointfile.counters.block_reads == before + 1
         assert pointfile.counters.page_reads >= 2
 
-    def test_block_mbr_covers_its_points(self, sample_points):
-        pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
-        block = pointfile.read_block(1)
-        assert np.all((block.mbr.low <= block.points) & (block.points <= block.mbr.high))
-
     def test_block_summaries_match_blocks(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
-        summaries = pointfile.block_summaries()
-        blocks = list(pointfile.iter_blocks())
-        assert [s.cardinality for s in summaries] == [b.cardinality for b in blocks]
-        assert [s.mbr for s in summaries] == [b.mbr for b in blocks]
+        lows, highs, cardinalities = pointfile.block_summaries()
+        blocks = _blocks(pointfile)
+        assert cardinalities.tolist() == [float(b.cardinality) for b in blocks]
+        for low, high, block in zip(lows, highs, blocks):
+            assert MBR(low, high) == MBR.from_points(block.points)
 
-    def test_out_of_range_block_rejected(self, sample_points):
+    def test_block_summaries_are_not_charged(self, sample_points):
+        pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
+        pointfile.block_summaries()
+        assert pointfile.counters.snapshot() == {"page_reads": 0, "block_reads": 0, "sort_passes": 1}
+
+    @pytest.mark.parametrize("index", [-1, 3, 10])
+    def test_out_of_range_block_rejected(self, sample_points, index):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
         with pytest.raises(IndexError):
-            pointfile.read_block(10)
+            pointfile.read_block(index)
 
     def test_invalid_block_pages_rejected(self, sample_points):
         with pytest.raises(ValueError):
