@@ -10,29 +10,18 @@ This package is the public face of the engine redesign:
   capability-aware catalogue of the paper's six algorithms plus the
   baselines;
 * :class:`~repro.api.planner.QueryPlanner` — ``plan(spec)`` returns a
-  :class:`~repro.api.planner.QueryPlan` with the chosen algorithm, a
-  human-readable rationale and a cost estimate;
+  :class:`~repro.api.planner.QueryPlan` with the chosen algorithm and a
+  human-readable rationale, cached by the spec's shape;
 * :mod:`~repro.api.executor` — runs plans, including the batched
-  ``execute_many`` path that amortises planning, index locality and
-  scan work across queries.
+  ``execute_many`` path that amortises index locality and shared MBM
+  traversals across queries.
 
 ``GNNEngine.execute`` / ``explain`` / ``execute_many`` wrap these pieces
 for the common case of one engine-owned dataset.
 """
 
-from repro.api.executor import (
-    ExecutionContext,
-    PreparedQuery,
-    execute_batch,
-    execute_spec,
-    prepare,
-)
-from repro.api.planner import (
-    AUTO_FMQM_MAX_BLOCKS,
-    CostEstimate,
-    QueryPlan,
-    QueryPlanner,
-)
+from repro.api.executor import ExecutionContext, execute_batch, execute_spec
+from repro.api.planner import AUTO_FMQM_MAX_BLOCKS, QueryPlan, QueryPlanner
 from repro.api.registry import (
     AlgorithmInfo,
     available_algorithms,
@@ -44,11 +33,9 @@ __all__ = [
     "AUTO",
     "AUTO_FMQM_MAX_BLOCKS",
     "AlgorithmInfo",
-    "CostEstimate",
     "DISK",
     "ExecutionContext",
     "MEMORY",
-    "PreparedQuery",
     "QueryPlan",
     "QueryPlanner",
     "QuerySpec",
@@ -56,5 +43,4 @@ __all__ = [
     "execute_batch",
     "execute_spec",
     "get_algorithm",
-    "prepare",
 ]

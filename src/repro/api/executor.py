@@ -1,12 +1,12 @@
 """Plan execution, single and batched.
 
-The executor is the only layer that touches resources: it materialises
-``GroupQuery`` objects and simulated-disk :class:`PointFile`\\ s from a
-:class:`~repro.api.spec.QuerySpec`, hands them to the runner of the
-planned algorithm, and (for batches) amortises work across
-queries:
+The executor hands each planned :class:`~repro.api.spec.QuerySpec` to
+the runner of its algorithm together with the
+:class:`ExecutionContext` (index, buffer, pending writes), and (for
+batches) amortises work across queries:
 
-* **plan caching** — specs with equal plan signatures are planned once;
+* **plan caching** — the planner plans specs with equal plan signatures
+  once (its cache outlives the batch);
 * **locality scheduling** — memory-resident queries are executed in
   Hilbert order of their group centroids, so consecutive queries touch
   overlapping parts of the R-tree and an LRU buffer serves far more
@@ -45,17 +45,12 @@ traversal under the ``MBM-batch`` label rather than per-query fictions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.api.planner import (
-    DEFAULT_BLOCK_PAGES,
-    DEFAULT_POINTS_PER_PAGE,
-    QueryPlan,
-    QueryPlanner,
-)
+from repro.api.planner import QueryPlan, QueryPlanner
 from repro.api.spec import MEMORY, WITHIN, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.mbm import EVALUATION_BATCH, mbm_batch
@@ -66,7 +61,6 @@ from repro.obs import trace as obs_trace
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.storage.buffer import LRUBuffer
-from repro.storage.pointfile import PointFile
 
 #: Upper bound on the elements of one shared-traversal evaluation tensor
 #: (up to EVALUATION_BATCH * B (member, child) pairs, each with an
@@ -114,35 +108,6 @@ class ExecutionContext:
         return brute_force_gnn(points, query, record_ids=ids, within=within)
 
 
-@dataclass
-class PreparedQuery:
-    """A spec with its heavyweight inputs materialised for one runner call."""
-
-    spec: QuerySpec
-    plan: QueryPlan
-    query: GroupQuery | None = None
-    query_file: PointFile | None = None
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-
-def prepare(spec: QuerySpec, plan: QueryPlan) -> PreparedQuery:
-    """Materialise the runner inputs demanded by the planned algorithm."""
-    options = dict(plan.options)
-    if plan.residency == MEMORY:
-        return PreparedQuery(spec=spec, plan=plan, query=spec.group_query(), options=options)
-    if plan.algorithm.requires_raw_points:
-        # GCP builds its own query R-tree from the raw points.
-        return PreparedQuery(spec=spec, plan=plan, options=options)
-    query_file = spec.group_file
-    if query_file is None:
-        query_file = PointFile(
-            spec.group,
-            points_per_page=int(spec.options.get("points_per_page", DEFAULT_POINTS_PER_PAGE)),
-            block_pages=int(spec.options.get("block_pages", DEFAULT_BLOCK_PAGES)),
-        )
-    return PreparedQuery(spec=spec, plan=plan, query_file=query_file, options=options)
-
-
 def execute_spec(
     context: ExecutionContext,
     spec: QuerySpec,
@@ -159,23 +124,21 @@ def execute_spec(
     if tracer is None:
         if plan is None:
             plan = (planner or QueryPlanner()).plan(spec)
-        return _run_planned(context, spec, plan)
+        return _run_planned(context, plan)
     return _execute_traced(context, spec, planner, plan, tracer)
 
 
-def _run_planned(
-    context: ExecutionContext, spec: QuerySpec, plan: QueryPlan
-) -> GNNResult:
+def _run_planned(context: ExecutionContext, plan: QueryPlan) -> GNNResult:
     """The classic execution core: route one planned spec to its runner.
 
     Over a dirty overlay a memory-resident runner answers the merged
     view itself (see the module docstring); its counters are the base
     index's, and the algorithm label gains an ``+overlay`` suffix.
     """
-    result = plan.algorithm.runner(context, prepare(spec, plan))
+    result = plan.algorithm.runner(context, plan)
     if _overlay_routed(context, plan):
         result.cost.algorithm += "+overlay"
-    if spec.trace:
+    if plan.spec.trace:
         result.plan = plan
     return result
 
@@ -211,7 +174,7 @@ def _execute_traced(
                 rationale=plan.rationale,
             )
         execute_span = tracer.start("query.execute", parent=root)
-        result = _run_planned(context, spec, plan)
+        result = _run_planned(context, plan)
         tracer.finish(execute_span, algorithm=result.cost.algorithm)
     except BaseException as error:
         tracer.finish(root, outcome="error", error=str(error))
@@ -251,14 +214,7 @@ def execute_batch(
     """
     planner = planner or QueryPlanner()
     specs = list(specs)
-    plans: list[QueryPlan] = []
-    plan_cache: dict[tuple, QueryPlan] = {}
-    for spec in specs:
-        signature = spec.plan_signature()
-        cached = plan_cache.get(signature)
-        if cached is None:
-            cached = plan_cache[signature] = planner.plan(spec)
-        plans.append(cached.for_spec(spec))
+    plans = [planner.plan(spec) for spec in specs]
 
     results: list[GNNResult | None] = [None] * len(specs)
 

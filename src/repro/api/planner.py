@@ -2,12 +2,18 @@
 
 :class:`QueryPlanner` replaces the engine's old inline ``"auto"``
 dispatch with an explicit, testable step: ``plan(spec)`` returns a
-:class:`QueryPlan` naming the chosen algorithm, a human-readable
-rationale grounded in the paper's experimental findings (Section 5), and
-a coarse cost estimate derived from the index shape.  Explicit algorithm
-requests are validated against the registry's capability metadata, so a
-spec asking MBM for a ``max`` aggregate fails at planning time with a
-message that names the mismatch instead of deep inside a traversal.
+:class:`QueryPlan` naming the chosen algorithm and a human-readable
+rationale grounded in the paper's experimental findings (Section 5).
+Every plan, chosen or requested, is validated against the registry's
+capability metadata, so a spec asking MBM for a ``max`` aggregate fails
+at planning time with a message that names the mismatch instead of deep
+inside a traversal.
+
+A plan depends only on the spec's shape (:meth:`QuerySpec.plan_signature`),
+never on its coordinates or on the index, so the planner keeps the one
+bounded signature->plan cache of the stack: the engines, the batch
+executor, the server and the sharded facade all plan through it, and an
+``insert`` or ``compact()`` never makes a cached plan stale.
 
 The auto policy encodes the paper's recommendations:
 
@@ -22,13 +28,16 @@ from __future__ import annotations
 
 import difflib
 import math
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.api.registry import (
-    AlgorithmInfo,
+    DEFAULT_BLOCK_PAGES,
+    DEFAULT_POINTS_PER_PAGE,
     FILE_GEOMETRY_OPTIONS,
+    AlgorithmInfo,
     available_algorithms,
     get_algorithm,
 )
@@ -39,52 +48,27 @@ from repro.api.spec import AUTO, MEMORY, SHARDED, WITHIN, QuerySpec
 #: TS-as-query experiments (20 blocks) favour F-MBM.
 AUTO_FMQM_MAX_BLOCKS = 6
 
-#: Default simulated-disk geometry (the paper's 1 KByte pages of 50
-#: points, blocks of 10,000 points).
-DEFAULT_POINTS_PER_PAGE = 50
-DEFAULT_BLOCK_PAGES = 200
-
-
-@dataclass(frozen=True)
-class CostEstimate:
-    """Coarse, index-shape-based cost prediction for one plan.
-
-    The numbers are order-of-magnitude guidance (useful to compare plans
-    and to schedule batches), not measurements; ``basis`` spells out the
-    model that produced them.
-    """
-
-    node_accesses: float
-    distance_computations: float
-    io_reads: float
-    basis: str
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "node_accesses": self.node_accesses,
-            "distance_computations": self.distance_computations,
-            "io_reads": self.io_reads,
-            "basis": self.basis,
-        }
+#: Bound on the planner's signature->plan cache; a full cache is
+#: cleared, so a workload of ever-new shapes cannot grow it.
+PLAN_CACHE_BOUND = 4096
 
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """The planner's decision for one spec: algorithm, rationale, estimate."""
+    """The planner's decision for one spec: algorithm, residency, options, rationale."""
 
     spec: QuerySpec
     algorithm: AlgorithmInfo
     residency: str
     options: Mapping[str, Any]
     rationale: str
-    estimate: CostEstimate | None = None
 
     def for_spec(self, spec: QuerySpec) -> "QueryPlan":
         """Rebind a cached plan to another spec with the same signature (and its ``within``)."""
         options = self.options
         if WITHIN in options:
             options = MappingProxyType({**options, WITHIN: spec.options[WITHIN]})
-        return replace(self, spec=spec, options=options)
+        return QueryPlan(spec, self.algorithm, self.residency, options, self.rationale)
 
     def describe(self) -> str:
         """Human-readable multi-line explanation (what ``explain`` prints)."""
@@ -97,14 +81,6 @@ class QueryPlan:
         if self.options:
             rendered = ", ".join(f"{k}={v!r}" for k, v in sorted(self.options.items()))
             lines.append(f"  options   : {rendered}")
-        if self.estimate is not None:
-            lines.append(
-                "  estimate  : "
-                f"~{self.estimate.node_accesses:.0f} node accesses, "
-                f"~{self.estimate.distance_computations:.0f} distance computations, "
-                f"~{self.estimate.io_reads:.0f} I/O reads "
-                f"({self.estimate.basis})"
-            )
         return "\n".join(lines)
 
     def __repr__(self) -> str:
@@ -117,20 +93,18 @@ class QueryPlan:
 class QueryPlanner:
     """Chooses and justifies an algorithm for each :class:`QuerySpec`.
 
-    Parameters
-    ----------
-    engine:
-        Optional :class:`~repro.core.engine.GNNEngine` (or any object
-        with a ``flat`` attribute).  When given, plans carry a
-        :class:`CostEstimate` derived from the index shape; planning
-        works without it, just without estimates.
-    fmqm_max_blocks:
-        Auto-policy threshold between F-MQM and F-MBM.
+    ``engine`` is the engine the planner serves, if any; the one thing
+    read from it is whether it carries a ``coordinator`` (only a
+    coordinator-backed :class:`repro.shard.ShardedEngine` can plan
+    ``index="sharded"``).
     """
 
-    def __init__(self, engine=None, fmqm_max_blocks: int = AUTO_FMQM_MAX_BLOCKS):
+    def __init__(self, engine=None):
         self.engine = engine
-        self.fmqm_max_blocks = int(fmqm_max_blocks)
+        self._plans: dict[tuple, QueryPlan] = {}
+        # Serving threads plan concurrently: the bound check and the
+        # insert must not interleave.
+        self._plans_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # public entry point
@@ -138,10 +112,24 @@ class QueryPlanner:
     def plan(self, spec: QuerySpec) -> QueryPlan:
         """Resolve ``spec`` into an executable :class:`QueryPlan`.
 
-        Raises ``ValueError`` for unknown algorithm names and for
-        capability mismatches (wrong residency, unsupported aggregate or
-        weights) — planning is where a bad spec fails, not execution.
+        Specs with equal :meth:`~QuerySpec.plan_signature` are planned
+        once; later ones get the cached plan rebound to themselves
+        (:meth:`QueryPlan.for_spec`).  Raises ``ValueError`` for unknown
+        algorithm names and for capability mismatches (wrong residency,
+        unsupported aggregate or weights, missing raw points) — planning
+        is where a bad spec fails, not execution.
         """
+        signature = spec.plan_signature()
+        plan = self._plans.get(signature)
+        if plan is None:
+            plan = self._plan(spec)
+            with self._plans_lock:
+                if len(self._plans) >= PLAN_CACHE_BOUND:
+                    self._plans.clear()
+                self._plans[signature] = plan
+        return plan.for_spec(spec)
+
+    def _plan(self, spec: QuerySpec) -> QueryPlan:
         residency = spec.resolved_residency()
         if spec.index == SHARDED and getattr(self.engine, "coordinator", None) is None:
             # Only a coordinator-backed engine (repro.shard.ShardedEngine)
@@ -157,15 +145,14 @@ class QueryPlanner:
             info, rationale = self._choose(spec, residency)
         else:
             info = get_algorithm(spec.algorithm)
-            errors = info.capability_errors(spec)
-            if errors:
-                raise ValueError(
-                    f"algorithm {info.name!r} cannot answer this spec: "
-                    + "; ".join(errors)
-                )
             rationale = f"explicitly requested by the spec ({info.name})"
+        errors = info.capability_errors(spec)
+        if errors:
+            raise ValueError(
+                f"algorithm {info.name!r} cannot answer this spec: " + "; ".join(errors)
+            )
         # File geometry shapes the simulated disk file (built by the
-        # executor), not the algorithm call itself.
+        # disk runners), not the algorithm call itself.
         options = {
             key: value
             for key, value in spec.options.items()
@@ -192,7 +179,6 @@ class QueryPlanner:
             residency=residency,
             options=MappingProxyType(options),
             rationale=rationale,
-            estimate=self._estimate(spec, info, residency),
         )
 
     # ------------------------------------------------------------------
@@ -222,15 +208,15 @@ class QueryPlanner:
                 "traversal keys every node by this aggregate's own lower bound",
             )
         blocks = self._block_count(spec)
-        if blocks <= self.fmqm_max_blocks:
+        if blocks <= AUTO_FMQM_MAX_BLOCKS:
             return (
                 get_algorithm("fmqm"),
-                f"disk-resident group in {blocks} block(s) <= {self.fmqm_max_blocks}: "
+                f"disk-resident group in {blocks} block(s) <= {AUTO_FMQM_MAX_BLOCKS}: "
                 "F-MQM wins for few blocks (Figure 5.4, Section 5.2)",
             )
         return (
             get_algorithm("fmbm"),
-            f"disk-resident group in {blocks} blocks > {self.fmqm_max_blocks}: "
+            f"disk-resident group in {blocks} blocks > {AUTO_FMQM_MAX_BLOCKS}: "
             "F-MBM scales better with many blocks (Figures 5.5-5.7)",
         )
 
@@ -242,50 +228,6 @@ class QueryPlanner:
         block_pages = int(spec.options.get("block_pages", DEFAULT_BLOCK_PAGES))
         pages = math.ceil(spec.cardinality / max(1, points_per_page))
         return max(1, math.ceil(pages / max(1, block_pages)))
-
-    # ------------------------------------------------------------------
-    # cost model
-    # ------------------------------------------------------------------
-    def _estimate(
-        self, spec: QuerySpec, info: AlgorithmInfo, residency: str
-    ) -> CostEstimate | None:
-        tree = getattr(self.engine, "flat", None)
-        if tree is None or len(tree) == 0:
-            return None
-        size = len(tree)
-        capacity = max(2, tree.capacity)
-        height = max(1, tree.height)
-        n = spec.cardinality
-        # One root-to-leaf descent plus per-neighbor refinement: the
-        # backbone of every best-first search over the index.
-        descent = height * (1 + spec.k)
-        if info.name == "brute-force":
-            return CostEstimate(0.0, float(size * n), 0.0, "exhaustive scan: N*n")
-        if residency == MEMORY:
-            factor = {"mqm": float(n)}.get(info.name, 1.0)
-            node_accesses = factor * descent
-            return CostEstimate(
-                node_accesses,
-                node_accesses * capacity * (n + 1),
-                0.0,
-                "descents " + ("per query point (MQM)" if factor > 1 else "per query"),
-            )
-        pages = math.ceil(n / int(spec.options.get("points_per_page", DEFAULT_POINTS_PER_PAGE)))
-        blocks = self._block_count(spec)
-        if info.name == "gcp":
-            return CostEstimate(
-                float(descent * math.ceil(n / capacity)),
-                float(size * math.isqrt(max(1, n))),
-                0.0,
-                "closest-pair frontier over both trees (coarse)",
-            )
-        traversals = blocks if info.name == "fmqm" else 1
-        return CostEstimate(
-            float(traversals * descent),
-            float(traversals * descent * capacity * (min(n, capacity) + 1)),
-            float(pages + blocks),
-            f"{traversals} index traversal(s) + {pages} query pages",
-        )
 
     # ------------------------------------------------------------------
     # introspection

@@ -30,23 +30,30 @@ from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.geometry.distance import MAX, MIN, SUM
 from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
+from repro.storage.pointfile import PointFile
 
 from repro.api.spec import DISK, MEMORY, WITHIN, QuerySpec
 
 #: Options that shape the simulated disk file rather than the algorithm
-#: itself; the executor consumes them when it builds a PointFile.
+#: itself; the F-MQM and F-MBM runners consume them when they build a
+#: PointFile.
 FILE_GEOMETRY_OPTIONS = ("points_per_page", "block_pages")
+
+#: Default simulated-disk geometry (the paper's 1 KByte pages of 50
+#: points, blocks of 10,000 points).
+DEFAULT_POINTS_PER_PAGE = 50
+DEFAULT_BLOCK_PAGES = 200
 
 
 @dataclass(frozen=True)
 class AlgorithmInfo:
     """Metadata and entry point of one catalogued algorithm.
 
-    ``runner`` receives ``(context, request)`` where ``context`` is the
+    ``runner`` receives ``(context, plan)`` where ``context`` is the
     executor's :class:`~repro.api.executor.ExecutionContext` (flat
-    index, buffer, pending-write overlay) and ``request`` the prepared
-    :class:`~repro.api.executor.PreparedQuery` (spec, materialised
-    ``GroupQuery`` or ``PointFile``, algorithm options).  Every
+    index, buffer, pending-write overlay) and ``plan`` the
+    :class:`~repro.api.planner.QueryPlan` (its spec, carrying the
+    validated ``GroupQuery``, and the algorithm options).  Every
     memory-resident runner answers from ``context.overlay`` when it is
     set; disk-resident runners only ever see a clean context.
     """
@@ -119,39 +126,50 @@ def available_algorithms(residency: str | None = None) -> list[AlgorithmInfo]:
 # The memory-resident runners answer from the merged view whenever the
 # context carries a delta overlay: each driver seeds its best list from
 # the delta and skips the tombstones inside its own traversal.
-def _run_mqm(context, request):
-    return mqm(context.flat, request.query, overlay=context.overlay, **request.options)
+def _run_mqm(context, plan):
+    return mqm(context.flat, plan.spec.query, overlay=context.overlay, **plan.options)
 
 
-def _run_spm(context, request):
-    return spm(context.flat, request.query, overlay=context.overlay, **request.options)
+def _run_spm(context, plan):
+    return spm(context.flat, plan.spec.query, overlay=context.overlay, **plan.options)
 
 
-def _run_mbm(context, request):
-    return mbm(context.flat, request.query, overlay=context.overlay, **request.options)
+def _run_mbm(context, plan):
+    return mbm(context.flat, plan.spec.query, overlay=context.overlay, **plan.options)
 
 
-def _run_best_first(context, request):
-    return aggregate_gnn(context.flat, request.query, overlay=context.overlay, **request.options)
+def _run_best_first(context, plan):
+    return aggregate_gnn(context.flat, plan.spec.query, overlay=context.overlay, **plan.options)
 
 
-def _run_brute_force(context, request):
-    return context.brute_force(request.query, **request.options)
+def _run_brute_force(context, plan):
+    return context.brute_force(plan.spec.query, **plan.options)
 
 
-def _run_fmqm(context, request):
-    return fmqm(context.flat, request.query_file, k=request.spec.k, **request.options)
+def _query_file(spec: QuerySpec) -> PointFile:
+    """The spec's own query file, or one laid out from its points and file geometry."""
+    if spec.group_file is not None:
+        return spec.group_file
+    return PointFile(
+        spec.group,
+        points_per_page=int(spec.options.get("points_per_page", DEFAULT_POINTS_PER_PAGE)),
+        block_pages=int(spec.options.get("block_pages", DEFAULT_BLOCK_PAGES)),
+    )
 
 
-def _run_fmbm(context, request):
-    return fmbm(context.flat, request.query_file, k=request.spec.k, **request.options)
+def _run_fmqm(context, plan):
+    return fmqm(context.flat, _query_file(plan.spec), k=plan.spec.k, **plan.options)
 
 
-def _run_gcp(context, request):
-    options = dict(request.options)
+def _run_fmbm(context, plan):
+    return fmbm(context.flat, _query_file(plan.spec), k=plan.spec.k, **plan.options)
+
+
+def _run_gcp(context, plan):
+    options = dict(plan.options)
     capacity = options.pop("query_tree_capacity", DEFAULT_CAPACITY)
-    query_tree = FlatRTree.bulk_load(request.spec.group, capacity=capacity)
-    return gcp(context.flat, query_tree, k=request.spec.k, **options)
+    query_tree = FlatRTree.bulk_load(plan.spec.group, capacity=capacity)
+    return gcp(context.flat, query_tree, k=plan.spec.k, **options)
 
 
 BUILTIN_ALGORITHMS = (

@@ -13,7 +13,10 @@ All input validation that used to be scattered across ``GroupQuery`` and
 the engine's keyword plumbing happens here, up front, with explicit
 error messages: ``k < 1``, empty groups, weight vectors whose length
 does not match the group cardinality or that are all zero, unknown
-aggregates and residencies are all rejected at construction time.
+aggregates and residencies are all rejected at construction time.  A
+spec with raw points carries the resulting :class:`GroupQuery` as
+:attr:`QuerySpec.query`, built once there and handed to the
+memory-resident algorithms on every execution.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 from repro.core.types import GroupQuery
 from repro.geometry.distance import AGGREGATES, SUM
 from repro.geometry.kernels import check_weights
-from repro.geometry.point import as_points
 from repro.storage.pointfile import PointFile
 
 #: Sentinel used for ``algorithm``, ``residency`` and ``index`` to
@@ -95,11 +97,15 @@ class QuerySpec:
         :class:`repro.shard.ShardedEngine` can plan it).
     trace:
         When True the executor attaches the full :class:`QueryPlan`
-        (algorithm choice, rationale, cost estimate) to the result as
+        (algorithm choice, rationale, options) to the result as
         ``result.plan``; when False ``result.plan`` stays ``None``.
     label:
         Optional caller-supplied tag, carried through to plans untouched
         (useful to correlate batch results with business objects).
+
+    The validated group, ``k``, aggregate and weights are also carried
+    as :attr:`query`, the :class:`GroupQuery` the algorithms take
+    (``None`` when the spec holds only a ``group_file``).
     """
 
     group: np.ndarray | None = None
@@ -113,6 +119,7 @@ class QuerySpec:
     index: str = AUTO
     trace: bool = False
     label: str | None = None
+    query: GroupQuery | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.group is None and self.group_file is None:
@@ -120,13 +127,6 @@ class QuerySpec:
                 "a QuerySpec needs a query group: pass 'group' (points) and/or "
                 "'group_file' (a disk-resident PointFile)"
             )
-        if self.group is not None:
-            points = as_points(self.group)
-            if points.shape[0] == 0:
-                raise ValueError("the query group must contain at least one point")
-            points = points.copy()
-            points.setflags(write=False)
-            object.__setattr__(self, "group", points)
         if self.group_file is not None and self.group_file.point_count == 0:
             raise ValueError("the query group file must contain at least one point")
         if int(self.k) != self.k or self.k < 1:
@@ -136,8 +136,23 @@ class QuerySpec:
             raise ValueError(
                 f"unknown aggregate {self.aggregate!r}; expected one of {AGGREGATES}"
             )
-        if self.weights is not None:
-            weights = check_weights(self.weights, self.cardinality).copy()
+        # Copies, so a spec can never be mutated through the caller's arrays.
+        weights = None if self.weights is None else np.array(self.weights, dtype=np.float64)
+        if self.group is not None:
+            # The GroupQuery validates the points and the weights against them.
+            query = GroupQuery(
+                np.array(self.group, dtype=np.float64),
+                k=self.k,
+                aggregate=self.aggregate,
+                weights=weights,
+            )
+            query.points.setflags(write=False)
+            object.__setattr__(self, "group", query.points)
+            object.__setattr__(self, "query", query)
+            weights = query.weights
+        elif weights is not None:
+            weights = check_weights(weights, self.cardinality)
+        if weights is not None:
             weights.setflags(write=False)
             object.__setattr__(self, "weights", weights)
         residency = str(self.residency).lower()
@@ -187,17 +202,6 @@ class QuerySpec:
     # ------------------------------------------------------------------
     # conversions
     # ------------------------------------------------------------------
-    def group_query(self) -> GroupQuery:
-        """Materialise the legacy :class:`GroupQuery` for the algorithm layer."""
-        if self.group is None:
-            raise ValueError(
-                "this spec only carries a disk-resident group_file; "
-                "no in-memory GroupQuery can be built from it"
-            )
-        return GroupQuery(
-            self.group, k=self.k, aggregate=self.aggregate, weights=self.weights
-        )
-
     def replace(self, **changes) -> "QuerySpec":
         """Return a copy of this spec with the given fields replaced."""
         return replace(self, **changes)
@@ -208,9 +212,9 @@ class QuerySpec:
         Two specs with equal signatures are guaranteed to produce the
         same plan (algorithm choice and rationale): the planner's output
         depends on the algorithm hint, residency, aggregate, presence of
-        weights, ``k``, group cardinality, and the options mapping — but
-        never on the coordinates themselves, nor on the value of a
-        ``within`` bound (only on its presence;
+        weights and of raw points, ``k``, group cardinality, and the
+        options mapping — but never on the coordinates themselves, nor
+        on the value of a ``within`` bound (only on its presence;
         :meth:`~repro.api.planner.QueryPlan.for_spec` rebinds the value).
         """
         return (
@@ -218,6 +222,7 @@ class QuerySpec:
             self.resolved_residency(),
             self.aggregate,
             self.weights is None,
+            self.group is None,
             self.k,
             self.cardinality,
             self.index,

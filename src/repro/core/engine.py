@@ -10,10 +10,13 @@ API:
 
 * :meth:`GNNEngine.execute` — plan and run one spec;
 * :meth:`GNNEngine.explain` — return the :class:`~repro.api.planner.QueryPlan`
-  (algorithm, rationale, cost estimate) without running anything;
-* :meth:`GNNEngine.execute_many` — the batch path: plans are cached,
-  memory-resident queries are scheduled in Hilbert order for buffer
-  locality, and brute-force specs share vectorised distance tensors.
+  (algorithm, rationale, options) without running anything;
+* :meth:`GNNEngine.execute_many` — the batch path: memory-resident
+  queries are scheduled in Hilbert order for buffer locality, and
+  unweighted MBM sums share one traversal per bucket.
+
+All three plan through the engine's one :class:`~repro.api.planner.QueryPlanner`,
+whose cache plans each spec shape once.
 
 The ``"auto"`` policy lives in :class:`~repro.api.planner.QueryPlanner`
 and encodes the recommendations of the paper's experimental study
@@ -272,7 +275,7 @@ class GNNEngine:
         return execute_spec(self._context((spec,)), spec, planner=self.planner)
 
     def explain(self, spec: QuerySpec) -> QueryPlan:
-        """Return the plan for ``spec`` (algorithm, rationale, cost estimate).
+        """Return the plan for ``spec`` (algorithm, rationale, options).
 
         Nothing is executed; ``plan.describe()`` renders the decision as
         human-readable text.
@@ -282,11 +285,11 @@ class GNNEngine:
     def execute_many(self, specs) -> list[GNNResult]:
         """Execute a batch of specs; results come back in input order.
 
-        The batch path amortises work across queries — plans are cached
-        by spec signature, memory-resident groups run in Hilbert order of
-        their centroids (so an LRU buffer keeps the touched subtrees
-        hot), and brute-force specs share chunked distance tensors — while
-        returning exactly the results of per-spec :meth:`execute` calls.
+        The batch path amortises work across queries — memory-resident
+        groups run in Hilbert order of their centroids (so an LRU buffer
+        keeps the touched subtrees hot), and unweighted MBM sums of one
+        shape share a traversal — while returning exactly the results of
+        per-spec :meth:`execute` calls.
         """
         specs = list(specs)
         return execute_batch(self._context(specs), specs, planner=self.planner)

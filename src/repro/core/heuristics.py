@@ -79,12 +79,16 @@ def heuristic1_prunes_point(
 def heuristic2_prunes(mindist_to_query_mbr: float, best_dist: float, group_cardinality: float) -> bool:
     """Heuristic 2: prune node (or point) when ``mindist(N, M) >= best_dist / n``.
 
-    ``group_cardinality`` generalises to the total weight for weighted
-    queries, so any positive value is accepted.
+    Compared multiplied out, ``n * mindist(N, M) >= best_dist``: that is
+    the bound the MBM driver keys on, and a quotient can round
+    ``best_dist / n`` down onto the mindist of a point whose distance is
+    exactly a ``within`` ceiling, pruning it.  ``group_cardinality``
+    generalises to the total weight for weighted queries, so any
+    positive value is accepted.
     """
     if group_cardinality <= 0:
         raise ValueError("the query group must have positive cardinality/weight")
-    return mindist_to_query_mbr >= best_dist / group_cardinality
+    return group_cardinality * mindist_to_query_mbr >= best_dist
 
 
 def heuristic2_prunes_batch(
@@ -93,7 +97,7 @@ def heuristic2_prunes_batch(
     """Vectorised :func:`heuristic2_prunes` for an array of mindists."""
     if group_cardinality <= 0:
         raise ValueError("the query group must have positive cardinality/weight")
-    return mindists_to_query_mbr >= best_dist / group_cardinality
+    return group_cardinality * mindists_to_query_mbr >= best_dist
 
 
 def heuristic3_prunes_precomputed(summed_mindist: float, best_dist: float) -> bool:

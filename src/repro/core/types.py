@@ -235,7 +235,7 @@ class GNNResult:
 
     ``plan`` is attached by the executor when the spec asked for tracing
     (``QuerySpec(trace=True)``); it carries the planner's algorithm
-    choice, rationale and cost estimate alongside the measured cost.
+    choice and rationale alongside the measured cost.
     ``trace_id`` is set by the executor and the shard coordinator when
     distributed tracing (:mod:`repro.obs.trace`) is enabled, linking the
     result to its span tree.

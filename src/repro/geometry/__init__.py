@@ -19,7 +19,6 @@ from repro.geometry.distance import (
     euclidean,
     group_distance,
     group_mindist,
-    minkowski,
     squared_euclidean,
 )
 from repro.geometry.hilbert import hilbert_index, hilbert_sort
@@ -36,6 +35,5 @@ __all__ = [
     "hilbert_index",
     "hilbert_sort",
     "kernels",
-    "minkowski",
     "squared_euclidean",
 ]

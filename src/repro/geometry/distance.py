@@ -87,13 +87,6 @@ def squared_euclidean(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.sum(delta * delta))
 
 
-def minkowski(a: Sequence[float], b: Sequence[float], p: float = 2.0) -> float:
-    """Minkowski ``L_p`` distance between two points (``p = inf`` is Chebyshev)."""
-    pa = _fast_point(a)
-    pb = _fast_point(b, dims=pa.size)
-    return float(kernels.point_distances(pa.reshape(1, -1), pb, metric=kernels.MINKOWSKI, p=p)[0])
-
-
 def distances_to_group(point: Sequence[float], group: np.ndarray) -> np.ndarray:
     """Vector of Euclidean distances from ``point`` to every point of ``group``."""
     p = _fast_point(point)

@@ -45,9 +45,8 @@ every algorithm, brute force included, scores through these kernels, so
 answers stay exact against each other.  ``tests/test_kernels.py`` pins
 the rule for dims 1–7.
 
-Supported metrics are Euclidean (the paper's), squared Euclidean (for
-order-only comparisons) and Minkowski ``L_p``; supported aggregates are
-``sum`` (the paper's), ``max`` and ``min``, each optionally weighted.
+The metric is Euclidean (the paper's); supported aggregates are ``sum``
+(the paper's), ``max`` and ``min``, each optionally weighted.
 """
 
 from __future__ import annotations
@@ -59,12 +58,6 @@ SUM = "sum"
 MAX = "max"
 MIN = "min"
 AGGREGATES = (SUM, MAX, MIN)
-
-#: Metric identifiers accepted by the pairwise kernels.
-EUCLIDEAN = "euclidean"
-SQUARED = "squared"
-MINKOWSKI = "minkowski"
-METRICS = (EUCLIDEAN, SQUARED, MINKOWSKI)
 
 
 def check_weights(weights: np.ndarray, expected: int) -> np.ndarray:
@@ -118,19 +111,15 @@ def _axis_major(x: np.ndarray) -> np.ndarray:
     return x.transpose((x.ndim - 1, *range(x.ndim - 1)))
 
 
-def _norms(terms: np.ndarray, metric: str = EUCLIDEAN) -> np.ndarray:
-    """Norms over a fresh C-ordered ``(dims, ...)`` stack of per-axis terms.
+def _norms(terms: np.ndarray) -> np.ndarray:
+    """Euclidean norms over a fresh C-ordered ``(dims, ...)`` stack of per-axis terms.
 
-    The slabs are squared in place and added over the leading axis in
-    axis order, then rooted in place when ``metric`` is Euclidean.
+    The slabs are squared in place, added over the leading axis in axis
+    order, then rooted in place.
     """
     terms *= terms
     total = np.add.reduce(terms, axis=0)
-    if metric == EUCLIDEAN:
-        return np.sqrt(total, out=total)
-    if metric == SQUARED:
-        return total
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    return np.sqrt(total, out=total)
 
 
 def _gap(low_a, high_a, low_b, high_b) -> np.ndarray:
@@ -146,33 +135,17 @@ def _gap(low_a, high_a, low_b, high_b) -> np.ndarray:
     return np.maximum(gap, 0.0, out=gap)
 
 
-def _minkowski_reduce(delta: np.ndarray, p: float, axis: int) -> np.ndarray:
-    if not p > 0:
-        raise ValueError(f"Minkowski order p must be positive, got {p}")
-    if np.isinf(p):
-        return np.abs(delta).max(axis=axis)
-    return np.sum(np.abs(delta) ** p, axis=axis) ** (1.0 / p)
-
-
 # ----------------------------------------------------------------------
-# point-array metric kernels
+# point-array kernels
 # ----------------------------------------------------------------------
-def point_distances(
-    points: np.ndarray, q: np.ndarray, metric: str = EUCLIDEAN, p: float = 2.0
-) -> np.ndarray:
+def point_distances(points: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Distances from each row of ``points`` (``(m, d)``) to the single point ``q``."""
-    if metric == MINKOWSKI:
-        return _minkowski_reduce(points - q, p, axis=1)
-    return _norms(np.subtract(points.T, q[:, None], order="C"), metric)
+    return _norms(np.subtract(points.T, q[:, None], order="C"))
 
 
-def pairwise_distances(
-    points: np.ndarray, group: np.ndarray, metric: str = EUCLIDEAN, p: float = 2.0
-) -> np.ndarray:
+def pairwise_distances(points: np.ndarray, group: np.ndarray) -> np.ndarray:
     """The ``(m, n)`` matrix of distances between ``points`` and ``group`` rows."""
-    if metric == MINKOWSKI:
-        return _minkowski_reduce(points[:, None, :] - group[None, :, :], p, axis=2)
-    return _norms(np.subtract(points.T[:, :, None], group.T[:, None, :], order="C"), metric)
+    return _norms(np.subtract(points.T[:, :, None], group.T[:, None, :], order="C"))
 
 
 def aggregate_distances(
@@ -180,15 +153,13 @@ def aggregate_distances(
     group: np.ndarray,
     weights: np.ndarray | None = None,
     aggregate: str = SUM,
-    metric: str = EUCLIDEAN,
-    p: float = 2.0,
 ) -> np.ndarray:
     """Aggregate distance ``dist(p_i, Q)`` for every row of ``points`` at once.
 
     The core kernel of the library: one call scores an entire R-tree leaf
     (or any candidate array) against the query group.
     """
-    return reduce_aggregate(pairwise_distances(points, group, metric, p), aggregate, weights)
+    return reduce_aggregate(pairwise_distances(points, group), aggregate, weights)
 
 
 def batched_aggregate_distances(

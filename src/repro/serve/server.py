@@ -57,9 +57,6 @@ DEFAULT_WINDOW_S = 0.002
 #: :class:`ServerOverloadedError` at submit.
 DEFAULT_MAX_PENDING = 2048
 
-#: Bound on the planner's signature->plan cache.
-_PLAN_CACHE_LIMIT = 4096
-
 
 class ServingError(RuntimeError):
     """A request failed inside a worker (carries the worker traceback)."""
@@ -140,7 +137,6 @@ class GNNServer:
 
         self.max_pending = int(max_pending)
         self._planner = QueryPlanner()
-        self._plan_cache: dict[tuple, object] = {}
         self._stats = ServerStats()
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -231,7 +227,7 @@ class GNNServer:
                 f"spec dimensionality {spec.dims} does not match the served "
                 f"snapshot ({self._dims}-d)"
             )
-        plan = self._plan(spec)
+        plan = self._planner.plan(spec)
         check_servable(spec, plan)
         payload = encode_spec(spec)
         key = shared_bucket_key(spec, plan)
@@ -518,15 +514,6 @@ class GNNServer:
             daemon=True,
             name=f"gnn-serve-worker-{worker_id}",
         )
-
-    def _plan(self, spec: QuerySpec):
-        signature = spec.plan_signature()
-        plan = self._plan_cache.get(signature)
-        if plan is None:
-            if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-                self._plan_cache.clear()
-            plan = self._plan_cache[signature] = self._planner.plan(spec)
-        return plan
 
     def _dispatch(self, items: list) -> None:
         items = tuple(items)

@@ -5,8 +5,8 @@ application code already programs against —
 ``execute`` / ``execute_many`` / ``explain`` over declarative
 :class:`~repro.api.spec.QuerySpec`\\ s — so swapping a single-process
 :class:`~repro.core.engine.GNNEngine` for a federation is a one-line
-change.  Planning still happens client-side (with the usual plan cache
-and the serving admission filter), so malformed or unservable specs
+change.  Planning still happens client-side (through the planner's plan
+cache and the serving admission filter), so malformed or unservable specs
 fail here, immediately and with the planner's message, instead of as a
 remote error from some shard.
 
@@ -25,9 +25,6 @@ from repro.core.types import GNNResult
 from repro.serve.protocol import check_servable
 from repro.shard.coordinator import ShardCoordinator
 
-#: Bound on the signature->plan cache (same policy as the serving stack).
-_PLAN_CACHE_LIMIT = 4096
-
 
 class ShardedEngine:
     """Execute query specs by scatter-gather over a shard federation.
@@ -44,7 +41,6 @@ class ShardedEngine:
     def __init__(self, coordinator: ShardCoordinator):
         self.coordinator = coordinator
         self.planner = QueryPlanner(self)
-        self._plan_cache: dict[tuple, QueryPlan] = {}
 
     @classmethod
     def connect(cls, manifest, addresses, **coordinator_options) -> "ShardedEngine":
@@ -88,15 +84,9 @@ class ShardedEngine:
         return self._plan(spec)
 
     def _plan(self, spec: QuerySpec) -> QueryPlan:
-        signature = spec.plan_signature()
-        plan = self._plan_cache.get(signature)
-        if plan is None:
-            plan = self.planner.plan(spec)
-            check_servable(spec, plan)
-            if len(self._plan_cache) >= _PLAN_CACHE_LIMIT:
-                self._plan_cache.clear()
-            self._plan_cache[signature] = plan
-        return plan.for_spec(spec)
+        plan = self.planner.plan(spec)
+        check_servable(spec, plan)
+        return plan
 
     # ------------------------------------------------------------------
     # federation introspection / lifecycle

@@ -124,7 +124,7 @@ def _process_leaf(flat, points, record_ids, query, best, divisor, exclude=None) 
     bounded = best_dist < math.inf
     consumed = 0
     for position, offset in enumerate(candidates.tolist()):
-        if bounded and candidate_mindists[position] >= best_dist / divisor:
+        if bounded and divisor * candidate_mindists[position] >= best_dist:
             break
         if position == len(candidate_distances):
             part = candidates[position : position + chunk]

@@ -141,7 +141,7 @@ class TestMemoryEquivalenceMatrix:
         ran = set()
         for group in _shared_groups(dims_dataset.shape[1]):
             base = QuerySpec(group=group, k=k, aggregate=aggregate)
-            reference = brute_force_gnn(dims_dataset, base.group_query())
+            reference = brute_force_gnn(dims_dataset, base.query)
             for info in available_algorithms(MEMORY):
                 spec = QuerySpec(group=group, k=k, aggregate=aggregate, algorithm=info.name)
                 if not info.supports(spec):
@@ -165,7 +165,7 @@ class TestMemoryEquivalenceMatrix:
         for group in _shared_groups(dims_dataset.shape[1]):
             weights = rng.uniform(0.5, 2.0, size=group.shape[0])
             base = QuerySpec(group=group, k=3, aggregate=aggregate, weights=weights)
-            reference = brute_force_gnn(dims_dataset, base.group_query())
+            reference = brute_force_gnn(dims_dataset, base.query)
             for info in available_algorithms(MEMORY):
                 spec = QuerySpec(
                     group=group, k=3, aggregate=aggregate, weights=weights, algorithm=info.name
@@ -196,7 +196,7 @@ class TestEightDimensions:
         context = ExecutionContext(flat=FlatRTree.bulk_load(points, capacity=16))
         for group in _shared_groups(8):
             spec = QuerySpec(group=group, k=5, algorithm=algorithm)
-            reference = brute_force_gnn(points, spec.group_query())
+            reference = brute_force_gnn(points, spec.query)
             result = execute_spec(context, spec)
             assert result.record_ids() == reference.record_ids(), len(group)
             assert result.distances() == reference.distances(), len(group)
@@ -209,7 +209,7 @@ class TestDiskEquivalenceMatrix:
         ran = set()
         for n in (25, 60):
             group = rng.uniform(150, 850, size=(n, 2))
-            reference = brute_force_gnn(dataset, QuerySpec(group=group, k=k).group_query())
+            reference = brute_force_gnn(dataset, QuerySpec(group=group, k=k).query)
             for info in available_algorithms(DISK):
                 options = (
                     {"query_tree_capacity": 8} if info.name == "gcp" else dict(DISK_OPTIONS)
@@ -479,7 +479,7 @@ class TestSharedTraversalBatchConformance:
         outcomes = execute_batch(context, specs)
         for spec, outcome in zip(specs, outcomes):
             assert outcome.cost.algorithm == "MBM-batch"
-            reference = mqm(context.flat, spec.group_query())
+            reference = mqm(context.flat, spec.query)
             assert outcome.record_ids() == reference.record_ids(), k
             assert np.allclose(
                 outcome.distances(), reference.distances(), rtol=1e-9, atol=1e-9
@@ -584,7 +584,7 @@ class TestMutationConformance:
             points, ids = _live_arrays(live)
             ran = set()
             for spec, result in self._answers(engine, groups):
-                reference = brute_force_gnn(points, spec.group_query(), record_ids=ids)
+                reference = brute_force_gnn(points, spec.query, record_ids=ids)
                 ran.add(spec.algorithm)
                 _assert_matches_reference(
                     result, reference, f"round {round_no} {spec.algorithm} {spec.aggregate}"

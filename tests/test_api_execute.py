@@ -138,7 +138,7 @@ class TestExecuteMany:
             # the batch runs each brute-force spec on the per-spec route
             assert outcome.cost.algorithm == single.cost.algorithm
             assert single.cost.algorithm == ("brute-force+overlay" if dirty else "brute-force")
-            reference = brute_force_gnn(model, spec.group_query(), record_ids=model_ids)
+            reference = brute_force_gnn(model, spec.query, record_ids=model_ids)
             assert single.record_ids() == reference.record_ids()
             assert single.distances() == reference.distances()
 

@@ -115,18 +115,28 @@ class TestDerivedData:
         assert QuerySpec(group_file=file).resolved_residency() == "disk"
         assert QuerySpec(group=GROUP, residency="disk").resolved_residency() == "disk"
 
-    def test_group_query_materialisation(self):
+    def test_query_is_built_once_at_construction(self):
         spec = QuerySpec(group=GROUP, k=4, aggregate="max", weights=[1.0, 2.0, 3.0])
-        query = spec.group_query()
+        query = spec.query
         assert isinstance(query, GroupQuery)
         assert query.k == 4
         assert query.aggregate == "max"
         assert query.weights == pytest.approx([1.0, 2.0, 3.0])
+        # The spec's validated arrays are the query's: nothing is copied again.
+        assert query.points is spec.group
+        assert query.weights is spec.weights
+        assert spec.query is query
 
-    def test_group_query_requires_points(self, rng):
+    def test_query_is_none_without_points(self, rng):
         file = PointFile(rng.uniform(0, 1, size=(20, 2)), points_per_page=10, block_pages=1)
-        with pytest.raises(ValueError, match="disk-resident"):
-            QuerySpec(group_file=file).group_query()
+        assert QuerySpec(group_file=file).query is None
+
+    def test_replace_rebuilds_the_query(self):
+        spec = QuerySpec(group=GROUP, k=2)
+        wider = spec.replace(k=5)
+        assert wider.query.k == 5 and spec.query.k == 2
+        with pytest.raises(ValueError):
+            spec.replace(query=None)
 
     def test_plan_signature_ignores_coordinates(self, rng):
         a = QuerySpec(group=rng.uniform(0, 1, size=(5, 2)), k=3)

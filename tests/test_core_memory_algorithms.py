@@ -355,6 +355,18 @@ class TestDeferredKeysAgainstTheEagerReference:
         assert [r.distances() for r in results] == [e.distances() for e in expected]
         assert results[0].cost.node_accesses <= expected[0].cost.node_accesses
 
+    def test_a_record_exactly_at_within_is_kept(self):
+        # Heuristic 2 as a quotient, best_dist / W, rounded down onto this
+        # point's mindist and pruned the one record at exactly ``within``.
+        points = np.array([[833.41803049, 896.08140644], [885.43669631, 411.44882318]])
+        flat = FlatRTree.bulk_load(points, capacity=4)
+        query = GroupQuery([[354.15009417, 76.38575569]], k=1, weights=[0.5413190888213227])
+        within = float(query.distances_to(points).min())
+        for use_heuristic3 in (False, True):
+            expected = mbm_reference(flat, query, use_heuristic3=use_heuristic3, within=within)
+            result = mbm(flat, query, use_heuristic3=use_heuristic3, within=within)
+            assert result.record_ids() == expected.record_ids() == [1]
+
 
 class TestCrossAlgorithmAgreement:
     def test_all_three_algorithms_agree(self, small_tree, query_groups):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -25,10 +26,9 @@ PUBLIC_NAMES = {
         "mqm", "spm",
     },
     "repro.api": {
-        "AUTO", "AUTO_FMQM_MAX_BLOCKS", "AlgorithmInfo", "CostEstimate", "DISK",
-        "ExecutionContext", "MEMORY", "PreparedQuery", "QueryPlan", "QueryPlanner",
-        "QuerySpec", "available_algorithms", "execute_batch", "execute_spec",
-        "get_algorithm", "prepare",
+        "AUTO", "AUTO_FMQM_MAX_BLOCKS", "AlgorithmInfo", "DISK", "ExecutionContext",
+        "MEMORY", "QueryPlan", "QueryPlanner", "QuerySpec", "available_algorithms",
+        "execute_batch", "execute_spec", "get_algorithm",
     },
     "repro.rtree": {
         "DeltaOverlay", "FlatRTree", "TreeStats", "best_first_nearest",
@@ -49,7 +49,14 @@ PUBLIC_NAMES = {
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "7.0.0"
+        assert repro.__version__ == "8.0.0"
+
+    def test_version_matches_pyproject(self):
+        # Read by regex: Python 3.10 has no tomllib.
+        pyproject = (EXAMPLES_DIR.parent / "pyproject.toml").read_text()
+        declared = re.search(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE)
+        assert declared is not None
+        assert repro.__version__ == declared.group(1)
 
     @pytest.mark.parametrize("package", sorted(PUBLIC_NAMES))
     def test_public_names_are_pinned(self, package):

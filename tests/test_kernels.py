@@ -22,7 +22,6 @@ from repro.geometry.distance import (
     euclidean,
     group_distance,
     group_mindist,
-    minkowski,
     squared_euclidean,
 )
 from repro.geometry.mbr import MBR
@@ -132,23 +131,6 @@ class TestAggregateDistanceKernels:
         for i, q in enumerate(group):
             assert _same(matrix[:, i], kernels.point_distances(candidates, q))
 
-    @given(data=workload(min_candidates=1))
-    @settings(max_examples=100, deadline=None)
-    def test_metric_variants(self, data):
-        candidates, group, _ = data
-        q = group[0]
-        squared = kernels.point_distances(candidates, q, metric=kernels.SQUARED)
-        assert _same(squared, [squared_euclidean(p, q) for p in candidates])
-        p1 = kernels.point_distances(candidates, q, metric=kernels.MINKOWSKI, p=1.0)
-        assert _close(p1, np.abs(candidates - q).sum(axis=1))
-        p2 = kernels.point_distances(candidates, q, metric=kernels.MINKOWSKI, p=2.0)
-        assert _close(p2, kernels.point_distances(candidates, q))
-        pinf = kernels.point_distances(candidates, q, metric=kernels.MINKOWSKI, p=np.inf)
-        assert _close(pinf, np.abs(candidates - q).max(axis=1))
-        assert _close(
-            [minkowski(p, q, p=1.0) for p in candidates], p1
-        )
-
     @given(data=workload(min_candidates=1, max_candidates=6), aggregate=st.sampled_from(kernels.AGGREGATES))
     @settings(max_examples=75, deadline=None)
     def test_batched_tensor_matches_per_group_kernel(self, data, aggregate):
@@ -178,10 +160,9 @@ class TestAggregateDistanceKernels:
         pts = np.zeros((2, 2))
         with pytest.raises(ValueError):
             kernels.aggregate_distances(pts, pts, aggregate="median")
-        with pytest.raises(ValueError):
+        # Euclidean is the only metric: there is no option to name another.
+        with pytest.raises(TypeError):
             kernels.pairwise_distances(pts, pts, metric="cosine")
-        with pytest.raises(ValueError):
-            kernels.point_distances(pts, pts[0], metric=kernels.MINKOWSKI, p=0.0)
 
 
 class TestBoxKernels:

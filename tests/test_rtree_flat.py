@@ -331,7 +331,7 @@ class TestEngineIntegration:
         rng = np.random.default_rng(31)
         spec = QuerySpec(group=rng.uniform(200, 800, size=(8, 2)), k=4)
         executed = engine.execute(spec)
-        direct = mbm(engine.flat, spec.group_query())
+        direct = mbm(engine.flat, spec.query)
         assert executed.record_ids() == direct.record_ids()
         assert executed.distances() == direct.distances()
         assert _costs(executed) == _costs(direct)
@@ -368,7 +368,7 @@ class TestEngineIntegration:
         spec = QuerySpec(group=rng.uniform(300, 700, size=(5, 2)), k=3)
         assert readonly.execute(spec).record_ids() == engine.execute(spec).record_ids()
         assert len(readonly) == len(engine)
-        assert readonly.explain(spec).estimate is not None
+        assert readonly.explain(spec).algorithm.name == "mbm"
 
     def test_from_index_brute_force_reconstructs_lazily(self, engine, tmp_path):
         path = tmp_path / "engine.npz"
