@@ -121,8 +121,8 @@ def test_smoke_tangent_kernel_price_per_node():
     )
 
 
-#: How much more CPU MBM may spend than the eager-key reference it
-#: replaced, on the same replay.
+#: How much more CPU MBM may spend than its reference on the same
+#: replay: the eager-key reference it replaced, or (batches) solo MBM.
 MAX_MBM_CPU_RATIO = 1.10
 
 
@@ -145,7 +145,7 @@ def _assert_cpu_ratio(subject, reference, label):
     while len(ratios) < 3 and (not ratios or ratios[-1] > MAX_MBM_CPU_RATIO):
         ratios.append(_cost_ratio(subject, reference, rounds=15, calls=1))
     assert ratios[-1] <= MAX_MBM_CPU_RATIO, (
-        f"{label} costs {', '.join(f'{r:.2f}x' for r in ratios)} the eager-key "
+        f"{label} costs {', '.join(f'{r:.2f}x' for r in ratios)} its "
         f"reference's CPU (expected <= {MAX_MBM_CPU_RATIO}x)"
     )
 
@@ -205,6 +205,36 @@ def test_smoke_mbm_batch_cpu_per_query(batch):
         lambda: [mbm_batch(flat, chunk, 1) for chunk in chunks],
         lambda: [mbm_batch_reference(flat, chunk, 1) for chunk in chunks],
         f"mbm_batch at B={batch}",
+    )
+
+
+@pytest.mark.parametrize("batch", [2, 8])
+def test_smoke_mbm_batch_cpu_vs_solo(batch):
+    """A bucket must not cost CPU against answering its members one by one.
+
+    The meet-up replay of ``test_smoke_mbm_batch_cpu_per_query``,
+    answered ``batch`` consecutive requests at a time by ``mbm_batch``
+    and request by request by solo ``mbm``, both from the raw groups.
+    Each member runs solo's traversal and only shares its reads, so
+    per-member overhead shows as a ratio above 1.10.
+    """
+    points = pp_like(20_000)
+    flat = FlatRTree.bulk_load(points, capacity=50)
+    rng = np.random.default_rng(31)
+    low, high = points.min(axis=0), points.max(axis=0)
+    side = float(np.sqrt(0.005 * np.prod(high - low)))
+    boxes = rng.uniform(low, high - side, size=(32, 2))
+    popularity = np.arange(1, 33) ** -1.1
+    hotspots = rng.choice(32, size=64, p=popularity / popularity.sum())
+    groups = np.stack([rng.uniform(boxes[h], boxes[h] + side, size=(4, 2)) for h in hotspots])
+    chunks = [groups[start : start + batch] for start in range(0, len(groups), batch)]
+    answers = [r.record_ids() for chunk in chunks for r in mbm_batch(flat, chunk, 1)]
+    assert answers == [mbm(flat, GroupQuery(group, k=1)).record_ids() for group in groups]
+
+    _assert_cpu_ratio(
+        lambda: [mbm_batch(flat, chunk, 1) for chunk in chunks],
+        lambda: [mbm(flat, GroupQuery(group, k=1)) for group in groups],
+        f"mbm_batch at B={batch} against solo mbm",
     )
 
 

@@ -11,13 +11,12 @@ batches) amortises work across queries:
   Hilbert order of their group centroids, so consecutive queries touch
   overlapping parts of the R-tree and an LRU buffer serves far more
   requests from memory (results are returned in input order regardless);
-* **shared traversals** — MBM specs are bucketed by
+* **shared reads** — MBM specs are bucketed by
   ``(cardinality, k, heuristics)``, Hilbert-ordered, and answered by
-  :func:`repro.core.mbm.mbm_batch`: *one* best-first traversal of the
-  snapshot serves the whole bucket, each member keying and pruning as
-  its solo search would, so a bucket reads the union of its members'
-  nodes, each once.  Specs carrying a ``within`` ceiling take the
-  per-query path (the shared traversal has no ceiling).
+  :func:`repro.core.mbm.mbm_batch`: each member runs its own solo
+  traversal, keying and pruning as it would alone (under its own
+  ``within`` ceiling, if any), over one set of nodes already read, so a
+  bucket reads the union of its members' nodes, each once.
 
 Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
@@ -27,19 +26,18 @@ scans the delta as its traversal's first leaf — the delta seeds its
 best list — and then traverses the frozen base with tombstones
 excluded, pruning against the merged view's k-th distance; answers are
 bit-identical to a from-scratch rebuild (an exact tie at the k-th
-distance aside: see :mod:`repro.rtree.overlay`).  Shared traversals
+distance aside: see :mod:`repro.rtree.overlay`).  Shared buckets
 are disabled while dirty (they see only the base arrays).
 Disk-resident plans have no overlay form: the engine folds the overlay
 (``compact()``) before handing such a plan a context.
 
-Batching never changes answers: the shared traversal reproduces the
-exact arithmetic of the per-query route, which ``execute_many``
-equivalence tests pin down.  Two deliberate caveats: an *exact*
-tie in the k-th distance may resolve to a different, equally distant
-record (each traversal keeps the first record it meets, and a shared
-traversal may meet them in another order), and cost reporting is
-bucket-level — shared-traversal results carry the counters of the one
-traversal under the ``MBM-batch`` label rather than per-query fictions.
+Batching never changes answers: a bucket member runs the per-query
+traversal itself, record ids included, which ``execute_many``
+equivalence tests pin down.  Each bucket member's result carries what
+its own traversal charged, under the ``MBM-batch`` label: its distance
+computations and CPU time, and the node reads it paid for as the first
+member to reach them, so a bucket's results sum to the index's stats
+delta.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ import numpy as np
 from repro.api.planner import QueryPlan, QueryPlanner
 from repro.api.spec import MEMORY, WITHIN, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
-from repro.core.mbm import EVALUATION_BATCH, mbm_batch
+from repro.core.mbm import mbm_batch
 from repro.core.types import GNNResult, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.geometry.hilbert import hilbert_indices
@@ -62,16 +60,10 @@ from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.storage.buffer import LRUBuffer
 
-#: Upper bound on the elements of one shared-traversal evaluation tensor
-#: (up to EVALUATION_BATCH * B (member, child) pairs, each with an
-#: (n, dims) difference stack); buckets are chunked so B stays below it.
-SHARED_BUCKET_ELEMENT_CAP = 8_000_000
-
-#: Upper bound on the members of one shared traversal.  Buckets are
-#: Hilbert-ordered before chunking, so each chunk covers a spatially
-#: tight neighborhood: a shared traversal expands the *union* of its
-#: members' search regions, and capping the chunk keeps that union —
-#: and with it the per-member overhead on scattered workloads — small.
+#: Upper bound on the members of one :func:`mbm_batch` call (and the
+#: serving micro-batch's default size).  Buckets are Hilbert-ordered
+#: before chunking, so each chunk covers a spatially tight neighborhood
+#: whose members share most of their reads.
 SHARED_BUCKET_MAX_MEMBERS = 32
 
 
@@ -207,7 +199,7 @@ def execute_batch(
     specs: Sequence[QuerySpec],
     planner: QueryPlanner | None = None,
 ) -> list[GNNResult]:
-    """Execute many specs, amortising planning, locality and shared traversals.
+    """Execute many specs, amortising planning, locality and shared reads.
 
     Results are returned in the order of ``specs``.  Answers are
     identical to calling :func:`execute_spec` once per spec.
@@ -218,7 +210,7 @@ def execute_batch(
 
     results: list[GNNResult | None] = [None] * len(specs)
 
-    # A dirty overlay disables the shared traversal wholesale — the
+    # A dirty overlay disables the shared buckets wholesale — the
     # frozen arrays alone no longer describe the live data; the per-spec
     # path below answers from the merged overlay view instead.
     if context.overlay is None:
@@ -244,10 +236,11 @@ def execute_batch(
 def shared_traversal_eligible(spec: QuerySpec, plan: QueryPlan) -> bool:
     """Whether a spec can join a shared-traversal MBM bucket.
 
-    The shared traversal specialises the paper's setting — best-first
-    MBM over an unweighted sum group held in memory — which is exactly
-    what the auto policy plans for such specs.  Everything else stays on
-    the per-query path (with identical answers either way).
+    A shared bucket specialises the paper's setting — best-first MBM
+    over an unweighted sum group held in memory, with or without a
+    ``within`` ceiling — which is exactly what the auto policy plans for
+    such specs.  Everything else stays on the per-query path (with
+    identical answers either way).
 
     This predicate is the public batch-eligibility contract: the serving
     scheduler (:mod:`repro.serve.scheduler`) uses it to decide which
@@ -258,7 +251,6 @@ def shared_traversal_eligible(spec: QuerySpec, plan: QueryPlan) -> bool:
         and spec.group is not None
         and spec.weights is None
         and spec.aggregate == kernels.SUM
-        and WITHIN not in plan.options
     )
 
 
@@ -266,7 +258,7 @@ def shared_bucket_key(spec: QuerySpec, plan: QueryPlan) -> tuple | None:
     """The shared-traversal bucket ``spec`` coalesces into, or ``None``.
 
     Specs with equal keys can be answered by *one* :func:`mbm_batch`
-    traversal (they stack along the batch dimensions: group cardinality,
+    call (they stack along the batch dimensions: group cardinality,
     ``k`` and the Heuristic-3 toggle).  ``None`` means the spec is not
     shared-traversal eligible and must run on the per-query path.
     """
@@ -282,16 +274,14 @@ def shared_bucket_key(spec: QuerySpec, plan: QueryPlan) -> tuple | None:
 def _shared_traversal_mbm(
     flat: FlatRTree, specs: Sequence[QuerySpec], plans: Sequence[QueryPlan], indices: list[int]
 ):
-    """Answer MBM specs through shared bucket traversals.
+    """Answer MBM specs through shared-read buckets.
 
     Specs are bucketed by ``(cardinality, k, use_heuristic3)`` — the
     stacking dimensions of :func:`repro.core.mbm.mbm_batch` — and each
-    bucket runs in Hilbert order of the group centroids, so one
-    traversal's node visits serve spatially coherent queries.  Buckets
-    are chunked to bound the evaluation tensors (see
-    :data:`SHARED_BUCKET_ELEMENT_CAP`).
-    Single-spec buckets stay on the per-query path (a batch of one
-    amortises nothing).
+    bucket runs in Hilbert order of the group centroids, in chunks of
+    :data:`SHARED_BUCKET_MAX_MEMBERS`, so consecutive members read
+    overlapping nodes.  Single-spec buckets stay on the per-query path
+    (a batch of one amortises nothing).
     """
     if len(indices) < 2:
         return
@@ -304,19 +294,12 @@ def _shared_traversal_mbm(
             # never join a shared bucket.
             continue
         buckets.setdefault(key, []).append(i)
-    dims = flat.dims
-    for (cardinality, k, use_heuristic3), bucket in buckets.items():
+    for (_, k, use_heuristic3), bucket in buckets.items():
         if len(bucket) < 2:
             continue
-        chunk = min(
-            SHARED_BUCKET_MAX_MEMBERS,
-            SHARED_BUCKET_ELEMENT_CAP // (EVALUATION_BATCH * cardinality * dims),
-        )
-        if chunk < 2:
-            continue  # groups too large to stack; per-query path handles them
         bucket = _hilbert_order(specs, bucket)
-        for start in range(0, len(bucket), chunk):
-            members = bucket[start : start + chunk]
+        for start in range(0, len(bucket), SHARED_BUCKET_MAX_MEMBERS):
+            members = bucket[start : start + SHARED_BUCKET_MAX_MEMBERS]
             if len(members) < 2:
                 continue  # leftover singleton: the per-query path is cheaper
             outcomes = mbm_batch(
@@ -324,6 +307,7 @@ def _shared_traversal_mbm(
                 np.stack([specs[i].group for i in members]),
                 k,
                 use_heuristic3=use_heuristic3,
+                within=[plans[i].options.get(WITHIN, math.inf) for i in members],
             )
             yield from zip(members, outcomes)
 

@@ -6,8 +6,9 @@ competing algorithm.  The runner builds a declarative
 :class:`~repro.api.spec.QuerySpec` per (group, algorithm variant) and
 executes it through the planner/executor layer, one query at a time
 over a flat snapshot (the code path ``GNNEngine.execute`` uses — a
-shared batch traversal would report bucket-level counters, not the
-per-query cost the paper plots), then averages the cost metrics per
+shared batch charges each node read to the first member to reach it,
+so its members' node accesses are not the per-query cost the paper
+plots), then averages the cost metrics per
 algorithm: average node accesses and CPU time per query of the workload.
 """
 

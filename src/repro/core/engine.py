@@ -13,7 +13,7 @@ API:
   (algorithm, rationale, options) without running anything;
 * :meth:`GNNEngine.execute_many` — the batch path: memory-resident
   queries are scheduled in Hilbert order for buffer locality, and
-  unweighted MBM sums share one traversal per bucket.
+  unweighted MBM sums share their node reads per bucket.
 
 All three plan through the engine's one :class:`~repro.api.planner.QueryPlanner`,
 whose cache plans each spec shape once.
@@ -288,7 +288,7 @@ class GNNEngine:
         The batch path amortises work across queries — memory-resident
         groups run in Hilbert order of their centroids (so an LRU buffer
         keeps the touched subtrees hot), and unweighted MBM sums of one
-        shape share a traversal — while returning exactly the results of
+        shape share their node reads — while returning exactly the results of
         per-spec :meth:`execute` calls.
         """
         specs = list(specs)

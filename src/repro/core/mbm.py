@@ -61,12 +61,13 @@ import bisect
 import heapq
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.centroid import weiszfeld_centroid
 from repro.core.instrumentation import CostTracker
-from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
+from repro.core.types import BestList, GNNResult, GroupQuery
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -180,7 +181,7 @@ def _tangent_anchor(stats, group: np.ndarray, weights=None) -> np.ndarray:
     return weiszfeld_centroid(group, max_iterations=ANCHOR_STEPS, weights=weights)
 
 
-def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
+def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None, read=None) -> None:
     """Best-first MBM over the flat snapshot, its keys deferred (module docstring).
 
     A heap entry is ``(key, tie, node, plane)``.  A keyed entry carries
@@ -192,8 +193,11 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
     ``mindist`` to the query MBR (one distance computation per box or
     point) and the node's plane over each box or point (one more).
     ``best`` only changes at leaves, so each batched check decides
-    exactly what an entry-at-a-time loop would.
+    exactly what an entry-at-a-time loop would.  Nodes are read through
+    ``read`` (``flat.read_node`` by default; :func:`mbm_batch` passes one
+    that charges each node once per batch).
     """
+    read = flat.read_node if read is None else read
     stats = flat.stats
     divisor = _divisor(query)
     low, high = query.mbr.low, query.mbr.high
@@ -209,7 +213,7 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
         if type(plane) is _Children:
             _evaluate(flat, query, best, heap, counter, node, plane, anchor)
             continue
-        index = flat.read_node(node)
+        index = read(node)
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
         level = flat.levels[index]
@@ -243,22 +247,15 @@ class _Children:
     """The children of a read node still under their cheap keys, ascending.
 
     Siblings share a level: ``internal`` holds for all of them or none.
-    In :func:`mbm_batch`, ``keys`` holds each child's smallest member key
-    and ``cheap`` the ``(members, children)`` matrix of cheap keys,
-    ``inf`` where the member has pruned the child.
     """
 
-    __slots__ = ("nodes", "keys", "internal", "next", "members", "cheap")
+    __slots__ = ("nodes", "keys", "internal", "next")
 
-    def __init__(
-        self, nodes: np.ndarray, keys: list[float], internal: bool, members=None, cheap=None
-    ):
+    def __init__(self, nodes: np.ndarray, keys: list[float], internal: bool):
         self.nodes = nodes
         self.keys = keys
         self.internal = bool(internal)
         self.next = 0
-        self.members = members
-        self.cheap = cheap
 
 
 def _take(heap, counter, parent, children, ceiling) -> dict:
@@ -396,192 +393,61 @@ def _scan_leaf(flat, points, record_ids, bounds, query, best, exclude=None) -> N
 
 
 # ----------------------------------------------------------------------
-# shared-traversal batches
+# batches over one read set
 # ----------------------------------------------------------------------
 def mbm_batch(
-    flat: FlatRTree, groups: np.ndarray, k: int, use_heuristic3: bool = True
+    flat: FlatRTree,
+    groups: np.ndarray,
+    k: int,
+    use_heuristic3: bool = True,
+    within: Sequence[float] | None = None,
 ) -> list[GNNResult]:
-    """Answer ``B`` unweighted sum-MBM queries with one shared traversal.
+    """Answer ``B`` unweighted sum-MBM queries over one shared set of read nodes.
 
     ``groups`` is a ``(B, n, dims)`` stack of query groups (equal
     cardinality is the stacking requirement; the batch executor buckets
-    specs accordingly).  Each member keeps what solo :func:`mbm` keeps —
-    its own :class:`BestList`, anchor and tangent planes — and keys every
-    node exactly as solo does, deferred: a read node keys its children
-    for its active members by the cheap key, and at the heap head
-    :func:`_take` picks the children to key by their own bounds, in one
-    stacked kernel call over the (member, child) pairs still below the
-    member's ``best_dist``.  The members share one heap, ranked by the
-    smallest key among the members still active, so a node is read at
-    most once, when that key reaches the head, and every active member
-    then processes it (a leaf through :func:`_scan_leaf`).  A node is
-    read iff some member's solo traversal reads it: the bucket reads the
-    union of its members' solo read sets, and every answer is exact.
+    specs accordingly); ``within``, when given, is each member's own
+    ceiling (solo :func:`mbm`'s ``within``).  Each member runs solo
+    MBM's traversal in turn, in the order given (the executor passes a
+    bucket in Hilbert order of the group centroids), and keys, prunes
+    and visits nodes exactly as it would alone, so its answer — ties
+    included — and its distance computations are solo's.  Only the reads
+    are shared: the first member to reach a node reads it through
+    ``flat.read_node`` (charging the access, and the LRU buffer when
+    attached), and later members reuse it uncharged, so the bucket reads
+    the union of its members' solo read sets, each node once.
 
-    Distances are charged per member, for the pairs each one keys and
-    the points each one scans.  A member also processes nodes read for
-    its siblings, so it may charge more distances than alone.  Per query
-    on ``pp_like(100000)`` (capacity 50), consecutive chunks of a
-    meet-up trace (``n = 4``, ``k = 1``, 32 Zipf hotspots), node
-    accesses / distance computations, eager-key batch -> this one:
-    B = 2: 6.63 / 2,547 -> 6.41 / 1,357; B = 8: 4.76 / 4,513 -> 4.57 /
-    2,235; B = 32: 2.84 / 6,639 -> 2.72 / 3,125 (solo: 7.27 / 1,035).
-
-    Each member's list keeps the first record it meets at an exact
-    k-th-distance tie, as every traversal does, so on such a tie (and
-    only there) the batch and solo may return different, equally distant
-    records.  Every result carries the *bucket-level* counters of the one
-    traversal (``algorithm="MBM-batch"``), with the wall-clock split
-    evenly.
+    Each result's cost (``algorithm="MBM-batch"``) is its own member's:
+    its distance computations and CPU time, and the node reads it paid
+    for as first reader, so a bucket's results sum to its stats delta.
+    Per query on ``pp_like(100000)`` (capacity 50), consecutive chunks
+    of a meet-up trace (``n = 4``, ``k = 1``, 32 Zipf hotspots), node
+    accesses / distance computations: solo 6.46 / 907; B = 2: 5.54 /
+    907; B = 8: 3.80 / 907; B = 32: 2.14 / 907.
     """
-    groups = np.ascontiguousarray(np.asarray(groups, dtype=np.float64))
+    groups = np.asarray(groups, dtype=np.float64)
     if groups.ndim != 3:
         raise ValueError(f"expected stacked (B, n, dims) groups, got shape {groups.shape}")
     batch, _, dims = groups.shape
     if dims != flat.dims:
         raise ValueError(f"groups have dimensionality {dims}, the snapshot {flat.dims}")
-    queries = [GroupQuery(group, k=k) for group in groups]
-    tracker = CostTracker("MBM-batch", trees=[flat])
-    bests = [BestList(k) for _ in range(batch)]
-    if len(flat) > 0:
-        _shared_best_first(flat, groups, queries, bests, use_heuristic3)
-    cost = tracker.finish()
-    cost.cpu_time /= batch
-    # One QueryCost per result: results must never share a mutable cost.
-    return [
-        GNNResult(neighbors=best.neighbors(), cost=QueryCost(**cost.as_dict())) for best in bests
-    ]
+    ceilings = [math.inf] * batch if within is None else [float(c) for c in within]
+    if len(ceilings) != batch:
+        raise ValueError(f"expected {batch} within ceilings, got {len(ceilings)}")
+    read = set()
 
+    def read_once(node):
+        if node not in read:
+            read.add(node)
+            flat.read_node(node)
+        return node
 
-def _shared_best_first(flat, groups, queries, bests, use_heuristic3) -> None:
-    """The shared traversal of :func:`mbm_batch`.
-
-    A keyed entry's payload is ``(members, keys, planes, rows)``: the
-    members that still need the node, their keys, and (sums past the
-    root) the stacked planes of its evaluation with each member's row.
-    The loop runs while the head is below the largest ``best_dist``.
-    """
-    stats = flat.stats
-    divisor = float(groups.shape[1])
-    query_lows, query_highs = groups.min(axis=1), groups.max(axis=1)
-    anchors = None
-    if use_heuristic3:
-        anchors = np.stack([_tangent_anchor(stats, query.points) for query in queries])
-    ceilings = np.full(len(bests), math.inf)
-    limit = math.inf
-    counter = itertools.count()
-    heap = [(0.0, next(counter), 0, (list(range(len(bests))), [0.0] * len(bests), None, None))]
-
-    while heap and heap[0][0] < limit:
-        key, _, node, entry = heapq.heappop(heap)
-        if type(entry) is _Children:
-            _evaluate_shared(flat, groups, anchors, ceilings, limit, heap, counter, node, entry)
-            continue
-        members, keys, planes, rows = entry
-        active = [i for i, member in enumerate(members) if keys[i] < bests[member].best_dist]
-        if len(active) < len(members):
-            if not active:
-                continue
-            members = [members[i] for i in active]
-            keys = [keys[i] for i in active]
-            rows = rows and [rows[i] for i in active]
-            live = min(keys)
-            if heap and live > heap[0][0]:  # requeue under the members still active
-                heapq.heappush(heap, (live, next(counter), node, (members, keys, planes, rows)))
-                continue
-        index = flat.read_node(node)
-        start = int(flat.child_start[index])
-        stop = start + int(flat.child_count[index])
-        level = flat.levels[index]
-        chosen = np.array(members)
-        plane = planes and tuple(part[rows] for part in planes)
-        charge = (1 + bool(plane)) * len(members) * (stop - start)
-        if level == 0:
-            points = flat.points[start:stop]
-            bounds = kernels.boxes_mindist_boxes(
-                points, points, query_lows[chosen], query_highs[chosen]
-            )
-            bounds *= divisor
-            if plane:
-                np.maximum(bounds, kernels.plane_lower_bounds(*plane, points, points), out=bounds)
-            stats.record_distance_computations(charge)
-            record_ids = flat.record_ids[start:stop]
-            for row, member in enumerate(members):
-                best = bests[member]
-                _scan_leaf(flat, points, record_ids, bounds[row], queries[member], best)
-                ceilings[member] = best.best_dist
-            limit = float(ceilings.max())
-            continue
-        lows, highs = flat.lows[start:stop], flat.highs[start:stop]
-        cheap = kernels.boxes_mindist_boxes(lows, highs, query_lows[chosen], query_highs[chosen])
-        cheap *= divisor
-        if plane:
-            np.maximum(cheap, kernels.plane_lower_bounds(*plane, lows, highs), out=cheap)
-        stats.record_distance_computations(charge)
-        np.maximum(cheap, np.array(keys)[:, None], out=cheap)
-        cheap[cheap >= ceilings[chosen][:, None]] = math.inf
-        smallest = cheap.min(axis=0)
-        order = smallest.argsort(kind="stable")
-        ordered = smallest.take(order).tolist()
-        survivors = bisect.bisect_left(ordered, math.inf)
-        if not survivors:
-            continue
-        order = order[:survivors]
-        block = cheap[:, order]
-        if use_heuristic3:
-            children = _Children(order + start, ordered[:survivors], level > 1, chosen, block)
-            heapq.heappush(heap, (ordered[0], next(counter), node, children))
-        else:  # the ablation's cheap key is its only key
-            child, member = np.nonzero((block < math.inf).T)
-            _push_pairs(heap, counter, order[child] + start, chosen[member], block[member, child])
-
-
-def _evaluate_shared(flat, groups, anchors, ceilings, limit, heap, counter, parent, children):
-    """:func:`_evaluate` for the shared traversal: one kernel call over the live pairs.
-
-    :func:`_take` picks the children (below ``limit``, the largest
-    ``best_dist``); every (member, child) pair whose cheap key is still
-    below that member's ``best_dist`` gets the member's tangent plane at
-    ``clip(anchor, N)`` and, internal children only, the paper's bound —
-    ``n + 1`` and ``n`` distances per pair, charged for those pairs only.
-    Each child goes back with the members whose key stays below their
-    ``best_dist``, under the smallest such key.
-    """
-    taken = _take(heap, counter, parent, children, limit)
-    members, nodes, cheap = [], [], []
-    internal = 0
-    for run, first, last in taken[True] + taken[False]:
-        block = run.cheap[:, first:last]
-        child, member = np.nonzero((block < ceilings[run.members][:, None]).T)
-        members.append(run.members[member])
-        nodes.append(run.nodes[first + child])
-        cheap.append(block[member, child])
-        if run.internal:
-            internal += len(child)
-    members, nodes, cheap = np.concatenate(members), np.concatenate(nodes), np.concatenate(cheap)
-    if not len(nodes):
-        return
-    lows = flat.lows.take(nodes, axis=0)[:, None, :]
-    highs = flat.highs.take(nodes, axis=0)[:, None, :]
-    stacked = groups[members]
-    planes = kernels.group_tangent_planes(lows, highs, stacked, anchors[members])
-    bounds = kernels.plane_lower_bounds(*planes, lows, highs)
-    if internal:
-        head = bounds[:internal]
-        paper = kernels.boxes_group_mindist(lows[:internal], highs[:internal], stacked[:internal])
-        np.maximum(head, paper, out=head)
-    cardinality = groups.shape[1]
-    flat.stats.record_distance_computations((cardinality + 1) * len(nodes) + cardinality * internal)
-    keys = np.maximum(bounds[:, 0], cheap)
-    alive = np.flatnonzero(keys < ceilings[members])
-    _push_pairs(heap, counter, nodes[alive], members[alive], keys[alive], planes, alive.tolist())
-
-
-def _push_pairs(heap, counter, nodes, members, keys, planes=None, rows=None) -> None:
-    """Push one keyed entry per node from (member, node) pairs listed node by node."""
-    cuts = np.flatnonzero(np.diff(nodes, prepend=-1)).tolist() + [len(nodes)]
-    nodes, members, keys = nodes.tolist(), members.tolist(), keys.tolist()
-    for first, last in zip(cuts, cuts[1:]):
-        node_keys = keys[first:last]
-        payload = (members[first:last], node_keys, planes, rows and rows[first:last])
-        heapq.heappush(heap, (min(node_keys), next(counter), nodes[first], payload))
+    results = []
+    for group, ceiling in zip(groups, ceilings):
+        query = GroupQuery(group, k=k)
+        tracker = CostTracker("MBM-batch", trees=[flat])
+        best = BestList(k, ceiling)
+        if len(flat) > 0:
+            _mbm_best_first(flat, query, best, use_heuristic3, read=read_once)
+        results.append(GNNResult(neighbors=best.neighbors(), cost=tracker.finish()))
+    return results

@@ -8,8 +8,8 @@ package into a one-machine server:
   holds the index once, shared by all of them;
 * a micro-batching scheduler coalesces compatible requests within a
   time/size window into the executor's shared-traversal buckets, so a
-  burst of "where should the n of us meet?" queries pays one traversal,
-  not one per request;
+  burst of "where should the n of us meet?" queries reads each node it
+  needs once, not once per request;
 * admission control sheds load past a bounded high-water mark, and a
   hot-swap path publishes successor snapshots (generation tokens) that
   workers pick up between batches, without dropping a single request;

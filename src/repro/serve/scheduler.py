@@ -7,7 +7,8 @@ asks, against an explicit ``now``, which batches are ready:
 
 * requests whose key (:func:`repro.api.executor.shared_bucket_key` via
   the server) names a shared-traversal bucket accumulate per key, so a
-  flushed batch is answerable by *one* ``mbm_batch`` traversal;
+  flushed batch is answerable by *one* ``mbm_batch`` call, whose
+  members share their node reads;
 * requests with ``key=None`` (not shared-traversal eligible) coalesce
   under a per-plan-signature key as well — ``execute_many`` still
   amortises planning and Hilbert locality for them, running each one

@@ -13,7 +13,7 @@
   :class:`~repro.serve.scheduler.MicroBatcher`; full buckets dispatch
   from the submitting thread, window-expired ones from the timer
   thread, and every dispatched batch is answered by one worker-side
-  ``execute_many`` (shared traversals where members are compatible);
+  ``execute_many`` (shared reads where members are compatible);
 * **futures** — ``submit`` returns a ``concurrent.futures.Future``; a
   reply thread resolves it with the worker's result (or a
   :class:`ServingError`) and feeds the latency reservoir.  Block with
@@ -49,7 +49,7 @@ from repro.serve.worker import worker_main
 _log = get_logger("serve.server")
 
 #: Default micro-batching window (seconds): long enough to coalesce a
-#: burst into one shared traversal, short enough to stay invisible next
+#: burst into one shared bucket, short enough to stay invisible next
 #: to per-query execution times.
 DEFAULT_WINDOW_S = 0.002
 

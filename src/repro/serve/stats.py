@@ -82,9 +82,10 @@ class ServingCounters(CounterSet):
 
         ``index_stats_delta`` is the *physical* index work of the batch
         (a :meth:`TreeStats.delta <repro.storage.counters.CounterSet.delta>`
-        across the ``execute_many`` call), so a shared-traversal bucket
-        charges its one traversal once — not once per member, as summing
-        the bucket-level per-result costs would.
+        across the ``execute_many`` call).  It equals the sum of the
+        per-result costs: a shared bucket's member reports its own
+        distance computations and the node reads it paid for as the
+        first member to reach them.
         """
         self.requests += int(batch_size)
         self.batches += 1

@@ -106,8 +106,8 @@ def execute_batch_message(
         specs = [spec for _, spec in decoded]
         try:
             # Physical index work is measured as a stats delta across
-            # the whole call: a shared-traversal bucket's one traversal
-            # is charged once, not once per member.
+            # the whole call; it equals the results' summed costs (a
+            # shared bucket charges each node read to one member).
             before = engine.flat.stats.snapshot()
             started = time.perf_counter()
             results = engine.execute_many(specs)

@@ -205,6 +205,27 @@ class TestSharedTraversalBatches:
             assert outcome.distances() == single.distances()
             assert outcome.cost.algorithm == "MBM-batch"
 
+    def test_within_specs_join_the_bucket(self, engine, small_points, rng):
+        """Each member of a bucket keeps its own ``within`` ceiling."""
+        specs = []
+        for position, spec in enumerate(self._specs(rng)):
+            distances = np.sort(spec.query.distances_to(small_points))
+            if position % 3 == 0:
+                specs.append(spec)  # no ceiling, in the same bucket
+                continue
+            # A ceiling at one of the four smallest distances: 1 to k qualify.
+            within = float(distances[position % 4])
+            specs.append(spec.replace(options={"within": within}))
+        batch = engine.execute_many(specs)
+        for spec, outcome in zip(specs, batch):
+            assert outcome.cost.algorithm == "MBM-batch"
+            single = engine.execute(spec)
+            assert outcome.record_ids() == single.record_ids()
+            assert outcome.distances() == single.distances()
+            within = spec.options.get("within", np.inf)
+            expected = brute_force_gnn(small_points, spec.query)
+            assert outcome.distances() == [d for d in expected.distances() if d <= within]
+
     def test_writes_never_rebuild_the_snapshot(self, small_points, rng, monkeypatch):
         """The index is bulk-loaded once, at construction; batches and
         writes never trigger another build.  An insert lands in the
@@ -309,7 +330,7 @@ class TestSharedTraversalBatches:
 
         stacked, original = [], executor.mbm_batch
 
-        def recording(flat, groups, k, use_heuristic3=True):
+        def recording(flat, groups, k, use_heuristic3=True, within=None):
             stacked.append(groups)
             return original(flat, groups, k, use_heuristic3)
 
@@ -329,7 +350,7 @@ class TestSharedTraversalBatches:
             assert outcome.distances() == engine.execute(spec).distances()
 
     def test_leftover_singleton_chunk_stays_on_per_query_path(self, small_points, rng):
-        """A bucket of max-chunk + 1 must not run a 1-member shared traversal."""
+        """A bucket of max-chunk + 1 must not run a 1-member shared bucket."""
         from repro.api import executor
 
         engine = GNNEngine(small_points, capacity=16)

@@ -351,7 +351,7 @@ class TestBatchKernels:
     @given(data=boxes_and_group(), batch=st.integers(min_value=1, max_value=4))
     @settings(deadline=None, max_examples=40)
     def test_pair_stacks_match_per_query_rows(self, data, batch):
-        # The shared traversal keys (member, child) pairs: pair p is box
+        # A stack of (member, child) pairs: pair p is box
         # ``lows[p]`` against group ``groups[p]``.
         lows, highs, group, _ = data
         groups = self._stack(group, batch)

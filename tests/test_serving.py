@@ -317,9 +317,12 @@ class TestWorkerExecution:
         items, counters, _ = execute_batch_message(engine, message)
         results = [result for _, result, _ in items]
         assert all(result.cost.algorithm == "MBM-batch" for result in results)
-        # Every member reports the bucket-level cost; the counters must
-        # charge it once (equal to one member's counters, not 8x).
-        assert counters.node_accesses == results[0].cost.node_accesses
+        # Every member reports its own share of the bucket's reads; the
+        # counters must charge each read once (the members' sum).
+        assert counters.node_accesses == sum(result.cost.node_accesses for result in results)
+        assert counters.distance_computations == sum(
+            result.cost.distance_computations for result in results
+        )
         assert counters.requests == 8
 
     def test_io_stall_is_charged_and_slept(self, snapshot_path, rng):
