@@ -4,10 +4,10 @@ The serving scenario: an index is built (and persisted) once, a
 read-only worker maps it into memory, and user traffic arrives as
 *batches* of "where should the n of us meet?" queries.  The batch path
 of ``execute_many`` buckets flat-capable MBM specs by shape, orders each
-bucket along the Hilbert curve of the group centroids, and answers the
-whole bucket with one shared snapshot traversal — so throughput scales
-with batch size instead of paying the full per-query traversal cost B
-times.
+bucket along the Hilbert curve of the group centroids, and runs each
+member's own traversal over one shared read set — a node any member
+needs is read once for the whole bucket, so node accesses per query
+fall with batch size while every answer stays the solo one.
 
 Run with ``PYTHONPATH=src python examples/batch_serving.py``.
 """

@@ -33,11 +33,15 @@ Disk-resident plans have no overlay form: the engine folds the overlay
 
 Batching never changes answers: a bucket member runs the per-query
 traversal itself, record ids included, which ``execute_many``
-equivalence tests pin down.  Each bucket member's result carries what
-its own traversal charged, under the ``MBM-batch`` label: its distance
-computations and CPU time, and the node reads it paid for as the first
-member to reach them, so a bucket's results sum to the index's stats
-delta.
+equivalence tests pin down.
+
+Every runner charges the query's own
+:class:`~repro.core.types.QueryCost` where the work happens and adds it
+once, when the query finishes, to the index's ``flat.stats``, so costs
+are exact per query however many threads share the index.  A bucket
+member's record (``MBM-batch``) holds its distance computations and CPU
+time, and the node reads it paid for as the first member to reach them,
+so a bucket's results sum to what the bucket adds to the index's stats.
 """
 
 from __future__ import annotations
@@ -148,8 +152,8 @@ def _execute_traced(
     and rationale (also for a plan handed in, which has no
     ``query.plan`` span) and every field of ``result.cost``, copied
     *after* execution — so for a single query its counters reconcile
-    exactly, by construction, with both the result's cost and the
-    index's stats delta (pinned by the obs test suite).
+    exactly, by construction, with both the result's cost and what the
+    query added to the index's stats (pinned by the obs test suite).
     """
     attrs = {"k": spec.k, "group_size": spec.cardinality, "aggregate": spec.aggregate}
     if spec.label is not None:

@@ -19,31 +19,33 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from repro.core.instrumentation import CostTracker
 from repro.core.mbm import seed_from_delta
-from repro.core.types import BestList, GNNResult, GroupQuery
+from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.traversal import Neighbor, flat_incremental_nearest_generic
 
 
-def group_nn_stream(tree: FlatRTree, query: GroupQuery) -> Iterator[Neighbor]:
+def group_nn_stream(tree: FlatRTree, query: GroupQuery, cost=None) -> Iterator[Neighbor]:
     """Yield data points in ascending aggregate distance to the query group.
 
     The stream is incremental: consuming it lazily retrieves additional
     group neighbors without restarting the search, which is exactly the
-    capability F-MQM needs from its per-block searches.
+    capability F-MQM needs from its per-block searches.  Every node read
+    and distance computation is charged to ``cost`` (``tree.stats``
+    when ``None``).
     """
+    stats = tree.stats if cost is None else cost
 
     def points_key(points):
-        tree.stats.record_distance_computations(query.cardinality * points.shape[0])
+        stats.record_distance_computations(query.cardinality * points.shape[0])
         return query.distances_to(points)
 
     def mbrs_key(lows, highs):
-        tree.stats.record_distance_computations(query.cardinality * lows.shape[0])
+        stats.record_distance_computations(query.cardinality * lows.shape[0])
         return query.mindist_lower_bounds(lows, highs)
 
-    return flat_incremental_nearest_generic(tree, points_key, mbrs_key)
+    return flat_incremental_nearest_generic(tree, points_key, mbrs_key, cost=cost)
 
 
 def aggregate_gnn(
@@ -63,12 +65,12 @@ def aggregate_gnn(
     ``<= within`` are returned; the stream stops at the first emission
     past it.
     """
-    tracker = CostTracker(f"best-first-{query.aggregate}", trees=[tree])
+    cost = QueryCost(algorithm=f"best-first-{query.aggregate}")
     best = BestList(query.k, within)
-    exclude = seed_from_delta(tree, query, best, overlay)
-    for neighbor in group_nn_stream(tree, query):
+    exclude = seed_from_delta(tree, query, best, overlay, cost)
+    for neighbor in group_nn_stream(tree, query, cost):
         if exclude is None or neighbor.record_id not in exclude:
             best.offer(neighbor.record_id, neighbor.point, neighbor.distance)
         if neighbor.distance >= best.best_dist:
             break
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))

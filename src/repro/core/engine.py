@@ -304,11 +304,12 @@ class GNNEngine:
         # that is exact on the live data.
         if self.dirty and any(spec.resolved_residency() == DISK for spec in specs):
             self.compact()
-        return ExecutionContext(
-            flat=self._flat,
-            buffer=self.buffer,
-            overlay=self._overlay if self.dirty else None,
-        )
+        # One read of the overlay: a dirty overlay runs over its own base,
+        # even while a compact() on another thread replaces the snapshot.
+        overlay = self._overlay
+        if overlay is not None and overlay.dirty:
+            return ExecutionContext(flat=overlay.base, buffer=self.buffer, overlay=overlay)
+        return ExecutionContext(flat=self._flat, buffer=self.buffer)
 
     # ------------------------------------------------------------------
     # maintenance (the mutable write path)

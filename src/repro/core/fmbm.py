@@ -24,8 +24,7 @@ import itertools
 import numpy as np
 
 from repro.core.heuristics import heuristic5_prunes, heuristic5_prunes_batch, heuristic6_prunes
-from repro.core.instrumentation import CostTracker
-from repro.core.types import BestList, GNNResult
+from repro.core.types import BestList, GNNResult, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.storage.pointfile import PointFile
@@ -47,20 +46,21 @@ def fmbm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    tracker = CostTracker("F-MBM", trees=[tree], io_counters=[query_file.counters])
+    cost = QueryCost(algorithm="F-MBM")
     best = BestList(k)
     if len(tree) == 0 or len(query_file) == 0:
-        return GNNResult(neighbors=[], cost=tracker.finish())
+        return GNNResult(neighbors=[], cost=cost.finish(tree))
 
-    _fmbm_best_first(tree, query_file, query_file.block_summaries(), best)
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+    _fmbm_best_first(tree, query_file, query_file.block_summaries(), best, cost)
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
 
 
-def _fmbm_best_first(flat, query_file, summaries, best) -> None:
+def _fmbm_best_first(flat, query_file, summaries, best, cost) -> None:
     """Best-first traversal ordered by the weighted mindist of Heuristic 5.
 
     ``summaries`` holds the blocks' (lows, highs, cardinalities) arrays
     so each popped node scores its whole child slice in one kernel call.
+    Every read and distance computation is charged to ``cost``.
     """
     summary_lows, summary_highs, cardinalities = summaries
     counter = itertools.count()
@@ -69,16 +69,16 @@ def _fmbm_best_first(flat, query_file, summaries, best) -> None:
         bound, _, node_id = heapq.heappop(heap)
         if heuristic5_prunes(bound, best.best_dist):
             break
-        index = flat.read_node(node_id)
+        index = flat.read_node(node_id, cost)
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
         if flat.levels[index] == 0:
-            _process_leaf(flat, index, start, stop, query_file, summaries, best)
+            _process_leaf(flat, index, start, stop, query_file, summaries, best, cost)
             continue
         child_bounds = kernels.boxes_weighted_group_mindist(
             flat.lows[start:stop], flat.highs[start:stop], summary_lows, summary_highs, cardinalities
         )
-        flat.stats.record_distance_computations(child_bounds.size * len(cardinalities))
+        cost.record_distance_computations(child_bounds.size * len(cardinalities))
         survives = ~heuristic5_prunes_batch(child_bounds, best.best_dist)
         for offset in np.flatnonzero(survives):
             heapq.heappush(
@@ -86,7 +86,7 @@ def _fmbm_best_first(flat, query_file, summaries, best) -> None:
             )
 
 
-def _process_leaf(flat, index, start, stop, query_file, summaries, best) -> None:
+def _process_leaf(flat, index, start, stop, query_file, summaries, best, cost) -> None:
     """Accumulate exact block distances for the points of one leaf node.
 
     Implements the leaf-level loop of Figure 4.7 over one ``(points x
@@ -99,7 +99,7 @@ def _process_leaf(flat, index, start, stop, query_file, summaries, best) -> None
     summary_lows, summary_highs, cardinalities = summaries
     points = flat.points[start:stop]
     terms = kernels.points_weighted_mindists(points, summary_lows, summary_highs, cardinalities)
-    flat.stats.record_distance_computations(terms.size)
+    cost.record_distance_computations(terms.size)
     rows = np.flatnonzero(~heuristic5_prunes_batch(np.add.reduce(terms, axis=1), best.best_dist))
     if not rows.size:
         return
@@ -114,13 +114,13 @@ def _process_leaf(flat, index, start, stop, query_file, summaries, best) -> None
     terms = terms[:, order]
     accumulated = np.zeros(rows.size)
     for position, block_index in enumerate(order.tolist()):
-        block = query_file.read_block(block_index)
+        block = query_file.read_block(block_index, cost)
         alive = ~heuristic6_prunes(accumulated, terms[rows, position:], best.best_dist)
         rows, accumulated = rows[alive], accumulated[alive]
         if not rows.size:
             return
         accumulated += kernels.aggregate_distances(points[rows], block.points)
-        flat.stats.record_distance_computations(block.cardinality * rows.size)
+        cost.record_distance_computations(block.cardinality * rows.size)
 
     record_ids = flat.record_ids[start:stop]
     for row, distance in zip(rows.tolist(), accumulated.tolist()):

@@ -22,8 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.aggregates import group_nn_stream
-from repro.core.instrumentation import CostTracker
-from repro.core.types import BestList, GNNResult, GroupQuery
+from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.storage.pointfile import PointFile
@@ -55,10 +54,10 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    tracker = CostTracker("F-MQM", trees=[tree], io_counters=[query_file.counters])
+    cost = QueryCost(algorithm="F-MQM")
     best = BestList(k)
     if len(tree) == 0 or len(query_file) == 0:
-        return GNNResult(neighbors=[], cost=tracker.finish())
+        return GNNResult(neighbors=[], cost=cost.finish(tree))
 
     block_count = query_file.block_count
     streams = {}
@@ -76,12 +75,12 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
         for j in range(block_count):
             # Load Q_j (one block read per visit, as in the paper's
             # round-robin schedule) and advance its stream by one neighbor.
-            block = query_file.read_block(j)
+            block = query_file.read_block(j, cost)
             if not stream_exhausted[j]:
                 if j not in streams:
                     # The block's group-NN stream, opened at its first
                     # visit; it charges every row and node it scores.
-                    streams[j] = group_nn_stream(tree, GroupQuery(block.points))
+                    streams[j] = group_nn_stream(tree, GroupQuery(block.points), cost)
                 neighbor = next(streams[j], None)
                 if neighbor is None:
                     stream_exhausted[j] = True
@@ -95,7 +94,7 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
 
             # While Q_j is resident, add it to every pending candidate
             # that has not seen it yet.
-            _add_block(tree, block, pending.values())
+            _add_block(block, pending.values(), cost)
             for record_id in [r for r, c in pending.items() if len(c.blocks_seen) == block_count]:
                 candidate = pending.pop(record_id)
                 finished.add(record_id)
@@ -113,14 +112,14 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     # the result is exact.
     for j in range(block_count):
         if any(j not in candidate.blocks_seen for candidate in pending.values()):
-            _add_block(tree, query_file.read_block(j), pending.values())
+            _add_block(query_file.read_block(j, cost), pending.values(), cost)
     for record_id, candidate in pending.items():
         best.offer(record_id, candidate.point, candidate.accumulated)
 
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
 
 
-def _add_block(tree, block, candidates) -> None:
+def _add_block(block, candidates, cost) -> None:
     """Add resident block ``Q_j``'s distances to every candidate that has not seen it.
 
     One kernel call covers the whole waiting set.
@@ -131,7 +130,7 @@ def _add_block(tree, block, candidates) -> None:
     contributions = kernels.aggregate_distances(
         np.array([candidate.point for candidate in waiting]), block.points
     )
-    tree.stats.record_distance_computations(block.cardinality * len(waiting))
+    cost.record_distance_computations(block.cardinality * len(waiting))
     for candidate, contribution in zip(waiting, contributions.tolist()):
         candidate.accumulated += contribution
         candidate.blocks_seen.add(block.index)

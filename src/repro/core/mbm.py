@@ -66,8 +66,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.centroid import weiszfeld_centroid
-from repro.core.instrumentation import CostTracker
-from repro.core.types import BestList, GNNResult, GroupQuery
+from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -118,27 +117,31 @@ def mbm(
         shard coordinator sends its sampled upper bound on the
         federation's k-th distance here.
     """
-    tracker = CostTracker("MBM-best_first", trees=[tree])
+    cost = QueryCost(algorithm="MBM-best_first")
     best = BestList(query.k, within)
-    exclude = seed_from_delta(tree, query, best, overlay)
+    exclude = seed_from_delta(tree, query, best, overlay, cost)
     if len(tree) > 0:
-        _mbm_best_first(tree, query, best, use_heuristic3, exclude)
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+        _mbm_best_first(tree, query, best, use_heuristic3, cost, exclude)
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
 
 
 def seed_from_delta(
-    tree: FlatRTree, query: GroupQuery, best: BestList, overlay: DeltaOverlay | None
+    tree: FlatRTree,
+    query: GroupQuery,
+    best: BestList,
+    overlay: DeltaOverlay | None,
+    cost: QueryCost,
 ) -> set | None:
     """Offer the overlay's delta to ``best``; return the tombstones to skip.
 
     The delta is scanned as the traversal's first leaf, through
     :func:`_scan_leaf` keyed by Heuristic 2 (``W * mindist(p, M)``, one
     distance computation per row; aggregate distances only for the
-    ascending prefix it cannot prune) and charged to ``tree.stats`` like
-    any leaf.  Every tombstone-aware driver (MBM, SPM, MQM, best-first)
-    calls this before touching the base, so its own pruning bound starts
-    from the delta's k-th distance instead of infinity.  Returns
-    ``None`` when nothing is tombstoned.
+    ascending prefix it cannot prune) and charged to the query's
+    ``cost`` like any leaf.  Every tombstone-aware driver (MBM, SPM,
+    MQM, best-first) calls this before touching the base, so its own
+    pruning bound starts from the delta's k-th distance instead of
+    infinity.  Returns ``None`` when nothing is tombstoned.
     """
     if overlay is None:
         return None
@@ -148,8 +151,8 @@ def seed_from_delta(
     if len(record_ids):
         mbr = query.mbr
         bounds = _divisor(query) * kernels.points_mindist_box(points, mbr.low, mbr.high)
-        tree.stats.record_distance_computations(len(points))
-        _scan_leaf(tree, points, record_ids, bounds, query, best)
+        cost.record_distance_computations(len(points))
+        _scan_leaf(tree, points, record_ids, bounds, query, best, cost)
     return overlay.tombstones or None
 
 
@@ -175,13 +178,13 @@ def _divisor(query: GroupQuery) -> float:
     return float(weights.min())
 
 
-def _tangent_anchor(stats, group: np.ndarray, weights=None) -> np.ndarray:
+def _tangent_anchor(cost, group: np.ndarray, weights=None) -> np.ndarray:
     """The tangent key's anchor: a few Weiszfeld steps off the mean, charged ``n`` each."""
-    stats.record_distance_computations(ANCHOR_STEPS * group.shape[0])
+    cost.record_distance_computations(ANCHOR_STEPS * group.shape[0])
     return weiszfeld_centroid(group, max_iterations=ANCHOR_STEPS, weights=weights)
 
 
-def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None, read=None) -> None:
+def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, read=None) -> None:
     """Best-first MBM over the flat snapshot, its keys deferred (module docstring).
 
     A heap entry is ``(key, tie, node, plane)``.  A keyed entry carries
@@ -193,16 +196,16 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None, read=None) 
     ``mindist`` to the query MBR (one distance computation per box or
     point) and the node's plane over each box or point (one more).
     ``best`` only changes at leaves, so each batched check decides
-    exactly what an entry-at-a-time loop would.  Nodes are read through
-    ``read`` (``flat.read_node`` by default; :func:`mbm_batch` passes one
+    exactly what an entry-at-a-time loop would.  Every charge goes to
+    ``cost``, the query's record.  Nodes are read through ``read(node,
+    cost)`` (``flat.read_node`` by default; :func:`mbm_batch` passes one
     that charges each node once per batch).
     """
     read = flat.read_node if read is None else read
-    stats = flat.stats
     divisor = _divisor(query)
     low, high = query.mbr.low, query.mbr.high
     tangent = use_heuristic3 and query.aggregate == kernels.SUM
-    anchor = _tangent_anchor(stats, query.points, query.weights) if tangent else None
+    anchor = _tangent_anchor(cost, query.points, query.weights) if tangent else None
     counter = itertools.count()
     heap = [(0.0, next(counter), 0, _KEYED)]
 
@@ -211,9 +214,9 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None, read=None) 
     while heap and heap[0][0] < best.best_dist:
         key, _, node, plane = heapq.heappop(heap)
         if type(plane) is _Children:
-            _evaluate(flat, query, best, heap, counter, node, plane, anchor)
+            _evaluate(flat, query, best, heap, counter, node, plane, anchor, cost)
             continue
-        index = read(node)
+        index = read(node, cost)
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
         level = flat.levels[index]
@@ -222,14 +225,15 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None, read=None) 
             bounds = divisor * kernels.points_mindist_box(points, low, high)
             if plane:
                 np.maximum(bounds, _plane_minimum(plane, points, points), out=bounds)
-            stats.record_distance_computations((1 + bool(plane)) * (stop - start))
-            _scan_leaf(flat, points, flat.record_ids[start:stop], bounds, query, best, exclude)
+            cost.record_distance_computations((1 + bool(plane)) * (stop - start))
+            ids = flat.record_ids[start:stop]
+            _scan_leaf(flat, points, ids, bounds, query, best, cost, exclude)
             continue
         lows, highs = flat.lows[start:stop], flat.highs[start:stop]
         keys = divisor * kernels.boxes_mindist_box(lows, highs, low, high)
         if plane:
             np.maximum(keys, _plane_minimum(plane, lows, highs), out=keys)
-        stats.record_distance_computations((1 + bool(plane)) * (stop - start))
+        cost.record_distance_computations((1 + bool(plane)) * (stop - start))
         np.maximum(keys, key, out=keys)
         order = keys.argsort(kind="stable")
         ordered = keys.take(order).tolist()
@@ -297,7 +301,7 @@ def _take(heap, counter, parent, children, ceiling) -> dict:
         _, _, parent, children = heapq.heappop(heap)
 
 
-def _evaluate(flat, query, best, heap, counter, parent, children, anchor) -> None:
+def _evaluate(flat, query, best, heap, counter, parent, children, anchor, cost) -> None:
     """Key the unevaluated children at the heap head by their own bounds.
 
     :func:`_take` picks them; one kernel call scores them: for sums each
@@ -324,7 +328,7 @@ def _evaluate(flat, query, best, heap, counter, parent, children, anchor) -> Non
     cardinality = query.cardinality
     if anchor is None:
         bounds = query.mindist_lower_bounds(lows, highs)
-        flat.stats.record_distance_computations(cardinality * count)
+        cost.record_distance_computations(cardinality * count)
         planes = None
     else:
         planes = kernels.group_tangent_planes(lows, highs, query.points, anchor, query.weights)
@@ -332,7 +336,7 @@ def _evaluate(flat, query, best, heap, counter, parent, children, anchor) -> Non
         if internal:
             head = bounds[:internal]
             np.maximum(head, query.mindist_lower_bounds(lows[:internal], highs[:internal]), out=head)
-        flat.stats.record_distance_computations((cardinality + 1) * count + cardinality * internal)
+        cost.record_distance_computations((cardinality + 1) * count + cardinality * internal)
     rows = zip(bounds.tolist(), cheap_keys, nodes.tolist())
     for row, (bound, cheap, node) in enumerate(rows):
         key = bound if bound > cheap else cheap
@@ -347,13 +351,13 @@ def _plane_minimum(plane, lows, highs) -> np.ndarray:
     return kernels.plane_lower_bounds(values[row], gradients[row], origins[row], lows, highs)
 
 
-def _scan_leaf(flat, points, record_ids, bounds, query, best, exclude=None) -> None:
+def _scan_leaf(flat, points, record_ids, bounds, query, best, cost, exclude=None) -> None:
     """Offer leaf points to ``best`` in ascending lower bound until one reaches ``best_dist``.
 
     ``(points, record_ids)`` is a leaf slice of ``flat`` or — through
     :func:`seed_from_delta` — the overlay's delta, ``bounds`` a lower
     bound of each point's aggregate distance, charged by the caller;
-    every charge goes to ``flat.stats``.  Aggregate distances are
+    every charge goes to ``cost``.  Aggregate distances are
     computed for the points whose bound is below ``best_dist``,
     ``flat.capacity`` of them per call, fetched as the loop reaches them
     — one call for a leaf, and for a delta only the chunks before the
@@ -389,7 +393,7 @@ def _scan_leaf(flat, points, record_ids, bounds, query, best, exclude=None) -> N
         if distance < best_dist:
             offer(record_id, points[offset], distance)
             best_dist = best.best_dist
-    flat.stats.record_distance_computations(query.cardinality * consumed)
+    cost.record_distance_computations(query.cardinality * consumed)
 
 
 # ----------------------------------------------------------------------
@@ -417,9 +421,10 @@ def mbm_batch(
     attached), and later members reuse it uncharged, so the bucket reads
     the union of its members' solo read sets, each node once.
 
-    Each result's cost (``algorithm="MBM-batch"``) is its own member's:
-    its distance computations and CPU time, and the node reads it paid
-    for as first reader, so a bucket's results sum to its stats delta.
+    Each result's cost (``algorithm="MBM-batch"``) is its own member's
+    record: its distance computations and CPU time, and the node reads
+    it paid for as first reader, so a bucket's results sum to what the
+    bucket adds to ``flat.stats``.
     Per query on ``pp_like(100000)`` (capacity 50), consecutive chunks
     of a meet-up trace (``n = 4``, ``k = 1``, 32 Zipf hotspots), node
     accesses / distance computations: solo 6.46 / 907; B = 2: 5.54 /
@@ -436,18 +441,18 @@ def mbm_batch(
         raise ValueError(f"expected {batch} within ceilings, got {len(ceilings)}")
     read = set()
 
-    def read_once(node):
+    def read_once(node, cost):
         if node not in read:
             read.add(node)
-            flat.read_node(node)
+            flat.read_node(node, cost)
         return node
 
     results = []
     for group, ceiling in zip(groups, ceilings):
         query = GroupQuery(group, k=k)
-        tracker = CostTracker("MBM-batch", trees=[flat])
+        cost = QueryCost(algorithm="MBM-batch")
         best = BestList(k, ceiling)
         if len(flat) > 0:
-            _mbm_best_first(flat, query, best, use_heuristic3, read=read_once)
-        results.append(GNNResult(neighbors=best.neighbors(), cost=tracker.finish()))
+            _mbm_best_first(flat, query, best, use_heuristic3, cost, read=read_once)
+        results.append(GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat)))
     return results

@@ -29,9 +29,8 @@ from __future__ import annotations
 import math
 
 from repro.geometry.hilbert import hilbert_sort
-from repro.core.instrumentation import CostTracker
 from repro.core.mbm import seed_from_delta
-from repro.core.types import BestList, GNNResult, GroupQuery
+from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.traversal import MultiStreamFrontier
@@ -73,16 +72,16 @@ def mqm(
         raise ValueError("MQM is only defined for the sum aggregate")
     if query.weights is not None:
         raise ValueError("MQM does not support weighted queries; use MBM instead")
-    tracker = CostTracker("MQM", trees=[tree])
+    cost = QueryCost(algorithm="MQM")
     best = BestList(query.k, within)
-    exclude = seed_from_delta(tree, query, best, overlay)
+    exclude = seed_from_delta(tree, query, best, overlay, cost)
     if len(tree) > 0:
-        _mqm_round_robin(tree, query, best, exclude)
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+        _mqm_round_robin(tree, query, best, cost, exclude)
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
 
 
 def _mqm_round_robin(
-    flat: FlatRTree, query: GroupQuery, best: BestList, exclude=None
+    flat: FlatRTree, query: GroupQuery, best: BestList, cost: QueryCost, exclude=None
 ) -> None:
     """The round-robin threshold driver over one multi-stream frontier.
 
@@ -120,7 +119,7 @@ def _mqm_round_robin(
     """
     order = hilbert_sort(query.points)
     n = query.cardinality
-    frontier = MultiStreamFrontier(flat, query.points)
+    frontier = MultiStreamFrontier(flat, query.points, cost)
     # Stream s of the round-robin is the frontier of original query
     # point order[s]; the frontier indexes by original position so the
     # shared aggregate sums query points in canonical order.
@@ -185,4 +184,4 @@ def _mqm_round_robin(
                 break
         if not progressed:
             break
-    flat.stats.record_distance_computations(n * new_records)
+    cost.record_distance_computations(n * new_records)

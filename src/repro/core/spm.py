@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 
 from repro.core.centroid import compute_centroid
-from repro.core.instrumentation import CostTracker
 from repro.core.mbm import seed_from_delta
-from repro.core.types import BestList, GNNResult, GroupQuery
+from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.geometry.distance import group_distance
 from repro.rtree.flat import FlatRTree
@@ -62,17 +61,17 @@ def spm(
     if query.weights is not None:
         raise ValueError("SPM does not support weighted queries; use MBM instead")
 
-    tracker = CostTracker("SPM-best_first", trees=[tree])
+    cost = QueryCost(algorithm="SPM-best_first")
     best = BestList(query.k, within)
-    exclude = seed_from_delta(tree, query, best, overlay)
+    exclude = seed_from_delta(tree, query, best, overlay, cost)
     if len(tree) > 0:
         centroid = compute_centroid(query.points, method=centroid_method)
         centroid_distance = group_distance(centroid, query.points)
-        _spm_best_first(tree, query, centroid, centroid_distance, best, exclude)
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+        _spm_best_first(tree, query, centroid, centroid_distance, best, cost, exclude)
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
 
 
-def _spm_best_first(flat, query, centroid, centroid_distance, best, exclude=None) -> None:
+def _spm_best_first(flat, query, centroid, centroid_distance, best, cost, exclude=None) -> None:
     """Consume an incremental NN stream around the centroid until Heuristic 1 fires.
 
     The stream scores whole leaf slices per pop and carries the exact
@@ -83,7 +82,8 @@ def _spm_best_first(flat, query, centroid, centroid_distance, best, exclude=None
     :func:`~repro.core.heuristics.heuristic1_prunes_point`, offers are
     skipped only when they provably cannot enter the top-k (``offer``
     would return False), and the distance-computation charge — ``n`` per
-    consumed neighbor — is accumulated and recorded once.
+    consumed neighbor — is accumulated and recorded once, on ``cost``
+    with the stream's node reads.
     """
     n = query.cardinality
 
@@ -94,7 +94,7 @@ def _spm_best_first(flat, query, centroid, centroid_distance, best, exclude=None
         return kernels.boxes_mindist_point(lows, highs, centroid)
 
     stream = flat_incremental_nearest_generic(
-        flat, points_key, mbrs_key, points_aux=query.distances_to
+        flat, points_key, mbrs_key, points_aux=query.distances_to, cost=cost
     )
     offer = best.offer
     consumed = 0
@@ -111,4 +111,4 @@ def _spm_best_first(flat, query, centroid, centroid_distance, best, exclude=None
         if distance < best_dist:
             offer(neighbor.record_id, neighbor.point, distance)
             best_dist = best.best_dist
-    flat.stats.record_distance_computations(n * consumed)
+    cost.record_distance_computations(n * consumed)

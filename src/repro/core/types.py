@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,7 @@ from repro.geometry.distance import SUM, _fast_point
 from repro.geometry.kernels import check_weights
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_points
-from repro.storage.counters import CounterSet
+from repro.rtree.stats import TreeStats
 
 
 class GroupQuery:
@@ -205,24 +206,39 @@ class BestList:
 
 
 @dataclass
-class QueryCost(CounterSet):
+class QueryCost(TreeStats):
     """Cost metrics of one executed query, matching the paper's reporting.
 
     ``node_accesses`` and ``cpu_time`` are the two series plotted in every
     figure of Section 5; the remaining counters add detail that helps
-    explain them (and are used by the ablation benches).  Costs fold
-    with ``merge`` (another cost, or the delta of any counter set that
-    shares field names); the ``algorithm`` label is not a counter.
+    explain them (and are used by the ablation benches).  Each query
+    makes its own record, and its traversals charge it where the work
+    happens (node reads, distance computations, query-file blocks), so
+    queries sharing an index never count each other's work.
+    :meth:`finish` stops the query's CPU clock (``time.thread_time``)
+    and adds the record once to the index's cumulative ``stats``.
+    The ``algorithm`` label is not a counter.
     """
 
     algorithm: str = ""
-    node_accesses: int = 0
-    leaf_accesses: int = 0
-    page_faults: int = 0
-    distance_computations: int = 0
     page_reads: int = 0
     block_reads: int = 0
     cpu_time: float = 0.0
+
+    def __post_init__(self):
+        self._started = time.thread_time()  # the query's CPU clock, read by finish()
+
+    def record_block_read(self, pages_in_block: int) -> None:
+        """Charge one query-file block read consisting of ``pages_in_block`` pages."""
+        self.block_reads += 1
+        self.page_reads += pages_in_block
+
+    def finish(self, tree=None) -> "QueryCost":
+        """Stop the CPU clock and add this record to ``tree``'s cumulative stats."""
+        self.cpu_time = time.thread_time() - self._started
+        if tree is not None:
+            tree.record_query(self)
+        return self
 
     def as_dict(self) -> dict[str, float]:
         """Return the metrics as a plain dictionary (used by the report writer)."""

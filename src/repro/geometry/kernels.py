@@ -162,21 +162,6 @@ def aggregate_distances(
     return reduce_aggregate(pairwise_distances(points, group), aggregate, weights)
 
 
-def batched_aggregate_distances(
-    points: np.ndarray, groups: np.ndarray, aggregate: str = SUM
-) -> np.ndarray:
-    """Aggregate distances of ``(N, d)`` points against ``(B, n, d)`` stacked groups.
-
-    Returns a ``(B, N)`` array whose row ``b`` equals
-    :func:`aggregate_distances` against ``groups[b]``.  Its one caller is
-    the eager batch ``tests/mbm_reference.py::mbm_batch_reference``,
-    which scores a leaf for every member in one call.
-    """
-    columns = groups.transpose(2, 0, 1)[:, :, None, :]
-    terms = np.subtract(points.T[:, None, :, None], columns, order="C")
-    return reduce_aggregate(_norms(terms), aggregate)
-
-
 # ----------------------------------------------------------------------
 # MBR (box) kernels — batched lower bounds for arrays of node rectangles
 # ----------------------------------------------------------------------

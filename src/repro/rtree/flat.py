@@ -34,8 +34,9 @@ loops themselves live in :mod:`repro.rtree.traversal`
 (``flat_incremental_nearest_generic``, ``MultiStreamFrontier``),
 :mod:`repro.rtree.closest_pairs`, :mod:`repro.core.mbm` and
 :mod:`repro.core.fmbm`; they charge node accesses through
-:meth:`FlatRTree.read_node` and distance computations to ``stats`` —
-the paper's cost model.
+:meth:`FlatRTree.read_node` and distance computations to the query's
+own :class:`~repro.core.types.QueryCost` — the paper's cost model — and
+a finished query adds its record to ``stats`` (:meth:`FlatRTree.record_query`).
 
 A snapshot round-trips to disk as an *uncompressed* ``.npz`` archive.
 ``load(..., mmap_mode="r")`` maps the arrays straight out of the archive
@@ -49,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+import threading
 import zipfile
 
 import numpy as np
@@ -91,8 +93,9 @@ class FlatRTree:
 
     Instances are built with :meth:`bulk_load` (pack a static point
     set) or :meth:`load` (reopen a saved snapshot, optionally
-    memory-mapped).  ``stats``, ``read_node`` and an optional
-    LRU ``buffer`` form the accounting surface every traversal charges.
+    memory-mapped).  ``read_node``, ``record_query``, the cumulative
+    ``stats`` and an optional LRU ``buffer`` form the accounting
+    surface.
     """
 
     __slots__ = (
@@ -113,6 +116,7 @@ class FlatRTree:
         "buffer",
         "mmap_io",
         "_points_cache",
+        "_stats_lock",
     )
 
     def __init__(self, arrays: dict, meta: dict, buffer=None, mmap_io=None):
@@ -127,6 +131,7 @@ class FlatRTree:
         self.buffer = buffer
         self.mmap_io = mmap_io
         self._points_cache = None
+        self._stats_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # construction
@@ -207,17 +212,25 @@ class FlatRTree:
     # ------------------------------------------------------------------
     # access accounting
     # ------------------------------------------------------------------
-    def read_node(self, index: int) -> int:
-        """Charge one node access for node ``index`` and return it.
+    def read_node(self, index: int, cost=None) -> int:
+        """Charge one node access for node ``index`` to ``cost`` and return it.
 
-        The buffer (when attached) is keyed by the preserved page ids
-        (``node_ids``).
+        ``cost`` is the reading query's record (``stats`` for a read
+        outside any query).  The buffer (when attached) is keyed by the
+        preserved page ids (``node_ids``).
         """
         hit = False
         if self.buffer is not None:
             hit = self.buffer.access(int(self.node_ids[index]))
-        self.stats.record_node_access(bool(self.levels[index] == 0), buffer_hit=hit)
+        (self.stats if cost is None else cost).record_node_access(
+            bool(self.levels[index] == 0), buffer_hit=hit
+        )
         return index
+
+    def record_query(self, cost) -> None:
+        """Add a finished query's record to ``stats``, whole even when threads finish at once."""
+        with self._stats_lock:
+            self.stats.merge(cost)
 
     # ------------------------------------------------------------------
     # shape

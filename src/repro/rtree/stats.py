@@ -1,11 +1,13 @@
 """Node-access and computation accounting.
 
 The paper's experiments report two cost metrics per query: the number of
-R-tree node accesses ("NA") and CPU time.  Every traversal in this
-package funnels node reads through :class:`TreeStats` so both logical
-accesses and (optionally) buffer-aware page faults can be measured.
-``snapshot()``, ``reset()`` (called between queries of a workload),
-``merge()`` and ``delta()`` come from
+R-tree node accesses ("NA") and CPU time.  A query charges its node
+reads (logical accesses and, with an LRU buffer, page faults) and
+distance computations to its own :class:`~repro.core.types.QueryCost`,
+which extends :class:`TreeStats`; an index's ``stats`` is the sum of
+its finished queries (``FlatRTree.record_query``), plus whatever raw
+streams run without a record charge to it directly.  ``snapshot()``,
+``reset()`` and ``merge()`` come from
 :class:`~repro.storage.counters.CounterSet`.
 """
 
@@ -18,7 +20,7 @@ from repro.storage.counters import CounterSet
 
 @dataclass
 class TreeStats(CounterSet):
-    """Mutable counters attached to a :class:`~repro.rtree.flat.FlatRTree`.
+    """Node-access and distance counters: an index's running total, or one query's.
 
     Attributes
     ----------

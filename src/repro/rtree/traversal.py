@@ -70,6 +70,7 @@ def flat_incremental_nearest_generic(
     mbrs_key: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
     points_aux: Callable[[np.ndarray], np.ndarray] | None = None,
+    cost=None,
 ) -> Iterator[Neighbor]:
     """Yield every indexed point in ascending order of ``points_key``.
 
@@ -78,8 +79,9 @@ def flat_incremental_nearest_generic(
     ``(key, tiebreak, row, record_id[, aux])`` — the record id is
     converted once per leaf through ``tolist()`` so the yield path never
     touches a numpy scalar.  Children and leaf points are pushed in
-    storage order; node reads are charged to ``flat.stats`` (and any
-    attached buffer) through ``flat.read_node``.
+    storage order; node reads are charged through ``flat.read_node`` to
+    ``cost``, the consuming query's record (to ``flat.stats`` when it is
+    ``None``), and to any attached buffer.
 
     ``points_aux`` optionally computes one extra value per leaf point in
     the same batched call pattern (e.g. the exact aggregate distance for
@@ -108,7 +110,7 @@ def flat_incremental_nearest_generic(
         if len(item) != 3:
             yield Neighbor(item[3], points[item[2]], item[0], item[4] if len(item) == 5 else None)
             continue
-        index = read_node(item[2])
+        index = read_node(item[2], cost)
         start = int(child_start[index])
         stop = start + int(child_count[index])
         if levels[index] == 0:
@@ -199,12 +201,14 @@ class MultiStreamFrontier:
 
     Streams are indexed by *original* group order; the aggregate
     reduction therefore sums query points in exactly the order
-    ``GroupQuery.distance_to_canonical`` does.
+    ``GroupQuery.distance_to_canonical`` does.  Node reads are charged
+    to ``cost``, the query's record.
     """
 
     __slots__ = (
         "_flat",
         "_group",
+        "_cost",
         "_node_heaps",
         "segs",
         "agg_by_row",
@@ -216,9 +220,10 @@ class MultiStreamFrontier:
         "_node_cache",
     )
 
-    def __init__(self, flat: FlatRTree, group: np.ndarray):
+    def __init__(self, flat: FlatRTree, group: np.ndarray, cost):
         self._flat = flat
         self._group = np.asarray(group, dtype=np.float64)
+        self._cost = cost
         n = self._group.shape[0]
         self._leaf_cache: dict[int, tuple] = {}
         self._node_cache: dict[int, np.ndarray] = {}
@@ -302,7 +307,7 @@ class MultiStreamFrontier:
                         cut = pend_pos + 1
                     return self._emit_segment(stream, pend_pos, cut)
                 item = heappop(node_heap)
-                index = flat.read_node(item[2])
+                index = flat.read_node(item[2], self._cost)
                 start = int(flat.child_start[index])
                 count = int(flat.child_count[index])
                 base = self._counters[stream]
@@ -365,8 +370,8 @@ class MultiStreamFrontier:
         return (seg[2][0], seg[3][0], seg[4][0])
 
 
-def incremental_nearest(flat: FlatRTree, query: Sequence[float]) -> Iterator[Neighbor]:
-    """Yield indexed points in ascending Euclidean distance from ``query``."""
+def incremental_nearest(flat: FlatRTree, query: Sequence[float], cost=None) -> Iterator[Neighbor]:
+    """Yield indexed points in ascending distance from ``query``, reads charged to ``cost``."""
     q = as_point(query, dims=flat.dims)
 
     def points_key(points: np.ndarray) -> np.ndarray:
@@ -375,7 +380,7 @@ def incremental_nearest(flat: FlatRTree, query: Sequence[float]) -> Iterator[Nei
     def mbrs_key(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
         return kernels.boxes_mindist_point(lows, highs, q)
 
-    return flat_incremental_nearest_generic(flat, points_key, mbrs_key)
+    return flat_incremental_nearest_generic(flat, points_key, mbrs_key, cost=cost)
 
 
 def best_first_nearest(flat: FlatRTree, query: Sequence[float], k: int = 1) -> list[Neighbor]:

@@ -94,7 +94,7 @@ class BatchReply:
 
     ``items`` carries ``(request_id, result, error)`` triples — exactly
     one of ``result``/``error`` is set per request.  ``counters`` is the
-    worker's mergeable stats delta for this batch
+    worker's mergeable counters for this batch alone
     (:meth:`repro.serve.stats.ServingCounters.snapshot`), and
     ``generation`` the token of the snapshot that answered it.
     ``batch_id`` echoes the request's id so the server can retire the

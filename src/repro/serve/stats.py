@@ -1,9 +1,11 @@
 """Serving statistics: per-worker counters merged into a server-wide view.
 
 Each worker accumulates nothing globally — it attaches a small
-:class:`ServingCounters` *delta* to every :class:`~repro.serve.protocol.BatchReply`
-(a plain snapshot dictionary on the wire).  The server folds the deltas
-into one :class:`ServingCounters` per worker and exposes the merged
+:class:`ServingCounters` for the batch to every
+:class:`~repro.serve.protocol.BatchReply` (a plain snapshot dictionary
+on the wire), summing the index work its results' own cost records
+charged.  The server folds these into one :class:`ServingCounters` per
+worker and exposes the merged
 picture through :meth:`ServerStats.snapshot`, alongside scheduler-side
 counts (submitted / completed / shed / failed / swaps) and request
 latency percentiles over a bounded reservoir of recent requests.
@@ -51,12 +53,12 @@ def percentiles(values, qs) -> list[float]:
 
 @dataclass
 class ServingCounters(CounterSet):
-    """Mergeable execution counters of one worker (or one batch delta).
+    """Mergeable execution counters of one worker (or one batch).
 
     All fields sum under ``merge`` except ``largest_batch``, which takes
     the maximum — exactly the semantics a server-wide rollup needs.
     ``snapshot()`` dictionaries are the wire format; they merge with the
-    same rules, so worker deltas can be folded in any order.
+    same rules, so per-batch counters can be folded in any order.
     """
 
     MAXIMA = ("largest_batch",)
@@ -71,29 +73,24 @@ class ServingCounters(CounterSet):
     io_stall_s: float = 0.0
     snapshot_swaps: int = 0
 
-    def record_batch(
-        self,
-        batch_size: int,
-        cpu_time: float = 0.0,
-        io_stall_s: float = 0.0,
-        index_stats_delta: dict | None = None,
-    ) -> None:
-        """Fold one executed batch into the counters.
+    def record_batch(self, costs, cpu_time: float = 0.0, io_stall_s: float = 0.0) -> None:
+        """Fold one executed batch, given its results' cost records, into the counters.
 
-        ``index_stats_delta`` is the *physical* index work of the batch
-        (a :meth:`TreeStats.delta <repro.storage.counters.CounterSet.delta>`
-        across the ``execute_many`` call).  It equals the sum of the
-        per-result costs: a shared bucket's member reports its own
-        distance computations and the node reads it paid for as the
-        first member to reach them.
+        The index work of the batch is the sum of its results' costs: a
+        shared bucket's member reports its own distance computations and
+        the node reads it paid for as the first member to reach them.
+        ``cpu_time`` is the batch's measured execution time (the
+        records' own CPU clocks are not summed in).
         """
-        self.requests += int(batch_size)
+        self.requests += len(costs)
         self.batches += 1
-        self.largest_batch = max(self.largest_batch, int(batch_size))
+        self.largest_batch = max(self.largest_batch, len(costs))
         self.cpu_time += float(cpu_time)
         self.io_stall_s += float(io_stall_s)
-        if index_stats_delta:
-            self.merge(index_stats_delta)
+        for cost in costs:
+            self.node_accesses += cost.node_accesses
+            self.leaf_accesses += cost.leaf_accesses
+            self.distance_computations += cost.distance_computations
 
     def record_swap(self) -> None:
         """Charge one snapshot remap (hot-swap observed by the worker)."""
@@ -105,8 +102,8 @@ class ServerStats:
 
     The scheduler side counts request outcomes (submitted, completed,
     failed, shed) and snapshot swaps; the execution side keeps one
-    merged :class:`ServingCounters` per worker, folded from the deltas
-    each :class:`~repro.serve.protocol.BatchReply` carries.
+    merged :class:`ServingCounters` per worker, folded from the per-batch
+    counters each :class:`~repro.serve.protocol.BatchReply` carries.
     """
 
     def __init__(self):

@@ -54,7 +54,7 @@ def execute_batch_message(
     worker_id: int = -1,
     swapped: bool = False,
 ) -> tuple[tuple, ServingCounters, tuple]:
-    """Answer one batch message; returns (reply items, counters delta, spans).
+    """Answer one batch message; returns (reply items, batch counters, spans).
 
     Split out of the process loop so tests can drive a worker's
     execution path in-process.  ``io_stall_s_per_access`` optionally
@@ -105,14 +105,13 @@ def execute_batch_message(
                     )
         specs = [spec for _, spec in decoded]
         try:
-            # Physical index work is measured as a stats delta across
-            # the whole call; it equals the results' summed costs (a
-            # shared bucket charges each node read to one member).
-            before = engine.flat.stats.snapshot()
             started = time.perf_counter()
             results = engine.execute_many(specs)
             elapsed = time.perf_counter() - started
-            delta = engine.flat.stats.delta(before)
+            # Each result carries its own query's work (a shared bucket
+            # charges each node read to one member), so their sum is the
+            # batch's physical index work.
+            costs = [result.cost for result in results]
             for (request_id, _), result in zip(decoded, results):
                 span = spans.get(request_id)
                 if span is not None:
@@ -123,10 +122,8 @@ def execute_batch_message(
                         cpu_time=result.cost.cpu_time,
                     )
                 outcomes[request_id] = encode_result(result)
-            stall = io_stall_s_per_access * delta["node_accesses"]
-            counters.record_batch(
-                len(results), cpu_time=elapsed, io_stall_s=stall, index_stats_delta=delta
-            )
+            stall = io_stall_s_per_access * sum(cost.node_accesses for cost in costs)
+            counters.record_batch(costs, cpu_time=elapsed, io_stall_s=stall)
             if stall > 0.0:
                 time.sleep(stall)
         except Exception:

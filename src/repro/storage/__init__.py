@@ -4,13 +4,14 @@ The paper's disk-resident algorithms (Section 4) assume the query set
 ``Q`` lives on disk, Hilbert-sorted and read in memory-sized blocks.  No
 real disk is involved in this reproduction: a :class:`PointFile` keeps
 the sorted file as one array, and each block read hands out views of its
-rows while charging the block and its pages to :class:`IOCounters`, so
-the experiments can report I/O alongside R-tree node accesses.
+rows while charging the block and its pages to the reading query's cost
+record (:class:`IOCounters` outside a query), so the experiments can
+report I/O alongside R-tree node accesses.
 """
 
 from repro.storage.atomicio import atomic_output, fsync_directory, write_json_atomic
 from repro.storage.buffer import LRUBuffer
-from repro.storage.counters import IOCounters, MappedPageCounters, merge_snapshots
+from repro.storage.counters import IOCounters, MappedPageCounters
 from repro.storage.generations import GenerationStore, snapshot_name
 from repro.storage.pointfile import PointFile, QueryBlock
 from repro.storage.wal import WalCorruptionError, WalRecord, WalScan, WriteAheadLog
@@ -28,7 +29,6 @@ __all__ = [
     "WriteAheadLog",
     "atomic_output",
     "fsync_directory",
-    "merge_snapshots",
     "snapshot_name",
     "write_json_atomic",
 ]

@@ -40,9 +40,9 @@ class LRUBuffer:
         A miss loads the page, evicting least recently used pages while
         the buffer is over capacity.  The page just touched is the most
         recently used and is never the one evicted — even mid-sequence
-        with the buffer over capacity (e.g. after :meth:`resize` shrank
-        ``capacity`` below the resident count, or a single-page buffer
-        faulting on every access).
+        with the buffer over capacity (e.g. after ``capacity`` was set
+        below the resident count, or a single-page buffer faulting on
+        every access).
         """
         if page_id in self._pages:
             self._pages.move_to_end(page_id)
@@ -64,17 +64,6 @@ class LRUBuffer:
         pages = self._pages
         while len(pages) > self.capacity and len(pages) > 1:
             pages.popitem(last=False)
-
-    def resize(self, capacity: int) -> None:
-        """Change the buffer capacity, evicting LRU pages when shrinking.
-
-        Counters are preserved — resizing models a reconfiguration
-        mid-workload, not a restart.
-        """
-        if capacity < 1:
-            raise ValueError("buffer capacity must be at least one page")
-        self.capacity = int(capacity)
-        self._evict_over_capacity()
 
     def clear(self) -> None:
         """Drop every cached page and zero the hit/miss counters."""

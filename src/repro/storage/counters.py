@@ -6,38 +6,31 @@ Every counter class in the package — :class:`IOCounters` and
 :class:`~repro.serve.stats.ServingCounters` and
 :class:`~repro.shard.coordinator.CoordinatorStats` — is a dataclass of
 ``int``/``float`` fields plus its ``record_*`` methods, and inherits
-``snapshot/reset/merge/delta/__add__`` from :class:`CounterSet`, which
+``snapshot/reset/merge/__add__`` from :class:`CounterSet`, which
 derives them once from the field declarations.  Hot paths keep
 incrementing plain attributes; the protocol only runs per query, per
 batch or per scrape.
 
-Snapshots are plain numeric dictionaries, so they cross process
-boundaries as they are: workers ship them to the server, shard nodes to
-the coordinator, and :meth:`CounterSet.merge` (or the key-union
-:func:`merge_snapshots`) folds them back together in any order.
+Counting is additive all the way up.  A query charges its own
+:class:`~repro.core.types.QueryCost` where the work happens, and a
+finished record is merged once into the index's cumulative
+:class:`~repro.rtree.stats.TreeStats`; a worker sums its batch's result
+costs into its :class:`~repro.serve.stats.ServingCounters`.  No cost
+is taken as a before/after difference of shared counters, so queries
+running at once never charge each other's work.  Snapshots are plain numeric dictionaries, so they
+cross process boundaries as they are: workers ship them to the server,
+shard nodes to the coordinator, and :meth:`CounterSet.merge` folds them
+back together in any order.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Iterable, Mapping
+from typing import Mapping
 
 #: Default OS page size used to report memory-mapped extents.
 OS_PAGE_BYTES = 4096
-
-
-def merge_snapshots(snapshots: Iterable[Mapping[str, float]]) -> dict[str, float]:
-    """Fold counter snapshot dictionaries into one by key-wise addition.
-
-    Keys missing from some snapshots contribute zero; the result carries
-    the union of all keys.  Integer-only columns stay integers.
-    """
-    merged: dict[str, float] = {}
-    for snapshot in snapshots:
-        for key, value in snapshot.items():
-            merged[key] = merged.get(key, 0) + value
-    return merged
 
 
 @functools.cache
@@ -78,7 +71,7 @@ class CounterSet:
 
         Keys this class does not declare are ignored and keys the
         snapshot lacks count as zero, so heterogeneous snapshots fold
-        safely — a ``TreeStats`` delta into a ``QueryCost``, say.
+        safely — a ``QueryCost`` into a ``TreeStats``, say.
         """
         snapshot = other if isinstance(other, Mapping) else other.snapshot()
         for name, default in _counter_defaults(type(self)).items():
@@ -90,18 +83,6 @@ class CounterSet:
                 self, name, max(current, value) if name in self.MAXIMA else current + value
             )
         return self
-
-    def delta(self, before) -> dict:
-        """What was counted since ``before`` (an earlier snapshot or object).
-
-        Snapshot-shaped, so merging it back onto ``before`` reproduces
-        the current counters; a high-water mark reports its current value.
-        """
-        before = before if isinstance(before, Mapping) else before.snapshot()
-        return {
-            name: getattr(self, name) - (0 if name in self.MAXIMA else before.get(name, 0))
-            for name in _counter_defaults(type(self))
-        }
 
     def __add__(self, other):
         return type(self)().merge(self).merge(other)

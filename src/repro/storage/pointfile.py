@@ -7,8 +7,10 @@ then process it in memory-sized *blocks* ``Q_1 .. Q_m``.
 
 :class:`PointFile` models that file as one contiguous, read-only array
 in storage order.  A block read hands out views of its rows and charges
-the shared :class:`~repro.storage.counters.IOCounters` one block and its
-pages; :meth:`PointFile.block_summaries` gives the per-block MBRs and
+one block and its pages to the reading query's
+:class:`~repro.core.types.QueryCost` (or, read outside a query, to the
+file's own :class:`~repro.storage.counters.IOCounters`);
+:meth:`PointFile.block_summaries` gives the per-block MBRs and
 cardinalities F-MBM keeps resident.
 """
 
@@ -68,7 +70,8 @@ class PointFile:
         consists of this many consecutive pages (the paper's experiments
         use blocks of 10,000 points).
     counters:
-        Shared I/O counters; private ones are created when omitted.
+        I/O counters charged by the sort pass and by block reads made
+        outside a query; private ones are created when omitted.
     hilbert_sorted:
         When True (default), the file is rewritten in Hilbert order
         before being split into blocks, exactly as F-MQM/F-MBM require.
@@ -136,13 +139,13 @@ class PointFile:
     # ------------------------------------------------------------------
     # block access
     # ------------------------------------------------------------------
-    def read_block(self, index: int) -> QueryBlock:
-        """Load block ``Q_index``, charging one block read and its pages."""
+    def read_block(self, index: int, cost=None) -> QueryBlock:
+        """Load block ``Q_index``; one block read and its pages go to ``cost`` (or ``counters``)."""
         if not 0 <= index < self.block_count:
             raise IndexError(f"block {index} out of range (file has {self.block_count} blocks)")
         first_page = index * self.block_pages
         last_page = min(first_page + self.block_pages, self.page_count)
-        self.counters.record_block_read(pages_in_block=last_page - first_page)
+        (self.counters if cost is None else cost).record_block_read(last_page - first_page)
         rows = slice(first_page * self.points_per_page, last_page * self.points_per_page)
         return QueryBlock(index, self.points[rows], self.record_ids[rows])
 

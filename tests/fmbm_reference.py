@@ -18,8 +18,7 @@ import itertools
 import numpy as np
 
 from repro.core.heuristics import heuristic5_prunes, heuristic5_prunes_batch
-from repro.core.instrumentation import CostTracker
-from repro.core.types import BestList, GNNResult
+from repro.core.types import BestList, GNNResult, QueryCost
 from repro.geometry import kernels
 from repro.geometry.mbr import MBR
 
@@ -49,20 +48,20 @@ def heuristic6_prunes_point(point, accumulated_distance, remaining_summaries, be
 
 
 def fmbm_reference(tree, query_file, k=1) -> GNNResult:
-    tracker = CostTracker("F-MBM", trees=[tree], io_counters=[query_file.counters])
+    cost = QueryCost(algorithm="F-MBM")
     best = BestList(k)
     if len(tree) == 0 or len(query_file) == 0:
-        return GNNResult(neighbors=[], cost=tracker.finish())
+        return GNNResult(neighbors=[], cost=cost.finish(tree))
     stacked = query_file.block_summaries()
     summaries = [
         BlockSummary(index, MBR(low, high), int(cardinality))
         for index, (low, high, cardinality) in enumerate(zip(*stacked))
     ]
-    _fmbm_best_first(tree, query_file, summaries, stacked, best)
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+    _fmbm_best_first(tree, query_file, summaries, stacked, best, cost)
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
 
 
-def _fmbm_best_first(flat, query_file, summaries, stacked, best) -> None:
+def _fmbm_best_first(flat, query_file, summaries, stacked, best, cost) -> None:
     summary_lows, summary_highs, cardinalities = stacked
     counter = itertools.count()
     heap: list[tuple[float, int, int]] = [(0.0, next(counter), 0)]
@@ -70,16 +69,16 @@ def _fmbm_best_first(flat, query_file, summaries, stacked, best) -> None:
         bound, _, node_id = heapq.heappop(heap)
         if best.is_full() and heuristic5_prunes(bound, best.best_dist):
             break
-        index = flat.read_node(node_id)
+        index = flat.read_node(node_id, cost)
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
         if flat.levels[index] == 0:
-            _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best)
+            _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best, cost)
             continue
         child_bounds = kernels.boxes_weighted_group_mindist(
             flat.lows[start:stop], flat.highs[start:stop], summary_lows, summary_highs, cardinalities
         )
-        flat.stats.record_distance_computations(len(summaries) * (stop - start))
+        cost.record_distance_computations(len(summaries) * (stop - start))
         if best.is_full():
             survives = ~heuristic5_prunes_batch(child_bounds, best.best_dist)
         else:
@@ -90,7 +89,7 @@ def _fmbm_best_first(flat, query_file, summaries, stacked, best) -> None:
             )
 
 
-def _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best) -> None:
+def _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best, cost) -> None:
     summary_lows, summary_highs, cardinalities = stacked
     node_mbr = MBR(flat.lows[index], flat.highs[index])
     points = flat.points
@@ -100,7 +99,7 @@ def _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best
         ),
         axis=1,
     )
-    flat.stats.record_distance_computations(len(summaries) * (stop - start))
+    cost.record_distance_computations(len(summaries) * (stop - start))
     survivors = []
     for offset, bound in enumerate(bounds.tolist()):
         if best.is_full() and heuristic5_prunes(bound, best.best_dist):
@@ -116,7 +115,7 @@ def _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best
         if not survivors:
             return
         remaining = ordered_blocks[position + 1 :]
-        block = query_file.read_block(summary.index)
+        block = query_file.read_block(summary.index, cost)
         still_alive = [
             item
             for item in survivors
@@ -130,7 +129,7 @@ def _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best
         if still_alive:
             stacked_points = points[[item[0] for item in still_alive]]
             contributions = kernels.aggregate_distances(stacked_points, block.points)
-            flat.stats.record_distance_computations(block.cardinality * len(still_alive))
+            cost.record_distance_computations(block.cardinality * len(still_alive))
             for item, contribution in zip(still_alive, contributions):
                 item[1] += float(contribution)
         survivors = still_alive

@@ -32,7 +32,6 @@ from repro.core.heuristics import (
     heuristic3_prunes_batch,
     heuristic3_prunes_precomputed,
 )
-from repro.core.instrumentation import CostTracker
 from repro.core.mbm import _divisor, _tangent_anchor
 from repro.core.types import BestList, GNNResult, GroupNeighbor, QueryCost
 from repro.geometry import kernels
@@ -40,27 +39,27 @@ from repro.rtree.flat import FlatRTree
 
 
 def mbm_reference(flat, query, use_heuristic3=True, overlay=None, within=math.inf) -> GNNResult:
-    tracker = CostTracker("MBM-best_first", trees=[flat])
+    cost = QueryCost(algorithm="MBM-best_first")
     best = BestList(query.k, within)
     exclude = None
     if overlay is not None:
         points, record_ids = overlay.delta_points()
         if len(record_ids):
-            _process_leaf(flat, points, record_ids, query, best, _divisor(query))
+            _process_leaf(flat, points, record_ids, query, best, _divisor(query), cost)
         exclude = overlay.tombstones or None
     if len(flat) > 0:
-        _mbm_best_first(flat, query, best, use_heuristic3, exclude)
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+        _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude)
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat))
 
 
-def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
+def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None) -> None:
     query_mbr = query.mbr
     divisor = _divisor(query)
     counter = itertools.count()
     heap: list[tuple[float, int, int]] = [(0.0, next(counter), 0)]
     tangent = use_heuristic3 and query.aggregate == kernels.SUM
     if tangent:
-        anchor = _tangent_anchor(flat.stats, query.points, query.weights)
+        anchor = _tangent_anchor(cost, query.points, query.weights)
 
     while heap:
         key, _, node_id = heapq.heappop(heap)
@@ -69,19 +68,19 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
                 break
         elif heuristic2_prunes(key, best.best_dist, divisor):
             break
-        index = flat.read_node(node_id)
+        index = flat.read_node(node_id, cost)
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
         if flat.levels[index] == 0:
             _process_leaf(
                 flat, flat.points[start:stop], flat.record_ids[start:stop],
-                query, best, divisor, exclude,
+                query, best, divisor, cost, exclude,
             )
             continue
         lows = flat.lows[start:stop]
         highs = flat.highs[start:stop]
         keys = kernels.boxes_mindist_box(lows, highs, query_mbr.low, query_mbr.high)
-        flat.stats.record_distance_computations(stop - start)
+        cost.record_distance_computations(stop - start)
         survivors = np.flatnonzero(~heuristic2_prunes_batch(keys, best.best_dist, divisor))
         if use_heuristic3 and survivors.size:
             lows, highs = lows[survivors], highs[survivors]
@@ -96,7 +95,7 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
                 bounds = np.maximum(bounds, query.mindist_lower_bounds(lows, highs))
             if tangent:
                 bounds = np.maximum(np.maximum(bounds, divisor * keys[survivors]), key)
-            flat.stats.record_distance_computations((1 + wide) * query.cardinality * survivors.size)
+            cost.record_distance_computations((1 + wide) * query.cardinality * survivors.size)
             kept = ~heuristic3_prunes_batch(bounds, best.best_dist)
             survivors, keys = survivors[kept], bounds[kept]
         else:
@@ -105,10 +104,10 @@ def _mbm_best_first(flat, query, best, use_heuristic3, exclude=None) -> None:
             heapq.heappush(heap, (child_key, next(counter), start + offset))
 
 
-def _process_leaf(flat, points, record_ids, query, best, divisor, exclude=None) -> None:
+def _process_leaf(flat, points, record_ids, query, best, divisor, cost, exclude=None) -> None:
     query_mbr = query.mbr
     mindists = kernels.points_mindist_box(points, query_mbr.low, query_mbr.high)
-    flat.stats.record_distance_computations(len(points))
+    cost.record_distance_computations(len(points))
     order = np.argsort(mindists, kind="stable")
     if best.best_dist < math.inf:
         candidates = order[~heuristic2_prunes_batch(mindists[order], best.best_dist, divisor)]
@@ -137,7 +136,7 @@ def _process_leaf(flat, points, record_ids, query, best, divisor, exclude=None) 
             offer(int(record_ids[offset]), points[offset], distance)
             best_dist = best.best_dist
             bounded = best_dist < math.inf
-    flat.stats.record_distance_computations(query.cardinality * consumed)
+    cost.record_distance_computations(query.cardinality * consumed)
 
 
 def boxes_group_tangent_bound(lows, highs, group, anchor, weights=None) -> np.ndarray:
@@ -150,6 +149,21 @@ def boxes_group_tangent_bound(lows, highs, group, anchor, weights=None) -> np.nd
     """
     planes = kernels.group_tangent_planes(lows, highs, group, anchor, weights)
     return kernels.plane_lower_bounds(*planes, lows, highs)
+
+
+def batched_aggregate_distances(points, groups, aggregate=kernels.SUM) -> np.ndarray:
+    """Aggregate distances of ``(N, d)`` points against ``(B, n, d)`` stacked groups.
+
+    Returns a ``(B, N)`` array whose row ``b`` equals
+    ``kernels.aggregate_distances`` against ``groups[b]``, bit for bit:
+    the same axis-major ``(dims, B, N, n)`` stack of differences, squared
+    and added axis by axis, then rooted and reduced over the contiguous
+    query axis.  :func:`mbm_batch_reference` scores a leaf for every
+    member in one call with it.
+    """
+    columns = groups.transpose(2, 0, 1)[:, :, None, :]
+    terms = np.subtract(points.T[:, None, :, None], columns, order="C")
+    return kernels.reduce_aggregate(np.sqrt(np.add.reduce(terms * terms, axis=0)), aggregate)
 
 
 def mbm_batch_reference(
@@ -183,7 +197,7 @@ def mbm_batch_reference(
 
     Cost reporting follows the shared execution: every result carries
     the *bucket-level* node-access and distance-computation counters of
-    the one traversal (``algorithm="MBM-batch"``), with the wall-clock
+    the one traversal (``algorithm="MBM-batch"``), with the CPU time
     split evenly — per-query counters would be fiction here, since the
     whole point is that the batch does not pay per-query traversal
     costs.
@@ -196,9 +210,9 @@ def mbm_batch_reference(
         raise ValueError(f"groups have dimensionality {dims}, the snapshot {flat.dims}")
     if k < 1:
         raise ValueError("k must be at least 1")
-    tracker = CostTracker("MBM-batch", trees=[flat])
+    cost = QueryCost(algorithm="MBM-batch")
     if len(flat) == 0:
-        cost = tracker.finish()
+        cost.finish(flat)
         # One QueryCost per result — results must never share a
         # mutable cost object.
         return [
@@ -209,9 +223,8 @@ def mbm_batch_reference(
     query_lows = groups.min(axis=1)
     query_highs = groups.max(axis=1)
     divisor = float(cardinality)
-    stats = flat.stats
     if use_heuristic3:
-        anchors = np.stack([_tangent_anchor(stats, group) for group in groups])
+        anchors = np.stack([_tangent_anchor(cost, group) for group in groups])
     points = flat.points
     record_ids = flat.record_ids
 
@@ -238,15 +251,15 @@ def mbm_batch_reference(
         if heap and live_key > heap[0][0]:
             heapq.heappush(heap, (live_key, next(counter), node_id, key_vec))
             continue
-        index = flat.read_node(node_id)
+        index = flat.read_node(node_id, cost)
         start = int(flat.child_start[index])
         count = int(flat.child_count[index])
         stop = start + count
         if flat.levels[index] == 0:
             members = np.flatnonzero(active)
             coords = points[start:stop]
-            distances = kernels.batched_aggregate_distances(coords, groups[members])
-            stats.record_distance_computations(cardinality * count * members.size)
+            distances = batched_aggregate_distances(coords, groups[members])
+            cost.record_distance_computations(cardinality * count * members.size)
             rows = np.arange(start, stop, dtype=np.int64)
             merged_dists = np.concatenate((top_dists[members], distances), axis=1)
             merged_rows = np.concatenate(
@@ -290,7 +303,7 @@ def mbm_batch_reference(
         lows = flat.lows[start:stop]
         highs = flat.highs[start:stop]
         child_keys = kernels.boxes_mindist_boxes(lows, highs, query_lows, query_highs)
-        stats.record_distance_computations(count * batch)
+        cost.record_distance_computations(count * batch)
         # A query only continues below this node if it reached it
         # (``active``) and the child survives its Heuristics 2/3 — the
         # same per-query pruning the solo traversal applies.
@@ -308,7 +321,7 @@ def mbm_batch_reference(
                     )
                 bounds = np.maximum(bounds, divisor * child_keys[members])
                 bounds = np.maximum(bounds, key_vec[members][:, None])
-                stats.record_distance_computations((1 + wide) * cardinality * count * members.size)
+                cost.record_distance_computations((1 + wide) * cardinality * count * members.size)
                 survives[members] &= bounds < best_dist[members][:, None]
                 child_keys[members] = bounds
         # Children carry their per-query keys, +inf for the queries pruned
@@ -319,7 +332,7 @@ def mbm_batch_reference(
                 heap, (float(child_vec.min()), next(counter), start + offset, child_vec)
             )
 
-    cost = tracker.finish()
+    cost.finish(flat)
     cost.cpu_time /= batch
     results = []
     for member in range(batch):

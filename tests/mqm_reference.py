@@ -11,25 +11,24 @@ tests require it to be indistinguishable from this driver: same
 neighbors, same node/leaf/distance counters, same LRU hit/miss sequence.
 """
 
-from repro.core.instrumentation import CostTracker
-from repro.core.types import BestList, GNNResult, GroupQuery
+from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.geometry.hilbert import hilbert_sort
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import incremental_nearest
 
 
 def mqm_reference(flat: FlatRTree, query: GroupQuery, exclude=None) -> GNNResult:
-    tracker = CostTracker("MQM", trees=[flat])
+    cost = QueryCost(algorithm="MQM")
     best = BestList(query.k)
     if len(flat) == 0:
-        return GNNResult(neighbors=[], cost=tracker.finish())
+        return GNNResult(neighbors=[], cost=cost.finish(flat))
 
     # Sort query points by Hilbert value for locality of node accesses.
     order = hilbert_sort(query.points)
     query_points = query.points[order]
     n = query.cardinality
 
-    streams = [incremental_nearest(flat, q) for q in query_points]
+    streams = [incremental_nearest(flat, q, cost) for q in query_points]
     thresholds = [0.0] * n
     exhausted = [False] * n
     seen_distances: dict[int, float] = {}
@@ -57,7 +56,7 @@ def mqm_reference(flat: FlatRTree, query: GroupQuery, exclude=None) -> GNNResult
                     distance = seen_distances[record_id]
                 else:
                     distance = query.distance_to_canonical(neighbor.point)
-                    flat.stats.record_distance_computations(n)
+                    cost.record_distance_computations(n)
                     seen_distances[record_id] = distance
                 best.offer(record_id, neighbor.point, distance)
             # Re-check the termination condition after every retrieval,
@@ -66,4 +65,4 @@ def mqm_reference(flat: FlatRTree, query: GroupQuery, exclude=None) -> GNNResult
                 break
         if not progressed:
             break
-    return GNNResult(neighbors=best.neighbors(), cost=tracker.finish())
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat))

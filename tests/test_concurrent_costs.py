@@ -1,0 +1,220 @@
+"""Queries sharing one engine on many threads each report their own cost.
+
+Every query charges its own :class:`~repro.core.types.QueryCost` where the
+work happens, and the index's ``flat.stats`` is the sum of finished
+queries.  The checks below run the same specs on 2 and 4 threads over one
+engine, with the interpreter switching threads every microsecond so the
+traversals interleave, and require:
+
+* every result's counters to equal the same spec's cost when run alone;
+* the results, summed, to equal what the run added to ``flat.stats``.
+
+A cost taken as a before/after difference of the shared ``flat.stats``
+fails both: each query would also count whatever the other threads read
+meanwhile.
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro import GNNEngine, PointFile, QuerySpec
+from repro.serve import CompactingWriter
+
+SEED = 20040302
+
+#: The index counters a record and ``flat.stats`` share.
+TREE_COUNTERS = ("node_accesses", "leaf_accesses", "page_faults", "distance_computations")
+#: Every counter a result's cost reports, query-file reads included.
+COST_COUNTERS = TREE_COUNTERS + ("page_reads", "block_reads")
+
+#: Each thread runs its specs this many times over.
+ROUNDS = 3
+
+MEMORY_ALGORITHMS = ("mbm", "spm", "mqm", "best-first")
+DISK_ALGORITHMS = ("fmqm", "fmbm")
+
+
+@pytest.fixture(scope="module")
+def points():
+    return np.random.default_rng(SEED).uniform(0, 1000, size=(3000, 2))
+
+
+@pytest.fixture()
+def engine(points):
+    return GNNEngine(points, capacity=16)
+
+
+@pytest.fixture(autouse=True)
+def fine_thread_switching():
+    """Switch threads every microsecond so concurrent traversals interleave."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def _groups(count, size=8, seed=SEED):
+    rng = np.random.default_rng(seed)
+    corners = rng.uniform(0, 900, size=(count, 1, 2))
+    return corners + rng.uniform(0, 100, size=(count, size, 2))
+
+
+def _specs(algorithm, count=12):
+    """``count`` specs of ``algorithm``; disk specs share a few query files."""
+    if algorithm in DISK_ALGORITHMS:
+        files = [
+            PointFile(group, points_per_page=8, block_pages=2)
+            for group in _groups(3, size=60)
+        ]
+        return [
+            QuerySpec(group_file=files[i % len(files)], k=1 + i % 4, algorithm=algorithm)
+            for i in range(count)
+        ]
+    return [
+        QuerySpec(group=group, k=1 + i % 4, algorithm=algorithm)
+        for i, group in enumerate(_groups(count))
+    ]
+
+
+def _counters(cost, names=COST_COUNTERS):
+    return {name: getattr(cost, name) for name in names}
+
+
+def _summed(results):
+    return {
+        name: sum(getattr(result.cost, name) for result in results) for name in TREE_COUNTERS
+    }
+
+
+def _added(flat, before):
+    after = flat.stats.snapshot()
+    return {name: after[name] - before[name] for name in TREE_COUNTERS}
+
+
+def _on_threads(threads, work):
+    """Run ``work(thread_index)`` on ``threads`` threads released together."""
+    barrier = threading.Barrier(threads)
+    outcomes = [None] * threads
+    errors = []
+
+    def target(index):
+        barrier.wait()
+        try:
+            outcomes[index] = work(index)
+        except Exception as error:  # reported on the test thread below
+            errors.append(error)
+
+    workers = [threading.Thread(target=target, args=(i,)) for i in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=300)
+        assert not worker.is_alive()
+    assert not errors, errors
+    return outcomes
+
+
+def _rotated(items, by):
+    """``items`` starting at ``by``: each thread begins on a different spec."""
+    by %= len(items)
+    return list(range(by, len(items))) + list(range(by))
+
+
+@pytest.mark.parametrize("threads", (2, 4))
+@pytest.mark.parametrize("algorithm", MEMORY_ALGORITHMS + DISK_ALGORITHMS)
+def test_concurrent_queries_report_their_solo_cost(engine, algorithm, threads):
+    specs = _specs(algorithm)
+    solo = [engine.execute(spec) for spec in specs]
+    flat = engine.flat
+    before = flat.stats.snapshot()
+
+    def work(thread):
+        order = _rotated(specs, 3 * thread) * ROUNDS
+        return [(i, engine.execute(specs[i])) for i in order]
+
+    runs = [pair for outcome in _on_threads(threads, work) for pair in outcome]
+    assert len(runs) == threads * ROUNDS * len(specs)
+    for i, result in runs:
+        assert result.record_ids() == solo[i].record_ids()
+        assert _counters(result.cost) == _counters(solo[i].cost), (i, result.cost.algorithm)
+    assert _summed([result for _, result in runs]) == _added(flat, before)
+
+
+@pytest.mark.parametrize("threads", (2, 4))
+def test_concurrent_shared_buckets_report_their_solo_cost(engine, threads):
+    """``execute_many`` buckets on many threads: each member's cost is its own."""
+    specs = _specs("mbm", count=24)
+    batches = [specs[start : start + 8] for start in range(0, len(specs), 8)]
+    solo = [engine.execute_many(batch) for batch in batches]
+    assert {result.cost.algorithm for results in solo for result in results} == {"MBM-batch"}
+    flat = engine.flat
+    before = flat.stats.snapshot()
+
+    def work(thread):
+        order = _rotated(batches, thread) * ROUNDS
+        return [(b, engine.execute_many(batches[b])) for b in order]
+
+    runs = [pair for outcome in _on_threads(threads, work) for pair in outcome]
+    for b, results in runs:
+        for result, alone in zip(results, solo[b]):
+            assert result.record_ids() == alone.record_ids()
+            assert _counters(result.cost) == _counters(alone.cost)
+    assert _summed([r for _, results in runs for r in results]) == _added(flat, before)
+
+
+def test_queries_beside_a_compacting_writer_report_their_solo_cost(points, engine):
+    """A background compaction swaps the index while queries run.
+
+    A record is deleted and re-inserted under its own id, so the live
+    data never changes: a query answers the same from the dirty overlay
+    (``+overlay``) or from the compacted snapshot, which is structurally
+    identical to the original.  Each result must cost what the same spec
+    costs alone in the state it ran in, and each snapshot's stats must
+    gain exactly its own queries' costs.
+    """
+    clean = GNNEngine(points, capacity=16)
+    specs = _specs("mbm")
+    clean_solo = [clean.execute(spec) for spec in specs]
+    for record_id in (5, 50, 500):
+        assert engine.delete(points[record_id], record_id)
+        engine.insert(points[record_id], record_id=record_id)
+    dirty_solo = [engine.execute(spec) for spec in specs]
+    assert all(r.cost.algorithm.endswith("+overlay") for r in dirty_solo)
+    old_flat = engine.flat
+    before = old_flat.stats.snapshot()
+
+    writer = CompactingWriter(engine, dirty_ratio_trigger=1e-4, interval_s=0.001)
+    started = threading.Event()
+
+    def work(thread):
+        runs = []
+        for _ in range(4):
+            for i in _rotated(specs, 3 * thread):
+                runs.append((i, engine.execute(specs[i])))
+            started.set()
+        return runs
+
+    writer_thread = threading.Thread(target=lambda: started.wait(60) and writer.start())
+    writer_thread.start()
+    try:
+        outcomes = _on_threads(2, work)
+    finally:
+        writer_thread.join(timeout=60)
+        writer.stop()
+    assert not writer_thread.is_alive()
+    assert writer.compactions == 1
+    runs = [pair for outcome in outcomes for pair in outcome]
+    for i, result in runs:
+        alone = dirty_solo[i] if result.cost.algorithm.endswith("+overlay") else clean_solo[i]
+        assert result.record_ids() == alone.record_ids()
+        assert _counters(result.cost) == _counters(alone.cost)
+
+    added = _added(old_flat, before)
+    if engine.flat is not old_flat:
+        added = {name: added[name] + getattr(engine.flat.stats, name) for name in TREE_COUNTERS}
+    assert _summed([result for _, result in runs]) == added

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.instrumentation import CostTracker
 from repro.rtree.flat import FlatRTree
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
@@ -49,7 +48,7 @@ PUBLIC_NAMES = {
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "8.0.0"
+        assert repro.__version__ == "9.0.0"
 
     def test_version_matches_pyproject(self):
         # Read by regex: Python 3.10 has no tomllib.
@@ -88,40 +87,44 @@ class TestPublicAPI:
             importlib.import_module(module)
 
 
-class TestCostTracker:
-    def test_tracker_reports_deltas_not_totals(self):
+class TestQueryCostRecord:
+    def test_record_counts_its_own_query_and_is_summed_once(self):
         points = np.random.default_rng(1).uniform(0, 100, size=(300, 2))
         tree = FlatRTree.bulk_load(points, capacity=8)
-        # Pre-charge some accesses so a delta-based tracker and a total-based
-        # one would disagree.
+        # Pre-charge the index so a record that read the running total
+        # would disagree with one that counts its own query.
         from repro.rtree.traversal import best_first_nearest
 
         best_first_nearest(tree, [0.0, 0.0], k=5)
-        pre_existing = tree.stats.node_accesses
-        assert pre_existing > 0
+        pre_existing = tree.stats.snapshot()
+        assert pre_existing["node_accesses"] > 0
 
-        tracker = CostTracker("test", trees=[tree])
-        best_first_nearest(tree, [50.0, 50.0], k=5)
-        cost = tracker.finish()
-        assert 0 < cost.node_accesses < pre_existing + tree.stats.node_accesses
+        result = repro.mbm(tree, repro.GroupQuery([[50.0, 50.0], [60.0, 40.0]], k=5))
+        cost = result.cost
+        assert cost.node_accesses > 0 and cost.distance_computations > 0
         assert cost.cpu_time > 0
+        # finish() added the record to the index's total exactly once.
+        for key in ("node_accesses", "leaf_accesses", "distance_computations"):
+            assert tree.stats.snapshot()[key] == pre_existing[key] + getattr(cost, key)
 
-    def test_tree_distance_computations_are_tracked(self):
-        # traversals charge distance computations on their tree's stats
+    def test_node_reads_charge_the_record_given(self):
         tree = FlatRTree.bulk_load(np.zeros((4, 2)), capacity=8)
-        tracker = CostTracker("test", trees=[tree])
-        tree.stats.record_distance_computations(42)
-        assert tracker.finish().distance_computations == 42
+        cost = repro.QueryCost()
+        tree.read_node(0, cost)
+        cost.record_distance_computations(42)
+        assert (cost.node_accesses, cost.leaf_accesses, cost.distance_computations) == (1, 1, 42)
+        assert tree.stats.node_accesses == 0  # not summed until finished
+        tree.read_node(0)  # a read outside any query charges the index itself
+        assert tree.stats.node_accesses == 1
 
-    def test_io_counters_are_tracked(self):
-        from repro.storage.counters import IOCounters
-
-        io = IOCounters()
-        tracker = CostTracker("test", io_counters=[io])
-        io.record_block_read(pages_in_block=3)
-        cost = tracker.finish()
-        assert cost.block_reads == 1
-        assert cost.page_reads == 3
+    def test_block_reads_charge_the_record_given(self):
+        query_file = repro.PointFile(np.zeros((10, 2)), points_per_page=2, block_pages=3)
+        cost = repro.QueryCost()
+        query_file.read_block(0, cost)
+        assert (cost.block_reads, cost.page_reads) == (1, 3)
+        assert query_file.counters.block_reads == 0
+        query_file.read_block(1)
+        assert query_file.counters.block_reads == 1
 
 
 class TestExamples:

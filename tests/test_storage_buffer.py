@@ -76,22 +76,12 @@ class TestOverCapacityAccounting:
         assert sequence == [False, False, False, True]
         assert 7 in buffer and len(buffer) == 1
 
-    def test_shrink_mid_sequence_pins_hit_miss_sequence(self):
-        buffer = LRUBuffer(4)
-        for page in (1, 2, 3, 4):
-            buffer.access(page)
-        buffer.resize(2)  # evicts 1 and 2, keeps the MRU pages 3 and 4
-        assert len(buffer) == 2
-        sequence = [buffer.access(page) for page in (4, 3, 2, 2, 1)]
-        assert sequence == [True, True, False, True, False]
-        assert buffer.hits == 3 and buffer.misses == 6
-
     def test_direct_capacity_shrink_self_heals_without_evicting_touched_page(self):
         buffer = LRUBuffer(4)
         for page in (1, 2, 3, 4):
             buffer.access(page)
-        # A caller assigning the attribute directly (no resize) leaves the
-        # buffer over capacity; the next access must trim only strictly
+        # A caller assigning the attribute directly leaves the buffer
+        # over capacity; the next access must trim only strictly
         # older pages and never the page just touched.
         buffer.capacity = 1
         assert buffer.access(1) is True  # 1 is resident: a hit, and it stays
@@ -107,15 +97,3 @@ class TestOverCapacityAccounting:
         assert buffer.access(2) is True  # resident page; still a hit
         assert 2 in buffer and len(buffer) == 1
 
-    def test_resize_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError):
-            LRUBuffer(4).resize(0)
-
-    def test_resize_grow_keeps_pages(self):
-        buffer = LRUBuffer(2)
-        buffer.access(1)
-        buffer.access(2)
-        buffer.resize(4)
-        for page in (3, 4):
-            buffer.access(page)
-        assert [buffer.access(page) for page in (1, 2, 3, 4)] == [True] * 4
