@@ -25,6 +25,7 @@ from repro.geometry.distance import group_distance
 from repro.bench.config import get_scale
 from repro.bench.runner import run_memory_setting
 from repro.rtree.flat import FlatRTree
+from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.traversal import incremental_nearest
 from repro.storage.pointfile import PointFile
 
@@ -171,6 +172,44 @@ def test_smoke_mbm_cpu_per_query(n):
         lambda: [mbm(flat, query) for query in queries],
         lambda: [mbm_reference(flat, query) for query in queries],
         f"MBM at n={n}",
+    )
+
+
+def test_smoke_dirty_mbm_cpu_per_query():
+    """Paging the delta into MBM's heap must not cost CPU against scanning it first.
+
+    A ``write_mix``-shaped replay: ``pp_like(20000)`` (capacity 50) whose
+    overlay holds 360 inserts — existing records moved by a seeded
+    jitter — and 60 deletes, and 40 groups of ``n = 16`` in boxes of
+    M = 2%, ``k = 8``, answered by ``mbm`` and by ``mbm_seed_first`` of
+    ``tests/mbm_reference.py`` (the whole delta scanned before the
+    base), timed with the alternating ``_cost_ratio``.  Paging saves
+    distance computations; per-page kernel calls and heap entries that
+    eat the saving show up as a ratio above 1.10.
+    """
+    mbm_seed_first = _load_mbm_reference("mbm_seed_first")
+    points = pp_like(20_000)
+    flat = FlatRTree.bulk_load(points, capacity=50)
+    rng = np.random.default_rng(3)
+    overlay = DeltaOverlay(flat)
+    moved = points[rng.choice(len(points), size=360)] + rng.normal(scale=10.0, size=(360, 2))
+    for row, point in enumerate(moved):
+        overlay.insert(point, len(points) + row)
+    for record_id in rng.choice(len(points), size=60, replace=False).tolist():
+        assert overlay.delete(points[record_id], record_id)
+    spec = WorkloadSpec(n=16, mbr_fraction=0.02, k=8, queries=40)
+    queries = [GroupQuery(group, k=8) for group in generate_workload(points, spec, seed=17)]
+    for query in queries:
+        paged = mbm(flat, query, overlay=overlay)
+        oracle = mbm_seed_first(flat, query, overlay=overlay)
+        assert paged.distances() == oracle.distances()
+        assert paged.cost.node_accesses == oracle.cost.node_accesses
+        assert paged.cost.distance_computations <= oracle.cost.distance_computations
+
+    _assert_cpu_ratio(
+        lambda: [mbm(flat, query, overlay=overlay) for query in queries],
+        lambda: [mbm_seed_first(flat, query, overlay=overlay) for query in queries],
+        "MBM over a dirty overlay",
     )
 
 

@@ -22,10 +22,10 @@ Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
 *dirty* delta overlay (:class:`~repro.rtree.overlay.DeltaOverlay` — the
 engine's mutable write path), every memory-resident algorithm's driver
-scans the delta as its traversal's first leaf — the delta seeds its
-best list — and then traverses the frozen base with tombstones
-excluded, pruning against the merged view's k-th distance; answers are
-bit-identical to a from-scratch rebuild (an exact tie at the k-th
+reads the delta as pages of leaf size — MBM merged by key into its
+traversal of the frozen base, the others before their traversal — skips
+tombstones and prunes against the merged view's k-th distance; answers
+are bit-identical to a from-scratch rebuild (an exact tie at the k-th
 distance aside: see :mod:`repro.rtree.overlay`).  Shared buckets
 are disabled while dirty (they see only the base arrays).
 Disk-resident plans have no overlay form: the engine folds the overlay

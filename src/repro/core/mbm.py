@@ -48,11 +48,11 @@ Heuristic-2-only ablation, having no tighter key, keeps that.)
 The weighted and max/min-aggregate extensions reuse the same traversal
 with generalised bounds (see :mod:`repro.core.aggregates`).
 
-Over a dirty delta overlay the delta is the traversal's first leaf
-(:func:`seed_from_delta`): its live rows go through the same leaf scan,
-keyed by Heuristic 2, before the base is traversed, so ``best_dist`` is
-finite from the first pop and the base reads only the nodes whose key
-is below the k-th distance of the *merged* view.
+Over a dirty overlay the delta's pages join in a heap of their own,
+``delta``, keyed ``W * mindist(page, M)``: a page at the head becomes a
+run of its rows in ascending Heuristic-2 bound, offered only while it
+precedes every base entry, so the base reads the nodes it would with the
+whole delta scanned first (up to an exact key tie); pages are not node reads.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from repro.core.centroid import weiszfeld_centroid
 from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
-from repro.rtree.overlay import DeltaOverlay
+from repro.rtree.overlay import DeltaOverlay, DeltaPages
 
 ANCHOR_STEPS = 3  #: Weiszfeld steps; any anchor is sound, more read no fewer nodes
 EVALUATION_BATCH = 16  #: children keyed per kernel call, at most
@@ -105,9 +105,9 @@ def mbm(
         heuristic 2 ... inferior to SPM").
     overlay:
         Optional pending writes over ``tree`` (its ``base``), answered
-        as one merged view: the delta seeds the best list
-        (:func:`seed_from_delta`), and tombstoned records are skipped at
-        the leaves before any per-point aggregate distance is charged;
+        as one merged view: the delta's pages join the traversal
+        (module docstring), and tombstoned records are skipped at the
+        leaves before any per-point aggregate distance is charged;
         node-level pruning is untouched (Heuristics 2/3 stay safe bounds
         for the live records the traversal is actually after).
     within:
@@ -119,9 +119,8 @@ def mbm(
     """
     cost = QueryCost(algorithm="MBM-best_first")
     best = BestList(query.k, within)
-    exclude = seed_from_delta(tree, query, best, overlay, cost)
-    if len(tree) > 0:
-        _mbm_best_first(tree, query, best, use_heuristic3, cost, exclude)
+    pages, exclude = _delta(tree, overlay)
+    _mbm_best_first(tree, query, best, use_heuristic3, cost, exclude, pages=pages)
     return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
 
 
@@ -134,26 +133,39 @@ def seed_from_delta(
 ) -> set | None:
     """Offer the overlay's delta to ``best``; return the tombstones to skip.
 
-    The delta is scanned as the traversal's first leaf, through
-    :func:`_scan_leaf` keyed by Heuristic 2 (``W * mindist(p, M)``, one
-    distance computation per row; aggregate distances only for the
-    ascending prefix it cannot prune) and charged to the query's
-    ``cost`` like any leaf.  Every tombstone-aware driver (MBM, SPM,
-    MQM, best-first) calls this before touching the base, so its own
-    pruning bound starts from the delta's k-th distance instead of
-    infinity.  Returns ``None`` when nothing is tombstoned.
+    Its pages are read like leaves (:func:`_scan_leaf`) in ascending ``W *
+    mindist(page, M)`` until that reaches ``best_dist``, leaving the
+    delta's exact top-k: SPM, MQM and best-first call this first and
+    prune from it.  Returns ``None`` when nothing is tombstoned.
     """
+    pages, exclude = _delta(tree, overlay)
+    if pages is not None:
+        divisor, mbr = _divisor(query), query.mbr
+        keys = divisor * kernels.boxes_mindist_box(pages.lows, pages.highs, mbr.low, mbr.high)
+        cost.record_distance_computations(len(keys))
+        for page in keys.argsort(kind="stable").tolist():
+            if keys[page] >= best.best_dist:
+                break
+            _scan_leaf(_page_run(pages, page, divisor, query, cost), query, best, cost)
+    return exclude
+
+
+def _delta(tree: FlatRTree, overlay: DeltaOverlay | None):
+    """The overlay's pages and tombstones (``None`` without an overlay or tombstones)."""
     if overlay is None:
-        return None
+        return None, None
     if overlay.base is not tree:
         raise ValueError("the overlay must shadow the tree being traversed")
-    points, record_ids = overlay.delta_points()
-    if len(record_ids):
-        mbr = query.mbr
-        bounds = _divisor(query) * kernels.points_mindist_box(points, mbr.low, mbr.high)
-        cost.record_distance_computations(len(points))
-        _scan_leaf(tree, points, record_ids, bounds, query, best, cost)
-    return overlay.tombstones or None
+    return overlay.delta_pages(), overlay.tombstones or None
+
+
+def _page_run(pages: DeltaPages, page: int, divisor: float, query: GroupQuery, cost) -> _Run:
+    """Delta page ``page``'s rows keyed by Heuristic 2 (one charge a row), as a run."""
+    rows = slice(*pages.starts[page : page + 2].tolist())
+    points = pages.points[rows]
+    bounds = divisor * kernels.points_mindist_box(points, query.mbr.low, query.mbr.high)
+    cost.record_distance_computations(len(bounds))
+    return _Run(points, pages.record_ids[rows], bounds)
 
 
 def _divisor(query: GroupQuery) -> float:
@@ -184,7 +196,7 @@ def _tangent_anchor(cost, group: np.ndarray, weights=None) -> np.ndarray:
     return weiszfeld_centroid(group, max_iterations=ANCHOR_STEPS, weights=weights)
 
 
-def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, read=None) -> None:
+def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, read=None, pages=None):
     """Best-first MBM over the flat snapshot, its keys deferred (module docstring).
 
     A heap entry is ``(key, tie, node, plane)``.  A keyed entry carries
@@ -204,14 +216,31 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, read=
     read = flat.read_node if read is None else read
     divisor = _divisor(query)
     low, high = query.mbr.low, query.mbr.high
-    tangent = use_heuristic3 and query.aggregate == kernels.SUM
-    anchor = _tangent_anchor(cost, query.points, query.weights) if tangent else None
     counter = itertools.count()
-    heap = [(0.0, next(counter), 0, _KEYED)]
+    heap = [(0.0, next(counter), 0, _KEYED)] if len(flat) else []
+    tangent = use_heuristic3 and query.aggregate == kernels.SUM and bool(heap)
+    anchor = _tangent_anchor(cost, query.points, query.weights) if tangent else None
+    delta = []
+    if pages is not None:
+        keys = divisor * kernels.boxes_mindist_box(pages.lows, pages.highs, low, high)
+        cost.record_distance_computations(len(keys))
+        delta = [(key, next(counter), page, pages) for page, key in enumerate(keys.tolist())]
+        heapq.heapify(delta)
 
     # Once the head's key reaches ``best_dist`` every entry's does
     # (``best_dist`` is the ceiling until ``best`` is full).
-    while heap and heap[0][0] < best.best_dist:
+    while True:
+        head = heap[0][0] if heap else math.inf
+        if min(head, delta[0][0] if delta else head) >= best.best_dist:
+            break
+        if delta and delta[0][0] <= head:  # the delta first at an equal key
+            _, _, page, run = heapq.heappop(delta)
+            if type(run) is DeltaPages:
+                run = _page_run(run, page, divisor, query, cost)
+            _scan_leaf(run, query, best, cost, head)
+            if run.next < run.end and run.bounds[run.next] < best.best_dist:
+                heapq.heappush(delta, (run.bounds[run.next], next(counter), 0, run))
+            continue
         key, _, node, plane = heapq.heappop(heap)
         if type(plane) is _Children:
             _evaluate(flat, query, best, heap, counter, node, plane, anchor, cost)
@@ -226,8 +255,8 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, read=
             if plane:
                 np.maximum(bounds, _plane_minimum(plane, points, points), out=bounds)
             cost.record_distance_computations((1 + bool(plane)) * (stop - start))
-            ids = flat.record_ids[start:stop]
-            _scan_leaf(flat, points, ids, bounds, query, best, cost, exclude)
+            run = _Run(points, flat.record_ids[start:stop], bounds)
+            _scan_leaf(run, query, best, cost, exclude=exclude)
             continue
         lows, highs = flat.lows[start:stop], flat.highs[start:stop]
         keys = divisor * kernels.boxes_mindist_box(lows, highs, low, high)
@@ -268,11 +297,11 @@ def _take(heap, counter, parent, children, ceiling) -> dict:
     ``children`` was just popped; this takes its next children, in
     ascending cheap key, while they stay below the next heap entry (and
     at least :data:`EVALUATION_MIN` of them), then continues with that
-    entry while it is another :class:`_Children`.  It stops at a
-    keyed entry, at ``ceiling`` or after :data:`EVALUATION_BATCH`
-    children, so all but the speculative few would have reached the head
-    one by one before the next read.  What is left of an entry goes back
-    under its next cheap key.
+    entry while it is another :class:`_Children`.  It stops at a keyed
+    entry, at ``ceiling`` or after :data:`EVALUATION_BATCH` children, so
+    all but the speculative few would have reached the head one by one
+    before the next read (the delta, which reads no node, is not
+    consulted).  What is left of an entry goes back under its next key.
     """
     taken = {True: [], False: []}
     count = 0
@@ -345,55 +374,56 @@ def _evaluate(flat, query, best, heap, counter, parent, children, anchor, cost) 
             heapq.heappush(heap, (key, next(counter), node, plane))
 
 
+class _Run:
+    """A leaf's rows (``rows`` of ``points``) in ascending lower bound, offered from ``next`` on."""
+
+    __slots__ = ("points", "ids", "rows", "bounds", "distances", "next", "end")
+
+    def __init__(self, points: np.ndarray, ids: np.ndarray, bounds: np.ndarray):
+        self.points, self.ids, self.distances, self.next = points, ids, None, 0
+        self.rows = bounds.argsort(kind="stable")
+        self.bounds = bounds.take(self.rows).tolist()
+        self.end = len(self.bounds)
+
+
 def _plane_minimum(plane, lows, highs) -> np.ndarray:
     """A keyed node's tangent plane minimised over each box (or at each point) given."""
     (values, gradients, origins), row = plane
     return kernels.plane_lower_bounds(values[row], gradients[row], origins[row], lows, highs)
 
 
-def _scan_leaf(flat, points, record_ids, bounds, query, best, cost, exclude=None) -> None:
-    """Offer leaf points to ``best`` in ascending lower bound until one reaches ``best_dist``.
+def _scan_leaf(run, query, best, cost, head=math.inf, exclude=None) -> None:
+    """Offer ``run``'s next rows while their bound is below ``best_dist`` and at most ``head``.
 
-    ``(points, record_ids)`` is a leaf slice of ``flat`` or — through
-    :func:`seed_from_delta` — the overlay's delta, ``bounds`` a lower
-    bound of each point's aggregate distance, charged by the caller;
-    every charge goes to ``cost``.  Aggregate distances are
-    computed for the points whose bound is below ``best_dist``,
-    ``flat.capacity`` of them per call, fetched as the loop reaches them
-    — one call for a leaf, and for a delta only the chunks before the
-    break, so the computed distances match the charged ones to within a
-    chunk.  ``best_dist`` only shrinks while the ordered candidates are
-    consumed, so the loop visits a prefix of them.  The loop is
-    pure-float: it skips ``offer`` calls that provably return False
-    (``distance >= best_dist``) and records the per-candidate distance
-    charges — ``n`` for every candidate consumed before the break — as
-    one batched charge.
+    ``run`` is a snapshot leaf or a delta page, its bounds charged by
+    the caller.  The aggregate distances come from one kernel call, for
+    the rows below ``best_dist`` (``run.end``) when the first is offered.
+    The loop is pure-float: it skips ``offer`` calls that provably
+    return False and charges ``n`` distance computations per row it
+    reaches, tombstoned (``exclude``) rows aside, in one batched charge.
     """
-    order = bounds.argsort(kind="stable")
-    candidate_bounds = bounds.take(order).tolist()
-    best_dist = best.best_dist
-    candidates = order[: bisect.bisect_left(candidate_bounds, best_dist)]
-    if candidates.size == 0:
+    bounds, position, best_dist = run.bounds, run.next, best.best_dist
+    if position == run.end or bounds[position] >= best_dist or bounds[position] > head:
         return
-    ids = record_ids.take(candidates).tolist()
-    chunk = flat.capacity
-    candidate_distances: list[float] = []
-    offer = best.offer
-    consumed = 0
-    for position, (offset, record_id) in enumerate(zip(candidates.tolist(), ids)):
-        if candidate_bounds[position] >= best_dist:
-            break
-        if position == len(candidate_distances):
-            part = candidates[position : position + chunk]
-            candidate_distances += query.distances_to(points.take(part, axis=0)).tolist()
+    if run.distances is None:
+        run.end = bisect.bisect_left(bounds, best_dist)
+        rows = run.rows[: run.end]
+        run.distances = query.distances_to(run.points.take(rows, axis=0)).tolist()
+        run.rows, run.ids = rows.tolist(), run.ids.take(rows).tolist()
+    distances, rows, ids, end = run.distances, run.rows, run.ids, run.end
+    first, skipped = position, 0
+    while True:
+        record_id = ids[position]
         if exclude is not None and record_id in exclude:
-            continue
-        consumed += 1
-        distance = candidate_distances[position]
-        if distance < best_dist:
-            offer(record_id, points[offset], distance)
+            skipped += 1
+        elif distances[position] < best_dist:
+            best.offer(record_id, run.points[rows[position]], distances[position])
             best_dist = best.best_dist
-    cost.record_distance_computations(query.cardinality * consumed)
+        position += 1
+        if position == end or bounds[position] >= best_dist or bounds[position] > head:
+            break
+    cost.record_distance_computations(query.cardinality * (position - first - skipped))
+    run.next = position
 
 
 # ----------------------------------------------------------------------
@@ -452,7 +482,6 @@ def mbm_batch(
         query = GroupQuery(group, k=k)
         cost = QueryCost(algorithm="MBM-batch")
         best = BestList(k, ceiling)
-        if len(flat) > 0:
-            _mbm_best_first(flat, query, best, use_heuristic3, cost, read=read_once)
+        _mbm_best_first(flat, query, best, use_heuristic3, cost, read=read_once)
         results.append(GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat)))
     return results

@@ -99,7 +99,7 @@ def _mqm_round_robin(
       best list (``BestList.offer`` rejects members, and an evicted
       member's distance can never beat the shrunken ``best_dist``), so
       only first-seen records are offered;
-    * the per-record ``distance_to_canonical`` call is replaced by the
+    * the per-record aggregate distance call is replaced by the
       frontier's shared per-leaf aggregate (bit-identical floats), and
       the ``n``-per-new-record distance-computation charges are summed
       into one batched charge with the same total.

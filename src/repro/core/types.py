@@ -7,7 +7,7 @@ The symbols mirror Table 3.1 of the paper:
 ``n``                  number of query points (``GroupQuery.cardinality``)
 ``M``                  MBR of Q (``GroupQuery.mbr``)
 ``q``                  centroid of Q (``GroupQuery.centroid``)
-``dist(p, Q)``         aggregate distance (``GroupQuery.distance_to``)
+``dist(p, Q)``         aggregate distance (``GroupQuery.distances_to``)
 ``best_dist``          k-th best distance found so far (``BestList.best_dist``)
 =====================  =====================================================
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.distance import SUM, _fast_point
+from repro.geometry.distance import SUM
 from repro.geometry.kernels import check_weights
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_points
@@ -72,35 +72,14 @@ class GroupQuery:
             self._mbr = MBR.from_points(self.points)
         return self._mbr
 
-    def distance_to(self, point) -> float:
-        """Aggregate distance ``dist(p, Q)`` from a data point to the group."""
-        point = _fast_point(point, dims=self.dims)
-        return self.distance_to_canonical(point)
-
-    def distance_to_canonical(self, point: np.ndarray) -> float:
-        """:meth:`distance_to` for a point that is already canonical.
-
-        The caller vouches that ``point`` is a finite float64 ``(dims,)``
-        array — e.g. one stored in an R-tree leaf, which was validated on
-        insertion.  The algorithms use this on their per-candidate hot
-        path; user-facing code should call :meth:`distance_to`.
-        """
-        dists = kernels.point_distances(self.points, point)
-        return float(kernels.reduce_aggregate(dists, self.aggregate, self.weights))
-
     def distances_to(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`distance_to` for a ``(count, dims)`` candidate array."""
+        """Aggregate distance ``dist(p, Q)`` of every row of a ``(count, dims)`` array."""
         return kernels.aggregate_distances(
             points, self.points, weights=self.weights, aggregate=self.aggregate
         )
 
-    def mindist_lower_bound(self, mbr: MBR) -> float:
-        """Lower bound of ``dist(p, Q)`` over all points ``p`` inside ``mbr``."""
-        dists = kernels.points_mindist_box(self.points, mbr.low, mbr.high)
-        return float(kernels.reduce_aggregate(dists, self.aggregate, self.weights))
-
     def mindist_lower_bounds(self, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`mindist_lower_bound` for arrays of node rectangles."""
+        """Lower bound of ``dist(p, Q)`` over each box ``[lows[j], highs[j]]``."""
         return kernels.boxes_group_mindist(
             lows, highs, self.points, weights=self.weights, aggregate=self.aggregate
         )

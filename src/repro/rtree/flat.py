@@ -215,16 +215,19 @@ class FlatRTree:
     def read_node(self, index: int, cost=None) -> int:
         """Charge one node access for node ``index`` to ``cost`` and return it.
 
-        ``cost`` is the reading query's record (``stats`` for a read
-        outside any query).  The buffer (when attached) is keyed by the
-        preserved page ids (``node_ids``).
+        ``cost`` is the reading query's record (``stats``, under its lock,
+        for a read outside any query).  The buffer (when attached) is
+        keyed by the preserved page ids (``node_ids``).
         """
         hit = False
         if self.buffer is not None:
             hit = self.buffer.access(int(self.node_ids[index]))
-        (self.stats if cost is None else cost).record_node_access(
-            bool(self.levels[index] == 0), buffer_hit=hit
-        )
+        leaf = bool(self.levels[index] == 0)
+        if cost is None:
+            with self._stats_lock:
+                self.stats.record_node_access(leaf, buffer_hit=hit)
+        else:
+            cost.record_node_access(leaf, buffer_hit=hit)
         return index
 
     def record_query(self, cost) -> None:

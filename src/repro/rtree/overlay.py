@@ -10,29 +10,41 @@ read-optimised :class:`~repro.rtree.flat.FlatRTree` stays immutable
   of record ids the read path must skip (deletes of delta-resident
   records drop the row from the delta's live set).
 
-Queries answer from the *merged* view: each built-in algorithm scans the
-delta's live rows (:meth:`DeltaOverlay.delta_points`) first, as its
-traversal's first leaf — the delta seeds the best list through
-Heuristic 2 (:func:`repro.core.mbm.seed_from_delta`) — and then
-traverses the base snapshot with the tombstone set excluded, pruning
-against the merged view's k-th distance.  Answers are bit-identical to
-a from-scratch rebuild over the live dataset: the distances come from
-the same kernels applied to the same coordinates.  The one caveat is
-the one a single tree already has: an exact tie at the k-th distance,
-here between a delta record and a base record, resolves by scan order
-(the delta is scanned first).  :meth:`DeltaOverlay.compact` folds the
-whole overlay into a generation ``N+1`` snapshot — the artifact a
-background compactor publishes to the serving hot-swap.
+Queries answer from the *merged* view: the delta's live rows, paged
+like leaves (:meth:`DeltaOverlay.delta_pages`), share MBM's best-first
+heap with the base's nodes (SPM, MQM and best-first read them first,
+:func:`repro.core.mbm.seed_from_delta`); the base traversal skips the
+tombstones and prunes against the merged view's k-th distance.  Answers
+are bit-identical to a from-scratch rebuild over the live dataset: the
+same kernels on the same coordinates.  The one caveat is the one a
+single tree already has: an exact tie at the k-th distance, here between
+a delta and a base record, resolves by the order the two are reached (in
+MBM, heap order).  :meth:`DeltaOverlay.compact` folds the whole overlay
+into a generation ``N+1`` snapshot — the artifact a background
+compactor publishes to the serving hot-swap.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.rtree.flat import FlatRTree
+from repro.geometry.hilbert import hilbert_index, hilbert_index_2d
+from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 
 #: Rows allocated for an empty store; the buffer doubles from here.
 _INITIAL_ROWS = 16
+
+
+class DeltaPages(NamedTuple):
+    """The delta's live rows in page order: page ``j`` is rows ``starts[j]:starts[j + 1]``."""
+
+    points: np.ndarray  # (rows, dims)
+    record_ids: np.ndarray  # (rows,)
+    starts: np.ndarray  # (pages + 1,)
+    lows: np.ndarray  # (pages, dims): each page's MBR
+    highs: np.ndarray
 
 
 class PointStore:
@@ -42,14 +54,25 @@ class PointStore:
     appended (amortised O(1), capacity doubling); a delete only drops
     the id from the live map, so dead rows stay in the buffer but are
     never handed to a scan.  ``len(store)`` counts live records.
+
+    A row's Hilbert key is taken at append, on a grid fixed over
+    ``extent`` (rows outside it share its border cells), so paging a new
+    version is one ``argsort`` cut into pages of ``page_rows`` rows.
     """
 
-    def __init__(self, dims: int):
+    def __init__(self, dims: int, page_rows: int = DEFAULT_CAPACITY, extent=None):
         self.dims = int(dims)
+        self.page_rows = int(page_rows)
+        low, high = np.asarray(extent if extent is not None else ([0.0], [1.0]), dtype=float)
+        low, span = np.broadcast_to(low, self.dims), np.broadcast_to(high - low, self.dims)
+        span = np.where(span > 0, span, 1.0)
+        self._key_order = order = min(8, 63 // max(1, self.dims))  # the page keys' Hilbert grid
+        self._key_low, self._key_scale = low.tolist(), (((1 << order) - 1) / span).tolist()
         self._data = np.empty((_INITIAL_ROWS, self.dims), dtype=np.float64)
+        self._meta = np.empty((_INITIAL_ROWS, 2), dtype=np.int64)  # id, key (-1: dead)
         self._count = 0
         self._rows: dict[int, int] = {}  # live record id -> row
-        self._view: tuple[np.ndarray, np.ndarray] | None = None
+        self._view: tuple[np.ndarray, np.ndarray, DeltaPages] | None = None
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -62,7 +85,15 @@ class PointStore:
         row = self._count
         if row == self._data.shape[0]:
             self._data = np.concatenate([self._data, np.empty_like(self._data)])
+            self._meta = np.concatenate([self._meta, np.empty_like(self._meta)])
         self._data[row] = point
+        side, order = (1 << self._key_order) - 1, self._key_order
+        cell = [
+            int(min(side, max(0.0, (value - low) * scale)))  # NaN lands in cell 0
+            for value, low, scale in zip(self._data[row].tolist(), self._key_low, self._key_scale)
+        ]
+        key = hilbert_index_2d(*cell, order) if len(cell) == 2 else hilbert_index(cell, order)
+        self._meta[row] = record_id, key
         self._count = row + 1
         self._rows[record_id] = row
         self._view = None
@@ -73,6 +104,7 @@ class PointStore:
         if row is None or not np.array_equal(self._data[row], point):
             return False
         del self._rows[record_id]
+        self._meta[row, 1] = -1
         self._view = None
         return True
 
@@ -82,13 +114,22 @@ class PointStore:
         Cached until the next write; a pair handed out earlier is never
         touched by later appends.
         """
-        if self._view is None:
-            count = len(self._rows)
-            ids = np.fromiter(self._rows, dtype=np.int64, count=count)
-            rows = np.fromiter(self._rows.values(), dtype=np.intp, count=count)
-            order = np.argsort(ids, kind="stable")
-            self._view = (self._data[rows[order]], ids[order])
-        return self._view
+        return self.version()[:2]
+
+    def version(self) -> tuple[np.ndarray, np.ndarray, DeltaPages]:
+        """:meth:`live_points` and the same rows paged in Hilbert order, built together."""
+        view = self._view
+        if view is None:
+            rows = np.flatnonzero(self._meta[: self._count, 1] >= 0)
+            ids, keys = self._meta.take(rows, axis=0).T
+            by_id, paged = ids.argsort(kind="stable"), keys.argsort(kind="stable")
+            points = self._data.take(rows.take(paged), axis=0)
+            starts = np.append(np.arange(0, len(rows), self.page_rows), len(rows))
+            lows = np.minimum.reduceat(points, starts[:-1], axis=0)
+            highs = np.maximum.reduceat(points, starts[:-1], axis=0)
+            pages = DeltaPages(points, ids.take(paged), starts, lows, highs)
+            view = self._view = (self._data.take(rows.take(by_id), axis=0), ids.take(by_id), pages)
+        return view
 
 
 class DeltaOverlay:
@@ -104,7 +145,7 @@ class DeltaOverlay:
         if not isinstance(base, FlatRTree):
             raise TypeError(f"DeltaOverlay expects a FlatRTree base, got {type(base).__name__}")
         self.base = base
-        self.delta = PointStore(base.dims)
+        self.delta = PointStore(base.dims, base.capacity, base.root_mbr())
         self.tombstones: set[int] = set()
         self._base_rows: dict[int, int] | None = None
         self._base_identity: bool | None = None
@@ -202,13 +243,13 @@ class DeltaOverlay:
     def delta_points(self) -> tuple[np.ndarray, np.ndarray]:
         """The delta's live records as ``(points, record_ids)``, id-ordered.
 
-        Cached until the next delta write.  This is the read path's
-        memtable scan: queries score it as the traversal's first leaf,
-        ``|delta|`` mindists to the group MBR plus ``n`` distances per
-        row Heuristic 2 cannot prune — the same kernels the base
-        traversal uses, so merged answers equal a rebuild's.
+        Cached with :meth:`delta_pages`, the form queries read.
         """
         return self.delta.live_points()
+
+    def delta_pages(self) -> DeltaPages:
+        """The delta's live records, ``base.capacity`` rows a page, cached with the rows."""
+        return self.delta.version()[2]
 
     def live_points(self) -> tuple[np.ndarray, np.ndarray]:
         """The merged live dataset as ``(points, record_ids)``, id-ordered.

@@ -195,14 +195,13 @@ class MultiStreamFrontier:
     hit/miss sequence — happen in the same order, and points are
     emitted in the same globally sorted ``(key, counter)`` order with
     the same float keys.  Per-point aggregate group distances ride
-    along for free in :attr:`agg_by_row`, bit-identical to
-    ``GroupQuery.distance_to_canonical`` (same per-element arithmetic,
-    same contiguous-axis reduction).
+    along for free in :attr:`agg_by_row`, bit-identical to one point's
+    ``kernels.point_distances`` reduced by ``kernels.reduce_aggregate``
+    (same per-element arithmetic, same contiguous-axis reduction).
 
     Streams are indexed by *original* group order; the aggregate
-    reduction therefore sums query points in exactly the order
-    ``GroupQuery.distance_to_canonical`` does.  Node reads are charged
-    to ``cost``, the query's record.
+    reduction therefore sums query points in exactly that order.  Node
+    reads are charged to ``cost``, the query's record.
     """
 
     __slots__ = (

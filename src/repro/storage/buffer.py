@@ -10,6 +10,7 @@ can be reproduced and measured.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 
 
@@ -18,6 +19,7 @@ class LRUBuffer:
 
     The buffer stores only identifiers — the simulated pages have no
     payload to cache — which is all that is needed to decide hit/miss.
+    :meth:`access` and :meth:`clear` hold a lock: threads share a buffer.
     """
 
     def __init__(self, capacity: int):
@@ -27,6 +29,7 @@ class LRUBuffer:
         self._pages: OrderedDict[int, None] = OrderedDict()
         self.hits = 0
         self.misses = 0
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -44,15 +47,14 @@ class LRUBuffer:
         below the resident count, or a single-page buffer faulting on
         every access).
         """
-        if page_id in self._pages:
+        with self._lock:
+            hit = page_id in self._pages
+            self._pages[page_id] = None
             self._pages.move_to_end(page_id)
-            self.hits += 1
+            self.hits += hit
+            self.misses += not hit
             self._evict_over_capacity()
-            return True
-        self.misses += 1
-        self._pages[page_id] = None
-        self._evict_over_capacity()
-        return False
+            return hit
 
     def _evict_over_capacity(self) -> None:
         """Evict from the LRU end until within capacity.
@@ -67,9 +69,10 @@ class LRUBuffer:
 
     def clear(self) -> None:
         """Drop every cached page and zero the hit/miss counters."""
-        self._pages.clear()
-        self.hits = 0
-        self.misses = 0
+        with self._lock:
+            self._pages.clear()
+            self.hits = 0
+            self.misses = 0
 
     def __repr__(self) -> str:
         return (

@@ -109,10 +109,6 @@ class IOCounters(CounterSet):
     block_reads: int = 0
     sort_passes: int = 0
 
-    def record_page_reads(self, count: int = 1) -> None:
-        """Charge ``count`` page reads."""
-        self.page_reads += count
-
     def record_block_read(self, pages_in_block: int) -> None:
         """Charge one block read consisting of ``pages_in_block`` pages."""
         self.block_reads += 1

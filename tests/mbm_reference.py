@@ -16,6 +16,14 @@ vector, every child and every leaf point is scored for every active
 member, and the top-k lists are ``(B, k)`` arrays whose k-th-distance
 ties go to the smallest record ids.  The production ``mbm_batch`` must
 return the same distances, and the CPU smoke guard times it against this.
+
+:func:`mbm_seed_first` is MBM over a dirty overlay as it ran before the
+delta was paged into the heap: the whole delta is scanned first, as one
+leaf keyed by Heuristic 2 (:func:`_process_leaf`: a mindist per row,
+``n`` distances per row it cannot prune), then the base is traversed by
+the production driver with no delta.  Paged MBM must return
+its neighbours and distances, read exactly its nodes and charge no more
+distance computations (the differential test and the CPU smoke guard).
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from repro.core.heuristics import (
     heuristic3_prunes_batch,
     heuristic3_prunes_precomputed,
 )
-from repro.core.mbm import _divisor, _tangent_anchor
+from repro.core.mbm import _divisor, _mbm_best_first as _mbm_base_traversal, _tangent_anchor
 from repro.core.types import BestList, GNNResult, GroupNeighbor, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
@@ -50,6 +58,22 @@ def mbm_reference(flat, query, use_heuristic3=True, overlay=None, within=math.in
     if len(flat) > 0:
         _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude)
     return GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat))
+
+
+def mbm_seed_first(tree, query, use_heuristic3=True, overlay=None, within=math.inf) -> GNNResult:
+    cost = QueryCost(algorithm="MBM-best_first")
+    best = BestList(query.k, within)
+    exclude = None
+    if overlay is not None:
+        if overlay.base is not tree:
+            raise ValueError("the overlay must shadow the tree being traversed")
+        points, record_ids = overlay.delta_points()
+        if len(record_ids):
+            _process_leaf(tree, points, record_ids, query, best, _divisor(query), cost)
+        exclude = overlay.tombstones or None
+    if len(tree) > 0:
+        _mbm_base_traversal(tree, query, best, use_heuristic3, cost, exclude)
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
 
 
 def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None) -> None:

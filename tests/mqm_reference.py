@@ -3,8 +3,8 @@
 This is the paper's Figure 3.2 written the obvious way — ``n``
 independent :func:`~repro.rtree.traversal.incremental_nearest`
 generators (each a ``flat_incremental_nearest_generic`` stream)
-combined round-robin with the threshold rule, one
-``distance_to_canonical`` call and one ``n``-sized distance charge per
+combined round-robin with the threshold rule, one per-point aggregate
+distance (:func:`_distance_to`) and one ``n``-sized distance charge per
 newly seen record.  The production driver replaces the generators with
 one :class:`~repro.rtree.traversal.MultiStreamFrontier`; the conformance
 tests require it to be indistinguishable from this driver: same
@@ -12,6 +12,7 @@ neighbors, same node/leaf/distance counters, same LRU hit/miss sequence.
 """
 
 from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
+from repro.geometry import kernels
 from repro.geometry.hilbert import hilbert_sort
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import incremental_nearest
@@ -55,7 +56,7 @@ def mqm_reference(flat: FlatRTree, query: GroupQuery, exclude=None) -> GNNResult
                 if record_id in seen_distances:
                     distance = seen_distances[record_id]
                 else:
-                    distance = query.distance_to_canonical(neighbor.point)
+                    distance = _distance_to(query, neighbor.point)
                     cost.record_distance_computations(n)
                     seen_distances[record_id] = distance
                 best.offer(record_id, neighbor.point, distance)
@@ -66,3 +67,9 @@ def mqm_reference(flat: FlatRTree, query: GroupQuery, exclude=None) -> GNNResult
         if not progressed:
             break
     return GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat))
+
+
+def _distance_to(query: GroupQuery, point) -> float:
+    """``dist(p, Q)`` of one leaf point: its distances to the group, reduced."""
+    distances = kernels.point_distances(query.points, point)
+    return float(kernels.reduce_aggregate(distances, query.aggregate, query.weights))

@@ -21,6 +21,8 @@ import numpy as np
 import pytest
 
 from repro import GNNEngine, PointFile, QuerySpec
+from repro.geometry import kernels
+from repro.rtree.traversal import flat_incremental_nearest_generic
 from repro.serve import CompactingWriter
 
 SEED = 20040302
@@ -218,3 +220,52 @@ def test_queries_beside_a_compacting_writer_report_their_solo_cost(points, engin
     if engine.flat is not old_flat:
         added = {name: added[name] + getattr(engine.flat.stats, name) for name in TREE_COUNTERS}
     assert _summed([result for _, result in runs]) == added
+
+
+def test_concurrent_queries_keep_the_buffer_whole(points):
+    """One LRU buffer under 4 querying threads: every node read is one hit or one miss.
+
+    The buffer's check-then-act on its ``OrderedDict`` runs under a
+    lock; without it a page evicted between the check and the move
+    raises, and interleaved counter updates are lost.
+    """
+    engine = GNNEngine(points, capacity=16, buffer_pages=24)
+    specs = _specs("mbm") + _specs("mqm")
+
+    def work(thread):
+        return [engine.execute(specs[i]) for i in _rotated(specs, 3 * thread) * ROUNDS]
+
+    results = [result for outcome in _on_threads(4, work) for result in outcome]
+    buffer = engine.buffer
+    assert buffer.hits + buffer.misses == sum(r.cost.node_accesses for r in results)
+    assert buffer.misses == sum(r.cost.page_faults for r in results)
+    assert len(buffer) <= buffer.capacity
+
+
+def test_concurrent_raw_reads_reach_the_stats_whole(engine):
+    """Streams read with no cost record charge ``flat.stats`` directly, under its lock."""
+    flat = engine.flat
+    centres = _groups(4, size=1)[:, 0]
+
+    def stream(centre, items=150):
+        nearest = flat_incremental_nearest_generic(
+            flat,
+            lambda points: kernels.point_distances(points, centre),
+            lambda lows, highs: kernels.boxes_mindist_point(lows, highs, centre),
+        )
+        for _ in range(items):
+            next(nearest)
+
+    reads = []
+    for centre in centres:
+        before = flat.stats.node_accesses
+        stream(centre)
+        reads.append(flat.stats.node_accesses - before)
+    before = flat.stats.node_accesses
+
+    def work(thread):
+        for _ in range(ROUNDS):
+            stream(centres[thread])
+
+    _on_threads(4, work)
+    assert flat.stats.node_accesses - before == ROUNDS * sum(reads)

@@ -26,22 +26,21 @@ class TestGroupQuery:
 
     def test_distance_to_sums_euclidean_distances(self):
         query = GroupQuery([[0.0, 0.0], [3.0, 4.0]])
-        assert query.distance_to([0.0, 0.0]) == pytest.approx(5.0)
+        assert query.distances_to(np.zeros((1, 2))).tolist() == pytest.approx([5.0])
 
     def test_distance_respects_aggregate(self):
         query = GroupQuery([[0.0, 0.0], [3.0, 4.0]], aggregate="max")
-        assert query.distance_to([0.0, 0.0]) == pytest.approx(5.0)
+        assert query.distances_to(np.zeros((1, 2))).tolist() == pytest.approx([5.0])
         query_min = GroupQuery([[0.0, 0.0], [3.0, 4.0]], aggregate="min")
-        assert query_min.distance_to([0.0, 0.0]) == pytest.approx(0.0)
+        assert query_min.distances_to(np.zeros((1, 2))).tolist() == pytest.approx([0.0])
 
     def test_mindist_lower_bound_holds(self):
         rng = np.random.default_rng(0)
         group = rng.uniform(0, 10, size=(5, 2))
         query = GroupQuery(group)
         box = MBR([2.0, 2.0], [4.0, 4.0])
-        bound = query.mindist_lower_bound(box)
-        for p in rng.uniform(2.0, 4.0, size=(30, 2)):
-            assert query.distance_to(p) >= bound - 1e-9
+        (bound,) = query.mindist_lower_bounds(box.low[None], box.high[None])
+        assert (query.distances_to(rng.uniform(2.0, 4.0, size=(30, 2))) >= bound - 1e-9).all()
 
     def test_total_weight_defaults_to_cardinality(self):
         query = GroupQuery([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
@@ -54,7 +53,7 @@ class TestGroupQuery:
     def test_single_point_group(self):
         query = GroupQuery([5.0, 5.0])
         assert query.cardinality == 1
-        assert query.distance_to([5.0, 8.0]) == pytest.approx(3.0)
+        assert query.distances_to(np.array([[5.0, 8.0]])).tolist() == pytest.approx([3.0])
 
 
 class TestGroupNeighbor:

@@ -375,6 +375,29 @@ class TestEngineRecovery:
             _assert_identical(recovered.execute(spec), reference.execute(spec), name)
         recovered.wal.close()
 
+    @pytest.mark.parametrize("dims", [8, 9, 64])
+    def test_high_dimensional_inserts_log_and_recover(self, tmp_path, rng, dims):
+        """The delta's page key must fit its int64 slot in any dimension:
+        a key that overflowed would raise after the WAL append, and every
+        later ``recover`` would replay the failing insert."""
+        base = rng.uniform(0, 1, size=(40, dims))
+        _seed_generation(tmp_path, base)
+        engine = GNNEngine.recover(tmp_path, fsync="off")
+        live = {i: base[i] for i in range(len(base))}
+        for point in rng.uniform(0.5, 1.5, size=(12, dims)):  # upper half and beyond
+            live[engine.insert(point)] = point
+        assert engine.delete(base[5], 5)
+        del live[5]
+        engine.wal.close()  # "crash"
+
+        recovered = GNNEngine.recover(tmp_path, fsync="off")
+        reference = _reference_engine(live)
+        group = rng.uniform(0.25, 1.25, size=(3, dims))
+        for name in ALGORITHMS:
+            spec = QuerySpec(group=group, k=5, algorithm=name)
+            _assert_identical(recovered.execute(spec), reference.execute(spec), name)
+        recovered.wal.close()
+
     def test_stale_wal_is_discarded_not_replayed_twice(self, tmp_path, dataset):
         _seed_generation(tmp_path, dataset)
         wal_path = tmp_path / "wal.log"

@@ -15,12 +15,6 @@ def sample_points():
 
 
 class TestIOCounters:
-    def test_page_reads_accumulate(self):
-        counters = IOCounters()
-        counters.record_page_reads(3)
-        counters.record_page_reads()
-        assert counters.page_reads == 4
-
     def test_block_read_counts_both_metrics(self):
         counters = IOCounters()
         counters.record_block_read(pages_in_block=5)

@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mbm_reference import mbm_seed_first
 
 from repro.api.spec import QuerySpec
 from repro.core.aggregates import aggregate_gnn
@@ -114,6 +115,40 @@ class TestPointStore:
         assert len(buffers) <= 5
         points, ids = store.live_points()
         assert points.shape == (100, 2) and ids.tolist() == list(range(100))
+
+    def test_pages_cover_the_live_rows_once_with_their_mbrs(self):
+        store = PointStore(dims=2, page_rows=4, extent=([0.0, 0.0], [100.0, 100.0]))
+        rng = np.random.default_rng(SEED)
+        coordinates = rng.uniform(-10, 110, size=(23, 2))  # some outside the extent
+        for rid, point in enumerate(coordinates):
+            store.append(point, rid)
+        for rid in (3, 8, 15):
+            assert store.delete(coordinates[rid], rid)
+        pages = store.version()[2]
+        assert pages.starts.tolist() == [0, 4, 8, 12, 16, 20]
+        assert sorted(pages.record_ids.tolist()) == store.live_points()[1].tolist()
+        assert np.array_equal(pages.points, coordinates[pages.record_ids])
+        for page, (start, stop) in enumerate(zip(pages.starts[:-1], pages.starts[1:])):
+            assert np.array_equal(pages.lows[page], pages.points[start:stop].min(axis=0))
+            assert np.array_equal(pages.highs[page], pages.points[start:stop].max(axis=0))
+        # Hilbert-ordered: each page spans far less than the whole extent.
+        spans = (pages.highs - pages.lows).prod(axis=1)
+        assert spans.mean() < 0.5 * np.ptp(coordinates, axis=0).prod()
+
+    def test_pages_and_rows_are_one_version(self):
+        store = PointStore(dims=2, page_rows=4)
+        for rid in range(6):
+            store.append([float(rid), 0.0], rid)
+        points, ids, pages = store.version()
+        assert store.live_points()[1] is ids
+        store.append([9.0, 9.0], 9)
+        assert store.version()[2] is not pages and len(store.version()[2].record_ids) == 7
+        assert len(pages.record_ids) == 6 and ids.tolist() == list(range(6))
+        store.delete([9.0, 9.0], 9)
+        paged = store.version()[2].record_ids.tolist()
+        assert paged == sorted(paged)
+        empty = PointStore(dims=2).version()[2]
+        assert empty.starts.tolist() == [0] and empty.lows.shape == (0, 2)
 
     def test_a_view_handed_out_survives_later_appends(self):
         store = PointStore(dims=2)
@@ -364,8 +399,8 @@ class TestOverlayExecution:
         assert first.algorithm.endswith("+overlay")
 
     def test_dirty_mbm_counters_are_pinned(self):
-        """The delta seeds MBM's best list instead of being brute-forced
-        beside the base: same nodes, a third of the distances."""
+        """The delta's pages join MBM's traversal instead of being brute-forced
+        beside the base: same nodes, under a quarter of the distances."""
         rng = np.random.default_rng(SEED)
         points = rng.uniform(0, 1000, size=(5000, 2))
         engine = GNNEngine(points, capacity=16)
@@ -376,11 +411,38 @@ class TestOverlayExecution:
         group = rng.uniform(400, 600, size=(16, 2))
         result = engine.execute(QuerySpec(group=group, k=8, algorithm="mbm"))
         # With the delta scanned by brute force beside the base: (11, 8850);
-        # with MBM's keys computed eagerly for every pushed child: (11, 3082).
-        assert (result.cost.node_accesses, result.cost.distance_computations) == (11, 2537)
+        # with MBM's keys computed eagerly for every pushed child: (11, 3082);
+        # with the whole delta scanned before the base: (11, 2537).
+        assert (result.cost.node_accesses, result.cost.distance_computations) == (11, 2073)
+        oracle = mbm_seed_first(engine.flat, GroupQuery(group, k=8), overlay=engine.overlay)
+        assert (oracle.cost.node_accesses, oracle.cost.distance_computations) == (11, 2537)
         assert result.record_ids() == _rebuilt_reference(engine).execute(
             QuerySpec(group=group, k=8, algorithm="mbm")
         ).record_ids()
+
+    def test_paged_mbm_charges_no_more_than_the_seed_first_oracle(self):
+        """A write-path replay: jittered copies in the delta, groups of 16
+        in boxes of 2% of the space.  Per query the paged delta reads the
+        oracle's nodes, returns its answer and costs no more distances."""
+        rng = np.random.default_rng(SEED)
+        points = rng.uniform(0, 1000, size=(5000, 2))
+        engine = GNNEngine(points, capacity=16)
+        for row in rng.choice(len(points), size=360):
+            engine.insert(points[row] + rng.normal(scale=10.0, size=2))
+        for rid in rng.choice(len(points), size=60, replace=False).tolist():
+            assert engine.delete(points[rid], rid)
+        side = np.sqrt(0.02) * 1000
+        totals = np.zeros(2)
+        for low in rng.uniform(0, 1000 - side, size=(30, 2)):
+            query = GroupQuery(rng.uniform(low, low + side, size=(16, 2)), k=8)
+            paged = mbm(engine.flat, query, overlay=engine.overlay)
+            oracle = mbm_seed_first(engine.flat, query, overlay=engine.overlay)
+            assert paged.record_ids() == oracle.record_ids()
+            assert paged.distances() == oracle.distances()
+            assert paged.cost.node_accesses == oracle.cost.node_accesses
+            assert paged.cost.distance_computations <= oracle.cost.distance_computations
+            totals += paged.cost.distance_computations, oracle.cost.distance_computations
+        assert totals[0] < 0.9 * totals[1], totals
 
     def test_excluded_records_are_not_charged_distance_computations(self, dataset, rng):
         flat = FlatRTree.bulk_load(dataset, capacity=16)
@@ -527,6 +589,49 @@ class TestMutationScheduleProperty:
                 reference = rebuilt.execute(spec)
                 assert result.record_ids() == reference.record_ids(), name
                 assert np.array_equal(result.distances(), reference.distances()), name
+
+    @given(
+        initial=initial_points,
+        schedule=schedules,
+        k=st.integers(min_value=1, max_value=8),
+        group=st.lists(point_strategy, min_size=1, max_size=5),
+        aggregate=st.sampled_from(["sum", "max", "min"]),
+        within=st.one_of(st.just(float("inf")), st.floats(min_value=0.0, max_value=3000.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_paged_mbm_matches_the_seed_first_oracle(
+        self, initial, schedule, k, group, aggregate, within
+    ):
+        """MBM reading the delta's pages from its heap returns what the
+        whole delta scanned first (``mbm_reference.mbm_seed_first``)
+        returns and reads exactly its base nodes.
+
+        Its distance computations may exceed the oracle's on a small
+        delta (the replay test holds them below it), but only by the
+        page keys plus what reading the delta in another order, and the
+        oracle's tighter early ``best_dist``, can save: at most ``n`` per
+        delta row and per row of a base leaf read, and ``2n + 1`` per
+        child of an internal node read.
+        """
+        engine, live = _run_schedule(initial, schedule)
+        if not engine.dirty:
+            return
+        query = GroupQuery(np.array(group), k=k, aggregate=aggregate)
+        distances = query.distances_to(np.array(list(live.values())).reshape(-1, 2))
+        tie_free = len(np.unique(distances)) == len(distances)
+        pages, n = engine.overlay.delta_pages(), len(group)
+        for use_heuristic3 in (True, False):
+            paged = mbm(engine.flat, query, use_heuristic3, engine.overlay, within)
+            oracle = mbm_seed_first(engine.flat, query, use_heuristic3, engine.overlay, within)
+            assert paged.distances() == oracle.distances()
+            if tie_free:
+                assert paged.record_ids() == oracle.record_ids()
+            cost = paged.cost
+            assert cost.node_accesses == oracle.cost.node_accesses
+            internal = cost.node_accesses - cost.leaf_accesses
+            slack = len(pages.lows) + n * len(pages.record_ids)
+            slack += engine.flat.capacity * (n * cost.leaf_accesses + (2 * n + 1) * internal)
+            assert cost.distance_computations <= oracle.cost.distance_computations + slack
 
     @given(initial=initial_points, schedule=schedules, k=ks)
     @settings(max_examples=40, deadline=None)
