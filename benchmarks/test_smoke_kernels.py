@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core.fmbm import fmbm
-from repro.core.mbm import mbm, mbm_batch
+from repro.core.mbm import mbm
 from repro.core.types import GroupQuery
 from repro.datasets import pp_like, ts_like
 from repro.datasets.workload import WorkloadSpec, generate_workload, scale_into_workspace
@@ -213,17 +213,12 @@ def test_smoke_dirty_mbm_cpu_per_query():
     )
 
 
-@pytest.mark.parametrize("batch", [2, 8])
-def test_smoke_mbm_batch_cpu_per_query(batch):
-    """The deferred shared traversal must not cost CPU against the eager batch.
+def _meetup_replay(batch):
+    """A fixed meet-up replay shaped like the served path, in chunks of ``batch``.
 
-    A fixed meet-up replay shaped like the served path: ``pp_like(20000)``,
-    64 requests of ``n = 4``, ``k = 1`` groups drawn in 32 fixed boxes of
-    M = 0.5% with Zipf-1.1 popularity, answered ``batch`` consecutive
-    requests at a time by ``mbm_batch`` and by the eager
-    ``mbm_batch_reference`` of ``tests/mbm_reference.py``.
+    ``pp_like(20000)``, 64 requests of ``n = 4``, ``k = 1`` groups drawn
+    in 32 fixed boxes of M = 0.5% with Zipf-1.1 popularity.
     """
-    mbm_batch_reference = _load_mbm_reference("mbm_batch_reference")
     points = pp_like(20_000)
     flat = FlatRTree.bulk_load(points, capacity=50)
     rng = np.random.default_rng(31)
@@ -233,47 +228,56 @@ def test_smoke_mbm_batch_cpu_per_query(batch):
     popularity = np.arange(1, 33) ** -1.1
     hotspots = rng.choice(32, size=64, p=popularity / popularity.sum())
     groups = np.stack([rng.uniform(boxes[h], boxes[h] + side, size=(4, 2)) for h in hotspots])
-    chunks = [groups[start : start + batch] for start in range(0, len(groups), batch)]
+    return flat, groups, [groups[start : start + batch] for start in range(0, len(groups), batch)]
+
+
+def _scoped_mbm(flat, chunk):
+    """A batch as ``execute_many`` runs it: solo ``mbm`` per member in one read scope."""
+    with flat.read_scope():
+        return [mbm(flat, GroupQuery(group, k=1)) for group in chunk]
+
+
+@pytest.mark.parametrize("batch", [2, 8])
+def test_smoke_mbm_batch_cpu_per_query(batch):
+    """A batch's deferred traversals must not cost CPU against the eager batch.
+
+    The meet-up replay (:func:`_meetup_replay`) answered ``batch``
+    consecutive requests at a time by solo ``mbm`` per member in one
+    ``flat.read_scope()`` and by the eager ``mbm_batch_reference`` of
+    ``tests/mbm_reference.py``.
+    """
+    mbm_batch_reference = _load_mbm_reference("mbm_batch_reference")
+    flat, _, chunks = _meetup_replay(batch)
     for chunk in chunks:
         expected = mbm_batch_reference(flat, chunk, 1)
-        assert [r.distances() for r in mbm_batch(flat, chunk, 1)] == [
+        assert [r.distances() for r in _scoped_mbm(flat, chunk)] == [
             e.distances() for e in expected
         ]
 
     _assert_cpu_ratio(
-        lambda: [mbm_batch(flat, chunk, 1) for chunk in chunks],
+        lambda: [_scoped_mbm(flat, chunk) for chunk in chunks],
         lambda: [mbm_batch_reference(flat, chunk, 1) for chunk in chunks],
-        f"mbm_batch at B={batch}",
+        f"scoped mbm at B={batch}",
     )
 
 
 @pytest.mark.parametrize("batch", [2, 8])
 def test_smoke_mbm_batch_cpu_vs_solo(batch):
-    """A bucket must not cost CPU against answering its members one by one.
+    """A batch must not cost CPU against answering its members one by one.
 
-    The meet-up replay of ``test_smoke_mbm_batch_cpu_per_query``,
-    answered ``batch`` consecutive requests at a time by ``mbm_batch``
-    and request by request by solo ``mbm``, both from the raw groups.
-    Each member runs solo's traversal and only shares its reads, so
-    per-member overhead shows as a ratio above 1.10.
+    The meet-up replay answered ``batch`` consecutive requests at a time
+    in one ``flat.read_scope()`` and request by request by solo ``mbm``,
+    both from the raw groups.  Each member runs solo's traversal and
+    only shares its reads, so scope overhead shows as a ratio above 1.10.
     """
-    points = pp_like(20_000)
-    flat = FlatRTree.bulk_load(points, capacity=50)
-    rng = np.random.default_rng(31)
-    low, high = points.min(axis=0), points.max(axis=0)
-    side = float(np.sqrt(0.005 * np.prod(high - low)))
-    boxes = rng.uniform(low, high - side, size=(32, 2))
-    popularity = np.arange(1, 33) ** -1.1
-    hotspots = rng.choice(32, size=64, p=popularity / popularity.sum())
-    groups = np.stack([rng.uniform(boxes[h], boxes[h] + side, size=(4, 2)) for h in hotspots])
-    chunks = [groups[start : start + batch] for start in range(0, len(groups), batch)]
-    answers = [r.record_ids() for chunk in chunks for r in mbm_batch(flat, chunk, 1)]
+    flat, groups, chunks = _meetup_replay(batch)
+    answers = [r.record_ids() for chunk in chunks for r in _scoped_mbm(flat, chunk)]
     assert answers == [mbm(flat, GroupQuery(group, k=1)).record_ids() for group in groups]
 
     _assert_cpu_ratio(
-        lambda: [mbm_batch(flat, chunk, 1) for chunk in chunks],
+        lambda: [_scoped_mbm(flat, chunk) for chunk in chunks],
         lambda: [mbm(flat, GroupQuery(group, k=1)) for group in groups],
-        f"mbm_batch at B={batch} against solo mbm",
+        f"scoped mbm at B={batch} against solo mbm",
     )
 
 

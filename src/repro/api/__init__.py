@@ -13,8 +13,8 @@ This package is the public face of the engine redesign:
   :class:`~repro.api.planner.QueryPlan` with the chosen algorithm and a
   human-readable rationale, cached by the spec's shape;
 * :mod:`~repro.api.executor` — runs plans, including the batched
-  ``execute_many`` path that amortises index locality and shared MBM
-  traversals across queries.
+  ``execute_many`` path that amortises index locality and node reads
+  across queries.
 
 ``GNNEngine.execute`` / ``explain`` / ``execute_many`` wrap these pieces
 for the common case of one engine-owned dataset.

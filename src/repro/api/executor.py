@@ -7,16 +7,13 @@ batches) amortises work across queries:
 
 * **plan caching** — the planner plans specs with equal plan signatures
   once (its cache outlives the batch);
-* **locality scheduling** — memory-resident queries are executed in
-  Hilbert order of their group centroids, so consecutive queries touch
-  overlapping parts of the R-tree and an LRU buffer serves far more
-  requests from memory (results are returned in input order regardless);
-* **shared reads** — MBM specs are bucketed by
-  ``(cardinality, k, heuristics)``, Hilbert-ordered, and answered by
-  :func:`repro.core.mbm.mbm_batch`: each member runs its own solo
-  traversal, keying and pruning as it would alone (under its own
-  ``within`` ceiling, if any), over one set of nodes already read, so a
-  bucket reads the union of its members' nodes, each once.
+* **one read scope** — the memory-resident specs of a batch run, in
+  Hilbert order of their group centroids, inside one
+  :meth:`~repro.rtree.flat.FlatRTree.read_scope`: each runs its own
+  algorithm's per-query traversal, keying and pruning as it would alone
+  (under its own ``within`` ceiling, if any), but the first reader of a
+  node pays for it and later readers read it free, so the batch reads
+  the union of its members' solo read sets, each node once.
 
 Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
@@ -26,22 +23,25 @@ reads the delta as pages of leaf size — MBM merged by key into its
 traversal of the frozen base, the others before their traversal — skips
 tombstones and prunes against the merged view's k-th distance; answers
 are bit-identical to a from-scratch rebuild (an exact tie at the k-th
-distance aside: see :mod:`repro.rtree.overlay`).  Shared buckets
-are disabled while dirty (they see only the base arrays).
-Disk-resident plans have no overlay form: the engine folds the overlay
-(``compact()``) before handing such a plan a context.
+distance aside: see :mod:`repro.rtree.overlay`).  Delta pages are not
+node reads, so a batch over a dirty overlay shares its base reads all
+the same.  Disk-resident plans have no overlay form: the engine folds
+the overlay (``compact()``) before handing such a plan a context; a
+batch runs them after the scope, in input order, so each keeps the
+paper's per-block accounting.
 
-Batching never changes answers: a bucket member runs the per-query
-traversal itself, record ids included, which ``execute_many``
-equivalence tests pin down.
+Batching never changes answers: a member runs the per-query traversal
+itself, record ids included, which ``execute_many`` equivalence tests
+pin down.
 
 Every runner charges the query's own
 :class:`~repro.core.types.QueryCost` where the work happens and adds it
 once, when the query finishes, to the index's ``flat.stats``, so costs
-are exact per query however many threads share the index.  A bucket
-member's record (``MBM-batch``) holds its distance computations and CPU
-time, and the node reads it paid for as the first member to reach them,
-so a bucket's results sum to what the bucket adds to the index's stats.
+are exact per query however many threads share the index.  A batch
+member's record keeps its algorithm's label and holds its distance
+computations and CPU time, and the node reads it paid for as the first
+member to reach them, so a batch's results sum to what the batch adds
+to the index's stats.
 """
 
 from __future__ import annotations
@@ -53,23 +53,14 @@ from typing import Sequence
 import numpy as np
 
 from repro.api.planner import QueryPlan, QueryPlanner
-from repro.api.spec import MEMORY, WITHIN, QuerySpec
+from repro.api.spec import MEMORY, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
-from repro.core.mbm import mbm_batch
 from repro.core.types import GNNResult, GroupQuery, QueryCost
-from repro.geometry import kernels
 from repro.geometry.hilbert import hilbert_indices
 from repro.obs import trace as obs_trace
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.storage.buffer import LRUBuffer
-
-#: Upper bound on the members of one :func:`mbm_batch` call (and the
-#: serving micro-batch's default size).  Buckets are Hilbert-ordered
-#: before chunking, so each chunk covers a spatially tight neighborhood
-#: whose members share most of their reads.
-SHARED_BUCKET_MAX_MEMBERS = 32
-
 
 @dataclass
 class ExecutionContext:
@@ -203,143 +194,43 @@ def execute_batch(
     specs: Sequence[QuerySpec],
     planner: QueryPlanner | None = None,
 ) -> list[GNNResult]:
-    """Execute many specs, amortising planning, locality and shared reads.
+    """Execute many specs, amortising planning, locality and node reads.
 
-    Results are returned in the order of ``specs``.  Answers are
-    identical to calling :func:`execute_spec` once per spec.
+    The memory-resident specs run in Hilbert order of their group
+    centroids inside one read scope of the index (module docstring),
+    the disk-resident ones after it in input order.  Results are
+    returned in the order of ``specs``.  Answers are identical to
+    calling :func:`execute_spec` once per spec.
     """
     planner = planner or QueryPlanner()
     specs = list(specs)
     plans = [planner.plan(spec) for spec in specs]
-
     results: list[GNNResult | None] = [None] * len(specs)
-
-    # A dirty overlay disables the shared buckets wholesale — the
-    # frozen arrays alone no longer describe the live data; the per-spec
-    # path below answers from the merged overlay view instead.
-    if context.overlay is None:
-        shared_indices = [
-            i for i in range(len(specs)) if shared_traversal_eligible(specs[i], plans[i])
-        ]
-        for index, result in _shared_traversal_mbm(
-            context.flat, specs, plans, shared_indices
-        ):
-            if specs[index].trace:
-                result.plan = plans[index]
-            results[index] = result
-
-    remaining = [i for i in range(len(specs)) if results[i] is None]
-    for index in _locality_order(specs, plans, remaining):
-        results[index] = execute_spec(context, specs[index], plan=plans[index])
+    memory = [
+        i
+        for i in range(len(specs))
+        if plans[i].residency == MEMORY and specs[i].group is not None
+    ]
+    with context.flat.read_scope():
+        for index in _hilbert_order(specs, memory):
+            results[index] = execute_spec(context, specs[index], plan=plans[index])
+    for index, result in enumerate(results):
+        if result is None:
+            results[index] = execute_spec(context, specs[index], plan=plans[index])
     return results  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# shared-traversal batches (MBM)
-# ----------------------------------------------------------------------
-def shared_traversal_eligible(spec: QuerySpec, plan: QueryPlan) -> bool:
-    """Whether a spec can join a shared-traversal MBM bucket.
-
-    A shared bucket specialises the paper's setting — best-first MBM
-    over an unweighted sum group held in memory, with or without a
-    ``within`` ceiling — which is exactly what the auto policy plans for
-    such specs.  Everything else stays on the per-query path (with
-    identical answers either way).
-
-    This predicate is the public batch-eligibility contract: the serving
-    scheduler (:mod:`repro.serve.scheduler`) uses it to decide which
-    incoming requests may be coalesced into one micro-batch.
-    """
-    return (
-        plan.algorithm.name == "mbm"
-        and spec.group is not None
-        and spec.weights is None
-        and spec.aggregate == kernels.SUM
-    )
-
-
-def shared_bucket_key(spec: QuerySpec, plan: QueryPlan) -> tuple | None:
-    """The shared-traversal bucket ``spec`` coalesces into, or ``None``.
-
-    Specs with equal keys can be answered by *one* :func:`mbm_batch`
-    call (they stack along the batch dimensions: group cardinality,
-    ``k`` and the Heuristic-3 toggle).  ``None`` means the spec is not
-    shared-traversal eligible and must run on the per-query path.
-    """
-    if not shared_traversal_eligible(spec, plan):
-        return None
-    return (
-        spec.cardinality,
-        spec.k,
-        bool(plan.options.get("use_heuristic3", True)),
-    )
-
-
-def _shared_traversal_mbm(
-    flat: FlatRTree, specs: Sequence[QuerySpec], plans: Sequence[QueryPlan], indices: list[int]
-):
-    """Answer MBM specs through shared-read buckets.
-
-    Specs are bucketed by ``(cardinality, k, use_heuristic3)`` — the
-    stacking dimensions of :func:`repro.core.mbm.mbm_batch` — and each
-    bucket runs in Hilbert order of the group centroids, in chunks of
-    :data:`SHARED_BUCKET_MAX_MEMBERS`, so consecutive members read
-    overlapping nodes.  Single-spec buckets stay on the per-query path
-    (a batch of one amortises nothing).
-    """
-    if len(indices) < 2:
-        return
-    buckets: dict[tuple, list[int]] = {}
-    for i in indices:
-        key = shared_bucket_key(specs[i], plans[i])
-        if key is None:
-            # Defensive: the caller prefilters with the same predicate;
-            # an ineligible spec must fall back to the per-query path,
-            # never join a shared bucket.
-            continue
-        buckets.setdefault(key, []).append(i)
-    for (_, k, use_heuristic3), bucket in buckets.items():
-        if len(bucket) < 2:
-            continue
-        bucket = _hilbert_order(specs, bucket)
-        for start in range(0, len(bucket), SHARED_BUCKET_MAX_MEMBERS):
-            members = bucket[start : start + SHARED_BUCKET_MAX_MEMBERS]
-            if len(members) < 2:
-                continue  # leftover singleton: the per-query path is cheaper
-            outcomes = mbm_batch(
-                flat,
-                np.stack([specs[i].group for i in members]),
-                k,
-                use_heuristic3=use_heuristic3,
-                within=[plans[i].options.get(WITHIN, math.inf) for i in members],
-            )
-            yield from zip(members, outcomes)
 
 
 # ----------------------------------------------------------------------
 # locality scheduling
 # ----------------------------------------------------------------------
 def _hilbert_order(specs: Sequence[QuerySpec], indices: list[int]) -> list[int]:
-    """``indices`` reordered along the Hilbert curve of the group centroids."""
+    """``indices`` reordered along the Hilbert curve of the group centroids.
+
+    Nearby groups explore overlapping R-tree regions; run consecutively
+    they read nodes an earlier member already paid for, and keep an LRU
+    buffer's pages hot.
+    """
     if len(indices) < 2:
         return indices
     keys = hilbert_indices(np.vstack([specs[i].group.mean(axis=0) for i in indices]))
     return [indices[j] for j in np.argsort(keys, kind="stable")]
-
-
-def _locality_order(
-    specs: Sequence[QuerySpec], plans: Sequence[QueryPlan], indices: list[int]
-) -> list[int]:
-    """Order memory-resident queries along the Hilbert curve of their centroids.
-
-    Nearby groups explore overlapping R-tree regions; executing them
-    consecutively keeps those nodes hot in the LRU buffer.  Disk-resident
-    specs keep their input order (their cost is dominated by their own
-    query file, not by inter-query locality).
-    """
-    memory = [
-        i for i in indices if plans[i].residency == MEMORY and specs[i].group is not None
-    ]
-    memory_set = set(memory)
-    other = [i for i in indices if i not in memory_set]
-    return _hilbert_order(specs, memory) + other

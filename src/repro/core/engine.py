@@ -12,8 +12,8 @@ API:
 * :meth:`GNNEngine.explain` — return the :class:`~repro.api.planner.QueryPlan`
   (algorithm, rationale, options) without running anything;
 * :meth:`GNNEngine.execute_many` — the batch path: memory-resident
-  queries are scheduled in Hilbert order for buffer locality, and
-  unweighted MBM sums share their node reads per bucket.
+  queries run in Hilbert order inside one read scope of the index, so
+  each node is paid for once, by its first reader.
 
 All three plan through the engine's one :class:`~repro.api.planner.QueryPlanner`,
 whose cache plans each spec shape once.
@@ -247,20 +247,21 @@ class GNNEngine:
         engine returns its base snapshot unchanged.
         """
         if self.dirty:
-            # The outgoing base may hold the largest id ever allocated
-            # (all of it may be deleted): ids must not restart below it.
+            # The largest id ever allocated may have been deleted: the
+            # new snapshot keeps the high-water mark, so ids never
+            # restart below it, not even after a publish and recover.
             self._seed_next_id()
             self._flat = self._overlay.compact(
                 capacity=capacity, method=method, buffer=self.buffer
             )
+            self._flat.next_record_id = self._next_id
         self._overlay = None
         return self._flat
 
     def _seed_next_id(self) -> None:
-        """Start the id counter past the base's largest id, once per engine."""
+        """Start the id counter at the base's high-water mark, once per engine."""
         if self._next_id is None:
-            base_ids = np.asarray(self._flat.record_ids)
-            self._next_id = int(base_ids.max()) + 1 if base_ids.size else 0
+            self._next_id = self._flat.next_record_id
 
     def _ensure_overlay(self) -> DeltaOverlay:
         if self._overlay is None:
@@ -286,10 +287,11 @@ class GNNEngine:
         """Execute a batch of specs; results come back in input order.
 
         The batch path amortises work across queries — memory-resident
-        groups run in Hilbert order of their centroids (so an LRU buffer
-        keeps the touched subtrees hot), and unweighted MBM sums of one
-        shape share their node reads — while returning exactly the results of
-        per-spec :meth:`execute` calls.
+        groups run in Hilbert order of their centroids inside one
+        :meth:`~repro.rtree.flat.FlatRTree.read_scope`, where a node is
+        charged (and touches the LRU buffer) only for its first reader,
+        clean or dirty engine alike — while returning exactly the results
+        of per-spec :meth:`execute` calls.
         """
         specs = list(specs)
         return execute_batch(self._context(specs), specs, planner=self.planner)

@@ -53,6 +53,10 @@ Over a dirty overlay the delta's pages join in a heap of their own,
 run of its rows in ascending Heuristic-2 bound, offered only while it
 precedes every base entry, so the base reads the nodes it would with the
 whole delta scanned first (up to an exact key tie); pages are not node reads.
+
+A batch (``execute_many``) runs :func:`mbm` once per member inside one
+:meth:`~repro.rtree.flat.FlatRTree.read_scope`: each member keeps solo's
+answer and distance computations, and only the node reads are shared.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ import bisect
 import heapq
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -196,7 +199,7 @@ def _tangent_anchor(cost, group: np.ndarray, weights=None) -> np.ndarray:
     return weiszfeld_centroid(group, max_iterations=ANCHOR_STEPS, weights=weights)
 
 
-def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, read=None, pages=None):
+def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages=None):
     """Best-first MBM over the flat snapshot, its keys deferred (module docstring).
 
     A heap entry is ``(key, tie, node, plane)``.  A keyed entry carries
@@ -209,11 +212,8 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, read=
     point) and the node's plane over each box or point (one more).
     ``best`` only changes at leaves, so each batched check decides
     exactly what an entry-at-a-time loop would.  Every charge goes to
-    ``cost``, the query's record.  Nodes are read through ``read(node,
-    cost)`` (``flat.read_node`` by default; :func:`mbm_batch` passes one
-    that charges each node once per batch).
+    ``cost``, the query's record.
     """
-    read = flat.read_node if read is None else read
     divisor = _divisor(query)
     low, high = query.mbr.low, query.mbr.high
     counter = itertools.count()
@@ -245,7 +245,7 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, read=
         if type(plane) is _Children:
             _evaluate(flat, query, best, heap, counter, node, plane, anchor, cost)
             continue
-        index = read(node, cost)
+        index = flat.read_node(node, cost)
         start = int(flat.child_start[index])
         stop = start + int(flat.child_count[index])
         level = flat.levels[index]
@@ -424,64 +424,3 @@ def _scan_leaf(run, query, best, cost, head=math.inf, exclude=None) -> None:
             break
     cost.record_distance_computations(query.cardinality * (position - first - skipped))
     run.next = position
-
-
-# ----------------------------------------------------------------------
-# batches over one read set
-# ----------------------------------------------------------------------
-def mbm_batch(
-    flat: FlatRTree,
-    groups: np.ndarray,
-    k: int,
-    use_heuristic3: bool = True,
-    within: Sequence[float] | None = None,
-) -> list[GNNResult]:
-    """Answer ``B`` unweighted sum-MBM queries over one shared set of read nodes.
-
-    ``groups`` is a ``(B, n, dims)`` stack of query groups (equal
-    cardinality is the stacking requirement; the batch executor buckets
-    specs accordingly); ``within``, when given, is each member's own
-    ceiling (solo :func:`mbm`'s ``within``).  Each member runs solo
-    MBM's traversal in turn, in the order given (the executor passes a
-    bucket in Hilbert order of the group centroids), and keys, prunes
-    and visits nodes exactly as it would alone, so its answer — ties
-    included — and its distance computations are solo's.  Only the reads
-    are shared: the first member to reach a node reads it through
-    ``flat.read_node`` (charging the access, and the LRU buffer when
-    attached), and later members reuse it uncharged, so the bucket reads
-    the union of its members' solo read sets, each node once.
-
-    Each result's cost (``algorithm="MBM-batch"``) is its own member's
-    record: its distance computations and CPU time, and the node reads
-    it paid for as first reader, so a bucket's results sum to what the
-    bucket adds to ``flat.stats``.
-    Per query on ``pp_like(100000)`` (capacity 50), consecutive chunks
-    of a meet-up trace (``n = 4``, ``k = 1``, 32 Zipf hotspots), node
-    accesses / distance computations: solo 6.46 / 907; B = 2: 5.54 /
-    907; B = 8: 3.80 / 907; B = 32: 2.14 / 907.
-    """
-    groups = np.asarray(groups, dtype=np.float64)
-    if groups.ndim != 3:
-        raise ValueError(f"expected stacked (B, n, dims) groups, got shape {groups.shape}")
-    batch, _, dims = groups.shape
-    if dims != flat.dims:
-        raise ValueError(f"groups have dimensionality {dims}, the snapshot {flat.dims}")
-    ceilings = [math.inf] * batch if within is None else [float(c) for c in within]
-    if len(ceilings) != batch:
-        raise ValueError(f"expected {batch} within ceilings, got {len(ceilings)}")
-    read = set()
-
-    def read_once(node, cost):
-        if node not in read:
-            read.add(node)
-            flat.read_node(node, cost)
-        return node
-
-    results = []
-    for group, ceiling in zip(groups, ceilings):
-        query = GroupQuery(group, k=k)
-        cost = QueryCost(algorithm="MBM-batch")
-        best = BestList(k, ceiling)
-        _mbm_best_first(flat, query, best, use_heuristic3, cost, read=read_once)
-        results.append(GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat)))
-    return results

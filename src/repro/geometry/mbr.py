@@ -19,8 +19,7 @@ from repro.geometry.point import GeometryError, as_point, as_points
 class MBR:
     """An axis-aligned hyper-rectangle described by its low/high corners.
 
-    Instances are treated as immutable: all combining operations return
-    new MBRs.  ``low`` and ``high`` are float64 arrays of equal length
+    Instances are treated as immutable.  ``low`` and ``high`` are float64 arrays of equal length
     with ``low <= high`` in every dimension.
     """
 
@@ -45,16 +44,6 @@ class MBR:
         pts = as_points(points)
         return cls(pts.min(axis=0), pts.max(axis=0))
 
-    @classmethod
-    def union_of(cls, mbrs: Iterable["MBR"]) -> "MBR":
-        """Return the tightest MBR covering every MBR in ``mbrs``."""
-        mbrs = list(mbrs)
-        if not mbrs:
-            raise GeometryError("cannot take the union of zero MBRs")
-        low = np.min(np.vstack([m.low for m in mbrs]), axis=0)
-        high = np.max(np.vstack([m.high for m in mbrs]), axis=0)
-        return cls(low, high)
-
     # ------------------------------------------------------------------
     # basic properties
     # ------------------------------------------------------------------
@@ -76,28 +65,6 @@ class MBR:
     def area(self) -> float:
         """Hyper-volume of the rectangle (area in 2-D)."""
         return float(np.prod(self.extents))
-
-    # ------------------------------------------------------------------
-    # predicates
-    # ------------------------------------------------------------------
-    def contains(self, other: "MBR") -> bool:
-        """True when ``other`` is fully covered by this rectangle."""
-        return bool(np.all(other.low >= self.low) and np.all(other.high <= self.high))
-
-    def intersection(self, other: "MBR") -> "MBR | None":
-        """Return the overlapping region, or None when disjoint."""
-        low = np.maximum(self.low, other.low)
-        high = np.minimum(self.high, other.high)
-        if np.any(low > high):
-            return None
-        return MBR(low, high)
-
-    # ------------------------------------------------------------------
-    # combining
-    # ------------------------------------------------------------------
-    def union(self, other: "MBR") -> "MBR":
-        """Return the tightest MBR covering both rectangles."""
-        return MBR(np.minimum(self.low, other.low), np.maximum(self.high, other.high))
 
     # ------------------------------------------------------------------
     # distances

@@ -37,6 +37,8 @@ loops themselves live in :mod:`repro.rtree.traversal`
 :meth:`FlatRTree.read_node` and distance computations to the query's
 own :class:`~repro.core.types.QueryCost` — the paper's cost model — and
 a finished query adds its record to ``stats`` (:meth:`FlatRTree.record_query`).
+Inside :meth:`FlatRTree.read_scope` — what a batch of queries runs in —
+the first reader of a node pays for it and later reads are free.
 
 A snapshot round-trips to disk as an *uncompressed* ``.npz`` archive.
 ``load(..., mmap_mode="r")`` maps the arrays straight out of the archive
@@ -52,6 +54,7 @@ import itertools
 import struct
 import threading
 import zipfile
+from contextlib import contextmanager
 
 import numpy as np
 from numpy.lib import format as npy_format
@@ -79,13 +82,12 @@ _ARRAY_FIELDS = (
     "record_ids",
 )
 
-#: Scalar metadata persisted alongside the arrays.
-_META_FIELDS = ("dims", "size", "capacity", "height", "generation")
-
 #: On-disk format version written by :meth:`FlatRTree.save`.  Version 2
 #: appends the snapshot ``generation`` token to the meta row; version-1
-#: archives (no token) are still read, with generation 0.
-FORMAT_VERSION = 2
+#: archives (no token) are still read, with generation 0.  Version 3
+#: appends ``next_record_id``; older archives read it as the largest
+#: record id + 1.
+FORMAT_VERSION = 3
 
 
 class FlatRTree:
@@ -95,7 +97,9 @@ class FlatRTree:
     set) or :meth:`load` (reopen a saved snapshot, optionally
     memory-mapped).  ``read_node``, ``record_query``, the cumulative
     ``stats`` and an optional LRU ``buffer`` form the accounting
-    surface.
+    surface.  ``next_record_id`` is the id high-water mark: no record
+    of the snapshot's lineage, deleted ones included, was given an id at
+    or above it, so an engine over it allocates new ids from there.
     """
 
     __slots__ = (
@@ -104,6 +108,7 @@ class FlatRTree:
         "capacity",
         "height",
         "generation",
+        "next_record_id",
         "lows",
         "highs",
         "child_start",
@@ -117,6 +122,7 @@ class FlatRTree:
         "mmap_io",
         "_points_cache",
         "_stats_lock",
+        "_scope",
     )
 
     def __init__(self, arrays: dict, meta: dict, buffer=None, mmap_io=None):
@@ -127,11 +133,16 @@ class FlatRTree:
         self.capacity = int(meta["capacity"])
         self.height = int(meta["height"])
         self.generation = int(meta.get("generation", 0))
+        if "next_record_id" in meta:
+            self.next_record_id = int(meta["next_record_id"])
+        else:
+            self.next_record_id = int(np.max(self.record_ids)) + 1 if self.size else 0
         self.stats = TreeStats()
         self.buffer = buffer
         self.mmap_io = mmap_io
         self._points_cache = None
         self._stats_lock = threading.Lock()
+        self._scope = _ReadScope()
 
     # ------------------------------------------------------------------
     # construction
@@ -217,8 +228,15 @@ class FlatRTree:
 
         ``cost`` is the reading query's record (``stats``, under its lock,
         for a read outside any query).  The buffer (when attached) is
-        keyed by the preserved page ids (``node_ids``).
+        keyed by the preserved page ids (``node_ids``).  Inside this
+        thread's :meth:`read_scope` only a node's first read is charged
+        and touches the buffer.
         """
+        read = self._scope.read
+        if read is not None:
+            if index in read:
+                return index
+            read.add(index)
         hit = False
         if self.buffer is not None:
             hit = self.buffer.access(int(self.node_ids[index]))
@@ -229,6 +247,28 @@ class FlatRTree:
         else:
             cost.record_node_access(leaf, buffer_hit=hit)
         return index
+
+    @contextmanager
+    def read_scope(self):
+        """A scope in which the first reader of a node pays for it.
+
+        Within the ``with`` block, on this thread, :meth:`read_node`
+        charges a node and touches the buffer only the first time it is
+        read; later reads return it uncharged, so queries run one after
+        another in the scope read the union of their solo read sets,
+        each node once.  Yields that set of node indices (live).  A
+        nested scope joins the enclosing one; other threads are not
+        affected.
+        """
+        scope = self._scope
+        if scope.read is not None:
+            yield scope.read
+            return
+        scope.read = set()
+        try:
+            yield scope.read
+        finally:
+            scope.read = None
 
     def record_query(self, cost) -> None:
         """Add a finished query's record to ``stats``, whole even when threads finish at once."""
@@ -309,7 +349,15 @@ class FlatRTree:
             generation = self.generation
         payload = {name: np.ascontiguousarray(getattr(self, name)) for name in _ARRAY_FIELDS}
         payload["meta"] = np.array(
-            [FORMAT_VERSION, self.dims, self.size, self.capacity, self.height, int(generation)],
+            [
+                FORMAT_VERSION,
+                self.dims,
+                self.size,
+                self.capacity,
+                self.height,
+                int(generation),
+                self.next_record_id,
+            ],
             dtype=np.int64,
         )
         with atomic_output(path, fsync=fsync, fault_point="snapshot.rename") as handle:
@@ -347,9 +395,15 @@ class FlatRTree:
         )
 
 
+class _ReadScope(threading.local):
+    """One thread's open :meth:`FlatRTree.read_scope`: the nodes read in it, or ``None``."""
+
+    read = None
+
+
 def _unpack_meta(meta_row: np.ndarray) -> dict:
     version = int(meta_row[0])
-    if version not in (1, FORMAT_VERSION):
+    if not 1 <= version <= FORMAT_VERSION:
         raise ValueError(
             f"unsupported flat snapshot format version {version} "
             f"(this build reads versions 1-{FORMAT_VERSION})"
@@ -362,6 +416,8 @@ def _unpack_meta(meta_row: np.ndarray) -> dict:
     }
     # Version 1 predates the hot-swap generation token.
     meta["generation"] = int(meta_row[5]) if version >= 2 else 0
+    if version >= 3:
+        meta["next_record_id"] = int(meta_row[6])
     return meta
 
 

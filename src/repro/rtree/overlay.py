@@ -288,7 +288,8 @@ class DeltaOverlay:
         identical to a from-scratch rebuild over the live points — and
         its ``generation`` is one above the base's, which is what the
         serving hot-swap (:meth:`repro.serve.server.GNNServer.swap_snapshot`)
-        keys its epochs on.  The overlay itself is left untouched.
+        keys its epochs on.  Its ``next_record_id`` is at least the
+        base's.  The overlay itself is left untouched.
         """
         points, ids = self.live_points()
         flat = FlatRTree.bulk_load(
@@ -299,6 +300,7 @@ class DeltaOverlay:
             record_ids=ids,
         )
         flat.generation = self.base.generation + 1
+        flat.next_record_id = max(flat.next_record_id, self.base.next_record_id)
         return flat
 
     def __repr__(self) -> str:

@@ -6,10 +6,10 @@ package into a one-machine server:
 * a published :class:`~repro.rtree.flat.FlatRTree` snapshot (``.npz``)
   is memory-mapped read-only by N worker processes — the OS page cache
   holds the index once, shared by all of them;
-* a micro-batching scheduler coalesces compatible requests within a
-  time/size window into the executor's shared-traversal buckets, so a
-  burst of "where should the n of us meet?" queries reads each node it
-  needs once, not once per request;
+* a micro-batching scheduler coalesces requests within a time/size
+  window into one ``execute_many`` batch, which runs in one read scope
+  of the index, so a burst of "where should the n of us meet?" queries
+  reads each node it needs once, not once per request;
 * admission control sheds load past a bounded high-water mark, and a
   hot-swap path publishes successor snapshots (generation tokens) that
   workers pick up between batches, without dropping a single request;

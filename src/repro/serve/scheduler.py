@@ -1,18 +1,14 @@
-"""Micro-batching: coalesce compatible requests within a time/size window.
+"""Micro-batching: coalesce requests within a time/size window.
 
 :class:`MicroBatcher` is the pure scheduling core of the serving
 subsystem — no threads, no queues, no clock of its own, which is what
-makes it unit-testable.  The server feeds it ``(key, item)`` pairs and
+makes it unit-testable.  The caller feeds it ``(key, item)`` pairs and
 asks, against an explicit ``now``, which batches are ready:
 
-* requests whose key (:func:`repro.api.executor.shared_bucket_key` via
-  the server) names a shared-traversal bucket accumulate per key, so a
-  flushed batch is answerable by *one* ``mbm_batch`` call, whose
-  members share their node reads;
-* requests with ``key=None`` (not shared-traversal eligible) coalesce
-  under a per-plan-signature key as well — ``execute_many`` still
-  amortises planning and Hilbert locality for them, running each one
-  on the per-query path;
+* requests accumulate per key, each key its own bucket (the server
+  passes one key, so any requests may share a batch: ``execute_many``
+  runs a flushed batch's members in one read scope of the index, where
+  they pay for each node once);
 * a bucket flushes when it reaches ``max_batch`` items (size trigger,
   reported by :meth:`offer` so the caller can dispatch immediately) or
   when its *oldest* item has waited ``window_s`` (time trigger, polled

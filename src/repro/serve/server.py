@@ -13,7 +13,7 @@
   :class:`~repro.serve.scheduler.MicroBatcher`; full buckets dispatch
   from the submitting thread, window-expired ones from the timer
   thread, and every dispatched batch is answered by one worker-side
-  ``execute_many`` (shared reads where members are compatible);
+  ``execute_many`` (one read scope: each node is paid for once);
 * **futures** — ``submit`` returns a ``concurrent.futures.Future``; a
   reply thread resolves it with the worker's result (or a
   :class:`ServingError`) and feeds the latency reservoir.  Block with
@@ -34,7 +34,6 @@ from concurrent.futures import Future
 from pathlib import Path
 from typing import Sequence
 
-from repro.api.executor import SHARED_BUCKET_MAX_MEMBERS, shared_bucket_key
 from repro.api.planner import QueryPlanner
 from repro.api.spec import QuerySpec
 from repro.core.engine import GNNEngine
@@ -49,9 +48,16 @@ from repro.serve.worker import worker_main
 _log = get_logger("serve.server")
 
 #: Default micro-batching window (seconds): long enough to coalesce a
-#: burst into one shared bucket, short enough to stay invisible next
-#: to per-query execution times.
+#: burst into one batch, short enough to stay invisible next to
+#: per-query execution times.
 DEFAULT_WINDOW_S = 0.002
+
+#: Default micro-batch size: a full batch dispatches at once.
+DEFAULT_MAX_BATCH = 32
+
+#: The one micro-batching key: every request may join every batch, since
+#: ``execute_many`` answers any mix of specs in one read scope.
+_BATCH_KEY = "batch"
 
 #: Default shed threshold: in-flight requests past this raise
 #: :class:`ServerOverloadedError` at submit.
@@ -119,7 +125,7 @@ class GNNServer:
         *,
         workers: int = 2,
         window_s: float = DEFAULT_WINDOW_S,
-        max_batch: int = SHARED_BUCKET_MAX_MEMBERS,
+        max_batch: int = DEFAULT_MAX_BATCH,
         max_pending: int = DEFAULT_MAX_PENDING,
         io_stall_s_per_access: float = 0.0,
         start_method: str | None = None,
@@ -230,13 +236,6 @@ class GNNServer:
         plan = self._planner.plan(spec)
         check_servable(spec, plan)
         payload = encode_spec(spec)
-        key = shared_bucket_key(spec, plan)
-        if key is None:
-            # Not shared-traversal eligible: coalesce per plan signature
-            # anyway (execute_many still amortises planning/locality).
-            key = ("solo", spec.plan_signature())
-        else:
-            key = ("shared", *key)
 
         root_span = None
         if trace_parent is not None or obs_trace.get() is not None:
@@ -271,7 +270,7 @@ class GNNServer:
             if root_span is not None:
                 self._trace_spans[request_id] = (root_span, trace_parent is not None)
             self._stats.record_submit()
-            ready = self._batcher.offer(key, (request_id, payload), time.monotonic())
+            ready = self._batcher.offer(_BATCH_KEY, (request_id, payload), time.monotonic())
             self._cond.notify_all()
         if ready is not None:
             self._dispatch(ready)

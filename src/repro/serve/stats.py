@@ -77,8 +77,8 @@ class ServingCounters(CounterSet):
         """Fold one executed batch, given its results' cost records, into the counters.
 
         The index work of the batch is the sum of its results' costs: a
-        shared bucket's member reports its own distance computations and
-        the node reads it paid for as the first member to reach them.
+        member reports its own distance computations and the node reads
+        it paid for as the first member to reach them.
         ``cpu_time`` is the batch's measured execution time (the
         records' own CPU clocks are not summed in).
         """

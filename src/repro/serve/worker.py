@@ -6,10 +6,10 @@ with ``FlatRTree.load(path, mmap_mode="r")`` — N workers mapping the
 is held in physical memory once, not N times — wraps it in a read-only
 :class:`~repro.core.engine.GNNEngine`, and drains the shared request
 queue.  Each popped :class:`~repro.serve.protocol.BatchRequest` is
-answered with one ``engine.execute_many`` call, which routes compatible
-members through the shared-traversal bucket path and everything else
-through the ordinary per-query path — answers are identical to
-sequential ``engine.execute`` either way.
+answered with one ``engine.execute_many`` call, which runs every member
+on its ordinary per-query path inside one read scope of the index (each
+node is charged to the first member to read it) — answers are identical
+to sequential ``engine.execute``.
 
 Hot-swap: a batch stamped with a newer epoch than the worker's mapped
 snapshot makes the worker remap *before* executing it; the previous
@@ -108,9 +108,9 @@ def execute_batch_message(
             started = time.perf_counter()
             results = engine.execute_many(specs)
             elapsed = time.perf_counter() - started
-            # Each result carries its own query's work (a shared bucket
-            # charges each node read to one member), so their sum is the
-            # batch's physical index work.
+            # Each result carries its own query's work (the batch's read
+            # scope charges each node read to one member), so their sum
+            # is the batch's physical index work.
             costs = [result.cost for result in results]
             for (request_id, _), result in zip(decoded, results):
                 span = spans.get(request_id)

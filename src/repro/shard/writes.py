@@ -110,16 +110,15 @@ class ShardWriter:
 
     @property
     def next_record_id(self) -> int:
-        """The next federation-global record id (monotonic, never reused)."""
+        """The next federation-global record id (monotonic, never reused).
+
+        Seeded from the largest of the shard snapshots' id high-water marks.
+        """
         if self._next_id is None:
-            top = -1
-            for shard in self.manifest.shards:
-                flat = FlatRTree.load(
-                    self.directory / shard.path, mmap_mode="r"
-                )
-                if flat.size:
-                    top = max(top, int(np.asarray(flat.record_ids).max()))
-            self._next_id = top + 1
+            self._next_id = max(
+                FlatRTree.load(self.directory / shard.path, mmap_mode="r").next_record_id
+                for shard in self.manifest.shards
+            )
         return self._next_id
 
     # ------------------------------------------------------------------
@@ -180,6 +179,9 @@ class ShardWriter:
                 continue
             flat = engine.compact(capacity=self.manifest.capacity)
             flat.generation = generation
+            # The federation's high-water mark, which the next writer
+            # seeds from: an id inserted and deleted elsewhere counts.
+            flat.next_record_id = self.next_record_id
             name = shard_snapshot_name(shard_id, generation)
             flat.save(self.directory / name, generation=generation, fsync=self.fsync)
             rows[shard_id] = self._describe(shard_id, name, flat)

@@ -70,7 +70,15 @@ class Node:
     def compute_mbr(self) -> MBR:
         if self.is_leaf:
             return MBR.from_points(np.vstack([entry.point for entry in self.entries]))
-        return MBR.union_of(entry.mbr for entry in self.entries)
+        return union_of(entry.mbr for entry in self.entries)
+
+
+def union_of(mbrs) -> MBR:
+    """The tightest MBR covering every MBR in ``mbrs`` (at least one)."""
+    mbrs = list(mbrs)
+    low = np.min(np.vstack([m.low for m in mbrs]), axis=0)
+    high = np.max(np.vstack([m.high for m in mbrs]), axis=0)
+    return MBR(low, high)
 
 
 def reference_hilbert_indices(points: np.ndarray, order: int | None = None) -> np.ndarray:

@@ -14,8 +14,9 @@ it, and never more node accesses.
 keys: one heap entry per node carries every member's key as a ``(B,)``
 vector, every child and every leaf point is scored for every active
 member, and the top-k lists are ``(B, k)`` arrays whose k-th-distance
-ties go to the smallest record ids.  The production ``mbm_batch`` must
-return the same distances, and the CPU smoke guard times it against this.
+ties go to the smallest record ids.  A production batch — solo ``mbm``
+per member inside one ``flat.read_scope()`` — must return the same
+distances, and the CPU smoke guard times it against this.
 
 :func:`mbm_seed_first` is MBM over a dirty overlay as it ran before the
 delta was paged into the heap: the whole delta is scanned first, as one
@@ -196,8 +197,7 @@ def mbm_batch_reference(
     """Answer ``B`` unweighted sum-MBM queries with one shared traversal.
 
     ``groups`` is a ``(B, n, dims)`` stack of query groups (equal
-    cardinality is the stacking requirement; the batch executor buckets
-    specs accordingly).  The snapshot is traversed *once* for the whole
+    cardinality is the stacking requirement).  The snapshot is traversed *once* for the whole
     batch: every node is read at most one time, its child slice (or leaf
     slice) is scored against all still-active queries in a single
     ``(B, m)`` / ``(B, fanout)`` kernel call, and per-query top-``k``

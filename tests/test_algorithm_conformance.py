@@ -36,6 +36,7 @@ from repro.storage.buffer import LRUBuffer
 from repro.storage.generations import GenerationStore
 
 from mqm_reference import mqm_reference
+from read_sets import union_of_solo_reads
 
 SEED = 20040101
 
@@ -433,11 +434,11 @@ class TestMultiStreamMQMConformance:
 
 
 class TestSharedTraversalBatchConformance:
-    """``execute_many``'s shared-traversal path vs per-query MQM.
+    """``execute_many``'s read scope vs per-query MQM.
 
-    One bucket answers every spec; the answers must equal the MQM
+    One batch answers every spec; the answers must equal the MQM
     answers (the reference algorithm for sum groups) and per-query
-    ``execute``, with the pinned bucket counters (the members' costs
+    ``execute``, with the pinned batch counters (the members' costs
     summed) and deterministic ``(distance, record_id)`` ordering.
     """
 
@@ -460,6 +461,20 @@ class TestSharedTraversalBatchConformance:
     #: deferral charged it 17024 -> 11052 distances for the same reads,
     #: the solo traversals 11052 -> 9500.
     BATCH_H2_ONLY_PIN = (25, 9500)
+    #: The k=4 batch forced onto each algorithm (weights: ``SEED + 11``).
+    #: The read scope shares every algorithm's reads, not only MBM's:
+    #: node accesses fell from the solo sums (SPM 169, MQM 663,
+    #: best-first 79 / 73, weighted MBM 76) to the union of the solo
+    #: read sets; distance computations stayed the solo sums.  MQM's
+    #: ``n`` streams each read the root and the nodes near it, so inside
+    #: the scope its own repeated reads collapse too.
+    ALGORITHM_BATCH_PINS = {
+        "spm": (27, 7032),
+        "mqm": (22, 3392),
+        "best-first sum": (11, 8576),
+        "best-first max": (12, 7808),
+        "weighted mbm": (10, 7046),
+    }
 
     @pytest.fixture()
     def pinned_specs(self):
@@ -480,8 +495,10 @@ class TestSharedTraversalBatchConformance:
             group = rng.uniform(center - 120, center + 120, size=(6, 2))
             specs.append(QuerySpec(group=group, k=k))
         outcomes = execute_batch(context, specs)
+        assert _summed_counters(outcomes)[0] == union_of_solo_reads(
+            context.flat, lambda spec: execute_spec(context, spec), specs
+        )
         for spec, outcome in zip(specs, outcomes):
-            assert outcome.cost.algorithm == "MBM-batch"
             reference = mqm(context.flat, spec.query)
             assert outcome.record_ids() == reference.record_ids(), k
             assert np.allclose(
@@ -497,7 +514,6 @@ class TestSharedTraversalBatchConformance:
         for k, (node_accesses, distance_computations) in self.BATCH_PINS.items():
             specs = [spec.replace(k=k) for spec in pinned_specs]
             outcomes = execute_batch(context, specs)
-            assert all(outcome.cost.algorithm == "MBM-batch" for outcome in outcomes)
             assert _summed_counters(outcomes) == (node_accesses, distance_computations), k
 
     def test_heuristic2_only_bucket_counters(self, context, pinned_specs):
@@ -505,10 +521,9 @@ class TestSharedTraversalBatchConformance:
             spec.replace(k=1, options={"use_heuristic3": False}) for spec in pinned_specs
         ]
         outcomes = execute_batch(context, specs)
-        assert all(outcome.cost.algorithm == "MBM-batch" for outcome in outcomes)
         assert _summed_counters(outcomes) == self.BATCH_H2_ONLY_PIN
 
-    def test_weighted_specs_stay_off_the_shared_path(self, context):
+    def test_weighted_specs_share_their_reads(self, context):
         rng = np.random.default_rng(SEED + 11)
         group = rng.uniform(300, 700, size=(5, 2))
         weights = rng.uniform(0.5, 2.0, size=5)
@@ -519,8 +534,31 @@ class TestSharedTraversalBatchConformance:
         outcomes = execute_batch(context, specs)
         reference = execute_spec(context, specs[0])
         for outcome in outcomes:
-            assert outcome.cost.algorithm != "MBM-batch"
             assert outcome.record_ids() == reference.record_ids()
+        # The second and third member read nothing the first did not.
+        assert _summed_counters(outcomes)[0] == reference.cost.node_accesses
+
+    @pytest.mark.parametrize("variant", sorted(ALGORITHM_BATCH_PINS))
+    def test_pinned_batch_counters_per_algorithm(self, context, pinned_specs, variant):
+        options = {
+            "spm": {"algorithm": "spm"},
+            "mqm": {"algorithm": "mqm"},
+            "best-first sum": {"algorithm": "best-first"},
+            "best-first max": {"algorithm": "best-first", "aggregate": "max"},
+            "weighted mbm": {
+                "algorithm": "mbm",
+                "weights": np.random.default_rng(SEED + 11).uniform(0.5, 2.0, size=8),
+            },
+        }[variant]
+        specs = [spec.replace(**options) for spec in pinned_specs]
+        outcomes = execute_batch(context, specs)
+        solo = [execute_spec(context, spec) for spec in specs]
+        assert [o.record_ids() for o in outcomes] == [s.record_ids() for s in solo]
+        assert _summed_counters(outcomes) == self.ALGORITHM_BATCH_PINS[variant]
+        assert _summed_counters(outcomes)[1] == _summed_counters(solo)[1]
+        assert _summed_counters(outcomes)[0] == union_of_solo_reads(
+            context.flat, lambda spec: execute_spec(context, spec), specs
+        )
 
 
 def _summed_counters(outcomes):

@@ -11,6 +11,8 @@ from repro.rtree.flat import FlatRTree
 from repro.storage.generations import GenerationStore
 from repro.storage.pointfile import PointFile
 
+from read_sets import union_of_solo_reads
+
 
 @pytest.fixture(params=["points", "mmap", "recover"])
 def any_engine(request, small_points, tmp_path):
@@ -185,7 +187,7 @@ class TestExecuteMany:
 
 
 class TestSharedTraversalBatches:
-    """The flat-index shared-traversal path of ``execute_many``."""
+    """``execute_many``'s one read scope: solo answers, each node paid for once."""
 
     def _specs(self, rng, count=24, n=6, k=3):
         specs = []
@@ -203,7 +205,8 @@ class TestSharedTraversalBatches:
             single = engine.execute(spec)
             assert outcome.record_ids() == single.record_ids()
             assert outcome.distances() == single.distances()
-            assert outcome.cost.algorithm == "MBM-batch"
+            assert outcome.cost.algorithm == single.cost.algorithm
+        assert _node_accesses(batch) == union_of_solo_reads(engine.flat, engine.execute, specs)
 
     def test_within_specs_join_the_bucket(self, engine, small_points, rng):
         """Each member of a bucket keeps its own ``within`` ceiling."""
@@ -217,8 +220,8 @@ class TestSharedTraversalBatches:
             within = float(distances[position % 4])
             specs.append(spec.replace(options={"within": within}))
         batch = engine.execute_many(specs)
+        assert _node_accesses(batch) == union_of_solo_reads(engine.flat, engine.execute, specs)
         for spec, outcome in zip(specs, batch):
-            assert outcome.cost.algorithm == "MBM-batch"
             single = engine.execute(spec)
             assert outcome.record_ids() == single.record_ids()
             assert outcome.distances() == single.distances()
@@ -281,6 +284,32 @@ class TestSharedTraversalBatches:
             assert outcome.record_ids() == single.record_ids()
             assert outcome.distances() == single.distances()
 
+    def test_dirty_overlay_batches_share_their_reads(self):
+        """Over pending writes a batch still pays for each base node once.
+
+        Delta pages are not node reads, so each member pages the delta
+        itself and the batch reads the union of its solo read sets.
+        """
+        rng = np.random.default_rng(7)
+        engine = GNNEngine(rng.uniform(0, 1000, size=(5000, 2)), capacity=16)
+        for point in rng.uniform(0, 1000, size=(60, 2)):
+            engine.insert(point)
+        for record_id in rng.choice(5000, size=20, replace=False).tolist():
+            assert engine.delete(engine.flat.live_points()[0][record_id], record_id)
+        assert engine.dirty
+        specs = self._specs(rng, count=16, n=6, k=4)
+        batch = engine.execute_many(specs)
+        solo = [engine.execute(spec) for spec in specs]
+        for outcome, single in zip(batch, solo):
+            assert outcome.record_ids() == single.record_ids()
+            assert outcome.distances() == single.distances()
+        reads = union_of_solo_reads(engine.flat, engine.execute, specs)
+        assert _node_accesses(batch) == reads < _node_accesses(solo)
+        computations = sum(r.cost.distance_computations for r in batch)
+        assert computations == sum(r.cost.distance_computations for r in solo)
+        # Pinned: 139 node accesses while dirty batches ran member by member.
+        assert (_node_accesses(batch), computations) == (51, 11794)
+
     def test_mixed_ks_bucket_separately_with_identical_answers(self, engine, rng):
         specs = []
         for k in (1, 4, 8, 4, 1, 8, 4, 1):
@@ -316,23 +345,24 @@ class TestSharedTraversalBatches:
         engine = GNNEngine(data, capacity=4)
         spec = QuerySpec(group=np.array([[5.0, 5.0], [5.0, 5.0]]), k=2)
         single = engine.execute(spec)
-        for outcome in engine.execute_many([spec, spec]):
-            assert outcome.cost.algorithm == "MBM-batch"
+        batch = engine.execute_many([spec, spec])
+        assert _node_accesses(batch) == single.cost.node_accesses  # the second reads free
+        for outcome in batch:
             assert outcome.distances() == single.distances()
             assert set(outcome.record_ids()) <= {0, 1, 2, 3}
             pairs = [(nb.distance, nb.record_id) for nb in outcome.neighbors]
             assert pairs == sorted(pairs) and len(pairs) == 2
 
     def test_buckets_follow_the_curve_beyond_two_dimensions(self, monkeypatch):
-        """A 3-D bucket runs in ``hilbert_indices`` order of its centroids."""
+        """A 3-D batch runs in ``hilbert_indices`` order of its centroids."""
         from repro.api import executor
         from repro.geometry.hilbert import hilbert_indices
 
-        stacked, original = [], executor.mbm_batch
+        ran, original = [], executor.execute_spec
 
-        def recording(flat, groups, k, use_heuristic3=True, within=None):
-            stacked.append(groups)
-            return original(flat, groups, k, use_heuristic3)
+        def recording(context, spec, planner=None, plan=None):
+            ran.append(spec)
+            return original(context, spec, planner, plan)
 
         rng = np.random.default_rng(3)
         engine = GNNEngine(rng.uniform(0, 1000, size=(600, 3)), capacity=16)
@@ -340,27 +370,19 @@ class TestSharedTraversalBatches:
             QuerySpec(group=center + rng.uniform(-30, 30, size=(4, 3)), k=2)
             for center in rng.uniform(100, 900, size=(12, 3))
         ]
-        monkeypatch.setattr(executor, "mbm_batch", recording)
+        monkeypatch.setattr(executor, "execute_spec", recording)
         batch = engine.execute_many(specs)
+        monkeypatch.undo()
         centroids = np.stack([spec.group.mean(axis=0) for spec in specs])
         order = np.argsort(hilbert_indices(centroids), kind="stable")
-        (groups,) = stacked
-        assert np.array_equal(groups, np.stack([specs[i].group for i in order]))
+        assert [id(spec) for spec in ran] == [id(specs[i]) for i in order]
         for spec, outcome in zip(specs, batch):
             assert outcome.distances() == engine.execute(spec).distances()
 
-    def test_leftover_singleton_chunk_stays_on_per_query_path(self, small_points, rng):
-        """A bucket of max-chunk + 1 must not run a 1-member shared bucket."""
-        from repro.api import executor
 
-        engine = GNNEngine(small_points, capacity=16)
-        specs = self._specs(rng, count=executor.SHARED_BUCKET_MAX_MEMBERS + 1)
-        batch = engine.execute_many(specs)
-        labels = [outcome.cost.algorithm for outcome in batch]
-        assert labels.count("MBM-batch") == executor.SHARED_BUCKET_MAX_MEMBERS
-        assert sum(label.startswith("MBM-best_first") for label in labels) == 1
-        for spec, outcome in zip(specs, batch):
-            assert outcome.record_ids() == engine.execute(spec).record_ids()
+def _node_accesses(results):
+    """A batch's node accesses: its members' costs summed."""
+    return sum(result.cost.node_accesses for result in results)
 
 
 class TestMaintenance:

@@ -25,6 +25,8 @@ from repro.geometry import kernels
 from repro.rtree.traversal import flat_incremental_nearest_generic
 from repro.serve import CompactingWriter
 
+from read_sets import union_of_solo_reads
+
 SEED = 20040302
 
 #: The index counters a record and ``flat.stats`` share.
@@ -149,11 +151,17 @@ def test_concurrent_queries_report_their_solo_cost(engine, algorithm, threads):
 
 @pytest.mark.parametrize("threads", (2, 4))
 def test_concurrent_shared_buckets_report_their_solo_cost(engine, threads):
-    """``execute_many`` buckets on many threads: each member's cost is its own."""
+    """``execute_many`` batches on many threads: each member's cost is its own.
+
+    Each thread's read scope is its own, so a batch reads the union of
+    its members' solo read sets however the threads interleave.
+    """
     specs = _specs("mbm", count=24)
     batches = [specs[start : start + 8] for start in range(0, len(specs), 8)]
     solo = [engine.execute_many(batch) for batch in batches]
-    assert {result.cost.algorithm for results in solo for result in results} == {"MBM-batch"}
+    for batch, results in zip(batches, solo):
+        reads = union_of_solo_reads(engine.flat, engine.execute, batch)
+        assert sum(result.cost.node_accesses for result in results) == reads
     flat = engine.flat
     before = flat.stats.snapshot()
 

@@ -17,7 +17,7 @@ from repro import GNNEngine, QuerySpec
 from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.centroid import weiszfeld_centroid
-from repro.core.mbm import ANCHOR_STEPS, mbm, mbm_batch
+from repro.core.mbm import ANCHOR_STEPS, mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery
@@ -242,6 +242,12 @@ def _workloads(draw, max_batch=1):
     return rng, points, flat, groups, draw(st.integers(1, 6))
 
 
+def _scoped_mbm(flat, groups, k, **options):
+    """Each group's solo ``mbm``, one after another in one read scope (a batch)."""
+    with flat.read_scope():
+        return [mbm(flat, GroupQuery(group, k=k), **options) for group in groups]
+
+
 class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
     @given(workload=_workloads(), weighted=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -287,7 +293,7 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
             solo = mbm(flat, query)
             assert solo.distances() == distances
             solo_accesses += solo.cost.node_accesses
-        results = mbm_batch(flat, groups, k)
+        results = _scoped_mbm(flat, groups, k)
         assert [result.distances() for result in results] == expected
         read = sum(result.cost.node_accesses for result in results)
         assert read == np.count_nonzero(needed) <= solo_accesses
@@ -300,13 +306,8 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
         flat = FlatRTree.bulk_load(points.astype(float), capacity=8)
         for seed in range(40):
             groups = np.random.default_rng(seed).integers(0, 30, size=(8, 2, 2)).astype(float)
-            for group, result in zip(groups, mbm_batch(flat, groups, k)):
+            for group, result in zip(groups, _scoped_mbm(flat, groups, k)):
                 assert result.record_ids() == mbm(flat, GroupQuery(group, k=k)).record_ids()
-
-    def test_batch_takes_one_ceiling_per_member(self, small_tree):
-        groups = np.random.default_rng(5).uniform(0, 1000, size=(3, 4, 2))
-        with pytest.raises(ValueError, match="3 within ceilings, got 2"):
-            mbm_batch(small_tree, groups, 2, within=[1.0, 2.0])
 
     @given(workload=_workloads(), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -325,7 +326,7 @@ class TestMBMReadsOnlyTheNodesItsBoundsCannotExclude:
 
 
 class TestDeferredKeysAgainstTheEagerReference:
-    """``mbm`` and ``mbm_batch`` against ``tests/mbm_reference.py``, which keys children eagerly.
+    """``mbm``, alone and in a read scope, against ``tests/mbm_reference.py`` (eager keys).
 
     Deferring a bound never lowers a key, so the answers must be the
     reference's (solo: id for id and float for float; batch: float for
@@ -368,7 +369,7 @@ class TestDeferredKeysAgainstTheEagerReference:
     def test_shared_traversal_against_the_eager_batch(self, workload, use_heuristic3):
         _, _, flat, groups, k = workload
         expected = mbm_batch_reference(flat, groups, k, use_heuristic3=use_heuristic3)
-        results = mbm_batch(flat, groups, k, use_heuristic3=use_heuristic3)
+        results = _scoped_mbm(flat, groups, k, use_heuristic3=use_heuristic3)
         assert [r.distances() for r in results] == [e.distances() for e in expected]
         read = sum(result.cost.node_accesses for result in results)
         assert read <= expected[0].cost.node_accesses

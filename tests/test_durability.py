@@ -634,6 +634,23 @@ class TestCompactionCrashSafety:
         check(recovered, "compacted")
         recovered.wal.close()
 
+    def test_record_ids_are_not_reused_after_compact_publish_recover(self, tmp_path):
+        """The snapshot carries the id high-water mark past deleted records."""
+        points = np.random.default_rng(8).uniform(0, 1000, size=(20, 2))
+        engine, _, writer = self._recovered_writer(tmp_path, points)
+        fresh = np.array([[100.0, 100.0], [200.0, 200.0], [300.0, 300.0]])
+        assert [writer.insert(point) for point in fresh] == [20, 21, 22]
+        for rid, point in zip((20, 21, 22), fresh):
+            assert writer.delete(point, rid)
+        assert writer.delete(points[19], 19)
+        writer.compact_now()
+        engine.wal.close()  # "crash"
+
+        recovered = GNNEngine.recover(tmp_path, fsync="off")
+        assert [recovered.insert(point) for point in fresh] == [23, 24, 25]
+        assert recovered.flat.next_record_id == 23
+        recovered.wal.close()
+
     def _assert_view(self, directory, live):
         recovered = GNNEngine.recover(directory, fsync="off")
         reference = _reference_engine(live)

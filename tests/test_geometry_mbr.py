@@ -40,15 +40,6 @@ class TestConstruction:
         assert box.high.tolist() == [2.0, 5.0]
         assert np.all((box.low <= points) & (points <= box.high))
 
-    def test_union_of_requires_at_least_one(self):
-        with pytest.raises(GeometryError):
-            MBR.union_of([])
-
-    def test_union_of_covers_every_member(self, unit_square, shifted_square):
-        union = MBR.union_of([unit_square, shifted_square])
-        assert union.contains(unit_square)
-        assert union.contains(shifted_square)
-
 
 class TestBasicProperties:
     def test_center(self, unit_square):
@@ -68,55 +59,12 @@ class TestBasicProperties:
 
 
 class TestPredicates:
-    def test_contains_point_box_inside_and_on_boundary(self, unit_square):
-        assert unit_square.contains(MBR.from_points([[0.5, 0.5]]))
-        assert unit_square.contains(MBR.from_points([[0.0, 1.0]]))
-        assert not unit_square.contains(MBR.from_points([[1.5, 0.5]]))
-
-    def test_contains_mbr(self, unit_square):
-        inner = MBR([0.2, 0.2], [0.8, 0.8])
-        assert unit_square.contains(inner)
-        assert not inner.contains(unit_square)
-
-    def test_touching_boxes_intersect_in_their_shared_edge(self, unit_square):
-        touching = MBR([1.0, 0.0], [2.0, 1.0])
-        assert unit_square.intersection(touching) == MBR([1.0, 0.0], [1.0, 1.0])
-
     def test_disjoint_boxes_do_not_intersect(self, unit_square, shifted_square):
         # the batched box kernel agrees: disjoint boxes are a positive gap apart
         gap = kernels.boxes_mindist_box(
             unit_square.low[None], unit_square.high[None], shifted_square.low, shifted_square.high
         )
         assert gap.tolist() == [1.0]
-        assert unit_square.intersection(shifted_square) is None
-
-    def test_intersection_of_overlapping_boxes(self, unit_square):
-        other = MBR([0.5, 0.5], [2.0, 2.0])
-        overlap = unit_square.intersection(other)
-        assert overlap == MBR([0.5, 0.5], [1.0, 1.0])
-        assert overlap.area() == pytest.approx(0.25)
-
-    def test_intersection_of_disjoint_boxes_is_none(self, unit_square, shifted_square):
-        assert unit_square.intersection(shifted_square) is None
-
-
-class TestCombining:
-    def test_union_covers_both(self, unit_square, shifted_square):
-        union = unit_square.union(shifted_square)
-        assert union == MBR([0.0, 0.0], [3.0, 1.0])
-
-
-    def test_union_with_point_box_extends_box(self, unit_square):
-        extended = unit_square.union(MBR.from_points([[2.0, -1.0]]))
-        assert extended == MBR([0.0, -1.0], [2.0, 1.0])
-        assert extended.contains(unit_square)
-
-    def test_union_with_contained_box_is_unchanged(self, unit_square):
-        inner = MBR([0.1, 0.1], [0.9, 0.9])
-        assert unit_square.union(inner) == unit_square
-
-    def test_union_with_external_box_grows(self, unit_square, shifted_square):
-        assert unit_square.union(shifted_square).area() > unit_square.area()
 
 
 class TestDistances:

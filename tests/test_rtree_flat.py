@@ -309,6 +309,26 @@ class TestPersistence:
         with pytest.raises(ValueError, match="read-only"):
             FlatRTree.load(path, mmap_mode="r+")
 
+    def test_id_high_water_mark_round_trips(self, dataset, tmp_path):
+        path = tmp_path / "index.npz"
+        flat = FlatRTree.bulk_load(dataset, capacity=16)
+        assert flat.next_record_id == len(dataset)
+        flat.next_record_id += 5  # records above the largest live id were deleted
+        flat.save(path)
+        for mmap_mode in (None, "r"):
+            assert FlatRTree.load(path, mmap_mode=mmap_mode).next_record_id == len(dataset) + 5
+
+    def test_version_2_archives_read_the_largest_id_plus_one(self, flat, tmp_path):
+        path = tmp_path / "v2.npz"
+        payload = {name: np.asarray(getattr(flat, name)) for name in ARRAY_FIELDS}
+        payload["meta"] = np.array(
+            [2, flat.dims, flat.size, flat.capacity, flat.height, 4], dtype=np.int64
+        )
+        np.savez(path, **payload)
+        loaded = FlatRTree.load(path)
+        assert loaded.generation == 4
+        assert loaded.next_record_id == int(np.max(flat.record_ids)) + 1
+
     def test_unknown_format_version_is_rejected(self, flat, tmp_path):
         path = tmp_path / "future.npz"
         payload = {name: np.asarray(getattr(flat, name)) for name in ARRAY_FIELDS}

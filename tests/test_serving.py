@@ -34,6 +34,8 @@ from repro.shard.coordinator import CoordinatorStats
 from repro.storage.counters import IOCounters, MappedPageCounters
 from repro.storage.pointfile import PointFile
 
+from read_sets import union_of_solo_reads
+
 
 @pytest.fixture(scope="module")
 def serve_points():
@@ -63,7 +65,7 @@ def server(snapshot_path):
 
 
 def mixed_specs(rng, count):
-    """A mixed workload: shared-eligible MBM plus every servable oddball."""
+    """A mixed workload: MBM sums plus every servable oddball."""
     specs = []
     for i in range(count):
         center = rng.uniform(100, 900, size=2)
@@ -294,7 +296,7 @@ class TestWorkerExecution:
 
     def test_shared_bucket_charges_one_traversal(self, snapshot_path, rng):
         """The batch counters sum the members' own costs: each node the
-        bucket reads is charged once, to the member that read it first."""
+        batch reads is charged once, to the member that read it first."""
         engine = GNNEngine.from_index(FlatRTree.load(snapshot_path, mmap_mode="r"))
         center = rng.uniform(300, 700, size=2)
         specs = [
@@ -308,8 +310,8 @@ class TestWorkerExecution:
         )
         items, counters, _ = execute_batch_message(engine, message)
         results = [result for _, result, _ in items]
-        assert all(result.cost.algorithm == "MBM-batch" for result in results)
-        # Every member reports its own share of the bucket's reads; the
+        assert counters.node_accesses == union_of_solo_reads(engine.flat, engine.execute, specs)
+        # Every member reports its own share of the batch's reads; the
         # counters must charge each read once (the members' sum).
         assert counters.node_accesses == sum(result.cost.node_accesses for result in results)
         assert counters.distance_computations == sum(

@@ -735,6 +735,22 @@ class TestShardedWritePath:
             seen.append(record_id)
         assert seen == list(range(400, 410))  # global, monotonic, gap-free
 
+    def test_ids_are_not_reused_by_a_writer_reopened_after_compaction(
+        self, partitioned, dataset
+    ):
+        """The largest id, inserted then deleted, must outlive the compaction."""
+        from repro.shard import ShardWriter
+
+        directory, _ = partitioned
+        writer = ShardWriter(directory)
+        point = np.array([500.0, 500.0])
+        _, record_id = writer.insert(point)
+        assert record_id == len(dataset)
+        assert writer.delete(point, record_id) is not None
+        assert writer.delete(dataset[7], 7) is not None  # dirty that shard too
+        writer.compact()
+        assert ShardWriter(directory).next_record_id == len(dataset) + 1
+
     def test_a_point_inside_exactly_one_root_mbr_routes_there(self, partitioned):
         from repro.shard import ShardWriter
 
