@@ -35,13 +35,12 @@ itself, record ids included, which ``execute_many`` equivalence tests
 pin down.
 
 Every runner charges the query's own
-:class:`~repro.core.types.QueryCost` where the work happens and adds it
-once, when the query finishes, to the index's ``flat.stats``, so costs
-are exact per query however many threads share the index.  A batch
-member's record keeps its algorithm's label and holds its distance
-computations and CPU time, and the node reads it paid for as the first
-member to reach them, so a batch's results sum to what the batch adds
-to the index's stats.
+:class:`~repro.core.types.QueryCost` where the work happens; the record
+is the only counter, so costs are exact per query however many threads
+share the index.  A batch member's record keeps its algorithm's label
+and holds its distance computations and CPU time, and the node reads it
+paid for as the first member to reach them, so a batch's results sum to
+the nodes the batch read.
 """
 
 from __future__ import annotations
@@ -142,9 +141,8 @@ def _execute_traced(
     The ``query`` root carries the spec's label, the plan's algorithm
     and rationale (also for a plan handed in, which has no
     ``query.plan`` span) and every field of ``result.cost``, copied
-    *after* execution — so for a single query its counters reconcile
-    exactly, by construction, with both the result's cost and what the
-    query added to the index's stats (pinned by the obs test suite).
+    *after* execution — so its counters reconcile exactly, by
+    construction, with the result's cost (pinned by the obs test suite).
     """
     attrs = {"k": spec.k, "group_size": spec.cardinality, "aggregate": spec.aggregate}
     if spec.label is not None:

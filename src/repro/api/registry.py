@@ -65,7 +65,6 @@ class AlgorithmInfo:
     supports_weights: bool = False
     requires_raw_points: bool = False
     options: tuple[str, ...] = ()
-    cost_rank: int = 1
     description: str = ""
 
     def capability_errors(self, spec: QuerySpec) -> list[str]:
@@ -179,7 +178,6 @@ BUILTIN_ALGORITHMS = (
         residency=MEMORY,
         aggregates=(SUM,),
         options=(WITHIN,),
-        cost_rank=3,
         description="Multiple query method: one incremental NN search per query point (Section 3.1).",
     ),
     AlgorithmInfo(
@@ -188,7 +186,6 @@ BUILTIN_ALGORITHMS = (
         residency=MEMORY,
         aggregates=(SUM,),
         options=("centroid_method", WITHIN),
-        cost_rank=2,
         description="Single point method: one traversal around the group centroid (Section 3.2).",
     ),
     AlgorithmInfo(
@@ -198,7 +195,6 @@ BUILTIN_ALGORITHMS = (
         aggregates=(SUM,),
         supports_weights=True,
         options=("use_heuristic3", WITHIN),
-        cost_rank=1,
         description="Minimum bounding method: single traversal pruned by the group MBR (Section 3.3).",
     ),
     AlgorithmInfo(
@@ -208,7 +204,6 @@ BUILTIN_ALGORITHMS = (
         aggregates=(SUM, MAX, MIN),
         supports_weights=True,
         options=(WITHIN,),
-        cost_rank=2,
         description="Aggregate-generalised optimal best-first traversal (sum/max/min, weighted).",
     ),
     AlgorithmInfo(
@@ -218,7 +213,6 @@ BUILTIN_ALGORITHMS = (
         aggregates=(SUM, MAX, MIN),
         supports_weights=True,
         options=(WITHIN,),
-        cost_rank=9,
         description="Exhaustive scan of the dataset; the ground-truth baseline.",
     ),
     AlgorithmInfo(
@@ -227,7 +221,6 @@ BUILTIN_ALGORITHMS = (
         residency=DISK,
         aggregates=(SUM,),
         options=FILE_GEOMETRY_OPTIONS,
-        cost_rank=1,
         description="File multiple query method: one GNN sub-query per Hilbert block (Section 4.2).",
     ),
     AlgorithmInfo(
@@ -236,7 +229,6 @@ BUILTIN_ALGORITHMS = (
         residency=DISK,
         aggregates=(SUM,),
         options=FILE_GEOMETRY_OPTIONS,
-        cost_rank=2,
         description="File minimum bounding method: single traversal pruned by block summaries (Section 4.3).",
     ),
     AlgorithmInfo(
@@ -246,7 +238,6 @@ BUILTIN_ALGORITHMS = (
         aggregates=(SUM,),
         requires_raw_points=True,
         options=("query_tree_capacity", "max_pairs"),
-        cost_rank=8,
         description="Group closest pairs over two R-trees (Section 4.1); expensive, for indexed Q.",
     ),
 )

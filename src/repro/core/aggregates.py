@@ -32,17 +32,18 @@ def group_nn_stream(tree: FlatRTree, query: GroupQuery, cost=None) -> Iterator[N
     The stream is incremental: consuming it lazily retrieves additional
     group neighbors without restarting the search, which is exactly the
     capability F-MQM needs from its per-block searches.  Every node read
-    and distance computation is charged to ``cost`` (``tree.stats``
-    when ``None``).
+    and distance computation is charged to ``cost`` (not counted when
+    ``None``).
     """
-    stats = tree.stats if cost is None else cost
+    if cost is None:
+        cost = QueryCost()  # a record nobody reads: the stream is not counted
 
     def points_key(points):
-        stats.record_distance_computations(query.cardinality * points.shape[0])
+        cost.record_distance_computations(query.cardinality * points.shape[0])
         return query.distances_to(points)
 
     def mbrs_key(lows, highs):
-        stats.record_distance_computations(query.cardinality * lows.shape[0])
+        cost.record_distance_computations(query.cardinality * lows.shape[0])
         return query.mindist_lower_bounds(lows, highs)
 
     return flat_incremental_nearest_generic(tree, points_key, mbrs_key, cost=cost)
@@ -73,4 +74,4 @@ def aggregate_gnn(
             best.offer(neighbor.record_id, neighbor.point, neighbor.distance)
         if neighbor.distance >= best.best_dist:
             break
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())

@@ -49,10 +49,10 @@ def fmbm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     cost = QueryCost(algorithm="F-MBM")
     best = BestList(k)
     if len(tree) == 0 or len(query_file) == 0:
-        return GNNResult(neighbors=[], cost=cost.finish(tree))
+        return GNNResult(neighbors=[], cost=cost.finish())
 
     _fmbm_best_first(tree, query_file, query_file.block_summaries(), best, cost)
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def _fmbm_best_first(flat, query_file, summaries, best, cost) -> None:

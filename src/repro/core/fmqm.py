@@ -57,7 +57,7 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     cost = QueryCost(algorithm="F-MQM")
     best = BestList(k)
     if len(tree) == 0 or len(query_file) == 0:
-        return GNNResult(neighbors=[], cost=cost.finish(tree))
+        return GNNResult(neighbors=[], cost=cost.finish())
 
     block_count = query_file.block_count
     streams = {}
@@ -116,7 +116,7 @@ def fmqm(tree: FlatRTree, query_file: PointFile, k: int = 1) -> GNNResult:
     for record_id, candidate in pending.items():
         best.offer(record_id, candidate.point, candidate.accumulated)
 
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def _add_block(block, candidates, cost) -> None:

@@ -83,27 +83,21 @@ def gcp(
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    data_cost, query_cost = QueryCost(algorithm="GCP"), QueryCost()
-
-    def finish() -> QueryCost:
-        # Each tree's stats gain only its own reads; the result reports both.
-        query_tree.record_query(query_cost)
-        return data_cost.finish(data_tree).merge(query_cost)
-
+    cost = QueryCost(algorithm="GCP")
     best = BestList(k)
     n = len(query_tree)
     if len(data_tree) == 0 or n == 0:
-        return GNNResult(neighbors=[], cost=finish())
+        return GNNResult(neighbors=[], cost=cost.finish())
 
     candidates: dict[int, _Candidate] = {}
     completed: set[int] = set()
     threshold = 0.0
     pairs_emitted = 0
 
-    for pair in incremental_closest_pairs(data_tree, query_tree, data_cost, query_cost):
+    for pair in incremental_closest_pairs(data_tree, query_tree, cost):
         pairs_emitted += 1
         if max_pairs is not None and pairs_emitted > max_pairs:
-            raise PairCapExceeded(max_pairs, finish())
+            raise PairCapExceeded(max_pairs, cost.finish())
         record_id = pair.data_id
         pair_distance = pair.distance
 
@@ -146,7 +140,7 @@ def gcp(
         if best.is_full() and (pair_distance >= threshold or not candidates):
             break
 
-    return GNNResult(neighbors=best.neighbors(), cost=finish())
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def _reprune(candidates, completed, n, pair_distance, best) -> float:

@@ -124,7 +124,7 @@ def mbm(
     best = BestList(query.k, within)
     pages, exclude = _delta(tree, overlay)
     _mbm_best_first(tree, query, best, use_heuristic3, cost, exclude, pages=pages)
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def seed_from_delta(

@@ -77,7 +77,7 @@ def mqm(
     exclude = seed_from_delta(tree, query, best, overlay, cost)
     if len(tree) > 0:
         _mqm_round_robin(tree, query, best, cost, exclude)
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def _mqm_round_robin(

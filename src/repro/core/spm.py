@@ -68,7 +68,7 @@ def spm(
         centroid = compute_centroid(query.points, method=centroid_method)
         centroid_distance = group_distance(centroid, query.points)
         _spm_best_first(tree, query, centroid, centroid_distance, best, cost, exclude)
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def _spm_best_first(flat, query, centroid, centroid_distance, best, cost, exclude=None) -> None:

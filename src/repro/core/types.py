@@ -26,7 +26,7 @@ from repro.geometry.distance import SUM
 from repro.geometry.kernels import check_weights
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_points
-from repro.rtree.stats import TreeStats
+from repro.storage.counters import CounterSet
 
 
 class GroupQuery:
@@ -185,7 +185,7 @@ class BestList:
 
 
 @dataclass
-class QueryCost(TreeStats):
+class QueryCost(CounterSet):
     """Cost metrics of one executed query, matching the paper's reporting.
 
     ``node_accesses`` and ``cpu_time`` are the two series plotted in every
@@ -193,13 +193,33 @@ class QueryCost(TreeStats):
     explain them (and are used by the ablation benches).  Each query
     makes its own record, and its traversals charge it where the work
     happens (node reads, distance computations, query-file blocks), so
-    queries sharing an index never count each other's work.
-    :meth:`finish` stops the query's CPU clock (``time.thread_time``)
-    and adds the record once to the index's cumulative ``stats``.
+    queries sharing an index never count each other's work.  The record
+    is the only counter: a read made without one is not counted.
+    :meth:`finish` stops the query's CPU clock (``time.thread_time``).
     The ``algorithm`` label is not a counter.
+
+    Attributes
+    ----------
+    node_accesses:
+        Logical node reads (every time a traversal inspects the entries
+        of a node).  This is the "NA" metric of the paper's figures.
+    leaf_accesses:
+        Subset of ``node_accesses`` that touched leaf nodes.
+    page_faults:
+        Node reads that missed the LRU buffer (equals ``node_accesses``
+        when no buffer is configured).
+    distance_computations:
+        Point-to-point or point-to-MBR distance evaluations; a proxy for
+        CPU cost that is independent of the host machine.
+    page_reads / block_reads:
+        Query-file pages and blocks read by the disk-resident methods.
     """
 
     algorithm: str = ""
+    node_accesses: int = 0
+    leaf_accesses: int = 0
+    page_faults: int = 0
+    distance_computations: int = 0
     page_reads: int = 0
     block_reads: int = 0
     cpu_time: float = 0.0
@@ -207,16 +227,26 @@ class QueryCost(TreeStats):
     def __post_init__(self):
         self._started = time.thread_time()  # the query's CPU clock, read by finish()
 
+    def record_node_access(self, is_leaf: bool, buffer_hit: bool = False) -> None:
+        """Charge one node read (leaf or internal), noting whether the buffer hit."""
+        self.node_accesses += 1
+        if is_leaf:
+            self.leaf_accesses += 1
+        if not buffer_hit:
+            self.page_faults += 1
+
+    def record_distance_computations(self, count: int = 1) -> None:
+        """Charge ``count`` distance evaluations."""
+        self.distance_computations += count
+
     def record_block_read(self, pages_in_block: int) -> None:
         """Charge one query-file block read consisting of ``pages_in_block`` pages."""
         self.block_reads += 1
         self.page_reads += pages_in_block
 
-    def finish(self, tree=None) -> "QueryCost":
-        """Stop the CPU clock and add this record to ``tree``'s cumulative stats."""
+    def finish(self) -> "QueryCost":
+        """Stop the query's CPU clock; returns the record."""
         self.cpu_time = time.thread_time() - self._started
-        if tree is not None:
-            tree.record_query(self)
         return self
 
     def as_dict(self) -> dict[str, float]:

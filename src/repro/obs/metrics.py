@@ -150,12 +150,12 @@ def _families(prefix: str, kind: str, help_prefix: str, values: dict, keys=None)
 def counters_collector(prefix: str, source):
     """Export any :class:`~repro.storage.counters.CounterSet` as counters.
 
-    ``source`` is the counter object (``TreeStats``, ``IOCounters``,
-    ``MappedPageCounters``, ...) or a zero-argument callable returning
+    ``source`` is the counter object (``MappedPageCounters``,
+    ``ServingCounters``, ...) or a zero-argument callable returning
     one — engines swap their flat index on compaction, so a provider
     keeps the collector pointed at the live object.  Each counter
     becomes ``<prefix>_<field>_total``, e.g.
-    ``counters_collector("repro_tree", lambda: engine.flat.stats)``.
+    ``counters_collector("repro_mmap", lambda: engine.flat.mmap_io)``.
     """
 
     def collect():

@@ -4,7 +4,10 @@ The package provides:
 
 * :class:`~repro.rtree.flat.FlatRTree` — the array-backed R-tree
   snapshot, the one index every query traverses; ``bulk_load`` packs a
-  static point set straight into its arrays,
+  static point set straight into its arrays, and ``read_node`` charges
+  each node read to the reading query's
+  :class:`~repro.core.types.QueryCost` (the "NA" of the paper's
+  experiments),
 * :mod:`repro.rtree.bulkload` — the STR and Hilbert leaf orders behind
   that packing (array sorts, no object per point),
 * best-first (incremental) nearest-neighbor search in
@@ -12,8 +15,6 @@ The package provides:
 * an incremental closest-pair join over two snapshots in
   :mod:`repro.rtree.closest_pairs` (needed by the GCP algorithm of
   Section 4.1 of the paper),
-* node-access accounting in :mod:`repro.rtree.stats`, which the paper's
-  experiments report as "NA",
 * a mutable view over a frozen snapshot — an append-only point array
   of inserts plus tombstones — in :mod:`repro.rtree.overlay` (the
   engine's LSM-style write path).
@@ -22,7 +23,6 @@ The package provides:
 from repro.rtree.closest_pairs import incremental_closest_pairs
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.stats import TreeStats
 from repro.rtree.traversal import (
     best_first_nearest,
     flat_incremental_nearest_generic,
@@ -32,7 +32,6 @@ from repro.rtree.traversal import (
 __all__ = [
     "DeltaOverlay",
     "FlatRTree",
-    "TreeStats",
     "best_first_nearest",
     "flat_incremental_nearest_generic",
     "incremental_closest_pairs",

@@ -8,9 +8,8 @@ approach of [HS98] / [CMTV00]: a priority queue holds node/node,
 node/point and point/point pairs keyed by ``mindist``; popping a
 point/point pair emits it, popping anything else expands one side.
 
-Node reads on either index are charged to that index's own record (or,
-without one, to the index's ``stats``), so GCP can add each tree's reads
-to that tree and report the combined NA, as the paper does.
+Node reads on both indexes are charged to the one record given, so GCP
+reports the combined NA of the data and the query tree, as the paper does.
 """
 
 from __future__ import annotations
@@ -75,12 +74,11 @@ def _expand(flat: FlatRTree, cost, node_id: int, other_low, other_high):
 
 
 def incremental_closest_pairs(
-    data_tree: FlatRTree, query_tree: FlatRTree, data_cost=None, query_cost=None
+    data_tree: FlatRTree, query_tree: FlatRTree, cost=None
 ) -> Iterator[PairResult]:
     """Yield ``(p, q)`` pairs in non-decreasing distance order.
 
-    Reads of ``data_tree`` are charged to ``data_cost`` and reads of
-    ``query_tree`` to ``query_cost`` (each tree's ``stats`` when ``None``).
+    Reads of both trees are charged to ``cost`` (not counted when ``None``).
 
     The stream, when exhausted, enumerates the full Cartesian product of
     the two datasets; GCP normally stops consuming it long before that.
@@ -110,10 +108,10 @@ def incremental_closest_pairs(
         # Expand one side: prefer the higher node (keeps the heap shallow
         # and mirrors the "expand the larger node" policy of [CMTV00]).
         if item_p >= 0 and (item_q < 0 or data_levels[item_p] >= query_levels[item_q]):
-            children, mindists = _expand(data_tree, data_cost, item_p, *_bounds(query_tree, item_q))
+            children, mindists = _expand(data_tree, cost, item_p, *_bounds(query_tree, item_q))
             for child, mindist in zip(children, mindists):
                 heapq.heappush(heap, (mindist, next(counter), child, item_q))
         else:
-            children, mindists = _expand(query_tree, query_cost, item_q, *_bounds(data_tree, item_p))
+            children, mindists = _expand(query_tree, cost, item_q, *_bounds(data_tree, item_p))
             for child, mindist in zip(children, mindists):
                 heapq.heappush(heap, (mindist, next(counter), item_p, child))

@@ -35,8 +35,9 @@ loops themselves live in :mod:`repro.rtree.traversal`
 :mod:`repro.rtree.closest_pairs`, :mod:`repro.core.mbm` and
 :mod:`repro.core.fmbm`; they charge node accesses through
 :meth:`FlatRTree.read_node` and distance computations to the query's
-own :class:`~repro.core.types.QueryCost` — the paper's cost model — and
-a finished query adds its record to ``stats`` (:meth:`FlatRTree.record_query`).
+own :class:`~repro.core.types.QueryCost` — the paper's cost model.  The
+record is the only counter: the index keeps no running total, and a
+read made without a record is not counted.
 Inside :meth:`FlatRTree.read_scope` — what a batch of queries runs in —
 the first reader of a node pays for it and later reads are free.
 
@@ -61,7 +62,6 @@ from numpy.lib import format as npy_format
 
 from repro.geometry.point import as_points
 from repro.rtree.bulkload import pack, resolve_record_ids
-from repro.rtree.stats import TreeStats
 from repro.storage.counters import MappedPageCounters
 
 #: Node capacity of the paper's experiments (1 KByte pages, 50 entries).
@@ -95,11 +95,11 @@ class FlatRTree:
 
     Instances are built with :meth:`bulk_load` (pack a static point
     set) or :meth:`load` (reopen a saved snapshot, optionally
-    memory-mapped).  ``read_node``, ``record_query``, the cumulative
-    ``stats`` and an optional LRU ``buffer`` form the accounting
-    surface.  ``next_record_id`` is the id high-water mark: no record
-    of the snapshot's lineage, deleted ones included, was given an id at
-    or above it, so an engine over it allocates new ids from there.
+    memory-mapped).  ``read_node``, :meth:`read_scope` and an optional
+    LRU ``buffer`` form the accounting surface.  ``next_record_id`` is
+    the id high-water mark: no record of the snapshot's lineage, deleted
+    ones included, was given an id at or above it, so an engine over it
+    allocates new ids from there.
     """
 
     __slots__ = (
@@ -117,11 +117,9 @@ class FlatRTree:
         "node_ids",
         "points",
         "record_ids",
-        "stats",
         "buffer",
         "mmap_io",
         "_points_cache",
-        "_stats_lock",
         "_scope",
     )
 
@@ -137,11 +135,9 @@ class FlatRTree:
             self.next_record_id = int(meta["next_record_id"])
         else:
             self.next_record_id = int(np.max(self.record_ids)) + 1 if self.size else 0
-        self.stats = TreeStats()
         self.buffer = buffer
         self.mmap_io = mmap_io
         self._points_cache = None
-        self._stats_lock = threading.Lock()
         self._scope = _ReadScope()
 
     # ------------------------------------------------------------------
@@ -226,9 +222,10 @@ class FlatRTree:
     def read_node(self, index: int, cost=None) -> int:
         """Charge one node access for node ``index`` to ``cost`` and return it.
 
-        ``cost`` is the reading query's record (``stats``, under its lock,
-        for a read outside any query).  The buffer (when attached) is
-        keyed by the preserved page ids (``node_ids``).  Inside this
+        ``cost`` is the reading query's record; a read without one is
+        not counted, though it still touches the buffer.  The buffer
+        (when attached) is keyed by the preserved page ids
+        (``node_ids``).  Inside this
         thread's :meth:`read_scope` only a node's first read is charged
         and touches the buffer.
         """
@@ -240,12 +237,8 @@ class FlatRTree:
         hit = False
         if self.buffer is not None:
             hit = self.buffer.access(int(self.node_ids[index]))
-        leaf = bool(self.levels[index] == 0)
-        if cost is None:
-            with self._stats_lock:
-                self.stats.record_node_access(leaf, buffer_hit=hit)
-        else:
-            cost.record_node_access(leaf, buffer_hit=hit)
+        if cost is not None:
+            cost.record_node_access(bool(self.levels[index] == 0), buffer_hit=hit)
         return index
 
     @contextmanager
@@ -269,11 +262,6 @@ class FlatRTree:
             yield scope.read
         finally:
             scope.read = None
-
-    def record_query(self, cost) -> None:
-        """Add a finished query's record to ``stats``, whole even when threads finish at once."""
-        with self._stats_lock:
-            self.stats.merge(cost)
 
     # ------------------------------------------------------------------
     # shape

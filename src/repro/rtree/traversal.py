@@ -80,7 +80,7 @@ def flat_incremental_nearest_generic(
     converted once per leaf through ``tolist()`` so the yield path never
     touches a numpy scalar.  Children and leaf points are pushed in
     storage order; node reads are charged through ``flat.read_node`` to
-    ``cost``, the consuming query's record (to ``flat.stats`` when it is
+    ``cost``, the consuming query's record (not counted when it is
     ``None``), and to any attached buffer.
 
     ``points_aux`` optionally computes one extra value per leaf point in

@@ -7,12 +7,13 @@ write path and the serving hot-swap.  It owns the *write side* of one
 once the overlay's dirty ratio crosses a threshold it compacts — the
 live dataset (base minus tombstones plus delta inserts) is bulk-loaded
 into a generation-``N+1`` :class:`~repro.rtree.flat.FlatRTree` and, when
-a :class:`~repro.serve.server.GNNServer` is attached, published through
-:meth:`GNNServer.publish_snapshot` so the worker pool remaps to the new
-file between batches.  Readers never block: queries served before the
-swap answer from the old generation, queries after it from the new one,
-and both views contain exactly the records that were live when their
-batch was dispatched.
+a :class:`~repro.serve.server.GNNServer` is attached, swapped in so the
+worker pool remaps to the new file between batches: the file the
+generation store just published durably, or, without a store, one
+:meth:`GNNServer.publish_snapshot` writes.  Readers never block: queries
+served before the swap answer from the old generation, queries after it
+from the new one, and both views contain exactly the records that were
+live when their batch was dispatched.
 
 The writer can run its trigger loop on a daemon thread
 (:meth:`start` / :meth:`stop`, or the context manager) or be driven
@@ -50,9 +51,11 @@ class CompactingWriter:
         the usual shape (one writer per served snapshot).
     server:
         Optional :class:`~repro.serve.server.GNNServer`; every
-        compaction is then published to it (persisted under the next
-        generation token and hot-swapped into dispatch).  Without a
-        server the compaction still folds the overlay locally.
+        compaction is then hot-swapped into its dispatch (from the
+        store's file when a ``store`` is attached, else from one
+        :meth:`~repro.serve.server.GNNServer.publish_snapshot` writes
+        under the next generation token).  Without a server the
+        compaction still folds the overlay locally.
     dirty_ratio_trigger:
         Compact when ``engine.dirty_ratio`` (overlay writes over base
         size) reaches this; ``None`` disables ratio triggering.
@@ -65,12 +68,9 @@ class CompactingWriter:
         Optional :class:`~repro.storage.generations.GenerationStore`;
         every compaction is then *durably published* as a new snapshot
         generation (atomic rename + manifest) before anything else
-        observes it.
-    wal:
-        Optional :class:`~repro.storage.wal.WriteAheadLog` (usually the
-        engine's own, attached via :meth:`GNNEngine.attach_wal`).  After
-        a durable publication the log is truncated — and only then: a
-        crash between publish and truncate leaves a stale log recovery
+        observes it.  After a durable publication the engine's
+        write-ahead log, if any, is truncated — and only then: a crash
+        between publish and truncate leaves a stale log recovery
         recognises and discards, never a window where folded writes
         exist nowhere durable.
     """
@@ -84,7 +84,6 @@ class CompactingWriter:
         min_writes: int = 1,
         interval_s: float = DEFAULT_INTERVAL_S,
         store=None,
-        wal=None,
     ):
         if dirty_ratio_trigger is not None and dirty_ratio_trigger <= 0:
             raise ValueError("dirty_ratio_trigger must be positive (or None)")
@@ -93,12 +92,10 @@ class CompactingWriter:
         self.engine = engine
         self.server = server
         self.store = store
-        self.wal = wal
         self.dirty_ratio_trigger = dirty_ratio_trigger
         self.min_writes = int(min_writes)
         self.interval_s = float(interval_s)
         self.compactions = 0
-        self.published_epochs: list[int] = []
         self._lock = threading.RLock()
         self._wake = threading.Event()
         self._stop = threading.Event()
@@ -139,7 +136,7 @@ class CompactingWriter:
     # compaction
     # ------------------------------------------------------------------
     def compact_now(self) -> FlatRTree | None:
-        """Compact unconditionally; publish when a server is attached.
+        """Compact unconditionally; publish to the store and swap the server in.
 
         Returns the new base snapshot, or ``None`` when the engine had
         no pending writes (nothing was folded or published).
@@ -163,12 +160,15 @@ class CompactingWriter:
                 # *then* the WAL is truncated.  The writer lock spans
                 # both, so no insert/delete can land in the window and
                 # be dropped by the truncation.
-                self.store.publish(flat)
-                wal = self.wal if self.wal is not None else self.engine.wal
-                if wal is not None:
-                    wal.reset(flat.generation)
-            if self.server is not None:
-                self.published_epochs.append(self.server.publish_snapshot(flat))
+                path = self.store.publish(flat)
+                if self.engine.wal is not None:
+                    self.engine.wal.reset(flat.generation)
+                if self.server is not None:
+                    # Serve the durable file itself: saving it again would
+                    # write it a second time, without fsync.
+                    self.server.swap_snapshot(path)
+            elif self.server is not None:
+                self.server.publish_snapshot(flat)
             return flat
 
     def maybe_compact(self) -> FlatRTree | None:
@@ -192,16 +192,14 @@ class CompactingWriter:
                 self._thread.start()
         return self
 
-    def stop(self, *, final_compact: bool = False) -> None:
-        """Stop the loop; optionally fold any remaining writes first."""
+    def stop(self) -> None:
+        """Stop the loop (pending writes stay in the overlay)."""
         self._stop.set()
         self._wake.set()
         thread = self._thread
         if thread is not None:
             thread.join(timeout=10.0)
             self._thread = None
-        if final_compact:
-            self.compact_now()
 
     def _loop(self) -> None:
         while not self._stop.is_set():

@@ -111,8 +111,6 @@ class GNNServer:
         Optional simulated disk stall charged by workers per R-tree
         node access, modelling the paper's I/O cost (0, the default,
         disables; no run-time caller sets it any more — see ROADMAP).
-    start_method:
-        ``multiprocessing`` start method (default: fork when available).
     respawn_workers:
         When True (default), a worker that dies unexpectedly is replaced
         by a fresh process with the same worker id; its in-flight batch
@@ -128,7 +126,6 @@ class GNNServer:
         max_batch: int = DEFAULT_MAX_BATCH,
         max_pending: int = DEFAULT_MAX_PENDING,
         io_stall_s_per_access: float = 0.0,
-        start_method: str | None = None,
         respawn_workers: bool = True,
     ):
         if workers < 1:
@@ -166,7 +163,7 @@ class GNNServer:
         self._close_done = threading.Event()
         self._reply_stop = threading.Event()
 
-        context = multiprocessing.get_context(start_method or _default_start_method())
+        context = multiprocessing.get_context(_default_start_method())
         self._context = context
         self._requests = context.Queue()
         self._replies = context.Queue()

@@ -83,8 +83,12 @@ from repro.shard.manifest import ShardManifest
 from repro.shard.wire import ShardPing, ShardPong, ShardQuery, ShardReply
 from repro.storage.counters import CounterSet
 
-#: Seconds slept before retrying a sub-query an overloaded node shed.
+#: Retry backoff base: attempt ``n`` sleeps ``OVERLOAD_BACKOFF_S *
+#: 2**(n-1)`` seconds, scaled by a seeded jitter factor in ``[0.5, 1.0)``.
 OVERLOAD_BACKOFF_S = 0.05
+
+#: Per-heartbeat deadline of the health monitor, in seconds.
+HEALTH_TIMEOUT_S = 1.0
 
 _log = get_logger("shard.coordinator")
 
@@ -306,16 +310,16 @@ class ShardCoordinator:
         :class:`~repro.shard.health.CircuitBreaker`).  A shard all of
         whose replica breakers are open fails fast at dispatch — zero
         timeouts spent on a known-dead node.
-    backoff_base_s / jitter_seed:
-        Retry backoff: attempt ``n`` sleeps
-        ``backoff_base_s * 2**(n-1)`` scaled by a seeded jitter factor
-        in ``[0.5, 1.0)`` — the jitter de-synchronises retry storms
-        across concurrent queries, the seed keeps tests deterministic.
+    jitter_seed:
+        Seeds the retry backoff's jitter (see :data:`OVERLOAD_BACKOFF_S`):
+        the jitter de-synchronises retry storms across concurrent
+        queries, the seed keeps tests deterministic.
     health_interval_s:
         When set, a :class:`~repro.shard.health.HealthMonitor` heartbeats
         every replica at this period, feeding the same breakers — the
         re-admission path for recovered nodes (queries never probe an
-        open breaker themselves).
+        open breaker themselves); each heartbeat waits at most
+        :data:`HEALTH_TIMEOUT_S`.
     """
 
     def __init__(
@@ -329,10 +333,8 @@ class ShardCoordinator:
         deadline_s: float | None = None,
         failure_threshold: int = 3,
         breaker_reset_s: float = 1.0,
-        backoff_base_s: float = OVERLOAD_BACKOFF_S,
         jitter_seed: int = 0,
         health_interval_s: float | None = None,
-        health_timeout_s: float = 1.0,
     ):
         if not isinstance(manifest, ShardManifest):
             manifest = ShardManifest.load(manifest)
@@ -357,7 +359,6 @@ class ShardCoordinator:
             if deadline_s is not None
             else self.timeout_s * (self.retries + 1)
         )
-        self.backoff_base_s = float(backoff_base_s)
         self._jitter = Random(jitter_seed)
         self._stats = CoordinatorStats()
         self._closed = threading.Event()
@@ -389,7 +390,7 @@ class ShardCoordinator:
                 for link, breaker in zip(replicas, breakers)
             ]
             self._monitor = HealthMonitor(
-                targets, interval_s=health_interval_s, timeout_s=health_timeout_s
+                targets, interval_s=health_interval_s, timeout_s=HEALTH_TIMEOUT_S
             )
         self._thread = threading.Thread(
             target=self._loop.run_forever, name="shard-coordinator", daemon=True
@@ -691,7 +692,7 @@ class ShardCoordinator:
             if attempt:
                 self._stats.retries += 1
                 backoff = (
-                    self.backoff_base_s
+                    OVERLOAD_BACKOFF_S
                     * (2 ** (attempt - 1))
                     * (0.5 + 0.5 * self._jitter.random())
                 )

@@ -58,24 +58,20 @@ def _node_process_main(conn, shard_id, snapshot_path, options) -> None:
 class ShardNodeProcess:
     """A :class:`ShardNode` running in a dedicated child process.
 
-    Parameters mirror :class:`ShardNode`; ``start_method`` picks the
-    ``multiprocessing`` start method (default: fork when available,
-    matching :class:`~repro.serve.server.GNNServer`).
+    Parameters mirror :class:`ShardNode`; the child is forked when the
+    platform allows, as :class:`~repro.serve.server.GNNServer` forks
+    its workers.
     """
 
     def __init__(
         self,
         shard_id: int,
         snapshot_path,
-        *,
-        start_method: str | None = None,
         **node_options,
     ):
         self.shard_id = int(shard_id)
         self.snapshot_path = str(snapshot_path)
-        self._context = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
+        self._context = multiprocessing.get_context(_default_start_method())
         self._options = dict(node_options)
         self._process = None
         self._conn = None

@@ -1,7 +1,6 @@
-"""The one counter protocol, and the I/O counters built on it.
+"""The one counter protocol, and the mapped-page counters built on it.
 
-Every counter class in the package — :class:`IOCounters` and
-:class:`MappedPageCounters` here, :class:`~repro.rtree.stats.TreeStats`,
+Every counter class in the package — :class:`MappedPageCounters` here,
 :class:`~repro.core.types.QueryCost`,
 :class:`~repro.serve.stats.ServingCounters` and
 :class:`~repro.shard.coordinator.CoordinatorStats` — is a dataclass of
@@ -12,15 +11,16 @@ incrementing plain attributes; the protocol only runs per query, per
 batch or per scrape.
 
 Counting is additive all the way up.  A query charges its own
-:class:`~repro.core.types.QueryCost` where the work happens, and a
-finished record is merged once into the index's cumulative
-:class:`~repro.rtree.stats.TreeStats`; a worker sums its batch's result
-costs into its :class:`~repro.serve.stats.ServingCounters`.  No cost
-is taken as a before/after difference of shared counters, so queries
-running at once never charge each other's work.  Snapshots are plain numeric dictionaries, so they
-cross process boundaries as they are: workers ship them to the server,
-shard nodes to the coordinator, and :meth:`CounterSet.merge` folds them
-back together in any order.
+:class:`~repro.core.types.QueryCost` where the work happens; that
+record is the only per-query counter (an index or a query file keeps
+no running total).  A worker sums its batch's result costs into its
+:class:`~repro.serve.stats.ServingCounters`, and a shard coordinator
+its sub-queries' into :class:`~repro.shard.coordinator.CoordinatorStats`.
+No cost is taken as a before/after difference of shared counters, so
+queries running at once never charge each other's work.  Snapshots are
+plain numeric dictionaries, so they cross process boundaries as they
+are: workers ship them to the server, shard nodes to the coordinator,
+and :meth:`CounterSet.merge` folds them back together in any order.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class CounterSet:
 
         Keys this class does not declare are ignored and keys the
         snapshot lacks count as zero, so heterogeneous snapshots fold
-        safely — a ``QueryCost`` into a ``TreeStats``, say.
+        safely — a ``QueryCost`` into a ``ServingCounters``, say.
         """
         snapshot = other if isinstance(other, Mapping) else other.snapshot()
         for name, default in _counter_defaults(type(self)).items():
@@ -86,37 +86,6 @@ class CounterSet:
 
     def __add__(self, other):
         return type(self)().merge(self).merge(other)
-
-
-@dataclass
-class IOCounters(CounterSet):
-    """Counts page and block reads against the simulated query file.
-
-    Attributes
-    ----------
-    page_reads:
-        Individual pages fetched from the simulated disk.
-    block_reads:
-        Memory-sized blocks of the query file loaded (each block is a
-        group ``Q_i`` in the terminology of Sections 4.2-4.3).
-    sort_passes:
-        External-sort passes performed over the file (the paper excludes
-        sorting from the reported cost, but the counter is kept so the
-        harness can verify that exclusion explicitly).
-    """
-
-    page_reads: int = 0
-    block_reads: int = 0
-    sort_passes: int = 0
-
-    def record_block_read(self, pages_in_block: int) -> None:
-        """Charge one block read consisting of ``pages_in_block`` pages."""
-        self.block_reads += 1
-        self.page_reads += pages_in_block
-
-    def record_sort_pass(self) -> None:
-        """Charge one external-sort pass."""
-        self.sort_passes += 1
 
 
 @dataclass

@@ -8,8 +8,8 @@ then process it in memory-sized *blocks* ``Q_1 .. Q_m``.
 :class:`PointFile` models that file as one contiguous, read-only array
 in storage order.  A block read hands out views of its rows and charges
 one block and its pages to the reading query's
-:class:`~repro.core.types.QueryCost` (or, read outside a query, to the
-file's own :class:`~repro.storage.counters.IOCounters`);
+:class:`~repro.core.types.QueryCost` (a read outside a query is not
+counted);
 :meth:`PointFile.block_summaries` gives the per-block MBRs and
 cardinalities F-MBM keeps resident.
 """
@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.geometry.hilbert import hilbert_sort
 from repro.geometry.point import as_points
-from repro.storage.counters import IOCounters
 
 
 class QueryBlock:
@@ -69,12 +68,11 @@ class PointFile:
         Number of pages that fit in memory at once; a block ``Q_i``
         consists of this many consecutive pages (the paper's experiments
         use blocks of 10,000 points).
-    counters:
-        I/O counters charged by the sort pass and by block reads made
-        outside a query; private ones are created when omitted.
     hilbert_sorted:
         When True (default), the file is rewritten in Hilbert order
-        before being split into blocks, exactly as F-MQM/F-MBM require.
+        before being split into blocks, exactly as F-MQM/F-MBM require
+        (the paper excludes the sort from the reported cost, so it is
+        not charged).
     """
 
     def __init__(
@@ -82,7 +80,6 @@ class PointFile:
         points: np.ndarray,
         points_per_page: int = 50,
         block_pages: int = 200,
-        counters: IOCounters | None = None,
         hilbert_sorted: bool = True,
     ):
         pts = as_points(points)
@@ -92,13 +89,9 @@ class PointFile:
             raise ValueError("block_pages must be positive")
         self.points_per_page = int(points_per_page)
         self.block_pages = int(block_pages)
-        self.counters = counters if counters is not None else IOCounters()
         if hilbert_sorted:
             self.record_ids = hilbert_sort(pts).astype(np.int64, copy=False)
             self.points = pts[self.record_ids]
-            # One external sort pass is charged for bookkeeping, although
-            # the paper excludes sorting from the reported cost.
-            self.counters.record_sort_pass()
         else:
             self.record_ids = np.arange(pts.shape[0], dtype=np.int64)
             self.points = pts.copy()
@@ -140,12 +133,13 @@ class PointFile:
     # block access
     # ------------------------------------------------------------------
     def read_block(self, index: int, cost=None) -> QueryBlock:
-        """Load block ``Q_index``; one block read and its pages go to ``cost`` (or ``counters``)."""
+        """Load block ``Q_index``; one block read and its pages go to ``cost`` (if given)."""
         if not 0 <= index < self.block_count:
             raise IndexError(f"block {index} out of range (file has {self.block_count} blocks)")
         first_page = index * self.block_pages
         last_page = min(first_page + self.block_pages, self.page_count)
-        (self.counters if cost is None else cost).record_block_read(last_page - first_page)
+        if cost is not None:
+            cost.record_block_read(last_page - first_page)
         rows = slice(first_page * self.points_per_page, last_page * self.points_per_page)
         return QueryBlock(index, self.points[rows], self.record_ids[rows])
 

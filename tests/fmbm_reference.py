@@ -51,14 +51,14 @@ def fmbm_reference(tree, query_file, k=1) -> GNNResult:
     cost = QueryCost(algorithm="F-MBM")
     best = BestList(k)
     if len(tree) == 0 or len(query_file) == 0:
-        return GNNResult(neighbors=[], cost=cost.finish(tree))
+        return GNNResult(neighbors=[], cost=cost.finish())
     stacked = query_file.block_summaries()
     summaries = [
         BlockSummary(index, MBR(low, high), int(cardinality))
         for index, (low, high, cardinality) in enumerate(zip(*stacked))
     ]
     _fmbm_best_first(tree, query_file, summaries, stacked, best, cost)
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def _fmbm_best_first(flat, query_file, summaries, stacked, best, cost) -> None:

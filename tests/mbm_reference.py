@@ -58,7 +58,7 @@ def mbm_reference(flat, query, use_heuristic3=True, overlay=None, within=math.in
         exclude = overlay.tombstones or None
     if len(flat) > 0:
         _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude)
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def mbm_seed_first(tree, query, use_heuristic3=True, overlay=None, within=math.inf) -> GNNResult:
@@ -74,7 +74,7 @@ def mbm_seed_first(tree, query, use_heuristic3=True, overlay=None, within=math.i
         exclude = overlay.tombstones or None
     if len(tree) > 0:
         _mbm_base_traversal(tree, query, best, use_heuristic3, cost, exclude)
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(tree))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None) -> None:
@@ -236,7 +236,7 @@ def mbm_batch_reference(
         raise ValueError("k must be at least 1")
     cost = QueryCost(algorithm="MBM-batch")
     if len(flat) == 0:
-        cost.finish(flat)
+        cost.finish()
         # One QueryCost per result — results must never share a
         # mutable cost object.
         return [
@@ -356,7 +356,7 @@ def mbm_batch_reference(
                 heap, (float(child_vec.min()), next(counter), start + offset, child_vec)
             )
 
-    cost.finish(flat)
+    cost.finish()
     cost.cpu_time /= batch
     results = []
     for member in range(batch):

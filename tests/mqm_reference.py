@@ -22,7 +22,7 @@ def mqm_reference(flat: FlatRTree, query: GroupQuery, exclude=None) -> GNNResult
     cost = QueryCost(algorithm="MQM")
     best = BestList(query.k)
     if len(flat) == 0:
-        return GNNResult(neighbors=[], cost=cost.finish(flat))
+        return GNNResult(neighbors=[], cost=cost.finish())
 
     # Sort query points by Hilbert value for locality of node accesses.
     order = hilbert_sort(query.points)
@@ -66,7 +66,7 @@ def mqm_reference(flat: FlatRTree, query: GroupQuery, exclude=None) -> GNNResult
                 break
         if not progressed:
             break
-    return GNNResult(neighbors=best.neighbors(), cost=cost.finish(flat))
+    return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
 def _distance_to(query: GroupQuery, point) -> float:

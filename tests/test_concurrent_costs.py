@@ -1,17 +1,15 @@
 """Queries sharing one engine on many threads each report their own cost.
 
 Every query charges its own :class:`~repro.core.types.QueryCost` where the
-work happens, and the index's ``flat.stats`` is the sum of finished
-queries.  The checks below run the same specs on 2 and 4 threads over one
-engine, with the interpreter switching threads every microsecond so the
-traversals interleave, and require:
+work happens; the record is the only counter.  The checks below run the
+same specs on 2 and 4 threads over one engine, with the interpreter
+switching threads every microsecond so the traversals interleave, and
+require every result's counters to equal the same spec's cost when run
+alone.
 
-* every result's counters to equal the same spec's cost when run alone;
-* the results, summed, to equal what the run added to ``flat.stats``.
-
-A cost taken as a before/after difference of the shared ``flat.stats``
-fails both: each query would also count whatever the other threads read
-meanwhile.
+A cost taken as a before/after difference of counters shared by the
+index fails this: each query would also count whatever the other threads
+read meanwhile.
 """
 
 import sys
@@ -20,7 +18,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro import GNNEngine, PointFile, QuerySpec
+from repro import GNNEngine, PointFile, QuerySpec, QueryCost
 from repro.geometry import kernels
 from repro.rtree.traversal import flat_incremental_nearest_generic
 from repro.serve import CompactingWriter
@@ -29,10 +27,15 @@ from read_sets import union_of_solo_reads
 
 SEED = 20040302
 
-#: The index counters a record and ``flat.stats`` share.
-TREE_COUNTERS = ("node_accesses", "leaf_accesses", "page_faults", "distance_computations")
-#: Every counter a result's cost reports, query-file reads included.
-COST_COUNTERS = TREE_COUNTERS + ("page_reads", "block_reads")
+#: Every counter a result's cost reports but its CPU time.
+COST_COUNTERS = (
+    "node_accesses",
+    "leaf_accesses",
+    "page_faults",
+    "distance_computations",
+    "page_reads",
+    "block_reads",
+)
 
 #: Each thread runs its specs this many times over.
 ROUNDS = 3
@@ -89,17 +92,6 @@ def _counters(cost, names=COST_COUNTERS):
     return {name: getattr(cost, name) for name in names}
 
 
-def _summed(results):
-    return {
-        name: sum(getattr(result.cost, name) for result in results) for name in TREE_COUNTERS
-    }
-
-
-def _added(flat, before):
-    after = flat.stats.snapshot()
-    return {name: after[name] - before[name] for name in TREE_COUNTERS}
-
-
 def _on_threads(threads, work):
     """Run ``work(thread_index)`` on ``threads`` threads released together."""
     barrier = threading.Barrier(threads)
@@ -134,8 +126,6 @@ def _rotated(items, by):
 def test_concurrent_queries_report_their_solo_cost(engine, algorithm, threads):
     specs = _specs(algorithm)
     solo = [engine.execute(spec) for spec in specs]
-    flat = engine.flat
-    before = flat.stats.snapshot()
 
     def work(thread):
         order = _rotated(specs, 3 * thread) * ROUNDS
@@ -146,7 +136,6 @@ def test_concurrent_queries_report_their_solo_cost(engine, algorithm, threads):
     for i, result in runs:
         assert result.record_ids() == solo[i].record_ids()
         assert _counters(result.cost) == _counters(solo[i].cost), (i, result.cost.algorithm)
-    assert _summed([result for _, result in runs]) == _added(flat, before)
 
 
 @pytest.mark.parametrize("threads", (2, 4))
@@ -162,8 +151,6 @@ def test_concurrent_shared_buckets_report_their_solo_cost(engine, threads):
     for batch, results in zip(batches, solo):
         reads = union_of_solo_reads(engine.flat, engine.execute, batch)
         assert sum(result.cost.node_accesses for result in results) == reads
-    flat = engine.flat
-    before = flat.stats.snapshot()
 
     def work(thread):
         order = _rotated(batches, thread) * ROUNDS
@@ -174,7 +161,6 @@ def test_concurrent_shared_buckets_report_their_solo_cost(engine, threads):
         for result, alone in zip(results, solo[b]):
             assert result.record_ids() == alone.record_ids()
             assert _counters(result.cost) == _counters(alone.cost)
-    assert _summed([r for _, results in runs for r in results]) == _added(flat, before)
 
 
 def test_queries_beside_a_compacting_writer_report_their_solo_cost(points, engine):
@@ -184,8 +170,7 @@ def test_queries_beside_a_compacting_writer_report_their_solo_cost(points, engin
     data never changes: a query answers the same from the dirty overlay
     (``+overlay``) or from the compacted snapshot, which is structurally
     identical to the original.  Each result must cost what the same spec
-    costs alone in the state it ran in, and each snapshot's stats must
-    gain exactly its own queries' costs.
+    costs alone in the state it ran in.
     """
     clean = GNNEngine(points, capacity=16)
     specs = _specs("mbm")
@@ -195,8 +180,6 @@ def test_queries_beside_a_compacting_writer_report_their_solo_cost(points, engin
         engine.insert(points[record_id], record_id=record_id)
     dirty_solo = [engine.execute(spec) for spec in specs]
     assert all(r.cost.algorithm.endswith("+overlay") for r in dirty_solo)
-    old_flat = engine.flat
-    before = old_flat.stats.snapshot()
 
     writer = CompactingWriter(engine, dirty_ratio_trigger=1e-4, interval_s=0.001)
     started = threading.Event()
@@ -224,11 +207,6 @@ def test_queries_beside_a_compacting_writer_report_their_solo_cost(points, engin
         assert result.record_ids() == alone.record_ids()
         assert _counters(result.cost) == _counters(alone.cost)
 
-    added = _added(old_flat, before)
-    if engine.flat is not old_flat:
-        added = {name: added[name] + getattr(engine.flat.stats, name) for name in TREE_COUNTERS}
-    assert _summed([result for _, result in runs]) == added
-
 
 def test_concurrent_queries_keep_the_buffer_whole(points):
     """One LRU buffer under 4 querying threads: every node read is one hit or one miss.
@@ -250,30 +228,27 @@ def test_concurrent_queries_keep_the_buffer_whole(points):
     assert len(buffer) <= buffer.capacity
 
 
-def test_concurrent_raw_reads_reach_the_stats_whole(engine):
-    """Streams read with no cost record charge ``flat.stats`` directly, under its lock."""
+def test_concurrent_raw_streams_charge_only_their_own_records(engine):
+    """Streams read on 4 threads, each with its own record, count only their own reads."""
     flat = engine.flat
     centres = _groups(4, size=1)[:, 0]
 
-    def stream(centre, items=150):
+    def stream(centre, cost, items=150):
         nearest = flat_incremental_nearest_generic(
             flat,
             lambda points: kernels.point_distances(points, centre),
             lambda lows, highs: kernels.boxes_mindist_point(lows, highs, centre),
+            cost=cost,
         )
         for _ in range(items):
             next(nearest)
+        return cost
 
-    reads = []
-    for centre in centres:
-        before = flat.stats.node_accesses
-        stream(centre)
-        reads.append(flat.stats.node_accesses - before)
-    before = flat.stats.node_accesses
+    solo = [stream(centre, QueryCost()) for centre in centres]
 
     def work(thread):
-        for _ in range(ROUNDS):
-            stream(centres[thread])
+        return [stream(centres[thread], QueryCost()) for _ in range(ROUNDS)]
 
-    _on_threads(4, work)
-    assert flat.stats.node_accesses - before == ROUNDS * sum(reads)
+    for thread, costs in enumerate(_on_threads(4, work)):
+        for cost in costs:
+            assert _counters(cost) == _counters(solo[thread]), thread

@@ -12,6 +12,7 @@ from repro.core.fmqm import fmqm
 from repro.core.gcp import PairCapExceeded, gcp
 from repro.core.types import GroupQuery
 from repro.rtree.flat import FlatRTree
+from repro.storage.buffer import LRUBuffer
 from repro.storage.pointfile import PointFile
 
 EMPTY = FlatRTree.bulk_load(np.zeros((0, 2)))
@@ -85,13 +86,17 @@ class TestGCP:
             engine.execute(spec)
 
     def test_charges_node_accesses_on_both_trees(self, disk_setup):
-        _, tree, clustered, _ = disk_setup
-        query_tree = FlatRTree.bulk_load(clustered, capacity=16)
-        tree.stats.reset()
+        data, _, clustered, _ = disk_setup
+        # Each tree's own buffer sees exactly that tree's reads.
+        tree = FlatRTree.bulk_load(data, capacity=16, buffer=LRUBuffer(1000))
+        query_tree = FlatRTree.bulk_load(clustered, capacity=16, buffer=LRUBuffer(1000))
         result = gcp(tree, query_tree, k=1)
-        # The tracker reports the union of both trees' accesses.
-        assert result.cost.node_accesses > tree.stats.node_accesses
-        assert tree.stats.node_accesses > 0
+        data_reads = tree.buffer.hits + tree.buffer.misses
+        query_reads = query_tree.buffer.hits + query_tree.buffer.misses
+        assert data_reads > 0
+        assert query_reads > 0
+        # The one record reports the union of both trees' accesses.
+        assert result.cost.node_accesses == data_reads + query_reads
 
     def test_small_exhaustive_case(self):
         # A case small enough that the stream is fully enumerable by hand.

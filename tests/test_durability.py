@@ -570,6 +570,43 @@ class TestCompactionCrashSafety:
         assert scan.base_generation == 1 and scan.records == ()
         engine.wal.close()
 
+    def test_a_served_compaction_is_written_once_and_served_from_the_store(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        """With a store and a server, one compaction is one durable write.
+
+        The server swaps onto the file the store published; saving the
+        snapshot again for the server would write it a second time,
+        without fsync, over the durable copy when the names coincide.
+        """
+        from repro.serve import GNNServer
+
+        _seed_generation(tmp_path, dataset)
+        engine = GNNEngine.recover(tmp_path, fsync="off")
+        store = GenerationStore(tmp_path, keep=2)
+        saves = []
+        save = FlatRTree.save
+
+        def counted_save(flat, path, *args, **kwargs):
+            saves.append(str(path))
+            return save(flat, path, *args, **kwargs)
+
+        with GNNServer(store.snapshot_path(0), workers=1) as server:
+            writer = CompactingWriter(engine, server, dirty_ratio_trigger=None, store=store)
+            for i in range(5):
+                writer.insert([100.0 * i, 250.0])
+            monkeypatch.setattr(FlatRTree, "save", counted_save)
+            flat = writer.compact_now()
+            monkeypatch.undo()
+            assert flat.generation == 1
+            assert saves == [str(store.snapshot_path(1))]
+            assert server.snapshot_path == str(store.snapshot_path(1))
+            assert server.epoch == 1
+            spec = QuerySpec(group=[[120.0, 240.0], [310.0, 260.0]], k=4)
+            served = server.submit(spec).result(timeout=60)
+            assert served.record_ids() == engine.execute(spec).record_ids()
+        engine.wal.close()
+
     def test_crash_before_snapshot_rename_loses_nothing(self, tmp_path, dataset):
         engine, store, writer = self._recovered_writer(tmp_path, dataset)
         live = self._mutate(writer, dataset)

@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
         "execute_batch", "execute_spec", "get_algorithm",
     },
     "repro.rtree": {
-        "DeltaOverlay", "FlatRTree", "TreeStats", "best_first_nearest",
+        "DeltaOverlay", "FlatRTree", "best_first_nearest",
         "flat_incremental_nearest_generic", "incremental_closest_pairs",
         "incremental_nearest",
     },
@@ -48,7 +48,7 @@ PUBLIC_NAMES = {
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "11.0.0"
+        assert repro.__version__ == "12.0.0"
 
     def test_version_matches_pyproject(self):
         # Read by regex: Python 3.10 has no tomllib.
@@ -88,24 +88,21 @@ class TestPublicAPI:
 
 
 class TestQueryCostRecord:
-    def test_record_counts_its_own_query_and_is_summed_once(self):
+    def test_record_counts_only_its_own_query(self):
         points = np.random.default_rng(1).uniform(0, 100, size=(300, 2))
+        query = repro.GroupQuery([[50.0, 50.0], [60.0, 40.0]], k=5)
+        alone = repro.mbm(FlatRTree.bulk_load(points, capacity=8), query).cost
         tree = FlatRTree.bulk_load(points, capacity=8)
-        # Pre-charge the index so a record that read the running total
-        # would disagree with one that counts its own query.
+        # Read the index first, outside any query: a record that took a
+        # shared running total would count these reads too.
         from repro.rtree.traversal import best_first_nearest
 
         best_first_nearest(tree, [0.0, 0.0], k=5)
-        pre_existing = tree.stats.snapshot()
-        assert pre_existing["node_accesses"] > 0
-
-        result = repro.mbm(tree, repro.GroupQuery([[50.0, 50.0], [60.0, 40.0]], k=5))
-        cost = result.cost
+        cost = repro.mbm(tree, query).cost
         assert cost.node_accesses > 0 and cost.distance_computations > 0
         assert cost.cpu_time > 0
-        # finish() added the record to the index's total exactly once.
         for key in ("node_accesses", "leaf_accesses", "distance_computations"):
-            assert tree.stats.snapshot()[key] == pre_existing[key] + getattr(cost, key)
+            assert getattr(cost, key) == getattr(alone, key), key
 
     def test_node_reads_charge_the_record_given(self):
         tree = FlatRTree.bulk_load(np.zeros((4, 2)), capacity=8)
@@ -113,18 +110,16 @@ class TestQueryCostRecord:
         tree.read_node(0, cost)
         cost.record_distance_computations(42)
         assert (cost.node_accesses, cost.leaf_accesses, cost.distance_computations) == (1, 1, 42)
-        assert tree.stats.node_accesses == 0  # not summed until finished
-        tree.read_node(0)  # a read outside any query charges the index itself
-        assert tree.stats.node_accesses == 1
+        tree.read_node(0)  # a read outside any query is not counted
+        assert cost.node_accesses == 1
 
     def test_block_reads_charge_the_record_given(self):
         query_file = repro.PointFile(np.zeros((10, 2)), points_per_page=2, block_pages=3)
         cost = repro.QueryCost()
         query_file.read_block(0, cost)
         assert (cost.block_reads, cost.page_reads) == (1, 3)
-        assert query_file.counters.block_reads == 0
-        query_file.read_block(1)
-        assert query_file.counters.block_reads == 1
+        query_file.read_block(1)  # a read outside any query is not counted
+        assert (cost.block_reads, cost.page_reads) == (1, 3)
 
 
 class TestExamples:

@@ -5,8 +5,8 @@ renderer (validated with a tiny in-test parser — the repo takes no new
 dependencies).  The integration tests enable observability around real
 engines, servers and shard federations and pin the layer's core
 contract: a query's span tree is *complete* (no orphan parents) and its
-root attributes reconcile exactly with the engine's TreeStats counter
-deltas and the result's reported cost.
+root attributes reconcile exactly with the result's reported cost (and a
+served query's with the server's counter deltas).
 """
 
 import io
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro import GNNEngine, QuerySpec
+from repro.core.types import QueryCost
 from repro.obs import disable_all, enable_all, orphan_spans
 from repro.obs import logging as obslog
 from repro.obs import trace as obstrace
@@ -330,16 +331,18 @@ class _FakeCoordinator:
 
 
 class TestCollectors:
-    def test_tree_collector_tracks_live_engine_stats(self, rng):
+    def test_counters_collector_tracks_live_query_costs(self, rng):
         engine = GNNEngine(rng.uniform(0, 1000, size=(200, 2)), capacity=16)
+        totals = QueryCost()
         registry = MetricsRegistry()
-        registry.register(counters_collector("repro_tree", lambda: engine.flat.stats))
-        engine.execute(QuerySpec(group=rng.uniform(400, 600, size=(4, 2)), k=2))
+        registry.register(counters_collector("repro_queries", lambda: totals))
+        result = engine.execute(QuerySpec(group=rng.uniform(400, 600, size=(4, 2)), k=2))
+        totals.merge(result.cost)
         samples, types = parse_prometheus(render(registry))
-        assert types["repro_tree_node_accesses_total"] == "counter"
+        assert types["repro_queries_node_accesses_total"] == "counter"
         assert (
-            samples[("repro_tree_node_accesses_total", ())]
-            == engine.flat.stats.node_accesses
+            samples[("repro_queries_node_accesses_total", ())]
+            == result.cost.node_accesses
             > 0
         )
 
@@ -513,21 +516,19 @@ class TestStructuredLogging:
 # the pinned reconciliation contract
 # ----------------------------------------------------------------------
 class TestReconciliation:
-    def test_query_span_reconciles_with_tree_stats_delta(self, rng):
-        """The root span's counters == result.cost == TreeStats delta.
+    def test_query_span_reconciles_with_result_cost(self, rng):
+        """The root span's counters == result.cost.
 
         This is the accounting contract the whole layer rests on: the
-        trace reports exactly the work the index charged, no more, no
-        less.
+        trace reports exactly the work the query's record was charged,
+        no more, no less.
         """
         points = rng.uniform(0, 1000, size=(400, 2))
         engine = GNNEngine(points, capacity=16)
         tracer = enable_all(log_stream=io.StringIO())
 
-        before = engine.flat.stats.snapshot()
         spec = QuerySpec(group=rng.uniform(300, 700, size=(5, 2)), k=3, algorithm="mbm")
         result = engine.execute(spec)
-        after = engine.flat.stats.snapshot()
 
         assert result.trace_id is not None
         spans = tracer.spans(result.trace_id)
@@ -540,15 +541,9 @@ class TestReconciliation:
         }
 
         attrs = tree["attrs"]
-        delta = {
-            key: after[key] - before[key]
-            for key in ("node_accesses", "distance_computations")
-        }
         assert attrs["outcome"] == "ok"
-        assert attrs["node_accesses"] == result.cost.node_accesses
-        assert attrs["node_accesses"] == delta["node_accesses"] > 0
-        assert attrs["distance_computations"] == result.cost.distance_computations
-        assert attrs["distance_computations"] == delta["distance_computations"] > 0
+        assert attrs["node_accesses"] == result.cost.node_accesses > 0
+        assert attrs["distance_computations"] == result.cost.distance_computations > 0
         # Every field of the result's cost, and the plan, ride on the root.
         assert result.cost.as_dict().items() <= attrs.items()
         assert attrs["plan"] == "mbm"
@@ -557,24 +552,20 @@ class TestReconciliation:
     #: The counters every execution mode must agree on.
     RECONCILED = ("node_accesses", "distance_computations")
 
-    def test_dirty_engine_query_reconciles_with_tree_stats_delta(self, rng):
-        """Dirty: the delta scan is charged to the base's TreeStats too.
-
-        It used to be brute-forced beside the traversal and charged to
-        ``result.cost`` only (974 DC reported against 814 charged here).
-        """
+    def test_dirty_engine_query_span_reconciles_with_result_cost(self, rng):
+        """Dirty: the delta pages are charged to the query's record, and the span reports it."""
         points = rng.uniform(0, 1000, size=(5000, 2))
         engine = GNNEngine(points, capacity=16)
         for point in rng.uniform(0, 1000, size=(40, 2)):
             engine.insert(point)
         assert engine.delete(points[0], 0)
+        tracer = enable_all(log_stream=io.StringIO())
         spec = QuerySpec(group=rng.uniform(300, 700, size=(4, 2)), k=5, algorithm="mbm")
-        before = engine.flat.stats.snapshot()
         result = engine.execute(spec)
-        after = engine.flat.stats.snapshot()
         assert result.cost.algorithm.endswith("+overlay")
+        attrs = tracer.tree(result.trace_id)["attrs"]
         for key in self.RECONCILED:
-            assert getattr(result.cost, key) == after[key] - before[key] > 0, key
+            assert attrs[key] == getattr(result.cost, key) > 0, key
 
     def test_served_request_reconciles_with_server_stats(self, snapshot_path, rng):
         """Served: a solo request's cost == the ``server.stats()["total"]`` delta.

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.types import QueryCost
 from repro.rtree.closest_pairs import incremental_closest_pairs
 from repro.rtree.flat import FlatRTree
+from repro.storage.buffer import LRUBuffer
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +61,32 @@ class TestClosestPairStream:
         assert prefix == pytest.approx(matrix[:100].tolist())
 
     def test_node_accesses_are_charged_to_both_trees(self, pair_setup):
-        _, _, data_tree, query_tree = pair_setup
-        data_tree.stats.reset()
-        query_tree.stats.reset()
-        stream = incremental_closest_pairs(data_tree, query_tree)
+        data, queries, _, _ = pair_setup
+        # Each tree's own buffer sees exactly that tree's reads.
+        data_tree = FlatRTree.bulk_load(data, capacity=8, buffer=LRUBuffer(1000))
+        query_tree = FlatRTree.bulk_load(queries, capacity=8, buffer=LRUBuffer(1000))
+        cost = QueryCost()
+        stream = incremental_closest_pairs(data_tree, query_tree, cost)
         for _ in range(20):
             next(stream)
-        assert data_tree.stats.node_accesses > 0
-        assert query_tree.stats.node_accesses > 0
+        data_reads = data_tree.buffer.hits + data_tree.buffer.misses
+        query_reads = query_tree.buffer.hits + query_tree.buffer.misses
+        assert data_reads > 0
+        assert query_reads > 0
+        assert cost.node_accesses == data_reads + query_reads
+
+    def test_a_stream_without_a_record_matches_one_with_a_record(self, pair_setup):
+        _, _, data_tree, query_tree = pair_setup
+        cost = QueryCost()
+        charged = list(incremental_closest_pairs(data_tree, query_tree, cost))
+        bare = list(incremental_closest_pairs(data_tree, query_tree))
+        assert [(p.data_id, p.query_id, p.distance) for p in bare] == [
+            (p.data_id, p.query_id, p.distance) for p in charged
+        ]
+        again = QueryCost()
+        list(incremental_closest_pairs(data_tree, query_tree, again))
+        assert again.snapshot() == cost.snapshot()  # the bare run was charged to neither
+        assert cost.node_accesses >= data_tree.num_nodes + query_tree.num_nodes
 
     def test_empty_trees_produce_empty_stream(self):
         empty = FlatRTree.bulk_load(np.zeros((0, 2)))

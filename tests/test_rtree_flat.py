@@ -19,7 +19,7 @@ from repro.core.engine import GNNEngine
 from repro.core.mbm import mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
-from repro.core.types import GroupQuery
+from repro.core.types import GroupQuery, QueryCost
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import best_first_nearest, incremental_nearest
 from repro.storage.buffer import LRUBuffer
@@ -147,8 +147,8 @@ class TestTraversalPins:
     """Streams and algorithms must reproduce the object-tree paths bit for bit."""
 
     def test_incremental_stream_with_counters(self, flat):
-        flat.stats.reset()
-        stream = [n.as_tuple() for n in incremental_nearest(flat, [411.0, 290.0])]
+        cost = QueryCost()
+        stream = [n.as_tuple() for n in incremental_nearest(flat, [411.0, 290.0], cost)]
         assert stream[:5] == [
             (23, 23.580964558647786),
             (791, 23.821580764111197),
@@ -162,11 +162,14 @@ class TestTraversalPins:
         assert _sha256([d for _, d in stream], np.float64) == (
             "0a217947c1fec365cadad52617e9bece128ef874939b68e09b9ba0e09ff9c90a"
         )
-        assert flat.stats.snapshot() == {
+        assert cost.snapshot() == {
             "node_accesses": 68,
             "leaf_accesses": 63,
             "page_faults": 68,
             "distance_computations": 0,
+            "page_reads": 0,
+            "block_reads": 0,
+            "cpu_time": 0.0,
         }
 
     @pytest.mark.parametrize("name", sorted(ALGORITHMS))

@@ -17,6 +17,7 @@ from snapshot_invariants import assert_valid_snapshot, level_widths
 
 from repro.api.spec import QuerySpec
 from repro.core.engine import GNNEngine
+from repro.core.types import QueryCost
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import best_first_nearest, incremental_nearest
 from repro.storage.buffer import LRUBuffer
@@ -152,51 +153,53 @@ class TestAccessAccounting:
     @pytest.mark.parametrize("method", METHODS)
     def test_full_stream_reads_every_node_once(self, method):
         flat = FlatRTree.bulk_load(_uniform(11, 400), capacity=10, method=method)
-        flat.stats.reset()
-        assert len(list(incremental_nearest(flat, [50.0, 50.0]))) == 400
-        assert flat.stats.node_accesses == flat.num_nodes
-        assert flat.stats.leaf_accesses == level_widths(flat)[0]
+        cost = QueryCost()
+        assert len(list(incremental_nearest(flat, [50.0, 50.0], cost))) == 400
+        assert cost.node_accesses == flat.num_nodes
+        assert cost.leaf_accesses == level_widths(flat)[0]
 
     def test_selective_search_touches_few_nodes(self):
         flat = FlatRTree.bulk_load(_uniform(12, 2000), capacity=20)
-        flat.stats.reset()
-        best_first_nearest(flat, [50.5, 50.5], k=1)
-        assert flat.stats.node_accesses < flat.num_nodes / 4
+        cost = QueryCost()
+        next(incremental_nearest(flat, [50.5, 50.5], cost))  # best_first_nearest, k = 1
+        assert cost.node_accesses < flat.num_nodes / 4
 
     def test_read_node_charges_leaves_separately(self):
         flat = FlatRTree.bulk_load(_uniform(13, 100), capacity=10)
         leaf = int(np.flatnonzero(flat.levels == 0)[0])
-        assert flat.read_node(0) == 0
-        assert flat.read_node(leaf) == leaf
-        assert (flat.stats.node_accesses, flat.stats.leaf_accesses) == (2, 1)
-        assert flat.stats.page_faults == 2  # no buffer: every read faults
+        cost = QueryCost()
+        assert flat.read_node(0, cost) == 0
+        assert flat.read_node(leaf, cost) == leaf
+        assert (cost.node_accesses, cost.leaf_accesses) == (2, 1)
+        assert cost.page_faults == 2  # no buffer: every read faults
 
-    def test_reset_stats_keeps_the_buffer_warm(self):
+    def test_a_read_without_a_record_is_not_counted_but_warms_the_buffer(self):
         flat = FlatRTree.bulk_load(_uniform(14, 300), capacity=10, buffer=LRUBuffer(1000))
         list(incremental_nearest(flat, [10.0, 90.0]))
-        flat.stats.reset()
-        assert flat.stats.node_accesses == 0
-        list(incremental_nearest(flat, [10.0, 90.0]))
-        assert flat.stats.node_accesses == flat.num_nodes
-        assert flat.stats.page_faults == 0
+        cost = QueryCost()
+        list(incremental_nearest(flat, [10.0, 90.0], cost))
+        assert cost.node_accesses == flat.num_nodes
+        assert cost.page_faults == 0
 
 
 class TestBufferIntegration:
     def test_buffer_hits_reduce_page_faults(self):
         flat = FlatRTree.bulk_load(_uniform(13, 500), capacity=10, buffer=LRUBuffer(10_000))
-        list(incremental_nearest(flat, [50.0, 50.0]))
-        first_faults = flat.stats.page_faults
+        cost = QueryCost()
+        list(incremental_nearest(flat, [50.0, 50.0], cost))
+        first_faults = cost.page_faults
         assert first_faults == flat.num_nodes
-        list(incremental_nearest(flat, [50.0, 50.0]))
-        assert flat.stats.page_faults == first_faults  # second pass fully buffered
-        assert flat.stats.node_accesses == 2 * first_faults
+        list(incremental_nearest(flat, [50.0, 50.0], cost))
+        assert cost.page_faults == first_faults  # second pass fully buffered
+        assert cost.node_accesses == 2 * first_faults
 
     def test_a_buffer_smaller_than_the_tree_faults_again(self):
         flat = FlatRTree.bulk_load(_uniform(15, 500), capacity=10, buffer=LRUBuffer(4))
-        list(incremental_nearest(flat, [50.0, 50.0]))
-        first_faults = flat.stats.page_faults
-        list(incremental_nearest(flat, [50.0, 50.0]))
-        assert flat.stats.page_faults > first_faults
+        cost = QueryCost()
+        list(incremental_nearest(flat, [50.0, 50.0], cost))
+        first_faults = cost.page_faults
+        list(incremental_nearest(flat, [50.0, 50.0], cost))
+        assert cost.page_faults > first_faults
 
     def test_snapshots_sharing_a_buffer_never_hit_each_others_pages(self):
         points = _uniform(16, 300)
@@ -205,8 +208,9 @@ class TestBufferIntegration:
         second = FlatRTree.bulk_load(points, capacity=10, buffer=shared)
         assert not set(first.node_ids.tolist()) & set(second.node_ids.tolist())
         list(incremental_nearest(first, [50.0, 50.0]))
-        list(incremental_nearest(second, [50.0, 50.0]))
-        assert second.stats.page_faults == second.num_nodes  # identical tree, cold pages
+        cost = QueryCost()
+        list(incremental_nearest(second, [50.0, 50.0], cost))
+        assert cost.page_faults == second.num_nodes  # identical tree, cold pages
 
     def test_a_compacted_generation_gets_fresh_page_ids(self):
         points = _uniform(17, 400)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.types import QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import (
@@ -65,14 +66,14 @@ class TestIncremental:
         assert [p.distance for p in prefix] == pytest.approx([d for _, d in expected])
 
     def test_stream_is_lazy_about_node_accesses(self, uniform_tree):
-        uniform_tree.stats.reset()
-        stream = incremental_nearest(uniform_tree, [500.0, 500.0])
+        cost = QueryCost()
+        stream = incremental_nearest(uniform_tree, [500.0, 500.0], cost)
         next(stream)
-        partial_accesses = uniform_tree.stats.node_accesses
+        partial_accesses = cost.node_accesses
         # Draining the stream costs many more accesses than the first item.
         for _ in stream:
             pass
-        assert uniform_tree.stats.node_accesses > partial_accesses
+        assert cost.node_accesses > partial_accesses
 
     def test_empty_tree_stream_is_empty(self):
         assert list(incremental_nearest(EMPTY, [0.0, 0.0])) == []
@@ -98,6 +99,22 @@ class TestIncrementalGeneric:
         assert distances == sorted(distances)
         expected_best = min(region.mindist_point(p) for p in small_points)
         assert distances[0] == pytest.approx(expected_best)
+
+    def test_a_stream_without_a_record_matches_one_with_a_record(self, uniform_tree):
+        centre = np.array([300.0, 700.0])
+
+        def stream(cost=None):
+            return flat_incremental_nearest_generic(
+                uniform_tree,
+                lambda points: kernels.point_distances(points, centre),
+                lambda lows, highs: kernels.boxes_mindist_point(lows, highs, centre),
+                cost=cost,
+            )
+
+        cost = QueryCost()
+        charged = [n.as_tuple() for n in stream(cost)]
+        assert [n.as_tuple() for n in stream()] == charged
+        assert cost.node_accesses == uniform_tree.num_nodes
 
     def test_constant_keys_enumerate_everything(self, small_tree, small_points):
         stream = flat_incremental_nearest_generic(

@@ -18,7 +18,6 @@ import pytest
 from repro import GNNEngine, QuerySpec
 from repro.core.types import QueryCost
 from repro.rtree.flat import FlatRTree
-from repro.rtree.stats import TreeStats
 from repro.serve import (
     GNNServer,
     MicroBatcher,
@@ -31,7 +30,7 @@ from repro.serve.protocol import BatchRequest, decode_spec, encode_spec
 from repro.serve.stats import percentile
 from repro.serve.worker import execute_batch_message
 from repro.shard.coordinator import CoordinatorStats
-from repro.storage.counters import IOCounters, MappedPageCounters
+from repro.storage.counters import MappedPageCounters
 from repro.storage.pointfile import PointFile
 
 from read_sets import union_of_solo_reads
@@ -185,13 +184,14 @@ class TestProtocol:
 # mergeable counters (storage satellite + serving stats)
 # ----------------------------------------------------------------------
 class TestMergeableCounters:
-    def test_io_counters_merge_objects_and_dicts(self):
-        left = IOCounters(page_reads=3, block_reads=1, sort_passes=1)
-        right = IOCounters(page_reads=2, block_reads=4)
+    def test_query_cost_merges_objects_and_dicts(self):
+        left = QueryCost(page_reads=3, block_reads=1, node_accesses=2)
+        right = QueryCost(page_reads=2, block_reads=4)
         left.merge(right)
-        assert left.snapshot() == {"page_reads": 5, "block_reads": 5, "sort_passes": 1}
-        left.merge({"page_reads": 10})
+        assert (left.page_reads, left.block_reads, left.node_accesses) == (5, 5, 2)
+        left.merge({"page_reads": 10, "requests": 7})  # keys it does not declare are ignored
         assert left.page_reads == 15
+        assert not hasattr(left, "requests")
 
     def test_mapped_page_counters_merge(self):
         left = MappedPageCounters(arrays_mapped=1, bytes_mapped=100, pages_mapped=1)
@@ -216,7 +216,7 @@ class TestMergeableCounters:
 
     @pytest.mark.parametrize(
         "cls",
-        [TreeStats, IOCounters, MappedPageCounters, ServingCounters, QueryCost, CoordinatorStats],
+        [MappedPageCounters, ServingCounters, QueryCost, CoordinatorStats],
         ids=lambda cls: cls.__name__,
     )
     def test_counter_set_protocol(self, cls):

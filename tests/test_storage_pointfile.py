@@ -1,32 +1,17 @@
-"""Tests for repro.storage.pointfile and the I/O counters it charges."""
+"""Tests for repro.storage.pointfile and the I/O it charges to a query's record."""
 
 import numpy as np
 import pytest
 
 from repro.geometry.hilbert import hilbert_indices, hilbert_sort
 from repro.geometry.mbr import MBR
-from repro.storage.counters import IOCounters
+from repro.core.types import QueryCost
 from repro.storage.pointfile import PointFile
 
 
 @pytest.fixture
 def sample_points():
     return np.random.default_rng(23).uniform(0, 1000, size=(230, 2))
-
-
-class TestIOCounters:
-    def test_block_read_counts_both_metrics(self):
-        counters = IOCounters()
-        counters.record_block_read(pages_in_block=5)
-        assert counters.block_reads == 1
-        assert counters.page_reads == 5
-
-    def test_reset(self):
-        counters = IOCounters()
-        counters.record_block_read(2)
-        counters.record_sort_pass()
-        counters.reset()
-        assert counters.snapshot() == {"page_reads": 0, "block_reads": 0, "sort_passes": 0}
 
 
 def _blocks(pointfile):
@@ -44,15 +29,17 @@ class TestPages:
     def test_last_page_may_be_partial(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=1)
         assert pointfile.block_count == 5
-        assert len(pointfile.read_block(4)) == 30
-        assert pointfile.counters.page_reads == 1
+        cost = QueryCost()
+        assert len(pointfile.read_block(4, cost)) == 30
+        assert cost.page_reads == 1
 
     def test_block_reads_charge_their_pages(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
+        cost = QueryCost()
         for index in range(3):
-            pointfile.read_block(index)
+            pointfile.read_block(index, cost)
         # pages 0-1, 2-3 and the partial page 4
-        assert pointfile.counters.snapshot() == {"page_reads": 5, "block_reads": 3, "sort_passes": 1}
+        assert (cost.page_reads, cost.block_reads) == (5, 3)
 
     def test_invalid_page_size_rejected(self, sample_points):
         with pytest.raises(ValueError):
@@ -107,10 +94,28 @@ class TestPointFile:
 
     def test_block_read_charges_io(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
-        before = pointfile.counters.block_reads
-        pointfile.read_block(0)
-        assert pointfile.counters.block_reads == before + 1
-        assert pointfile.counters.page_reads >= 2
+        cost = QueryCost()
+        pointfile.read_block(0, cost)
+        assert cost.block_reads == 1
+        assert cost.page_reads >= 2
+
+    def test_a_read_without_a_record_returns_the_same_block(self, sample_points):
+        pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
+        cost = QueryCost()
+        for index in range(pointfile.block_count):
+            charged = pointfile.read_block(index, cost)
+            bare = pointfile.read_block(index)
+            np.testing.assert_array_equal(bare.points, charged.points)
+            np.testing.assert_array_equal(bare.record_ids, charged.record_ids)
+        assert (cost.page_reads, cost.block_reads) == (pointfile.page_count, pointfile.block_count)
+
+    def test_records_count_only_their_own_reads(self, sample_points):
+        pointfile = PointFile(sample_points, points_per_page=50, block_pages=1)
+        first, second = QueryCost(), QueryCost()
+        for index in range(pointfile.block_count):
+            pointfile.read_block(index, first if index % 2 else second)
+        assert (first.block_reads, second.block_reads) == (2, 3)
+        assert (first.page_reads, second.page_reads) == (2, 3)
 
     def test_block_summaries_match_blocks(self, sample_points):
         pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
@@ -119,11 +124,6 @@ class TestPointFile:
         assert cardinalities.tolist() == [float(b.cardinality) for b in blocks]
         for low, high, block in zip(lows, highs, blocks):
             assert MBR(low, high) == MBR.from_points(block.points)
-
-    def test_block_summaries_are_not_charged(self, sample_points):
-        pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
-        pointfile.block_summaries()
-        assert pointfile.counters.snapshot() == {"page_reads": 0, "block_reads": 0, "sort_passes": 1}
 
     @pytest.mark.parametrize("index", [-1, 3, 10])
     def test_out_of_range_block_rejected(self, sample_points, index):
@@ -134,7 +134,3 @@ class TestPointFile:
     def test_invalid_block_pages_rejected(self, sample_points):
         with pytest.raises(ValueError):
             PointFile(sample_points, points_per_page=50, block_pages=0)
-
-    def test_sort_pass_is_recorded(self, sample_points):
-        pointfile = PointFile(sample_points, points_per_page=50, block_pages=2)
-        assert pointfile.counters.sort_passes == 1
