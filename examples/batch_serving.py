@@ -3,11 +3,10 @@
 The serving scenario: an index is built (and persisted) once, a
 read-only worker maps it into memory, and user traffic arrives as
 *batches* of "where should the n of us meet?" queries.  The batch path
-of ``execute_many`` buckets flat-capable MBM specs by shape, orders each
-bucket along the Hilbert curve of the group centroids, and runs each
-member's own traversal over one shared read set — a node any member
-needs is read once for the whole bucket, so node accesses per query
-fall with batch size while every answer stays the solo one.
+of ``execute_many`` runs each member's own traversal, in input order,
+inside one read scope of the index — a node any member needs is read
+once for the whole batch, so node accesses per query fall with batch
+size while every answer stays the solo one.
 
 Run with ``PYTHONPATH=src python examples/batch_serving.py``.
 """

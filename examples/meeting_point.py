@@ -61,8 +61,8 @@ def main() -> None:
     print()
 
     # The day's meeting requests, answered as ONE batch: execute_many
-    # plans each spec once per shape and schedules the queries in Hilbert
-    # order so consecutive searches hit warm R-tree pages in the buffer.
+    # runs them in one read scope of the index, so an R-tree node two
+    # meetings both need is read (and buffered) once.
     groups = []
     for group_size in (3, 8, 5, 4, 6):
         center = rng.uniform(workspace_low, workspace_high)

@@ -11,9 +11,9 @@ experimental harness of Section 5.
 
 Queries are declarative: a :class:`~repro.api.QuerySpec` describes what
 to retrieve, a capability-aware planner picks the right algorithm (with
-an inspectable rationale via ``engine.explain``, planned once per spec
-shape), and batches run through ``engine.execute_many``, which
-amortises index locality and node reads across queries.
+an inspectable rationale via ``engine.explain``), and batches run
+through ``engine.execute_many``, which shares node reads across
+queries.
 
 Quickstart::
 
@@ -58,7 +58,7 @@ from repro.geometry import MBR
 from repro.rtree import FlatRTree
 from repro.storage import LRUBuffer, PointFile
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "AlgorithmInfo",

@@ -11,10 +11,9 @@ This package is the public face of the engine redesign:
   baselines;
 * :class:`~repro.api.planner.QueryPlanner` — ``plan(spec)`` returns a
   :class:`~repro.api.planner.QueryPlan` with the chosen algorithm and a
-  human-readable rationale, cached by the spec's shape;
+  human-readable rationale, decided afresh on every call;
 * :mod:`~repro.api.executor` — runs plans, including the batched
-  ``execute_many`` path that amortises index locality and node reads
-  across queries.
+  ``execute_many`` path that shares node reads across queries.
 
 ``GNNEngine.execute`` / ``explain`` / ``execute_many`` wrap these pieces
 for the common case of one engine-owned dataset.

@@ -2,18 +2,15 @@
 
 The executor hands each planned :class:`~repro.api.spec.QuerySpec` to
 the runner of its algorithm together with the
-:class:`ExecutionContext` (index, buffer, pending writes), and (for
-batches) amortises work across queries:
-
-* **plan caching** — the planner plans specs with equal plan signatures
-  once (its cache outlives the batch);
-* **one read scope** — the memory-resident specs of a batch run, in
-  Hilbert order of their group centroids, inside one
-  :meth:`~repro.rtree.flat.FlatRTree.read_scope`: each runs its own
-  algorithm's per-query traversal, keying and pruning as it would alone
-  (under its own ``within`` ceiling, if any), but the first reader of a
-  node pays for it and later readers read it free, so the batch reads
-  the union of its members' solo read sets, each node once.
+:class:`ExecutionContext` (index, pending writes).  A batch is one
+read scope, not an algorithm: the memory-resident specs of a batch run,
+in input order, inside one
+:meth:`~repro.rtree.flat.FlatRTree.read_scope`.  Each runs its own
+algorithm's per-query traversal, keying and pruning as it would alone
+(under its own ``within`` ceiling, if any), but the first reader of a
+node pays for it and later readers read it free, so the batch reads the
+union of its members' solo read sets, each node once, whatever their
+order.
 
 Every plan runs over the context's one index, a
 :class:`~repro.rtree.flat.FlatRTree`.  When the context also carries a
@@ -39,8 +36,8 @@ Every runner charges the query's own
 is the only counter, so costs are exact per query however many threads
 share the index.  A batch member's record keeps its algorithm's label
 and holds its distance computations and CPU time, and the node reads it
-paid for as the first member to reach them, so a batch's results sum to
-the nodes the batch read.
+paid for as the first member (in input order) to reach them, so a
+batch's results sum to the nodes the batch read.
 """
 
 from __future__ import annotations
@@ -55,15 +52,13 @@ from repro.api.planner import QueryPlan, QueryPlanner
 from repro.api.spec import MEMORY, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.types import GNNResult, GroupQuery, QueryCost
-from repro.geometry.hilbert import hilbert_indices
 from repro.obs import trace as obs_trace
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.storage.buffer import LRUBuffer
 
 @dataclass
 class ExecutionContext:
-    """Everything a runner may need: the index, the buffer, pending writes.
+    """Everything a runner may need: the index and its pending writes.
 
     ``flat`` is the one index every plan traverses — memory- and
     disk-resident alike.  ``overlay`` carries the engine's *dirty* delta
@@ -73,7 +68,6 @@ class ExecutionContext:
     """
 
     flat: FlatRTree
-    buffer: LRUBuffer | None = None
     overlay: DeltaOverlay | None = None
 
     def live_points(self) -> tuple[np.ndarray, np.ndarray]:
@@ -192,43 +186,23 @@ def execute_batch(
     specs: Sequence[QuerySpec],
     planner: QueryPlanner | None = None,
 ) -> list[GNNResult]:
-    """Execute many specs, amortising planning, locality and node reads.
+    """Execute many specs, sharing their node reads.
 
-    The memory-resident specs run in Hilbert order of their group
-    centroids inside one read scope of the index (module docstring),
-    the disk-resident ones after it in input order.  Results are
-    returned in the order of ``specs``.  Answers are identical to
-    calling :func:`execute_spec` once per spec.
+    The memory-resident specs run in input order inside one read scope
+    of the index (module docstring), the disk-resident ones after it.
+    Results are returned in the order of ``specs``.  Answers are
+    identical to calling :func:`execute_spec` once per spec.
     """
     planner = planner or QueryPlanner()
     specs = list(specs)
     plans = [planner.plan(spec) for spec in specs]
     results: list[GNNResult | None] = [None] * len(specs)
-    memory = [
-        i
-        for i in range(len(specs))
-        if plans[i].residency == MEMORY and specs[i].group is not None
-    ]
     with context.flat.read_scope():
-        for index in _hilbert_order(specs, memory):
-            results[index] = execute_spec(context, specs[index], plan=plans[index])
+        for index, (spec, plan) in enumerate(zip(specs, plans)):
+            if plan.residency == MEMORY and spec.group is not None:
+                results[index] = execute_spec(context, spec, plan=plan)
     for index, result in enumerate(results):
         if result is None:
             results[index] = execute_spec(context, specs[index], plan=plans[index])
     return results  # type: ignore[return-value]
 
-
-# ----------------------------------------------------------------------
-# locality scheduling
-# ----------------------------------------------------------------------
-def _hilbert_order(specs: Sequence[QuerySpec], indices: list[int]) -> list[int]:
-    """``indices`` reordered along the Hilbert curve of the group centroids.
-
-    Nearby groups explore overlapping R-tree regions; run consecutively
-    they read nodes an earlier member already paid for, and keep an LRU
-    buffer's pages hot.
-    """
-    if len(indices) < 2:
-        return indices
-    keys = hilbert_indices(np.vstack([specs[i].group.mean(axis=0) for i in indices]))
-    return [indices[j] for j in np.argsort(keys, kind="stable")]

@@ -9,11 +9,10 @@ capability metadata, so a spec asking MBM for a ``max`` aggregate fails
 at planning time with a message that names the mismatch instead of deep
 inside a traversal.
 
-A plan depends only on the spec's shape (:meth:`QuerySpec.plan_signature`),
-never on its coordinates or on the index, so the planner keeps the one
-bounded signature->plan cache of the stack: the engines, the batch
-executor, the server and the sharded facade all plan through it, and an
-``insert`` or ``compact()`` never makes a cached plan stale.
+Planning keeps no state: the policy is a few comparisons on the spec's
+shape, so ``plan`` decides afresh on every call (a few microseconds
+against a query of about a millisecond), and no ``insert`` or
+``compact()`` can leave a stale plan behind.
 
 The auto policy encodes the paper's recommendations:
 
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import difflib
 import math
-import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping
@@ -41,16 +39,12 @@ from repro.api.registry import (
     available_algorithms,
     get_algorithm,
 )
-from repro.api.spec import AUTO, MEMORY, SHARDED, WITHIN, QuerySpec
+from repro.api.spec import AUTO, MEMORY, SHARDED, QuerySpec
 
 #: Block-count threshold below which the auto policy prefers F-MQM; the
 #: paper's PP-as-query experiments (3 blocks) favour F-MQM while the
 #: TS-as-query experiments (20 blocks) favour F-MBM.
 AUTO_FMQM_MAX_BLOCKS = 6
-
-#: Bound on the planner's signature->plan cache; a full cache is
-#: cleared, so a workload of ever-new shapes cannot grow it.
-PLAN_CACHE_BOUND = 4096
 
 
 @dataclass(frozen=True)
@@ -62,13 +56,6 @@ class QueryPlan:
     residency: str
     options: Mapping[str, Any]
     rationale: str
-
-    def for_spec(self, spec: QuerySpec) -> "QueryPlan":
-        """Rebind a cached plan to another spec with the same signature (and its ``within``)."""
-        options = self.options
-        if WITHIN in options:
-            options = MappingProxyType({**options, WITHIN: spec.options[WITHIN]})
-        return QueryPlan(spec, self.algorithm, self.residency, options, self.rationale)
 
     def describe(self) -> str:
         """Human-readable multi-line explanation (what ``explain`` prints)."""
@@ -101,10 +88,6 @@ class QueryPlanner:
 
     def __init__(self, engine=None):
         self.engine = engine
-        self._plans: dict[tuple, QueryPlan] = {}
-        # Serving threads plan concurrently: the bound check and the
-        # insert must not interleave.
-        self._plans_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # public entry point
@@ -112,24 +95,11 @@ class QueryPlanner:
     def plan(self, spec: QuerySpec) -> QueryPlan:
         """Resolve ``spec`` into an executable :class:`QueryPlan`.
 
-        Specs with equal :meth:`~QuerySpec.plan_signature` are planned
-        once; later ones get the cached plan rebound to themselves
-        (:meth:`QueryPlan.for_spec`).  Raises ``ValueError`` for unknown
-        algorithm names and for capability mismatches (wrong residency,
-        unsupported aggregate or weights, missing raw points) — planning
-        is where a bad spec fails, not execution.
+        Raises ``ValueError`` for unknown algorithm names and for
+        capability mismatches (wrong residency, unsupported aggregate or
+        weights, missing raw points) — planning is where a bad spec
+        fails, not execution.
         """
-        signature = spec.plan_signature()
-        plan = self._plans.get(signature)
-        if plan is None:
-            plan = self._plan(spec)
-            with self._plans_lock:
-                if len(self._plans) >= PLAN_CACHE_BOUND:
-                    self._plans.clear()
-                self._plans[signature] = plan
-        return plan.for_spec(spec)
-
-    def _plan(self, spec: QuerySpec) -> QueryPlan:
         residency = spec.resolved_residency()
         if spec.index == SHARDED and getattr(self.engine, "coordinator", None) is None:
             # Only a coordinator-backed engine (repro.shard.ShardedEngine)

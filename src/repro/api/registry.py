@@ -51,7 +51,7 @@ class AlgorithmInfo:
 
     ``runner`` receives ``(context, plan)`` where ``context`` is the
     executor's :class:`~repro.api.executor.ExecutionContext` (flat
-    index, buffer, pending-write overlay) and ``plan`` the
+    index, pending-write overlay) and ``plan`` the
     :class:`~repro.api.planner.QueryPlan` (its spec, carrying the
     validated ``GroupQuery``, and the algorithm options).  Every
     memory-resident runner answers from ``context.overlay`` when it is

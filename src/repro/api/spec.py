@@ -206,35 +206,6 @@ class QuerySpec:
         """Return a copy of this spec with the given fields replaced."""
         return replace(self, **changes)
 
-    def plan_signature(self) -> tuple:
-        """Hashable key under which the planner's decision is cacheable.
-
-        Two specs with equal signatures are guaranteed to produce the
-        same plan (algorithm choice and rationale): the planner's output
-        depends on the algorithm hint, residency, aggregate, presence of
-        weights and of raw points, ``k``, group cardinality, and the
-        options mapping — but never on the coordinates themselves, nor
-        on the value of a ``within`` bound (only on its presence;
-        :meth:`~repro.api.planner.QueryPlan.for_spec` rebinds the value).
-        """
-        return (
-            self.algorithm,
-            self.resolved_residency(),
-            self.aggregate,
-            self.weights is None,
-            self.group is None,
-            self.k,
-            self.cardinality,
-            self.index,
-            self.group_file.block_count if self.group_file is not None else None,
-            tuple(
-                sorted(
-                    (key, "bounded" if key == WITHIN else repr(value))
-                    for key, value in self.options.items()
-                )
-            ),
-        )
-
     def __repr__(self) -> str:
         source = "file" if self.group is None else f"n={self.cardinality}"
         return (

@@ -12,11 +12,11 @@ API:
 * :meth:`GNNEngine.explain` — return the :class:`~repro.api.planner.QueryPlan`
   (algorithm, rationale, options) without running anything;
 * :meth:`GNNEngine.execute_many` — the batch path: memory-resident
-  queries run in Hilbert order inside one read scope of the index, so
+  queries run in input order inside one read scope of the index, so
   each node is paid for once, by its first reader.
 
-All three plan through the engine's one :class:`~repro.api.planner.QueryPlanner`,
-whose cache plans each spec shape once.
+All three plan through the engine's :class:`~repro.api.planner.QueryPlanner`,
+which keeps no state and plans every spec afresh.
 
 The ``"auto"`` policy lives in :class:`~repro.api.planner.QueryPlanner`
 and encodes the recommendations of the paper's experimental study
@@ -37,15 +37,7 @@ from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.storage.buffer import LRUBuffer
 
-MEMORY_ALGORITHMS = ("mqm", "spm", "mbm", "best-first", "brute-force")
-DISK_ALGORITHMS = ("fmqm", "fmbm", "gcp")
-
-__all__ = [
-    "AUTO_FMQM_MAX_BLOCKS",
-    "DISK_ALGORITHMS",
-    "GNNEngine",
-    "MEMORY_ALGORITHMS",
-]
+__all__ = ["AUTO_FMQM_MAX_BLOCKS", "GNNEngine"]
 
 
 class GNNEngine:
@@ -286,8 +278,8 @@ class GNNEngine:
     def execute_many(self, specs) -> list[GNNResult]:
         """Execute a batch of specs; results come back in input order.
 
-        The batch path amortises work across queries — memory-resident
-        groups run in Hilbert order of their centroids inside one
+        The batch path shares node reads across queries — memory-resident
+        groups run in input order inside one
         :meth:`~repro.rtree.flat.FlatRTree.read_scope`, where a node is
         charged (and touches the LRU buffer) only for its first reader,
         clean or dirty engine alike — while returning exactly the results
@@ -310,8 +302,8 @@ class GNNEngine:
         # even while a compact() on another thread replaces the snapshot.
         overlay = self._overlay
         if overlay is not None and overlay.dirty:
-            return ExecutionContext(flat=overlay.base, buffer=self.buffer, overlay=overlay)
-        return ExecutionContext(flat=self._flat, buffer=self.buffer)
+            return ExecutionContext(flat=overlay.base, overlay=overlay)
+        return ExecutionContext(flat=self._flat)
 
     # ------------------------------------------------------------------
     # maintenance (the mutable write path)

@@ -5,8 +5,8 @@ application code already programs against —
 ``execute`` / ``execute_many`` / ``explain`` over declarative
 :class:`~repro.api.spec.QuerySpec`\\ s — so swapping a single-process
 :class:`~repro.core.engine.GNNEngine` for a federation is a one-line
-change.  Planning still happens client-side (through the planner's plan
-cache and the serving admission filter), so malformed or unservable specs
+change.  Planning still happens client-side (through the planner and
+the serving admission filter), so malformed or unservable specs
 fail here, immediately and with the planner's message, instead of as a
 remote error from some shard.
 

@@ -14,9 +14,9 @@ from repro.core.engine import GNNEngine
 from repro.rtree.flat import FlatRTree
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def rng():
-    """Deterministic random generator shared by the suite."""
+    """Deterministic random generator, fresh per test so test order cannot change data."""
     return np.random.default_rng(20040330)
 
 

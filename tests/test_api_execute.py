@@ -7,6 +7,7 @@ from repro.api import QuerySpec
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.engine import GNNEngine
 from repro.core.gcp import PairCapExceeded
+from repro.geometry.hilbert import hilbert_indices
 from repro.rtree.flat import FlatRTree
 from repro.storage.generations import GenerationStore
 from repro.storage.pointfile import PointFile
@@ -262,17 +263,20 @@ class TestSharedTraversalBatches:
     def test_insert_invalidation_never_serves_stale_batch_answers(self, rng):
         """An insert between batches must be visible to the next batch.
 
-        The inserted point sits exactly at each group's centroid, so any
-        stale pre-insert snapshot would provably return wrong answers —
-        the batch path has to rebuild (or fall back), never reuse.
+        Each group is two pairs ``center ± offset``: by the triangle
+        inequality a pair's summed distance is smallest on the segment
+        between its points, so ``center``, where the two segments cross,
+        is the group's unique minimiser, and the point inserted there is
+        the answer by construction — any stale pre-insert snapshot would
+        provably return a wrong one.
         """
         points = rng.uniform(0, 1000, size=(300, 2))
         engine = GNNEngine(points, capacity=16)
         center = np.array([444.0, 444.0])
-        specs = [
-            QuerySpec(group=rng.uniform(center - 15, center + 15, size=(4, 2)), k=1)
-            for _ in range(8)
-        ]
+        specs = []
+        for _ in range(8):
+            offsets = rng.uniform(-15, 15, size=(2, 2))
+            specs.append(QuerySpec(group=center + np.vstack([offsets, -offsets]), k=1))
         stale = engine.execute_many(specs)  # materialises the snapshot
         assert all(outcome.record_ids() != [300] for outcome in stale)
 
@@ -280,6 +284,8 @@ class TestSharedTraversalBatches:
         fresh = engine.execute_many(specs)
         for spec, outcome in zip(specs, fresh):
             assert outcome.record_ids() == [inserted]
+            oracle = engine.execute(spec.replace(algorithm="brute-force"))
+            assert oracle.record_ids() == [inserted]
             single = engine.execute(spec)
             assert outcome.record_ids() == single.record_ids()
             assert outcome.distances() == single.distances()
@@ -353,31 +359,34 @@ class TestSharedTraversalBatches:
             pairs = [(nb.distance, nb.record_id) for nb in outcome.neighbors]
             assert pairs == sorted(pairs) and len(pairs) == 2
 
-    def test_buckets_follow_the_curve_beyond_two_dimensions(self, monkeypatch):
-        """A 3-D batch runs in ``hilbert_indices`` order of its centroids."""
-        from repro.api import executor
-        from repro.geometry.hilbert import hilbert_indices
-
-        ran, original = [], executor.execute_spec
-
-        def recording(context, spec, planner=None, plan=None):
-            ran.append(spec)
-            return original(context, spec, planner, plan)
-
-        rng = np.random.default_rng(3)
-        engine = GNNEngine(rng.uniform(0, 1000, size=(600, 3)), capacity=16)
+    def test_a_shared_node_is_charged_to_its_earliest_member_in_input_order(self):
+        """A batch runs its members in input order, so each pays for the
+        nodes no earlier member read, and the first pays its solo cost."""
+        rng = np.random.default_rng(1)
+        engine = GNNEngine(rng.uniform(0, 1000, size=(600, 2)), capacity=16)
         specs = [
-            QuerySpec(group=center + rng.uniform(-30, 30, size=(4, 3)), k=2)
-            for center in rng.uniform(100, 900, size=(12, 3))
+            QuerySpec(group=center + rng.uniform(-30, 30, size=(4, 2)), k=2)
+            for center in rng.uniform(100, 900, size=(12, 2))
         ]
-        monkeypatch.setattr(executor, "execute_spec", recording)
-        batch = engine.execute_many(specs)
-        monkeypatch.undo()
+        # The batch is chosen so that the Hilbert curve of its centroids
+        # does not start at spec 0: a curve-ordered batch would charge
+        # spec 0 less than its solo cost.
         centroids = np.stack([spec.group.mean(axis=0) for spec in specs])
-        order = np.argsort(hilbert_indices(centroids), kind="stable")
-        assert [id(spec) for spec in ran] == [id(specs[i]) for i in order]
+        assert np.argmin(hilbert_indices(centroids)) != 0
+
+        batch = engine.execute_many(specs)
+        solo = engine.execute(specs[0])
+        assert (batch[0].cost.node_accesses, batch[0].cost.distance_computations) == (
+            solo.cost.node_accesses,
+            solo.cost.distance_computations,
+        )
+        read_before: set = set()
         for spec, outcome in zip(specs, batch):
-            assert outcome.distances() == engine.execute(spec).distances()
+            with engine.flat.read_scope() as read:
+                engine.execute(spec)
+            assert outcome.cost.node_accesses == len(read - read_before)
+            read_before |= read
+        assert _node_accesses(batch) == union_of_solo_reads(engine.flat, engine.execute, specs)
 
 
 def _node_accesses(results):

@@ -1,12 +1,8 @@
 """Tests for the algorithm catalogue and the query planner."""
 
-import sys
-import threading
-
 import pytest
 
 import repro.api
-import repro.api.planner
 from repro import GNNEngine
 from repro.api import (
     DISK,
@@ -217,45 +213,20 @@ class TestExplain:
         untraced = engine.execute(QuerySpec(group=GROUP))
         assert untraced.plan is None
 
-    def test_plan_signature_reuses_cached_plans(self, engine, rng):
-        specs = [QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2) for _ in range(5)]
-        signatures = {spec.plan_signature() for spec in specs}
-        assert len(signatures) == 1
 
-
-def _counting_planner(planner, monkeypatch) -> list:
-    """Record every spec the planner actually plans (cache misses)."""
-    planned = []
-    real = planner._plan
-
-    def spy(spec):
-        planned.append(spec)
-        return real(spec)
-
-    monkeypatch.setattr(planner, "_plan", spy)
-    return planned
-
-
-class TestPlanCache:
+class TestStatelessPlanning:
     @pytest.fixture()
     def fresh_engine(self, small_points):
         return GNNEngine(small_points, capacity=16)
 
-    def test_one_signature_is_planned_once_across_entry_points(
-        self, fresh_engine, rng, monkeypatch
-    ):
-        planned = _counting_planner(fresh_engine.planner, monkeypatch)
-        specs = [QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2) for _ in range(6)]
-        fresh_engine.execute(specs[0])
-        fresh_engine.execute_many(specs[1:4])
-        plans = [fresh_engine.explain(spec) for spec in specs[4:]]
-        assert len(planned) == 1
-        # Each handed-out plan is bound to the spec it was asked for.
-        assert [plan.spec for plan in plans] == specs[4:]
-        fresh_engine.execute(specs[0].replace(k=3))
-        assert len(planned) == 2
+    def test_planner_keeps_no_per_spec_state(self, fresh_engine, rng):
+        specs = [QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=k) for k in (1, 2, 2, 5)]
+        plans = [fresh_engine.explain(spec) for spec in specs]
+        fresh_engine.execute_many(specs)
+        assert [plan.spec for plan in plans] == specs
+        assert vars(fresh_engine.planner) == {"engine": fresh_engine}
 
-    def test_cached_plan_takes_each_specs_own_within(self, fresh_engine, rng):
+    def test_each_plan_takes_its_specs_own_within(self, fresh_engine, rng):
         group = rng.uniform(300, 700, size=(3, 2))
         specs = [
             QuerySpec(group=group, k=5, options={"within": within})
@@ -269,49 +240,12 @@ class TestPlanCache:
             expected = [n for n in reference.neighbors if n.distance <= spec.options["within"]]
             assert result.record_ids() == [n.record_id for n in expected]
 
-    def test_cache_stays_within_its_bound(self, monkeypatch):
-        monkeypatch.setattr(repro.api.planner, "PLAN_CACHE_BOUND", 8)
-        planner = QueryPlanner()
-        for k in range(1, 40):
-            plan = planner.plan(QuerySpec(group=GROUP, k=k))
-            assert plan.spec.k == k
-            assert 0 < len(planner._plans) <= 8
-
-    def test_concurrent_planning_keeps_the_bound(self, monkeypatch):
-        monkeypatch.setattr(repro.api.planner, "PLAN_CACHE_BOUND", 5)
-        planner = QueryPlanner()
-        errors = []
-
-        def plan_many(offset):
-            try:
-                for k in range(1, 200):
-                    spec = QuerySpec(group=GROUP, k=(k + offset) % 23 + 1)
-                    assert planner.plan(spec).spec is spec
-                    assert len(planner._plans) <= 5
-            except AssertionError as error:  # surfaced on the main thread
-                errors.append(error)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=plan_many, args=(i,)) for i in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-
-    def test_plan_survives_insert_and_compact(self, fresh_engine, monkeypatch):
+    def test_plan_survives_insert_and_compact(self, fresh_engine):
         spec = QuerySpec(group=[[410.0, 405.0], [395.0, 390.0]], k=3)
         before = fresh_engine.explain(spec)
-        planned = _counting_planner(fresh_engine.planner, monkeypatch)
         inserted = fresh_engine.insert([400.0, 400.0])
         fresh_engine.compact()
         result = fresh_engine.execute(spec)
-        assert planned == []  # the plan reads nothing the writes changed
         assert result.record_ids()[0] == inserted
         assert result.record_ids() == brute_force_gnn(fresh_engine.points, spec.query).record_ids()
         after = fresh_engine.explain(spec)
@@ -324,7 +258,7 @@ class TestPlanCache:
     def test_file_only_spec_does_not_reuse_a_raw_points_plan(self, fresh_engine, rng):
         # Both specs name GCP over the same file; only the first carries
         # the raw points GCP needs.  The second must fail at planning,
-        # not inside the query-tree bulk load with a cached GCP plan.
+        # not inside the query-tree bulk load.
         group = rng.uniform(0, 1000, size=(30, 2))
         file = PointFile(group, points_per_page=10, block_pages=1)
         with pytest.raises(ValueError, match="gcp needs the raw query points"):
@@ -334,7 +268,3 @@ class TestPlanCache:
                     QuerySpec(group_file=file, algorithm="gcp"),
                 ]
             )
-        assert (
-            QuerySpec(group=group, group_file=file).plan_signature()
-            != QuerySpec(group_file=file).plan_signature()
-        )

@@ -137,10 +137,3 @@ class TestDerivedData:
         assert wider.query.k == 5 and spec.query.k == 2
         with pytest.raises(ValueError):
             spec.replace(query=None)
-
-    def test_plan_signature_ignores_coordinates(self, rng):
-        a = QuerySpec(group=rng.uniform(0, 1, size=(5, 2)), k=3)
-        b = QuerySpec(group=rng.uniform(0, 1, size=(5, 2)), k=3)
-        assert a.plan_signature() == b.plan_signature()
-        assert a.plan_signature() != a.replace(k=4).plan_signature()
-        assert a.plan_signature() != a.replace(aggregate="max").plan_signature()
