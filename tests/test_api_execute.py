@@ -388,6 +388,37 @@ class TestSharedTraversalBatches:
             read_before |= read
         assert _node_accesses(batch) == union_of_solo_reads(engine.flat, engine.execute, specs)
 
+    def test_a_batch_runs_memory_specs_in_input_order_then_disk_specs(self, monkeypatch):
+        """Beyond two dimensions too: memory specs run as given, disk specs after them."""
+        from repro.api import executor
+
+        ran, original = [], executor.execute_spec
+
+        def recording(context, spec, planner=None, plan=None):
+            ran.append(spec)
+            return original(context, spec, planner, plan)
+
+        rng = np.random.default_rng(3)
+        engine = GNNEngine(rng.uniform(0, 1000, size=(600, 3)), capacity=16)
+        specs = [
+            QuerySpec(group=center + rng.uniform(-30, 30, size=(4, 3)), k=2)
+            for center in rng.uniform(100, 900, size=(8, 3))
+        ]
+        disk = QuerySpec(
+            group=rng.uniform(300, 700, size=(40, 3)),
+            k=2,
+            residency="disk",
+            options={"points_per_page": 10, "block_pages": 1},
+        )
+        specs.insert(3, disk)
+        monkeypatch.setattr(executor, "execute_spec", recording)
+        batch = engine.execute_many(specs)
+        monkeypatch.undo()
+        memory = [spec for spec in specs if spec is not disk]
+        assert [id(spec) for spec in ran] == [id(spec) for spec in memory + [disk]]
+        for spec, outcome in zip(specs, batch):
+            assert outcome.distances() == engine.execute(spec).distances()
+
 
 def _node_accesses(results):
     """A batch's node accesses: its members' costs summed."""

@@ -1,5 +1,7 @@
 """Tests for the algorithm catalogue and the query planner."""
 
+import threading
+
 import pytest
 
 import repro.api
@@ -213,6 +215,14 @@ class TestExplain:
         untraced = engine.execute(QuerySpec(group=GROUP))
         assert untraced.plan is None
 
+    def test_explain_describes_the_spec_it_is_asked_for(self, engine, rng):
+        specs = [QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2) for _ in range(3)]
+        texts = [engine.explain(spec).describe().splitlines() for spec in specs]
+        for spec, lines in zip(specs, texts):
+            assert lines[0] == f"QueryPlan for {spec!r}"
+        # One shape, one decision: only the header naming the spec differs.
+        assert texts[0][1:] == texts[1][1:] == texts[2][1:]
+
 
 class TestStatelessPlanning:
     @pytest.fixture()
@@ -225,6 +235,70 @@ class TestStatelessPlanning:
         fresh_engine.execute_many(specs)
         assert [plan.spec for plan in plans] == specs
         assert vars(fresh_engine.planner) == {"engine": fresh_engine}
+
+    def test_every_entry_point_plans_each_spec_afresh(self, fresh_engine, rng, monkeypatch):
+        planned = []
+        real = fresh_engine.planner.plan
+
+        def spy(spec):
+            planned.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(fresh_engine.planner, "plan", spy)
+        specs = [QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=2) for _ in range(6)]
+        fresh_engine.execute(specs[0])
+        fresh_engine.execute_many(specs[1:4])
+        plans = [fresh_engine.explain(spec) for spec in specs[4:]]
+        fresh_engine.execute(specs[0])
+        assert [id(spec) for spec in planned] == [id(spec) for spec in specs + specs[:1]]
+        assert [plan.spec for plan in plans] == specs[4:]
+
+    def test_plans_of_one_shape_differ_only_in_their_spec(self, rng):
+        planner = QueryPlanner()
+        a = QuerySpec(group=rng.uniform(0, 1, size=(5, 2)), k=3)
+        b = QuerySpec(group=rng.uniform(0, 1, size=(5, 2)), k=3)
+        plan_a, plan_b = planner.plan(a), planner.plan(b)
+        assert (plan_a.spec, plan_b.spec) == (a, b)
+        assert (plan_a.algorithm, plan_a.residency, plan_a.rationale, plan_a.options) == (
+            plan_b.algorithm,
+            plan_b.residency,
+            plan_b.rationale,
+            plan_b.options,
+        )
+        assert planner.plan(a.replace(k=4)).spec.k == 4
+        assert planner.plan(a.replace(aggregate="max")).algorithm.name == "best-first"
+
+    def test_concurrent_planning_matches_serial_planning(self):
+        planner = QueryPlanner()
+        specs = [
+            QuerySpec(group=GROUP, k=k % 23 + 1, aggregate=("sum", "max", "min")[k % 3])
+            for k in range(60)
+        ]
+        serial = [planner.plan(spec) for spec in specs]
+        errors = []
+
+        def plan_all(offset):
+            try:
+                for i in range(len(specs)):
+                    spec = specs[(i + offset) % len(specs)]
+                    plan = planner.plan(spec)
+                    expected = serial[(i + offset) % len(specs)]
+                    assert plan.spec is spec
+                    assert (plan.algorithm, plan.rationale) == (
+                        expected.algorithm,
+                        expected.rationale,
+                    )
+            except AssertionError as error:  # surfaced on the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=plan_all, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert vars(planner) == {"engine": None}
 
     def test_each_plan_takes_its_specs_own_within(self, fresh_engine, rng):
         group = rng.uniform(300, 700, size=(3, 2))

@@ -158,6 +158,14 @@ class TestBatchedCeilings:
         for i, result in enumerate(engine.execute_many(bounded)):
             assert result.distances() == unbounded[i][: i + 1]
 
+    def test_each_plan_keeps_the_bound_of_the_spec_it_serves(self):
+        engine = GNNEngine(np.zeros((1, 2)))
+        first = QuerySpec(group=[[0.0, 0.0]], options={"within": 1.0})
+        plan = engine.explain(first)
+        other = engine.explain(first.replace(options={"within": 2.0}))
+        assert other.options["within"] == 2.0
+        assert plan.options["within"] == 1.0
+
 
 class TestBestListCeiling:
     def test_a_record_exactly_at_within_enters(self):
