@@ -175,6 +175,30 @@ def test_smoke_mbm_cpu_per_query(n):
     )
 
 
+def test_smoke_mbm_cpu_per_query_n16():
+    """MBM's run heap must not cost CPU against the eager keys where it saves most.
+
+    The replay of :func:`test_smoke_mbm_cpu_per_query` at the
+    ``shard_scatter`` shape (n = 16, M = 4%, k = 8): base leaves offer
+    their rows only up to the node heap's head, so a leaf may be scanned
+    in several calls; scan and heap overhead that eats the saved
+    distance computations shows up as a ratio above 1.10.
+    """
+    mbm_reference = _load_mbm_reference()
+    points = pp_like(20_000)
+    flat = FlatRTree.bulk_load(points, capacity=50)
+    spec = WorkloadSpec(n=16, mbr_fraction=0.04, k=8, queries=40)
+    queries = [GroupQuery(group, k=8) for group in generate_workload(points, spec, seed=17)]
+    for query in queries:
+        assert mbm(flat, query).distances() == mbm_reference(flat, query).distances()
+
+    _assert_cpu_ratio(
+        lambda: [mbm(flat, query) for query in queries],
+        lambda: [mbm_reference(flat, query) for query in queries],
+        "MBM at n=16",
+    )
+
+
 def test_smoke_dirty_mbm_cpu_per_query():
     """Paging the delta into MBM's heap must not cost CPU against scanning it first.
 

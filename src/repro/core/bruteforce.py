@@ -29,8 +29,10 @@ def brute_force_gnn(
     id of each row explicitly (the write path hands live views whose
     rows no longer coincide with record ids after deletions).  The whole
     scan is a single call of the aggregate-distance kernel (weights were
-    validated by the query).  Only records with aggregate distance
-    ``<= within`` are returned.
+    validated by the query).  The answer is the first ``k`` records in
+    ``(distance, record id)`` order, so a tie at the k-th distance keeps
+    the smallest ids.  Only records with aggregate distance ``<= within``
+    are returned.
     """
     started = time.thread_time()
     pts = as_points(points)
@@ -38,17 +40,17 @@ def brute_force_gnn(
         pts, query.points, weights=query.weights, aggregate=query.aggregate
     )
     k = min(query.k, pts.shape[0])
-    # argpartition gives the k smallest in O(N); sort just those k.
-    candidate_ids = np.argpartition(distances, k - 1)[:k]
-    order = candidate_ids[np.argsort(distances[candidate_ids], kind="stable")]
-    order = order[distances[order] <= within]
     if record_ids is None:
-        neighbors = [GroupNeighbor(int(i), pts[i], float(distances[i])) for i in order]
+        ids = np.arange(pts.shape[0], dtype=np.int64)
     else:
         ids = np.asarray(record_ids, dtype=np.int64)
-        neighbors = [
-            GroupNeighbor(int(ids[i]), pts[i], float(distances[i])) for i in order
-        ]
+    # The k-th distance in O(N); every record at or under it is a
+    # candidate, so the ids, not argpartition, decide a tie.
+    kth = np.partition(distances, k - 1)[k - 1]
+    candidates = np.flatnonzero(distances <= kth)
+    order = candidates[np.lexsort((ids[candidates], distances[candidates]))][:k]
+    order = order[distances[order] <= within]
+    neighbors = [GroupNeighbor(int(ids[i]), pts[i], float(distances[i])) for i in order]
     cost = QueryCost(
         algorithm="brute-force",
         distance_computations=int(pts.shape[0] * query.cardinality),

@@ -38,7 +38,7 @@ each goes back under the largest of that and its cheap key, or is
 dropped once that reaches ``best_dist``.  A node is read when it reaches
 the head keyed; its plane then pre-keys its children, and a leaf's plane
 bounds each point by ``f0 + g . (p - x0)``, so points are visited in
-ascending ``max(plane, W * mindist(p, M))`` until ``best_dist``.  The
+ascending ``max(plane, W * mindist(p, M))`` as a *run* (below).  The
 root is read first, without a plane.  ``min`` of distances is not
 convex, so ``max``/``min`` defer the paper's bound instead; for sums the
 paper's key stays runnable as ``algorithm="best-first"``.  (The paper's
@@ -48,11 +48,20 @@ Heuristic-2-only ablation, having no tighter key, keeps that.)
 The weighted and max/min-aggregate extensions reuse the same traversal
 with generalised bounds (see :mod:`repro.core.aggregates`).
 
-Over a dirty overlay the delta's pages join in a heap of their own,
-``delta``, keyed ``W * mindist(page, M)``: a page at the head becomes a
-run of its rows in ascending Heuristic-2 bound, offered only while it
-precedes every base entry, so the base reads the nodes it would with the
-whole delta scanned first (up to an exact key tie); pages are not node reads.
+Rows are offered from *runs*, kept in one heap, ``runs``, beside the
+node heap: a run is a read leaf's rows, or a delta page's, in ascending
+bound.  It offers them while their bound is below ``best_dist`` and at
+most the node heap's head, then goes back into ``runs`` under its next
+bound.  A row so deferred cannot lower ``best_dist`` below the head (its
+distance is at least its bound), so the traversal reads the nodes it
+would with every leaf scanned whole when read (up to an exact key tie)
+and, summed over a workload, reaches fewer rows (bounds do not order
+distances, so not on every query): the footnote-3 trade-off again.
+Over a dirty overlay the delta's pages enter ``runs`` keyed ``W *
+mindist(page, M)``; a page at the head becomes a run of its rows in
+Heuristic-2 bound.  Pages are not node reads, and only a snapshot
+leaf's run skips the overlay's tombstones (a tombstoned id may return
+in the delta).
 
 A batch (``execute_many``) runs :func:`mbm` once per member inside one
 :meth:`~repro.rtree.flat.FlatRTree.read_scope`: each member keeps solo's
@@ -108,7 +117,7 @@ def mbm(
         heuristic 2 ... inferior to SPM").
     overlay:
         Optional pending writes over ``tree`` (its ``base``), answered
-        as one merged view: the delta's pages join the traversal
+        as one merged view: the delta's pages join the run heap
         (module docstring), and tombstoned records are skipped at the
         leaves before any per-point aggregate distance is charged;
         node-level pruning is untouched (Heuristics 2/3 stay safe bounds
@@ -149,7 +158,7 @@ def seed_from_delta(
         for page in keys.argsort(kind="stable").tolist():
             if keys[page] >= best.best_dist:
                 break
-            _scan_leaf(_page_run(pages, page, divisor, query, cost), query, best, cost)
+            _scan_leaf(_page_run(pages, page, divisor, query, cost), query, best, cost, math.inf)
     return exclude
 
 
@@ -211,8 +220,11 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
     ``mindist`` to the query MBR (one distance computation per box or
     point) and the node's plane over each box or point (one more).
     ``best`` only changes at leaves, so each batched check decides
-    exactly what an entry-at-a-time loop would.  Every charge goes to
-    ``cost``, the query's record.
+    exactly what an entry-at-a-time loop would.  A read leaf becomes a
+    :class:`_Run`, scanned at once up to the new head; what is left of
+    it, like each of the delta's ``pages``, waits in ``runs`` under its
+    next bound (module docstring).  Every charge goes to ``cost``, the
+    query's record.
     """
     divisor = _divisor(query)
     low, high = query.mbr.low, query.mbr.high
@@ -220,60 +232,60 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
     heap = [(0.0, next(counter), 0, _KEYED)] if len(flat) else []
     tangent = use_heuristic3 and query.aggregate == kernels.SUM and bool(heap)
     anchor = _tangent_anchor(cost, query.points, query.weights) if tangent else None
-    delta = []
+    runs = []
     if pages is not None:
         keys = divisor * kernels.boxes_mindist_box(pages.lows, pages.highs, low, high)
         cost.record_distance_computations(len(keys))
-        delta = [(key, next(counter), page, pages) for page, key in enumerate(keys.tolist())]
-        heapq.heapify(delta)
+        runs = [(key, next(counter), page, pages) for page, key in enumerate(keys.tolist())]
+        heapq.heapify(runs)
 
     # Once the head's key reaches ``best_dist`` every entry's does
     # (``best_dist`` is the ceiling until ``best`` is full).
     while True:
         head = heap[0][0] if heap else math.inf
-        if min(head, delta[0][0] if delta else head) >= best.best_dist:
+        if min(head, runs[0][0] if runs else head) >= best.best_dist:
             break
-        if delta and delta[0][0] <= head:  # the delta first at an equal key
-            _, _, page, run = heapq.heappop(delta)
+        if runs and runs[0][0] <= head:  # a run first at an equal key
+            _, _, page, run = heapq.heappop(runs)
             if type(run) is DeltaPages:
                 run = _page_run(run, page, divisor, query, cost)
-            _scan_leaf(run, query, best, cost, head)
-            if run.next < run.end and run.bounds[run.next] < best.best_dist:
-                heapq.heappush(delta, (run.bounds[run.next], next(counter), 0, run))
-            continue
-        key, _, node, plane = heapq.heappop(heap)
-        if type(plane) is _Children:
-            _evaluate(flat, query, best, heap, counter, node, plane, anchor, cost)
-            continue
-        index = flat.read_node(node, cost)
-        start = int(flat.child_start[index])
-        stop = start + int(flat.child_count[index])
-        level = flat.levels[index]
-        if level == 0:
+        else:
+            key, _, node, plane = heapq.heappop(heap)
+            if type(plane) is _Children:
+                _evaluate(flat, query, best, heap, counter, node, plane, anchor, cost)
+                continue
+            index = flat.read_node(node, cost)
+            start = int(flat.child_start[index])
+            stop = start + int(flat.child_count[index])
+            level = flat.levels[index]
+            if level > 0:
+                lows, highs = flat.lows[start:stop], flat.highs[start:stop]
+                keys = divisor * kernels.boxes_mindist_box(lows, highs, low, high)
+                if plane:
+                    np.maximum(keys, _plane_minimum(plane, lows, highs), out=keys)
+                cost.record_distance_computations((1 + bool(plane)) * (stop - start))
+                np.maximum(keys, key, out=keys)
+                order = keys.argsort(kind="stable")
+                ordered = keys.take(order).tolist()
+                survivors = bisect.bisect_left(ordered, best.best_dist)
+                order += start  # the children's node ids, in ascending cheap key
+                if not use_heuristic3:  # the ablation's cheap key is its only key
+                    for child_key, child in zip(ordered[:survivors], order[:survivors].tolist()):
+                        heapq.heappush(heap, (child_key, next(counter), child, _KEYED))
+                elif survivors:
+                    children = _Children(order[:survivors], ordered[:survivors], level > 1)
+                    heapq.heappush(heap, (ordered[0], next(counter), node, children))
+                continue
             points = flat.points[start:stop]
             bounds = divisor * kernels.points_mindist_box(points, low, high)
             if plane:
                 np.maximum(bounds, _plane_minimum(plane, points, points), out=bounds)
             cost.record_distance_computations((1 + bool(plane)) * (stop - start))
-            run = _Run(points, flat.record_ids[start:stop], bounds)
-            _scan_leaf(run, query, best, cost, exclude=exclude)
-            continue
-        lows, highs = flat.lows[start:stop], flat.highs[start:stop]
-        keys = divisor * kernels.boxes_mindist_box(lows, highs, low, high)
-        if plane:
-            np.maximum(keys, _plane_minimum(plane, lows, highs), out=keys)
-        cost.record_distance_computations((1 + bool(plane)) * (stop - start))
-        np.maximum(keys, key, out=keys)
-        order = keys.argsort(kind="stable")
-        ordered = keys.take(order).tolist()
-        survivors = bisect.bisect_left(ordered, best.best_dist)
-        order += start  # the children's node ids, in ascending cheap key
-        if not use_heuristic3:  # the ablation's cheap key is its only key
-            for child_key, child in zip(ordered[:survivors], order[:survivors].tolist()):
-                heapq.heappush(heap, (child_key, next(counter), child, _KEYED))
-        elif survivors:
-            children = _Children(order[:survivors], ordered[:survivors], level > 1)
-            heapq.heappush(heap, (ordered[0], next(counter), node, children))
+            run = _Run(points, flat.record_ids[start:stop], bounds, exclude)
+            head = heap[0][0] if heap else math.inf
+        _scan_leaf(run, query, best, cost, head)
+        if run.next < run.end and run.bounds[run.next] < best.best_dist:
+            heapq.heappush(runs, (run.bounds[run.next], next(counter), 0, run))
 
 
 class _Children:
@@ -300,7 +312,7 @@ def _take(heap, counter, parent, children, ceiling) -> dict:
     entry while it is another :class:`_Children`.  It stops at a keyed
     entry, at ``ceiling`` or after :data:`EVALUATION_BATCH` children, so
     all but the speculative few would have reached the head one by one
-    before the next read (the delta, which reads no node, is not
+    before the next read (the runs, which read no node, are not
     consulted).  What is left of an entry goes back under its next key.
     """
     taken = {True: [], False: []}
@@ -375,12 +387,18 @@ def _evaluate(flat, query, best, heap, counter, parent, children, anchor, cost) 
 
 
 class _Run:
-    """A leaf's rows (``rows`` of ``points``) in ascending lower bound, offered from ``next`` on."""
+    """A leaf's rows (``rows`` of ``points``) in ascending lower bound, offered from ``next`` on.
 
-    __slots__ = ("points", "ids", "rows", "bounds", "distances", "next", "end")
+    ``exclude`` holds the ids to skip: the overlay's tombstones for a
+    snapshot leaf, ``None`` for a delta page (a tombstoned id may return
+    in the delta).
+    """
 
-    def __init__(self, points: np.ndarray, ids: np.ndarray, bounds: np.ndarray):
+    __slots__ = ("points", "ids", "rows", "bounds", "distances", "next", "end", "exclude")
+
+    def __init__(self, points: np.ndarray, ids: np.ndarray, bounds: np.ndarray, exclude=None):
         self.points, self.ids, self.distances, self.next = points, ids, None, 0
+        self.exclude = exclude
         self.rows = bounds.argsort(kind="stable")
         self.bounds = bounds.take(self.rows).tolist()
         self.end = len(self.bounds)
@@ -392,15 +410,18 @@ def _plane_minimum(plane, lows, highs) -> np.ndarray:
     return kernels.plane_lower_bounds(values[row], gradients[row], origins[row], lows, highs)
 
 
-def _scan_leaf(run, query, best, cost, head=math.inf, exclude=None) -> None:
+def _scan_leaf(run, query, best, cost, head) -> None:
     """Offer ``run``'s next rows while their bound is below ``best_dist`` and at most ``head``.
 
     ``run`` is a snapshot leaf or a delta page, its bounds charged by
-    the caller.  The aggregate distances come from one kernel call, for
-    the rows below ``best_dist`` (``run.end``) when the first is offered.
-    The loop is pure-float: it skips ``offer`` calls that provably
-    return False and charges ``n`` distance computations per row it
-    reaches, tombstoned (``exclude``) rows aside, in one batched charge.
+    the caller; MBM passes its node heap's head, so a row whose bound
+    exceeds the next node key waits in the run heap for a later call,
+    and :func:`seed_from_delta` passes ``inf``.  The aggregate distances
+    come from one kernel call, for the rows below ``best_dist``
+    (``run.end``) when the first is offered.  The loop is pure-float: it
+    skips ``offer`` calls that provably return False and charges ``n``
+    distance computations per row it reaches, the run's ``exclude`` rows
+    aside, in one batched charge.
     """
     bounds, position, best_dist = run.bounds, run.next, best.best_dist
     if position == run.end or bounds[position] >= best_dist or bounds[position] > head:
@@ -410,7 +431,7 @@ def _scan_leaf(run, query, best, cost, head=math.inf, exclude=None) -> None:
         rows = run.rows[: run.end]
         run.distances = query.distances_to(run.points.take(rows, axis=0)).tolist()
         run.rows, run.ids = rows.tolist(), run.ids.take(rows).tolist()
-    distances, rows, ids, end = run.distances, run.rows, run.ids, run.end
+    distances, rows, ids, end, exclude = run.distances, run.rows, run.ids, run.end, run.exclude
     first, skipped = position, 0
     while True:
         record_id = ids[position]

@@ -1,11 +1,19 @@
 """Tests for repro.core.bruteforce (the ground-truth baseline itself)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.types import GroupQuery
+from repro.geometry import kernels
 from repro.geometry.distance import group_distance
+
+#: A cell of a 4 x 4 integer grid: a few dozen points on it are mostly twins.
+_CELLS = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
 
 class TestBruteForce:
@@ -70,3 +78,34 @@ class TestBruteForce:
         result = brute_force_gnn(points, query)
         assert result.cost.distance_computations == 30 * 6
         assert result.cost.algorithm == "brute-force"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cells=st.lists(_CELLS, min_size=1, max_size=40),
+    group=st.lists(_CELLS, min_size=1, max_size=4),
+    k=st.integers(1, 12),
+    data=st.data(),
+)
+def test_ties_are_broken_by_record_id(cells, group, k, data):
+    """The answer is ``sorted((distance, record_id))[:k]``, cut at ``within``.
+
+    Twins tie at every distance, so any pick among the records tied at
+    the k-th distance other than the smallest ids shows; so does an id
+    order that is not the row order.
+    """
+    points = np.array(cells, dtype=np.float64)
+    record_ids = data.draw(
+        st.one_of(st.none(), st.permutations(range(100, 100 + len(cells)))), label="ids"
+    )
+    within = data.draw(st.one_of(st.just(math.inf), st.integers(0, 12)), label="within")
+    query = GroupQuery(np.array(group, dtype=np.float64), k=k)
+    distances = kernels.aggregate_distances(points, query.points).tolist()
+    ids = range(len(cells)) if record_ids is None else record_ids
+    expected = [
+        (distance, record_id)
+        for distance, record_id in sorted(zip(distances, ids))[:k]
+        if distance <= within
+    ]
+    result = brute_force_gnn(points, query, record_ids=record_ids, within=within)
+    assert [(nb.distance, nb.record_id) for nb in result.neighbors] == expected

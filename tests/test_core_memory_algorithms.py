@@ -21,6 +21,7 @@ from repro.core.mbm import ANCHOR_STEPS, mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery
+from repro.datasets import pp_like
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -373,6 +374,48 @@ class TestDeferredKeysAgainstTheEagerReference:
         assert [r.distances() for r in results] == [e.distances() for e in expected]
         read = sum(result.cost.node_accesses for result in results)
         assert read <= expected[0].cost.node_accesses
+
+    #: The replay below, summed: ``(node accesses, distance computations)``
+    #: of ``mbm`` over the clean index and over the dirty overlay.  With
+    #: each base leaf scanned to ``best_dist`` as soon as it was read the
+    #: distances were 99584 and 124814; the eager reference charges
+    #: 176972 and 187928.
+    REPLAY_PINS = {"clean": (245, 92410), "dirty": (243, 118568)}
+
+    @pytest.mark.parametrize("state", sorted(REPLAY_PINS))
+    def test_pinned_replay_at_the_shard_scatter_shape(self, state):
+        """40 groups of 16 in boxes of 4% of a PP-like space, k = 8, capacity 50.
+
+        Every answer is the reference's, id for id and float for float.
+        The reference reads one node more on one query, whose deferred
+        cheap key (its parent node's plane) is tighter than its eager key.
+        """
+        points = pp_like(20000)
+        flat = FlatRTree.bulk_load(points, capacity=50)
+        rng = np.random.default_rng(2004)
+        low, high = points.min(axis=0), points.max(axis=0)
+        side = float(np.sqrt(0.04 * (high - low).prod()))
+        corners = rng.uniform(low, high - side, size=(40, 2))
+        groups = [rng.uniform(corner, corner + side, size=(16, 2)) for corner in corners]
+        overlay = None
+        if state == "dirty":
+            overlay = DeltaOverlay(flat)
+            for offset, row in enumerate(rng.choice(len(points), size=400)):
+                moved = points[row] + rng.normal(scale=10.0, size=2)
+                overlay.insert(moved, len(points) + offset)
+            for rid in rng.choice(len(points), size=100, replace=False).tolist():
+                assert overlay.delete(points[rid], rid)
+        totals = [0, 0]
+        for group in groups:
+            query = GroupQuery(group, k=8)
+            result = mbm(flat, query, overlay=overlay)
+            expected = mbm_reference(flat, query, overlay=overlay)
+            assert result.record_ids() == expected.record_ids()
+            assert result.distances() == expected.distances()
+            assert result.cost.node_accesses <= expected.cost.node_accesses
+            totals[0] += result.cost.node_accesses
+            totals[1] += result.cost.distance_computations
+        assert tuple(totals) == self.REPLAY_PINS[state]
 
     def test_a_record_exactly_at_within_is_kept(self):
         # Heuristic 2 as a quotient, best_dist / W, rounded down onto this

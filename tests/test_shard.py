@@ -366,8 +366,10 @@ class TestFederatedConformance:
     #: returning its full top-k (50 x 8 per contacted shard).  Routing
     #: is unchanged, so the contact counts are the same at both.  With
     #: MBM's keys computed eagerly for every pushed child the distance
-    #: computations were 43474 (2 shards) and 41998 (4 shards).
-    REPLAY_PINS = {2: (392, 35722, 81, 603), 4: (370, 34689, 132, 698)}
+    #: computations were 43474 (2 shards) and 41998 (4 shards); before
+    #: base leaves were offered only up to the node heap's head, 35722
+    #: and 34689.
+    REPLAY_PINS = {2: (392, 35119, 81, 603), 4: (370, 34409, 132, 698)}
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_replay_work_is_pinned(self, federations, reference_engine, shards):

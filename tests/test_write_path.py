@@ -459,6 +459,19 @@ class TestOverlayExecution:
         # The excluded records shift the ranking down by exactly two slots.
         assert shifted.record_ids()[:3] == clean.record_ids()[2:5]
 
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_a_tombstoned_id_back_in_the_delta_is_answered(self, dataset, name):
+        """Only snapshot leaves skip the tombstones: a deleted base id
+        inserted again lives in the delta, and its page must offer it."""
+        flat = FlatRTree.bulk_load(dataset, capacity=16)
+        overlay = DeltaOverlay(flat)
+        assert overlay.delete(dataset[3], 3)
+        overlay.insert([500.0, 500.0], 3)
+        query = GroupQuery([[499.0, 500.0], [501.0, 500.0]], k=1)
+        result = DRIVERS[name](flat, query, overlay=overlay)
+        assert result.record_ids() == [3]
+        assert result.distances() == [2.0]
+
     def test_batch_over_dirty_overlay_matches_per_spec(self, dataset, rng):
         engine = GNNEngine(dataset, capacity=16)
         engine.execute(QuerySpec(group=[[500.0, 500.0]], k=1))
