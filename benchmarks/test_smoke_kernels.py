@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.fmbm import fmbm
 from repro.core.mbm import mbm
+from repro.core.spm import spm
 from repro.core.types import GroupQuery
 from repro.datasets import pp_like, ts_like
 from repro.datasets.workload import WorkloadSpec, generate_workload, scale_into_workspace
@@ -234,6 +235,32 @@ def test_smoke_dirty_mbm_cpu_per_query():
         lambda: [mbm(flat, query, overlay=overlay) for query in queries],
         lambda: [mbm_seed_first(flat, query, overlay=overlay) for query in queries],
         "MBM over a dirty overlay",
+    )
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_smoke_spm_cpu_per_query(n):
+    """SPM on MBM's loop must not cost CPU against the stream consumer of ``tests/spm_reference.py``.
+
+    The replay of :func:`test_smoke_mbm_cpu_per_query` (``pp_like(20000)``,
+    M = 8%, k = 8, 40 groups), answers checked first.  Stopping at
+    Heuristic 1's key reads no more nodes than the stream; run-heap or
+    per-leaf overhead that outweighs that shows up as a ratio above 1.10.
+    """
+    spm_reference = _load_mbm_reference("spm_reference", "spm_reference")
+    points = pp_like(20_000)
+    flat = FlatRTree.bulk_load(points, capacity=50)
+    spec = WorkloadSpec(n=n, mbr_fraction=0.08, k=8, queries=40)
+    queries = [GroupQuery(group, k=8) for group in generate_workload(points, spec, seed=17)]
+    for query in queries:
+        result, expected = spm(flat, query), spm_reference(flat, query)
+        assert result.record_ids() == expected.record_ids()
+        assert result.distances() == expected.distances()
+
+    _assert_cpu_ratio(
+        lambda: [spm(flat, query) for query in queries],
+        lambda: [spm_reference(flat, query) for query in queries],
+        f"SPM at n={n}",
     )
 
 

@@ -7,16 +7,15 @@ inlining the inequalities, so the exact conditions of the paper are
 visible in one place and covered by dedicated tests (including the
 property-based ones that check they never prune the true answer).
 
-Two deliberate exceptions.  ``repro.core.spm._spm_best_first``
-(Heuristic 1) replicates the inequality inline because a predicate call
-per candidate is exactly the per-item overhead that loop exists to
-remove; **any change to the comparison in**
-:func:`heuristic1_prunes_point` **must be mirrored there**.
-``repro.core.mbm`` compares *keys* instead: Heuristic 2 enters as
-``W * mindist(N, M)``, Heuristic 3 as the paper's bound, each maxed into
-an entry's key and checked against ``best_dist`` once, at the heap head
-or the leaf scan (``tests/mbm_reference.py`` keeps the predicate-by-
-predicate MBM these keys are proven against).  The pinned answers and
+One deliberate exception: ``repro.core.mbm`` (and SPM, which runs its
+loop) compares *keys* instead.  Heuristic 1 enters as ``n * mindist(N,
+c) - dist(c, Q)``, its rearrangement (:func:`heuristic1_prunes_point`
+compares ``mindist(N, c)`` with ``(best_dist + dist(c, Q)) / n``),
+Heuristic 2 as ``W * mindist(N, M)``, Heuristic 3 as the paper's bound,
+each maxed into an entry's key and checked against ``best_dist`` once,
+at the heap head or the leaf scan (``tests/mbm_reference.py`` and
+``tests/spm_reference.py`` keep the predicate-by-predicate traversals
+these keys are proven against).  The pinned answers and
 counters of ``TestPinnedAccessCounters``
 (``tests/test_algorithm_conformance.py``) and ``TestTraversalPins``
 (``tests/test_rtree_flat.py``) are the backstop that catches a divergence.

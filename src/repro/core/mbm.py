@@ -48,6 +48,15 @@ Heuristic-2-only ablation, having no tighter key, keeps that.)
 The weighted and max/min-aggregate extensions reuse the same traversal
 with generalised bounds (see :mod:`repro.core.aggregates`).
 
+The cheap key is data, ``(scale, low, high, offset, charge)``: the key
+``scale * mindist(., [low, high]) - offset``, charged ``charge``
+distance computations a key.  MBM's is Heuristic 2, ``(W, M.low,
+M.high, 0, 1)``.  SPM (:mod:`repro.core.spm`) runs this loop with
+Heuristic 1's, ``(n, c, c, dist(c, Q), 0)`` for the centroid ``c``, and
+without Heuristic 3, so the Heuristic-2-only path is SPM's traversal
+too: ``[c, c]`` is the degenerate box whose ``mindist`` is the point
+kernels' distance bit for bit, and SPM never charged its keys.
+
 Rows are offered from *runs*, kept in one heap, ``runs``, beside the
 node heap: a run is a read leaf's rows, or a delta page's, in ascending
 bound.  It offers them while their bound is below ``best_dist`` and at
@@ -57,9 +66,9 @@ distance is at least its bound), so the traversal reads the nodes it
 would with every leaf scanned whole when read (up to an exact key tie)
 and, summed over a workload, reaches fewer rows (bounds do not order
 distances, so not on every query): the footnote-3 trade-off again.
-Over a dirty overlay the delta's pages enter ``runs`` keyed ``W *
-mindist(page, M)``; a page at the head becomes a run of its rows in
-Heuristic-2 bound.  Pages are not node reads, and only a snapshot
+Over a dirty overlay the delta's pages enter ``runs`` under the cheap
+key (MBM: ``W * mindist(page, M)``); a page at the head becomes a run of
+its rows in that key.  Pages are not node reads, and only a snapshot
 leaf's run skips the overlay's tombstones (a tombstoned id may return
 in the delta).
 
@@ -147,18 +156,20 @@ def seed_from_delta(
 
     Its pages are read like leaves (:func:`_scan_leaf`) in ascending ``W *
     mindist(page, M)`` until that reaches ``best_dist``, leaving the
-    delta's exact top-k: SPM, MQM and best-first call this first and
-    prune from it.  Returns ``None`` when nothing is tombstoned.
+    delta's exact top-k: MQM and best-first, which consume streams, call
+    this first and prune from it (MBM and SPM page the delta through
+    their run heap instead).  Returns ``None`` when nothing is
+    tombstoned.
     """
     pages, exclude = _delta(tree, overlay)
     if pages is not None:
-        divisor, mbr = _divisor(query), query.mbr
-        keys = divisor * kernels.boxes_mindist_box(pages.lows, pages.highs, mbr.low, mbr.high)
+        key = _heuristic2(query)
+        keys = _cheap_keys(key, kernels.boxes_mindist_box, pages.lows, pages.highs)
         cost.record_distance_computations(len(keys))
         for page in keys.argsort(kind="stable").tolist():
             if keys[page] >= best.best_dist:
                 break
-            _scan_leaf(_page_run(pages, page, divisor, query, cost), query, best, cost, math.inf)
+            _scan_leaf(_page_run(pages, page, key, cost), query, best, cost, math.inf)
     return exclude
 
 
@@ -171,13 +182,28 @@ def _delta(tree: FlatRTree, overlay: DeltaOverlay | None):
     return overlay.delta_pages(), overlay.tombstones or None
 
 
-def _page_run(pages: DeltaPages, page: int, divisor: float, query: GroupQuery, cost) -> _Run:
-    """Delta page ``page``'s rows keyed by Heuristic 2 (one charge a row), as a run."""
+def _page_run(pages: DeltaPages, page: int, key: tuple, cost) -> _Run:
+    """Delta page ``page``'s rows under the cheap ``key`` (charged as it says), as a run."""
     rows = slice(*pages.starts[page : page + 2].tolist())
     points = pages.points[rows]
-    bounds = divisor * kernels.points_mindist_box(points, query.mbr.low, query.mbr.high)
-    cost.record_distance_computations(len(bounds))
+    bounds = _cheap_keys(key, kernels.points_mindist_box, points)
+    cost.record_distance_computations(key[4] * len(bounds))
     return _Run(points, pages.record_ids[rows], bounds)
+
+
+def _heuristic2(query: GroupQuery) -> tuple:
+    """MBM's cheap key: Heuristic 2's ``W * mindist(., M)``, one distance computation each."""
+    mbr = query.mbr
+    return _divisor(query), mbr.low, mbr.high, 0.0, 1
+
+
+def _cheap_keys(key: tuple, mindist, *shapes: np.ndarray) -> np.ndarray:
+    """``scale * mindist(shape, [low, high]) - offset`` per box or point (uncharged)."""
+    scale, low, high, offset, _ = key
+    keys = scale * mindist(*shapes, low, high)
+    if offset:  # in place, and not at all for Heuristic 2
+        keys -= offset
+    return keys
 
 
 def _divisor(query: GroupQuery) -> float:
@@ -208,8 +234,12 @@ def _tangent_anchor(cost, group: np.ndarray, weights=None) -> np.ndarray:
     return weiszfeld_centroid(group, max_iterations=ANCHOR_STEPS, weights=weights)
 
 
-def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages=None):
+def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages=None, key=None):
     """Best-first MBM over the flat snapshot, its keys deferred (module docstring).
+
+    ``key`` is the cheap key as data, ``(scale, low, high, offset,
+    charge)`` (module docstring); it defaults to Heuristic 2's, and the
+    root is keyed ``-offset``.
 
     A heap entry is ``(key, tie, node, plane)``.  A keyed entry carries
     its tangent plane (sums) or :data:`_KEYED` and is read when it
@@ -217,8 +247,8 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
     :class:`_Children` stands for a read node's children still under
     their cheap keys and is handed to :func:`_evaluate`.  Reading a node
     scores its whole child or leaf slice with one or two kernel calls:
-    ``mindist`` to the query MBR (one distance computation per box or
-    point) and the node's plane over each box or point (one more).
+    the cheap key (``charge`` distance computations per box or point)
+    and the node's plane over each box or point (one more).
     ``best`` only changes at leaves, so each batched check decides
     exactly what an entry-at-a-time loop would.  A read leaf becomes a
     :class:`_Run`, scanned at once up to the new head; what is left of
@@ -226,17 +256,17 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
     next bound (module docstring).  Every charge goes to ``cost``, the
     query's record.
     """
-    divisor = _divisor(query)
-    low, high = query.mbr.low, query.mbr.high
+    key = _heuristic2(query) if key is None else key
+    charge = key[4]
     counter = itertools.count()
-    heap = [(0.0, next(counter), 0, _KEYED)] if len(flat) else []
+    heap = [(0.0 - key[3], next(counter), 0, _KEYED)] if len(flat) else []
     tangent = use_heuristic3 and query.aggregate == kernels.SUM and bool(heap)
     anchor = _tangent_anchor(cost, query.points, query.weights) if tangent else None
     runs = []
     if pages is not None:
-        keys = divisor * kernels.boxes_mindist_box(pages.lows, pages.highs, low, high)
-        cost.record_distance_computations(len(keys))
-        runs = [(key, next(counter), page, pages) for page, key in enumerate(keys.tolist())]
+        keys = _cheap_keys(key, kernels.boxes_mindist_box, pages.lows, pages.highs)
+        cost.record_distance_computations(charge * len(keys))
+        runs = [(bound, next(counter), page, pages) for page, bound in enumerate(keys.tolist())]
         heapq.heapify(runs)
 
     # Once the head's key reaches ``best_dist`` every entry's does
@@ -248,9 +278,9 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
         if runs and runs[0][0] <= head:  # a run first at an equal key
             _, _, page, run = heapq.heappop(runs)
             if type(run) is DeltaPages:
-                run = _page_run(run, page, divisor, query, cost)
+                run = _page_run(run, page, key, cost)
         else:
-            key, _, node, plane = heapq.heappop(heap)
+            node_key, _, node, plane = heapq.heappop(heap)
             if type(plane) is _Children:
                 _evaluate(flat, query, best, heap, counter, node, plane, anchor, cost)
                 continue
@@ -260,11 +290,11 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
             level = flat.levels[index]
             if level > 0:
                 lows, highs = flat.lows[start:stop], flat.highs[start:stop]
-                keys = divisor * kernels.boxes_mindist_box(lows, highs, low, high)
+                keys = _cheap_keys(key, kernels.boxes_mindist_box, lows, highs)
                 if plane:
                     np.maximum(keys, _plane_minimum(plane, lows, highs), out=keys)
-                cost.record_distance_computations((1 + bool(plane)) * (stop - start))
-                np.maximum(keys, key, out=keys)
+                cost.record_distance_computations((charge + bool(plane)) * (stop - start))
+                np.maximum(keys, node_key, out=keys)
                 order = keys.argsort(kind="stable")
                 ordered = keys.take(order).tolist()
                 survivors = bisect.bisect_left(ordered, best.best_dist)
@@ -277,10 +307,10 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
                     heapq.heappush(heap, (ordered[0], next(counter), node, children))
                 continue
             points = flat.points[start:stop]
-            bounds = divisor * kernels.points_mindist_box(points, low, high)
+            bounds = _cheap_keys(key, kernels.points_mindist_box, points)
             if plane:
                 np.maximum(bounds, _plane_minimum(plane, points, points), out=bounds)
-            cost.record_distance_computations((1 + bool(plane)) * (stop - start))
+            cost.record_distance_computations((charge + bool(plane)) * (stop - start))
             run = _Run(points, flat.record_ids[start:stop], bounds, exclude)
             head = heap[0][0] if heap else math.inf
         _scan_leaf(run, query, best, cost, head)

@@ -8,9 +8,11 @@ ascending distance without knowing ``k`` in advance:
 * :func:`flat_incremental_nearest_generic` — the one stream every caller
   is built on.  It accepts arbitrary *vectorised* lower-bound/key
   functions (``points_key`` / ``mbrs_key``), so the same loop ranks nodes
-  by ``mindist`` to a point (conventional NN), to a centroid (SPM), or by
-  the aggregate group distance (the group-NN stream used by F-MQM).  A
-  heap pop scores a whole leaf or child slice with one kernel call.
+  by ``mindist`` to a point (conventional NN) or by the aggregate group
+  distance (the group-NN stream of ``best-first`` and F-MQM).  A heap pop
+  scores a whole leaf or child slice with one kernel call.  (SPM and MBM
+  need no stream: they stop at a known key, in
+  :func:`repro.core.mbm._mbm_best_first`.)
 * :func:`incremental_nearest` / :func:`best_first_nearest` — the
   conventional point-NN stream and its ``k``-prefix.
 * :class:`MultiStreamFrontier` — all ``n`` point-NN streams of one query
@@ -41,20 +43,14 @@ from repro.rtree.flat import FlatRTree
 
 
 class Neighbor:
-    """A single nearest-neighbor result.
+    """A single nearest-neighbor result."""
 
-    ``aux`` optionally carries a per-point value precomputed by the flat
-    traversal (e.g. the exact aggregate group distance, batched per leaf
-    by SPM); it never participates in the stream's ordering.
-    """
+    __slots__ = ("record_id", "point", "distance")
 
-    __slots__ = ("record_id", "point", "distance", "aux")
-
-    def __init__(self, record_id: int, point: np.ndarray, distance: float, aux=None):
+    def __init__(self, record_id: int, point: np.ndarray, distance: float):
         self.record_id = int(record_id)
         self.point = point
         self.distance = float(distance)
-        self.aux = aux
 
     def as_tuple(self) -> tuple[int, float]:
         """Return ``(record_id, distance)`` for compact comparisons in tests."""
@@ -69,24 +65,18 @@ def flat_incremental_nearest_generic(
     points_key: Callable[[np.ndarray], np.ndarray],
     mbrs_key: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
-    points_aux: Callable[[np.ndarray], np.ndarray] | None = None,
     cost=None,
 ) -> Iterator[Neighbor]:
     """Yield every indexed point in ascending order of ``points_key``.
 
     Heap entries are plain tuples of floats and ints: nodes are
     ``(bound, tiebreak, node_id)`` and leaf points
-    ``(key, tiebreak, row, record_id[, aux])`` — the record id is
-    converted once per leaf through ``tolist()`` so the yield path never
-    touches a numpy scalar.  Children and leaf points are pushed in
-    storage order; node reads are charged through ``flat.read_node`` to
-    ``cost``, the consuming query's record (not counted when it is
-    ``None``), and to any attached buffer.
-
-    ``points_aux`` optionally computes one extra value per leaf point in
-    the same batched call pattern (e.g. the exact aggregate distance for
-    SPM's consumer); it is carried on ``Neighbor.aux`` and never affects
-    ordering or accounting.
+    ``(key, tiebreak, row, record_id)`` — the record id is converted once
+    per leaf through ``tolist()`` so the yield path never touches a numpy
+    scalar.  Children and leaf points are pushed in storage order; node
+    reads are charged through ``flat.read_node`` to ``cost``, the
+    consuming query's record (not counted when it is ``None``), and to
+    any attached buffer.
     """
     if len(flat) == 0:
         return
@@ -108,26 +98,18 @@ def flat_incremental_nearest_generic(
     while heap:
         item = pop(heap)
         if len(item) != 3:
-            yield Neighbor(item[3], points[item[2]], item[0], item[4] if len(item) == 5 else None)
+            yield Neighbor(item[3], points[item[2]], item[0])
             continue
         index = read_node(item[2], cost)
         start = int(child_start[index])
         stop = start + int(child_count[index])
         if levels[index] == 0:
-            slice_points = points[start:stop]
-            values = points_key(slice_points).tolist()
+            values = points_key(points[start:stop]).tolist()
             ids = record_ids[start:stop].tolist()
-            if points_aux is not None:
-                aux_values = points_aux(slice_points).tolist()
-                row = start
-                for value, record_id, aux in zip(values, ids, aux_values):
-                    push(heap, (value, next(counter), row, record_id, aux))
-                    row += 1
-            else:
-                row = start
-                for value, record_id in zip(values, ids):
-                    push(heap, (value, next(counter), row, record_id))
-                    row += 1
+            row = start
+            for value, record_id in zip(values, ids):
+                push(heap, (value, next(counter), row, record_id))
+                row += 1
         else:
             bounds = mbrs_key(lows[start:stop], highs[start:stop]).tolist()
             for offset, bound in enumerate(bounds):

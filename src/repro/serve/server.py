@@ -10,8 +10,8 @@
   bounded in-flight high-water mark sheds overload with
   :class:`ServerOverloadedError` instead of queueing without bound;
 * **micro-batching** — accepted requests enter the
-  :class:`~repro.serve.scheduler.MicroBatcher`; full buckets dispatch
-  from the submitting thread, window-expired ones from the timer
+  :class:`~repro.serve.scheduler.MicroBatcher`; a full batch dispatches
+  from the submitting thread, a window-expired one from the timer
   thread, and every dispatched batch is answered by one worker-side
   ``execute_many`` (one read scope: each node is paid for once);
 * **futures** — ``submit`` returns a ``concurrent.futures.Future``; a
@@ -54,10 +54,6 @@ DEFAULT_WINDOW_S = 0.002
 
 #: Default micro-batch size: a full batch dispatches at once.
 DEFAULT_MAX_BATCH = 32
-
-#: The one micro-batching key: every request may join every batch, since
-#: ``execute_many`` answers any mix of specs in one read scope.
-_BATCH_KEY = "batch"
 
 #: Default shed threshold: in-flight requests past this raise
 #: :class:`ServerOverloadedError` at submit.
@@ -267,7 +263,7 @@ class GNNServer:
             if root_span is not None:
                 self._trace_spans[request_id] = (root_span, trace_parent is not None)
             self._stats.record_submit()
-            ready = self._batcher.offer(_BATCH_KEY, (request_id, payload), time.monotonic())
+            ready = self._batcher.offer(None, (request_id, payload), time.monotonic())
             self._cond.notify_all()
         if ready is not None:
             self._dispatch(ready)
@@ -562,7 +558,7 @@ class GNNServer:
             pass
 
     def _timer_loop(self) -> None:
-        """Flush window-expired buckets; exits once closed and drained."""
+        """Flush the window-expired batch; exits once closed and drained."""
         while True:
             with self._cond:
                 if self._closed.is_set() and len(self._batcher) == 0:

@@ -12,17 +12,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mbm_reference import mbm_batch_reference, mbm_reference
+from spm_reference import spm_reference
 
 from repro import GNNEngine, QuerySpec
 from repro.core.aggregates import aggregate_gnn
 from repro.core.bruteforce import brute_force_gnn
-from repro.core.centroid import weiszfeld_centroid
+from repro.core.centroid import compute_centroid, weiszfeld_centroid
 from repro.core.mbm import ANCHOR_STEPS, mbm
 from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery
 from repro.datasets import pp_like
 from repro.geometry import kernels
+from repro.geometry.distance import group_distance
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 
@@ -428,6 +430,132 @@ class TestDeferredKeysAgainstTheEagerReference:
             expected = mbm_reference(flat, query, use_heuristic3=use_heuristic3, within=within)
             result = mbm(flat, query, use_heuristic3=use_heuristic3, within=within)
             assert result.record_ids() == expected.record_ids() == [1]
+
+
+def _heuristic1_keys(flat, query):
+    """SPM's key of every node: Heuristic 1's ``n * mindist(N, c) - dist(c, Q)``.
+
+    Computed from ``flat.lows/highs`` without a traversal, for the
+    centroid ``c`` SPM computes.  A child's key is no less than its
+    parent's, and the root's is ``-dist(c, Q)``.  The root is always
+    read; any other node is read exactly when its key is below the k-th
+    distance of the merged view.
+    """
+    centroid = compute_centroid(query.points)
+    offset = group_distance(centroid, query.points)
+    own = query.cardinality * kernels.boxes_mindist_point(flat.lows, flat.highs, centroid)
+    own -= offset
+    keys = np.full(flat.num_nodes, 0.0 - offset)
+    # Nodes are numbered breadth-first, so a parent's key is final
+    # before its children's slice is reached.
+    for index in np.flatnonzero(flat.levels > 0):
+        start = flat.child_start[index]
+        children = slice(start, start + flat.child_count[index])
+        keys[children] = np.maximum(own[children], keys[index])
+    return keys
+
+
+def _spm_read_set(flat, query, live_points):
+    """The nodes SPM must read and the distances it must return, given the live records."""
+    distances = np.sort(query.distances_to(live_points))[: query.k].tolist()
+    kth = distances[-1] if len(distances) == query.k else math.inf
+    keys = _heuristic1_keys(flat, query)
+    needed = keys < kth
+    needed[0] = True
+    return needed, keys[1:] == kth, distances
+
+
+class TestSPMReadsOnlyTheNodesHeuristic1CannotExclude:
+    """SPM is MBM's loop under Heuristic 1's key: it stops at the key, not at the next point."""
+
+    @given(workload=_workloads())
+    @settings(max_examples=60, deadline=None)
+    def test_visited_set_is_the_minimum_for_its_key(self, workload):
+        _, points, flat, groups, k = workload
+        query = GroupQuery(groups[0], k=k)
+        needed, ties, expected = _spm_read_set(flat, query, points)
+        assume(not np.any(ties))
+        result = spm(flat, query)
+        assert result.distances() == expected
+        assert result.cost.node_accesses == np.count_nonzero(needed)
+
+    @pytest.mark.parametrize("state", ["clean", "dirty"])
+    def test_pinned_replay_at_the_shard_scatter_shape(self, state):
+        """300 groups of 16 in boxes of 4% of a PP-like space, k = 8, capacity 50.
+
+        Each query reads exactly the nodes whose Heuristic-1 key is below
+        its k-th distance.  The stream consumer SPM ran before tested the
+        heuristic on points only, so it also read every node that
+        reached the stream's head before the next point: 8 of the 300
+        clean queries, and 6 of the dirty ones, read nodes the key
+        excludes.
+        """
+        points = pp_like(20000)
+        flat = FlatRTree.bulk_load(points, capacity=50)
+        rng = np.random.default_rng(2004)
+        low, high = points.min(axis=0), points.max(axis=0)
+        side = float(np.sqrt(0.04 * (high - low).prod()))
+        corners = rng.uniform(low, high - side, size=(300, 2))
+        groups = [rng.uniform(corner, corner + side, size=(16, 2)) for corner in corners]
+        overlay, live = None, points
+        if state == "dirty":
+            overlay = DeltaOverlay(flat)
+            for offset, row in enumerate(rng.choice(len(points), size=400)):
+                overlay.insert(points[row] + rng.normal(scale=10.0, size=2), len(points) + offset)
+            dead = rng.choice(len(points), size=100, replace=False).tolist()
+            for rid in dead:
+                assert overlay.delete(points[rid], rid)
+            live = np.concatenate([np.delete(points, dead, axis=0), overlay.delta_points()[0]])
+        over_read = []
+        for number, group in enumerate(groups):
+            query = GroupQuery(group, k=8)
+            needed, ties, expected = _spm_read_set(flat, query, live)
+            assert not np.any(ties)
+            result = spm(flat, query, overlay=overlay)
+            assert result.distances() == expected
+            if result.cost.node_accesses != np.count_nonzero(needed):
+                over_read.append(number)
+        assert over_read == []
+
+
+class TestSPMAgainstTheStreamReference:
+    """``spm`` against ``tests/spm_reference.py``: the centroid stream, the delta scanned first.
+
+    Stopping at the key reads no node the stream would not, and answers
+    are the reference's, id for id and float for float.
+    """
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_same_answers_and_no_more_node_accesses(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        dims = data.draw(st.integers(2, 5), label="dims")
+        points = rng.uniform(0, 1000, size=(data.draw(st.integers(1, 300)), dims))
+        flat = FlatRTree.bulk_load(points, capacity=data.draw(st.sampled_from([4, 8, 16])))
+        cardinality = data.draw(st.integers(1, 8))
+        center, extent = rng.uniform(0, 1000, size=dims), rng.uniform(5, 300)
+        group = center + extent * rng.uniform(-1, 1, size=(cardinality, dims))
+        query = GroupQuery(group, k=data.draw(st.integers(1, 6)))
+        overlay = None
+        if data.draw(st.booleans(), label="dirty"):
+            overlay = DeltaOverlay(flat)
+            dead = data.draw(st.sets(st.integers(0, len(points) - 1), max_size=len(points) // 2))
+            for rid in dead:
+                assert overlay.delete(points[rid], rid)
+            fresh = rng.uniform(0, 1000, size=(data.draw(st.integers(0, 12)), dims))
+            for offset, row in enumerate(fresh):
+                overlay.insert(row, len(points) + offset)
+            if dead:  # a tombstoned id returns in the delta, somewhere else
+                overlay.insert(rng.uniform(0, 1000, size=dims), min(dead))
+        within = math.inf
+        if data.draw(st.booleans(), label="within"):
+            distances = np.sort(query.distances_to(points))
+            within = float(distances[data.draw(st.integers(0, len(points) - 1))])
+        expected = spm_reference(flat, query, overlay=overlay, within=within)
+        result = spm(flat, query, overlay=overlay, within=within)
+        assert result.record_ids() == expected.record_ids()
+        assert result.distances() == expected.distances()
+        assert result.cost.node_accesses <= expected.cost.node_accesses
 
 
 class TestCrossAlgorithmAgreement:

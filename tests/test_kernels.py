@@ -211,6 +211,24 @@ class TestBoxKernels:
         scalar = [MBR(low, high).mindist_mbr(other) for low, high in zip(lows, highs)]
         assert _same(bulk, scalar)
 
+    @given(data=st.data(), dims=st.integers(2, 6))
+    @settings(max_examples=150, deadline=None)
+    def test_a_degenerate_box_is_its_point_bit_for_bit(self, data, dims):
+        # SPM runs MBM's loop with Heuristic 1's key, ``n * mindist(., [c, c])
+        # - dist(c, Q)``: its keys are the point kernels' only while these agree.
+        def rows(count):
+            cells = data.draw(st.lists(coordinate, min_size=count * dims, max_size=count * dims))
+            return np.array(cells, dtype=np.float64).reshape(count, dims)
+
+        count = data.draw(st.integers(1, 8))
+        a, b, points, (c,) = rows(count), rows(count), rows(count), rows(1)
+        lows, highs = np.minimum(a, b), np.maximum(a, b)
+        boxes = kernels.boxes_mindist_box(lows, highs, c, c)
+        assert boxes.tobytes() == kernels.boxes_mindist_point(lows, highs, c).tobytes()
+        assert kernels.points_mindist_box(points, c, c).tobytes() == (
+            kernels.point_distances(points, c).tobytes()
+        )
+
     @given(data=boxes_and_group())
     @settings(max_examples=100, deadline=None)
     def test_weighted_summary_kernels_match_explicit_sum(self, data):

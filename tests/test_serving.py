@@ -104,28 +104,30 @@ class TestMicroBatcher:
         assert batcher.offer("a", 3, now=0.0) == [1, 2, 3]
         assert len(batcher) == 0
 
-    def test_window_trigger_flushes_oldest_first(self):
+    def test_window_trigger_runs_from_the_oldest_item(self):
         batcher = MicroBatcher(window_s=0.5, max_batch=32)
         batcher.offer("a", 1, now=0.0)
         batcher.offer("b", 2, now=0.2)
+        assert batcher.next_deadline() == pytest.approx(0.5)
         assert batcher.due(now=0.4) == []
-        assert batcher.due(now=0.55) == [[1]]
-        assert batcher.next_deadline() == pytest.approx(0.7)
-        assert batcher.due(now=0.8) == [[2]]
+        assert batcher.due(now=0.55) == [[1, 2]]
+        assert batcher.next_deadline() is None
+        batcher.offer("a", 3, now=0.6)
+        assert batcher.next_deadline() == pytest.approx(1.1)
+        assert batcher.due(now=1.2) == [[3]]
 
-    def test_keys_bucket_independently(self):
+    def test_every_key_shares_one_batch(self):
         batcher = MicroBatcher(window_s=1.0, max_batch=2)
         batcher.offer("a", 1, now=0.0)
-        batcher.offer("b", 2, now=0.0)
-        assert batcher.offer("a", 3, now=0.0) == [1, 3]
-        assert len(batcher) == 1  # "b" still pending
+        assert batcher.offer("b", 2, now=0.0) == [1, 2]
+        assert len(batcher) == 0
 
     def test_drain_flushes_everything(self):
         batcher = MicroBatcher(window_s=1.0, max_batch=32)
+        assert batcher.drain() == []
         batcher.offer("a", 1, now=0.0)
         batcher.offer("b", 2, now=0.0)
-        flushed = sorted(batch[0] for batch in batcher.drain())
-        assert flushed == [1, 2]
+        assert batcher.drain() == [[1, 2]]
         assert len(batcher) == 0
         assert batcher.next_deadline() is None
 
