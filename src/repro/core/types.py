@@ -137,18 +137,14 @@ class BestList:
         if math.isnan(within):
             raise ValueError("within must be a number, not NaN")
         self.k = int(k)
-        self._ceiling = math.nextafter(float(within), math.inf)
+        #: Distance of the k-th best neighbor (the ceiling until k have
+        #: been found); a plain attribute, since the traversals read it
+        #: far more often than :meth:`offer` moves it.
+        self.best_dist = math.nextafter(float(within), math.inf)
         # max-heap on distance, emulated by negating distances; each
         # entry's GroupNeighbor is only built by neighbors()
         self._heap: list[tuple[float, int, np.ndarray]] = []
         self._members: set[int] = set()
-
-    @property
-    def best_dist(self) -> float:
-        """Distance of the k-th best neighbor (the ceiling until k have been found)."""
-        if len(self._heap) < self.k:
-            return self._ceiling
-        return -self._heap[0][0]
 
     def offer(self, record_id: int, point: np.ndarray, distance: float) -> bool:
         """Consider a candidate; return True when it enters the current top-k.
@@ -156,16 +152,17 @@ class BestList:
         Duplicate record ids are ignored (a point encountered through two
         different search paths must not occupy two result slots).
         """
-        heap = self._heap
-        full = len(heap) >= self.k
-        if distance >= (-heap[0][0] if full else self._ceiling) or record_id in self._members:
+        if distance >= self.best_dist or record_id in self._members:
             return False
+        heap = self._heap
         entry = (-distance, record_id, point)
-        if full:
+        if len(heap) >= self.k:
             self._members.discard(heapq.heapreplace(heap, entry)[1])
         else:
             heapq.heappush(heap, entry)
         self._members.add(record_id)
+        if len(heap) >= self.k:
+            self.best_dist = -heap[0][0]
         return True
 
     def __len__(self) -> int:

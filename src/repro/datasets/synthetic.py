@@ -87,13 +87,23 @@ def line_segments(
     roads: points are dense along one-dimensional structures rather
     than spread over areas.
     """
+    return np.vstack(_line_parts(count, segments, dims, workspace, seed))
+
+
+def _line_parts(
+    count: int, segments: int, dims: int, workspace: tuple[float, float], seed: int | None
+) -> list[np.ndarray]:
+    """The poly-lines of :func:`line_segments`, one ``(steps, dims)`` array each.
+
+    Stacked in order they are :func:`line_segments`' rows, bit for bit.
+    """
     if count < 1:
         raise ValueError("count must be positive")
     rng = _rng(seed)
     low, high = workspace
     side = high - low
     per_segment = max(1, count // segments)
-    points = []
+    parts = []
     remaining = count
     while remaining > 0:
         start = rng.uniform(low, high, size=dims)
@@ -104,7 +114,6 @@ def line_segments(
         t = np.sort(rng.uniform(0.0, 1.0, size=steps))
         jitter = rng.normal(scale=0.002 * side, size=(steps, dims))
         segment_points = start[None, :] + t[:, None] * direction[None, :] * length + jitter
-        points.append(segment_points)
+        parts.append(np.clip(segment_points, low, high, out=segment_points))
         remaining -= steps
-    stacked = np.vstack(points)[:count]
-    return np.clip(stacked, low, high)
+    return parts

@@ -90,12 +90,19 @@ def _str_order(points: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarra
     per_slab = math.ceil(count / slab_count)
 
     by_x = np.argsort(points[:, 0], kind="stable")
-    sort_axis = 1 if points.shape[1] > 1 else 0
-    # lexsort is stable: ties on the slab's sort axis keep their x order.
-    slab = np.arange(count) // per_slab
-    order = by_x[np.lexsort((points[by_x, sort_axis], slab))]
-
+    keys = points[by_x, 1 if points.shape[1] > 1 else 0]
+    # Every slab sorted on its own, stably: ties on the slab's sort axis
+    # keep their x order.  The full slabs are the rows of one 2-D sort.
+    full = count // per_slab * per_slab
+    within = np.empty(count, dtype=np.intp)
     slab_starts = np.arange(0, count, per_slab)
+    within[:full] = (
+        np.argsort(keys[:full].reshape(-1, per_slab), axis=1, kind="stable")
+        + slab_starts[: full // per_slab, None]
+    ).ravel()
+    within[full:] = full + np.argsort(keys[full:], kind="stable")
+    order = by_x[within]
+
     slab_sizes = np.minimum(per_slab, count - slab_starts)
     return order, _leaf_starts(slab_starts, slab_sizes, capacity)
 

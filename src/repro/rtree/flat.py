@@ -119,6 +119,7 @@ class FlatRTree:
         "record_ids",
         "buffer",
         "mmap_io",
+        "_by_id",
         "_points_cache",
         "_scope",
     )
@@ -137,6 +138,7 @@ class FlatRTree:
             self.next_record_id = int(np.max(self.record_ids)) + 1 if self.size else 0
         self.buffer = buffer
         self.mmap_io = mmap_io
+        self._by_id = None
         self._points_cache = None
         self._scope = _ReadScope()
 
@@ -299,12 +301,21 @@ class FlatRTree:
         pending writes into (same name, same shape).
         """
         if self._points_cache is None:
-            order = np.argsort(self.record_ids, kind="stable")
-            self._points_cache = (
-                np.asarray(self.points)[order],
-                np.asarray(self.record_ids)[order],
-            )
+            rows, ids = self._id_order()
+            self._points_cache = (np.asarray(self.points)[rows], ids)
         return self._points_cache
+
+    def _id_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, ids)``: the rows in record-id order and their ids, ascending, cached.
+
+        The snapshot's one id index: :meth:`live_points` reads the rows
+        in this order, and a record's row is found by binary search in
+        ``ids`` (:meth:`repro.rtree.overlay.DeltaOverlay.base_row`).
+        """
+        if self._by_id is None:
+            rows = np.argsort(self.record_ids, kind="stable")
+            self._by_id = (rows, np.asarray(self.record_ids)[rows])
+        return self._by_id
 
     # ------------------------------------------------------------------
     # persistence

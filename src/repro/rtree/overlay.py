@@ -147,8 +147,6 @@ class DeltaOverlay:
         self.base = base
         self.delta = PointStore(base.dims, base.capacity, base.root_mbr())
         self.tombstones: set[int] = set()
-        self._base_rows: dict[int, int] | None = None
-        self._base_identity: bool | None = None
         self._live_cache: tuple[np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
@@ -226,19 +224,16 @@ class DeltaOverlay:
     # lookup
     # ------------------------------------------------------------------
     def base_row(self, record_id: int) -> int | None:
-        """The base-snapshot row holding ``record_id``, tombstoned or not."""
-        if self._base_identity is None:
-            base_ids = np.asarray(self.base.record_ids)
-            self._base_identity = bool(
-                np.array_equal(base_ids, np.arange(self.base.size, dtype=np.int64))
-            )
-        if self._base_identity:
-            return record_id if 0 <= record_id < self.base.size else None
-        if self._base_rows is None:
-            self._base_rows = {
-                int(rid): row for row, rid in enumerate(np.asarray(self.base.record_ids))
-            }
-        return self._base_rows.get(record_id)
+        """The base-snapshot row holding ``record_id``, tombstoned or not.
+
+        A binary search in the base's id index, the one
+        :meth:`FlatRTree.live_points` reads in (no per-record map).
+        """
+        rows, ids = self.base._id_order()
+        at = int(ids.searchsorted(record_id))
+        if at < ids.shape[0] and ids[at] == record_id:
+            return int(rows[at])
+        return None
 
     def delta_points(self) -> tuple[np.ndarray, np.ndarray]:
         """The delta's live records as ``(points, record_ids)``, id-ordered.

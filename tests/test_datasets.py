@@ -1,5 +1,6 @@
 """Tests for repro.datasets: synthetic generators, real-like stand-ins, workloads."""
 
+import datasets_reference
 import numpy as np
 import pytest
 
@@ -124,6 +125,79 @@ class TestRealLikeDatasets:
     def test_scaled_pair_validates_scale(self):
         with pytest.raises(ValueError):
             scaled_pair(scale=0.0)
+
+
+#: The workspaces the byte-equality grid runs each count and seed over.
+_WORKSPACES = (DEFAULT_WORKSPACE, (-5.0, 17.5))
+
+
+def _same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestStandInsAgainstStackedShuffle:
+    """The stand-ins are the stacked, row-shuffled datasets, byte for byte.
+
+    ``datasets_reference`` keeps the generators that stacked their parts
+    and shuffled the ``(N, 2)`` rows in place; both sides draw from the
+    same NumPy ``Generator``, so equality holds on any NumPy version.
+    """
+
+    @pytest.mark.parametrize("count", [10, 11, 39, 1200, 24_493, 100_000])
+    def test_pp_like_is_the_stacked_shuffle(self, count):
+        for workspace in _WORKSPACES:
+            for seed in (0, 3, 7, 11, 2004):
+                got = pp_like(count, workspace=workspace, seed=seed)
+                want = datasets_reference.pp_like(count, workspace=workspace, seed=seed)
+                assert _same_bytes(got, want), (count, workspace, seed)
+
+    @pytest.mark.parametrize("count", [10, 800, 24_371, TS_CARDINALITY])
+    def test_ts_like_is_the_stacked_shuffle(self, count):
+        for workspace in _WORKSPACES:
+            for seed in (4, 11):
+                got = ts_like(count, workspace=workspace, seed=seed)
+                want = datasets_reference.ts_like(count, workspace=workspace, seed=seed)
+                assert _same_bytes(got, want), (count, workspace, seed)
+
+    def test_line_segments_is_the_stacked_reference(self):
+        for count, segments in ((1, 200), (300, 10), (1_001, 7)):
+            got = line_segments(count, segments=segments, seed=5)
+            want = datasets_reference.line_segments(count, segments=segments, seed=5)
+            assert _same_bytes(got, want), (count, segments)
+
+    def test_no_generator_shuffles_rows(self, monkeypatch):
+        # Generator.shuffle permutes the rows of a 2-D array by a
+        # Python-level loop of swaps; only a 1-D index may be shuffled.
+        shuffled_ndims = []
+        make_rng = np.random.default_rng
+
+        class SpyGenerator:
+            def __init__(self, generator):
+                self._generator = generator
+
+            def __getattr__(self, name):
+                return getattr(self._generator, name)
+
+            def shuffle(self, x, axis=0):
+                shuffled_ndims.append(np.ndim(x))
+                self._generator.shuffle(x, axis)
+
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda *args, **kw: SpyGenerator(make_rng(*args, **kw))
+        )
+        pp_like(1_200)
+        ts_like(800)
+        scaled_pair(scale=0.01)
+        uniform_points(50)
+        gaussian_clusters(50, clusters=3)
+        line_segments(50, segments=5)
+        data = uniform_points(100, seed=2)
+        generate_workload(data, WorkloadSpec(n=4, mbr_fraction=0.08, k=2, queries=3), seed=1)
+        generate_request_trace(
+            data, requests=5, rate_per_s=100.0, n=4, mbr_fraction=0.08, k=2, seed=1
+        )
+        assert shuffled_ndims, "the spy saw no shuffle: is it still installed?"
+        assert max(shuffled_ndims) == 1, shuffled_ndims
 
 
 class TestWorkloadGeneration:

@@ -286,6 +286,34 @@ class TestDeltaOverlay:
         assert live_ids.tolist() == list(range(401))
         assert live_points[3].tolist() == [3.0, 3.0]
 
+    @pytest.mark.parametrize("layout", ["row", "permuted", "gapped", "compacted"])
+    def test_base_row_matches_a_dict_oracle(self, dataset, rng, layout):
+        if layout == "compacted":
+            first = DeltaOverlay(FlatRTree.bulk_load(dataset, capacity=16))
+            for rid in rng.choice(400, size=60, replace=False).tolist():
+                first.delete(dataset[rid], rid)
+            for rid in (400, 403, 1_000):
+                first.insert(rng.uniform(0, 1000, size=2), rid)
+            base = first.compact()
+        else:
+            ids = {
+                "row": None,
+                "permuted": rng.permutation(400),
+                "gapped": np.sort(rng.choice(2_000, size=400, replace=False)),  # shard-style
+            }[layout]
+            base = FlatRTree.bulk_load(dataset, capacity=16, record_ids=ids)
+        oracle = {int(rid): row for row, rid in enumerate(base.record_ids)}
+        top = max(oracle)
+        absent = sorted(set(range(top + 3)) - set(oracle))[:40]
+        probes = [*oracle, *absent, -1, -7, -(2**63), top + 1, top + 1_000, 2**62]
+        overlay = DeltaOverlay(base)
+        tombstoned = [rid for rid in oracle if rid % 5 == 0]
+        for rid in tombstoned:
+            assert overlay.delete(base.points[oracle[rid]], rid)
+        for rid in probes:
+            assert overlay.base_row(rid) == oracle.get(rid), rid
+            assert overlay.is_live(rid) == (rid in oracle and rid not in tombstoned), rid
+
 
 # ----------------------------------------------------------------------
 # the pinned engine bugs
