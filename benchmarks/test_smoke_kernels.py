@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.aggregates import aggregate_gnn
 from repro.core.fmbm import fmbm
 from repro.core.mbm import mbm
 from repro.core.spm import spm
@@ -261,6 +262,50 @@ def test_smoke_spm_cpu_per_query(n):
         lambda: [spm(flat, query) for query in queries],
         lambda: [spm_reference(flat, query) for query in queries],
         f"SPM at n={n}",
+    )
+
+
+@pytest.mark.parametrize(
+    "aggregate, n, dirty", [("sum", 4, False), ("max", 64, False), ("sum", 16, True)]
+)
+def test_smoke_bestfirst_cpu_per_query(aggregate, n, dirty):
+    """Best-first on MBM's loop must not cost CPU against the stream consumer of ``tests/aggregate_reference.py``.
+
+    The replay of :func:`test_smoke_mbm_cpu_per_query` (``pp_like(20000)``,
+    M = 8%, k = 8, 40 groups) for sum at n = 4 and max at n = 64, and
+    the dirty replay of :func:`test_smoke_dirty_mbm_cpu_per_query`
+    (M = 2%, the delta scanned first by the reference) at n = 16,
+    answers checked first.  Stopping at the paper's bound reads no more
+    nodes than the stream; run-heap or per-leaf overhead that outweighs
+    that shows up as a ratio above 1.10.
+    """
+    aggregate_reference = _load_mbm_reference("aggregate_reference", "aggregate_reference")
+    points = pp_like(20_000)
+    flat = FlatRTree.bulk_load(points, capacity=50)
+    overlay = None
+    if dirty:
+        rng = np.random.default_rng(3)
+        overlay = DeltaOverlay(flat)
+        moved = points[rng.choice(len(points), size=360)] + rng.normal(scale=10.0, size=(360, 2))
+        for row, point in enumerate(moved):
+            overlay.insert(point, len(points) + row)
+        for record_id in rng.choice(len(points), size=60, replace=False).tolist():
+            assert overlay.delete(points[record_id], record_id)
+    spec = WorkloadSpec(n=n, mbr_fraction=0.02 if dirty else 0.08, k=8, queries=40)
+    queries = [
+        GroupQuery(group, k=8, aggregate=aggregate)
+        for group in generate_workload(points, spec, seed=17)
+    ]
+    for query in queries:
+        result = aggregate_gnn(flat, query, overlay=overlay)
+        expected = aggregate_reference(flat, query, overlay=overlay)
+        assert result.record_ids() == expected.record_ids()
+        assert result.distances() == expected.distances()
+
+    _assert_cpu_ratio(
+        lambda: [aggregate_gnn(flat, query, overlay=overlay) for query in queries],
+        lambda: [aggregate_reference(flat, query, overlay=overlay) for query in queries],
+        f"best-first {aggregate} at n={n}" + (" over a dirty overlay" if dirty else ""),
     )
 
 

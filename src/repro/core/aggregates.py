@@ -2,16 +2,21 @@
 
 Section 6 of the paper lists "other distance metrics" and aggregate
 variations of GNN search as future work; this module provides the
-natural generalisation: an optimal best-first traversal whose priority
-is the aggregate lower bound of the group distance.  Because the per
-point key is the *exact* aggregate distance and the node key is a lower
-bound of it, the stream yields data points in ascending aggregate
-distance — taking the first ``k`` items is therefore an exact algorithm
-for sum, max and min aggregates (including weighted variants).
+natural generalisation (Papadias et al., "Aggregate Nearest Neighbor
+Queries in Spatial Databases", TODS 2005): best-first search ordered by
+the aggregate lower bound of the group distance, for sum, max and min
+aggregates (including weighted variants).
 
-For the sum aggregate the traversal degenerates into an MBM-like search
-with Heuristic 3 as the priority, which is also handy in tests as an
-independent exact method to cross-check the paper's algorithms.
+:func:`aggregate_gnn` (``algorithm="best-first"``) is MBM's loop keyed
+by the paper's Heuristic 3 bound alone.  Because a node's key
+lower-bounds the aggregate distance of every point under it, stopping
+when the smallest key left reaches the k-th best is exact.  For the sum
+aggregate this is MBM without the tangent plane, which is also handy in
+tests as an independent exact method to cross-check the paper's
+algorithms.
+
+:func:`group_nn_stream` is the same bound as an incremental stream, the
+group-NN stream F-MQM consumes block by block.
 """
 
 from __future__ import annotations
@@ -19,24 +24,21 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from repro.core.mbm import seed_from_delta
+from repro.core.mbm import _delta, _mbm_best_first
 from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.rtree.traversal import Neighbor, flat_incremental_nearest_generic
 
 
-def group_nn_stream(tree: FlatRTree, query: GroupQuery, cost=None) -> Iterator[Neighbor]:
+def group_nn_stream(tree: FlatRTree, query: GroupQuery, cost: QueryCost) -> Iterator[Neighbor]:
     """Yield data points in ascending aggregate distance to the query group.
 
     The stream is incremental: consuming it lazily retrieves additional
     group neighbors without restarting the search, which is exactly the
     capability F-MQM needs from its per-block searches.  Every node read
-    and distance computation is charged to ``cost`` (not counted when
-    ``None``).
+    and distance computation is charged to ``cost``.
     """
-    if cost is None:
-        cost = QueryCost()  # a record nobody reads: the stream is not counted
 
     def points_key(points):
         cost.record_distance_computations(query.cardinality * points.shape[0])
@@ -57,21 +59,19 @@ def aggregate_gnn(
 ) -> GNNResult:
     """Exact k-GNN retrieval for any supported aggregate via best-first search.
 
-    ``overlay`` carries pending writes over ``tree`` (its ``base``).
-    The delta seeds the best list (:func:`~repro.core.mbm.seed_from_delta`)
-    and the stream is consumed until it emits a distance that cannot
-    beat the k-th best, which the ascending emission order makes final.
-    Tombstoned records are still emitted — they are real index entries —
-    but never offered.  Only records with aggregate distance
-    ``<= within`` are returned; the stream stops at the first emission
-    past it.
+    This is MBM's loop (:func:`repro.core.mbm._mbm_best_first`) keyed by
+    the paper's bound alone: reading a node keys each child by
+    ``query.mindist_lower_bounds`` (``n`` distance computations), with
+    no tangent plane and no deferral, and a read leaf's rows are all
+    offered at once under the leaf's own key.  Nodes are read in
+    ascending bound until it reaches ``best_dist``.  ``overlay`` carries
+    pending writes over ``tree`` (its ``base``): the delta's pages join
+    the run heap under Heuristic 2's key, as MBM's do, and tombstoned
+    records are skipped at the leaves.  Only records with aggregate
+    distance ``<= within`` are returned.
     """
     cost = QueryCost(algorithm=f"best-first-{query.aggregate}")
     best = BestList(query.k, within)
-    exclude = seed_from_delta(tree, query, best, overlay, cost)
-    for neighbor in group_nn_stream(tree, query, cost):
-        if exclude is None or neighbor.record_id not in exclude:
-            best.offer(neighbor.record_id, neighbor.point, neighbor.distance)
-        if neighbor.distance >= best.best_dist:
-            break
+    pages, exclude = _delta(tree, overlay)
+    _mbm_best_first(tree, query, best, True, cost, exclude, pages=pages, paper_key=True)
     return GNNResult(neighbors=best.neighbors(), cost=cost.finish())

@@ -56,6 +56,15 @@ Heuristic 1's, ``(n, c, c, dist(c, Q), 0)`` for the centroid ``c``, and
 without Heuristic 3, so the Heuristic-2-only path is SPM's traversal
 too: ``[c, c]`` is the degenerate box whose ``mindist`` is the point
 kernels' distance bit for bit, and SPM never charged its keys.
+Best-first (:func:`repro.core.aggregates.aggregate_gnn`) runs it in
+the *paper-key* mode: the cheap key (Heuristic 2's) only keys the
+delta's pages and rows; a read node keys its children by the paper's
+bound alone, ``n`` distance computations each, and pushes them keyed,
+with no plane and no deferral; a read leaf's rows all go under the
+leaf's own key, uncharged, so they are offered at once; and a delta
+run offers rows only up to the next run's bound as well as the node
+heap's head, so delta rows are reached in ascending bound, never more
+of them than with the delta scanned first.
 
 Rows are offered from *runs*, kept in one heap, ``runs``, beside the
 node heap: a run is a read leaf's rows, or a delta page's, in ascending
@@ -156,8 +165,8 @@ def seed_from_delta(
 
     Its pages are read like leaves (:func:`_scan_leaf`) in ascending ``W *
     mindist(page, M)`` until that reaches ``best_dist``, leaving the
-    delta's exact top-k: MQM and best-first, which consume streams, call
-    this first and prune from it (MBM and SPM page the delta through
+    delta's exact top-k: MQM, which consumes streams, calls this first
+    and prunes from it (MBM, SPM and best-first page the delta through
     their run heap instead).  Returns ``None`` when nothing is
     tombstoned.
     """
@@ -234,12 +243,16 @@ def _tangent_anchor(cost, group: np.ndarray, weights=None) -> np.ndarray:
     return weiszfeld_centroid(group, max_iterations=ANCHOR_STEPS, weights=weights)
 
 
-def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages=None, key=None):
+def _mbm_best_first(
+    flat, query, best, use_heuristic3, cost, exclude=None, pages=None, key=None, paper_key=False
+):
     """Best-first MBM over the flat snapshot, its keys deferred (module docstring).
 
     ``key`` is the cheap key as data, ``(scale, low, high, offset,
     charge)`` (module docstring); it defaults to Heuristic 2's, and the
-    root is keyed ``-offset``.
+    root is keyed ``-offset``.  ``paper_key`` is best-first's mode
+    (module docstring): children keyed by ``query.mindist_lower_bounds``
+    when their parent is read, leaf rows under their leaf's key.
 
     A heap entry is ``(key, tie, node, plane)``.  A keyed entry carries
     its tangent plane (sums) or :data:`_KEYED` and is read when it
@@ -260,7 +273,8 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
     charge = key[4]
     counter = itertools.count()
     heap = [(0.0 - key[3], next(counter), 0, _KEYED)] if len(flat) else []
-    tangent = use_heuristic3 and query.aggregate == kernels.SUM and bool(heap)
+    deferred = use_heuristic3 and not paper_key
+    tangent = deferred and query.aggregate == kernels.SUM and bool(heap)
     anchor = _tangent_anchor(cost, query.points, query.weights) if tangent else None
     runs = []
     if pages is not None:
@@ -279,6 +293,8 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
             _, _, page, run = heapq.heappop(runs)
             if type(run) is DeltaPages:
                 run = _page_run(run, page, key, cost)
+            if paper_key and runs:  # runs take turns too: rows in ascending bound
+                head = min(head, runs[0][0])
         else:
             node_key, _, node, plane = heapq.heappop(heap)
             if type(plane) is _Children:
@@ -290,16 +306,20 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
             level = flat.levels[index]
             if level > 0:
                 lows, highs = flat.lows[start:stop], flat.highs[start:stop]
-                keys = _cheap_keys(key, kernels.boxes_mindist_box, lows, highs)
-                if plane:
-                    np.maximum(keys, _plane_minimum(plane, lows, highs), out=keys)
-                cost.record_distance_computations((charge + bool(plane)) * (stop - start))
+                if paper_key:
+                    keys = query.mindist_lower_bounds(lows, highs)
+                    cost.record_distance_computations(query.cardinality * (stop - start))
+                else:
+                    keys = _cheap_keys(key, kernels.boxes_mindist_box, lows, highs)
+                    if plane:
+                        np.maximum(keys, _plane_minimum(plane, lows, highs), out=keys)
+                    cost.record_distance_computations((charge + bool(plane)) * (stop - start))
                 np.maximum(keys, node_key, out=keys)
                 order = keys.argsort(kind="stable")
                 ordered = keys.take(order).tolist()
                 survivors = bisect.bisect_left(ordered, best.best_dist)
                 order += start  # the children's node ids, in ascending cheap key
-                if not use_heuristic3:  # the ablation's cheap key is its only key
+                if not deferred:  # the key is final (ablation, best-first): push each child
                     for child_key, child in zip(ordered[:survivors], order[:survivors].tolist()):
                         heapq.heappush(heap, (child_key, next(counter), child, _KEYED))
                 elif survivors:
@@ -307,10 +327,13 @@ def _mbm_best_first(flat, query, best, use_heuristic3, cost, exclude=None, pages
                     heapq.heappush(heap, (ordered[0], next(counter), node, children))
                 continue
             points = flat.points[start:stop]
-            bounds = _cheap_keys(key, kernels.points_mindist_box, points)
-            if plane:
-                np.maximum(bounds, _plane_minimum(plane, points, points), out=bounds)
-            cost.record_distance_computations((charge + bool(plane)) * (stop - start))
+            if paper_key:  # the leaf's own key bounds every row, for free
+                bounds = np.full(stop - start, node_key)
+            else:
+                bounds = _cheap_keys(key, kernels.points_mindist_box, points)
+                if plane:
+                    np.maximum(bounds, _plane_minimum(plane, points, points), out=bounds)
+                cost.record_distance_computations((charge + bool(plane)) * (stop - start))
             run = _Run(points, flat.record_ids[start:stop], bounds, exclude)
             head = heap[0][0] if heap else math.inf
         _scan_leaf(run, query, best, cost, head)
@@ -444,8 +467,9 @@ def _scan_leaf(run, query, best, cost, head) -> None:
     """Offer ``run``'s next rows while their bound is below ``best_dist`` and at most ``head``.
 
     ``run`` is a snapshot leaf or a delta page, its bounds charged by
-    the caller; MBM passes its node heap's head, so a row whose bound
-    exceeds the next node key waits in the run heap for a later call,
+    the caller; MBM passes its node heap's head (best-first's delta
+    runs: the next run's bound, when that is lower), so a row whose
+    bound exceeds the next key waits in the run heap for a later call,
     and :func:`seed_from_delta` passes ``inf``.  The aggregate distances
     come from one kernel call, for the rows below ``best_dist``
     (``run.end``) when the first is offered.  The loop is pure-float: it

@@ -12,7 +12,7 @@ read-optimised :class:`~repro.rtree.flat.FlatRTree` stays immutable
 
 Queries answer from the *merged* view: the delta's live rows, paged
 like leaves (:meth:`DeltaOverlay.delta_pages`), share MBM's best-first
-heap with the base's nodes (MBM and SPM; MQM and best-first read them
+heap with the base's nodes (MBM, SPM and best-first; MQM reads them
 first, :func:`repro.core.mbm.seed_from_delta`); the base traversal skips the
 tombstones and prunes against the merged view's k-th distance.  Answers
 are bit-identical to a from-scratch rebuild over the live dataset: the

@@ -9,9 +9,9 @@ ascending distance without knowing ``k`` in advance:
   is built on.  It accepts arbitrary *vectorised* lower-bound/key
   functions (``points_key`` / ``mbrs_key``), so the same loop ranks nodes
   by ``mindist`` to a point (conventional NN) or by the aggregate group
-  distance (the group-NN stream of ``best-first`` and F-MQM).  A heap pop
-  scores a whole leaf or child slice with one kernel call.  (SPM and MBM
-  need no stream: they stop at a known key, in
+  distance (F-MQM's group-NN stream).  A heap pop scores a whole leaf or
+  child slice with one kernel call.  (MBM, SPM and best-first need no
+  stream: they stop at a known key, in
   :func:`repro.core.mbm._mbm_best_first`.)
 * :func:`incremental_nearest` / :func:`best_first_nearest` — the
   conventional point-NN stream and its ``k``-prefix.
