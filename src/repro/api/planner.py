@@ -5,7 +5,7 @@ dispatch with an explicit, testable step: ``plan(spec)`` returns a
 :class:`QueryPlan` naming the chosen algorithm and a human-readable
 rationale grounded in the paper's experimental findings (Section 5).
 Every plan, chosen or requested, is validated against the registry's
-capability metadata, so a spec asking MBM for a ``max`` aggregate fails
+capability metadata, so a spec asking SPM for a ``max`` aggregate fails
 at planning time with a message that names the mismatch instead of deep
 inside a traversal.
 
@@ -17,8 +17,7 @@ against a query of about a millisecond), and no ``insert`` or
 The auto policy encodes the paper's recommendations:
 
 * memory-resident groups → **MBM** (the clear winner of Figures 5.1-5.3)
-  for the sum aggregate, weighted or not, the generalised best-first
-  traversal otherwise;
+  for every aggregate, weighted or not;
 * disk-resident files with few blocks → **F-MQM**, otherwise **F-MBM**
   (Figures 5.4-5.7 and the summary of Section 5.2).
 """
@@ -156,26 +155,9 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     def _choose(self, spec: QuerySpec, residency: str) -> tuple[AlgorithmInfo, str]:
         if residency == MEMORY:
-            if spec.aggregate == "sum":
-                weighted = (
-                    "; weighted, it reads no more nodes than best-first"
-                    if spec.weights is not None
-                    else ""
-                )
-                return (
-                    get_algorithm("mbm"),
-                    "memory-resident sum query: MBM is the paper's overall winner "
-                    f"(Figures 5.1-5.3){weighted}",
-                )
-            flavour = (
-                f"{spec.aggregate} aggregate"
-                if spec.weights is None
-                else f"weighted {spec.aggregate} aggregate"
-            )
             return (
-                get_algorithm("best-first"),
-                f"{flavour}: MBM answers sums only; the generalised best-first "
-                "traversal keys every node by this aggregate's own lower bound",
+                get_algorithm("mbm"),
+                "memory-resident group: MBM is the paper's overall winner (Figures 5.1-5.3)",
             )
         blocks = self._block_count(spec)
         if blocks <= AUTO_FMQM_MAX_BLOCKS:

@@ -9,11 +9,11 @@ table; the planner, ``engine.algorithms()`` and the conformance matrix
 read it through :func:`get_algorithm` / :func:`available_algorithms`
 instead of hard-coding ``if/elif`` chains.
 
-The capability declarations follow the *paper's* definitions (MQM, SPM,
-MBM and F-MQM/F-MBM are sum-aggregate algorithms; Section 3/4), even
-where an implementation happens to generalise further — the registry is
-the contract the planner enforces, and the generalised entry points
-(``best-first``, ``brute-force``) cover the other aggregates.
+The capability declarations are the contract the planner enforces.
+MQM, SPM, F-MQM, F-MBM and GCP are the paper's sum-aggregate algorithms
+(Sections 3/4); MBM also answers weighted sums and ``max``/``min``
+(keyed by the paper's bound, as ``best-first`` is), and ``best-first``
+and ``brute-force`` answer every aggregate.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ BUILTIN_ALGORITHMS = (
         name="mbm",
         runner=_run_mbm,
         residency=MEMORY,
-        aggregates=(SUM,),
+        aggregates=(SUM, MAX, MIN),
         supports_weights=True,
         options=("use_heuristic3", WITHIN),
         description="Minimum bounding method: single traversal pruned by the group MBR (Section 3.3).",

@@ -10,10 +10,10 @@ aggregates (including weighted variants).
 :func:`aggregate_gnn` (``algorithm="best-first"``) is MBM's loop keyed
 by the paper's Heuristic 3 bound alone.  Because a node's key
 lower-bounds the aggregate distance of every point under it, stopping
-when the smallest key left reaches the k-th best is exact.  For the sum
-aggregate this is MBM without the tangent plane, which is also handy in
-tests as an independent exact method to cross-check the paper's
-algorithms.
+when the smallest key left reaches the k-th best is exact.  For ``max``
+and ``min`` this is the traversal :func:`repro.core.mbm.mbm` runs; for
+the sum aggregate it is MBM without the tangent plane, the paper-key
+ablation.
 
 :func:`group_nn_stream` is the same bound as an incremental stream, the
 group-NN stream F-MQM consumes block by block.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from repro.core.mbm import _delta, _mbm_best_first
+from repro.core.mbm import _PAPER, _delta, _mbm_best_first
 from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -59,11 +59,11 @@ def aggregate_gnn(
 ) -> GNNResult:
     """Exact k-GNN retrieval for any supported aggregate via best-first search.
 
-    This is MBM's loop (:func:`repro.core.mbm._mbm_best_first`) keyed by
-    the paper's bound alone: reading a node keys each child by
-    ``query.mindist_lower_bounds`` (``n`` distance computations), with
-    no tangent plane and no deferral, and a read leaf's rows are all
-    offered at once under the leaf's own key.  Nodes are read in
+    This is MBM's loop (:func:`repro.core.mbm._mbm_best_first`) in its
+    paper-key mode, the one ``mbm`` runs for ``max``/``min``: reading a
+    node keys each child by ``query.mindist_lower_bounds`` (``n``
+    distance computations), with no tangent plane and no deferral, and a
+    read leaf's rows are all offered at once under the leaf's own key.  Nodes are read in
     ascending bound until it reaches ``best_dist``.  ``overlay`` carries
     pending writes over ``tree`` (its ``base``): the delta's pages join
     the run heap under Heuristic 2's key, as MBM's do, and tombstoned
@@ -73,5 +73,5 @@ def aggregate_gnn(
     cost = QueryCost(algorithm=f"best-first-{query.aggregate}")
     best = BestList(query.k, within)
     pages, exclude = _delta(tree, overlay)
-    _mbm_best_first(tree, query, best, True, cost, exclude, pages=pages, paper_key=True)
+    _mbm_best_first(tree, query, best, _PAPER, cost, exclude, pages=pages)
     return GNNResult(neighbors=best.neighbors(), cost=cost.finish())

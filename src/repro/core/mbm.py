@@ -40,31 +40,37 @@ the head keyed; its plane then pre-keys its children, and a leaf's plane
 bounds each point by ``f0 + g . (p - x0)``, so points are visited in
 ascending ``max(plane, W * mindist(p, M))`` as a *run* (below).  The
 root is read first, without a plane.  ``min`` of distances is not
-convex, so ``max``/``min`` defer the paper's bound instead; for sums the
-paper's key stays runnable as ``algorithm="best-first"``.  (The paper's
-text orders by ``mindist(N, M)``, 0 wherever ``N`` meets ``M``; only the
+convex, so ``max``/``min`` run the *paper-key* mode (below), as
+best-first does; for sums the paper's key stays runnable as
+``algorithm="best-first"``.  (The paper's text orders by
+``mindist(N, M)``, 0 wherever ``N`` meets ``M``; only the
 Heuristic-2-only ablation, having no tighter key, keeps that.)
-
-The weighted and max/min-aggregate extensions reuse the same traversal
-with generalised bounds (see :mod:`repro.core.aggregates`).
 
 The cheap key is data, ``(scale, low, high, offset, charge)``: the key
 ``scale * mindist(., [low, high]) - offset``, charged ``charge``
 distance computations a key.  MBM's is Heuristic 2, ``(W, M.low,
 M.high, 0, 1)``.  SPM (:mod:`repro.core.spm`) runs this loop with
-Heuristic 1's, ``(n, c, c, dist(c, Q), 0)`` for the centroid ``c``, and
-without Heuristic 3, so the Heuristic-2-only path is SPM's traversal
+Heuristic 1's, ``(n, c, c, dist(c, Q), 0)`` for the centroid ``c``, in
+the cheap-key mode, so the Heuristic-2-only path is SPM's traversal
 too: ``[c, c]`` is the degenerate box whose ``mindist`` is the point
 kernels' distance bit for bit, and SPM never charged its keys.
-Best-first (:func:`repro.core.aggregates.aggregate_gnn`) runs it in
-the *paper-key* mode: the cheap key (Heuristic 2's) only keys the
-delta's pages and rows; a read node keys its children by the paper's
-bound alone, ``n`` distance computations each, and pushes them keyed,
-with no plane and no deferral; a read leaf's rows all go under the
-leaf's own key, uncharged, so they are offered at once; and a delta
-run offers rows only up to the next run's bound as well as the node
-heap's head, so delta rows are reached in ascending bound, never more
-of them than with the delta scanned first.
+
+The loop has three modes, one per way of keying a read node's
+children (:func:`_mode` picks MBM's):
+
+* :data:`_TANGENT` — MBM's sums: cheap keys, then each child's own
+  tangent bound once it nears the head (above);
+* :data:`_PAPER` — best-first (:func:`repro.core.aggregates.aggregate_gnn`)
+  and MBM's ``max``/``min``: the cheap key (Heuristic 2's) only keys
+  the delta's pages and rows; a read node keys its children by the
+  paper's bound alone, ``n`` distance computations each, and pushes
+  them keyed, with no plane and no deferral; a read leaf's rows all go
+  under the leaf's own key, uncharged, so they are offered at once; and
+  a delta run offers rows only up to the next run's bound as well as
+  the node heap's head, so delta rows are reached in ascending bound,
+  never more of them than with the delta scanned first;
+* :data:`_CHEAP` — the Heuristic-2-only ablation and SPM: the cheap key
+  alone, each child pushed under it.
 
 Rows are offered from *runs*, kept in one heap, ``runs``, beside the
 node heap: a run is a read leaf's rows, or a delta page's, in ascending
@@ -107,8 +113,12 @@ EVALUATION_BATCH = 16  #: children keyed per kernel call, at most
 #: entry comes first: a few speculative keys cost fewer kernel calls.
 EVALUATION_MIN = 4
 
-#: The plane slot of a keyed entry without a plane: the root, every
-#: ``max``/``min`` entry once evaluated and every Heuristic-2-only entry.
+#: The loop's modes (module docstring): deferred tangent keys, the
+#: paper's bound when the parent is read, the cheap key alone.
+_TANGENT, _PAPER, _CHEAP = "tangent", "paper", "cheap"
+
+#: The plane slot of a keyed entry without a plane: the root and every
+#: entry of the paper-key and cheap-key modes.
 _KEYED = ()
 
 
@@ -127,9 +137,9 @@ def mbm(
         Flat R-tree snapshot over the dataset ``P``.
     query:
         The query group; the sum aggregate matches the paper, and the
-        weighted / max / min generalisations are accepted as well (the
-        bounds degrade gracefully: Heuristic 2 uses the total weight,
-        Heuristic 3 uses the aggregate lower bound).
+        weighted / max / min generalisations are accepted as well
+        (Heuristic 2 uses the total, largest or smallest weight; ``max``
+        and ``min`` key nodes by the paper's bound, as best-first does).
     use_heuristic3:
         Disable to reproduce the paper's ablation ("MBM with only
         heuristic 2 ... inferior to SPM").
@@ -150,8 +160,15 @@ def mbm(
     cost = QueryCost(algorithm="MBM-best_first")
     best = BestList(query.k, within)
     pages, exclude = _delta(tree, overlay)
-    _mbm_best_first(tree, query, best, use_heuristic3, cost, exclude, pages=pages)
+    _mbm_best_first(tree, query, best, _mode(query, use_heuristic3), cost, exclude, pages=pages)
     return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
+
+
+def _mode(query: GroupQuery, use_heuristic3: bool) -> str:
+    """MBM's loop mode: tangent keys for sums, the paper's bound otherwise, or Heuristic 2 alone."""
+    if not use_heuristic3:
+        return _CHEAP
+    return _TANGENT if query.aggregate == kernels.SUM else _PAPER
 
 
 def seed_from_delta(
@@ -243,20 +260,19 @@ def _tangent_anchor(cost, group: np.ndarray, weights=None) -> np.ndarray:
     return weiszfeld_centroid(group, max_iterations=ANCHOR_STEPS, weights=weights)
 
 
-def _mbm_best_first(
-    flat, query, best, use_heuristic3, cost, exclude=None, pages=None, key=None, paper_key=False
-):
-    """Best-first MBM over the flat snapshot, its keys deferred (module docstring).
+def _mbm_best_first(flat, query, best, mode, cost, exclude=None, pages=None, key=None):
+    """Best-first MBM over the flat snapshot in loop ``mode`` (module docstring).
 
     ``key`` is the cheap key as data, ``(scale, low, high, offset,
     charge)`` (module docstring); it defaults to Heuristic 2's, and the
-    root is keyed ``-offset``.  ``paper_key`` is best-first's mode
-    (module docstring): children keyed by ``query.mindist_lower_bounds``
-    when their parent is read, leaf rows under their leaf's key.
+    root is keyed ``-offset``.  ``mode`` is :data:`_TANGENT`,
+    :data:`_PAPER` (children keyed by ``query.mindist_lower_bounds``
+    when their parent is read, leaf rows under their leaf's key) or
+    :data:`_CHEAP`.
 
     A heap entry is ``(key, tie, node, plane)``.  A keyed entry carries
-    its tangent plane (sums) or :data:`_KEYED` and is read when it
-    reaches the head; an entry whose ``plane`` slot holds
+    its tangent plane (:data:`_TANGENT`) or :data:`_KEYED` and is read
+    when it reaches the head; an entry whose ``plane`` slot holds
     :class:`_Children` stands for a read node's children still under
     their cheap keys and is handed to :func:`_evaluate`.  Reading a node
     scores its whole child or leaf slice with one or two kernel calls:
@@ -273,9 +289,8 @@ def _mbm_best_first(
     charge = key[4]
     counter = itertools.count()
     heap = [(0.0 - key[3], next(counter), 0, _KEYED)] if len(flat) else []
-    deferred = use_heuristic3 and not paper_key
-    tangent = deferred and query.aggregate == kernels.SUM and bool(heap)
-    anchor = _tangent_anchor(cost, query.points, query.weights) if tangent else None
+    tangent, paper_key = mode == _TANGENT, mode == _PAPER
+    anchor = _tangent_anchor(cost, query.points, query.weights) if tangent and heap else None
     runs = []
     if pages is not None:
         keys = _cheap_keys(key, kernels.boxes_mindist_box, pages.lows, pages.highs)
@@ -319,7 +334,7 @@ def _mbm_best_first(
                 ordered = keys.take(order).tolist()
                 survivors = bisect.bisect_left(ordered, best.best_dist)
                 order += start  # the children's node ids, in ascending cheap key
-                if not deferred:  # the key is final (ablation, best-first): push each child
+                if not tangent:  # the key is final (paper's bound or cheap): push each child
                     for child_key, child in zip(ordered[:survivors], order[:survivors].tolist()):
                         heapq.heappush(heap, (child_key, next(counter), child, _KEYED))
                 elif survivors:
@@ -398,14 +413,12 @@ def _take(heap, counter, parent, children, ceiling) -> dict:
 def _evaluate(flat, query, best, heap, counter, parent, children, anchor, cost) -> None:
     """Key the unevaluated children at the heap head by their own bounds.
 
-    :func:`_take` picks them; one kernel call scores them: for sums each
-    node's tangent plane at ``clip(anchor, N)`` (``n`` distance
-    computations) and its minimum over ``N`` (one), plus the paper's
+    :func:`_take` picks them; one kernel call scores them: each node's
+    tangent plane at ``clip(anchor, N)`` (``n`` distance computations)
+    and its minimum over ``N`` (one), plus the paper's
     ``sum_i mindist(N, q_i)`` for internal nodes (``n``; they are put
-    first); for ``max``/``min`` (``anchor`` is ``None``) the paper's
-    bound alone.  Each goes back under the largest of that and its cheap
-    key, carrying its plane, or is dropped once that reaches
-    ``best_dist``.
+    first).  Each goes back under the largest of that and its cheap key,
+    carrying its plane, or is dropped once that reaches ``best_dist``.
     """
     best_dist = best.best_dist
     inner, outer = _take(heap, counter, parent, children, best_dist).values()
@@ -419,24 +432,18 @@ def _evaluate(flat, query, best, heap, counter, parent, children, anchor, cost) 
     count = len(cheap_keys)
     internal = sum(last - first for _, first, last in inner)
     lows, highs = flat.lows.take(nodes, axis=0), flat.highs.take(nodes, axis=0)
+    planes = kernels.group_tangent_planes(lows, highs, query.points, anchor, query.weights)
+    bounds = kernels.plane_lower_bounds(*planes, lows, highs)
+    if internal:
+        head = bounds[:internal]
+        np.maximum(head, query.mindist_lower_bounds(lows[:internal], highs[:internal]), out=head)
     cardinality = query.cardinality
-    if anchor is None:
-        bounds = query.mindist_lower_bounds(lows, highs)
-        cost.record_distance_computations(cardinality * count)
-        planes = None
-    else:
-        planes = kernels.group_tangent_planes(lows, highs, query.points, anchor, query.weights)
-        bounds = kernels.plane_lower_bounds(*planes, lows, highs)
-        if internal:
-            head = bounds[:internal]
-            np.maximum(head, query.mindist_lower_bounds(lows[:internal], highs[:internal]), out=head)
-        cost.record_distance_computations((cardinality + 1) * count + cardinality * internal)
+    cost.record_distance_computations((cardinality + 1) * count + cardinality * internal)
     rows = zip(bounds.tolist(), cheap_keys, nodes.tolist())
     for row, (bound, cheap, node) in enumerate(rows):
         key = bound if bound > cheap else cheap
         if key < best_dist:
-            plane = _KEYED if planes is None else (planes, row)
-            heapq.heappush(heap, (key, next(counter), node, plane))
+            heapq.heappush(heap, (key, next(counter), node, (planes, row)))
 
 
 class _Run:

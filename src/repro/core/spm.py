@@ -11,9 +11,9 @@ so a node or point whose key ``n * mindist(., c) - dist(c, Q)`` reaches
 That key has the shape of MBM's Heuristic 2, ``W * mindist(., M)``, with
 the box ``M`` shrunk to the point ``c`` and an offset, so SPM is MBM's
 best-first loop (:func:`repro.core.mbm._mbm_best_first`) under this key
-and without Heuristic 3: nodes are read in ascending key and the search
-stops when the smallest key left reaches ``best_dist``, so Heuristic 1
-prunes nodes as well as points.  The key is monotone in ``mindist(., c)``,
+in its cheap-key mode (no Heuristic 3): nodes are read in ascending key
+and the search stops when the smallest key left reaches ``best_dist``,
+so Heuristic 1 prunes nodes as well as points.  The key is monotone in ``mindist(., c)``,
 so the visiting order is the paper's, nearest to the centroid first.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from repro.core.centroid import compute_centroid
-from repro.core.mbm import _delta, _mbm_best_first
+from repro.core.mbm import _CHEAP, _delta, _mbm_best_first
 from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.geometry.distance import group_distance
 from repro.rtree.flat import FlatRTree
@@ -70,5 +70,5 @@ def spm(
     pages, exclude = _delta(tree, overlay)
     centroid = compute_centroid(query.points, method=centroid_method)
     key = (query.cardinality, centroid, centroid, group_distance(centroid, query.points), 0)
-    _mbm_best_first(tree, query, best, False, cost, exclude, pages=pages, key=key)
+    _mbm_best_first(tree, query, best, _CHEAP, cost, exclude, pages=pages, key=key)
     return GNNResult(neighbors=best.neighbors(), cost=cost.finish())

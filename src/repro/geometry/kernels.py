@@ -202,9 +202,8 @@ def boxes_mindist_boxes(
 
     Returns a ``(B, m)`` array whose row ``b`` equals
     :func:`boxes_mindist_box` for ``[query_lows[b], query_highs[b]]``.
-    The shared batch traversal scores one child slice (or leaf, as
-    zero-extent boxes) against the MBRs of its active members in this
-    single call.
+    F-MBM orders a leaf's query blocks by their summaries' distance to
+    it with this call.
     """
     return _norms(
         _gap(
@@ -267,16 +266,13 @@ def group_tangent_planes(
     ``f(a) + W * |high - low|_1``, so that :func:`plane_lower_bounds`
     never exceeds the computed distance of a point inside that box.
 
-    ``group`` is ``(n, dims)`` with an ``(dims,)`` anchor, or a stack
-    ``(B, n, dims)`` with ``(B, dims)`` anchors (unweighted): values are
-    ``(..., m)``, gradients and origins ``(..., m, dims)``, each row
-    bit-identical to the per-group call.
+    ``lows`` and ``highs`` are ``(m, dims)``, ``group`` ``(n, dims)`` and
+    ``anchor`` ``(dims,)``: values are ``(m,)``, gradients and origins
+    ``(m, dims)``.
     """
-    origins = np.minimum(np.maximum(anchor[..., None, :], lows), highs)
-    # (dims, ..., m, n) differences, kept past the norms for the gradient.
-    deltas = np.subtract(
-        _axis_major(origins)[..., None], _axis_major(group)[..., None, :], order="C"
-    )
+    origins = np.minimum(np.maximum(anchor, lows), highs)
+    # (dims, m, n) differences, kept past the norms for the gradient.
+    deltas = np.subtract(origins.T[:, :, None], group.T[:, None, :], order="C")
     dist = np.add.reduce(deltas * deltas, axis=0)  # _norms, keeping ``deltas``
     np.sqrt(dist, out=dist)
     values = reduce_aggregate(dist, SUM, weights)
@@ -285,10 +281,10 @@ def group_tangent_planes(
     if weights is not None:
         deltas *= weights
     gradients = np.add.reduce(deltas, axis=-1)
-    total = float(group.shape[-2]) if weights is None else float(weights.sum())
+    total = float(group.shape[0]) if weights is None else float(weights.sum())
     values *= 1.0 - TANGENT_MARGIN
     values -= (TANGENT_MARGIN * total) * np.add.reduce(highs - lows, axis=-1)
-    return values, gradients.transpose((*range(1, gradients.ndim), 0)), origins
+    return values, gradients.T, origins
 
 
 def plane_lower_bounds(values, gradients, origins, lows: np.ndarray, highs: np.ndarray):

@@ -22,9 +22,10 @@ distances, and the CPU smoke guard times it against this.
 delta was paged into the heap: the whole delta is scanned first, as one
 leaf keyed by Heuristic 2 (:func:`_process_leaf`: a mindist per row,
 ``n`` distances per row it cannot prune), then the base is traversed by
-the production driver with no delta.  Paged MBM must return
-its neighbours and distances, read exactly its nodes and charge no more
-distance computations (the differential test and the CPU smoke guard).
+the production loop, in the mode ``mbm`` picks, with no delta.  Paged
+MBM must return its neighbours and distances, read exactly its nodes
+and charge no more distance computations (the differential test and the
+CPU smoke guard).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.core.heuristics import (
     heuristic3_prunes_batch,
     heuristic3_prunes_precomputed,
 )
-from repro.core.mbm import _divisor, _mbm_best_first as _mbm_base_traversal, _tangent_anchor
+from repro.core.mbm import _divisor, _mbm_best_first as _mbm_base_traversal, _mode, _tangent_anchor
 from repro.core.types import BestList, GNNResult, GroupNeighbor, QueryCost
 from repro.geometry import kernels
 from repro.rtree.flat import FlatRTree
@@ -73,7 +74,8 @@ def mbm_seed_first(tree, query, use_heuristic3=True, overlay=None, within=math.i
             _process_leaf(tree, points, record_ids, query, best, _divisor(query), cost)
         exclude = overlay.tombstones or None
     if len(tree) > 0:
-        _mbm_base_traversal(tree, query, best, use_heuristic3, cost, exclude)
+        mode = _mode(query, use_heuristic3)
+        _mbm_base_traversal(tree, query, best, mode, cost, exclude)
     return GNNResult(neighbors=best.neighbors(), cost=cost.finish())
 
 
@@ -169,11 +171,34 @@ def boxes_group_tangent_bound(lows, highs, group, anchor, weights=None) -> np.nd
 
     Each box's own plane (``kernels.group_tangent_planes``) minimised
     over it (``kernels.plane_lower_bounds``): ``n`` distance evaluations
-    per box.  Shapes as ``group_tangent_planes``; the result is
-    ``(..., m)``.
+    per box.  Shapes as ``group_tangent_planes``; the result is ``(m,)``.
     """
     planes = kernels.group_tangent_planes(lows, highs, group, anchor, weights)
     return kernels.plane_lower_bounds(*planes, lows, highs)
+
+
+def stacked_tangent_bounds(lows, highs, groups, anchors) -> np.ndarray:
+    """:func:`boxes_group_tangent_bound` of ``(m, dims)`` boxes for ``B`` unweighted groups at once.
+
+    ``groups`` is ``(B, n, dims)`` and ``anchors`` ``(B, dims)``; the
+    result is ``(B, m)``, row ``b`` bit-identical to the per-group call:
+    ``kernels.group_tangent_planes``' arithmetic with a leading member
+    axis, so :func:`mbm_batch_reference` keys a child slice for all its
+    members in one call.
+    """
+    origins = np.minimum(np.maximum(anchors[:, None, :], lows), highs)  # (B, m, dims)
+    deltas = np.subtract(
+        origins.transpose(2, 0, 1)[..., None], groups.transpose(2, 0, 1)[:, :, None, :], order="C"
+    )  # (dims, B, m, n)
+    dist = np.add.reduce(deltas * deltas, axis=0)
+    np.sqrt(dist, out=dist)
+    values = np.add.reduce(dist, axis=-1)
+    np.putmask(dist, dist == 0.0, np.inf)
+    deltas /= dist
+    gradients = np.add.reduce(deltas, axis=-1).transpose(1, 2, 0)  # (B, m, dims)
+    values *= 1.0 - kernels.TANGENT_MARGIN
+    values -= (kernels.TANGENT_MARGIN * groups.shape[1]) * np.add.reduce(highs - lows, axis=-1)
+    return kernels.plane_lower_bounds(values, gradients, origins, lows, highs)
 
 
 def batched_aggregate_distances(points, groups, aggregate=kernels.SUM) -> np.ndarray:
@@ -337,7 +362,7 @@ def mbm_batch_reference(
             members = np.flatnonzero(survives.any(axis=1))
             if members.size:
                 stacked = groups[members]
-                bounds = boxes_group_tangent_bound(lows, highs, stacked, anchors[members])
+                bounds = stacked_tangent_bounds(lows, highs, stacked, anchors[members])
                 wide = bool(flat.levels[index] > 1)  # the children are internal nodes
                 if wide:
                     bounds = np.maximum(

@@ -156,13 +156,14 @@ class TestMemoryEquivalenceMatrix:
         if aggregate == "sum":
             assert {"mqm", "spm", "mbm", "best-first", "brute-force"} <= ran
         else:
-            assert {"best-first", "brute-force"} <= ran
+            assert {"mbm", "best-first", "brute-force"} <= ran
 
     @pytest.mark.parametrize("aggregate", ["sum", "max", "min"])
     def test_weighted_queries_agree_with_brute_force(
         self, answer_context, dims_dataset, aggregate
     ):
         rng = np.random.default_rng(SEED + 2)
+        ran = set()
         for group in _shared_groups(dims_dataset.shape[1]):
             weights = rng.uniform(0.5, 2.0, size=group.shape[0])
             base = QuerySpec(group=group, k=3, aggregate=aggregate, weights=weights)
@@ -173,10 +174,12 @@ class TestMemoryEquivalenceMatrix:
                 )
                 if not info.supports(spec):
                     continue
+                ran.add(info.name)
                 result = execute_spec(answer_context, spec)
                 _assert_matches_reference(
                     result, reference, f"{info.name} weighted aggregate={aggregate}"
                 )
+        assert {"mbm", "best-first", "brute-force"} <= ran
 
 
 class TestEightDimensions:

@@ -95,15 +95,18 @@ class TestExecuteMany:
             QuerySpec(group=group, k=3, algorithm="mqm"),
             QuerySpec(group=group, k=3, algorithm="brute-force"),
             QuerySpec(group=group, k=3, weights=np.full(6, 2.0)),
+            QuerySpec(group=group, k=3, aggregate="max", algorithm="best-first"),
         ]
         batch = engine.execute_many(specs)
         reference = engine.execute(specs[0])
         assert batch[0].distances() == pytest.approx(reference.distances())
         assert batch[2].distances() == pytest.approx(reference.distances())
         assert batch[3].distances() == pytest.approx(reference.distances())
+        assert batch[1].distances() == batch[5].distances()
         labels = [outcome.cost.algorithm for outcome in batch]
-        assert labels[1].startswith("best-first")
+        assert labels[1].startswith("MBM")
         assert labels[3] == "brute-force"
+        assert labels[5].startswith("best-first")
 
     @pytest.mark.parametrize("dirty", [False, True], ids=["clean", "dirty"])
     def test_brute_force_batch_matches_per_spec_execute(

@@ -55,10 +55,10 @@ class TestRegistry:
 
 
 class TestCapabilityChecks:
-    def test_mbm_rejects_max_aggregate(self):
+    def test_spm_rejects_max_aggregate(self):
         planner = QueryPlanner()
-        with pytest.raises(ValueError, match="mbm.*supports aggregates.*'max'"):
-            planner.plan(QuerySpec(group=GROUP, algorithm="mbm", aggregate="max"))
+        with pytest.raises(ValueError, match="spm.*supports aggregates.*'max'"):
+            planner.plan(QuerySpec(group=GROUP, algorithm="spm", aggregate="max"))
 
     def test_mqm_rejects_weighted_queries(self):
         planner = QueryPlanner()
@@ -135,7 +135,7 @@ class TestCapabilityChecks:
             for info in planner.candidates(QuerySpec(group=GROUP, aggregate="max"))
         }
         assert "mbm" in sum_names and "mqm" in sum_names
-        assert max_names <= {"best-first", "brute-force"}
+        assert max_names == {"mbm", "best-first", "brute-force"}
 
 
 class TestAutoPolicy:
@@ -145,11 +145,11 @@ class TestAutoPolicy:
         assert "overall winner" in plan.rationale
 
     @pytest.mark.parametrize("aggregate", ["max", "min"])
-    def test_memory_other_aggregates_choose_best_first(self, aggregate):
+    def test_memory_other_aggregates_choose_mbm(self, aggregate):
+        # MBM keys max/min by the paper's bound, the traversal best-first runs.
         plan = QueryPlanner().plan(QuerySpec(group=GROUP, aggregate=aggregate))
-        assert plan.algorithm.name == "best-first"
-        assert aggregate in plan.rationale
-        assert "sums only" in plan.rationale
+        assert plan.algorithm.name == "mbm"
+        assert "overall winner" in plan.rationale
 
     def test_memory_weighted_sum_chooses_mbm(self):
         # MBM answers weighted sums exactly and reads fewer nodes than
@@ -157,13 +157,13 @@ class TestAutoPolicy:
         # 5 node accesses against 9).
         plan = QueryPlanner().plan(QuerySpec(group=GROUP, weights=[1.0, 2.0, 3.0]))
         assert plan.algorithm.name == "mbm"
-        assert "weighted" in plan.rationale
+        assert plan.rationale == QueryPlanner().plan(QuerySpec(group=GROUP)).rationale
 
-    def test_memory_weighted_max_chooses_best_first(self):
+    def test_memory_weighted_max_chooses_mbm(self):
         spec = QuerySpec(group=GROUP, weights=[1.0, 2.0, 3.0], aggregate="max")
         plan = QueryPlanner().plan(spec)
-        assert plan.algorithm.name == "best-first"
-        assert "weighted max aggregate" in plan.rationale
+        assert plan.algorithm.name == "mbm"
+        assert "overall winner" in plan.rationale
 
     def test_disk_few_blocks_chooses_fmqm(self, rng):
         file = PointFile(rng.uniform(0, 1, size=(100, 2)), points_per_page=50, block_pages=10)
@@ -266,7 +266,7 @@ class TestStatelessPlanning:
             plan_b.options,
         )
         assert planner.plan(a.replace(k=4)).spec.k == 4
-        assert planner.plan(a.replace(aggregate="max")).algorithm.name == "best-first"
+        assert planner.plan(a.replace(aggregate="max")).algorithm.name == "mbm"
 
     def test_concurrent_planning_matches_serial_planning(self):
         planner = QueryPlanner()

@@ -12,6 +12,7 @@ from repro.api.spec import QuerySpec
 from repro.core.aggregates import aggregate_gnn, group_nn_stream
 from repro.core.bruteforce import brute_force_gnn
 from repro.core.engine import GNNEngine
+from repro.core.mbm import mbm
 from repro.core.types import GroupQuery, QueryCost
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -83,8 +84,10 @@ class TestBestFirstAgainstTheStreamReference:
     stream reads on to its first emission past ``within``), the root's
     key is free, and delta rows are reached in ascending bound, so
     neither count is ever higher; answers are the reference's, id for id
-    and float for float.  Coordinates are continuous: the order exact
-    ties are met in is not pinned.
+    and float for float.  ``mbm`` runs ``max``/``min`` in best-first's
+    mode, so there it must equal ``aggregate_gnn`` in answers and in
+    both counts.  Coordinates are continuous: the order exact ties are
+    met in is not pinned.
     """
 
     @given(data=st.data())
@@ -125,6 +128,12 @@ class TestBestFirstAgainstTheStreamReference:
         else:
             assert result.cost.node_accesses <= expected.cost.node_accesses
         assert result.cost.distance_computations <= expected.cost.distance_computations
+        if aggregate != "sum":
+            twin = mbm(flat, query, overlay=overlay, within=within)
+            assert twin.record_ids() == result.record_ids()
+            assert twin.distances() == result.distances()
+            assert twin.cost.node_accesses == result.cost.node_accesses
+            assert twin.cost.distance_computations == result.cost.distance_computations
 
     def test_delta_rows_are_reached_in_ascending_bound(self):
         """A delta run offers rows only up to the next run's bound, so it waits for a closer page.
@@ -166,9 +175,9 @@ class TestEngineMemoryQueries:
         result = _memory(engine, rng.uniform(200, 800, size=(5, 2)), k=2)
         assert result.cost.algorithm.startswith("MBM")
 
-    def test_auto_uses_best_first_for_other_aggregates(self, engine, rng):
+    def test_auto_uses_mbm_for_other_aggregates(self, engine, rng):
         result = _memory(engine, rng.uniform(200, 800, size=(5, 2)), k=2, aggregate="max")
-        assert "best-first" in result.cost.algorithm
+        assert result.cost.algorithm.startswith("MBM")
 
     @pytest.mark.parametrize("algorithm", ["mqm", "spm", "mbm", "best-first", "brute-force"])
     def test_every_algorithm_gives_the_same_answer(self, engine, rng, algorithm):

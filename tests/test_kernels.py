@@ -14,7 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mbm_reference import batched_aggregate_distances, boxes_group_tangent_bound
+from mbm_reference import (
+    batched_aggregate_distances,
+    boxes_group_tangent_bound,
+    stacked_tangent_bounds,
+)
 
 from repro.core.centroid import weiszfeld_centroid
 from repro.geometry import kernels
@@ -357,6 +361,8 @@ class TestBatchKernels:
         query_highs = groups.max(axis=1)
         mindists = kernels.boxes_mindist_boxes(lows, highs, query_lows, query_highs)
         bounds = kernels.boxes_group_mindist(lows[None], highs[None], groups)
+        anchors = groups.mean(axis=1)
+        tangents = stacked_tangent_bounds(lows, highs, groups, anchors)
         for b in range(batch):
             assert np.array_equal(
                 mindists[b],
@@ -364,6 +370,9 @@ class TestBatchKernels:
             )
             assert np.array_equal(
                 bounds[b], kernels.boxes_group_mindist(lows, highs, groups[b])
+            )
+            assert np.array_equal(
+                tangents[b], boxes_group_tangent_bound(lows, highs, groups[b], anchors[b])
             )
 
     @given(data=boxes_and_group(), batch=st.integers(min_value=1, max_value=4))
@@ -374,19 +383,12 @@ class TestBatchKernels:
         lows, highs, group, _ = data
         groups = self._stack(group, batch)
         pairs = np.arange(len(lows)) % batch
-        stacked, anchors = groups[pairs], groups.mean(axis=1)[pairs]
-        box_lows, box_highs = lows[:, None, :], highs[:, None, :]
-        bounds = kernels.boxes_group_mindist(box_lows, box_highs, stacked)
-        planes = kernels.group_tangent_planes(box_lows, box_highs, stacked, anchors)
-        tangents = kernels.plane_lower_bounds(*planes, box_lows, box_highs)
+        stacked = groups[pairs]
+        bounds = kernels.boxes_group_mindist(lows[:, None, :], highs[:, None, :], stacked)
         for p, member in enumerate(pairs):
             box = slice(p, p + 1)
             assert np.array_equal(
                 bounds[p], kernels.boxes_group_mindist(lows[box], highs[box], groups[member])
-            )
-            assert np.array_equal(
-                tangents[p],
-                boxes_group_tangent_bound(lows[box], highs[box], groups[member], anchors[p]),
             )
 
     @given(data=boxes_and_group())

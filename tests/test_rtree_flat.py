@@ -202,6 +202,8 @@ class TestTraversalPins:
         assert _costs(result) == (5, 2, 419)  # (5, 2, 518) with eager keys
 
     # On the group-NN stream the distance computations were 765 and 1620.
+    # MBM runs max/min in best-first's paper-key mode: the same pins.
+    @pytest.mark.parametrize("driver", [aggregate_gnn, mbm])
     @pytest.mark.parametrize(
         "aggregate, ids, distances, costs",
         [
@@ -211,9 +213,9 @@ class TestTraversalPins:
              [5.511092164029355, 6.28114477399344, 6.610876050041234], (12, 7, 1611)),
         ],
     )
-    def test_aggregate_generalisations(self, flat, aggregate, ids, distances, costs):
+    def test_aggregate_generalisations(self, flat, driver, aggregate, ids, distances, costs):
         group = np.random.default_rng(8).uniform(100, 900, size=(9, 2))
-        result = aggregate_gnn(flat, GroupQuery(group, k=3, aggregate=aggregate))
+        result = driver(flat, GroupQuery(group, k=3, aggregate=aggregate))
         assert result.record_ids() == ids
         assert result.distances() == distances
         assert _costs(result) == costs
