@@ -5,9 +5,14 @@ bulk load packs straight into the snapshot arrays; these guards fail
 loudly if a per-record (or per-page) Python object creeps back onto the
 path every engine start, compaction and shard publish takes.  Sized
 from ``pp_like(100_000)`` on a shared 2-core container — STR packer
-0.023 s / 2.6x the input's bytes / 0.08 s to partition, object packers
+0.023 s / 2.6x the input's bytes / 0.047 s to partition, object packers
 0.69 s / 25x / 1.13 s — with ~5x headroom or more for a slow runner, so
 each limit still sits below what one object per record costs.  The
+partition's allocation peak is a count, not a time, so its limit sits
+close: 3.6x the input's bytes with chunk-table Hilbert keys, a radix
+rank and a mark-array id check, against 5.5x for per-level key passes,
+a comparison argsort and a sorted copy of the ids.  Shard node processes
+fork from the partitioning process, so this heap is what they inherit.  The
 first write into an engine finds base records by binary search in the
 snapshot's id index: it peaks at 1.0x the points' bytes, against 8.2x
 for a ``{record_id: row}`` map over every base record.
@@ -27,7 +32,8 @@ from repro.shard.partition import partition_dataset
 
 MAX_BULK_LOAD_S = 0.25
 MAX_PEAK_OVER_INPUT = 10.0
-MAX_PARTITION_S = 0.5
+MAX_PARTITION_S = 0.25
+MAX_PARTITION_PEAK_OVER_INPUT = 4.5
 MAX_FIRST_WRITE_OVER_INPUT = 3.0
 
 
@@ -71,6 +77,21 @@ def test_smoke_partition_time(points, tmp_path):
     assert elapsed < MAX_PARTITION_S, (
         f"partitioning 100k points into 2 shards took {elapsed:.3f}s "
         f"(limit {MAX_PARTITION_S}s)"
+    )
+
+
+def test_smoke_partition_allocations(points, tmp_path):
+    tracemalloc.start()
+    try:
+        manifest = partition_dataset(points, shards=2, directory=tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert manifest.size == len(points)
+    ratio = peak / points.nbytes
+    assert ratio < MAX_PARTITION_PEAK_OVER_INPUT, (
+        f"partitioning 100k points peaked at {ratio:.2f}x the input's bytes "
+        f"(limit {MAX_PARTITION_PEAK_OVER_INPUT}x)"
     )
 
 

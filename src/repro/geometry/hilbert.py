@@ -12,10 +12,12 @@ per-dimension precision), supporting arbitrary dimensionality.
 Two forms of the same curve live here.  The scalar functions
 (:func:`hilbert_index_2d`, :func:`hilbert_index`) map one grid cell with
 Python integers.  :func:`hilbert_indices` maps a whole collection: the
-same rotate-and-flip step, run once per curve level over every point at
-a time on int64 columns, so a bulk load, a query-group sort or a
-federation (re)partition pays ``order`` array passes instead of one
-interpreter loop per point.  The two agree key for key.
+same rotate-and-flip step, tabulated for four curve levels at a time and
+looked up over every point at once, so a bulk load, a query-group sort
+or a federation (re)partition pays ``order / 4`` array passes instead of
+one interpreter loop per point.  The two agree key for key.
+:func:`rank_keys` orders a federation's keys by radix passes over
+16-bit digits.
 """
 
 from __future__ import annotations
@@ -55,13 +57,28 @@ def hilbert_index_2d(x: int, y: int, order: int = DEFAULT_ORDER) -> int:
 
 
 def _normalise_to_grid(points: np.ndarray, order: int) -> np.ndarray:
-    """Scale points into the integer grid ``[0, 2**order)`` per dimension."""
-    low = points.min(axis=0)
-    high = points.max(axis=0)
-    span = np.where(high > low, high - low, 1.0)
+    """Scale points into the integer grid ``[0, 2**order)`` per dimension.
+
+    One column at a time (a contiguous reduction and one float scratch
+    column instead of strided ``axis=0`` passes over every coordinate);
+    the result is column-major, so each grid column is contiguous too.
+    """
+    count, dims = points.shape
     side = (1 << order) - 1
-    scaled = np.floor((points - low) / span * side).astype(np.int64)
-    return np.clip(scaled, 0, side)
+    grid = np.empty((count, dims), dtype=np.int64, order="F")
+    scratch = np.empty(count)
+    for dim in range(dims):
+        column = points[:, dim]
+        low = column.min()
+        high = column.max()
+        np.subtract(column, low, out=scratch)
+        scratch /= high - low if high > low else 1.0
+        scratch *= side
+        np.floor(scratch, out=scratch)
+        cells = grid[:, dim]
+        cells[...] = scratch
+        np.clip(cells, 0, side, out=cells)
+    return grid
 
 
 def hilbert_index(point, order: int = DEFAULT_ORDER, grid: np.ndarray | None = None) -> int:
@@ -100,31 +117,70 @@ def hilbert_indices(points: np.ndarray, order: int | None = None) -> np.ndarray:
         )
     grid = _normalise_to_grid(pts, order)
     if dims == 2:
-        return _hilbert_keys_2d(grid[:, 0].copy(), grid[:, 1].copy(), order)
+        return _hilbert_keys_2d(grid[:, 0], grid[:, 1], order)
     return _zorder_keys(grid, order)
 
 
-def _hilbert_keys_2d(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    """:func:`hilbert_index_2d` over int64 columns (consumed as scratch).
+#: Curve levels one table lookup covers: a 4-bit chunk of x and of y.
+_CHUNK_BITS = 4
 
-    Branch-free form of the scalar loop.  Below bit ``s`` the flip
-    ``s - 1 - x`` is the bit complement, i.e. ``x ^ (s - 1)``, and later
-    levels only test those lower bits, so the keys are the same; the swap
-    is the usual masked XOR exchange.
+
+def _chunk_table(bits: int) -> np.ndarray:
+    """The rotate-and-flip step of :func:`hilbert_index_2d`, ``bits`` levels at a time.
+
+    The transform the scalar loop applies to the bits below a level is
+    one of four: identity, swap, flip (complement both) or both — the
+    *state*, bit 0 the swap and bit 1 the flip.  Entry
+    ``(state << 2 * bits) | (x_chunk << bits) | y_chunk`` holds the
+    chunk's ``2 * bits`` key bits shifted left by 2, or'ed with the state
+    the next chunk starts in.  Built with one array pass per level over
+    all ``4 << 2 * bits`` entries (1024 ``uint16`` for 4-bit chunks).
     """
-    keys = np.zeros(x.shape[0], dtype=np.int64)
-    for level in range(order - 1, -1, -1):
-        s = 1 << level
+    cells = 1 << (2 * bits)
+    entry = np.arange(4 * cells, dtype=np.int64)
+    state = entry >> (2 * bits)
+    x = (entry >> bits) & ((1 << bits) - 1)
+    y = entry & ((1 << bits) - 1)
+    digits = np.zeros_like(entry)
+    for level in range(bits - 1, -1, -1):
         rx = (x >> level) & 1
         ry = (y >> level) & 1
-        keys += (s * s) * ((3 * rx) ^ ry)
-        # rotate the quadrant: flip where (rx, ry) == (1, 0), swap where ry == 0
-        flip = (rx & (ry ^ 1)) * (s - 1)
-        x ^= flip
-        y ^= flip
-        swap = (x ^ y) & (ry - 1)
-        x ^= swap
-        y ^= swap
+        # read the chunk's bits through the transform: swap, then flip
+        change = ((rx ^ ry) & state) ^ (state >> 1)
+        rx ^= change
+        ry ^= change
+        digits = (digits << 2) | ((3 * rx) ^ ry)
+        # ry == 0 swaps the quadrant; (rx, ry) == (1, 0) also flips it
+        state ^= (ry ^ 1) | ((rx & (ry ^ 1)) << 1)
+    return ((digits << 2) | state).astype(np.uint16)
+
+
+_CHUNK_TABLE = _chunk_table(_CHUNK_BITS)
+
+
+def _hilbert_keys_2d(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    """:func:`hilbert_index_2d` over int64 grid columns (read only).
+
+    One table lookup per chunk of :data:`_CHUNK_BITS` levels, top chunk
+    first.  An order that is not a whole number of chunks is padded with
+    leading zero levels; each zero level is a plain swap that adds no key
+    bits, so the walk starts in the swap state when the padding is odd
+    and reaches the first real level in the identity, as the scalar
+    loop does.
+    """
+    bits = _CHUNK_BITS
+    mask = (1 << bits) - 1
+    padding = -order % bits
+    state = np.full(x.shape[0], padding & 1, dtype=np.uint16)
+    keys = np.zeros(x.shape[0], dtype=np.int64)
+    for shift in range(order + padding - bits, -1, -bits):
+        index = state << (2 * bits)
+        index |= ((x >> shift) & mask).astype(np.uint16) << bits
+        index |= ((y >> shift) & mask).astype(np.uint16)
+        entry = _CHUNK_TABLE[index]
+        keys <<= 2 * bits
+        keys |= entry >> 2
+        state = entry & 3
     return keys
 
 
@@ -136,6 +192,25 @@ def _zorder_keys(grid: np.ndarray, order: int) -> np.ndarray:
         for dim in range(dims):
             keys |= ((grid[:, dim] >> bit) & 1) << (bit * dims + dim)
     return keys
+
+
+def rank_keys(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for non-negative int64 keys.
+
+    Least-significant digit first over 16-bit digits: every pass is a
+    stable argsort of a ``uint16`` column, which NumPy runs as a radix
+    sort, and a stable pass keeps the order the lower digits set among
+    equal digits, so the result is the stable argsort's permutation.  A
+    16-level curve key takes two passes.
+    """
+    top = int(keys.max(initial=0))
+    ranked = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digits = (keys[ranked] >> shift).astype(np.uint16)
+        ranked = ranked[np.argsort(digits, kind="stable")]
+        shift += 16
+    return ranked
 
 
 def hilbert_sort(points: np.ndarray, order: int | None = None) -> np.ndarray:

@@ -36,23 +36,34 @@ def resolve_record_ids(count: int, record_ids) -> np.ndarray:
     record ids, so federated answers merge against the same identifier
     space as a single index over the whole dataset.  The id is the key
     of delete, tombstones and the federated merge, so supplied ids must
-    be whole numbers and distinct.
+    be whole numbers and distinct.  An int64 vector is returned as it
+    is, not copied (the snapshot stores ``ids[order]``).
     """
     if record_ids is None:
         return np.arange(count, dtype=np.int64)
     given = np.asarray(record_ids)
     with np.errstate(invalid="ignore"):  # NaN ids are reported below, not warned about
-        ids = given.astype(np.int64)
+        ids = given.astype(np.int64, copy=False)
     if ids.ndim != 1 or ids.shape[0] != count:
         raise ValueError(
             f"record_ids must be a flat vector with one id per point "
             f"({count}), got shape {ids.shape}"
         )
-    fractional = given != ids
-    if fractional.any():
-        raise ValueError(
-            f"record ids must be integers, got {given[np.argmax(fractional)]}"
-        )
+    if ids is not given:
+        fractional = given != ids
+        if fractional.any():
+            raise ValueError(
+                f"record ids must be integers, got {given[np.argmax(fractional)]}"
+            )
+    top = int(ids.max()) if count else 0
+    if count and ids.min() >= 0 and top < 8 * count:
+        # Dense ids (row numbers, a shard's global rows, an engine's
+        # live ids): one mark per possible id, at most the 8 bytes per id
+        # the sort below allocates.
+        marks = np.zeros(top + 1, dtype=bool)
+        marks[ids] = True
+        if np.count_nonzero(marks) == count:
+            return ids
     ranked = np.sort(ids)
     repeated = ranked[1:] == ranked[:-1]
     if repeated.any():

@@ -160,13 +160,16 @@ class CompactingWriter:
                 # *then* the WAL is truncated.  The writer lock spans
                 # both, so no insert/delete can land in the window and
                 # be dropped by the truncation.
-                path = self.store.publish(flat)
+                path = self.store.publish(flat, collect=False)
                 if self.engine.wal is not None:
                     self.engine.wal.reset(flat.generation)
                 if self.server is not None:
                     # Serve the durable file itself: saving it again would
                     # write it a second time, without fsync.
                     self.server.swap_snapshot(path)
+                # Only now drop older generations: no batch dispatched
+                # from here on names them.
+                self.store.collect_garbage(flat.generation)
             elif self.server is not None:
                 self.server.publish_snapshot(flat)
             return flat

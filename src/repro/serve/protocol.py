@@ -24,6 +24,7 @@ time, with the reason named — not deep inside a worker.
 from __future__ import annotations
 
 import pickle
+import socket
 import struct
 from dataclasses import dataclass
 from typing import Any
@@ -213,6 +214,17 @@ async def read_frame(reader) -> Any:
     except asyncio.IncompleteReadError as error:
         raise ConnectionError("connection closed mid-frame (truncated payload)") from error
     return pickle.loads(payload)
+
+
+def set_nodelay(writer) -> None:
+    """Send a stream's frames at once: turn Nagle's algorithm off on its socket.
+
+    asyncio does this by itself only for sockets made with protocol
+    ``IPPROTO_TCP``; the connections a ``socket.create_server`` listener
+    accepts have protocol 0, and with Nagle on a small reply written
+    behind an unacknowledged one waits out the peer's delayed ACK.
+    """
+    writer.get_extra_info("socket").setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def encode_result(result: GNNResult) -> GNNResult:

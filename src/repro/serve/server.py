@@ -92,8 +92,12 @@ class GNNServer:
     Parameters
     ----------
     snapshot_path:
-        A snapshot persisted by :meth:`FlatRTree.save`.  Workers map it
-        with ``mmap_mode="r"``; nothing is copied per worker.
+        A snapshot persisted by :meth:`FlatRTree.save`.  The server maps
+        it with ``mmap_mode="r"`` and keeps the mapping of the snapshot
+        it currently serves; forked workers inherit that mapping, so a
+        worker never opens a file that may since have been
+        garbage-collected (spawned workers map the path themselves).
+        Nothing is copied per worker.
     workers:
         Number of worker processes.
     window_s / max_batch:
@@ -128,11 +132,10 @@ class GNNServer:
             raise ValueError("workers must be positive")
         if max_pending < 1:
             raise ValueError("max_pending must be positive")
-        probe = FlatRTree.load(snapshot_path, mmap_mode="r")
-        self._dims = probe.dims
+        self._snapshot = FlatRTree.load(snapshot_path, mmap_mode="r")
+        self._dims = self._snapshot.dims
         self._path = str(snapshot_path)
-        self._epoch = probe.generation
-        del probe  # release the probe mapping; workers map their own
+        self._epoch = self._snapshot.generation
 
         self.max_pending = int(max_pending)
         self._planner = QueryPlanner()
@@ -339,14 +342,21 @@ class GNNServer:
         with self._lock:
             return self._path
 
+    @property
+    def snapshot(self) -> FlatRTree:
+        """The server's read-only mapping of :attr:`snapshot_path`."""
+        with self._lock:
+            return self._snapshot
+
     # ------------------------------------------------------------------
     # hot-swap
     # ------------------------------------------------------------------
     def swap_snapshot(self, path, epoch: int | None = None) -> int:
         """Re-point dispatch at an already-persisted snapshot.
 
-        The file is probed first (unreadable or dimension-mismatched
-        snapshots are rejected before any worker sees them).  Workers
+        The file is mapped first (unreadable or dimension-mismatched
+        snapshots are rejected before any worker sees them) and becomes
+        the mapping workers forked from now on inherit.  Running workers
         finish their in-flight batch on the old mapping, then remap when
         the first batch stamped with the new epoch reaches them.
         Returns the new epoch.
@@ -357,11 +367,10 @@ class GNNServer:
                 f"snapshot {path!r} is {probe.dims}-d; this server serves "
                 f"{self._dims}-d queries"
             )
-        generation = probe.generation
-        del probe
         with self._lock:
-            self._epoch = int(epoch) if epoch is not None else max(self._epoch + 1, generation)
+            self._epoch = int(epoch) if epoch is not None else max(self._epoch + 1, probe.generation)
             self._path = str(path)
+            self._snapshot = probe
             new_epoch = self._epoch
         self._stats.record_swap()
         _log.info("snapshot.swapped", epoch=new_epoch, path=str(path))
@@ -499,10 +508,13 @@ class GNNServer:
     # ------------------------------------------------------------------
     def _make_worker(self, worker_id: int):
         with self._lock:
-            path, epoch = self._path, self._epoch
+            path, epoch, snapshot = self._path, self._epoch, self._snapshot
+        # A forked worker inherits the server's mapping and opens no file;
+        # a spawned one maps the path itself.
+        source = snapshot if self._context.get_start_method() == "fork" else path
         return self._context.Process(
             target=worker_main,
-            args=(worker_id, self._requests, self._replies, path, epoch, self._io_stall),
+            args=(worker_id, self._requests, self._replies, source, epoch, self._io_stall),
             daemon=True,
             name=f"gnn-serve-worker-{worker_id}",
         )

@@ -1,9 +1,10 @@
 """The worker process: a read-only engine over the shared mmap snapshot.
 
-Every worker runs :func:`worker_main`: it maps the published snapshot
-with ``FlatRTree.load(path, mmap_mode="r")`` — N workers mapping the
-*same* ``.npz`` share its pages through the OS page cache, so the index
-is held in physical memory once, not N times — wraps it in a read-only
+Every worker runs :func:`worker_main`: it serves the published snapshot
+mapped read-only (``FlatRTree.load(path, mmap_mode="r")``; a forked
+worker inherits the server's mapping) — N workers mapping the *same*
+``.npz`` share its pages through the OS page cache, so the index is held
+in physical memory once, not N times — wraps it in a read-only
 :class:`~repro.core.engine.GNNEngine`, and drains the shared request
 queue.  Each popped :class:`~repro.serve.protocol.BatchRequest` is
 answered with one ``engine.execute_many`` call, which runs every member
@@ -41,9 +42,9 @@ from repro.serve.stats import ServingCounters
 from repro.testing import faults
 
 
-def _load_engine(snapshot_path: str) -> tuple[GNNEngine, int]:
-    """Map the snapshot read-only and wrap it in a snapshot-only engine."""
-    flat = FlatRTree.load(snapshot_path, mmap_mode="r")
+def _load_engine(snapshot) -> tuple[GNNEngine, int]:
+    """Wrap the snapshot (mapped read-only from a path, or a mapping) in a snapshot-only engine."""
+    flat = snapshot if isinstance(snapshot, FlatRTree) else FlatRTree.load(snapshot, mmap_mode="r")
     return GNNEngine.from_index(flat), flat.generation
 
 
@@ -145,15 +146,22 @@ def worker_main(
     worker_id: int,
     request_queue,
     reply_queue,
-    snapshot_path: str,
+    snapshot,
     epoch: int,
     io_stall_s_per_access: float = 0.0,
 ) -> None:
-    """Process entry point: map the snapshot, drain batches until shutdown."""
+    """Process entry point: map the snapshot, drain batches until shutdown.
+
+    ``snapshot`` is the server's mapping (inherited by a forked worker)
+    or the path a spawned worker maps itself.
+    """
     # A forked worker traces nothing itself: its spans reach the front's
     # tracer only on the reply, never through the inherited sink.
     obs_trace.drop_inherited()
-    engine, generation = _load_engine(snapshot_path)
+    # ``worker.map`` holds a worker between its start and its first look
+    # at the snapshot: the window a garbage-collected file would fall in.
+    faults.fire("worker.map")
+    engine, generation = _load_engine(snapshot)
     current_epoch = epoch
     while True:
         message = request_queue.get()

@@ -77,7 +77,7 @@ from repro.api.spec import AUTO, MEMORY, SHARDED, WITHIN, QuerySpec
 from repro.core.types import GNNResult, QueryCost
 from repro.obs import trace as obs_trace
 from repro.obs.logging import get_logger
-from repro.serve.protocol import encode_spec, pack_frame, read_frame
+from repro.serve.protocol import encode_spec, pack_frame, read_frame, set_nodelay
 from repro.shard.health import CircuitBreaker, HealthMonitor
 from repro.shard.manifest import ShardManifest
 from repro.shard.wire import ShardPing, ShardPong, ShardQuery, ShardReply
@@ -180,6 +180,7 @@ class _ShardLink:
             if self._writer is not None:
                 return
             reader, writer = await asyncio.open_connection(*self.address)
+            set_nodelay(writer)
             ping_id = self._next_id
             self._next_id += 1
             writer.write(pack_frame(ShardPing(request_id=ping_id)))

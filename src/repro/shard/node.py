@@ -24,11 +24,11 @@ backoff; planning or execution failures are terminal for that query.
 from __future__ import annotations
 
 import asyncio
+import socket
 import threading
 
 from repro.obs.logging import get_logger
-from repro.rtree.flat import FlatRTree
-from repro.serve.protocol import decode_spec, encode_result, pack_frame, read_frame
+from repro.serve.protocol import decode_spec, encode_result, pack_frame, read_frame, set_nodelay
 from repro.serve.server import DEFAULT_MAX_PENDING, GNNServer, ServerOverloadedError
 from repro.shard.wire import (
     ShardPing,
@@ -41,6 +41,12 @@ from repro.shard.wire import (
 from repro.testing import faults
 
 _log = get_logger("shard.node")
+
+
+def listen_socket(host: str = "127.0.0.1", port: int = 0) -> socket.socket:
+    """A TCP listener bound to ``(host, port)``; ``port=0`` picks a free port."""
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET
+    return socket.create_server((host, port), family=family)
 
 
 class ShardNode:
@@ -56,6 +62,9 @@ class ShardNode:
     host / port:
         Listen address; ``port=0`` (the default) lets the OS pick a free
         port — :meth:`start` returns the bound address.
+    listener:
+        A bound, listening socket (:func:`listen_socket`) to serve on
+        instead of binding ``host``/``port``; the node owns it from here.
     server_options:
         Forwarded to :class:`GNNServer` (``workers``, ``window_s``,
         ``max_batch``, ``max_pending``, ``io_stall_s_per_access``...).
@@ -71,6 +80,7 @@ class ShardNode:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
+        listener: socket.socket | None = None,
         max_pending: int = DEFAULT_MAX_PENDING,
         window_s: float = 0.0,
         **server_options,
@@ -79,10 +89,7 @@ class ShardNode:
         self.snapshot_path = str(snapshot_path)
         self._host = host
         self._port = port
-        probe = FlatRTree.load(snapshot_path, mmap_mode="r")
-        self.generation = probe.generation
-        self.size = probe.size
-        self.dims = probe.dims
+        self._listener = listener
         self._server = GNNServer(
             snapshot_path,
             max_pending=max_pending,
@@ -120,11 +127,25 @@ class ShardNode:
         return self.address
 
     async def _listen(self) -> tuple[str, int]:
-        self._tcp_server = await asyncio.start_server(
-            self._serve_connection, self._host, self._port
-        )
-        sockname = self._tcp_server.sockets[0].getsockname()
+        listener, self._listener = self._listener, None
+        if listener is None:
+            listener = listen_socket(self._host, self._port)
+        self._tcp_server = await asyncio.start_server(self._serve_connection, sock=listener)
+        sockname = listener.getsockname()
         return (sockname[0], sockname[1])
+
+    # The snapshot's identity is the server's: one mapping, no second open.
+    @property
+    def generation(self) -> int:
+        return self._server.snapshot.generation
+
+    @property
+    def size(self) -> int:
+        return self._server.snapshot.size
+
+    @property
+    def dims(self) -> int:
+        return self._server.snapshot.dims
 
     def close(self) -> None:
         """Stop accepting, drop connections, shut the worker pool down.
@@ -147,6 +168,8 @@ class ShardNode:
             if self._thread is not None:
                 self._thread.join(timeout=10.0)
             loop.close()
+        if self._listener is not None:  # handed over but never served
+            self._listener.close()
         self._server.close()
         _log.info("node.closed", shard=self.shard_id)
 
@@ -232,10 +255,7 @@ class ShardNode:
         Returns the new epoch.
         """
         epoch = self._server.swap_snapshot(path)
-        probe = FlatRTree.load(path, mmap_mode="r")
         self.snapshot_path = str(path)
-        self.generation = probe.generation
-        self.size = probe.size
         return epoch
 
     def __repr__(self) -> str:
@@ -249,6 +269,7 @@ class ShardNode:
     # ------------------------------------------------------------------
     async def _serve_connection(self, reader, writer) -> None:
         """Read frames until EOF; every frame is answered exactly once."""
+        set_nodelay(writer)
         self._connections.add(writer)
         try:
             while True:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.geometry.hilbert import hilbert_indices
+from repro.geometry.hilbert import hilbert_indices, rank_keys
 from repro.geometry.point import as_points
 from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 from repro.shard.manifest import ShardInfo, ShardManifest
@@ -80,9 +80,10 @@ def partition_points(points: np.ndarray, shards: int, order: int | None = None):
     Returns ``(assignments, keys)`` where ``assignments`` is a list of
     ``shards`` index vectors into ``points`` (each sorted by Hilbert
     rank, sizes differing by at most one) and ``keys`` the per-point
-    Hilbert indices.  The stable argsort makes the split a pure function
-    of the input, so re-partitioning the same dataset reproduces the
-    same shards.
+    Hilbert indices.  The ranking is a stable argsort of the keys (run
+    as radix passes, :func:`~repro.geometry.hilbert.rank_keys`), so the
+    split is a pure function of the input and re-partitioning the same
+    dataset reproduces the same shards.
     """
     pts = as_points(points)
     if shards < 1:
@@ -92,8 +93,7 @@ def partition_points(points: np.ndarray, shards: int, order: int | None = None):
             f"cannot cut {pts.shape[0]} points into {shards} non-empty shards"
         )
     keys = hilbert_indices(pts, order)
-    ranked = np.argsort(keys, kind="stable")
-    assignments = [chunk for chunk in np.array_split(ranked, shards)]
+    assignments = np.array_split(rank_keys(keys), shards)
     return assignments, keys
 
 

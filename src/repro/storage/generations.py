@@ -66,11 +66,15 @@ class GenerationStore:
     # ------------------------------------------------------------------
     # publication
     # ------------------------------------------------------------------
-    def publish(self, flat) -> Path:
+    def publish(self, flat, *, collect: bool = True) -> Path:
         """Durably publish ``flat`` as the newest generation.
 
         Snapshot first, manifest second, GC last — see the module
         docstring for why a crash at any point in between is safe.
+        ``collect=False`` leaves the GC to a later
+        :meth:`collect_garbage`, for a caller that must first stop
+        naming the generations it would drop (a server swapping onto the
+        new file).
         """
         generation = int(flat.generation)
         path = self.snapshot_path(generation)
@@ -87,10 +91,11 @@ class GenerationStore:
             fsync=self.fsync,
             fault_point="manifest.write",
         )
-        self._collect_garbage(generation)
+        if collect:
+            self.collect_garbage(generation)
         return path
 
-    def _collect_garbage(self, durable_generation: int) -> None:
+    def collect_garbage(self, durable_generation: int) -> None:
         """Drop generations older than the ``keep`` newest ≤ durable one."""
         stale = [
             (gen, path)

@@ -32,6 +32,9 @@ surface the chaos suite sweeps):
 ``worker.execute``     a serving worker about to execute a claimed
                        batch — ``kill`` here is a real worker-process
                        death the server must detect and fail over.
+``worker.map``         a serving worker started but not yet serving its
+                       snapshot — ``delay`` here lets a compaction
+                       publish and garbage-collect meanwhile.
 =====================  ==================================================
 
 Faults fire by **hit count**: ``plan.kill("worker.execute", at=3)``
@@ -60,6 +63,7 @@ FAULT_POINTS = (
     "manifest.write",
     "node.recv",
     "worker.execute",
+    "worker.map",
 )
 
 

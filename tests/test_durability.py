@@ -607,6 +607,57 @@ class TestCompactionCrashSafety:
             assert served.record_ids() == engine.execute(spec).record_ids()
         engine.wal.close()
 
+    def test_a_worker_not_yet_serving_outlives_the_gc_of_its_generation(
+        self, tmp_path, dataset
+    ):
+        """Compaction deletes generation 0 before the worker looked at it.
+
+        ``worker.map`` holds the freshly started worker; meanwhile the
+        compaction publishes generation 1 and, keeping one generation,
+        unlinks generation 0.  The worker serves the server's mapping of
+        generation 0 (inherited at the fork), not its path, so no worker
+        dies and the first batch remaps it onto generation 1.
+        """
+        from repro.serve import GNNServer
+
+        _seed_generation(tmp_path, dataset)
+        engine = GNNEngine.recover(tmp_path, fsync="off")
+        store = GenerationStore(tmp_path, keep=1)
+        with active(FaultPlan().delay("worker.map", 1.0)):
+            server = GNNServer(store.snapshot_path(0), workers=1)
+        with server:
+            writer = CompactingWriter(engine, server, dirty_ratio_trigger=None, store=store)
+            writer.insert([120.0, 250.0])
+            writer.compact_now()
+            assert not store.snapshot_path(0).exists()
+            spec = QuerySpec(group=[[120.0, 240.0], [310.0, 260.0]], k=4)
+            served = server.submit(spec).result(timeout=60)
+            assert served.record_ids() == engine.execute(spec).record_ids()
+            assert server.stats()["server"]["worker_deaths"] == 0
+        engine.wal.close()
+
+    def test_compaction_swaps_the_server_before_it_collects_garbage(
+        self, tmp_path, dataset, monkeypatch
+    ):
+        from repro.serve import GNNServer
+
+        _seed_generation(tmp_path, dataset)
+        engine = GNNEngine.recover(tmp_path, fsync="off")
+        store = GenerationStore(tmp_path, keep=1)
+        with GNNServer(store.snapshot_path(0), workers=1) as server:
+            named = []
+            collect = store.collect_garbage
+            monkeypatch.setattr(
+                store, "collect_garbage",
+                lambda generation: (named.append(server.snapshot_path), collect(generation)),
+            )
+            writer = CompactingWriter(engine, server, dirty_ratio_trigger=None, store=store)
+            writer.insert([120.0, 250.0])
+            writer.compact_now()
+            assert named == [str(store.snapshot_path(1))]
+            assert not store.snapshot_path(0).exists()
+        engine.wal.close()
+
     def test_crash_before_snapshot_rename_loses_nothing(self, tmp_path, dataset):
         engine, store, writer = self._recovered_writer(tmp_path, dataset)
         live = self._mutate(writer, dataset)

@@ -2,12 +2,20 @@
 
 import numpy as np
 import pytest
+from hilbert_reference import (
+    reference_grid,
+    reference_hilbert_sort,
+    reference_keys_2d,
+)
 
 from repro.geometry.hilbert import (
     DEFAULT_ORDER,
+    _hilbert_keys_2d,
+    _normalise_to_grid,
     hilbert_index_2d,
     hilbert_indices,
     hilbert_sort,
+    rank_keys,
 )
 
 
@@ -102,3 +110,56 @@ class TestDefaultOrder:
         points = np.random.default_rng(dims).uniform(0, 1, size=(64, dims))
         assert np.array_equal(hilbert_indices(points), hilbert_indices(points, order))
         assert sorted(hilbert_sort(points).tolist()) == list(range(64))
+
+
+class TestChunkTableAgainstThePerBitLoop:
+    """The table lookup against the per-bit loop it replaced (tests/hilbert_reference.py)."""
+
+    @pytest.mark.parametrize("order", range(1, 17))
+    def test_keys_equal_the_oracle_at_every_order(self, order):
+        side = 1 << order
+        rng = np.random.default_rng(order)
+        edges = np.unique(np.clip([0, 1, side // 2 - 1, side // 2, side - 2, side - 1], 0, side - 1))
+        edge_x, edge_y = np.meshgrid(edges, edges)
+        x = np.concatenate([edge_x.ravel(), rng.integers(0, side, 3000)])
+        y = np.concatenate([edge_y.ravel(), rng.integers(0, side, 3000)])
+        keys = _hilbert_keys_2d(x, y, order)
+        assert np.array_equal(keys, reference_keys_2d(x, y, order))
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_whole_small_grids_equal_the_oracle(self, order):
+        cells = np.arange(1 << order)
+        x, y = (axis.ravel() for axis in np.meshgrid(cells, cells))
+        assert np.array_equal(_hilbert_keys_2d(x, y, order), reference_keys_2d(x, y, order))
+
+    def test_the_grid_columns_are_left_untouched(self):
+        x = np.arange(64, dtype=np.int64)
+        y = x[::-1].copy()
+        _hilbert_keys_2d(x, y, 6)
+        assert x.tolist() == list(range(64)) and y.tolist() == list(range(63, -1, -1))
+
+    @pytest.mark.parametrize("order", (1, 8, 16))
+    def test_grid_cells_equal_the_oracle(self, order):
+        rng = np.random.default_rng(order)
+        points = rng.uniform(-50, 50, size=(500, 2))
+        points[:, 1] = 7.0  # a degenerate axis
+        points[:3] = [[-50, 7], [50, 7], [0.1, 7]]
+        assert np.array_equal(_normalise_to_grid(points, order), reference_grid(points, order))
+
+    @pytest.mark.parametrize("count", (7, 20000))
+    def test_hilbert_sort_equals_the_oracle(self, count):
+        rng = np.random.default_rng(count)
+        # Few distinct values per axis: many shared cells, many ties.
+        points = rng.choice(rng.uniform(0, 1000, size=40), size=(count, 2))
+        assert np.array_equal(hilbert_sort(points), reference_hilbert_sort(points))
+
+
+class TestRadixRank:
+    @pytest.mark.parametrize("count", (0, 1, 2, 1000, 30000))
+    @pytest.mark.parametrize("bits", (1, 16, 17, 32, 62))
+    def test_ranks_are_the_stable_argsort(self, count, bits):
+        rng = np.random.default_rng(count + bits)
+        keys = rng.integers(0, 1 << bits, size=count, dtype=np.int64)
+        if count:
+            keys[::3] = keys[0]  # ties across every digit
+        assert np.array_equal(rank_keys(keys), np.argsort(keys, kind="stable"))

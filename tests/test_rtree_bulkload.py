@@ -14,11 +14,14 @@ size.
 
 import hashlib
 import inspect
+import itertools
 import json
+import zipfile
 
 import numpy as np
 import pytest
-from bulkload_reference import reference_hilbert_indices, reference_snapshot
+from bulkload_reference import _resolve_record_ids, reference_hilbert_indices, reference_snapshot
+from hilbert_reference import reference_hilbert_indices as per_bit_hilbert_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,7 +38,8 @@ from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.serve.server import GNNServer
 from repro.shard.manifest import MANIFEST_FILENAME
-from repro.shard.partition import partition_dataset
+from repro.shard import partition as partition_module
+from repro.shard.partition import partition_dataset, partition_points
 
 STRUCTURE_FIELDS = ("lows", "highs", "child_start", "child_count", "levels", "points", "record_ids")
 META_FIELDS = ("dims", "size", "capacity", "height", "generation")
@@ -196,6 +200,13 @@ class TestRecordIds:
         with pytest.raises(ValueError, match="record ids must be unique, got 3 twice"):
             FlatRTree.bulk_load(self.POINTS, capacity=4, record_ids=[4, 3, 8, 3, 2, 9])
 
+    # Dense ids (above) are checked with a mark per possible id, sparse or
+    # negative ones by sorting: both find the repeat.
+    @pytest.mark.parametrize("first", (4000, -4))
+    def test_duplicate_sparse_or_negative_ids_are_rejected(self, first):
+        with pytest.raises(ValueError, match="record ids must be unique, got 3 twice"):
+            FlatRTree.bulk_load(self.POINTS, capacity=4, record_ids=[first, 3, 8, 3, 2, 9])
+
     def test_shape_check_keeps_its_message(self):
         with pytest.raises(ValueError, match=r"one id per point \(6\), got shape \(5,\)"):
             FlatRTree.bulk_load(self.POINTS, capacity=4, record_ids=np.arange(5))
@@ -249,3 +260,39 @@ class TestPartitionUnchanged:
                 reference_snapshot(points[rows], 50, record_ids=rows),
                 shard.path,
             )
+
+    def test_the_radix_ranking_is_the_stable_argsort(self):
+        points = pp_like(20000)
+        assignments, keys = partition_points(points, 3)
+        assert np.array_equal(np.concatenate(assignments), np.argsort(keys, kind="stable"))
+        assert np.array_equal(keys, per_bit_hilbert_indices(points))
+
+    @pytest.mark.parametrize("shards", (2, 3))
+    def test_shard_files_equal_the_parents_path(self, shards, tmp_path, monkeypatch):
+        """Keys by the per-bit loop, a comparison argsort and a sort-based id
+        check (the parent's partition) write the same manifest bytes and the
+        same bytes in every snapshot member; the archives differ only in
+        their zip timestamps.  Both builds number their pages from the same
+        counter value, as two fresh processes do."""
+        points = pp_like(20000)
+        with monkeypatch.context() as old:
+            old.setattr(partition_module, "hilbert_indices", per_bit_hilbert_indices)
+            old.setattr(partition_module, "rank_keys", lambda keys: np.argsort(keys, kind="stable"))
+            old.setattr("repro.rtree.flat.resolve_record_ids", _resolve_record_ids)
+            old.setattr("repro.rtree.flat._page_ids", itertools.count())
+            partition_dataset(points, shards, tmp_path / "parent")
+        monkeypatch.setattr("repro.rtree.flat._page_ids", itertools.count())
+        partition_dataset(points, shards, tmp_path / "change")
+
+        names = sorted(path.name for path in (tmp_path / "parent").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "change").iterdir())
+        assert len(names) == shards + 1
+        for name in names:
+            parent, change = tmp_path / "parent" / name, tmp_path / "change" / name
+            if name == MANIFEST_FILENAME:
+                assert parent.read_bytes() == change.read_bytes()
+                continue
+            with zipfile.ZipFile(parent) as before, zipfile.ZipFile(change) as after:
+                assert before.namelist() == after.namelist()
+                for member in before.namelist():
+                    assert before.read(member) == after.read(member), (name, member)

@@ -10,8 +10,13 @@ promises (timeout -> retry -> error or degraded result).
 """
 
 import asyncio
+import contextlib
+import os
+import signal
 import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -684,10 +689,49 @@ class TestFailureSemantics:
 # ----------------------------------------------------------------------
 # process-isolated nodes (the deployment launcher)
 # ----------------------------------------------------------------------
+def _child_pids(pid: int) -> list[int]:
+    """The children of process ``pid``, from ``/proc``."""
+    children = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _proc_stat(int(entry))[1:2] == [str(pid)]:
+            children.append(int(entry))
+    return children
+
+
+def _is_running(pid: int) -> bool:
+    return _proc_stat(pid)[:1] not in ([], ["Z"])
+
+
+def _proc_stat(pid: int) -> list[str]:
+    """The fields of ``/proc/<pid>/stat`` after the command: state, ppid, ..."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return []
+
+
+def _kill_all(pids) -> None:
+    for pid in pids:
+        if _is_running(pid):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _start_node_and_vanish(pid_out, snapshot_path) -> None:
+    """Start a node process, report its pid, and exit without closing it."""
+    node = ShardNodeProcess(0, snapshot_path, workers=1)
+    node.start()
+    pid_out.send(node._process.pid)
+    os._exit(0)
+
+
 class TestShardNodeProcess:
     def test_process_nodes_serve_conformant_answers(
         self, shard_points, reference_engine, tmp_path, rng
     ):
+        """The nodes start back to back: ``start()`` does not wait for its
+        node, the first query's handshake ping does."""
         directory = tmp_path / "proc"
         manifest = partition_dataset(shard_points, 2, directory, capacity=16)
         specs = [
@@ -718,6 +762,135 @@ class TestShardNodeProcess:
         with pytest.raises(RuntimeError, match="failed to start"):
             node.start()
         node.close()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_a_killed_node_refuses_connections_despite_live_workers(
+        self, shard_points, tmp_path, rng
+    ):
+        """Workers forked by the node drop its listener: once the node
+        dies, even abruptly with its workers orphaned, a connection is
+        refused rather than left in a backlog that nobody serves."""
+        manifest = partition_dataset(shard_points, 1, tmp_path, capacity=16)
+        node = ShardNodeProcess(0, tmp_path / manifest.shards[0].path, workers=1)
+        orphans = []
+        try:
+            address = node.start()
+            with ShardedEngine.connect(manifest, [address], timeout_s=30.0) as engine:
+                engine.execute(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=2))
+            pid = node._process.pid
+            orphans = _child_pids(pid)
+            assert orphans, "the node forked no worker"
+            os.kill(pid, signal.SIGKILL)
+            node._process.join(10.0)
+            assert any(_is_running(worker) for worker in orphans)
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(address, timeout=5.0).close()
+        finally:
+            _kill_all(orphans)
+            node.close()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="forks, reads /proc")
+    def test_a_node_whose_parent_dies_shuts_down(self, shard_points, tmp_path):
+        import multiprocessing
+
+        manifest = partition_dataset(shard_points, 1, tmp_path, capacity=16)
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+        parent = context.Process(
+            target=_start_node_and_vanish,
+            args=(writer, str(tmp_path / manifest.shards[0].path)),
+        )
+        parent.start()
+        writer.close()
+        pid = reader.recv()
+        parent.join(10.0)
+        try:
+            deadline = time.monotonic() + 30.0
+            while _is_running(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _is_running(pid)
+        finally:
+            if _is_running(pid):
+                _kill_all(_child_pids(pid) + [pid])
+
+    def test_a_corrupt_snapshot_fails_in_start(self, tmp_path):
+        path = tmp_path / "corrupt.npz"
+        path.write_bytes(b"PK\x03\x04 not a snapshot")
+        node = ShardNodeProcess(0, path, workers=1)
+        with pytest.raises(RuntimeError, match="failed to start"):
+            node.start()
+        assert "closed" in repr(node)
+        node.close()
+
+    def test_a_port_in_use_fails_in_start(self, shard_points, tmp_path):
+        manifest = partition_dataset(shard_points, 1, tmp_path, capacity=16)
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            port = taken.getsockname()[1]
+            node = ShardNodeProcess(0, tmp_path / manifest.shards[0].path, port=port, workers=1)
+            with pytest.raises(RuntimeError, match="failed to start: OSError"):
+                node.start()
+            node.close()
+
+    def test_a_node_failing_after_the_fork_is_unavailable_and_reaped(
+        self, shard_points, tmp_path, rng
+    ):
+        import multiprocessing
+
+        manifest = partition_dataset(shard_points, 1, tmp_path, capacity=16)
+        # The snapshot opens and the port binds, so start() returns; the
+        # node's own GNNServer then refuses the options, in the child.
+        node = ShardNodeProcess(0, tmp_path / manifest.shards[0].path, workers=0)
+        address = node.start()
+        process = node._process
+        try:
+            with ShardedEngine.connect(manifest, [address], timeout_s=10.0) as engine:
+                with pytest.raises(ShardUnavailableError):
+                    engine.execute(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=2))
+        finally:
+            node.close()
+        assert not process.is_alive()
+        assert process.exitcode != 0
+        assert process not in multiprocessing.active_children()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=5.0).close()
+
+    def test_spawned_nodes_receive_the_listener(
+        self, shard_points, reference_engine, tmp_path, rng, monkeypatch
+    ):
+        from repro.shard import launch
+
+        monkeypatch.setattr(launch, "_default_start_method", lambda: "spawn")
+        manifest = partition_dataset(shard_points, 1, tmp_path, capacity=16)
+        node = ShardNodeProcess(0, tmp_path / manifest.shards[0].path, workers=1)
+        assert node._context.get_start_method() == "spawn"
+        try:
+            address = node.start()
+            with ShardedEngine.connect(manifest, [address], timeout_s=60.0) as engine:
+                spec = QuerySpec(group=rng.uniform(0, 1000, size=(4, 2)), k=3)
+                assert as_tuples(engine.execute(spec)) == as_tuples(
+                    reference_engine.execute(spec)
+                )
+        finally:
+            node.close()
+
+
+class TestShardConnections:
+    def test_both_ends_of_a_shard_connection_send_without_nagle(
+        self, shard_points, tmp_path, rng
+    ):
+        """The node's listener is made by ``socket.create_server`` (protocol
+        0), whose accepted sockets asyncio leaves with Nagle on; both ends
+        set ``TCP_NODELAY`` themselves."""
+        manifest = partition_dataset(shard_points, 1, tmp_path, capacity=16)
+        with ShardNode(0, tmp_path / manifest.shards[0].path, workers=1) as node:
+            with ShardedEngine.connect(manifest, [node.address], timeout_s=30.0) as engine:
+                engine.execute(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=2))
+                link = engine.coordinator._links[0][0]
+                ends = [link._writer] + list(node._connections)
+                assert len(ends) == 2
+                for writer in ends:
+                    sock = writer.get_extra_info("socket")
+                    assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
 
 # ----------------------------------------------------------------------
