@@ -4,18 +4,21 @@ Selected with ``-k smoke`` like the kernel and write-path smokes.  The
 bulk load packs straight into the snapshot arrays; these guards fail
 loudly if a per-record (or per-page) Python object creeps back onto the
 path every engine start, compaction and shard publish takes.  Sized
-from ``pp_like(100_000)`` on a shared 2-core container — STR packer
-0.023 s / 2.6x the input's bytes / 0.047 s to partition, object packers
-0.69 s / 25x / 1.13 s — with ~5x headroom or more for a slow runner, so
+from ``pp_like(100_000)`` (best of 7 on a shared 2-core x86-64 box):
+``FlatRTree.bulk_load`` with STR at capacity 50 takes 0.011 s and peaks
+at 2.6x the input's bytes, and ``partition_dataset`` into 2 shards at
+capacity 50, snapshots written, takes 0.029 s; the object packers took
+0.69 s / 25x / 1.13 s.  With ~5x headroom or more for a slow runner,
 each limit still sits below what one object per record costs.  The
 partition's allocation peak is a count, not a time, so its limit sits
-close: 3.6x the input's bytes with chunk-table Hilbert keys, a radix
-rank and a mark-array id check, against 5.5x for per-level key passes,
-a comparison argsort and a sorted copy of the ids.  Shard node processes
-fork from the partitioning process, so this heap is what they inherit.  The
-first write into an engine finds base records by binary search in the
-snapshot's id index: it peaks at 1.0x the points' bytes, against 8.2x
-for a ``{record_id: row}`` map over every base record.
+close: 3.5x the input's bytes with chunk-table Hilbert keys, a
+tie-repaired default-argsort rank and a mark-array id check, against
+5.5x for per-level key passes, a comparison argsort and a sorted copy of
+the ids.  Shard node processes fork from the partitioning process, so
+this heap is what they inherit.  The first write into an engine finds
+base records by binary search in the snapshot's id index: it peaks at
+1.0x the points' bytes, against 8.2x for a ``{record_id: row}`` map over
+every base record.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ same rotate-and-flip step, tabulated for four curve levels at a time and
 looked up over every point at once, so a bulk load, a query-group sort
 or a federation (re)partition pays ``order / 4`` array passes instead of
 one interpreter loop per point.  The two agree key for key.
-:func:`rank_keys` orders a federation's keys by radix passes over
-16-bit digits.
+:func:`rank_keys` is the stable rank of every bulk load, Hilbert sort
+and federation partition: NumPy's default argsort with its ties repaired.
 """
 
 from __future__ import annotations
@@ -195,22 +195,29 @@ def _zorder_keys(grid: np.ndarray, order: int) -> np.ndarray:
 
 
 def rank_keys(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for non-negative int64 keys.
+    """``np.argsort(keys, axis=-1, kind="stable")`` of 1-D or row-wise 2-D keys without NaN.
 
-    Least-significant digit first over 16-bit digits: every pass is a
-    stable argsort of a ``uint16`` column, which NumPy runs as a radix
-    sort, and a stable pass keeps the order the lower digits set among
-    equal digits, so the result is the stable argsort's permutation.  A
-    16-level curve key takes two passes.
+    NumPy's stable argsort of floats is a timsort, several times slower
+    than its default (SIMD) one.  So the default argsort runs, and then
+    each run of equal keys gets its rows back in ascending order: all runs
+    at once, by one int64 sort of ``run * width + row``.
     """
-    top = int(keys.max(initial=0))
-    ranked = np.argsort(keys.astype(np.uint16), kind="stable")
-    shift = 16
-    while top >> shift:
-        digits = (keys[ranked] >> shift).astype(np.uint16)
-        ranked = ranked[np.argsort(digits, kind="stable")]
-        shift += 16
-    return ranked
+    table = np.atleast_2d(keys)
+    rows, width = table.shape
+    ranked = np.argsort(table, axis=-1)
+    # The keys in ranked order by one flat take; the row offsets go on and
+    # off ``ranked`` in place, so no index-sized temporary grows the heap.
+    offsets = np.arange(rows)[:, None] * width
+    ranked += offsets
+    ordered = table.reshape(-1).take(ranked)
+    ranked -= offsets
+    edge = np.zeros((rows, 1), dtype=bool)
+    tied = np.hstack((edge, ordered[:, 1:] == ordered[:, :-1]))  # equal to its left
+    if tied.any():
+        member = tied | np.hstack((tied[:, 1:], edge))  # or to its right
+        runs = np.cumsum(~tied[member])  # a run starts at a member not tied to its left
+        ranked[member] = np.sort(runs * width + ranked[member]) % width
+    return ranked.reshape(np.shape(keys))
 
 
 def hilbert_sort(points: np.ndarray, order: int | None = None) -> np.ndarray:
@@ -219,8 +226,7 @@ def hilbert_sort(points: np.ndarray, order: int | None = None) -> np.ndarray:
     This is the "sort points in Q according to Hilbert value" step of
     MQM, F-MQM and F-MBM.
     """
-    indices = hilbert_indices(points, order)
-    return np.argsort(indices, kind="stable")
+    return rank_keys(hilbert_indices(points, order))
 
 
 def _zorder_index(coords: np.ndarray, order: int) -> int:

@@ -265,7 +265,7 @@ class DeltaOverlay:
                 delta_points, delta_ids = self.delta_points()
                 points = np.concatenate([points, delta_points], axis=0)
                 ids = np.concatenate([ids, delta_ids], axis=0)
-                order = np.argsort(ids, kind="stable")
+                order = np.argsort(ids)  # unique ids: any argsort is the stable one
                 points, ids = points[order], ids[order]
             self._live_cache = (points, ids)
         return self._live_cache

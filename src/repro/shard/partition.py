@@ -80,10 +80,10 @@ def partition_points(points: np.ndarray, shards: int, order: int | None = None):
     Returns ``(assignments, keys)`` where ``assignments`` is a list of
     ``shards`` index vectors into ``points`` (each sorted by Hilbert
     rank, sizes differing by at most one) and ``keys`` the per-point
-    Hilbert indices.  The ranking is a stable argsort of the keys (run
-    as radix passes, :func:`~repro.geometry.hilbert.rank_keys`), so the
-    split is a pure function of the input and re-partitioning the same
-    dataset reproduces the same shards.
+    Hilbert indices.  The ranking is the stable argsort of the keys
+    (:func:`~repro.geometry.hilbert.rank_keys`), so the split is a pure
+    function of the input and re-partitioning the same dataset
+    reproduces the same shards.
     """
     pts = as_points(points)
     if shards < 1:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.engine import GNNEngine
-from repro.geometry.hilbert import hilbert_indices
+from repro.geometry.hilbert import hilbert_indices, rank_keys
 from repro.rtree.flat import FlatRTree
 from repro.shard.manifest import ShardInfo, ShardManifest
 from repro.shard.partition import describe_shard, shard_snapshot_name
@@ -218,7 +218,7 @@ class ShardWriter:
             )
         points = np.asarray(flat.points, dtype=np.float64)
         keys = hilbert_indices(points)
-        ranked = np.argsort(keys, kind="stable")
+        ranked = rank_keys(keys)
         return replace(
             describe_shard(shard_id, name, flat, points, keys, ranked),
             hilbert_low=previous.hilbert_low,

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from hilbert_reference import (
     reference_grid,
     reference_hilbert_sort,
@@ -154,7 +157,33 @@ class TestChunkTableAgainstThePerBitLoop:
         assert np.array_equal(hilbert_sort(points), reference_hilbert_sort(points))
 
 
-class TestRadixRank:
+#: Tie-heavy float keys: signed zeros compare equal, infinities tie too.
+_FLOAT_LATTICE = (-np.inf, -2.5, -0.0, 0.0, 1.0, 3.5, np.inf)
+
+
+@st.composite
+def _rank_inputs(draw):
+    """1-D or row-wise 2-D float64/int64 keys: lattice ties, extremes, all-equal rows."""
+    dtype = draw(st.sampled_from((np.float64, np.int64)))
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(0, 80)),
+            st.tuples(st.integers(0, 6), st.integers(0, 40)),
+        )
+    )
+    if dtype is np.float64:
+        lattice, spread = st.sampled_from(_FLOAT_LATTICE), st.floats(allow_nan=False)
+    else:
+        info = np.iinfo(np.int64)
+        lattice, spread = st.integers(-3, 3), st.integers(info.min, info.max)
+    keys = draw(arrays(dtype, shape, elements=draw(st.sampled_from((lattice, spread)))))
+    if keys.size and draw(st.booleans()):
+        row = keys if keys.ndim == 1 else keys[draw(st.integers(0, keys.shape[0] - 1))]
+        row[...] = row[0]  # one all-equal row
+    return keys
+
+
+class TestRankKeys:
     @pytest.mark.parametrize("count", (0, 1, 2, 1000, 30000))
     @pytest.mark.parametrize("bits", (1, 16, 17, 32, 62))
     def test_ranks_are_the_stable_argsort(self, count, bits):
@@ -163,3 +192,19 @@ class TestRadixRank:
         if count:
             keys[::3] = keys[0]  # ties across every digit
         assert np.array_equal(rank_keys(keys), np.argsort(keys, kind="stable"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(keys=_rank_inputs())
+    @example(keys=np.zeros(0))
+    @example(keys=np.zeros((3, 0), dtype=np.int64))
+    @example(keys=np.zeros((0, 4)))
+    @example(keys=np.array([7.0]))
+    @example(keys=np.array([0.0, -0.0, np.inf, -np.inf, 0.0, -np.inf]))
+    @example(keys=np.full((2, 5), 4, dtype=np.int64))
+    def test_equals_the_stable_argsort(self, keys):
+        before = keys.copy()
+        ranked = rank_keys(keys)
+        want = np.argsort(keys, axis=-1, kind="stable")
+        assert ranked.dtype == want.dtype
+        assert np.array_equal(ranked, want), keys
+        assert np.array_equal(keys, before)  # the keys are read, not sorted in place

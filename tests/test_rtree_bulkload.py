@@ -40,6 +40,7 @@ from repro.serve.server import GNNServer
 from repro.shard.manifest import MANIFEST_FILENAME
 from repro.shard import partition as partition_module
 from repro.shard.partition import partition_dataset, partition_points
+from repro.storage.pointfile import PointFile
 
 STRUCTURE_FIELDS = ("lows", "highs", "child_start", "child_count", "levels", "points", "record_ids")
 META_FIELDS = ("dims", "size", "capacity", "height", "generation")
@@ -261,7 +262,7 @@ class TestPartitionUnchanged:
                 shard.path,
             )
 
-    def test_the_radix_ranking_is_the_stable_argsort(self):
+    def test_the_ranking_is_the_stable_argsort(self):
         points = pp_like(20000)
         assignments, keys = partition_points(points, 3)
         assert np.array_equal(np.concatenate(assignments), np.argsort(keys, kind="stable"))
@@ -296,3 +297,38 @@ class TestPartitionUnchanged:
                 assert before.namelist() == after.namelist()
                 for member in before.namelist():
                     assert before.read(member) == after.read(member), (name, member)
+
+
+class TestNoStableSortOfManyKeys:
+    """NumPy's stable argsort of float64 is a timsort, several times slower
+    than its default argsort; the build path ranks through ``rank_keys``
+    (the default argsort with its ties repaired) instead.  A spy on
+    ``np.argsort`` records every stable call; ``ndarray.argsort`` is a
+    method of a C type and cannot be replaced, so the build path calls the
+    function form."""
+
+    MAX_STABLE_KEYS = 4096
+
+    def test_build_paths_sort_no_large_input_stably(self, monkeypatch, tmp_path):
+        stable_sizes, default_sizes = [], []  # keys per call
+        real_argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            kind = kwargs.get("kind", args[1] if len(args) > 1 else None)
+            stable = kind in ("stable", "mergesort") or kwargs.get("stable")
+            (stable_sizes if stable else default_sizes).append(np.size(a))
+            return real_argsort(a, *args, **kwargs)
+
+        points = pp_like(100_000)
+        monkeypatch.setattr(np, "argsort", spy)
+        for method in ("str", "hilbert"):
+            FlatRTree.bulk_load(points, method=method)
+        partition_dataset(points, 2, tmp_path)
+        PointFile(points)
+        engine = GNNEngine(points)
+        engine.insert([1.0, 2.0])
+        engine.overlay.live_points()
+
+        seen = stable_sizes + default_sizes
+        assert max(seen) >= len(points), "the spy saw no large sort: is it still installed?"
+        assert max(stable_sizes, default=0) <= self.MAX_STABLE_KEYS, sorted(stable_sizes)[-5:]
