@@ -8,7 +8,8 @@ without slowing the main test job down.
 
 from __future__ import annotations
 
-import importlib.util
+import importlib
+import sys
 import time
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from repro.bench.config import get_scale
 from repro.bench.runner import run_memory_setting
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.traversal import incremental_nearest
 from repro.storage.pointfile import PointFile
 
 #: The vectorised kernel is ~50-100x faster than the scalar loop on this
@@ -129,12 +129,16 @@ def test_smoke_tangent_kernel_price_per_node():
 MAX_MBM_CPU_RATIO = 1.10
 
 
-def _load_mbm_reference(name="mbm_reference", module="mbm_reference"):
-    path = Path(__file__).resolve().parents[1] / "tests" / f"{module}.py"
-    spec = importlib.util.spec_from_file_location(module, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return getattr(module, name)
+def _load_reference(name, module="mbm_reference"):
+    """``name`` from the test oracle ``tests/<module>.py``.
+
+    The oracles import each other by module name, so ``tests/`` goes on
+    the import path first.
+    """
+    tests = str(Path(__file__).resolve().parents[1] / "tests")
+    if tests not in sys.path:
+        sys.path.append(tests)
+    return getattr(importlib.import_module(module), name)
 
 
 def _assert_cpu_ratio(subject, reference, label):
@@ -162,7 +166,7 @@ def test_smoke_mbm_cpu_per_query(n):
     Deferring saves distance computations; heap or batching overhead
     that eats the saving shows up as a ratio above 1.10.
     """
-    mbm_reference = _load_mbm_reference()
+    mbm_reference = _load_reference("mbm_reference")
     points = pp_like(20_000)
     flat = FlatRTree.bulk_load(points, capacity=50)
     spec = WorkloadSpec(n=n, mbr_fraction=0.08, k=8, queries=40)
@@ -186,7 +190,7 @@ def test_smoke_mbm_cpu_per_query_n16():
     in several calls; scan and heap overhead that eats the saved
     distance computations shows up as a ratio above 1.10.
     """
-    mbm_reference = _load_mbm_reference()
+    mbm_reference = _load_reference("mbm_reference")
     points = pp_like(20_000)
     flat = FlatRTree.bulk_load(points, capacity=50)
     spec = WorkloadSpec(n=16, mbr_fraction=0.04, k=8, queries=40)
@@ -213,7 +217,7 @@ def test_smoke_dirty_mbm_cpu_per_query():
     distance computations; per-page kernel calls and heap entries that
     eat the saving show up as a ratio above 1.10.
     """
-    mbm_seed_first = _load_mbm_reference("mbm_seed_first")
+    mbm_seed_first = _load_reference("mbm_seed_first")
     points = pp_like(20_000)
     flat = FlatRTree.bulk_load(points, capacity=50)
     rng = np.random.default_rng(3)
@@ -248,7 +252,7 @@ def test_smoke_spm_cpu_per_query(n):
     Heuristic 1's key reads no more nodes than the stream; run-heap or
     per-leaf overhead that outweighs that shows up as a ratio above 1.10.
     """
-    spm_reference = _load_mbm_reference("spm_reference", "spm_reference")
+    spm_reference = _load_reference("spm_reference", "spm_reference")
     points = pp_like(20_000)
     flat = FlatRTree.bulk_load(points, capacity=50)
     spec = WorkloadSpec(n=n, mbr_fraction=0.08, k=8, queries=40)
@@ -279,7 +283,7 @@ def test_smoke_bestfirst_cpu_per_query(aggregate, n, dirty):
     nodes than the stream; run-heap or per-leaf overhead that outweighs
     that shows up as a ratio above 1.10.
     """
-    aggregate_reference = _load_mbm_reference("aggregate_reference", "aggregate_reference")
+    aggregate_reference = _load_reference("aggregate_reference", "aggregate_reference")
     points = pp_like(20_000)
     flat = FlatRTree.bulk_load(points, capacity=50)
     overlay = None
@@ -342,7 +346,7 @@ def test_smoke_mbm_batch_cpu_per_query(batch):
     ``flat.read_scope()`` and by the eager ``mbm_batch_reference`` of
     ``tests/mbm_reference.py``.
     """
-    mbm_batch_reference = _load_mbm_reference("mbm_batch_reference")
+    mbm_batch_reference = _load_reference("mbm_batch_reference")
     flat, _, chunks = _meetup_replay(batch)
     for chunk in chunks:
         expected = mbm_batch_reference(flat, chunk, 1)
@@ -390,7 +394,7 @@ def test_smoke_fmbm_cpu_per_query():
     views of one file, so the ratio is the leaf loop's alone; a slide
     back to per-point Python shows as a ratio near 1.
     """
-    fmbm_reference = _load_mbm_reference("fmbm_reference", module="fmbm_reference")
+    fmbm_reference = _load_reference("fmbm_reference", "fmbm_reference")
     scale = get_scale("smoke")
     points = pp_like(scale.pp_size)
     flat = FlatRTree.bulk_load(points, capacity=scale.node_capacity)
@@ -472,6 +476,8 @@ def test_smoke_traversal_stream_tuples(benchmark):
     points = rng.uniform(0, 1000, size=(10_000, 2))
     flat = FlatRTree.bulk_load(points, capacity=50)
     query = [500.0, 500.0]
+
+    incremental_nearest = _load_reference("incremental_nearest", "traversal_reference")
 
     def consume():
         count = 0

@@ -51,14 +51,6 @@ class ExperimentResult:
     scale: str
     rows: list[dict] = field(default_factory=list)
 
-    def series(self, algorithm: str, metric: str = "node_accesses") -> list[tuple]:
-        """Return ``(x, value)`` pairs of one algorithm's series."""
-        return [
-            (row["x"], row[metric])
-            for row in self.rows
-            if row["algorithm"] == algorithm
-        ]
-
     def algorithms(self) -> list[str]:
         """Names of the algorithms that appear in the rows."""
         seen = []

@@ -1,112 +1,48 @@
-"""The paper's pruning heuristics as standalone, unit-testable predicates.
-
-Each function returns ``True`` when the candidate (node or point) can be
-*pruned*, i.e. it provably cannot improve on the current ``best_dist``.
-The algorithms in this package call these predicates rather than
-inlining the inequalities, so the exact conditions of the paper are
-visible in one place and covered by dedicated tests (including the
-property-based ones that check they never prune the true answer).
-
-One deliberate exception: ``repro.core.mbm`` (and SPM, which runs its
-loop) compares *keys* instead.  Heuristic 1 enters as ``n * mindist(N,
-c) - dist(c, Q)``, its rearrangement (:func:`heuristic1_prunes_point`
-compares ``mindist(N, c)`` with ``(best_dist + dist(c, Q)) / n``),
-Heuristic 2 as ``W * mindist(N, M)``, Heuristic 3 as the paper's bound,
-each maxed into an entry's key and checked against ``best_dist`` once,
-at the heap head or the leaf scan (``tests/mbm_reference.py`` and
-``tests/spm_reference.py`` keep the predicate-by-predicate traversals
-these keys are proven against).  The pinned answers and
-counters of ``TestPinnedAccessCounters``
-(``tests/test_algorithm_conformance.py``) and ``TestTraversalPins``
-(``tests/test_rtree_flat.py``) are the backstop that catches a divergence.
-
-F-MBM's weighted mindists come from two kernels:
-``kernels.boxes_weighted_group_mindist`` for nodes and
-``kernels.points_weighted_mindists``, a leaf's ``(points x blocks)``
-matrix of ``n_i * mindist(p, M_i)``.  Heuristic 5 reads the matrix's row
-sums; Heuristic 6 reads the columns of the blocks not read yet.
-``tests/fmbm_reference.py`` keeps the per-point leaf loop the array form
-is proven against.
+"""The paper's pruning heuristics, and where each one lives.
 
 Numbering follows the paper:
 
-* Heuristic 1 — SPM, centroid-based node pruning (Section 3.2)
-* Heuristic 2 — MBM, query-MBR node pruning (Section 3.3)
-* Heuristic 3 — MBM, per-query-point mindist pruning (Section 3.3)
-* Heuristic 4 — GCP, partial-distance pruning (Section 4.1)
-* Heuristic 5 — F-MBM, weighted-mindist node pruning (Section 4.3)
-* Heuristic 6 — F-MBM, per-point remaining-group pruning (Section 4.3),
-  over every surviving point of a leaf at once
+* Heuristic 1 — SPM, centroid-based node pruning (Section 3.2): the key
+  ``n * mindist(N, c) - dist(c, Q)`` that :mod:`repro.core.spm` hands
+  to MBM's loop;
+* Heuristic 2 — MBM, query-MBR node pruning (Section 3.3): MBM's cheap
+  key ``W * mindist(N, M)`` (``repro.core.mbm._heuristic2``);
+* Heuristic 3 — MBM, per-query-point mindist pruning (Section 3.3):
+  ``kernels.boxes_group_mindist``, the key of ``algorithm="best-first"``
+  and of MBM's ``max``/``min``;
+* Heuristic 4 — GCP, partial-distance pruning (Section 4.1):
+  :func:`heuristic4_prunes` and :func:`gcp_candidate_threshold` below,
+  called by :mod:`repro.core.gcp`;
+* Heuristic 5 — F-MBM, weighted-mindist node pruning (Section 4.3):
+  :func:`heuristic5_prunes` below, over
+  ``kernels.boxes_weighted_group_mindist`` for nodes and the row sums
+  of ``kernels.points_weighted_mindists``, a leaf's ``(points x
+  blocks)`` matrix of ``n_i * mindist(p, M_i)``;
+* Heuristic 6 — F-MBM, per-point remaining-group pruning (Section 4.3):
+  :func:`heuristic6_prunes` below, over the columns of that matrix for
+  the blocks not read yet, every surviving point of a leaf at once;
 * *not from the paper* — MBM's tangent planes for the sum aggregate
   (``geometry.kernels.group_tangent_planes``): ``dist(., Q)`` is convex,
   so its tangent plane at a point of ``N`` bounds it over ``N`` and over
   everything inside ``N``.  Its minimum joins Heuristic 3 in
-  :mod:`repro.core.mbm`'s keys; Heuristic 3 as printed is what
-  ``algorithm="best-first"`` runs.
+  :mod:`repro.core.mbm`'s keys.
+
+Heuristics 1-3 are no predicates: MBM's loop, which also runs SPM and
+best-first, maxes each into an entry's key and checks the key against
+``best_dist`` once, at the heap head or the leaf scan.
+``tests/heuristics_reference.py`` keeps them as predicates, and
+``tests/mbm_reference.py`` and ``tests/spm_reference.py`` the
+predicate-by-predicate traversals the keys are proven against
+(``tests/fmbm_reference.py`` is F-MBM's per-point leaf loop).  The
+pinned answers and counters of ``TestPinnedAccessCounters``
+(``tests/test_algorithm_conformance.py``) and ``TestTraversalPins``
+(``tests/test_rtree_flat.py``) are the backstop that catches a
+divergence.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def heuristic1_prunes_node(
-    mindist_node_centroid: float,
-    best_dist: float,
-    centroid_group_distance: float,
-    group_cardinality: int,
-) -> bool:
-    """Heuristic 1: prune node N when ``mindist(N, q) >= (best_dist + dist(q, Q)) / n``."""
-    if group_cardinality < 1:
-        raise ValueError("the query group must contain at least one point")
-    bound = (best_dist + centroid_group_distance) / group_cardinality
-    return mindist_node_centroid >= bound
-
-
-def heuristic1_prunes_point(
-    distance_point_centroid: float,
-    best_dist: float,
-    centroid_group_distance: float,
-    group_cardinality: int,
-) -> bool:
-    """Heuristic 1 applied at the leaf level: prune point p when ``|pq| >= (best_dist + dist(q, Q)) / n``."""
-    return heuristic1_prunes_node(
-        distance_point_centroid, best_dist, centroid_group_distance, group_cardinality
-    )
-
-
-def heuristic2_prunes(mindist_to_query_mbr: float, best_dist: float, group_cardinality: float) -> bool:
-    """Heuristic 2: prune node (or point) when ``mindist(N, M) >= best_dist / n``.
-
-    Compared multiplied out, ``n * mindist(N, M) >= best_dist``: that is
-    the bound the MBM driver keys on, and a quotient can round
-    ``best_dist / n`` down onto the mindist of a point whose distance is
-    exactly a ``within`` ceiling, pruning it.  ``group_cardinality``
-    generalises to the total weight for weighted queries, so any
-    positive value is accepted.
-    """
-    if group_cardinality <= 0:
-        raise ValueError("the query group must have positive cardinality/weight")
-    return group_cardinality * mindist_to_query_mbr >= best_dist
-
-
-def heuristic2_prunes_batch(
-    mindists_to_query_mbr: np.ndarray, best_dist: float, group_cardinality: float
-) -> np.ndarray:
-    """Vectorised :func:`heuristic2_prunes` for an array of mindists."""
-    if group_cardinality <= 0:
-        raise ValueError("the query group must have positive cardinality/weight")
-    return group_cardinality * mindists_to_query_mbr >= best_dist
-
-
-def heuristic3_prunes_precomputed(summed_mindist: float, best_dist: float) -> bool:
-    """Heuristic 3 when the caller already summed the per-query mindists."""
-    return summed_mindist >= best_dist
-
-
-def heuristic3_prunes_batch(summed_mindists: np.ndarray, best_dist: float) -> np.ndarray:
-    """Vectorised :func:`heuristic3_prunes_precomputed` for an array of bounds."""
-    return summed_mindists >= best_dist
 
 
 def heuristic4_prunes(

@@ -19,9 +19,8 @@ state lives in struct-of-arrays form, each visited node is scored for
 aggregate distance of every emitted neighbor falls out of the same
 shared matrix.  Results, node-access and distance-computation counters,
 and any attached LRU buffer's hit/miss sequence are bit-identical to
-``n`` independent :func:`~repro.rtree.traversal.incremental_nearest`
-generators (the reference driver the test suite keeps); only the Python
-overhead per retrieval changes.
+``n`` independent point-NN generators (``tests/mqm_reference.py``
+keeps that driver); only the Python overhead per retrieval changes.
 """
 
 from __future__ import annotations

@@ -100,24 +100,3 @@ def ts_like(
     segments = max(50, count // 300)
     parts = _line_parts(count, segments, 2, workspace, seed)
     return _shuffled(parts, np.random.default_rng(seed))
-
-
-def scaled_pair(
-    scale: float = 1.0, workspace: tuple[float, float] = DEFAULT_WORKSPACE, seed: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Return (PP-like, TS-like) datasets shrunk by ``scale``.
-
-    ``scale=1.0`` reproduces the paper's cardinalities; smaller values
-    keep the 1:8 ratio while letting the pure-Python benchmarks finish in
-    reasonable time.  The ratio is what determines the number of query
-    blocks (3 vs 20 in the paper) and therefore the relative behaviour of
-    F-MQM and F-MBM.
-    """
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must be in (0, 1]")
-    pp_count = max(100, int(round(PP_CARDINALITY * scale)))
-    ts_count = max(800, int(round(TS_CARDINALITY * scale)))
-    return (
-        pp_like(pp_count, workspace=workspace, seed=seed),
-        ts_like(ts_count, workspace=workspace, seed=seed + 1),
-    )

@@ -74,31 +74,15 @@ def gaussian_clusters(
     return np.clip(points, low, high)
 
 
-def line_segments(
-    count: int,
-    segments: int = 200,
-    dims: int = 2,
-    workspace: tuple[float, float] = DEFAULT_WORKSPACE,
-    seed: int | None = 0,
-) -> np.ndarray:
-    """Points sampled along random poly-lines (random walks).
+def _line_parts(
+    count: int, segments: int, dims: int, workspace: tuple[float, float], seed: int | None
+) -> list[np.ndarray]:
+    """``count`` points sampled along random poly-lines, one ``(steps, dims)`` array each.
 
     Mimics datasets derived from linear features such as rivers or
     roads: points are dense along one-dimensional structures rather
     than spread over areas.
     """
-    return np.vstack(_line_parts(count, segments, dims, workspace, seed))
-
-
-def _line_parts(
-    count: int, segments: int, dims: int, workspace: tuple[float, float], seed: int | None
-) -> list[np.ndarray]:
-    """The poly-lines of :func:`line_segments`, one ``(steps, dims)`` array each.
-
-    Stacked in order they are :func:`line_segments`' rows, bit for bit.
-    """
-    if count < 1:
-        raise ValueError("count must be positive")
     rng = _rng(seed)
     low, high = workspace
     side = high - low

@@ -32,8 +32,9 @@ the validating public entry points.
 
 Bit-identity
 ------------
-The scalar helpers (:mod:`repro.geometry.distance`, ``MBR.mindist_*``)
-sum squared differences with ``np.sum`` over the coordinate axis.  Below
+The scalar helpers (:mod:`repro.geometry.distance`, and the per-box
+``mindist`` oracle ``tests/geometry_reference.py``) sum squared
+differences with ``np.sum`` over the coordinate axis.  Below
 eight terms NumPy adds them one after the other, exactly as the per-axis
 accumulation does, so for ``dims <= 7`` every kernel returns the floats
 of the scalar loop it replaces, and row ``b`` of every stacked

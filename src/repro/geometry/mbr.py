@@ -2,9 +2,11 @@
 
 The R-tree stores an MBR per entry; the GNN pruning heuristics of the
 paper are all phrased in terms of ``mindist`` between MBRs, points and
-other MBRs (Table 3.1 of the paper).  The class below is dimension
-agnostic — the paper uses 2-D data but explicitly notes the techniques
-apply to higher dimensionalities.
+other MBRs (Table 3.1 of the paper).  The batched box kernels of
+:mod:`repro.geometry.kernels` compute them, an array of boxes per call;
+the class below describes one box, such as a query group's MBR.  It is
+dimension agnostic — the paper uses 2-D data but explicitly notes the
+techniques apply to higher dimensionalities.
 """
 
 from __future__ import annotations
@@ -65,36 +67,6 @@ class MBR:
     def area(self) -> float:
         """Hyper-volume of the rectangle (area in 2-D)."""
         return float(np.prod(self.extents))
-
-    # ------------------------------------------------------------------
-    # distances
-    # ------------------------------------------------------------------
-    def mindist_point(self, point: Sequence[float]) -> float:
-        """Minimum Euclidean distance from ``point`` to any point of the MBR.
-
-        This is the classic ``mindist(N, q)`` lower bound of [RKV95]; it is
-        zero when the point lies inside the rectangle.
-        """
-        p = as_point(point, dims=self.dims)
-        delta = np.maximum(0.0, np.maximum(self.low - p, p - self.high))
-        # np.sum (not np.dot) so the scalar value is bit-identical to the
-        # batched kernels in repro.geometry.kernels.
-        return float(np.sqrt(np.sum(delta * delta)))
-
-    def mindist_points(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`mindist_point` for a ``(count, dims)`` array."""
-        pts = as_points(points, dims=self.dims)
-        delta = np.maximum(0.0, np.maximum(self.low - pts, pts - self.high))
-        return np.sqrt(np.sum(delta * delta, axis=1))
-
-    def mindist_mbr(self, other: "MBR") -> float:
-        """Minimum distance between any two points of the two rectangles.
-
-        ``mindist(N1, N2)`` in the paper's terminology; zero when the
-        rectangles intersect.
-        """
-        delta = np.maximum(0.0, np.maximum(self.low - other.high, other.low - self.high))
-        return float(np.sqrt(np.sum(delta * delta)))
 
     # ------------------------------------------------------------------
     # dunder helpers

@@ -27,8 +27,6 @@ _stream = None
 _lock = threading.Lock()
 _loggers: dict[str, "ComponentLogger"] = {}
 
-LEVELS = ("debug", "info", "warning", "error")
-
 
 def enable(stream=None) -> None:
     """Turn structured logging on, writing to ``stream`` (default stderr)."""
@@ -43,10 +41,6 @@ def disable() -> None:
     with _lock:
         _enabled = False
         _stream = None
-
-
-def is_enabled() -> bool:
-    return _enabled
 
 
 class ComponentLogger:
@@ -75,9 +69,6 @@ class ComponentLogger:
             except ValueError:
                 # The capture stream was closed (test teardown); drop.
                 pass
-
-    def debug(self, event: str, **fields) -> None:
-        self._emit("debug", event, fields)
 
     def info(self, event: str, **fields) -> None:
         self._emit("info", event, fields)

@@ -204,10 +204,6 @@ class Tracer:
                 return list(self._ring)
             return list(self._by_trace.get(trace_id, ()))
 
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids currently buffered, oldest first."""
-        return list(dict.fromkeys(span["trace_id"] for span in self.spans()))
-
     def tree(self, trace_id: str) -> dict | None:
         """Reassemble one trace's span tree; ``None`` if unknown.
 

@@ -10,7 +10,8 @@ The package provides:
   experiments),
 * :mod:`repro.rtree.bulkload` — the STR and Hilbert leaf orders behind
   that packing (array sorts, no object per point),
-* best-first (incremental) nearest-neighbor search in
+* the best-first (incremental) nearest-neighbor stream F-MQM consumes,
+  and the multi-stream frontier MQM drives, in
   :mod:`repro.rtree.traversal`,
 * an incremental closest-pair join over two snapshots in
   :mod:`repro.rtree.closest_pairs` (needed by the GCP algorithm of
@@ -23,17 +24,11 @@ The package provides:
 from repro.rtree.closest_pairs import incremental_closest_pairs
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.traversal import (
-    best_first_nearest,
-    flat_incremental_nearest_generic,
-    incremental_nearest,
-)
+from repro.rtree.traversal import flat_incremental_nearest_generic
 
 __all__ = [
     "DeltaOverlay",
     "FlatRTree",
-    "best_first_nearest",
     "flat_incremental_nearest_generic",
     "incremental_closest_pairs",
-    "incremental_nearest",
 ]

@@ -13,10 +13,10 @@ ascending distance without knowing ``k`` in advance:
   child slice with one kernel call.  (MBM, SPM and best-first need no
   stream: they stop at a known key, in
   :func:`repro.core.mbm._mbm_best_first`.)
-* :func:`incremental_nearest` / :func:`best_first_nearest` — the
-  conventional point-NN stream and its ``k``-prefix.
 * :class:`MultiStreamFrontier` — all ``n`` point-NN streams of one query
-  group as a single struct-of-arrays engine (MQM's driver).
+  group as a single struct-of-arrays engine (MQM's driver).  The
+  conventional point-NN stream, the generic one keyed by the distance to
+  a point, runs only in tests (``tests/traversal_reference.py``).
 
 ``mbrs_key`` must lower-bound ``points_key`` for every point inside a
 box — exactly the property that makes best-first search correct.  MQM
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.point import as_point
 from repro.rtree.flat import FlatRTree
 
 
@@ -143,7 +142,7 @@ class MultiStreamFrontier:
     """All ``n`` incremental-NN frontiers of one query group, as one engine.
 
     MQM drives one incremental nearest-neighbor stream per query point.
-    Run as ``n`` independent :func:`incremental_nearest` generators, each
+    Run as ``n`` independent point-NN generators, each
     stream pays generator resumption, per-stream kernel calls on tiny
     arrays, and one heap tuple per leaf point.  This class keeps the
     per-stream state in struct-of-arrays form instead:
@@ -349,28 +348,3 @@ class MultiStreamFrontier:
         self.segs[stream] = seg
         self._pend_pos[stream] = cut
         return (seg[2][0], seg[3][0], seg[4][0])
-
-
-def incremental_nearest(flat: FlatRTree, query: Sequence[float], cost=None) -> Iterator[Neighbor]:
-    """Yield indexed points in ascending distance from ``query``, reads charged to ``cost``."""
-    q = as_point(query, dims=flat.dims)
-
-    def points_key(points: np.ndarray) -> np.ndarray:
-        return kernels.point_distances(points, q)
-
-    def mbrs_key(lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
-        return kernels.boxes_mindist_point(lows, highs, q)
-
-    return flat_incremental_nearest_generic(flat, points_key, mbrs_key, cost=cost)
-
-
-def best_first_nearest(flat: FlatRTree, query: Sequence[float], k: int = 1) -> list[Neighbor]:
-    """Return the ``k`` nearest neighbors of ``query`` using best-first search."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    results: list[Neighbor] = []
-    for neighbor in incremental_nearest(flat, query):
-        results.append(neighbor)
-        if len(results) == k:
-            break
-    return results

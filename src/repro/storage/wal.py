@@ -50,7 +50,7 @@ import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.obs.logging import get_logger
 from repro.storage.atomicio import fsync_directory
@@ -251,8 +251,3 @@ class WriteAheadLog:
             records.append(WalRecord(_OP_NAMES[op_code], record_id, coords))
             offset = end
         return WalScan(base_generation, tuple(records), offset, torn)
-
-    @classmethod
-    def replay(cls, path) -> Iterable[WalRecord]:
-        """The intact records of a log file, oldest first."""
-        return cls.scan(path).records

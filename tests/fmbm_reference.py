@@ -2,7 +2,7 @@
 
 This is the leaf loop F-MBM ran before it became one ``(points x
 blocks)`` matrix per leaf: surviving points are ``[row, accumulated]``
-lists, blocks are sorted by ``MBR.mindist_mbr`` one summary at a time,
+lists, blocks are sorted by the scalar ``mindist_mbr`` one summary at a time,
 and the scalar Heuristic 6 below walks each point's remaining blocks
 before every block read.  The production driver must return the same
 neighbours and charge the same node accesses, page reads, block reads
@@ -16,6 +16,7 @@ import heapq
 import itertools
 
 import numpy as np
+from geometry_reference import mindist_mbr, mindist_point
 
 from repro.core.heuristics import heuristic5_prunes, heuristic5_prunes_batch
 from repro.core.types import BestList, GNNResult, QueryCost
@@ -41,7 +42,7 @@ def heuristic6_prunes_point(point, accumulated_distance, remaining_summaries, be
     """
     bound = accumulated_distance
     for summary in remaining_summaries:
-        bound += summary.cardinality * summary.mbr.mindist_point(point)
+        bound += summary.cardinality * mindist_point(summary.mbr, point)
         if bound >= best_dist:
             return True
     return bound >= best_dist
@@ -109,7 +110,7 @@ def _process_leaf(flat, index, start, stop, query_file, summaries, stacked, best
         return
 
     ordered_blocks = sorted(
-        summaries, key=lambda summary: node_mbr.mindist_mbr(summary.mbr), reverse=True
+        summaries, key=lambda summary: mindist_mbr(node_mbr, summary.mbr), reverse=True
     )
     for position, summary in enumerate(ordered_blocks):
         if not survivors:

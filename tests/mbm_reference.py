@@ -35,13 +35,13 @@ import itertools
 import math
 
 import numpy as np
-
-from repro.core.heuristics import (
+from heuristics_reference import (
     heuristic2_prunes,
     heuristic2_prunes_batch,
     heuristic3_prunes_batch,
     heuristic3_prunes_precomputed,
 )
+
 from repro.core.mbm import _divisor, _mbm_best_first as _mbm_base_traversal, _mode, _tangent_anchor
 from repro.core.types import BestList, GNNResult, GroupNeighbor, QueryCost
 from repro.geometry import kernels

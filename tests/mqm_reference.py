@@ -1,7 +1,7 @@
 """Generator-per-stream MQM: the reference ``repro.core.mqm`` is proven against.
 
 This is the paper's Figure 3.2 written the obvious way — ``n``
-independent :func:`~repro.rtree.traversal.incremental_nearest`
+independent :func:`~traversal_reference.incremental_nearest`
 generators (each a ``flat_incremental_nearest_generic`` stream)
 combined round-robin with the threshold rule, one per-point aggregate
 distance (:func:`_distance_to`) and one ``n``-sized distance charge per
@@ -11,11 +11,12 @@ tests require it to be indistinguishable from this driver: same
 neighbors, same node/leaf/distance counters, same LRU hit/miss sequence.
 """
 
+from traversal_reference import incremental_nearest
+
 from repro.core.types import BestList, GNNResult, GroupQuery, QueryCost
 from repro.geometry import kernels
 from repro.geometry.hilbert import hilbert_sort
 from repro.rtree.flat import FlatRTree
-from repro.rtree.traversal import incremental_nearest
 
 
 def mqm_reference(flat: FlatRTree, query: GroupQuery, exclude=None) -> GNNResult:

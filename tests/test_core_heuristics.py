@@ -14,13 +14,16 @@ points as arrays, as F-MBM calls it.
 
 import numpy as np
 import pytest
-
-from repro.core.heuristics import (
-    gcp_candidate_threshold,
+from geometry_reference import mindist_mbr, mindist_point, mindist_points
+from heuristics_reference import (
     heuristic1_prunes_node,
     heuristic1_prunes_point,
     heuristic2_prunes,
     heuristic3_prunes_precomputed,
+)
+
+from repro.core.heuristics import (
+    gcp_candidate_threshold,
     heuristic4_prunes,
     heuristic5_prunes,
     heuristic5_prunes_batch,
@@ -116,7 +119,7 @@ class TestHeuristics2And3:
     def test_heuristic3_with_real_geometry(self):
         node = MBR([10.0, 10.0], [12.0, 12.0])
         query_points = np.array([[0.0, 0.0], [0.0, 20.0]])
-        summed = float(node.mindist_points(query_points).sum())
+        summed = float(mindist_points(node, query_points).sum())
         bound = kernels.boxes_group_mindist(node.low[None], node.high[None], query_points)[0]
         assert bound == pytest.approx(summed)
         assert heuristic3_prunes_precomputed(bound, summed - 0.1)
@@ -181,8 +184,8 @@ class TestHeuristics5And6:
     def test_weighted_mindist_of_node(self):
         lows, highs, _ = self.SUMMARIES
         node = MBR([20.0, 0.0], [30.0, 10.0])
-        expected = 2 * node.mindist_mbr(MBR(lows[0], highs[0])) + 3 * node.mindist_mbr(
-            MBR(lows[1], highs[1])
+        expected = 2 * mindist_mbr(node, MBR(lows[0], highs[0])) + 3 * mindist_mbr(
+            node, MBR(lows[1], highs[1])
         )
         bound = kernels.boxes_weighted_group_mindist(
             node.low[None], node.high[None], *self.SUMMARIES
@@ -194,8 +197,8 @@ class TestHeuristics5And6:
         point = np.array([20.0, 5.0])
         terms = kernels.points_weighted_mindists(point[None], *self.SUMMARIES)
         expected = [
-            2 * MBR(lows[0], highs[0]).mindist_point(point),
-            3 * MBR(lows[1], highs[1]).mindist_point(point),
+            2 * mindist_point(MBR(lows[0], highs[0]), point),
+            3 * mindist_point(MBR(lows[1], highs[1]), point),
         ]
         assert terms[0].tolist() == pytest.approx(expected)
         node_form = kernels.boxes_weighted_group_mindist(point[None], point[None], *self.SUMMARIES)

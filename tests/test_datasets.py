@@ -4,11 +4,11 @@ import datasets_reference
 import numpy as np
 import pytest
 
-from repro.datasets.real_like import PP_CARDINALITY, TS_CARDINALITY, pp_like, scaled_pair, ts_like
+from repro.datasets.real_like import PP_CARDINALITY, TS_CARDINALITY, pp_like, ts_like
 from repro.datasets.synthetic import (
     DEFAULT_WORKSPACE,
+    _line_parts,
     gaussian_clusters,
-    line_segments,
     uniform_points,
 )
 from repro.datasets.workload import (
@@ -72,14 +72,6 @@ class TestSyntheticGenerators:
         with pytest.raises(ValueError):
             gaussian_clusters(10, clusters=0)
 
-    def test_line_segments_shape(self):
-        points = line_segments(300, segments=10, seed=5)
-        assert points.shape == (300, 2)
-
-    def test_line_segments_rejects_non_positive_count(self):
-        with pytest.raises(ValueError):
-            line_segments(0)
-
 
 class TestRealLikeDatasets:
     def test_default_cardinalities_match_the_paper(self):
@@ -117,15 +109,6 @@ class TestRealLikeDatasets:
         with pytest.raises(ValueError):
             ts_like(count=5)
 
-    def test_scaled_pair_keeps_the_cardinality_ratio(self):
-        pp, ts = scaled_pair(scale=0.02)
-        ratio = len(ts) / len(pp)
-        assert 4.0 < ratio < 12.0
-
-    def test_scaled_pair_validates_scale(self):
-        with pytest.raises(ValueError):
-            scaled_pair(scale=0.0)
-
 
 #: The workspaces the byte-equality grid runs each count and seed over.
 _WORKSPACES = (DEFAULT_WORKSPACE, (-5.0, 17.5))
@@ -160,8 +143,10 @@ class TestStandInsAgainstStackedShuffle:
                 assert _same_bytes(got, want), (count, workspace, seed)
 
     def test_line_segments_is_the_stacked_reference(self):
+        # TS's poly-lines, stacked, are the reference's line_segments rows,
+        # also where a segment gets one point or the last one is short.
         for count, segments in ((1, 200), (300, 10), (1_001, 7)):
-            got = line_segments(count, segments=segments, seed=5)
+            got = np.vstack(_line_parts(count, segments, 2, DEFAULT_WORKSPACE, 5))
             want = datasets_reference.line_segments(count, segments=segments, seed=5)
             assert _same_bytes(got, want), (count, segments)
 
@@ -187,10 +172,8 @@ class TestStandInsAgainstStackedShuffle:
         )
         pp_like(1_200)
         ts_like(800)
-        scaled_pair(scale=0.01)
         uniform_points(50)
         gaussian_clusters(50, clusters=3)
-        line_segments(50, segments=5)
         data = uniform_points(100, seed=2)
         generate_workload(data, WorkloadSpec(n=4, mbr_fraction=0.08, k=2, queries=3), seed=1)
         generate_request_trace(

@@ -145,7 +145,7 @@ class TestWriteAheadLog:
     def test_fsync_policies_accepted(self, tmp_path, policy):
         with WriteAheadLog(tmp_path / "wal.log", fsync=policy) as wal:
             wal.append("insert", 1, (0.0, 0.0))
-        assert len(WriteAheadLog.replay(tmp_path / "wal.log")) == 1
+        assert len(WriteAheadLog.scan(tmp_path / "wal.log").records) == 1
 
     def test_unknown_fsync_policy_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="fsync policy"):

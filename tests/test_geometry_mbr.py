@@ -67,31 +67,44 @@ class TestPredicates:
         assert gap.tolist() == [1.0]
 
 
+def _mindist_point(box, point):
+    """``mindist(box, point)`` from the box kernel."""
+    point = np.asarray(point, dtype=np.float64)
+    return float(kernels.boxes_mindist_point(box.low[None], box.high[None], point)[0])
+
+
+def _mindist_mbr(box, other):
+    """``mindist(box, other)`` from the box-to-box kernel."""
+    return float(kernels.boxes_mindist_box(box.low[None], box.high[None], other.low, other.high)[0])
+
+
 class TestDistances:
+    """An MBR's ``mindist`` to a point or a box, as the kernels score it."""
+
     def test_mindist_point_zero_inside(self, unit_square):
-        assert unit_square.mindist_point([0.3, 0.7]) == 0.0
+        assert _mindist_point(unit_square, [0.3, 0.7]) == 0.0
 
     def test_mindist_point_axis_aligned(self, unit_square):
-        assert unit_square.mindist_point([2.0, 0.5]) == pytest.approx(1.0)
+        assert _mindist_point(unit_square, [2.0, 0.5]) == pytest.approx(1.0)
 
     def test_mindist_point_corner(self, unit_square):
-        assert unit_square.mindist_point([2.0, 2.0]) == pytest.approx(np.sqrt(2.0))
+        assert _mindist_point(unit_square, [2.0, 2.0]) == pytest.approx(np.sqrt(2.0))
 
     def test_mindist_points_vectorised_matches_scalar(self, unit_square):
         pts = np.array([[2.0, 0.5], [0.5, 0.5], [-1.0, -1.0]])
-        vector = unit_square.mindist_points(pts)
-        scalar = [unit_square.mindist_point(p) for p in pts]
+        vector = kernels.points_mindist_box(pts, unit_square.low, unit_square.high)
+        scalar = [_mindist_point(unit_square, p) for p in pts]
         assert np.allclose(vector, scalar)
 
     def test_mindist_mbr_zero_when_intersecting(self, unit_square):
         other = MBR([0.5, 0.5], [2.0, 2.0])
-        assert unit_square.mindist_mbr(other) == 0.0
+        assert _mindist_mbr(unit_square, other) == 0.0
 
     def test_mindist_mbr_between_disjoint_boxes(self, unit_square, shifted_square):
-        assert unit_square.mindist_mbr(shifted_square) == pytest.approx(1.0)
+        assert _mindist_mbr(unit_square, shifted_square) == pytest.approx(1.0)
 
     def test_mindist_mbr_is_symmetric(self, unit_square, shifted_square):
-        assert unit_square.mindist_mbr(shifted_square) == shifted_square.mindist_mbr(unit_square)
+        assert _mindist_mbr(unit_square, shifted_square) == _mindist_mbr(shifted_square, unit_square)
 
 
 class TestDunder:

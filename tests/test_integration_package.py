@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from traversal_reference import best_first_nearest
 
 import repro
 from repro.rtree.flat import FlatRTree
@@ -30,9 +31,8 @@ PUBLIC_NAMES = {
         "execute_batch", "execute_spec", "get_algorithm",
     },
     "repro.rtree": {
-        "DeltaOverlay", "FlatRTree", "best_first_nearest",
-        "flat_incremental_nearest_generic", "incremental_closest_pairs",
-        "incremental_nearest",
+        "DeltaOverlay", "FlatRTree", "flat_incremental_nearest_generic",
+        "incremental_closest_pairs",
     },
     "repro.serve": {
         "CompactingWriter", "GNNServer", "MicroBatcher", "ServerOverloadedError",
@@ -48,7 +48,7 @@ PUBLIC_NAMES = {
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "15.1.0"
+        assert repro.__version__ == "16.0.0"
 
     def test_version_matches_pyproject(self):
         # Read by regex: Python 3.10 has no tomllib.
@@ -95,8 +95,6 @@ class TestQueryCostRecord:
         tree = FlatRTree.bulk_load(points, capacity=8)
         # Read the index first, outside any query: a record that took a
         # shared running total would count these reads too.
-        from repro.rtree.traversal import best_first_nearest
-
         best_first_nearest(tree, [0.0, 0.0], k=5)
         cost = repro.mbm(tree, query).cost
         assert cost.node_accesses > 0 and cost.distance_computations > 0

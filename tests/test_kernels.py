@@ -13,6 +13,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from geometry_reference import mindist_mbr, mindist_point, mindist_points
 from hypothesis import strategies as st
 from mbm_reference import (
     batched_aggregate_distances,
@@ -195,7 +196,7 @@ class TestBoxKernels:
         lows, highs, group, _ = data
         q = group[0]
         bulk = kernels.boxes_mindist_point(lows, highs, q)
-        scalar = [MBR(low, high).mindist_point(q) for low, high in zip(lows, highs)]
+        scalar = [mindist_point(MBR(low, high), q) for low, high in zip(lows, highs)]
         assert _same(bulk, scalar)
 
     @given(data=boxes_and_group(min_group=2))
@@ -204,7 +205,7 @@ class TestBoxKernels:
         lows, highs, group, _ = data
         box = MBR(lows[0], highs[0])
         bulk = kernels.points_mindist_box(group, box.low, box.high)
-        assert _same(bulk, box.mindist_points(group))
+        assert _same(bulk, mindist_points(box, group))
 
     @given(data=boxes_and_group())
     @settings(max_examples=100, deadline=None)
@@ -212,7 +213,7 @@ class TestBoxKernels:
         lows, highs, group, _ = data
         other = MBR.from_points(group)
         bulk = kernels.boxes_mindist_box(lows, highs, other.low, other.high)
-        scalar = [MBR(low, high).mindist_mbr(other) for low, high in zip(lows, highs)]
+        scalar = [mindist_mbr(MBR(low, high), other) for low, high in zip(lows, highs)]
         assert _same(bulk, scalar)
 
     @given(data=st.data(), dims=st.integers(2, 6))
@@ -243,10 +244,10 @@ class TestBoxKernels:
         bulk = kernels.boxes_weighted_group_mindist(
             target.low[None, :], target.high[None, :], lows, highs, cards
         )
-        expected = sum(c * target.mindist_mbr(box) for c, box in zip(cards, boxes))
+        expected = sum(c * mindist_mbr(target, box) for c, box in zip(cards, boxes))
         assert _close(bulk[0], expected)
         point_terms = kernels.points_weighted_mindists(group, lows, highs, cards)
-        point_expected = [[c * box.mindist_point(q) for c, box in zip(cards, boxes)] for q in group]
+        point_expected = [[c * mindist_point(box, q) for c, box in zip(cards, boxes)] for q in group]
         assert _same(point_terms, point_expected)
 
 
@@ -322,7 +323,7 @@ class TestBitIdentityHotPath:
         q = group[0]
         assert np.array_equal(
             kernels.boxes_mindist_point(lows, highs, q),
-            [MBR(low, high).mindist_point(q) for low, high in zip(lows, highs)],
+            [mindist_point(MBR(low, high), q) for low, high in zip(lows, highs)],
         )
 
 

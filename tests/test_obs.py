@@ -184,7 +184,7 @@ class TestSpans:
             "query.execute",
         ]
         assert tree["children"][1]["children"][0]["name"] == "query.inner"
-        assert tracer.trace_ids() == [root["trace_id"]]
+        assert {span["trace_id"] for span in tracer.spans()} == {root["trace_id"]}
 
     def test_tree_is_none_for_unknown_or_multi_root_traces(self):
         tracer = Tracer()
@@ -216,7 +216,9 @@ class TestSpans:
         # The per-trace view forgets evicted spans with the ring.
         assert tracer.spans(exported[0]["trace_id"]) == []
         assert tracer.spans(exported[9]["trace_id"]) == [exported[9]]
-        assert tracer.trace_ids() == [span["trace_id"] for span in exported[6:]]
+        assert [span["trace_id"] for span in tracer.spans()] == [
+            span["trace_id"] for span in exported[6:]
+        ]
 
     def test_jsonl_sink_writes_one_valid_line_per_span(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -501,13 +503,17 @@ class TestStructuredLogging:
         assert stream.getvalue() == ""
 
     def test_enable_all_switches_every_subsystem(self):
-        tracer = enable_all(log_stream=io.StringIO())
+        stream = io.StringIO()
+        tracer = enable_all(log_stream=stream)
         assert obstrace.get() is tracer
         assert tracer.slow_threshold_s == obstrace.DEFAULT_SLOW_THRESHOLD_S
-        assert obslog.is_enabled()
+        obslog.get_logger("test.component").info("logged")
         disable_all()
         assert obstrace.get() is None
-        assert not obslog.is_enabled()
+        obslog.get_logger("test.component").info("dropped")
+        assert [json.loads(line)["event"] for line in stream.getvalue().splitlines()] == [
+            "logged"
+        ]
         tracer = enable_all(slow_threshold_s=0.25, log_stream=io.StringIO())
         assert tracer.slow_threshold_s == 0.25
 

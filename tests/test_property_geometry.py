@@ -7,10 +7,11 @@ aggregate distances.
 """
 
 import numpy as np
+from heuristics_reference import heuristic1_prunes_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.heuristics import heuristic1_prunes_point
+from repro.geometry import kernels
 from repro.geometry.distance import euclidean, group_distance, group_mindist
 from repro.geometry.hilbert import hilbert_index_2d
 from repro.geometry.mbr import MBR
@@ -33,6 +34,16 @@ def mbr_strategy(draw, dims=2):
     return MBR(np.minimum(a, b), np.maximum(a, b))
 
 
+def _mindist_point(box, point):
+    """``mindist(box, point)`` from the box kernel every traversal scores with."""
+    return float(kernels.boxes_mindist_point(box.low[None], box.high[None], point)[0])
+
+
+def _mindist_mbr(box, other):
+    """``mindist(box, other)`` from the box-to-box kernel."""
+    return float(kernels.boxes_mindist_box(box.low[None], box.high[None], other.low, other.high)[0])
+
+
 def _union(a, b):
     """The tightest box covering boxes ``a`` and ``b``."""
     return MBR(np.minimum(a.low, b.low), np.maximum(a.high, b.high))
@@ -43,7 +54,7 @@ class TestMBRProperties:
     @settings(max_examples=200, deadline=None)
     def test_mindist_lower_bounds_distance_to_any_inside_point(self, box, point):
         point = np.array(point, dtype=np.float64)
-        bound = box.mindist_point(point)
+        bound = _mindist_point(box, point)
         # Sample deterministic interior points: corners and centre.
         candidates = [box.low, box.high, box.center, np.array([box.low[0], box.high[1]])]
         for candidate in candidates:
@@ -54,14 +65,14 @@ class TestMBRProperties:
     def test_mindist_zero_iff_point_inside(self, box, point):
         point = np.array(point, dtype=np.float64)
         if np.all((box.low <= point) & (point <= box.high)):
-            assert box.mindist_point(point) == 0.0
+            assert _mindist_point(box, point) == 0.0
         else:
-            assert box.mindist_point(point) > 0.0
+            assert _mindist_point(box, point) > 0.0
 
     @given(a=mbr_strategy(), b=mbr_strategy())
     @settings(max_examples=200, deadline=None)
     def test_mbr_mindist_symmetry_and_union_containment(self, a, b):
-        assert a.mindist_mbr(b) == b.mindist_mbr(a)
+        assert _mindist_mbr(a, b) == _mindist_mbr(b, a)
         union = _union(a, b)
         for part in (a, b):
             assert np.all(union.low <= part.low) and np.all(part.high <= union.high)
@@ -71,7 +82,7 @@ class TestMBRProperties:
     @settings(max_examples=200, deadline=None)
     def test_mindist_mbr_is_zero_iff_boxes_overlap(self, a, b):
         overlap = np.all(a.low <= b.high) and np.all(b.low <= a.high)
-        assert (a.mindist_mbr(b) == 0.0) == overlap
+        assert (_mindist_mbr(a, b) == 0.0) == overlap
 
     @given(a=mbr_strategy(), b=mbr_strategy(), point=st.tuples(coordinate, coordinate))
     @settings(max_examples=200, deadline=None)
@@ -79,7 +90,9 @@ class TestMBRProperties:
         # A parent box's key lower-bounds its children's: best-first relies on it.
         point = np.array(point, dtype=np.float64)
         union = _union(a, b)
-        assert union.mindist_point(point) <= min(a.mindist_point(point), b.mindist_point(point))
+        assert _mindist_point(union, point) <= min(
+            _mindist_point(a, point), _mindist_point(b, point)
+        )
 
 
 class TestLemma1Property:

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from snapshot_invariants import assert_valid_snapshot
+from traversal_reference import best_first_nearest, incremental_nearest
 
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
-from repro.rtree.traversal import best_first_nearest, incremental_nearest
 
 coordinate = st.floats(min_value=0.0, max_value=1000.0, allow_nan=False, width=32)
 point_list = st.lists(

@@ -12,6 +12,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from traversal_reference import best_first_nearest, incremental_nearest
 
 from repro.api.spec import QuerySpec
 from repro.core.aggregates import aggregate_gnn
@@ -21,7 +22,6 @@ from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery, QueryCost
 from repro.rtree.flat import FlatRTree
-from repro.rtree.traversal import best_first_nearest, incremental_nearest
 from repro.storage.buffer import LRUBuffer
 
 ARRAY_FIELDS = (

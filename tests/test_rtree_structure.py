@@ -14,12 +14,12 @@ import math
 import numpy as np
 import pytest
 from snapshot_invariants import assert_valid_snapshot, level_widths
+from traversal_reference import best_first_nearest, incremental_nearest
 
 from repro.api.spec import QuerySpec
 from repro.core.engine import GNNEngine
 from repro.core.types import QueryCost
 from repro.rtree.flat import FlatRTree
-from repro.rtree.traversal import best_first_nearest, incremental_nearest
 from repro.storage.buffer import LRUBuffer
 
 METHODS = ["str", "hilbert"]

@@ -1,17 +1,33 @@
-"""Source hygiene: no module-level import in ``src/repro`` goes unused.
+"""Source hygiene: ``src/repro`` carries no import and no public code that nothing uses.
 
 An import counts as used when its module reads the bound name, lists it
 in ``__all__``, marks the line as a re-export (``# noqa: F401``), or when
 another ``src/`` module imports that name from it.  Deleting the last
 caller of a helper then also deletes the imports only it needed.
+
+A public module-level function or public method counts as reached when
+some module of ``src/``, ``benchmarks/`` or ``examples/`` reads its name,
+a package ``__all__`` lists it, or README names it in code outside its
+removal notes.  Code only tests call belongs in a ``tests/*_reference.py``
+oracle; :data:`KEPT` lists the exceptions, each with its reason.
+``src/repro/testing/`` is exempt: it exists so tests can inject faults.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: Public names nothing reaches that stay in ``src/`` anyway.
+KEPT = {
+    "WriteAheadLog.sync": "durability: forces an fsync whatever the log's policy",
+    "GenerationStore.manifest_generation": "durability: the generation recovery would load",
+    "coordinator_collector": "exports the repro_shard_* metric families README's table lists",
+}
 
 
 def _read_names(tree: ast.Module) -> set[str]:
@@ -80,3 +96,99 @@ def test_scan_flags_only_imports_nothing_reads(tmp_path):
     )
     (package / "b.py").write_text("from pkg.a import tau\n")
     assert _unused_imports(tmp_path) == ["pkg/a.py:3 pi", "pkg/b.py:1 tau"]
+
+
+def _readme_names(readme: str) -> set[str]:
+    """Identifiers in README's inline code and python/bash blocks, minus its removal notes."""
+    text = re.sub(r"^\d+\.\d+ removed\s.*?(?:\n\s*\n|\Z)", "", readme, flags=re.S | re.M)
+    code = re.findall(r"```(?:python|bash)\n(.*?)```", text, flags=re.S)
+    code += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    return {name for span in code for name in re.findall(r"\w+", span)}
+
+
+def _is_public_def(node: ast.stmt) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+
+
+def _public_definitions(path: Path) -> list[tuple[int, str, str]]:
+    """``(line, qualified name, name)`` of each public function and public method of a public class."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [
+                (item.lineno, f"{node.name}.{item.name}", item.name)
+                for item in node.body
+                if _is_public_def(item)
+            ]
+        elif _is_public_def(node):
+            found.append((node.lineno, node.name, node.name))
+    return found
+
+
+def _unreached(root: Path) -> list[str]:
+    """``path:line name`` of every public function or method under ``root/src`` nothing reaches."""
+    reached = _readme_names((root / "README.md").read_text())
+    for top in ("src", "benchmarks", "examples"):
+        for path in (root / top).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            reached |= _read_names(tree)
+            reached |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unreached = []
+    for path in sorted((root / "src").rglob("*.py")):
+        relative = path.relative_to(root)
+        if relative.parts[2] == "testing":
+            continue
+        for line, qualified, name in _public_definitions(path):
+            if name not in reached:
+                unreached.append(f"{relative.as_posix()}:{line} {qualified}")
+    return unreached
+
+
+def test_every_public_function_in_src_is_reached():
+    unreached = _unreached(ROOT)
+    flagged = [entry for entry in unreached if entry.split()[1] not in KEPT]
+    assert not flagged, "reached only from tests (move to a tests/ oracle):\n" + "\n".join(flagged)
+    stale = set(KEPT) - {entry.split()[1] for entry in unreached}
+    assert not stale, f"KEPT lists names that are reached or gone: {sorted(stale)}"
+
+
+def test_readme_names_come_from_its_code_outside_removal_notes():
+    readme = (
+        "Call `GNNEngine.execute(spec)` or\n`server.submit(\nspec)`; plain words do not count.\n\n"
+        "```python\nengine.explain(spec)\n```\n\n"
+        "```\ndiagram_box\n```\n\n"
+        "4.0 removed `old_call`.\n\n"
+        "12.0 removed\n`older_call` too.\n"
+    )
+    assert _readme_names(readme) == {
+        "GNNEngine", "execute", "spec", "server", "submit", "engine", "explain"
+    }
+
+
+def test_reach_scan_flags_only_what_nothing_reaches(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "testing").mkdir(parents=True)
+    (package / "__init__.py").write_text("from pkg.a import exported\n\n__all__ = ['exported']\n")
+    (package / "a.py").write_text(
+        "def exported(): pass\n"
+        "def run(): return helper()\n"
+        "def helper(): pass\n"
+        "def in_readme(): pass\n"
+        "def removed(): pass\n"
+        "def _private(): pass\n"
+        "class Box:\n"
+        "    def area(self): pass\n"
+        "    def orphan(self): pass\n"
+        "    def _hidden(self): pass\n"
+    )
+    (package / "testing" / "faults.py").write_text("def inject(): pass\n")
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "b.py").write_text("from pkg.a import run\n\nrun()\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "e.py").write_text("def show(box):\n    return box.area()\n")
+    (tmp_path / "README.md").write_text(
+        "Call `in_readme()`; orphan is prose, not code.\n\n"
+        "2.0 removed `removed` and\n`orphan`.\n\n"
+        "```\nremoved orphan\n```\n"
+    )
+    assert _unreached(tmp_path) == ["src/pkg/a.py:5 removed", "src/pkg/a.py:9 Box.orphan"]
