@@ -72,6 +72,13 @@ class TestSyntheticGenerators:
         with pytest.raises(ValueError):
             gaussian_clusters(10, clusters=0)
 
+    def test_line_segments_shape(self):
+        # TS's poly-lines: ``count`` points in all, none outside the workspace.
+        points = np.vstack(_line_parts(300, 10, 2, DEFAULT_WORKSPACE, 5))
+        assert points.shape == (300, 2)
+        low, high = DEFAULT_WORKSPACE
+        assert points.min() >= low and points.max() <= high
+
 
 class TestRealLikeDatasets:
     def test_default_cardinalities_match_the_paper(self):
