@@ -8,9 +8,11 @@ The horizontal-scaling lifecycle:
    OS process hosting a TCP node over its snapshot, the per-host shape a
    multi-machine deployment would take;
 3. connect a :class:`~repro.shard.ShardedEngine` and replay a seeded
-   Poisson/Zipf trace: the coordinator prunes shards with the paper's
-   Heuristic-2 bound over shard root MBRs, seeded by the manifest's
-   record samples, so most queries never touch most shards;
+   Poisson/Zipf trace: the coordinator asks the best-bound shard first,
+   then only the shards whose root-MBR bound (the paper's Heuristic 2)
+   reaches its k-th distance, so most queries never touch most shards;
+   the script exits non-zero unless every federated answer equals the
+   single index's;
 4. kill one node mid-flight and query again with ``allow_degraded`` —
    the survivors answer, and the result says so.
 
@@ -83,6 +85,11 @@ def main() -> None:
                     f"single index; {contacted:.0%} of shards contacted per "
                     f"query (pruning skipped the rest)"
                 )
+                if matches != len(specs):
+                    raise SystemExit(
+                        f"{len(specs) - matches} federated answers differ "
+                        f"from the single index"
+                    )
 
                 # One machine dies; the federation degrades instead of
                 # failing.  The group meets inside the dead shard's MBR,

@@ -6,37 +6,32 @@ pipelined TCP link per shard node, and answers GNN queries by the
 paper's best-first discipline *lifted one level up* — shard root MBRs
 play the role of R-tree node MBRs.
 
-The execution of one query is a **sample-seeded wave**:
+The execution of one query is **pilot, then wave**:
 
 1. compute ``amindist(root_j, Q)`` for every shard from the manifest
    (one vectorised kernel call) and order shards by that bound;
-2. seed the global pruning bound ``tau0`` from the manifest's per-shard
-   record samples (:meth:`ShardManifest.sample_kth_distance`) — samples
-   are real records, so their k-th best aggregate distance is a true
-   upper bound on the federation's k-th answer;
-3. **wave** — dispatch, *concurrently*, every shard whose root bound is
-   ``<= tau0``; shards beyond it are never contacted (Heuristic 2 at
-   federation level).  The ``<=`` is what makes one wave sufficient:
-   the record achieving ``tau0`` lives in a shard whose root bound can
-   equal it, so the inclusive wave provably covers the exact top-k.
-   Each sub-query carries ``tau0`` as a ceiling (the ``within`` option
-   every memory-resident algorithm accepts): no record past it can be
-   in the federation's top-k, so every shard's traversal prunes from
-   its first pop instead of once it holds ``k`` answers, and returns
-   only the records ``<= tau0`` — possibly fewer than ``k``;
+2. **pilot** — send the sub-query to the best-bound shard alone.  While
+   fewer than ``k`` candidates are merged (a short reply, or a shard
+   that could not be reached), pilot the next-best shard the same way;
+3. **wave** — with ``tau`` the merged k-th distance, dispatch
+   concurrently every remaining shard whose root bound is ``<= tau``;
+   shards past it are never contacted (Heuristic 2 at federation
+   level).  Each wave sub-query carries ``tau`` as its ceiling (the
+   ``within`` option every memory-resident algorithm accepts, ``min``-ed
+   with the spec's own): no record past it can be in the top-k, so each
+   wave shard prunes from its first pop and returns only records
+   ``<= tau``.  The ``<=`` matters: ``within`` is inclusive, and a
+   shard whose bound equals ``tau`` can hold a tie with a smaller
+   record id, which the ``(distance, record_id)`` order must return;
 4. merge all per-shard lists by ``(distance, record_id)`` and keep the
    best ``k``.
 
-The loop re-checks with the merged candidates' own k-th distance, but
-with a healthy federation a second wave can never admit new shards:
-the merged k-th distance is at most ``tau0``, and every uncontacted
-shard already failed the larger bound.  So a query costs exactly
-``|shards with bound <= tau0|`` sub-queries, in one concurrent round
-trip — deterministic, which is what lets the tests pin exact
-shards-contacted counts.  A manifest without samples (or with fewer
-than ``k``) degenerates to the serial **pilot-then-wave** fallback:
-contact the best-bound shard alone, take its k-th answer as ``tau``,
-then wave the shards that beat it.
+The wave's replies can only lower the k-th distance, and every shard
+left out already failed the larger bound, so no second wave is needed:
+a healthy query costs one round trip when the pilot prunes every other
+shard and two otherwise, with a shard set fixed by the manifest and the
+pilot's reply — which is what lets the tests pin exact shards-contacted
+counts.
 
 Failure handling: a sub-query gets ``timeout_s`` per attempt and
 ``retries`` reconnect-and-resend attempts (overload sheds retry after
@@ -45,26 +40,42 @@ a short backoff).  A shard that stays unreachable raises
 ``allow_degraded=True``, in which case the query completes from the
 reachable shards and the result is stamped ``degraded=True`` with the
 dead shards listed (a documented under-approximation, never a wrong
-answer presented as complete).  Replies gathered under the ceiling
-may be short of ``k`` once a shard is lost, because ``tau0`` may rest
-on the dead shard's samples; the surviving shards are then asked again
-without it.
+answer presented as complete).  The wave's ceiling rests on records a
+live shard returned, so a degraded answer is still the exact top-k of
+the reachable shards.
 
 Measured and rejected (in-process replica of this routing, 100k points,
-capacity 50, 2 shards, 1000 ``shard_scatter`` requests): MBM's tangent /
-internal-node key as the shard-root bound moved sub-queries per query
-1.470 → 1.465 and node accesses 13.10 → 13.07, not worth its cost; a
-``tau0`` from one sample per leaf reached ~6.1k distance computations
-per query against ~8.2k, but scores ~1,000 samples × ``n`` at the
-coordinator per query, work the query's cost never sees; sampling every
-shard instead of the best-bound one gave 8.0k against 8.2k for twice
-the coordinator work.
+capacity 50, 2 shards, the first 1000 ``shard_scatter`` requests at seed
+3; node accesses / distance computations / sub-queries per query):
+
+============================================  =====  =====  ====
+routing                                       NA     DC     sub
+============================================  =====  =====  ====
+unsharded engine (the floor)                  10.35  3,487  –
+``tau0`` wave (the routing before this one)   13.06  4,517  1.49
+pilot, then wave (this routing)               11.19  3,823  1.29
+oracle ``tau`` (the true k-th)                11.18  3,560  1.29
+============================================  =====  =====  ====
+
+The ``tau0`` wave went at once to every shard whose bound was ``<=
+tau0``, the k-th best of the best-bound shard's 32 manifest samples
+(about one record in 1,560): a true upper bound, but so loose it barely
+pruned.  Given as the pilot's own ceiling, it saved 0.04% of DC (3,823 →
+3,822), and a wave sent without the ceiling cut DC 6.5% against the
+ceiling's 15.7%.  Under the ``tau0`` wave (at ~8.2k DC per query):
+MBM's tangent / internal-node key as the shard-root bound moved
+sub-queries per query 1.470 → 1.465 and node accesses 13.10 → 13.07,
+not worth its cost; a ``tau0`` from one sample per leaf reached ~6.1k
+DC, but scores ~1,000 samples × ``n`` at the coordinator per query,
+work the query's cost never sees; sampling every shard instead of the
+best-bound one gave 8.0k for twice the coordinator work.
 """
 
 from __future__ import annotations
 
 import asyncio
 import math
+import sys
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -291,7 +302,7 @@ class ShardCoordinator:
         :meth:`ShardNode.start` — or a *list* of replica addresses all
         serving the same shard snapshot.  With replicas, dispatch fails
         over to the first replica whose circuit breaker admits traffic;
-        τ0 logic is unchanged because replicas answer identically.
+        routing is unchanged because replicas answer identically.
     timeout_s:
         Per-attempt deadline of one sub-query.
     retries:
@@ -513,63 +524,21 @@ class ShardCoordinator:
                 # Shard nodes plan locally over their own flat snapshot; the
                 # federation-level index choice has no meaning there.
                 payload["index"] = AUTO
-
-            # The sampled upper bound that lets the first wave go out
-            # concurrently.  Pointless for a single shard (it is always
-            # contacted), and it must be dropped as soon as any shard fails:
-            # the records that justify it may live on the dead shard, so a
-            # degraded answer can only prune on distances actually merged.
-            remaining = [int(sid) for sid in np.argsort(bounds, kind="stable")]
-            tau0 = float("inf")
-            if self.manifest.shard_count > 1:
-                # The best-bound shard's sample alone usually suffices (its
-                # records are the near ones) and keeps the kernel call small;
-                # the full union is the fallback for tiny shards.
-                tau0 = self.manifest.sample_kth_distance(
-                    group, spec.k, spec.weights, spec.aggregate, shard_id=remaining[0]
-                )
-                if tau0 == float("inf"):
-                    tau0 = self.manifest.sample_kth_distance(
-                        group, spec.k, spec.weights, spec.aggregate
-                    )
             if route_span is not None:
-                # A bound is stamped only when there is one: the trace
-                # JSONL is strict JSON, which has no infinity.
-                if tau0 < math.inf:
-                    route_span["attrs"]["tau0"] = tau0
                 tracer.finish(route_span)
-            # Push tau0 down as every sub-query's ceiling (disk-resident
-            # specs are rejected by the nodes, with or without it).
-            bounded = payload
-            if tau0 < math.inf and spec.resolved_residency() == MEMORY:
-                options = payload["options"]
-                ceiling = min(tau0, options.get(WITHIN, math.inf))
-                bounded = {**payload, "options": {**options, WITHIN: ceiling}}
 
+            remaining = [int(sid) for sid in np.argsort(bounds, kind="stable")]
             candidates = []
             contacted: list[int] = []
             failed: list[int] = []
             cost = QueryCost(algorithm="scatter-gather")
-            piloted = False
 
-            while remaining:
-                if len(candidates) >= spec.k:
-                    tau = self._kth_distance(candidates, spec.k)
-                    targets = [sid for sid in remaining if bounds[sid] < tau]
-                elif tau0 != float("inf"):
-                    targets = [sid for sid in remaining if bounds[sid] <= tau0]
-                else:
-                    # No sampled bound and fewer than k candidates: serial
-                    # pilot — the best-bound shard establishes a real tau.
-                    targets = remaining[:1] if not piloted else list(remaining)
-                if not targets:
-                    break
-                piloted = True
-                remaining = [sid for sid in remaining if sid not in targets]
-                sent = bounded if tau0 < math.inf else payload
+            async def dispatch(targets: list[int], sent: dict, round_index: int) -> None:
                 replies = await asyncio.gather(
                     *(
-                        self._query_shard(sid, sent, deadline, parent_span=root_span)
+                        self._query_shard(
+                            sid, sent, deadline, round_index, parent_span=root_span
+                        )
                         for sid in targets
                     ),
                     return_exceptions=True,
@@ -579,7 +548,6 @@ class ShardCoordinator:
                     if isinstance(outcome, ShardUnavailableError):
                         failed.append(shard_id)
                         unreachable = outcome
-                        tau0 = float("inf")
                         continue
                     if isinstance(outcome, BaseException):
                         raise outcome
@@ -588,11 +556,31 @@ class ShardCoordinator:
                     cost.merge(outcome.cost)
                 if unreachable is not None and not self.allow_degraded:
                     raise unreachable
-                if failed and sent is not payload and len(candidates) < spec.k:
-                    # These replies were cut at tau0, which may rest on the
-                    # dead shard's samples: ask the survivors again, unbounded.
-                    remaining = sorted(contacted + remaining, key=lambda sid: (bounds[sid], sid))
-                    contacted, candidates = [], []
+
+            # A shard holds nothing to return when its bound is past the
+            # spec's own ceiling, or infinite (an emptied shard's): the
+            # clamp to the largest float keeps the latter out by default.
+            ceiling = min(payload["options"].get(WITHIN, math.inf), sys.float_info.max)
+            # Pilot: the best-bound shard alone, again after a failed or
+            # short reply, until k real candidates give a real k-th distance.
+            while remaining and len(candidates) < spec.k and bounds[remaining[0]] <= ceiling:
+                await dispatch([remaining.pop(0)], payload, 0)
+            if len(candidates) >= spec.k:
+                ceiling = min(
+                    ceiling, sorted(neighbor.distance for neighbor in candidates)[spec.k - 1]
+                )
+                # Wave: every shard whose root bound reaches the ceiling,
+                # concurrently.  ``<=`` because ``within`` is inclusive: a
+                # shard whose bound equals the k-th distance can hold a tie
+                # with a smaller record id.  The ceiling rests on records a
+                # live shard returned, so it holds if a wave shard dies.
+                wave = [sid for sid in remaining if bounds[sid] <= ceiling]
+                remaining = [sid for sid in remaining if bounds[sid] > ceiling]
+                sent = payload
+                if spec.resolved_residency() == MEMORY:
+                    # Disk-resident specs are rejected by the nodes anyway.
+                    sent = {**payload, "options": {**payload["options"], WITHIN: ceiling}}
+                await dispatch(wave, sent, 1)
 
             merge_span = (
                 tracer.start("shard.merge", parent=root_span)
@@ -634,14 +622,6 @@ class ShardCoordinator:
             result.trace_id = root_span["trace_id"]
         return result
 
-    @staticmethod
-    def _kth_distance(candidates: list, k: int) -> float:
-        """Current global pruning bound: distance of the k-th best candidate."""
-        if len(candidates) < k:
-            return float("inf")
-        distances = sorted(neighbor.distance for neighbor in candidates)
-        return distances[k - 1]
-
     def _pick_replica(self, shard_id: int):
         """The first replica whose breaker admits traffic, or ``None``."""
         for link, breaker in zip(self._links[shard_id], self._breakers[shard_id]):
@@ -654,6 +634,7 @@ class ShardCoordinator:
         shard_id: int,
         payload: dict,
         deadline: float,
+        round_index: int,
         parent_span: dict | None = None,
     ) -> GNNResult:
         """One sub-query: breaker-gated failover, budgeted timeout, retries.
@@ -670,14 +651,17 @@ class ShardCoordinator:
         ``shard.attempt`` child annotated with the attempt number, the
         replica it hit, the breaker state at dispatch and the outcome;
         spans the node shipped back ride into the local tracer.  The
-        dispatch span carries the sub-query's ``within`` ceiling only
-        when it was sent one.
+        dispatch span carries ``round`` (``round_index``: 0 for a pilot,
+        1 for the wave) and the sub-query's ``within`` ceiling, the
+        latter only when it was sent one.
         """
         loop = asyncio.get_running_loop()
         tracer = obs_trace.get() if parent_span is not None else None
         dispatch_span = None
         if tracer is not None:
-            dispatch_span = tracer.start("shard.dispatch", parent=parent_span, shard=shard_id)
+            dispatch_span = tracer.start(
+                "shard.dispatch", parent=parent_span, shard=shard_id, round=round_index
+            )
             within = payload["options"].get(WITHIN, math.inf)
             if within < math.inf:
                 dispatch_span["attrs"][WITHIN] = within

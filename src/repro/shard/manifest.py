@@ -51,12 +51,10 @@ class ShardInfo:
     tuples, picked evenly along the shard's Hilbert order by the
     partitioner).  Because every sample is a real record, its aggregate
     distance to any query group is a true *upper* bound on an answer
-    the federation can produce — the coordinator turns the union of
-    samples into a starting k-th distance and dispatches one concurrent
-    wave instead of a serial pilot round-trip (see
-    :meth:`ShardManifest.sample_kth_distance`).  Empty samples are
-    legal (hand-built manifests); the coordinator then falls back to
-    the pilot.
+    the federation can produce (see
+    :meth:`ShardManifest.sample_kth_distance`).  The coordinator does
+    not read them: it routes on a pilot shard's real k-th distance.
+    Empty samples are legal (hand-built manifests).
     """
 
     shard_id: int
@@ -192,18 +190,16 @@ class ShardManifest:
 
         Samples are real records, so this is a true *upper* bound on the
         federation's k-th answer distance: at least ``k`` records exist
-        at or under it.  The coordinator may therefore contact every
-        shard whose root bound is ``<= sample_kth_distance`` in a single
-        concurrent wave and still be guaranteed the exact top-k (the
-        ``<=`` matters: the record achieving the bound lives in a shard
-        whose root bound can equal it).
+        at or under it, so every shard holding part of the exact top-k
+        has a root bound ``<= sample_kth_distance`` (the ``<=`` matters:
+        the record achieving the bound lives in a shard whose root bound
+        can equal it).  The coordinator does not call it: a pilot
+        shard's real k-th distance is never larger than its sample's.
 
         ``shard_id`` restricts the sample to one shard — the bound stays
         valid (fewer real records considered can only loosen it) and the
-        kernel call shrinks accordingly; the coordinator scores only the
-        best-bound shard's sample on the hot path.  Returns ``inf`` when
-        fewer than ``k`` samples are available — the caller must then
-        fall back to candidate-derived bounds.
+        kernel call shrinks accordingly.  Returns ``inf`` when fewer
+        than ``k`` samples are available.
         """
         samples = self.sample_points(shard_id)
         if len(samples) < k:

@@ -34,8 +34,10 @@ from repro.shard.manifest import ShardInfo, ShardManifest
 
 #: Records sampled into the manifest per shard (evenly spaced along the
 #: shard's Hilbert run, so the sample tracks the shard's spatial spread).
-#: The coordinator seeds its k-th-distance bound from these — see
-#: :meth:`~repro.shard.manifest.ShardManifest.sample_kth_distance`.
+#: The coordinator no longer routes on them: only the frozen benchmark
+#: probe ``shard.bounds_us`` reads them, through
+#: :meth:`~repro.shard.manifest.ShardManifest.sample_kth_distance`, and
+#: they stay until a benchmark change can retire that probe with them.
 SAMPLE_SIZE = 32
 
 

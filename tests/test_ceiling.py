@@ -6,9 +6,10 @@ memory-resident algorithm x aggregate (sum/max/min, weighted or not) x
 clean/dirty engine: the bounded answer is exactly the unbounded answer's
 prefix of distances ``<= c`` — including when ``c`` is a record's own
 distance and when twin records (same coordinates, distinct ids) sit at
-``c``.  The shard coordinator pushes its sampled bound ``tau0`` into
-every sub-query through this option, so a record exactly at the bound
-must still come back.
+``c``.  The shard coordinator pushes its pilot's k-th distance into
+every wave sub-query through this option, so a record exactly at the
+bound must still come back: it may be a tie with a smaller record id
+than the pilot's own k-th answer.
 """
 
 import math

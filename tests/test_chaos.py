@@ -29,12 +29,14 @@ import pytest
 
 from repro import GNNEngine, QuerySpec
 from repro.serve import GNNServer, WorkerDiedError
+from repro.core.types import GroupQuery
 from repro.shard import (
     CircuitBreaker,
     ShardCoordinator,
     ShardNode,
     ShardUnavailableError,
     partition_dataset,
+    partition_points,
 )
 from repro.obs import orphan_spans
 from repro.obs import trace as obs_trace
@@ -78,9 +80,9 @@ def as_tuples(result):
     return [neighbor.as_tuple() for neighbor in result.neighbors]
 
 
-#: A query whose sampled bound admits every shard — each test asserts
-#: that property before relying on it, so a dead shard is provably in
-#: the wave rather than coincidentally pruned.
+#: A query whose pilot's k-th distance admits the shards the tests kill —
+#: each test asserts that property before relying on it, so a dead shard
+#: is provably contacted rather than coincidentally pruned.
 def broad_spec(k=25):
     return QuerySpec(group=[[120.0, 130.0], [880.0, 870.0]], k=k)
 
@@ -356,7 +358,7 @@ class TestDeadShardLifecycle:
         try:
             spec = broad_spec()
             healthy = counted.execute(spec)
-            assert healthy.shards_contacted == [0, 1]  # the wave covers both
+            assert healthy.shards_contacted == [0, 1]  # pilot and wave cover both
 
             nodes[1].close()
             started = time.perf_counter()
@@ -527,9 +529,20 @@ class TestFourShardAcceptance:
         try:
             spec = broad_spec()
             baseline = coordinator.execute(spec)
-            assert baseline.shards_contacted == [0, 1, 2, 3]
             assert not baseline.degraded
             victim = 2
+            # The victim is contacted, and every shard left out is pruned
+            # by the pilot's (the best-bound shard's) k-th distance.
+            group = np.asarray(spec.group)
+            bounds = manifest.group_mindist_bounds(group)
+            pilot = int(np.argmin(bounds))
+            pilot_rows = partition_points(chaos_points, 4)[0][pilot]
+            pilot_kth = np.sort(
+                GroupQuery(group).distances_to(chaos_points[pilot_rows])
+            )[spec.k - 1]
+            assert victim in baseline.shards_contacted and victim != pilot
+            assert baseline.shards_pruned
+            assert all(bounds[sid] > pilot_kth for sid in baseline.shards_pruned)
             victim_address = f"{addresses[victim][0]}:{addresses[victim][1]}"
 
             # Heartbeat and request failures share one consecutive-failure
@@ -635,7 +648,7 @@ class TestFourShardAcceptance:
                     break
                 time.sleep(0.2)
             assert recovered is not None and not recovered.degraded
-            assert recovered.shards_contacted == [0, 1, 2, 3]  # 100% healthy
+            assert recovered.shards_contacted == baseline.shards_contacted
             assert as_tuples(recovered) == as_tuples(baseline)
             assert coordinator._monitor.rounds > rounds_before
             assert coordinator.breaker_states()[(victim, victim_address)] == CLOSED

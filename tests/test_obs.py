@@ -753,6 +753,19 @@ class TestShardIntegration:
         assert "serve.worker" in names
         attempts = [span for span in spans if span["name"] == "shard.attempt"]
         assert all(span["attrs"]["attempt"] >= 1 for span in attempts)
+        # One pilot (round 0) sent without a ceiling, then the wave
+        # (round 1) under the pilot's k-th distance.
+        route = next(span for span in spans if span["name"] == "shard.route")
+        assert "tau0" not in route["attrs"]
+        dispatches = sorted(
+            (span for span in spans if span["name"] == "shard.dispatch"),
+            key=lambda span: span["attrs"]["round"],
+        )
+        assert [span["attrs"]["round"] for span in dispatches] == [0, 1]
+        pilot, wave = dispatches
+        assert "within" not in pilot["attrs"]
+        assert wave["attrs"]["within"] >= result.distances()[-1]
+        assert wave["start_s"] >= pilot["end_s"]
         # The root reconciles with the merged cost the coordinator reports.
         assert tree["attrs"]["node_accesses"] == result.cost.node_accesses
 

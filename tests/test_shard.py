@@ -20,6 +20,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import GNNEngine, QuerySpec
 from repro.core.bruteforce import brute_force_gnn
@@ -373,8 +375,10 @@ class TestFederatedConformance:
     #: MBM's keys computed eagerly for every pushed child the distance
     #: computations were 43474 (2 shards) and 41998 (4 shards); before
     #: base leaves were offered only up to the node heap's head, 35722
-    #: and 34689.
-    REPLAY_PINS = {2: (392, 35119, 81, 603), 4: (370, 34409, 132, 698)}
+    #: and 34689.  Under the sampled-tau0 wave (every shard with bound
+    #: <= tau0 at once, before the pilot-then-wave routing) the pins were
+    #: (392, 35119, 81, 603) at 2 shards and (370, 34409, 132, 698) at 4.
+    REPLAY_PINS = {2: (345, 32195, 74, 497), 4: (298, 28768, 113, 530)}
 
     @pytest.mark.parametrize("shards", (2, 4))
     def test_replay_work_is_pinned(self, federations, reference_engine, shards):
@@ -515,6 +519,144 @@ class TestFederationPruning:
 
 
 # ----------------------------------------------------------------------
+# pilot, then wave: the routing rule itself
+# ----------------------------------------------------------------------
+coordinates = st.floats(0.0, 1000.0, allow_nan=False)
+
+
+class TestPilotThenWave:
+    def test_a_shard_whose_bound_ties_the_kth_distance_is_asked(self, tmp_path):
+        """Both shards' root bounds equal the pilot's k-th distance, and
+        the record at that distance with the smaller id lives on the
+        non-pilot shard: the wave must still ask it (``bound <= tau``),
+        or the answer breaks the ``(distance, record_id)`` order."""
+        right = [(60, 50), (90, 20), (90, 80), (80, 30), (70, 70)]
+        left = [(10, 20), (10, 80), (40, 50), (20, 30), (30, 70)]
+        points = np.array(right + left, dtype=np.float64)
+        group = np.array([[50.0, 50.0]])
+        manifest = partition_dataset(points, 2, tmp_path / "tie", capacity=4)
+        assignments, _ = partition_points(points, 2)
+        # The pilot (shard 0, first of two equal bounds) holds record 7
+        # at (40, 50); shard 1 holds record 0 at (60, 50), the same 10
+        # away.
+        assert list(manifest.group_mindist_bounds(group)) == [10.0, 10.0]
+        assert 7 in assignments[0] and 0 in assignments[1]
+        expected = brute_force_gnn(points, GroupQuery(group, k=1))
+        assert expected.record_ids() == [0]
+        nodes = [
+            ShardNode(shard.shard_id, tmp_path / "tie" / shard.path, workers=1)
+            for shard in manifest.shards
+        ]
+        try:
+            addresses = [node.start() for node in nodes]
+            with ShardCoordinator(manifest, addresses, timeout_s=30.0) as coordinator:
+                result = coordinator.execute(QuerySpec(group=group, k=1))
+            assert as_tuples(result) == as_tuples(expected)
+            assert result.shards_contacted == [0, 1]
+        finally:
+            for node in nodes:
+                node.close()
+
+    def test_a_short_pilot_stops_at_the_specs_own_ceiling(self, corner_federation):
+        """The pilot's cluster holds fewer than k records under the spec's
+        ``within``, and every other cluster's bound is past it: no further
+        shard is piloted, and the short answer is the single index's."""
+        points, manifest, coordinator = corner_federation
+        group = np.array([[40.0, 50.0], [60.0, 50.0]])
+        spec = QuerySpec(group=group, k=150, options={"within": 500.0})
+        bounds = manifest.group_mindist_bounds(group)
+        assert sorted(bounds)[1] > 500.0
+        result = coordinator.execute(spec)
+        assert result.shards_contacted == [int(np.argmin(bounds))]
+        expected = GNNEngine(points, capacity=16).execute(spec)
+        assert 0 < len(expected.neighbors) < spec.k
+        assert as_tuples(result) == as_tuples(expected)
+
+    def test_an_emptied_shard_is_never_piloted(self, tmp_path):
+        """k exceeds the live records, so every pilot is short, yet the
+        shard compacted down to nothing (bound ``inf``) is never asked."""
+        from repro.shard import ShardWriter
+        from repro.rtree.flat import FlatRTree
+
+        points = np.random.default_rng(9).uniform(0, 1000, size=(30, 2))
+        before = partition_dataset(points, 3, tmp_path, capacity=16)
+        writer = ShardWriter(tmp_path)
+        drained = FlatRTree.load(tmp_path / before.shards[1].path)
+        for point, rid in zip(np.asarray(drained.points), np.asarray(drained.record_ids)):
+            assert writer.delete(point, int(rid)) == 1
+        manifest = writer.compact()
+        live = np.setdiff1d(np.arange(30), np.asarray(drained.record_ids))
+        group = np.array([[500.0, 500.0], [100.0, 900.0]])
+        nodes = [
+            ShardNode(shard.shard_id, tmp_path / shard.path, workers=1)
+            for shard in manifest.shards
+        ]
+        try:
+            addresses = [node.start() for node in nodes]
+            with ShardCoordinator(manifest, addresses, timeout_s=30.0) as coordinator:
+                result = coordinator.execute(QuerySpec(group=group, k=25))
+            assert result.shards_contacted == [0, 2]
+            assert result.shards_pruned == [1]
+            expected = brute_force_gnn(points[live], GroupQuery(group, k=25), record_ids=live)
+            assert as_tuples(result) == as_tuples(expected)
+        finally:
+            for node in nodes:
+                node.close()
+
+    @given(
+        shards=st.sampled_from((2, 4)),
+        group=st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=8),
+        k=st.integers(1, 16),
+        aggregate=st.sampled_from(("sum", "max", "min")),
+        weighted=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_answers_match_and_only_the_pilots_kth_admits_a_shard(
+        self,
+        federations,
+        shard_points,
+        reference_engine,
+        shards,
+        group,
+        k,
+        aggregate,
+        weighted,
+        data,
+    ):
+        manifest, _, engine = federations[shards]
+        group = np.array(group)
+        weights = None
+        if weighted:
+            weights = data.draw(
+                st.lists(
+                    st.floats(0.25, 4.0), min_size=len(group), max_size=len(group)
+                )
+            )
+        spec = QuerySpec(group=group, k=k, aggregate=aggregate, weights=weights)
+        federated = engine.execute(spec.replace(index="sharded"))
+        assert as_tuples(federated) == as_tuples(reference_engine.execute(spec))
+
+        bounds = manifest.group_mindist_bounds(group, weights, aggregate)
+        pilot = int(np.argsort(bounds, kind="stable")[0])
+        rows = partition_points(shard_points, shards)[0][pilot]
+        pilot_kth = brute_force_gnn(
+            shard_points[rows],
+            GroupQuery(group, k=k, aggregate=aggregate, weights=weights),
+            record_ids=rows,
+        ).distances()[-1]
+        # The pilot, then exactly the shards its k-th distance admits.
+        wave = [sid for sid in range(shards) if sid != pilot and bounds[sid] <= pilot_kth]
+        assert federated.shards_contacted == sorted([pilot, *wave])
+        # Never a shard the sampled tau0 wave would have left out: the
+        # pilot's exact k-th is at most the k-th of its own sample.
+        tau0 = manifest.sample_kth_distance(
+            group, k, weights, aggregate, shard_id=pilot
+        )
+        assert all(bounds[sid] <= tau0 for sid in federated.shards_contacted)
+
+
+# ----------------------------------------------------------------------
 # failure semantics: timeout -> retry -> degraded
 # ----------------------------------------------------------------------
 class TestFailureSemantics:
@@ -546,9 +688,8 @@ class TestFailureSemantics:
             assert coordinator.stats()["retries"] >= 1
 
     def test_degraded_mode_answers_from_surviving_shards(self, small_federation):
-        """The dead shard is the best-bound one, whose samples set tau0,
-        and the survivor holds fewer than k records under tau0: its
-        ceiling-cut reply is short, so it is asked again without one."""
+        """The dead shard is the best-bound one, so the pilot fails and
+        the survivor is piloted next: its full top-k is the answer."""
         points, manifest, nodes, addresses = small_federation
         k = 4
         survivor_rows = partition_points(points, 2)[0][1]
@@ -556,9 +697,7 @@ class TestFailureSemantics:
         while True:
             group = search.uniform(0, 1000, size=(8, 2))
             bounds = manifest.group_mindist_bounds(group)
-            tau0 = manifest.sample_kth_distance(group, k, shard_id=0)
-            under = GroupQuery(group).distances_to(points[survivor_rows]) <= tau0
-            if bounds[0] < bounds[1] <= tau0 and under.sum() < k:
+            if bounds[0] < bounds[1]:
                 break
         nodes[0].close()
         with ShardCoordinator(
@@ -570,13 +709,42 @@ class TestFailureSemantics:
             assert result.shards_contacted == [1]
             stats = coordinator.stats()
             assert stats["degraded_queries"] == 1
-            # One failed attempt at shard 0, then shard 1 bounded and unbounded.
-            assert stats["subqueries"] == 3
+            # One failed pilot at shard 0, then shard 1 piloted.
+            assert stats["subqueries"] == 2
         # The survivors' answer: k records, the exact top-k of the
         # reachable shard's records.
         expected = brute_force_gnn(
             points[survivor_rows], GroupQuery(group, k=k), record_ids=survivor_rows
         )
+        assert as_tuples(result) == as_tuples(expected)
+
+    def test_dead_wave_shard_leaves_the_survivors_exact_top_k(
+        self, small_federation
+    ):
+        """The pilot answers and the wave shard is dead: the ceiling rests
+        on the pilot's own records, so the pilot's top-k is the answer."""
+        points, manifest, nodes, addresses = small_federation
+        k = 4
+        pilot_rows = partition_points(points, 2)[0][0]
+        search = np.random.default_rng(1)
+        while True:
+            group = search.uniform(0, 1000, size=(8, 2))
+            bounds = manifest.group_mindist_bounds(group)
+            expected = brute_force_gnn(
+                points[pilot_rows], GroupQuery(group, k=k), record_ids=pilot_rows
+            )
+            if bounds[0] < bounds[1] <= expected.distances()[-1]:
+                break
+        nodes[1].close()
+        with ShardCoordinator(
+            manifest, addresses, timeout_s=2.0, retries=0, allow_degraded=True
+        ) as coordinator:
+            result = coordinator.execute(QuerySpec(group=group, k=k))
+            assert result.degraded is True
+            assert result.failed_shards == [1]
+            assert result.shards_contacted == [0]
+            # The pilot at shard 0, then one failed wave attempt at shard 1.
+            assert coordinator.stats()["subqueries"] == 2
         assert as_tuples(result) == as_tuples(expected)
 
     def test_healthy_queries_are_never_degraded(self, small_federation, rng):
