@@ -11,14 +11,18 @@ capacity 50, snapshots written, takes 0.029 s; the object packers took
 0.69 s / 25x / 1.13 s.  With ~5x headroom or more for a slow runner,
 each limit still sits below what one object per record costs.  The
 partition's allocation peak is a count, not a time, so its limit sits
-close: 3.5x the input's bytes with chunk-table Hilbert keys, a
+close: 3.4x the input's bytes with state-table Hilbert keys, a
 tie-repaired default-argsort rank and a mark-array id check, against
 5.5x for per-level key passes, a comparison argsort and a sorted copy of
 the ids.  Shard node processes fork from the partitioning process, so
-this heap is what they inherit.  The first write into an engine finds
-base records by binary search in the snapshot's id index: it peaks at
-1.0x the points' bytes, against 8.2x for a ``{record_id: row}`` map over
-every base record.
+this heap is what they inherit.  The build and partition guards also run
+on 100k uniform 3-D points, under the same limits: STR cuts every axis
+in one rank per axis and the 3-D keys walk the same kind of table, so a
+per-slab Python loop or an index-sized temporary per axis shows there
+first (about 2.1x and 2.8x the input's bytes today).  The first write
+into an engine finds base records by binary search in the snapshot's id
+index: it peaks at 1.0x the points' bytes, against 8.2x for a
+``{record_id: row}`` map over every base record.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.core.engine import GNNEngine
@@ -45,7 +50,17 @@ def points():
     return pp_like(100_000)
 
 
-def test_smoke_bulk_load_time(points):
+@pytest.fixture(scope="module", params=["pp_like", "uniform_3d"])
+def build_points(request, points):
+    """What every bulk load and partition guard runs on: 100k 2-D or 3-D points."""
+    if request.param == "pp_like":
+        return points
+    return np.random.default_rng(3).uniform(0, 1000, size=(100_000, 3))
+
+
+def test_smoke_bulk_load_time(build_points):
+    points = build_points
+
     def timed() -> float:
         started = time.perf_counter()
         FlatRTree.bulk_load(points)
@@ -57,7 +72,8 @@ def test_smoke_bulk_load_time(points):
     )
 
 
-def test_smoke_bulk_load_allocations(points):
+def test_smoke_bulk_load_allocations(build_points):
+    points = build_points
     tracemalloc.start()
     try:
         flat = FlatRTree.bulk_load(points)
@@ -72,7 +88,8 @@ def test_smoke_bulk_load_allocations(points):
     )
 
 
-def test_smoke_partition_time(points, tmp_path):
+def test_smoke_partition_time(build_points, tmp_path):
+    points = build_points
     started = time.perf_counter()
     manifest = partition_dataset(points, shards=2, directory=tmp_path)
     elapsed = time.perf_counter() - started
@@ -83,7 +100,8 @@ def test_smoke_partition_time(points, tmp_path):
     )
 
 
-def test_smoke_partition_allocations(points, tmp_path):
+def test_smoke_partition_allocations(build_points, tmp_path):
+    points = build_points
     tracemalloc.start()
     try:
         manifest = partition_dataset(points, shards=2, directory=tmp_path)

@@ -35,7 +35,6 @@ from repro.api.registry import (
     DEFAULT_POINTS_PER_PAGE,
     FILE_GEOMETRY_OPTIONS,
     AlgorithmInfo,
-    available_algorithms,
     get_algorithm,
 )
 from repro.api.spec import AUTO, MEMORY, SHARDED, QuerySpec
@@ -180,14 +179,3 @@ class QueryPlanner:
         block_pages = int(spec.options.get("block_pages", DEFAULT_BLOCK_PAGES))
         pages = math.ceil(spec.cardinality / max(1, points_per_page))
         return max(1, math.ceil(pages / max(1, block_pages)))
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-    def candidates(self, spec: QuerySpec) -> list[AlgorithmInfo]:
-        """Registered algorithms capable of answering ``spec``."""
-        return [
-            info
-            for info in available_algorithms(spec.resolved_residency())
-            if info.supports(spec)
-        ]

@@ -5,9 +5,9 @@ Every GNN algorithm the engine can execute is described by an
 (memory-resident group vs. disk-resident query file), the aggregates it
 is defined for, whether it accepts per-point weights, and the options it
 understands.  The catalogue is the fixed :data:`BUILTIN_ALGORITHMS`
-table; the planner, ``engine.algorithms()`` and the conformance matrix
-read it through :func:`get_algorithm` / :func:`available_algorithms`
-instead of hard-coding ``if/elif`` chains.
+table; the planner and the conformance matrix read it through
+:func:`get_algorithm` / :func:`available_algorithms` instead of
+hard-coding ``if/elif`` chains.
 
 The capability declarations are the contract the planner enforces.
 MQM, SPM, F-MQM, F-MBM and GCP are the paper's sum-aggregate algorithms
@@ -90,10 +90,6 @@ class AlgorithmInfo:
                 "(a group_file alone is not enough)"
             )
         return errors
-
-    def supports(self, spec: QuerySpec) -> bool:
-        """True when this algorithm can answer ``spec``."""
-        return not self.capability_errors(spec)
 
 
 def get_algorithm(name: str) -> AlgorithmInfo:

@@ -51,14 +51,6 @@ class ExperimentResult:
     scale: str
     rows: list[dict] = field(default_factory=list)
 
-    def algorithms(self) -> list[str]:
-        """Names of the algorithms that appear in the rows."""
-        seen = []
-        for row in self.rows:
-            if row["algorithm"] not in seen:
-                seen.append(row["algorithm"])
-        return seen
-
 
 def _dataset(name: str, scale: BenchScale):
     if name == "pp":

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.api.executor import ExecutionContext, execute_batch, execute_spec
 from repro.api.planner import AUTO_FMQM_MAX_BLOCKS, QueryPlan, QueryPlanner
-from repro.api.registry import available_algorithms
 from repro.api.spec import DISK, QuerySpec
 from repro.core.types import GNNResult
 from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
@@ -54,8 +53,6 @@ class GNNEngine:
         Optional LRU buffer size in pages; when set, the engine reports
         buffer-aware page faults in addition to logical node accesses,
         and the buffer stays reachable as :attr:`buffer`.
-    bulk_method:
-        Packing strategy used to build the index (``"str"`` or ``"hilbert"``).
 
     The dataset is bulk-loaded straight into a flat array-backed
     snapshot, the one index every query traverses.  Writes never touch
@@ -70,15 +67,9 @@ class GNNEngine:
         data_points,
         capacity: int = DEFAULT_CAPACITY,
         buffer_pages: int | None = None,
-        bulk_method: str = "str",
     ):
         self.buffer = LRUBuffer(buffer_pages) if buffer_pages else None
-        self._flat = FlatRTree.bulk_load(
-            data_points,
-            capacity=capacity,
-            method=bulk_method,
-            buffer=self.buffer,
-        )
+        self._flat = FlatRTree.bulk_load(data_points, capacity=capacity, buffer=self.buffer)
         self._overlay: DeltaOverlay | None = None
         self._next_id: int | None = None
         self._wal = None
@@ -210,13 +201,6 @@ class GNNEngine:
         """True when the overlay holds writes the base snapshot has not absorbed."""
         return self._overlay is not None and self._overlay.dirty
 
-    @property
-    def dirty_ratio(self) -> float:
-        """Pending overlay writes relative to the base snapshot size."""
-        if not self.dirty:
-            return 0.0
-        return self._overlay.dirty_ratio
-
     def snapshot(self) -> FlatRTree:
         """The flat snapshot of the *current* data — compacting when dirty.
 
@@ -227,7 +211,7 @@ class GNNEngine:
         """
         return self.compact()
 
-    def compact(self, *, capacity: int | None = None, method: str = "str") -> FlatRTree:
+    def compact(self, *, capacity: int | None = None) -> FlatRTree:
         """Fold the overlay into a generation-``N+1`` base snapshot.
 
         The live dataset (base minus tombstones plus delta inserts) is
@@ -243,9 +227,7 @@ class GNNEngine:
             # new snapshot keeps the high-water mark, so ids never
             # restart below it, not even after a publish and recover.
             self._seed_next_id()
-            self._flat = self._overlay.compact(
-                capacity=capacity, method=method, buffer=self.buffer
-            )
+            self._flat = self._overlay.compact(capacity=capacity, buffer=self.buffer)
             self._flat.next_record_id = self._next_id
         self._overlay = None
         return self._flat
@@ -287,10 +269,6 @@ class GNNEngine:
         """
         specs = list(specs)
         return execute_batch(self._context(specs), specs, planner=self.planner)
-
-    def algorithms(self, residency: str | None = None):
-        """Registered algorithm metadata (optionally filtered by residency)."""
-        return available_algorithms(residency)
 
     def _context(self, specs) -> ExecutionContext:
         # Disk-resident plans have no overlay form: fold pending writes

@@ -21,7 +21,7 @@ from repro.geometry.distance import (
     group_mindist,
     squared_euclidean,
 )
-from repro.geometry.hilbert import hilbert_index, hilbert_sort
+from repro.geometry.hilbert import hilbert_sort
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_point, as_points
 
@@ -32,7 +32,6 @@ __all__ = [
     "euclidean",
     "group_distance",
     "group_mindist",
-    "hilbert_index",
     "hilbert_sort",
     "kernels",
     "squared_euclidean",

@@ -2,25 +2,28 @@
 
 The paper sorts query points by their Hilbert value so that consecutive
 incremental NN queries (MQM, Section 3.1) and consecutive query blocks
-(F-MQM / F-MBM, Sections 4.2-4.3) exhibit spatial locality.  The curve is
-also used for Hilbert-packing bulk loads of the R-tree.
+(F-MQM / F-MBM, Sections 4.2-4.3) exhibit spatial locality.  The same
+keys cut a point set into federation shards and page a write delta.
 
-The implementation follows the classic iterative bit-manipulation
-formulation (Hamilton's compact Hilbert indices restricted to equal
-per-dimension precision), supporting arbitrary dimensionality.
-
-Two forms of the same curve live here.  The scalar functions
-(:func:`hilbert_index_2d`, :func:`hilbert_index`) map one grid cell with
-Python integers.  :func:`hilbert_indices` maps a whole collection: the
-same rotate-and-flip step, tabulated for four curve levels at a time and
-looked up over every point at once, so a bulk load, a query-group sort
-or a federation (re)partition pays ``order / 4`` array passes instead of
-one interpreter loop per point.  The two agree key for key.
+The curve is Hamilton's ("Compact Hilbert Indices", Dalhousie
+CS-2006-07) at equal per-dimension precision, in any dimensionality:
+each curve level reads one bit of every axis, maps it through the
+current sub-cube's entry corner and direction, emits the inverse Gray
+code as the level's key digit, and moves to the child's state.  In 2-D
+it is the classic rotate-and-flip curve.  A ``d``-dimensional curve
+reaches ``d * 2**(d - 1)`` states, so the step is tabulated once per
+dimensionality for a chunk of levels and :func:`hilbert_indices` looks
+it up over every point at once (``order / 4`` array passes in 2-D);
+:func:`cell_key` walks the same table for one cell with Python ints.
+Where the table would exceed :data:`_TABLE_ENTRIES` (seven dimensions
+and up) the step runs one level at a time over the arrays instead.
 :func:`rank_keys` is the stable rank of every bulk load, Hilbert sort
 and federation partition: NumPy's default argsort with its ties repaired.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -28,32 +31,9 @@ from repro.geometry.point import as_points
 
 DEFAULT_ORDER = 16
 
-
-def hilbert_index_2d(x: int, y: int, order: int = DEFAULT_ORDER) -> int:
-    """Map 2-D grid coordinates to their Hilbert curve index.
-
-    ``x`` and ``y`` must lie in ``[0, 2**order)``.  The classic
-    rotate-and-flip formulation is used; the result is an integer in
-    ``[0, 4**order)``.
-    """
-    side = 1 << order
-    if not (0 <= x < side and 0 <= y < side):
-        raise ValueError(f"coordinates ({x}, {y}) outside the {side}x{side} Hilbert grid")
-    rx = ry = 0
-    d = 0
-    s = side >> 1
-    while s > 0:
-        rx = 1 if (x & s) > 0 else 0
-        ry = 1 if (y & s) > 0 else 0
-        d += s * s * ((3 * rx) ^ ry)
-        # rotate the quadrant
-        if ry == 0:
-            if rx == 1:
-                x = s - 1 - x
-                y = s - 1 - y
-            x, y = y, x
-        s >>= 1
-    return d
+#: Largest state table built; a chunk covers at most :data:`_MAX_CHUNK` levels.
+_TABLE_ENTRIES = 1 << 14
+_MAX_CHUNK = 4
 
 
 def _normalise_to_grid(points: np.ndarray, order: int) -> np.ndarray:
@@ -81,20 +61,91 @@ def _normalise_to_grid(points: np.ndarray, order: int) -> np.ndarray:
     return grid
 
 
-def hilbert_index(point, order: int = DEFAULT_ORDER, grid: np.ndarray | None = None) -> int:
-    """Hilbert index of a single (already grid-mapped) point.
+def _step(entry: np.ndarray, direction: np.ndarray, cell: np.ndarray, dims: int):
+    """One curve level of Hamilton's walk over int64 arrays.
 
-    For 2-D input the exact Hilbert curve is used.  For other
-    dimensionalities the function falls back to bit interleaving
-    (Z-order), which preserves the locality property the algorithms need
-    while keeping the code simple; the paper only evaluates 2-D data.
+    ``cell`` holds the level's bit of axis ``j`` at bit ``j``; the state
+    is the sub-cube's entry corner ``entry`` and its ``direction``.
+    Returns the level's key digit and the child's ``(entry, direction)``.
     """
-    coords = np.asarray(point)
-    if grid is None:
-        coords = coords.astype(np.int64)
-    if coords.size == 2:
-        return hilbert_index_2d(int(coords[0]), int(coords[1]), order)
-    return _zorder_index(coords.astype(np.int64), order)
+    mask = (1 << dims) - 1
+    turn = (direction + 1) % dims
+    digit = cell ^ entry  # into the sub-cube's frame: rotate right by d + 1
+    digit = ((digit >> turn) | (digit << (dims - turn))) & mask
+    shift = 1
+    while shift < dims:  # then the inverse Gray code
+        digit ^= digit >> shift
+        shift <<= 1
+    below = digit - 1
+    corner = below & ~1  # the child's entry corner, gc(2 * floor((w - 1) / 2))
+    corner ^= corner >> 1
+    odd = below | 1  # its direction: trailing set bits of w - 1 (w even) or w (w odd)
+    change = np.bitwise_count(odd & ~(odd + 1)).astype(np.int64) % dims
+    first = digit == 0
+    corner[first] = 0
+    change[first] = 0
+    entry = entry ^ (((corner << turn) | (corner >> (dims - turn))) & mask)
+    return digit, entry, (direction + change + 1) % dims
+
+
+@functools.cache
+def _state_table(dims: int):
+    """:func:`_step` over a chunk of levels from every reachable state, or ``None``.
+
+    A state ``(entry, direction)`` is numbered by its rank among the
+    reachable ``entry * dims + direction``, so ``(0, k)`` is state ``k``.
+    Entry ``(state << dims * levels) | chunk_0 << (dims - 1) * levels |
+    ... | chunk_{dims-1}`` of the table holds the chunk's
+    ``dims * levels`` key digits shifted past ``state_bits``, or'ed with
+    the state the next chunk starts in.  ``levels`` is the most (up to
+    :data:`_MAX_CHUNK`) that keep the table within
+    :data:`_TABLE_ENTRIES`; ``None`` when one level does not fit.
+    Returns ``(table, table as a tuple of ints, levels, state_bits)``.
+    """
+    cells = 1 << dims
+    if dims << (2 * dims - 1) > _TABLE_ENTRIES:  # dims * 2**(dims - 1) states
+        return None
+    flat = np.arange(cells * dims)
+    _, entry, direction = _step(
+        np.repeat(flat // dims, cells), np.repeat(flat % dims, cells), np.tile(np.arange(cells), flat.size), dims
+    )
+    successors = (entry * dims + direction).reshape(-1, cells)
+    reached = flat < dims  # the walk starts in (0, k): see _walk_start
+    while not reached[successors[reached]].all():
+        reached[successors[reached]] = True
+    states = np.flatnonzero(reached)
+    levels = _MAX_CHUNK
+    while states.size << (dims * levels) > _TABLE_ENTRIES:
+        levels -= 1
+    index = np.arange(states.size << (dims * levels))
+    state = states[index >> (dims * levels)]
+    entry, direction = state // dims, state % dims
+    digits = np.zeros_like(index)
+    for level in range(levels - 1, -1, -1):
+        cell = np.zeros_like(index)
+        for axis in range(dims):
+            cell |= ((index >> ((dims - 1 - axis) * levels + level)) & 1) << axis
+        digit, entry, direction = _step(entry, direction, cell, dims)
+        digits = (digits << dims) | digit
+    number = np.zeros(flat.size, dtype=np.int64)
+    number[states] = np.arange(states.size)
+    state_bits = (states.size - 1).bit_length()
+    table = (digits << state_bits) | number[entry * dims + direction]
+    table = table.astype(np.min_scalar_type(int(table.max())))
+    table.flags.writeable = False  # one cached table serves every caller
+    return table, tuple(table.tolist()), levels, state_bits
+
+
+def _walk_start(order: int, levels: int, dims: int) -> tuple[int, range]:
+    """The state a chunked walk of ``order`` levels starts in, and its chunks' shifts.
+
+    An order that is not a whole number of chunks is padded with leading
+    zero levels.  A zero level keeps the entry corner and turns the
+    direction once, so starting in ``(0, -padding mod dims)`` reaches the
+    first real level in the curve's initial state ``(0, 0)``.
+    """
+    padding = -order % levels
+    return -padding % dims, range(order + padding - levels, -1, -levels)
 
 
 def hilbert_indices(points: np.ndarray, order: int | None = None) -> np.ndarray:
@@ -115,83 +166,70 @@ def hilbert_indices(points: np.ndarray, order: int | None = None) -> np.ndarray:
             f"a Hilbert key of order {order} over {dims} dimensions needs "
             f"{order * dims} bits; int64 keys hold 63"
         )
-    grid = _normalise_to_grid(pts, order)
-    if dims == 2:
-        return _hilbert_keys_2d(grid[:, 0], grid[:, 1], order)
-    return _zorder_keys(grid, order)
+    return _grid_keys(_normalise_to_grid(pts, order), order)
 
 
-#: Curve levels one table lookup covers: a 4-bit chunk of x and of y.
-_CHUNK_BITS = 4
+def _grid_keys(grid: np.ndarray, order: int) -> np.ndarray:
+    """The keys of int64 grid cells (read only), one table lookup per chunk of levels.
 
-
-def _chunk_table(bits: int) -> np.ndarray:
-    """The rotate-and-flip step of :func:`hilbert_index_2d`, ``bits`` levels at a time.
-
-    The transform the scalar loop applies to the bits below a level is
-    one of four: identity, swap, flip (complement both) or both — the
-    *state*, bit 0 the swap and bit 1 the flip.  Entry
-    ``(state << 2 * bits) | (x_chunk << bits) | y_chunk`` holds the
-    chunk's ``2 * bits`` key bits shifted left by 2, or'ed with the state
-    the next chunk starts in.  Built with one array pass per level over
-    all ``4 << 2 * bits`` entries (1024 ``uint16`` for 4-bit chunks).
+    Top chunk first; each lookup is indexed by the state and the
+    per-axis chunks laid side by side, as in the table.  Without a table
+    the step runs once per level.
     """
-    cells = 1 << (2 * bits)
-    entry = np.arange(4 * cells, dtype=np.int64)
-    state = entry >> (2 * bits)
-    x = (entry >> bits) & ((1 << bits) - 1)
-    y = entry & ((1 << bits) - 1)
-    digits = np.zeros_like(entry)
-    for level in range(bits - 1, -1, -1):
-        rx = (x >> level) & 1
-        ry = (y >> level) & 1
-        # read the chunk's bits through the transform: swap, then flip
-        change = ((rx ^ ry) & state) ^ (state >> 1)
-        rx ^= change
-        ry ^= change
-        digits = (digits << 2) | ((3 * rx) ^ ry)
-        # ry == 0 swaps the quadrant; (rx, ry) == (1, 0) also flips it
-        state ^= (ry ^ 1) | ((rx & (ry ^ 1)) << 1)
-    return ((digits << 2) | state).astype(np.uint16)
-
-
-_CHUNK_TABLE = _chunk_table(_CHUNK_BITS)
-
-
-def _hilbert_keys_2d(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    """:func:`hilbert_index_2d` over int64 grid columns (read only).
-
-    One table lookup per chunk of :data:`_CHUNK_BITS` levels, top chunk
-    first.  An order that is not a whole number of chunks is padded with
-    leading zero levels; each zero level is a plain swap that adds no key
-    bits, so the walk starts in the swap state when the padding is odd
-    and reaches the first real level in the identity, as the scalar
-    loop does.
-    """
-    bits = _CHUNK_BITS
-    mask = (1 << bits) - 1
-    padding = -order % bits
-    state = np.full(x.shape[0], padding & 1, dtype=np.uint16)
-    keys = np.zeros(x.shape[0], dtype=np.int64)
-    for shift in range(order + padding - bits, -1, -bits):
-        index = state << (2 * bits)
-        index |= ((x >> shift) & mask).astype(np.uint16) << bits
-        index |= ((y >> shift) & mask).astype(np.uint16)
-        entry = _CHUNK_TABLE[index]
-        keys <<= 2 * bits
-        keys |= entry >> 2
-        state = entry & 3
+    count, dims = grid.shape
+    keys = np.zeros(count, dtype=np.int64)
+    spec = _state_table(dims)
+    if spec is None:
+        entry, direction = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+        for level in range(order - 1, -1, -1):
+            cell = np.zeros(count, dtype=np.int64)
+            for axis in range(dims):
+                cell |= ((grid[:, axis] >> level) & 1) << axis
+            digit, entry, direction = _step(entry, direction, cell, dims)
+            keys <<= dims
+            keys |= digit
+        return keys
+    table, _, levels, state_bits = spec
+    mask, state_mask = (1 << levels) - 1, (1 << state_bits) - 1
+    start, shifts = _walk_start(order, levels, dims)
+    state = np.full(count, start, dtype=table.dtype)
+    for shift in shifts:
+        index = state  # the state, then each axis's chunk shifted in below it
+        for axis in range(dims):
+            index <<= levels
+            index |= ((grid[:, axis] >> shift) & mask).astype(table.dtype)
+        entry = table[index]
+        keys <<= dims * levels
+        keys |= entry >> state_bits
+        state = entry & state_mask
     return keys
 
 
-def _zorder_keys(grid: np.ndarray, order: int) -> np.ndarray:
-    """:func:`_zorder_index` over the rows of an int64 grid."""
-    dims = grid.shape[1]
-    keys = np.zeros(grid.shape[0], dtype=np.int64)
-    for bit in range(order):
-        for dim in range(dims):
-            keys |= ((grid[:, dim] >> bit) & 1) << (bit * dims + dim)
-    return keys
+def cell_key(cell, order: int) -> int:
+    """The Hilbert key of one grid cell of whole numbers in ``[0, 2**order)``.
+
+    The table walk of :func:`hilbert_indices` with Python ints, for one
+    row at a time (an appended write pays about a microsecond, where a
+    one-row array walk pays tens).
+    """
+    if min(cell) < 0 or max(cell) >> order:
+        raise ValueError(f"cell {tuple(cell)} outside the Hilbert grid of order {order}")
+    dims = len(cell)
+    spec = _state_table(dims)
+    if spec is None:
+        return int(_grid_keys(np.array([cell], dtype=np.int64), order)[0])
+    _, entries, levels, state_bits = spec
+    mask, state_mask = (1 << levels) - 1, (1 << state_bits) - 1
+    state, shifts = _walk_start(order, levels, dims)
+    key = 0
+    for shift in shifts:
+        index = state
+        for value in cell:
+            index = (index << levels) | ((value >> shift) & mask)
+        entry = entries[index]
+        key = (key << (dims * levels)) | (entry >> state_bits)
+        state = entry & state_mask
+    return key
 
 
 def rank_keys(keys: np.ndarray) -> np.ndarray:
@@ -227,14 +265,3 @@ def hilbert_sort(points: np.ndarray, order: int | None = None) -> np.ndarray:
     MQM, F-MQM and F-MBM.
     """
     return rank_keys(hilbert_indices(points, order))
-
-
-def _zorder_index(coords: np.ndarray, order: int) -> int:
-    """Bit-interleaved (Morton) index for dimensionalities other than 2."""
-    index = 0
-    dims = coords.size
-    for bit in range(order):
-        for dim in range(dims):
-            bit_value = (int(coords[dim]) >> bit) & 1
-            index |= bit_value << (bit * dims + dim)
-    return index

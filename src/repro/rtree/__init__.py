@@ -8,8 +8,8 @@ The package provides:
   each node read to the reading query's
   :class:`~repro.core.types.QueryCost` (the "NA" of the paper's
   experiments),
-* :mod:`repro.rtree.bulkload` — the STR and Hilbert leaf orders behind
-  that packing (array sorts, no object per point),
+* :mod:`repro.rtree.bulkload` — the STR leaf order behind that packing,
+  tiled over every axis (array sorts, no object per point),
 * the best-first (incremental) nearest-neighbor stream F-MQM consumes,
   and the multi-stream frontier MQM drives, in
   :mod:`repro.rtree.traversal`,

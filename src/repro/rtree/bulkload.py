@@ -8,24 +8,22 @@ starts.  Nothing else is decided here; the levels above the leaves group
 ``capacity`` consecutive nodes per parent, which
 :meth:`FlatRTree.bulk_load <repro.rtree.flat.FlatRTree.bulk_load>`
 assembles straight into the snapshot arrays (no node or entry object
-per point or page).  Both strategies rank with
-:func:`~repro.geometry.hilbert.rank_keys`, the stable permutation without
-NumPy's timsort: STR orders ``pp_like(100000)`` at capacity 50 in ~9 ms,
-~17 ms with stable argsorts (best of 7, shared 2-core x86-64 box).
+per point or page).
 
-* ``"str"`` — Sort-Tile-Recursive (Leutenegger, Lopez and Edgington,
-  ICDE 1997), the default: well-shaped, low-overlap leaves for points.
-* ``"hilbert"`` — packing by Hilbert order, to test that tree quality
-  (not a specific packing) drives the algorithms' behaviour.
+The one packer is Sort-Tile-Recursive (Leutenegger, Lopez and
+Edgington, ICDE 1997) over every axis: well-shaped, low-overlap leaves
+for points in any dimensionality.  It ranks with
+:func:`~repro.geometry.hilbert.rank_keys`, the stable permutation without
+NumPy's timsort, every group of an axis in one call: STR orders
+``pp_like(100000)`` at capacity 50 in ~9 ms, ~17 ms with stable argsorts
+(best of 7, shared 2-core x86-64 box).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from repro.geometry.hilbert import hilbert_sort, rank_keys
+from repro.geometry.hilbert import rank_keys
 
 
 def resolve_record_ids(count: int, record_ids) -> np.ndarray:
@@ -73,51 +71,71 @@ def resolve_record_ids(count: int, record_ids) -> np.ndarray:
     return ids
 
 
-def _leaf_starts(run_starts: np.ndarray, run_sizes: np.ndarray, capacity: int) -> np.ndarray:
-    """Start rows of the leaves cut from consecutive runs of points.
+def _cut(starts: np.ndarray, sizes: np.ndarray, width) -> tuple[np.ndarray, np.ndarray]:
+    """Cut consecutive runs of rows into pieces of ``width`` rows.
 
-    Every run is chopped into leaves of ``capacity`` points; its last
-    leaf takes the remainder.
+    ``width`` is one number or one per run; a run's last piece takes the
+    remainder.  Returns the pieces' start rows and sizes.
     """
-    leaves_per_run = -(-run_sizes // capacity)
-    first_leaf = np.cumsum(leaves_per_run) - leaves_per_run
-    within_run = np.arange(int(leaves_per_run.sum())) - np.repeat(first_leaf, leaves_per_run)
-    return np.repeat(run_starts, leaves_per_run) + within_run * capacity
+    width = np.broadcast_to(width, sizes.shape)
+    pieces = -(-sizes // width)
+    first = np.cumsum(pieces) - pieces
+    within = np.arange(int(pieces.sum())) - np.repeat(first, pieces)
+    width = np.repeat(width, pieces)
+    piece_starts = np.repeat(starts, pieces) + within * width
+    return piece_starts, np.minimum(width, np.repeat(starts + sizes, pieces) - piece_starts)
+
+
+def _ceil_root(values: np.ndarray, degree: int) -> np.ndarray:
+    """The least whole ``root`` with ``root ** degree >= value``, for every value."""
+    root = np.ceil(values ** (1.0 / degree)).astype(np.int64)
+    root -= (root - 1) ** degree >= values  # float error either way
+    root += root**degree < values
+    return root
+
+
+def _rank_groups(column: np.ndarray, order: np.ndarray, starts, sizes) -> np.ndarray:
+    """``order`` with each group of rows ranked on its own by ``column`` (stable).
+
+    Group ``g`` is ``order[starts[g]:starts[g] + sizes[g]]``.  The groups
+    are ranked at once, as the rows of one 2-D rank, each padded with
+    +inf keys that rank after its points.
+    """
+    filled = np.arange(int(sizes.max())) < sizes[:, None]
+    keys = np.full(filled.shape, np.inf)
+    keys[filled] = column.take(order)
+    ranked = rank_keys(keys)
+    del keys  # so the heap holds one index-sized array fewer below
+    ranked += starts[:, None]
+    return order.take(ranked[filled])
 
 
 def _str_order(points: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-Tile-Recursive leaf order.
+    """Sort-Tile-Recursive leaf order, tiled over every axis.
 
-    Points are sorted by the first coordinate, cut into vertical slabs of
-    roughly ``sqrt(leaf_count)`` leaves each, and each slab is sorted by
-    the second coordinate before being chopped into leaves.  Higher
-    dimensions reuse the first two coordinates for tiling, which is
-    sufficient for the (2-D) evaluation of the paper while remaining
-    correct for any dimensionality.
+    The rows are ranked by the first coordinate, as one group.  Then per
+    further axis ``j`` of ``dims``, each group is cut into
+    ``ceil(leaves ** (1 / (dims - j + 1)))`` slabs of
+    ``ceil(size / slabs)`` rows, ``leaves`` being the group's
+    ``ceil(size / capacity)``, and each slab is ranked by its ``j``-th
+    coordinate (ties keep the order of the axes before).  The groups of
+    the last axis are chopped into leaves of ``capacity`` rows.  So in
+    2-D the points are cut into ``ceil(sqrt(leaves))`` vertical slabs,
+    each chopped into leaves along y; in 3-D no leaf spans a whole axis
+    either.
     """
-    count = points.shape[0]
-    leaf_count = math.ceil(count / capacity)
-    slab_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    per_slab = math.ceil(count / slab_count)
-
-    by_x = rank_keys(points[:, 0])
-    slab_starts = np.arange(0, count, per_slab)
-    # Each slab ranked on its own, ties kept in x order: the rows of one
-    # 2-D rank, the last padded with +inf keys that rank after its points.
-    keys = np.full((slab_starts.size, per_slab), np.inf)
-    keys.flat[:count] = points[by_x, 1 if points.shape[1] > 1 else 0]
-    within = (rank_keys(keys) + slab_starts[:, None]).ravel()
-    slab_sizes = np.minimum(per_slab, count - slab_starts)
-    return by_x[within[within < count]], _leaf_starts(slab_starts, slab_sizes, capacity)
+    count, dims = points.shape
+    order = rank_keys(points[:, 0])
+    starts, sizes = np.zeros(1, dtype=np.int64), np.array([count])
+    for axis in range(1, dims):
+        slabs = _ceil_root(-(-sizes // capacity), dims - axis + 1)
+        starts, sizes = _cut(starts, sizes, -(-sizes // slabs))
+        order = _rank_groups(points[:, axis], order, starts, sizes)
+    return order, _cut(starts, sizes, capacity)[0]
 
 
-def _hilbert_order(points: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Leaf order along the Hilbert curve: one run, chopped into leaves."""
-    return hilbert_sort(points), np.arange(0, points.shape[0], capacity)
-
-
-def pack(points: np.ndarray, capacity: int, method: str = "str") -> tuple[np.ndarray, np.ndarray]:
-    """Leaf order of ``points`` under a named packing strategy.
+def pack(points: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The STR leaf order of ``points``.
 
     Returns ``(order, leaf_starts)``: ``points[order]`` lists the points
     leaf by leaf, and leaf ``j`` holds the rows from ``leaf_starts[j]``
@@ -127,15 +145,6 @@ def pack(points: np.ndarray, capacity: int, method: str = "str") -> tuple[np.nda
     """
     if capacity < 4:
         raise ValueError("node capacity must be at least 4")
-    if method not in PACKERS:
-        raise ValueError(f"unknown bulk-load method {method!r}")
     if points.shape[0] == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
-    return PACKERS[method](points, capacity)
-
-
-#: Registered packing strategies by name (consulted by :func:`pack`).
-PACKERS = {
-    "str": _str_order,
-    "hilbert": _hilbert_order,
-}
+    return _str_order(points, capacity)

@@ -62,6 +62,7 @@ from numpy.lib import format as npy_format
 
 from repro.geometry.point import as_points
 from repro.rtree.bulkload import pack, resolve_record_ids
+from repro.storage.buffer import LRUBuffer
 from repro.storage.counters import MappedPageCounters
 
 #: Node capacity of the paper's experiments (1 KByte pages, 50 entries).
@@ -124,7 +125,7 @@ class FlatRTree:
         "_scope",
     )
 
-    def __init__(self, arrays: dict, meta: dict, buffer=None, mmap_io=None):
+    def __init__(self, arrays: dict, meta: dict, buffer: LRUBuffer | None = None, mmap_io=None):
         for name in _ARRAY_FIELDS:
             setattr(self, name, arrays[name])
         self.dims = int(meta["dims"])
@@ -150,13 +151,12 @@ class FlatRTree:
         cls,
         points,
         capacity: int = DEFAULT_CAPACITY,
-        method: str = "str",
         buffer=None,
         record_ids=None,
     ) -> "FlatRTree":
         """Pack a static point set straight into a flat snapshot.
 
-        :func:`repro.rtree.bulkload.pack` decides the leaf order; the
+        :func:`repro.rtree.bulkload.pack` decides the STR leaf order; the
         arrays are then assembled level by level — ``capacity``
         consecutive nodes per parent, MBRs by ``reduceat`` over the level
         below — in breadth-first numbering, without creating a node or
@@ -172,7 +172,7 @@ class FlatRTree:
         if not no_points:
             pts = as_points(pts)
         count, dims = pts.shape
-        order, leaf_starts = pack(pts, capacity, method)
+        order, leaf_starts = pack(pts, capacity)
         ids = resolve_record_ids(count, record_ids)
 
         # Bottom-up: per level the node MBRs and, per node, the offset and

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.geometry.hilbert import hilbert_index, hilbert_index_2d
+from repro.geometry.hilbert import cell_key
 from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 
 #: Rows allocated for an empty store; the buffer doubles from here.
@@ -87,13 +87,12 @@ class PointStore:
             self._data = np.concatenate([self._data, np.empty_like(self._data)])
             self._meta = np.concatenate([self._meta, np.empty_like(self._meta)])
         self._data[row] = point
-        side, order = (1 << self._key_order) - 1, self._key_order
+        side = (1 << self._key_order) - 1
         cell = [
             int(min(side, max(0.0, (value - low) * scale)))  # NaN lands in cell 0
             for value, low, scale in zip(self._data[row].tolist(), self._key_low, self._key_scale)
         ]
-        key = hilbert_index_2d(*cell, order) if len(cell) == 2 else hilbert_index(cell, order)
-        self._meta[row] = record_id, key
+        self._meta[row] = record_id, cell_key(cell, self._key_order)
         self._count = row + 1
         self._rows[record_id] = row
         self._view = None
@@ -152,10 +151,6 @@ class DeltaOverlay:
     # ------------------------------------------------------------------
     # shape
     # ------------------------------------------------------------------
-    @property
-    def dims(self) -> int:
-        return self.base.dims
-
     @property
     def generation(self) -> int:
         """The generation of the frozen base this overlay shadows."""
@@ -273,9 +268,7 @@ class DeltaOverlay:
     # ------------------------------------------------------------------
     # compaction
     # ------------------------------------------------------------------
-    def compact(
-        self, *, capacity: int | None = None, method: str = "str", buffer=None
-    ) -> FlatRTree:
+    def compact(self, *, capacity: int | None = None, buffer=None) -> FlatRTree:
         """Fold base + delta − tombstones into a generation ``N+1`` snapshot.
 
         The result is bulk-loaded from the id-ordered live dataset with
@@ -290,7 +283,6 @@ class DeltaOverlay:
         flat = FlatRTree.bulk_load(
             points,
             capacity=capacity or self.base.capacity,
-            method=method,
             buffer=buffer,
             record_ids=ids,
         )

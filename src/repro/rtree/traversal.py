@@ -51,10 +51,6 @@ class Neighbor:
         self.point = point
         self.distance = float(distance)
 
-    def as_tuple(self) -> tuple[int, float]:
-        """Return ``(record_id, distance)`` for compact comparisons in tests."""
-        return (self.record_id, self.distance)
-
     def __repr__(self) -> str:
         return f"Neighbor(id={self.record_id}, distance={self.distance:.6g})"
 

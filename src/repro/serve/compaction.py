@@ -57,8 +57,8 @@ class CompactingWriter:
         under the next generation token).  Without a server the
         compaction still folds the overlay locally.
     dirty_ratio_trigger:
-        Compact when ``engine.dirty_ratio`` (overlay writes over base
-        size) reaches this; ``None`` disables ratio triggering.
+        Compact when the engine overlay's ``dirty_ratio`` (overlay writes
+        over base size) reaches this; ``None`` disables ratio triggering.
     min_writes:
         Never trigger below this many overlay writes, whatever the
         ratio (protects tiny bases from compacting on every write).

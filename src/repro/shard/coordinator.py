@@ -479,13 +479,22 @@ class ShardCoordinator:
     # query execution
     # ------------------------------------------------------------------
     def submit(self, spec: QuerySpec) -> Future:
-        """Scatter-gather one spec; returns a future for its merged result."""
+        """Scatter-gather one spec; returns a future for its merged result.
+
+        Shard nodes serve memory-resident groups only, so a disk-resident
+        spec is refused here, before any round trip.
+        """
         if self._closed.is_set():
             raise RuntimeError("this ShardCoordinator is closed")
         if spec.dims != self.manifest.dims:
             raise ValueError(
                 f"spec dimensionality {spec.dims} does not match the "
                 f"federation ({self.manifest.dims}-d)"
+            )
+        if spec.resolved_residency() != MEMORY:
+            raise ShardQueryError(
+                "disk-resident specs are not served: shard nodes answer "
+                "memory-resident groups only; execute them on a local engine"
             )
         return asyncio.run_coroutine_threadsafe(self._execute(spec), self._loop)
 
@@ -576,10 +585,7 @@ class ShardCoordinator:
                 # live shard returned, so it holds if a wave shard dies.
                 wave = [sid for sid in remaining if bounds[sid] <= ceiling]
                 remaining = [sid for sid in remaining if bounds[sid] > ceiling]
-                sent = payload
-                if spec.resolved_residency() == MEMORY:
-                    # Disk-resident specs are rejected by the nodes anyway.
-                    sent = {**payload, "options": {**payload["options"], WITHIN: ceiling}}
+                sent = {**payload, "options": {**payload["options"], WITHIN: ceiling}}
                 await dispatch(wave, sent, 1)
 
             merge_span = (

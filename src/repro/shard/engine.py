@@ -91,11 +91,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # federation introspection / lifecycle
     # ------------------------------------------------------------------
-    @property
-    def manifest(self):
-        """The federation's :class:`~repro.shard.manifest.ShardManifest`."""
-        return self.coordinator.manifest
-
     def stats(self) -> dict:
         """The unified stats shape: counters nested under ``coordinator``."""
         return {"coordinator": self.coordinator.stats()}

@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.geometry import kernels
-from repro.geometry.mbr import MBR
 from repro.storage.atomicio import write_json_atomic
 
 #: Filename of the persisted manifest inside a partition directory.
@@ -65,10 +64,6 @@ class ShardInfo:
     hilbert_low: int
     hilbert_high: int
     sample: tuple[tuple[float, ...], ...] = ()
-
-    def root_mbr(self) -> MBR:
-        """The shard's root MBR as a geometry object."""
-        return MBR(np.asarray(self.root_low), np.asarray(self.root_high))
 
     def as_dict(self) -> dict:
         return {

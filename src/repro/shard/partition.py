@@ -6,7 +6,7 @@ bulk-loads each chunk into its own :class:`~repro.rtree.flat.FlatRTree`
 snapshot, ready for ``K`` shard nodes to mmap and serve.
 
 The split is by Hilbert rank: points are sorted by their Hilbert-curve
-index (the same curve the bulk loader and MQM use) and cut into ``K``
+index (the curve MQM sorts its query points by) and cut into ``K``
 contiguous, equal-count runs.  Contiguity on the curve is what makes
 the shards *prunable* — each shard owns a compact blob of space, so its
 root MBR is tight and the coordinator's federation-level ``amindist``
@@ -105,14 +105,12 @@ def partition_dataset(
     directory,
     *,
     capacity: int = DEFAULT_CAPACITY,
-    method: str = "str",
     generation: int = 0,
     order: int | None = None,
 ) -> ShardManifest:
     """Partition ``points`` into ``shards`` snapshot files under ``directory``.
 
-    Each shard's chunk is bulk-loaded (``method`` is the usual
-    ``"str"``/``"hilbert"`` choice) into a :class:`FlatRTree` carrying
+    Each shard's chunk is bulk-loaded into a :class:`FlatRTree` carrying
     the chunk's *original row numbers* as record ids, and saved as
     ``shard-<id>-gen<generation>.npz``.  A ``manifest.json`` describing
     the federation (root MBRs, counts, Hilbert ranges, and a small
@@ -128,9 +126,7 @@ def partition_dataset(
 
     infos = []
     for shard_id, rows in enumerate(assignments):
-        tree = FlatRTree.bulk_load(
-            pts[rows], capacity=capacity, method=method, record_ids=rows
-        )
+        tree = FlatRTree.bulk_load(pts[rows], capacity=capacity, record_ids=rows)
         name = shard_snapshot_name(shard_id, generation)
         tree.save(base / name, generation=generation)
         infos.append(describe_shard(shard_id, name, tree, pts, keys, rows))

@@ -1,11 +1,13 @@
-"""The object packers ``repro.rtree.bulkload`` is proven against.
+"""The object packer ``repro.rtree.bulkload`` is proven against.
 
 This is the bulk loader as it stood before the array packer: one
-``LeafEntry`` per record, one ``Node``/``ChildEntry`` per page, kept
-verbatim — together with the per-point Hilbert key loop it sorted by
-(:func:`reference_hilbert_indices`), so the reference shares no
-vectorised code with what it checks.  :func:`reference_snapshot`
-flattens the packed nodes breadth-first into the snapshot arrays; the
+``LeafEntry`` per record, one ``Node``/``ChildEntry`` per page — with
+its Sort-Tile-Recursive split written as the recursion over every axis
+that the array packer's per-axis loop flattens (in 2-D it is the
+two-axis split it always was), so the reference shares no vectorised
+code with what it checks.  :func:`reference_hilbert_indices` is the
+curve evaluated point by point.  :func:`reference_snapshot` flattens
+the packed nodes breadth-first into the snapshot arrays; the
 differential tests require ``FlatRTree.bulk_load`` to reproduce every
 array of it except the values of ``node_ids``.
 """
@@ -16,13 +18,9 @@ import itertools
 import math
 
 import numpy as np
+from hilbert_reference import hamilton_key
 
-from repro.geometry.hilbert import (
-    DEFAULT_ORDER,
-    _normalise_to_grid,
-    _zorder_index,
-    hilbert_index_2d,
-)
+from repro.geometry.hilbert import DEFAULT_ORDER, _normalise_to_grid
 from repro.geometry.mbr import MBR
 from repro.geometry.point import as_point, as_points
 from repro.rtree.flat import FlatRTree
@@ -82,7 +80,7 @@ def union_of(mbrs) -> MBR:
 
 
 def reference_hilbert_indices(points: np.ndarray, order: int | None = None) -> np.ndarray:
-    """One scalar curve evaluation per point (the parent's ``hilbert_indices``).
+    """One scalar curve evaluation per point.
 
     The default order is 16, lowered so ``order * dims`` key bits fit int64.
     """
@@ -90,15 +88,7 @@ def reference_hilbert_indices(points: np.ndarray, order: int | None = None) -> n
     if order is None:
         order = min(DEFAULT_ORDER, 63 // pts.shape[1])
     grid = _normalise_to_grid(pts, order)
-    if pts.shape[1] == 2:
-        return np.array(
-            [hilbert_index_2d(int(x), int(y), order) for x, y in grid], dtype=np.int64
-        )
-    return np.array([_zorder_index(row, order) for row in grid], dtype=np.int64)
-
-
-def hilbert_sort(points: np.ndarray, order: int | None = None) -> np.ndarray:
-    return np.argsort(reference_hilbert_indices(points, order), kind="stable")
+    return np.array([hamilton_key(cell, order) for cell in grid.tolist()], dtype=np.int64)
 
 
 def _resolve_record_ids(count: int, record_ids) -> np.ndarray:
@@ -137,69 +127,39 @@ def _pack_upwards(nodes: list[Node], capacity: int) -> Node:
 
 
 def str_pack(points: np.ndarray, capacity: int, record_ids=None) -> Node:
-    """Bulk load points with the Sort-Tile-Recursive strategy.
+    """Bulk load points with the Sort-Tile-Recursive strategy over every axis.
 
-    Points are sorted by the first coordinate, cut into vertical slabs of
-    roughly ``sqrt(leaf_count)`` leaves each, and each slab is sorted by
-    the second coordinate before being chopped into leaves.  Higher
-    dimensions reuse the first two coordinates for tiling, which is
-    sufficient for the (2-D) evaluation of the paper while remaining
-    correct for any dimensionality.
+    The rows are sorted by the first coordinate and cut into slabs of
+    ``ceil(size / slabs)`` rows, ``slabs`` the least whole number whose
+    ``dims``-th power reaches the group's leaf count; each slab recurses
+    on the next axis with one dimension fewer, and the groups of the last
+    axis are chopped into leaves.  In 2-D: vertical slabs of about
+    ``sqrt(leaf_count)`` leaves, each sorted by y.
     """
     pts = as_points(points)
-    count = pts.shape[0]
+    count, dims = pts.shape
     ids = _resolve_record_ids(count, record_ids)
-    leaf_count = math.ceil(count / capacity)
-    slab_count = max(1, math.ceil(math.sqrt(leaf_count)))
-    per_slab = math.ceil(count / slab_count)
-
-    order_x = np.argsort(pts[:, 0], kind="stable")
     leaves: list[Node] = []
-    for slab_start in range(0, count, per_slab):
-        slab_ids = order_x[slab_start : slab_start + per_slab]
-        sort_axis = 1 if pts.shape[1] > 1 else 0
-        slab_ids = slab_ids[np.argsort(pts[slab_ids, sort_axis], kind="stable")]
-        for leaf_start in range(0, slab_ids.size, capacity):
-            chunk = slab_ids[leaf_start : leaf_start + capacity]
-            leaf = Node(0)
-            for row in chunk:
-                leaf.add(LeafEntry(pts[row], int(ids[row])))
-            leaves.append(leaf)
+
+    def tile(rows: np.ndarray, axis: int) -> None:
+        rows = rows[np.argsort(pts[rows, axis], kind="stable")]
+        if axis == dims - 1:
+            for leaf_start in range(0, rows.size, capacity):
+                leaf = Node(0)
+                for row in rows[leaf_start : leaf_start + capacity]:
+                    leaf.add(LeafEntry(pts[row], int(ids[row])))
+                leaves.append(leaf)
+            return
+        leaf_count = math.ceil(rows.size / capacity)
+        slabs = 1
+        while slabs ** (dims - axis) < leaf_count:
+            slabs += 1
+        per_slab = math.ceil(rows.size / slabs)
+        for slab_start in range(0, rows.size, per_slab):
+            tile(rows[slab_start : slab_start + per_slab], axis + 1)
+
+    tile(np.arange(count), 0)
     return _pack_upwards(leaves, capacity)
-
-
-def pack(points: np.ndarray, capacity: int, method: str = "str", record_ids=None) -> Node:
-    """Bulk load with a named packing strategy (``"str"`` or ``"hilbert"``).
-
-    Fails with the same message as ``FlatRTree.bulk_load`` on a typo.
-    ``record_ids`` optionally replaces the default row-index ids (one id
-    per point) — the sharding partitioner passes global row numbers.
-    """
-    if method not in PACKERS:
-        raise ValueError(f"unknown bulk-load method {method!r}")
-    return PACKERS[method](points, capacity, record_ids=record_ids)
-
-
-def hilbert_pack(points: np.ndarray, capacity: int, record_ids=None) -> Node:
-    """Bulk load points in Hilbert-curve order."""
-    pts = as_points(points)
-    ids = _resolve_record_ids(pts.shape[0], record_ids)
-    order = hilbert_sort(pts)
-    leaves: list[Node] = []
-    for start in range(0, order.size, capacity):
-        chunk = order[start : start + capacity]
-        leaf = Node(0)
-        for row in chunk:
-            leaf.add(LeafEntry(pts[row], int(ids[row])))
-        leaves.append(leaf)
-    return _pack_upwards(leaves, capacity)
-
-
-#: Registered packing strategies by name (consulted by :func:`pack`).
-PACKERS = {
-    "str": str_pack,
-    "hilbert": hilbert_pack,
-}
 
 
 def flatten(root: Node, dims: int, size: int, capacity: int) -> FlatRTree:
@@ -256,7 +216,7 @@ def flatten(root: Node, dims: int, size: int, capacity: int) -> FlatRTree:
     return FlatRTree(arrays, meta)
 
 
-def reference_snapshot(points, capacity: int, method: str = "str", record_ids=None) -> FlatRTree:
+def reference_snapshot(points, capacity: int, record_ids=None) -> FlatRTree:
     """What the parent's ``FlatRTree.bulk_load`` returned for these arguments."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 2 and pts.shape[0] == 0 and pts.shape[1] > 0:
@@ -264,5 +224,5 @@ def reference_snapshot(points, capacity: int, method: str = "str", record_ids=No
     pts = as_points(pts)
     if capacity < 4:
         raise ValueError("node capacity must be at least 4")
-    root = pack(pts, capacity, method=method, record_ids=record_ids)
+    root = str_pack(pts, capacity, record_ids=record_ids)
     return flatten(root, pts.shape[1], pts.shape[0], capacity)

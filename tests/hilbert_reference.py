@@ -1,9 +1,15 @@
-"""The per-bit Hilbert key loop ``repro.geometry.hilbert`` is proven against.
+"""The Hilbert key loops ``repro.geometry.hilbert`` is proven against.
 
-This is ``_hilbert_keys_2d`` as it stood before the chunk-table lookup,
-kept verbatim together with the ``_normalise_to_grid`` it read from: one
-array pass per curve level over every point, the scalar
-:func:`~repro.geometry.hilbert.hilbert_index_2d` step made branch-free.
+Two references, sharing no code with the state table they check:
+
+* the 2-D per-bit loop as it stood before the chunk-table lookup, kept
+  verbatim together with the ``_normalise_to_grid`` it read from: one
+  array pass per curve level over every point, the classic
+  rotate-and-flip step made branch-free;
+* :func:`hamilton_key`, Hamilton's algorithm ("Compact Hilbert Indices",
+  Dalhousie CS-2006-07, Algorithm 2 at equal precision) for one cell in
+  any dimensionality, one level at a time with Python ints and no table.
+
 The differential tests require the table lookup to return the same key
 for every cell at every order, and ``hilbert_sort`` and the partition's
 radix ranking to return the permutations a stable argsort of these keys
@@ -26,7 +32,7 @@ def _normalise_to_grid(points: np.ndarray, order: int) -> np.ndarray:
 
 
 def _hilbert_keys_2d(x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    """:func:`hilbert_index_2d` over int64 columns (consumed as scratch).
+    """The classic rotate-and-flip curve over int64 columns (consumed as scratch).
 
     Branch-free form of the scalar loop.  Below bit ``s`` the flip
     ``s - 1 - x`` is the bit complement, i.e. ``x ^ (s - 1)``, and later
@@ -71,3 +77,57 @@ def reference_hilbert_indices(points, order: int | None = None) -> np.ndarray:
 def reference_hilbert_sort(points, order: int = 16) -> np.ndarray:
     """Stable argsort of 2-D points by the per-bit loop's keys."""
     return np.argsort(reference_hilbert_indices(points, order), kind="stable")
+
+
+def _rotate_right(value: int, turn: int, dims: int) -> int:
+    turn %= dims
+    return ((value >> turn) | (value << (dims - turn))) & ((1 << dims) - 1)
+
+
+def _rotate_left(value: int, turn: int, dims: int) -> int:
+    return _rotate_right(value, dims - turn % dims, dims)
+
+
+def _gray(value: int) -> int:
+    return value ^ (value >> 1)
+
+
+def _gray_inverse(code: int) -> int:
+    value = 0
+    while code:
+        value ^= code
+        code >>= 1
+    return value
+
+
+def _trailing_set_bits(value: int) -> int:
+    count = 0
+    while value & 1:
+        count += 1
+        value >>= 1
+    return count
+
+
+def _entry_corner(digit: int) -> int:
+    """e(w): the entry corner of sub-cube ``w``."""
+    return 0 if digit == 0 else _gray(2 * ((digit - 1) // 2))
+
+
+def _intra_direction(digit: int, dims: int) -> int:
+    """d(w): the axis along which sub-cube ``w`` is left."""
+    if digit == 0:
+        return 0
+    return _trailing_set_bits(digit - 1 if digit % 2 == 0 else digit) % dims
+
+
+def hamilton_key(cell, order: int) -> int:
+    """Hamilton's Hilbert index of one grid cell (axis ``j``'s bit at bit ``j``)."""
+    dims = len(cell)
+    entry, direction, key = 0, 0, 0
+    for level in range(order - 1, -1, -1):
+        bits = sum(((int(value) >> level) & 1) << axis for axis, value in enumerate(cell))
+        digit = _gray_inverse(_rotate_right(bits ^ entry, direction + 1, dims))
+        entry ^= _rotate_left(_entry_corner(digit), direction + 1, dims)
+        direction = (direction + _intra_direction(digit, dims) + 1) % dims
+        key = (key << dims) | digit
+    return key

@@ -45,8 +45,9 @@ SEED = 20040101
 INDEX_RESIDENCIES = ["memory", "mmap"]
 
 #: The inputs of the answer-only checks: both residencies of the STR
-#: snapshot, plus a Hilbert-packed one.
-ANSWER_INDEXES = INDEX_RESIDENCIES + ["hilbert"]
+#: snapshot, plus a deep one packed at the least capacity (4), whose
+#: leaves every axis of the per-axis tiling cuts.
+ANSWER_INDEXES = INDEX_RESIDENCIES + ["deep"]
 
 #: Dimensionalities of the answer-only checks.
 DIMS = [2, 3, 5]
@@ -102,8 +103,8 @@ def dims_snapshot(dims_dataset, tmp_path_factory):
 def _context(kind, dataset, flat, mapped_path):
     if kind == "mmap":
         flat = FlatRTree.load(mapped_path, mmap_mode="r")
-    elif kind == "hilbert":
-        flat = FlatRTree.bulk_load(dataset, capacity=16, method="hilbert")
+    elif kind == "deep":
+        flat = FlatRTree.bulk_load(dataset, capacity=4)
     return ExecutionContext(flat=flat)
 
 
@@ -145,7 +146,7 @@ class TestMemoryEquivalenceMatrix:
             reference = brute_force_gnn(dims_dataset, base.query)
             for info in available_algorithms(MEMORY):
                 spec = QuerySpec(group=group, k=k, aggregate=aggregate, algorithm=info.name)
-                if not info.supports(spec):
+                if info.capability_errors(spec):
                     continue
                 ran.add(info.name)
                 result = execute_spec(answer_context, spec)
@@ -172,7 +173,7 @@ class TestMemoryEquivalenceMatrix:
                 spec = QuerySpec(
                     group=group, k=3, aggregate=aggregate, weights=weights, algorithm=info.name
                 )
-                if not info.supports(spec):
+                if info.capability_errors(spec):
                     continue
                 ran.add(info.name)
                 result = execute_spec(answer_context, spec)
@@ -221,7 +222,7 @@ class TestDiskEquivalenceMatrix:
                 spec = QuerySpec(
                     group=group, k=k, residency=DISK, algorithm=info.name, options=options
                 )
-                if not info.supports(spec):
+                if info.capability_errors(spec):
                     continue
                 ran.add(info.name)
                 result = execute_spec(context, spec)
@@ -587,8 +588,8 @@ class TestMutationConformance:
 
     The engine under test is shaped like the answer-only checks of this
     module — ``memory`` mutates an engine built from the points, ``mmap``
-    a snapshot-only engine over a read-only memory map, ``hilbert`` an
-    engine over a Hilbert-packed base — each at every dimensionality of
+    a snapshot-only engine over a read-only memory map, ``deep`` an
+    engine over a base packed at capacity 4 — each at every dimensionality of
     :data:`DIMS`.  Every way the delta overlay is the write path.  After
     every round each algorithm × aggregate must agree with brute force
     over the independently tracked live dataset, and folding the overlay
@@ -599,8 +600,8 @@ class TestMutationConformance:
     def mutable_engine(self, request, dims_dataset, dims_snapshot):
         if request.param == "mmap":
             return GNNEngine.from_index(FlatRTree.load(dims_snapshot[1], mmap_mode="r"))
-        if request.param == "hilbert":
-            return GNNEngine(dims_dataset, capacity=16, bulk_method="hilbert")
+        if request.param == "deep":
+            return GNNEngine(dims_dataset, capacity=4)
         return GNNEngine(dims_dataset, capacity=16)
 
     @staticmethod
@@ -612,7 +613,7 @@ class TestMutationConformance:
                     spec = QuerySpec(
                         group=group, k=5, aggregate=aggregate, algorithm=info.name
                     )
-                    if info.supports(spec):
+                    if not info.capability_errors(spec):
                         results.append((spec, engine.execute(spec)))
         return results
 

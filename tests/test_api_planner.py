@@ -15,7 +15,7 @@ from repro.api import (
     get_algorithm,
 )
 from repro.api.planner import AUTO_FMQM_MAX_BLOCKS
-from repro.api.registry import BUILTIN_ALGORITHMS
+from repro.api.registry import BUILTIN_ALGORITHMS, available_algorithms
 from repro.core.bruteforce import brute_force_gnn
 from repro.storage.pointfile import PointFile
 
@@ -128,12 +128,15 @@ class TestCapabilityChecks:
             QueryPlanner().plan(spec)
 
     def test_candidates_reflect_capabilities(self):
-        planner = QueryPlanner()
-        sum_names = {info.name for info in planner.candidates(QuerySpec(group=GROUP))}
-        max_names = {
-            info.name
-            for info in planner.candidates(QuerySpec(group=GROUP, aggregate="max"))
-        }
+        def candidates(spec):
+            return {
+                info.name
+                for info in available_algorithms(spec.resolved_residency())
+                if not info.capability_errors(spec)
+            }
+
+        sum_names = candidates(QuerySpec(group=GROUP))
+        max_names = candidates(QuerySpec(group=GROUP, aggregate="max"))
         assert "mbm" in sum_names and "mqm" in sum_names
         assert max_names == {"mbm", "best-first", "brute-force"}
 

@@ -130,7 +130,7 @@ class TestExperiments:
     def test_memory_figure_produces_expected_rows(self):
         result = run_experiment("fig5_1_pp", TINY)
         assert result.x_label == "n"
-        assert set(result.algorithms()) == {"MQM", "SPM", "MBM"}
+        assert {row["algorithm"] for row in result.rows} == {"MQM", "SPM", "MBM"}
         # one row per (x value, algorithm)
         assert len(result.rows) == len(TINY.cardinalities) * 3
         assert all(row["node_accesses"] > 0 for row in result.rows)
@@ -143,12 +143,12 @@ class TestExperiments:
 
     def test_disk_figure_produces_expected_rows(self):
         result = run_experiment("fig5_5", TINY)
-        assert set(result.algorithms()) == {"F-MQM", "F-MBM"}
+        assert {row["algorithm"] for row in result.rows} == {"F-MQM", "F-MBM"}
         assert len(result.rows) == len(TINY.mbr_fractions) * 2
 
     def test_ablation_heuristics_rows(self):
         result = run_experiment("ablation_heuristics", TINY)
-        assert set(result.algorithms()) == {"MBM", "best-first", "MBM-H2", "SPM"}
+        assert {row["algorithm"] for row in result.rows} == {"MBM", "best-first", "MBM-H2", "SPM"}
 
     def test_scale_can_be_given_by_name(self):
         # 'smoke' is heavier than TINY, so only check the lookup wiring by

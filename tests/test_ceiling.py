@@ -32,7 +32,7 @@ CELLS = [
     for info in available_algorithms(MEMORY)
     for aggregate in AGGREGATES
     for weighted in (False, True)
-    if info.supports(
+    if not info.capability_errors(
         QuerySpec(
             group=[[0.0, 0.0], [1.0, 1.0]],
             aggregate=aggregate,

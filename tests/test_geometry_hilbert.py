@@ -1,11 +1,14 @@
 """Tests for repro.geometry.hilbert."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from hilbert_reference import (
+    hamilton_key,
     reference_grid,
     reference_hilbert_sort,
     reference_keys_2d,
@@ -13,9 +16,10 @@ from hilbert_reference import (
 
 from repro.geometry.hilbert import (
     DEFAULT_ORDER,
-    _hilbert_keys_2d,
+    _grid_keys,
     _normalise_to_grid,
-    hilbert_index_2d,
+    _state_table,
+    cell_key,
     hilbert_indices,
     hilbert_sort,
     rank_keys,
@@ -26,7 +30,7 @@ def _grid_in_curve_order(order):
     """The full ``2**order`` square grid sorted by Hilbert index: ``(indices, cells)``."""
     side = 1 << order
     cells = np.array([(x, y) for x in range(side) for y in range(side)])
-    indices = np.array([hilbert_index_2d(x, y, order=order) for x, y in cells])
+    indices = np.array([cell_key((x, y), order) for x, y in cells])
     rank = np.argsort(indices)
     return indices[rank], cells[rank]
 
@@ -46,11 +50,11 @@ class TestHilbertCurve2D:
 
     def test_out_of_range_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            hilbert_index_2d(4, 0, order=2)
+            cell_key((4, 0), 2)
 
     def test_negative_coordinates_rejected(self):
         with pytest.raises(ValueError):
-            hilbert_index_2d(0, -1, order=2)
+            cell_key((0, -1), 2)
 
 
 class TestHilbertIndices:
@@ -126,20 +130,21 @@ class TestChunkTableAgainstThePerBitLoop:
         edge_x, edge_y = np.meshgrid(edges, edges)
         x = np.concatenate([edge_x.ravel(), rng.integers(0, side, 3000)])
         y = np.concatenate([edge_y.ravel(), rng.integers(0, side, 3000)])
-        keys = _hilbert_keys_2d(x, y, order)
+        keys = _grid_keys(np.column_stack((x, y)), order)
         assert np.array_equal(keys, reference_keys_2d(x, y, order))
 
     @pytest.mark.parametrize("order", range(1, 7))
     def test_whole_small_grids_equal_the_oracle(self, order):
         cells = np.arange(1 << order)
         x, y = (axis.ravel() for axis in np.meshgrid(cells, cells))
-        assert np.array_equal(_hilbert_keys_2d(x, y, order), reference_keys_2d(x, y, order))
+        assert np.array_equal(_grid_keys(np.column_stack((x, y)), order), reference_keys_2d(x, y, order))
 
     def test_the_grid_columns_are_left_untouched(self):
         x = np.arange(64, dtype=np.int64)
         y = x[::-1].copy()
-        _hilbert_keys_2d(x, y, 6)
-        assert x.tolist() == list(range(64)) and y.tolist() == list(range(63, -1, -1))
+        grid = np.asfortranarray(np.column_stack((x, y)))
+        _grid_keys(grid, 6)
+        assert grid[:, 0].tolist() == list(range(64)) and grid[:, 1].tolist() == list(range(63, -1, -1))
 
     @pytest.mark.parametrize("order", (1, 8, 16))
     def test_grid_cells_equal_the_oracle(self, order):
@@ -155,6 +160,56 @@ class TestChunkTableAgainstThePerBitLoop:
         # Few distinct values per axis: many shared cells, many ties.
         points = rng.choice(rng.uniform(0, 1000, size=40), size=(count, 2))
         assert np.array_equal(hilbert_sort(points), reference_hilbert_sort(points))
+
+
+#: Per dimensionality, the largest order whose whole grid a test walks.
+_WHOLE_GRID_ORDER = {2: 6, 3: 4, 4: 3, 5: 2}
+
+
+class TestHilbertCurveInAnyDimension:
+    """Hamilton's curve at 2-5 dims, against ``hilbert_reference.hamilton_key``
+    (one level at a time, Python ints, no table)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_keys_are_a_bijection_of_the_grid_in_unit_steps(self, data):
+        dims = data.draw(st.integers(2, 5), label="dims")
+        order = data.draw(st.integers(1, _WHOLE_GRID_ORDER[dims]), label="order")
+        cells = np.array(list(itertools.product(range(1 << order), repeat=dims)))
+        keys = hilbert_indices(cells.astype(np.float64), order)  # the grid maps onto itself
+        rank = np.argsort(keys)
+        assert keys[rank].tolist() == list(range(1 << (order * dims)))
+        steps = np.abs(np.diff(cells[rank], axis=0)).sum(axis=1)
+        assert np.all(steps == 1)  # Z-order jumps here
+        picks = data.draw(st.lists(st.integers(0, len(cells) - 1), max_size=40), label="picks")
+        for pick in picks:
+            assert keys[pick] == hamilton_key(cells[pick].tolist(), order)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_keys_equal_the_per_level_reference_at_every_order(self, data):
+        dims = data.draw(st.integers(1, 8), label="dims")
+        # Whole and partial chunks of the table, and the widest key int64 holds.
+        order = data.draw(st.one_of(st.integers(1, 63 // dims), st.just(63 // dims)), label="order")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        grid = np.random.default_rng(seed).integers(0, 1 << order, size=(50, dims))
+        grid[0] = 0
+        grid[1] = (1 << order) - 1
+        keys = _grid_keys(np.asfortranarray(grid), order)
+        want = [hamilton_key(cell, order) for cell in grid.tolist()]
+        assert keys.tolist() == want
+        assert [cell_key(cell, order) for cell in grid.tolist()] == want
+
+    @pytest.mark.parametrize("dims", range(1, 7))
+    def test_the_table_holds_every_reachable_state(self, dims):
+        table, entries, levels, state_bits = _state_table(dims)
+        assert table.size == (dims << (dims - 1)) << (dims * levels)  # d * 2**(d - 1) states
+        assert list(entries) == table.tolist()
+        assert table.max() >> state_bits < 1 << (dims * levels)
+
+    def test_two_dimensions_take_four_levels_per_lookup(self):
+        assert _state_table(2)[2] == 4
+        assert _state_table(7) is None  # stepped one level at a time
 
 
 #: Tie-heavy float keys: signed zeros compare equal, infinities tie too.

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.geometry import kernels
 from repro.geometry.distance import euclidean, group_distance, group_mindist
-from repro.geometry.hilbert import hilbert_index_2d
+from repro.geometry.hilbert import cell_key
 from repro.geometry.mbr import MBR
 
 coordinate = st.floats(
@@ -131,7 +131,7 @@ class TestHilbertProperty:
     def test_sorted_grid_is_a_path_through_every_cell(self, order):
         side = 1 << order
         cells = np.array([(x, y) for x in range(side) for y in range(side)])
-        indices = np.array([hilbert_index_2d(x, y, order=order) for x, y in cells])
+        indices = np.array([cell_key((x, y), order) for x, y in cells])
         rank = np.argsort(indices)
         assert indices[rank].tolist() == list(range(4**order))
         steps = np.abs(np.diff(cells[rank], axis=0)).sum(axis=1)
@@ -143,5 +143,5 @@ class TestHilbertProperty:
     )
     @settings(max_examples=300, deadline=None)
     def test_index_in_range(self, x, y):
-        index = hilbert_index_2d(x, y, order=5)
+        index = cell_key((x, y), 5)
         assert 0 <= index < 32 * 32

@@ -19,11 +19,10 @@ class TestStructuralInvariants:
     @given(
         points=point_list,
         capacity=st.integers(4, 12),
-        method=st.sampled_from(("str", "hilbert")),
     )
     @settings(max_examples=60, deadline=None)
-    def test_bulk_loaded_tree_is_valid_and_complete(self, points, capacity, method):
-        tree = FlatRTree.bulk_load(points, capacity=capacity, method=method)
+    def test_bulk_loaded_tree_is_valid_and_complete(self, points, capacity):
+        tree = FlatRTree.bulk_load(points, capacity=capacity)
         assert_valid_snapshot(tree)
         assert sorted(tree.record_ids.tolist()) == list(range(len(points)))
 
@@ -85,7 +84,7 @@ class TestSearchExactness:
     @given(points=point_list, query=st.tuples(coordinate, coordinate), k=st.integers(1, 20))
     @settings(max_examples=40, deadline=None)
     def test_knn_distances_match_linear_scan(self, points, query, k):
-        tree = FlatRTree.bulk_load(points, capacity=8, method="hilbert")
+        tree = FlatRTree.bulk_load(points, capacity=8)
         query = np.array(query, dtype=np.float64)
         found = [n.distance for n in best_first_nearest(tree, query, k=k)]
         expected = np.sort(np.linalg.norm(points - query, axis=1))[:k]

@@ -1,12 +1,13 @@
-"""The array packer against the object packers it replaced.
+"""The array packer against the object packer it replaced.
 
-``tests/bulkload_reference.py`` keeps the parent's bulk loader — one
-``LeafEntry`` per record, one ``Node`` per page, flattened breadth-first.
-The contract: ``FlatRTree.bulk_load`` reproduces every array of that
-snapshot except the *values* of ``node_ids`` (which only have to be
-process-unique), so node accesses, distance computations and answers of
-every algorithm stay where they were; and the vectorised Hilbert keys
-equal the scalar curve evaluated point by point.  Every builder that
+``tests/bulkload_reference.py`` keeps an object bulk loader — one
+``LeafEntry`` per record, one ``Node`` per page, its STR split a
+recursion over every axis, flattened breadth-first.  The contract:
+``FlatRTree.bulk_load`` reproduces every array of that snapshot except
+the *values* of ``node_ids`` (which only have to be process-unique), so
+node accesses, distance computations and answers of every algorithm
+stay where they were; and the vectorised Hilbert keys equal Hamilton's
+curve evaluated point by point.  Every builder that
 packs through it — the engine and the overlay's compaction included —
 rejects bad input with the same messages and defaults to the same page
 size.
@@ -27,12 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import GNNEngine
 from repro.datasets.real_like import pp_like
-from repro.geometry.hilbert import (
-    _normalise_to_grid,
-    hilbert_index,
-    hilbert_index_2d,
-    hilbert_indices,
-)
+from repro.geometry.hilbert import _normalise_to_grid, cell_key, hilbert_indices
 from repro.geometry.point import GeometryError
 from repro.rtree.flat import DEFAULT_CAPACITY, FlatRTree
 from repro.rtree.overlay import DeltaOverlay
@@ -86,49 +82,53 @@ class TestDifferential:
     @given(
         drawn=tied_points(),
         capacity=st.integers(4, 64),
-        method=st.sampled_from(("str", "hilbert")),
         explicit_ids=st.booleans(),
     )
     @settings(max_examples=120, deadline=None)
-    def test_every_array_equals_the_object_packers(self, drawn, capacity, method, explicit_ids):
+    def test_every_array_equals_the_object_packer(self, drawn, capacity, explicit_ids):
         points, rng = drawn
         ids = rng.permutation(len(points)) * 3 + 7 if explicit_ids else None
-        reference = reference_snapshot(points, capacity, method, record_ids=ids)
-        direct = FlatRTree.bulk_load(points, capacity=capacity, method=method, record_ids=ids)
+        reference = reference_snapshot(points, capacity, record_ids=ids)
+        direct = FlatRTree.bulk_load(points, capacity=capacity, record_ids=ids)
         assert_same_structure(direct, reference, "bulk_load")
 
         # Shared-LRU safety: page ids never repeat, within or across indexes.
-        again = FlatRTree.bulk_load(points, capacity=capacity, method=method, record_ids=ids)
+        again = FlatRTree.bulk_load(points, capacity=capacity, record_ids=ids)
         pages = [direct.node_ids.tolist(), again.node_ids.tolist()]
         assert len(set().union(*pages)) == sum(len(page_ids) for page_ids in pages)
 
-    @pytest.mark.parametrize("method", ["str", "hilbert"])
-    def test_pp_like_100k_at_the_paper_capacity(self, method):
+    def test_pp_like_100k_at_the_paper_capacity(self):
         points = pp_like(100_000, seed=7)
         assert_same_structure(
-            FlatRTree.bulk_load(points, capacity=50, method=method),
-            reference_snapshot(points, 50, method),
+            FlatRTree.bulk_load(points, capacity=50), reference_snapshot(points, 50)
+        )
+
+    @pytest.mark.parametrize("dims", [3, 5])
+    def test_uniform_20k_at_the_paper_capacity(self, dims):
+        points = np.random.default_rng(dims).uniform(0, 1, size=(20_000, dims))
+        assert_same_structure(
+            FlatRTree.bulk_load(points, capacity=50), reference_snapshot(points, 50)
         )
 
     @pytest.mark.parametrize("dims", [1, 2, 5])
     def test_no_points_is_the_empty_single_leaf_snapshot(self, dims):
-        empty = FlatRTree.bulk_load(np.zeros((0, dims)), capacity=8, method="hilbert")
-        assert_same_structure(empty, reference_snapshot(np.zeros((0, dims)), 8, "hilbert"))
+        empty = FlatRTree.bulk_load(np.zeros((0, dims)), capacity=8)
+        assert_same_structure(empty, reference_snapshot(np.zeros((0, dims)), 8))
         assert empty.live_points()[0].shape == (0, dims)
         with pytest.raises(GeometryError, match="non-empty"):
             FlatRTree.bulk_load([])  # no dimensionality to build over
 
 
-def _engine_build(points, capacity=DEFAULT_CAPACITY, method="str"):
-    return GNNEngine(points, capacity=capacity, bulk_method=method).flat
+def _engine_build(points, capacity=DEFAULT_CAPACITY):
+    return GNNEngine(points, capacity=capacity).flat
 
 
-def _compacted_overlay(points, capacity=DEFAULT_CAPACITY, method="str"):
+def _compacted_overlay(points, capacity=DEFAULT_CAPACITY):
     """Every point written through the overlay of an empty base, then compacted."""
     overlay = DeltaOverlay(FlatRTree.bulk_load(np.zeros((0, points.shape[1]))))
     for record_id, point in enumerate(points):
         overlay.insert(point, record_id)
-    return overlay.compact(capacity=capacity, method=method)
+    return overlay.compact(capacity=capacity)
 
 
 class TestRejectedInput:
@@ -136,9 +136,7 @@ class TestRejectedInput:
 
     BUILDERS = {
         "flat": lambda points, **kw: FlatRTree.bulk_load(points, **kw),
-        "reference": lambda points, capacity=50, method="str": reference_snapshot(
-            points, capacity, method
-        ),
+        "reference": lambda points, capacity=50: reference_snapshot(points, capacity),
         "engine": _engine_build,
         "overlay": _compacted_overlay,
     }
@@ -157,10 +155,6 @@ class TestRejectedInput:
         points[4, 1] = bad
         with pytest.raises(GeometryError, match="point coordinates must be finite"):
             build(points, capacity=8)
-
-    def test_unknown_method(self, build):
-        with pytest.raises(ValueError, match="unknown bulk-load method 'zorder'"):
-            build(np.zeros((10, 2)), capacity=8, method="zorder")
 
 
 class TestDefaultCapacity:
@@ -222,7 +216,7 @@ class TestRecordIds:
 class TestVectorisedHilbertKeys:
     @given(
         seed=st.integers(0, 2**32 - 1),
-        dims=st.sampled_from((2, 3)),
+        dims=st.sampled_from((2, 3, 4, 5)),
         order=st.sampled_from((1, 8, 16, "largest")),
     )
     @settings(max_examples=60, deadline=None)
@@ -230,15 +224,12 @@ class TestVectorisedHilbertKeys:
         rng = np.random.default_rng(seed)
         # A dozen distinct values per axis: many shared cells, many ties.
         points = rng.choice(rng.uniform(-9, 9, size=12), size=(int(rng.integers(1, 400)), dims))
-        if order == "largest":
-            order = 63 // dims
+        order = 63 // dims if order == "largest" else min(order, 63 // dims)
         keys = hilbert_indices(points, order)
         assert keys.dtype == np.int64
-        grid = _normalise_to_grid(points, order)
-        assert keys.tolist() == [hilbert_index(cell, order) for cell in grid]
+        grid = _normalise_to_grid(points, order).tolist()
+        assert keys.tolist() == [cell_key(cell, order) for cell in grid]
         assert np.array_equal(keys, reference_hilbert_indices(points, order))
-        if dims == 2:
-            assert keys.tolist() == [hilbert_index_2d(int(x), int(y), order) for x, y in grid]
 
     @pytest.mark.parametrize("dims,order", [(2, 32), (3, 22), (4, 16), (2, -1)])
     def test_keys_that_cannot_fit_int64_are_refused(self, dims, order):
@@ -321,8 +312,8 @@ class TestNoStableSortOfManyKeys:
 
         points = pp_like(100_000)
         monkeypatch.setattr(np, "argsort", spy)
-        for method in ("str", "hilbert"):
-            FlatRTree.bulk_load(points, method=method)
+        FlatRTree.bulk_load(points)
+        FlatRTree.bulk_load(np.random.default_rng(0).uniform(0, 1, size=(100_000, 3)))
         partition_dataset(points, 2, tmp_path)
         PointFile(points)
         engine = GNNEngine(points)

@@ -9,10 +9,11 @@ both eager and memory-mapped modes.
 """
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
-from traversal_reference import best_first_nearest, incremental_nearest
+from traversal_reference import as_tuple, best_first_nearest, incremental_nearest
 
 from repro.api.spec import QuerySpec
 from repro.core.aggregates import aggregate_gnn
@@ -22,6 +23,8 @@ from repro.core.mqm import mqm
 from repro.core.spm import spm
 from repro.core.types import GroupQuery, QueryCost
 from repro.rtree.flat import FlatRTree
+from repro.rtree.overlay import DeltaOverlay
+from repro.shard.partition import partition_dataset
 from repro.storage.buffer import LRUBuffer
 
 ARRAY_FIELDS = (
@@ -79,9 +82,19 @@ class TestConstruction:
         assert np.array_equal(ids, np.arange(len(dataset)))
         assert flat.live_points()[0] is recovered  # cached
 
-    def test_bulk_load_rejects_unknown_method(self, dataset):
-        with pytest.raises(ValueError, match="unknown bulk-load method"):
-            FlatRTree.bulk_load(dataset, capacity=16, method="zorder")
+    def test_no_builder_takes_a_packing_method(self, dataset):
+        """STR is the one packer: no entry point names another."""
+        builders = (
+            FlatRTree.bulk_load,
+            DeltaOverlay.compact,
+            GNNEngine,
+            GNNEngine.compact,
+            partition_dataset,
+        )
+        for builder in builders:
+            assert not {"method", "bulk_method"} & set(inspect.signature(builder).parameters)
+        with pytest.raises(TypeError):
+            FlatRTree.bulk_load(dataset, capacity=16, method="str")
 
     def test_empty_tree_snapshot(self):
         flat = FlatRTree.bulk_load(np.zeros((0, 2)))
@@ -90,7 +103,7 @@ class TestConstruction:
 
     def test_single_leaf_snapshot(self):
         flat = FlatRTree.bulk_load(np.array([[1.0, 2.0], [3.0, 4.0]]), capacity=16)
-        stream = [n.as_tuple() for n in incremental_nearest(flat, [1.0, 2.0])]
+        stream = [as_tuple(n) for n in incremental_nearest(flat, [1.0, 2.0])]
         assert stream == [(0, 0.0), (1, float(np.sqrt(8.0)))]
 
 
@@ -156,7 +169,7 @@ class TestTraversalPins:
 
     def test_incremental_stream_with_counters(self, flat):
         cost = QueryCost()
-        stream = [n.as_tuple() for n in incremental_nearest(flat, [411.0, 290.0], cost)]
+        stream = [as_tuple(n) for n in incremental_nearest(flat, [411.0, 290.0], cost)]
         assert stream[:5] == [
             (23, 23.580964558647786),
             (791, 23.821580764111197),

@@ -1,6 +1,6 @@
 """Structural invariants of bulk-loaded snapshots, and their accounting.
 
-Whatever the packing, capacity, dimensionality or degeneracy of the
+Whatever the capacity, dimensionality or degeneracy of the
 input, ``FlatRTree.bulk_load`` must produce a balanced R-tree in
 breadth-first layout whose node rows are the tight MBRs of what they
 hold (:func:`snapshot_invariants.assert_valid_snapshot`), with the
@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 from snapshot_invariants import assert_valid_snapshot, level_widths
-from traversal_reference import best_first_nearest, incremental_nearest
+from traversal_reference import as_tuple, best_first_nearest, incremental_nearest
 
 from repro.api.spec import QuerySpec
 from repro.core.engine import GNNEngine
@@ -22,7 +22,8 @@ from repro.core.types import QueryCost
 from repro.rtree.flat import FlatRTree
 from repro.storage.buffer import LRUBuffer
 
-METHODS = ["str", "hilbert"]
+#: STR tiles every axis: each structural check runs in 2-D and 3-D.
+DIMS = [2, 3]
 
 
 def _uniform(seed, size, dims=2):
@@ -39,10 +40,10 @@ def _leaf_depths(flat, node=0, depth=0):
 
 
 class TestBulkLoad:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_bulk_load_indexes_every_point(self, method):
-        points = _uniform(0, 500)
-        flat = FlatRTree.bulk_load(points, capacity=10, method=method)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_bulk_load_indexes_every_point(self, dims):
+        points = _uniform(0, 500, dims)
+        flat = FlatRTree.bulk_load(points, capacity=10)
         assert len(flat) == 500
         assert sorted(flat.record_ids.tolist()) == list(range(500))
         recovered, ids = flat.live_points()
@@ -50,16 +51,16 @@ class TestBulkLoad:
         assert np.array_equal(ids, np.arange(500))
         assert_valid_snapshot(flat)
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_bulk_load_respects_capacity(self, method):
-        flat = FlatRTree.bulk_load(_uniform(1, 300), capacity=8, method=method)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_bulk_load_respects_capacity(self, dims):
+        flat = FlatRTree.bulk_load(_uniform(1, 300, dims), capacity=8)
         assert flat.capacity == 8
         assert int(flat.child_count.max()) <= 8
         assert_valid_snapshot(flat)
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_bulk_load_builds_balanced_tree(self, method):
-        flat = FlatRTree.bulk_load(_uniform(2, 1000), capacity=10, method=method)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_bulk_load_builds_balanced_tree(self, dims):
+        flat = FlatRTree.bulk_load(_uniform(2, 1000, dims), capacity=10)
         depths = _leaf_depths(flat)
         assert set(depths) == {flat.height - 1}
         assert len(depths) == level_widths(flat)[0]
@@ -70,19 +71,18 @@ class TestBulkLoad:
         assert len(flat) == 1
         assert (flat.height, flat.num_nodes) == (1, 1)
         assert_valid_snapshot(flat)
-        assert [n.as_tuple() for n in incremental_nearest(flat, [4.0, 6.0])] == [(0, 5.0)]
+        assert [as_tuple(n) for n in incremental_nearest(flat, [4.0, 6.0])] == [(0, 5.0)]
 
 
 class TestLayoutMatrix:
-    """Every packing × dimensionality × capacity is a valid snapshot
-    whose internal levels hold ``capacity`` children per parent."""
+    """Every dimensionality × capacity is a valid snapshot whose
+    internal levels hold ``capacity`` children per parent."""
 
     @pytest.mark.parametrize("capacity", [4, 50])
-    @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("dims", [1, 2, 3])
-    def test_snapshot_is_valid_and_packed_full(self, dims, method, capacity):
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4, 5, 6])
+    def test_snapshot_is_valid_and_packed_full(self, dims, capacity):
         points = _uniform(dims * 100 + capacity, 2000, dims)
-        flat = FlatRTree.bulk_load(points, capacity=capacity, method=method)
+        flat = FlatRTree.bulk_load(points, capacity=capacity)
         assert_valid_snapshot(flat)
         assert flat.dims == dims
         widths = level_widths(flat)
@@ -92,43 +92,57 @@ class TestLayoutMatrix:
         assert np.array_equal(flat.live_points()[0], points)
 
 
+class TestEveryAxisTiled:
+    """STR cuts every axis, so no leaf is a strip across a whole axis."""
+
+    @pytest.mark.parametrize("dims", [3, 5])
+    def test_no_leaf_spans_half_of_any_axis(self, dims):
+        points = np.random.default_rng(dims).uniform(0, 1, size=(20_000, dims))
+        flat = FlatRTree.bulk_load(points, capacity=50)
+        leaves = flat.levels == 0
+        spans = (flat.highs[leaves] - flat.lows[leaves]) / np.ptp(points, axis=0)
+        assert np.all(spans.max(axis=0) <= 0.5), spans.max(axis=0)
+
+
 class TestLevelBoundaries:
-    """Hilbert packing fills every leaf, so the height steps exactly
-    when the point count passes a power of the capacity."""
+    """On one axis STR is a single run chopped into leaves, so it fills
+    every leaf and the height steps exactly when the point count passes
+    a power of the capacity."""
 
     @pytest.mark.parametrize(
         "size,height", [(1, 1), (4, 1), (5, 2), (16, 2), (17, 3), (64, 3), (65, 4)]
     )
     def test_height_steps_at_powers_of_the_capacity(self, size, height):
-        flat = FlatRTree.bulk_load(_uniform(size, size), capacity=4, method="hilbert")
+        flat = FlatRTree.bulk_load(_uniform(size, size, dims=1), capacity=4)
         assert flat.height == height
         assert level_widths(flat)[0] == math.ceil(size / 4)
         assert_valid_snapshot(flat)
 
 
 class TestDegenerateInput:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_duplicate_points_pack_without_error(self, method):
-        points = np.full((200, 2), 7.0)
-        flat = FlatRTree.bulk_load(points, capacity=6, method=method)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_duplicate_points_pack_without_error(self, dims):
+        points = np.full((200, dims), 7.0)
+        flat = FlatRTree.bulk_load(points, capacity=6)
         assert_valid_snapshot(flat)
         assert np.array_equal(flat.lows, flat.highs)  # every MBR is the one point
         assert sorted(flat.record_ids.tolist()) == list(range(200))
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_collinear_points_pack_without_error(self, method):
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_collinear_points_pack_without_error(self, dims):
         xs = np.random.default_rng(3).uniform(0, 100, size=150)
-        points = np.column_stack([xs, 2.0 * xs + 1.0])
-        flat = FlatRTree.bulk_load(points, capacity=6, method=method)
+        points = np.column_stack([(axis + 1.0) * xs + axis for axis in range(dims)])
+        flat = FlatRTree.bulk_load(points, capacity=6)
         assert_valid_snapshot(flat)
         nearest = best_first_nearest(flat, points[17], k=1)[0]
         assert nearest.distance == 0.0
 
     def test_separated_clusters_are_not_mixed(self):
+        # 16 leaves in 4 x-slabs of 16 points: the slab cut falls between them.
         rng = np.random.default_rng(4)
         near = rng.uniform(0, 1, size=(32, 2))
         far = rng.uniform(100, 101, size=(32, 2))
-        flat = FlatRTree.bulk_load(np.vstack([near, far]), capacity=8, method="hilbert")
+        flat = FlatRTree.bulk_load(np.vstack([near, far]), capacity=4)
         assert_valid_snapshot(flat)
         for node in np.flatnonzero(flat.levels == 0):
             start, count = int(flat.child_start[node]), int(flat.child_count[node])
@@ -150,11 +164,11 @@ class TestEmptySnapshot:
 
 
 class TestAccessAccounting:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_full_stream_reads_every_node_once(self, method):
-        flat = FlatRTree.bulk_load(_uniform(11, 400), capacity=10, method=method)
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_full_stream_reads_every_node_once(self, dims):
+        flat = FlatRTree.bulk_load(_uniform(11, 400, dims), capacity=10)
         cost = QueryCost()
-        assert len(list(incremental_nearest(flat, [50.0, 50.0], cost))) == 400
+        assert len(list(incremental_nearest(flat, np.full(dims, 50.0), cost))) == 400
         assert cost.node_accesses == flat.num_nodes
         assert cost.leaf_accesses == level_widths(flat)[0]
 
@@ -226,10 +240,10 @@ class TestBufferIntegration:
 
 
 class TestRootMbr:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_root_mbr_is_the_tight_box_of_the_points(self, method):
-        points = _uniform(18, 700, dims=3)
-        low, high = FlatRTree.bulk_load(points, capacity=12, method=method).root_mbr()
+    @pytest.mark.parametrize("dims", DIMS)
+    def test_root_mbr_is_the_tight_box_of_the_points(self, dims):
+        points = _uniform(18, 700, dims)
+        low, high = FlatRTree.bulk_load(points, capacity=12).root_mbr()
         assert np.array_equal(low, points.min(axis=0))
         assert np.array_equal(high, points.max(axis=0))
 

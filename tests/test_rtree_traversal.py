@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from geometry_reference import mindist_point
-from traversal_reference import best_first_nearest, incremental_nearest
+from traversal_reference import as_tuple, best_first_nearest, incremental_nearest
 
 from repro.core.types import QueryCost
 from repro.geometry import kernels
@@ -24,7 +24,7 @@ class TestBestFirst:
         query = [500.0, 500.0]
         result = best_first_nearest(uniform_tree, query, k=1)
         expected = _true_knn(uniform_points_1k, query, 1)
-        assert result[0].as_tuple() == pytest.approx(expected[0])
+        assert as_tuple(result[0]) == pytest.approx(expected[0])
 
     def test_knn_distances_match_linear_scan(self, uniform_points_1k, uniform_tree):
         query = [123.0, 877.0]
@@ -110,8 +110,8 @@ class TestIncrementalGeneric:
             )
 
         cost = QueryCost()
-        charged = [n.as_tuple() for n in stream(cost)]
-        assert [n.as_tuple() for n in stream()] == charged
+        charged = [as_tuple(n) for n in stream(cost)]
+        assert [as_tuple(n) for n in stream()] == charged
         assert cost.node_accesses == uniform_tree.num_nodes
 
     def test_constant_keys_enumerate_everything(self, small_tree, small_points):

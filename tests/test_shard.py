@@ -453,6 +453,46 @@ def corner_federation(tmp_path_factory):
         node.close()
 
 
+@pytest.fixture(scope="module")
+def federation_3d(tmp_path_factory):
+    """600 uniform 3-D points cut into 2 shards along the 3-D Hilbert curve."""
+    points = np.random.default_rng(33).uniform(0, 1000, size=(600, 3))
+    directory = tmp_path_factory.mktemp("fed3d")
+    manifest = partition_dataset(points, 2, directory, capacity=16)
+    nodes = [ShardNode(s.shard_id, directory / s.path, workers=1) for s in manifest.shards]
+    addresses = [node.start() for node in nodes]
+    coordinator = ShardCoordinator(manifest, addresses, timeout_s=30.0)
+    yield points, manifest, coordinator
+    coordinator.close()
+    for node in nodes:
+        node.close()
+
+
+class TestThreeDimensionalFederation:
+    def test_hilbert_ranges_are_increasing_and_disjoint(self, federation_3d):
+        points, manifest, _ = federation_3d
+        assert manifest.dims == 3
+        ranges = [(s.hilbert_low, s.hilbert_high) for s in manifest.shards]
+        assert all(low <= high for low, high in ranges)
+        for (_, high), (low, _) in zip(ranges, ranges[1:]):
+            assert high < low
+        assert [s.count for s in manifest.shards] == [300, 300]
+
+    @pytest.mark.parametrize("aggregate", ("sum", "max", "min"))
+    def test_answers_equal_the_unsharded_engine_and_brute_force(self, federation_3d, aggregate):
+        points, _, coordinator = federation_3d
+        engine = GNNEngine(points, capacity=16)
+        rng = np.random.default_rng(len(aggregate))
+        for k in (1, 5):
+            center = rng.uniform(200, 800, size=3)
+            group = rng.uniform(center - 150, center + 150, size=(6, 3))
+            spec = QuerySpec(group=group, k=k, aggregate=aggregate)
+            federated = coordinator.execute(spec)
+            assert as_tuples(federated) == as_tuples(engine.execute(spec))
+            expected = brute_force_gnn(points, GroupQuery(group, k=k, aggregate=aggregate))
+            assert as_tuples(federated) == as_tuples(expected)
+
+
 class TestFederationPruning:
     def test_each_cluster_is_one_shard(self, corner_federation):
         _, manifest, _ = corner_federation
@@ -799,6 +839,21 @@ class TestFailureSemantics:
                         algorithm="fmqm",
                     )
                 )
+
+    def test_disk_resident_specs_are_refused_before_any_round_trip(
+        self, small_federation, rng
+    ):
+        _, manifest, _, addresses = small_federation
+        spec = QuerySpec(
+            group=rng.uniform(0, 1000, size=(3, 2)), k=1, residency="disk", algorithm="fmqm"
+        )
+        with ShardCoordinator(manifest, addresses, timeout_s=30.0) as coordinator:
+            before = coordinator.stats()
+            with pytest.raises(ShardQueryError, match="disk-resident"):
+                coordinator.submit(spec)
+            after = coordinator.stats()
+            assert after["subqueries"] == before["subqueries"]
+            assert after["cost"] == before["cost"]
 
     def test_brute_force_runs_federated_over_snapshot_ids(
         self, small_federation, rng

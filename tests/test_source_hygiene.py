@@ -27,6 +27,8 @@ KEPT = {
     "WriteAheadLog.sync": "durability: forces an fsync whatever the log's policy",
     "GenerationStore.manifest_generation": "durability: the generation recovery would load",
     "coordinator_collector": "exports the repro_shard_* metric families README's table lists",
+    "ShardCoordinator.breaker_states": "coordinator_collector's breaker gauge (read by getattr)",
+    "GNNServer.snapshot_path": "the file a live server answers from after hot swaps",
 }
 
 
@@ -125,22 +127,134 @@ def _public_definitions(path: Path) -> list[tuple[int, str, str]]:
     return found
 
 
+def _annotation_names(node) -> set[str]:
+    """The identifiers an annotation mentions, string annotations included."""
+    if node is None:
+        return set()
+    names = set()
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            names.add(part.id)
+        elif isinstance(part, ast.Attribute):
+            names.add(part.attr)
+        elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+            names |= set(re.findall(r"\w+", part.value))
+    return names
+
+
+class _Classes:
+    """Every class of ``src/``: its bases, and the classes each name's annotations give.
+
+    ``gives[name]`` holds the classes named by the return annotation of a
+    function, method or property called ``name``, or by the annotation of
+    a class field or a parameter called ``name`` — what reading ``name``
+    hands a caller.
+    """
+
+    def __init__(self, src: Path):
+        self.bases: dict[str, set[str]] = {}
+        self.gives: dict[str, set[str]] = {}
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ClassDef):
+                    self.bases.setdefault(node.name, set()).update(
+                        base.id for base in node.bases if isinstance(base, ast.Name)
+                    )
+                    for item in node.body:
+                        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                            self._give(item.target.id, item.annotation)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self._give(node.name, node.returns)
+                    for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs:
+                        self._give(arg.arg, arg.annotation)
+
+    def _give(self, name: str, annotation) -> None:
+        self.gives.setdefault(name, set()).update(_annotation_names(annotation))
+
+    def family(self, names) -> set[str]:
+        """``names``' classes with all their base classes and subclasses."""
+        found = {name for name in names if name in self.bases}
+        while True:
+            grown = set(found)
+            for name, bases in self.bases.items():
+                grown |= bases & self.bases.keys() if name in found else set()
+                if bases & found:
+                    grown.add(name)
+            if grown == found:
+                return found
+            found = grown
+
+    def ancestry(self, name: str) -> set[str]:
+        """``name`` and its base classes."""
+        found, todo = set(), [name]
+        while todo:
+            current = todo.pop()
+            if current in self.bases and current not in found:
+                found.add(current)
+                todo += self.bases[current]
+        return found
+
+
+def _reached_methods(tree: ast.Module, classes: _Classes) -> set[tuple[str, str]]:
+    """``(class, method)`` pairs a module's attribute reads reach.
+
+    ``ClassName.m`` reaches the method of that class (or a base);
+    ``self.m``/``cls.m`` the method of the enclosing class's family.  Any
+    other ``obj.m`` reaches ``m`` of the classes the module can hold an
+    instance of: those it names or defines, and those the annotations of
+    the names it reads give it (``engine.execute(spec).neighbors`` gives
+    a ``GroupNeighbor``).
+    """
+    read = _read_names(tree) | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    held = set(defined) | read
+    for name in read:
+        held |= classes.gives.get(name, set())
+    held = classes.family(held)
+    reached = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.ClassDef):
+            enclosing = classes.family({node.name})
+        if isinstance(node, ast.Attribute):
+            receiver = node.value
+            if isinstance(receiver, ast.Name) and receiver.id in classes.bases:
+                owners = classes.ancestry(receiver.id)
+            elif isinstance(receiver, ast.Name) and receiver.id in ("self", "cls") and enclosing:
+                owners = enclosing
+            else:
+                owners = held
+            reached.update((owner, node.attr) for owner in owners)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, set())
+    return reached
+
+
 def _unreached(root: Path) -> list[str]:
     """``path:line name`` of every public function or method under ``root/src`` nothing reaches."""
-    reached = _readme_names((root / "README.md").read_text())
+    readme = _readme_names((root / "README.md").read_text())
+    classes = _Classes(root / "src")
+    names, methods = set(readme), set()
     for top in ("src", "benchmarks", "examples"):
         for path in (root / top).rglob("*.py"):
             tree = ast.parse(path.read_text())
-            reached |= _read_names(tree)
-            reached |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            names |= _read_names(tree)
+            names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            methods |= _reached_methods(tree, classes)
     unreached = []
     for path in sorted((root / "src").rglob("*.py")):
         relative = path.relative_to(root)
         if relative.parts[2] == "testing":
             continue
         for line, qualified, name in _public_definitions(path):
-            if name not in reached:
-                unreached.append(f"{relative.as_posix()}:{line} {qualified}")
+            owner = qualified.partition(".")[0] if "." in qualified else None
+            if owner is None and name in names:
+                continue
+            if owner is not None and (name in readme or (owner, name) in methods):
+                continue
+            unreached.append(f"{relative.as_posix()}:{line} {qualified}")
     return unreached
 
 
@@ -180,15 +294,32 @@ def test_reach_scan_flags_only_what_nothing_reaches(tmp_path):
         "    def area(self): pass\n"
         "    def orphan(self): pass\n"
         "    def _hidden(self): pass\n"
+        "    def side(self): return self.edge()\n"
+        "class Cube(Box):\n"
+        "    def edge(self): pass\n"
+        "class Disc:\n"
+        "    def area(self): pass\n"
+        "    def radius(self): pass\n"
+        "def make() -> 'Box':\n"
+        "    return Box()\n"
     )
     (package / "testing" / "faults.py").write_text("def inject(): pass\n")
     (tmp_path / "benchmarks").mkdir()
-    (tmp_path / "benchmarks" / "b.py").write_text("from pkg.a import run\n\nrun()\n")
+    (tmp_path / "benchmarks" / "b.py").write_text(
+        "from pkg.a import Disc, run\n\nrun()\nDisc.radius(None)\n"
+    )
     (tmp_path / "examples").mkdir()
-    (tmp_path / "examples" / "e.py").write_text("def show(box):\n    return box.area()\n")
+    # ``make`` hands out a Box, so its area is reached and Disc's same-named one is not.
+    (tmp_path / "examples" / "e.py").write_text(
+        "from pkg.a import make\n\ndef show():\n    return make().area() + make().side()\n"
+    )
     (tmp_path / "README.md").write_text(
         "Call `in_readme()`; orphan is prose, not code.\n\n"
         "2.0 removed `removed` and\n`orphan`.\n\n"
         "```\nremoved orphan\n```\n"
     )
-    assert _unreached(tmp_path) == ["src/pkg/a.py:5 removed", "src/pkg/a.py:9 Box.orphan"]
+    assert _unreached(tmp_path) == [
+        "src/pkg/a.py:5 removed",
+        "src/pkg/a.py:9 Box.orphan",
+        "src/pkg/a.py:15 Disc.area",
+    ]

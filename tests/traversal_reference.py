@@ -22,6 +22,11 @@ from repro.rtree.flat import FlatRTree
 from repro.rtree.traversal import Neighbor, flat_incremental_nearest_generic
 
 
+def as_tuple(neighbor: Neighbor) -> tuple[int, float]:
+    """``(record_id, distance)`` of a stream item, for compact comparisons."""
+    return (neighbor.record_id, neighbor.distance)
+
+
 def incremental_nearest(flat: FlatRTree, query: Sequence[float], cost=None) -> Iterator[Neighbor]:
     """Yield indexed points in ascending distance from ``query``, reads charged to ``cost``."""
     q = as_point(query, dims=flat.dims)
