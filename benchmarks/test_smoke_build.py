@@ -5,9 +5,12 @@ bulk load packs straight into the snapshot arrays; these guards fail
 loudly if a per-record (or per-page) Python object creeps back onto the
 path every engine start, compaction and shard publish takes.  Sized
 from ``pp_like(100_000)`` (best of 7 on a shared 2-core x86-64 box):
-``FlatRTree.bulk_load`` with STR at capacity 50 takes 0.011 s and peaks
-at 2.6x the input's bytes, and ``partition_dataset`` into 2 shards at
-capacity 50, snapshots written, takes 0.029 s; the object packers took
+``FlatRTree.bulk_load`` with STR at capacity 50, every level tiled,
+takes ~0.007 s and peaks at 2.3x the input's bytes (the points are
+gathered once, in the final leaf order, and the leaf MBRs read one
+column at a time; 2.6x when the points were gathered before the upper
+levels were packed), and ``partition_dataset`` into 2 shards at
+capacity 50, snapshots written, takes ~0.02 s; the object packers took
 0.69 s / 25x / 1.13 s.  With ~5x headroom or more for a slow runner,
 each limit still sits below what one object per record costs.  The
 partition's allocation peak is a count, not a time, so its limit sits
@@ -19,7 +22,7 @@ this heap is what they inherit.  The build and partition guards also run
 on 100k uniform 3-D points, under the same limits: STR cuts every axis
 in one rank per axis and the 3-D keys walk the same kind of table, so a
 per-slab Python loop or an index-sized temporary per axis shows there
-first (about 2.1x and 2.8x the input's bytes today).  The first write
+first (about 1.5x and 2.8x the input's bytes today).  The first write
 into an engine finds base records by binary search in the snapshot's id
 index: it peaks at 1.0x the points' bytes, against 8.2x for a
 ``{record_id: row}`` map over every base record.

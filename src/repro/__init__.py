@@ -58,7 +58,7 @@ from repro.geometry import MBR
 from repro.rtree import FlatRTree
 from repro.storage import LRUBuffer, PointFile
 
-__version__ = "17.0.0"
+__version__ = "17.1.0"
 
 __all__ = [
     "AlgorithmInfo",

@@ -31,8 +31,8 @@ largest of the node's key, ``W * mindist(N, M)`` and — sums only — the
 node's own tangent plane minimised over the child's box; they go into
 the heap together, as one entry, in ascending cheap key.  When that
 entry reaches the head, its children that would come off
-the heap first (up to :data:`EVALUATION_BATCH`, at least
-:data:`EVALUATION_MIN`) are keyed in one kernel call by their own bound —
+the heap first (at least :data:`EVALUATION_MIN`, internal ones at most
+:data:`EVALUATION_BATCH`) are keyed in one kernel call by their own bound —
 their plane's minimum plus, internal nodes only, the paper's bound — and
 each goes back under the largest of that and its cheap key, or is
 dropped once that reaches ``best_dist``.  A node is read when it reaches
@@ -108,7 +108,7 @@ from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay, DeltaPages
 
 ANCHOR_STEPS = 3  #: Weiszfeld steps; any anchor is sound, more read no fewer nodes
-EVALUATION_BATCH = 16  #: children keyed per kernel call, at most
+EVALUATION_BATCH = 16  #: internal children keyed per kernel call, at most
 #: Children of a popped entry keyed together even when the next heap
 #: entry comes first: a few speculative keys cost fewer kernel calls.
 EVALUATION_MIN = 4
@@ -190,7 +190,7 @@ def seed_from_delta(
     pages, exclude = _delta(tree, overlay)
     if pages is not None:
         key = _heuristic2(query)
-        keys = _cheap_keys(key, kernels.boxes_mindist_box, pages.lows, pages.highs)
+        keys = _cheap_keys(key, pages.lows, pages.highs)
         cost.record_distance_computations(len(keys))
         for page in keys.argsort(kind="stable").tolist():
             if keys[page] >= best.best_dist:
@@ -212,7 +212,7 @@ def _page_run(pages: DeltaPages, page: int, key: tuple, cost) -> _Run:
     """Delta page ``page``'s rows under the cheap ``key`` (charged as it says), as a run."""
     rows = slice(*pages.starts[page : page + 2].tolist())
     points = pages.points[rows]
-    bounds = _cheap_keys(key, kernels.points_mindist_box, points)
+    bounds = _cheap_keys(key, points, points)
     cost.record_distance_computations(key[4] * len(bounds))
     return _Run(points, pages.record_ids[rows], bounds)
 
@@ -223,11 +223,12 @@ def _heuristic2(query: GroupQuery) -> tuple:
     return _divisor(query), mbr.low, mbr.high, 0.0, 1
 
 
-def _cheap_keys(key: tuple, mindist, *shapes: np.ndarray) -> np.ndarray:
-    """``scale * mindist(shape, [low, high]) - offset`` per box or point (uncharged)."""
+def _cheap_keys(key: tuple, lows: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """``scale * mindist(., [low, high]) - offset`` per box, or point (lows is highs); uncharged."""
     scale, low, high, offset, _ = key
-    keys = scale * mindist(*shapes, low, high)
-    if offset:  # in place, and not at all for Heuristic 2
+    keys = kernels.boxes_mindist_box(lows, highs, low, high)
+    keys *= scale
+    if offset:  # not at all for Heuristic 2
         keys -= offset
     return keys
 
@@ -293,7 +294,7 @@ def _mbm_best_first(flat, query, best, mode, cost, exclude=None, pages=None, key
     anchor = _tangent_anchor(cost, query.points, query.weights) if tangent and heap else None
     runs = []
     if pages is not None:
-        keys = _cheap_keys(key, kernels.boxes_mindist_box, pages.lows, pages.highs)
+        keys = _cheap_keys(key, pages.lows, pages.highs)
         cost.record_distance_computations(charge * len(keys))
         runs = [(bound, next(counter), page, pages) for page, bound in enumerate(keys.tolist())]
         heapq.heapify(runs)
@@ -325,10 +326,7 @@ def _mbm_best_first(flat, query, best, mode, cost, exclude=None, pages=None, key
                     keys = query.mindist_lower_bounds(lows, highs)
                     cost.record_distance_computations(query.cardinality * (stop - start))
                 else:
-                    keys = _cheap_keys(key, kernels.boxes_mindist_box, lows, highs)
-                    if plane:
-                        np.maximum(keys, _plane_minimum(plane, lows, highs), out=keys)
-                    cost.record_distance_computations((charge + bool(plane)) * (stop - start))
+                    keys = _read_keys(key, plane, lows, highs, cost)
                 np.maximum(keys, node_key, out=keys)
                 order = keys.argsort(kind="stable")
                 ordered = keys.take(order).tolist()
@@ -338,17 +336,14 @@ def _mbm_best_first(flat, query, best, mode, cost, exclude=None, pages=None, key
                     for child_key, child in zip(ordered[:survivors], order[:survivors].tolist()):
                         heapq.heappush(heap, (child_key, next(counter), child, _KEYED))
                 elif survivors:
-                    children = _Children(order[:survivors], ordered[:survivors], level > 1)
+                    children = _Children(order[:survivors].tolist(), ordered[:survivors], level > 1)
                     heapq.heappush(heap, (ordered[0], next(counter), node, children))
                 continue
             points = flat.points[start:stop]
             if paper_key:  # the leaf's own key bounds every row, for free
                 bounds = np.full(stop - start, node_key)
             else:
-                bounds = _cheap_keys(key, kernels.points_mindist_box, points)
-                if plane:
-                    np.maximum(bounds, _plane_minimum(plane, points, points), out=bounds)
-                cost.record_distance_computations((charge + bool(plane)) * (stop - start))
+                bounds = _read_keys(key, plane, points, points, cost)
             run = _Run(points, flat.record_ids[start:stop], bounds, exclude)
             head = heap[0][0] if heap else math.inf
         _scan_leaf(run, query, best, cost, head)
@@ -364,49 +359,56 @@ class _Children:
 
     __slots__ = ("nodes", "keys", "internal", "next")
 
-    def __init__(self, nodes: np.ndarray, keys: list[float], internal: bool):
+    def __init__(self, nodes: list[int], keys: list[float], internal: bool):
         self.nodes = nodes
         self.keys = keys
         self.internal = bool(internal)
         self.next = 0
 
 
-def _take(heap, counter, parent, children, ceiling) -> dict:
-    """Pop the unevaluated children to key now: ``{internal?: [(children, first, last)]}``.
+def _take(heap, counter, parent, children, ceiling) -> tuple[list, list, int]:
+    """Pop the unevaluated children to key now: ``(nodes, cheap_keys, internal)``.
 
     ``children`` was just popped; this takes its next children, in
     ascending cheap key, while they stay below the next heap entry (and
     at least :data:`EVALUATION_MIN` of them), then continues with that
     entry while it is another :class:`_Children`.  It stops at a keyed
-    entry, at ``ceiling`` or after :data:`EVALUATION_BATCH` children, so
-    all but the speculative few would have reached the head one by one
-    before the next read (the runs, which read no node, are not
-    consulted).  What is left of an entry goes back under its next key.
+    entry, at ``ceiling`` or once :data:`EVALUATION_BATCH` children are
+    taken, so all but the speculative few would have reached the head
+    one by one before the next read (the runs, which read no node, are
+    not consulted).  Only internal children, which pay the paper's bound
+    too, are capped at that; a run of leaves is not, so one kernel call
+    keys what would otherwise take several with no read between.  What
+    is left of an entry goes back under its next key.  The first
+    ``internal`` nodes taken are internal, the rest leaves.
     """
-    taken = {True: [], False: []}
-    count = 0
+    nodes, cheap_keys, internal = [], [], 0
     while True:
         keys, first = children.keys, children.next
         limit = min(heap[0][0], ceiling) if heap else ceiling
-        stop = min(len(keys), first + EVALUATION_BATCH - count)
+        stop = len(keys)
+        if children.internal:  # leaf runs are not capped
+            stop = min(stop, first + EVALUATION_BATCH - len(nodes))
         below = bisect.bisect_left(keys, ceiling, first + 1, stop)
         last = max(
             first + 1,
             min(first + EVALUATION_MIN, below),
             bisect.bisect_left(keys, limit, first + 1, below),
         )
-        taken[children.internal].append((children, first, last))
-        count += last - first
+        at = internal if children.internal else len(nodes)  # internal children first
+        nodes[at:at], cheap_keys[at:at] = children.nodes[first:last], keys[first:last]
+        if children.internal:
+            internal += last - first
         children.next = last
         if last < len(keys) and keys[last] < ceiling:
             heapq.heappush(heap, (keys[last], next(counter), parent, children))
         if (
-            count == EVALUATION_BATCH
+            len(nodes) >= EVALUATION_BATCH
             or not heap
             or heap[0][0] >= ceiling
             or type(heap[0][3]) is not _Children
         ):
-            return taken
+            return nodes, cheap_keys, internal
         _, _, parent, children = heapq.heappop(heap)
 
 
@@ -421,29 +423,20 @@ def _evaluate(flat, query, best, heap, counter, parent, children, anchor, cost) 
     carrying its plane, or is dropped once that reaches ``best_dist``.
     """
     best_dist = best.best_dist
-    inner, outer = _take(heap, counter, parent, children, best_dist).values()
-    runs = inner + outer
-    if len(runs) == 1:
-        run, first, last = runs[0]
-        nodes, cheap_keys = run.nodes[first:last], run.keys[first:last]
-    else:
-        nodes = np.concatenate([run.nodes[first:last] for run, first, last in runs])
-        cheap_keys = [key for run, first, last in runs for key in run.keys[first:last]]
-    count = len(cheap_keys)
-    internal = sum(last - first for _, first, last in inner)
-    lows, highs = flat.lows.take(nodes, axis=0), flat.highs.take(nodes, axis=0)
+    nodes, cheap_keys, internal = _take(heap, counter, parent, children, best_dist)
+    rows = np.array(nodes)
+    lows, highs = flat.lows.take(rows, axis=0), flat.highs.take(rows, axis=0)
     planes = kernels.group_tangent_planes(lows, highs, query.points, anchor, query.weights)
     bounds = kernels.plane_lower_bounds(*planes, lows, highs)
     if internal:
         head = bounds[:internal]
         np.maximum(head, query.mindist_lower_bounds(lows[:internal], highs[:internal]), out=head)
     cardinality = query.cardinality
-    cost.record_distance_computations((cardinality + 1) * count + cardinality * internal)
-    rows = zip(bounds.tolist(), cheap_keys, nodes.tolist())
-    for row, (bound, cheap, node) in enumerate(rows):
+    cost.record_distance_computations((cardinality + 1) * len(nodes) + cardinality * internal)
+    for row, (bound, cheap) in enumerate(zip(bounds.tolist(), cheap_keys)):
         key = bound if bound > cheap else cheap
         if key < best_dist:
-            heapq.heappush(heap, (key, next(counter), node, (planes, row)))
+            heapq.heappush(heap, (key, next(counter), nodes[row], (planes, row)))
 
 
 class _Run:
@@ -464,10 +457,15 @@ class _Run:
         self.end = len(self.bounds)
 
 
-def _plane_minimum(plane, lows, highs) -> np.ndarray:
-    """A keyed node's tangent plane minimised over each box (or at each point) given."""
-    (values, gradients, origins), row = plane
-    return kernels.plane_lower_bounds(values[row], gradients[row], origins[row], lows, highs)
+def _read_keys(key: tuple, plane, lows: np.ndarray, highs: np.ndarray, cost) -> np.ndarray:
+    """A read node's cheap ``key`` per child box (or point), raised to its ``plane``, charged."""
+    keys = _cheap_keys(key, lows, highs)
+    if plane:
+        (values, gradients, origins), row = plane
+        minimum = kernels.plane_lower_bounds(values[row], gradients[row], origins[row], lows, highs)
+        np.maximum(keys, minimum, out=keys)
+    cost.record_distance_computations((key[4] + bool(plane)) * len(keys))
+    return keys
 
 
 def _scan_leaf(run, query, best, cost, head) -> None:

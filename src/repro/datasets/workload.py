@@ -53,14 +53,17 @@ class WorkloadSpec:
 def _place_query_box(
     data_mbr: MBR, mbr_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
-    """A random square query box inside the workspace: ``(low corner, side)``.
+    """A random cube query box inside the workspace: ``(low corner, side)``.
 
-    The square's area is ``mbr_fraction * area(data_mbr)``, clamped so it
+    The cube's volume is ``mbr_fraction`` of the workspace's (its area in
+    2-D), so its side is the ``dims``-th root of that, clamped so it
     fits, and its position is uniform over the placements that keep it
     inside the workspace.
     """
     extents = data_mbr.extents
-    side = float(np.sqrt(mbr_fraction * data_mbr.area()))
+    volume = mbr_fraction * data_mbr.area()
+    # sqrt is correctly rounded, so 2-D boxes stay bit-for-bit where they were.
+    side = float(np.sqrt(volume) if data_mbr.dims == 2 else volume ** (1.0 / data_mbr.dims))
     side = min(side, float(extents.min()))
     low = np.array(
         [
@@ -151,7 +154,7 @@ def generate_request_trace(
     homogeneous Poisson process of ``rate_per_s`` requests per second
     (i.i.d. exponential inter-arrivals), and spatial popularity is
     skewed — ``hotspots`` query boxes are placed like the Figure-5
-    workloads (:func:`generate_query_group`'s placement, each of area
+    workloads (:func:`generate_query_group`'s placement, each of volume
     ``mbr_fraction`` of the workspace), and each request picks hotspot
     ``i`` with probability proportional to ``(i + 1) ** -zipf_exponent``
     (a Zipf law, so a few boxes receive most of the traffic), then draws

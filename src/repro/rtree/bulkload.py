@@ -1,18 +1,22 @@
-"""Bulk loading: the packed leaf order of a static point set.
+"""Bulk loading: the packed order of a static point set, level by level.
 
 The experiments of the paper operate on static datasets (PP and TS), so
 the natural way to build the R-tree is a packed bulk load.  Packing is
 done on arrays: :func:`pack` returns the *leaf order* — the permutation
 that lists the points leaf by leaf — and the row at which every leaf
-starts.  Nothing else is decided here; the levels above the leaves group
-``capacity`` consecutive nodes per parent, which
+starts, and :func:`tile` does the same for the nodes of one level,
+grouping them into parents by their MBR centres.
 :meth:`FlatRTree.bulk_load <repro.rtree.flat.FlatRTree.bulk_load>`
-assembles straight into the snapshot arrays (no node or entry object
-per point or page).
+runs one, then the other per level until one root remains, and
+assembles the snapshot arrays from the permutations (no node or entry
+object per point or page).
 
 The one packer is Sort-Tile-Recursive (Leutenegger, Lopez and
-Edgington, ICDE 1997) over every axis: well-shaped, low-overlap leaves
-for points in any dimensionality.  It ranks with
+Edgington, ICDE 1997) over every axis and at every level: well-shaped,
+low-overlap leaves for points in any dimensionality, and parents that
+are tiles too rather than strips along the leaves' last axis.  Above
+the leaves the slab widths are rounded up to whole parents, so every
+internal level is packed full.  It ranks with
 :func:`~repro.geometry.hilbert.rank_keys`, the stable permutation without
 NumPy's timsort, every group of an axis in one call: STR orders
 ``pp_like(100000)`` at capacity 50 in ~9 ms, ~17 ms with stable argsorts
@@ -27,7 +31,7 @@ from repro.geometry.hilbert import rank_keys
 
 
 def resolve_record_ids(count: int, record_ids) -> np.ndarray:
-    """Validate caller-supplied record ids (default: the row indices).
+    """Validate caller-supplied record ids.
 
     Horizontal sharding is the motivating caller: a shard packs the rows
     ``points[global_rows]`` but must keep the *global* row numbers as
@@ -37,8 +41,6 @@ def resolve_record_ids(count: int, record_ids) -> np.ndarray:
     be whole numbers and distinct.  An int64 vector is returned as it
     is, not copied (the snapshot stores ``ids[order]``).
     """
-    if record_ids is None:
-        return np.arange(count, dtype=np.int64)
     given = np.asarray(record_ids)
     with np.errstate(invalid="ignore"):  # NaN ids are reported below, not warned about
         ids = given.astype(np.int64, copy=False)
@@ -110,26 +112,28 @@ def _rank_groups(column: np.ndarray, order: np.ndarray, starts, sizes) -> np.nda
     return order.take(ranked[filled])
 
 
-def _str_order(points: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort-Tile-Recursive leaf order, tiled over every axis.
+def _str_order(points: np.ndarray, capacity: int, grain: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Sort-Tile-Recursive order, tiled over every axis.
 
     The rows are ranked by the first coordinate, as one group.  Then per
     further axis ``j`` of ``dims``, each group is cut into
-    ``ceil(leaves ** (1 / (dims - j + 1)))`` slabs of
-    ``ceil(size / slabs)`` rows, ``leaves`` being the group's
-    ``ceil(size / capacity)``, and each slab is ranked by its ``j``-th
-    coordinate (ties keep the order of the axes before).  The groups of
-    the last axis are chopped into leaves of ``capacity`` rows.  So in
-    2-D the points are cut into ``ceil(sqrt(leaves))`` vertical slabs,
-    each chopped into leaves along y; in 3-D no leaf spans a whole axis
-    either.
+    ``ceil(nodes ** (1 / (dims - j + 1)))`` slabs of
+    ``ceil(size / slabs)`` rows, rounded up to a multiple of ``grain``,
+    ``nodes`` being the group's ``ceil(size / capacity)``, and each slab
+    is ranked by its ``j``-th coordinate (ties keep the order of the
+    axes before).  The groups of the last axis are chopped into nodes of
+    ``capacity`` rows.  So in 2-D the rows are cut into
+    ``ceil(sqrt(nodes))`` vertical slabs, each chopped into nodes along
+    y; in 3-D no node spans a whole axis either.  With ``grain`` equal
+    to ``capacity`` only the last node is short.
     """
     count, dims = points.shape
     order = rank_keys(points[:, 0])
     starts, sizes = np.zeros(1, dtype=np.int64), np.array([count])
     for axis in range(1, dims):
         slabs = _ceil_root(-(-sizes // capacity), dims - axis + 1)
-        starts, sizes = _cut(starts, sizes, -(-sizes // slabs))
+        width = -(-sizes // slabs)
+        starts, sizes = _cut(starts, sizes, -(-width // grain) * grain)
         order = _rank_groups(points[:, axis], order, starts, sizes)
     return order, _cut(starts, sizes, capacity)[0]
 
@@ -148,3 +152,27 @@ def pack(points: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
     if points.shape[0] == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(1, dtype=np.intp)
     return _str_order(points, capacity)
+
+
+def tile(lows: np.ndarray, highs: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """The STR order of one level's nodes, by MBR centre, packed full.
+
+    Returns ``(order, parent_starts)`` as :func:`pack` does for points:
+    parent ``j`` holds the nodes ``order[parent_starts[j]:]`` up to the
+    next start, ``capacity`` of them for every parent but the last.
+    """
+    return _str_order((lows + highs) / 2, capacity, grain=capacity)
+
+
+def run_rows(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The rows ``starts[j] : starts[j] + sizes[j]`` of every non-empty run ``j``, concatenated.
+
+    One index-sized array: steps of 1, a jump to each run's start, summed.
+    """
+    rows = np.ones(int(sizes.sum()), dtype=np.int64)
+    if rows.size:
+        starts, sizes = starts[sizes > 0], sizes[sizes > 0]
+        rows[np.cumsum(sizes[:-1])] = starts[1:] - starts[:-1] - sizes[:-1] + 1
+        rows[0] = starts[0]
+        np.cumsum(rows, out=rows)
+    return rows

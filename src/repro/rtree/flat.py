@@ -3,12 +3,12 @@
 :class:`FlatRTree` is a read-optimized, immutable snapshot of an R-tree:
 the whole index lives in a handful of contiguous numpy arrays, and every
 query algorithm runs over it.  A static point set is packed straight
-into the arrays (:meth:`FlatRTree.bulk_load`: the leaf order comes from
-:mod:`repro.rtree.bulkload`, the levels above it are assembled with
-``reduceat`` — no object per point or page).  Nodes are numbered in
-breadth-first order (the root is node 0) so that the children of every
-internal node — and the points of every leaf — occupy one contiguous
-slice:
+into the arrays (:meth:`FlatRTree.bulk_load`: Sort-Tile-Recursive from
+:mod:`repro.rtree.bulkload` orders the points into leaves and each level
+of nodes into parents, MBRs come from ``reduceat`` — no object per point
+or page).  Nodes are numbered in breadth-first order (the root is node
+0) so that the children of every internal node — and the points of
+every leaf — occupy one contiguous slice:
 
 ================  =====================================================
 ``lows/highs``    ``(num_nodes, dims)`` — the tight MBR of every node's
@@ -61,7 +61,7 @@ import numpy as np
 from numpy.lib import format as npy_format
 
 from repro.geometry.point import as_points
-from repro.rtree.bulkload import pack, resolve_record_ids
+from repro.rtree.bulkload import pack, resolve_record_ids, run_rows, tile
 from repro.storage.buffer import LRUBuffer
 from repro.storage.counters import MappedPageCounters
 
@@ -156,11 +156,13 @@ class FlatRTree:
     ) -> "FlatRTree":
         """Pack a static point set straight into a flat snapshot.
 
-        :func:`repro.rtree.bulkload.pack` decides the STR leaf order; the
-        arrays are then assembled level by level — ``capacity``
-        consecutive nodes per parent, MBRs by ``reduceat`` over the level
-        below — in breadth-first numbering, without creating a node or
-        entry object.  ``record_ids``
+        :func:`repro.rtree.bulkload.pack` decides the STR leaf order, and
+        :func:`~repro.rtree.bulkload.tile` the STR order of each level
+        above it over its nodes' MBR centres, bottom up until one root
+        remains (MBRs by ``reduceat`` over the level below).  The nodes
+        are then numbered breadth-first from the root down and the
+        points gathered once, in that leaf order, without creating a
+        node or entry object.  ``record_ids``
         optionally replaces the default row-index ids — shard snapshots
         carry global row numbers so federated answers merge in the same
         identifier space as a single whole-dataset index.  A ``(0, dims)``
@@ -173,48 +175,60 @@ class FlatRTree:
             pts = as_points(pts)
         count, dims = pts.shape
         order, leaf_starts = pack(pts, capacity)
-        ids = resolve_record_ids(count, record_ids)
+        ids = None if record_ids is None else resolve_record_ids(count, record_ids)
 
-        # Bottom-up: per level the node MBRs and, per node, the offset and
-        # length of its slice in the level below (for leaves: in ``points``).
-        leaf_points = pts.take(order, axis=0)  # ~7x faster than pts[order] on 100k rows
-        if count:
-            lows = [np.minimum.reduceat(leaf_points, leaf_starts, axis=0)]
-            highs = [np.maximum.reduceat(leaf_points, leaf_starts, axis=0)]
-        else:
-            lows = [np.zeros((1, dims))]
-            highs = [np.zeros((1, dims))]
-        starts = [leaf_starts]
+        # Bottom-up, per level: the node MBRs, and per node the offset and
+        # length of its run in ``below`` — the order of the level under it
+        # (for leaves: the point order).  The leaf MBRs take one column at
+        # a time, so the points themselves are gathered only once, below.
+        widths = [leaf_starts.shape[0]]
+        below, starts = [order], [leaf_starts]
         counts = [np.diff(leaf_starts, append=count)]
-        while starts[-1].shape[0] > 1:
-            width = starts[-1].shape[0]
-            groups = np.arange(0, width, capacity)
-            lows.append(np.minimum.reduceat(lows[-1], groups, axis=0))
-            highs.append(np.maximum.reduceat(highs[-1], groups, axis=0))
-            starts.append(groups)
-            counts.append(np.minimum(capacity, width - groups))
+        lows, highs = [np.zeros((1, dims))], [np.zeros((1, dims))]
+        if count:
+            lows[0], highs[0] = np.empty((widths[0], dims)), np.empty((widths[0], dims))
+            column = np.empty(count)
+            for axis in range(dims):
+                pts[:, axis].take(order, out=column)
+                lows[0][:, axis] = np.minimum.reduceat(column, leaf_starts)
+                highs[0][:, axis] = np.maximum.reduceat(column, leaf_starts)
+            del column
+        while widths[-1] > 1:
+            nodes, parents = tile(lows[-1], highs[-1], capacity)
+            lows.append(np.minimum.reduceat(lows[-1].take(nodes, axis=0), parents, axis=0))
+            highs.append(np.maximum.reduceat(highs[-1].take(nodes, axis=0), parents, axis=0))
+            below.append(nodes)
+            starts.append(parents)
+            counts.append(np.diff(parents, append=widths[-1]))
+            widths.append(parents.shape[0])
 
-        # Top-down: breadth-first numbering puts each level right after its
-        # parents', which turns the in-level offsets into node indices.
-        height = len(starts)
-        widths = [level_starts.shape[0] for level_starts in starts]
-        first_node = 0
-        for level in range(height - 1, 0, -1):
-            first_node += widths[level]
-            starts[level] += first_node
+        # Top-down: breadth-first numbering lists each level's nodes run by
+        # run in their parents' order, right after the level above.
+        height = len(widths)
+        nodes = np.zeros(1, dtype=np.intp)
+        first_child = 1
+        per_level = {"lows": [], "highs": [], "child_start": [], "child_count": []}
+        for level in range(height - 1, -1, -1):
+            sizes = counts[level].take(nodes)
+            per_level["lows"].append(lows[level].take(nodes, axis=0))
+            per_level["highs"].append(highs[level].take(nodes, axis=0))
+            first = first_child if level else 0  # leaves start at point row 0
+            per_level["child_start"].append(np.cumsum(sizes) - sizes + first)
+            per_level["child_count"].append(sizes)
+            first_child += int(sizes.sum())
+            rows = run_rows(starts[level].take(nodes), sizes)
+            nodes = below.pop().take(rows, out=rows)
+        del order  # freed before the gather: ``nodes`` is now the point order
         num_nodes = sum(widths)
-        arrays = {
-            "lows": np.concatenate(lows[::-1]),
-            "highs": np.concatenate(highs[::-1]),
-            "child_start": np.concatenate(starts[::-1], dtype=np.int64),
-            "child_count": np.concatenate(counts[::-1], dtype=np.int64),
-            "levels": np.repeat(np.arange(height - 1, -1, -1, dtype=np.int16), widths[::-1]),
-            "node_ids": np.fromiter(
+        arrays = {name: np.concatenate(parts) for name, parts in per_level.items()}
+        arrays.update(
+            levels=np.repeat(np.arange(height - 1, -1, -1, dtype=np.int16), widths[::-1]),
+            node_ids=np.fromiter(
                 itertools.islice(_page_ids, num_nodes), dtype=np.int64, count=num_nodes
             ),
-            "points": leaf_points,
-            "record_ids": ids[order],
-        }
+            points=pts.take(nodes, axis=0),  # ~7x faster than pts[nodes] on 100k rows
+            record_ids=nodes if ids is None else ids.take(nodes),  # row numbers by default
+        )
         meta = {"dims": dims, "size": count, "capacity": capacity, "height": height}
         return cls(arrays, meta, buffer=buffer)
 

@@ -5,11 +5,17 @@ This is the bulk loader as it stood before the array packer: one
 its Sort-Tile-Recursive split written as the recursion over every axis
 that the array packer's per-axis loop flattens (in 2-D it is the
 two-axis split it always was), so the reference shares no vectorised
-code with what it checks.  :func:`reference_hilbert_indices` is the
-curve evaluated point by point.  :func:`reference_snapshot` flattens
-the packed nodes breadth-first into the snapshot arrays; the
-differential tests require ``FlatRTree.bulk_load`` to reproduce every
-array of it except the values of ``node_ids``.
+code with what it checks.  The same recursion tiles every level above
+the leaves, one ``Node`` at a time, over the centres of the MBRs it
+stores for them, its slab widths rounded up to whole parents.
+:func:`reference_hilbert_indices` is the curve evaluated point by point.
+:func:`reference_snapshot` flattens the packed nodes breadth-first into
+the snapshot arrays; the differential tests require
+``FlatRTree.bulk_load`` to reproduce every array of it except the values
+of ``node_ids``.  ``tile_levels=False`` keeps the tree shape the array
+packer built before it tiled the upper levels — ``capacity`` consecutive
+nodes per parent, so every level-1 node is a strip — for tests that hold
+on either shape.
 """
 
 from __future__ import annotations
@@ -110,56 +116,81 @@ def _resolve_record_ids(count: int, record_ids) -> np.ndarray:
     return ids
 
 
-def _pack_upwards(nodes: list[Node], capacity: int) -> Node:
-    """Group ``nodes`` into parents level by level until one root remains."""
+def _str_groups(keys: np.ndarray, capacity: int, grain: int = 1) -> list[np.ndarray]:
+    """Sort-Tile-Recursive over the rows of ``keys``: groups of at most ``capacity`` rows.
+
+    The rows are sorted by the first coordinate and cut into slabs of
+    ``ceil(size / slabs)`` rows, rounded up to a multiple of ``grain``,
+    ``slabs`` the least whole number whose ``dims``-th power reaches the
+    group's ``ceil(size / capacity)``; each slab recurses on the next
+    axis with one dimension fewer, and the slabs of the last axis are
+    chopped into groups.  In 2-D: vertical slabs of about
+    ``sqrt(groups)`` groups, each sorted by y.
+    """
+    dims = keys.shape[1]
+    groups: list[np.ndarray] = []
+
+    def tile(rows: np.ndarray, axis: int) -> None:
+        rows = rows[np.argsort(keys[rows, axis], kind="stable")]
+        if axis == dims - 1:
+            for start in range(0, rows.size, capacity):
+                groups.append(rows[start : start + capacity])
+            return
+        group_count = math.ceil(rows.size / capacity)
+        slabs = 1
+        while slabs ** (dims - axis) < group_count:
+            slabs += 1
+        per_slab = math.ceil(math.ceil(rows.size / slabs) / grain) * grain
+        for slab_start in range(0, rows.size, per_slab):
+            tile(rows[slab_start : slab_start + per_slab], axis + 1)
+
+    tile(np.arange(keys.shape[0]), 0)
+    return groups
+
+
+def _pack_upwards(nodes: list[Node], capacity: int, tile_levels: bool = True) -> Node:
+    """Group ``nodes`` into parents level by level until one root remains.
+
+    Each level is tiled by :func:`_str_groups` over its nodes' MBR
+    centres, whole parents per slab; ``tile_levels=False`` groups
+    ``capacity`` consecutive nodes instead.
+    """
     level = nodes[0].level
     while len(nodes) > 1:
         level += 1
+        mbrs = [node.compute_mbr() for node in nodes]
+        if tile_levels:
+            centres = np.vstack([(mbr.low + mbr.high) / 2 for mbr in mbrs])
+            groups = _str_groups(centres, capacity, grain=capacity)
+        else:
+            starts = range(0, len(nodes), capacity)
+            groups = [range(start, min(start + capacity, len(nodes))) for start in starts]
         parents: list[Node] = []
-        for start in range(0, len(nodes), capacity):
-            children = nodes[start : start + capacity]
+        for group in groups:
             parent = Node(level)
-            for child in children:
-                parent.add(ChildEntry(child.compute_mbr(), child))
+            for child in group:
+                parent.add(ChildEntry(mbrs[child], nodes[child]))
             parents.append(parent)
         nodes = parents
     return nodes[0]
 
 
-def str_pack(points: np.ndarray, capacity: int, record_ids=None) -> Node:
-    """Bulk load points with the Sort-Tile-Recursive strategy over every axis.
+def str_pack(points: np.ndarray, capacity: int, record_ids=None, tile_levels: bool = True) -> Node:
+    """Bulk load points with the Sort-Tile-Recursive strategy over every axis and level.
 
-    The rows are sorted by the first coordinate and cut into slabs of
-    ``ceil(size / slabs)`` rows, ``slabs`` the least whole number whose
-    ``dims``-th power reaches the group's leaf count; each slab recurses
-    on the next axis with one dimension fewer, and the groups of the last
-    axis are chopped into leaves.  In 2-D: vertical slabs of about
-    ``sqrt(leaf_count)`` leaves, each sorted by y.
+    The leaves are :func:`_str_groups` of the points; the levels above
+    are packed by :func:`_pack_upwards`.
     """
     pts = as_points(points)
-    count, dims = pts.shape
+    count = pts.shape[0]
     ids = _resolve_record_ids(count, record_ids)
     leaves: list[Node] = []
-
-    def tile(rows: np.ndarray, axis: int) -> None:
-        rows = rows[np.argsort(pts[rows, axis], kind="stable")]
-        if axis == dims - 1:
-            for leaf_start in range(0, rows.size, capacity):
-                leaf = Node(0)
-                for row in rows[leaf_start : leaf_start + capacity]:
-                    leaf.add(LeafEntry(pts[row], int(ids[row])))
-                leaves.append(leaf)
-            return
-        leaf_count = math.ceil(rows.size / capacity)
-        slabs = 1
-        while slabs ** (dims - axis) < leaf_count:
-            slabs += 1
-        per_slab = math.ceil(rows.size / slabs)
-        for slab_start in range(0, rows.size, per_slab):
-            tile(rows[slab_start : slab_start + per_slab], axis + 1)
-
-    tile(np.arange(count), 0)
-    return _pack_upwards(leaves, capacity)
+    for rows in _str_groups(pts, capacity):
+        leaf = Node(0)
+        for row in rows:
+            leaf.add(LeafEntry(pts[row], int(ids[row])))
+        leaves.append(leaf)
+    return _pack_upwards(leaves, capacity, tile_levels)
 
 
 def flatten(root: Node, dims: int, size: int, capacity: int) -> FlatRTree:
@@ -216,13 +247,18 @@ def flatten(root: Node, dims: int, size: int, capacity: int) -> FlatRTree:
     return FlatRTree(arrays, meta)
 
 
-def reference_snapshot(points, capacity: int, record_ids=None) -> FlatRTree:
-    """What the parent's ``FlatRTree.bulk_load`` returned for these arguments."""
+def reference_snapshot(
+    points, capacity: int, record_ids=None, tile_levels: bool = True
+) -> FlatRTree:
+    """What ``FlatRTree.bulk_load`` must return for these arguments.
+
+    ``tile_levels=False`` gives the consecutive-parents shape instead.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 2 and pts.shape[0] == 0 and pts.shape[1] > 0:
         return flatten(Node(0), pts.shape[1], 0, capacity)
     pts = as_points(pts)
     if capacity < 4:
         raise ValueError("node capacity must be at least 4")
-    root = str_pack(pts, capacity, record_ids=record_ids)
+    root = str_pack(pts, capacity, record_ids=record_ids, tile_levels=tile_levels)
     return flatten(root, pts.shape[1], pts.shape[0], capacity)

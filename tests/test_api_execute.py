@@ -317,8 +317,9 @@ class TestSharedTraversalBatches:
         computations = sum(r.cost.distance_computations for r in batch)
         assert computations == sum(r.cost.distance_computations for r in solo)
         # Pinned: 139 node accesses while dirty batches ran member by member;
-        # 11794 distances before base leaves joined the delta's run heap.
-        assert (_node_accesses(batch), computations) == (51, 11546)
+        # 11794 distances before base leaves joined the delta's run heap;
+        # (51, 11546) over consecutive parents, before every level was tiled.
+        assert (_node_accesses(batch), computations) == (48, 10573)
 
     def test_mixed_ks_bucket_separately_with_identical_answers(self, engine, rng):
         specs = []

@@ -381,16 +381,19 @@ class TestDeferredKeysAgainstTheEagerReference:
     #: of ``mbm`` over the clean index and over the dirty overlay.  With
     #: each base leaf scanned to ``best_dist`` as soon as it was read the
     #: distances were 99584 and 124814; the eager reference charges
-    #: 176972 and 187928.
-    REPLAY_PINS = {"clean": (245, 92410), "dirty": (243, 118568)}
+    #: 165520 and 192638.  Over consecutive parents they were (245, 92410)
+    #: and (243, 118568); tiling every level cut the reads and, at this
+    #: 20k size, raised the distances to (230, 97975) and (229, 124267),
+    #: and keying a run of leaves in one call to these.
+    REPLAY_PINS = {"clean": (230, 101579), "dirty": (229, 127191)}
 
     @pytest.mark.parametrize("state", sorted(REPLAY_PINS))
     def test_pinned_replay_at_the_shard_scatter_shape(self, state):
         """40 groups of 16 in boxes of 4% of a PP-like space, k = 8, capacity 50.
 
         Every answer is the reference's, id for id and float for float.
-        The reference reads one node more on one query, whose deferred
-        cheap key (its parent node's plane) is tighter than its eager key.
+        The reference reads two nodes more, whose deferred cheap keys
+        (their parent node's plane) are tighter than their eager keys.
         """
         points = pp_like(20000)
         flat = FlatRTree.bulk_load(points, capacity=50)

@@ -202,6 +202,17 @@ class TestWorkloadGeneration:
         expected_side = np.sqrt(0.08 * data_mbr.area())
         assert group_mbr.extents.max() <= expected_side + 1e-9
 
+    @pytest.mark.parametrize("dims", [1, 3, 5])
+    def test_query_box_is_the_fraction_of_the_volume_off_2d(self, dims):
+        """The box's side is the ``dims``-th root of its volume, not a square root."""
+        data_mbr = MBR(np.zeros(dims), np.full(dims, 10_000.0))
+        rng = np.random.default_rng(dims)
+        for _ in range(20):
+            spans = np.ptp(generate_query_group(data_mbr, 64, 0.04, rng), axis=0) / 10_000.0
+            assert spans.max() <= 0.04 ** (1 / dims) + 1e-12
+            if dims == 3:
+                assert spans.max() <= 0.35
+
     def test_query_group_invalid_parameters(self):
         data_mbr = MBR([0.0, 0.0], [10.0, 10.0])
         rng = np.random.default_rng(0)

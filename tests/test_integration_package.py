@@ -48,7 +48,7 @@ PUBLIC_NAMES = {
 
 class TestPublicAPI:
     def test_version_is_exposed(self):
-        assert repro.__version__ == "17.0.0"
+        assert repro.__version__ == "17.1.0"
 
     def test_version_matches_pyproject(self):
         # Read by regex: Python 3.10 has no tomllib.

@@ -11,6 +11,7 @@ served query's with the server's counter deltas).
 
 import io
 import json
+import socket
 import urllib.request
 
 import numpy as np
@@ -20,6 +21,7 @@ from repro import GNNEngine, QuerySpec
 from repro.core.types import QueryCost
 from repro.obs import disable_all, enable_all, orphan_spans
 from repro.obs import logging as obslog
+from repro.obs.__main__ import main as obs_main
 from repro.obs import trace as obstrace
 from repro.obs.exposition import HttpExposition, render, render_dashboard, scrape_node
 from repro.obs.metrics import (
@@ -796,6 +798,47 @@ class TestShardIntegration:
         assert "requests:" in dashboard
         unreachable = render_dashboard([("gone:1", ConnectionError("refused"))])
         assert "UNREACHABLE" in unreachable
+
+
+class TestObsCommandLine:
+    """``python -m repro.obs`` (its ``main``) scraping live shard nodes."""
+
+    @staticmethod
+    def _address(address):
+        return f"{address[0]}:{address[1]}"
+
+    def test_dashboard_of_live_nodes(self, federation, rng, capsys):
+        engine, _, addresses = federation
+        engine.execute(QuerySpec(group=rng.uniform(100, 900, size=(3, 2)), k=1))
+        assert obs_main([self._address(address) for address in addresses]) == 0
+        dashboard = capsys.readouterr().out
+        assert "shard 0" in dashboard and "shard 1" in dashboard
+        assert "requests:" in dashboard
+        assert "UNREACHABLE" not in dashboard
+
+    def test_metrics_prints_the_serve_families(self, federation, rng, capsys):
+        engine, nodes, addresses = federation
+        nodes[0].start_exposition()  # attaches the registry the STATS op renders
+        engine.execute(QuerySpec(group=rng.uniform(100, 900, size=(3, 2)), k=1))
+        address = self._address(addresses[0])
+        assert obs_main([address, "--metrics"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"# --- {address} ---")
+        samples, types = parse_prometheus(text)
+        assert types["repro_serve_requests_total"] == "counter"
+        assert types["repro_serve_latency_seconds"] == "histogram"
+        assert ("repro_serve_submitted_total", ()) in samples
+        assert any(name.startswith("repro_serve_worker") for name in types)
+
+    def test_an_unreachable_address_returns_one(self, federation, capsys):
+        with socket.socket() as probe:  # a port nothing listens on once closed
+            probe.bind(("127.0.0.1", 0))
+            gone = self._address(probe.getsockname())
+        assert obs_main([gone, "--timeout", "2"]) == 1
+        assert "UNREACHABLE" in capsys.readouterr().out
+        _, _, addresses = federation
+        assert obs_main([self._address(addresses[0]), gone, "--metrics", "--timeout", "2"]) == 1
+        assert f"# --- {gone} ---\n# unreachable:" in capsys.readouterr().out
 
 
 # ----------------------------------------------------------------------

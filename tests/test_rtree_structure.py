@@ -19,6 +19,7 @@ from traversal_reference import as_tuple, best_first_nearest, incremental_neares
 from repro.api.spec import QuerySpec
 from repro.core.engine import GNNEngine
 from repro.core.types import QueryCost
+from repro.datasets.real_like import pp_like
 from repro.rtree.flat import FlatRTree
 from repro.storage.buffer import LRUBuffer
 
@@ -102,6 +103,36 @@ class TestEveryAxisTiled:
         leaves = flat.levels == 0
         spans = (flat.highs[leaves] - flat.lows[leaves]) / np.ptp(points, axis=0)
         assert np.all(spans.max(axis=0) <= 0.5), spans.max(axis=0)
+
+
+class TestEveryLevelTiled:
+    """STR tiles the levels above the leaves too, so level-1 nodes are not strips.
+
+    Grouping ``capacity`` consecutive STR leaves per parent runs each
+    parent up one slab and into the next: every level-1 node then spans
+    the whole of the leaves' last axis (and in 3-D the last two).
+    """
+
+    @staticmethod
+    def _level1_spans(points):
+        flat = FlatRTree.bulk_load(points, capacity=50)
+        level1 = flat.levels == 1
+        return (flat.highs[level1] - flat.lows[level1]) / np.ptp(points, axis=0)
+
+    def test_no_level1_node_spans_half_of_any_axis_in_2d(self):
+        spans = self._level1_spans(pp_like(100_000))
+        assert np.all(spans.max(axis=0) <= 0.5), spans.max(axis=0)
+
+    def test_no_level1_node_spans_most_of_two_axes_in_3d(self):
+        """20k uniform points pack 448 leaves into 9 parents.  Half of every
+        axis is out of reach there: STR's x-slabs hold 3 parents each, and
+        3 boxes under half a side each cover at most 3/4 of a slab's
+        (y, z) square, so one parent per slab spans all of z.  No parent
+        spans most of two axes, as every one did with consecutive parents."""
+        points = np.random.default_rng(3).uniform(0, 1, size=(20_000, 3))
+        spans = self._level1_spans(points)
+        assert len(spans) == 9
+        assert np.all((spans > 0.8).sum(axis=1) <= 1), spans
 
 
 class TestLevelBoundaries:
