@@ -26,7 +26,6 @@ from repro.datasets.workload import WorkloadSpec, generate_workload, scale_into_
 from repro.geometry import kernels
 from repro.geometry.distance import group_distance
 from repro.bench.config import get_scale
-from repro.bench.runner import run_memory_setting
 from repro.rtree.flat import FlatRTree
 from repro.rtree.overlay import DeltaOverlay
 from repro.storage.pointfile import PointFile
@@ -498,26 +497,3 @@ def test_smoke_traversal_stream_tuples(benchmark):
         f"(expected >= {MIN_STREAM_THROUGHPUT:,.0f}) — heap items have regressed"
     )
 
-
-def test_smoke_memory_algorithms_cross_check(benchmark, datasets, scale):
-    """SPM/MBM at the paper's fixed cardinality, answers cross-checked.
-
-    ``run_memory_setting`` raises if the algorithms disagree, so this
-    doubles as an end-to-end equivalence smoke test of the kernelised
-    traversals at benchmark scale.
-    """
-    points, tree = datasets["pp"]
-    spec = WorkloadSpec(
-        n=64, mbr_fraction=scale.fixed_mbr_fraction, k=scale.fixed_k, queries=2
-    )
-    groups = generate_workload(points, spec, seed=17)
-
-    result = benchmark.pedantic(
-        lambda: run_memory_setting(tree, groups, k=spec.k, algorithms=("SPM", "MBM")),
-        rounds=1,
-        iterations=1,
-    )
-    for name, averages in result.averages.items():
-        assert averages.node_accesses > 0, name
-        benchmark.extra_info[f"{name}_node_accesses"] = round(averages.node_accesses, 1)
-        benchmark.extra_info[f"{name}_cpu_per_query"] = averages.cpu_time

@@ -41,7 +41,10 @@ from repro.api.spec import AUTO, MEMORY, SHARDED, QuerySpec
 
 #: Block-count threshold below which the auto policy prefers F-MQM; the
 #: paper's PP-as-query experiments (3 blocks) favour F-MQM while the
-#: TS-as-query experiments (20 blocks) favour F-MBM.
+#: TS-as-query experiments (20 blocks) favour F-MBM.  This reproduction
+#: does not measure that F-MQM win: at 4 blocks F-MBM does fewer node
+#: accesses, page reads and distance computations at every M of Figure
+#: 5.4 (``benchmarks/test_figures.py``, ``fig5_4``).
 AUTO_FMQM_MAX_BLOCKS = 6
 
 

@@ -4,8 +4,8 @@ The paper runs on a 2.4 GHz Pentium with C++ code, 24k/195k-point real
 datasets and 100-query workloads.  A pure-Python reproduction cannot run
 that full matrix in CI time, so the harness defines three scales:
 
-* ``smoke`` — minimal sizes used by the pytest-benchmark suite so the
-  whole matrix executes in a couple of minutes.
+* ``smoke`` — the sizes the test suite runs: every experiment, in a
+  few seconds together.
 * ``quick`` — the default for ``python -m repro.bench``; large enough
   for the figures' qualitative shape (orderings, growth trends,
   crossovers) to be clearly visible.
@@ -15,9 +15,9 @@ that full matrix in CI time, so the harness defines three scales:
   uncapped GCP have not been timed.
 
 Absolute numbers differ from the paper at every scale (different
-hardware, language and datasets); only shapes are compared, by the
-``*_finding`` tests under ``benchmarks/`` (``test_fig5_1_finding``,
-``test_fig5_5_finding``, ``test_ablation_finding``).
+hardware, language and datasets); only shapes are compared, by
+``benchmarks/test_figures.py``, which asserts each figure's finding on
+its ``smoke`` rows.
 """
 
 from __future__ import annotations

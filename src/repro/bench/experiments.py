@@ -1,10 +1,11 @@
 """Experiment definitions for every figure of the paper's evaluation.
 
-Each function reproduces one figure (both of its panels — node accesses
-and CPU time — come from the same run) and returns an
-:class:`ExperimentResult` whose rows are exactly the series the paper
-plots.  The registry at the bottom maps experiment names (used by the
-CLI and the pytest benchmarks) to these functions.
+Each :class:`Experiment` of the registry at the bottom declares one
+figure (both of its panels — node accesses and CPU time — come from the
+same run): its x axis, the algorithms it compares and the datasets it
+runs on.  Running it returns an :class:`ExperimentResult` whose rows
+are exactly the series the paper plots, one per (x, algorithm) pair.
+The CLI and ``benchmarks/test_figures.py`` run the entries by name.
 
 Figures and settings (Section 5):
 
@@ -27,7 +28,7 @@ Workloads are executed through the declarative
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bench.config import BenchScale, get_scale
 from repro.bench.runner import run_disk_setting, run_memory_setting
@@ -39,6 +40,12 @@ from repro.datasets.workload import (
     scale_into_workspace,
 )
 from repro.rtree.flat import FlatRTree
+
+#: The ``WorkloadSpec`` field a memory-resident x axis varies; the
+#: others keep the scale's fixed values.
+MEMORY_AXES = {"cardinalities": "n", "mbr_fractions": "mbr_fraction", "k_values": "k"}
+#: How a disk-resident x axis places the query set over P's workspace.
+DISK_AXES = {"mbr_fractions": scale_into_workspace, "overlap_fractions": place_with_overlap}
 
 
 @dataclass
@@ -60,268 +67,116 @@ def _dataset(name: str, scale: BenchScale):
     raise ValueError(f"unknown dataset {name!r}; expected 'pp' or 'ts'")
 
 
-def _memory_figure(
-    name: str,
-    description: str,
-    dataset: str,
-    scale: BenchScale,
-    x_label: str,
-    x_values,
-    spec_for,
-    algorithms=("MQM", "SPM", "MBM"),
-    seed: int = 17,
-) -> ExperimentResult:
-    """Shared driver for Figures 5.1-5.3 (and the memory ablations)."""
-    data = _dataset(dataset, scale)
-    tree = FlatRTree.bulk_load(data, capacity=scale.node_capacity)
-    result = ExperimentResult(
-        name=name, description=description, x_label=x_label, scale=scale.name
-    )
-    for x in x_values:
-        spec: WorkloadSpec = spec_for(x)
-        groups = generate_workload(data, spec, seed=seed)
-        setting = {"x": x, "spec": spec.describe(), "dataset": dataset.upper()}
-        outcome = run_memory_setting(
-            tree, groups, k=spec.k, algorithms=algorithms, setting=setting
-        )
-        for algorithm, averages in outcome.averages.items():
-            row = {"x": x, "dataset": dataset.upper(), **averages.as_row()}
-            result.rows.append(row)
-    return result
+@dataclass(frozen=True)
+class Experiment:
+    """One figure: a row per (x, algorithm), x running over the scale's ``axis``.
 
-
-# ----------------------------------------------------------------------
-# memory-resident figures
-# ----------------------------------------------------------------------
-def fig5_1(dataset: str, scale: BenchScale) -> ExperimentResult:
-    """Figure 5.1: cost vs. query cardinality n (M=8%, k=8)."""
-    return _memory_figure(
-        name=f"fig5_1_{dataset}",
-        description=(
-            "Cost vs. cardinality n of Q "
-            f"(M={scale.fixed_mbr_fraction:.0%}, k={scale.fixed_k}, dataset={dataset.upper()})"
-        ),
-        dataset=dataset,
-        scale=scale,
-        x_label="n",
-        x_values=scale.cardinalities,
-        spec_for=lambda n: WorkloadSpec(
-            n=n,
-            mbr_fraction=scale.fixed_mbr_fraction,
-            k=scale.fixed_k,
-            queries=scale.queries_per_setting,
-        ),
-    )
-
-
-def fig5_2(dataset: str, scale: BenchScale) -> ExperimentResult:
-    """Figure 5.2: cost vs. size M of the query MBR (n=64, k=8)."""
-    return _memory_figure(
-        name=f"fig5_2_{dataset}",
-        description=(
-            f"Cost vs. size of MBR of Q (n={scale.fixed_n}, k={scale.fixed_k}, "
-            f"dataset={dataset.upper()})"
-        ),
-        dataset=dataset,
-        scale=scale,
-        x_label="M (fraction of workspace)",
-        x_values=scale.mbr_fractions,
-        spec_for=lambda fraction: WorkloadSpec(
-            n=scale.fixed_n,
-            mbr_fraction=fraction,
-            k=scale.fixed_k,
-            queries=scale.queries_per_setting,
-        ),
-    )
-
-
-def fig5_3(dataset: str, scale: BenchScale) -> ExperimentResult:
-    """Figure 5.3: cost vs. number of retrieved neighbors k (n=64, M=8%)."""
-    return _memory_figure(
-        name=f"fig5_3_{dataset}",
-        description=(
-            f"Cost vs. number of retrieved NNs k (n={scale.fixed_n}, "
-            f"M={scale.fixed_mbr_fraction:.0%}, dataset={dataset.upper()})"
-        ),
-        dataset=dataset,
-        scale=scale,
-        x_label="k",
-        x_values=scale.k_values,
-        spec_for=lambda k: WorkloadSpec(
-            n=scale.fixed_n,
-            mbr_fraction=scale.fixed_mbr_fraction,
-            k=k,
-            queries=scale.queries_per_setting,
-        ),
-    )
-
-
-# ----------------------------------------------------------------------
-# disk-resident figures
-# ----------------------------------------------------------------------
-def _disk_figure(
-    name: str,
-    description: str,
-    data_name: str,
-    query_name: str,
-    scale: BenchScale,
-    x_label: str,
-    x_values,
-    place,
-    algorithms,
-) -> ExperimentResult:
-    """Shared driver for Figures 5.4-5.7."""
-    data = _dataset(data_name, scale)
-    query_source = _dataset(query_name, scale)
-    tree = FlatRTree.bulk_load(data, capacity=scale.node_capacity)
-    result = ExperimentResult(
-        name=name, description=description, x_label=x_label, scale=scale.name
-    )
-    for x in x_values:
-        query_points = place(query_source, data, x)
-        setting = {"x": x, "P": data_name.upper(), "Q": query_name.upper()}
-        outcome = run_disk_setting(
-            tree,
-            query_points,
-            k=scale.fixed_k,
-            algorithms=algorithms,
-            block_pages=scale.block_pages,
-            query_tree_capacity=scale.node_capacity,
-            gcp_max_pairs=scale.gcp_max_pairs,
-            setting=setting,
-        )
-        for algorithm, averages in outcome.averages.items():
-            row = {"x": x, "P": data_name.upper(), "Q": query_name.upper(), **averages.as_row()}
-            result.rows.append(row)
-    return result
-
-
-def fig5_4(scale: BenchScale) -> ExperimentResult:
-    """Figure 5.4: disk-resident Q=PP over P=TS, cost vs. query MBR area."""
-    return _disk_figure(
-        name="fig5_4",
-        description=f"Disk-resident cost vs. MBR area of Q (k={scale.fixed_k}, P=TS, Q=PP)",
-        data_name="ts",
-        query_name="pp",
-        scale=scale,
-        x_label="MBR area of Q (fraction of workspace of P)",
-        x_values=scale.mbr_fractions,
-        place=lambda q, p, fraction: scale_into_workspace(q, p, fraction),
-        algorithms=("GCP", "F-MQM", "F-MBM"),
-    )
-
-
-def fig5_5(scale: BenchScale) -> ExperimentResult:
-    """Figure 5.5: disk-resident Q=TS over P=PP (GCP omitted, as in the paper)."""
-    return _disk_figure(
-        name="fig5_5",
-        description=f"Disk-resident cost vs. MBR area of Q (k={scale.fixed_k}, P=PP, Q=TS)",
-        data_name="pp",
-        query_name="ts",
-        scale=scale,
-        x_label="MBR area of Q (fraction of workspace of P)",
-        x_values=scale.mbr_fractions,
-        place=lambda q, p, fraction: scale_into_workspace(q, p, fraction),
-        algorithms=("F-MQM", "F-MBM"),
-    )
-
-
-def fig5_6(scale: BenchScale) -> ExperimentResult:
-    """Figure 5.6: disk-resident Q=PP over P=TS, cost vs. workspace overlap."""
-    return _disk_figure(
-        name="fig5_6",
-        description=f"Disk-resident cost vs. workspace overlap (k={scale.fixed_k}, P=TS, Q=PP)",
-        data_name="ts",
-        query_name="pp",
-        scale=scale,
-        x_label="overlap area (fraction)",
-        x_values=scale.overlap_fractions,
-        place=lambda q, p, overlap: place_with_overlap(q, p, overlap),
-        algorithms=("GCP", "F-MQM", "F-MBM"),
-    )
-
-
-def fig5_7(scale: BenchScale) -> ExperimentResult:
-    """Figure 5.7: disk-resident Q=TS over P=PP, cost vs. workspace overlap."""
-    return _disk_figure(
-        name="fig5_7",
-        description=f"Disk-resident cost vs. workspace overlap (k={scale.fixed_k}, P=PP, Q=TS)",
-        data_name="pp",
-        query_name="ts",
-        scale=scale,
-        x_label="overlap area (fraction)",
-        x_values=scale.overlap_fractions,
-        place=lambda q, p, overlap: place_with_overlap(q, p, overlap),
-        algorithms=("F-MQM", "F-MBM"),
-    )
-
-
-# ----------------------------------------------------------------------
-# ablations
-# ----------------------------------------------------------------------
-def ablation_heuristics(dataset: str, scale: BenchScale) -> ExperimentResult:
-    """Footnote 3 of the paper: MBM with Heuristic 2 only vs. Heuristics 2+3 vs. SPM.
-
-    ``best-first`` is the paper's own Heuristic 3 (a heap on the summed
-    mindists); ``MBM`` prunes on the tighter tangent bound.
+    ``data`` names the dataset P is built from.  A memory-resident figure
+    (``queries`` unset) draws its query groups from P (seed 17); a
+    disk-resident one places the whole dataset ``queries`` over P's
+    workspace at each x.  ``description`` is formatted with the scale
+    ``s`` and the upper-cased dataset names ``P`` and ``Q``.
     """
-    return _memory_figure(
-        name=f"ablation_heuristics_{dataset}",
-        description=(
-            "MBM heuristic ablation: heuristic 2 only (MBM-H2) vs. the paper's heuristic 3 "
-            "(best-first) vs. full MBM vs. SPM "
-            f"(M={scale.fixed_mbr_fraction:.0%}, k={scale.fixed_k})"
-        ),
-        dataset=dataset,
-        scale=scale,
-        x_label="n",
-        x_values=scale.cardinalities,
-        spec_for=lambda n: WorkloadSpec(
-            n=n,
-            mbr_fraction=scale.fixed_mbr_fraction,
-            k=scale.fixed_k,
-            queries=scale.queries_per_setting,
-        ),
-        algorithms=("MBM", "best-first", "MBM-H2", "SPM"),
-    )
+
+    description: str
+    x_label: str
+    axis: str
+    algorithms: tuple[str, ...]
+    data: str
+    queries: str | None = None
+
+    def run(self, name: str, scale: BenchScale) -> ExperimentResult:
+        data = _dataset(self.data, scale)
+        tree = FlatRTree.bulk_load(data, capacity=scale.node_capacity)
+        labels = {"P": self.data.upper(), "Q": (self.queries or "").upper()}
+        result = ExperimentResult(
+            name=name,
+            description=self.description.format(s=scale, **labels),
+            x_label=self.x_label,
+            scale=scale.name,
+        )
+        if self.queries is None:
+            where = {"dataset": labels["P"]}
+            base = WorkloadSpec(
+                n=scale.fixed_n,
+                mbr_fraction=scale.fixed_mbr_fraction,
+                k=scale.fixed_k,
+                queries=scale.queries_per_setting,
+            )
+
+            def measure(x):
+                spec = replace(base, **{MEMORY_AXES[self.axis]: x})
+                return run_memory_setting(
+                    tree,
+                    generate_workload(data, spec, seed=17),
+                    k=spec.k,
+                    algorithms=self.algorithms,
+                    setting={"x": x, "spec": spec.describe(), **where},
+                )
+
+        else:
+            where = labels
+            query_source = _dataset(self.queries, scale)
+
+            def measure(x):
+                return run_disk_setting(
+                    tree,
+                    DISK_AXES[self.axis](query_source, data, x),
+                    k=scale.fixed_k,
+                    algorithms=self.algorithms,
+                    block_pages=scale.block_pages,
+                    query_tree_capacity=scale.node_capacity,
+                    gcp_max_pairs=scale.gcp_max_pairs,
+                    setting={"x": x, **where},
+                )
+
+        for x in getattr(scale, self.axis):
+            for averages in measure(x).averages.values():
+                result.rows.append({"x": x, **where, **averages.as_row()})
+        return result
 
 
-def ablation_centroid(dataset: str, scale: BenchScale) -> ExperimentResult:
-    """SPM centroid sensitivity: gradient descent (paper) vs. Weiszfeld vs. plain mean."""
-    return _memory_figure(
-        name=f"ablation_centroid_{dataset}",
-        description=(
-            "SPM centroid ablation: gradient descent vs. Weiszfeld vs. arithmetic mean "
-            f"(M={scale.fixed_mbr_fraction:.0%}, k={scale.fixed_k})"
-        ),
-        dataset=dataset,
-        scale=scale,
-        x_label="n",
-        x_values=scale.cardinalities,
-        spec_for=lambda n: WorkloadSpec(
-            n=n,
-            mbr_fraction=scale.fixed_mbr_fraction,
-            k=scale.fixed_k,
-            queries=scale.queries_per_setting,
-        ),
-        algorithms=("SPM", "SPM-weiszfeld", "SPM-mean"),
-    )
+MEMORY = ("MQM", "SPM", "MBM")
+CARDINALITY = "Cost vs. cardinality n of Q (M={s.fixed_mbr_fraction:.0%}, k={s.fixed_k}, dataset={P})"
+MBR_SIZE = "Cost vs. size of MBR of Q (n={s.fixed_n}, k={s.fixed_k}, dataset={P})"
+NEIGHBORS = "Cost vs. number of retrieved NNs k (n={s.fixed_n}, M={s.fixed_mbr_fraction:.0%}, dataset={P})"
+DISK_MBR = "Disk-resident cost vs. MBR area of Q (k={s.fixed_k}, P={P}, Q={Q})"
+DISK_OVERLAP = "Disk-resident cost vs. workspace overlap (k={s.fixed_k}, P={P}, Q={Q})"
+MBR_AREA = "MBR area of Q (fraction of workspace of P)"
+OVERLAP = "overlap area (fraction)"
 
-
-#: Registry used by the CLI and the pytest benchmark modules.
+#: Registry used by the CLI and the figure tests (Section 5 of the
+#: paper; GCP is left out of 5.5 and 5.7, as in the paper).
 EXPERIMENTS = {
-    "fig5_1_pp": lambda scale: fig5_1("pp", scale),
-    "fig5_1_ts": lambda scale: fig5_1("ts", scale),
-    "fig5_2_pp": lambda scale: fig5_2("pp", scale),
-    "fig5_2_ts": lambda scale: fig5_2("ts", scale),
-    "fig5_3_pp": lambda scale: fig5_3("pp", scale),
-    "fig5_3_ts": lambda scale: fig5_3("ts", scale),
-    "fig5_4": fig5_4,
-    "fig5_5": fig5_5,
-    "fig5_6": fig5_6,
-    "fig5_7": fig5_7,
-    "ablation_heuristics": lambda scale: ablation_heuristics("pp", scale),
-    "ablation_centroid": lambda scale: ablation_centroid("pp", scale),
+    "fig5_1_pp": Experiment(CARDINALITY, "n", "cardinalities", MEMORY, "pp"),
+    "fig5_1_ts": Experiment(CARDINALITY, "n", "cardinalities", MEMORY, "ts"),
+    "fig5_2_pp": Experiment(MBR_SIZE, "M (fraction of workspace)", "mbr_fractions", MEMORY, "pp"),
+    "fig5_2_ts": Experiment(MBR_SIZE, "M (fraction of workspace)", "mbr_fractions", MEMORY, "ts"),
+    "fig5_3_pp": Experiment(NEIGHBORS, "k", "k_values", MEMORY, "pp"),
+    "fig5_3_ts": Experiment(NEIGHBORS, "k", "k_values", MEMORY, "ts"),
+    "fig5_4": Experiment(DISK_MBR, MBR_AREA, "mbr_fractions", ("GCP", "F-MQM", "F-MBM"), "ts", "pp"),
+    "fig5_5": Experiment(DISK_MBR, MBR_AREA, "mbr_fractions", ("F-MQM", "F-MBM"), "pp", "ts"),
+    "fig5_6": Experiment(DISK_OVERLAP, OVERLAP, "overlap_fractions", ("GCP", "F-MQM", "F-MBM"), "ts", "pp"),
+    "fig5_7": Experiment(DISK_OVERLAP, OVERLAP, "overlap_fractions", ("F-MQM", "F-MBM"), "pp", "ts"),
+    # footnote 3: MBM with Heuristic 2 only, the paper's Heuristic 3
+    # (best-first on the summed mindists), MBM's tighter tangent bound, SPM
+    "ablation_heuristics": Experiment(
+        "MBM heuristic ablation: heuristic 2 only (MBM-H2) vs. the paper's heuristic 3 "
+        "(best-first) vs. full MBM vs. SPM (M={s.fixed_mbr_fraction:.0%}, k={s.fixed_k})",
+        "n",
+        "cardinalities",
+        ("MBM", "best-first", "MBM-H2", "SPM"),
+        "pp",
+    ),
+    # SPM's centroid: gradient descent (the paper's), Weiszfeld, plain mean
+    "ablation_centroid": Experiment(
+        "SPM centroid ablation: gradient descent vs. Weiszfeld vs. arithmetic mean "
+        "(M={s.fixed_mbr_fraction:.0%}, k={s.fixed_k})",
+        "n",
+        "cardinalities",
+        ("SPM", "SPM-weiszfeld", "SPM-mean"),
+        "pp",
+    ),
 }
 
 
@@ -331,4 +186,4 @@ def run_experiment(name: str, scale="quick") -> ExperimentResult:
         raise ValueError(f"unknown experiment {name!r}; expected one of {sorted(EXPERIMENTS)}")
     if isinstance(scale, str):
         scale = get_scale(scale)
-    return EXPERIMENTS[name](scale)
+    return EXPERIMENTS[name].run(name, scale)

@@ -74,16 +74,8 @@ class AlgorithmAverages:
 
 
 @dataclass
-class MemoryWorkloadResult:
-    """Result of one memory-resident setting: averages per algorithm."""
-
-    setting: dict[str, object]
-    averages: dict[str, AlgorithmAverages] = field(default_factory=dict)
-
-
-@dataclass
-class DiskWorkloadResult:
-    """Result of one disk-resident setting: averages per algorithm."""
+class WorkloadResult:
+    """Result of one setting, memory- or disk-resident: averages per algorithm."""
 
     setting: dict[str, object]
     averages: dict[str, AlgorithmAverages] = field(default_factory=dict)
@@ -112,7 +104,7 @@ def run_memory_setting(
     k: int,
     algorithms: tuple[str, ...] = MEMORY_ALGORITHMS,
     setting: dict[str, object] | None = None,
-) -> MemoryWorkloadResult:
+) -> WorkloadResult:
     """Run every memory-resident algorithm over a workload of query groups.
 
     The same query groups are fed to every algorithm so the comparison is
@@ -126,7 +118,7 @@ def run_memory_setting(
                 f"unknown memory-resident algorithm {name!r}; "
                 f"expected one of {sorted(MEMORY_VARIANTS)}"
             )
-    result = MemoryWorkloadResult(setting=dict(setting or {}))
+    result = WorkloadResult(setting=dict(setting or {}))
     context = ExecutionContext(flat=tree)
     planner = QueryPlanner()
 
@@ -160,7 +152,7 @@ def run_disk_setting(
     query_tree_capacity: int = 50,
     gcp_max_pairs: int | None = None,
     setting: dict[str, object] | None = None,
-) -> DiskWorkloadResult:
+) -> WorkloadResult:
     """Run the disk-resident algorithms for one placement of the query dataset.
 
     GCP gets an R-tree over the query points (the paper's indexed
@@ -169,7 +161,7 @@ def run_disk_setting(
     ``block_pages * points_per_page`` points, built by the executor from
     the spec's file-geometry options.
     """
-    result = DiskWorkloadResult(setting=dict(setting or {}))
+    result = WorkloadResult(setting=dict(setting or {}))
     context = ExecutionContext(flat=tree)
     planner = QueryPlanner()
     reference_distances = None

@@ -3,31 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.bench.config import BenchScale, available_scales, get_scale
+from repro.bench.config import available_scales, get_scale
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.report import format_table, results_to_markdown
 from repro.bench.runner import run_disk_setting, run_memory_setting
 from repro.datasets.synthetic import uniform_points
 from repro.rtree.flat import FlatRTree
-
-
-#: A deliberately tiny scale so harness tests run in a few seconds.
-TINY = BenchScale(
-    name="tiny",
-    pp_size=400,
-    ts_size=1_200,
-    queries_per_setting=1,
-    cardinalities=(4, 16),
-    mbr_fractions=(0.04, 0.16),
-    k_values=(1, 4),
-    overlap_fractions=(0.0, 1.0),
-    node_capacity=16,
-    block_pages=4,
-    gcp_max_pairs=20_000,
-    fixed_k=4,
-    fixed_n=8,
-    fixed_mbr_fraction=0.08,
-)
 
 
 class TestConfig:
@@ -125,41 +106,13 @@ class TestExperiments:
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment("fig9_9", TINY)
-
-    def test_memory_figure_produces_expected_rows(self):
-        result = run_experiment("fig5_1_pp", TINY)
-        assert result.x_label == "n"
-        assert {row["algorithm"] for row in result.rows} == {"MQM", "SPM", "MBM"}
-        # one row per (x value, algorithm)
-        assert len(result.rows) == len(TINY.cardinalities) * 3
-        assert all(row["node_accesses"] > 0 for row in result.rows)
-
-    def test_memory_figure_series_extraction(self):
-        result = run_experiment("fig5_3_pp", TINY)
-        series = [(row["x"], row["node_accesses"]) for row in result.rows if row["algorithm"] == "MBM"]
-        assert [x for x, _ in series] == list(TINY.k_values)
-        assert all(value > 0 for _, value in series)
-
-    def test_disk_figure_produces_expected_rows(self):
-        result = run_experiment("fig5_5", TINY)
-        assert {row["algorithm"] for row in result.rows} == {"F-MQM", "F-MBM"}
-        assert len(result.rows) == len(TINY.mbr_fractions) * 2
-
-    def test_ablation_heuristics_rows(self):
-        result = run_experiment("ablation_heuristics", TINY)
-        assert {row["algorithm"] for row in result.rows} == {"MBM", "best-first", "MBM-H2", "SPM"}
-
-    def test_scale_can_be_given_by_name(self):
-        # 'smoke' is heavier than TINY, so only check the lookup wiring by
-        # inspecting the registry entry rather than executing it here.
-        assert callable(EXPERIMENTS["fig5_2_ts"])
+            run_experiment("fig9_9", "smoke")
 
 
 class TestReport:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_experiment("fig5_1_pp", TINY)
+        return run_experiment("fig5_1_pp", "smoke")
 
     def test_format_table_contains_all_algorithms(self, result):
         text = format_table(result)
