@@ -111,7 +111,6 @@ class Experiment:
                     generate_workload(data, spec, seed=17),
                     k=spec.k,
                     algorithms=self.algorithms,
-                    setting={"x": x, "spec": spec.describe(), **where},
                 )
 
         else:
@@ -127,7 +126,6 @@ class Experiment:
                     block_pages=scale.block_pages,
                     query_tree_capacity=scale.node_capacity,
                     gcp_max_pairs=scale.gcp_max_pairs,
-                    setting={"x": x, **where},
                 )
 
         for x in getattr(scale, self.axis):

@@ -77,7 +77,6 @@ class AlgorithmAverages:
 class WorkloadResult:
     """Result of one setting, memory- or disk-resident: averages per algorithm."""
 
-    setting: dict[str, object]
     averages: dict[str, AlgorithmAverages] = field(default_factory=dict)
 
 
@@ -103,7 +102,6 @@ def run_memory_setting(
     query_groups: list[np.ndarray],
     k: int,
     algorithms: tuple[str, ...] = MEMORY_ALGORITHMS,
-    setting: dict[str, object] | None = None,
 ) -> WorkloadResult:
     """Run every memory-resident algorithm over a workload of query groups.
 
@@ -118,7 +116,7 @@ def run_memory_setting(
                 f"unknown memory-resident algorithm {name!r}; "
                 f"expected one of {sorted(MEMORY_VARIANTS)}"
             )
-    result = WorkloadResult(setting=dict(setting or {}))
+    result = WorkloadResult()
     context = ExecutionContext(flat=tree)
     planner = QueryPlanner()
 
@@ -151,7 +149,6 @@ def run_disk_setting(
     block_pages: int = 200,
     query_tree_capacity: int = 50,
     gcp_max_pairs: int | None = None,
-    setting: dict[str, object] | None = None,
 ) -> WorkloadResult:
     """Run the disk-resident algorithms for one placement of the query dataset.
 
@@ -161,7 +158,7 @@ def run_disk_setting(
     ``block_pages * points_per_page`` points, built by the executor from
     the spec's file-geometry options.
     """
-    result = WorkloadResult(setting=dict(setting or {}))
+    result = WorkloadResult()
     context = ExecutionContext(flat=tree)
     planner = QueryPlanner()
     reference_distances = None

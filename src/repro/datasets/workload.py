@@ -42,13 +42,6 @@ class WorkloadSpec:
     k: int
     queries: int = 100
 
-    def describe(self) -> str:
-        """Human-readable one-liner used by the report tables."""
-        return (
-            f"n={self.n}, M={self.mbr_fraction:.0%}, k={self.k}, "
-            f"queries={self.queries}"
-        )
-
 
 def _place_query_box(
     data_mbr: MBR, mbr_fraction: float, rng: np.random.Generator

@@ -14,11 +14,20 @@
   from the submitting thread, a window-expired one from the timer
   thread, and every dispatched batch is answered by one worker-side
   ``execute_many`` (one read scope: each node is paid for once);
-* **futures** — ``submit`` returns a ``concurrent.futures.Future``; a
-  reply thread resolves it with the worker's result (or a
-  :class:`ServingError`) and feeds the latency reservoir.  Block with
-  ``server.submit(spec).result()``, or await it from asyncio code with
-  ``await asyncio.wrap_future(server.submit(spec))``;
+* **futures** — ``submit`` returns a ``concurrent.futures.Future``.
+  Block with ``server.submit(spec).result()``, or await it from asyncio
+  code with ``await asyncio.wrap_future(server.submit(spec))``;
+* **endings** — every admitted request ends in exactly one of four
+  ways, all through one finish path that pops its in-flight record,
+  closes its span, counts the outcome and latency and resolves the
+  future: the worker's reply (its result, or a :class:`ServingError`
+  carrying the worker traceback); :class:`WorkerDiedError` when the
+  worker that claimed its batch dies; ``ServingError("all serving
+  workers exited unexpectedly")`` when no worker is left alive
+  (``respawn_workers=False``), raised within ~50 ms of the last death;
+  and ``ServingError("server closed before the request completed")``
+  for whatever :meth:`GNNServer.close` could not drain in time.  A
+  future the client cancelled still counts, but is not resolved;
 * **hot-swap** — :meth:`publish_snapshot` persists a successor snapshot
   under the next generation token and :meth:`swap_snapshot` re-points
   dispatch at it; workers finish their in-flight batch, then remap.
@@ -31,6 +40,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -61,7 +71,15 @@ DEFAULT_MAX_PENDING = 2048
 
 
 class ServingError(RuntimeError):
-    """A request failed inside a worker (carries the worker traceback)."""
+    """A request failed after admission.
+
+    The message names the ending: the worker's traceback when the query
+    itself failed, ``"all serving workers exited unexpectedly"`` when
+    the last worker died with no respawn to replace it, or ``"server
+    closed before the request completed"`` from :meth:`GNNServer.close`.
+    A death of the worker executing the request raises the subclass
+    :class:`WorkerDiedError`.
+    """
 
 
 class WorkerDiedError(ServingError):
@@ -77,6 +95,24 @@ class WorkerDiedError(ServingError):
 
 class ServerOverloadedError(RuntimeError):
     """Admission control rejected the request (high-water mark reached)."""
+
+
+@dataclass(slots=True)
+class _InFlight:
+    """One admitted request, from submit until :meth:`GNNServer._finish`."""
+
+    future: Future
+    submitted_s: float
+    span: dict | None = None  # the serve.request span, when traced
+    remote: bool = False  # the span parents under another process's caller
+
+
+@dataclass(slots=True)
+class _Batch:
+    """One dispatched batch: its request ids and the worker that claimed it."""
+
+    request_ids: tuple[int, ...]
+    claimant: int | None = None
 
 
 def _default_start_method() -> str:
@@ -114,7 +150,9 @@ class GNNServer:
     respawn_workers:
         When True (default), a worker that dies unexpectedly is replaced
         by a fresh process with the same worker id; its in-flight batch
-        fails with :class:`WorkerDiedError` either way.
+        fails with :class:`WorkerDiedError` either way.  When False and
+        the last worker dies, every request still in flight fails with
+        :class:`ServingError`.
     """
 
     def __init__(
@@ -143,19 +181,14 @@ class GNNServer:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._batcher = MicroBatcher(window_s, max_batch)
-        self._futures: dict[int, Future] = {}
-        self._submit_times: dict[int, float] = {}
+        self._in_flight: dict[int, _InFlight] = {}
         self._next_id = 0
         self._next_batch_id = 0
-        self._batches: dict[int, tuple[int, ...]] = {}  # batch_id -> request ids
-        self._claims: dict[int, int] = {}  # batch_id -> claiming worker_id
+        self._batches: dict[int, _Batch] = {}
         self._respawn = bool(respawn_workers)
         self._io_stall = float(io_stall_s_per_access)
         self._worker_deaths = 0
         self._dead_handled: set[int] = set()
-        # request_id -> (root span, arrived-with-a-remote-parent) for
-        # traced requests; empty (and never touched) when tracing is off.
-        self._trace_spans: dict[int, tuple[dict, bool]] = {}
         self._exposition = None
         self._closed = threading.Event()
         self._close_lock = threading.Lock()
@@ -253,20 +286,20 @@ class GNNServer:
             # the fast-path check cannot enqueue into a drained batcher.
             if self._closed.is_set():
                 raise RuntimeError("this GNNServer is closed")
-            if len(self._futures) >= self.max_pending:
+            if len(self._in_flight) >= self.max_pending:
                 self._stats.record_shed()
                 raise ServerOverloadedError(
-                    f"server overloaded: {len(self._futures)} requests in "
+                    f"server overloaded: {len(self._in_flight)} requests in "
                     f"flight (max_pending={self.max_pending}); request shed"
                 )
             request_id = self._next_id
             self._next_id += 1
-            self._futures[request_id] = future
-            self._submit_times[request_id] = time.monotonic()
-            if root_span is not None:
-                self._trace_spans[request_id] = (root_span, trace_parent is not None)
+            now = time.monotonic()
+            self._in_flight[request_id] = _InFlight(
+                future, now, root_span, trace_parent is not None
+            )
             self._stats.record_submit()
-            ready = self._batcher.offer(None, (request_id, payload), time.monotonic())
+            ready = self._batcher.offer(None, (request_id, payload), now)
             self._cond.notify_all()
         if ready is not None:
             self._dispatch(ready)
@@ -296,7 +329,7 @@ class GNNServer:
         with self._lock:
             snapshot["scheduler"] = {
                 "queued": len(self._batcher),
-                "in_flight": len(self._futures),
+                "in_flight": len(self._in_flight),
                 "epoch": self._epoch,
                 "snapshot_path": self._path,
             }
@@ -429,19 +462,19 @@ class GNNServer:
                 leftovers = self._batcher.drain()
                 self._cond.notify_all()
             for batch in leftovers:
-                self._try_dispatch(batch)
+                self._best_effort(self._dispatch, batch)
 
             deadline = time.monotonic() + timeout
             while time.monotonic() < deadline:
                 with self._lock:
-                    if not self._futures:
+                    if not self._in_flight:
                         break
                 if not any(process.is_alive() for process in self._workers):
                     break
                 time.sleep(0.005)
 
             for _ in self._workers:
-                self._try_put(self._requests, SHUTDOWN)
+                self._best_effort(self._requests.put, SHUTDOWN)
             join_deadline = time.monotonic() + max(1.0, deadline - time.monotonic())
             for process in self._workers:
                 process.join(timeout=max(0.1, join_deadline - time.monotonic()))
@@ -454,35 +487,20 @@ class GNNServer:
             self._timer_thread.join(timeout=5.0)
             self._reply_thread.join(timeout=5.0)
 
-            now = time.monotonic()
             with self._lock:
-                unresolved = [
-                    (request_id, future, self._submit_times.get(request_id, now))
-                    for request_id, future in self._futures.items()
-                ]
-                self._futures.clear()
-                self._submit_times.clear()
-            for request_id, future, submitted in unresolved:
-                self._resolve_trace(request_id, None, "server closed")
-                if not future.done():
-                    self._stats.record_outcome(now - submitted, failed=True)
-                    future.set_exception(
-                        ServingError("server closed before the request completed")
-                    )
+                unresolved = list(self._in_flight)
+            for request_id in unresolved:
+                self._finish(
+                    request_id, error=ServingError("server closed before the request completed")
+                )
             if self._exposition is not None:
-                try:
-                    self._exposition.close()
-                except OSError:
-                    pass
+                self._best_effort(self._exposition.close)
                 self._exposition = None
             # Unstick the queue feeder threads so interpreter exit never
             # hangs; tolerate queues a worker crash already broke.
             for q in (self._requests, self._replies):
-                try:
-                    q.close()
-                    q.cancel_join_thread()
-                except (OSError, ValueError):
-                    pass
+                self._best_effort(q.close)
+                self._best_effort(q.cancel_join_thread)
             self._close_done.set()
             _log.info(
                 "server.closed",
@@ -525,47 +543,34 @@ class GNNServer:
             epoch, path = self._epoch, self._path
             batch_id = self._next_batch_id
             self._next_batch_id += 1
-            self._batches[batch_id] = tuple(request_id for request_id, _ in items)
-            trace = None
-            if self._trace_spans:
-                contexts = []
-                for request_id, _ in items:
-                    entry = self._trace_spans.get(request_id)
-                    if entry is not None:
-                        span = entry[0]
-                        contexts.append(
-                            (request_id, (span["trace_id"], span["span_id"]))
-                        )
-                if contexts:
-                    trace = tuple(contexts)
+            request_ids = tuple(request_id for request_id, _ in items)
+            self._batches[batch_id] = _Batch(request_ids)
+            records = [(i, self._in_flight.get(i)) for i in request_ids]
+        # A request the dead-pool path already ended has no record left.
+        trace = tuple(
+            (i, (r.span["trace_id"], r.span["span_id"])) for i, r in records if r and r.span
+        )
         self._requests.put(
             BatchRequest(
                 epoch=epoch,
                 snapshot_path=path,
                 items=items,
                 batch_id=batch_id,
-                trace=trace,
+                trace=trace or None,
                 dispatched_s=time.monotonic(),
             )
         )
 
-    def _try_dispatch(self, items: list) -> None:
-        """Best-effort :meth:`_dispatch` for the shutdown path.
+    @staticmethod
+    def _best_effort(step, *args) -> None:
+        """Run one :meth:`close` step, tolerant of broken or closed queues.
 
         A queue broken by a worker crash (or closed by an earlier,
-        failed close attempt) must not abort the teardown; the affected
-        requests are failed with :class:`ServingError` afterwards.
+        failed close attempt) must not abort the teardown; the requests
+        it strands are failed with :class:`ServingError` afterwards.
         """
         try:
-            self._dispatch(items)
-        except (OSError, ValueError, AssertionError):
-            pass
-
-    @staticmethod
-    def _try_put(target_queue, item) -> None:
-        """Best-effort queue put, tolerant of broken/closed queues."""
-        try:
-            target_queue.put(item)
+            step(*args)
         except (OSError, ValueError, AssertionError):
             pass
 
@@ -598,36 +603,31 @@ class GNNServer:
                 continue
             self._dead_handled.add(worker_id)
             self._worker_deaths += 1
-            now = time.monotonic()
             with self._lock:
-                lost_batches = [
+                lost = [
                     batch_id
-                    for batch_id, claimant in self._claims.items()
-                    if claimant == worker_id and batch_id in self._batches
+                    for batch_id, batch in self._batches.items()
+                    if batch.claimant == worker_id
                 ]
-                doomed = []
-                for batch_id in lost_batches:
-                    for request_id in self._batches.pop(batch_id, ()):
-                        future = self._futures.pop(request_id, None)
-                        submitted = self._submit_times.pop(request_id, now)
-                        doomed.append((request_id, future, submitted))
-                    self._claims.pop(batch_id, None)
+                doomed = [
+                    request_id
+                    for batch_id in lost
+                    for request_id in self._batches.pop(batch_id).request_ids
+                ]
             _log.warning(
                 "worker.died",
                 worker=worker_id,
                 deaths=self._worker_deaths,
-                lost_batches=len(lost_batches),
+                lost_batches=len(lost),
             )
-            for request_id, future, submitted in doomed:
-                self._resolve_trace(request_id, None, "worker died")
-                if future is not None and not future.done():
-                    self._stats.record_outcome(now - submitted, failed=True)
-                    future.set_exception(
-                        WorkerDiedError(
-                            f"worker {worker_id} died while executing this "
-                            "request's batch (safe to resubmit)"
-                        )
-                    )
+            for request_id in doomed:
+                self._finish(
+                    request_id,
+                    error=WorkerDiedError(
+                        f"worker {worker_id} died while executing this "
+                        "request's batch (safe to resubmit)"
+                    ),
+                )
             if self._respawn and not self._closed.is_set():
                 replacement = self._make_worker(worker_id)
                 replacement.start()
@@ -635,32 +635,50 @@ class GNNServer:
                 self._dead_handled.discard(worker_id)
                 _log.info("worker.respawned", worker=worker_id)
 
-    def _resolve_trace(
-        self, request_id: int, result, error: str | None, worker_spans=()
+    def _finish(
+        self, request_id: int, result=None, error: ServingError | None = None, worker_spans=()
     ) -> None:
-        """Finish, export and (for remote callers) attach a request's spans.
+        """End one request: the only place a request's future resolves.
 
-        Must be called *without* :attr:`_lock` held.  No-op for untraced
-        requests — the common path costs one dict lookup that only
-        happens when ``_trace_spans`` is non-empty.
+        Every ending comes through here — a worker's reply (``result``,
+        or ``error`` carrying the worker's traceback), the death of the
+        worker that claimed its batch, the death of the whole pool, and
+        :meth:`close`.  Pops the in-flight record (a request already
+        ended is a no-op), finishes and exports its ``serve.request``
+        span with the worker spans of its trace (attached to the result
+        for remote callers), records the outcome and latency, and
+        resolves the future — unless the client cancelled it.  Must be
+        called *without* :attr:`_lock` held.
         """
         with self._lock:
-            entry = self._trace_spans.pop(request_id, None)
-        if entry is None:
+            record = self._in_flight.pop(request_id, None)
+        if record is None:
             return
-        root, remote = entry
+        root = record.span
+        if root is not None:
+            if error is None:
+                obs_trace.finish_span(root, outcome="ok")
+            else:
+                obs_trace.finish_span(root, outcome="error", error=str(error))
+            spans = (root, *(s for s in worker_spans if s["trace_id"] == root["trace_id"]))
+            tracer = obs_trace.get()
+            if tracer is not None:
+                tracer.export(*spans)
+            if result is not None:
+                result.trace_id = root["trace_id"]
+                if record.remote:
+                    result.spans = spans
+        self._stats.record_outcome(
+            time.monotonic() - record.submitted_s, failed=error is not None
+        )
+        # Marking the future running fails only when the client already
+        # cancelled it; resolving it then would raise on this thread.
+        if not record.future.set_running_or_notify_cancel():
+            return
         if error is None:
-            obs_trace.finish_span(root, outcome="ok")
+            record.future.set_result(result)
         else:
-            obs_trace.finish_span(root, outcome="error", error=error)
-        spans = [root, *worker_spans]
-        tracer = obs_trace.get()
-        if tracer is not None:
-            tracer.export(*spans)
-        if result is not None:
-            result.trace_id = root["trace_id"]
-            if remote:
-                result.spans = tuple(spans)
+            record.future.set_exception(error)
 
     def _reply_loop(self) -> None:
         """Resolve futures from worker replies; exits when stopped and idle."""
@@ -671,60 +689,29 @@ class GNNServer:
                 if self._reply_stop.is_set():
                     return
                 self._check_worker_deaths()
-                with self._lock:
-                    pending = bool(self._futures)
-                if pending and not any(p.is_alive() for p in self._workers):
-                    # Every worker died with requests in flight (and no
-                    # respawn replaced them): fail them all rather than
-                    # letting clients wait forever.
-                    now = time.monotonic()
+                if not any(p.is_alive() for p in self._workers):
+                    # Every worker died (and no respawn replaced them):
+                    # fail whatever is in flight, queued or claimed,
+                    # rather than let clients wait forever.
                     with self._lock:
-                        dead = [
-                            (request_id, future, self._submit_times.get(request_id, now))
-                            for request_id, future in self._futures.items()
-                        ]
-                        self._futures.clear()
-                        self._submit_times.clear()
+                        stranded = list(self._in_flight)
                         self._batches.clear()
-                        self._claims.clear()
-                    for request_id, future, submitted in dead:
-                        self._resolve_trace(request_id, None, "all workers died")
-                        if not future.done():
-                            self._stats.record_outcome(now - submitted, failed=True)
-                            future.set_exception(
-                                ServingError("all serving workers exited unexpectedly")
-                            )
+                    for request_id in stranded:
+                        self._finish(
+                            request_id,
+                            error=ServingError("all serving workers exited unexpectedly"),
+                        )
                 continue
             except (EOFError, OSError):
                 return
-            if isinstance(reply, BatchClaim):
-                with self._lock:
-                    self._claims[reply.batch_id] = reply.worker_id
-                continue
             with self._lock:
-                self._batches.pop(reply.batch_id, None)
-                self._claims.pop(reply.batch_id, None)
-            self._stats.record_reply(reply.worker_id, reply.counters)
-            spans_by_trace: dict[str, list] = {}
-            for span in reply.spans:
-                spans_by_trace.setdefault(span["trace_id"], []).append(span)
-            now = time.monotonic()
-            for request_id, result, error in reply.items:
-                with self._lock:
-                    future = self._futures.pop(request_id, None)
-                    submitted = self._submit_times.pop(request_id, None)
-                    entry = (
-                        self._trace_spans.get(request_id) if self._trace_spans else None
-                    )
-                if entry is not None:
-                    worker_spans = spans_by_trace.get(entry[0]["trace_id"], ())
-                    self._resolve_trace(request_id, result, error, worker_spans)
-                if future is None:
+                if isinstance(reply, BatchClaim):
+                    batch = self._batches.get(reply.batch_id)
+                    if batch is not None:
+                        batch.claimant = reply.worker_id
                     continue
-                latency = now - submitted if submitted is not None else 0.0
-                if error is not None:
-                    self._stats.record_outcome(latency, failed=True)
-                    future.set_exception(ServingError(error))
-                else:
-                    self._stats.record_outcome(latency)
-                    future.set_result(result)
+                self._batches.pop(reply.batch_id, None)
+            self._stats.record_reply(reply.worker_id, reply.counters)
+            for request_id, result, error in reply.items:
+                failure = None if error is None else ServingError(error)
+                self._finish(request_id, result, failure, reply.spans)

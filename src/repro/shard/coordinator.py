@@ -103,6 +103,14 @@ HEALTH_TIMEOUT_S = 1.0
 
 _log = get_logger("shard.coordinator")
 
+#: Attempt outcomes that end a sub-query: ``ok`` returns its result,
+#: ``rejected`` raises :class:`ShardQueryError`, ``fast-fail`` (every
+#: breaker open) :class:`ShardUnavailableError`.  The others
+#: (``timeout``, ``connection``, ``overloaded``) count in
+#: ``failed_subqueries`` and retry; out of attempts or budget, the
+#: sub-query ends ``unavailable`` with :class:`ShardUnavailableError`.
+_FINAL_OUTCOMES = ("ok", "rejected", "fast-fail")
+
 
 class ShardUnavailableError(RuntimeError):
     """A shard node could not be reached (after all retries)."""
@@ -671,14 +679,8 @@ class ShardCoordinator:
             within = payload["options"].get(WITHIN, math.inf)
             if within < math.inf:
                 dispatch_span["attrs"][WITHIN] = within
-        attempts_made = 0
-
-        def _conclude(outcome: str) -> None:
-            if dispatch_span is not None:
-                tracer.finish(dispatch_span, outcome=outcome, attempts=attempts_made)
-
         attempts = self.retries + 1
-        last_error: Exception | None = None
+        attempts_made, outcome, error, reply = 0, None, None, None
         for attempt in range(attempts):
             if attempt:
                 self._stats.retries += 1
@@ -692,9 +694,7 @@ class ShardCoordinator:
                     await asyncio.sleep(backoff)
             remaining = deadline - loop.time()
             if remaining <= 0.0:
-                last_error = last_error or asyncio.TimeoutError(
-                    "per-query deadline budget exhausted"
-                )
+                error = error or asyncio.TimeoutError("per-query deadline budget exhausted")
                 break
             attempts_made = attempt + 1
             attempt_span = (
@@ -714,91 +714,69 @@ class ShardCoordinator:
                 # timeout re-proving it.  Re-admission comes from the
                 # health monitor (or a breaker's own half-open window).
                 self._stats.breaker_fast_fails += 1
-                if attempt_span is not None:
-                    tracer.finish(
-                        attempt_span, breaker_state="open", outcome="fast-fail"
-                    )
-                _conclude("fast-fail")
-                raise ShardUnavailableError(
+                outcome, where = "fast-fail", {"breaker_state": "open"}
+                error = ShardUnavailableError(
                     f"shard {shard_id}: all "
                     f"{len(self._links[shard_id])} replica breaker(s) open"
                 )
-            link, breaker = picked
-            replica = f"{link.address[0]}:{link.address[1]}"
-            breaker_state = breaker.state
-            self._stats.subqueries += 1
-            trace = (
-                (attempt_span["trace_id"], attempt_span["span_id"])
-                if attempt_span is not None
-                else None
-            )
-            try:
-                reply = await asyncio.wait_for(
-                    link.request(payload, trace=trace),
-                    timeout=min(self.timeout_s, remaining),
+            else:
+                link, breaker = picked
+                replica = f"{link.address[0]}:{link.address[1]}"
+                where = {"replica": replica, "breaker_state": breaker.state}
+                self._stats.subqueries += 1
+                trace = (
+                    (attempt_span["trace_id"], attempt_span["span_id"])
+                    if attempt_span is not None
+                    else None
                 )
-            except (ConnectionError, OSError, asyncio.TimeoutError) as error:
-                last_error = error
-                self._stats.failed_subqueries += 1
-                if breaker.record_failure():
-                    self._stats.breaker_trips += 1
-                    _log.warning("breaker.tripped", shard=shard_id, replica=replica)
-                if attempt_span is not None:
+                try:
+                    reply = await asyncio.wait_for(
+                        link.request(payload, trace=trace),
+                        timeout=min(self.timeout_s, remaining),
+                    )
+                except (ConnectionError, OSError, asyncio.TimeoutError) as caught:
+                    error = caught
                     outcome = (
-                        "timeout"
-                        if isinstance(error, asyncio.TimeoutError)
-                        else "connection"
+                        "timeout" if isinstance(caught, asyncio.TimeoutError) else "connection"
                     )
-                    tracer.finish(
-                        attempt_span,
-                        replica=replica,
-                        breaker_state=breaker_state,
-                        outcome=outcome,
-                    )
-                await link.reset()
-                continue
-            if reply.error is None:
-                breaker.record_success()
-                if attempt_span is not None:
-                    tracer.finish(
-                        attempt_span,
-                        replica=replica,
-                        breaker_state=breaker_state,
-                        outcome="ok",
-                    )
-                    if reply.spans:
-                        tracer.export(*reply.spans)
-                _conclude("ok")
-                return reply.result
-            if reply.overloaded:
-                # Overload is backpressure from a live node, not death:
-                # it feeds the retry backoff but never the breaker.
-                last_error = ShardUnavailableError(
-                    f"shard {shard_id} shed the sub-query: {reply.error}"
-                )
-                self._stats.failed_subqueries += 1
-                if attempt_span is not None:
-                    tracer.finish(
-                        attempt_span,
-                        replica=replica,
-                        breaker_state=breaker_state,
-                        outcome="overloaded",
-                    )
-                continue
-            # A semantic rejection (bad spec, unservable route): the
-            # node is alive and retrying cannot change the outcome.
-            breaker.record_success()
+                    if breaker.record_failure():
+                        self._stats.breaker_trips += 1
+                        _log.warning("breaker.tripped", shard=shard_id, replica=replica)
+                    await link.reset()
+                else:
+                    if reply.overloaded:
+                        # Overload is backpressure from a live node, not
+                        # death: it feeds the retry backoff but never the
+                        # breaker.
+                        outcome = "overloaded"
+                        error = ShardUnavailableError(
+                            f"shard {shard_id} shed the sub-query: {reply.error}"
+                        )
+                    elif reply.error is None:
+                        breaker.record_success()
+                        outcome, error = "ok", None
+                    else:
+                        # A semantic rejection (bad spec, unservable
+                        # route): the node is alive and retrying cannot
+                        # change the outcome.
+                        breaker.record_success()
+                        outcome = "rejected"
+                        error = ShardQueryError(f"shard {shard_id}: {reply.error}")
             if attempt_span is not None:
-                tracer.finish(
-                    attempt_span,
-                    replica=replica,
-                    breaker_state=breaker_state,
-                    outcome="rejected",
-                )
-            _conclude("rejected")
-            raise ShardQueryError(f"shard {shard_id}: {reply.error}")
-        _conclude("unavailable")
-        raise ShardUnavailableError(
-            f"shard {shard_id} unreachable after {attempts} attempt(s) "
-            f"within the {self.deadline_s:.3f}s budget: {last_error}"
-        )
+                tracer.finish(attempt_span, **where, outcome=outcome)
+                if outcome == "ok" and reply.spans:
+                    tracer.export(*reply.spans)
+            if outcome in _FINAL_OUTCOMES:
+                break
+            self._stats.failed_subqueries += 1
+        if outcome not in _FINAL_OUTCOMES:
+            outcome = "unavailable"
+            error = ShardUnavailableError(
+                f"shard {shard_id} unreachable after {attempts} attempt(s) "
+                f"within the {self.deadline_s:.3f}s budget: {error}"
+            )
+        if dispatch_span is not None:
+            tracer.finish(dispatch_span, outcome=outcome, attempts=attempts_made)
+        if error is not None:
+            raise error
+        return reply.result

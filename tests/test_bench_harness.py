@@ -40,7 +40,7 @@ class TestRunner:
         tree, data = tree_and_data
         rng = np.random.default_rng(0)
         groups = [rng.uniform(2000, 4000, size=(8, 2)) for _ in range(3)]
-        result = run_memory_setting(tree, groups, k=2, setting={"n": 8})
+        result = run_memory_setting(tree, groups, k=2)
         assert set(result.averages) == {"MQM", "SPM", "MBM"}
         for averages in result.averages.values():
             assert averages.queries == 3

@@ -34,6 +34,7 @@ from repro.shard import (
     CircuitBreaker,
     ShardCoordinator,
     ShardNode,
+    ShardQueryError,
     ShardUnavailableError,
     partition_dataset,
     partition_points,
@@ -327,6 +328,138 @@ class TestNodeFrameFaults:
             stats = coordinator.stats()
             assert stats["retries"] == 0 and stats["failed_subqueries"] == 0
         finally:
+            close_all(coordinator, *nodes)
+
+
+# ----------------------------------------------------------------------
+# attempt outcomes: each shard.attempt ending, pinned with its counters
+# ----------------------------------------------------------------------
+def _attempt_spans(tracer, shard_id=0):
+    """The coordinator's ``shard.attempt`` spans for one shard, in order."""
+    return sorted(
+        (
+            span
+            for span in tracer.spans()
+            if span["name"] == "shard.attempt" and span["attrs"]["shard"] == shard_id
+        ),
+        key=lambda span: span["start_s"],
+    )
+
+
+def _dispatch_outcomes(tracer):
+    return [
+        (span["attrs"]["outcome"], span["attrs"]["attempts"])
+        for span in sorted(tracer.spans(), key=lambda span: span["start_s"])
+        if span["name"] == "shard.dispatch"
+    ]
+
+
+class TestAttemptOutcomes:
+    def test_dropped_frame_attempt_times_out_then_retries_ok(
+        self, chaos_points, reference_engine, tmp_path
+    ):
+        manifest, nodes, addresses = build_federation(chaos_points, 1, tmp_path)
+        coordinator = ShardCoordinator(
+            manifest, addresses, timeout_s=0.5, retries=1, jitter_seed=CHAOS_SEED
+        )
+        tracer = obs_trace.enable()
+        try:
+            spec = broad_spec(k=7)
+            # node.recv hits: 1 = handshake ping, 2 = the query (dropped).
+            with faults.active(FaultPlan(seed=CHAOS_SEED).drop("node.recv", at=2)):
+                result = coordinator.execute(spec)
+            assert as_tuples(result) == as_tuples(reference_engine.execute(spec))
+            replica = f"{addresses[0][0]}:{addresses[0][1]}"
+            attempts = _attempt_spans(tracer)
+            assert [
+                (s["attrs"]["attempt"], s["attrs"]["outcome"], s["attrs"]["replica"],
+                 s["attrs"]["breaker_state"])
+                for s in attempts
+            ] == [(1, "timeout", replica, CLOSED), (2, "ok", replica, CLOSED)]
+            assert _dispatch_outcomes(tracer) == [("ok", 2)]
+            stats = coordinator.stats()
+            assert stats["subqueries"] == 2
+            assert stats["retries"] == 1
+            assert stats["failed_subqueries"] == 1
+            assert stats["breaker_trips"] == 0
+        finally:
+            obs_trace.disable()
+            close_all(coordinator, *nodes)
+
+    def test_unplannable_spec_attempt_is_rejected_without_retry(
+        self, chaos_points, tmp_path
+    ):
+        manifest, nodes, addresses = build_federation(chaos_points, 1, tmp_path)
+        coordinator = ShardCoordinator(
+            manifest, addresses, timeout_s=5.0, retries=2, jitter_seed=CHAOS_SEED
+        )
+        tracer = obs_trace.enable()
+        try:
+            # SPM answers sum only; the coordinator does not plan, the
+            # node's server does, and rejects it.
+            spec = QuerySpec(
+                group=[[400.0, 400.0], [600.0, 600.0]], k=3, algorithm="spm", aggregate="max"
+            )
+            with pytest.raises(ShardQueryError, match="shard 0"):
+                coordinator.submit(spec).result(timeout=30)
+            replica = f"{addresses[0][0]}:{addresses[0][1]}"
+            [attempt] = _attempt_spans(tracer)
+            assert attempt["attrs"]["outcome"] == "rejected"
+            assert attempt["attrs"]["replica"] == replica
+            assert attempt["attrs"]["breaker_state"] == CLOSED
+            assert _dispatch_outcomes(tracer) == [("rejected", 1)]
+            stats = coordinator.stats()
+            assert stats["subqueries"] == 1
+            assert stats["retries"] == 0
+            assert stats["failed_subqueries"] == 0
+            assert stats["queries"] == 0
+            assert coordinator.breaker_states()[(0, replica)] == CLOSED
+        finally:
+            obs_trace.disable()
+            close_all(coordinator, *nodes)
+
+    def test_shed_subquery_attempt_is_overloaded(
+        self, chaos_points, reference_engine, tmp_path
+    ):
+        # One admitted request waits out a 2 s batching window on a node
+        # that admits one at a time, so a second sub-query is shed.
+        manifest, nodes, addresses = build_federation(
+            chaos_points, 1, tmp_path, window_s=2.0, max_pending=1
+        )
+        coordinator = ShardCoordinator(
+            manifest, addresses, timeout_s=10.0, retries=0, jitter_seed=CHAOS_SEED
+        )
+        tracer = obs_trace.enable()
+        try:
+            spec = broad_spec(k=7)
+            held = coordinator.submit(spec)
+            deadline = time.monotonic() + 10.0
+            while nodes[0].stats()["scheduler"]["in_flight"] < 1:
+                assert time.monotonic() < deadline, "the first sub-query never arrived"
+                time.sleep(0.005)
+            with pytest.raises(ShardUnavailableError, match="shed"):
+                coordinator.submit(spec).result(timeout=30)
+            assert as_tuples(held.result(timeout=30)) == as_tuples(
+                reference_engine.execute(spec)
+            )
+            replica = f"{addresses[0][0]}:{addresses[0][1]}"
+            outcomes = [
+                (s["attrs"]["outcome"], s["attrs"]["replica"], s["attrs"]["breaker_state"])
+                for s in _attempt_spans(tracer)
+            ]
+            assert sorted(outcomes) == [
+                ("ok", replica, CLOSED),
+                ("overloaded", replica, CLOSED),
+            ]
+            assert sorted(_dispatch_outcomes(tracer)) == [("ok", 1), ("unavailable", 1)]
+            stats = coordinator.stats()
+            assert stats["subqueries"] == 2
+            assert stats["retries"] == 0
+            assert stats["failed_subqueries"] == 1
+            assert stats["breaker_trips"] == 0
+            assert nodes[0].stats()["server"]["shed"] == 1
+        finally:
+            obs_trace.disable()
             close_all(coordinator, *nodes)
 
 

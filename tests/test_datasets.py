@@ -235,11 +235,6 @@ class TestWorkloadGeneration:
         second = generate_workload(data, spec, seed=5)
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
-    def test_spec_describe_mentions_parameters(self):
-        spec = WorkloadSpec(n=64, mbr_fraction=0.08, k=8, queries=100)
-        text = spec.describe()
-        assert "n=64" in text and "8%" in text and "k=8" in text
-
 
 class TestRequestTrace:
     """The seeded Poisson/Zipf serving trace generator."""

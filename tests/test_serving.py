@@ -502,6 +502,43 @@ class TestCloseIdempotency:
             assert future.done()
 
 
+class TestRequestEndings:
+    def test_dead_pool_without_respawn_fails_pending_requests(self, snapshot_path, rng):
+        """With respawn off, the last worker's death fails what is in
+        flight at once — the request was still queued in the batching
+        window, so no worker had claimed it — not at close()."""
+        server = GNNServer(snapshot_path, workers=1, respawn_workers=False, window_s=5.0)
+        try:
+            future = server.submit(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=1))
+            for process in server._workers:
+                process.kill()
+                process.join(timeout=10)
+            # A wait past the 3 s bound raises TimeoutError, not ServingError.
+            with pytest.raises(ServingError, match="all serving workers exited unexpectedly"):
+                future.result(timeout=3.0)
+            stats = server.stats()["server"]
+            assert stats["failed"] == 1
+            assert stats["pending"] == 0
+            assert stats["worker_deaths"] == 1
+            assert stats["workers_alive"] == 0
+        finally:
+            server.close(timeout=20)
+
+    def test_cancelled_future_does_not_stall_later_requests(self, snapshot_path, rng):
+        """A client cancelling its future must not take the reply thread
+        down with it: the batch it rode in still answers its neighbour."""
+        with GNNServer(snapshot_path, workers=1, window_s=0.2) as server:
+            cancelled = server.submit(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=1))
+            assert cancelled.cancel()
+            later = server.submit(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=1))
+            assert later.result(timeout=10).neighbors
+            after = server.submit(QuerySpec(group=rng.uniform(0, 1000, size=(3, 2)), k=1))
+            assert after.result(timeout=10).neighbors
+            stats = server.stats()["server"]
+            assert stats["completed"] == 3
+            assert stats["pending"] == 0
+
+
 class TestHotSwap:
     def test_publish_snapshot_remaps_workers(self, serve_points, snapshot_path):
         group = np.array([[555.0, 555.0], [557.0, 555.0]])
